@@ -76,8 +76,12 @@ tht-store:
 		tests/serving/test_gateway.py -x -q
 	$(PYTHON) scripts/bench.py --quick --out /tmp/tht_store_bench.json
 
-# Mirror of .github/workflows/ci.yml: tier-1 suite, examples smoke,
-# network-loopback matrix + soak, serving smoke, perf gates.
+# What .github/workflows/ci.yml runs (this target is the one list of CI
+# tiers): tier-1 suite, examples smoke, network-loopback matrix + residency
+# + soak, serving smoke, fault matrix, THT store, perf gates.  The gates run
+# in quick mode — trimmed rounds, not input scale, so the gated thresholds
+# stay representative — and the report lands outside the BENCH_<n>
+# trajectory (committed reports come from `make bench`).
 ci:
 	$(PYTHON) -m pytest -x -q
 	$(MAKE) examples
@@ -87,4 +91,4 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) fault-matrix
 	$(MAKE) tht-store
-	$(PYTHON) scripts/bench.py --check
+	$(PYTHON) scripts/bench.py --check --quick --out bench_ci.json

@@ -91,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path (default: BENCH_<id>.json at the repo root)",
     )
     parser.add_argument(
-        "--bench-id", type=int, default=9,
-        help="report generation number (default 9)",
+        "--bench-id", type=int, default=10,
+        help="report generation number (default 10)",
     )
     parser.add_argument(
         "--baseline", default=None,

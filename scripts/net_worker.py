@@ -30,11 +30,7 @@ the connection), then the sockets are closed.
 from __future__ import annotations
 
 import argparse
-import signal
-import socketserver
 import sys
-import threading
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,54 +38,8 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.runtime.net_server import FrameServer, run_daemon  # noqa: E402
 from repro.runtime.net_transport import serve_connection  # noqa: E402
-
-#: Seconds a graceful shutdown waits for in-flight connections to drain.
-SHUTDOWN_GRACE_S = 5.0
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        worker_id = getattr(self.server, "next_worker_id", 0)
-        self.server.next_worker_id = worker_id + 1
-        self.server.track_connection(+1)
-        try:
-            serve_connection(self.request, worker_id=worker_id)
-        finally:
-            self.server.track_connection(-1)
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    next_worker_id = 0
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-
-    def track_connection(self, delta: int) -> None:
-        with self._inflight_lock:
-            self._inflight += delta
-
-    @property
-    def inflight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
-    def shutdown_gracefully(self, grace_s: float = SHUTDOWN_GRACE_S) -> None:
-        """Stop accepting, wait for live connections to drain, then close.
-
-        Connection loops exit on their own when the parent executor sends
-        ``shutdown`` (or drops the socket); this only bounds how long we
-        wait for that to happen before closing the listener anyway.
-        """
-        self.shutdown()
-        deadline = time.monotonic() + grace_s
-        while self.inflight > 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        self.server_close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,45 +52,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="print 'listening <host>:<port>' once bound "
                              "(for harnesses starting daemons on port 0)")
     args = parser.parse_args(argv)
-
-    server = _Server((args.host, args.port), _Handler)
-    host, port = server.server_address[:2]
-    if args.announce:
-        print(f"listening {host}:{port}", flush=True)
-
-    closed = threading.Event()
-
-    def request_shutdown(signum, frame):  # pragma: no cover - signal driven
-        # serve_forever's own thread cannot call shutdown() (it would
-        # deadlock on the serve loop); hand the teardown to a helper thread.
-        def teardown() -> None:
-            server.shutdown_gracefully()
-            closed.set()
-
-        threading.Thread(target=teardown, name="net-worker-shutdown").start()
-
-    signal.signal(signal.SIGTERM, request_shutdown)
-    signal.signal(signal.SIGINT, request_shutdown)
-
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        if not closed.is_set():
-            server.shutdown_gracefully()
-    return 0
+    server = FrameServer((args.host, args.port), serve_connection)
+    return run_daemon(server, args.announce, "net-worker")
 
 
 def serve_in_thread(host: str = "127.0.0.1", port: int = 0):
     """Start a daemon in-process (tests/benchmarks); returns (server, addr).
 
-    Call ``server.shutdown_gracefully()`` (or ``server.shutdown();
-    server.server_close()``) to stop it.
+    Call ``server.shutdown_gracefully()`` to stop it.
     """
-    server = _Server((host, port), _Handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.2,), daemon=True)
-    thread.start()
-    bound_host, bound_port = server.server_address[:2]
-    return server, f"{bound_host}:{bound_port}"
+    server = FrameServer((host, port), serve_connection)
+    return server, server.serve_in_thread()
 
 
 if __name__ == "__main__":

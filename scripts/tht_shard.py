@@ -32,11 +32,7 @@ final compacted snapshot, then the sockets close.
 from __future__ import annotations
 
 import argparse
-import signal
-import socketserver
 import sys
-import threading
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -50,66 +46,31 @@ from repro.atm.store import (  # noqa: E402
     serve_shard_connection,
 )
 from repro.common.config import ATMConfig  # noqa: E402
-
-#: Seconds a graceful shutdown waits for in-flight connections to drain.
-SHUTDOWN_GRACE_S = 5.0
+from repro.runtime.net_server import FrameServer, run_daemon  # noqa: E402
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        self.server.track_connection(+1)
-        try:
-            serve_shard_connection(self.request, self.server.state)
-        finally:
-            self.server.track_connection(-1)
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address, handler, state: ShardState, flush_every: int = 0) -> None:
-        super().__init__(address, handler)
-        self.state = state
-        self._flush_every = flush_every
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-
-    def track_connection(self, delta: int) -> None:
-        with self._inflight_lock:
-            self._inflight += delta
-        if delta < 0 and self._flush_every > 0 and self.state.backing is not None:
-            # Periodic durability: flush after every Nth publish, checked as
-            # connections retire so the accept loop never blocks on fsync.
-            if self.state.publishes and self.state.publishes % self._flush_every == 0:
-                self.state.flush()
-
-    @property
-    def inflight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
-    def shutdown_gracefully(self, grace_s: float = SHUTDOWN_GRACE_S) -> None:
-        """Stop accepting, drain live requests, flush backing, close."""
-        self.shutdown()
-        deadline = time.monotonic() + grace_s
-        while self.inflight > 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        self.state.flush()
-        self.server_close()
+def make_server(host: str, port: int, state: ShardState) -> FrameServer:
+    """The shard daemon: every connection serves ``state``; a graceful
+    shutdown leaves the backing file (if any) a final compacted snapshot."""
+    return FrameServer(
+        (host, port),
+        lambda sock, _connection_id: serve_shard_connection(sock, state),
+        on_shutdown=state.flush,
+    )
 
 
 def make_state(
     bucket_bits: int = ATMConfig.tht_bucket_bits,
     bucket_capacity: int = ATMConfig.tht_bucket_capacity,
     backing: "str | Path | None" = None,
+    flush_every: int = 0,
 ) -> ShardState:
     """Build the shard's table state from its geometry + optional backing."""
     config = ATMConfig(
         tht_bucket_bits=bucket_bits, tht_bucket_capacity=bucket_capacity
     )
     store = FileTHTStore(backing, atm_config=config) if backing else None
-    return ShardState(atm_config=config, backing=store)
+    return ShardState(atm_config=config, backing=store, flush_every=flush_every)
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -134,33 +95,11 @@ def main(argv: "list[str] | None" = None) -> int:
                              "(0 = only on shutdown)")
     args = parser.parse_args(argv)
 
-    state = make_state(args.bucket_bits, args.bucket_capacity, args.backing)
-    server = _Server((args.host, args.port), _Handler, state,
-                     flush_every=args.flush_every)
-    host, port = server.server_address[:2]
-    if args.announce:
-        print(f"listening {host}:{port}", flush=True)
-
-    closed = threading.Event()
-
-    def request_shutdown(signum, frame):  # pragma: no cover - signal driven
-        # serve_forever's own thread cannot call shutdown() (it would
-        # deadlock on the serve loop); hand the teardown to a helper thread.
-        def teardown() -> None:
-            server.shutdown_gracefully()
-            closed.set()
-
-        threading.Thread(target=teardown, name="tht-shard-shutdown").start()
-
-    signal.signal(signal.SIGTERM, request_shutdown)
-    signal.signal(signal.SIGINT, request_shutdown)
-
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        if not closed.is_set():
-            server.shutdown_gracefully()
-    return 0
+    state = make_state(
+        args.bucket_bits, args.bucket_capacity, args.backing, args.flush_every
+    )
+    server = make_server(args.host, args.port, state)
+    return run_daemon(server, args.announce, "tht-shard")
 
 
 def serve_in_thread(
@@ -169,18 +108,15 @@ def serve_in_thread(
     bucket_bits: int = ATMConfig.tht_bucket_bits,
     bucket_capacity: int = ATMConfig.tht_bucket_capacity,
     backing: "str | Path | None" = None,
+    flush_every: int = 0,
 ):
     """Start a shard in-process (tests/benchmarks); returns (server, addr).
 
-    Call ``server.shutdown_gracefully()`` (or ``server.shutdown();
-    server.server_close()``) to stop it.
+    Call ``server.shutdown_gracefully()`` to stop it (flushes the backing).
     """
-    state = make_state(bucket_bits, bucket_capacity, backing)
-    server = _Server((host, port), _Handler, state)
-    thread = threading.Thread(target=server.serve_forever, args=(0.2,), daemon=True)
-    thread.start()
-    bound_host, bound_port = server.server_address[:2]
-    return server, f"{bound_host}:{bound_port}"
+    state = make_state(bucket_bits, bucket_capacity, backing, flush_every)
+    server = make_server(host, port, state)
+    return server, server.serve_in_thread()
 
 
 if __name__ == "__main__":

@@ -28,9 +28,10 @@ Failure semantics: a store that cannot be read raises
 :class:`~repro.common.exceptions.THTStoreCorruptError` (bad frame, bad
 header, schema mismatch) or
 :class:`~repro.common.exceptions.THTStoreUnavailableError` (shard
-unreachable) — never silently-garbage entries.  The Session catches both on
-warm-start and falls back to a cold table; see
-:meth:`repro.session.Session` wiring.
+unreachable) — never silently-garbage entries.  :func:`warm_start` (the
+one entry point of the Session and the gateway's shared tier) catches both
+and falls back to a cold table; :func:`publish_increment` ships a journal
+increment back and reports a store that failed mid-run.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import os
 import socket
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from typing import Any, Optional
 
@@ -53,6 +55,7 @@ from repro.runtime.net_wire import (
     encode_frame,
     iter_frames,
     read_frame,
+    request,
     write_frame,
 )
 
@@ -63,6 +66,8 @@ __all__ = [
     "ShardTHTStore",
     "open_store",
     "parse_store_url",
+    "warm_start",
+    "publish_increment",
     "merge_deltas",
     "serve_shard_connection",
     "ShardState",
@@ -117,7 +122,7 @@ def parse_store_url(url: str) -> tuple[str, Any]:
     if url.startswith("tcp://"):
         address = url[len("tcp://"):]
         host, _, port = address.rpartition(":")
-        if not host or not port.isdigit():
+        if not host or not port.isdigit() or not (0 < int(port) <= 65535):
             raise THTStoreError(
                 f"tht_store tcp:// URL must be tcp://host:port, got {url!r}"
             )
@@ -135,6 +140,63 @@ def open_store(url: str, atm_config: Optional[ATMConfig] = None):
         return FileTHTStore(target, atm_config=config)
     host, port = target
     return ShardTHTStore(host, port, atm_config=config)
+
+
+def warm_start(url: str, atm_config: ATMConfig, tht, what: str = "cold-starting"):
+    """Open the store at ``url`` and merge its content into ``tht``.
+
+    Returns ``(store, restored)``: the attached store (``None`` when it is
+    unreachable) and the number of entries merged.  A damaged cache must
+    never take down the computation it was meant to accelerate, so every
+    failure degrades to a cold table with a ``RuntimeWarning`` saying
+    ``what`` happens instead.  A *corrupt* store stays attached — the next
+    publish rewrites it (:class:`FileTHTStore` self-heals).  Restored
+    entries are merged un-journaled: callers enable the journal afterwards,
+    so a later :func:`publish_increment` never re-publishes them.
+    """
+    store = delta = problem = None
+    try:
+        store = open_store(url, atm_config)
+        delta = store.load()
+    except THTStoreCorruptError as exc:
+        problem = f"unreadable, {what}: {exc}"
+    except THTStoreUnavailableError as exc:
+        problem = (
+            f"{'dropped during warm-start' if store else 'unavailable'}, "
+            f"{what}: {exc}"
+        )
+        if store is not None:
+            store.close()
+            store = None
+    if problem:
+        warnings.warn(f"THT store {url} {problem}", RuntimeWarning, stacklevel=3)
+    entries = delta.get("entries") if delta else None
+    if entries:
+        tht.merge(delta, journal=False)
+    return store, len(entries or ())
+
+
+def publish_increment(store, tht) -> bool:
+    """Ship ``tht``'s journal increment to ``store`` (nothing journaled
+    since the last publish: nothing to ship, counters keep accumulating).
+
+    Returns ``False`` — after closing the store and warning once — when the
+    publish failed: the caller detaches the store and carries on in memory.
+    """
+    if not tht._journal:
+        return True
+    try:
+        store.publish(tht.snapshot(reset=True))
+    except THTStoreError as exc:
+        store.close()
+        warnings.warn(
+            f"THT store {store.url} publish failed; detaching the store "
+            f"(entries since the last publish were not persisted): {exc}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
+    return True
 
 
 # -- file backend ---------------------------------------------------------------------
@@ -349,8 +411,7 @@ class ShardTHTStore:
                     f"THT shard connection {self.url} is closed"
                 )
             try:
-                write_frame(self._sock, message)
-                reply = read_frame(self._sock)
+                reply = request(self._sock, message)
             except WireProtocolError as exc:
                 raise THTStoreCorruptError(
                     f"THT shard {self.url} sent a malformed reply: {exc}"
@@ -423,12 +484,15 @@ class ShardState:
         self,
         atm_config: Optional[ATMConfig] = None,
         backing: Optional[FileTHTStore] = None,
+        flush_every: int = 0,
     ) -> None:
         from repro.atm.tht import TaskHistoryTable
 
         self.config = atm_config or ATMConfig()
         self.table = TaskHistoryTable(self.config)
         self.backing = backing
+        #: Flush the backing file every N publishes (0 = only on shutdown).
+        self.flush_every = flush_every
         self._lock = threading.Lock()
         self.publishes = 0
         self.fetches = 0
@@ -476,6 +540,14 @@ class ShardState:
             with self._lock:
                 self.publishes += 1
                 self.entries_received += received
+                flush_due = (
+                    self.flush_every > 0 and self.publishes % self.flush_every == 0
+                )
+            if flush_due:
+                # Counted where the publish happens, on this connection's
+                # own thread: a client that never disconnects still gets
+                # its publishes made durable, and before they are acked.
+                self.flush()
             return ("publish_ack", received)
         if kind == "stats":
             with self._lock:

@@ -172,25 +172,14 @@ class ATMConfig:
         if self.shuffle_cache_entries < 1:
             raise ConfigurationError("shuffle_cache_entries must be >= 1")
         if self.tht_store is not None:
-            store = self.tht_store.strip()
-            if store.startswith("file://"):
-                if not store[len("file://"):]:
-                    raise ConfigurationError(
-                        "tht_store file:// URL names no path"
-                    )
-            elif store.startswith("tcp://"):
-                address = store[len("tcp://"):]
-                host, _, port = address.rpartition(":")
-                if not host or not port.isdigit() or not (0 < int(port) <= 65535):
-                    raise ConfigurationError(
-                        f"tht_store tcp:// URL must be tcp://host:port, "
-                        f"got {self.tht_store!r}"
-                    )
-            else:
-                raise ConfigurationError(
-                    f"tht_store must be a file:// or tcp:// URL, "
-                    f"got {self.tht_store!r}"
-                )
+            # Deferred: repro.atm.store imports this module.
+            from repro.atm.store import parse_store_url
+            from repro.common.exceptions import THTStoreError
+
+            try:
+                parse_store_url(self.tht_store)
+            except THTStoreError as exc:
+                raise ConfigurationError(str(exc)) from exc
         if self.tht_store_compact_frames < 1:
             raise ConfigurationError(
                 f"tht_store_compact_frames must be >= 1, "
@@ -223,10 +212,6 @@ class RuntimeConfig:
         ``"work_stealing"``).
     enable_tracing:
         Record per-core state intervals and ready-queue depth samples.
-    max_ready_tasks:
-        Optional bound on the ready queue (``None`` = unbounded); used to
-        model the task-creation throughput limitation discussed in Section
-        V-C.
     seed:
         Seed for any stochastic scheduling decisions (work stealing).
     mp_workers:
@@ -255,11 +240,6 @@ class RuntimeConfig:
         How many times one task may be resubmitted after endpoint failures
         before the drain raises
         :class:`~repro.common.exceptions.NetworkDrainError`.
-    net_timeout_grace_s:
-        Dispatch/queue latency allowance the network backend adds to the
-        per-chunk task budget before an endpoint is declared wedged
-        (``task_timeout_s`` supervision).  Replaces the hardcoded
-        ``NetworkExecutor.TIMEOUT_GRACE`` class constant.
     net_residency:
         Enable per-endpoint data residency on the network backend
         (DESIGN.md §4.5): workers keep generation-tagged caches of shipped
@@ -305,7 +285,6 @@ class RuntimeConfig:
     executor: str = "serial"
     scheduler: str = "fifo"
     enable_tracing: bool = False
-    max_ready_tasks: Optional[int] = None
     seed: int = 2017
     mp_workers: Optional[int] = None
     mp_chunk_size: int = 8
@@ -313,7 +292,6 @@ class RuntimeConfig:
     net_endpoints: str = "loopback"
     net_timeout_s: float = 30.0
     net_max_retries: int = 2
-    net_timeout_grace_s: float = 0.25
     net_residency: bool = True
     net_residency_budget_bytes: int = 256 << 20
     task_timeout_s: Optional[float] = None
@@ -332,8 +310,6 @@ class RuntimeConfig:
             )
         EXECUTORS.validate_name(self.executor, field="executor")
         SCHEDULERS.validate_name(self.scheduler, field="scheduler")
-        if self.max_ready_tasks is not None and self.max_ready_tasks < 1:
-            raise ConfigurationError("max_ready_tasks must be >= 1 or None")
         if self.mp_workers is not None and self.mp_workers < 1:
             raise ConfigurationError("mp_workers must be >= 1 or None")
         if self.mp_chunk_size < 1:
@@ -354,10 +330,6 @@ class RuntimeConfig:
         if self.net_max_retries < 0:
             raise ConfigurationError(
                 f"net_max_retries must be >= 0, got {self.net_max_retries}"
-            )
-        if self.net_timeout_grace_s < 0:
-            raise ConfigurationError(
-                f"net_timeout_grace_s must be >= 0, got {self.net_timeout_grace_s}"
             )
         if self.net_residency_budget_bytes < 1:
             raise ConfigurationError(

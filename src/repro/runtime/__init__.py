@@ -10,11 +10,14 @@ The runtime exposes the same concepts the paper relies on:
   :mod:`repro.runtime.graph`);
 * **ready queues** and **schedulers** (:mod:`repro.runtime.ready_queue`,
   :mod:`repro.runtime.scheduler`);
-* four executors: a serial one, a real-thread one, a multiprocess
-  shared-memory one and a deterministic discrete-event multicore simulator
-  (:mod:`repro.runtime.executor`, :mod:`repro.runtime.mp_executor`,
+* five executors: a serial one, a real-thread one, a multiprocess
+  shared-memory one, a network one and a deterministic discrete-event
+  multicore simulator (:mod:`repro.runtime.executor`,
+  :mod:`repro.runtime.mp_executor`, :mod:`repro.runtime.net_executor`,
   :mod:`repro.runtime.simulator`, selected by registry name via
-  :func:`repro.runtime.executor.build_executor`; see DESIGN.md §4);
+  :func:`repro.runtime.executor.build_executor`; see DESIGN.md §4) — the
+  two that run task bodies elsewhere share one remote-task core
+  (:mod:`repro.runtime.remote_task`, :mod:`repro.runtime.dispatch`);
 * an execution **trace recorder** used to regenerate the paper's Figures 7
   and 8 (:mod:`repro.runtime.trace`).
 

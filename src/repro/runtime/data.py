@@ -34,7 +34,6 @@ __all__ = [
     "DataRegion",
     "SharedDataRegion",
     "ArrayRef",
-    "RegionDescriptor",
     "DataAccess",
     "In",
     "Out",
@@ -331,14 +330,6 @@ class ArrayRef:
     shape: tuple[int, ...]
     strides: tuple[int, ...]
     dtype: str
-
-
-@dataclass(frozen=True)
-class RegionDescriptor:
-    """Serializable description of one :class:`DataRegion` (ref + name)."""
-
-    ref: ArrayRef
-    name: str
 
 
 class SharedDataRegion(DataRegion):

@@ -119,6 +119,8 @@ class BaseExecutor:
     """Shared bookkeeping for all executors."""
 
     time_unit = "s"
+    #: What an aborted drain raises (the network backend narrows it).
+    abort_error = DrainAbortedError
 
     def __init__(
         self,
@@ -133,7 +135,7 @@ class BaseExecutor:
         # Supervision: retries/timeouts/quarantine per DESIGN.md §7.  The
         # supervisor writes failures straight onto the run result; drains
         # refresh it so each drain gets a fresh deadline/attempt ledger.
-        self._supervisor = TaskSupervisor(self.config, failures=self._result.failures)
+        self._fresh_supervisor()
         self._failure_lock = threading.Lock()
 
     # -- runtime hooks ---------------------------------------------------------
@@ -201,7 +203,9 @@ class BaseExecutor:
     # -- supervision (DESIGN.md §7 "Failure semantics") ------------------------
     def _fresh_supervisor(self) -> TaskSupervisor:
         """New per-drain supervisor, still sinking into the run result."""
-        self._supervisor = TaskSupervisor(self.config, failures=self._result.failures)
+        self._supervisor = TaskSupervisor(
+            self.config, failures=self._result.failures, abort_error=self.abort_error
+        )
         return self._supervisor
 
     def _run_supervised(self, task: Task):
@@ -281,15 +285,62 @@ class BaseExecutor:
             self._account(EXECUTE_DECISION)
         graph.complete_task(task, TaskState.FINISHED)
 
+    def _process(self, task: Task, graph: TaskDependenceGraph, worker_id: int) -> None:
+        """The ATM step around one task (the paper's Figure 1): look the key
+        up as the task leaves the ready queue, execute it or copy the stored
+        outputs, commit when it finishes."""
+        now = time.perf_counter
+        t_lookup = now()
+        decision = self._lookup(task, worker_id)
+        t_after_lookup = now()
+        self.trace.record(
+            worker_id, CoreState.ATM_HASH, t_lookup, t_after_lookup, task.label
+        )
+        executed = False
+        if not decision.skips_execution:
+            task.state = TaskState.RUNNING
+            task.executed_on = worker_id
+            failure = self._run_supervised(task)
+            if failure is not None:
+                self._task_failed(
+                    task, graph, decision, *failure, worker=f"worker-{worker_id}"
+                )
+                return
+            executed = True
+        t_after_run = now()
+        if executed:
+            self.trace.record(
+                worker_id, CoreState.TASK_EXECUTION, t_after_lookup, t_after_run, task.label
+            )
+        if decision.atm_handled and self.engine is not None:
+            self.engine.task_finished(task, decision, executed, worker_id)
+        t_after_commit = now()
+        self.trace.record(
+            worker_id, CoreState.ATM_MEMOIZATION, t_after_run, t_after_commit, task.label
+        )
+        with graph._lock:  # account + complete under one lock for consistent counts
+            self._account(decision)
+        if decision.action != ATMAction.DEFER:
+            final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
+            graph.complete_task(task, final_state)
+        self.trace.sample_ready(now(), self.scheduler.pending())
+
     def drain(self, graph: TaskDependenceGraph) -> RunResult:  # pragma: no cover
         raise NotImplementedError
 
     def close(self) -> None:
         """Release executor resources (worker pools, shared segments).
 
-        No-op for in-process executors; the process backend overrides it.
-        :meth:`repro.session.Session.finish` calls it after the final barrier.
+        No-op for in-process executors; the process and network backends
+        override it.  :meth:`repro.session.Session.finish` calls it after
+        the final barrier.
         """
+
+    def __enter__(self) -> "BaseExecutor":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 class SerialExecutor(BaseExecutor):
@@ -312,46 +363,13 @@ class SerialExecutor(BaseExecutor):
                     "serial executor starved: ready queue empty but graph not finished "
                     "(deferred task without a producer?)"
                 )
-            self._process(task, graph)
+            self._process(task, graph, 0)
             if time.perf_counter() >= deadline:
                 raise supervisor.drain_timeout("serial drain")
         elapsed = time.perf_counter() - t0
         self._result.elapsed += elapsed
         self._finalize_result()
         return self._result
-
-    def _process(self, task: Task, graph: TaskDependenceGraph) -> None:
-        now = time.perf_counter
-        t_lookup = now()
-        decision = self._lookup(task, worker_id=0)
-        t_after_lookup = now()
-        self.trace.record(0, CoreState.ATM_HASH, t_lookup, t_after_lookup, task.label)
-        executed = False
-        if not decision.skips_execution:
-            task.state = TaskState.RUNNING
-            failure = self._run_supervised(task)
-            if failure is not None:
-                self._task_failed(task, graph, decision, *failure, worker="serial")
-                return
-            executed = True
-        t_after_run = now()
-        if executed:
-            self.trace.record(
-                0, CoreState.TASK_EXECUTION, t_after_lookup, t_after_run, task.label
-            )
-        if decision.atm_handled and self.engine is not None:
-            self.engine.task_finished(task, decision, executed, worker_id=0)
-        t_after_commit = now()
-        self.trace.record(
-            0, CoreState.ATM_MEMOIZATION, t_after_run, t_after_commit, task.label
-        )
-        self._account(decision)
-        if decision.action != ATMAction.DEFER:
-            final_state = (
-                TaskState.FINISHED if executed else TaskState.MEMOIZED
-            )
-            graph.complete_task(task, final_state)
-        self.trace.sample_ready(now(), self.scheduler.pending())
 
 
 class ThreadedExecutor(BaseExecutor):
@@ -441,43 +459,6 @@ class ThreadedExecutor(BaseExecutor):
         self._result.elapsed += elapsed
         self._finalize_result()
         return self._result
-
-    def _process(self, task: Task, graph: TaskDependenceGraph, worker_id: int) -> None:
-        now = time.perf_counter
-        t_lookup = now()
-        decision = self._lookup(task, worker_id)
-        t_after_lookup = now()
-        self.trace.record(
-            worker_id, CoreState.ATM_HASH, t_lookup, t_after_lookup, task.label
-        )
-        executed = False
-        if not decision.skips_execution:
-            task.state = TaskState.RUNNING
-            task.executed_on = worker_id
-            failure = self._run_supervised(task)
-            if failure is not None:
-                self._task_failed(
-                    task, graph, decision, *failure, worker=f"worker-{worker_id}"
-                )
-                return
-            executed = True
-        t_after_run = now()
-        if executed:
-            self.trace.record(
-                worker_id, CoreState.TASK_EXECUTION, t_after_lookup, t_after_run, task.label
-            )
-        if decision.atm_handled and self.engine is not None:
-            self.engine.task_finished(task, decision, executed, worker_id)
-        t_after_commit = now()
-        self.trace.record(
-            worker_id, CoreState.ATM_MEMOIZATION, t_after_run, t_after_commit, task.label
-        )
-        with graph._lock:  # account + complete under one lock for consistent counts
-            self._account(decision)
-        if decision.action != ATMAction.DEFER:
-            final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
-            graph.complete_task(task, final_state)
-        self.trace.sample_ready(now(), self.scheduler.pending())
 
 
 # -- backend registry ------------------------------------------------------------

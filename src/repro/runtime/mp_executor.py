@@ -6,31 +6,22 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
 §4.2).  The division of labour:
 
 * **Parent** — owns the task dependence graph, the scheduler and the
-  reference :class:`~repro.atm.engine.ATMEngine`.  Ready tasks are encoded
-  as small descriptors (function by reference, array payloads as
-  :class:`~repro.runtime.data.ArrayRef` handles into shared memory) and
-  batched round-robin onto *per-worker* task queues (chunked dispatch,
-  ``RuntimeConfig.mp_chunk_size``), so the parent always knows exactly
-  which worker holds which in-flight chunk — the bookkeeping that makes
-  crash recovery possible.  Completions release successors through the
-  ordinary graph machinery.
-* **Workers** — pull chunks from their private queue, rebuild each task over
-  :mod:`multiprocessing.shared_memory` views
-  (:class:`~repro.runtime.shm.WorkerArena`), run the full ATM protocol
-  against a **per-worker engine** (lookup → execute/skip → commit), bump the
-  cross-process write-version table for every committed write, and report
-  per-task accounting.
-* **Drain barrier** — when the graph is finished the parent copies written
-  buffers back into the application arrays and collects one serializable
-  delta per worker (``ATMEngine.snapshot(reset=True)``: stats + THT
-  commits), merging them into the parent engine
-  (``ATMEngine.merge``), so reporting, figures and Table III reaction paths
-  see the consolidated state.
-
-Per-worker engines deliberately run with the IKT disabled: a worker
-processes one task at a time, so an in-flight twin can never exist inside a
-worker, and cross-process in-flight tracking would serialise every lookup on
-one lock — the THT delta merge at the barrier recovers the sharing instead.
+  reference :class:`~repro.atm.engine.ATMEngine`.  The drain loop, the
+  in-flight ledger, crash resubmission and the engine-delta barrier are
+  the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`; this module
+  is its shared-memory *transport*: chunks of
+  :class:`~repro.runtime.remote_task.TaskDescriptor` (array payloads as
+  :class:`~repro.runtime.data.ArrayRef` handles into shared memory) go
+  round-robin onto *per-worker* task queues, answers come back on one
+  result pipe.
+* **Workers** — pull chunks from their private queue and run each
+  descriptor through :func:`~repro.runtime.remote_task.run_descriptor`
+  over :mod:`multiprocessing.shared_memory` views
+  (:class:`~repro.runtime.shm.WorkerArena`) against a per-worker engine
+  replica, bumping the cross-process write-version table for every
+  committed write.
+* **Data plane** — ``copy_in`` mirrors parent bytes into the segments
+  before a drain, ``copy_out`` brings the written buffers home after it.
 
 Worker processes persist across drains (barriers inside an application keep
 their warm THTs and keygen caches); :meth:`ProcessExecutor.close` — called
@@ -38,13 +29,10 @@ automatically by :meth:`repro.session.Session.finish` and by a GC finalizer — 
 the pool down and unlinks every shared segment.
 
 **Supervision** (DESIGN.md §7): a worker that *dies* mid-drain (killed,
-segfault, ``os._exit``) is detected by ``Process.is_alive()`` polling,
-respawned in place, and its in-flight chunks are resubmitted round-robin to
-the surviving pool — mirroring the network backend's endpoint failover,
-including honest ``lost_deltas`` accounting for the un-merged engine delta
-that died with the worker.  A task whose repeated resubmissions keep
-killing workers is declared poison (``WorkerLostError``) and quarantined
-or aborted per ``RuntimeConfig.on_task_failure``.  When
+segfault, ``os._exit``) is detected by ``Process.is_alive()`` polling and
+respawned in place; the chunk it was executing is charged against the
+dispatcher's resubmission budget (``max(1, task_max_retries)``), chunks
+merely queued behind it are requeued for free.  When
 ``task_timeout_s`` is set, dispatch degrades to one task per chunk and
 workers announce chunk starts, so a wedged task is identifiable: the
 parent kills the worker hosting it, respawns, and records a
@@ -59,266 +47,103 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import queue as queue_module
 import time
 import traceback
-import warnings
-import weakref
-from dataclasses import dataclass
-from typing import Any, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import (
     RuntimeStateError,
-    TaskFailedError,
     TaskTimeoutError,
     WorkerLostError,
 )
-from repro.runtime.atm_protocol import ATMAction, ATMDecision, EXECUTE_DECISION
-from repro.runtime.data import AccessMode, ArrayRef, DataAccess, RegionDescriptor
+from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
+from repro.runtime.remote_task import (
+    EngineSpec,
+    TaskDescriptor,
+    build_worker_engine,
+    describe_task,
+    make_engine_spec,
+    run_descriptor,
+)
 from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable, WorkerArena
-from repro.runtime.supervision import POLL_INTERVAL
-from repro.runtime.task import Task, TaskState, TaskType
+from repro.runtime.supervision import POLL_INTERVAL, TIMEOUT_GRACE
+from repro.runtime.task import TaskType
 
-__all__ = ["ProcessExecutor", "make_engine_spec"]
-
-
-@dataclass(frozen=True)
-class _TaskTypeSpec:
-    """Reduced, picklable description of a :class:`TaskType`.
-
-    Cost models are deliberately dropped: they are only used by the
-    simulator, and applications routinely define them as (unpicklable)
-    lambdas.
-    """
-
-    name: str
-    memoizable: bool
-    tau_max: Optional[float]
-    l_training: Optional[int]
-    deterministic: bool
-
-    @classmethod
-    def of(cls, task_type: TaskType) -> "_TaskTypeSpec":
-        return cls(
-            name=task_type.name,
-            memoizable=task_type.memoizable,
-            tau_max=task_type.tau_max,
-            l_training=task_type.l_training,
-            deterministic=task_type.deterministic,
-        )
-
-    def build(self) -> TaskType:
-        return TaskType(
-            name=self.name,
-            memoizable=self.memoizable,
-            tau_max=self.tau_max,
-            l_training=self.l_training,
-            deterministic=self.deterministic,
-        )
-
-
-@dataclass(frozen=True)
-class _TaskDescriptor:
-    """Everything a worker needs to rebuild and run one task."""
-
-    task_id: int
-    creation_index: int
-    type_spec: _TaskTypeSpec
-    function: Any
-    accesses: tuple[tuple[RegionDescriptor, str], ...]
-    args: tuple
-    kwargs: dict
-
-
-@dataclass(frozen=True)
-class _EngineSpec:
-    """Recipe for the per-worker ATM engine (policy state stays per worker)."""
-
-    mode: str
-    config: Any  # ATMConfig
-    p: Optional[float]
-
-
-def make_engine_spec(engine) -> Optional[_EngineSpec]:
-    """Serializable recipe replicating ``engine`` into a remote worker.
-
-    Shared by the process backend and the network backend
-    (:mod:`repro.runtime.net_executor`): both run per-worker engine replicas
-    that merge back through the snapshot/merge delta protocol.
-    """
-    if engine is None:
-        return None
-    policy = getattr(engine, "policy", None)
-    config = getattr(engine, "config", None)
-    if policy is None or config is None:
-        raise RuntimeStateError(
-            "worker-replicated backends require an ATMEngine-compatible "
-            "engine (with .policy and .config) or engine=None; custom "
-            "in-process engines cannot be replicated into workers"
-        )
-    # Policies built through the registry carry their registered name —
-    # the faithful recipe for plugin policies, whose class-level ``mode``
-    # attribute is whatever builtin they subclass.  Hand-assembled policy
-    # instances fall back to that class attribute.  Plugin policies
-    # require the plugin module to be imported (or the start method to be
-    # fork) wherever the worker runs.
-    mode = getattr(policy, "registry_name", None) or policy.mode.value
-    return _EngineSpec(mode=mode, config=policy.config, p=policy.config.p)
-
-
-def _build_worker_engine(spec: Optional[_EngineSpec]):
-    if spec is None:
-        return None
-    from repro.atm.engine import ATMEngine
-    from repro.atm.policy import make_policy
-
-    # One task at a time per worker: an in-flight twin cannot exist inside a
-    # worker, so the IKT would only ever miss (see module docstring).
-    config = spec.config.with_overrides(use_ikt=False)
-    policy = make_policy(spec.mode, config, p=spec.p)
-    engine = ATMEngine(config=config, policy=policy, num_threads=1)
-    engine.enable_delta_snapshots()
-    return engine
-
-
-def _encode_payload(value, registry: SharedBufferRegistry):
-    """Swap every ndarray in a (nested) argument payload for an ArrayRef."""
-    if isinstance(value, np.ndarray):
-        return registry.array_ref(value)
-    if isinstance(value, tuple):
-        return tuple(_encode_payload(v, registry) for v in value)
-    if isinstance(value, list):
-        return [_encode_payload(v, registry) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode_payload(v, registry) for k, v in value.items()}
-    return value
-
-
-def _decode_payload(value, arena: WorkerArena):
-    if isinstance(value, ArrayRef):
-        return arena.view(value)
-    if isinstance(value, tuple):
-        return tuple(_decode_payload(v, arena) for v in value)
-    if isinstance(value, list):
-        return [_decode_payload(v, arena) for v in value]
-    if isinstance(value, dict):
-        return {k: _decode_payload(v, arena) for k, v in value.items()}
-    return value
-
-
-def _run_descriptor(
-    desc: _TaskDescriptor,
-    arena: WorkerArena,
-    engine,
-    task_types: dict[str, TaskType],
-    worker_id: int,
-) -> tuple[str, bool]:
-    """Rebuild one task over shared memory and run the full ATM protocol."""
-    task_type = task_types.get(desc.type_spec.name)
-    if task_type is None:
-        task_type = desc.type_spec.build()
-        task_types[desc.type_spec.name] = task_type
-    accesses = [
-        DataAccess(arena.region(region_desc), AccessMode(mode_value))
-        for region_desc, mode_value in desc.accesses
-    ]
-    task = Task(
-        task_type=task_type,
-        function=desc.function,
-        accesses=accesses,
-        args=_decode_payload(desc.args, arena),
-        kwargs=_decode_payload(desc.kwargs, arena),
-        task_id=desc.task_id,
-    )
-    task.creation_index = desc.creation_index
-    task.label = f"{task_type.name}#{desc.task_id}"
-
-    # Same eligibility gate as BaseExecutor._lookup, so per-worker stats
-    # merge into the exact totals a single-process engine would have seen.
-    if engine is not None and task_type.atm_eligible:
-        decision = engine.task_ready(task, worker_id)
-    else:
-        decision = EXECUTE_DECISION
-    executed = False
-    if not decision.skips_execution:
-        task.state = TaskState.RUNNING
-        task.run()
-        executed = True
-        # Commit the writes to the cross-process version protocol *before*
-        # reporting completion: once the parent releases a successor, any
-        # worker hashing these bytes must observe the new version.  (The
-        # SKIP path bumps through DataRegion.copy_from already.)
-        for access in task.accesses:
-            if access.writes:
-                access.region.bump_version()
-    if decision.atm_handled and engine is not None:
-        engine.task_finished(task, decision, executed, worker_id)
-    return decision.action.value, executed
+__all__ = ["ProcessExecutor"]
 
 
 def _worker_main(
     worker_id: int,
     task_queue,
-    result_queue,
+    results,
+    results_lock,
     version_name: str,
     version_capacity: int,
     version_lock,
-    engine_spec: Optional[_EngineSpec],
+    engine_spec: Optional[EngineSpec],
     report_start: bool,
 ) -> None:
     """Worker process entry point: pull chunks until the shutdown pill.
 
     Each worker owns a private task queue, so a sync pill can never be
-    stolen by a peer (which is what the pre-supervision control-queue
-    parking protocol existed to prevent).  A chunk answers with exactly one
-    ``("done", worker, chunk_id, results, failure)`` message: ``results``
-    lists the tasks that completed, ``failure`` is ``None`` or
-    ``(task_id, traceback)`` for the first task that raised — the parent
-    resubmits whatever the worker did not reach.  ``report_start`` (set
-    when ``task_timeout_s`` supervision is active) additionally announces
-    ``("start", worker, chunk_id)`` so the parent can age a running chunk.
+    stolen by a peer.  A chunk answers with ``("done", worker, chunk_id,
+    results)`` listing the tasks that completed, followed — when a task
+    body raised — by ``("error", worker, chunk_id, task_id, traceback)``;
+    the parent resubmits whatever the worker did not reach.
+    ``report_start`` (set when ``task_timeout_s`` supervision is active)
+    additionally announces ``("start", worker, chunk_id)`` so the parent
+    can age a running chunk.
+
+    Answers are written to the shared ``results`` pipe synchronously (under
+    ``results_lock``, one message at a time): whatever a worker finished
+    before it died is already in the pipe, so the parent never mistakes a
+    completed chunk for the one that killed the worker.
     """
+
+    def reply(*message) -> None:
+        with results_lock:
+            results.send(message)
+
     version_table = SharedVersionTable.attach(version_name, version_capacity, version_lock)
     arena = WorkerArena(version_table)
-    engine = _build_worker_engine(engine_spec)
+    engine = build_worker_engine(engine_spec)
     task_types: dict[str, TaskType] = {}
     try:
         while True:
             message = task_queue.get()
             if message is None:
                 break
-            kind = message[0]
-            if kind == "sync":
+            if message[0] == "sync":
                 delta = engine.snapshot(reset=True) if engine is not None else None
-                result_queue.put(("sync", worker_id, delta))
+                reply("sync", worker_id, delta)
                 continue
             chunk_id = message[1]
             if report_start:
-                result_queue.put(("start", worker_id, chunk_id))
-            results: list[tuple[int, str, bool]] = []
-            failure: Optional[tuple[int, str]] = None
+                reply("start", worker_id, chunk_id)
+            done: list[tuple[int, str, bool]] = []
+            error: Optional[tuple[int, str]] = None
             for desc in pickle.loads(message[2]):
                 try:
-                    action, executed = _run_descriptor(
+                    action, executed, _task = run_descriptor(
                         desc, arena, engine, task_types, worker_id
                     )
                 except BaseException:
-                    failure = (desc.task_id, traceback.format_exc())
+                    error = (desc.task_id, traceback.format_exc())
                     break
-                results.append((desc.task_id, action, executed))
-            result_queue.put(("done", worker_id, chunk_id, results, failure))
+                done.append((desc.task_id, action, executed))
+            reply("done", worker_id, chunk_id, done)
+            if error is not None:
+                reply("error", worker_id, chunk_id, *error)
     finally:
         arena.close()
         version_table.close()
 
 
 def _cleanup_pool(processes, task_queues, registry, version_table):
-    """Idempotent teardown shared by close() and the GC finalizer."""
+    """Pool teardown, run once by close() or the GC finalizer."""
     for task_queue in task_queues:
         try:
             task_queue.put(None)
@@ -340,9 +165,6 @@ class ProcessExecutor(BaseExecutor):
 
     #: Slots in the shared write-version table (one per owning base buffer).
     VERSION_TABLE_CAPACITY = 8192
-    #: Dispatch/queue latency allowance added to ``task_timeout_s`` before a
-    #: started chunk is declared wedged.
-    TIMEOUT_GRACE = 0.25
 
     def __init__(self, config: Optional[RuntimeConfig] = None, engine=None) -> None:
         super().__init__(config=config, engine=engine)
@@ -353,7 +175,6 @@ class ProcessExecutor(BaseExecutor):
                 "use the threaded or simulated backend for Figure 7/8 traces"
             )
         self.num_workers = self.config.mp_workers or self.config.num_threads
-        self.chunk_size = self.config.mp_chunk_size
         method = self.config.mp_start_method
         if method is None:
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -363,49 +184,56 @@ class ProcessExecutor(BaseExecutor):
         )
         self._registry = SharedBufferRegistry(self._version_table)
         self._task_queues: list = []
-        self._result_queue = self._ctx.Queue()
+        # Workers answer on one pipe, written synchronously under a lock
+        # (see _worker_main); only the parent reads it.
+        self._results, self._results_writer = self._ctx.Pipe(duplex=False)
+        self._results_lock = self._ctx.Lock()
         self._processes: list = []
         # Validates replicability early when an engine was passed; the spec
         # itself is recomputed at spawn time (see _ensure_workers).
-        self._engine_spec = self._make_engine_spec(engine)
-        self._closed = False
-        # Supervision bookkeeping (crash recovery, DESIGN.md §7).
+        self._engine_spec = make_engine_spec(engine)
+        # With a per-task timeout the offender must be identifiable, so
+        # workers announce chunk starts and dispatch degrades to one task
+        # per chunk (see module docstring).
         self._report_start = self.config.task_timeout_s is not None
-        self._chunk_counter = 0
         self._next_worker = 0
-        #: worker_id -> chunk_id -> descriptors the worker has not answered.
-        self._outstanding: dict[int, dict[int, list[_TaskDescriptor]]] = {}
-        #: worker_id -> (chunk_id, parent-side start timestamp).
-        self._started: dict[int, tuple[int, float]] = {}
-        #: task_id -> times the task was resubmitted after a worker loss.
-        self._crash_resubmits: dict[int, int] = {}
-        self._respawns = 0
-        self._lost_deltas = 0
-        # Registered up front so even a never-drained executor releases its
-        # shared segments; _cleanup_pool sees later-spawned/respawned workers
-        # through the (mutated in place) process/queue lists.
-        self._finalizer: Optional[weakref.finalize] = weakref.finalize(
+        #: Slots of the buffers this drain's tasks write (copy_out set).
+        self._written_slots: set[int] = set()
+        self._stats = {
+            "workers": self.num_workers, "dispatched": 0, "chunks": 0,
+            "resubmitted_tasks": 0, "copyin_refreshed": 0,
+            "copyout_buffers": 0, "respawns": 0, "lost_deltas": 0,
+        }
+        # The finalizer is registered up front so even a never-drained
+        # executor releases its shared segments; _cleanup_pool sees
+        # later-spawned/respawned workers through the (mutated in place)
+        # process/queue lists.
+        self._dispatcher = ChunkDispatcher(
             self,
-            _cleanup_pool,
-            self._processes,
-            self._task_queues,
-            self._registry,
-            self._version_table,
+            "process",
+            send=self._send,
+            poll=self._poll,
+            request_deltas=self._request_deltas,
+            chunk_size=1 if self._report_start else self.config.mp_chunk_size,
+            loss_budget=max(1, self.config.task_max_retries),
+            counters=self._stats,
+            cleanup=(
+                _cleanup_pool, self._processes, self._task_queues,
+                self._registry, self._version_table,
+            ),
         )
 
     # -- pool management ---------------------------------------------------------
-    @staticmethod
-    def _make_engine_spec(engine) -> Optional[_EngineSpec]:
-        return make_engine_spec(engine)
-
-    def _spawn_worker(self, worker_id: int, replace: bool = False) -> None:
+    def _spawn_worker(self, worker_id: int) -> None:
+        """Start worker ``worker_id`` (in place when the slot already exists)."""
         task_queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 worker_id,
                 task_queue,
-                self._result_queue,
+                self._results_writer,
+                self._results_lock,
                 self._version_table.name,
                 self._version_table.capacity,
                 self._version_table.lock,
@@ -416,17 +244,20 @@ class ProcessExecutor(BaseExecutor):
             name=f"repro-worker-{worker_id}",
         )
         process.start()
-        if replace:
+        if worker_id < len(self._processes):
             self._task_queues[worker_id] = task_queue
             self._processes[worker_id] = process
         else:
             self._task_queues.append(task_queue)
             self._processes.append(process)
-        self._outstanding[worker_id] = {}
 
-    def _respawn_worker(self, worker_id: int) -> None:
-        """Replace a dead (or wedged) worker with a fresh process in place."""
+    def _lose_worker(self, worker_id: int) -> tuple[str, list[Chunk]]:
+        """Replace a dead (or wedged) worker with a fresh process in place.
+
+        Returns the old worker's name and the chunks it still held.
+        """
         process = self._processes[worker_id]
+        chunks = self._dispatcher.reclaim(worker_id, f"worker {process.name}")
         if process.is_alive():
             process.terminate()
         process.join(timeout=5.0)
@@ -436,80 +267,46 @@ class ProcessExecutor(BaseExecutor):
             old_queue.close()
         except (OSError, ValueError):  # pragma: no cover - already closed
             pass
-        self._started.pop(worker_id, None)
-        self._spawn_worker(worker_id, replace=True)
-        self._respawns += 1
-        if self.engine is not None:
-            # The worker's engine delta since the last barrier died with it:
-            # those THT commits and stats are gone, not silently recovered.
-            self._lost_deltas += 1
-            self._result.lost_deltas += 1
-            warnings.warn(
-                f"worker {worker_id} died holding an un-merged ATM engine "
-                f"delta; reuse statistics undercount "
-                f"(RunResult.lost_deltas={self._result.lost_deltas})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        self._spawn_worker(worker_id)
+        self._stats["respawns"] += 1
+        return process.name, chunks
 
     def _ensure_workers(self) -> None:
-        if self._closed:
-            raise RuntimeStateError("ProcessExecutor already closed")
         if self._processes:
             return
         # Recomputed at spawn time, not construction: Session assigns its
         # assembled engine to a pre-built engine-less executor *after*
         # __init__, and a spec snapshotted there would silently run the
         # workers without ATM.
-        self._engine_spec = self._make_engine_spec(self.engine)
+        self._engine_spec = make_engine_spec(self.engine)
         for worker_id in range(self.num_workers):
             self._spawn_worker(worker_id)
 
     def close(self) -> None:
         """Shut the worker pool down and release every shared segment."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._finalizer is not None:
-            self._finalizer()  # runs _cleanup_pool exactly once
-            self._finalizer = None
+        self._dispatcher.close()
 
-    def __enter__(self) -> "ProcessExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- task encoding -----------------------------------------------------------
-    def _describe_task(self, task: Task) -> _TaskDescriptor:
-        accesses = tuple(
-            (
-                RegionDescriptor(
-                    ref=self._registry.array_ref(access.region.array),
-                    name=access.region.name,
-                ),
-                access.mode.value,
+    # -- transport: parent -> workers --------------------------------------------
+    def _send(self, chunk: Chunk) -> int:
+        """Describe a chunk's tasks over shared memory and dispatch them."""
+        registry = self._registry
+        descriptors = []
+        for task in chunk.tasks:
+            descriptors.append(
+                describe_task(
+                    task.task_id, task.creation_index, task.task_type,
+                    task.function, task.accesses, task.args, task.kwargs,
+                    registry.array_ref,
+                )
             )
-            for access in task.accesses
-        )
-        return _TaskDescriptor(
-            task_id=task.task_id,
-            creation_index=task.creation_index,
-            type_spec=_TaskTypeSpec.of(task.task_type),
-            function=task.function,
-            accesses=accesses,
-            args=_encode_payload(task.args, self._registry),
-            kwargs=_encode_payload(task.kwargs, self._registry),
-        )
+            for access in task.accesses:
+                if access.writes:
+                    self._written_slots.add(
+                        registry.entry_for_array(access.region.array).slot
+                    )
+        return self._dispatch_chunk(chunk.chunk_id, descriptors)
 
-    # -- dispatch ----------------------------------------------------------------
-    @property
-    def _chunk_cap(self) -> int:
-        """Effective dispatch chunk size (1 under per-task timeout, so the
-        wedged task is identifiable)."""
-        return 1 if self._report_start else self.chunk_size
-
-    def _dispatch_chunk(self, chunk: list[_TaskDescriptor]) -> None:
+    def _dispatch_chunk(self, chunk_id: int, descriptors: list[TaskDescriptor]) -> int:
         """Pickle one chunk and hand it to the next worker round-robin.
 
         Pickle synchronously: mp.Queue serialises in a feeder thread, which
@@ -518,290 +315,122 @@ class ProcessExecutor(BaseExecutor):
         tasks named.
         """
         try:
-            payload = pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(descriptors, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             labels = ", ".join(
-                f"{d.type_spec.name}#{d.task_id}" for d in chunk
+                f"{d.type_spec.name}#{d.task_id}" for d in descriptors
             )
             raise RuntimeStateError(
                 f"cannot serialize task(s) [{labels}] for the process "
                 f"backend: {exc}; task functions and plain arguments must "
                 "be picklable (module-level functions, no lambdas/closures)"
             ) from exc
-        chunk_id = self._chunk_counter
-        self._chunk_counter += 1
         worker_id = self._next_worker
         self._next_worker = (worker_id + 1) % len(self._processes)
-        self._outstanding[worker_id][chunk_id] = chunk
         self._task_queues[worker_id].put(("tasks", chunk_id, payload))
+        return worker_id
 
-    def _reclaim_worker(
-        self, worker_id: int
-    ) -> tuple[list[_TaskDescriptor], list[_TaskDescriptor]]:
-        """Take back every descriptor a dead/wedged worker still holds.
+    def _request_deltas(self) -> range:
+        for task_queue in self._task_queues:
+            task_queue.put(("sync",))
+        return range(len(self._processes))
 
-        Returns ``(executing, queued)``: the chunk the worker was plausibly
-        running when it died (the start-reported chunk when available, else
-        the oldest outstanding one) versus chunks merely sitting in its
-        queue.  Only the former is charged against the crash-resubmission
-        budget — a queued task never ran, so its loss says nothing about
-        the task itself.
-        """
-        lost = self._outstanding.get(worker_id, {})
-        self._outstanding[worker_id] = {}
-        if not lost:
-            return [], []
-        started = self._started.get(worker_id)
-        executing_id = started[0] if started and started[0] in lost else min(lost)
-        executing = lost.pop(executing_id)
-        queued: list[_TaskDescriptor] = []
-        for chunk_id in sorted(lost):
-            queued.extend(lost[chunk_id])
-        return executing, queued
-
-    def _requeue(self, descriptors: list[_TaskDescriptor]) -> None:
-        """Re-dispatch descriptors without charging any retry budget."""
-        cap = self._chunk_cap
-        for start in range(0, len(descriptors), cap):
-            self._dispatch_chunk(descriptors[start:start + cap])
-
-    def _resubmit_lost(
-        self,
-        descriptors: list[_TaskDescriptor],
-        inflight: dict[int, Task],
-        graph: TaskDependenceGraph,
-        reason: str,
-        worker_name: str,
-    ) -> None:
-        """Round-robin failover for chunks lost to a worker death.
-
-        A single loss only triggers resubmission; a task whose resubmissions
-        keep losing workers is poison and goes through terminal supervision
-        (``WorkerLostError``) instead of crashing the pool forever.
-        """
-        supervisor = self._supervisor
-        budget = max(1, supervisor.max_retries)
-        retry: list[_TaskDescriptor] = []
-        for desc in descriptors:
-            count = self._crash_resubmits.get(desc.task_id, 0) + 1
-            self._crash_resubmits[desc.task_id] = count
-            if count <= budget:
-                retry.append(desc)
-                continue
-            task = inflight.pop(desc.task_id)
-            self._task_failed(
-                task,
-                graph,
-                EXECUTE_DECISION,
-                WorkerLostError,
-                f"{reason} (task resubmitted {count - 1}x before)",
-                None,
-                worker=worker_name,
+    # -- transport: workers -> parent --------------------------------------------
+    def _poll(self) -> None:
+        """Report the next worker message (or detected loss) to the dispatcher."""
+        message = self._next_result()
+        if message is None:
+            return
+        dispatcher = self._dispatcher
+        kind, worker_id = message[0], message[1]
+        if kind == "done":
+            dispatcher.done(worker_id, message[2], message[3])
+        elif kind == "error":
+            _, _, chunk_id, task_id, trace = message
+            dispatcher.task_error(
+                worker_id, chunk_id, task_id,
+                f"worker {worker_id} failed on task {task_id}:\n{trace}",
+                f"repro-worker-{worker_id}",
             )
-        self._requeue(retry)
+        elif kind == "start":
+            dispatcher.started(worker_id, message[2])
+        elif kind == "sync":
+            dispatcher.delta(worker_id, message[2])
+        elif kind == "crash":
+            # Only the chunk the worker was plausibly running when it died
+            # (the start-reported one when available, else the oldest) is
+            # charged: a queued task never ran, so its loss says nothing
+            # about the task itself.
+            name, chunks = self._lose_worker(worker_id)
+            executing = next(
+                (c for c in chunks if c.started_at is not None), chunks[0]
+            ) if chunks else None
+            dispatcher.worker_lost(
+                name,
+                executing.tasks if executing else [],
+                [t for c in chunks if c is not executing for t in c.tasks],
+                WorkerLostError,
+                f"worker {name} died (exitcode {message[2]}) while the task "
+                "was in flight",
+            )
+        elif kind == "wedged":
+            # A task that blew its budget once would blow it again: the
+            # wedged chunk is terminal at once; whatever else sat in the
+            # killed worker's queue never started and requeues for free.
+            _, _, chunk_id, elapsed = message
+            name, chunks = self._lose_worker(worker_id)
+            reason = (
+                self._supervisor.timeout_reason(elapsed)
+                + f"; worker {name} was killed and respawned"
+            )
+            innocent = []
+            for chunk in chunks:
+                if chunk.chunk_id != chunk_id:
+                    innocent.extend(chunk.tasks)
+                    continue
+                for task in chunk.tasks:
+                    dispatcher.fail(task, TaskTimeoutError, reason, name)
+            dispatcher.worker_lost(name, [], innocent, WorkerLostError, reason)
+        else:  # pragma: no cover - defensive
+            raise RuntimeStateError(f"unexpected worker message: {kind!r}")
+
+    def _next_result(self):
+        """Blocking result fetch with liveness and wedge checks.
+
+        Returns the next worker message, a synthesised ``("crash",
+        worker_id, exitcode)`` / ``("wedged", worker_id, chunk_id,
+        elapsed)`` message when supervision detects a dead worker or an
+        over-budget chunk, or ``None`` after one idle poll interval.
+        """
+        results = self._results
+        for worker_id, process in enumerate(self._processes):
+            # Everything a worker answered before dying is in the pipe by
+            # now: consume that first, or a chunk it completed would be
+            # charged with the crash.
+            if not process.is_alive() and not results.poll():
+                return ("crash", worker_id, process.exitcode)
+        if self._report_start:
+            now = time.perf_counter()
+            budget = self._supervisor.task_timeout_s + TIMEOUT_GRACE
+            for worker_id in range(len(self._processes)):
+                for chunk in self._dispatcher.outstanding(worker_id):
+                    if chunk.started_at is not None and now - chunk.started_at > budget:
+                        return ("wedged", worker_id, chunk.chunk_id, now - chunk.started_at)
+        return results.recv() if results.poll(POLL_INTERVAL) else None
 
     # -- drain ---------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
-        if self._closed:
-            raise RuntimeStateError("ProcessExecutor already closed")
+        self._dispatcher.ensure_open()
         if graph.all_finished:
             self._finalize_result()
             return self._result
         self._ensure_workers()
-        supervisor = self._fresh_supervisor()
-        refreshed = self._registry.copy_in()
-        t0 = time.perf_counter()
-        deadline = supervisor.deadline()
-        inflight: dict[int, Task] = {}
-        written_slots: set[int] = set()
-        dispatched = 0
-        chunks_before = self._chunk_counter
-        # With a per-task timeout the offender must be identifiable, so
-        # dispatch degrades to one task per chunk (see module docstring).
-        chunk_cap = self._chunk_cap
-
-        def dispatch_ready() -> None:
-            nonlocal dispatched
-            chunk: list[_TaskDescriptor] = []
-            while True:
-                task = self.scheduler.next_task(0)
-                if task is None:
-                    break
-                chunk.append(self._describe_task(task))
-                inflight[task.task_id] = task
-                dispatched += 1
-                for access in task.accesses:
-                    if access.writes:
-                        written_slots.add(
-                            self._registry.entry_for_array(access.region.array).slot
-                        )
-                if len(chunk) >= chunk_cap:
-                    self._dispatch_chunk(chunk)
-                    chunk = []
-            if chunk:
-                self._dispatch_chunk(chunk)
-
-        while not graph.all_finished:
-            dispatch_ready()
-            if not inflight:
-                if graph.all_finished:
-                    break
-                raise RuntimeStateError(
-                    "process executor starved: no ready tasks, none in flight, "
-                    "but the graph is not finished (undeclared dependence?)"
-                )
-            message = self._next_result(deadline)
-            kind = message[0]
-            if kind == "crash":
-                _, worker_id, exitcode = message
-                executing, queued = self._reclaim_worker(worker_id)
-                worker_name = self._processes[worker_id].name
-                self._respawn_worker(worker_id)
-                self._resubmit_lost(
-                    executing,
-                    inflight,
-                    graph,
-                    f"worker {worker_name} died (exitcode {exitcode}) "
-                    "while the task was in flight",
-                    worker_name,
-                )
-                self._requeue(queued)
-                continue
-            if kind == "wedged":
-                _, worker_id, chunk_id, elapsed = message
-                wedged = self._outstanding[worker_id].pop(chunk_id, [])
-                # Whatever else sat in the dead worker's queue never started
-                # executing: requeue all of it without charging retry budget.
-                rest, queued = self._reclaim_worker(worker_id)
-                innocent = rest + queued
-                worker_name = self._processes[worker_id].name
-                self._respawn_worker(worker_id)
-                for desc in wedged:
-                    task = inflight.pop(desc.task_id)
-                    self._task_failed(
-                        task,
-                        graph,
-                        EXECUTE_DECISION,
-                        TaskTimeoutError,
-                        supervisor.timeout_reason(elapsed)
-                        + f"; worker {worker_name} was killed and respawned",
-                        None,
-                        worker=worker_name,
-                    )
-                self._requeue(innocent)
-                continue
-            if kind == "start":
-                _, worker_id, chunk_id = message
-                self._started[worker_id] = (chunk_id, time.perf_counter())
-                continue
-            if kind != "done":  # pragma: no cover - defensive
-                raise RuntimeStateError(f"unexpected worker message: {kind!r}")
-            _, worker_id, chunk_id, results, failure = message
-            descriptors = self._outstanding[worker_id].pop(chunk_id, None)
-            started = self._started.get(worker_id)
-            if started is not None and started[0] == chunk_id:
-                self._started.pop(worker_id, None)
-            if descriptors is None:
-                # Stale answer for a chunk this drain already reclaimed.
-                continue
-            for task_id, action_value, executed in results:
-                task = inflight.pop(task_id)
-                decision = ATMDecision(action=ATMAction(action_value))
-                self._account(decision)
-                final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
-                graph.complete_task(task, final_state)
-            if failure is not None:
-                failed_id, trace = failure
-                done_ids = {r[0] for r in results}
-                remaining = [
-                    d for d in descriptors
-                    if d.task_id not in done_ids and d.task_id != failed_id
-                ]
-                task = inflight[failed_id]
-                backoff = supervisor.count_attempt(task)
-                if backoff is not None:
-                    time.sleep(backoff)
-                    remaining.extend(
-                        d for d in descriptors if d.task_id == failed_id
-                    )
-                else:
-                    inflight.pop(failed_id)
-                    self._task_failed(
-                        task,
-                        graph,
-                        EXECUTE_DECISION,
-                        TaskFailedError,
-                        f"worker {worker_id} failed on task {failed_id}:\n{trace}",
-                        None,
-                        worker=f"repro-worker-{worker_id}",
-                    )
-                for start in range(0, len(remaining), chunk_cap):
-                    self._dispatch_chunk(remaining[start:start + chunk_cap])
-
-        elapsed = time.perf_counter() - t0
-        copied_back = self._registry.copy_out(written_slots)
-        if self.engine is not None:
-            self._merge_worker_engines(deadline)
-        self._result.elapsed += elapsed
-        backend = self._result.extra.setdefault(
-            "process_backend",
-            {"workers": self.num_workers, "dispatched": 0, "chunks": 0,
-             "copyin_refreshed": 0, "copyout_buffers": 0,
-             "respawns": 0, "lost_deltas": 0},
-        )
-        backend["dispatched"] += dispatched
-        backend["chunks"] += self._chunk_counter - chunks_before
-        backend["copyin_refreshed"] += refreshed
-        backend["copyout_buffers"] += copied_back
-        backend["respawns"] = self._respawns
-        backend["lost_deltas"] = self._lost_deltas
+        self._fresh_supervisor()
+        stats = self._stats
+        stats["copyin_refreshed"] += self._registry.copy_in()
+        self._written_slots.clear()
+        self._result.elapsed += self._dispatcher.run(graph)
+        stats["copyout_buffers"] += self._registry.copy_out(self._written_slots)
+        self._result.extra.setdefault("process_backend", stats)
         self._finalize_result()
         return self._result
-
-    def _next_result(self, deadline: float):
-        """Blocking result fetch with liveness, wedge and deadline checks.
-
-        Returns the next worker message, or a synthesised ``("crash",
-        worker_id, exitcode)`` / ``("wedged", worker_id, chunk_id,
-        elapsed)`` message when supervision detects a dead worker or an
-        over-budget chunk.
-        """
-        while True:
-            for worker_id, process in enumerate(self._processes):
-                if not process.is_alive():
-                    return ("crash", worker_id, process.exitcode)
-            if self._report_start:
-                now = time.perf_counter()
-                budget = self._supervisor.task_timeout_s + self.TIMEOUT_GRACE
-                for worker_id, (chunk_id, t_start) in self._started.items():
-                    if now - t_start > budget:
-                        return ("wedged", worker_id, chunk_id, now - t_start)
-            try:
-                return self._result_queue.get(timeout=POLL_INTERVAL)
-            except queue_module.Empty:
-                if time.perf_counter() > deadline:
-                    raise self._supervisor.drain_timeout("process drain") from None
-
-    def _merge_worker_engines(self, deadline: float) -> None:
-        """Barrier: collect one delta per worker and fold it into the engine."""
-        for task_queue in self._task_queues:
-            task_queue.put(("sync",))
-        synced: set[int] = set()
-        while len(synced) < len(self._processes):
-            message = self._next_result(deadline)
-            kind = message[0]
-            if kind == "crash":
-                # The worker died between its last chunk and the barrier:
-                # its delta is lost; the respawned replacement answers the
-                # re-sent sync with an empty one.
-                _, worker_id, _exitcode = message
-                self._respawn_worker(worker_id)
-                self._task_queues[worker_id].put(("sync",))
-                continue
-            if kind != "sync":
-                # Stale start/done chatter from a reclaimed chunk.
-                continue
-            _, worker_id, delta = message
-            if delta is not None:
-                self.engine.merge(delta)
-            synced.add(worker_id)

@@ -8,8 +8,10 @@ socketpairs, or on other hosts behind ``scripts/net_worker.py`` TCP daemons —
 rebuild task chunks from shipped byte buffers, run the full ATM protocol
 against per-worker engine replicas, and ship written region bytes back.
 
-The structural differences from the process backend (§4.3), which this
-executor otherwise mirrors deliberately:
+The drain loop, the in-flight ledger, resubmission budgets and the
+engine-delta barrier are the shared
+:class:`~repro.runtime.dispatch.ChunkDispatcher` (§4.6); this module is its
+socket *transport* and data plane:
 
 * **No shared memory.**  Every dispatch serializes the byte spans a chunk
   touches; every completion carries the written bytes home, applied to the
@@ -30,27 +32,26 @@ executor otherwise mirrors deliberately:
 * **Failure is expected.**  Per-chunk acks prove receipt, heartbeat
   timeouts (``RuntimeConfig.net_timeout_s``) detect dead or wedged
   endpoints, and the unfinished chunks of a failed endpoint are resubmitted
-  to the surviving ones — the failed endpoint stays excluded.  A task can
-  be resubmitted at most ``net_max_retries`` times; exhausting that budget,
+  to the surviving ones — the failed endpoint stays excluded.  Every chunk
+  it held is charged against the dispatcher's resubmission budget
+  (``net_max_retries``: which of them was executing is unknowable from
+  here); exhausting that budget,
   losing every endpoint, or exceeding the drain deadline raises
   :class:`~repro.common.exceptions.NetworkDrainError` instead of hanging.
   Resubmission is safe by construction: a dispatched task's input bytes
   cannot change until its own completion (dependence exclusivity), and
   writes are only applied from the first accepted result — messages from
   failed endpoints are dropped.
-* **ATM deltas are best-effort.**  Live endpoints merge their engine deltas
-  at the drain barrier exactly like process workers; a dead endpoint's
-  unmerged delta is lost (reuse statistics, never correctness — its
-  unacknowledged tasks were re-run elsewhere).  Every loss is surfaced on
-  ``RunResult.lost_deltas`` and warned about, never silent.
+* **ATM deltas are best-effort.**  An endpoint that stays silent for
+  ``net_timeout_s`` after the barrier asked for its delta is failed like
+  any other; its delta is lost (reuse statistics, never correctness).
 """
 
 from __future__ import annotations
 
+import functools
 import queue as queue_module
 import time
-import warnings
-import weakref
 from collections import OrderedDict
 from typing import Optional, Sequence
 
@@ -61,15 +62,14 @@ from repro.common.exceptions import (
     NetworkDrainError,
     NetworkTransportError,
     RuntimeStateError,
-    TaskFailedError,
     TaskTimeoutError,
     WorkerLostError,
 )
-from repro.runtime.atm_protocol import ATMAction, ATMDecision
+from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.mp_executor import _TaskTypeSpec, make_engine_spec
-from repro.runtime.supervision import POLL_INTERVAL, dump_stacks
+from repro.runtime.remote_task import describe_task, make_engine_spec
+from repro.runtime.supervision import POLL_INTERVAL, TIMEOUT_GRACE
 from repro.runtime.net_transport import (
     SocketEndpoint,
     TRANSPORT_ERROR,
@@ -79,58 +79,29 @@ from repro.runtime.net_wire import (
     ChunkEncoder,
     NetBuffer,
     NetChunk,
-    NetTaskDescriptor,
     PROTOCOL_VERSION,
     encode_frame,
     span_bytes,
 )
 from repro.runtime.data import _base_buffer, region_versions
 from repro.runtime.residency import ResidencyTable
-from repro.runtime.task import Task, TaskState
+from repro.runtime.task import Task
 
 __all__ = ["NetworkExecutor"]
 
 
-class _ChunkState:
-    """Parent-side record of one dispatched, not-yet-completed chunk."""
-
-    __slots__ = ("chunk_id", "tasks", "endpoint", "sent_at", "dispatch_gens")
-
-    def __init__(
-        self,
-        chunk_id: int,
-        tasks: list[Task],
-        endpoint: SocketEndpoint,
-        dispatch_gens: Optional[dict[int, int]] = None,
-    ) -> None:
-        self.chunk_id = chunk_id
-        self.tasks = tasks
-        self.endpoint = endpoint
-        self.sent_at = time.perf_counter()
-        #: ``buffer_id -> residency generation`` at dispatch time; the
-        #: write-commit path upgrades the writer's residency entry only if
-        #: its generation is still the one this chunk was encoded against
-        #: (a re-shipped backing does not contain the in-flight writes).
-        self.dispatch_gens = dispatch_gens or {}
-
-
 class _EndpointState:
-    """Liveness bookkeeping the executor keeps per endpoint."""
+    """Liveness clocks the executor keeps per endpoint."""
 
-    __slots__ = ("outstanding", "last_heard", "last_ping", "work_since_sync")
+    __slots__ = ("last_heard", "last_ping")
 
     def __init__(self) -> None:
-        self.outstanding: dict[int, _ChunkState] = {}
         self.last_heard = time.perf_counter()
         self.last_ping = 0.0
-        #: True once a chunk was dispatched after the last merged delta:
-        #: losing this endpoint then means losing ATM state (reuse
-        #: statistics), which drain() reports as ``lost_deltas``.
-        self.work_since_sync = False
 
 
 def _close_endpoints(endpoints: list) -> None:
-    """Idempotent teardown shared by close() and the GC finalizer."""
+    """Endpoint teardown, run once by close() or the GC finalizer."""
     for endpoint in endpoints:
         try:
             endpoint.send(("shutdown",))
@@ -144,6 +115,8 @@ def _close_endpoints(endpoints: list) -> None:
 
 class NetworkExecutor(BaseExecutor):
     """Executor backed by workers behind a message transport."""
+
+    abort_error = NetworkDrainError
 
     #: Bound on the ATM-key -> endpoint affinity routes kept for twin
     #: placement (LRU); a placement hint only, never correctness.
@@ -162,33 +135,23 @@ class NetworkExecutor(BaseExecutor):
                 "remote workers where CoreState spans cannot be recorded; "
                 "use the threaded or simulated backend for Figure 7/8 traces"
             )
-        self.chunk_size = self.config.mp_chunk_size
         self.timeout = self.config.net_timeout_s
         self.max_retries = self.config.net_max_retries
-        #: Dispatch/queue latency allowance added to the per-chunk task
-        #: budget before an endpoint is declared wedged (``task_timeout_s``
-        #: supervision); ``RuntimeConfig.net_timeout_grace_s``.
-        self.timeout_grace = self.config.net_timeout_grace_s
         #: Per-drain wall-clock bound, from ``RuntimeConfig.drain_timeout_s``;
         #: instances may override it (the fault tests bound every scenario).
         self.drain_timeout = self.config.drain_timeout_s
-        self._current_graph: Optional[TaskDependenceGraph] = None
         if endpoints is None:
             workers = self.config.mp_workers or self.config.num_threads
             endpoints = parse_endpoints(self.config.net_endpoints, workers)
         self._endpoints: list[SocketEndpoint] = list(endpoints)
         self._inbox: queue_module.Queue = queue_module.Queue()
         self._ep_state: dict[SocketEndpoint, _EndpointState] = {}
-        self._chunk_counter = 0
         #: Round-robin cursor over live endpoints; persists across dispatch
         #: calls so wavefront apps (one ready chunk at a time) still spread
         #: over the whole pool instead of hammering endpoint 0.
         self._rr_cursor = 0
-        self._retries: dict[int, int] = {}
-        self._inflight: dict[int, Task] = {}
         self._failures: list[str] = []
         self._started = False
-        self._closed = False
         #: Per-endpoint residency table (None = residency off: every chunk
         #: ships its full union spans and placement is pure round-robin).
         self._residency: Optional[ResidencyTable] = (
@@ -215,8 +178,16 @@ class NetworkExecutor(BaseExecutor):
         if self._residency is not None:
             # Aliases the table's live counters, like failed_endpoints.
             self._stats["residency"] = self._residency.stats
-        self._finalizer: Optional[weakref.finalize] = weakref.finalize(
-            self, _close_endpoints, self._endpoints
+        self._dispatcher = ChunkDispatcher(
+            self,
+            "network",
+            send=self._send,
+            poll=self._pump,
+            request_deltas=self._request_deltas,
+            chunk_size=self.config.mp_chunk_size,
+            loss_budget=self.max_retries,
+            counters=self._stats,
+            cleanup=(_close_endpoints, self._endpoints),
         )
 
     # -- pool management ---------------------------------------------------------
@@ -224,8 +195,6 @@ class NetworkExecutor(BaseExecutor):
         return [ep for ep in self._endpoints if not ep.failed]
 
     def _ensure_started(self) -> None:
-        if self._closed:
-            raise RuntimeStateError("NetworkExecutor already closed")
         if self._started:
             return
         self._started = True
@@ -275,45 +244,15 @@ class NetworkExecutor(BaseExecutor):
 
     def close(self) -> None:
         """Shut every endpoint down (idempotent; also runs via GC finalizer)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
+        self._dispatcher.close()
 
-    def __enter__(self) -> "NetworkExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- task encoding -----------------------------------------------------------
-    def _describe_task(self, task: Task, encoder: ChunkEncoder) -> NetTaskDescriptor:
-        accesses = tuple(
-            (
-                encoder.ref(access.region.array, access.region),
-                access.mode.value,
-                access.region.name,
-            )
-            for access in task.accesses
-        )
-        return NetTaskDescriptor(
-            task_id=task.task_id,
-            creation_index=task.creation_index,
-            type_spec=_TaskTypeSpec.of(task.task_type),
-            function=task.function,
-            accesses=accesses,
-            args=encoder.encode_payload(task.args),
-            kwargs=encoder.encode_payload(task.kwargs),
-        )
-
+    # -- transport: parent -> endpoints ------------------------------------------
     def _encode_chunk(
-        self, tasks: list[Task], endpoint: SocketEndpoint
-    ) -> tuple[NetChunk, bytes, dict[int, int], list[tuple[int, int]]]:
+        self, chunk: Chunk, endpoint: SocketEndpoint
+    ) -> tuple[bytes, dict[int, int], list[tuple[int, int]]]:
         """Build and frame one chunk for ``endpoint``.
 
-        Returns ``(chunk, framed_bytes, dispatch_gens, evicted)`` where
+        Returns ``(framed_bytes, dispatch_gens, evicted)`` where
         ``dispatch_gens`` maps buffer ids to the residency generation the
         chunk was encoded against and ``evicted`` lists budget-evicted
         ``(buffer_id, generation)`` pairs to forward as an ``invalidate``.
@@ -326,8 +265,14 @@ class NetworkExecutor(BaseExecutor):
         ``data=None`` cached reference (current) — the stale-bytes dispatch.
         """
         encoder = ChunkEncoder()
-        descriptors = tuple(self._describe_task(task, encoder) for task in tasks)
-        self._chunk_counter += 1
+        descriptors = tuple(
+            describe_task(
+                task.task_id, task.creation_index, task.task_type,
+                task.function, task.accesses, task.args, task.kwargs,
+                encoder.ref,
+            )
+            for task in chunk.tasks
+        )
         dispatch_gens: dict[int, int] = {}
         evicted: list[tuple[int, int]] = []
         residency = self._residency
@@ -356,29 +301,28 @@ class NetworkExecutor(BaseExecutor):
                     dispatch_gens[buffer_id] = generation
             evicted = residency.evict_over_budget(endpoint, protect_tick)
             buffers = tuple(encoded)
-        chunk = NetChunk(
-            chunk_id=self._chunk_counter,
-            buffers=buffers,
-            tasks=descriptors,
+        net_chunk = NetChunk(
+            chunk_id=chunk.chunk_id, buffers=buffers, tasks=descriptors
         )
         try:
-            raw = encode_frame(("chunk", chunk))
+            raw = encode_frame(("chunk", net_chunk))
         except Exception as exc:
             if residency is not None:
                 # The recorded entries describe bytes that never shipped.
                 residency.drop_endpoint(endpoint)
-            labels = ", ".join(f"{t.task_type.name}#{t.task_id}" for t in tasks)
+            labels = ", ".join(
+                f"{t.task_type.name}#{t.task_id}" for t in chunk.tasks
+            )
             raise RuntimeStateError(
                 f"cannot serialize task(s) [{labels}] for the network "
                 f"backend: {exc}; task functions and plain arguments must "
                 "be picklable (module-level functions, no lambdas/closures)"
             ) from exc
-        return chunk, raw, dispatch_gens, evicted
+        return raw, dispatch_gens, evicted
 
-    # -- dispatch ----------------------------------------------------------------
-    def _send_chunk(self, tasks: list[Task], endpoint: SocketEndpoint) -> bool:
-        """Dispatch one chunk; returns False when the endpoint failed."""
-        chunk, raw, dispatch_gens, evicted = self._encode_chunk(tasks, endpoint)
+    def _send_chunk(self, chunk: Chunk, endpoint: SocketEndpoint) -> bool:
+        """Ship one chunk to ``endpoint``; returns False when it failed."""
+        raw, chunk.extra, evicted = self._encode_chunk(chunk, endpoint)
         try:
             endpoint.send_bytes(raw)
             if evicted:
@@ -387,38 +331,27 @@ class NetworkExecutor(BaseExecutor):
                 # generations before it drops them.
                 endpoint.send(("invalidate", tuple(evicted)))
         except NetworkTransportError as exc:
-            self._fail_endpoint(endpoint, str(exc))
+            self._lose_endpoint(endpoint, str(exc))
             return False
-        state = self._ep_state[endpoint]
-        chunk_state = _ChunkState(chunk.chunk_id, tasks, endpoint, dispatch_gens)
-        state.outstanding[chunk.chunk_id] = chunk_state
         # Dispatch restarts the endpoint's silence clock: an endpoint that
         # was legitimately idle (nothing outstanding) must get a full
         # timeout window to answer freshly (re)submitted work.
-        state.last_heard = max(state.last_heard, chunk_state.sent_at)
-        state.work_since_sync = True
-        self._stats["chunks"] += 1
+        self._ep_state[endpoint].last_heard = time.perf_counter()
         self._stats["payload_bytes"] += len(raw)
         self._chunks_by_endpoint[endpoint.name] = (
             self._chunks_by_endpoint.get(endpoint.name, 0) + 1
         )
         return True
 
-    def _distribute(self, tasks: list[Task]) -> None:
-        """Chunk ``tasks`` over the live endpoints (locality-aware)."""
-        pending = list(tasks)
-        while pending:
-            live = self._live_endpoints()
-            if not live:
-                raise NetworkDrainError(
-                    "all network endpoints failed: " + "; ".join(self._failures)
-                )
-            chunk_tasks = pending[: self.chunk_size]
-            endpoint = self._place(chunk_tasks, live)
-            if self._send_chunk(chunk_tasks, endpoint):
-                pending = pending[self.chunk_size:]
-            # On failure the loop retries the same tasks on the next live
-            # endpoint (the failed one is excluded by _live_endpoints).
+    def _send(self, chunk: Chunk) -> Optional[SocketEndpoint]:
+        """Place one chunk on a live endpoint (locality-aware) and ship it."""
+        live = self._live_endpoints()
+        if not live:
+            raise NetworkDrainError(
+                "all network endpoints failed: " + "; ".join(self._failures)
+            )
+        endpoint = self._place(chunk.tasks, live)
+        return endpoint if self._send_chunk(chunk, endpoint) else None
 
     # -- placement ---------------------------------------------------------------
     def _place(
@@ -534,51 +467,14 @@ class NetworkExecutor(BaseExecutor):
                 return endpoint
         return live[0]  # pragma: no cover - live is non-empty by contract
 
-    def _dispatch_ready(self) -> None:
-        ready: list[Task] = []
-        while True:
-            task = self.scheduler.next_task(0)
-            if task is None:
-                break
-            ready.append(task)
-            self._inflight[task.task_id] = task
-        if ready:
-            self._stats["dispatched"] += len(ready)
-            self._distribute(ready)
-
     # -- failure handling --------------------------------------------------------
-    def _task_terminal(self, task: Task, error, reason: str, worker: str) -> None:
-        """Terminal supervision for one task (network flavour).
-
-        Quarantine mode fails the task in the graph, cancels its dependent
-        subgraph and keeps draining; abort mode raises
-        :class:`NetworkDrainError` (the taxonomy's transport specialisation)
-        carrying the structured failure report.
-        """
-        supervisor = self._supervisor
-        graph = self._current_graph
-        self._inflight.pop(task.task_id, None)
-        if supervisor.quarantine and graph is not None:
-            cancelled = supervisor.quarantine_task(
-                graph, task, error, reason, worker=worker
-            )
-            self._result.tasks_failed += 1
-            self._result.tasks_cancelled += len(cancelled)
-            return
-        failure = supervisor.record_failure(task, error, reason, worker=worker)
-        raise NetworkDrainError(
-            f"drain aborted: task {failure.label} failed after "
-            f"{failure.attempts} attempt(s): {failure.reason}",
-            supervisor.failures,
-        )
-
-    def _fail_endpoint(
+    def _lose_endpoint(
         self,
         endpoint: SocketEndpoint,
         reason: str,
         timeout_chunk: Optional[int] = None,
     ) -> None:
-        """Mark an endpoint dead and resubmit its unfinished work elsewhere.
+        """Mark an endpoint dead and report what it held as lost.
 
         ``timeout_chunk`` names the chunk whose task budget expired when the
         failure is a wedge detection — its tasks are reported as
@@ -596,213 +492,117 @@ class NetworkExecutor(BaseExecutor):
         if self._key_routes:
             for key in [k for k, ep in self._key_routes.items() if ep is endpoint]:
                 del self._key_routes[key]
-        state = self._ep_state.pop(endpoint, None)
-        if state is None:
-            return
-        if self.engine is not None and state.work_since_sync:
-            # Its engine replica held un-merged ATM state (reuse statistics,
-            # never result bytes — unacknowledged tasks re-run elsewhere).
-            self._stats["lost_deltas"] += 1
-            self._result.lost_deltas += 1
-            warnings.warn(
-                f"endpoint {endpoint.name} died holding an un-merged ATM "
-                f"engine delta; reuse statistics undercount "
-                f"(RunResult.lost_deltas={self._result.lost_deltas})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        orphans: list[tuple[Task, bool]] = []
-        for chunk_id, chunk_state in state.outstanding.items():
-            timed_out = chunk_id == timeout_chunk
-            for task in chunk_state.tasks:
-                if task.task_id in self._inflight:
-                    orphans.append((task, timed_out))
-        if not orphans:
-            return
-        survivors: list[Task] = []
-        for task, timed_out in orphans:
-            count = self._retries.get(task.task_id, 0) + 1
-            self._retries[task.task_id] = count
-            if count <= self.max_retries:
-                survivors.append(task)
-                continue
-            self._task_terminal(
-                task,
-                TaskTimeoutError if timed_out else WorkerLostError,
-                f"exceeded net_max_retries={self.max_retries} after endpoint "
-                "failures: " + "; ".join(self._failures),
-                endpoint.name,
-            )
-        if survivors:
-            self._stats["resubmitted_tasks"] += len(survivors)
-            self._distribute(survivors)
+        self._ep_state.pop(endpoint, None)
+        chunks = self._dispatcher.reclaim(endpoint, f"endpoint {endpoint.name}")
+        lost_reason = (
+            f"exceeded net_max_retries={self.max_retries} after endpoint "
+            "failures: " + "; ".join(self._failures)
+        )
+        for error_cls, tasks in (
+            (TaskTimeoutError,
+             [t for c in chunks if c.chunk_id == timeout_chunk for t in c.tasks]),
+            (WorkerLostError,
+             [t for c in chunks if c.chunk_id != timeout_chunk for t in c.tasks]),
+        ):
+            if tasks:
+                self._dispatcher.worker_lost(
+                    endpoint.name, tasks, [], error_cls, lost_reason
+                )
 
     # -- drain -------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
-        if self._closed:
-            raise RuntimeStateError("NetworkExecutor already closed")
+        self._dispatcher.ensure_open()
         if graph.all_finished:
             self._finalize_result()
             return self._result
         self._ensure_started()
-        self._fresh_supervisor()
-        self._current_graph = graph
-        t0 = time.perf_counter()
-        deadline = t0 + self.drain_timeout
-        try:
-            while not graph.all_finished:
-                self._dispatch_ready()
-                if not self._inflight:
-                    if graph.all_finished:
-                        break
-                    raise RuntimeStateError(
-                        "network executor starved: no ready tasks, none in "
-                        "flight, but the graph is not finished (undeclared "
-                        "dependence?)"
-                    )
-                self._pump(graph, deadline)
-        finally:
-            self._current_graph = None
-        elapsed = time.perf_counter() - t0
-        if self.engine is not None:
-            self._sync_engines(deadline)
-        self._result.elapsed += elapsed
+        self._fresh_supervisor().drain_timeout_s = self.drain_timeout
+        self._result.elapsed += self._dispatcher.run(graph)
         # _stats["failed_endpoints"] aliases self._failures, so the extra
         # dict stays live across drains without re-assignment.
         self._result.extra.setdefault("network_backend", self._stats)
         self._finalize_result()
         return self._result
 
-    def _pump(self, graph: TaskDependenceGraph, deadline: float) -> None:
-        """Handle one inbox message, or run the liveness checks on idle."""
+    # -- transport: endpoints -> parent ------------------------------------------
+    def _pump(self) -> None:
+        """Report one inbox message to the dispatcher, or run the liveness
+        checks on idle."""
         try:
             endpoint, message = self._inbox.get(timeout=POLL_INTERVAL)
         except queue_module.Empty:
-            self._check_liveness(deadline)
+            self._check_liveness()
             return
         if endpoint.failed:
             return  # stale traffic from an endpoint already declared dead
         kind = message[0]
         if kind == TRANSPORT_ERROR:
-            self._fail_endpoint(endpoint, message[1])
+            self._lose_endpoint(endpoint, message[1])
             return
         state = self._ep_state.get(endpoint)
         if state is None:  # pragma: no cover - defensive
             return
         state.last_heard = time.perf_counter()
-        if kind == "ack":
-            # Acks feed the silence clock (already refreshed above): the
-            # worker acks each chunk *before* executing it, so receipt
-            # liveness is proven independently of task runtime.
-            pass
-        elif kind == "result":
-            _, chunk_id, results = message
-            chunk_state = state.outstanding.pop(chunk_id, None)
-            for task_id, action_value, executed, writes in results:
-                self._complete_task(
-                    graph, task_id, action_value, executed, writes,
-                    endpoint, chunk_state,
-                )
-            if chunk_state is not None and len(results) < len(chunk_state.tasks):
-                # Partial result: the worker hit a task error and reports the
-                # completed prefix first (so its writes are not lost), then
-                # the error frame.  Keep the unfinished remainder outstanding
-                # for the error handler to resubmit.
-                done_ids = {r[0] for r in results}
-                chunk_state.tasks = [
-                    t for t in chunk_state.tasks if t.task_id not in done_ids
-                ]
-                state.outstanding[chunk_id] = chunk_state
+        if kind == "result":
+            self._dispatcher.done(
+                endpoint, message[1], message[2],
+                functools.partial(self._write_back, endpoint),
+            )
         elif kind == "error":
             _, chunk_id, task_id, trace = message
-            self._task_error(endpoint, state, chunk_id, task_id, trace)
-        elif kind in ("hello_ack", "pong", "sync_result"):
-            pass  # liveness already recorded; stray sync_result is stale
-        else:
-            self._fail_endpoint(endpoint, f"unexpected message kind {kind!r}")
-
-    def _task_error(self, endpoint, state, chunk_id, task_id, trace) -> None:
-        """A worker reported a task-body exception (worker itself is fine).
-
-        Supervision decides: bounded retry with backoff, then quarantine or
-        abort.  The rest of the chunk — dropped by the worker after the
-        failure — is redistributed either way.
-        """
-        chunk_state = state.outstanding.pop(chunk_id, None) if chunk_id else None
-        # The failed task body may have partially written into cached
-        # backings before raising; the worker is alive but its residency can
-        # no longer be trusted.  Forget it all — the next dispatch re-ships
-        # full bytes, which replaces the worker-side backings.
-        if self._residency is not None:
-            self._residency.drop_endpoint(endpoint)
-        task = self._inflight.get(task_id) if task_id is not None else None
-        if task is None:
-            # A chunk-less error report (decode failure) or a stale/duplicate
-            # one: treat it as an endpoint failure like before.
-            self._fail_endpoint(
-                endpoint, f"worker error without a live task: {trace}"
+            # The failed task body may have partially written into cached
+            # backings before raising; the worker is alive but its residency
+            # can no longer be trusted.  Forget it all — the next dispatch
+            # re-ships full bytes, which replaces the worker-side backings.
+            if self._residency is not None:
+                self._residency.drop_endpoint(endpoint)
+            if task_id not in self._dispatcher.inflight:
+                # A chunk-less error report (decode failure) or a
+                # stale/duplicate one: an endpoint failure.
+                self._lose_endpoint(
+                    endpoint, f"worker error without a live task: {trace}"
+                )
+                return
+            self._dispatcher.task_error(
+                endpoint, chunk_id, task_id,
+                f"network worker {endpoint.name} failed on task {task_id}:\n{trace}",
+                endpoint.name,
             )
-            return
-        remaining = (
-            [
-                t for t in chunk_state.tasks
-                if t.task_id != task_id and t.task_id in self._inflight
-            ]
-            if chunk_state is not None
-            else []
-        )
-        reason = (
-            f"network worker {endpoint.name} failed on task {task_id}:\n{trace}"
-        )
-        backoff = self._supervisor.count_attempt(task)
-        if backoff is not None:
-            time.sleep(backoff)
-            self._stats["resubmitted_tasks"] += 1
-            remaining.append(task)
+        elif kind == "sync_result":
+            self._dispatcher.delta(endpoint, message[1])
+        elif kind in ("ack", "hello_ack", "pong"):
+            # Liveness already recorded above: the worker acks each chunk
+            # *before* executing it, so receipt liveness is proven
+            # independently of task runtime.
+            pass
         else:
-            self._task_terminal(task, TaskFailedError, reason, endpoint.name)
-        if remaining:
-            self._distribute(remaining)
+            self._lose_endpoint(endpoint, f"unexpected message kind {kind!r}")
 
-    def _complete_task(
-        self,
-        graph,
-        task_id: int,
-        action_value: str,
-        executed: bool,
-        writes,
-        endpoint: Optional[SocketEndpoint] = None,
-        chunk_state: Optional[_ChunkState] = None,
-    ) -> None:
-        task = self._inflight.pop(task_id, None)
-        if task is None:
-            return  # duplicate completion of a resubmitted task
-        # Written bytes land in the parent arrays *before* complete_task
-        # releases successors: anything scheduled next reads the new values
-        # (and re-serializes them at its own dispatch).
+    def _write_back(self, endpoint: SocketEndpoint, task: Task, chunk: Chunk, writes):
+        """Land one completed task's written bytes in the parent arrays.
+
+        Runs *before* the dispatcher releases the task's successors:
+        anything scheduled next reads the new values (and re-serializes them
+        at its own dispatch).  Returns the residency commit to run after the
+        release, when there is one.
+        """
         for index, raw in writes:
             region = task.accesses[index].region
             received = np.frombuffer(raw, dtype=region.array.dtype)
             np.copyto(
                 region.array, received.reshape(region.array.shape), casting="no"
             )
-        residency = self._residency
+        if self._residency is None or not writes:
+            return None
         # Snapshot the pre-commit versions: complete_task bumps every write
         # region, and the table's upgrade rule needs both sides of the bump.
-        prev_versions = (
-            [task.accesses[index].region.version for index, _ in writes]
-            if residency is not None and writes
-            else []
+        prev_versions = [task.accesses[index].region.version for index, _ in writes]
+        return functools.partial(
+            self._commit_residency, task, writes, prev_versions, endpoint, chunk.extra
         )
-        decision = ATMDecision(action=ATMAction(action_value))
-        self._account(decision)
-        final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
-        graph.complete_task(task, final_state)
-        if residency is not None and writes:
-            self._commit_residency(task, writes, prev_versions, endpoint, chunk_state)
 
     def _commit_residency(
-        self, task, writes, prev_versions, endpoint, chunk_state
+        self, task, writes, prev_versions, endpoint, dispatch_gens
     ) -> None:
         """Apply one task's committed writes to the residency table.
 
@@ -812,7 +612,6 @@ class NetworkExecutor(BaseExecutor):
         and get a worker-side ``invalidate`` so cache accounting follows.
         """
         invalidations: dict[SocketEndpoint, list[tuple[int, int]]] = {}
-        dispatch_gens = chunk_state.dispatch_gens if chunk_state is not None else {}
         for (index, _), prev_version in zip(writes, prev_versions):
             region = task.accesses[index].region
             dropped = self._residency.note_write(
@@ -833,47 +632,41 @@ class NetworkExecutor(BaseExecutor):
             try:
                 drop_endpoint.send(("invalidate", tuple(pairs)))
             except NetworkTransportError as exc:
-                self._fail_endpoint(drop_endpoint, f"invalidate failed: {exc}")
+                self._lose_endpoint(drop_endpoint, f"invalidate failed: {exc}")
 
-    def _check_liveness(self, deadline: float) -> None:
+    def _check_liveness(self) -> None:
         now = time.perf_counter()
-        if now > deadline:
-            reason = (
-                f"network drain timed out after {self.drain_timeout}s with "
-                f"{len(self._inflight)} task(s) outstanding"
-            )
-            dump_stacks(reason)
-            raise NetworkDrainError(reason, self._supervisor.failures)
         task_budget = self._supervisor.task_timeout_s
+        dispatcher = self._dispatcher
         for endpoint in list(self._ep_state):
             state = self._ep_state.get(endpoint)
-            if state is None or not state.outstanding:
+            outstanding = dispatcher.outstanding(endpoint)
+            if state is None or not (
+                outstanding or endpoint in dispatcher.awaiting_delta
+            ):
                 continue
             if task_budget is not None:
                 # Wedge supervision: a chunk that has been out longer than
                 # its tasks' combined budget means a task is stuck inside the
                 # worker (which still heartbeats).  Fail the endpoint with
                 # the chunk tagged so exhausted tasks surface as timeouts.
-                for chunk_state in list(state.outstanding.values()):
-                    age = now - chunk_state.sent_at
-                    budget = (
-                        task_budget * max(1, len(chunk_state.tasks))
-                        + self.timeout_grace
-                    )
+                for chunk in outstanding:
+                    age = now - chunk.sent_at
+                    budget = task_budget * max(1, len(chunk.tasks)) + TIMEOUT_GRACE
                     if age > budget:
-                        self._fail_endpoint(
+                        self._lose_endpoint(
                             endpoint,
-                            f"chunk {chunk_state.chunk_id} exceeded its task "
+                            f"chunk {chunk.chunk_id} exceeded its task "
                             f"budget ({age:.2f}s > {budget:.2f}s with "
                             f"task_timeout_s={task_budget}s)",
-                            timeout_chunk=chunk_state.chunk_id,
+                            timeout_chunk=chunk.chunk_id,
                         )
                         break
                 if endpoint.failed:
                     continue
             silent_for = now - state.last_heard
             if silent_for > self.timeout:
-                self._fail_endpoint(
+                self._lose_endpoint(
                     endpoint,
                     f"heartbeat timeout ({silent_for:.2f}s > "
                     f"net_timeout_s={self.timeout}s with work outstanding)",
@@ -883,45 +676,25 @@ class NetworkExecutor(BaseExecutor):
                 try:
                     endpoint.send(("ping",))
                 except NetworkTransportError as exc:
-                    self._fail_endpoint(endpoint, f"ping failed: {exc}")
+                    self._lose_endpoint(endpoint, f"ping failed: {exc}")
 
     # -- ATM barrier -------------------------------------------------------------
-    def _sync_engines(self, deadline: float) -> None:
-        """Collect one engine delta per live endpoint and merge them.
+    def _request_deltas(self) -> list[SocketEndpoint]:
+        """Ask every live endpoint for its engine delta.
 
         Best-effort by design: an endpoint that dies here loses its delta
         (reuse statistics), never result bytes — every task already
         completed through an accepted result message.
         """
-        pending: set[SocketEndpoint] = set()
+        asked = []
         for endpoint in self._live_endpoints():
             try:
                 endpoint.send(("sync",))
-                pending.add(endpoint)
             except NetworkTransportError as exc:
-                self._fail_endpoint(endpoint, f"sync send failed: {exc}")
-        sync_deadline = min(deadline, time.perf_counter() + self.timeout)
-        while pending:
-            if time.perf_counter() > sync_deadline:
-                for endpoint in pending:
-                    self._fail_endpoint(endpoint, "sync timed out")
-                return
-            try:
-                endpoint, message = self._inbox.get(timeout=POLL_INTERVAL)
-            except queue_module.Empty:
+                self._lose_endpoint(endpoint, f"sync send failed: {exc}")
                 continue
-            kind = message[0]
-            if kind == TRANSPORT_ERROR:
-                if endpoint in pending:
-                    pending.discard(endpoint)
-                    self._fail_endpoint(endpoint, f"died during sync: {message[1]}")
-                continue
-            if kind == "sync_result" and endpoint in pending:
-                pending.discard(endpoint)
-                if message[1] is not None:
-                    self.engine.merge(message[1])
-                state = self._ep_state.get(endpoint)
-                if state is not None:
-                    state.work_since_sync = False
-            # acks/pongs and stale results are ignored here: the graph is
-            # finished, every task already completed.
+            # The silence clock restarts: the delta is due within
+            # net_timeout_s, like the answer to any dispatched chunk.
+            self._ep_state[endpoint].last_heard = time.perf_counter()
+            asked.append(endpoint)
+        return asked

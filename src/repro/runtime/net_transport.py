@@ -45,9 +45,6 @@ from repro.common.exceptions import (
     NetworkTransportError,
     WireProtocolError,
 )
-from repro.runtime.atm_protocol import EXECUTE_DECISION
-from repro.runtime.data import AccessMode, DataAccess
-from repro.runtime.mp_executor import _build_worker_engine
 from repro.runtime.net_wire import (
     ChunkArena,
     NetChunk,
@@ -56,8 +53,9 @@ from repro.runtime.net_wire import (
     read_frame,
     write_frame,
 )
+from repro.runtime.remote_task import build_worker_engine, run_descriptor
 from repro.runtime.residency import WorkerBufferCache
-from repro.runtime.task import Task, TaskState, TaskType
+from repro.runtime.task import TaskType
 
 __all__ = [
     "TRANSPORT_ERROR",
@@ -311,7 +309,7 @@ class NetWorkerState:
                 f"protocol version mismatch: client speaks {protocol}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
-        self.engine = _build_worker_engine(info.get("engine"))
+        self.engine = build_worker_engine(info.get("engine"))
         self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
@@ -319,64 +317,30 @@ class NetWorkerState:
     def run_chunk(self, chunk: NetChunk) -> tuple[list[tuple], Optional[tuple]]:
         """Run one chunk; returns ``(results, error)``.
 
+        Each result is ``(task_id, action_value, executed, writes)``.
         ``error`` is ``(task_id, traceback_str)`` when a task body raised —
-        the rest of the chunk is dropped, mirroring the process backend.
+        the rest of the chunk is dropped.
         """
         arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
         results: list[tuple] = []
         for desc in chunk.tasks:
             try:
-                results.append(self._run_task(desc, arena))
+                action, executed, task = run_descriptor(
+                    desc, arena, self.engine, self.task_types, self.worker_id
+                )
             except BaseException:
                 return results, (desc.task_id, traceback.format_exc())
+            # Ship back the raw bytes of every written region: the parent
+            # has no shared memory to read them from (the SKIP path's
+            # copy_from wrote the worker-local arrays, so it is covered
+            # identically).
+            writes = [
+                (index, np.ascontiguousarray(access.region.array).tobytes())
+                for index, access in enumerate(task.accesses)
+                if access.writes
+            ]
+            results.append((desc.task_id, action, executed, writes))
         return results, None
-
-    def _run_task(self, desc, arena: ChunkArena) -> tuple:
-        task_type = self.task_types.get(desc.type_spec.name)
-        if task_type is None:
-            task_type = desc.type_spec.build()
-            self.task_types[desc.type_spec.name] = task_type
-        accesses = [
-            DataAccess(arena.region(ref, name), AccessMode(mode_value))
-            for ref, mode_value, name in desc.accesses
-        ]
-        task = Task(
-            task_type=task_type,
-            function=desc.function,
-            accesses=accesses,
-            args=arena.decode_payload(desc.args),
-            kwargs=arena.decode_payload(desc.kwargs),
-            task_id=desc.task_id,
-        )
-        task.creation_index = desc.creation_index
-        task.label = f"{task_type.name}#{desc.task_id}"
-
-        engine = self.engine
-        # Same eligibility gate as BaseExecutor._lookup, so per-worker stats
-        # merge into the exact totals a single-process engine would see.
-        if engine is not None and task_type.atm_eligible:
-            decision = engine.task_ready(task, self.worker_id)
-        else:
-            decision = EXECUTE_DECISION
-        executed = False
-        if not decision.skips_execution:
-            task.state = TaskState.RUNNING
-            task.run()
-            executed = True
-            for access in task.accesses:
-                if access.writes:
-                    access.region.bump_version()
-        if decision.atm_handled and engine is not None:
-            engine.task_finished(task, decision, executed, self.worker_id)
-        # Ship back the raw bytes of every written region: the parent has no
-        # shared memory to read them from (the SKIP path's copy_from wrote
-        # the worker-local arrays, so it is covered identically).
-        writes = [
-            (index, np.ascontiguousarray(access.region.array).tobytes())
-            for index, access in enumerate(task.accesses)
-            if access.writes
-        ]
-        return (desc.task_id, decision.action.value, executed, writes)
 
     # -- barrier -----------------------------------------------------------------
     def sync(self):

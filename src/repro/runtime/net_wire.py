@@ -1,8 +1,9 @@
 """Wire format of the network execution backend (DESIGN.md §4.5).
 
-The network backend speaks the same descriptor + ATM delta-merge protocol as
-the process backend, but no shared memory spans hosts, so every array payload
-travels **as bytes**.  This module defines the two halves of that story:
+The network backend ships the remote-task core's descriptors
+(:mod:`repro.runtime.remote_task`), but no shared memory spans hosts, so
+every array payload travels **as bytes**.  This module defines the two halves
+of that story:
 
 * **Framing** — every message is one length-prefixed frame::
 
@@ -19,9 +20,9 @@ travels **as bytes**.  This module defines the two halves of that story:
   union byte span the chunk touches, and ships one :class:`NetBuffer` of raw
   bytes per base plus :class:`NetArrayRef` handles (offset/shape/strides/
   dtype) for every view.  A :class:`ChunkArena` (receiver side) materialises
-  each buffer as one writable ``bytearray`` and rebuilds byte-exact NumPy
-  views over it, preserving aliasing between views of the same base — the
-  no-shared-memory analogue of :class:`~repro.runtime.shm.WorkerArena`.
+  each buffer as one writable ``bytearray``: the
+  :class:`~repro.runtime.remote_task.ArrayArena` whose backing bytes are
+  the shipped spans.
 
 Message vocabulary (client = the :class:`NetworkExecutor` parent, worker =
 a loopback thread or a ``scripts/net_worker.py`` daemon)::
@@ -63,19 +64,22 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
 from repro.runtime.data import DataRegion, _base_buffer
+from repro.runtime.remote_task import ArrayArena, TaskDescriptor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import asyncio
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "NetArrayRef",
     "NetBuffer",
-    "NetTaskDescriptor",
     "NetChunk",
     "ChunkEncoder",
     "ChunkArena",
@@ -84,13 +88,17 @@ __all__ = [
     "decode_frame",
     "iter_frames",
     "read_frame",
+    "read_frame_async",
     "write_frame",
+    "request",
 ]
 
 #: Bumped on any incompatible message/frame change; checked at hello time.
 #: Version 2: cached (``data=None``) :class:`NetBuffer` form, generation
 #: tags and the ``invalidate`` message of the residency protocol.
-PROTOCOL_VERSION = 2
+#: Version 3: chunks carry :class:`~repro.runtime.remote_task.TaskDescriptor`
+#: (the pickled descriptor classes moved import path).
+PROTOCOL_VERSION = 3
 
 MAGIC = b"ATMW"
 _HEADER = struct.Struct("!4sII")
@@ -194,8 +202,24 @@ def read_frame(sock: socket.socket) -> Any:
     return _check_payload(_recv_exact(sock, length), crc)
 
 
+async def read_frame_async(reader: "asyncio.StreamReader") -> Any:
+    """Read one frame from an asyncio stream (``None`` at EOF or reset)."""
+    try:
+        length, crc = _check_header(await reader.readexactly(_HEADER.size))
+        payload = await reader.readexactly(length)
+    except (EOFError, ConnectionError):  # IncompleteReadError is an EOFError
+        return None
+    return _check_payload(payload, crc)
+
+
 def write_frame(sock: socket.socket, message: Any) -> None:
     sock.sendall(encode_frame(message))
+
+
+def request(sock: socket.socket, message: Any) -> Any:
+    """One blocking request/reply round-trip on a frame connection."""
+    write_frame(sock, message)
+    return read_frame(sock)
 
 
 # -- array / task encoding ------------------------------------------------------------
@@ -235,31 +259,12 @@ class NetBuffer:
 
 
 @dataclass(frozen=True)
-class NetTaskDescriptor:
-    """Everything a remote worker needs to rebuild and run one task.
-
-    ``accesses`` entries are ``(NetArrayRef, mode_value, region_name)``;
-    ndarray leaves of ``args``/``kwargs`` are replaced by their
-    :class:`NetArrayRef`, so worker-side argument arrays alias the rebuilt
-    access regions exactly as they alias the parent arrays at home.
-    """
-
-    task_id: int
-    creation_index: int
-    type_spec: Any  # _TaskTypeSpec (repro.runtime.mp_executor)
-    function: Any
-    accesses: tuple[tuple[NetArrayRef, str, str], ...]
-    args: tuple
-    kwargs: dict
-
-
-@dataclass(frozen=True)
 class NetChunk:
     """One dispatch unit: buffer spans + the task descriptors using them."""
 
     chunk_id: int
     buffers: tuple[NetBuffer, ...]
-    tasks: tuple[NetTaskDescriptor, ...]
+    tasks: tuple[TaskDescriptor, ...]
 
 
 class ChunkEncoder:
@@ -267,7 +272,8 @@ class ChunkEncoder:
 
     Tasks of one chunk are pairwise independent (they were ready
     simultaneously), so one buffer copy per base is consistent for the whole
-    chunk.  Call :meth:`ref` / :meth:`encode_payload` for every array, then
+    chunk.  Call :meth:`ref` for every array (it is the array→ref function
+    :func:`~repro.runtime.remote_task.describe_task` takes), then
     :meth:`buffers` once to materialise the union spans.
     """
 
@@ -275,6 +281,9 @@ class ChunkEncoder:
         # id(base) -> [base, min_start, max_end]; holding the base reference
         # keeps the id stable for the encoder's lifetime.
         self._spans: dict[int, list] = {}
+        # id(array) -> (array, ref): a task's argument arrays are usually
+        # the very objects its accesses declared, so each is encoded once.
+        self._refs: dict[int, tuple[np.ndarray, NetArrayRef]] = {}
 
     def _touch(self, base: np.ndarray, start: int, end: int) -> int:
         buffer_id = id(base)
@@ -288,6 +297,9 @@ class ChunkEncoder:
 
     def ref(self, array: np.ndarray, region: Optional[DataRegion] = None) -> NetArrayRef:
         """Handle for ``array``; pass ``region`` to reuse its interval math."""
+        known = self._refs.get(id(array))
+        if known is not None:
+            return known[1]
         if region is None:
             region = DataRegion(array)
         base = _base_buffer(array)
@@ -295,25 +307,15 @@ class ChunkEncoder:
         buffer_id = self._touch(base, start, end)
         base_addr = base.__array_interface__["data"][0]
         my_addr = array.__array_interface__["data"][0]
-        return NetArrayRef(
+        ref = NetArrayRef(
             buffer_id=buffer_id,
             offset=int(my_addr - base_addr),
             shape=tuple(array.shape),
             strides=tuple(array.strides),
             dtype=array.dtype.str,
         )
-
-    def encode_payload(self, value: Any) -> Any:
-        """Swap every ndarray in a (nested) argument payload for its ref."""
-        if isinstance(value, np.ndarray):
-            return self.ref(value)
-        if isinstance(value, tuple):
-            return tuple(self.encode_payload(v) for v in value)
-        if isinstance(value, list):
-            return [self.encode_payload(v) for v in value]
-        if isinstance(value, dict):
-            return {k: self.encode_payload(v) for k, v in value.items()}
-        return value
+        self._refs[id(array)] = (array, ref)
+        return ref
 
     def spans(self) -> dict[int, tuple[np.ndarray, int, int]]:
         """Touched union spans as ``buffer_id -> (base, start, end)``.
@@ -350,13 +352,11 @@ def span_bytes(base: np.ndarray, start: int, end: int) -> bytes:
     return flat[start:end].tobytes()
 
 
-class ChunkArena:
-    """Receiver-side materialisation of one chunk's buffers and views.
+class ChunkArena(ArrayArena):
+    """Receiver-side materialisation of one chunk's buffers.
 
     Every :class:`NetBuffer` becomes one writable ``bytearray``-backed
-    ``uint8`` ndarray; views built over it share that object as their
-    ``.base``, preserving region identity (aliasing *and* the keygen-cache
-    keying) within the chunk.
+    ``uint8`` ndarray that the views built over it share as their ``.base``.
 
     A ``cache`` (:class:`~repro.runtime.residency.WorkerBufferCache`) makes
     the arena residency-aware: full ships are stored into it under their
@@ -366,9 +366,13 @@ class ChunkArena:
     bytes it does not; failing loudly triggers resubmission elsewhere).
     """
 
+    ref_type = NetArrayRef
+    error = WireProtocolError
+
     def __init__(
         self, buffers: tuple[NetBuffer, ...], cache=None
     ) -> None:
+        super().__init__()
         self._bases: dict[int, tuple[np.ndarray, int]] = {}
         for buf in buffers:
             if buf.data is None:
@@ -386,49 +390,12 @@ class ChunkArena:
             self._bases[buf.buffer_id] = (backing, buf.start)
             if cache is not None:
                 cache.put(buf.buffer_id, backing, buf.start, buf.generation)
-        self._views: dict[tuple, np.ndarray] = {}
-        self._regions: dict[tuple, DataRegion] = {}
 
-    def view(self, ref: NetArrayRef) -> np.ndarray:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._views.get(key)
-        if cached is not None:
-            return cached
+    def _backing(self, ref: NetArrayRef) -> tuple[np.ndarray, int]:
         entry = self._bases.get(ref.buffer_id)
         if entry is None:
             raise WireProtocolError(
                 f"chunk references buffer {ref.buffer_id:#x} that was not "
                 f"shipped with it"
             )
-        backing, start = entry
-        try:
-            array = np.ndarray(
-                ref.shape,
-                dtype=np.dtype(ref.dtype),
-                buffer=backing,
-                offset=ref.offset - start,
-                strides=ref.strides,
-            )
-        except (ValueError, TypeError) as exc:
-            raise WireProtocolError(f"cannot rebuild array view: {exc}") from exc
-        self._views[key] = array
-        return array
-
-    def decode_payload(self, value: Any) -> Any:
-        if isinstance(value, NetArrayRef):
-            return self.view(value)
-        if isinstance(value, tuple):
-            return tuple(self.decode_payload(v) for v in value)
-        if isinstance(value, list):
-            return [self.decode_payload(v) for v in value]
-        if isinstance(value, dict):
-            return {k: self.decode_payload(v) for k, v in value.items()}
-        return value
-
-    def region(self, ref: NetArrayRef, name: str) -> DataRegion:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._regions.get(key)
-        if cached is None:
-            cached = DataRegion(self.view(ref), name=name)
-            self._regions[key] = cached
-        return cached
+        return entry

@@ -18,11 +18,10 @@ home; this module provides it (see DESIGN.md §4.3):
   worker-side ATM key generator keys its digest caches on these versions,
   exactly as the in-process :class:`~repro.runtime.data.RegionVersionRegistry`
   does for single-process runs.
-* :class:`WorkerArena` (worker side) — attaches segments lazily by name and
-  materialises :class:`~repro.runtime.data.ArrayRef` /
-  :class:`~repro.runtime.data.RegionDescriptor` records as NumPy views whose
-  common ndarray base preserves region identity (so per-region caches hit
-  across tasks within a worker).
+* :class:`WorkerArena` (worker side) — the
+  :class:`~repro.runtime.remote_task.ArrayArena` whose backing bytes are
+  shared segments, attached lazily by name; its regions read and bump the
+  shared version table.
 
 Attach/detach is name-based, so the protocol works under every
 multiprocessing start method (``fork``, ``spawn``, ``forkserver``).
@@ -37,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError
-from repro.runtime.data import ArrayRef, RegionDescriptor, _base_buffer
+from repro.runtime.data import ArrayRef, DataRegion, SharedDataRegion, _base_buffer
+from repro.runtime.remote_task import ArrayArena
 
 __all__ = ["SharedVersionTable", "SharedBufferRegistry", "WorkerArena"]
 
@@ -153,9 +153,15 @@ class SharedBufferRegistry:
         """Registry entry of the base buffer owning ``array`` (registering it)."""
         return self.register(_base_buffer(array))
 
-    def array_ref(self, array: np.ndarray) -> ArrayRef:
-        """Serializable handle reconstructing ``array`` inside a worker."""
-        entry = self.entry_for_array(array)
+    def array_ref(
+        self, array: np.ndarray, region: Optional[DataRegion] = None
+    ) -> ArrayRef:
+        """Serializable handle reconstructing ``array`` inside a worker; pass
+        its ``region`` to reuse the owning base the region already found."""
+        entry = (
+            self.register(region._base) if region is not None
+            else self.entry_for_array(array)
+        )
         base_addr = entry.base.__array_interface__["data"][0]
         my_addr = array.__array_interface__["data"][0]
         return ArrayRef(
@@ -219,59 +225,31 @@ class SharedBufferRegistry:
         self._by_id.clear()
 
 
-class WorkerArena:
+class WorkerArena(ArrayArena):
     """Worker-side lazy attachment of shared segments and region views."""
 
+    ref_type = ArrayRef
+
     def __init__(self, version_table: SharedVersionTable) -> None:
+        super().__init__()
         self.version_table = version_table
         self._segments: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-        self._views: dict[tuple, np.ndarray] = {}
-        self._regions: dict[tuple, "object"] = {}
 
-    def _base_array(self, shm_name: str, nbytes: int) -> np.ndarray:
-        cached = self._segments.get(shm_name)
-        if cached is not None:
-            return cached[1]
-        shm = shared_memory.SharedMemory(name=shm_name)
-        # One flat uint8 ndarray per segment: every view built over it shares
-        # this object as its ``.base``, preserving region identity for the
-        # keygen caches.
-        base = np.ndarray((max(1, nbytes),), dtype=np.uint8, buffer=shm.buf)
-        self._segments[shm_name] = (shm, base)
-        return base
+    def _backing(self, ref: ArrayRef) -> tuple[np.ndarray, int]:
+        cached = self._segments.get(ref.shm_name)
+        if cached is None:
+            shm = shared_memory.SharedMemory(name=ref.shm_name)
+            # One flat uint8 ndarray per segment: every view built over it
+            # shares this object as its ``.base``, preserving region
+            # identity for the keygen caches.
+            base = np.ndarray((max(1, ref.base_nbytes),), dtype=np.uint8, buffer=shm.buf)
+            cached = self._segments[ref.shm_name] = (shm, base)
+        return cached[1], 0
 
-    def view(self, ref: ArrayRef) -> np.ndarray:
-        key = (ref.shm_name, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._views.get(key)
-        if cached is not None:
-            return cached
-        base = self._base_array(ref.shm_name, ref.base_nbytes)
-        array = np.ndarray(
-            ref.shape,
-            dtype=np.dtype(ref.dtype),
-            buffer=base,
-            offset=ref.offset,
-            strides=ref.strides,
+    def _region(self, array: np.ndarray, ref: ArrayRef, name: str) -> DataRegion:
+        return SharedDataRegion(
+            array, name=name, slot=ref.slot, version_table=self.version_table
         )
-        self._views[key] = array
-        return array
-
-    def region(self, descriptor: RegionDescriptor):
-        from repro.runtime.data import SharedDataRegion
-
-        ref = descriptor.ref
-        key = (ref.shm_name, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._regions.get(key)
-        if cached is not None:
-            return cached
-        region = SharedDataRegion(
-            self.view(ref),
-            name=descriptor.name,
-            slot=ref.slot,
-            version_table=self.version_table,
-        )
-        self._regions[key] = region
-        return region
 
     def close(self) -> None:
         self._views.clear()

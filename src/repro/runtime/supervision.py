@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "POLL_INTERVAL",
+    "TIMEOUT_GRACE",
     "TaskFailure",
     "TaskSupervisor",
     "dump_stacks",
@@ -58,6 +59,11 @@ __all__ = [
 #: Poll cadence (seconds) for every backend's blocking result/inbox loop;
 #: replaces the per-backend ``RESULT_POLL`` class constants.
 POLL_INTERVAL = 0.02
+
+#: Dispatch/queue latency allowance (seconds) the process and network
+#: backends add to a chunk's ``task_timeout_s`` budget before declaring the
+#: worker hosting it wedged.
+TIMEOUT_GRACE = 0.25
 
 #: Error-name -> exception-class mapping for :meth:`TaskFailure.to_exception`.
 _ERROR_CLASSES = {
@@ -132,7 +138,11 @@ class TaskSupervisor:
         self,
         config: "RuntimeConfig",
         failures: Optional[list] = None,
+        abort_error: type[DrainAbortedError] = DrainAbortedError,
     ) -> None:
+        #: What an aborted drain raises (``NetworkDrainError`` on the
+        #: network backend).
+        self.abort_error = abort_error
         self.task_timeout_s: Optional[float] = config.task_timeout_s
         self.max_retries: int = config.task_max_retries
         self.backoff_s: float = config.retry_backoff_s
@@ -183,7 +193,7 @@ class TaskSupervisor:
             f"{self.drain_timeout_s}s"
         )
         dump_stacks(message)
-        return DrainAbortedError(message, self.failures)
+        return self.abort_error(message, self.failures)
 
     # -- terminal failures ----------------------------------------------------
     def record_failure(
@@ -239,7 +249,7 @@ class TaskSupervisor:
         """Record the failure and build the drain-aborting exception."""
         failure = self.record_failure(task, error, reason, worker=worker)
         labels = ", ".join(f.label for f in self.failures)
-        return DrainAbortedError(
+        return self.abort_error(
             f"drain aborted: task {failure.label} failed after "
             f"{failure.attempts} attempt(s): {failure.reason} "
             f"[failed tasks: {labels}]",
@@ -249,7 +259,7 @@ class TaskSupervisor:
     def aggregate_abort(self, what: str) -> DrainAbortedError:
         """Abort carrying *every* recorded failure (threaded drain path)."""
         labels = ", ".join(f.label for f in self.failures) or "<none>"
-        return DrainAbortedError(
+        return self.abort_error(
             f"{what} aborted by {len(self.failures)} task failure(s) "
             f"[failed tasks: {labels}]",
             self.failures,

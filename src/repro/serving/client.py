@@ -22,23 +22,16 @@ bytes a local Session run would produce.
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.common import exceptions as _exceptions
 from repro.common.exceptions import GatewayError, RuntimeStateError
-from repro.runtime.data import DataAccess, DataRegion, _base_buffer
+from repro.runtime.data import DataAccess
 from repro.runtime.executor import RunResult
-from repro.runtime.mp_executor import _TaskTypeSpec
-from repro.runtime.net_wire import (
-    NetArrayRef,
-    NetBuffer,
-    NetTaskDescriptor,
-    read_frame,
-    span_bytes,
-    write_frame,
-)
+from repro.runtime.net_wire import ChunkEncoder, NetBuffer, request, span_bytes
+from repro.runtime.remote_task import TaskDescriptor, describe_task
 from repro.runtime.task import TaskType
 from repro.serving.gateway import SERVING_PROTOCOL_VERSION
 
@@ -73,8 +66,7 @@ class GatewayClient:
         self.tenant = tenant
         self._sock = socket.create_connection((host, port), timeout=connect_timeout_s)
         self._sock.settimeout(None)
-        # id(base) -> base ndarray; holding the reference keeps the id stable
-        # and marks the buffer as already shipped.
+        #: id(base) -> base ndarray of every buffer already shipped.
         self._ledger: dict[int, np.ndarray] = {}
         self._submitted = 0
         self._last_summary: Optional[dict] = None
@@ -101,75 +93,42 @@ class GatewayClient:
     def _request(self, message: tuple) -> tuple:
         if self._closed:
             raise RuntimeStateError("gateway client already closed")
-        write_frame(self._sock, message)
-        reply = read_frame(self._sock)
+        reply = request(self._sock, message)
         if isinstance(reply, tuple) and reply and reply[0] == "error":
             _, class_name, text = reply
             raise _error_class(class_name)(text)
         return reply
 
-    # -- buffer encoding ---------------------------------------------------------
-    def _ref(self, array: np.ndarray, ship: list, region: Optional[DataRegion] = None) -> NetArrayRef:
-        base = _base_buffer(array)
-        buffer_id = id(base)
-        if buffer_id not in self._ledger:
-            self._ledger[buffer_id] = base
-            ship.append(
-                NetBuffer(
-                    buffer_id=buffer_id,
-                    start=0,
-                    data=span_bytes(base, 0, base.nbytes),
+    # -- task encoding -----------------------------------------------------------
+    def _encode(
+        self, specs: Sequence[tuple]
+    ) -> tuple[tuple[TaskDescriptor, ...], tuple[NetBuffer, ...]]:
+        """Describe ``(task_type, function, accesses, args, kwargs)`` specs.
+
+        Returns the descriptors plus the whole owning buffers they touch
+        that the gateway has not seen yet (holding a base in the ledger
+        keeps its id stable and marks it as shipped).
+        """
+        encoder = ChunkEncoder()
+        descs = []
+        for task_type, function, accesses, args, kwargs in specs:
+            task_id = self._submitted
+            self._submitted += 1
+            descs.append(
+                describe_task(
+                    task_id, task_id, task_type,
+                    getattr(function, "__wrapped__", function),
+                    accesses, tuple(args), dict(kwargs or {}), encoder.ref,
                 )
             )
-        base_addr = base.__array_interface__["data"][0]
-        my_addr = array.__array_interface__["data"][0]
-        return NetArrayRef(
-            buffer_id=buffer_id,
-            offset=int(my_addr - base_addr),
-            shape=tuple(array.shape),
-            strides=tuple(array.strides),
-            dtype=array.dtype.str,
-        )
-
-    def _encode_payload(self, value: Any, ship: list) -> Any:
-        if isinstance(value, np.ndarray):
-            return self._ref(value, ship)
-        if isinstance(value, tuple):
-            return tuple(self._encode_payload(v, ship) for v in value)
-        if isinstance(value, list):
-            return [self._encode_payload(v, ship) for v in value]
-        if isinstance(value, dict):
-            return {k: self._encode_payload(v, ship) for k, v in value.items()}
-        return value
-
-    def _describe(
-        self,
-        task_type: TaskType,
-        function: Callable,
-        accesses: Sequence[DataAccess],
-        args: tuple,
-        kwargs: Optional[dict],
-        ship: list,
-    ) -> NetTaskDescriptor:
-        encoded = tuple(
-            (
-                self._ref(access.region.array, ship, access.region),
-                access.mode.value,
-                access.region.name,
-            )
-            for access in accesses
-        )
-        task_id = self._submitted
-        self._submitted += 1
-        return NetTaskDescriptor(
-            task_id=task_id,
-            creation_index=task_id,
-            type_spec=_TaskTypeSpec.of(task_type),
-            function=getattr(function, "__wrapped__", function),
-            accesses=encoded,
-            args=self._encode_payload(tuple(args), ship),
-            kwargs=self._encode_payload(dict(kwargs or {}), ship),
-        )
+        ship = []
+        for buffer_id, (base, _start, _end) in encoder.spans().items():
+            if buffer_id not in self._ledger:
+                self._ledger[buffer_id] = base
+                ship.append(
+                    NetBuffer(buffer_id, 0, span_bytes(base, 0, base.nbytes))
+                )
+        return tuple(descs), tuple(ship)
 
     # -- Session-compatible surface ----------------------------------------------
     def submit(
@@ -181,32 +140,29 @@ class GatewayClient:
         kwargs: Optional[dict] = None,
     ) -> int:
         """Ship one task; returns the client-side submission index."""
-        ship: list = []
-        desc = self._describe(task_type, function, accesses, args, kwargs, ship)
-        self._request(("submit", desc, tuple(ship)))
+        (desc,), ship = self._encode([(task_type, function, accesses, args, kwargs)])
+        self._request(("submit", desc, ship))
         return desc.task_id
 
     def submit_batch(
         self, specs: "Sequence[Sequence] | Sequence[Mapping]"
     ) -> list[int]:
         """Ship many tasks in one frame (one ``ack`` round-trip)."""
-        ship: list = []
-        descs = []
+        normalised = []
         for spec in specs:
             if isinstance(spec, Mapping):
-                task_type = spec["task_type"]
-                function = spec["function"]
-                accesses = spec["accesses"]
-                args = spec.get("args", ())
-                kwargs = spec.get("kwargs")
+                normalised.append((
+                    spec["task_type"], spec["function"], spec["accesses"],
+                    spec.get("args", ()), spec.get("kwargs"),
+                ))
             else:
-                task_type, function, accesses = spec[0], spec[1], spec[2]
-                args = spec[3] if len(spec) > 3 else ()
-                kwargs = spec[4] if len(spec) > 4 else None
-            descs.append(
-                self._describe(task_type, function, accesses, args, kwargs, ship)
-            )
-        self._request(("submit_batch", tuple(descs), tuple(ship)))
+                normalised.append((
+                    spec[0], spec[1], spec[2],
+                    spec[3] if len(spec) > 3 else (),
+                    spec[4] if len(spec) > 4 else None,
+                ))
+        descs, ship = self._encode(normalised)
+        self._request(("submit_batch", descs, ship))
         return [d.task_id for d in descs]
 
     def wait_all(self) -> dict:

@@ -45,12 +45,12 @@ import asyncio
 import dataclasses
 import threading
 import time
-import warnings
 from collections import deque
 from typing import Any, Mapping, Optional
 
 import numpy as np
 
+from repro.atm.store import publish_increment, warm_start
 from repro.common.exceptions import (
     AdmissionError,
     ConfigurationError,
@@ -59,26 +59,22 @@ from repro.common.exceptions import (
     GatewayShutdownError,
     ReproError,
     TenantRejectedError,
-    THTStoreCorruptError,
-    THTStoreError,
-    THTStoreUnavailableError,
 )
 from repro.runtime.atm_protocol import (
     ATMAction,
     ATMDecision,
     EXECUTE_DECISION,
 )
-from repro.runtime.data import AccessMode, DataAccess, DataRegion
+from repro.runtime.data import AccessMode
 from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.net_wire import (
     NetArrayRef,
     NetBuffer,
-    _check_header,
-    _check_payload,
-    _HEADER,
     encode_frame,
+    read_frame_async,
 )
+from repro.runtime.remote_task import ArrayArena, rebuild_task
 from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.admission import AdmissionController
 from repro.session.config import ReproConfig
@@ -91,42 +87,32 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to the gateway message vocabulary.
-SERVING_PROTOCOL_VERSION = 1
+#: Version 2: submissions carry :class:`~repro.runtime.remote_task.
+#: TaskDescriptor` (the pickled descriptor classes moved import path).
+SERVING_PROTOCOL_VERSION = 2
 
 #: ATM modes a tenant may request at hello time.
 _TENANT_ATM_MODES = ("none", "static", "dynamic", "fixed_p")
 
 
-async def read_message(reader: asyncio.StreamReader) -> Any:
-    """Read one net_wire frame from an asyncio stream (None at clean EOF)."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    length, crc = _check_header(header)
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    return _check_payload(payload, crc)
-
-
-class TenantArena:
-    """Persistent per-tenant buffer store (the gateway's ChunkArena analogue).
+class TenantArena(ArrayArena):
+    """Persistent per-tenant buffer store.
 
     Client buffers are shipped whole (one :class:`NetBuffer` with
     ``start == 0`` covering the owning base) on first touch and live here for
     the tenant's lifetime; the server-side copy is authoritative between
-    barriers.  Views and regions are cached by their byte-exact layout so
-    repeated submissions over the same client array resolve to the *same*
-    :class:`DataRegion` object — which is what makes the shared dependence
-    graph and the ATM key caches see a stable identity per tenant array.
+    barriers.  The arena's ref-keyed caches make repeated submissions over
+    the same client array resolve to the *same* region object — which is
+    what gives the shared dependence graph and the ATM key caches a stable
+    identity per tenant array.
     """
 
+    ref_type = NetArrayRef
+    error = GatewayProtocolError
+
     def __init__(self) -> None:
+        super().__init__()
         self._bases: dict[int, np.ndarray] = {}
-        self._views: dict[tuple, np.ndarray] = {}
-        self._regions: dict[tuple, DataRegion] = {}
 
     def store(self, buffers: "tuple[NetBuffer, ...] | list[NetBuffer]") -> None:
         for buf in buffers:
@@ -150,50 +136,14 @@ class TenantArena:
                 bytearray(buf.data), dtype=np.uint8
             )
 
-    def view(self, ref: NetArrayRef) -> np.ndarray:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._views.get(key)
-        if cached is not None:
-            return cached
+    def _backing(self, ref: NetArrayRef) -> tuple[np.ndarray, int]:
         backing = self._bases.get(ref.buffer_id)
         if backing is None:
             raise GatewayProtocolError(
                 f"task references buffer {ref.buffer_id:#x} that this tenant "
                 f"never shipped"
             )
-        try:
-            array = np.ndarray(
-                ref.shape,
-                dtype=np.dtype(ref.dtype),
-                buffer=backing,
-                offset=ref.offset,
-                strides=ref.strides,
-            )
-        except (ValueError, TypeError) as exc:
-            raise GatewayProtocolError(
-                f"cannot rebuild array view: {exc}"
-            ) from exc
-        self._views[key] = array
-        return array
-
-    def region(self, ref: NetArrayRef, name: str) -> DataRegion:
-        key = (ref.buffer_id, ref.offset, ref.shape, ref.strides, ref.dtype)
-        cached = self._regions.get(key)
-        if cached is None:
-            cached = DataRegion(self.view(ref), name=name)
-            self._regions[key] = cached
-        return cached
-
-    def decode_payload(self, value: Any) -> Any:
-        if isinstance(value, NetArrayRef):
-            return self.view(value)
-        if isinstance(value, tuple):
-            return tuple(self.decode_payload(v) for v in value)
-        if isinstance(value, list):
-            return [self.decode_payload(v) for v in value]
-        if isinstance(value, dict):
-            return {k: self.decode_payload(v) for k, v in value.items()}
-        return value
+        return backing, 0
 
     def backing_bytes(self, buffer_id: int) -> bytes:
         backing = self._bases.get(buffer_id)
@@ -392,7 +342,15 @@ class Gateway:
         # and is visible to other gateways/sessions on the same store.
         self._tht_store = None
         if self._shared_tht is not None and cfg.atm.tht_store:
-            self._tht_store = self._open_tht_store(cfg.atm.tht_store)
+            self._tht_store, _ = warm_start(
+                cfg.atm.tht_store, cfg.atm, self._shared_tht,
+                "shared tier cold-starts",
+            )
+            if self._tht_store is not None:
+                # Journal only with a store attached, and only from here
+                # on: the merge pump publishes exactly the increment each
+                # tick and never re-publishes restored entries.
+                self._shared_tht.enable_journal()
         self._router = TenantEngineRouter(shared_tht=self._shared_tht)
         self._admission = AdmissionController(
             max_pending=self.serving.max_pending,
@@ -417,73 +375,6 @@ class Gateway:
         self._loop_thread: Optional[threading.Thread] = None
         self._dispatch_thread: Optional[threading.Thread] = None
         self._merge_thread: Optional[threading.Thread] = None
-
-    # -- persistent shared tier (DESIGN.md §9) -----------------------------------
-    def _open_tht_store(self, url: str):
-        """Warm-start the shared tier from ``atm.tht_store``.
-
-        Mirrors the Session's failure semantics: a corrupt or unreachable
-        store degrades to a cold shared tier with a ``RuntimeWarning``.  The
-        shared tier's journal is enabled only when a store is attached (and
-        after the restore merge), so the merge pump publishes exactly the
-        increment each tick and never re-publishes restored entries.
-        """
-        from repro.atm.store import open_store
-
-        try:
-            store = open_store(url, self.config.atm)
-        except THTStoreUnavailableError as exc:
-            warnings.warn(
-                f"THT store {url} unavailable, shared tier cold-starts: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        try:
-            delta = store.load()
-        except THTStoreCorruptError as exc:
-            warnings.warn(
-                f"THT store {url} unreadable, shared tier cold-starts: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            delta = None
-        except THTStoreUnavailableError as exc:
-            store.close()
-            warnings.warn(
-                f"THT store {url} dropped during warm-start, shared tier "
-                f"cold-starts: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        if delta and delta.get("entries"):
-            self._shared_tht.merge(delta, journal=False)
-        self._shared_tht.enable_journal()
-        return store
-
-    def _publish_shared_delta(self) -> None:
-        """Ship the shared tier's journal increment to the store.
-
-        A store that fails mid-service is detached after one warning — the
-        gateway keeps serving from its in-memory tier.
-        """
-        store = self._tht_store
-        if store is None or self._shared_tht is None:
-            return
-        if not getattr(self._shared_tht, "_journal", None):
-            return
-        try:
-            store.publish(self._shared_tht.snapshot(reset=True))
-        except THTStoreError as exc:
-            self._tht_store = None
-            store.close()
-            warnings.warn(
-                f"THT store {store.url} publish failed; detaching the store "
-                f"(shared tier stays in-memory): {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     # -- pool assembly -----------------------------------------------------------
     def _build_pool(self) -> None:
@@ -582,9 +473,8 @@ class Gateway:
             self._work_cond.notify_all()
         if self._shared_tht is not None:
             self._flush_all_deltas()
-            self._publish_shared_delta()
         store, self._tht_store = self._tht_store, None
-        if store is not None:
+        if store is not None and publish_increment(store, self._shared_tht):
             store.close()
         if self._loop is not None and self._loop.is_running():
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -757,8 +647,12 @@ class Gateway:
                 if len(journal) >= min_commits or now - tenant.last_flush >= interval:
                     self._flush_tenant_delta(tenant)
             # Tenant deltas merged above land in the shared tier's journal
-            # (when a store is attached); ship that increment downstream.
-            self._publish_shared_delta()
+            # (when a store is attached); ship that increment downstream.  A
+            # store that fails mid-service is detached — the gateway keeps
+            # serving from its in-memory tier.
+            store = self._tht_store
+            if store is not None and not publish_increment(store, self._shared_tht):
+                self._tht_store = None
 
     # -- tenant management -------------------------------------------------------
     def _register_tenant(self, info: Mapping) -> _TenantState:
@@ -845,7 +739,7 @@ class Gateway:
 
         try:
             while True:
-                message = await read_message(reader)
+                message = await read_frame_async(reader)
                 if message is None:
                     break
                 try:
@@ -943,7 +837,14 @@ class Gateway:
         t_submit = time.monotonic()
         # Build (and validate) every task before binding any route, so a
         # rejected descriptor mid-batch leaves no dangling router entries.
-        tasks = [self._build_task(tenant, desc) for desc in descs]
+        tasks = []
+        for desc in descs:
+            task = rebuild_task(desc, tenant.arena, tenant.task_types)
+            task.task_id = -1  # the shared graph assigns dense ids
+            tasks.append(task)
+            for ref, mode_value, _name in desc.accesses:
+                if AccessMode(mode_value).writes:
+                    tenant.dirty.add(ref.buffer_id)
         for task in tasks:
             self._router.bind(task, _Route(tenant, t_submit))
         with tenant.lock:
@@ -965,27 +866,6 @@ class Gateway:
         # exited — tasks nobody would ever run.
         self._signal_work()
         return len(tasks)
-
-    def _build_task(self, tenant: _TenantState, desc) -> Task:
-        type_spec = desc.type_spec
-        task_type = tenant.task_types.get(type_spec.name)
-        if task_type is None:
-            task_type = type_spec.build()
-            tenant.task_types[type_spec.name] = task_type
-        accesses = []
-        for ref, mode_value, name in desc.accesses:
-            mode = AccessMode(mode_value)
-            accesses.append(DataAccess(tenant.arena.region(ref, name), mode))
-            if mode.writes:
-                tenant.dirty.add(ref.buffer_id)
-        return Task(
-            task_type=task_type,
-            function=desc.function,
-            accesses=accesses,
-            args=tenant.arena.decode_payload(desc.args),
-            kwargs=tenant.arena.decode_payload(desc.kwargs),
-            task_id=-1,  # the shared graph assigns dense ids
-        )
 
     # -- replies -----------------------------------------------------------------
     def _barrier_payload(self, tenant: _TenantState) -> tuple[dict, list]:

@@ -34,7 +34,6 @@ import functools
 import inspect
 import pickle
 import sys
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -44,9 +43,6 @@ from repro.common.exceptions import (
     ConfigurationError,
     RuntimeStateError,
     TaskDefinitionError,
-    THTStoreCorruptError,
-    THTStoreError,
-    THTStoreUnavailableError,
 )
 from repro.runtime.data import DataAccess, In, InOut, Out
 from repro.runtime.executor import BaseExecutor, RunResult, build_executor
@@ -344,85 +340,29 @@ class Session:
         self._tht_store = None
         self.warm_started = False
         if cfg.atm.tht_store:
-            self._tht_store = self._open_tht_store(cfg.atm.tht_store)
+            if self.engine is None:
+                # The executor (and a possible worker pool) already exists —
+                # release it on the error path.
+                self.executor.close()
+                raise ConfigurationError(
+                    "atm.tht_store requires a memoization engine (set "
+                    "atm.mode or pass policy=)"
+                )
+            from repro.atm.store import warm_start
+
+            self._tht_store, restored = warm_start(
+                cfg.atm.tht_store, cfg.atm, self.engine.tht
+            )
+            if self._tht_store is not None:
+                self.warm_started = restored > 0
+                # Journal from here on: warm-started entries are never
+                # re-published by this session's flush.
+                self.engine.enable_delta_snapshots()
         self._closed = False
         self._drained = False
         self._drain_aborted = ""  # exception class name once a drain fails
         self._submitted = 0
         self._batch_buffer: Optional[list[Task]] = None
-
-    # -- persistent THT store (DESIGN.md §9) --------------------------------------
-    def _open_tht_store(self, url: str):
-        """Open ``atm.tht_store`` and warm-start the engine's THT from it.
-
-        Failure semantics: a corrupt file or unreachable shard degrades to a
-        cold start with a ``RuntimeWarning`` — a damaged cache must never
-        take down the computation it was meant to accelerate.  The journal is
-        enabled *after* the restore merge, so warm-started entries are never
-        re-published by this session's flush.
-        """
-        if self.engine is None:
-            # Raised before any submission, but the executor (and a possible
-            # worker pool) already exists — release it on the error path.
-            self.executor.close()
-            raise ConfigurationError(
-                "atm.tht_store requires a memoization engine (set atm.mode "
-                "or pass policy=)"
-            )
-        from repro.atm.store import open_store
-
-        try:
-            store = open_store(url, self.config.atm)
-        except THTStoreUnavailableError as exc:
-            warnings.warn(
-                f"THT store {url} unavailable, cold-starting: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        try:
-            delta = store.load()
-        except THTStoreCorruptError as exc:
-            # Keep the store attached: the finish() flush rewrites the
-            # damaged file with a fresh snapshot (FileTHTStore self-heals).
-            warnings.warn(
-                f"THT store {url} unreadable, cold-starting: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            delta = None
-        except THTStoreUnavailableError as exc:
-            store.close()
-            warnings.warn(
-                f"THT store {url} dropped during warm-start, cold-starting: "
-                f"{exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        if delta and delta.get("entries"):
-            self.engine.tht.merge(delta, journal=False)
-            self.warm_started = True
-        self.engine.enable_delta_snapshots()
-        return store
-
-    def _flush_tht_store(self) -> None:
-        """Publish this run's THT commits to the store and release it."""
-        store, self._tht_store = self._tht_store, None
-        if store is None:
-            return
-        try:
-            if self.engine is not None:
-                store.publish(self.engine.tht.snapshot(reset=True))
-        except THTStoreError as exc:
-            warnings.warn(
-                f"THT store {store.url} flush failed; this run's entries "
-                f"were not persisted: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        finally:
-            store.close()
 
     def _reject_dangling_p(self, p: Optional[float]) -> None:
         if p is not None and self.engine is None:
@@ -686,7 +626,12 @@ class Session:
             try:
                 # Entries committed before a failed drain are still valid
                 # memoizations — publish what completed on every path.
-                self._flush_tht_store()
+                store, self._tht_store = self._tht_store, None
+                if store is not None:
+                    from repro.atm.store import publish_increment
+
+                    if publish_increment(store, self.engine.tht):
+                        store.close()
             finally:
                 self.executor.close()
 

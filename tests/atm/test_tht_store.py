@@ -286,6 +286,34 @@ class TestShardService:
         finally:
             server2.shutdown_gracefully()
 
+    def test_flush_every_fires_for_a_persistent_client(self, tmp_path):
+        """One long-lived connection (a gateway holds its shard connection
+        for life): every 2nd publish must reach the backing file *before*
+        the client disconnects, or a ``kill -9`` of the shard loses
+        everything since boot."""
+        backing = tmp_path / "shard-backing.tht"
+        server, addr = load_shard_module().serve_in_thread(
+            bucket_bits=CFG.tht_bucket_bits,
+            bucket_capacity=CFG.tht_bucket_capacity,
+            backing=backing,
+            flush_every=2,
+        )
+        host, port = addr.rsplit(":", 1)
+        try:
+            with ShardTHTStore(host, int(port), CFG) as client:
+                client.publish(fill_table(3, seed=1).snapshot())
+                assert not backing.exists()  # 1 publish: nothing due yet
+                second = fill_table(3, seed=2).snapshot()
+                client.publish(second)
+                # Still connected: the flush happened where the publish did.
+                persisted = FileTHTStore(backing, CFG).load()
+                assert entry_map(second).keys() <= entry_map(persisted).keys()
+                assert len(persisted["entries"]) == 6
+                client.publish(fill_table(3, seed=3).snapshot())
+                assert len(FileTHTStore(backing, CFG).load()["entries"]) == 6
+        finally:
+            server.shutdown_gracefully()
+
 
 def run_saxpy(config, n=10):
     """One tiny memoizable workload; returns (session, outputs)."""

@@ -77,10 +77,14 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError):
             RuntimeConfig(scheduler="round_robin")
 
-    def test_max_ready_tasks_validated(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(max_ready_tasks=0)
-        assert RuntimeConfig(max_ready_tasks=None).max_ready_tasks is None
+    @pytest.mark.parametrize("removed", ["max_ready_tasks", "net_timeout_grace_s"])
+    def test_removed_fields_are_rejected_by_name(self, removed):
+        # Neither had a reader (the grace is supervision.TIMEOUT_GRACE): a
+        # stale config naming them must fail loudly, not be ignored.
+        from repro.session import ReproConfig
+
+        with pytest.raises(ConfigurationError, match=removed):
+            ReproConfig.from_dict({"runtime": {removed: 1}})
 
     def test_with_overrides(self):
         assert RuntimeConfig().with_overrides(num_threads=2).num_threads == 2

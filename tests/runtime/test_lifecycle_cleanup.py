@@ -92,6 +92,24 @@ class TestProcessBackendCleanup:
         with pytest.raises(RuntimeStateError):
             session.executor.drain(session.graph)
 
+    def test_finished_session_is_freed_without_the_cyclic_gc(self):
+        """close() cuts the executor <-> dispatcher cycle: a finished
+        Session (graph, tasks and the arrays they reference) goes away when
+        its owner drops it, not at a later garbage-collection pass."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            with Session(executor="process", cores=1) as session:
+                submit_square(session)
+            executor = weakref.ref(session.executor)
+            del session
+            assert executor() is None
+        finally:
+            gc.enable()
+
 
 class TestProcessBackendFailureCleanup:
     """Supervision failure paths must release resources like the happy path."""

@@ -136,6 +136,31 @@ class TestProcessExecutorLifecycle:
         finally:
             runtime.executor.close()
 
+    def test_worker_crash_is_charged_to_the_running_task_only(self):
+        """Answers are written before the next chunk starts and read before
+        a death is judged, so the crash budget (one resubmission here) is
+        spent on the poison task alone: exactly two respawns, and no
+        bystander whose answer died with the worker is ever quarantined.
+        (Charging the oldest *unanswered* chunk blamed bystanders in about
+        half the rounds while answers could sit in a feeder thread.)"""
+        from repro.testing.faults import (
+            fault_session, kill_worker_body, square_body, submit_one,
+        )
+
+        for _ in range(10):
+            with fault_session(
+                "process", workers=2, chunk_size=1, on_task_failure="quarantine",
+                allow_worker_kill=True,
+            ) as session:
+                submit_one(session, kill_worker_body, label="poison")
+                sinks = [submit_one(session, square_body, label="work") for _ in range(8)]
+                result = session.wait_all()
+            assert [f.error for f in result.failures] == ["WorkerLostError"]
+            assert result.tasks_completed == 8
+            assert result.extra["process_backend"]["respawns"] == 2
+            for src, dst in sinks:
+                assert np.array_equal(dst, src ** 2)
+
     def test_requires_atm_engine_compatible_engine(self):
         class FakeEngine:
             pass

@@ -480,6 +480,45 @@ def test_worker_task_exception_surfaces_as_runtime_error():
             session.wait_all()
 
 
+def test_concurrent_connects_get_distinct_worker_ids():
+    """The daemon allocates connection ids under its lock: eight endpoints
+    connecting together must never share the ``worker_id`` their engine
+    replicas and ``hello_ack`` report (the old per-handler read-modify-write
+    on the threading server could hand one id out twice)."""
+    import sys
+    import threading
+
+    from repro.runtime.net_server import FrameServer
+    from repro.runtime.net_wire import PROTOCOL_VERSION, request
+
+    server = FrameServer(("127.0.0.1", 0), serve_connection)
+    host, port = server.serve_in_thread().rsplit(":", 1)
+    n = 8
+    barrier = threading.Barrier(n)
+    ids: list[int] = []
+
+    def connect() -> None:
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            barrier.wait(timeout=10.0)
+            reply = request(sock, ("hello", {"protocol": PROTOCOL_VERSION}))
+            ids.append(reply[1]["worker_id"])
+            write_frame(sock, ("shutdown",))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=connect) for _ in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=SCENARIO_TIMEOUT)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown_gracefully()
+    assert sorted(ids) == list(range(n))
+
+
 # -- churn soak (excluded from tier-1; run with `pytest -m net_soak`) -----------------
 @pytest.mark.net_soak
 def test_500_task_churn_with_mid_drain_worker_loss():

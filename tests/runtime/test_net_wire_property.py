@@ -8,16 +8,23 @@ Hypothesis-driven guarantees over :mod:`repro.runtime.net_wire`:
   truncating it anywhere, raises the named
   :class:`~repro.common.exceptions.WireProtocolError` (never a silent
   mis-decode, never a hang on a garbage length prefix);
-* **array identity** — the ChunkEncoder → bytes → ChunkArena path rebuilds
-  every ndarray *view* shape-, dtype- and value-identically, including 0-d
-  arrays, empty arrays and non-contiguous views (strided slices,
-  transposes, negative steps), while aliasing between views of one base
-  survives and the rebuilt buffers never share memory with the originals;
-* **descriptor identity** — ``NetTaskDescriptor``/engine-delta payloads
+* **array identity** — the ref → bytes → arena path rebuilds every ndarray
+  *view* shape-, dtype- and value-identically, including 0-d arrays, empty
+  arrays and non-contiguous views (strided slices, transposes, negative
+  steps), while aliasing between views of one base survives and the rebuilt
+  buffers never share memory with the originals;
+* **descriptor identity** — ``TaskDescriptor``/engine-delta payloads
   survive encode→decode structurally intact.
+
+The array and descriptor properties run over *each* arena built on the
+shared :class:`~repro.runtime.remote_task.ArrayArena` base: the process
+backend's shared-memory ``WorkerArena``, the network backend's
+``ChunkArena`` and the gateway's ``TenantArena``.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -26,15 +33,23 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.common.exceptions import WireProtocolError  # noqa: E402
-from repro.runtime.mp_executor import _TaskTypeSpec  # noqa: E402
+from repro.runtime.data import In, InOut  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     ChunkArena,
     ChunkEncoder,
-    NetTaskDescriptor,
+    NetBuffer,
     decode_frame,
     encode_frame,
+    span_bytes,
+)
+from repro.runtime.remote_task import describe_task, rebuild_task  # noqa: E402
+from repro.runtime.shm import (  # noqa: E402
+    SharedBufferRegistry,
+    SharedVersionTable,
+    WorkerArena,
 )
 from repro.runtime.task import TaskType  # noqa: E402
+from repro.serving.gateway import TenantArena  # noqa: E402
 
 _DTYPES = ("<f8", "<f4", "<i4", "<i2", "|u1", "<c16")
 
@@ -140,45 +155,88 @@ def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def round_trip_arrays(arrays):
-    """Encode views through a ChunkEncoder frame and rebuild in a ChunkArena."""
+ARENAS = ("worker", "chunk", "tenant")
+
+
+@contextlib.contextmanager
+def shipped(kind: str):
+    """One backend's sender/receiver pair around the shared arena base.
+
+    Yields ``(ref, arena)``: ``ref`` is the backend's array→ref function
+    and ``arena()`` — called once every ref has been taken — builds the
+    receiving arena from what the sender would ship.
+    """
+    if kind == "worker":  # process backend: shared segments, refs by name
+        table = SharedVersionTable(capacity=8)
+        registry = SharedBufferRegistry(table)
+        arena = WorkerArena(table)
+        try:
+            yield registry.array_ref, lambda: arena
+        finally:
+            arena.close()
+            registry.close()
+            table.close()
+        return
     encoder = ChunkEncoder()
-    refs = [encoder.ref(a) for a in arrays]
-    message, _ = decode_frame(encode_frame((refs, encoder.buffers())))
-    decoded_refs, buffers = message
-    arena = ChunkArena(buffers)
-    return [arena.view(ref) for ref in decoded_refs]
+
+    def receive():
+        if kind == "chunk":  # network backend: the union spans a chunk touches
+            buffers, _ = decode_frame(encode_frame(encoder.buffers()))
+            return ChunkArena(buffers)
+        whole = tuple(  # gateway: whole owning buffers, shipped once
+            NetBuffer(buffer_id, 0, span_bytes(base, 0, base.nbytes))
+            for buffer_id, (base, _start, _end) in encoder.spans().items()
+        )
+        arena = TenantArena()
+        arena.store(decode_frame(encode_frame(whole))[0])
+        return arena
+
+    yield encoder.ref, receive
 
 
-@settings(max_examples=150, deadline=None)
+@contextlib.contextmanager
+def round_trip_arrays(kind, arrays):
+    """Ship views as refs through a frame and rebuild them in the arena
+    (the rebuilt views are only valid inside the block: a shared segment is
+    unmapped when its arena closes)."""
+    with shipped(kind) as (ref, arena):
+        refs, _ = decode_frame(encode_frame([ref(a) for a in arrays]))
+        arena = arena()
+        yield [arena.view(r) for r in refs]
+
+
+@pytest.mark.parametrize("arena_kind", ARENAS)
+@settings(max_examples=100, deadline=None)
 @given(views())
-def test_array_view_round_trip_identity(base_and_view):
+def test_array_view_round_trip_identity(arena_kind, base_and_view):
     base, view = base_and_view
-    (rebuilt,) = round_trip_arrays([view])
-    assert bit_equal(rebuilt, view)
-    # No shared memory spans "hosts": mutating the rebuilt copy never
-    # touches the original.
-    if rebuilt.size:
-        before = view.copy()
-        rebuilt[...] = 0
-        assert bit_equal(view, before)
+    with round_trip_arrays(arena_kind, [view]) as (rebuilt,):
+        assert bit_equal(rebuilt, view)
+        # No shared memory spans "hosts" (and a shared segment is a mirror
+        # until copy_out): mutating the rebuilt copy never touches the
+        # original.
+        if rebuilt.size:
+            before = view.copy()
+            rebuilt[...] = 0
+            assert bit_equal(view, before)
 
 
-@settings(max_examples=75, deadline=None)
+@pytest.mark.parametrize("arena_kind", ARENAS)
+@settings(max_examples=50, deadline=None)
 @given(views())
-def test_sibling_views_of_one_base_alias_after_round_trip(base_and_view):
+def test_sibling_views_of_one_base_alias_after_round_trip(arena_kind, base_and_view):
     """Two views of one base must rebuild over *one* shared worker buffer:
     a write through one is visible through the other (the aliasing contract
     task arguments rely on)."""
     base, view = base_and_view
-    whole, rebuilt_view = round_trip_arrays([base, view])
-    assert bit_equal(whole, base)
-    assert bit_equal(rebuilt_view, view)
-    # Structural: both views resolve to the same backing uint8 ndarray.
-    assert _backing_of(rebuilt_view) is _backing_of(whole)
-    if whole.size:
-        whole[...] = 0
-        assert not rebuilt_view.size or np.count_nonzero(rebuilt_view) == 0
+    with round_trip_arrays(arena_kind, [base, view]) as (whole, rebuilt_view):
+        assert bit_equal(whole, base)
+        assert bit_equal(rebuilt_view, view)
+        # Structural: both views resolve to the same backing uint8 ndarray.
+        assert _backing_of(rebuilt_view) is _backing_of(whole)
+        if whole.size:
+            whole[...] = 0
+            assert not rebuilt_view.size or np.count_nonzero(rebuilt_view) == 0
 
 
 def _backing_of(array: np.ndarray):
@@ -192,36 +250,41 @@ def square(x, y):  # module-level: pickles by reference
     y[:] = x ** 2
 
 
-@settings(max_examples=50, deadline=None)
+@pytest.mark.parametrize("arena_kind", ARENAS)
+@settings(max_examples=40, deadline=None)
 @given(views(), st.integers(0, 2**31 - 1), st.text(max_size=12))
-def test_descriptor_round_trip_identity(base_and_view, task_id, name):
-    _base, view = base_and_view
-    encoder = ChunkEncoder()
-    descriptor = NetTaskDescriptor(
-        task_id=task_id,
-        creation_index=task_id,
-        type_spec=_TaskTypeSpec.of(TaskType(name or "t", memoizable=True)),
-        function=square,
-        accesses=((encoder.ref(view), "inout", name),),
-        args=encoder.encode_payload((view, 3.5, name)),
-        kwargs=encoder.encode_payload({"scale": 2, "data": view}),
-    )
-    message, _ = decode_frame(encode_frame(("chunk-part", descriptor, encoder.buffers())))
-    _kind, decoded, buffers = message
-    assert decoded.task_id == descriptor.task_id
-    assert decoded.type_spec == descriptor.type_spec
-    assert decoded.function is square  # resolved by reference, not copied
-    assert decoded.accesses[0][1:] == ("inout", name)
-    arena = ChunkArena(buffers)
-    rebuilt = arena.decode_payload(decoded.args)
-    assert bit_equal(rebuilt[0], view)
-    assert rebuilt[1:] == (3.5, name)
-    kw = arena.decode_payload(decoded.kwargs)
-    assert kw["scale"] == 2
-    assert bit_equal(kw["data"], view)
-    # args and accesses alias one worker-side buffer, like the parent side.
-    access_view = arena.view(decoded.accesses[0][0])
-    assert access_view.base is rebuilt[0].base
+def test_descriptor_round_trip_identity(arena_kind, base_and_view, task_id, name):
+    base, view = base_and_view
+    other = np.arange(4, dtype=np.float64)
+    task_type = TaskType(name or "t", memoizable=True)
+    with shipped(arena_kind) as (ref, arena):
+        descriptor = describe_task(
+            task_id, task_id, task_type, square,
+            [InOut(view, name), In(other)],
+            (view, 3.5, [name, (view,)]), {"scale": 2, "data": base}, ref,
+        )
+        decoded, _ = decode_frame(encode_frame(descriptor))
+        assert decoded == descriptor
+        assert decoded.function is square  # resolved by reference, not copied
+        assert [a[1:] for a in decoded.accesses] == [
+            ("inout", name), ("in", decoded.accesses[1][2])
+        ]
+        task = rebuild_task(decoded, arena(), {})
+        assert (task.task_id, task.creation_index) == (task_id, task_id)
+        assert task.label == f"{task_type.name}#{task_id}"
+        assert task.task_type == task_type and task.task_type.atm_eligible
+        assert [access.mode.value for access in task.accesses] == ["inout", "in"]
+        assert bit_equal(task.accesses[0].region.array, view)
+        assert bit_equal(task.accesses[1].region.array, other)
+        assert bit_equal(task.args[0], view)
+        assert task.args[1] == 3.5 and task.args[2][0] == name
+        assert task.kwargs["scale"] == 2
+        # Every ref to one byte layout resolves to one object: args, nested
+        # args, kwargs and the access region alias like they do at home.
+        assert task.args[0] is task.accesses[0].region.array
+        assert task.args[2][1][0] is task.args[0]
+        assert bit_equal(task.kwargs["data"], base)
+        assert _backing_of(task.kwargs["data"]) is _backing_of(task.args[0])
 
 
 def test_engine_delta_round_trip():

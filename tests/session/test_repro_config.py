@@ -63,7 +63,6 @@ runtime_configs = st.builds(
     executor=st.sampled_from(["serial", "threaded", "process", "simulated"]),
     scheduler=st.sampled_from(["fifo", "lifo", "work_stealing"]),
     enable_tracing=st.booleans(),
-    max_ready_tasks=st.none() | st.integers(min_value=1, max_value=1024),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     mp_workers=st.none() | st.integers(min_value=1, max_value=16),
     mp_chunk_size=st.integers(min_value=1, max_value=64),
@@ -73,7 +72,6 @@ runtime_configs = st.builds(
     ),
     net_timeout_s=st.floats(min_value=0.001, max_value=600.0, allow_nan=False),
     net_max_retries=st.integers(min_value=0, max_value=16),
-    net_timeout_grace_s=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
     net_residency=st.booleans(),
     net_residency_budget_bytes=st.integers(min_value=1, max_value=1 << 40),
     task_timeout_s=st.none() | st.floats(min_value=0.001, max_value=600.0, allow_nan=False),
@@ -220,7 +218,6 @@ class TestResidencyKnobs:
     """The PR-7 network residency knobs flow through every exchange format."""
 
     KNOBS = {
-        "net_timeout_grace_s": 0.75,
         "net_residency": False,
         "net_residency_budget_bytes": 64 << 20,
     }
@@ -244,12 +241,9 @@ class TestResidencyKnobs:
     def test_defaults(self):
         cfg = RuntimeConfig()
         assert cfg.net_residency is True
-        assert cfg.net_timeout_grace_s == 0.25
         assert cfg.net_residency_budget_bytes == 256 << 20
 
     def test_validation_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError, match="net_timeout_grace_s"):
-            RuntimeConfig(net_timeout_grace_s=-0.1)
         with pytest.raises(ConfigurationError, match="net_residency_budget_bytes"):
             RuntimeConfig(net_residency_budget_bytes=0)
 

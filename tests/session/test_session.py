@@ -477,7 +477,7 @@ class TestRegistries:
         # The worker-side engine recipe must carry the *registered* mode
         # name, not the builtin class attribute the plugin inherited —
         # otherwise workers silently rebuild the builtin policy.
-        from repro.runtime.mp_executor import ProcessExecutor
+        from repro.runtime.remote_task import make_engine_spec
 
         class HalfStatic(StaticATMPolicy):
             pass
@@ -485,7 +485,7 @@ class TestRegistries:
         register_policy("half_static", lambda config, p: HalfStatic(config))
         try:
             s = Session.from_config({"atm": {"mode": "half_static"}})
-            spec = ProcessExecutor._make_engine_spec(s.engine)
+            spec = make_engine_spec(s.engine)
             assert spec.mode == "half_static"
         finally:
             unregister_policy("half_static")
@@ -493,4 +493,4 @@ class TestRegistries:
         # to the policy's own mode
         config = ATMConfig()
         engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        assert ProcessExecutor._make_engine_spec(engine).mode == "static"
+        assert make_engine_spec(engine).mode == "static"
