@@ -1,24 +1,16 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-quick figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store ci
+.PHONY: test bench figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
 	$(PYTHON) -m pytest tests -x -q
 
-# Perf trajectory: run the microbenchmark + end-to-end suite and write
-# BENCH_<n>.json at the repo root (see PERFORMANCE.md for the schema).
+# The repo benchmark (BENCHMARK.json, bench/README.md): seven workloads,
+# medians with spread, results under bench/out/.
 bench:
-	$(PYTHON) scripts/bench.py
-
-# One-command gate for PRs: tier-1 tests + keygen-equivalence suite + perf
-# thresholds; non-zero exit on any regression.
-bench-check:
-	$(PYTHON) scripts/bench.py --check
-
-bench-quick:
-	$(PYTHON) scripts/bench.py --quick
+	$(PYTHON) -m bench
 
 # Figure/table regeneration harness (pytest-benchmark based).
 figures:
@@ -69,19 +61,16 @@ serve-smoke:
 
 # Persistent THT tier: the store/shard unit + integration suite (file
 # format, corruption handling, shard protocol, Session warm starts, the
-# gateway's store-backed shared tier) plus the cold-vs-warm benchmark in
-# quick mode — proves warm restores stay bit-identical end to end.
+# gateway's store-backed shared tier) — proves warm restores stay
+# bit-identical end to end.
 tht-store:
 	$(PYTHON) -m pytest tests/atm/test_tht_store.py \
 		tests/serving/test_gateway.py -x -q
-	$(PYTHON) scripts/bench.py --quick --out /tmp/tht_store_bench.json
 
 # What .github/workflows/ci.yml runs (this target is the one list of CI
 # tiers): tier-1 suite, examples smoke, network-loopback matrix + residency
-# + soak, serving smoke, fault matrix, THT store, perf gates.  The gates run
-# in quick mode — trimmed rounds, not input scale, so the gated thresholds
-# stay representative — and the report lands outside the BENCH_<n>
-# trajectory (committed reports come from `make bench`).
+# + soak, serving smoke, fault matrix, THT store.  Tier-1 includes the
+# benchmark's own smoke pass (bench/tests/test_bench_smoke.py).
 ci:
 	$(PYTHON) -m pytest -x -q
 	$(MAKE) examples
@@ -91,4 +80,3 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) fault-matrix
 	$(MAKE) tht-store
-	$(PYTHON) scripts/bench.py --check --quick --out bench_ci.json

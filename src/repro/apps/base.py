@@ -107,7 +107,7 @@ class BenchmarkApp(abc.ABC):
     def run_on(self, executor: str = "serial", cores: int = 1, engine=None):
         """Run the whole program on a named execution backend (DESIGN.md §4).
 
-        Convenience wrapper used by the parity matrix and the perf harness:
+        Convenience wrapper used by the executor parity matrix:
         assembles a :class:`~repro.session.Session` for the named backend
         (any registered executor), runs to completion — the session releases
         the process backend's pool on success *and* error paths — and

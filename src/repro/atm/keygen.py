@@ -18,7 +18,7 @@ stored vector select the bytes that are gathered and fed to the configured
 hash function; the result is an 8-byte :class:`~repro.common.hashing.HashKey`.
 
 Performance design (versus the seed implementation preserved in
-:mod:`repro.atm.keygen_reference`):
+:mod:`tests.reference.keygen_reference`):
 
 * **No per-compute concatenation.**  The stored shuffle is split once per
   input structure into ``(owner input, local offset)`` pairs; sampled bytes
@@ -34,8 +34,7 @@ Performance design (versus the seed implementation preserved in
 * **Region-version digest caching.**  Every :class:`DataRegion` carries a
   monotonically increasing write-version (bumped by the runtime when write
   accesses commit); the generator caches, per ``(region, version, shuffle,
-  count)``, the gathered sample bytes (``"exact"`` pipeline) or the 8-byte
-  per-input digest (``"digest"`` pipeline) plus the final composite key.
+  count)``, the gathered sample bytes plus the final composite key.
   Iterative applications that keep re-hashing unchanged read-only regions
   (kmeans points blocks, stencil halos) hit the cache instead of re-gathering
   megabytes.
@@ -43,13 +42,8 @@ Performance design (versus the seed implementation preserved in
   neither can grow without bound (the seed leaked one full permutation per
   distinct input size forever).
 
-The default ``"exact"`` pipeline is bit-identical to the seed for every
-arity, sampling fraction and shuffle flavour.  The optional ``"digest"``
-pipeline (``ATMConfig.key_pipeline = "digest"``) hashes each input's sampled
-bytes independently and combines the digests with splitmix64 mixing: keys
-remain order- and content-sensitive (and identical to the exact keys for
-single-input tasks), and unchanged inputs of multi-input tasks are satisfied
-by an 8-byte cached digest instead of re-hashed bytes.
+Keys are bit-identical to the seed for every arity, sampling fraction and
+shuffle flavour.
 """
 
 from __future__ import annotations
@@ -67,7 +61,6 @@ from repro.common.dtypes import significance_order
 from repro.common.hashing import (
     HASH_FUNCTIONS,
     HashKey,
-    combine_digests,
     hash_padded_buffer,
     padded_sample_buffer,
 )
@@ -211,8 +204,8 @@ class HashKeyGenerator:
     Parameters
     ----------
     config:
-        The ATM configuration (shuffle flavour, hash function, pipeline and
-        cache knobs).
+        The ATM configuration (shuffle flavour, hash function and cache
+        knobs).
     stats:
         Optional :class:`~repro.atm.stats.ATMStats` sink; cache hit/miss and
         shuffle-eviction counters are surfaced there when provided.
@@ -224,8 +217,8 @@ class HashKeyGenerator:
         self._shuffles: "OrderedDict[tuple[str, int], ShuffleRecord]" = OrderedDict()
         self._lock = threading.Lock()
         self._hash = HASH_FUNCTIONS[config.hash_function]
-        # One LRU holds whole-key entries (ints) and per-region sample bytes /
-        # digests; values are (payload, accounted_bytes).
+        # One LRU holds whole-key entries (ints) and per-region sample bytes;
+        # values are (payload, accounted_bytes).
         self._cache: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
         self._cache_bytes = 0
         # A single cache entry may not swallow more than 1/8 of the budget.
@@ -378,10 +371,7 @@ class HashKeyGenerator:
         else:
             record = self._shuffle_for(task, total_bytes, count)
             sizes = tuple(access.nbytes for access in inputs)
-            if self.config.key_pipeline == "digest" and len(inputs) > 1:
-                value = self._compute_digest(task, record, sizes, count, tokens)
-            else:
-                value = self._compute_exact(task, record, sizes, count, tokens)
+            value = self._compute_exact(task, record, sizes, count, tokens)
 
         if whole_key is not None:
             self._cache_put(whole_key, value, nbytes=64)
@@ -389,7 +379,7 @@ class HashKeyGenerator:
             value=value, p=p, sampled_bytes=int(count), total_bytes=int(total_bytes)
         )
 
-    # -- pipelines ---------------------------------------------------------------
+    # -- sampled-stream hashing -----------------------------------------------------
     def _sampled_segment(
         self,
         view: np.ndarray,
@@ -462,47 +452,3 @@ class HashKeyGenerator:
         return hash_padded_buffer(
             buf, count, self.config.hash_seed, self.config.hash_function
         )
-
-    def _compute_digest(
-        self,
-        task: Task,
-        record: ShuffleRecord,
-        sizes: tuple[int, ...],
-        count: int,
-        tokens: Optional[tuple],
-    ) -> int:
-        """Digest pipeline: per-input digests combined with splitmix64.
-
-        Each input's sampled bytes (in shuffle order within the input) are
-        hashed independently; unchanged inputs are satisfied by an 8-byte
-        cached digest.  The composite mixes the digests in input order, so it
-        stays order- and content-sensitive; single-input tasks never reach
-        this path (their composite equals the exact key).
-        """
-        inputs = task.inputs
-        plan = {
-            ordinal: locals_
-            for ordinal, _, locals_ in record.plan_for(sizes, count)
-        }
-        digests: list[int] = []
-        empty = np.empty(0, dtype=np.uint8)
-        for ordinal, access in enumerate(inputs):
-            token = tokens[ordinal] if tokens is not None else None
-            cache_key = ("D", record.uid, sizes, count, ordinal, token)
-            digest = self._cache_get(cache_key) if token is not None else None
-            if digest is None:
-                if token is not None:
-                    self._count_digest_cache(False)
-                locals_ = plan.get(ordinal)
-                sampled = (
-                    access.region.to_bytes_view()[locals_]
-                    if locals_ is not None
-                    else empty
-                )
-                digest = self._hash(sampled, self.config.hash_seed)
-                if token is not None:
-                    self._cache_put(cache_key, digest, nbytes=72)
-            else:
-                self._count_digest_cache(True)
-            digests.append(digest)
-        return combine_digests(digests, self.config.hash_seed)

@@ -78,20 +78,9 @@ class ATMConfig:
         III-D, needed by Jacobi).
     shuffle_seed:
         Seed of the per-task-type index shuffle (stored once per task type).
-    key_pipeline:
-        How composite hash keys are built from the sampled input bytes:
-
-        * ``"exact"`` (default) — hash the shuffled, interleaved sample
-          stream, bit-identical to the original (seed) key generator;
-        * ``"digest"`` — hash each input's sampled bytes independently and
-          combine the per-input digests with splitmix64 mixing.  Keys stay
-          order- and content-sensitive (and equal the exact keys for
-          single-input tasks) but multi-input composites differ from the
-          seed values; in exchange per-input digests of unchanged regions
-          are reused from an 8-byte cache.
     key_cache:
-        Enable the region-version keyed caches (whole-key, per-region sample
-        bytes and per-region digests).  Requires every write to go through a
+        Enable the region-version keyed caches (whole-key and per-region
+        sample bytes).  Requires every write to go through a
         declared ``out``/``inout`` access or :meth:`DataRegion.copy_from`,
         which is already the dependence-system contract.
     key_cache_budget_bytes:
@@ -127,7 +116,6 @@ class ATMConfig:
     hash_seed: int = 0x5EED
     track_unstable_outputs: bool = True
     shuffle_seed: int = 0xC0FFEE
-    key_pipeline: str = "exact"
     key_cache: bool = True
     key_cache_budget_bytes: int = 32 << 20
     shuffle_cache_entries: int = 256
@@ -162,10 +150,6 @@ class ATMConfig:
         if self.hash_function not in ("numpy", "lookup3", "one_at_a_time"):
             raise ConfigurationError(
                 f"unknown hash_function {self.hash_function!r}"
-            )
-        if self.key_pipeline not in ("exact", "digest"):
-            raise ConfigurationError(
-                f"key_pipeline must be 'exact' or 'digest', got {self.key_pipeline!r}"
             )
         if self.key_cache_budget_bytes < 0:
             raise ConfigurationError("key_cache_budget_bytes must be >= 0")

@@ -41,7 +41,6 @@ __all__ = [
     "hash_bytes",
     "hash_sampled_bytes",
     "splitmix64",
-    "combine_digests",
     "canonical_p",
     "padded_sample_buffer",
     "hash_padded_buffer",
@@ -303,22 +302,6 @@ def hash_padded_buffer(buf: np.ndarray, count: int, seed: int = 0,
     if function == "numpy":
         return _hash_words(buf.view(np.uint64), count, seed)
     return HASH_FUNCTIONS[function](buf[:count], seed)
-
-
-def combine_digests(digests: "list[int] | tuple[int, ...]", seed: int = 0) -> int:
-    """Order- and content-sensitive splitmix64 combination of 64-bit digests.
-
-    Used by the ``"digest"`` key pipeline: each task input contributes the
-    hash of its own sampled bytes and the composite chains them with their
-    ordinal position, so swapping two inputs or changing any byte of any
-    input changes the composite key.
-    """
-    with np.errstate(over="ignore"):
-        acc = splitmix64(np.uint64(seed & _MASK64) + _SPLITMIX_C2)
-        for ordinal, digest in enumerate(digests):
-            lane = (np.uint64(digest & _MASK64) + np.uint64(ordinal + 1) * _SPLITMIX_C1)
-            acc = splitmix64(np.uint64(acc) ^ lane)
-    return int(acc)
 
 
 #: Quantization grid for canonical sampling fractions: 2^-20 steps cover the

@@ -16,7 +16,7 @@ intervals overlap, so disjoint blocks of a matrix can be processed in
 parallel while any two accesses to the same block are ordered.
 
 This module is the optimised replacement for the seed's linear-scan tracker
-(preserved verbatim in :mod:`repro.runtime.dependences_reference` and proven
+(preserved verbatim in :mod:`tests.reference.dependences_reference` and proven
 edge-identical by ``tests/runtime/test_dependences_property.py``).  Two
 structures carry the fast path:
 

@@ -2,13 +2,13 @@
 
 Random region shapes, dtypes, arities and sampling fractions assert that
 
-* the ``"exact"`` pipeline stays bit-identical to the preserved seed
-  implementation (:mod:`repro.atm.keygen_reference`) — the generative
-  counterpart of the fixed-case suite in ``test_keygen_equivalence.py``;
-* ``"digest"`` keys are *stable*: they depend only on content, order and
-  ``p``, never on cache state — evicting the LRU (tiny budget), disabling
-  the cache, or bumping write-versions over unchanged bytes must all
-  reproduce the same key value.
+* keys stay bit-identical to the preserved seed implementation
+  (:mod:`tests.reference.keygen_reference`) — the generative counterpart of
+  the fixed-case suite in ``test_keygen_equivalence.py``;
+* keys are *stable*: they depend only on content, order and ``p``, never on
+  cache state — evicting the LRU (tiny budget), disabling the cache, or
+  bumping write-versions over unchanged bytes must all reproduce the same
+  key value.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.atm.keygen import HashKeyGenerator  # noqa: E402
-from repro.atm.keygen_reference import ReferenceKeyGenerator  # noqa: E402
 from repro.common.config import ATMConfig, P_LADDER  # noqa: E402
 from repro.runtime.data import In  # noqa: E402
 from repro.runtime.task import Task, TaskType  # noqa: E402
+from tests.reference.keygen_reference import ReferenceKeyGenerator  # noqa: E402
 
 TT = TaskType("prop-test", memoizable=True)
 
@@ -87,34 +87,30 @@ class TestExactMatchesReferenceProperty:
             assert key_new.total_bytes == key_ref.total_bytes
 
 
-class TestDigestKeyStabilityProperty:
+class TestKeyStabilityProperty:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), shapes=shapes_strategy, p=p_strategy)
-    def test_digest_keys_survive_cache_eviction(self, seed, shapes, p):
+    def test_keys_survive_cache_eviction(self, seed, shapes, p):
         """Key values never depend on what the LRU happened to keep."""
         arrays = _arrays_from(seed, shapes)
         task = make_task(arrays)
-        baseline = HashKeyGenerator(
-            ATMConfig(key_pipeline="digest", key_cache=False)
-        ).compute(task, p)
+        baseline = HashKeyGenerator(ATMConfig(key_cache=False)).compute(task, p)
         # A one-entry-sized budget forces continuous eviction...
-        starved = HashKeyGenerator(
-            ATMConfig(key_pipeline="digest", key_cache_budget_bytes=64)
-        )
+        starved = HashKeyGenerator(ATMConfig(key_cache_budget_bytes=64))
         for _ in range(3):
             assert starved.compute(task, p).value == baseline.value
         # ...and a comfortable budget must agree too, hot or cold.
-        cached = HashKeyGenerator(ATMConfig(key_pipeline="digest"))
+        cached = HashKeyGenerator(ATMConfig())
         for _ in range(3):
             assert cached.compute(task, p).value == baseline.value
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), shapes=shapes_strategy, p=p_strategy)
-    def test_digest_keys_survive_version_bumps(self, seed, shapes, p):
+    def test_keys_survive_version_bumps(self, seed, shapes, p):
         """A write-version bump without a byte change recomputes the same key."""
         arrays = _arrays_from(seed, shapes)
         task = make_task(arrays)
-        generator = HashKeyGenerator(ATMConfig(key_pipeline="digest"))
+        generator = HashKeyGenerator(ATMConfig())
         before = generator.compute(task, p)
         for access in task.accesses:
             access.region.bump_version()

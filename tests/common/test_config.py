@@ -77,14 +77,19 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError):
             RuntimeConfig(scheduler="round_robin")
 
-    @pytest.mark.parametrize("removed", ["max_ready_tasks", "net_timeout_grace_s"])
-    def test_removed_fields_are_rejected_by_name(self, removed):
-        # Neither had a reader (the grace is supervision.TIMEOUT_GRACE): a
-        # stale config naming them must fail loudly, not be ignored.
+    @pytest.mark.parametrize("section, removed", [
+        ("runtime", "max_ready_tasks"),
+        ("runtime", "net_timeout_grace_s"),
+        ("atm", "key_pipeline"),
+    ])
+    def test_removed_fields_are_rejected_by_name(self, section, removed):
+        # The runtime two had no reader (the grace is
+        # supervision.TIMEOUT_GRACE) and there is one key pipeline: a stale
+        # config naming them must fail loudly, not be ignored.
         from repro.session import ReproConfig
 
         with pytest.raises(ConfigurationError, match=removed):
-            ReproConfig.from_dict({"runtime": {removed: 1}})
+            ReproConfig.from_dict({section: {removed: 1}})
 
     def test_with_overrides(self):
         assert RuntimeConfig().with_overrides(num_threads=2).num_threads == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.exceptions import EvaluationError
+from repro.common.hashing import hash_bytes
 from repro.evaluation.oracle import find_oracle
 from repro.evaluation.runner import (
     ExperimentSpec,
@@ -98,6 +99,25 @@ class TestRunner:
         )
         assert rebuilt == spec
         assert hash(rebuilt) == hash(spec)
+
+    @pytest.mark.parametrize("mode", ["none", "static", "dynamic"])
+    @pytest.mark.parametrize("app, golden", [
+        ("blackscholes", "59d70d86ede6a560"),
+        ("kmeans", "e7981aa4a9ac8c0f"),
+    ])
+    def test_tiny_outputs_keep_their_golden_checksum(self, app, golden, mode):
+        # Seed 2017, tiny scale, simulated 8 cores: these outputs have been
+        # bit-identical under every ATM mode since the first generation of
+        # the repository; a change that moves them changed program semantics.
+        result = run_benchmark(ExperimentSpec(
+            benchmark=app, scale="tiny", mode=mode, cores=8,
+            executor="simulated",
+        ))
+        output = np.ascontiguousarray(np.asarray(result.output, dtype=np.float64))
+        assert f"{hash_bytes(output):016x}" == golden
+        if mode == "none":
+            # ATM-off runs must never pay key-cache costs.
+            assert (result.atm_stats or {}).get("key_cache_hits", 0) == 0
 
     def test_fixed_p_without_p_rejected(self):
         with pytest.raises(EvaluationError, match="explicit p"):

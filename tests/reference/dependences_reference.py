@@ -1,7 +1,7 @@
 """Seed dependence tracker, preserved verbatim as the equivalence oracle.
 
 This is the linear-scan tracker the repository seeded with, kept (like
-``repro.atm.keygen_reference``) so the optimised indexed tracker in
+``tests/reference/keygen_reference.py``) so the optimised indexed tracker in
 :mod:`repro.runtime.dependences` can be *proven* to produce identical edge
 sets on randomized access streams
 (``tests/runtime/test_dependences_property.py``).  Do not optimise this

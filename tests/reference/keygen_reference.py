@@ -5,9 +5,8 @@ reproduction shipped with: concatenate all input bytes on every lookup, store
 one full ``int64`` permutation per ``(task type, total bytes)`` and gather the
 first ``ceil(N * p)`` shuffled positions.  The optimised generator in
 :mod:`repro.atm.keygen` must produce **bit-identical** ``HashKey.value``
-results (its default ``"exact"`` pipeline) — the equivalence test-suite in
-``tests/atm/test_keygen_equivalence.py`` and the microbenchmarks in
-:mod:`repro.perf.micro` both compare against this implementation.
+results — the equivalence suites in ``tests/atm/test_keygen_equivalence.py``
+and ``tests/atm/test_keygen_property.py`` compare against this implementation.
 
 Do not optimise this module; it is the fixed point the fast path is measured
 and verified against.

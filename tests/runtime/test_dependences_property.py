@@ -3,7 +3,7 @@
 The optimised :class:`repro.runtime.dependences.DependenceTracker` (interval
 index + epoch-stamp dedup) must produce exactly the same dependence edges as
 the seed implementation preserved verbatim in
-:mod:`repro.runtime.dependences_reference` — for every interleaving of
+:mod:`tests.reference.dependences_reference` — for every interleaving of
 ``in``/``out``/``inout`` accesses over exact-matching, overlapping and
 nested byte intervals.  Randomized access streams are fed to both trackers
 and the per-task predecessor sets are compared.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.data import AccessMode, DataAccess, DataRegion
 from repro.runtime.dependences import DependenceTracker
-from repro.runtime.dependences_reference import (
+from tests.reference.dependences_reference import (
     DependenceTracker as ReferenceDependenceTracker,
 )
 from repro.runtime.task import Task, TaskType

@@ -1,4 +1,5 @@
-"""Tests for the serial, threaded and simulated executors."""
+"""Tests for the serial, threaded and simulated executors (plus the empty
+drain, which every backend must survive)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,12 @@ from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
 from repro.session import Session
 from repro.runtime.data import In, InOut, Out
-from repro.runtime.executor import RunResult, SerialExecutor, ThreadedExecutor
+from repro.runtime.executor import (
+    RunResult,
+    SerialExecutor,
+    ThreadedExecutor,
+    build_executor,
+)
 from repro.runtime.simulator import SimulatedExecutor
 from repro.runtime.task import TaskType
 
@@ -55,6 +61,25 @@ class TestRunResult:
         r = RunResult(tasks_completed=10, tasks_memoized=3, tasks_deferred=1)
         assert r.reuse_fraction == pytest.approx(0.4)
         assert RunResult().reuse_fraction == 0.0
+
+
+class TestEmptyGraphDrain:
+    """Draining a runtime that never received a task must return a
+    well-formed zero result on every backend (the divide-by-zero class)."""
+
+    @pytest.mark.parametrize(
+        "backend", ["serial", "threaded", "process", "simulated", "network"]
+    )
+    def test_empty_drain_yields_zero_result(self, backend):
+        executor = build_executor(RuntimeConfig(num_threads=2, executor=backend))
+        try:
+            result = Session(executor=executor).finish()
+            assert result.tasks_completed == 0
+            assert result.tasks_executed == 0
+            assert result.tasks_memoized == 0
+            assert result.reuse_fraction == 0.0
+        finally:
+            executor.close()
 
 
 class TestSerialExecutor:

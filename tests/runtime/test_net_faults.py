@@ -28,7 +28,7 @@ from repro.runtime.task import TaskType
 from repro.runtime.net_executor import NetworkExecutor
 from repro.runtime.net_transport import LoopbackEndpoint, serve_connection
 from repro.runtime.net_wire import read_frame, write_frame
-from repro.session import Session
+from repro.session import ReproConfig, Session
 from tests.conftest import SQUARE_TYPE, square_body
 
 #: Hard bound on every scenario: a hang fails loudly, it never stalls CI.
@@ -400,6 +400,41 @@ def test_failover_drops_residency_and_survivors_stay_bit_correct():
     assert backend["resubmitted_tasks"] > 0
     # Drain 2 really ran over the cached protocol on the survivors.
     assert backend["residency"]["hits"] > 0
+
+
+def scan_body(src, dst):
+    dst[0] = src.sum()
+
+
+def test_residency_ships_an_iterative_read_mostly_program_once():
+    """Drains 2..n over unchanged inputs put references on the wire, not
+    bytes: with residency on the payload is at most half the
+    ship-everything protocol's, for bit-identical results."""
+    scan_type = TaskType("resident_scan", memoizable=False)
+    sources = [np.full(4096, float(i + 1)) for i in range(8)]
+
+    def run(residency: bool):
+        config = RuntimeConfig(
+            executor="network", num_threads=2, mp_chunk_size=2,
+            net_endpoints="loopback:2", net_residency=residency,
+        )
+        sinks = [np.zeros(1) for _ in sources]
+        with Session(ReproConfig(runtime=config)) as session:
+            for _ in range(4):
+                for src, dst in zip(sources, sinks):
+                    session.submit(
+                        scan_type, scan_body, accesses=[In(src), Out(dst)],
+                        args=(src, dst),
+                    )
+                result = session.wait_all()
+        return np.concatenate(sinks), result.extra["network_backend"]
+
+    resident_out, resident = run(True)
+    shipped_out, shipped = run(False)
+    assert np.array_equal(resident_out, shipped_out)
+    assert resident_out.tolist() == [src.sum() for src in sources]
+    assert resident["residency"]["hits"] > 0
+    assert 2 * resident["payload_bytes"] <= shipped["payload_bytes"]
 
 
 def test_kill_one_of_three_keeps_survivor_placement_balanced():

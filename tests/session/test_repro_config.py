@@ -93,7 +93,6 @@ atm_configs = st.builds(
     type_aware=st.booleans(),
     hash_function=st.sampled_from(["numpy", "lookup3", "one_at_a_time"]),
     hash_seed=st.integers(min_value=0, max_value=2**32 - 1),
-    key_pipeline=st.sampled_from(["exact", "digest"]),
     key_cache=st.booleans(),
     key_cache_budget_bytes=st.integers(min_value=0, max_value=1 << 30),
     shuffle_cache_entries=st.integers(min_value=1, max_value=4096),
