@@ -22,15 +22,18 @@ Performance design (versus the seed implementation preserved in
 
 * **No per-compute concatenation.**  The stored shuffle is split once per
   input structure into ``(owner input, local offset)`` pairs; sampled bytes
-  are gathered per input directly into one padded hash buffer, at the exact
-  interleaved positions the shuffle dictates, so keys stay bit-identical to
+  are gathered per input directly into one sample buffer, at the exact
+  interleaved positions the shuffle dictates, and at ``p = 1.0`` the input
+  views are streamed one after the other through
+  :func:`~repro.common.hashing.hash_views`, so keys stay bit-identical to
   the seed while never materialising the multi-megabyte concatenation.
 * **Truncated, narrow shuffles.**  Only the prefix actually addressed by the
   largest sampling fraction seen so far is stored (``ceil(N * p_max)``
   entries), as ``uint32`` whenever ``N < 2**32`` — an 8-16x memory reduction
   against the seed's full ``int64`` permutation; ``p = 1.0`` needs no shuffle
   at all.  The prefix grows deterministically (same seeded permutation) when
-  a larger ``p`` shows up.
+  a larger ``p`` shows up; a type-aware prefix only builds the significance
+  levels it reaches (:func:`~repro.common.dtypes.significance_order`).
 * **Region-version digest caching.**  Every :class:`DataRegion` carries a
   monotonically increasing write-version (bumped by the runtime when write
   accesses commit); the generator caches, per ``(region, version, shuffle,
@@ -58,12 +61,7 @@ import numpy as np
 
 from repro.common.config import ATMConfig
 from repro.common.dtypes import significance_order
-from repro.common.hashing import (
-    HASH_FUNCTIONS,
-    HashKey,
-    hash_padded_buffer,
-    padded_sample_buffer,
-)
+from repro.common.hashing import HashKey, hash_views
 from repro.common.rng import generator_for
 from repro.runtime.task import Task
 
@@ -216,7 +214,6 @@ class HashKeyGenerator:
         self.stats = stats
         self._shuffles: "OrderedDict[tuple[str, int], ShuffleRecord]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hash = HASH_FUNCTIONS[config.hash_function]
         # One LRU holds whole-key entries (ints) and per-region sample bytes;
         # values are (payload, accounted_bytes).
         self._cache: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
@@ -240,12 +237,10 @@ class HashKeyGenerator:
             descriptors = [
                 (access.region.descriptor, access.nbytes) for access in task.inputs
             ]
-            full = significance_order(descriptors, rng)
+            prefix = significance_order(descriptors, rng, count)
         else:
-            full = rng.permutation(total_bytes)
-        return np.ascontiguousarray(full[:count]).astype(
-            _index_dtype(total_bytes), copy=False
-        )
+            prefix = rng.permutation(total_bytes)[:count]
+        return prefix.astype(_index_dtype(total_bytes), copy=False)
 
     def _shuffle_for(self, task: Task, total_bytes: int, count: int) -> ShuffleRecord:
         key = (task.task_type.name, total_bytes)
@@ -288,13 +283,33 @@ class HashKeyGenerator:
             return len(self._shuffles)
 
     # -- digest / key cache ----------------------------------------------------
-    def _cache_get(self, key: tuple) -> object | None:
+    def _cache_get(self, key: tuple, hits: str, misses: str) -> object | None:
+        """Look ``key`` up and count the outcome under ``hits`` / ``misses``.
+
+        Lookup and count share one critical section: ``compute`` runs on every
+        executor worker thread, and :meth:`cache_info` reads the counters
+        under the same lock.
+        """
         with self._lock:
             entry = self._cache.get(key)
             if entry is None:
+                self.counters[misses] += 1
                 return None
+            self.counters[hits] += 1
             self._cache.move_to_end(key)
             return entry[0]
+
+    def _key_cache_get(self, key: tuple) -> object | None:
+        cached = self._cache_get(key, "key_cache_hits", "key_cache_misses")
+        if self.stats is not None:
+            self.stats.record_key_cache(cached is not None)
+        return cached
+
+    def _digest_cache_get(self, key: tuple) -> object | None:
+        cached = self._cache_get(key, "digest_cache_hits", "digest_cache_misses")
+        if self.stats is not None:
+            self.stats.record_digest_cache(cached is not None)
+        return cached
 
     def _cache_put(self, key: tuple, payload: object, nbytes: int) -> None:
         if nbytes > self._cache_entry_cap:
@@ -319,17 +334,11 @@ class HashKeyGenerator:
         info["shuffle_bytes"] = self.shuffle_memory_bytes()
         return info
 
-    def _count_key_cache(self, hit: bool) -> None:
-        self.counters["key_cache_hits" if hit else "key_cache_misses"] += 1
-        if self.stats is not None:
-            self.stats.record_key_cache(hit)
-
-    def _count_digest_cache(self, hit: bool) -> None:
-        self.counters["digest_cache_hits" if hit else "digest_cache_misses"] += 1
-        if self.stats is not None:
-            self.stats.record_digest_cache(hit)
-
     # -- key computation ---------------------------------------------------------
+    def _hash_views(self, views) -> int:
+        """Hash the byte stream ``views`` with the configured function and seed."""
+        return hash_views(views, self.config.hash_seed, self.config.hash_function)
+
     def selected_byte_count(self, total_bytes: int, p: float) -> int:
         """How many bytes a fraction ``p`` selects (at least 1 for p > 0)."""
         if total_bytes == 0:
@@ -343,7 +352,7 @@ class HashKeyGenerator:
         if total_bytes == 0:
             # Keyed only by the task type: tasks without inputs are redundant
             # with each other by definition.
-            value = self._hash(task.task_type.name.encode("utf-8"), self.config.hash_seed)
+            value = self._hash_views((task.task_type.name.encode("utf-8"),))
             return HashKey(value=value, p=p, sampled_bytes=0, total_bytes=0)
         count = self.selected_byte_count(total_bytes, p)
 
@@ -352,22 +361,20 @@ class HashKeyGenerator:
         if self.config.key_cache:
             tokens = tuple(access.region.version_token for access in inputs)
             whole_key = ("K", task.task_type.name, total_bytes, count, tokens)
-            cached = self._cache_get(whole_key)
+            cached = self._key_cache_get(whole_key)
             if cached is not None:
-                self._count_key_cache(True)
                 return HashKey(
                     value=cached, p=p, sampled_bytes=int(count),
                     total_bytes=int(total_bytes),
                 )
-            self._count_key_cache(False)
 
         if count >= total_bytes:
-            # Full sampling: every byte is read in input order; no shuffle is
-            # stored or needed (the seed allocated a full permutation here and
-            # never used it).
-            views = [access.region.to_bytes_view() for access in inputs]
-            data = views[0] if len(views) == 1 else np.concatenate(views)
-            value = self._hash(data, self.config.hash_seed)
+            # Full sampling: every byte is read in input order, streamed view
+            # by view; no shuffle is stored or needed (the seed allocated a
+            # full permutation here and never used it).
+            value = self._hash_views(
+                [access.region.to_bytes_view() for access in inputs]
+            )
         else:
             record = self._shuffle_for(task, total_bytes, count)
             sizes = tuple(access.nbytes for access in inputs)
@@ -399,11 +406,9 @@ class HashKeyGenerator:
         if token is None:
             return view[locals_]
         cache_key = ("S", record.uid, sizes, count, ordinal, token)
-        segment = self._cache_get(cache_key)
+        segment = self._digest_cache_get(cache_key)
         if segment is not None:
-            self._count_digest_cache(True)
             return segment
-        self._count_digest_cache(False)
         segment = np.take(view, locals_)
         self._cache_put(cache_key, segment, nbytes=int(segment.nbytes) + 64)
         return segment
@@ -419,12 +424,11 @@ class HashKeyGenerator:
         """Seed-identical key: hash the interleaved sampled byte stream.
 
         Sampled bytes are gathered per input straight into their interleaved
-        positions of one padded hash buffer — bit-identical to the seed's
+        positions of one sample buffer — bit-identical to the seed's
         ``concatenate-then-gather`` without ever building the concatenation.
         """
         inputs = task.inputs
-        buf = padded_sample_buffer(count)
-        body = buf[:count]
+        body = np.empty(count, dtype=np.uint8)
         if len(inputs) == 1:
             view = inputs[0].region.to_bytes_view()
             locals_ = record.indices[:count]
@@ -449,6 +453,4 @@ class HashKeyGenerator:
                     tokens[ordinal] if tokens is not None else None,
                 )
                 body[positions] = segment
-        return hash_padded_buffer(
-            buf, count, self.config.hash_seed, self.config.hash_function
-        )
+        return self._hash_views((body,))

@@ -5,7 +5,7 @@ from repro.common.hashing import (
     jenkins_lookup3,
     jenkins_one_at_a_time,
     hash_bytes,
-    hash_sampled_bytes,
+    hash_views,
 )
 from repro.common.errors import (
     chebyshev_relative_error,
@@ -21,7 +21,7 @@ __all__ = [
     "jenkins_lookup3",
     "jenkins_one_at_a_time",
     "hash_bytes",
-    "hash_sampled_bytes",
+    "hash_views",
     "chebyshev_relative_error",
     "euclidean_relative_error",
     "correctness_percent",

@@ -11,7 +11,8 @@ and high-order bits of integer data.
 This module provides the Python equivalent: a :class:`TypeDescriptor` derived
 from a NumPy dtype, and :func:`significance_order`, which returns for a region
 of ``n`` elements the byte indexes ordered from most to least significant
-(grouped by significance level, as the paper describes).
+(grouped by significance level, as the paper describes) — or just the leading
+part of that order a sampling fraction needs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "describe_array",
     "describe_dtype",
     "significance_order",
-    "byte_significance_ranks",
 ]
 
 
@@ -102,60 +102,69 @@ def describe_array(array: np.ndarray) -> TypeDescriptor:
     return describe_dtype(array.dtype)
 
 
-def byte_significance_ranks(descriptor: TypeDescriptor, nbytes: int) -> np.ndarray:
-    """Rank every byte of a region by significance level.
+def _significance_levels(
+    descriptors: list[tuple[TypeDescriptor, int]],
+) -> list[list[range]]:
+    """Per significance level, the global byte positions it holds, ascending.
 
-    Returns an int array ``ranks`` of length ``nbytes`` where ``ranks[i]`` is
-    the significance level of byte ``i`` (0 = most significant byte of its
-    element).  Trailing bytes that do not form a full element (possible only
-    for raw buffers) are assigned the lowest significance.
+    Level 0 holds the most significant byte of every element of every input.
+    Positions are described as strided ``range`` runs, possibly empty (one
+    per input, plus one for a trailing partial element, which only raw
+    buffers can have and which ranks with the input's least significant
+    bytes), so nothing sized by the inputs is built until a level is shuffled.
     """
-    itemsize = max(1, descriptor.itemsize)
-    ranks = np.empty(nbytes, dtype=np.int64)
-    if itemsize == 1:
-        ranks.fill(0)
-        return ranks
-    offsets = descriptor.msb_first_byte_offsets()
-    # offset -> rank (position in MSB-first order)
-    rank_of_offset = np.empty(itemsize, dtype=np.int64)
-    for rank, offset in enumerate(offsets):
-        rank_of_offset[offset] = rank
-    n_full = (nbytes // itemsize) * itemsize
-    if n_full:
-        within = np.arange(n_full, dtype=np.int64) % itemsize
-        ranks[:n_full] = rank_of_offset[within]
-    if n_full < nbytes:
-        ranks[n_full:] = itemsize - 1
-    return ranks
+    levels: list[list[range]] = []
+    cursor = 0
+    for descriptor, nbytes in descriptors:
+        offsets = descriptor.msb_first_byte_offsets() or [0]
+        itemsize = len(offsets)
+        end = cursor + nbytes
+        full_end = end - nbytes % itemsize
+        levels.extend([] for _ in range(len(levels), itemsize))
+        for level, offset in enumerate(offsets):
+            levels[level].append(range(cursor + offset, full_end, itemsize))
+        levels[itemsize - 1].append(range(full_end, end))
+        cursor = end
+    return levels
 
 
 def significance_order(
     descriptors: list[tuple[TypeDescriptor, int]],
     rng: np.random.Generator,
+    count: int | None = None,
 ) -> np.ndarray:
     """Type-aware shuffled index vector over the concatenated inputs.
 
     ``descriptors`` is a list of ``(TypeDescriptor, nbytes)`` pairs describing
-    the task's data inputs in concatenation order.  The returned index vector
-    covers ``sum(nbytes)`` global byte positions.  Bytes are grouped by
-    significance level (level 0 = most significant byte of every element of
-    every input) and each group is independently shuffled; groups are then
-    concatenated from most to least significant, exactly as Section III-C
-    describes ("first shuffles the indexes pointing to the MSBs of the data
-    inputs, then the next MSBs, ...").
+    the task's data inputs in concatenation order.  The index vector covers
+    ``sum(nbytes)`` global byte positions.  Bytes are grouped by significance
+    level (level 0 = most significant byte of every element of every input)
+    and each group is independently shuffled; groups are then concatenated
+    from most to least significant, exactly as Section III-C describes ("first
+    shuffles the indexes pointing to the MSBs of the data inputs, then the
+    next MSBs, ...").
+
+    With ``count`` only the first ``count`` entries are returned, and only the
+    levels that cover them are built and shuffled (levels draw from ``rng`` in
+    order, so the prefix is the one the full vector starts with): a sampling
+    fraction below ``1 / itemsize`` costs one level, not ``sum(nbytes)``.
     """
-    total = sum(nbytes for _, nbytes in descriptors)
-    if total == 0:
+    parts: list[np.ndarray] = []
+    have = 0
+    for runs in _significance_levels(descriptors):
+        if count is not None and have >= count:
+            break
+        pieces = [
+            np.arange(run.start, run.stop, run.step, dtype=np.int64)
+            for run in runs if run
+        ]
+        if not pieces:
+            continue
+        group = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        rng.shuffle(group)
+        parts.append(group)
+        have += group.size
+    if not parts:
         return np.empty(0, dtype=np.int64)
-    ranks = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for descriptor, nbytes in descriptors:
-        ranks[cursor:cursor + nbytes] = byte_significance_ranks(descriptor, nbytes)
-        cursor += nbytes
-    indices = np.arange(total, dtype=np.int64)
-    order_parts: list[np.ndarray] = []
-    for level in range(int(ranks.max()) + 1):
-        group = indices[ranks == level]
-        if group.size:
-            order_parts.append(rng.permutation(group))
-    return np.concatenate(order_parts)
+    order = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return order if count is None else order[:count]

@@ -17,19 +17,31 @@ This module provides three layers:
     function the paper cites [12].  It is exact but scalar, so it is only the
     default for small inputs.
 
-``hash_bytes`` / ``hash_sampled_bytes``
+``hash_views`` / ``hash_bytes``
     A vectorised 64-bit mixing hash built on NumPy (splitmix64 finalisation of
     position-salted 64-bit words).  It has the same statistical role as
-    lookup3 (uniform 64-bit keys, order- and content-sensitive) but runs at
-    memory bandwidth on multi-megabyte task inputs, which is what the ATM key
-    generator needs.  The engine can be configured to use the exact lookup3
-    implementation instead (``ATMConfig.hash_function = "lookup3"``).
+    lookup3 (uniform 64-bit keys, order- and content-sensitive) and is the
+    only one fast enough for multi-megabyte task inputs.  ``hash_views`` is
+    the one entry point of the key generator: it streams a sequence of byte
+    views through fixed 256 KiB blocks, mixing each block with eleven in-place
+    ufunc passes on two per-thread scratch blocks.  Measured on the 2-vCPU
+    reference host (one core, 128 distinct 256 KiB inputs in turn, as
+    ``memo_hot`` hashes them): 2.2 GB/s, against 0.53 GB/s for the
+    whole-buffer expression it replaced, which built ~12 input-sized
+    ``uint64`` temporaries per call — each above glibc's mmap threshold, so
+    every pass paid mmap/munmap and fresh page faults and ran out of DRAM
+    instead of L2.  That is still a fraction of memory bandwidth: eleven
+    passes over a cache-resident block, not one over the input.  The engine
+    can be configured to use the exact lookup3 implementation instead
+    (``ATMConfig.hash_function = "lookup3"``).
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -39,11 +51,9 @@ __all__ = [
     "jenkins_one_at_a_time",
     "jenkins_lookup3",
     "hash_bytes",
-    "hash_sampled_bytes",
+    "hash_views",
     "splitmix64",
     "canonical_p",
-    "padded_sample_buffer",
-    "hash_padded_buffer",
     "HASH_FUNCTIONS",
 ]
 
@@ -223,85 +233,164 @@ def jenkins_lookup3(data: BytesLike, seed: int = 0) -> int:
     return ((c << 32) | b) & _MASK64
 
 
-_SPLITMIX_C1 = np.uint64(0x9E3779B97F4A7C15)
-_SPLITMIX_C2 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLITMIX_C3 = np.uint64(0x94D049BB133111EB)
+_C1 = 0x9E3779B97F4A7C15
+_C2 = 0xBF58476D1CE4E5B9
+_C3 = 0x94D049BB133111EB
+_SPLITMIX_C1 = np.uint64(_C1)
+_SPLITMIX_C2 = np.uint64(_C2)
+_SPLITMIX_C3 = np.uint64(_C3)
+_SHIFT_30 = np.uint64(30)
+_SHIFT_27 = np.uint64(27)
+_SHIFT_31 = np.uint64(31)
+
+
+def _splitmix64_int(x: int) -> int:
+    """splitmix64 of one value on Python ints (no NumPy scalar round trip)."""
+    z = (x + _C1) & _MASK64
+    z = ((z ^ (z >> 30)) * _C2) & _MASK64
+    z = ((z ^ (z >> 27)) * _C3) & _MASK64
+    return z ^ (z >> 31)
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
     """splitmix64 finaliser: a cheap, high-quality 64-bit bijective mixer."""
-    scalar = np.isscalar(x) or isinstance(x, int)
+    if np.isscalar(x) or isinstance(x, int):
+        return _splitmix64_int(int(np.uint64(x)))
     z = np.asarray(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = z + _SPLITMIX_C1
-        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_C2
-        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_C3
-        z = z ^ (z >> np.uint64(31))
-    if scalar:
-        return int(z)
-    return z
+        z = (z ^ (z >> _SHIFT_30)) * _SPLITMIX_C2
+        z = (z ^ (z >> _SHIFT_27)) * _SPLITMIX_C3
+        return z ^ (z >> _SHIFT_31)
 
 
-def _hash_words(words: np.ndarray, n: int, seed: int) -> int:
-    """Mix little-endian 64-bit ``words`` covering ``n`` payload bytes.
+#: Words per mixing block (256 KiB).  Chosen once from a measured sweep on the
+#: reference host (PERFORMANCE.md, "Hash-key generation"): the two scratch
+#: blocks, the salt table and the input block being read (1 MiB together)
+#: stay L2-resident through all eleven passes, while the ~12 us of ufunc-call
+#: overhead per block is amortised.  A constant, not a knob.
+_BLOCK_WORDS = 32768
+_BLOCK_BYTES = 8 * _BLOCK_WORDS
 
-    Shared core of :func:`hash_bytes` and :func:`hash_padded_buffer`; the
-    trailing word must be zero-padded beyond byte ``n``.
+_scratch = threading.local()
+
+
+@functools.cache
+def _salt_table() -> np.ndarray:
+    """Position salts ``(i + 1) * C1`` of the first block (read-only, shared)."""
+    salt = np.arange(1, _BLOCK_WORDS + 1, dtype=np.uint64) * _SPLITMIX_C1
+    salt.flags.writeable = False
+    return salt
+
+
+def _scratch_blocks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's two scratch blocks and the salt table, built on first use.
+
+    Transient working memory (512 KiB per hashing thread, 256 KiB shared),
+    like the temporaries it replaces: not part of the ATM memory accounting.
     """
-    with np.errstate(over="ignore"):
-        positions = np.arange(1, words.size + 1, dtype=np.uint64)
-        salted = words ^ (positions * _SPLITMIX_C1)
-        mixed = splitmix64(salted)
-        acc = np.bitwise_xor.reduce(mixed)
-        acc ^= np.uint64(n) * _SPLITMIX_C3
-        acc ^= np.uint64(seed & _MASK64)
-    return int(splitmix64(acc))
+    blocks = getattr(_scratch, "blocks", None)
+    if blocks is None:
+        blocks = _scratch.blocks = (
+            np.empty(_BLOCK_WORDS, dtype=np.uint64),
+            np.empty(_BLOCK_WORDS, dtype=np.uint64),
+            _salt_table(),
+        )
+    return blocks
+
+
+def _mix_block(words: np.ndarray, first: int, mix: np.ndarray, tmp: np.ndarray,
+               salt: np.ndarray) -> int:
+    """XOR of the salted splitmix64 lanes of one block of 64-bit ``words``.
+
+    ``first`` is the 0-based stream position of ``words[0]``; every pass
+    writes into the scratch blocks (``words`` may be ``tmp`` itself: it is
+    consumed by the first pass).
+    """
+    m = words.size
+    mix = mix[:m]
+    tmp = tmp[:m]
+    if first:
+        np.add(salt[:m], np.uint64((first * _C1) & _MASK64), out=mix)
+        np.bitwise_xor(mix, words, out=mix)
+    else:
+        np.bitwise_xor(words, salt[:m], out=mix)
+    np.add(mix, _SPLITMIX_C1, out=mix)
+    np.right_shift(mix, _SHIFT_30, out=tmp)
+    np.bitwise_xor(mix, tmp, out=mix)
+    np.multiply(mix, _SPLITMIX_C2, out=mix)
+    np.right_shift(mix, _SHIFT_27, out=tmp)
+    np.bitwise_xor(mix, tmp, out=mix)
+    np.multiply(mix, _SPLITMIX_C3, out=mix)
+    np.right_shift(mix, _SHIFT_31, out=tmp)
+    np.bitwise_xor(mix, tmp, out=mix)
+    return int(np.bitwise_xor.reduce(mix))
+
+
+def hash_views(views: Iterable[BytesLike], seed: int = 0, function: str = "numpy") -> int:
+    """Hash the concatenation of ``views`` without building it.
+
+    The one entry point of the key generator.  For the vectorised ``"numpy"``
+    hash the byte stream is read as little-endian 64-bit words, each word is
+    salted with its position and pushed through the splitmix64 finaliser, and
+    the lanes are XOR-reduced before a final mix that also folds in the total
+    length and the seed.  The stream is walked in fixed cache-sized blocks
+    mixed in place on two per-thread scratch blocks: aligned word runs are
+    read straight from the view, anything else (unaligned views, words that
+    straddle two views, the zero-padded last word) is staged through one
+    scratch block, so nothing proportional to the input is allocated.  The
+    result equals ``hash_bytes`` of the concatenated bytes.
+
+    The scalar Jenkins functions take one buffer, so for them the views are
+    concatenated.
+    """
+    bufs = [_as_uint8(view) for view in views]
+    if function != "numpy":
+        data = bufs[0] if len(bufs) == 1 else np.concatenate(bufs)
+        return HASH_FUNCTIONS[function](data, seed)
+    seed &= _MASK64
+    n = sum(buf.size for buf in bufs)
+    if n == 0:
+        return _splitmix64_int(seed ^ 0xA5A5A5A5A5A5A5A5)
+    mix, tmp, salt = _scratch_blocks()
+    stage = tmp.view(np.uint8)
+    acc = 0
+    first = 0  # words mixed so far
+    fill = 0   # bytes staged and not yet mixed
+    for buf in bufs:
+        pos = 0
+        size = buf.size
+        while pos < size:
+            if fill == 0 and size - pos >= 8:
+                m = min((size - pos) >> 3, _BLOCK_WORDS)
+                words = buf[pos:pos + 8 * m].view(np.uint64)
+                if words.flags.aligned:
+                    acc ^= _mix_block(words, first, mix, tmp, salt)
+                    first += m
+                    pos += 8 * m
+                    continue
+            take = min(size - pos, _BLOCK_BYTES - fill)
+            stage[fill:fill + take] = buf[pos:pos + take]
+            fill += take
+            pos += take
+            if fill == _BLOCK_BYTES:
+                acc ^= _mix_block(tmp, first, mix, tmp, salt)
+                first += _BLOCK_WORDS
+                fill = 0
+    if fill:
+        m = (fill + 7) >> 3
+        stage[fill:8 * m] = 0
+        acc ^= _mix_block(tmp[:m], first, mix, tmp, salt)
+    acc ^= (n * _C3) & _MASK64
+    return _splitmix64_int(acc ^ seed)
 
 
 def hash_bytes(data: BytesLike, seed: int = 0) -> int:
-    """Vectorised 64-bit hash of a byte buffer.
+    """Vectorised 64-bit hash of one byte buffer (see :func:`hash_views`).
 
-    The buffer is reinterpreted as little-endian 64-bit words (zero-padded to
-    a multiple of 8 bytes), each word is salted with its position and pushed
-    through the splitmix64 finaliser, and the lanes are XOR-reduced before a
-    final mix that also folds in the total length and the seed.  The result is
-    deterministic across platforms and runs at NumPy speed for multi-megabyte
-    inputs.
+    Deterministic across platforms; ``seed`` is taken modulo 2^64.
     """
-    buf = _as_uint8(data)
-    n = buf.size
-    if n == 0:
-        return int(splitmix64(np.uint64(seed) ^ np.uint64(0xA5A5A5A5A5A5A5A5)))
-    pad = (-n) % 8
-    if pad:
-        padded = np.zeros(n + pad, dtype=np.uint8)
-        padded[:n] = buf
-        buf = padded
-    return _hash_words(buf.view(np.uint64), n, seed)
-
-
-def padded_sample_buffer(count: int) -> np.ndarray:
-    """A zeroed ``uint8`` buffer of ``count`` bytes padded to a word multiple.
-
-    Gather sampled bytes into ``buf[:count]`` and hash with
-    :func:`hash_padded_buffer`; the result is bit-identical to
-    ``hash_bytes(buf[:count])`` without the extra pad-and-copy pass.
-    """
-    return np.zeros(count + ((-count) % 8), dtype=np.uint8)
-
-
-def hash_padded_buffer(buf: np.ndarray, count: int, seed: int = 0,
-                       function: str = "numpy") -> int:
-    """Hash ``buf[:count]`` where ``buf`` came from :func:`padded_sample_buffer`.
-
-    For the vectorised ``"numpy"`` hash the already-padded buffer is mixed in
-    place (one pass, no copy); other hash functions fall back to slicing.
-    """
-    if count == 0:
-        return HASH_FUNCTIONS[function](np.empty(0, dtype=np.uint8), seed)
-    if function == "numpy":
-        return _hash_words(buf.view(np.uint64), count, seed)
-    return HASH_FUNCTIONS[function](buf[:count], seed)
+    return hash_views((data,), seed)
 
 
 #: Quantization grid for canonical sampling fractions: 2^-20 steps cover the
@@ -321,26 +410,6 @@ def canonical_p(p: float) -> int:
     if p >= 1.0:
         return 1 << _P_QUANT_BITS
     return max(1, int(round(p * (1 << _P_QUANT_BITS))))
-
-
-def hash_sampled_bytes(
-    data: BytesLike,
-    indices: np.ndarray,
-    seed: int = 0,
-    function: str = "numpy",
-) -> int:
-    """Hash only the bytes of ``data`` selected by ``indices``.
-
-    ``indices`` is the prefix of the stored shuffled index vector described in
-    Section III-B of the paper; gathering then hashing matches the paper's
-    "selected bytes are served to the hash key generator".
-    """
-    buf = _as_uint8(data)
-    if indices.size == 0:
-        sampled: BytesLike = np.empty(0, dtype=np.uint8)
-    else:
-        sampled = buf[indices]
-    return HASH_FUNCTIONS[function](sampled, seed)
 
 
 #: Registry of usable whole-buffer hash functions, keyed by config name.

@@ -12,6 +12,9 @@ next key.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,40 @@ class TestLayoutKeyedCaches:
         ref = ReferenceKeyGenerator(config)
         assert ref.compute(make_task(layout_one), 0.05).value == key_one.value
         assert ref.compute(make_task(layout_two), 0.05).value == key_two.value
+
+
+class TestCacheCountersUnderThreads:
+    def test_hits_plus_misses_equal_calls(self):
+        """``compute`` runs on every worker thread; a lost update breaks the sum.
+
+        The counters feed ``cache_info()`` (the bench's key-cache hit ratio);
+        the parent bumped them outside the generator lock.
+        """
+        generator = HashKeyGenerator(ATMConfig())
+        small = np.arange(64, dtype=np.float64)
+        pair = [np.arange(512, dtype=np.float64), np.arange(64, dtype=np.float64)]
+        tasks = [make_task([small]), make_task(pair)]
+        threads_n, calls_each = 4, 2000
+
+        def worker():
+            for i in range(calls_each):
+                generator.compute(tasks[i & 1], 0.05)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        info = generator.cache_info()
+        assert info["key_cache_hits"] + info["key_cache_misses"] == threads_n * calls_each
+        # Every whole-key miss of the two-input task looks both segments up.
+        assert info["digest_cache_hits"] + info["digest_cache_misses"] >= 2
 
 
 class TestDigestCacheInvalidation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,11 @@ from hypothesis import strategies as st
 
 from repro.common.dtypes import (
     TypeDescriptor,
-    byte_significance_ranks,
     describe_array,
+    describe_dtype,
     significance_order,
 )
+from tests.reference import dtypes_reference as frozen
 
 
 class TestDescribeArray:
@@ -52,22 +55,28 @@ class TestMSBOffsets:
         assert desc.msb_first_byte_offsets() == [0]
 
 
-class TestByteSignificanceRanks:
-    def test_float32_ranks(self):
-        desc = TypeDescriptor("float32", 4, "f", "little")
-        ranks = byte_significance_ranks(desc, 8)
-        # Little-endian: byte 3 of each element is the MSB (rank 0).
-        assert list(ranks) == [3, 2, 1, 0, 3, 2, 1, 0]
+class TestSignificanceLevels:
+    """Which bytes share a significance level, read off the shuffled order."""
 
-    def test_single_byte_type_all_rank_zero(self):
+    def _levels(self, descriptor, nbytes, sizes):
+        order = significance_order([(descriptor, nbytes)], np.random.default_rng(0))
+        bounds = np.cumsum([0] + sizes)
+        return [sorted(order[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def test_float32_levels(self):
+        desc = TypeDescriptor("float32", 4, "f", "little")
+        # Little-endian: byte 3 of each element is the MSB (level 0).
+        assert self._levels(desc, 8, [2, 2, 2, 2]) == [[3, 7], [2, 6], [1, 5], [0, 4]]
+
+    def test_single_byte_type_is_one_level(self):
         desc = TypeDescriptor("uint8", 1, "u", "little")
-        assert set(byte_significance_ranks(desc, 5).tolist()) == {0}
+        order = significance_order([(desc, 5)], np.random.default_rng(0))
+        assert order.tolist() == np.random.default_rng(0).permutation(5).tolist()
 
     def test_trailing_partial_element(self):
         desc = TypeDescriptor("float32", 4, "f", "little")
-        ranks = byte_significance_ranks(desc, 6)
-        assert list(ranks[:4]) == [3, 2, 1, 0]
-        assert list(ranks[4:]) == [3, 3]
+        # Bytes 4 and 5 form no element: they rank with the least significant.
+        assert self._levels(desc, 6, [1, 1, 1, 3]) == [[3], [2], [1], [0, 4, 5]]
 
 
 class TestSignificanceOrder:
@@ -120,3 +129,68 @@ class TestSignificanceOrder:
         nbytes = 4 * n_elements
         order = self._order([(desc, nbytes)], seed=seed)
         assert sorted(order.tolist()) == list(range(nbytes))
+
+
+F8 = describe_dtype(np.dtype("f8"))
+F4 = describe_dtype(np.dtype("f4"))
+I2 = describe_dtype(np.dtype("i2"))
+U1 = describe_dtype(np.dtype("u1"))
+BIG_F4 = describe_dtype(np.dtype(">f4"))
+RAW3 = TypeDescriptor("void24", 3, "V", "little")
+
+
+class TestPrefixEqualsFrozenFullOrder:
+    """``significance_order(..., count)`` is the head of the parent's full order."""
+
+    CASES = {
+        "one_f8": [(F8, 4096)],
+        "mixed_itemsizes": [(F8, 512), (U1, 77), (F4, 256), (I2, 30), (BIG_F4, 64)],
+        "trailing_partial_elements": [(F4, 30), (RAW3, 20), (F8, 13), (I2, 1)],
+        "zero_length_inputs": [(F8, 0), (F4, 16), (U1, 0), (F8, 0), (I2, 6)],
+        "all_empty": [(F8, 0), (U1, 0)],
+        "no_inputs": [],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_prefix_length_class(self, case):
+        descriptors = self.CASES[case]
+        total = sum(nbytes for _, nbytes in descriptors)
+        full = frozen.significance_order(descriptors, np.random.default_rng(11))
+        assert np.array_equal(
+            significance_order(descriptors, np.random.default_rng(11)), full
+        )
+        for count in {0, 1, total // 8, total // 8 + 1, total // 2, total - 1, total}:
+            if count < 0:
+                continue
+            prefix = significance_order(descriptors, np.random.default_rng(11), count)
+            assert prefix.dtype == full.dtype
+            assert np.array_equal(prefix[:count], full[:count]), count
+
+    @given(
+        layout=st.lists(
+            st.tuples(st.sampled_from([F8, F4, I2, U1, BIG_F4, RAW3]), st.integers(0, 70)),
+            max_size=5,
+        ),
+        seed=st.integers(0, 2 ** 32),
+        fraction=st.floats(0, 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_property(self, layout, seed, fraction):
+        total = sum(nbytes for _, nbytes in layout)
+        count = int(total * fraction)
+        full = frozen.significance_order(layout, np.random.default_rng(seed))
+        prefix = significance_order(layout, np.random.default_rng(seed), count)
+        assert np.array_equal(prefix[:count], full[:count])
+
+    def test_one_level_prefix_builds_one_level(self):
+        """Regression fence (no timing): the parent peaked at 33 x N bytes."""
+        nbytes = 1 << 20
+        descriptors = [(F8, nbytes)]
+        tracemalloc.start()
+        try:
+            prefix = significance_order(descriptors, np.random.default_rng(0), nbytes // 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prefix.size == nbytes // 8
+        assert peak < 4 * nbytes

@@ -9,7 +9,10 @@ results — the equivalence suites in ``tests/atm/test_keygen_equivalence.py``
 and ``tests/atm/test_keygen_property.py`` compare against this implementation.
 
 Do not optimise this module; it is the fixed point the fast path is measured
-and verified against.
+and verified against.  Its hash and its type-aware shuffle come from the
+frozen parent-commit copies beside it (:mod:`tests.reference.hashing_reference`,
+:mod:`tests.reference.dtypes_reference`), not from ``src/``, so rewriting
+those in ``src/`` cannot move the oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.config import ATMConfig
-from repro.common.dtypes import significance_order
-from repro.common.hashing import HASH_FUNCTIONS, HashKey
+from repro.common.hashing import HashKey
 from repro.common.rng import generator_for
 from repro.runtime.task import Task
+from tests.reference.dtypes_reference import significance_order
+from tests.reference.hashing_reference import REFERENCE_HASH_FUNCTIONS
 
 __all__ = ["ReferenceKeyGenerator", "ReferenceShuffleRecord"]
 
@@ -49,7 +53,7 @@ class ReferenceKeyGenerator:
         self.config = config
         self._shuffles: dict[tuple[str, int], ReferenceShuffleRecord] = {}
         self._lock = threading.Lock()
-        self._hash = HASH_FUNCTIONS[config.hash_function]
+        self._hash = REFERENCE_HASH_FUNCTIONS[config.hash_function]
 
     # -- shuffle management ----------------------------------------------------
     def _shuffle_for(self, task: Task, total_bytes: int) -> ReferenceShuffleRecord:
