@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store ci
+.PHONY: test bench size figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -11,6 +11,11 @@ test:
 # medians with spread, results under bench/out/.
 bench:
 	$(PYTHON) -m bench
+
+# Size of the codebase beside the previous commit: src/scripts lines, config
+# fields per section, __all__ names, modules (what simplicity PRs report).
+size:
+	$(PYTHON) scripts/size_report.py HEAD~1
 
 # Figure/table regeneration harness (pytest-benchmark based).
 figures:

@@ -31,7 +31,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.serving import Gateway  # noqa: E402
-from repro.session.config import ReproConfig  # noqa: E402
+from repro.common.config import ReproConfig  # noqa: E402
 
 
 def build_config(args: argparse.Namespace) -> ReproConfig:

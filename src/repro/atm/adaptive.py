@@ -22,7 +22,7 @@ import enum
 import threading
 from dataclasses import dataclass, field
 
-from repro.common.config import ATMConfig
+from repro.common.config import ATMConfig, MIN_P
 from repro.runtime.task import Task
 
 __all__ = ["TrainingPhase", "DynamicATMTrainer", "TaskTypeTrainingState"]
@@ -66,7 +66,7 @@ class DynamicATMTrainer:
             state = self._states.get(task_type_name)
             if state is None:
                 state = TaskTypeTrainingState(
-                    p=self.config.p_initial,
+                    p=MIN_P,
                     tau_max=self.config.tau_max if tau_max is None else tau_max,
                     l_training=(
                         self.config.l_training if l_training is None else l_training
@@ -92,8 +92,6 @@ class DynamicATMTrainer:
 
     def is_output_blacklisted(self, task: Task) -> bool:
         """True if any output region of ``task`` failed during training."""
-        if not self.config.track_unstable_outputs:
-            return False
         state = self._state_of(task)
         if not state.unstable_outputs:
             return False
@@ -125,7 +123,7 @@ class DynamicATMTrainer:
                 # small (so we double it), whereas an output that keeps
                 # exceeding tau_max amid successes is the chaotic-behaviour
                 # case the paper describes for Jacobi.
-                if self.config.track_unstable_outputs and state.consecutive_successes > 0:
+                if state.consecutive_successes > 0:
                     for access in task.outputs:
                         key = access.region.region_key
                         count = state.failure_counts.get(key, 0) + 1

@@ -29,13 +29,13 @@ from repro.common.errors import combined_chebyshev_error
 from repro.common.exceptions import MemoizationError
 from repro.atm.ikt import InFlightKeyTable
 from repro.atm.keygen import HashKeyGenerator
-from repro.atm.policy import ATMPolicy, StaticATMPolicy
+from repro.atm.policy import ATMPolicy, StaticATMPolicy, make_policy
 from repro.atm.stats import ATMStats
 from repro.atm.tht import TaskHistoryTable, THTEntry
 from repro.runtime.atm_protocol import ATMAction, ATMCommitInfo, ATMDecision
 from repro.runtime.task import Task
 
-__all__ = ["ATMEngine"]
+__all__ = ["ATMEngine", "build_engine", "copy_outputs_from_entry"]
 
 
 class ATMEngine:
@@ -91,7 +91,7 @@ class ATMEngine:
                     atm_handled=True,
                     payload={"key": key, "entry": entry, "ikt_registered": False},
                 )
-            copied = self._copy_outputs_from_entry(task, entry)
+            copied = copy_outputs_from_entry(task, entry)
             self.stats.record_tht_hit(
                 task.task_type.name, entry.producer_index, task.creation_index, copied
             )
@@ -179,7 +179,7 @@ class ATMEngine:
         with self._petition_lock:
             waiters = self._petitions.pop(task.task_id, [])
         for waiter in waiters:
-            copied = self._copy_outputs_from_entry(waiter, committed)
+            copied = copy_outputs_from_entry(waiter, committed)
             forwarded += copied
             completed += 1
             if self._deferred_callback is not None:
@@ -212,26 +212,6 @@ class ATMEngine:
             return self._petitions.pop(task.task_id, [])
 
     # -- helpers ---------------------------------------------------------------------
-    @staticmethod
-    def _copy_outputs_from_entry(task: Task, entry: THTEntry) -> int:
-        """``copyOuts()``: overwrite the task outputs with the stored ones."""
-        outputs = task.outputs
-        if len(outputs) != len(entry.outputs):
-            raise MemoizationError(
-                f"output arity mismatch for {task.label}: task has {len(outputs)} "
-                f"outputs, THT entry has {len(entry.outputs)}"
-            )
-        copied = 0
-        for access, stored in zip(outputs, entry.outputs):
-            if access.region.array.size != stored.size:
-                raise MemoizationError(
-                    f"output size mismatch for {task.label}: {access.region.shape} "
-                    f"vs stored {stored.shape}"
-                )
-            access.region.copy_from(stored)
-            copied += int(stored.nbytes)
-        return copied
-
     @staticmethod
     def _measure_training_error(task: Task, entry: THTEntry) -> float:
         """Chebyshev error between the freshly computed and stored outputs."""
@@ -299,3 +279,44 @@ class ATMEngine:
             f"buckets=2^{self.config.tht_bucket_bits}, M={self.config.tht_bucket_capacity}, "
             f"ikt={'on' if self.ikt is not None else 'off'})"
         )
+
+
+def copy_outputs_from_entry(task: Task, entry: THTEntry) -> int:
+    """``copyOuts()``: overwrite the task outputs with the stored ones."""
+    outputs = task.outputs
+    if len(outputs) != len(entry.outputs):
+        raise MemoizationError(
+            f"output arity mismatch for {task.label}: task has {len(outputs)} "
+            f"outputs, THT entry has {len(entry.outputs)}"
+        )
+    copied = 0
+    for access, stored in zip(outputs, entry.outputs):
+        if access.region.array.size != stored.size:
+            raise MemoizationError(
+                f"output size mismatch for {task.label}: {access.region.shape} "
+                f"vs stored {stored.shape}"
+            )
+        access.region.copy_from(stored)
+        copied += int(stored.nbytes)
+    return copied
+
+
+def build_engine(
+    config: ATMConfig, num_threads: int, journal: bool = False
+) -> Optional[ATMEngine]:
+    """The one assembly path: ``ATMConfig`` -> policy -> :class:`ATMEngine`.
+
+    ``config.mode`` names the policy in the registry (``"none"`` installs no
+    engine), ``num_threads`` sizes the in-flight key table and ``journal``
+    makes :meth:`ATMEngine.snapshot` ship incremental deltas.  The Session,
+    a gateway tenant and a worker replica all come through here.
+    """
+    if config.mode == "none":
+        return None
+    policy = make_policy(
+        config.mode, config, p=config.p if config.mode == "fixed_p" else None
+    )
+    engine = ATMEngine(config=config, policy=policy, num_threads=num_threads)
+    if journal:
+        engine.enable_delta_snapshots()
+    return engine

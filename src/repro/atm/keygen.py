@@ -356,17 +356,14 @@ class HashKeyGenerator:
             return HashKey(value=value, p=p, sampled_bytes=0, total_bytes=0)
         count = self.selected_byte_count(total_bytes, p)
 
-        tokens: Optional[tuple] = None
-        whole_key: Optional[tuple] = None
-        if self.config.key_cache:
-            tokens = tuple(access.region.version_token for access in inputs)
-            whole_key = ("K", task.task_type.name, total_bytes, count, tokens)
-            cached = self._key_cache_get(whole_key)
-            if cached is not None:
-                return HashKey(
-                    value=cached, p=p, sampled_bytes=int(count),
-                    total_bytes=int(total_bytes),
-                )
+        tokens = tuple(access.region.version_token for access in inputs)
+        whole_key = ("K", task.task_type.name, total_bytes, count, tokens)
+        cached = self._key_cache_get(whole_key)
+        if cached is not None:
+            return HashKey(
+                value=cached, p=p, sampled_bytes=int(count),
+                total_bytes=int(total_bytes),
+            )
 
         if count >= total_bytes:
             # Full sampling: every byte is read in input order, streamed view
@@ -380,8 +377,7 @@ class HashKeyGenerator:
             sizes = tuple(access.nbytes for access in inputs)
             value = self._compute_exact(task, record, sizes, count, tokens)
 
-        if whole_key is not None:
-            self._cache_put(whole_key, value, nbytes=64)
+        self._cache_put(whole_key, value, nbytes=64)
         return HashKey(
             value=value, p=p, sampled_bytes=int(count), total_bytes=int(total_bytes)
         )
@@ -395,7 +391,7 @@ class HashKeyGenerator:
         sizes: tuple[int, ...],
         count: int,
         ordinal: int,
-        token: Optional[tuple],
+        token: tuple,
     ) -> np.ndarray:
         """This input's sampled bytes, served from the version cache if clean.
 
@@ -403,8 +399,6 @@ class HashKeyGenerator:
         the same type and total size may split those bytes differently, and
         the same region then contributes different local offsets per layout.
         """
-        if token is None:
-            return view[locals_]
         cache_key = ("S", record.uid, sizes, count, ordinal, token)
         segment = self._digest_cache_get(cache_key)
         if segment is not None:
@@ -419,7 +413,7 @@ class HashKeyGenerator:
         record: ShuffleRecord,
         sizes: tuple[int, ...],
         count: int,
-        tokens: Optional[tuple],
+        tokens: tuple,
     ) -> int:
         """Seed-identical key: hash the interleaved sampled byte stream.
 
@@ -431,13 +425,9 @@ class HashKeyGenerator:
         body = np.empty(count, dtype=np.uint8)
         if len(inputs) == 1:
             view = inputs[0].region.to_bytes_view()
-            locals_ = record.indices[:count]
-            if tokens is None:
-                np.take(view, locals_, out=body)
-            else:
-                body[:] = self._sampled_segment(
-                    view, locals_, record, sizes, count, 0, tokens[0]
-                )
+            body[:] = self._sampled_segment(
+                view, record.indices[:count], record, sizes, count, 0, tokens[0]
+            )
         elif count * _DENSE_SAMPLE_DIVISOR >= record.total_bytes:
             # Dense sample: a sequential concatenation plus one gather moves
             # fewer random bytes than per-input gather + scatter.
@@ -450,7 +440,7 @@ class HashKeyGenerator:
             for ordinal, positions, locals_ in record.plan_for(sizes, count):
                 segment = self._sampled_segment(
                     views[ordinal], locals_, record, sizes, count, ordinal,
-                    tokens[ordinal] if tokens is not None else None,
+                    tokens[ordinal],
                 )
                 body[positions] = segment
         return self._hash_views((body,))

@@ -148,7 +148,7 @@ def _make_fixed_p(config: Optional[ATMConfig], p: Optional[float]) -> ATMPolicy:
 
 
 # Builtin policies resolved by name through the policy registry; plugins add
-# their own with repro.session.register_policy(name, factory) and the name
+# their own with repro.session.POLICIES.register(name, factory) and the name
 # becomes a valid ``ATMConfig.mode`` / ``Session(policy=...)`` value.
 POLICIES.register("none", lambda config, p: NoATMPolicy(config), replace=True)
 POLICIES.register("static", lambda config, p: StaticATMPolicy(config), replace=True)
@@ -163,7 +163,7 @@ def make_policy(
 ) -> ATMPolicy:
     """Factory used by the harness: build a policy from a mode name.
 
-    Any name registered through :func:`repro.session.register_policy` is
+    Any name registered through ``repro.session.POLICIES.register`` is
     accepted alongside the four builtin modes.
     """
     name = mode.value if isinstance(mode, ATMMode) else str(mode)

@@ -12,7 +12,7 @@ backends behind one tiny interface, selected by the ``atm.tht_store`` URL:
   deterministically): one header frame ``("tht_store", {schema, geometry})``
   followed by any number of delta frames ``("tht_delta", delta)``.  Flushes
   *append* one delta frame (a single ``write`` on an ``O_APPEND`` handle);
-  when the file accumulates more than ``tht_store_compact_frames`` deltas it
+  when the file accumulates more than :data:`COMPACT_AFTER_FRAMES` deltas it
   is rewritten as one consolidated snapshot via a temp file and an atomic
   ``os.replace`` — readers never observe a half-written store.
 
@@ -62,6 +62,7 @@ from repro.runtime.net_wire import (
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "SHARD_PROTOCOL_VERSION",
+    "COMPACT_AFTER_FRAMES",
     "FileTHTStore",
     "ShardTHTStore",
     "open_store",
@@ -80,6 +81,11 @@ STORE_SCHEMA_VERSION = 1
 
 #: Handshake version of the cache-shard wire vocabulary.
 SHARD_PROTOCOL_VERSION = 1
+
+#: Append-then-compact bound of the ``file://`` store: a flush that leaves
+#: more than this many frames in the file rewrites it (atomically) as one
+#: consolidated snapshot.
+COMPACT_AFTER_FRAMES = 8
 
 _HEADER_KIND = "tht_store"
 _DELTA_KIND = "tht_delta"
@@ -183,7 +189,7 @@ def publish_increment(store, tht) -> bool:
     Returns ``False`` — after closing the store and warning once — when the
     publish failed: the caller detaches the store and carries on in memory.
     """
-    if not tht._journal:
+    if not tht.journaled:
         return True
     try:
         store.publish(tht.snapshot(reset=True))
@@ -300,7 +306,7 @@ class FileTHTStore:
                     handle.write(frame)
                     handle.flush()
                     os.fsync(handle.fileno())
-                compact_after = len(existing) > self.config.tht_store_compact_frames
+                compact_after = len(existing) > COMPACT_AFTER_FRAMES
         if compact_after:
             self.compact()
         return len(entries)

@@ -193,6 +193,13 @@ class TaskHistoryTable:
             if self._journal is None:
                 self._journal = []
 
+    @property
+    def journaled(self) -> int:
+        """Commits journaled since the last ``snapshot(reset=True)`` (0 with
+        the journal off)."""
+        with self._journal_lock:
+            return len(self._journal or ())
+
     def _sweep_counters(self, reset: bool, collect_entries: bool) -> tuple[list[THTEntry], dict]:
         """Capture (and optionally reset) all counters in per-bucket passes.
 

@@ -1,23 +1,42 @@
-"""Configuration objects for the runtime, the ATM engine and the simulator.
+"""The configuration surface: four sections and the tree that holds them.
 
-All knobs of the paper's Section III / IV live here so experiments can be
-described declaratively:
+Everything a run can set lives here, so experiments are described
+declaratively.  The sections carry the paper's Section III / IV parameters —
+THT geometry (``2^N`` buckets of ``M`` entries), IKT on/off, the sampling
+fraction ``p``, the training schedule's ``tau_max`` / ``L_training``,
+type-aware selection, the hash function — plus the backend, supervision,
+serving and simulated-machine settings; what the paper fixes (``p0 = 2^-15``,
+unstable-output tracking) is not a field.
 
-* THT geometry (``2^N`` buckets of ``M`` entries, per-bucket locks);
-* IKT sizing (one entry per thread);
-* input-sampling percentage ``p`` and its training schedule
-  (``p0 = 2^-15``, doubling, at most 15 steps, ``L_training`` successes);
-* the per-task error threshold ``tau_max``;
-* the simulated machine (cores, memoization copy bandwidth, hash bandwidth,
-  task-creation throughput, memory-contention model).
+A :class:`ReproConfig` aggregates the sections into one tree that round-trips
+losslessly through three exchange formats:
+
+* **dict**  — ``ReproConfig.from_dict(cfg.to_dict()) == cfg``;
+* **file**  — TOML (read via :mod:`tomllib`) and JSON, dispatched on the
+  file suffix: ``ReproConfig.from_file("run.toml")`` /
+  ``cfg.to_file("run.json")``;
+* **env**   — flat ``REPRO_<SECTION>_<FIELD>`` variables:
+  ``ReproConfig.from_env(cfg.to_env()) == cfg``, and
+  ``ReproConfig.from_env()`` reads ``os.environ`` so deployments can
+  override any knob without touching code.
+
+Unknown sections or fields raise
+:class:`~repro.common.exceptions.ConfigurationError` naming the offending
+field; value errors surface from the sections' own ``validate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import dataclasses
+import json
+import os
+import tomllib
+import typing
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, Mapping, Optional
 
-from repro.common.exceptions import ConfigurationError
+from repro.common.exceptions import ConfigurationError, THTStoreError
 from repro.common.registry import EXECUTORS, POLICIES, SCHEDULERS
 
 __all__ = [
@@ -25,6 +44,8 @@ __all__ = [
     "RuntimeConfig",
     "ServingConfig",
     "SimulationConfig",
+    "ReproConfig",
+    "ENV_PREFIX",
     "MIN_P",
     "P_LADDER",
 ]
@@ -35,9 +56,23 @@ MIN_P: float = 2.0 ** -15
 #: The 16-step ladder of sampling fractions 2^-15, 2^-14, ..., 2^-1, 1.0.
 P_LADDER: tuple[float, ...] = tuple(2.0 ** exp for exp in range(-15, 1))
 
+#: Default prefix of the flat environment-variable encoding.
+ENV_PREFIX = "REPRO_"
+
+
+class _Section:
+    """What every config section does: validate on construction and copy."""
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def with_overrides(self, **kwargs):
+        """Return a copy with the given fields replaced (validated)."""
+        return dataclasses.replace(self, **kwargs)
+
 
 @dataclass
-class ATMConfig:
+class ATMConfig(_Section):
     """Configuration of the ATM engine (Sections III-A to III-D).
 
     Attributes
@@ -63,8 +98,6 @@ class ATMConfig:
     l_training:
         Number of correctly approximated tasks required before Dynamic ATM
         freezes ``p`` and enters the steady-state phase.
-    p_initial:
-        First sampling fraction explored during training (paper: ``2^-15``).
     type_aware:
         Enable MSB-first type-aware input selection (Section III-C).
     hash_function:
@@ -72,19 +105,14 @@ class ATMConfig:
         ``"lookup3"`` (exact Jenkins lookup3) or ``"one_at_a_time"``.
     hash_seed:
         Seed mixed into every hash key.
-    track_unstable_outputs:
-        Maintain the set of output pointers whose training error exceeded
-        ``tau_max`` and refuse to memoize tasks writing to them (Section
-        III-D, needed by Jacobi).
     shuffle_seed:
         Seed of the per-task-type index shuffle (stored once per task type).
-    key_cache:
-        Enable the region-version keyed caches (whole-key and per-region
-        sample bytes).  Requires every write to go through a
-        declared ``out``/``inout`` access or :meth:`DataRegion.copy_from`,
-        which is already the dependence-system contract.
     key_cache_budget_bytes:
-        LRU budget shared by all key-cache entries.
+        LRU budget shared by all entries of the region-version keyed caches
+        (whole keys and per-region sample bytes).  The caches rely on every
+        write going through a declared ``out``/``inout`` access or
+        :meth:`DataRegion.copy_from`, which is the dependence-system
+        contract.
     shuffle_cache_entries:
         LRU bound on the number of stored shuffle records (one per
         ``(task type, total input bytes)``), fixing the unbounded growth the
@@ -97,10 +125,6 @@ class ATMConfig:
         running ``scripts/tht_shard.py`` cache-shard daemon so concurrent
         sessions and gateways share one warm tier.  A corrupt or unreachable
         store degrades to a cold start — it never fails the run.
-    tht_store_compact_frames:
-        Append-then-compact bound of the ``file://`` store: when a flush
-        leaves more than this many delta frames in the file, it is rewritten
-        (atomically) as one consolidated snapshot.
     """
 
     mode: str = "none"
@@ -110,20 +134,13 @@ class ATMConfig:
     p: float = 1.0
     tau_max: float = 0.01
     l_training: int = 15
-    p_initial: float = MIN_P
     type_aware: bool = True
     hash_function: str = "numpy"
     hash_seed: int = 0x5EED
-    track_unstable_outputs: bool = True
     shuffle_seed: int = 0xC0FFEE
-    key_cache: bool = True
     key_cache_budget_bytes: int = 32 << 20
     shuffle_cache_entries: int = 256
     tht_store: Optional[str] = None
-    tht_store_compact_frames: int = 8
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         POLICIES.validate_name(self.mode, field="mode")
@@ -137,10 +154,6 @@ class ATMConfig:
             )
         if not (0.0 < self.p <= 1.0):
             raise ConfigurationError(f"p must be in (0, 1], got {self.p}")
-        if not (0.0 < self.p_initial <= 1.0):
-            raise ConfigurationError(
-                f"p_initial must be in (0, 1], got {self.p_initial}"
-            )
         if self.tau_max < 0.0:
             raise ConfigurationError(f"tau_max must be >= 0, got {self.tau_max}")
         if self.l_training < 1:
@@ -158,35 +171,26 @@ class ATMConfig:
         if self.tht_store is not None:
             # Deferred: repro.atm.store imports this module.
             from repro.atm.store import parse_store_url
-            from repro.common.exceptions import THTStoreError
 
             try:
                 parse_store_url(self.tht_store)
             except THTStoreError as exc:
                 raise ConfigurationError(str(exc)) from exc
-        if self.tht_store_compact_frames < 1:
-            raise ConfigurationError(
-                f"tht_store_compact_frames must be >= 1, "
-                f"got {self.tht_store_compact_frames}"
-            )
 
     @property
     def n_buckets(self) -> int:
         return 1 << self.tht_bucket_bits
 
-    def with_overrides(self, **kwargs) -> "ATMConfig":
-        """Return a copy with the given fields replaced (validated)."""
-        return replace(self, **kwargs)
-
 
 @dataclass
-class RuntimeConfig:
+class RuntimeConfig(_Section):
     """Configuration of the task runtime itself.
 
     Attributes
     ----------
     num_threads:
-        Worker threads / worker processes / simulated cores.
+        Worker threads / worker processes / loopback network workers /
+        simulated cores: one worker count for every backend.
     executor:
         Execution backend selected by :func:`repro.runtime.executor.build_executor`:
         ``"serial"``, ``"threaded"``, ``"process"`` or ``"simulated"``
@@ -198,21 +202,15 @@ class RuntimeConfig:
         Record per-core state intervals and ready-queue depth samples.
     seed:
         Seed for any stochastic scheduling decisions (work stealing).
-    mp_workers:
-        Worker-process count for the ``"process"`` backend (``None`` falls
-        back to ``num_threads``).
     mp_chunk_size:
         Maximum ready tasks batched into one dispatch message of the
         process backend (amortises queue/pickle overhead on wide graphs;
         narrow/wavefront graphs still dispatch singles, see DESIGN.md §4.3).
-    mp_start_method:
-        ``multiprocessing`` start method for the process backend (``None``
-        picks ``"fork"`` where available, else ``"spawn"``).
     net_endpoints:
         Worker endpoints for the ``"network"`` backend (DESIGN.md §4.5).
         Either ``"loopback"`` / ``"loopback:<n>"`` — spawn ``n`` in-process
-        loopback workers (default: ``mp_workers`` falling back to
-        ``num_threads``) speaking the real wire protocol over socketpairs —
+        loopback workers (default: ``num_threads``) speaking the real wire
+        protocol over socketpairs —
         or a comma-separated list of ``host:port`` addresses of
         ``scripts/net_worker.py`` daemons.
     net_timeout_s:
@@ -232,9 +230,6 @@ class RuntimeConfig:
         ResidencyTable`, and dispatch ships bytes only for *stale* spans —
         plus routes ready chunks to the endpoint already holding their
         input bytes.  Off restores the ship-everything round-robin backend.
-    net_residency_budget_bytes:
-        Per-endpoint byte budget of the residency table; least-recently
-        used entries beyond it are evicted (and invalidated on the worker).
     task_timeout_s:
         Per-task wall-clock budget enforced by the supervision layer
         (DESIGN.md §7).  ``None`` (default) disables per-task timeouts.  The
@@ -270,22 +265,16 @@ class RuntimeConfig:
     scheduler: str = "fifo"
     enable_tracing: bool = False
     seed: int = 2017
-    mp_workers: Optional[int] = None
     mp_chunk_size: int = 8
-    mp_start_method: Optional[str] = None
     net_endpoints: str = "loopback"
     net_timeout_s: float = 30.0
     net_max_retries: int = 2
     net_residency: bool = True
-    net_residency_budget_bytes: int = 256 << 20
     task_timeout_s: Optional[float] = None
     task_max_retries: int = 0
     retry_backoff_s: float = 0.05
     drain_timeout_s: float = 300.0
     on_task_failure: str = "abort"
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         if self.num_threads < 1:
@@ -294,14 +283,8 @@ class RuntimeConfig:
             )
         EXECUTORS.validate_name(self.executor, field="executor")
         SCHEDULERS.validate_name(self.scheduler, field="scheduler")
-        if self.mp_workers is not None and self.mp_workers < 1:
-            raise ConfigurationError("mp_workers must be >= 1 or None")
         if self.mp_chunk_size < 1:
             raise ConfigurationError("mp_chunk_size must be >= 1")
-        if self.mp_start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ConfigurationError(
-                f"unknown mp_start_method {self.mp_start_method!r}"
-            )
         if not self.net_endpoints or not self.net_endpoints.strip():
             raise ConfigurationError(
                 "net_endpoints must name at least one endpoint "
@@ -314,11 +297,6 @@ class RuntimeConfig:
         if self.net_max_retries < 0:
             raise ConfigurationError(
                 f"net_max_retries must be >= 0, got {self.net_max_retries}"
-            )
-        if self.net_residency_budget_bytes < 1:
-            raise ConfigurationError(
-                f"net_residency_budget_bytes must be >= 1, "
-                f"got {self.net_residency_budget_bytes}"
             )
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ConfigurationError(
@@ -342,12 +320,9 @@ class RuntimeConfig:
                 f"got {self.on_task_failure!r}"
             )
 
-    def with_overrides(self, **kwargs) -> "RuntimeConfig":
-        return replace(self, **kwargs)
-
 
 @dataclass
-class ServingConfig:
+class ServingConfig(_Section):
     """Configuration of the multi-tenant serving gateway (DESIGN.md §8).
 
     Attributes
@@ -370,11 +345,9 @@ class ServingConfig:
     quantum:
         Deficit-round-robin quantum: credits (task admissions) granted per
         scheduling round to a weight-1.0 tenant.  A tenant's per-round
-        credit is ``quantum * weight``; unused credit carries over while the
+        credit is ``quantum * weight`` (weight 1.0 unless the tenant's
+        ``hello`` requests one); unused credit carries over while the
         tenant has queued work, so bursty tenants are not penalised.
-    default_weight:
-        Fair-share weight assigned to tenants whose ``hello`` does not
-        request one.
     shared_tht:
         Default for the opt-in shared THT tier: when on, a tenant-engine
         miss probes the gateway-wide shared table before executing, and the
@@ -383,15 +356,8 @@ class ServingConfig:
     merge_interval_s:
         Period of the incremental ATM merge pump: at least this often every
         tenant engine's journaled delta (``snapshot(reset=True)``) is merged
-        into the shared tier — no drain barrier required.
-    merge_min_commits:
-        Size trigger of the merge pump: a tenant engine whose journal
-        accumulates this many commits is merged immediately instead of
-        waiting for the timer.
-    result_history:
-        Per-tenant reservoir of completed-task latencies kept for ``stats``
-        replies (p50/p99); bounded so long-lived tenants use constant
-        memory.
+        into the shared tier — no drain barrier required (sooner for a
+        journal that reaches the gateway's ``MERGE_MIN_COMMITS``).
     shutdown_grace_s:
         On SIGTERM/SIGINT the gateway stops admitting, waits up to this many
         seconds for in-flight tasks to finish, flushes ATM deltas and
@@ -403,15 +369,9 @@ class ServingConfig:
     max_pending: int = 256
     max_tenant_queue: int = 4096
     quantum: int = 32
-    default_weight: float = 1.0
     shared_tht: bool = False
     merge_interval_s: float = 0.05
-    merge_min_commits: int = 64
-    result_history: int = 1024
     shutdown_grace_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         if not self.host or not self.host.strip():
@@ -430,33 +390,18 @@ class ServingConfig:
             )
         if self.quantum < 1:
             raise ConfigurationError(f"quantum must be >= 1, got {self.quantum}")
-        if self.default_weight <= 0:
-            raise ConfigurationError(
-                f"default_weight must be > 0, got {self.default_weight}"
-            )
         if self.merge_interval_s <= 0:
             raise ConfigurationError(
                 f"merge_interval_s must be > 0, got {self.merge_interval_s}"
-            )
-        if self.merge_min_commits < 1:
-            raise ConfigurationError(
-                f"merge_min_commits must be >= 1, got {self.merge_min_commits}"
-            )
-        if self.result_history < 1:
-            raise ConfigurationError(
-                f"result_history must be >= 1, got {self.result_history}"
             )
         if self.shutdown_grace_s < 0:
             raise ConfigurationError(
                 f"shutdown_grace_s must be >= 0, got {self.shutdown_grace_s}"
             )
 
-    def with_overrides(self, **kwargs) -> "ServingConfig":
-        return replace(self, **kwargs)
-
 
 @dataclass
-class SimulationConfig:
+class SimulationConfig(_Section):
     """Cost model of the discrete-event simulated multicore.
 
     The simulator replaces the paper's real Sandy Bridge testbed (see
@@ -497,9 +442,6 @@ class SimulationConfig:
     creation_throughput: float = 8.0
     memory_contention_factor: float = 0.09
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
         for name in (
             "copy_bandwidth",
@@ -517,5 +459,214 @@ class SimulationConfig:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
 
-    def with_overrides(self, **kwargs) -> "SimulationConfig":
-        return replace(self, **kwargs)
+
+@dataclass
+class ReproConfig:
+    """One declarative description of a whole run (see module docstring)."""
+
+    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
+    atm: ATMConfig = field(default_factory=ATMConfig)
+    simulation: SimulationConfig = field(default_factory=SimulationConfig)
+    serving: ServingConfig = field(default_factory=ServingConfig)
+
+    # -- dict ----------------------------------------------------------------------
+    def to_dict(self) -> dict[str, dict[str, Any]]:
+        """Nested plain-dict form (sections of scalar fields)."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ReproConfig":
+        """Build from a (possibly partial) nested dict; unknown keys raise."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"config root must be a mapping, got {type(data).__name__}"
+            )
+        return cls(**{s: _build_section(s, values) for s, values in data.items()})
+
+    # -- file ----------------------------------------------------------------------
+    @classmethod
+    def from_file(cls, path: "str | Path") -> "ReproConfig":
+        """Load a TOML or JSON config file (dispatched on the suffix)."""
+        path = Path(path)
+        kind = _file_format(path)
+        loads = tomllib.loads if kind == ".toml" else json.loads
+        try:
+            data = loads(path.read_text())
+        except ValueError as exc:  # TOMLDecodeError and JSONDecodeError both
+            raise ConfigurationError(
+                f"{path}: invalid {kind[1:].upper()}: {exc}"
+            ) from exc
+        return cls.from_dict(data)
+
+    def to_file(self, path: "str | Path") -> Path:
+        """Write the config as TOML or JSON (dispatched on the suffix).
+
+        ``None`` fields are omitted from TOML (it has no null); loading the
+        file back restores them to their defaults, which — because only
+        Optional-typed fields can hold ``None`` and their defaults are
+        ``None`` — round-trips exactly.
+        """
+        path = Path(path)
+        data = self.to_dict()
+        if _file_format(path) == ".toml":
+            lines: list[str] = []
+            for section, values in data.items():
+                lines.append(f"[{section}]")
+                lines.extend(
+                    f"{name} = {_toml_scalar(value)}"
+                    for name, value in values.items()
+                    if value is not None
+                )
+                lines.append("")
+            path.write_text("\n".join(lines))
+        else:
+            path.write_text(json.dumps(data, indent=2) + "\n")
+        return path
+
+    # -- environment ------------------------------------------------------------------
+    def to_env(self, prefix: str = ENV_PREFIX) -> dict[str, str]:
+        """Flat ``PREFIX_SECTION_FIELD -> str`` encoding (``None`` omitted)."""
+        return {
+            f"{prefix}{section}_{name}".upper(): str(value)
+            for section, values in self.to_dict().items()
+            for name, value in values.items()
+            if value is not None
+        }
+
+    @classmethod
+    def from_env(
+        cls,
+        env: Optional[Mapping[str, str]] = None,
+        prefix: str = ENV_PREFIX,
+        base: Optional["ReproConfig"] = None,
+    ) -> "ReproConfig":
+        """Build from flat environment variables, over ``base``'s values.
+
+        Reads ``os.environ`` when ``env`` is not given.  Unrecognised
+        ``PREFIX``-prefixed keys raise, so typos never silently no-op.
+        """
+        if env is None:
+            env = os.environ
+        merged = (base or cls()).to_dict()
+        for key, raw in env.items():
+            if not key.startswith(prefix):
+                continue
+            entry = _ENV_FIELDS.get(key[len(prefix):])
+            if entry is None:
+                # Section names hold no underscore, so the first one splits.
+                section, _, name = key[len(prefix):].lower().partition("_")
+                if section in _SECTIONS:
+                    raise ConfigurationError(f"{key}: {_unknown_field(section, name)}")
+                raise ConfigurationError(
+                    f"{key}: unknown config section (expected "
+                    f"{', '.join(prefix + s.upper() for s in _SECTIONS)}...)"
+                )
+            section, name, hint = entry
+            merged[section][name] = _coerce_env_value(raw, hint, f"{section}.{name}")
+        return cls.from_dict(merged)
+
+    # -- convenience --------------------------------------------------------------------
+    def with_overrides(self, **sections: Mapping[str, Any]) -> "ReproConfig":
+        """Copy with per-section field overrides.
+
+        >>> cfg = ReproConfig().with_overrides(runtime={"num_threads": 2})
+        >>> cfg.runtime.num_threads
+        2
+        """
+        merged = self.to_dict()
+        for section, values in sections.items():
+            merged.setdefault(section, {}).update(values)
+        return type(self).from_dict(merged)
+
+    @classmethod
+    def coerce(
+        cls, source: "ReproConfig | Mapping | str | Path | None"
+    ) -> "ReproConfig":
+        """Accept a config tree, nested dict, file path or ``None``."""
+        if source is None:
+            return cls()
+        if isinstance(source, cls):
+            return source
+        if isinstance(source, Mapping):
+            return cls.from_dict(source)
+        if isinstance(source, (str, Path)):
+            return cls.from_file(source)
+        raise ConfigurationError(
+            f"cannot build a ReproConfig from {type(source).__name__}"
+        )
+
+
+#: Section name -> section dataclass, read off :class:`ReproConfig` itself.
+_SECTIONS: dict[str, type] = typing.get_type_hints(ReproConfig)
+
+#: ``SECTION_FIELD`` as spelled in the environment -> (section, field, type).
+_ENV_FIELDS: dict[str, tuple[str, str, Any]] = {
+    f"{section}_{name}".upper(): (section, name, hint)
+    for section, section_type in _SECTIONS.items()
+    for name, hint in typing.get_type_hints(section_type).items()
+}
+
+
+def _unknown_field(section: str, name: str) -> str:
+    return f"{section}.{name} is not a recognised {_SECTIONS[section].__name__} field"
+
+
+def _build_section(section: str, data: Mapping[str, Any]) -> Any:
+    """Instantiate one section from a mapping, naming what is unknown."""
+    if section not in _SECTIONS:
+        raise ConfigurationError(
+            f"unknown config section {section!r}; "
+            f"expected one of: {', '.join(_SECTIONS)}"
+        )
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{section}: expected a mapping of fields, got {type(data).__name__}"
+        )
+    known = {f.name for f in dataclasses.fields(_SECTIONS[section])}
+    for name in data:
+        if name not in known:
+            raise ConfigurationError(_unknown_field(section, name))
+    try:
+        return _SECTIONS[section](**data)
+    except TypeError as exc:  # a value of the wrong type met a range check
+        raise ConfigurationError(f"{section}: {exc}") from exc
+
+
+def _file_format(path: Path) -> str:
+    """The file's lower-cased suffix, when it names a supported format."""
+    suffix = path.suffix.lower()
+    if suffix not in (".toml", ".json"):
+        raise ConfigurationError(
+            f"{path}: unsupported config format {suffix!r} (use .toml or .json)"
+        )
+    return suffix
+
+
+def _toml_scalar(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise ConfigurationError(f"cannot serialise {value!r} to TOML")
+
+
+def _coerce_env_value(raw: str, hint: Any, field_name: str) -> Any:
+    """Parse one environment-variable string according to the field type."""
+    optional = typing.get_origin(hint) is typing.Union  # Optional[X]
+    inner = typing.get_args(hint)[0] if optional else hint
+    text = raw.strip()
+    if optional and text.lower() in ("", "none", "null"):
+        return None
+    try:
+        if inner is bool:
+            lowered = text.lower()
+            if lowered in ("1", "true", "yes", "on"):
+                return True
+            if lowered in ("0", "false", "no", "off"):
+                return False
+            raise ValueError(f"not a boolean: {text!r}")
+        return inner(text)  # int, float or str
+    except ValueError as exc:
+        raise ConfigurationError(f"{field_name}: cannot parse {raw!r}: {exc}") from exc

@@ -466,7 +466,7 @@ class ThreadedExecutor(BaseExecutor):
 # §4).  ``"process"`` and ``"simulated"`` import their modules lazily to keep
 # the module dependency graph acyclic; plugin backends (e.g. a network
 # transport on the mp_executor seam) are added with
-# repro.session.register_executor(name, factory) and become valid
+# repro.session.EXECUTORS.register(name, factory) and become valid
 # ``RuntimeConfig.executor`` values automatically.
 
 
@@ -501,7 +501,7 @@ EXECUTORS.register(
 EXECUTORS.register("process", _make_process, replace=True)
 EXECUTORS.register("simulated", _make_simulated, replace=True)
 # The network backend lands on the same registration seam DESIGN.md §6.2
-# documents for out-of-tree plugins (register_executor("network", factory));
+# documents for out-of-tree plugins (EXECUTORS.register("network", factory));
 # shipping in-tree it registers here like every other builtin.
 EXECUTORS.register("network", _make_network, replace=True)
 

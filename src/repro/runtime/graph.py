@@ -236,13 +236,18 @@ class TaskDependenceGraph:
             self._on_complete(task)
         return released
 
-    def fail_task(self, task: Task) -> list[Task]:
+    def fail_task(
+        self, task: Task, record: Optional[Callable[[list[Task]], None]] = None
+    ) -> list[Task]:
         """Quarantine: mark ``task`` FAILED and cancel its dependent subgraph.
 
         The failed task and every transitive successor become terminal
         (``FAILED`` / ``CANCELLED``) without being released to the scheduler,
         so a drain completes with the independent tasks only.  Write versions
         are *not* bumped — a failed task's outputs carry no committed value.
+        ``record`` is called with the cancelled tasks inside the transition,
+        before any barrier wakes or ``on_complete`` fires: whoever observes
+        the failed state also finds its failure report.
         Returns the cancelled tasks (the failed task itself excluded).
         """
         with self._lock:
@@ -265,6 +270,8 @@ class TaskDependenceGraph:
                     self._finished_count += 1
                     cancelled.append(succ)
                     stack.append(succ)
+            if record is not None:
+                record(cancelled)
             if self.all_finished:
                 self._all_done.notify_all()
         if self._on_complete is not None:

@@ -51,7 +51,7 @@ import time
 import traceback
 from typing import Optional
 
-from repro.common.config import RuntimeConfig
+from repro.common.config import ATMConfig, RuntimeConfig
 from repro.common.exceptions import (
     RuntimeStateError,
     TaskTimeoutError,
@@ -61,12 +61,11 @@ from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.remote_task import (
-    EngineSpec,
     TaskDescriptor,
     build_worker_engine,
     describe_task,
-    make_engine_spec,
     run_descriptor,
+    worker_engine_config,
 )
 from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable, WorkerArena
 from repro.runtime.supervision import POLL_INTERVAL, TIMEOUT_GRACE
@@ -83,7 +82,7 @@ def _worker_main(
     version_name: str,
     version_capacity: int,
     version_lock,
-    engine_spec: Optional[EngineSpec],
+    engine_config: Optional[ATMConfig],
     report_start: bool,
 ) -> None:
     """Worker process entry point: pull chunks until the shutdown pill.
@@ -109,7 +108,7 @@ def _worker_main(
 
     version_table = SharedVersionTable.attach(version_name, version_capacity, version_lock)
     arena = WorkerArena(version_table)
-    engine = build_worker_engine(engine_spec)
+    engine = build_worker_engine(engine_config)
     task_types: dict[str, TaskType] = {}
     try:
         while True:
@@ -174,10 +173,8 @@ class ProcessExecutor(BaseExecutor):
                 "worker processes where CoreState spans cannot be recorded; "
                 "use the threaded or simulated backend for Figure 7/8 traces"
             )
-        self.num_workers = self.config.mp_workers or self.config.num_threads
-        method = self.config.mp_start_method
-        if method is None:
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        self.num_workers = self.config.num_threads
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(method)
         self._version_table = SharedVersionTable(
             capacity=self.VERSION_TABLE_CAPACITY, context=self._ctx
@@ -189,9 +186,9 @@ class ProcessExecutor(BaseExecutor):
         self._results, self._results_writer = self._ctx.Pipe(duplex=False)
         self._results_lock = self._ctx.Lock()
         self._processes: list = []
-        # Validates replicability early when an engine was passed; the spec
-        # itself is recomputed at spawn time (see _ensure_workers).
-        self._engine_spec = make_engine_spec(engine)
+        # Validates replicability early when an engine was passed; the
+        # config itself is recomputed at spawn time (see _ensure_workers).
+        self._engine_config = worker_engine_config(engine)
         # With a per-task timeout the offender must be identifiable, so
         # workers announce chunk starts and dispatch degrades to one task
         # per chunk (see module docstring).
@@ -237,7 +234,7 @@ class ProcessExecutor(BaseExecutor):
                 self._version_table.name,
                 self._version_table.capacity,
                 self._version_table.lock,
-                self._engine_spec,
+                self._engine_config,
                 self._report_start,
             ),
             daemon=True,
@@ -276,9 +273,9 @@ class ProcessExecutor(BaseExecutor):
             return
         # Recomputed at spawn time, not construction: Session assigns its
         # assembled engine to a pre-built engine-less executor *after*
-        # __init__, and a spec snapshotted there would silently run the
+        # __init__, and a config snapshotted there would silently run the
         # workers without ATM.
-        self._engine_spec = make_engine_spec(self.engine)
+        self._engine_config = worker_engine_config(self.engine)
         for worker_id in range(self.num_workers):
             self._spawn_worker(worker_id)
 

@@ -68,7 +68,7 @@ from repro.common.exceptions import (
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.remote_task import describe_task, make_engine_spec
+from repro.runtime.remote_task import describe_task, worker_engine_config
 from repro.runtime.supervision import POLL_INTERVAL, TIMEOUT_GRACE
 from repro.runtime.net_transport import (
     SocketEndpoint,
@@ -84,7 +84,7 @@ from repro.runtime.net_wire import (
     span_bytes,
 )
 from repro.runtime.data import _base_buffer, region_versions
-from repro.runtime.residency import ResidencyTable
+from repro.runtime.residency import RESIDENCY_BUDGET_BYTES, ResidencyTable
 from repro.runtime.task import Task
 
 __all__ = ["NetworkExecutor"]
@@ -141,8 +141,9 @@ class NetworkExecutor(BaseExecutor):
         #: instances may override it (the fault tests bound every scenario).
         self.drain_timeout = self.config.drain_timeout_s
         if endpoints is None:
-            workers = self.config.mp_workers or self.config.num_threads
-            endpoints = parse_endpoints(self.config.net_endpoints, workers)
+            endpoints = parse_endpoints(
+                self.config.net_endpoints, self.config.num_threads
+            )
         self._endpoints: list[SocketEndpoint] = list(endpoints)
         self._inbox: queue_module.Queue = queue_module.Queue()
         self._ep_state: dict[SocketEndpoint, _EndpointState] = {}
@@ -155,7 +156,7 @@ class NetworkExecutor(BaseExecutor):
         #: Per-endpoint residency table (None = residency off: every chunk
         #: ships its full union spans and placement is pure round-robin).
         self._residency: Optional[ResidencyTable] = (
-            ResidencyTable(self.config.net_residency_budget_bytes)
+            ResidencyTable(RESIDENCY_BUDGET_BYTES)
             if self.config.net_residency
             else None
         )
@@ -198,16 +199,15 @@ class NetworkExecutor(BaseExecutor):
         if self._started:
             return
         self._started = True
-        # The engine spec is computed at connection time, not construction:
-        # Session assigns its assembled engine to a pre-built engine-less
-        # executor *after* __init__, and a spec snapshotted there would
-        # silently run the workers without ATM.
-        engine_spec = make_engine_spec(self.engine)
+        # The engine config is computed at connection time, not
+        # construction: Session assigns its assembled engine to a pre-built
+        # engine-less executor *after* __init__, and a config snapshotted
+        # there would silently run the workers without ATM.
         hello = (
             "hello",
             {
                 "protocol": PROTOCOL_VERSION,
-                "engine": engine_spec,
+                "engine": worker_engine_config(self.engine),
                 "residency": self._residency is not None,
             },
         )

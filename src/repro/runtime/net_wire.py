@@ -27,7 +27,7 @@ of that story:
 Message vocabulary (client = the :class:`NetworkExecutor` parent, worker =
 a loopback thread or a ``scripts/net_worker.py`` daemon)::
 
-    client -> worker : ("hello", info)           handshake; carries the engine spec
+    client -> worker : ("hello", info)           handshake; carries the ATM config
                                                  and the residency flag
                        ("chunk", NetChunk)       one batch of task descriptors
                        ("invalidate", pairs)     drop cached buffers named by
@@ -98,7 +98,8 @@ __all__ = [
 #: tags and the ``invalidate`` message of the residency protocol.
 #: Version 3: chunks carry :class:`~repro.runtime.remote_task.TaskDescriptor`
 #: (the pickled descriptor classes moved import path).
-PROTOCOL_VERSION = 3
+#: Version 4: the hello's ``engine`` is the replica's ``ATMConfig``.
+PROTOCOL_VERSION = 4
 
 MAGIC = b"ATMW"
 _HEADER = struct.Struct("!4sII")

@@ -15,8 +15,10 @@ tenant's namespace — moves the same five things (DESIGN.md §4.6):
 * :func:`run_descriptor` — the worker half of the paper's Figure 1 step
   (eligibility gate → ``task_ready`` → run or copy stored outputs → bump
   write versions → ``task_finished``) against a per-worker engine replica;
-* an :class:`EngineSpec` — the recipe for that replica, whose
-  ``snapshot(reset=True)`` deltas merge back at the drain barrier.
+* the replica's recipe — the parent engine's ``ATMConfig``
+  (:func:`worker_engine_config`), which the worker hands to the one
+  engine-assembly path; its ``snapshot(reset=True)`` deltas merge back at
+  the drain barrier.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.common.config import ATMConfig
 from repro.common.exceptions import RuntimeStateError
 from repro.runtime.atm_protocol import EXECUTE_DECISION
 from repro.runtime.data import AccessMode, DataAccess, DataRegion
@@ -34,8 +37,7 @@ from repro.runtime.task import Task, TaskState, TaskType
 __all__ = [
     "TaskTypeSpec",
     "TaskDescriptor",
-    "EngineSpec",
-    "make_engine_spec",
+    "worker_engine_config",
     "build_worker_engine",
     "map_arrays",
     "describe_task",
@@ -99,17 +101,15 @@ class TaskDescriptor:
     kwargs: dict
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """Recipe for the per-worker ATM engine (policy state stays per worker)."""
+def worker_engine_config(engine) -> Optional[ATMConfig]:
+    """The ``ATMConfig`` that replicates ``engine`` into a remote worker.
 
-    mode: str
-    config: Any  # ATMConfig
-    p: Optional[float]
-
-
-def make_engine_spec(engine) -> Optional[EngineSpec]:
-    """Serializable recipe replicating ``engine`` into a remote worker."""
+    It is the policy's own config (its sampling fraction already folded in)
+    under the policy's registry name, with the IKT off: a worker processes
+    one task at a time, so an in-flight twin can never exist inside it, and
+    cross-worker in-flight tracking would serialise every lookup on one
+    lock — the THT delta merge at the barrier recovers the sharing instead.
+    """
     if engine is None:
         return None
     policy = getattr(engine, "policy", None)
@@ -127,27 +127,16 @@ def make_engine_spec(engine) -> Optional[EngineSpec]:
     # require the plugin module to be imported (or the start method to be
     # fork) wherever the worker runs.
     mode = getattr(policy, "registry_name", None) or policy.mode.value
-    return EngineSpec(mode=mode, config=policy.config, p=policy.config.p)
+    return policy.config.with_overrides(mode=mode, use_ikt=False)
 
 
-def build_worker_engine(spec: Optional[EngineSpec]):
-    """The engine replica one worker runs its tasks against.
-
-    Replicas run with the IKT disabled: a worker processes one task at a
-    time, so an in-flight twin can never exist inside it, and cross-worker
-    in-flight tracking would serialise every lookup on one lock — the THT
-    delta merge at the barrier recovers the sharing instead.
-    """
-    if spec is None:
+def build_worker_engine(config: Optional[ATMConfig]):
+    """The journaling engine replica one worker runs its tasks against."""
+    if config is None:
         return None
-    from repro.atm.engine import ATMEngine
-    from repro.atm.policy import make_policy
+    from repro.atm.engine import build_engine
 
-    config = spec.config.with_overrides(use_ikt=False)
-    policy = make_policy(spec.mode, config, p=spec.p)
-    engine = ATMEngine(config=config, policy=policy, num_threads=1)
-    engine.enable_delta_snapshots()
-    return engine
+    return build_engine(config, num_threads=1, journal=True)
 
 
 def map_arrays(value: Any, leaf_type: type, swap: Callable[[Any], Any]) -> Any:

@@ -45,7 +45,18 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-__all__ = ["ResidencyEntry", "ResidencyTable", "CachedBuffer", "WorkerBufferCache"]
+__all__ = [
+    "RESIDENCY_BUDGET_BYTES",
+    "ResidencyEntry",
+    "ResidencyTable",
+    "CachedBuffer",
+    "WorkerBufferCache",
+]
+
+#: Per-endpoint byte budget the network backend gives its residency table:
+#: least-recently used entries beyond it are evicted (and invalidated on the
+#: worker).
+RESIDENCY_BUDGET_BYTES = 256 << 20
 
 
 class ResidencyEntry:

@@ -67,7 +67,7 @@ class Scheduler:
 
 
 # Builtin factories, resolved by name through the scheduler registry; plugins
-# add their own with repro.session.register_scheduler(name, factory).
+# add their own with repro.session.SCHEDULERS.register(name, factory).
 SCHEDULERS.register(
     "fifo", lambda config: Scheduler(FIFOReadyQueue()), replace=True
 )

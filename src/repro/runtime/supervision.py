@@ -227,17 +227,20 @@ class TaskSupervisor:
     ) -> list["Task"]:
         """Fail ``task`` in the graph, cancel its dependents, record it.
 
-        Returns the cancelled dependent tasks (for the caller's counters).
+        The failure is recorded inside the graph's transition, so it is on
+        the report before ``on_complete`` fires or a barrier wakes.  Returns
+        the cancelled dependent tasks (for the caller's counters).
         """
-        cancelled = graph.fail_task(task)
-        self.record_failure(
+        return graph.fail_task(
             task,
-            error,
-            reason,
-            worker=worker,
-            cancelled=tuple(t.label for t in cancelled),
+            record=lambda cancelled: self.record_failure(
+                task,
+                error,
+                reason,
+                worker=worker,
+                cancelled=tuple(t.label for t in cancelled),
+            ),
         )
-        return cancelled
 
     def abort(
         self,

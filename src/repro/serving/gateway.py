@@ -18,7 +18,7 @@ registered backend).  Three properties make the sharing safe:
   one extra :class:`~repro.atm.tht.THT` tier.  Tenant engines journal their
   commits and a background pump incrementally merges the deltas into the
   shared tier (period ``merge_interval_s``, or earlier after
-  ``merge_min_commits`` journal entries); a tenant-private THT miss then
+  :data:`MERGE_MIN_COMMITS` journal entries); a tenant-private THT miss then
   probes the shared tier, so tenants that opted in reuse each other's work
   without ever writing into each other's namespaces.  With ``atm.tht_store``
   the shared tier additionally warm-starts from a persistent store
@@ -42,7 +42,6 @@ rather than run unbounded forever.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
 import time
 from collections import deque
@@ -50,7 +49,10 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
+from repro.atm.engine import build_engine, copy_outputs_from_entry
 from repro.atm.store import publish_increment, warm_start
+from repro.atm.tht import TaskHistoryTable
+from repro.common.config import ReproConfig
 from repro.common.exceptions import (
     AdmissionError,
     ConfigurationError,
@@ -77,7 +79,6 @@ from repro.runtime.net_wire import (
 from repro.runtime.remote_task import ArrayArena, rebuild_task
 from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.admission import AdmissionController
-from repro.session.config import ReproConfig
 
 __all__ = [
     "Gateway",
@@ -93,6 +94,14 @@ SERVING_PROTOCOL_VERSION = 2
 
 #: ATM modes a tenant may request at hello time.
 _TENANT_ATM_MODES = ("none", "static", "dynamic", "fixed_p")
+
+#: Size trigger of the merge pump: a tenant engine whose journal holds this
+#: many commits is merged at the next tick instead of waiting for the timer.
+MERGE_MIN_COMMITS = 64
+
+#: Per-tenant reservoir of completed-task latencies kept for ``stats``
+#: replies (p50/p99); bounded so long-lived tenants use constant memory.
+RESULT_HISTORY = 1024
 
 
 class TenantArena(ArrayArena):
@@ -163,7 +172,6 @@ class _TenantState:
         weight: float,
         engine,
         share_tht: bool,
-        history: int,
     ) -> None:
         self.name = name
         self.weight = weight
@@ -182,7 +190,7 @@ class _TenantState:
         self.shared_hits = 0
         self.failed_ids: set[int] = set()
         self.dirty: set[int] = set()
-        self.latencies: deque = deque(maxlen=max(history, 1))
+        self.latencies: deque = deque(maxlen=RESULT_HISTORY)
         self.barriers: list[asyncio.Future] = []
         self.last_flush = time.monotonic()
 
@@ -254,13 +262,9 @@ class TenantEngineRouter:
                 decision.payload["key"], task.task_type.name
             )
             if entry is not None:
-                # Local imports keep the router usable with fake engines in
-                # tests that never touch the ATM package.
-                from repro.atm.engine import ATMEngine
-
                 engine.task_abandoned(task, decision)
                 try:
-                    copied = ATMEngine._copy_outputs_from_entry(task, entry)
+                    copied = copy_outputs_from_entry(task, entry)
                 except Exception:
                     # Output layout mismatch (same key, different task
                     # surface): execute normally.  The tenant-side lookup
@@ -333,8 +337,6 @@ class Gateway:
                     f"serving.shared_tht requires an in-process pool "
                     f"(serial/threaded), not {cfg.runtime.executor!r}"
                 )
-            from repro.atm.tht import TaskHistoryTable
-
             self._shared_tht = TaskHistoryTable(cfg.atm)
         # Persistent memoization tier (DESIGN.md §9): the shared tier
         # warm-starts from ``atm.tht_store`` and the merge pump publishes its
@@ -616,11 +618,8 @@ class Gateway:
             or not tenant.share_tht
         ):
             return
-        journal = getattr(engine.tht, "_journal", None)
-        if not journal:
-            tenant.last_flush = time.monotonic()
-            return
-        self._shared_tht.merge(engine.tht.snapshot(reset=True))
+        if engine.tht.journaled:
+            self._shared_tht.merge(engine.tht.snapshot(reset=True))
         tenant.last_flush = time.monotonic()
 
     def _flush_all_deltas(self) -> None:
@@ -631,7 +630,6 @@ class Gateway:
 
     def _merge_loop(self) -> None:
         interval = self.serving.merge_interval_s
-        min_commits = self.serving.merge_min_commits
         tick = max(interval / 4.0, 0.005)
         while not self._stop_event.wait(tick):
             now = time.monotonic()
@@ -641,10 +639,10 @@ class Gateway:
                 engine = tenant.engine
                 if engine is None or not tenant.share_tht:
                     continue
-                journal = getattr(engine.tht, "_journal", None)
-                if not journal:
-                    continue
-                if len(journal) >= min_commits or now - tenant.last_flush >= interval:
+                journaled = engine.tht.journaled
+                if journaled >= MERGE_MIN_COMMITS or (
+                    journaled and now - tenant.last_flush >= interval
+                ):
                     self._flush_tenant_delta(tenant)
             # Tenant deltas merged above land in the shared tier's journal
             # (when a store is attached); ship that increment downstream.  A
@@ -665,7 +663,7 @@ class Gateway:
         name = info.get("tenant")
         if not name or not isinstance(name, str):
             raise TenantRejectedError("hello carries no tenant name")
-        weight = float(info.get("weight", self.serving.default_weight))
+        weight = float(info.get("weight", 1.0))
         if weight <= 0:
             raise TenantRejectedError(f"tenant weight must be > 0, got {weight}")
         atm_mode = info.get("atm_mode")
@@ -692,39 +690,23 @@ class Gateway:
                 # counters) — the point of a persistent per-tenant ATM tier.
                 tenant.connected = True
                 return tenant
-            engine = self._build_tenant_engine(atm_mode, info.get("atm_p"), share)
+            overrides = {"mode": atm_mode}
+            if info.get("atm_p") is not None:
+                overrides["p"] = float(info["atm_p"])
+            # A sharing tenant journals its commits for the merge pump.
+            engine = build_engine(
+                self.config.atm.with_overrides(**overrides),
+                self.config.runtime.num_threads,
+                journal=share,
+            )
             tenant = _TenantState(
-                name=name,
-                weight=weight,
-                engine=engine,
-                share_tht=share,
-                history=self.serving.result_history,
+                name=name, weight=weight, engine=engine, share_tht=share
             )
             tenant.connected = True
             self._tenants[name] = tenant
         self._router.add_engine(engine)
         self._admission.register(name, weight)
         return tenant
-
-    def _build_tenant_engine(
-        self, mode: str, p: Optional[float], share: bool
-    ):
-        if mode == "none":
-            return None
-        from repro.atm.engine import ATMEngine
-        from repro.atm.policy import make_policy
-
-        atm_cfg = dataclasses.replace(self.config.atm, mode=mode)
-        if p is not None:
-            atm_cfg = dataclasses.replace(atm_cfg, p=float(p))
-        policy = make_policy(
-            mode, atm_cfg, p=atm_cfg.p if mode == "fixed_p" else None
-        )
-        num_threads = max(self.config.runtime.num_threads, 1)
-        engine = ATMEngine(config=atm_cfg, policy=policy, num_threads=num_threads)
-        if share:
-            engine.enable_delta_snapshots()
-        return engine
 
     # -- request handling --------------------------------------------------------
     async def _handle_client(
@@ -899,19 +881,11 @@ class Gateway:
                 "outstanding": tenant.outstanding,
             }
         summary["lost_deltas"] = self._executor.result().lost_deltas
-        # The supervisor records the TaskFailure *after* the graph turns the
-        # task terminal (quarantine fails the subgraph first), so a summary
-        # racing the recording may need one beat for the report to land.
-        failures: list = []
-        if failed_ids:
-            for _ in range(50):
-                failures = [
-                    f for f in self._all_failures() if f.task_id in failed_ids
-                ]
-                if failures:
-                    break
-                time.sleep(0.002)
-        summary["failures"] = failures
+        # A failed task's TaskFailure is recorded inside the graph transition
+        # that made it terminal, so every id counted above has its report.
+        summary["failures"] = [
+            f for f in self._all_failures() if f.task_id in failed_ids
+        ]
         return summary
 
     def _all_failures(self) -> list:

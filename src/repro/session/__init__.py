@@ -17,28 +17,31 @@ Three pieces:
 * :class:`Session` (:mod:`repro.session.session`) — owns assembly of engine +
   policy + executor + graph and exposes ``@s.task`` / ``submit`` /
   ``wait_all`` / ``finish``;
-* :class:`ReproConfig` (:mod:`repro.session.config`) — the unified
-  ``runtime``/``atm``/``simulation`` config tree with dict / TOML / JSON /
-  environment round-tripping;
-* the registries (:mod:`repro.session.registry`) — ``register_executor`` /
-  ``register_scheduler`` / ``register_policy`` extension hooks so future
-  backends (e.g. the planned network transport, DESIGN.md §4.3) drop in
-  without touching call sites.
+* :class:`ReproConfig` (:mod:`repro.common.config`) — the unified
+  ``runtime``/``atm``/``simulation``/``serving`` config tree with dict /
+  TOML / JSON / environment round-tripping;
+* the registries (:mod:`repro.common.registry`, which gives each one's
+  factory signature) — ``EXECUTORS`` / ``SCHEDULERS`` / ``POLICIES``, whose
+  ``register`` / ``unregister`` / ``names`` are the extension hooks: a
+  registered name is at once a valid ``runtime.executor`` /
+  ``runtime.scheduler`` / ``atm.mode`` value, a valid
+  ``Session(executor=..., policy=...)`` argument and a valid config-file or
+  environment value.
+
+>>> from repro.session import EXECUTORS
+>>> from repro.runtime.executor import SerialExecutor
+>>> EXECUTORS.register(
+...     "inline",
+...     lambda config, engine, sim_config: SerialExecutor(config=config, engine=engine),
+... )
+>>> "inline" in EXECUTORS.names()
+True
+>>> EXECUTORS.unregister("inline")
 """
 
+from repro.common.config import ENV_PREFIX, ReproConfig
+from repro.common.registry import EXECUTORS, POLICIES, SCHEDULERS
 from repro.runtime.data import In, InOut, Out
-from repro.session.config import ENV_PREFIX, ReproConfig
-from repro.session.registry import (
-    available_executors,
-    available_policies,
-    available_schedulers,
-    register_executor,
-    register_policy,
-    register_scheduler,
-    unregister_executor,
-    unregister_policy,
-    unregister_scheduler,
-)
 from repro.session.session import Session
 
 __all__ = [
@@ -48,13 +51,7 @@ __all__ = [
     "In",
     "Out",
     "InOut",
-    "register_executor",
-    "register_scheduler",
-    "register_policy",
-    "unregister_executor",
-    "unregister_scheduler",
-    "unregister_policy",
-    "available_executors",
-    "available_schedulers",
-    "available_policies",
+    "EXECUTORS",
+    "SCHEDULERS",
+    "POLICIES",
 ]

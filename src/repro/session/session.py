@@ -3,7 +3,7 @@
 A :class:`Session` owns the assembly of every moving part the paper's
 programming model assumes — the memoization engine (policy + THT + IKT), the
 execution backend, the ready-queue scheduler and the task dependence graph —
-from a single :class:`~repro.session.config.ReproConfig` tree, and exposes
+from a single :class:`~repro.common.config.ReproConfig` tree, and exposes
 the OmpSs-style task-declaration surface on top:
 
 >>> import numpy as np
@@ -25,7 +25,7 @@ edges and the ATM engine derives the hash-key inputs from the same
 declaration, exactly like an OmpSs ``depend`` clause.  Backends, schedulers
 and ATM policies are selected by registry name (``executor="process"``,
 ``policy="dynamic"``), so plugged-in backends work here without changes
-(:mod:`repro.session.registry`).
+(:mod:`repro.common.registry`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.common.config import RuntimeConfig
+from repro.common.config import ReproConfig
 from repro.common.exceptions import (
     ConfigurationError,
     RuntimeStateError,
@@ -48,7 +48,6 @@ from repro.runtime.data import DataAccess, In, InOut, Out
 from repro.runtime.executor import BaseExecutor, RunResult, build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.task import Task, TaskType
-from repro.session.config import ReproConfig
 
 __all__ = ["Session"]
 
@@ -380,24 +379,17 @@ class Session:
         """
         if engine is not None:
             return engine
-        if policy is None and cfg.atm.mode == "none":
-            return None
         # Imported here: the ATM layer itself programs against the runtime,
         # so the engine assembly must not be a static dependency of the
         # runtime's import graph.
-        from repro.atm.engine import ATMEngine
-        from repro.atm.policy import ATMPolicy, make_policy
+        from repro.atm.engine import ATMEngine, build_engine
+        from repro.atm.policy import ATMPolicy
 
-        num_threads = max(num_threads, 1)
         if isinstance(policy, ATMPolicy):
             return ATMEngine(
                 config=policy.config, policy=policy, num_threads=num_threads
             )
-        mode = cfg.atm.mode
-        built = make_policy(
-            mode, cfg.atm, p=cfg.atm.p if mode == "fixed_p" else None
-        )
-        return ATMEngine(config=cfg.atm, policy=built, num_threads=num_threads)
+        return build_engine(cfg.atm, num_threads)
 
     # -- construction ----------------------------------------------------------
     @classmethod

@@ -165,7 +165,6 @@ def fault_session(
         **supervision,
     )
     if backend == "process":
-        runtime["mp_workers"] = workers
         runtime["mp_chunk_size"] = chunk_size
     return Session({"runtime": runtime})
 

@@ -130,16 +130,6 @@ class TestUnstableOutputBlacklist:
         assert trainer.is_output_blacklisted(make_task(task_type, out=out))
         assert not trainer.is_output_blacklisted(stable)
 
-    def test_blacklisting_disabled_by_config(self):
-        trainer = DynamicATMTrainer(ATMConfig(track_unstable_outputs=False))
-        out = np.zeros(4)
-        task = make_task(out=out)
-        trainer.record_training_outcome(task, tau=0.0)
-        trainer.record_training_outcome(task, tau=1.0)
-        trainer.record_training_outcome(task, tau=0.0)
-        trainer.record_training_outcome(task, tau=1.0)
-        assert not trainer.is_output_blacklisted(make_task(task.task_type, out=out))
-
 
 class TestPolicies:
     def test_static_policy_full_p_no_training(self):

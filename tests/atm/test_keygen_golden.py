@@ -87,7 +87,7 @@ def test_keys_equal_the_parent_commit(case, type_aware, hash_function):
 def test_regrown_shuffle_reaches_the_same_keys():
     """Growing one record 2^-15 -> 0.25 ends on the keys of fresh records."""
     task = _task(golden_inputs()["mixed"])
-    generator = HashKeyGenerator(ATMConfig(key_cache=False))
+    generator = HashKeyGenerator(ATMConfig())
     keys = [generator.compute(task, p).value for p in reversed(P_GRID)]
     assert tuple(reversed(keys)) == GOLDEN_KEYS["mixed", True, "numpy"]
     assert generator.counters["shuffle_regrowths"] == 1

@@ -18,6 +18,7 @@ import pytest
 from repro.apps import make_benchmark
 from repro.apps.registry import BENCHMARK_NAMES
 from repro.atm.store import (
+    COMPACT_AFTER_FRAMES,
     SHARD_PROTOCOL_VERSION,
     STORE_SCHEMA_VERSION,
     FileTHTStore,
@@ -159,18 +160,14 @@ class TestFileStore:
         assert not store_path.exists()
 
     def test_appends_compact_to_a_bounded_frame_count(self, store_path):
-        config = ATMConfig(
-            tht_bucket_bits=CFG.tht_bucket_bits,
-            tht_bucket_capacity=CFG.tht_bucket_capacity,
-            tht_store_compact_frames=3,
-        )
-        store = FileTHTStore(store_path, config)
-        for seed in range(10):
+        store = FileTHTStore(store_path, CFG)
+        publishes = COMPACT_AFTER_FRAMES + 2  # enough to cross the bound once
+        for seed in range(publishes):
             store.publish(fill_table(2, seed=seed).snapshot())
         stats = store.stats()
-        assert stats["delta_frames"] <= config.tht_store_compact_frames + 1
-        assert stats["entries"] == 20
-        assert len(store.load()["entries"]) == 20
+        assert stats["delta_frames"] <= COMPACT_AFTER_FRAMES < publishes
+        assert stats["entries"] == 2 * publishes
+        assert len(store.load()["entries"]) == 2 * publishes
         # compaction leaves no temp litter behind
         assert list(store_path.parent.glob("*.tmp")) == []
 

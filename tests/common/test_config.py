@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.common.config import ATMConfig, MIN_P, P_LADDER, RuntimeConfig, SimulationConfig
+import repro
+from repro.common.config import (
+    ATMConfig,
+    MIN_P,
+    P_LADDER,
+    ReproConfig,
+    RuntimeConfig,
+    ServingConfig,
+    SimulationConfig,
+)
 from repro.common.exceptions import ConfigurationError
 
 
@@ -81,15 +94,32 @@ class TestRuntimeConfig:
         ("runtime", "max_ready_tasks"),
         ("runtime", "net_timeout_grace_s"),
         ("atm", "key_pipeline"),
+        ("atm", "p_initial"),
+        ("atm", "track_unstable_outputs"),
+        ("atm", "key_cache"),
+        ("atm", "tht_store_compact_frames"),
+        ("runtime", "mp_workers"),
+        ("runtime", "mp_start_method"),
+        ("runtime", "net_residency_budget_bytes"),
+        ("serving", "default_weight"),
+        ("serving", "merge_min_commits"),
+        ("serving", "result_history"),
     ])
-    def test_removed_fields_are_rejected_by_name(self, section, removed):
-        # The runtime two had no reader (the grace is
-        # supervision.TIMEOUT_GRACE) and there is one key pipeline: a stale
-        # config naming them must fail loudly, not be ignored.
-        from repro.session import ReproConfig
-
+    def test_removed_fields_are_rejected_by_name(self, section, removed, tmp_path):
+        # The first runtime two had no reader (the grace is
+        # supervision.TIMEOUT_GRACE), there is one key pipeline, and the rest
+        # became constants beside their reader or selected a path nothing
+        # ran: a stale config naming any of them must fail loudly from every
+        # exchange format, not be ignored.
         with pytest.raises(ConfigurationError, match=removed):
             ReproConfig.from_dict({section: {removed: 1}})
+        path = tmp_path / "stale.toml"
+        path.write_text(f"[{section}]\n{removed} = 1\n")
+        with pytest.raises(ConfigurationError, match=removed):
+            ReproConfig.from_file(path)
+        # e.g. REPRO_RUNTIME_MP_WORKERS=1
+        with pytest.raises(ConfigurationError, match=f"{section}.{removed}"):
+            ReproConfig.from_env({f"REPRO_{section}_{removed}".upper(): "1"})
 
     def test_with_overrides(self):
         assert RuntimeConfig().with_overrides(num_threads=2).num_threads == 2
@@ -114,3 +144,27 @@ class TestSimulationConfig:
 
     def test_with_overrides(self):
         assert SimulationConfig().with_overrides(task_overhead=1.5).task_overhead == 1.5
+
+
+class TestEveryKnobEarnsItsPlace:
+    """The configuration surface is a visible diff: a new field changes the
+    count below, and a field nothing reads cannot stay."""
+
+    def test_the_tree_has_44_leaf_fields(self):
+        sizes = {s: len(fields) for s, fields in ReproConfig().to_dict().items()}
+        assert sizes == {"runtime": 15, "atm": 14, "simulation": 7, "serving": 8}
+
+    def test_every_field_has_a_reader_outside_the_config_module(self):
+        package = Path(repro.__file__).parent
+        readers = "\n".join(
+            path.read_text()
+            for path in package.rglob("*.py")
+            if path != package / "common" / "config.py"
+        )
+        unread = [
+            f"{section.__name__}.{field.name}"
+            for section in (ATMConfig, RuntimeConfig, ServingConfig, SimulationConfig)
+            for field in dataclasses.fields(section)
+            if not re.search(rf"\.{field.name}\b", readers)
+        ]
+        assert unread == []

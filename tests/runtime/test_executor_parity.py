@@ -163,7 +163,6 @@ def _run_twins(executor: str, chunk_size: int, n: int = 8):
         runtime={
             "executor": executor,
             "num_threads": 2,
-            "mp_workers": 2,
             "mp_chunk_size": chunk_size,
         }
     )

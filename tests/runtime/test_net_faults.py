@@ -273,7 +273,7 @@ def test_session_assigned_engine_reaches_workers(backend):
     executor *after* construction; the worker engine spec must be computed
     at connection/spawn time, or workers silently run without ATM."""
     config = RuntimeConfig(
-        executor=backend, num_threads=1, mp_workers=1, mp_chunk_size=16,
+        executor=backend, num_threads=1, mp_chunk_size=16,
         net_timeout_s=FAULT_NET_TIMEOUT,
     )
     if backend == "network":

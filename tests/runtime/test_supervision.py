@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.common.config import RuntimeConfig
@@ -11,6 +12,8 @@ from repro.common.exceptions import (
     TaskTimeoutError,
     WorkerLostError,
 )
+from repro.runtime.data import In, Out
+from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TaskFailure, TaskSupervisor, dump_stacks
 from repro.runtime.task import Task, TaskType
 
@@ -124,3 +127,24 @@ class TestQuarantinePolicy:
     def test_mode_flag_follows_config(self):
         assert not make_supervisor().quarantine
         assert make_supervisor(on_task_failure="quarantine").quarantine
+
+    def test_failure_is_on_the_report_before_on_complete_fires(self):
+        # Whoever observes the FAILED state (a gateway barrier, a threaded
+        # wait_all) reads the report next; it must already be there.
+        sup = make_supervisor(on_task_failure="quarantine")
+        seen: list[tuple[str, list[str]]] = []
+        graph = TaskDependenceGraph(
+            on_complete=lambda task: seen.append(
+                (task.state.name, [f.label for f in sup.failures])
+            )
+        )
+        data = np.zeros(4)
+        producer = Task(TaskType("producer"), lambda: None, [Out(data)])
+        consumer = Task(TaskType("consumer"), lambda: None, [In(data)])
+        graph.add_tasks([producer, consumer])
+
+        cancelled = sup.quarantine_task(graph, producer, TaskFailedError, "boom")
+
+        assert cancelled == [consumer]
+        assert seen == [("FAILED", [producer.label]), ("CANCELLED", [producer.label])]
+        assert sup.failures[0].cancelled == (consumer.label,)

@@ -64,16 +64,13 @@ runtime_configs = st.builds(
     scheduler=st.sampled_from(["fifo", "lifo", "work_stealing"]),
     enable_tracing=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    mp_workers=st.none() | st.integers(min_value=1, max_value=16),
     mp_chunk_size=st.integers(min_value=1, max_value=64),
-    mp_start_method=st.sampled_from([None, "fork", "spawn", "forkserver"]),
     net_endpoints=st.sampled_from(
         ["loopback", "loopback:3", "127.0.0.1:9101", "a:1,b:2,c:3"]
     ),
     net_timeout_s=st.floats(min_value=0.001, max_value=600.0, allow_nan=False),
     net_max_retries=st.integers(min_value=0, max_value=16),
     net_residency=st.booleans(),
-    net_residency_budget_bytes=st.integers(min_value=1, max_value=1 << 40),
     task_timeout_s=st.none() | st.floats(min_value=0.001, max_value=600.0, allow_nan=False),
     task_max_retries=st.integers(min_value=0, max_value=16),
     retry_backoff_s=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -93,7 +90,6 @@ atm_configs = st.builds(
     type_aware=st.booleans(),
     hash_function=st.sampled_from(["numpy", "lookup3", "one_at_a_time"]),
     hash_seed=st.integers(min_value=0, max_value=2**32 - 1),
-    key_cache=st.booleans(),
     key_cache_budget_bytes=st.integers(min_value=0, max_value=1 << 30),
     shuffle_cache_entries=st.integers(min_value=1, max_value=4096),
 )
@@ -140,8 +136,7 @@ class TestFileRoundTrip:
     @pytest.mark.parametrize("suffix", ["toml", "json"])
     def test_non_default_round_trips(self, tmp_path, suffix):
         cfg = ReproConfig.from_dict({
-            "runtime": {"executor": "network", "mp_workers": 3,
-                        "mp_start_method": "spawn", "num_threads": 5,
+            "runtime": {"executor": "network", "num_threads": 5,
                         "net_endpoints": "10.0.0.1:9101,10.0.0.2:9101",
                         "net_timeout_s": 2.5, "net_max_retries": 5},
             "atm": {"mode": "dynamic", "p": 0.25, "hash_function": "lookup3"},
@@ -216,10 +211,7 @@ class TestSupervisionKnobs:
 class TestResidencyKnobs:
     """The PR-7 network residency knobs flow through every exchange format."""
 
-    KNOBS = {
-        "net_residency": False,
-        "net_residency_budget_bytes": 64 << 20,
-    }
+    KNOBS = {"net_residency": False}
 
     @pytest.mark.parametrize("suffix", ["toml", "json"])
     def test_file_round_trip(self, tmp_path, suffix):
@@ -240,11 +232,6 @@ class TestResidencyKnobs:
     def test_defaults(self):
         cfg = RuntimeConfig()
         assert cfg.net_residency is True
-        assert cfg.net_residency_budget_bytes == 256 << 20
-
-    def test_validation_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError, match="net_residency_budget_bytes"):
-            RuntimeConfig(net_residency_budget_bytes=0)
 
 
 class TestServingConfig:
@@ -256,11 +243,8 @@ class TestServingConfig:
         "max_pending": 64,
         "max_tenant_queue": 512,
         "quantum": 16,
-        "default_weight": 2.0,
         "shared_tht": True,
         "merge_interval_s": 0.1,
-        "merge_min_commits": 8,
-        "result_history": 256,
         "shutdown_grace_s": 2.5,
     }
 
@@ -300,8 +284,6 @@ class TestServingConfig:
             ServingConfig(max_tenant_queue=0)
         with pytest.raises(ConfigurationError, match="quantum"):
             ServingConfig(quantum=0)
-        with pytest.raises(ConfigurationError, match="default_weight"):
-            ServingConfig(default_weight=0.0)
         with pytest.raises(ConfigurationError, match="host"):
             ServingConfig(host="  ")
 
@@ -324,10 +306,10 @@ class TestEnv:
         assert cfg.simulation.copy_bandwidth == 99.5
 
     def test_optional_fields_parse_none(self):
-        cfg = ReproConfig.from_env({"REPRO_RUNTIME_MP_WORKERS": "none"})
-        assert cfg.runtime.mp_workers is None
-        cfg = ReproConfig.from_env({"REPRO_RUNTIME_MP_WORKERS": "4"})
-        assert cfg.runtime.mp_workers == 4
+        cfg = ReproConfig.from_env({"REPRO_RUNTIME_TASK_TIMEOUT_S": "none"})
+        assert cfg.runtime.task_timeout_s is None
+        cfg = ReproConfig.from_env({"REPRO_RUNTIME_TASK_TIMEOUT_S": "4"})
+        assert cfg.runtime.task_timeout_s == 4.0
 
     def test_typo_raises_instead_of_silently_ignoring(self):
         with pytest.raises(ConfigurationError, match="NUM_THREAD"):

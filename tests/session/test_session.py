@@ -19,18 +19,14 @@ from repro.runtime.mp_executor import ProcessExecutor
 from repro.runtime.simulator import SimulatedExecutor
 from repro.runtime.task import TaskType
 from repro.session import (
+    EXECUTORS,
+    POLICIES,
+    SCHEDULERS,
     In,
     InOut,
     Out,
     ReproConfig,
     Session,
-    available_executors,
-    register_executor,
-    register_policy,
-    register_scheduler,
-    unregister_executor,
-    unregister_policy,
-    unregister_scheduler,
 )
 
 
@@ -117,7 +113,7 @@ class TestAssembly:
 
     def test_builtin_name_cannot_be_shadowed_without_replace(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_policy("static", lambda config, p: StaticATMPolicy(config))
+            POLICIES.register("static", lambda config, p: StaticATMPolicy(config))
 
     def test_executor_instance_rejects_runtime_overrides(self):
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=2))
@@ -417,9 +413,9 @@ class TestRegistries:
             calls.append(config.executor)
             return SerialExecutor(config=config, engine=engine)
 
-        register_executor("loopback", factory)
+        EXECUTORS.register("loopback", factory)
         try:
-            assert "loopback" in available_executors()
+            assert "loopback" in EXECUTORS.names()
             # valid both as a Session argument and as a plain config value
             cfg = ReproConfig.from_dict({"runtime": {"executor": "loopback"}})
             with Session(cfg) as s:
@@ -431,7 +427,7 @@ class TestRegistries:
             assert data[0] == 7.0
             assert calls == ["loopback"]
         finally:
-            unregister_executor("loopback")
+            EXECUTORS.unregister("loopback")
         with pytest.raises(ConfigurationError):
             RuntimeConfig(executor="loopback")
 
@@ -439,7 +435,7 @@ class TestRegistries:
         from repro.runtime.ready_queue import FIFOReadyQueue
         from repro.runtime.scheduler import Scheduler
 
-        register_scheduler("fifo2", lambda config: Scheduler(FIFOReadyQueue()))
+        SCHEDULERS.register("fifo2", lambda config: Scheduler(FIFOReadyQueue()))
         try:
             with Session.from_config({"runtime": {"scheduler": "fifo2"}}) as s:
                 @s.task
@@ -449,48 +445,47 @@ class TestRegistries:
                 touch(data)
             assert data[0] == 1.0
         finally:
-            unregister_scheduler("fifo2")
+            SCHEDULERS.unregister("fifo2")
 
     def test_register_policy_becomes_valid_mode(self):
-        register_policy("static2", lambda config, p: StaticATMPolicy(config))
+        POLICIES.register("static2", lambda config, p: StaticATMPolicy(config))
         try:
             s = Session.from_config({"atm": {"mode": "static2"}})
             assert isinstance(s.engine.policy, StaticATMPolicy)
         finally:
-            unregister_policy("static2")
+            POLICIES.unregister("static2")
         with pytest.raises(ConfigurationError):
             ATMConfig(mode="static2")
 
     def test_duplicate_registration_rejected(self):
-        register_policy("dup", lambda config, p: StaticATMPolicy(config))
+        POLICIES.register("dup", lambda config, p: StaticATMPolicy(config))
         try:
             with pytest.raises(ConfigurationError, match="already registered"):
-                register_policy("dup", lambda config, p: StaticATMPolicy(config))
+                POLICIES.register("dup", lambda config, p: StaticATMPolicy(config))
         finally:
-            unregister_policy("dup")
+            POLICIES.unregister("dup")
 
     def test_builtins_cannot_be_unregistered(self):
         with pytest.raises(ConfigurationError, match="builtin"):
-            unregister_executor("serial")
+            EXECUTORS.unregister("serial")
 
-    def test_plugin_policy_mode_survives_process_engine_spec(self):
+    def test_plugin_policy_mode_survives_worker_engine_config(self):
         # The worker-side engine recipe must carry the *registered* mode
         # name, not the builtin class attribute the plugin inherited —
         # otherwise workers silently rebuild the builtin policy.
-        from repro.runtime.remote_task import make_engine_spec
+        from repro.runtime.remote_task import worker_engine_config
 
         class HalfStatic(StaticATMPolicy):
             pass
 
-        register_policy("half_static", lambda config, p: HalfStatic(config))
+        POLICIES.register("half_static", lambda config, p: HalfStatic(config))
         try:
             s = Session.from_config({"atm": {"mode": "half_static"}})
-            spec = make_engine_spec(s.engine)
-            assert spec.mode == "half_static"
+            assert worker_engine_config(s.engine).mode == "half_static"
         finally:
-            unregister_policy("half_static")
+            POLICIES.unregister("half_static")
         # hand-assembled engines (config keeps mode="none") still fall back
         # to the policy's own mode
         config = ATMConfig()
         engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        assert make_engine_spec(engine).mode == "static"
+        assert worker_engine_config(engine).mode == "static"
