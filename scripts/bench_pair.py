@@ -2,6 +2,7 @@
 """Paired benchmark runs: a reference commit against the working tree.
 
     python scripts/bench_pair.py REF --workload W [--workload W2] [--pairs N]
+        [--layers net_wire.encode_s,kernel.busy_s [--trace-pairs 3]]
 
 What ``bench/README.md`` asks of any change that claims a gain, in one
 command: ``REF`` is checked out into a temporary ``git worktree``, then
@@ -11,6 +12,9 @@ of the host does not always land on the same side).  Every pair is printed
 as it completes; the summary gives, per end-to-end metric of
 ``BENCHMARK.json``, both medians, the reference's interquartile distance,
 the median of the per-pair ratios and how many pairs the working tree won.
+With ``--layers`` a few more alternating pairs run afterwards with
+``--trace 1`` and the named per-layer metrics of both sides are printed run
+by run: the ledger that has to explain an end-to-end gain.
 
 A gain may be claimed when the working tree wins at least nine tenths of the
 pairs and the medians differ by more than the reference's interquartile
@@ -23,20 +27,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from ref_worktree import REPO_ROOT, ref_worktree
 
 
-def run_bench(tree: Path, workload: str, out: Path) -> dict[str, float]:
-    """One ``python -m bench --workload W`` in ``tree``; its end-to-end values."""
+def run_bench(tree: Path, workload: str, out: Path, trace: bool = False) -> dict[str, float]:
+    """One ``python -m bench --workload W`` in ``tree``; the metrics it prints
+    (end to end, or with ``trace`` the per-layer ledger of a traced run)."""
     done = subprocess.run(
-        [sys.executable, "-m", "bench", "--workload", workload, "--out", str(out)],
+        [sys.executable, "-m", "bench", "--workload", workload, "--out", str(out),
+         "--trace", str(int(trace))],
         cwd=tree, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -72,6 +76,24 @@ def summarise(workload: str, metrics: list[dict], ref_runs: list[dict], new_runs
               f"{statistics.median(new):>12.4g}{ratio:>14}{wins:>7}/{len(ref)}")
 
 
+def paired_runs(trees: dict[str, Path], workload: str, scratch: Path, pairs: int,
+                names: list[str], trace: bool = False) -> dict[str, list[dict]]:
+    """Alternating runs of both trees (the side that goes first alternates
+    too); prints each pair's ``names`` as it completes, returns every run."""
+    runs: dict[str, list[dict]] = {"ref": [], "new": []}
+    for pair in range(pairs):
+        order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
+        for side in order:
+            runs[side].append(
+                run_bench(trees[side], workload, scratch / f"{side}.json", trace))
+        ref, new = runs["ref"][-1], runs["new"][-1]
+        print(f"{workload} {'traced ' if trace else ''}pair {pair + 1}/{pairs} "
+              f"({order[0]} first): "
+              + "  ".join(f"{name} {ref[name]:.4g} -> {new[name]:.4g}" for name in names),
+              flush=True)
+    return runs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="commit, tag or branch to compare the working tree against")
@@ -79,34 +101,35 @@ def main(argv: list[str] | None = None) -> int:
                         help="benchmark workload (repeatable)")
     parser.add_argument("--pairs", type=int, default=10,
                         help="pairs of runs per workload (default 10)")
+    parser.add_argument("--layers", default="",
+                        help="comma-separated per-layer metrics to print from traced pairs")
+    parser.add_argument("--trace-pairs", type=int, default=3,
+                        help="traced pairs per workload when --layers is given (default 3)")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 1 or args.trace_pairs < 1:
+        parser.error("--pairs and --trace-pairs must be at least 1")
     with open(REPO_ROOT / "BENCHMARK.json") as handle:
-        metrics = json.load(handle)["end_to_end"]
+        declared = json.load(handle)
+    metrics = declared["end_to_end"]
+    layers = [name for name in args.layers.split(",") if name]
+    unknown = set(layers) - {entry["name"] for entry in declared["per_layer"]}
+    if unknown:
+        parser.error(f"--layers names no per-layer metric of BENCHMARK.json: {sorted(unknown)}")
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench_pair_"))
-    ref_tree = scratch / "ref"
-    git = ["git", "-C", str(REPO_ROOT)]
-    subprocess.run(git + ["worktree", "add", "--detach", str(ref_tree), args.ref], check=True)
-    try:
-        trees = {"ref": ref_tree, "new": REPO_ROOT}
+    with ref_worktree(args.ref, "bench_pair_") as scratch:
+        trees = {"ref": scratch / "ref", "new": REPO_ROOT}
         for workload in args.workload:
-            runs: dict[str, list[dict]] = {"ref": [], "new": []}
-            for pair in range(args.pairs):
-                order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
-                for side in order:
-                    runs[side].append(
-                        run_bench(trees[side], workload, scratch / f"{side}.json"))
-                ref, new = runs["ref"][-1], runs["new"][-1]
-                print(f"{workload} pair {pair + 1}/{args.pairs} ({order[0]} first): " + "  ".join(
-                    f"{m['name']} {ref[m['name']]:.4g} -> {new[m['name']]:.4g}"
-                    for m in metrics), flush=True)
+            runs = paired_runs(trees, workload, scratch, args.pairs,
+                               [metric["name"] for metric in metrics])
             summarise(workload, metrics, runs["ref"], runs["new"])
-    finally:
-        subprocess.run(git + ["worktree", "remove", "--force", str(ref_tree)], check=False)
-        subprocess.run(git + ["worktree", "prune"], check=False)
-        shutil.rmtree(scratch, ignore_errors=True)
+            if layers:
+                traced = paired_runs(trees, workload, scratch, args.trace_pairs, layers,
+                                     trace=True)
+                print(f"  {'layer':<28}{'ref median':>12}{'new median':>12}")
+                for name in layers:
+                    ref, new = (statistics.median(run[name] for run in traced[side])
+                                for side in ("ref", "new"))
+                    print(f"  {name:<28}{ref:>12.4g}{new:>12.4g}")
     return 0
 
 

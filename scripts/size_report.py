@@ -20,14 +20,12 @@ import ast
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 import tokenize
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from ref_worktree import REPO_ROOT, ref_worktree
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -112,16 +110,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:<28}{value:>8}")
         return 0
 
-    scratch = Path(tempfile.mkdtemp(prefix="size_report_"))
-    git = ["git", "-C", str(REPO_ROOT)]
-    subprocess.run(git + ["worktree", "add", "--detach", str(scratch / "ref"), args.ref],
-                   check=True, capture_output=True)
-    try:
+    with ref_worktree(args.ref, "size_report_") as scratch:
         ref = measure(scratch / "ref")
-    finally:
-        subprocess.run(git + ["worktree", "remove", "--force", str(scratch / "ref")], check=False)
-        subprocess.run(git + ["worktree", "prune"], check=False)
-        shutil.rmtree(scratch, ignore_errors=True)
     print(f"{'':<28}{args.ref[:12]:>12}{'tree':>10}{'change':>10}")
     for name, after in new.items():
         before = ref.get(name, 0)

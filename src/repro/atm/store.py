@@ -7,8 +7,9 @@ dict.  This module gives those deltas a life beyond the ``Session`` — two
 backends behind one tiny interface, selected by the ``atm.tht_store`` URL:
 
 * :class:`FileTHTStore` (``file://<path>``) — a versioned snapshot file.
-  The format reuses the :mod:`repro.runtime.net_wire` framing (magic +
-  length + CRC32 per frame, so corruption and truncation are detected
+  The format reuses the :mod:`repro.runtime.net_wire` framing (magic,
+  bounded lengths, CRC32 over the control section and over each raw
+  array segment, so corruption and truncation are detected
   deterministically): one header frame ``("tht_store", {schema, geometry})``
   followed by any number of delta frames ``("tht_delta", delta)``.  Flushes
   *append* one delta frame (a single ``write`` on an ``O_APPEND`` handle);
@@ -76,11 +77,13 @@ __all__ = [
 
 #: Bumped on any incompatible change to the store file layout.  A file with
 #: a different schema raises :class:`THTStoreCorruptError` (cold start)
-#: rather than being guessed at.
-STORE_SCHEMA_VERSION = 1
+#: rather than being guessed at.  Schema 2: segmented frames — a schema-1
+#: file fails on its first frame's magic, cold-starts and is rewritten by
+#: the next publish.
+STORE_SCHEMA_VERSION = 2
 
-#: Handshake version of the cache-shard wire vocabulary.
-SHARD_PROTOCOL_VERSION = 1
+#: Handshake version of the cache-shard wire vocabulary (2: segmented frames).
+SHARD_PROTOCOL_VERSION = 2
 
 #: Append-then-compact bound of the ``file://`` store: a flush that leaves
 #: more than this many frames in the file rewrites it (atomically) as one
@@ -217,7 +220,7 @@ class FileTHTStore:
 
     # -- framing ------------------------------------------------------------------
     def _header_frame(self) -> bytes:
-        return encode_frame(
+        return bytes(encode_frame(
             (
                 _HEADER_KIND,
                 {
@@ -226,7 +229,7 @@ class FileTHTStore:
                     "tht_bucket_capacity": self.config.tht_bucket_capacity,
                 },
             )
-        )
+        ))
 
     def _read_frames(self) -> list:
         """Decode every frame of the file; raise the named error on damage."""
@@ -283,14 +286,15 @@ class FileTHTStore:
     def publish(self, delta: dict) -> int:
         """Append one delta frame (then compact when the file has grown).
 
-        The append is a single ``write`` on an append-mode handle, fsynced,
-        so concurrent publishers interleave whole frames; compaction
-        rewrites through a temp file + atomic ``os.replace``.
+        The append is a single ``write`` on an append-mode handle (the
+        frame's scatter list is joined once for it), fsynced, so concurrent
+        publishers interleave whole frames; compaction rewrites through a
+        temp file + atomic ``os.replace``.
         """
         entries = delta.get("entries", [])
         if not entries:
             return 0
-        frame = encode_frame((_DELTA_KIND, delta))
+        frame = bytes(encode_frame((_DELTA_KIND, delta)))
         compact_after = False
         with self._lock:
             try:
@@ -318,7 +322,7 @@ class FileTHTStore:
             if not frames:
                 return
             merged = merge_deltas([frame[1] for frame in frames[1:]])
-            self._write_atomic([encode_frame((_DELTA_KIND, merged))])
+            self._write_atomic([bytes(encode_frame((_DELTA_KIND, merged)))])
 
     def _write_atomic(self, delta_frames: list) -> None:
         """Write header + frames to a temp file and atomically replace."""

@@ -1,7 +1,7 @@
 """Network-transport execution backend (DESIGN.md §4.5).
 
-:class:`NetworkExecutor` drives remote workers over the length-prefixed
-frame protocol of :mod:`repro.runtime.net_wire`: the parent keeps the task
+:class:`NetworkExecutor` drives remote workers over the segmented frame
+protocol of :mod:`repro.runtime.net_wire`: the parent keeps the task
 dependence graph, the scheduler and the reference ATM engine; workers — in
 the same process behind :class:`~repro.runtime.net_transport.LoopbackEndpoint`
 socketpairs, or on other hosts behind ``scripts/net_worker.py`` TCP daemons —
@@ -13,9 +13,11 @@ engine-delta barrier are the shared
 :class:`~repro.runtime.dispatch.ChunkDispatcher` (§4.6); this module is its
 socket *transport* and data plane:
 
-* **No shared memory.**  Every dispatch serializes the byte spans a chunk
-  touches; every completion carries the written bytes home, applied to the
-  parent arrays *before* successors are released.  With per-endpoint data
+* **No shared memory.**  Every dispatch ships views of the byte spans a
+  chunk touches; every completion carries the written bytes home, checked
+  against the task while it is still in flight and applied to the parent
+  arrays by one ``np.copyto`` *before* successors are released.  With
+  per-endpoint data
   residency (``RuntimeConfig.net_residency``, default on) dispatch cost is
   proportional to *stale* data rather than touched data: the parent's
   :class:`~repro.runtime.residency.ResidencyTable` tracks which buffer
@@ -77,11 +79,12 @@ from repro.runtime.net_transport import (
 )
 from repro.runtime.net_wire import (
     ChunkEncoder,
+    Frame,
     NetBuffer,
     NetChunk,
     PROTOCOL_VERSION,
     encode_frame,
-    span_bytes,
+    span_view,
 )
 from repro.runtime.data import _base_buffer, region_versions
 from repro.runtime.residency import RESIDENCY_BUDGET_BYTES, ResidencyTable
@@ -249,10 +252,10 @@ class NetworkExecutor(BaseExecutor):
     # -- transport: parent -> endpoints ------------------------------------------
     def _encode_chunk(
         self, chunk: Chunk, endpoint: SocketEndpoint
-    ) -> tuple[bytes, dict[int, int], list[tuple[int, int]]]:
+    ) -> tuple[Frame, dict[int, int], list[tuple[int, int]]]:
         """Build and frame one chunk for ``endpoint``.
 
-        Returns ``(framed_bytes, dispatch_gens, evicted)`` where
+        Returns ``(frame, dispatch_gens, evicted)`` where
         ``dispatch_gens`` maps buffer ids to the residency generation the
         chunk was encoded against and ``evicted`` lists budget-evicted
         ``(buffer_id, generation)`` pairs to forward as an ``invalidate``.
@@ -263,6 +266,8 @@ class NetworkExecutor(BaseExecutor):
         not wedge the drain.  With residency on, each touched buffer ships
         either its full union span (stale or unknown on this endpoint) or a
         ``data=None`` cached reference (current) — the stale-bytes dispatch.
+        The frame's segments alias the parent arrays: :meth:`_send_chunk`
+        sends it before anything else runs on the drain thread.
         """
         encoder = ChunkEncoder()
         descriptors = tuple(
@@ -295,7 +300,7 @@ class NetworkExecutor(BaseExecutor):
                     )
                     encoded.append(
                         NetBuffer(
-                            buffer_id, start, span_bytes(base, start, end), generation
+                            buffer_id, start, span_view(base, start, end), generation
                         )
                     )
                     dispatch_gens[buffer_id] = generation
@@ -305,7 +310,7 @@ class NetworkExecutor(BaseExecutor):
             chunk_id=chunk.chunk_id, buffers=buffers, tasks=descriptors
         )
         try:
-            raw = encode_frame(("chunk", net_chunk))
+            frame = encode_frame(("chunk", net_chunk))
         except Exception as exc:
             if residency is not None:
                 # The recorded entries describe bytes that never shipped.
@@ -318,13 +323,13 @@ class NetworkExecutor(BaseExecutor):
                 f"backend: {exc}; task functions and plain arguments must "
                 "be picklable (module-level functions, no lambdas/closures)"
             ) from exc
-        return raw, dispatch_gens, evicted
+        return frame, dispatch_gens, evicted
 
     def _send_chunk(self, chunk: Chunk, endpoint: SocketEndpoint) -> bool:
         """Ship one chunk to ``endpoint``; returns False when it failed."""
-        raw, chunk.extra, evicted = self._encode_chunk(chunk, endpoint)
+        frame, chunk.extra, evicted = self._encode_chunk(chunk, endpoint)
         try:
-            endpoint.send_bytes(raw)
+            endpoint.send(frame)
             if evicted:
                 # After the chunk: socket FIFO order guarantees the worker
                 # processes every dispatch referencing the evicted
@@ -337,7 +342,7 @@ class NetworkExecutor(BaseExecutor):
         # was legitimately idle (nothing outstanding) must get a full
         # timeout window to answer freshly (re)submitted work.
         self._ep_state[endpoint].last_heard = time.perf_counter()
-        self._stats["payload_bytes"] += len(raw)
+        self._stats["payload_bytes"] += len(frame)
         self._chunks_by_endpoint[endpoint.name] = (
             self._chunks_by_endpoint.get(endpoint.name, 0) + 1
         )
@@ -544,6 +549,12 @@ class NetworkExecutor(BaseExecutor):
             return
         state.last_heard = time.perf_counter()
         if kind == "result":
+            problem = self._malformed_result(message[2])
+            if problem is not None:
+                # Nothing of the message was applied and its tasks are still
+                # in flight: the chunk re-runs on another endpoint.
+                self._lose_endpoint(endpoint, f"malformed result: {problem}")
+                return
             self._dispatcher.done(
                 endpoint, message[1], message[2],
                 functools.partial(self._write_back, endpoint),
@@ -577,6 +588,33 @@ class NetworkExecutor(BaseExecutor):
             pass
         else:
             self._lose_endpoint(endpoint, f"unexpected message kind {kind!r}")
+
+    def _malformed_result(self, results) -> Optional[str]:
+        """What is wrong with a well-framed ``result`` payload, if anything.
+
+        Checked before any of its tasks leaves the in-flight map: each write
+        must name a written access of its task and carry exactly that
+        region's bytes, or :meth:`_write_back` would raise mid-completion
+        (or land bytes in an input).
+        """
+        try:
+            for task_id, _action, _executed, writes in results:
+                task = self._dispatcher.inflight.get(task_id)
+                if task is None:
+                    continue  # duplicate completion: done() skips it too
+                for index, raw in writes:
+                    if not 0 <= index < len(task.accesses):
+                        return f"task {task_id} write names access {index!r}"
+                    access = task.accesses[index]
+                    sent, expected = memoryview(raw).nbytes, access.region.array.nbytes
+                    if not access.writes or sent != expected:
+                        return (
+                            f"task {task_id} write carries {sent} bytes for access "
+                            f"{index}, a {expected}-byte {access.mode.value!r} region"
+                        )
+        except (TypeError, ValueError) as exc:
+            return f"unreadable result entry: {exc}"
+        return None
 
     def _write_back(self, endpoint: SocketEndpoint, task: Task, chunk: Chunk, writes):
         """Land one completed task's written bytes in the parent arrays.

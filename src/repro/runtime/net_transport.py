@@ -39,18 +39,19 @@ import threading
 import traceback
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.common.exceptions import (
     NetworkTransportError,
     WireProtocolError,
 )
 from repro.runtime.net_wire import (
     ChunkArena,
+    Frame,
     NetChunk,
     PROTOCOL_VERSION,
     encode_frame,
+    raw_view,
     read_frame,
+    send_frame,
     write_frame,
 )
 from repro.runtime.remote_task import build_worker_engine, run_descriptor
@@ -137,23 +138,20 @@ class SocketEndpoint:
 
     # -- outbound ---------------------------------------------------------------
     def send(self, message: Any) -> None:
-        """Frame and send one message; raises on a broken connection."""
-        self.send_bytes(encode_frame(message))
+        """Send one message, or a :class:`Frame` the caller already encoded.
 
-    def send_bytes(self, raw: bytes) -> None:
-        """Send an already-framed message.
-
-        Split from :meth:`send` so the executor can frame chunks
-        synchronously (naming unpicklable tasks in the error) and so the
-        transport-level failure surface is exactly
+        The executor frames chunks itself (an unpicklable task must raise
+        with the offending tasks named) and sends the frame straight after;
+        the transport-level failure surface is exactly
         :class:`NetworkTransportError`.
         """
         sock = self._sock
         if sock is None or self._closed:
             raise NetworkTransportError(f"endpoint {self.name} is not connected")
+        frame = message if isinstance(message, Frame) else encode_frame(message)
         try:
             with self._send_lock:
-                sock.sendall(raw)
+                send_frame(sock, frame)
         except OSError as exc:
             raise NetworkTransportError(
                 f"endpoint {self.name}: send failed: {exc}"
@@ -333,9 +331,11 @@ class NetWorkerState:
             # Ship back the raw bytes of every written region: the parent
             # has no shared memory to read them from (the SKIP path's
             # copy_from wrote the worker-local arrays, so it is covered
-            # identically).
+            # identically).  Views, not copies: tasks of one chunk are
+            # independent, so no later task rewrites these bytes before
+            # serve_connection frames and sends them.
             writes = [
-                (index, np.ascontiguousarray(access.region.array).tobytes())
+                (index, raw_view(access.region.array))
                 for index, access in enumerate(task.accesses)
                 if access.writes
             ]

@@ -2,27 +2,45 @@
 
 The network backend ships the remote-task core's descriptors
 (:mod:`repro.runtime.remote_task`), but no shared memory spans hosts, so
-every array payload travels **as bytes**.  This module defines the two halves
-of that story:
+every array payload travels **as bytes** — exactly once.  This module defines
+the two halves of that story:
 
-* **Framing** — every message is one length-prefixed frame::
+* **Framing** — every message is one segmented frame (all integers
+  big-endian, 4 bytes)::
 
-      | magic "ATMW" (4) | payload length (4, big-endian) | crc32 (4) | payload |
+      | magic "ATMS" | head crc32 | control length | segment count |   header
+      | (length, crc32) x segment count |                            table
+      | control |   pickled message; its raw buffers are *references*
+      | segment 0 | segment 1 | ... |            the raw buffers themselves
 
-  The payload is a pickled message tuple (protocol ``HIGHEST_PROTOCOL``).
-  Magic, length bound and CRC mean a corrupted or truncated stream is
-  detected deterministically and raised as
+  The control section is the message pickled with protocol 5; every
+  contiguous buffer inside it — a :class:`NetBuffer` span, a result write, a
+  gateway write-back, any C-/F-contiguous ndarray of an engine delta or THT
+  entry — is handed over out-of-band and travels as one raw segment that is
+  never pickled or unpickled (non-contiguous arrays stay in the control
+  section).  :func:`encode_frame` therefore copies no array byte: it returns
+  a :class:`Frame` whose scatter list points straight at the source arrays,
+  sockets send it with ``sendmsg``, and the readers receive each segment
+  with ``recv_into`` into a fresh writable buffer that the consumer adopts
+  as its backing.  The *head crc32* covers everything behind it up to the
+  first segment — the header's two counts, the segment table and the
+  control section; each table entry carries the crc32 of its segment;
+  magic, the segment
+  count bound and the :data:`MAX_FRAME_BYTES` bound over control + all
+  segments are enforced before anything is allocated, and every checksum
+  is verified before a message reaches its consumer.  A violation raises
   :class:`~repro.common.exceptions.WireProtocolError` — the receiving side
-  treats the peer as failed instead of interpreting garbage.
+  treats the peer as failed instead of interpreting garbage.  The control
+  codec is the pair :func:`_encode_control` / :func:`_decode_control` and
+  nothing else knows it is pickle.
 
 * **Array/task encoding** — a :class:`ChunkEncoder` (sender side) walks the
   arrays referenced by a chunk of tasks, computes per owning base buffer the
   union byte span the chunk touches, and ships one :class:`NetBuffer` of raw
   bytes per base plus :class:`NetArrayRef` handles (offset/shape/strides/
-  dtype) for every view.  A :class:`ChunkArena` (receiver side) materialises
-  each buffer as one writable ``bytearray``: the
-  :class:`~repro.runtime.remote_task.ArrayArena` whose backing bytes are
-  the shipped spans.
+  dtype) for every view.  A :class:`ChunkArena` (receiver side) adopts each
+  received buffer as the writable backing of the
+  :class:`~repro.runtime.remote_task.ArrayArena` views built over it.
 
 Message vocabulary (client = the :class:`NetworkExecutor` parent, worker =
 a loopback thread or a ``scripts/net_worker.py`` daemon)::
@@ -43,9 +61,10 @@ a loopback thread or a ``scripts/net_worker.py`` daemon)::
                        ("error", chunk_id, task_id, traceback_str)
 
 Each entry of ``results`` is ``(task_id, action_value, executed, writes)``
-where ``writes`` is a list of ``(access_index, bytes)`` pairs holding the
-raw little bytes of every written region — the copy-back path that replaces
-the process backend's shared-segment ``copy_out``.
+where ``writes`` is a list of ``(access_index, buffer)`` pairs holding the
+raw bytes of every written region (:func:`raw_view` on the worker, one
+received segment each on the parent) — the copy-back path that replaces the
+process backend's shared-segment ``copy_out``.
 
 Since protocol version 2 a :class:`NetBuffer` has a second, *cached* form
 (``data is None``): the span is not on the wire, the worker must already
@@ -59,6 +78,7 @@ resubmission instead of silently wrong bytes.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import socket
 import struct
@@ -78,17 +98,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_FRAME_SEGMENTS",
+    "Frame",
     "NetArrayRef",
     "NetBuffer",
     "NetChunk",
     "ChunkEncoder",
     "ChunkArena",
-    "span_bytes",
+    "raw_view",
+    "span_view",
     "encode_frame",
     "decode_frame",
     "iter_frames",
     "read_frame",
     "read_frame_async",
+    "send_frame",
     "write_frame",
     "request",
 ]
@@ -99,70 +123,196 @@ __all__ = [
 #: Version 3: chunks carry :class:`~repro.runtime.remote_task.TaskDescriptor`
 #: (the pickled descriptor classes moved import path).
 #: Version 4: the hello's ``engine`` is the replica's ``ATMConfig``.
-PROTOCOL_VERSION = 4
+#: Version 5: segmented frames (new magic: a version-4 peer or store file
+#: fails on its first frame with "bad frame magic").
+PROTOCOL_VERSION = 5
 
-MAGIC = b"ATMW"
-_HEADER = struct.Struct("!4sII")
+MAGIC = b"ATMS"
+_HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count
+_COUNTS_AT = 8  # the head crc32 covers the header from here on
+_ENTRY = struct.Struct("!II")  # per segment: length, crc32
 
-#: Upper bound on one frame's payload: a garbage length prefix must never
-#: turn into a multi-gigabyte allocation or an endless blocking read.
+#: Upper bound on one frame's control section plus all its segments: a
+#: garbage length must never turn into a multi-gigabyte allocation or an
+#: endless blocking read.
 MAX_FRAME_BYTES = 1 << 30
+
+#: Upper bound on one frame's segment count (a 512 KiB table).  The encoder
+#: keeps buffers beyond it in the control section instead of failing.
+MAX_FRAME_SEGMENTS = 1 << 16
+
+#: Buffers per ``sendmsg`` call (``IOV_MAX`` on Linux, macOS and the BSDs).
+_IOV_MAX = 1024
 
 
 # -- framing --------------------------------------------------------------------------
-def encode_frame(message: Any) -> bytes:
-    """Serialize one message into a framed byte string."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME_BYTES:  # pragma: no cover - defensive
-        raise WireProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame bound"
-        )
-    return _HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
+class Frame:
+    """One encoded message as a scatter list.
 
-def _check_header(header: bytes) -> tuple[int, int]:
-    magic, length, crc = _HEADER.unpack(header)
+    ``buffers`` is the head (header + segment table + control section, one
+    ``bytes``) followed by one flat ``memoryview`` per segment, aliasing the
+    arrays the message referenced; ``len()`` is the framed byte count and
+    ``bytes()`` joins the list (the store file's single ``write``).
+    """
+
+    __slots__ = ("buffers",)
+
+    def __init__(self, buffers: list) -> None:
+        self.buffers = buffers
+
+    def __len__(self) -> int:
+        return sum(map(len, self.buffers))
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.buffers)
+
+
+def _encode_control(message: Any) -> tuple[bytes, list[memoryview]]:
+    """Control codec, sender half: ``(control bytes, raw segments)``."""
+    segments: list[memoryview] = []
+
+    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
+        if len(segments) == MAX_FRAME_SEGMENTS:
+            return True  # table full: this buffer rides in the control section
+        segments.append(buffer.raw())
+        return False
+
+    return pickle.dumps(message, protocol=5, buffer_callback=out_of_band), segments
+
+
+def _decode_control(control, segments: list) -> Any:
+    """Control codec, receiver half: rebuild the message around ``segments``."""
+    supplied = iter(segments)
+    try:
+        message = pickle.loads(control, buffers=supplied)
+    except Exception as exc:  # checksums passed but the pickle is malformed
+        raise WireProtocolError(f"cannot unpickle frame control section: {exc}") from exc
+    unreferenced = sum(1 for _ in supplied)
+    if unreferenced:
+        raise WireProtocolError(
+            f"frame carries {len(segments)} segments but its control section "
+            f"leaves {unreferenced} unreferenced"
+        )
+    return message
+
+
+def _head_crc(counts, table, control) -> int:
+    """crc32 over everything between itself and the first segment."""
+    return zlib.crc32(control, zlib.crc32(table, zlib.crc32(counts)))
+
+
+def encode_frame(message: Any) -> Frame:
+    """Frame one message without copying the buffers it references.
+
+    The frame's segments alias live arrays and their checksums are taken
+    here, so the caller encodes and sends on the same thread with nothing in
+    between: a write to a referenced array before the send completes would
+    put bytes on the wire that no longer match their checksum.
+    """
+    control, segments = _encode_control(message)
+    total = len(control) + sum(map(len, segments))
+    if total > MAX_FRAME_BYTES:
+        raise WireProtocolError(
+            f"frame of {total} bytes exceeds the {MAX_FRAME_BYTES}-byte frame bound"
+        )
+    table = b"".join(_ENTRY.pack(len(seg), zlib.crc32(seg)) for seg in segments)
+    counts = len(control), len(segments)
+    crc = _head_crc(_ENTRY.pack(*counts), table, control)
+    return Frame([_HEADER.pack(MAGIC, crc, *counts) + table + control, *segments])
+
+
+def _check_header(header) -> tuple[int, int, int]:
+    """Validate a frame header; returns ``(table bytes, control bytes, head crc)``."""
+    magic, crc, control_len, count = _HEADER.unpack(header)
     if magic != MAGIC:
         raise WireProtocolError(
             f"bad frame magic {magic!r} (expected {MAGIC!r}): peer is not "
             f"speaking the ATM wire protocol or the stream is corrupted"
         )
-    if length > MAX_FRAME_BYTES:
+    if count > MAX_FRAME_SEGMENTS or control_len > MAX_FRAME_BYTES:
         raise WireProtocolError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte bound"
+            f"frame header promises {count} segments and a {control_len}-byte "
+            f"control section; the bounds are {MAX_FRAME_SEGMENTS} segments "
+            f"and {MAX_FRAME_BYTES} bytes"
         )
-    return length, crc
+    return count * _ENTRY.size, control_len, crc
 
 
-def _check_payload(payload: bytes, crc: int) -> Any:
-    if zlib.crc32(payload) != crc:
+def _check_table(header, table, control, crc: int) -> list[tuple[int, int]]:
+    """Verify the head checksum; returns the ``(length, crc32)`` table."""
+    if _head_crc(header[_COUNTS_AT:], table, control) != crc:
         raise WireProtocolError(
-            "frame checksum mismatch: payload corrupted in transit"
+            "frame checksum mismatch: header counts, segment table or control "
+            "section corrupted in transit"
         )
+    entries = list(_ENTRY.iter_unpack(table))
+    total = len(control) + sum(length for length, _ in entries)
+    if total > MAX_FRAME_BYTES:
+        raise WireProtocolError(
+            f"frame length {total} exceeds the {MAX_FRAME_BYTES}-byte bound"
+        )
+    return entries
+
+
+def _check_payload(control, table: list[tuple[int, int]], segments: list) -> Any:
+    """Verify every segment checksum, then decode the control section."""
+    for index, ((_, crc), segment) in enumerate(zip(table, segments)):
+        if zlib.crc32(segment) != crc:
+            raise WireProtocolError(
+                f"frame checksum mismatch: segment {index} corrupted in transit"
+            )
+    return _decode_control(control, segments)
+
+
+def _parse_frame():
+    """The one frame parser, free of I/O: a generator that yields how many
+    bytes it needs next, is sent a writable buffer holding exactly those,
+    and returns the message.  Every bound is checked before the request it
+    sizes; a segment buffer goes to the consumer as is.
+    """
+    header = yield _HEADER.size
+    table_len, control_len, crc = _check_header(header)
+    head = memoryview((yield table_len + control_len))
+    control = head[table_len:]
+    table = _check_table(header, head[:table_len], control, crc)
+    segments = []
+    for length, _ in table:
+        segments.append((yield length))
+    return _check_payload(control, table, segments)
+
+
+def _feed(take) -> Any:
+    """Run the parser, answering each request for ``n`` bytes with ``take(n)``."""
+    parser = _parse_frame()
     try:
-        return pickle.loads(payload)
-    except Exception as exc:  # CRC passed but the pickle is malformed
-        raise WireProtocolError(f"cannot unpickle frame payload: {exc}") from exc
+        want = next(parser)
+        while True:
+            want = parser.send(take(want))
+    except StopIteration as done:
+        return done.value
 
 
-def decode_frame(data: bytes) -> tuple[Any, int]:
+def decode_frame(data) -> tuple[Any, int]:
     """Decode one frame from ``data``; returns ``(message, bytes_consumed)``.
 
-    Raises :class:`WireProtocolError` on bad magic, an oversized length, a
-    truncated buffer or a checksum mismatch.
+    Raises :class:`WireProtocolError` on bad magic, an oversized length or
+    segment count, a truncated buffer or a checksum mismatch.  Segments are
+    copied out of ``data`` into writable buffers, like a socket read.
     """
-    if len(data) < _HEADER.size:
-        raise WireProtocolError(
-            f"truncated frame: {len(data)} bytes < {_HEADER.size}-byte header"
-        )
-    length, crc = _check_header(data[: _HEADER.size])
-    end = _HEADER.size + length
-    if len(data) < end:
-        raise WireProtocolError(
-            f"truncated frame: header promises {length} payload bytes, "
-            f"{len(data) - _HEADER.size} present"
-        )
-    return _check_payload(data[_HEADER.size : end], crc), end
+    data = memoryview(data)
+    at = 0
+
+    def take(n: int) -> bytearray:
+        nonlocal at
+        if len(data) - at < n:
+            raise WireProtocolError(
+                f"truncated frame: {n} more bytes promised at offset {at}, "
+                f"{len(data) - at} present"
+            )
+        at += n
+        return bytearray(data[at - n : at])
+
+    return _feed(take), at
 
 
 def iter_frames(data: bytes):
@@ -182,39 +332,56 @@ def iter_frames(data: bytes):
         offset += consumed
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`WireProtocolError` on EOF."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+def _recv_into(sock: socket.socket, n: int) -> memoryview:
+    """Read exactly ``n`` bytes into a fresh buffer (no intermediate chunks);
+    raises :class:`WireProtocolError` on EOF."""
+    # np.empty, unlike bytearray(n), does not zero what recv overwrites.
+    view = memoryview(np.empty(n, dtype=np.uint8))
+    got = 0
+    while got < n:
+        count = sock.recv_into(view[got:])
+        if not count:
             raise WireProtocolError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes read)"
+                f"connection closed mid-frame ({got}/{n} bytes read)"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += count
+    return view
 
 
 def read_frame(sock: socket.socket) -> Any:
     """Blocking read of one complete frame from a socket."""
-    length, crc = _check_header(_recv_exact(sock, _HEADER.size))
-    return _check_payload(_recv_exact(sock, length), crc)
+    return _feed(functools.partial(_recv_into, sock))
 
 
 async def read_frame_async(reader: "asyncio.StreamReader") -> Any:
     """Read one frame from an asyncio stream (``None`` at EOF or reset)."""
+    parser = _parse_frame()
     try:
-        length, crc = _check_header(await reader.readexactly(_HEADER.size))
-        payload = await reader.readexactly(length)
+        want = next(parser)
+        while True:
+            # The one copy of this path: the stream hands out immutable
+            # bytes, consumers adopt a writable backing.
+            want = parser.send(bytearray(await reader.readexactly(want)))
+    except StopIteration as done:
+        return done.value
     except (EOFError, ConnectionError):  # IncompleteReadError is an EOFError
         return None
-    return _check_payload(payload, crc)
+
+
+def send_frame(sock: socket.socket, frame: Frame) -> None:
+    """``sendmsg`` a frame's scatter list (``IOV_MAX`` buffers per call); what
+    a partial send leaves behind follows buffer by buffer."""
+    for start in range(0, len(frame.buffers), _IOV_MAX):
+        batch = frame.buffers[start : start + _IOV_MAX]
+        sent = sock.sendmsg(batch)
+        for buffer in batch:
+            if sent < len(buffer):
+                sock.sendall(memoryview(buffer)[sent:])
+            sent = max(sent - len(buffer), 0)
 
 
 def write_frame(sock: socket.socket, message: Any) -> None:
-    sock.sendall(encode_frame(message))
+    send_frame(sock, encode_frame(message))
 
 
 def request(sock: socket.socket, message: Any) -> Any:
@@ -246,8 +413,10 @@ class NetBuffer:
 
     Two forms since protocol version 2:
 
-    * ``data`` is bytes — a *full ship*; the receiver materialises a fresh
-      backing and (when residency is on) stores it under ``generation``;
+    * ``data`` is a buffer — a *full ship*: a :func:`span_view` over the
+      source array on the sender, the received segment on the receiver,
+      which adopts it as the backing and (when residency is on) stores it
+      under ``generation``;
     * ``data`` is ``None`` — a *cached* dispatch; the receiver must already
       hold generation ``generation`` of this buffer id and serves the chunk
       from that backing without any span bytes on the wire.
@@ -255,7 +424,7 @@ class NetBuffer:
 
     buffer_id: int
     start: int
-    data: Optional[bytes]
+    data: Optional[Any]
     generation: int = 0
 
 
@@ -330,34 +499,41 @@ class ChunkEncoder:
         }
 
     def buffers(self) -> tuple[NetBuffer, ...]:
-        """Materialise the union span bytes of every touched base buffer."""
+        """One full-ship buffer per touched base: a view of its union span."""
         return tuple(
             NetBuffer(
-                buffer_id=buffer_id, start=start, data=span_bytes(base, start, end)
+                buffer_id=buffer_id, start=start, data=span_view(base, start, end)
             )
             for buffer_id, (base, start, end) in self._spans.items()
         )
 
 
-def span_bytes(base: np.ndarray, start: int, end: int) -> bytes:
-    """Copy the ``[start, end)`` byte span out of an owning base buffer."""
+def raw_view(array: np.ndarray) -> pickle.PickleBuffer:
+    """The bytes of ``array`` (C order) as a frame segment.
+
+    A contiguous array is aliased, not copied: see :func:`encode_frame` for
+    what that asks of the sender.
+    """
+    return pickle.PickleBuffer(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+
+
+def span_view(base: np.ndarray, start: int, end: int) -> pickle.PickleBuffer:
+    """The ``[start, end)`` byte span of an owning base buffer, uncopied."""
     if not base.flags.c_contiguous:
         raise RuntimeStateError(
             "the network backend requires C-contiguous owning "
             f"buffers; got a non-contiguous owner of dtype "
             f"{base.dtype} shape {base.shape}"
         )
-    if not base.size:
-        return b""
-    flat = base.reshape(-1).view(np.uint8)
-    return flat[start:end].tobytes()
+    return pickle.PickleBuffer(base.reshape(-1).view(np.uint8)[start:end])
 
 
 class ChunkArena(ArrayArena):
     """Receiver-side materialisation of one chunk's buffers.
 
-    Every :class:`NetBuffer` becomes one writable ``bytearray``-backed
-    ``uint8`` ndarray that the views built over it share as their ``.base``.
+    Every full-ship :class:`NetBuffer` becomes one ``uint8`` ndarray over the
+    buffer the frame reader filled (adopted, never copied) that the views
+    built over it share as their ``.base``.
 
     A ``cache`` (:class:`~repro.runtime.residency.WorkerBufferCache`) makes
     the arena residency-aware: full ships are stored into it under their
@@ -387,7 +563,7 @@ class ChunkArena(ArrayArena):
                     )
                 self._bases[buf.buffer_id] = (entry.backing, entry.start)
                 continue
-            backing = np.frombuffer(bytearray(buf.data), dtype=np.uint8)
+            backing = np.frombuffer(buf.data, dtype=np.uint8)
             self._bases[buf.buffer_id] = (backing, buf.start)
             if cache is not None:
                 cache.put(buf.buffer_id, backing, buf.start, buf.generation)

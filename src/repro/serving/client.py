@@ -27,10 +27,14 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.common import exceptions as _exceptions
-from repro.common.exceptions import GatewayError, RuntimeStateError
+from repro.common.exceptions import (
+    GatewayError,
+    GatewayProtocolError,
+    RuntimeStateError,
+)
 from repro.runtime.data import DataAccess
 from repro.runtime.executor import RunResult
-from repro.runtime.net_wire import ChunkEncoder, NetBuffer, request, span_bytes
+from repro.runtime.net_wire import ChunkEncoder, NetBuffer, request, span_view
 from repro.runtime.remote_task import TaskDescriptor, describe_task
 from repro.runtime.task import TaskType
 from repro.serving.gateway import SERVING_PROTOCOL_VERSION
@@ -126,7 +130,7 @@ class GatewayClient:
             if buffer_id not in self._ledger:
                 self._ledger[buffer_id] = base
                 ship.append(
-                    NetBuffer(buffer_id, 0, span_bytes(base, 0, base.nbytes))
+                    NetBuffer(buffer_id, 0, span_view(base, 0, base.nbytes))
                 )
         return tuple(descs), tuple(ship)
 
@@ -178,14 +182,23 @@ class GatewayClient:
         return summary
 
     def _apply_writebacks(self, dirty: Sequence[tuple]) -> None:
+        """Validate every write-back of a reply, then land them all."""
+        landings = []
         for buffer_id, data in dirty:
             base = self._ledger.get(buffer_id)
             if base is None:
                 raise GatewayError(
                     f"write-back for unknown buffer {buffer_id:#x}"
                 )
-            flat = base.reshape(-1).view(np.uint8)
-            flat[:] = np.frombuffer(data, dtype=np.uint8)
+            received = np.frombuffer(data, dtype=np.uint8)
+            if received.nbytes != base.nbytes:
+                raise GatewayProtocolError(
+                    f"write-back for buffer {buffer_id:#x} carries "
+                    f"{received.nbytes} bytes for a {base.nbytes}-byte buffer"
+                )
+            landings.append((base.reshape(-1).view(np.uint8), received))
+        for flat, received in landings:
+            np.copyto(flat, received)
 
     def finish(self) -> RunResult:
         """Barrier + final summary as a :class:`RunResult`; keeps the

@@ -74,6 +74,7 @@ from repro.runtime.net_wire import (
     NetArrayRef,
     NetBuffer,
     encode_frame,
+    raw_view,
     read_frame_async,
 )
 from repro.runtime.remote_task import ArrayArena, rebuild_task
@@ -90,7 +91,8 @@ __all__ = [
 #: Bumped on any incompatible change to the gateway message vocabulary.
 #: Version 2: submissions carry :class:`~repro.runtime.remote_task.
 #: TaskDescriptor` (the pickled descriptor classes moved import path).
-SERVING_PROTOCOL_VERSION = 2
+#: Version 3: segmented frames (:mod:`repro.runtime.net_wire` version 5).
+SERVING_PROTOCOL_VERSION = 3
 
 #: ATM modes a tenant may request at hello time.
 _TENANT_ATM_MODES = ("none", "static", "dynamic", "fixed_p")
@@ -141,9 +143,8 @@ class TenantArena(ArrayArena):
                 # First ship wins: the server copy is authoritative and the
                 # SDK never re-ships a buffer it already registered.
                 continue
-            self._bases[buf.buffer_id] = np.frombuffer(
-                bytearray(buf.data), dtype=np.uint8
-            )
+            # The frame reader's segment is adopted as the backing.
+            self._bases[buf.buffer_id] = np.frombuffer(buf.data, dtype=np.uint8)
 
     def _backing(self, ref: NetArrayRef) -> tuple[np.ndarray, int]:
         backing = self._bases.get(ref.buffer_id)
@@ -154,13 +155,14 @@ class TenantArena(ArrayArena):
             )
         return backing, 0
 
-    def backing_bytes(self, buffer_id: int) -> bytes:
+    def backing_view(self, buffer_id: int):
+        """The live backing of one buffer as a frame segment (no copy)."""
         backing = self._bases.get(buffer_id)
         if backing is None:
             raise GatewayProtocolError(
                 f"write-back references unknown buffer {buffer_id:#x}"
             )
-        return backing.tobytes()
+        return raw_view(backing)
 
 
 class _TenantState:
@@ -716,7 +718,14 @@ class Gateway:
         loop = asyncio.get_running_loop()
 
         async def reply(message: Any) -> None:
-            writer.write(encode_frame(message))
+            # One write per buffer of the scatter list, never a join: the
+            # transport sends straight from the arena views of a barrier
+            # reply.  No snapshot is needed although it may keep them past
+            # this call: the tenant has nothing outstanding, and only this
+            # connection can submit its next write — after the client has
+            # read the whole reply, i.e. after every byte has left.
+            for buffer in encode_frame(message).buffers:
+                writer.write(buffer)
             await writer.drain()
 
         try:
@@ -861,7 +870,7 @@ class Gateway:
             dirty_ids = sorted(tenant.dirty)
             tenant.dirty.clear()
         dirty = [
-            (buffer_id, tenant.arena.backing_bytes(buffer_id))
+            (buffer_id, tenant.arena.backing_view(buffer_id))
             for buffer_id in dirty_ids
         ]
         return summary, dirty

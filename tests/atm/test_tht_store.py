@@ -9,6 +9,7 @@ warm-start semantics on the six benchmark applications.
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -41,6 +42,14 @@ from repro.runtime.net_wire import encode_frame
 from repro.session import In, Out, Session
 
 CFG = ATMConfig(tht_bucket_bits=4, tht_bucket_capacity=8)
+
+#: The header frame of a parent-commit (schema 1) store file, pasted as a
+#: literal: the in-band layout ``ATMW | length | crc32 | pickle``.
+PARENT_LAYOUT_STORE_HEADER = bytes.fromhex(
+    "41544d57000000559dd61f278005954a000000000000008c097468745f73746f7265947d"
+    "94288c06736368656d61944b018c0f7468745f6275636b65745f62697473944b088c1374"
+    "68745f6275636b65745f6361706163697479944b807586942e"
+)
 
 
 def load_shard_module():
@@ -188,14 +197,14 @@ class TestFileStore:
     def test_schema_mismatch_raises_corrupt(self, store_path):
         store_path.parent.mkdir(parents=True)
         store_path.write_bytes(
-            encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION + 1}))
+            bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION + 1})))
         )
         with pytest.raises(THTStoreCorruptError, match="schema"):
             FileTHTStore(store_path, CFG).load()
 
     def test_header_kind_mismatch_raises_corrupt(self, store_path):
         store_path.parent.mkdir(parents=True)
-        store_path.write_bytes(encode_frame(("something_else", {})))
+        store_path.write_bytes(bytes(encode_frame(("something_else", {}))))
         with pytest.raises(THTStoreCorruptError, match="header"):
             FileTHTStore(store_path, CFG).load()
 
@@ -204,6 +213,43 @@ class TestFileStore:
         store.publish(fill_table(4).snapshot())
         store_path.write_bytes(b"broken beyond repair")
         store.publish(fill_table(5, seed=9).snapshot())
+        assert len(store.load()["entries"]) == 5
+
+
+    def test_parent_layout_file_is_rejected_by_its_magic_and_self_heals(self, store_path):
+        """A schema-1 store (in-band frames) must fail on its first frame's
+        magic — never be mis-parsed — and be replaced by the next publish."""
+        store_path.parent.mkdir(parents=True)
+        store_path.write_bytes(PARENT_LAYOUT_STORE_HEADER + b"\x00" * 64)
+        store = FileTHTStore(store_path, CFG)
+        with pytest.raises(THTStoreCorruptError, match="bad frame magic"):
+            store.load()
+        store.publish(fill_table(3).snapshot())
+        assert len(store.load()["entries"]) == 3
+
+    def test_an_append_is_one_write_of_a_whole_frame(self, store_path, monkeypatch):
+        """Concurrent publishers interleave whole frames only if each append
+        reaches the O_APPEND handle as a single write."""
+        store = FileTHTStore(store_path, CFG)
+        store.publish(fill_table(2).snapshot())
+        size_before = store_path.stat().st_size
+        writes = []
+
+        class SpiedAppend(io.FileIO):
+            def write(self, data):
+                writes.append(len(data))
+                return super().write(data)
+
+        real_open = open
+        monkeypatch.setattr(
+            "builtins.open",
+            lambda path, mode="r", *a, **kw: (
+                SpiedAppend(path, mode) if mode == "ab" else real_open(path, mode, *a, **kw)
+            ),
+        )
+        store.publish(fill_table(3, seed=5).snapshot())
+        monkeypatch.undo()
+        assert writes == [store_path.stat().st_size - size_before]
         assert len(store.load()["entries"]) == 5
 
 
@@ -357,6 +403,16 @@ class TestSessionWarmStart:
         assert not session.warm_started
         assert session.stats["tht_hits"] == 0
         # the finish() flush replaced the damaged file: next run is warm
+        healed, _ = run_saxpy(self.atm(url))
+        assert healed.warm_started
+
+    def test_parent_layout_store_warns_and_cold_starts(self, store_path):
+        store_path.parent.mkdir(parents=True)
+        store_path.write_bytes(PARENT_LAYOUT_STORE_HEADER)
+        url = f"file://{store_path}"
+        with pytest.warns(RuntimeWarning, match="bad frame magic"):
+            session, _ = run_saxpy(self.atm(url))
+        assert not session.warm_started
         healed, _ = run_saxpy(self.atm(url))
         assert healed.warm_started
 

@@ -131,6 +131,25 @@ class GarbageFrameEndpoint(LoopbackEndpoint):
             sock.close()
 
 
+class MalformedResultEndpoint(LoopbackEndpoint):
+    """Healthy worker, well-framed results — whose writes do not fit the
+    tasks they answer (``mutate`` rewrites each ``(access_index, raw)``)."""
+
+    def __init__(self, name: str, mutate):
+        super().__init__(name)
+        self.mutate = mutate
+
+    def deliver(self, message):
+        if message[0] == "result":
+            kind, chunk_id, results = message
+            message = (kind, chunk_id, [
+                (task_id, action, executed,
+                 [self.mutate(index, raw) for index, raw in writes])
+                for task_id, action, executed, writes in results
+            ])
+        super().deliver(message)
+
+
 class CrashTaskEndpoint(LoopbackEndpoint):
     """Healthy transport whose task bodies raise (worker-side task bug)."""
 
@@ -348,6 +367,36 @@ def test_garbage_frame_fails_endpoint_with_wire_error_and_drain_completes():
     failure = next(f for f in backend["failed_endpoints"] if "garbled/0" in f)
     assert "WireProtocolError" in failure
     assert garbled.failed
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        (lambda index, raw: (index, raw[:-3]), "carries 61 bytes for access 1, a 64-byte 'out' region"),
+        (lambda index, raw: (index, bytes(raw) + b"\0" * 3), "carries 67 bytes for access 1, a 64-byte 'out' region"),
+        (lambda index, raw: (index + 98, raw), "names access 99"),
+        (lambda index, raw: (0, raw), "for access 0, a 64-byte 'in' region"),
+        (lambda index, raw: (index,), "unreadable result entry"),
+    ],
+    ids=["short-write", "long-write", "index-out-of-range", "write-to-input", "not-a-pair"],
+)
+def test_malformed_result_fails_the_endpoint_not_the_drain(mutate, named):
+    """A result that frames and checksums fine but does not fit its task is
+    an endpoint failure decided *before* the task leaves the in-flight map:
+    nothing of it lands, the chunk re-runs on the healthy endpoint.  (The
+    parent commit raised a raw ``ValueError`` out of ``wait_all`` for the
+    size cases and silently overwrote the input for the ``In`` case.)"""
+    bad = MalformedResultEndpoint("malformed/0", mutate)
+    endpoints = [bad, LoopbackEndpoint("healthy/0")]
+    result, sources, sinks, executor = run_square_program(endpoints)
+    assert_correct(result, sources, sinks)
+    for i, src in enumerate(sources):
+        assert np.array_equal(src, np.full(8, float(i + 1))), "an input was overwritten"
+    backend = result.extra["network_backend"]
+    failure = next(f for f in backend["failed_endpoints"] if "malformed/0" in f)
+    assert "malformed result" in failure and named in failure
+    assert bad.failed
+    assert backend["resubmitted_tasks"] > 0
 
 
 def test_failover_drops_residency_and_survivors_stay_bit_correct():

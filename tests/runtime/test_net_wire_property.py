@@ -1,13 +1,22 @@
-"""Property-based round-trip tests for the network wire format.
+"""Property-based tests for the segmented network wire format.
 
 Hypothesis-driven guarantees over :mod:`repro.runtime.net_wire`:
 
-* **frame identity** — ``decode_frame(encode_frame(m))`` returns ``m`` for
-  arbitrary message payloads;
-* **frame integrity** — flipping *any single byte* of a frame, or
-  truncating it anywhere, raises the named
-  :class:`~repro.common.exceptions.WireProtocolError` (never a silent
-  mis-decode, never a hang on a garbage length prefix);
+* **frame identity** — a message mixing plain values, :class:`NetBuffer` leaves
+  (full and ``data=None``), zero-length and many tiny segments, C-/F-
+  contiguous arrays (out-of-band segments) and non-contiguous arrays (which
+  stay in the control section) comes back identical through every decoder:
+  :func:`decode_frame`, :func:`read_frame` behind a sender that dribbles 1–7
+  bytes at a time, and :func:`read_frame_async`;
+* **frame integrity** — truncating a frame at *every* byte offset, or
+  flipping a bit of *any* byte (header, table, control, each segment),
+  raises the named :class:`~repro.common.exceptions.WireProtocolError`
+  (the async reader answers a truncation with its clean ``None``) — never
+  a silent mis-decode, never an allocation sized by a garbage length;
+* **layout** — a parent-commit (in-band) frame is rejected by its magic;
+  hostile headers and tables are rejected before anything payload-sized is
+  allocated; ``send_frame`` survives partial ``sendmsg`` calls; received
+  segments are writable and *are* the arena backing;
 * **array identity** — the ref → bytes → arena path rebuilds every ndarray
   *view* shape-, dtype- and value-identically, including 0-d arrays, empty
   arrays and non-contiguous views (strided slices, transposes, negative
@@ -24,7 +33,15 @@ backend's shared-memory ``WorkerArena``, the network backend's
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
+import pickle
+import random
+import socket
+import struct
+import threading
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -35,12 +52,19 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.common.exceptions import WireProtocolError  # noqa: E402
 from repro.runtime.data import In, InOut  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
+    MAX_FRAME_BYTES,
+    MAX_FRAME_SEGMENTS,
     ChunkArena,
     ChunkEncoder,
     NetBuffer,
+    NetChunk,
     decode_frame,
     encode_frame,
-    span_bytes,
+    raw_view,
+    read_frame,
+    read_frame_async,
+    send_frame,
+    span_view,
 )
 from repro.runtime.remote_task import describe_task, rebuild_task  # noqa: E402
 from repro.runtime.shm import (  # noqa: E402
@@ -52,6 +76,16 @@ from repro.runtime.task import TaskType  # noqa: E402
 from repro.serving.gateway import TenantArena  # noqa: E402
 
 _DTYPES = ("<f8", "<f4", "<i4", "<i2", "|u1", "<c16")
+
+#: The frame layout, restated: the tests build hostile frames by hand.
+_HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count
+_ENTRY = struct.Struct("!II")  # segment length, segment crc32
+
+#: ``encode_frame(("ping",))`` of the parent commit (in-band layout:
+#: ``ATMW | length | crc32 | pickle``), pasted as a literal.
+PARENT_LAYOUT_FRAME = bytes.fromhex(
+    "41544d5700000015eb012b438005950a000000000000008c0470696e679485942e"
+)
 
 
 # -- strategies -----------------------------------------------------------------------
@@ -108,40 +142,385 @@ def views(draw):
     return base, array
 
 
+@st.composite
+def net_buffers(draw):
+    """A full-ship :class:`NetBuffer` over a span of a fresh base (possibly
+    zero bytes long), or the cached ``data=None`` form."""
+    buffer_id = draw(st.integers(0, 2**48))
+    generation = draw(st.integers(0, 2**31))
+    if draw(st.booleans()):
+        return NetBuffer(buffer_id, draw(st.integers(0, 64)), None, generation)
+    base = draw(base_arrays())
+    start = draw(st.integers(0, base.nbytes))
+    end = draw(st.integers(start, base.nbytes))
+    return NetBuffer(buffer_id, start, span_view(base, start, end), generation)
+
+
+#: What real frames carry: plain values around buffers and arrays.  ``views``
+#: yields C-contiguous, F-contiguous (transposes) and non-contiguous arrays.
+frame_messages = st.tuples(
+    st.text(max_size=8),
+    messages,
+    st.lists(
+        st.one_of(
+            net_buffers(),
+            views().map(lambda pair: pair[1]),
+            st.binary(max_size=8).map(
+                lambda raw: raw_view(np.frombuffer(raw, dtype=np.uint8))
+            ),
+        ),
+        max_size=12,
+    ),
+)
+
+
+def same(a, b) -> bool:
+    """Structural equality that reads through buffers and arrays."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and bit_equal(a, b)
+    if isinstance(a, NetBuffer):
+        return (
+            isinstance(b, NetBuffer)
+            and (a.buffer_id, a.start, a.generation) == (b.buffer_id, b.start, b.generation)
+            and same(a.data, b.data)
+        )
+    if isinstance(a, (pickle.PickleBuffer, bytearray, memoryview)):
+        return bytes(a) == bytes(b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+# -- the three decoders ---------------------------------------------------------------
+def decode_bytes(raw: bytes):
+    message, consumed = decode_frame(raw)
+    assert consumed == len(raw)
+    return message
+
+
+def decode_socket(raw: bytes):
+    """``read_frame`` behind a sender that dribbles 1-7 bytes at a time and
+    then closes (so a truncated frame is an EOF, not a hang)."""
+    near, far = socket.socketpair()
+
+    def dribble() -> None:
+        rng = random.Random(len(raw))
+        at = 0
+        try:
+            while at < len(raw):
+                step = rng.randint(1, 7)
+                near.sendall(raw[at : at + step])
+                at += step
+        except OSError:
+            pass  # the reader gave up on a bad frame and closed
+        finally:
+            near.close()
+
+    sender = threading.Thread(target=dribble)
+    sender.start()
+    try:
+        return read_frame(far)
+    finally:
+        far.close()
+        sender.join(timeout=30)
+        assert not sender.is_alive()
+
+
+def decode_async(raw: bytes):
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await read_frame_async(reader)
+
+    return asyncio.run(run())
+
+
+DECODERS = {"bytes": decode_bytes, "socket": decode_socket, "asyncio": decode_async}
+
+
+SMALL_ARRAYS = [np.arange(5, dtype="<f8"), np.empty(0, dtype="<i4"), np.arange(6, dtype="|u1")]
+
+
+def small_message() -> tuple:
+    """Three segments (one empty) and an in-band strided array."""
+    return ("chunk", [raw_view(a) for a in SMALL_ARRAYS], {"k": np.arange(4)[::2]})
+
+
+def small_frame() -> tuple[bytes, list[tuple[str, int, int]]]:
+    """One short frame with every part populated, plus its part boundaries."""
+    frame = encode_frame(small_message())
+    raw = bytes(frame)
+    _, _, control_len, count = _HEADER.unpack_from(raw)
+    assert count == 3
+    bounds = [("header", 0, _HEADER.size)]
+    at = _HEADER.size + count * _ENTRY.size
+    bounds.append(("table", _HEADER.size, at))
+    bounds.append(("control", at, at + control_len))
+    at += control_len
+    for index, array in enumerate(SMALL_ARRAYS):
+        bounds.append((f"segment{index}", at, at + array.nbytes))
+        at += array.nbytes
+    assert at == len(raw) == len(frame)
+    return raw, bounds
+
+
+def build_frame(control: bytes, segments: list[bytes], table=None, count=None) -> bytes:
+    """A frame assembled by hand: ``table``/``count`` override the honest ones."""
+    if table is None:
+        table = [(len(segment), zlib.crc32(segment)) for segment in segments]
+    packed = b"".join(_ENTRY.pack(*entry) for entry in table)
+    counts = _ENTRY.pack(len(control), len(table))
+    crc = zlib.crc32(control, zlib.crc32(packed, zlib.crc32(counts)))
+    header = _HEADER.pack(b"ATMS", crc, len(control), len(table) if count is None else count)
+    return header + packed + control + b"".join(segments)
+
+
 # -- frame properties -----------------------------------------------------------------
-@settings(max_examples=150, deadline=None)
-@given(messages)
-def test_frame_round_trip_identity(message):
-    decoded, consumed = decode_frame(encode_frame(message))
-    assert decoded == message
-    assert consumed == len(encode_frame(message))
+@pytest.mark.parametrize("decoder", DECODERS)
+@settings(max_examples=60, deadline=None)
+@given(frame_messages)
+def test_frame_round_trip_identity(decoder, message):
+    frame = encode_frame(message)
+    raw = bytes(frame)
+    assert len(frame) == len(raw)
+    assert same(DECODERS[decoder](raw), message)
 
 
-@settings(max_examples=150, deadline=None)
-@given(messages, st.data())
+def test_contiguous_arrays_travel_as_segments_and_others_in_band():
+    c_order = np.arange(12, dtype="<f8").reshape(3, 4)
+    strided = np.arange(64, dtype="<f8")[::2]
+    for array, segments in ((c_order, 1), (c_order.T, 1), (strided, 0)):
+        frame = encode_frame(("x", array))
+        assert len(frame.buffers) == 1 + segments
+        (_, rebuilt), _ = decode_frame(bytes(frame))
+        assert bit_equal(rebuilt, array)
+        assert rebuilt.flags.writeable
+    # The segment is the array's own memory, not a copy of it.
+    frame = encode_frame(("x", c_order))
+    assert np.shares_memory(np.frombuffer(frame.buffers[1], dtype="<f8"), c_order)
+
+
+def test_many_tiny_and_zero_length_segments_round_trip():
+    arrays = [np.full(i % 3, i % 251, dtype="|u1") for i in range(3000)]
+    message = ("tiny", [raw_view(a) for a in arrays])
+    frame = encode_frame(message)
+    assert len(frame.buffers) == 1 + len(arrays)
+    for decoder in (decode_bytes, decode_async):
+        assert same(decoder(bytes(frame)), message)
+    # More buffers than one sendmsg takes (IOV_MAX), over a real socket.
+    near, far = socket.socketpair()
+    sender = threading.Thread(target=send_frame, args=(near, frame))
+    sender.start()
+    try:
+        assert same(read_frame(far), message)
+    finally:
+        sender.join(timeout=30)
+        near.close()
+        far.close()
+
+
+def test_segments_beyond_the_table_bound_fall_back_in_band(monkeypatch):
+    monkeypatch.setattr("repro.runtime.net_wire.MAX_FRAME_SEGMENTS", 4)
+    arrays = [np.full(3, i, dtype="|u1") for i in range(9)]
+    frame = encode_frame([raw_view(a) for a in arrays])
+    assert len(frame.buffers) == 1 + 4
+    assert same(decode_bytes(bytes(frame)), [raw_view(a) for a in arrays])
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_truncation_at_every_offset_is_detected(decoder):
+    raw, _ = small_frame()
+    for cut in range(len(raw)):
+        if decoder == "asyncio":
+            # EOF inside a frame is a closed connection: the clean None.
+            assert decode_async(raw[:cut]) is None
+            continue
+        with pytest.raises(WireProtocolError):
+            DECODERS[decoder](raw[:cut])
+    assert DECODERS[decoder](raw) is not None
+
+
+@pytest.mark.parametrize("decoder", ["bytes", "asyncio"])
+def test_a_flipped_bit_anywhere_is_detected(decoder):
+    raw, bounds = small_frame()
+    for part, start, end in bounds:
+        for index in range(start, end):
+            for bit in (0, 7):
+                damaged = bytearray(raw)
+                damaged[index] ^= 1 << bit
+                if decoder == "asyncio":
+                    # A grown length field starves the reader: EOF, clean None.
+                    try:
+                        assert decode_async(bytes(damaged)) is None
+                    except WireProtocolError:
+                        pass
+                    continue
+                # Behind the header a flip is always a checksum mismatch; in
+                # it, it may also be bad magic, a bound or a truncation.
+                expected = None if part == "header" else "checksum mismatch"
+                with pytest.raises(WireProtocolError, match=expected):
+                    decode_frame(bytes(damaged))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_messages, st.data())
 def test_any_single_byte_corruption_is_detected(message, data):
-    frame = bytearray(encode_frame(message))
+    frame = bytearray(bytes(encode_frame(message)))
     index = data.draw(st.integers(0, len(frame) - 1), label="corrupt_index")
     frame[index] ^= data.draw(st.integers(1, 255), label="xor_mask")
     with pytest.raises(WireProtocolError):
         decode_frame(bytes(frame))
 
 
-@settings(max_examples=100, deadline=None)
-@given(messages, st.data())
-def test_any_truncation_is_detected(message, data):
-    frame = encode_frame(message)
-    cut = data.draw(st.integers(0, len(frame) - 1), label="cut")
-    with pytest.raises(WireProtocolError):
-        decode_frame(frame[:cut])
+def test_a_corrupted_segment_never_reaches_the_consumer_over_a_socket():
+    raw, bounds = small_frame()
+    _, start, _ = bounds[-1]
+    damaged = bytearray(raw)
+    damaged[start] ^= 0x10
+    with pytest.raises(WireProtocolError, match="checksum mismatch: segment 2"):
+        decode_socket(bytes(damaged))
+
+
+# -- layout: what the header and table must reject ------------------------------------
+def test_parent_layout_frame_is_rejected_by_its_magic():
+    with pytest.raises(WireProtocolError, match="bad frame magic"):
+        decode_frame(PARENT_LAYOUT_FRAME)
+    with pytest.raises(WireProtocolError, match="bad frame magic"):
+        decode_socket(PARENT_LAYOUT_FRAME)
+    with pytest.raises(WireProtocolError, match="bad frame magic"):
+        decode_async(PARENT_LAYOUT_FRAME)
+
+
+def _peak_while_rejecting(raw: bytes, match: str) -> int:
+    """Peak bytes allocated while ``read_frame`` rejects ``raw`` (the sender
+    stays connected: a reader that believed the lengths would block)."""
+    near, far = socket.socketpair()
+    far.settimeout(10)
+    try:
+        near.sendall(raw)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with pytest.raises(WireProtocolError, match=match):
+                read_frame(far)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    finally:
+        near.close()
+        far.close()
+
+
+def test_hostile_headers_and_tables_are_rejected_before_allocation():
+    control = pickle.dumps(("ping",), protocol=5)
+    too_many = build_frame(control, [], count=MAX_FRAME_SEGMENTS + 1)
+    assert _peak_while_rejecting(too_many, "promises 65537 segments") < 64 << 10
+    huge_control = _HEADER.pack(b"ATMS", 0, MAX_FRAME_BYTES + 1, 0)
+    assert _peak_while_rejecting(huge_control, "1073741825-byte control") < 64 << 10
+    # Honest checksums, dishonest lengths: three segments of 512 MiB each.
+    oversized = build_frame(control, [], table=[(1 << 29, 0)] * 3)
+    assert _peak_while_rejecting(oversized, "exceeds") < 64 << 10
+    for raw, match in ((too_many, "65537 segments"), (oversized, "exceeds")):
+        with pytest.raises(WireProtocolError, match=match):
+            decode_frame(raw)
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_table_and_control_must_agree_on_the_segment_count(decoder):
+    payload = np.arange(16, dtype="|u1")
+    control = pickle.dumps(("x", raw_view(payload)), protocol=5, buffer_callback=lambda _: None)
+    honest = build_frame(control, [payload.tobytes()])
+    assert same(DECODERS[decoder](honest), ("x", raw_view(payload)))
+    extra = build_frame(control, [payload.tobytes(), b"stowaway"])
+    with pytest.raises(WireProtocolError, match="unreferenced"):
+        DECODERS[decoder](extra)
+    missing = build_frame(control, [])
+    with pytest.raises(WireProtocolError, match="out-of-band"):
+        DECODERS[decoder](missing)
 
 
 def test_garbage_length_prefix_is_bounded():
     """A corrupted length field must raise, not allocate/await gigabytes."""
-    frame = bytearray(encode_frame(("chunk", b"x" * 64)))
-    frame[4:8] = (0x7F, 0xFF, 0xFF, 0xFF)  # 2 GiB length prefix
+    frame = bytearray(bytes(encode_frame(("chunk", b"x" * 64))))
+    frame[8:12] = (0x7F, 0xFF, 0xFF, 0xFF)  # 2 GiB control length
     with pytest.raises(WireProtocolError):
         decode_frame(bytes(frame))
+
+
+# -- sending and receiving ------------------------------------------------------------
+class _StingySocket:
+    """``sendmsg`` that takes at most ``limit`` bytes per call; ``sendall``
+    records what the resume path pushes after it."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.sent = bytearray()
+
+    def sendmsg(self, buffers) -> int:
+        room = self.limit
+        for buffer in buffers:
+            taken = bytes(buffer[:room])
+            self.sent += taken
+            room -= len(taken)
+            if not room:
+                break
+        return self.limit - room
+
+    def sendall(self, buffer) -> None:
+        self.sent += bytes(buffer)
+
+
+def test_send_frame_resumes_after_partial_sendmsg():
+    """Whatever prefix ``sendmsg`` accepts — mid-head, exactly a buffer
+    boundary, mid-segment, everything — the bytes on the wire are the frame."""
+    raw, _ = small_frame()
+    for limit in range(1, len(raw) + 2):
+        sock = _StingySocket(limit)
+        send_frame(sock, encode_frame(small_message()))
+        assert bytes(sock.sent) == raw, f"sendmsg took {limit} bytes"
+
+
+def test_send_frame_through_a_tiny_kernel_send_buffer():
+    payload = np.random.default_rng(7).integers(0, 256, size=1 << 20, dtype=np.uint8)
+    message = ("chunk", [raw_view(payload[: 1 << 19]), raw_view(payload[1 << 19 :])])
+    near, far = socket.socketpair()
+    near.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(read_frame(far)))
+    reader.start()
+    try:
+        send_frame(near, encode_frame(message))
+    finally:
+        reader.join(timeout=30)
+        near.close()
+        far.close()
+    assert same(received[0], message)
+
+
+def test_received_segments_are_writable_and_are_the_arena_backing():
+    base = np.arange(64, dtype="<f8")
+    encoder = ChunkEncoder()
+    ref = encoder.ref(base[8:24])
+    near, far = socket.socketpair()
+    try:
+        send_frame(near, encode_frame(("chunk", NetChunk(1, encoder.buffers(), ()), ref)))
+        _, chunk, ref = read_frame(far)
+    finally:
+        near.close()
+        far.close()
+    (buffer,) = chunk.buffers
+    assert not memoryview(buffer.data).readonly
+    view = ChunkArena(chunk.buffers).view(ref)
+    assert bit_equal(view, base[8:24])
+    assert view.flags.writeable
+    assert np.shares_memory(view, np.frombuffer(buffer.data, dtype=np.uint8))
+    view[...] = -1.0  # lands in the buffer read_frame filled, not in the source
+    assert bytes(buffer.data) == view.tobytes()
+    assert base[8] == 8.0
 
 
 # -- array properties -----------------------------------------------------------------
@@ -181,14 +560,14 @@ def shipped(kind: str):
 
     def receive():
         if kind == "chunk":  # network backend: the union spans a chunk touches
-            buffers, _ = decode_frame(encode_frame(encoder.buffers()))
+            buffers, _ = decode_frame(bytes(encode_frame(encoder.buffers())))
             return ChunkArena(buffers)
         whole = tuple(  # gateway: whole owning buffers, shipped once
-            NetBuffer(buffer_id, 0, span_bytes(base, 0, base.nbytes))
+            NetBuffer(buffer_id, 0, span_view(base, 0, base.nbytes))
             for buffer_id, (base, _start, _end) in encoder.spans().items()
         )
         arena = TenantArena()
-        arena.store(decode_frame(encode_frame(whole))[0])
+        arena.store(decode_frame(bytes(encode_frame(whole)))[0])
         return arena
 
     yield encoder.ref, receive
@@ -200,7 +579,7 @@ def round_trip_arrays(kind, arrays):
     (the rebuilt views are only valid inside the block: a shared segment is
     unmapped when its arena closes)."""
     with shipped(kind) as (ref, arena):
-        refs, _ = decode_frame(encode_frame([ref(a) for a in arrays]))
+        refs, _ = decode_frame(bytes(encode_frame([ref(a) for a in arrays])))
         arena = arena()
         yield [arena.view(r) for r in refs]
 
@@ -263,7 +642,7 @@ def test_descriptor_round_trip_identity(arena_kind, base_and_view, task_id, name
             [InOut(view, name), In(other)],
             (view, 3.5, [name, (view,)]), {"scale": 2, "data": base}, ref,
         )
-        decoded, _ = decode_frame(encode_frame(descriptor))
+        decoded, _ = decode_frame(bytes(encode_frame(descriptor)))
         assert decoded == descriptor
         assert decoded.function is square  # resolved by reference, not copied
         assert [a[1:] for a in decoded.accesses] == [
@@ -310,7 +689,9 @@ def test_engine_delta_round_trip():
             task.run()
         engine.task_finished(task, decision, executed, 0)
     delta = engine.snapshot(reset=True)
-    decoded, _ = decode_frame(encode_frame(delta))
+    frame = encode_frame(delta)
+    assert len(frame.buffers) > 1  # the THT output snapshots travel as segments
+    decoded, _ = decode_frame(bytes(frame))
 
     sink = ATMEngine(config=config, policy=StaticATMPolicy(config), num_threads=1)
     sink.merge(decoded)

@@ -36,7 +36,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.common.exceptions import WireProtocolError  # noqa: E402
 from repro.runtime.net_executor import NetworkExecutor  # noqa: E402
-from repro.runtime.net_wire import ChunkArena, NetBuffer, span_bytes  # noqa: E402
+from repro.runtime.net_wire import ChunkArena, NetBuffer, span_view  # noqa: E402
 from repro.runtime.residency import (  # noqa: E402
     ResidencyTable,
     WorkerBufferCache,
@@ -387,7 +387,8 @@ def test_worker_cache_invalidate_is_generation_guarded():
 
 
 def _full_ship(buffer_id: int, payload: bytes, gen: int, start: int = 0):
-    return NetBuffer(buffer_id, start, payload, gen)
+    # A received segment is a writable buffer the arena adopts as is.
+    return NetBuffer(buffer_id, start, bytearray(payload), gen)
 
 
 def test_arena_full_ship_populates_cache_then_cached_dispatch_serves_it():
@@ -434,10 +435,12 @@ def test_arena_reship_replaces_the_cached_backing():
     assert bytes(entry.backing) == b"\x02" * 16
 
 
-def test_span_bytes_copies_the_requested_window():
+def test_span_view_aliases_the_requested_window():
     base = np.arange(32, dtype=np.uint8)
-    assert span_bytes(base, 4, 12) == bytes(range(4, 12))
-    assert span_bytes(np.empty(0, dtype=np.uint8), 0, 0) == b""
+    window = span_view(base, 4, 12)
+    assert bytes(window) == bytes(range(4, 12))
+    assert np.shares_memory(np.frombuffer(window, dtype=np.uint8), base)
+    assert bytes(span_view(np.empty(0, dtype=np.uint8), 0, 0)) == b""
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +645,8 @@ class _Model:
                 dispatch_gens[buffer_id] = entry.generation
             else:
                 gen = self.table.record(ep, buffer_id, start, end, version)
-                payload = span_bytes(self.parent[buffer_id], start, end)
+                # bytearray(): what the frame reader hands the arena, not the view.
+                payload = bytearray(span_view(self.parent[buffer_id], start, end))
                 netbufs.append(NetBuffer(buffer_id, start, payload, gen))
                 dispatch_gens[buffer_id] = gen
         evicted = self.table.evict_over_budget(ep, protect_tick=tick0)

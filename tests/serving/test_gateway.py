@@ -216,6 +216,26 @@ class TestProtocolErrors:
         assert result.tasks_completed == 1
         assert result.extra["tasks_submitted"] == 1  # the bad one rolled back
 
+    @pytest.mark.parametrize("trim", [3, -3], ids=["short", "long"])
+    def test_wrong_sized_writeback_is_a_protocol_error(self, gateway, monkeypatch, trim):
+        """A write-back that does not fit its buffer must not be broadcast
+        into it (or escape as a raw ``ValueError``)."""
+        from repro.runtime.net_wire import raw_view
+        from repro.serving.gateway import TenantArena
+
+        def wrong_size(self, buffer_id):
+            backing = self._bases[buffer_id]
+            resized = backing[:-trim] if trim > 0 else np.concatenate([backing, backing[:-trim]])
+            return raw_view(resized)
+
+        monkeypatch.setattr(TenantArena, "backing_view", wrong_size)
+        data = np.zeros(8)
+        with connect(gateway, f"proto-writeback-{trim}") as client:
+            client.submit(FILL, fill_block, accesses=[Out(data)], args=(data, 5.0))
+            with pytest.raises(GatewayProtocolError, match="for a 64-byte buffer"):
+                client.wait_all()
+        assert not data.any(), "a malformed write-back landed"
+
     def test_second_live_connection_for_same_tenant_rejected(self, gateway):
         with connect(gateway, "proto-single"):
             with pytest.raises(TenantRejectedError, match="live connection"):
