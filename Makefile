@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench size figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store ci
+.PHONY: test bench size figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store soak-threaded ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -72,9 +72,23 @@ tht-store:
 	$(PYTHON) -m pytest tests/atm/test_tht_store.py \
 		tests/serving/test_gateway.py -x -q
 
+# Threaded-pool soak: the suites that drive the persistent worker pool
+# (executor contract, submit-while-draining, concurrency stress, the whole
+# serving tier, its `serving`-marked threaded-gateway soak included) ten
+# times over with a 10 us switch interval, so thread interleavings a normal
+# run never produces get their turn.  Zero failures required.
+soak-threaded:
+	for run in 1 2 3 4 5 6 7 8 9 10; do \
+		$(PYTHON) -m pytest tests/runtime/test_executors.py \
+			tests/runtime/test_submit_while_draining.py \
+			tests/runtime/test_stress_concurrency.py tests/serving \
+			-m "not net_soak and not fault" \
+			--switch-interval 1e-5 -p no:cacheprovider -x -q || exit 1; \
+	done
+
 # What .github/workflows/ci.yml runs (this target is the one list of CI
 # tiers): tier-1 suite, examples smoke, network-loopback matrix + residency
-# + soak, serving smoke, fault matrix, THT store.  Tier-1 includes the
+# + soak, serving smoke, fault matrix, THT store, threaded soak.  Tier-1 includes the
 # benchmark's own smoke pass (bench/tests/test_bench_smoke.py).
 ci:
 	$(PYTHON) -m pytest -x -q
@@ -85,3 +99,4 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) fault-matrix
 	$(MAKE) tht-store
+	$(MAKE) soak-threaded

@@ -7,8 +7,9 @@ queue, commit when it finishes.
 
 * :class:`SerialExecutor` — one worker, wall-clock timing.  Used for baseline
   correctness runs and for measuring per-task costs.
-* :class:`ThreadedExecutor` — real ``threading`` workers pulling from a shared
-  scheduler.  Python's GIL prevents faithful parallel speedup measurements
+* :class:`ThreadedExecutor` — one long-lived pool of ``threading`` workers
+  pulling from a shared scheduler, parked between drains and woken by ready
+  notifications.  Python's GIL prevents faithful parallel speedup measurements
   (see DESIGN.md §4), but this executor exercises the real concurrency paths:
   per-bucket THT locks, the single IKT lock, postponed output copies and the
   thread-safe graph, so it is the vehicle for the concurrency test-suite.
@@ -19,8 +20,10 @@ Deterministic *performance* figures come from
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -130,6 +133,9 @@ class BaseExecutor:
         self.config = config or RuntimeConfig()
         self.engine = engine
         self.scheduler: Scheduler = make_scheduler(self.config)
+        # Custom schedulers registered through the public seam that predate
+        # ``tasks_ready`` degrade to per-task pushes (notify_ready_batch).
+        self._tasks_ready = getattr(self.scheduler, "tasks_ready", None)
         self.trace = TraceRecorder(enabled=self.config.enable_tracing)
         self._result = RunResult(time_unit=self.time_unit, trace=self.trace)
         # Supervision: retries/timeouts/quarantine per DESIGN.md §7.  The
@@ -153,7 +159,7 @@ class BaseExecutor:
         through the public seam that predate ``tasks_ready`` degrade to the
         per-task path instead of breaking.
         """
-        tasks_ready = getattr(self.scheduler, "tasks_ready", None)
+        tasks_ready = self._tasks_ready
         if tasks_ready is None:
             for task in tasks:
                 self.notify_ready(task)
@@ -289,13 +295,18 @@ class BaseExecutor:
         """The ATM step around one task (the paper's Figure 1): look the key
         up as the task leaves the ready queue, execute it or copy the stored
         outputs, commit when it finishes."""
+        # Trace work (clock reads, label formatting, the ready-queue depth
+        # sample and its lock) is paid only by a recorder that keeps it.
+        traced = self.trace.enabled
         now = time.perf_counter
-        t_lookup = now()
+        if traced:
+            t_lookup = now()
         decision = self._lookup(task, worker_id)
-        t_after_lookup = now()
-        self.trace.record(
-            worker_id, CoreState.ATM_HASH, t_lookup, t_after_lookup, task.label
-        )
+        if traced:
+            t_after_lookup = now()
+            self.trace.record(
+                worker_id, CoreState.ATM_HASH, t_lookup, t_after_lookup, task.label
+            )
         executed = False
         if not decision.skips_execution:
             task.state = TaskState.RUNNING
@@ -307,23 +318,25 @@ class BaseExecutor:
                 )
                 return
             executed = True
-        t_after_run = now()
-        if executed:
-            self.trace.record(
-                worker_id, CoreState.TASK_EXECUTION, t_after_lookup, t_after_run, task.label
-            )
+        if traced:
+            t_after_run = now()
+            if executed:
+                self.trace.record(
+                    worker_id, CoreState.TASK_EXECUTION, t_after_lookup, t_after_run, task.label
+                )
         if decision.atm_handled and self.engine is not None:
             self.engine.task_finished(task, decision, executed, worker_id)
-        t_after_commit = now()
-        self.trace.record(
-            worker_id, CoreState.ATM_MEMOIZATION, t_after_run, t_after_commit, task.label
-        )
+        if traced:
+            self.trace.record(
+                worker_id, CoreState.ATM_MEMOIZATION, t_after_run, now(), task.label
+            )
         with graph._lock:  # account + complete under one lock for consistent counts
             self._account(decision)
         if decision.action != ATMAction.DEFER:
             final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
             graph.complete_task(task, final_state)
-        self.trace.sample_ready(now(), self.scheduler.pending())
+        if traced:
+            self.trace.sample_ready(now(), self.scheduler.pending())
 
     def drain(self, graph: TaskDependenceGraph) -> RunResult:  # pragma: no cover
         raise NotImplementedError
@@ -331,10 +344,14 @@ class BaseExecutor:
     def close(self) -> None:
         """Release executor resources (worker pools, shared segments).
 
-        No-op for in-process executors; the process and network backends
-        override it.  :meth:`repro.session.Session.finish` calls it after
-        the final barrier.
+        The serial executor holds none, the threaded one stops and joins
+        its worker pool here; the process and network backends override it.
+        :meth:`repro.session.Session.finish` calls it after the final barrier.
         """
+        self._stop_workers()
+
+    def _stop_workers(self) -> None:
+        """Stop and join this executor's worker threads, if it keeps any."""
 
     def __enter__(self) -> "BaseExecutor":
         return self
@@ -372,75 +389,174 @@ class SerialExecutor(BaseExecutor):
         return self._result
 
 
-class ThreadedExecutor(BaseExecutor):
-    """Executor backed by real worker threads.
+class _WorkerPool:
+    """The long-lived worker threads of one :class:`ThreadedExecutor`.
 
-    Workers spin on the scheduler with a small sleep when idle; the drain
-    returns when the graph reports every task terminal.
+    ``graph`` is the gate: the graph of the open drain, ``None`` between
+    drains.  A worker that finds the gate closed or the ready queue empty
+    parks: it counts itself in ``parked`` and blocks on ``tokens`` until
+    someone hands it a token.  Workers reach the executor only through a
+    weak reference, so an executor that is dropped without ``close()`` is
+    collected and its finalizer (``stop``) releases the threads.
     """
 
-    #: Idle back-off (seconds) for workers when the ready queue is empty.
-    IDLE_SLEEP = 0.0005
-    #: Grace period (seconds) for sibling workers to stop after a drain ends.
+    def __init__(self, executor: "ThreadedExecutor") -> None:
+        self.lock = threading.Lock()  # guards parked, busy, errors and closing the gate
+        self.quiet = threading.Condition(self.lock)  # signalled when busy empties
+        # Parking is a token queue rather than a Condition because the
+        # finalizer may run inside a garbage collection on a worker that
+        # holds ``lock``: SimpleQueue.put is reentrant, notify() is not.
+        self.tokens: queue.SimpleQueue = queue.SimpleQueue()
+        self.executor = weakref.ref(executor)
+        self.graph: Optional[TaskDependenceGraph] = None
+        #: Workers blocked on ``tokens`` (or about to be) that nobody has
+        #: woken yet: the int the ready hooks read before taking ``lock``.
+        self.parked = 0
+        #: Ids of the workers between taking a task and parking again.
+        self.busy: set[int] = set()
+        self.errors: list[BaseException] = []
+        self.stopped = False
+        self.threads = [
+            threading.Thread(target=self._run, args=(i,), daemon=True, name=f"worker-{i}")
+            for i in range(executor.config.num_threads)
+        ]
+        self.stop = weakref.finalize(executor, self._stop)
+        for thread in self.threads:
+            thread.start()
+
+    def _stop(self) -> None:
+        self.stopped = True
+        for _ in self.threads:
+            self.tokens.put(None)
+
+    def wake(self, count: int) -> None:
+        """Hand a token to up to ``count`` parked workers (one per task
+        pushed; all of them when a drain opens the gate)."""
+        with self.lock:
+            count = min(count, self.parked)
+            self.parked -= count
+            for _ in range(count):
+                self.tokens.put(None)
+
+    def close_gate(self, timeout: float) -> list[str]:
+        """End the drain and wait for the workers to leave their tasks; the
+        names of those still inside one after ``timeout``.  Parked workers
+        stay parked: the next drain wakes them when it opens the gate."""
+        with self.lock:
+            self.graph = None
+            self.quiet.wait_for(lambda: not self.busy, timeout=timeout)
+            return [f"worker-{i}" for i in sorted(self.busy)]
+
+    def _run(self, worker_id: int) -> None:
+        while True:
+            work = self._take(worker_id)
+            if work is not None:
+                self._serve(worker_id, *work)
+                continue
+            # Parked: this frame references neither the executor nor a graph.
+            self.tokens.get()
+            if self.stopped:
+                return
+
+    def _take(self, worker_id: int) -> Optional[tuple]:
+        """Leave the busy set, then pop a task of the open drain as
+        ``(executor, graph, task)`` — or count as parked and return ``None``."""
+        with self.lock:
+            self.busy.discard(worker_id)
+            if not self.busy:
+                self.quiet.notify_all()
+            graph = self.graph
+            executor = self.executor() if graph is not None else None
+            # Announce, then look once more: a concurrent push either sees
+            # ``parked`` or is seen by this pop (no lost wake-up).
+            self.parked += 1
+            task = executor.scheduler.next_task(worker_id) if executor is not None else None
+            if task is None:
+                return None
+            self.parked -= 1
+            self.busy.add(worker_id)
+            return executor, graph, task
+
+    def _serve(self, worker_id: int, executor, graph, task) -> None:
+        process, next_task = executor._process, executor.scheduler.next_task
+        try:
+            while task is not None:
+                process(task, graph, worker_id)
+                # Checked before the pop, so a popped task always runs.
+                task = next_task(worker_id) if self.graph is graph else None
+        except BaseException as exc:
+            with self.lock:  # the first error ends the drain for every worker
+                self.errors.append(exc)
+                self.graph = None
+
+
+class ThreadedExecutor(BaseExecutor):
+    """Executor backed by one persistent pool of worker threads.
+
+    ``num_threads`` daemon workers are spawned by the first drain and live
+    until :meth:`close` (or until the executor is garbage collected).  They
+    block instead of polling: ``drain`` opens the gate for its graph, the
+    ready hooks wake parked workers when tasks are pushed, and closing the
+    gate parks everyone again.  Execution is lazy — tasks that become ready
+    while no drain is open stay queued until the next one (DESIGN.md §4.2).
+    """
+
+    #: Grace period (seconds) for workers to leave their task after a drain ends.
     JOIN_TIMEOUT = 5.0
+
+    #: Spawned by the first drain, dropped by ``close()`` or a stuck worker.
+    _pool: Optional[_WorkerPool] = None
+
+    def notify_ready(self, task: Task) -> None:
+        super().notify_ready(task)
+        pool = self._pool
+        if pool is not None and pool.parked and pool.graph is not None:
+            pool.wake(1)
+
+    def notify_ready_batch(self, tasks: Sequence[Task]) -> None:
+        super().notify_ready_batch(tasks)
+        pool = self._pool
+        if pool is not None and pool.parked and pool.graph is not None:
+            pool.wake(len(tasks))
+
+    def _stop_workers(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.stop()
+            for thread in pool.threads:
+                thread.join(timeout=self.JOIN_TIMEOUT)
 
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
         if graph.all_finished:
             return self._result
         supervisor = self._fresh_supervisor()
-        stop_flag = threading.Event()
-        errors: list[BaseException] = []
-        errors_lock = threading.Lock()
         if self.engine is not None:
             self.engine.set_deferred_completion_callback(
                 lambda task, nbytes: graph.complete_task(task, TaskState.MEMOIZED)
             )
+        pool = self._pool
+        if pool is None:
+            pool = self._pool = _WorkerPool(self)
         t0 = time.perf_counter()
-
-        def worker_loop(worker_id: int) -> None:
-            while not stop_flag.is_set():
-                task = self.scheduler.next_task(worker_id)
-                if task is None:
-                    if graph.all_finished:
-                        return
-                    time.sleep(self.IDLE_SLEEP)
-                    continue
-                try:
-                    self._process(task, graph, worker_id)
-                except BaseException as exc:
-                    with errors_lock:
-                        errors.append(exc)
-                    stop_flag.set()
-                    return
-
-        threads = [
-            threading.Thread(target=worker_loop, args=(i,), daemon=True, name=f"worker-{i}")
-            for i in range(self.config.num_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        finished = False
-        timed_out = False
+        pool.graph = graph  # opens the gate; only the draining thread does
+        pool.wake(len(pool.threads))
         deadline = supervisor.deadline()
-        while True:
-            if graph.wait_all_finished(timeout=0.05):
-                finished = True
+        while not (finished := graph.wait_all_finished(timeout=0.05)):
+            if pool.errors or pool.stopped or time.perf_counter() >= deadline:
                 break
-            if stop_flag.is_set():
-                break
-            if time.perf_counter() >= deadline:
-                timed_out = True
-                break
-        stop_flag.set()
-        for thread in threads:
-            thread.join(timeout=self.JOIN_TIMEOUT)
-        stuck = [thread.name for thread in threads if thread.is_alive()]
+        stuck = pool.close_gate(self.JOIN_TIMEOUT)
+        # Taken, not shared: a kept traceback would pin this executor's frames.
+        errors, pool.errors = pool.errors, []
         elapsed = time.perf_counter() - t0
         if stuck:
             # A worker that will not stop holds the graph in an unknowable
-            # state; dump stacks so the wedged frame is diagnosable.
+            # state; dump stacks so the wedged frame is diagnosable.  Its
+            # frame cannot be reclaimed: abandon the pool, the next drain
+            # spawns a fresh one.
+            pool.stop()
+            self._pool = None
             reason = (
-                f"threaded drain: workers [{', '.join(stuck)}] still alive "
+                f"threaded drain: workers [{', '.join(stuck)}] still inside a task "
                 f"{self.JOIN_TIMEOUT}s after stop was requested"
             )
             dump_stacks(reason)
@@ -452,10 +568,10 @@ class ThreadedExecutor(BaseExecutor):
             if others:
                 raise others[0]
             raise supervisor.aggregate_abort("threaded drain") from errors[0]
-        if timed_out and not finished:
-            raise supervisor.drain_timeout("threaded drain")
+        if not finished and pool.stopped:
+            raise RuntimeStateError("threaded drain: executor closed before the graph finished")
         if not finished:
-            raise RuntimeStateError("threaded drain stopped before the graph finished")
+            raise supervisor.drain_timeout("threaded drain")
         self._result.elapsed += elapsed
         self._finalize_result()
         return self._result

@@ -173,6 +173,10 @@ class ProcessExecutor(BaseExecutor):
                 "worker processes where CoreState spans cannot be recorded; "
                 "use the threaded or simulated backend for Figure 7/8 traces"
             )
+        # Validates replicability before anything is allocated (a rejected
+        # engine must not leave the version-table segment behind); the
+        # config itself is recomputed at spawn time (see _ensure_workers).
+        self._engine_config = worker_engine_config(engine)
         self.num_workers = self.config.num_threads
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(method)
@@ -186,9 +190,6 @@ class ProcessExecutor(BaseExecutor):
         self._results, self._results_writer = self._ctx.Pipe(duplex=False)
         self._results_lock = self._ctx.Lock()
         self._processes: list = []
-        # Validates replicability early when an engine was passed; the
-        # config itself is recomputed at spawn time (see _ensure_workers).
-        self._engine_config = worker_engine_config(engine)
         # With a per-task timeout the offender must be identifiable, so
         # workers announce chunk starts and dispatch degrades to one task
         # per chunk (see module docstring).

@@ -28,7 +28,11 @@ registered backend).  Three properties make the sharing safe:
 
 Threading model: one asyncio event loop (connection handling), one dispatch
 thread (admission pump + ``executor.drain``), one merge-pump thread (shared
-tier only).  Mid-drain admission rides the graph's ``on_complete`` hook —
+tier only), plus whatever the pool backend keeps — for ``threaded`` one
+long-lived set of ``num_threads`` workers that park between drains.  The
+pool executes only while a drain is open: work admitted in between waits in
+the ready queue, and ``_dispatch_loop`` re-drains for as long as the graph
+is unfinished.  Mid-drain admission rides the graph's ``on_complete`` hook —
 every task completion frees a pending-pool slot and immediately pumps more
 queued work into the live graph, which keeps the pool busy and is what lets
 a second wave submitted *while draining* land in the same graph (the
@@ -850,11 +854,11 @@ class Gateway:
             for task in tasks:
                 self._router.unbind(task)
             raise
-        # Deliberately no direct pump here: only the dispatch loop (no drain
-        # running) and the completion hook (a live drain worker) may extend
-        # the graph.  An ingest-thread pump could extend it in the window
-        # where a drain's workers have already observed all_finished and
-        # exited — tasks nobody would ever run.
+        # Deliberately no direct pump here: the dispatch loop (between
+        # drains) and the completion hook (inside an open drain) extend the
+        # graph.  Whatever they admit after a drain saw all_finished is not
+        # lost: it waits in the ready queue, and _dispatch_loop — signalled
+        # below — re-drains for as long as the graph is unfinished.
         self._signal_work()
         return len(tasks)
 

@@ -3,6 +3,12 @@ drain, which every backend must survive)."""
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,7 @@ from repro.atm.policy import StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
 from repro.session import Session
+from repro.runtime import executor as executor_module
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.executor import (
     RunResult,
@@ -18,8 +25,9 @@ from repro.runtime.executor import (
     ThreadedExecutor,
     build_executor,
 )
+from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.simulator import SimulatedExecutor
-from repro.runtime.task import TaskType
+from repro.runtime.task import Task, TaskType
 
 from tests.conftest import (
     make_serial_runtime,
@@ -153,6 +161,236 @@ class TestThreadedExecutor:
         # The aggregated abort names the failed task and chains the original.
         assert [f.label for f in excinfo.value.failures] == ["boom#0"]
         assert isinstance(excinfo.value.__cause__.__cause__, ValueError)
+
+
+JOIN_S = 10.0  # bound of every wait below; none of them is expected to be reached
+
+
+def pool_idents(executor: ThreadedExecutor) -> set:
+    return {thread.ident for thread in executor._pool.threads}
+
+
+def wait_parked(executor: ThreadedExecutor) -> None:
+    """Block until every pool worker has parked (they only count themselves
+    parked under the pool lock, after leaving their last task)."""
+    pool = executor._pool
+    deadline = time.monotonic() + JOIN_S
+    while pool.parked < len(pool.threads):
+        assert time.monotonic() < deadline, "workers never parked"
+        time.sleep(0.001)
+
+
+def join_all(threads) -> None:
+    for thread in threads:
+        thread.join(timeout=JOIN_S)
+    assert not [t.name for t in threads if t.is_alive()]
+
+
+@pytest.fixture
+def threaded():
+    """A 2-worker Session whose pool is stopped and joined at teardown."""
+    session = make_threaded_runtime(threads=2)
+    yield session
+    session.close()
+
+
+class TestThreadedWorkerPool:
+    """The pool's contract (DESIGN.md §4.2); nothing here passes by timing."""
+
+    def test_drains_reuse_one_set_of_threads(self, threaded):
+        src = np.arange(4.0)
+        submit_square(threaded, src, np.zeros(4))
+        threaded.wait_all()
+        idents = pool_idents(threaded.executor)
+        assert len(idents) == 2
+        alive = threading.active_count()
+        for _ in range(100):
+            out = np.zeros(4)
+            submit_square(threaded, src, out)
+            threaded.wait_all()
+            assert np.array_equal(out, src ** 2)
+            assert pool_idents(threaded.executor) == idents
+        assert threading.active_count() == alive
+
+    def test_execution_stays_lazy_between_drains(self, threaded):
+        ran = []
+        probe = TaskType("probe")
+        threaded.submit(probe, ran.append, accesses=[Out(np.zeros(1))], args=(0,))
+        threaded.wait_all()  # the pool now exists and parks behind the closed gate
+        wait_parked(threaded.executor)
+        for i in (1, 2, 3):
+            threaded.submit(probe, ran.append, accesses=[Out(np.zeros(1))], args=(i,))
+        wait_parked(threaded.executor)
+        assert ran == [0]
+        assert threaded.executor.scheduler.pending() == 3
+        threaded.wait_all()
+        assert sorted(ran) == [0, 1, 2, 3]
+
+    def test_no_sleep_in_the_worker_path(self, threaded, monkeypatch):
+        slept = []
+
+        def no_sleep(seconds):
+            slept.append(seconds)
+            raise AssertionError(f"executor slept {seconds}s")
+
+        monkeypatch.setattr(
+            executor_module, "time",
+            types.SimpleNamespace(perf_counter=time.perf_counter, sleep=no_sleep),
+        )
+        # Three dependent waves over three blocks; the bodies block briefly so
+        # that one of the two workers runs out of ready tasks mid-drain (where
+        # the per-drain threads this pool replaced called time.sleep).
+        blocks = [np.full(8, float(i)) for i in range(3)]
+        bump = TaskType("bump")
+        never = threading.Event()
+
+        def bump_body(block):
+            never.wait(0.002)
+            block += 1.0
+
+        for _ in range(3):
+            for block in blocks:
+                threaded.submit(bump, bump_body, accesses=[InOut(block)], args=(block,))
+        threaded.wait_all()
+        assert [block[0] for block in blocks] == [3.0, 4.0, 5.0]
+
+        # Submit-while-draining: the completion hook adds a second wave.
+        executor = threaded.executor
+        acc = np.zeros(1)
+        box = []
+
+        def add_one(buf):
+            buf[0] += 1.0
+
+        def wave(count):
+            return [
+                Task(task_type=bump, function=add_one, accesses=[InOut(acc)],
+                     args=(acc,), task_id=-1)
+                for _ in range(count)
+            ]
+
+        def on_complete(task):
+            if task.task_id == 0:
+                box[0].add_tasks(wave(5))
+
+        graph = TaskDependenceGraph(
+            on_ready=executor.notify_ready,
+            on_ready_batch=executor.notify_ready_batch,
+            on_complete=on_complete,
+        )
+        box.append(graph)
+        graph.add_tasks(wave(3))
+        for _ in range(100):
+            executor.drain(graph)
+            if graph.all_finished:
+                break
+        assert graph.all_finished and acc[0] == 8.0
+        assert slept == []
+
+    def test_no_lost_wakeup_on_a_handoff_chain(self, threaded):
+        # Every completion releases exactly one successor while the other
+        # worker is on its way to park: a wake-up lost there hangs the drain.
+        links = 2000
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            data = build_chain(threaded, links)
+            done = []
+            drainer = threading.Thread(target=lambda: done.append(threaded.wait_all()))
+            drainer.start()
+            drainer.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert done, "drain hung: a ready notification was lost"
+        assert data[0] == float(links)
+        stats = threaded.executor.scheduler.stats
+        assert stats.total_pushes == stats.total_pops == links
+
+    def test_failed_drain_leaves_the_pool_reusable(self):
+        executor = ThreadedExecutor(config=RuntimeConfig(num_threads=2))
+        try:
+            first = Session(executor=executor)
+            submit_square(first, np.arange(4.0), np.zeros(4))
+            first.wait_all()
+            idents = pool_idents(executor)
+
+            def explode():
+                raise ValueError("mid-drain failure")
+
+            first.submit(TaskType("boom"), explode, accesses=[Out(np.zeros(1))])
+            with pytest.raises(DrainAbortedError, match="boom#1"):
+                first.wait_all()
+
+            second = Session(executor=executor)
+            data = build_chain(second, 50)
+            assert second.wait_all().tasks_failed == 0
+            assert data[0] == 50.0
+            assert pool_idents(executor) == idents
+        finally:
+            executor.close()
+
+    def test_stuck_worker_aborts_and_the_next_drain_gets_a_new_pool(
+        self, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(ThreadedExecutor, "JOIN_TIMEOUT", 0.05)
+        executor = ThreadedExecutor(
+            config=RuntimeConfig(num_threads=2, drain_timeout_s=0.05)
+        )
+        release = threading.Event()
+        try:
+            wedged = Session(executor=executor)
+            submit_square(wedged, np.arange(4.0), np.zeros(4))
+            wedged.wait_all()
+            abandoned = list(executor._pool.threads)
+            wedged.submit(
+                TaskType("wedge"), release.wait, accesses=[Out(np.zeros(1))],
+                args=(JOIN_S,),
+            )
+            with pytest.raises(DrainAbortedError, match="still inside a task"):
+                wedged.wait_all()
+            assert "worker-" in capfd.readouterr().err  # the stack dump
+            assert executor._pool is None
+
+            fresh = Session(executor=executor)
+            data = build_chain(fresh, 10)
+            fresh.wait_all()
+            assert data[0] == 10.0
+            assert not set(executor._pool.threads) & set(abandoned)
+        finally:
+            release.set()
+            executor.close()
+        join_all(abandoned)  # the wedged frame returned: its pool is gone too
+
+    def test_close_joins_and_a_later_drain_respawns(self):
+        executor = ThreadedExecutor(config=RuntimeConfig(num_threads=3))
+        session = Session(executor=executor)
+        data = build_chain(session, 5)
+        session.wait_all()
+        threads = list(executor._pool.threads)
+        assert all(t.name.startswith("worker-") and t.is_alive() for t in threads)
+        executor.close()
+        assert not [t.name for t in threads if t.is_alive()]
+        assert executor._pool is None
+        executor.close()  # idempotent
+
+        again = Session(executor=executor)
+        more = build_chain(again, 5)
+        again.wait_all()
+        assert data[0] == more[0] == 5.0
+        respawned = list(executor._pool.threads)
+        assert not set(respawned) & set(threads)
+        executor.close()
+        join_all(respawned)
+
+    def test_dropped_executor_releases_its_threads(self):
+        session = make_threaded_runtime(threads=2)
+        data = build_chain(session, 5)
+        session.wait_all()
+        assert data[0] == 5.0
+        threads = list(session.executor._pool.threads)
+        del session
+        gc.collect()
+        join_all(threads)
 
 
 class TestSimulatedExecutor:

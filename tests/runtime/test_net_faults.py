@@ -95,7 +95,9 @@ class WedgeMidChunkEndpoint(LoopbackEndpoint):
                     write_frame(sock, ("hello_ack", {"worker_id": -1}))
                 elif message[0] == "chunk":
                     write_frame(sock, ("ack", message[1].chunk_id))
-                    time.sleep(SCENARIO_TIMEOUT)  # wedged; daemon thread
+                    while sock.recv(1 << 16):  # wedged: deaf until the parent hangs up
+                        pass
+                    return
                 elif message[0] == "shutdown":
                     return
         except Exception:
@@ -122,7 +124,9 @@ class GarbageFrameEndpoint(LoopbackEndpoint):
                 elif message[0] == "chunk":
                     write_frame(sock, ("ack", message[1].chunk_id))
                     sock.sendall(b"\xde\xad\xbe\xef" * 16)  # not a frame
-                    time.sleep(SCENARIO_TIMEOUT)  # stream corrupted; linger
+                    while sock.recv(1 << 16):  # stream corrupted; linger until hang-up
+                        pass
+                    return
                 elif message[0] == "shutdown":
                     return
         except Exception:

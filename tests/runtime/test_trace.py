@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.atm.engine import ATMEngine
+from repro.atm.policy import StaticATMPolicy
+from repro.common.config import ATMConfig, RuntimeConfig
+from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.trace import CoreState, StateInterval, TraceRecorder, render_ascii_trace
+from repro.session import Session
+
+from tests.conftest import submit_square
 
 
 class TestTraceRecorder:
@@ -95,3 +103,79 @@ class TestAsciiRendering:
         trace.record(0, CoreState.ATM_HASH, 9.0, 10.0)
         text = render_ascii_trace(trace, width=10).splitlines()[0]
         assert text.count("T") >= 8
+
+
+class TestExecutorTracing:
+    """What ``BaseExecutor._process`` records — and, with tracing off, skips."""
+
+    TASKS = 12
+
+    @staticmethod
+    def run_twins(executor_cls, tracing: bool, threads: int):
+        """TASKS identical square tasks under static ATM (IKT off: one
+        executes and commits, the rest are THT hits) on a fresh executor."""
+        atm = ATMConfig(use_ikt=False)
+        engine = ATMEngine(config=atm, policy=StaticATMPolicy(atm), num_threads=threads)
+        executor = executor_cls(
+            config=RuntimeConfig(num_threads=threads, enable_tracing=tracing), engine=engine
+        )
+        session = Session(executor=executor)
+        src = np.arange(16, dtype=np.float64)
+        tasks = [
+            submit_square(session, src, np.zeros(16))
+            for _ in range(TestExecutorTracing.TASKS)
+        ]
+        return session, tasks
+
+    def test_serial_intervals_are_the_figure_7_states(self):
+        session, tasks = self.run_twins(SerialExecutor, tracing=True, threads=1)
+        trace = session.finish().trace
+        states = [(i.state, i.task_label) for i in trace.intervals]
+        expected = [
+            (CoreState.ATM_HASH, "square#0"),
+            (CoreState.TASK_EXECUTION, "square#0"),
+            (CoreState.ATM_MEMOIZATION, "square#0"),
+        ]
+        for task in tasks[1:]:
+            expected += [
+                (CoreState.ATM_HASH, task.label),
+                (CoreState.ATM_MEMOIZATION, task.label),
+            ]
+        assert states == expected
+        assert trace.cores() == [0]
+        # One ready-queue sample per task, taken after its completion.
+        assert [depth for _, depth in trace.ready_samples] == list(
+            range(self.TASKS - 1, -1, -1)
+        )
+        starts = [i.start for i in trace.intervals]
+        assert starts == sorted(starts)
+
+    def test_threaded_trace_has_one_sample_and_hash_per_task(self):
+        session, tasks = self.run_twins(ThreadedExecutor, tracing=True, threads=2)
+        result = session.finish()
+        trace = result.trace
+        per_state = {
+            state: sum(1 for i in trace.intervals if i.state is state) for state in CoreState
+        }
+        assert per_state[CoreState.ATM_HASH] == self.TASKS
+        assert per_state[CoreState.ATM_MEMOIZATION] == self.TASKS
+        assert per_state[CoreState.TASK_EXECUTION] == result.tasks_executed
+        assert len(trace.ready_samples) == self.TASKS
+        assert set(trace.cores()) <= {0, 1}
+        assert {i.task_label for i in trace.intervals} == {t.label for t in tasks}
+
+    @pytest.mark.parametrize("executor_cls, threads", [(SerialExecutor, 1), (ThreadedExecutor, 2)])
+    def test_untraced_run_does_no_trace_work(self, executor_cls, threads, monkeypatch):
+        session, tasks = self.run_twins(executor_cls, tracing=False, threads=threads)
+        pending_calls = []
+        scheduler = session.executor.scheduler
+        monkeypatch.setattr(
+            scheduler, "pending", lambda: pending_calls.append(1) or 0
+        )
+        result = session.finish()
+        assert result.tasks_completed == self.TASKS
+        assert result.trace.intervals == [] and result.trace.ready_samples == []
+        # The two facts behind the graph_fine row: no label was ever
+        # formatted, and the ready queue's lock was not taken to sample it.
+        assert [task._label for task in tasks] == [None] * self.TASKS
+        assert pending_calls == []
