@@ -74,14 +74,17 @@ tht-store:
 
 # Threaded-pool soak: the suites that drive the persistent worker pool
 # (executor contract, submit-while-draining, concurrency stress, the whole
-# serving tier, its `serving`-marked threaded-gateway soak included) ten
-# times over with a 10 us switch interval, so thread interleavings a normal
-# run never produces get their turn.  Zero failures required.
+# serving tier, its `serving`-marked threaded-gateway soak included) and the
+# server they are served on (FrameServer shutdown, gateway lifecycle: the
+# lost-wake-up gate of the barrier condition) ten times over with a 10 us
+# switch interval, so thread interleavings a normal run never produces get
+# their turn.  Zero failures required.
 soak-threaded:
 	for run in 1 2 3 4 5 6 7 8 9 10; do \
 		$(PYTHON) -m pytest tests/runtime/test_executors.py \
 			tests/runtime/test_submit_while_draining.py \
-			tests/runtime/test_stress_concurrency.py tests/serving \
+			tests/runtime/test_stress_concurrency.py \
+			tests/runtime/test_net_server.py tests/serving \
 			-m "not net_soak and not fault" \
 			--switch-interval 1e-5 -p no:cacheprovider -x -q || exit 1; \
 	done

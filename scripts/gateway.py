@@ -20,9 +20,7 @@ PYTHONPATH (same rule as ``scripts/net_worker.py``).
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -30,8 +28,9 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.serving import Gateway  # noqa: E402
 from repro.common.config import ReproConfig  # noqa: E402
+from repro.runtime.net_server import run_daemon  # noqa: E402
+from repro.serving import Gateway  # noqa: E402
 
 
 def build_config(args: argparse.Namespace) -> ReproConfig:
@@ -74,26 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     gateway = Gateway(build_config(args))
-    port = gateway.start()
-    if args.announce:
-        print(f"listening {gateway.serving.host}:{port}", flush=True)
-
-    stopped = threading.Event()
-
-    def request_shutdown(signum, frame):  # pragma: no cover - signal driven
-        # stop() joins the service threads; run it off the signal frame so
-        # a second signal can still force-exit the interpreter.
-        def teardown() -> None:
-            gateway.stop()
-            stopped.set()
-
-        threading.Thread(target=teardown, name="gateway-shutdown").start()
-
-    signal.signal(signal.SIGTERM, request_shutdown)
-    signal.signal(signal.SIGINT, request_shutdown)
-
-    stopped.wait()
-    return 0
+    address = f"{gateway.serving.host}:{gateway.start()}"
+    return run_daemon(address, gateway.stop, args.announce)
 
 
 if __name__ == "__main__":

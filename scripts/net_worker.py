@@ -52,8 +52,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="print 'listening <host>:<port>' once bound "
                              "(for harnesses starting daemons on port 0)")
     args = parser.parse_args(argv)
-    server = FrameServer((args.host, args.port), serve_connection)
-    return run_daemon(server, args.announce, "net-worker")
+    server, address = serve_in_thread(args.host, args.port)
+    return run_daemon(address, server.shutdown_gracefully, args.announce)
 
 
 def serve_in_thread(host: str = "127.0.0.1", port: int = 0):

@@ -99,7 +99,7 @@ def main(argv: "list[str] | None" = None) -> int:
         args.bucket_bits, args.bucket_capacity, args.backing, args.flush_every
     )
     server = make_server(args.host, args.port, state)
-    return run_daemon(server, args.announce, "tht-shard")
+    return run_daemon(server.serve_in_thread(), server.shutdown_gracefully, args.announce)
 
 
 def serve_in_thread(

@@ -1,20 +1,23 @@
 """The frame daemon: one thread-per-connection TCP server for net_wire peers.
 
-``scripts/net_worker.py`` (task execution) and ``scripts/tht_shard.py``
-(THT cache shard) are the same daemon around different per-connection
-functions: accept, serve each connection on its own thread, count the live
-ones, and on SIGTERM/SIGINT stop accepting, give in-flight connections a
-grace period, run a final hook (the shard's backing-file flush) and close.
-:class:`FrameServer` is that daemon; :func:`run_daemon` is its ``main``.
+``scripts/net_worker.py`` (task execution), ``scripts/tht_shard.py`` (THT
+cache shard) and the serving :class:`~repro.serving.gateway.Gateway` are the
+same server around different per-connection functions: one accept thread
+blocks in ``accept()``, every connection is served on its own thread
+(``frame-conn-<id>``) by a plain blocking ``read_frame`` / ``write_frame``
+loop, and the server knows its live connections.  :meth:`FrameServer.shutdown`
+stops the accept loop *now* (it wakes the blocked ``accept()`` instead of
+waiting for a poll tick); :meth:`FrameServer.shutdown_gracefully` then gives
+live connections a grace period, runs a final hook (the shard's backing-file
+flush) and closes.  :func:`run_daemon` is the signal-to-shutdown ``main`` of
+all three scripts.
 """
 
 from __future__ import annotations
 
 import signal
 import socket
-import socketserver
 import threading
-import time
 from typing import Callable, Optional
 
 __all__ = ["SHUTDOWN_GRACE_S", "FrameServer", "run_daemon"]
@@ -23,31 +26,15 @@ __all__ = ["SHUTDOWN_GRACE_S", "FrameServer", "run_daemon"]
 SHUTDOWN_GRACE_S = 5.0
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        server: FrameServer = self.server
-        with server._lock:
-            connection_id = server._next_id
-            server._next_id += 1
-            server._inflight += 1
-        try:
-            server._serve_connection(self.request, connection_id)
-        finally:
-            with server._lock:
-                server._inflight -= 1
-
-
-class FrameServer(socketserver.ThreadingTCPServer):
+class FrameServer:
     """Serves ``serve_connection(sock, connection_id)`` once per connection.
 
     ``connection_id`` is a dense counter allocated under the server's
     lock, so concurrent accepts never share one (a worker daemon reports
-    it as its ``worker_id``).  ``on_shutdown`` runs after the drain grace
-    of :meth:`shutdown_gracefully`, before the listener closes.
+    it as its ``worker_id``).  The server closes a connection's socket when
+    its function returns or raises.  ``on_shutdown`` runs after the drain
+    grace of :meth:`shutdown_gracefully`, before the listener closes.
     """
-
-    allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(
         self,
@@ -55,31 +42,101 @@ class FrameServer(socketserver.ThreadingTCPServer):
         serve_connection: Callable[[socket.socket, int], None],
         on_shutdown: Optional[Callable[[], None]] = None,
     ) -> None:
-        super().__init__(address, _Handler)
+        self._listener = socket.create_server(address)
         self._serve_connection = serve_connection
         self._on_shutdown = on_shutdown
         self._lock = threading.Lock()
-        self._inflight = 0
+        #: Notified (under ``_lock``) whenever a connection ends.
+        self._drained = threading.Condition(self._lock)
+        self._connections: dict[int, socket.socket] = {}
         self._next_id = 0
+        self._stopping = False
+        self._accept_thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> str:
         """The bound ``host:port`` (resolves an ephemeral port 0)."""
-        host, port = self.server_address[:2]
+        host, port = self._listener.getsockname()[:2]
         return f"{host}:{port}"
 
-    @property
-    def inflight(self) -> int:
-        """Connections currently being served."""
-        with self._lock:
-            return self._inflight
+    def serve_forever(self) -> None:
+        """Accept until :meth:`shutdown`; each connection gets its own thread.
+
+        What goes wrong around one connection (a failed ``accept``, no thread
+        to be had) ends that connection; the loop keeps accepting.
+        """
+        self._accept_thread = threading.current_thread()
+        while not self._stopping:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                continue  # shutdown() woke us, or this one accept failed
+            if self._stopping:
+                sock.close()
+                break
+            with self._lock:
+                connection_id = self._next_id
+                self._next_id += 1
+                self._connections[connection_id] = sock
+            try:
+                threading.Thread(
+                    target=self._run_connection,
+                    args=(sock, connection_id),
+                    name=f"frame-conn-{connection_id}",
+                    daemon=True,
+                ).start()
+            except RuntimeError:  # can't start new thread
+                self._end_connection(sock, connection_id)
+
+    def _run_connection(self, sock: socket.socket, connection_id: int) -> None:
+        try:
+            self._serve_connection(sock, connection_id)
+        finally:
+            self._end_connection(sock, connection_id)
+
+    def _end_connection(self, sock: socket.socket, connection_id: int) -> None:
+        sock.close()
+        with self._drained:
+            del self._connections[connection_id]
+            self._drained.notify_all()
 
     def serve_in_thread(self) -> str:
-        """Serve from a daemon thread (tests/benchmarks); returns the address."""
+        """Serve from a daemon thread; returns the address."""
         threading.Thread(
-            target=self.serve_forever, args=(0.2,), daemon=True
+            target=self.serve_forever, name="frame-accept", daemon=True
         ).start()
         return self.address
+
+    def shutdown(self) -> None:
+        """Stop accepting and wait for the accept loop to end (idempotent).
+
+        Immediate: the blocked ``accept()`` is woken, not polled.  Must not be
+        called from the accept thread itself.
+        """
+        if not self._stopping:
+            self._stopping = True
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept() on Linux
+            except OSError:
+                # Platforms that refuse to shut a listening socket down: a
+                # throw-away connection wakes the accept loop instead.
+                try:
+                    socket.create_connection(self._listener.getsockname()[:2], 1.0).close()
+                except OSError:
+                    pass
+        thread = self._accept_thread
+        if thread is not None:
+            thread.join()
+
+    def close_connections(self) -> None:
+        """End every live connection's read side: a connection function
+        blocked in ``read_frame`` sees EOF, a reply it is writing still leaves."""
+        with self._lock:
+            for sock in self._connections.values():
+                try:
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already reset it
 
     def shutdown_gracefully(self, grace_s: float = SHUTDOWN_GRACE_S) -> None:
         """Stop accepting, wait for live connections to drain, then close.
@@ -89,38 +146,27 @@ class FrameServer(socketserver.ThreadingTCPServer):
         to happen before closing the listener anyway.
         """
         self.shutdown()
-        deadline = time.monotonic() + grace_s
-        while self.inflight > 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
+        with self._drained:
+            self._drained.wait_for(lambda: not self._connections, timeout=grace_s)
         if self._on_shutdown is not None:
             self._on_shutdown()
-        self.server_close()
+        self._listener.close()
 
 
-def run_daemon(server: FrameServer, announce: bool, name: str) -> int:
-    """Serve until SIGTERM/SIGINT, then shut down gracefully.
+def run_daemon(address: str, shutdown: Callable[[], None], announce: bool) -> int:
+    """Park a daemon's main thread until SIGTERM/SIGINT, then run ``shutdown``.
 
-    ``announce`` prints ``listening <host>:<port>`` once bound (for
-    harnesses starting daemons on port 0).
+    The daemon is already serving ``address`` from its own threads
+    (:meth:`FrameServer.serve_in_thread`, ``Gateway.start``); ``shutdown`` is
+    its graceful teardown.  ``announce`` prints ``listening <host>:<port>``
+    (for harnesses starting daemons on port 0) — after the handlers are in
+    place, so a harness may signal as soon as it has read the line.
     """
+    stop_requested = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stop_requested.set())
     if announce:
-        print(f"listening {server.address}", flush=True)
-    closed = threading.Event()
-
-    def request_shutdown(signum, frame):  # pragma: no cover - signal driven
-        # serve_forever's own thread cannot call shutdown() (it would
-        # deadlock on the serve loop); hand the teardown to a helper thread.
-        def teardown() -> None:
-            server.shutdown_gracefully()
-            closed.set()
-
-        threading.Thread(target=teardown, name=f"{name}-shutdown").start()
-
-    signal.signal(signal.SIGTERM, request_shutdown)
-    signal.signal(signal.SIGINT, request_shutdown)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        if not closed.is_set():
-            server.shutdown_gracefully()
+        print(f"listening {address}", flush=True)
+    stop_requested.wait()
+    shutdown()
     return 0

@@ -84,16 +84,13 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
 from repro.runtime.data import DataRegion, _base_buffer
 from repro.runtime.remote_task import ArrayArena, TaskDescriptor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import asyncio
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -111,7 +108,6 @@ __all__ = [
     "decode_frame",
     "iter_frames",
     "read_frame",
-    "read_frame_async",
     "send_frame",
     "write_frame",
     "request",
@@ -264,32 +260,18 @@ def _check_payload(control, table: list[tuple[int, int]], segments: list) -> Any
     return _decode_control(control, segments)
 
 
-def _parse_frame():
-    """The one frame parser, free of I/O: a generator that yields how many
-    bytes it needs next, is sent a writable buffer holding exactly those,
-    and returns the message.  Every bound is checked before the request it
-    sizes; a segment buffer goes to the consumer as is.
+def _parse_frame(take) -> Any:
+    """The one frame parser, free of I/O: ``take(n)`` returns a writable
+    buffer holding exactly the next ``n`` bytes.  Every bound is checked
+    before the request it sizes; a segment buffer goes to the consumer as is.
     """
-    header = yield _HEADER.size
+    header = take(_HEADER.size)
     table_len, control_len, crc = _check_header(header)
-    head = memoryview((yield table_len + control_len))
+    head = memoryview(take(table_len + control_len))
     control = head[table_len:]
     table = _check_table(header, head[:table_len], control, crc)
-    segments = []
-    for length, _ in table:
-        segments.append((yield length))
+    segments = [take(length) for length, _ in table]
     return _check_payload(control, table, segments)
-
-
-def _feed(take) -> Any:
-    """Run the parser, answering each request for ``n`` bytes with ``take(n)``."""
-    parser = _parse_frame()
-    try:
-        want = next(parser)
-        while True:
-            want = parser.send(take(want))
-    except StopIteration as done:
-        return done.value
 
 
 def decode_frame(data) -> tuple[Any, int]:
@@ -312,7 +294,7 @@ def decode_frame(data) -> tuple[Any, int]:
         at += n
         return bytearray(data[at - n : at])
 
-    return _feed(take), at
+    return _parse_frame(take), at
 
 
 def iter_frames(data: bytes):
@@ -350,22 +332,7 @@ def _recv_into(sock: socket.socket, n: int) -> memoryview:
 
 def read_frame(sock: socket.socket) -> Any:
     """Blocking read of one complete frame from a socket."""
-    return _feed(functools.partial(_recv_into, sock))
-
-
-async def read_frame_async(reader: "asyncio.StreamReader") -> Any:
-    """Read one frame from an asyncio stream (``None`` at EOF or reset)."""
-    parser = _parse_frame()
-    try:
-        want = next(parser)
-        while True:
-            # The one copy of this path: the stream hands out immutable
-            # bytes, consumers adopt a writable backing.
-            want = parser.send(bytearray(await reader.readexactly(want)))
-    except StopIteration as done:
-        return done.value
-    except (EOFError, ConnectionError):  # IncompleteReadError is an EOFError
-        return None
+    return _parse_frame(functools.partial(_recv_into, sock))
 
 
 def send_frame(sock: socket.socket, frame: Frame) -> None:

@@ -26,10 +26,16 @@ registered backend).  Three properties make the sharing safe:
   merge pump publishes its incremental deltas back, so the warm tier
   survives gateway restarts.
 
-Threading model: one asyncio event loop (connection handling), one dispatch
-thread (admission pump + ``executor.drain``), one merge-pump thread (shared
-tier only), plus whatever the pool backend keeps — for ``threaded`` one
-long-lived set of ``num_threads`` workers that park between drains.  The
+Threading model: the server is a :class:`~repro.runtime.net_server.
+FrameServer`, the one the worker and shard daemons use — an accept thread
+and one thread per connection, which runs a plain blocking loop: ``read_frame``
+→ ingest (or wait for the tenant's barrier) → ``write_frame``, so a reply is
+built, encoded and sent on one thread and a full tenant queue blocks that
+tenant's thread only.  Beside them run one dispatch thread (admission pump +
+``executor.drain``), one merge-pump thread (shared tier only), plus whatever
+the pool backend keeps — for ``threaded`` one long-lived set of
+``num_threads`` workers that park between drains.  A barrier waits on the
+tenant's condition, notified where its ``outstanding`` count reaches 0.  The
 pool executes only while a drain is open: work admitted in between waits in
 the ready queue, and ``_dispatch_loop`` re-drains for as long as the graph
 is unfinished.  Mid-drain admission rides the graph's ``on_complete`` hook —
@@ -45,7 +51,9 @@ rather than run unbounded forever.
 
 from __future__ import annotations
 
-import asyncio
+import math
+import numbers
+import socket
 import threading
 import time
 from collections import deque
@@ -65,6 +73,7 @@ from repro.common.exceptions import (
     GatewayShutdownError,
     ReproError,
     TenantRejectedError,
+    WireProtocolError,
 )
 from repro.runtime.atm_protocol import (
     ATMAction,
@@ -74,14 +83,15 @@ from repro.runtime.atm_protocol import (
 from repro.runtime.data import AccessMode
 from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
+from repro.runtime.net_server import SHUTDOWN_GRACE_S, FrameServer
 from repro.runtime.net_wire import (
     NetArrayRef,
     NetBuffer,
-    encode_frame,
     raw_view,
-    read_frame_async,
+    read_frame,
+    write_frame,
 )
-from repro.runtime.remote_task import ArrayArena, rebuild_task
+from repro.runtime.remote_task import ArrayArena, TaskDescriptor, rebuild_task
 from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.admission import AdmissionController
 
@@ -131,6 +141,10 @@ class TenantArena(ArrayArena):
 
     def store(self, buffers: "tuple[NetBuffer, ...] | list[NetBuffer]") -> None:
         for buf in buffers:
+            if not isinstance(buf, NetBuffer):
+                raise GatewayProtocolError(
+                    f"a submission ships NetBuffers, got {type(buf).__name__}"
+                )
             if buf.data is None:
                 raise GatewayProtocolError(
                     "the gateway ships tenant buffers whole; cached "
@@ -186,6 +200,8 @@ class _TenantState:
         self.arena = TenantArena()
         self.task_types: dict[str, TaskType] = {}
         self.lock = threading.Lock()
+        #: Over ``lock``; notified when ``outstanding`` reaches 0 (barriers).
+        self.idle = threading.Condition(self.lock)
         self.connected = False
         self.submitted = 0
         self.outstanding = 0
@@ -197,8 +213,22 @@ class _TenantState:
         self.failed_ids: set[int] = set()
         self.dirty: set[int] = set()
         self.latencies: deque = deque(maxlen=RESULT_HISTORY)
-        self.barriers: list[asyncio.Future] = []
         self.last_flush = time.monotonic()
+
+    def counters(self, prefix: str = "") -> dict:
+        """The task counters of a summary (``prefix="tasks_"``) or ``stats``
+        reply; read under ``lock``."""
+        counts = {
+            "submitted": self.submitted,
+            "completed": self.executed + self.memoized,
+            "executed": self.executed,
+            "memoized": self.memoized,
+            "failed": self.failed,
+            "cancelled": self.cancelled,
+        }
+        counters = {prefix + key: value for key, value in counts.items()}
+        counters.update(shared_hits=self.shared_hits, outstanding=self.outstanding)
+        return counters
 
 
 class _Route:
@@ -240,6 +270,13 @@ class TenantEngineRouter:
 
     def unbind(self, task: Task) -> Optional[_Route]:
         return self._routes.pop(id(task), None)
+
+    def drain_routes(self) -> list[_Route]:
+        """Pop and return every bound route (drain-failure recovery)."""
+        routes = []
+        while self._routes:
+            routes.append(self._routes.popitem()[1])
+        return routes
 
     def add_engine(self, engine) -> None:
         """Track a tenant engine; fan out the deferred-completion callback."""
@@ -375,12 +412,8 @@ class Gateway:
         self._drain_errors = 0
         self._build_pool()
 
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._server: Optional[FrameServer] = None
         self._port: Optional[int] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._loop_thread: Optional[threading.Thread] = None
         self._dispatch_thread: Optional[threading.Thread] = None
         self._merge_thread: Optional[threading.Thread] = None
 
@@ -401,13 +434,9 @@ class Gateway:
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> int:
         """Bind, spawn the service threads, and return the listening port."""
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="gateway-loop", daemon=True
+        self._server = FrameServer(
+            (self.serving.host, self.serving.port), self._serve_connection
         )
-        self._loop_thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
         self._dispatch_thread = threading.Thread(
             target=self._dispatch_loop, name="gateway-dispatch", daemon=True
         )
@@ -417,7 +446,7 @@ class Gateway:
                 target=self._merge_loop, name="gateway-merge", daemon=True
             )
             self._merge_thread.start()
-        assert self._port is not None
+        self._port = int(self._server.serve_in_thread().rsplit(":", 1)[1])
         return self._port
 
     @property
@@ -426,46 +455,15 @@ class Gateway:
             raise GatewayError("gateway not started")
         return self._port
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(
-                    self._handle_client, self.serving.host, self.serving.port
-                )
-            )
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._server = server
-        self._port = server.sockets[0].getsockname()[1]
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            loop.run_until_complete(server.wait_closed())
-            # Cancel stragglers (idle connection handlers) before closing.
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-
     def stop(self, grace_s: Optional[float] = None) -> None:
         """Graceful shutdown: drain in-flight work, flush deltas, close.
 
         New submissions are refused (``GatewayShutdownError``) the moment
         shutdown begins; work already admitted or queued gets up to
         ``grace_s`` (default ``serving.shutdown_grace_s``) to finish, then
-        the pool is torn down regardless.
+        the pool is torn down regardless.  Live connections are ended, not
+        waited out: a barrier still parked is answered
+        ``GatewayShutdownError``, an idle connection sees EOF.
         """
         if self._stop_event.is_set():
             return
@@ -477,18 +475,27 @@ class Gateway:
                 break
             time.sleep(0.01)
         self._stop_event.set()
-        with self._work_cond:
-            self._work_cond.notify_all()
+        self._signal_work()
+        if self._server is not None:
+            self._server.shutdown()
+            # Order matters: with the stop flag up, wake the parked barriers
+            # (they reply on their own threads), then end every connection's
+            # read side so each loop leaves at its next ``read_frame``.
+            with self._tenants_lock:
+                tenants = list(self._tenants.values())
+            for tenant in tenants:
+                with tenant.idle:
+                    tenant.idle.notify_all()
+            self._server.close_connections()
+            self._server.shutdown_gracefully()
         if self._shared_tht is not None:
             self._flush_all_deltas()
         store, self._tht_store = self._tht_store, None
         if store is not None and publish_increment(store, self._shared_tht):
             store.close()
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        for thread in (self._loop_thread, self._dispatch_thread, self._merge_thread):
+        for thread in (self._dispatch_thread, self._merge_thread):
             if thread is not None:
-                thread.join(timeout=5.0)
+                thread.join(timeout=SHUTDOWN_GRACE_S)
         self._executor.close()
 
     def __enter__(self) -> "Gateway":
@@ -550,20 +557,15 @@ class Gateway:
         self._drain_errors += 1
         old_failures = list(self._executor.result().failures)
         self._failure_archive.extend(old_failures)
-        stranded = [
-            (task_id, route)
-            for task_id, route in list(self._router._routes.items())
-        ]
         with self._admit_lock:
-            for key, route in stranded:
-                self._router._routes.pop(key, None)
+            for route in self._router.drain_routes():
                 tenant = route.tenant
-                with tenant.lock:
+                with tenant.idle:
                     tenant.failed += 1
                     tenant.outstanding -= 1
-                    resolved = self._collect_barriers(tenant)
+                    if tenant.outstanding == 0:
+                        tenant.idle.notify_all()
                 self._admission.release(1)
-                self._resolve_barriers(resolved)
             try:
                 self._executor.close()
             except Exception:
@@ -578,7 +580,7 @@ class Gateway:
             return
         tenant = route.tenant
         state = task.state
-        with tenant.lock:
+        with tenant.idle:
             if state is TaskState.FINISHED:
                 tenant.executed += 1
             elif state is TaskState.MEMOIZED:
@@ -591,29 +593,13 @@ class Gateway:
                 tenant.failed_ids.add(task.task_id)
             tenant.outstanding -= 1
             tenant.latencies.append(time.monotonic() - route.t_submit)
-            resolved = self._collect_barriers(tenant)
+            idle = tenant.outstanding == 0
+            if idle:
+                tenant.idle.notify_all()
         self._admission.release(1)
         self._pump_admission()
-        self._resolve_barriers(resolved)
-        if resolved:
+        if idle:
             self._signal_work()
-
-    def _collect_barriers(self, tenant: _TenantState) -> list[asyncio.Future]:
-        """Under ``tenant.lock``: pop barrier futures once outstanding hits 0."""
-        if tenant.outstanding == 0 and tenant.barriers:
-            resolved = tenant.barriers[:]
-            tenant.barriers.clear()
-            return resolved
-        return []
-
-    def _resolve_barriers(self, futures: list[asyncio.Future]) -> None:
-        loop = self._loop
-        if loop is None:
-            return
-        for fut in futures:
-            loop.call_soon_threadsafe(
-                lambda f=fut: f.done() or f.set_result(None)
-            )
 
     # -- shared-tier merge pump --------------------------------------------------
     def _flush_tenant_delta(self, tenant: _TenantState) -> None:
@@ -669,7 +655,7 @@ class Gateway:
         name = info.get("tenant")
         if not name or not isinstance(name, str):
             raise TenantRejectedError("hello carries no tenant name")
-        weight = float(info.get("weight", 1.0))
+        weight = _hello_number(info, "weight", 1.0)
         if weight <= 0:
             raise TenantRejectedError(f"tenant weight must be > 0, got {weight}")
         atm_mode = info.get("atm_mode")
@@ -677,6 +663,7 @@ class Gateway:
             atm_mode = self.config.atm.mode
         if atm_mode not in _TENANT_ATM_MODES:
             raise TenantRejectedError(f"unknown atm_mode {atm_mode!r}")
+        atm_p = _hello_number(info, "atm_p", None)
         if atm_mode != "none" and not self._atm_capable:
             raise TenantRejectedError(
                 f"this gateway's {self.config.runtime.executor!r} pool runs "
@@ -697,8 +684,8 @@ class Gateway:
                 tenant.connected = True
                 return tenant
             overrides = {"mode": atm_mode}
-            if info.get("atm_p") is not None:
-                overrides["p"] = float(info["atm_p"])
+            if atm_p is not None:
+                overrides["p"] = atm_p
             # A sharing tenant journals its commits for the merge pump.
             engine = build_engine(
                 self.config.atm.with_overrides(**overrides),
@@ -714,53 +701,44 @@ class Gateway:
         self._admission.register(name, weight)
         return tenant
 
-    # -- request handling --------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    # -- request handling (one thread per connection) ----------------------------
+    def _serve_connection(self, sock: socket.socket, connection_id: int) -> None:
+        """The blocking request/reply loop of one client connection."""
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         tenant: Optional[_TenantState] = None
-        loop = asyncio.get_running_loop()
-
-        async def reply(message: Any) -> None:
-            # One write per buffer of the scatter list, never a join: the
-            # transport sends straight from the arena views of a barrier
-            # reply.  No snapshot is needed although it may keep them past
-            # this call: the tenant has nothing outstanding, and only this
-            # connection can submit its next write — after the client has
-            # read the whole reply, i.e. after every byte has left.
-            for buffer in encode_frame(message).buffers:
-                writer.write(buffer)
-            await writer.drain()
-
         try:
             while True:
-                message = await read_frame_async(reader)
-                if message is None:
-                    break
+                message = read_frame(sock)
                 try:
-                    done = await self._handle_message(
-                        message, tenant, reply, loop
-                    )
+                    reply, tenant = self._handle_message(message, tenant)
                 except ReproError as exc:
                     # Any taxonomy error — gateway-specific or from task
                     # validation/decoding — is the client's answer, not a
                     # reason to drop the connection.
-                    await reply(("error", type(exc).__name__, str(exc)))
-                    continue
-                if isinstance(done, _TenantState):
-                    tenant = done
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+                    reply = ("error", type(exc).__name__, str(exc))
+                # Encoded and sent here, on the thread that built it: a
+                # barrier reply's segments alias the arena, which nothing
+                # writes while this tenant has no work outstanding — and
+                # only this connection can submit its next write.
+                write_frame(sock, reply)
+        except OSError:
+            pass  # the transport died; the client sees the same breakage
+        except Exception as exc:
+            # EOF or bytes that are no frame (WireProtocolError), or a bug in
+            # a handler: tell the peer why, best effort, and end this one
+            # connection (the FrameServer closes the socket).
+            wire = isinstance(exc, WireProtocolError)
+            name = "WireProtocolError" if wire else "GatewayError"
+            try:
+                write_frame(sock, ("error", name, f"{type(exc).__name__}: {exc}"))
+            except OSError:
+                pass
         finally:
             if tenant is not None:
                 tenant.connected = False
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
 
-    async def _handle_message(self, message, tenant, reply, loop):
+    def _handle_message(self, message, tenant: Optional[_TenantState]):
+        """Answer one request: ``(reply tuple, this connection's tenant)``."""
         if not isinstance(message, tuple) or not message:
             raise GatewayProtocolError("messages are non-empty tuples")
         kind = message[0]
@@ -769,77 +747,74 @@ class Gateway:
                 raise GatewayProtocolError("duplicate hello on one connection")
             if self._draining:
                 raise GatewayShutdownError("gateway is shutting down")
-            info = message[1] if len(message) > 1 else {}
-            state = self._register_tenant(info)
-            await reply(
-                (
-                    "hello_ack",
-                    {
-                        "protocol": SERVING_PROTOCOL_VERSION,
-                        "tenant": state.name,
-                        "shared_tht": state.share_tht,
-                        "atm": state.engine is not None,
-                        "executor": self.config.runtime.executor,
-                    },
-                )
-            )
-            return state
+            if len(message) != 2 or not isinstance(message[1], Mapping):
+                raise GatewayProtocolError("hello carries one mapping of tenant fields")
+            tenant = self._register_tenant(message[1])
+            ack = {
+                "protocol": SERVING_PROTOCOL_VERSION,
+                "tenant": tenant.name,
+                "shared_tht": tenant.share_tht,
+                "atm": tenant.engine is not None,
+                "executor": self.config.runtime.executor,
+            }
+            return ("hello_ack", ack), tenant
         if tenant is None:
             raise GatewayProtocolError(f"{kind!r} before hello")
         if kind in ("submit", "submit_batch"):
             if self._draining:
                 raise GatewayShutdownError("gateway is shutting down")
+            if len(message) != 3:
+                raise GatewayProtocolError(f"{kind} carries descriptors and buffers")
             descs, buffers = message[1], message[2]
             if kind == "submit":
-                descs = [descs]
-            n = await loop.run_in_executor(
-                None, self._ingest_submission, tenant, descs, buffers
-            )
-            await reply(("ack", n))
-            return None
-        if kind == "barrier" or kind == "finish":
-            fut: Optional[asyncio.Future] = None
-            with tenant.lock:
-                if tenant.outstanding > 0:
-                    fut = loop.create_future()
-                    tenant.barriers.append(fut)
-            if fut is not None:
-                await fut
-            summary, dirty = await loop.run_in_executor(
-                None, self._barrier_payload, tenant
-            )
-            if kind == "finish":
-                # The connection stays open after finish: clients may still
-                # ask for result/stats or submit a fresh wave.  EOF on the
-                # socket (client close) is what ends the session loop.
-                await reply(("finish_ack", summary, dirty))
-                return None
-            await reply(("barrier_result", summary, dirty))
-            return None
+                descs = (descs,)
+            if not isinstance(descs, (tuple, list)) or not isinstance(buffers, (tuple, list)):
+                raise GatewayProtocolError(
+                    f"{kind} carries a sequence of descriptors and a sequence of buffers"
+                )
+            return ("ack", self._ingest_submission(tenant, descs, buffers)), tenant
+        if kind in ("barrier", "finish"):
+            with tenant.idle:
+                while tenant.outstanding > 0:
+                    if self._stop_event.is_set():
+                        raise GatewayShutdownError(
+                            f"gateway stopped with {tenant.outstanding} task(s) "
+                            f"of tenant {tenant.name!r} outstanding"
+                        )
+                    tenant.idle.wait()
+            summary, dirty = self._barrier_payload(tenant)
+            # The connection stays open after finish: clients may still ask
+            # for result/stats or submit a fresh wave.  EOF on the socket
+            # (client close) is what ends the session loop.
+            reply_kind = "finish_ack" if kind == "finish" else "barrier_result"
+            return (reply_kind, summary, dirty), tenant
         if kind == "result":
-            await reply(("result_reply", self._tenant_summary(tenant)))
-            return None
+            return ("result_reply", self._tenant_summary(tenant)), tenant
         if kind == "stats":
-            await reply(("stats_reply", self._gateway_stats(tenant)))
-            return None
+            return ("stats_reply", self._gateway_stats()), tenant
         raise GatewayProtocolError(f"unknown message type {kind!r}")
 
-    # -- submission path (worker threads) ----------------------------------------
+    # -- submission path (the connection's thread) --------------------------------
     def _ingest_submission(
-        self, tenant: _TenantState, descs: list, buffers
+        self, tenant: _TenantState, descs: "tuple | list", buffers: "tuple | list"
     ) -> int:
         tenant.arena.store(buffers)
         t_submit = time.monotonic()
         # Build (and validate) every task before binding any route, so a
         # rejected descriptor mid-batch leaves no dangling router entries.
         tasks = []
+        written: set[int] = set()
         for desc in descs:
+            if not isinstance(desc, TaskDescriptor):
+                raise GatewayProtocolError(
+                    f"a submission carries TaskDescriptors, got {type(desc).__name__}"
+                )
             task = rebuild_task(desc, tenant.arena, tenant.task_types)
             task.task_id = -1  # the shared graph assigns dense ids
             tasks.append(task)
             for ref, mode_value, _name in desc.accesses:
                 if AccessMode(mode_value).writes:
-                    tenant.dirty.add(ref.buffer_id)
+                    written.add(ref.buffer_id)
         for task in tasks:
             self._router.bind(task, _Route(tenant, t_submit))
         with tenant.lock:
@@ -854,6 +829,7 @@ class Gateway:
             for task in tasks:
                 self._router.unbind(task)
             raise
+        tenant.dirty |= written
         # Deliberately no direct pump here: the dispatch loop (between
         # drains) and the completion hook (inside an open drain) extend the
         # graph.  Whatever they admit after a drain saw all_finished is not
@@ -882,17 +858,7 @@ class Gateway:
     def _tenant_summary(self, tenant: _TenantState) -> dict:
         with tenant.lock:
             failed_ids = set(tenant.failed_ids)
-            summary = {
-                "tenant": tenant.name,
-                "tasks_submitted": tenant.submitted,
-                "tasks_completed": tenant.executed + tenant.memoized,
-                "tasks_executed": tenant.executed,
-                "tasks_memoized": tenant.memoized,
-                "tasks_failed": tenant.failed,
-                "tasks_cancelled": tenant.cancelled,
-                "shared_hits": tenant.shared_hits,
-                "outstanding": tenant.outstanding,
-            }
+            summary = {"tenant": tenant.name, **tenant.counters("tasks_")}
         summary["lost_deltas"] = self._executor.result().lost_deltas
         # A failed task's TaskFailure is recorded inside the graph transition
         # that made it terminal, so every id counted above has its report.
@@ -904,7 +870,7 @@ class Gateway:
     def _all_failures(self) -> list:
         return self._failure_archive + list(self._executor.result().failures)
 
-    def _gateway_stats(self, tenant: Optional[_TenantState] = None) -> dict:
+    def _gateway_stats(self) -> dict:
         result = self._executor.result()
         stats: dict[str, Any] = {
             "admission": self._admission.snapshot(),
@@ -925,21 +891,23 @@ class Gateway:
         for state in tenants:
             with state.lock:
                 latencies = sorted(state.latencies)
-                entry = {
-                    "submitted": state.submitted,
-                    "completed": state.executed + state.memoized,
-                    "executed": state.executed,
-                    "memoized": state.memoized,
-                    "failed": state.failed,
-                    "cancelled": state.cancelled,
-                    "shared_hits": state.shared_hits,
-                    "outstanding": state.outstanding,
-                    "weight": state.weight,
-                }
+                entry = {**state.counters(), "weight": state.weight}
             entry["latency_p50_s"] = _percentile(latencies, 0.50)
             entry["latency_p99_s"] = _percentile(latencies, 0.99)
             stats["tenants"][state.name] = entry
         return stats
+
+
+def _hello_number(info: Mapping, key: str, default: Optional[float]) -> Optional[float]:
+    """A numeric hello field as a float (``default`` when absent)."""
+    value = info.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise TenantRejectedError(
+            f"hello field {key!r} must be a finite number, got {value!r}"
+        )
+    return float(value)
 
 
 def _percentile(sorted_values: list, q: float) -> float:

@@ -391,20 +391,6 @@ class Session:
             )
         return build_engine(cfg.atm, num_threads)
 
-    # -- construction ----------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        config: "ReproConfig | Mapping | str | Path | None",
-        **overrides: Any,
-    ) -> "Session":
-        """Build a session from a config tree / dict / file path.
-
-        Keyword overrides are the same as the constructor's
-        (``executor=``, ``policy=``, ``cores=``, ...).
-        """
-        return cls(config, **overrides)
-
     # -- program construction ---------------------------------------------------
     def submit(
         self,

@@ -168,3 +168,26 @@ class TestEveryKnobEarnsItsPlace:
             if not re.search(rf"\.{field.name}\b", readers)
         ]
         assert unread == []
+
+
+class TestOneServerModel:
+    """Every daemon serves on ``FrameServer`` threads; the wire has the
+    readers its two drivers need and no more."""
+
+    def test_no_module_under_src_imports_asyncio(self):
+        package = Path(repro.__file__).parent
+        importers = [
+            str(path.relative_to(package))
+            for path in package.rglob("*.py")
+            if re.search(r"^\s*(import|from)\s+asyncio\b", path.read_text(), re.M)
+        ]
+        assert importers == []
+
+    def test_net_wire_exports_exactly_its_three_readers(self):
+        from repro.runtime import net_wire
+
+        readers = {
+            name for name in net_wire.__all__
+            if re.match(r"(read|decode|iter)_", name)
+        }
+        assert readers == {"read_frame", "decode_frame", "iter_frames"}

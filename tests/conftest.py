@@ -35,9 +35,10 @@ def pytest_configure(config) -> None:
         sys.setswitchinterval(interval)
 
 
-#: Name prefixes of the runtime's helper threads: the threaded pool and the
-#: loopback network endpoints (worker *processes* are found as children).
-POOL_THREAD_PREFIXES = ("worker-", "net-recv-", "net-worker-")
+#: Name prefixes of the runtime's helper threads: the threaded pool, the
+#: loopback network endpoints (worker *processes* are found as children), a
+#: ``FrameServer``'s accept and connection threads, the gateway's services.
+POOL_THREAD_PREFIXES = ("worker-", "net-recv-", "net-worker-", "frame-", "gateway-")
 #: How long a helper that is already shutting down may take to end.
 LEAK_JOIN_S = 5.0
 

@@ -5,17 +5,17 @@ Hypothesis-driven guarantees over :mod:`repro.runtime.net_wire`:
 * **frame identity** — a message mixing plain values, :class:`NetBuffer` leaves
   (full and ``data=None``), zero-length and many tiny segments, C-/F-
   contiguous arrays (out-of-band segments) and non-contiguous arrays (which
-  stay in the control section) comes back identical through every decoder:
-  :func:`decode_frame`, :func:`read_frame` behind a sender that dribbles 1–7
-  bytes at a time, and :func:`read_frame_async`;
+  stay in the control section) comes back identical through both decoders:
+  :func:`decode_frame`, and :func:`read_frame` behind a sender that dribbles
+  1–7 bytes at a time;
 * **frame integrity** — truncating a frame at *every* byte offset, or
   flipping a bit of *any* byte (header, table, control, each segment),
-  raises the named :class:`~repro.common.exceptions.WireProtocolError`
-  (the async reader answers a truncation with its clean ``None``) — never
+  raises the named :class:`~repro.common.exceptions.WireProtocolError` — never
   a silent mis-decode, never an allocation sized by a garbage length;
 * **layout** — a parent-commit (in-band) frame is rejected by its magic;
   hostile headers and tables are rejected before anything payload-sized is
-  allocated; ``send_frame`` survives partial ``sendmsg`` calls; received
+  allocated, and a live :class:`~repro.serving.Gateway` answers each of them
+  with a named error and keeps serving; ``send_frame`` survives partial ``sendmsg`` calls; received
   segments are writable and *are* the arena backing;
 * **array identity** — the ref → bytes → arena path rebuilds every ndarray
   *view* shape-, dtype- and value-identically, including 0-d arrays, empty
@@ -33,7 +33,6 @@ backend's shared-memory ``WorkerArena``, the network backend's
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import pickle
 import random
@@ -50,7 +49,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.common.exceptions import WireProtocolError  # noqa: E402
-from repro.runtime.data import In, InOut  # noqa: E402
+from repro.runtime.data import In, InOut, Out  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     MAX_FRAME_BYTES,
     MAX_FRAME_SEGMENTS,
@@ -62,7 +61,6 @@ from repro.runtime.net_wire import (  # noqa: E402
     encode_frame,
     raw_view,
     read_frame,
-    read_frame_async,
     send_frame,
     span_view,
 )
@@ -73,7 +71,10 @@ from repro.runtime.shm import (  # noqa: E402
     WorkerArena,
 )
 from repro.runtime.task import TaskType  # noqa: E402
+from repro.serving import Gateway, GatewayClient  # noqa: E402
 from repro.serving.gateway import TenantArena  # noqa: E402
+from repro.session import ReproConfig  # noqa: E402
+from repro.testing.traffic import fill_block  # noqa: E402
 
 _DTYPES = ("<f8", "<f4", "<i4", "<i2", "|u1", "<c16")
 
@@ -193,7 +194,7 @@ def same(a, b) -> bool:
     return a == b
 
 
-# -- the three decoders ---------------------------------------------------------------
+# -- the two decoders -----------------------------------------------------------------
 def decode_bytes(raw: bytes):
     message, consumed = decode_frame(raw)
     assert consumed == len(raw)
@@ -228,17 +229,7 @@ def decode_socket(raw: bytes):
         assert not sender.is_alive()
 
 
-def decode_async(raw: bytes):
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(raw)
-        reader.feed_eof()
-        return await read_frame_async(reader)
-
-    return asyncio.run(run())
-
-
-DECODERS = {"bytes": decode_bytes, "socket": decode_socket, "asyncio": decode_async}
+DECODERS = {"bytes": decode_bytes, "socket": decode_socket}
 
 
 SMALL_ARRAYS = [np.arange(5, dtype="<f8"), np.empty(0, dtype="<i4"), np.arange(6, dtype="|u1")]
@@ -308,7 +299,7 @@ def test_many_tiny_and_zero_length_segments_round_trip():
     message = ("tiny", [raw_view(a) for a in arrays])
     frame = encode_frame(message)
     assert len(frame.buffers) == 1 + len(arrays)
-    for decoder in (decode_bytes, decode_async):
+    for decoder in (decode_bytes, decode_socket):
         assert same(decoder(bytes(frame)), message)
     # More buffers than one sendmsg takes (IOV_MAX), over a real socket.
     near, far = socket.socketpair()
@@ -334,16 +325,12 @@ def test_segments_beyond_the_table_bound_fall_back_in_band(monkeypatch):
 def test_truncation_at_every_offset_is_detected(decoder):
     raw, _ = small_frame()
     for cut in range(len(raw)):
-        if decoder == "asyncio":
-            # EOF inside a frame is a closed connection: the clean None.
-            assert decode_async(raw[:cut]) is None
-            continue
         with pytest.raises(WireProtocolError):
             DECODERS[decoder](raw[:cut])
     assert DECODERS[decoder](raw) is not None
 
 
-@pytest.mark.parametrize("decoder", ["bytes", "asyncio"])
+@pytest.mark.parametrize("decoder", ["bytes"])
 def test_a_flipped_bit_anywhere_is_detected(decoder):
     raw, bounds = small_frame()
     for part, start, end in bounds:
@@ -351,18 +338,11 @@ def test_a_flipped_bit_anywhere_is_detected(decoder):
             for bit in (0, 7):
                 damaged = bytearray(raw)
                 damaged[index] ^= 1 << bit
-                if decoder == "asyncio":
-                    # A grown length field starves the reader: EOF, clean None.
-                    try:
-                        assert decode_async(bytes(damaged)) is None
-                    except WireProtocolError:
-                        pass
-                    continue
                 # Behind the header a flip is always a checksum mismatch; in
                 # it, it may also be bad magic, a bound or a truncation.
                 expected = None if part == "header" else "checksum mismatch"
                 with pytest.raises(WireProtocolError, match=expected):
-                    decode_frame(bytes(damaged))
+                    DECODERS[decoder](bytes(damaged))
 
 
 @settings(max_examples=100, deadline=None)
@@ -390,8 +370,6 @@ def test_parent_layout_frame_is_rejected_by_its_magic():
         decode_frame(PARENT_LAYOUT_FRAME)
     with pytest.raises(WireProtocolError, match="bad frame magic"):
         decode_socket(PARENT_LAYOUT_FRAME)
-    with pytest.raises(WireProtocolError, match="bad frame magic"):
-        decode_async(PARENT_LAYOUT_FRAME)
 
 
 def _peak_while_rejecting(raw: bytes, match: str) -> int:
@@ -415,18 +393,69 @@ def _peak_while_rejecting(raw: bytes, match: str) -> int:
         far.close()
 
 
-def test_hostile_headers_and_tables_are_rejected_before_allocation():
+def hostile_frames() -> dict[str, tuple[bytes, str]]:
+    """Hand-built byte strings no reader may accept, each with the text of
+    the error that names it: ``{name: (bytes, match)}``."""
     control = pickle.dumps(("ping",), protocol=5)
-    too_many = build_frame(control, [], count=MAX_FRAME_SEGMENTS + 1)
-    assert _peak_while_rejecting(too_many, "promises 65537 segments") < 64 << 10
-    huge_control = _HEADER.pack(b"ATMS", 0, MAX_FRAME_BYTES + 1, 0)
-    assert _peak_while_rejecting(huge_control, "1073741825-byte control") < 64 << 10
-    # Honest checksums, dishonest lengths: three segments of 512 MiB each.
-    oversized = build_frame(control, [], table=[(1 << 29, 0)] * 3)
-    assert _peak_while_rejecting(oversized, "exceeds") < 64 << 10
-    for raw, match in ((too_many, "65537 segments"), (oversized, "exceeds")):
+    payload = np.arange(16, dtype="|u1")
+    referencing = pickle.dumps(
+        ("x", raw_view(payload)), protocol=5, buffer_callback=lambda _: None
+    )
+    flipped = bytearray(small_frame()[0])
+    flipped[-1] ^= 0x10
+    return {
+        "parent-layout": (PARENT_LAYOUT_FRAME, "bad frame magic"),
+        "not-a-frame": (b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", "bad frame magic"),
+        "too-many-segments": (
+            build_frame(control, [], count=MAX_FRAME_SEGMENTS + 1), "promises 65537 segments"
+        ),
+        "huge-control": (
+            _HEADER.pack(b"ATMS", 0, MAX_FRAME_BYTES + 1, 0), "1073741825-byte control"
+        ),
+        # Honest checksums, dishonest lengths: three segments of 512 MiB each.
+        "oversized-table": (build_frame(control, [], table=[(1 << 29, 0)] * 3), "exceeds"),
+        "stowaway-segment": (
+            build_frame(referencing, [payload.tobytes(), b"stowaway"]), "unreferenced"
+        ),
+        "missing-segment": (build_frame(referencing, []), "out-of-band"),
+        "flipped-segment-bit": (bytes(flipped), "checksum mismatch: segment 2"),
+    }
+
+
+def test_hostile_headers_and_tables_are_rejected_before_allocation():
+    frames = hostile_frames()
+    for name in ("too-many-segments", "huge-control", "oversized-table"):
+        assert _peak_while_rejecting(*frames[name]) < 64 << 10, name
+    for name in ("too-many-segments", "oversized-table"):
+        raw, match = frames[name]
         with pytest.raises(WireProtocolError, match=match):
             decode_frame(raw)
+
+
+@pytest.mark.parametrize("name", hostile_frames())
+def test_a_live_gateway_answers_hostile_bytes_with_a_named_error_and_serves_on(name):
+    """The listener counterpart: whatever arrives instead of a frame, the
+    peer gets ``("error", "WireProtocolError", text)`` or a clean close, and
+    the gateway — and a tenant connected throughout — keep working."""
+    raw, match = hostile_frames()[name]
+    block = np.zeros(4)
+    with Gateway(ReproConfig().with_overrides(runtime={"executor": "serial"})) as gateway:
+        with GatewayClient("127.0.0.1", gateway.port, tenant="bystander") as bystander:
+            with socket.create_connection(("127.0.0.1", gateway.port), timeout=10) as sock:
+                sock.sendall(raw)
+                try:
+                    reply = read_frame(sock)
+                except (WireProtocolError, ConnectionResetError):
+                    reply = None  # a clean close counts
+                if reply is not None:
+                    assert reply[:2] == ("error", "WireProtocolError"), reply
+                    assert match in reply[2]
+            bystander.submit(
+                TaskType("after_hostile", memoizable=False), fill_block,
+                accesses=[Out(block)], args=(block, 9.0),
+            )
+            assert bystander.wait_all()["tasks_completed"] == 1
+    assert np.all(block == 9.0)
 
 
 @pytest.mark.parametrize("decoder", DECODERS)

@@ -19,6 +19,7 @@ from repro.common.exceptions import (
     GatewayShutdownError,
     TaskDefinitionError,
     TenantRejectedError,
+    WireProtocolError,
 )
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.net_wire import read_frame, write_frame
@@ -257,6 +258,105 @@ class TestProtocolErrors:
                 connect(gateway, "late-arrival")
         finally:
             gateway._draining = False
+
+
+HELLO_FIELDS = {"protocol": SERVING_PROTOCOL_VERSION}
+
+
+class TestMalformedRequests:
+    """Hostile or malformed input ends in a named error reply, never in a
+    traceback: the connection stays usable after a bad message, dies alone
+    after bytes that are no frame or a handler bug."""
+
+    @pytest.mark.parametrize("bad", [
+        ("submit",),
+        ("submit", 7),
+        ("submit", 7, ()),
+        ("submit", None, None),
+        ("submit_batch", 7, None),
+        ("submit_batch", (7,), ()),
+        ("submit_batch", (), (7,)),
+        ("submit_batch", (), (), "extra"),
+    ], ids=["submit-bare", "submit-no-buffers", "submit-int-desc", "submit-nones",
+            "batch-int-none", "batch-int-desc", "batch-int-buffer", "batch-extra-field"])
+    def test_malformed_submission_is_rejected_and_leaves_nothing(
+        self, gateway, capfd, request, bad
+    ):
+        data = np.zeros(4)
+        tenant = f"malformed-{request.node.callspec.id}"
+        with connect(gateway, tenant) as client, connect(gateway, tenant + "-peer") as peer:
+            write_frame(client._sock, bad)
+            reply = read_frame(client._sock)
+            assert reply[:2] == ("error", "GatewayProtocolError"), reply
+            state = gateway._tenants[tenant]
+            assert state.outstanding == 0 and state.submitted == 0
+            assert not any(r.tenant is state for r in gateway._router._routes.values())
+            # The same connection then serves a correct submit + barrier ...
+            client.submit(FILL, fill_block, accesses=[Out(data)], args=(data, 4.0))
+            assert client.wait_all()["tasks_completed"] == 1
+            # ... and the other tenant never noticed.
+            assert peer.result().tasks_failed == 0
+        assert np.all(data == 4.0)
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        ("hello",),
+        ("hello", 5),
+        ("hello", HELLO_FIELDS, "extra"),
+        ("hello", {**HELLO_FIELDS, "tenant": "bad-hello", "weight": "heavy"}),
+        ("hello", {**HELLO_FIELDS, "tenant": "bad-hello", "weight": float("nan")}),
+        ("hello", {**HELLO_FIELDS, "tenant": "bad-hello", "atm_p": [0.5]}),
+        ("hello", {**HELLO_FIELDS, "tenant": ["bad-hello"]}),
+    ], ids=["no-fields", "not-a-mapping", "extra-field", "weight-str", "weight-nan",
+            "atm_p-list", "tenant-list"])
+    def test_malformed_hello_is_rejected_and_a_good_one_follows(self, gateway, capfd, bad):
+        with socket.create_connection(("127.0.0.1", gateway.port)) as sock:
+            write_frame(sock, bad)
+            reply = read_frame(sock)
+            assert reply[0] == "error"
+            assert reply[1] in ("GatewayProtocolError", "TenantRejectedError"), reply
+            assert "bad-hello" not in gateway._tenants
+            write_frame(sock, ("hello", {**HELLO_FIELDS, "tenant": "good-hello"}))
+            assert read_frame(sock)[0] == "hello_ack"
+            write_frame(sock, ("barrier",))
+            assert read_frame(sock)[0] == "barrier_result"
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_bytes_that_are_no_frame_get_a_named_error_and_a_close(self, gateway, capfd):
+        with connect(gateway, "no-frame-peer") as peer:
+            with socket.create_connection(("127.0.0.1", gateway.port)) as sock:
+                sock.sendall(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+                reply = read_frame(sock)
+                assert reply[:2] == ("error", "WireProtocolError")
+                assert "bad frame magic" in reply[2]
+                try:  # ... and the gateway hung up (the unread rest of
+                    assert sock.recv(1) == b""  # the request makes it a reset)
+                except ConnectionResetError:
+                    pass
+            assert peer.result().tasks_failed == 0
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_a_handler_bug_is_a_gateway_error_reply_that_closes_one_connection(
+        self, gateway, capfd, monkeypatch
+    ):
+        def broken(self, tenant):
+            raise RuntimeError("deliberate handler bug")
+
+        with connect(gateway, "bug-peer") as peer, connect(gateway, "bug-victim") as victim:
+            healthy = Gateway._tenant_summary
+            monkeypatch.setattr(Gateway, "_tenant_summary", broken)
+            write_frame(victim._sock, ("result",))
+            reply = read_frame(victim._sock)
+            assert reply[:2] == ("error", "GatewayError")
+            assert "deliberate handler bug" in reply[2]
+            with pytest.raises(WireProtocolError, match="connection closed"):
+                read_frame(victim._sock)
+            monkeypatch.setattr(Gateway, "_tenant_summary", healthy)
+            assert peer.result().tasks_failed == 0
+        # The tenant itself is intact: it may reconnect.
+        with connect(gateway, "bug-victim") as again:
+            assert again.result().extra["tasks_submitted"] == 0
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestAtmNamespaces:

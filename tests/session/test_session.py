@@ -101,7 +101,7 @@ class TestAssembly:
         with pytest.raises(ConfigurationError, match="explicit p"):
             Session(policy="fixed_p")
         # the declarative path states atm.p explicitly instead
-        s = Session.from_config({"atm": {"mode": "fixed_p", "p": 0.125}})
+        s = Session({"atm": {"mode": "fixed_p", "p": 0.125}})
         assert s.engine.policy.config.p == 0.125
 
     def test_dangling_p_without_policy_rejected(self):
@@ -129,7 +129,7 @@ class TestAssembly:
         assert s.engine.ikt.max_entries == 3
 
     def test_from_config_classmethod(self):
-        s = Session.from_config({"runtime": {"num_threads": 2}}, policy="static")
+        s = Session({"runtime": {"num_threads": 2}}, policy="static")
         assert s.config.runtime.num_threads == 2
         assert isinstance(s.engine.policy, StaticATMPolicy)
 
@@ -222,7 +222,7 @@ class TestTaskDecorator:
     def test_memoization_via_session_task(self):
         cfg = {"runtime": {"executor": "serial", "num_threads": 1},
                "atm": {"mode": "static"}}
-        with Session.from_config(cfg) as s:
+        with Session(cfg) as s:
             @s.task(memoizable=True)
             def square(src: In, dst: Out):
                 dst[:] = src ** 2
@@ -437,7 +437,7 @@ class TestRegistries:
 
         SCHEDULERS.register("fifo2", lambda config: Scheduler(FIFOReadyQueue()))
         try:
-            with Session.from_config({"runtime": {"scheduler": "fifo2"}}) as s:
+            with Session({"runtime": {"scheduler": "fifo2"}}) as s:
                 @s.task
                 def touch(d: Out):
                     d[0] = 1.0
@@ -450,7 +450,7 @@ class TestRegistries:
     def test_register_policy_becomes_valid_mode(self):
         POLICIES.register("static2", lambda config, p: StaticATMPolicy(config))
         try:
-            s = Session.from_config({"atm": {"mode": "static2"}})
+            s = Session({"atm": {"mode": "static2"}})
             assert isinstance(s.engine.policy, StaticATMPolicy)
         finally:
             POLICIES.unregister("static2")
@@ -480,7 +480,7 @@ class TestRegistries:
 
         POLICIES.register("half_static", lambda config, p: HalfStatic(config))
         try:
-            s = Session.from_config({"atm": {"mode": "half_static"}})
+            s = Session({"atm": {"mode": "half_static"}})
             assert worker_engine_config(s.engine).mode == "half_static"
         finally:
             POLICIES.unregister("half_static")
