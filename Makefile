@@ -17,9 +17,10 @@ bench:
 size:
 	$(PYTHON) scripts/size_report.py HEAD~1
 
-# Figure/table regeneration harness (pytest-benchmark based).
+# Regenerate every paper figure/table as text (the assertions on their shape
+# are tier-1 tests: tests/evaluation/test_figures_cli.py).
 figures:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m repro.evaluation all --scale tiny
 
 # API-facing docs can't rot: run the doctests of the public API modules and
 # execute all four examples serially at smoke scales.

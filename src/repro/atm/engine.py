@@ -313,9 +313,7 @@ def build_engine(
     """
     if config.mode == "none":
         return None
-    policy = make_policy(
-        config.mode, config, p=config.p if config.mode == "fixed_p" else None
-    )
+    policy = make_policy(config.mode, config)
     engine = ATMEngine(config=config, policy=policy, num_threads=num_threads)
     if journal:
         engine.enable_delta_snapshots()

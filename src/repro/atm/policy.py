@@ -16,9 +16,11 @@ paper's configurations:
 from __future__ import annotations
 
 import enum
+import inspect
 from typing import Optional
 
 from repro.common.config import ATMConfig
+from repro.common.exceptions import ConfigurationError
 from repro.common.registry import POLICIES
 from repro.atm.adaptive import DynamicATMTrainer
 from repro.runtime.task import Task
@@ -141,35 +143,40 @@ class DynamicATMPolicy(ATMPolicy):
         return "dynamic"
 
 
-def _make_fixed_p(config: Optional[ATMConfig], p: Optional[float]) -> ATMPolicy:
-    if p is None:
-        raise ValueError("FIXED_P policy requires an explicit p")
-    return FixedPPolicy(p, config)
+def _make_fixed_p(config: Optional[ATMConfig]) -> ATMPolicy:
+    if config is None:
+        raise ValueError("FIXED_P policy requires a config carrying its p")
+    return FixedPPolicy(config.p, config)
 
 
 # Builtin policies resolved by name through the policy registry; plugins add
 # their own with repro.session.POLICIES.register(name, factory) and the name
 # becomes a valid ``ATMConfig.mode`` / ``Session(policy=...)`` value.
-POLICIES.register("none", lambda config, p: NoATMPolicy(config), replace=True)
-POLICIES.register("static", lambda config, p: StaticATMPolicy(config), replace=True)
-POLICIES.register("dynamic", lambda config, p: DynamicATMPolicy(config), replace=True)
+POLICIES.register("none", NoATMPolicy, replace=True)
+POLICIES.register("static", StaticATMPolicy, replace=True)
+POLICIES.register("dynamic", DynamicATMPolicy, replace=True)
 POLICIES.register("fixed_p", _make_fixed_p, replace=True)
 
 
-def make_policy(
-    mode: ATMMode | str,
-    config: Optional[ATMConfig] = None,
-    p: Optional[float] = None,
-) -> ATMPolicy:
+def make_policy(mode: ATMMode | str, config: Optional[ATMConfig] = None) -> ATMPolicy:
     """Factory used by the harness: build a policy from a mode name.
 
     Any name registered through ``repro.session.POLICIES.register`` is
-    accepted alongside the four builtin modes.
+    accepted alongside the four builtin modes; ``fixed_p`` samples at
+    ``config.p``.
     """
     name = mode.value if isinstance(mode, ATMMode) else str(mode)
     if name not in POLICIES:
         raise ValueError(f"unknown ATM mode {name!r}")
-    policy = POLICIES.factory(name)(config, p)
+    factory = POLICIES.factory(name)
+    try:
+        inspect.signature(factory).bind(config)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"policy {name!r}: a policy factory is called as factory(config) and "
+            f"reads p from config.p (it was factory(config, p) before PR 19): {exc}"
+        ) from exc
+    policy = factory(config)
     # Record the registry identity on the instance: the process backend ships
     # it to workers so they rebuild *this* policy, not whatever builtin the
     # policy class happens to subclass.

@@ -233,8 +233,11 @@ class RuntimeConfig(_Section):
     task_timeout_s:
         Per-task wall-clock budget enforced by the supervision layer
         (DESIGN.md §7).  ``None`` (default) disables per-task timeouts.  The
-        process/network backends enforce it preemptively (the worker is
-        killed/excluded and the task resubmitted or failed); the in-process
+        process and network backends enforce it preemptively, by one rule:
+        chunks degrade to one task, and a task still running this long (plus
+        a fixed grace) after its worker acknowledged it is failed with
+        ``TaskTimeoutError`` at once — not retried, not re-run elsewhere —
+        while its worker is killed / its endpoint excluded.  The in-process
         backends (serial/threaded) cannot preempt a running Python frame and
         detect the overrun when the task returns.
     task_max_retries:

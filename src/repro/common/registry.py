@@ -121,7 +121,8 @@ SCHEDULERS = Registry(
     provider_module="repro.runtime.scheduler",
 )
 
-#: ATM operating policies; factories take (config, p).
+#: ATM operating policies; factories take (config) — not (config, p) as
+#: before PR 19: ``make_policy`` refuses that with a ``ConfigurationError``.
 POLICIES = Registry(
     "policy",
     builtins=("none", "static", "dynamic", "fixed_p"),

@@ -2,8 +2,8 @@
 
 Each ``figN_*`` / ``tables`` module exposes a ``compute(...)`` function that
 returns plain data structures and a ``report(...)`` function that renders
-them as text, so the same code backs the CLI (``python -m repro.evaluation``),
-the pytest-benchmark targets under ``benchmarks/`` and EXPERIMENTS.md.
+them as text, so the same code backs the CLI (``python -m repro.evaluation``)
+and the paper-shape assertions of ``tests/evaluation``.
 """
 
 from repro.evaluation.runner import (

@@ -4,31 +4,41 @@ The process and network executors keep the dependence graph, the scheduler
 and the reference ATM engine in the parent and run task bodies elsewhere.
 What they do around that is the same control plane (DESIGN.md §4.6), and
 :class:`ChunkDispatcher` is its only implementation: pull ready tasks, cut
-them into chunks, remember which worker holds which chunk, complete tasks
-as answers arrive, retry or terminally fail a task whose body raised,
-resubmit what a lost worker held against a bounded budget, notice a starved
-or overdue drain, and fold the workers' ATM engine deltas into the parent
-engine at the barrier.
+them into chunks, remember which worker holds which chunk, decode what the
+workers answer and complete tasks from it, retry or terminally fail a task
+whose body raised, time out a wedged one, resubmit what a lost worker held
+against a bounded budget, notice a starved or overdue drain, and fold the
+workers' ATM engine deltas into the parent engine at the barrier.
 
-An executor *composes* a dispatcher and hands it a small transport — three
-callables — plus the policies that really differ between backends:
+An executor *composes* a dispatcher and is its transport: the dispatcher
+calls seven methods of its host, the last three being the data plane of a
+backend that shares no memory with its workers (the process backend's do
+nothing).  ``worker`` is any hashable the transport uses to name a worker (a
+pool index, an endpoint object).
 
-``send(chunk) -> worker | None``
+``_send(chunk) -> worker | None``
     Ship one :class:`Chunk` to a worker the transport picks; ``None`` when
     that worker failed while sending (the dispatcher asks again; the
     transport raises when no worker is left).
-``poll()``
+``_pump()``
     Block for the next message — at most one poll interval, so the
-    dispatcher's drain deadline is checked while idle — and report it
-    through the event methods below.
-``request_deltas() -> workers``
+    dispatcher's deadlines are checked while idle — and hand every worker
+    reply to :meth:`~ChunkDispatcher.reply`; a reply it rejects is a worker
+    failure.  Losses the transport detects itself (a dead process, a broken
+    socket) are reported with :meth:`~ChunkDispatcher.worker_lost`.
+``_request_deltas() -> workers``
     Ask every live worker for its engine delta; returns who was asked.
-
-Events the transport reports: :meth:`~ChunkDispatcher.started`,
-:meth:`~ChunkDispatcher.done`, :meth:`~ChunkDispatcher.task_error`,
-:meth:`~ChunkDispatcher.reclaim` + :meth:`~ChunkDispatcher.worker_lost`,
-:meth:`~ChunkDispatcher.delta`.  ``worker`` is any hashable the transport
-uses to name a worker (a pool index, an endpoint object).
+``_lose(worker) -> (worker_name, chunks)``
+    Take the worker a wedged task runs on out of service (kill and respawn
+    it, exclude its endpoint) and :meth:`~ChunkDispatcher.reclaim` what it
+    held.
+``_check_write(task, *payload) -> problem | None``
+    May ``task`` write what its result entry carries?
+``_write_back(worker, task, chunk, *payload)``
+    Land it before the task's successors are released; may return a
+    callable to run after the release.
+``_task_raised(worker)``
+    A body raised there; nothing was re-sent yet.
 """
 
 from __future__ import annotations
@@ -37,27 +47,35 @@ import itertools
 import time
 import warnings
 import weakref
-from typing import Any, Callable, Hashable, Iterable, Optional
+from typing import Any, Hashable, Optional
 
-from repro.common.exceptions import RuntimeStateError, TaskFailedError
+from repro.common.exceptions import (
+    RuntimeStateError,
+    TaskFailedError,
+    TaskTimeoutError,
+    WorkerLostError,
+)
 from repro.runtime.atm_protocol import ATMAction, ATMDecision, EXECUTE_DECISION
 from repro.runtime.graph import TaskDependenceGraph
+from repro.runtime.supervision import TIMEOUT_GRACE
 from repro.runtime.task import Task, TaskState
 
 __all__ = ["Chunk", "ChunkDispatcher"]
+
+#: Fields after the kind of each worker reply (DESIGN.md §4.6).
+_REPLY_FIELDS = {"ack": 1, "result": 2, "error": 3, "sync_result": 1}
 
 
 class Chunk:
     """One dispatched, not-yet-answered batch of tasks."""
 
-    __slots__ = ("chunk_id", "tasks", "sent_at", "started_at", "extra")
+    __slots__ = ("chunk_id", "tasks", "started_at", "extra")
 
     def __init__(self, chunk_id: int, tasks: list[Task]) -> None:
         self.chunk_id = chunk_id
         self.tasks = tasks
-        #: ``perf_counter`` stamps: accepted by the transport / reported
-        #: started by the worker (``None`` until then).
-        self.sent_at = 0.0
+        #: ``perf_counter`` stamp of the worker's ``ack`` — it acks a chunk as
+        #: it starts on it (``None`` until then).
         self.started_at: Optional[float] = None
         #: Transport-owned per-chunk data (the network backend keeps the
         #: residency generations the chunk was encoded against here).
@@ -67,12 +85,14 @@ class Chunk:
 class ChunkDispatcher:
     """The drain loop, the in-flight ledgers and the delta barrier.
 
-    ``host`` is the composing executor (its scheduler, supervisor, engine,
-    run result and terminal-failure policy are used as they are);
-    ``loss_budget`` bounds how often one task may be resubmitted after
-    losing its worker; ``cleanup`` (a callable plus arguments that must not
-    reference the host) tears the worker pool down exactly once, from
-    :meth:`close` or when the host is garbage collected.
+    ``host`` is the composing executor — the transport (module docstring),
+    and its config, scheduler, supervisor, engine, run result and
+    terminal-failure policy are used as they are; ``chunk_size`` caps a
+    chunk — at one task under ``task_timeout_s``, so a wedged task is
+    identifiable; ``loss_budget`` bounds how often one task may be
+    resubmitted after losing its worker; ``cleanup`` (a callable plus
+    arguments that must not reference the host) tears the worker pool down
+    exactly once, from :meth:`close` or when the host is garbage collected.
     """
 
     def __init__(
@@ -80,9 +100,6 @@ class ChunkDispatcher:
         host,
         name: str,
         *,
-        send: Callable[[Chunk], Optional[Hashable]],
-        poll: Callable[[], None],
-        request_deltas: Callable[[], Iterable[Hashable]],
         chunk_size: int,
         loss_budget: int,
         counters: dict,
@@ -91,10 +108,7 @@ class ChunkDispatcher:
         self._host = host
         self._host_type = type(host).__name__
         self._name = name
-        self._send_chunk = send
-        self._poll = poll
-        self._request_deltas = request_deltas
-        self._chunk_size = chunk_size
+        self._chunk_size = 1 if host.config.task_timeout_s is not None else chunk_size
         self._loss_budget = loss_budget
         #: Live backend statistics (``dispatched``, ``chunks``,
         #: ``resubmitted_tasks``, ``lost_deltas``), owned by the executor.
@@ -124,12 +138,10 @@ class ChunkDispatcher:
         """Tear the worker pool down (idempotent; also runs via GC finalizer)."""
         self.closed = True
         self._finalizer()
-        # The transport callables are bound methods of the host, so host and
-        # dispatcher form a reference cycle.  Cut it here: a closed executor
-        # (with the graph and arrays its tasks reference) is then freed when
-        # its owner drops it, not at some later pass of the cyclic GC.
+        # Host and dispatcher reference each other.  Cut the cycle: a closed
+        # executor (with the graph and arrays its tasks reference) is then
+        # freed when its owner drops it, not at a later pass of the cyclic GC.
         self._host = self._graph = None
-        self._send_chunk = self._poll = self._request_deltas = None
 
     # -- the drain loop --------------------------------------------------------
     def run(self, graph: TaskDependenceGraph) -> float:
@@ -156,13 +168,14 @@ class ChunkDispatcher:
             self._wait(deadline)
         elapsed = time.perf_counter() - t0
         if self._host.engine is not None:
-            self.awaiting_delta = set(self._request_deltas())
+            self.awaiting_delta = set(self._host._request_deltas())
             while self.awaiting_delta:
                 self._wait(deadline)
         return elapsed
 
     def _wait(self, deadline: float) -> None:
-        self._poll()
+        self._host._pump()
+        self._check_wedged()
         if time.perf_counter() > deadline:
             raise self._host._supervisor.drain_timeout(
                 f"{self._name} drain ({len(self.inflight)} task(s) outstanding)"
@@ -180,66 +193,109 @@ class ChunkDispatcher:
 
     def _send(self, tasks: list[Task]) -> None:
         """Cut ``tasks`` into chunks and ship each to a worker."""
-        size = self._chunk_size
+        size, send = self._chunk_size, self._host._send
         for start in range(0, len(tasks), size):
             chunk = Chunk(next(self._chunk_ids), tasks[start:start + size])
-            while (worker := self._send_chunk(chunk)) is None:
+            while (worker := send(chunk)) is None:
                 pass  # that worker failed mid-send; the transport picks another
-            chunk.sent_at = time.perf_counter()
             self._ledger.setdefault(worker, {})[chunk.chunk_id] = chunk
             self._dirty.add(worker)
             self.counters["chunks"] += 1
 
-    # -- events: progress ------------------------------------------------------
-    def outstanding(self, worker: Hashable) -> list[Chunk]:
-        """The chunks ``worker`` has not fully answered (wedge detection)."""
-        return list(self._ledger.get(worker, {}).values())
+    # -- events: worker replies ------------------------------------------------
+    def busy(self, worker: Hashable) -> bool:
+        """Whether ``worker`` owes an answer: to a chunk or to the barrier."""
+        return bool(self._ledger.get(worker)) or worker in self.awaiting_delta
 
-    def started(self, worker: Hashable, chunk_id: int) -> None:
-        chunk = self._ledger.get(worker, {}).get(chunk_id)
-        if chunk is not None:
+    def reply(self, worker: Hashable, worker_name: str, message: Any) -> Optional[str]:
+        """Decode one worker reply and act on it: the one reply vocabulary.
+
+        ``("ack", chunk_id)`` stamps the chunk started; ``("result",
+        chunk_id, results)`` completes (a prefix of) it; ``("error",
+        chunk_id, task_id, traceback)`` is a task body that raised;
+        ``("sync_result", delta)`` answers the barrier.  Returns what is
+        wrong with a reply that is none of these or does not fit the tasks
+        it answers: nothing of it was applied and the transport takes the
+        worker that sent it out of service.  Answers for a chunk this drain
+        already reclaimed are stale and dropped.
+        """
+        try:
+            kind, *fields = message
+            if len(fields) != _REPLY_FIELDS[kind]:
+                raise ValueError(kind)
+            if kind == "sync_result":
+                if not isinstance(fields[0], (dict, type(None))):
+                    raise TypeError(kind)
+            else:
+                chunk = self._ledger.get(worker, {}).get(fields[0])
+                task = self.inflight.get(fields[1]) if kind == "error" else None
+        except (TypeError, ValueError, KeyError):
+            return f"malformed reply: {message!r:.80}"
+        if kind == "sync_result":
+            self._delta(worker, fields[0])
+            return None
+        if kind == "error" and fields[0] is None:
+            # A report about the worker, not a task: it could not decode
+            # what it was sent and is closing the connection.
+            return f"worker error without a live task: {fields[2]}"
+        if chunk is None:
+            return None
+        if kind == "ack":
             chunk.started_at = time.perf_counter()
+        elif kind == "result":
+            return self._done(worker, chunk, fields[1])
+        elif task not in chunk.tasks:
+            return f"malformed reply: error for task {fields[1]!r:.40} outside chunk {fields[0]}"
+        else:
+            self._task_error(
+                worker, chunk, task,
+                f"{self._name} worker {worker_name} failed on task {fields[1]}:\n{fields[2]}",
+                worker_name,
+            )
+        return None
 
-    def done(
-        self,
-        worker: Hashable,
-        chunk_id: int,
-        results: list[tuple],
-        write_back: Optional[Callable] = None,
-    ) -> None:
-        """``worker`` answered (a prefix of) a chunk: complete those tasks.
+    def _done(self, worker: Hashable, chunk: Chunk, results: Any) -> Optional[str]:
+        """``worker`` answered (a prefix of) ``chunk``: complete those tasks.
 
         ``results`` entries are ``(task_id, action_value, executed,
-        *payload)``.  A transport without shared memory passes
-        ``write_back(task, chunk, *payload)``: called before the task's
-        successors are released, it lands the written bytes in the parent
-        arrays and may return a callable to run after the release.
+        *payload)``.  All of them are read — and the payloads checked
+        against their tasks — before the first task leaves the in-flight
+        map, so a result that does not fit is rejected whole.
         """
-        chunks = self._ledger.get(worker)
-        chunk = chunks.pop(chunk_id, None) if chunks else None
-        if chunk is None:
-            return  # stale answer for a chunk this drain already reclaimed
-        for task_id, action_value, executed, *payload in results:
-            task = self.inflight.pop(task_id, None)
-            if task is None:
-                continue  # duplicate completion of a resubmitted task
-            after = write_back(task, chunk, *payload) if write_back else None
-            self._host._account(ATMDecision(action=ATMAction(action_value)))
+        check_write, write_back = self._host._check_write, self._host._write_back
+        try:
+            entries = []
+            for task_id, action_value, executed, *payload in results:
+                decision = ATMDecision(action=ATMAction(action_value))
+                task = self.inflight.get(task_id)
+                if task is None:
+                    continue  # duplicate completion of a resubmitted task
+                problem = check_write(task, *payload)
+                if problem is not None:
+                    return f"malformed result: {problem}"
+                entries.append((task, decision, executed, payload))
+        except (TypeError, ValueError) as exc:
+            return f"malformed result: unreadable result entry: {exc}"
+        for task, decision, executed, payload in entries:
+            if self.inflight.pop(task.task_id, None) is None:
+                continue  # named twice in one result
+            after = write_back(worker, task, chunk, *payload)
+            self._host._account(decision)
             self._graph.complete_task(
                 task, TaskState.FINISHED if executed else TaskState.MEMOIZED
             )
             if after is not None:
                 after()
-        if len(results) < len(chunk.tasks):
-            # Partial answer: the worker hit a task error and reports the
-            # completed prefix first (so its writes are not lost).  The
-            # unfinished remainder stays outstanding for task_error().
-            done_ids = {result[0] for result in results}
-            chunk.tasks = [t for t in chunk.tasks if t.task_id not in done_ids]
-            chunks[chunk_id] = chunk
+        # A partial answer means the worker hit a task error and reports the
+        # completed prefix first (so its writes are not lost): the unfinished
+        # remainder stays outstanding for the error reply.
+        chunk.tasks = [t for t in chunk.tasks if t.task_id in self.inflight]
+        if not chunk.tasks:
+            del self._ledger[worker][chunk.chunk_id]
+        return None
 
-    def task_error(
-        self, worker: Hashable, chunk_id: int, task_id: int, reason: str, worker_name: str
+    def _task_error(
+        self, worker: Hashable, chunk: Chunk, task: Task, reason: str, worker_name: str
     ) -> None:
         """A task body raised on ``worker`` (the worker itself is fine).
 
@@ -247,14 +303,10 @@ class ChunkDispatcher:
         abort.  The rest of the chunk — dropped by the worker after the
         failure — is redistributed either way.
         """
-        chunks = self._ledger.get(worker)
-        chunk = chunks.pop(chunk_id, None) if chunks else None
-        task = self.inflight.get(task_id)
-        if chunk is None or task is None:
-            return  # stale report for a chunk this drain already reclaimed
+        del self._ledger[worker][chunk.chunk_id]
+        self._host._task_raised(worker)
         remaining = [
-            t for t in chunk.tasks
-            if t.task_id != task_id and t.task_id in self.inflight
+            t for t in chunk.tasks if t is not task and t.task_id in self.inflight
         ]
         backoff = self._host._supervisor.count_attempt(task)
         if backoff is not None:
@@ -272,6 +324,39 @@ class ChunkDispatcher:
             task, self._graph, EXECUTE_DECISION, error_cls, reason, None,
             worker=worker_name,
         )
+
+    # -- the wedge rule --------------------------------------------------------
+    def _check_wedged(self) -> None:
+        """Time out the chunk a worker has been running for too long.
+
+        Under ``task_timeout_s`` a chunk is one task, and a worker acks a
+        chunk as it starts on it: one older than the budget plus
+        ``TIMEOUT_GRACE`` since its ack is ``TaskTimeoutError`` at once (it
+        would blow the budget again), its worker is taken out of service,
+        and whatever else that worker held never started: it requeues free.
+        """
+        supervisor = self._host._supervisor
+        if supervisor.task_timeout_s is None:
+            return
+        now = time.perf_counter()
+        budget = supervisor.task_timeout_s + TIMEOUT_GRACE
+        for worker, chunks in list(self._ledger.items()):
+            wedged = next(
+                (c for c in chunks.values()
+                 if c.started_at is not None and now - c.started_at > budget),
+                None,
+            )
+            if wedged is None or self._ledger.get(worker) is not chunks:
+                continue  # nothing overdue, or lost while this scan ran
+            reason = supervisor.timeout_reason(now - wedged.started_at)
+            name, held = self._host._lose(worker)
+            reason += f"; its worker {name} was taken out of service"
+            for task in wedged.tasks:
+                self.fail(task, TaskTimeoutError, reason, name)
+            self.worker_lost(
+                name, [], [t for c in held if c is not wedged for t in c.tasks],
+                WorkerLostError, reason,
+            )
 
     # -- events: worker loss ---------------------------------------------------
     def reclaim(self, worker: Hashable, worker_name: str) -> list[Chunk]:
@@ -332,8 +417,7 @@ class ChunkDispatcher:
         self._send(retry)
         self._send([t for t in uncharged if t.task_id in self.inflight])
 
-    # -- events: ATM barrier ---------------------------------------------------
-    def delta(self, worker: Hashable, delta: Optional[dict]) -> None:
+    def _delta(self, worker: Hashable, delta: Optional[dict]) -> None:
         """``worker`` answered the barrier with its engine delta."""
         if worker in self.awaiting_delta:
             self.awaiting_delta.discard(worker)

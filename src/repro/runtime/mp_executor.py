@@ -6,20 +6,20 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
 §4.2).  The division of labour:
 
 * **Parent** — owns the task dependence graph, the scheduler and the
-  reference :class:`~repro.atm.engine.ATMEngine`.  The drain loop, the
-  in-flight ledger, crash resubmission and the engine-delta barrier are
-  the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`; this module
-  is its shared-memory *transport*: chunks of
+  reference :class:`~repro.atm.engine.ATMEngine`.  The drain loop, ledger,
+  reply decoder, wedge rule, crash resubmission and delta barrier are the
+  shared :class:`~repro.runtime.dispatch.ChunkDispatcher`; this module is
+  its shared-memory *transport*: chunks of
   :class:`~repro.runtime.remote_task.TaskDescriptor` (array payloads as
   :class:`~repro.runtime.data.ArrayRef` handles into shared memory) go
   round-robin onto *per-worker* task queues, answers come back on one
   result pipe.
-* **Workers** — pull chunks from their private queue and run each
-  descriptor through :func:`~repro.runtime.remote_task.run_descriptor`
-  over :mod:`multiprocessing.shared_memory` views
-  (:class:`~repro.runtime.shm.WorkerArena`) against a per-worker engine
-  replica, bumping the cross-process write-version table for every
-  committed write.
+* **Workers** — each is the one
+  :class:`~repro.runtime.remote_task.RemoteWorker` behind a queue and a
+  pipe, resolving refs over :mod:`multiprocessing.shared_memory` views
+  (:class:`~repro.runtime.shm.WorkerArena`), which bump the cross-process
+  write-version table for every committed write.  The messages are the
+  remote-worker protocol's (DESIGN.md §4.6), the envelope this module's.
 * **Data plane** — ``copy_in`` mirrors parent bytes into the segments
   before a drain, ``copy_out`` brings the written buffers home after it.
 
@@ -32,11 +32,9 @@ the pool down and unlinks every shared segment.
 segfault, ``os._exit``) is detected by ``Process.is_alive()`` polling and
 respawned in place; the chunk it was executing is charged against the
 dispatcher's resubmission budget (``max(1, task_max_retries)``), chunks
-merely queued behind it are requeued for free.  When
-``task_timeout_s`` is set, dispatch degrades to one task per chunk and
-workers announce chunk starts, so a wedged task is identifiable: the
-parent kills the worker hosting it, respawns, and records a
-``TaskTimeoutError``.  Caveat: a crashed worker may have completed (and
+merely queued behind it are requeued for free.  A wedged task is the
+dispatcher's wedge rule; taking its worker out of service means, here,
+killing and respawning it.  Caveat: a crashed worker may have completed (and
 committed to shared memory) a prefix of its chunk that the parent never
 heard about; resubmission re-runs those tasks, which is only transparent
 for idempotent bodies — tasks with ``InOut`` accumulation semantics can
@@ -48,28 +46,21 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
-import traceback
 from typing import Optional
 
 from repro.common.config import ATMConfig, RuntimeConfig
-from repro.common.exceptions import (
-    RuntimeStateError,
-    TaskTimeoutError,
-    WorkerLostError,
-)
+from repro.common.exceptions import RuntimeStateError, WorkerLostError
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.remote_task import (
+    RemoteWorker,
     TaskDescriptor,
-    build_worker_engine,
     describe_task,
-    run_descriptor,
     worker_engine_config,
 )
 from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable, WorkerArena
-from repro.runtime.supervision import POLL_INTERVAL, TIMEOUT_GRACE
-from repro.runtime.task import TaskType
+from repro.runtime.supervision import POLL_INTERVAL
 
 __all__ = ["ProcessExecutor"]
 
@@ -83,18 +74,16 @@ def _worker_main(
     version_capacity: int,
     version_lock,
     engine_config: Optional[ATMConfig],
-    report_start: bool,
+    ack_chunks: bool,
 ) -> None:
-    """Worker process entry point: pull chunks until the shutdown pill.
+    """Worker process entry point: the remote worker behind a queue and a pipe.
 
     Each worker owns a private task queue, so a sync pill can never be
-    stolen by a peer.  A chunk answers with ``("done", worker, chunk_id,
-    results)`` listing the tasks that completed, followed — when a task
-    body raised — by ``("error", worker, chunk_id, task_id, traceback)``;
-    the parent resubmits whatever the worker did not reach.
-    ``report_start`` (set when ``task_timeout_s`` supervision is active)
-    additionally announces ``("start", worker, chunk_id)`` so the parent
-    can age a running chunk.
+    stolen by a peer.  It takes ``("chunk", chunk_id, pickled descriptors)``
+    and ``("sync",)`` until the ``None`` shutdown pill, and writes the
+    protocol's replies as ``(worker_id, reply)`` — the ``ack`` only when
+    ``ack_chunks`` (under ``task_timeout_s``: the parent ages a running
+    chunk from it; a dead worker it sees without).
 
     Answers are written to the shared ``results`` pipe synchronously (under
     ``results_lock``, one message at a time): whatever a worker finished
@@ -102,40 +91,25 @@ def _worker_main(
     completed chunk for the one that killed the worker.
     """
 
-    def reply(*message) -> None:
+    def reply(message: tuple) -> None:
         with results_lock:
-            results.send(message)
+            results.send((worker_id, message))
 
     version_table = SharedVersionTable.attach(version_name, version_capacity, version_lock)
     arena = WorkerArena(version_table)
-    engine = build_worker_engine(engine_config)
-    task_types: dict[str, TaskType] = {}
+    worker = RemoteWorker(worker_id, engine_config)
     try:
-        while True:
-            message = task_queue.get()
-            if message is None:
-                break
+        while (message := task_queue.get()) is not None:
             if message[0] == "sync":
-                delta = engine.snapshot(reset=True) if engine is not None else None
-                reply("sync", worker_id, delta)
+                reply(("sync_result", worker.sync()))
                 continue
-            chunk_id = message[1]
-            if report_start:
-                reply("start", worker_id, chunk_id)
-            done: list[tuple[int, str, bool]] = []
-            error: Optional[tuple[int, str]] = None
-            for desc in pickle.loads(message[2]):
-                try:
-                    action, executed, _task = run_descriptor(
-                        desc, arena, engine, task_types, worker_id
-                    )
-                except BaseException:
-                    error = (desc.task_id, traceback.format_exc())
-                    break
-                done.append((desc.task_id, action, executed))
-            reply("done", worker_id, chunk_id, done)
-            if error is not None:
-                reply("error", worker_id, chunk_id, *error)
+            _, chunk_id, payload = message
+            for answer in worker.replies(
+                chunk_id,
+                lambda: worker.run_chunk(pickle.loads(payload), arena),
+                ack=ack_chunks,
+            ):
+                reply(answer)
     finally:
         arena.close()
         version_table.close()
@@ -190,10 +164,6 @@ class ProcessExecutor(BaseExecutor):
         self._results, self._results_writer = self._ctx.Pipe(duplex=False)
         self._results_lock = self._ctx.Lock()
         self._processes: list = []
-        # With a per-task timeout the offender must be identifiable, so
-        # workers announce chunk starts and dispatch degrades to one task
-        # per chunk (see module docstring).
-        self._report_start = self.config.task_timeout_s is not None
         self._next_worker = 0
         #: Slots of the buffers this drain's tasks write (copy_out set).
         self._written_slots: set[int] = set()
@@ -209,10 +179,7 @@ class ProcessExecutor(BaseExecutor):
         self._dispatcher = ChunkDispatcher(
             self,
             "process",
-            send=self._send,
-            poll=self._poll,
-            request_deltas=self._request_deltas,
-            chunk_size=1 if self._report_start else self.config.mp_chunk_size,
+            chunk_size=self.config.mp_chunk_size,
             loss_budget=max(1, self.config.task_max_retries),
             counters=self._stats,
             cleanup=(
@@ -236,7 +203,7 @@ class ProcessExecutor(BaseExecutor):
                 self._version_table.capacity,
                 self._version_table.lock,
                 self._engine_config,
-                self._report_start,
+                self.config.task_timeout_s is not None,
             ),
             daemon=True,
             name=f"repro-worker-{worker_id}",
@@ -249,11 +216,9 @@ class ProcessExecutor(BaseExecutor):
             self._task_queues.append(task_queue)
             self._processes.append(process)
 
-    def _lose_worker(self, worker_id: int) -> tuple[str, list[Chunk]]:
-        """Replace a dead (or wedged) worker with a fresh process in place.
-
-        Returns the old worker's name and the chunks it still held.
-        """
+    def _lose(self, worker_id: int) -> tuple[str, list[Chunk]]:
+        """Replace a dead (or wedged) worker with a fresh process in place;
+        returns the old worker's name and the chunks it still held."""
         process = self._processes[worker_id]
         chunks = self._dispatcher.reclaim(worker_id, f"worker {process.name}")
         if process.is_alive():
@@ -325,7 +290,7 @@ class ProcessExecutor(BaseExecutor):
             ) from exc
         worker_id = self._next_worker
         self._next_worker = (worker_id + 1) % len(self._processes)
-        self._task_queues[worker_id].put(("tasks", chunk_id, payload))
+        self._task_queues[worker_id].put(("chunk", chunk_id, payload))
         return worker_id
 
     def _request_deltas(self) -> range:
@@ -334,71 +299,52 @@ class ProcessExecutor(BaseExecutor):
         return range(len(self._processes))
 
     # -- transport: workers -> parent --------------------------------------------
-    def _poll(self) -> None:
-        """Report the next worker message (or detected loss) to the dispatcher."""
-        message = self._next_result()
-        if message is None:
+    def _pump(self) -> None:
+        """Hand the next worker reply to the dispatcher; report a lost worker."""
+        answer = self._next_result()
+        if answer is None:
             return
-        dispatcher = self._dispatcher
-        kind, worker_id = message[0], message[1]
-        if kind == "done":
-            dispatcher.done(worker_id, message[2], message[3])
-        elif kind == "error":
-            _, _, chunk_id, task_id, trace = message
-            dispatcher.task_error(
-                worker_id, chunk_id, task_id,
-                f"worker {worker_id} failed on task {task_id}:\n{trace}",
-                f"repro-worker-{worker_id}",
-            )
-        elif kind == "start":
-            dispatcher.started(worker_id, message[2])
-        elif kind == "sync":
-            dispatcher.delta(worker_id, message[2])
-        elif kind == "crash":
-            # Only the chunk the worker was plausibly running when it died
-            # (the start-reported one when available, else the oldest) is
-            # charged: a queued task never ran, so its loss says nothing
-            # about the task itself.
-            name, chunks = self._lose_worker(worker_id)
-            executing = next(
-                (c for c in chunks if c.started_at is not None), chunks[0]
-            ) if chunks else None
-            dispatcher.worker_lost(
-                name,
-                executing.tasks if executing else [],
-                [t for c in chunks if c is not executing for t in c.tasks],
-                WorkerLostError,
-                f"worker {name} died (exitcode {message[2]}) while the task "
-                "was in flight",
-            )
-        elif kind == "wedged":
-            # A task that blew its budget once would blow it again: the
-            # wedged chunk is terminal at once; whatever else sat in the
-            # killed worker's queue never started and requeues for free.
-            _, _, chunk_id, elapsed = message
-            name, chunks = self._lose_worker(worker_id)
-            reason = (
-                self._supervisor.timeout_reason(elapsed)
-                + f"; worker {name} was killed and respawned"
-            )
-            innocent = []
-            for chunk in chunks:
-                if chunk.chunk_id != chunk_id:
-                    innocent.extend(chunk.tasks)
-                    continue
-                for task in chunk.tasks:
-                    dispatcher.fail(task, TaskTimeoutError, reason, name)
-            dispatcher.worker_lost(name, [], innocent, WorkerLostError, reason)
-        else:  # pragma: no cover - defensive
-            raise RuntimeStateError(f"unexpected worker message: {kind!r}")
+        worker_id, message = answer
+        name = self._processes[worker_id].name
+        if message[0] == "crash":
+            what = f"died (exitcode {message[1]})"
+        else:
+            problem = self._dispatcher.reply(worker_id, name, message)
+            if problem is None:
+                return
+            what = f"was replaced after a bad answer ({problem})"
+        # Only the chunk the worker was plausibly running (the acknowledged
+        # one when chunks are acked, else the oldest) is charged: a queued
+        # task never ran, so its loss says nothing about the task itself.
+        _, chunks = self._lose(worker_id)
+        executing = next(
+            (c for c in chunks if c.started_at is not None), chunks[0]
+        ) if chunks else None
+        self._dispatcher.worker_lost(
+            name,
+            executing.tasks if executing else [],
+            [t for c in chunks if c is not executing for t in c.tasks],
+            WorkerLostError,
+            f"worker {name} {what} while the task was in flight",
+        )
+
+    # Shared memory is the data plane: a result carries no bytes, and a body
+    # that raised leaves nothing stale behind.
+    def _check_write(self, task) -> None:
+        return None
+
+    def _write_back(self, worker_id: int, task, chunk: Chunk) -> None:
+        return None
+
+    def _task_raised(self, worker_id: int) -> None:
+        return None
 
     def _next_result(self):
-        """Blocking result fetch with liveness and wedge checks.
+        """Blocking result fetch with the liveness check.
 
-        Returns the next worker message, a synthesised ``("crash",
-        worker_id, exitcode)`` / ``("wedged", worker_id, chunk_id,
-        elapsed)`` message when supervision detects a dead worker or an
-        over-budget chunk, or ``None`` after one idle poll interval.
+        Returns the next ``(worker_id, reply)``, a synthesised ``(worker_id,
+        ("crash", exitcode))`` when a worker process is dead, or ``None``
+        after one idle poll interval.
         """
         results = self._results
         for worker_id, process in enumerate(self._processes):
@@ -406,14 +352,7 @@ class ProcessExecutor(BaseExecutor):
             # now: consume that first, or a chunk it completed would be
             # charged with the crash.
             if not process.is_alive() and not results.poll():
-                return ("crash", worker_id, process.exitcode)
-        if self._report_start:
-            now = time.perf_counter()
-            budget = self._supervisor.task_timeout_s + TIMEOUT_GRACE
-            for worker_id in range(len(self._processes)):
-                for chunk in self._dispatcher.outstanding(worker_id):
-                    if chunk.started_at is not None and now - chunk.started_at > budget:
-                        return ("wedged", worker_id, chunk.chunk_id, now - chunk.started_at)
+                return worker_id, ("crash", process.exitcode)
         return results.recv() if results.poll(POLL_INTERVAL) else None
 
     # -- drain ---------------------------------------------------------------------

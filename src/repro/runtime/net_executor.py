@@ -8,10 +8,9 @@ socketpairs, or on other hosts behind ``scripts/net_worker.py`` TCP daemons —
 rebuild task chunks from shipped byte buffers, run the full ATM protocol
 against per-worker engine replicas, and ship written region bytes back.
 
-The drain loop, the in-flight ledger, resubmission budgets and the
-engine-delta barrier are the shared
-:class:`~repro.runtime.dispatch.ChunkDispatcher` (§4.6); this module is its
-socket *transport* and data plane:
+The drain loop, ledger, reply decoder, wedge rule, resubmission budgets and
+delta barrier are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`
+(§4.6); this module is its socket *transport* and data plane:
 
 * **No shared memory.**  Every dispatch ships views of the byte spans a
   chunk touches; every completion carries the written bytes home, checked
@@ -31,13 +30,15 @@ socket *transport* and data plane:
   shrunken live list, so placement stays deterministic across failover.
   See PERFORMANCE.md ("Network backend dispatch overhead" and
   "Stale-bytes dispatch").
-* **Failure is expected.**  Per-chunk acks prove receipt, heartbeat
-  timeouts (``RuntimeConfig.net_timeout_s``) detect dead or wedged
-  endpoints, and the unfinished chunks of a failed endpoint are resubmitted
-  to the surviving ones — the failed endpoint stays excluded.  Every chunk
-  it held is charged against the dispatcher's resubmission budget
-  (``net_max_retries``: which of them was executing is unknowable from
-  here); exhausting that budget,
+* **Failure is expected.**  Heartbeat timeouts
+  (``RuntimeConfig.net_timeout_s``) detect dead or silent endpoints, a
+  reply the dispatcher's decoder rejects fails the endpoint that sent it,
+  and the unfinished chunks of a failed endpoint are resubmitted to the
+  surviving ones — the failed endpoint stays excluded.  Every chunk it
+  held is charged against the dispatcher's resubmission budget
+  (``net_max_retries``); a task wedged past ``task_timeout_s`` is the
+  dispatcher's wedge rule, with "out of service" meaning excluded here.
+  Exhausting that budget,
   losing every endpoint, or exceeding the drain deadline raises
   :class:`~repro.common.exceptions.NetworkDrainError` instead of hanging.
   Resubmission is safe by construction: a dispatched task's input bytes
@@ -64,14 +65,13 @@ from repro.common.exceptions import (
     NetworkDrainError,
     NetworkTransportError,
     RuntimeStateError,
-    TaskTimeoutError,
     WorkerLostError,
 )
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.remote_task import describe_task, worker_engine_config
-from repro.runtime.supervision import POLL_INTERVAL, TIMEOUT_GRACE
+from repro.runtime.supervision import POLL_INTERVAL
 from repro.runtime.net_transport import (
     SocketEndpoint,
     TRANSPORT_ERROR,
@@ -185,9 +185,6 @@ class NetworkExecutor(BaseExecutor):
         self._dispatcher = ChunkDispatcher(
             self,
             "network",
-            send=self._send,
-            poll=self._pump,
-            request_deltas=self._request_deltas,
             chunk_size=self.config.mp_chunk_size,
             loss_budget=self.max_retries,
             counters=self._stats,
@@ -473,46 +470,44 @@ class NetworkExecutor(BaseExecutor):
         return live[0]  # pragma: no cover - live is non-empty by contract
 
     # -- failure handling --------------------------------------------------------
-    def _lose_endpoint(
-        self,
-        endpoint: SocketEndpoint,
-        reason: str,
-        timeout_chunk: Optional[int] = None,
-    ) -> None:
-        """Mark an endpoint dead and report what it held as lost.
-
-        ``timeout_chunk`` names the chunk whose task budget expired when the
-        failure is a wedge detection — its tasks are reported as
-        ``TaskTimeoutError`` (rather than ``WorkerLostError``) once their
-        resubmission budget runs out.
-        """
+    def _exclude(self, endpoint: SocketEndpoint, reason: str) -> tuple[str, list[Chunk]]:
+        """Mark an endpoint dead; returns its name and the chunks it held."""
         if endpoint.failed:
-            return
+            return endpoint.name, []
         self._record_failure(endpoint, reason)
-        # Residency died with the endpoint's process/connection: forget its
-        # entries (resubmission to survivors must re-ship full bytes) and
-        # the affinity routes pointing at it.
+        # Residency died with the endpoint's connection (resubmission to
+        # survivors re-ships full bytes), the affinity routes to it too.
         if self._residency is not None:
             self._residency.drop_endpoint(endpoint)
         if self._key_routes:
             for key in [k for k, ep in self._key_routes.items() if ep is endpoint]:
                 del self._key_routes[key]
         self._ep_state.pop(endpoint, None)
-        chunks = self._dispatcher.reclaim(endpoint, f"endpoint {endpoint.name}")
-        lost_reason = (
-            f"exceeded net_max_retries={self.max_retries} after endpoint "
-            "failures: " + "; ".join(self._failures)
+        return endpoint.name, self._dispatcher.reclaim(
+            endpoint, f"endpoint {endpoint.name}"
         )
-        for error_cls, tasks in (
-            (TaskTimeoutError,
-             [t for c in chunks if c.chunk_id == timeout_chunk for t in c.tasks]),
-            (WorkerLostError,
-             [t for c in chunks if c.chunk_id != timeout_chunk for t in c.tasks]),
-        ):
-            if tasks:
-                self._dispatcher.worker_lost(
-                    endpoint.name, tasks, [], error_cls, lost_reason
-                )
+
+    def _lose(self, endpoint: SocketEndpoint) -> tuple[str, list[Chunk]]:
+        """The dispatcher's wedge rule: exclude the endpoint a task is stuck on."""
+        return self._exclude(
+            endpoint, f"a task ran past task_timeout_s={self.config.task_timeout_s}s"
+        )
+
+    def _lose_endpoint(self, endpoint: SocketEndpoint, reason: str) -> None:
+        """Exclude a failed endpoint and resubmit what it held, charged."""
+        name, chunks = self._exclude(endpoint, reason)
+        self._dispatcher.worker_lost(
+            name, [t for c in chunks for t in c.tasks], [], WorkerLostError,
+            f"exceeded net_max_retries={self.max_retries} after endpoint "
+            "failures: " + "; ".join(self._failures),
+        )
+
+    def _task_raised(self, endpoint: SocketEndpoint) -> None:
+        """A body raised on ``endpoint``: forget what it holds, so the next
+        dispatch re-ships full bytes — the body may have partially written
+        into cached backings, which re-shipped bytes replace."""
+        if self._residency is not None:
+            self._residency.drop_endpoint(endpoint)
 
     # -- drain -------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
@@ -531,89 +526,48 @@ class NetworkExecutor(BaseExecutor):
 
     # -- transport: endpoints -> parent ------------------------------------------
     def _pump(self) -> None:
-        """Report one inbox message to the dispatcher, or run the liveness
-        checks on idle."""
+        """Hand one inbox message to the dispatcher, or run the liveness
+        check on idle."""
         try:
             endpoint, message = self._inbox.get(timeout=POLL_INTERVAL)
         except queue_module.Empty:
             self._check_liveness()
             return
-        if endpoint.failed:
+        state = self._ep_state.get(endpoint)
+        if endpoint.failed or state is None:
             return  # stale traffic from an endpoint already declared dead
         kind = message[0]
         if kind == TRANSPORT_ERROR:
             self._lose_endpoint(endpoint, message[1])
             return
-        state = self._ep_state.get(endpoint)
-        if state is None:  # pragma: no cover - defensive
-            return
+        # Whatever it says, the endpoint is alive.
         state.last_heard = time.perf_counter()
-        if kind == "result":
-            problem = self._malformed_result(message[2])
-            if problem is not None:
-                # Nothing of the message was applied and its tasks are still
-                # in flight: the chunk re-runs on another endpoint.
-                self._lose_endpoint(endpoint, f"malformed result: {problem}")
-                return
-            self._dispatcher.done(
-                endpoint, message[1], message[2],
-                functools.partial(self._write_back, endpoint),
-            )
-        elif kind == "error":
-            _, chunk_id, task_id, trace = message
-            # The failed task body may have partially written into cached
-            # backings before raising; the worker is alive but its residency
-            # can no longer be trusted.  Forget it all — the next dispatch
-            # re-ships full bytes, which replaces the worker-side backings.
-            if self._residency is not None:
-                self._residency.drop_endpoint(endpoint)
-            if task_id not in self._dispatcher.inflight:
-                # A chunk-less error report (decode failure) or a
-                # stale/duplicate one: an endpoint failure.
-                self._lose_endpoint(
-                    endpoint, f"worker error without a live task: {trace}"
-                )
-                return
-            self._dispatcher.task_error(
-                endpoint, chunk_id, task_id,
-                f"network worker {endpoint.name} failed on task {task_id}:\n{trace}",
-                endpoint.name,
-            )
-        elif kind == "sync_result":
-            self._dispatcher.delta(endpoint, message[1])
-        elif kind in ("ack", "hello_ack", "pong"):
-            # Liveness already recorded above: the worker acks each chunk
-            # *before* executing it, so receipt liveness is proven
-            # independently of task runtime.
-            pass
-        else:
-            self._lose_endpoint(endpoint, f"unexpected message kind {kind!r}")
+        if kind in ("hello_ack", "pong"):
+            return
+        problem = self._dispatcher.reply(endpoint, endpoint.name, message)
+        if problem is not None:
+            # Nothing of the message was applied and its tasks are still in
+            # flight: they re-run on another endpoint.
+            self._lose_endpoint(endpoint, problem)
 
-    def _malformed_result(self, results) -> Optional[str]:
-        """What is wrong with a well-framed ``result`` payload, if anything.
+    def _check_write(self, task: Task, writes) -> Optional[str]:
+        """What is wrong with the written-bytes payload of ``task``'s result.
 
-        Checked before any of its tasks leaves the in-flight map: each write
-        must name a written access of its task and carry exactly that
-        region's bytes, or :meth:`_write_back` would raise mid-completion
-        (or land bytes in an input).
+        Checked before the task leaves the in-flight map: each write must
+        name a written access of its task and carry exactly that region's
+        bytes, or :meth:`_write_back` would raise mid-completion (or land
+        bytes in an input).
         """
-        try:
-            for task_id, _action, _executed, writes in results:
-                task = self._dispatcher.inflight.get(task_id)
-                if task is None:
-                    continue  # duplicate completion: done() skips it too
-                for index, raw in writes:
-                    if not 0 <= index < len(task.accesses):
-                        return f"task {task_id} write names access {index!r}"
-                    access = task.accesses[index]
-                    sent, expected = memoryview(raw).nbytes, access.region.array.nbytes
-                    if not access.writes or sent != expected:
-                        return (
-                            f"task {task_id} write carries {sent} bytes for access "
-                            f"{index}, a {expected}-byte {access.mode.value!r} region"
-                        )
-        except (TypeError, ValueError) as exc:
-            return f"unreadable result entry: {exc}"
+        for index, raw in writes:
+            if not 0 <= index < len(task.accesses):
+                return f"task {task.task_id} write names access {index!r}"
+            access = task.accesses[index]
+            sent, expected = memoryview(raw).nbytes, access.region.array.nbytes
+            if not access.writes or sent != expected:
+                return (
+                    f"task {task.task_id} write carries {sent} bytes for access "
+                    f"{index}, a {expected}-byte {access.mode.value!r} region"
+                )
         return None
 
     def _write_back(self, endpoint: SocketEndpoint, task: Task, chunk: Chunk, writes):
@@ -673,35 +627,11 @@ class NetworkExecutor(BaseExecutor):
                 self._lose_endpoint(drop_endpoint, f"invalidate failed: {exc}")
 
     def _check_liveness(self) -> None:
+        """Heartbeat: an endpoint that owes an answer must not stay silent."""
         now = time.perf_counter()
-        task_budget = self._supervisor.task_timeout_s
-        dispatcher = self._dispatcher
-        for endpoint in list(self._ep_state):
-            state = self._ep_state.get(endpoint)
-            outstanding = dispatcher.outstanding(endpoint)
-            if state is None or not (
-                outstanding or endpoint in dispatcher.awaiting_delta
-            ):
+        for endpoint, state in list(self._ep_state.items()):
+            if endpoint.failed or not self._dispatcher.busy(endpoint):
                 continue
-            if task_budget is not None:
-                # Wedge supervision: a chunk that has been out longer than
-                # its tasks' combined budget means a task is stuck inside the
-                # worker (which still heartbeats).  Fail the endpoint with
-                # the chunk tagged so exhausted tasks surface as timeouts.
-                for chunk in outstanding:
-                    age = now - chunk.sent_at
-                    budget = task_budget * max(1, len(chunk.tasks)) + TIMEOUT_GRACE
-                    if age > budget:
-                        self._lose_endpoint(
-                            endpoint,
-                            f"chunk {chunk.chunk_id} exceeded its task "
-                            f"budget ({age:.2f}s > {budget:.2f}s with "
-                            f"task_timeout_s={task_budget}s)",
-                            timeout_chunk=chunk.chunk_id,
-                        )
-                        break
-                if endpoint.failed:
-                    continue
             silent_for = now - state.last_heard
             if silent_for > self.timeout:
                 self._lose_endpoint(

@@ -26,9 +26,14 @@ subclass :class:`LoopbackEndpoint` and override :meth:`SocketEndpoint.deliver`
 heartbeat, kill the worker mid-chunk or corrupt the stream.
 
 The worker side — :class:`NetWorkerState` + :func:`serve_connection` — is
-deliberately transport-agnostic: it reads frames from any socket, so the
-loopback thread and the standalone TCP daemon share every line of protocol
-logic.
+the one :class:`~repro.runtime.remote_task.RemoteWorker` behind a framed
+socket: it reads frames from any socket, so the loopback thread and the
+standalone TCP daemon share every line of it.  ``hello`` / ``ping`` /
+``invalidate`` / ``shutdown`` are this transport's own messages; ``chunk``
+and ``sync`` and their replies are the remote-worker protocol's (DESIGN.md
+§4.6).  Neither side trusts the other's frames: whatever is not a protocol
+tuple of the right shape ends in a named error, never in an exception on a
+service thread.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 import queue
 import socket
 import threading
-import traceback
 from typing import Any, Optional
 
 from repro.common.exceptions import (
@@ -54,9 +58,9 @@ from repro.runtime.net_wire import (
     send_frame,
     write_frame,
 )
-from repro.runtime.remote_task import build_worker_engine, run_descriptor
+from repro.runtime.remote_task import RemoteWorker
 from repro.runtime.residency import WorkerBufferCache
-from repro.runtime.task import TaskType
+from repro.runtime.task import Task
 
 __all__ = [
     "TRANSPORT_ERROR",
@@ -115,8 +119,10 @@ class SocketEndpoint:
         try:
             while True:
                 message = read_frame(sock)
+                if not _is_message(message):
+                    raise WireProtocolError(f"malformed reply: {message!r:.80}")
                 if message[0] == "error":
-                    self.last_worker_error = message[3]
+                    self.last_worker_error = str(message[-1])
                 self.deliver(message)
         except (WireProtocolError, OSError, ValueError) as exc:
             # ValueError: recv on a socket closed by our own close().
@@ -288,13 +294,34 @@ def parse_endpoints(spec: str, default_workers: int) -> list[SocketEndpoint]:
 
 
 # -- worker side ----------------------------------------------------------------------
+def _is_message(message: Any) -> bool:
+    """Whether a decoded frame is a protocol tuple: ``(kind: str, ...)``."""
+    return isinstance(message, tuple) and bool(message) and isinstance(message[0], str)
+
+
+def _written_bytes(task: Task) -> list[tuple]:
+    """The raw bytes of every region ``task`` wrote, by access index.
+
+    The parent has no shared memory to read them from (the SKIP path's
+    ``copy_from`` wrote the worker-local arrays, so it is covered
+    identically).  Views, not copies: tasks of one chunk are independent,
+    so no later task rewrites these bytes before :func:`serve_connection`
+    frames and sends them.
+    """
+    return [
+        (index, raw_view(access.region.array))
+        for index, access in enumerate(task.accesses)
+        if access.writes
+    ]
+
+
 class NetWorkerState:
-    """Per-connection worker state: the ATM engine replica + type cache."""
+    """Per-connection worker state: the remote worker + the residency store."""
 
     def __init__(self, worker_id: int = 0) -> None:
         self.worker_id = worker_id
-        self.engine = None
-        self.task_types: dict[str, TaskType] = {}
+        #: Built at hello time, from the engine replica's recipe it brings.
+        self.worker: Optional[RemoteWorker] = None
         #: Residency store for shipped backings; created at hello time when
         #: the client runs the residency protocol (``None`` = ship-always).
         self.buffer_cache: Optional[WorkerBufferCache] = None
@@ -307,7 +334,9 @@ class NetWorkerState:
                 f"protocol version mismatch: client speaks {protocol}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
-        self.engine = build_worker_engine(info.get("engine"))
+        self.worker = RemoteWorker(
+            self.worker_id, info.get("engine"), written=_written_bytes
+        )
         self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
@@ -320,34 +349,12 @@ class NetWorkerState:
         the rest of the chunk is dropped.
         """
         arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
-        results: list[tuple] = []
-        for desc in chunk.tasks:
-            try:
-                action, executed, task = run_descriptor(
-                    desc, arena, self.engine, self.task_types, self.worker_id
-                )
-            except BaseException:
-                return results, (desc.task_id, traceback.format_exc())
-            # Ship back the raw bytes of every written region: the parent
-            # has no shared memory to read them from (the SKIP path's
-            # copy_from wrote the worker-local arrays, so it is covered
-            # identically).  Views, not copies: tasks of one chunk are
-            # independent, so no later task rewrites these bytes before
-            # serve_connection frames and sends them.
-            writes = [
-                (index, raw_view(access.region.array))
-                for index, access in enumerate(task.accesses)
-                if access.writes
-            ]
-            results.append((desc.task_id, action, executed, writes))
-        return results, None
+        return self.worker.run_chunk(chunk.tasks, arena)
 
     # -- barrier -----------------------------------------------------------------
     def sync(self):
         """ATM engine delta since the previous barrier (``None`` engineless)."""
-        if self.engine is None:
-            return None
-        return self.engine.snapshot(reset=True)
+        return self.worker.sync()
 
 
 def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
@@ -356,55 +363,62 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
     The single worker loop shared by loopback threads and the TCP daemon.
     Task exceptions are reported as ``("error", ...)`` frames — the worker
     survives and the parent decides (it raises; a *transport* fault, by
-    contrast, kills the connection and triggers resubmission).
+    contrast, kills the connection and triggers resubmission).  A frame
+    that decodes to something other than a message of this protocol is a
+    :class:`WireProtocolError` like one that does not decode at all.
     """
     state = NetWorkerState(worker_id=worker_id)
     try:
         while True:
             message = read_frame(sock)
+            if not _is_message(message):
+                raise WireProtocolError(f"not a protocol message: {message!r:.80}")
             kind = message[0]
-            if kind == "hello":
-                write_frame(sock, ("hello_ack", state.hello(message[1])))
-            elif kind == "chunk":
-                chunk: NetChunk = message[1]
-                # Per-chunk ack *before* execution: proves liveness at
-                # receipt so the parent's ack deadline is independent of
-                # task runtime.
-                write_frame(sock, ("ack", chunk.chunk_id))
-                results, error = state.run_chunk(chunk)
-                if error is not None:
-                    # Completed-prefix results ship *before* the error frame
-                    # so their writes are never lost to a task that fails
-                    # later in the same chunk; the parent then resubmits
-                    # only the unfinished remainder.
-                    if results:
-                        write_frame(sock, ("result", chunk.chunk_id, results))
-                    write_frame(sock, ("error", chunk.chunk_id, *error))
+            try:
+                if kind == "hello":
+                    write_frame(sock, ("hello_ack", state.hello(message[1])))
+                elif kind == "chunk":
+                    if state.worker is None:
+                        raise WireProtocolError("chunk before hello")
+                    chunk: NetChunk = message[1]
+                    for reply in state.worker.replies(
+                        chunk.chunk_id, lambda: state.run_chunk(chunk)
+                    ):
+                        write_frame(sock, reply)
+                elif kind == "invalidate":
+                    # Residency eviction/invalidations: no reply — the socket's
+                    # FIFO order guarantees every chunk referencing the dropped
+                    # generations was already processed above.
+                    pairs = message[1]
+                    if state.buffer_cache is not None:
+                        state.buffer_cache.invalidate(pairs)
+                elif kind == "sync":
+                    write_frame(sock, ("sync_result", state.sync()))
+                elif kind == "ping":
+                    write_frame(sock, ("pong",))
+                elif kind == "shutdown":
+                    break
                 else:
-                    write_frame(sock, ("result", chunk.chunk_id, results))
-            elif kind == "invalidate":
-                # Residency eviction/invalidations: no reply — the socket's
-                # FIFO order guarantees every chunk referencing the dropped
-                # generations was already processed above.
-                if state.buffer_cache is not None:
-                    state.buffer_cache.invalidate(message[1])
-            elif kind == "sync":
-                write_frame(sock, ("sync_result", state.sync()))
-            elif kind == "ping":
-                write_frame(sock, ("pong",))
-            elif kind == "shutdown":
-                break
-            else:
-                raise WireProtocolError(f"unknown message kind {kind!r}")
+                    raise WireProtocolError(f"unknown message kind {kind!r}")
+            except (WireProtocolError, OSError, EOFError):
+                raise
+            except Exception as exc:
+                # A kind we know around fields we do not: too few of them,
+                # an engine recipe that is not one, a chunk that is an int.
+                raise WireProtocolError(
+                    f"unreadable {kind!r} message: {type(exc).__name__}: {exc}"
+                ) from exc
     except WireProtocolError as exc:
         # A frame we could not decode — most commonly a task function that
         # does not resolve on this worker's import path (pickled by
-        # reference from the client's ``__main__``).  Best-effort report
-        # before dying: it turns the client's opaque connection-reset into
-        # the actual cause.
+        # reference from the client's ``__main__``) — or no message of this
+        # protocol.  Best-effort report before dying: it turns the client's
+        # opaque connection-reset into the actual cause.
         try:
-            write_frame(sock, ("error", None, None, f"worker {worker_id}: {exc}"))
-        except OSError:
+            write_frame(
+                sock, ("error", None, None, f"worker {worker_id}: WireProtocolError: {exc}")
+            )
+        except (OSError, ValueError):
             pass
     except (OSError, ValueError, EOFError):
         # Transport died: nothing to report to — the client's receiver

@@ -19,12 +19,18 @@ tenant's namespace — moves the same five things (DESIGN.md §4.6):
   (:func:`worker_engine_config`), which the worker hands to the one
   engine-assembly path; its ``snapshot(reset=True)`` deltas merge back at
   the drain barrier.
+
+and speaks one protocol around them: :class:`RemoteWorker` is the one
+worker loop and :meth:`RemoteWorker.replies` the one reply sequence; a
+transport (a queue and a pipe, a framed socket) only carries those tuples
+to :meth:`repro.runtime.dispatch.ChunkDispatcher.reply`.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +50,7 @@ __all__ = [
     "rebuild_task",
     "run_descriptor",
     "ArrayArena",
+    "RemoteWorker",
 ]
 
 
@@ -305,3 +312,73 @@ def run_descriptor(
     if decision.atm_handled and engine is not None:
         engine.task_finished(task, decision, executed, worker_id)
     return decision.action.value, executed, task
+
+
+class RemoteWorker:
+    """The one remote worker: an engine replica that runs shipped chunks.
+
+    A transport builds one per worker process or connection and supplies
+    the arena a chunk's refs resolve in (per call) and ``written`` — how a
+    finished task's written regions travel home when no memory is shared
+    with the parent (``None``: the bytes are already there).
+    """
+
+    def __init__(
+        self,
+        worker_id: int = 0,
+        engine_config: Optional[ATMConfig] = None,
+        written: Optional[Callable[[Task], Any]] = None,
+    ) -> None:
+        self.worker_id = worker_id
+        self.engine = build_worker_engine(engine_config)
+        self.task_types: dict[str, TaskType] = {}
+        self._written = written
+
+    def run_chunk(
+        self, descriptors: Iterable[TaskDescriptor], arena: ArrayArena
+    ) -> tuple[list[tuple], Optional[tuple[int, str]]]:
+        """Run one chunk; returns ``(results, error)``.
+
+        Each result is ``(task_id, action_value, executed)`` plus the
+        ``written`` payload when bytes must travel.  ``error`` is
+        ``(task_id, traceback_str)`` when a task body raised: the finished
+        prefix is in ``results``, the rest of the chunk is dropped.
+        """
+        results: list[tuple] = []
+        for desc in descriptors:
+            try:
+                action, executed, task = run_descriptor(
+                    desc, arena, self.engine, self.task_types, self.worker_id
+                )
+            except BaseException:
+                return results, (desc.task_id, traceback.format_exc())
+            payload = () if self._written is None else (self._written(task),)
+            results.append((desc.task_id, action, executed, *payload))
+        return results, None
+
+    @staticmethod
+    def replies(
+        chunk_id: int, run: Callable[[], tuple], ack: bool = True
+    ) -> Iterator[tuple]:
+        """What a worker answers to one chunk, in order; ``run()`` runs it and
+        returns :meth:`run_chunk`'s ``(results, error)``.
+
+        ``("ack", chunk_id)`` *before* execution — receipt and start are
+        proven independently of task runtime, and the parent ages a chunk
+        from it (a transport that sees its workers die may skip it while no
+        task budget is set); then ``("result", chunk_id, results)``; then,
+        when a body raised, ``("error", chunk_id, task_id, traceback)`` —
+        after the completed prefix, so its writes are never lost.  The
+        transport sends each reply as it is yielded.
+        """
+        if ack:
+            yield ("ack", chunk_id)
+        results, error = run()
+        if results or error is None:
+            yield ("result", chunk_id, results)
+        if error is not None:
+            yield ("error", chunk_id, *error)
+
+    def sync(self) -> Optional[dict]:
+        """ATM engine delta since the previous barrier (``None`` engineless)."""
+        return None if self.engine is None else self.engine.snapshot(reset=True)

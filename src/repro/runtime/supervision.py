@@ -8,8 +8,13 @@ same thing everywhere:
 ``task_timeout_s``
     Per-task wall-clock budget.  In-process backends (serial/threaded)
     cannot preempt a running Python frame, so they detect the overrun
-    *post hoc* when the task returns; the process backend kills and
-    respawns the worker; the network backend ages in-flight chunks.
+    *post hoc* when the task returns.  The process and network backends
+    share one wedge rule (``ChunkDispatcher._check_wedged``): under a
+    timeout a chunk is one task, a worker acknowledges a chunk as it
+    starts on it, and a chunk older than ``task_timeout_s +
+    TIMEOUT_GRACE`` since that ack is terminal at once; its worker is
+    taken out of service (the process killed and respawned, the endpoint
+    excluded) and whatever else it held requeues uncharged.
 ``task_max_retries`` / ``retry_backoff_s``
     Bounded re-execution of a failed task with exponential backoff:
     attempt ``k`` (1-based) sleeps ``retry_backoff_s * 2**(k-1)`` before
@@ -60,9 +65,9 @@ __all__ = [
 #: replaces the per-backend ``RESULT_POLL`` class constants.
 POLL_INTERVAL = 0.02
 
-#: Dispatch/queue latency allowance (seconds) the process and network
-#: backends add to a chunk's ``task_timeout_s`` budget before declaring the
-#: worker hosting it wedged.
+#: Scheduling-latency allowance (seconds) the chunk dispatcher adds to an
+#: acknowledged chunk's ``task_timeout_s`` budget before declaring the
+#: worker running it wedged.
 TIMEOUT_GRACE = 0.25
 
 #: Error-name -> exception-class mapping for :meth:`TaskFailure.to_exception`.

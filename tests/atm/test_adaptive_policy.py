@@ -176,7 +176,8 @@ class TestPolicies:
         assert isinstance(make_policy("static"), StaticATMPolicy)
         assert isinstance(make_policy(ATMMode.DYNAMIC), DynamicATMPolicy)
         assert isinstance(make_policy("none"), NoATMPolicy)
-        assert isinstance(make_policy("fixed_p", p=0.5), FixedPPolicy)
+        fixed = make_policy("fixed_p", ATMConfig(p=0.5))
+        assert isinstance(fixed, FixedPPolicy) and fixed.config.p == 0.5
         with pytest.raises(ValueError):
             make_policy("fixed_p")
         with pytest.raises(ValueError):

@@ -191,3 +191,37 @@ class TestOneServerModel:
             if re.match(r"(read|decode|iter)_", name)
         }
         assert readers == {"read_frame", "decode_frame", "iter_frames"}
+
+
+class TestOneRemoteWorkerProtocol:
+    """One worker loop, one reply vocabulary and one wedge rule under the
+    process and network backends: a second copy of either shows up here."""
+
+    @staticmethod
+    def sources() -> dict[str, str]:
+        package = Path(repro.__file__).parent
+        return {
+            str(path.relative_to(package)): path.read_text()
+            for path in package.rglob("*.py")
+        }
+
+    def test_run_descriptor_has_one_caller(self):
+        calls = [
+            f"{name}: {line.strip()}"
+            for name, text in self.sources().items()
+            for line in text.splitlines()
+            if re.search(r"\brun_descriptor\(", line) and not line.startswith("def ")
+        ]
+        assert len(calls) == 1 and calls[0].startswith("runtime/remote_task.py"), calls
+
+    def test_only_the_dispatcher_reads_the_timeout_grace(self):
+        readers = [
+            name for name, text in self.sources().items()
+            if "TIMEOUT_GRACE" in text and name != "runtime/supervision.py"  # its home
+        ]
+        assert readers == ["runtime/dispatch.py"]
+
+    def test_the_process_backend_speaks_the_network_vocabulary(self):
+        text = self.sources()["runtime/mp_executor.py"]
+        assert re.findall(r"""["'](tasks|start|done|wedged)["']""", text) == []
+        assert "run_descriptor" not in text and "snapshot(" not in text

@@ -15,6 +15,7 @@ through the per-backend unit tests.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -111,6 +112,44 @@ def test_wedged_task_times_out(backend):
     failure = excinfo.value.failures[0]
     assert failure.error == "TaskTimeoutError"
     assert failure.label.startswith("wedge#")
+
+
+def marked_wedge_body(marker_path: str, sleep_s: float, src, dst) -> None:
+    """``wedge_body`` that counts its entries in a marker file."""
+    with open(marker_path, "ab") as marker:
+        marker.write(b"x")
+    wedge_body(sleep_s, src, dst)
+
+
+@pytest.mark.parametrize("backend", ["process", "network"])
+def test_wedge_is_terminal_once(backend, tmp_path):
+    """One wedge rule under both remote backends, with default retry
+    budgets: a task past ``task_timeout_s`` (+ grace) since its worker
+    acknowledged it is ``TaskTimeoutError`` at once — entered once, never
+    re-run elsewhere — its worker is killed / its endpoint excluded, and
+    the healthy task beside it completes on the other one.  (The parent
+    commit's network backend aged the chunk from dispatch, re-ran the wedge
+    on the second endpoint and ended in "all network endpoints failed".)"""
+    marker = str(tmp_path / f"wedge-{backend}.entries")
+    t0 = time.monotonic()
+    with fault_session(
+        backend, task_timeout_s=0.2, on_task_failure="quarantine"
+    ) as session:
+        submit_one(session, marked_wedge_body, marker, 3.0, label="wedge")
+        src, dst = submit_one(session, square_body, label="healthy")
+        result = session.wait_all()
+    assert time.monotonic() - t0 < 2.0  # returned long before the wedge woke up
+    assert os.path.getsize(marker) == 1
+    assert [(f.label.split("#")[0], f.error) for f in result.failures] == [
+        ("wedge", "TaskTimeoutError")
+    ]
+    assert result.tasks_completed == 1 and np.array_equal(dst, src ** 2)
+    if backend == "network":
+        stats = result.extra["network_backend"]
+        assert len(stats["failed_endpoints"]) == 1  # one of two endpoints still live
+        assert "task_timeout_s=0.2" in stats["failed_endpoints"][0]
+    else:
+        assert result.extra["process_backend"]["respawns"] == 1
 
 
 @pytest.mark.parametrize("on_failure", ["abort", "quarantine"])

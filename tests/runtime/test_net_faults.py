@@ -403,6 +403,250 @@ def test_malformed_result_fails_the_endpoint_not_the_drain(mutate, named):
     assert backend["resubmitted_tasks"] > 0
 
 
+class ScriptedReplyEndpoint(LoopbackEndpoint):
+    """Worker that answers its first chunk with ``script(chunk_id, task_id)``
+    — one well-framed message — and then idles with the socket open, so
+    only the parent's own reading of that message can unblock the drain."""
+
+    def __init__(self, name: str, script):
+        super().__init__(name)
+        self.script = script
+
+    def worker_target(self, sock: socket.socket) -> None:
+        try:
+            while True:
+                message = read_frame(sock)
+                if message[0] == "hello":
+                    write_frame(sock, ("hello_ack", {"worker_id": -1}))
+                elif message[0] == "chunk":
+                    chunk = message[1]
+                    write_frame(sock, ("ack", chunk.chunk_id))
+                    write_frame(sock, self.script(chunk.chunk_id, chunk.tasks[0].task_id))
+                    while sock.recv(1 << 16):  # idle until the parent hangs up
+                        pass
+                    return
+                elif message[0] == "shutdown":
+                    return
+        except Exception:
+            pass
+        finally:
+            sock.close()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        lambda chunk_id, task_id: 42,
+        lambda chunk_id, task_id: ("error", chunk_id),
+        lambda chunk_id, task_id: ("result", chunk_id),
+        lambda chunk_id, task_id: ("sync_result",),
+        lambda chunk_id, task_id: ("result", chunk_id, [("x",)]),
+        lambda chunk_id, task_id: ("result", chunk_id, [(task_id, "teleport", True, [])]),
+        lambda chunk_id, task_id: ("error", chunk_id, task_id + 1000, "not mine"),
+        lambda chunk_id, task_id: ("ack", [chunk_id]),
+    ],
+    ids=["not-a-tuple", "short-error", "short-result", "short-sync-result",
+         "short-result-entry", "unknown-action", "error-for-foreign-task",
+         "unhashable-chunk-id"],
+)
+def test_malformed_reply_fails_the_endpoint_at_once(script, capfd):
+    """The parent trusts no reply: one it cannot read is an endpoint failure
+    decided when it arrives — not after ``net_timeout_s`` of silence, not a
+    dead receiver thread, and never a bare ``IndexError`` out of
+    ``wait_all`` (the parent commit did each of the three)."""
+    bad = ScriptedReplyEndpoint("scripted/0", script)
+    t0 = time.monotonic()
+    result, sources, sinks, executor = run_square_program(
+        [bad, LoopbackEndpoint("healthy/0")], n_tasks=8, timeout_s=4.0
+    )
+    assert time.monotonic() - t0 < 1.0, "failed over by heartbeat, not by decoding"
+    assert_correct(result, sources, sinks)
+    backend = result.extra["network_backend"]
+    failure = next(f for f in backend["failed_endpoints"] if "scripted/0" in f)
+    assert "malformed reply" in failure or "malformed result" in failure
+    assert bad.failed and backend["resubmitted_tasks"] > 0
+    assert capfd.readouterr().err == ""  # no traceback from a net-recv-* thread
+
+
+def _hostile_chunk():
+    from repro.runtime.net_wire import NetChunk
+
+    return ("chunk", NetChunk(1, (), ()))
+
+
+@pytest.mark.parametrize(
+    "prelude, hostile, named",
+    [
+        ((), 42, "not a protocol message"),
+        ((), ("chunk", 42), "chunk before hello"),
+        ((), ("hello", 5), "unreadable 'hello' message"),
+        ((), ("hello", {"protocol": 5, "engine": "x"}), "unreadable 'hello' message"),
+        ((("hello", {"protocol": 5, "residency": True}),), ("invalidate",),
+         "unreadable 'invalidate' message"),
+        ((("hello", {"protocol": 5}),), ("chunk", 42), "unreadable 'chunk' message"),
+        ((), _hostile_chunk(), "chunk before hello"),
+        ((("hello", {"protocol": 5}),), ("teleport", 1), "unknown message kind"),
+    ],
+    ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "str-engine",
+         "short-invalidate", "int-chunk", "chunk-before-hello", "unknown-kind"],
+)
+def test_worker_reports_a_message_it_cannot_read_and_closes(prelude, hostile, named, capfd):
+    """The worker trusts no frame either: a well-framed message that is not
+    a protocol tuple of the right shape gets the best-effort ``("error",
+    None, None, "worker N: WireProtocolError: ...")`` report and a clean
+    close — nothing escapes ``serve_connection`` (at the parent: a
+    ``TypeError``/``AttributeError`` traceback on the daemon's stderr)."""
+    import threading
+
+    from repro.runtime.net_wire import request
+
+    client, served = socket.socketpair()
+    escaped: list[BaseException] = []
+
+    def serve() -> None:
+        try:
+            serve_connection(served, worker_id=7)
+        except BaseException as exc:  # the bug this test exists for
+            escaped.append(exc)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with client:
+        client.settimeout(SCENARIO_TIMEOUT)
+        for message in prelude:
+            assert request(client, message)[0] == "hello_ack"
+        t0 = time.monotonic()
+        report = request(client, hostile)
+        assert report[:3] == ("error", None, None)
+        assert report[3].startswith("worker 7: WireProtocolError: ") and named in report[3]
+        assert client.recv(1) == b""  # closed, not left half-open
+        assert time.monotonic() - t0 < 1.0
+    thread.join(timeout=SCENARIO_TIMEOUT)
+    assert not thread.is_alive() and escaped == []
+    captured = capfd.readouterr()
+    assert captured.out == "" and captured.err == ""
+
+
+CONTRACT_TYPE = TaskType("contract", memoizable=False)
+
+
+def _contract_chunk(ref):
+    """Four tasks — healthy, healthy, raising, healthy — described through
+    ``ref``; returns ``(descriptors, sources, sinks)``."""
+    from repro.runtime.remote_task import describe_task
+    from repro.testing.faults import raising_body
+
+    bodies = [square_body, square_body, raising_body, square_body]
+    sources = [np.full(8, float(i + 1)) for i in range(4)]
+    sinks = [np.zeros(8) for _ in range(4)]
+    descriptors = [
+        describe_task(
+            task_id, task_id, CONTRACT_TYPE, body, [In(src), Out(dst)], (src, dst), {}, ref
+        )
+        for task_id, (body, src, dst) in enumerate(zip(bodies, sources, sinks))
+    ]
+    return descriptors, sources, sinks
+
+
+def _replies_over_queue_and_pipe():
+    """The process transport's worker entry point, run in this process:
+    one chunk, the barrier, the shutdown pill."""
+    import multiprocessing
+    import pickle
+
+    from repro.runtime.mp_executor import _worker_main
+    from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable
+
+    ctx = multiprocessing.get_context()
+    table = SharedVersionTable(capacity=16, context=ctx)
+    registry = SharedBufferRegistry(table)
+    task_queue = ctx.Queue()
+    reader, writer = ctx.Pipe(duplex=False)
+    try:
+        descriptors, sources, sinks = _contract_chunk(registry.array_ref)
+        for message in (("chunk", 7, pickle.dumps(descriptors)), ("sync",), None):
+            task_queue.put(message)
+        _worker_main(
+            3, task_queue, writer, ctx.Lock(), table.name, table.capacity, table.lock,
+            None, True,
+        )
+        replies = []
+        while reader.poll():
+            worker_id, reply = reader.recv()  # the envelope
+            assert worker_id == 3
+            replies.append(reply)
+        registry.copy_out()
+        return replies, sources, sinks
+    finally:
+        task_queue.close()
+        task_queue.join_thread()
+        reader.close()
+        writer.close()
+        registry.close()
+        table.close()
+
+
+def _replies_over_a_framed_socket():
+    """The network transport's worker entry point on a socketpair: hello,
+    the same chunk, the barrier, shutdown."""
+    import threading
+
+    from repro.runtime.net_wire import ChunkEncoder, NetChunk, PROTOCOL_VERSION, request
+
+    encoder = ChunkEncoder()
+    descriptors, sources, sinks = _contract_chunk(encoder.ref)
+    client, served = socket.socketpair()
+    thread = threading.Thread(target=serve_connection, args=(served, 3), daemon=True)
+    thread.start()
+    with client:
+        client.settimeout(SCENARIO_TIMEOUT)
+        assert request(client, ("hello", {"protocol": PROTOCOL_VERSION}))[0] == "hello_ack"
+        write_frame(client, ("chunk", NetChunk(7, encoder.buffers(), tuple(descriptors))))
+        write_frame(client, ("sync",))
+        write_frame(client, ("shutdown",))
+        replies = []
+        try:
+            while True:
+                replies.append(read_frame(client))
+        except Exception:  # EOF: the worker closed after the shutdown
+            pass
+    thread.join(timeout=SCENARIO_TIMEOUT)
+    for message in replies:  # the written bytes ride on the result: land them
+        if message[0] == "result":
+            for task_id, _action, _executed, writes in message[2]:
+                for index, raw in writes:
+                    assert index == 1
+                    sinks[task_id][:] = np.frombuffer(raw, dtype=np.float64)
+    return replies, sources, sinks
+
+
+@pytest.mark.parametrize(
+    "transport", [_replies_over_queue_and_pipe, _replies_over_a_framed_socket],
+    ids=["process", "network"],
+)
+def test_one_worker_one_reply_vocabulary_under_both_transports(transport):
+    """The contract, once: the same chunk (healthy, healthy, raising,
+    healthy) through the one worker behind either transport gets ``ack``,
+    ``result`` with the finished two-task prefix, ``error`` naming task 3 —
+    the fourth task is dropped for the parent to redistribute — and the
+    barrier a ``sync_result``.  The transports differ in the envelope and in
+    whether written bytes ride on a result, nothing else."""
+    replies, sources, sinks = transport()
+    kinds = [message[0] for message in replies]
+    assert kinds == ["ack", "result", "error", "sync_result"]
+    ack, result, error, sync_result = replies
+    assert ack == ("ack", 7)
+    assert result[1] == 7
+    assert [tuple(entry[:3]) for entry in result[2]] == [
+        (0, "execute", True), (1, "execute", True)
+    ]
+    assert error[:3] == ("error", 7, 2) and "injected task failure" in error[3]
+    assert sync_result == ("sync_result", None)
+    for index in (0, 1):
+        assert np.array_equal(sinks[index], sources[index] ** 2)
+    assert not sinks[2].any() and not sinks[3].any()
+
+
 def test_failover_drops_residency_and_survivors_stay_bit_correct():
     """An endpoint that dies *holding residency* must not poison the drain.
 

@@ -109,6 +109,12 @@ class TestFrameServer:
 
 # -- the three daemons as processes ---------------------------------------------------
 def ping_worker(host: str, port: int) -> None:
+    # A well-framed message that is no hello: reported and closed, with
+    # nothing on the daemon's stderr — and the next connection is served.
+    with socket.create_connection((host, port), timeout=BOUND_S) as hostile:
+        report = request(hostile, ("hello", 5))
+        assert report[:3] == ("error", None, None) and "WireProtocolError" in report[3]
+        assert hostile.recv(1) == b""
     with socket.create_connection((host, port), timeout=BOUND_S) as sock:
         assert request(sock, ("ping",)) == ("pong",)
         write_frame(sock, ("shutdown",))

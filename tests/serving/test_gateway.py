@@ -8,6 +8,7 @@ whole file stays in the tier-1 time budget.
 from __future__ import annotations
 
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ def connect(gateway: Gateway, tenant: str, **kwargs) -> GatewayClient:
     return GatewayClient(
         "127.0.0.1", gateway.port, tenant=tenant, **kwargs
     )
+
+
+def reconnect(gateway: Gateway, tenant: str) -> GatewayClient:
+    """Connect as a tenant whose previous connection has just closed.
+
+    The gateway marks a tenant disconnected on the old connection's own
+    thread, once its read returns EOF (ROADMAP, serving: a returning client
+    can overtake that).  Wait for it here, then say hello exactly once: a
+    rejected hello still fails the test.
+    """
+    deadline = time.monotonic() + 5.0
+    while gateway._tenants[tenant].connected and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return connect(gateway, tenant)
 
 
 class TestEndToEnd:
@@ -122,7 +137,7 @@ class TestEndToEnd:
             client.submit(FILL, fill_block, accesses=[Out(data)],
                           args=(data, 3.0))
             client.wait_all()
-        with connect(gateway, "e2e-reconnect") as client:
+        with reconnect(gateway, "e2e-reconnect") as client:
             before = client.result()
             assert before.extra["tasks_submitted"] == 1  # counters survived
             client.submit(ACC, accumulate_block,
@@ -354,7 +369,7 @@ class TestMalformedRequests:
             monkeypatch.setattr(Gateway, "_tenant_summary", healthy)
             assert peer.result().tasks_failed == 0
         # The tenant itself is intact: it may reconnect.
-        with connect(gateway, "bug-victim") as again:
+        with reconnect(gateway, "bug-victim") as again:
             assert again.result().extra["tasks_submitted"] == 0
         assert "Traceback" not in capfd.readouterr().err
 

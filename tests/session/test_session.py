@@ -113,7 +113,7 @@ class TestAssembly:
 
     def test_builtin_name_cannot_be_shadowed_without_replace(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            POLICIES.register("static", lambda config, p: StaticATMPolicy(config))
+            POLICIES.register("static", lambda config: StaticATMPolicy(config))
 
     def test_executor_instance_rejects_runtime_overrides(self):
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=2))
@@ -448,7 +448,7 @@ class TestRegistries:
             SCHEDULERS.unregister("fifo2")
 
     def test_register_policy_becomes_valid_mode(self):
-        POLICIES.register("static2", lambda config, p: StaticATMPolicy(config))
+        POLICIES.register("static2", lambda config: StaticATMPolicy(config))
         try:
             s = Session({"atm": {"mode": "static2"}})
             assert isinstance(s.engine.policy, StaticATMPolicy)
@@ -457,11 +457,21 @@ class TestRegistries:
         with pytest.raises(ConfigurationError):
             ATMConfig(mode="static2")
 
+    def test_two_argument_policy_factory_is_a_named_configuration_error(self):
+        # The contract was factory(config, p) until PR 19; a plugin still
+        # written that way must hear what changed, not a bare TypeError.
+        POLICIES.register("old_style", lambda config, p: StaticATMPolicy(config))
+        try:
+            with pytest.raises(ConfigurationError, match=r"'old_style'.*factory\(config\)"):
+                Session({"atm": {"mode": "old_style"}})
+        finally:
+            POLICIES.unregister("old_style")
+
     def test_duplicate_registration_rejected(self):
-        POLICIES.register("dup", lambda config, p: StaticATMPolicy(config))
+        POLICIES.register("dup", lambda config: StaticATMPolicy(config))
         try:
             with pytest.raises(ConfigurationError, match="already registered"):
-                POLICIES.register("dup", lambda config, p: StaticATMPolicy(config))
+                POLICIES.register("dup", lambda config: StaticATMPolicy(config))
         finally:
             POLICIES.unregister("dup")
 
@@ -478,7 +488,7 @@ class TestRegistries:
         class HalfStatic(StaticATMPolicy):
             pass
 
-        POLICIES.register("half_static", lambda config, p: HalfStatic(config))
+        POLICIES.register("half_static", lambda config: HalfStatic(config))
         try:
             s = Session({"atm": {"mode": "half_static"}})
             assert worker_engine_config(s.engine).mode == "half_static"
