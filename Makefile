@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench size figures examples net-loopback net-residency net-soak fault-matrix serve-smoke tht-store soak-threaded ci
+.PHONY: test bench size figures examples process-backend net-loopback net-residency net-soak fault-matrix serve-smoke tht-store soak-threaded ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -30,6 +30,19 @@ examples:
 	$(PYTHON) examples/heat_diffusion.py
 	$(PYTHON) examples/option_pricing.py tiny
 	$(PYTHON) examples/adaptive_approximation.py tiny
+
+# Process backend: the shared-memory protocol and pool lifecycle, the
+# host-write contract, the data plane's property + counting tests (first-touch
+# copy-in, per-result copy-out), what failed drains leave at home, and the
+# executor parity matrix (its process cells; the simulator and network-only
+# tests of that file are left to the tiers that own them).
+process-backend:
+	$(PYTHON) -m pytest tests/runtime/test_mp_executor.py \
+		tests/runtime/test_host_writes.py \
+		tests/runtime/test_shm_property.py \
+		tests/runtime/test_lifecycle_cleanup.py \
+		tests/runtime/test_executor_parity.py \
+		-k "not network_twin and not simulator" -p no:cacheprovider -x -q
 
 # Network backend: parity + fault-injection matrix over the loopback
 # transport, cache-less and fail-fast (mirrors the CI step), and the soak
@@ -91,12 +104,13 @@ soak-threaded:
 	done
 
 # What .github/workflows/ci.yml runs (this target is the one list of CI
-# tiers): tier-1 suite, examples smoke, network-loopback matrix + residency
-# + soak, serving smoke, fault matrix, THT store, threaded soak.  Tier-1 includes the
+# tiers): tier-1 suite, examples smoke, process backend, network-loopback
+# matrix + residency + soak, serving smoke, fault matrix, THT store, threaded soak.  Tier-1 includes the
 # benchmark's own smoke pass (bench/tests/test_bench_smoke.py).
 ci:
 	$(PYTHON) -m pytest -x -q
 	$(MAKE) examples
+	$(MAKE) process-backend
 	$(MAKE) net-loopback
 	$(MAKE) net-residency
 	$(MAKE) net-soak

@@ -105,10 +105,15 @@ class ATMEngine:
             )
 
         if self.ikt is not None and not training:
-            producer = self.ikt.lookup(key, task.task_type.name)
-            if producer is not None and producer is not task:
-                with self._petition_lock:
+            # One step with the petition: a producer that retires between
+            # the lookup and the append would never serve this consumer.
+            with self._petition_lock:
+                producer = self.ikt.lookup(key, task.task_type.name)
+                if producer is task:
+                    producer = None
+                if producer is not None:
                     self._petitions.setdefault(producer.task_id, []).append(task)
+            if producer is not None:
                 self.stats.record_ikt_hit(
                     task.task_type.name,
                     producer.creation_index,
@@ -174,9 +179,9 @@ class ATMEngine:
         # Retire the in-flight entry and satisfy postponed consumers.
         forwarded = 0
         completed = 0
-        if decision.payload.get("ikt_registered") and self.ikt is not None:
-            self.ikt.retire(key, task.task_type.name, task)
         with self._petition_lock:
+            if decision.payload.get("ikt_registered") and self.ikt is not None:
+                self.ikt.retire(key, task.task_type.name, task)
             waiters = self._petitions.pop(task.task_id, [])
         for waiter in waiters:
             copied = copy_outputs_from_entry(waiter, committed)
@@ -202,13 +207,13 @@ class ATMEngine:
         if not decision.atm_handled:
             return []
         key = decision.payload.get("key")
-        if (
-            key is not None
-            and decision.payload.get("ikt_registered")
-            and self.ikt is not None
-        ):
-            self.ikt.retire(key, task.task_type.name, task)
         with self._petition_lock:
+            if (
+                key is not None
+                and decision.payload.get("ikt_registered")
+                and self.ikt is not None
+            ):
+                self.ikt.retire(key, task.task_type.name, task)
             return self._petitions.pop(task.task_id, [])
 
     # -- helpers ---------------------------------------------------------------------

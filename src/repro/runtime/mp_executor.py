@@ -20,8 +20,16 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   (:class:`~repro.runtime.shm.WorkerArena`), which bump the cross-process
   write-version table for every committed write.  The messages are the
   remote-worker protocol's (DESIGN.md §4.6), the envelope this module's.
-* **Data plane** — ``copy_in`` mirrors parent bytes into the segments
-  before a drain, ``copy_out`` brings the written buffers home after it.
+* **Data plane** — bytes move per chunk, not per barrier, while the
+  workers compute: :meth:`ProcessExecutor._send` checks the base buffers a
+  chunk touches for the first time in the drain against their segments
+  (``copy_in``: a host store since the last drain is mirrored in),
+  :meth:`ProcessExecutor._write_back` lands a completed task's written
+  regions in the parent arrays (``copy_out``) *before* the task's
+  successors — or a gateway tenant's barrier — are released.  A drain that
+  aborts, or a task that is quarantined, therefore leaves every completed
+  task's outputs at home and a failed body's partial writes in the segment
+  only, where the next drain's first touch overwrites them (DESIGN.md §4.3).
 
 Worker processes persist across drains (barriers inside an application keep
 their warm THTs and keygen caches); :meth:`ProcessExecutor.close` — called
@@ -165,8 +173,6 @@ class ProcessExecutor(BaseExecutor):
         self._results_lock = self._ctx.Lock()
         self._processes: list = []
         self._next_worker = 0
-        #: Slots of the buffers this drain's tasks write (copy_out set).
-        self._written_slots: set[int] = set()
         self._stats = {
             "workers": self.num_workers, "dispatched": 0, "chunks": 0,
             "resubmitted_tasks": 0, "copyin_refreshed": 0,
@@ -251,22 +257,20 @@ class ProcessExecutor(BaseExecutor):
 
     # -- transport: parent -> workers --------------------------------------------
     def _send(self, chunk: Chunk) -> int:
-        """Describe a chunk's tasks over shared memory and dispatch them."""
+        """Describe a chunk's tasks over shared memory and dispatch them,
+        checking the buffers the drain touches here first (copy-in)."""
         registry = self._registry
-        descriptors = []
-        for task in chunk.tasks:
-            descriptors.append(
-                describe_task(
-                    task.task_id, task.creation_index, task.task_type,
-                    task.function, task.accesses, task.args, task.kwargs,
-                    registry.array_ref,
-                )
+        self._stats["copyin_refreshed"] += registry.copy_in(
+            access.region for task in chunk.tasks for access in task.accesses
+        )
+        descriptors = [
+            describe_task(
+                task.task_id, task.creation_index, task.task_type,
+                task.function, task.accesses, task.args, task.kwargs,
+                registry.array_ref,
             )
-            for access in task.accesses:
-                if access.writes:
-                    self._written_slots.add(
-                        registry.entry_for_array(access.region.array).slot
-                    )
+            for task in chunk.tasks
+        ]
         return self._dispatch_chunk(chunk.chunk_id, descriptors)
 
     def _dispatch_chunk(self, chunk_id: int, descriptors: list[TaskDescriptor]) -> int:
@@ -328,13 +332,16 @@ class ProcessExecutor(BaseExecutor):
             f"worker {name} {what} while the task was in flight",
         )
 
-    # Shared memory is the data plane: a result carries no bytes, and a body
-    # that raised leaves nothing stale behind.
+    # Shared memory is the data plane: a result carries no bytes — the
+    # task's written regions are read out of the segments (copy-out) — and a
+    # body that raised leaves nothing stale behind.
     def _check_write(self, task) -> None:
         return None
 
     def _write_back(self, worker_id: int, task, chunk: Chunk) -> None:
-        return None
+        self._stats["copyout_buffers"] += self._registry.copy_out(
+            access.region for access in task.accesses if access.writes
+        )
 
     def _task_raised(self, worker_id: int) -> None:
         return None
@@ -363,11 +370,8 @@ class ProcessExecutor(BaseExecutor):
             return self._result
         self._ensure_workers()
         self._fresh_supervisor()
-        stats = self._stats
-        stats["copyin_refreshed"] += self._registry.copy_in()
-        self._written_slots.clear()
+        self._registry.fresh.clear()
         self._result.elapsed += self._dispatcher.run(graph)
-        stats["copyout_buffers"] += self._registry.copy_out(self._written_slots)
-        self._result.extra.setdefault("process_backend", stats)
+        self._result.extra.setdefault("process_backend", self._stats)
         self._finalize_result()
         return self._result

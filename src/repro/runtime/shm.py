@@ -7,11 +7,15 @@ home; this module provides it (see DESIGN.md §4.3):
 
 * :class:`SharedBufferRegistry` (parent side) — assigns every owning base
   buffer a *slot*, backs it with a ``multiprocessing.shared_memory`` segment
-  mirroring the buffer's exact byte layout, and synchronises bytes between
-  the parent arrays and the segments at drain boundaries (``copy_in`` /
-  ``copy_out``).  ``copy_in`` only copies (and version-bumps) buffers whose
-  bytes actually differ from the segment, so worker-side digest caches
-  survive multi-barrier programs whose inputs the parent never touched.
+  mirroring the buffer's exact byte layout, and moves bytes between the
+  parent arrays and the segments at the two moments a task crosses the
+  process boundary: ``copy_in`` when a chunk is sent, for the base buffers
+  its tasks touch that the open drain has not touched before, ``copy_out``
+  when a task's result arrives, for the regions that task wrote.
+  ``copy_in`` only copies (and version-bumps) buffers whose bytes actually
+  differ from the segment, so worker-side digest caches survive
+  multi-barrier programs whose inputs the parent never touched; buffers a
+  drain never touches are never compared.
 * :class:`SharedVersionTable` — the cross-process write-version protocol:
   one ``int64`` version per slot in its own shared segment, bumped under a
   shared lock whenever a write to the buffer commits in *any* process.  The
@@ -23,6 +27,17 @@ home; this module provides it (see DESIGN.md §4.3):
   shared segments, attached lazily by name; its regions read and bump the
   shared version table.
 
+**The first-touch invariant.**  A base buffer is compared with (and, on a
+difference, refreshed into) its segment only while *no task of the open drain
+that touches it is in flight*: the check runs the first time a chunk that
+touches the buffer is sent and marks the buffer *fresh* before that chunk
+leaves, so every task that touches it was sent after the check; the fresh
+set is cleared when a drain opens (``ProcessExecutor.drain``) and a buffer
+registered mid-drain is born fresh, because ``register`` seeds its segment.
+A refresh can therefore never clobber a sibling region a worker is writing,
+and a write-back — region by region, at completion — never carries a
+sibling's half-written bytes home.
+
 Attach/detach is name-based, so the protocol works under every
 multiprocessing start method (``fork``, ``spawn``, ``forkserver``).
 """
@@ -31,7 +46,7 @@ from __future__ import annotations
 
 import multiprocessing
 from multiprocessing import shared_memory
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -118,6 +133,14 @@ class _SharedBuffer:
         self.flat_mirror = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf)
 
 
+def _offset(entry: _SharedBuffer, array: np.ndarray) -> int:
+    """Byte offset of ``array``'s first element within ``entry``'s base."""
+    return int(
+        array.__array_interface__["data"][0]
+        - entry.base.__array_interface__["data"][0]
+    )
+
+
 class SharedBufferRegistry:
     """Parent-side slot registry mapping base buffers to shared segments."""
 
@@ -125,6 +148,9 @@ class SharedBufferRegistry:
         self.version_table = version_table
         self._by_id: dict[int, _SharedBuffer] = {}
         self._entries: list[_SharedBuffer] = []
+        #: Slots checked by ``copy_in`` (or seeded by ``register``) in the
+        #: open drain; the executor clears it when a drain opens.
+        self.fresh: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -142,33 +168,27 @@ class SharedBufferRegistry:
             )
         shm = shared_memory.SharedMemory(create=True, size=max(1, int(base.nbytes)))
         entry = _SharedBuffer(slot, base, shm)
-        # Seed the segment immediately: buffers can be registered mid-drain
-        # (first touched by a task dispatched after copy_in ran).
+        # Seed the segment immediately: a buffer is registered by the first
+        # chunk that touches it, and is fresh from then on.
         np.copyto(entry.mirror, base, casting="no")
+        self.fresh.add(slot)
         self._entries.append(entry)
         self._by_id[id(base)] = entry
         return entry
-
-    def entry_for_array(self, array: np.ndarray) -> _SharedBuffer:
-        """Registry entry of the base buffer owning ``array`` (registering it)."""
-        return self.register(_base_buffer(array))
 
     def array_ref(
         self, array: np.ndarray, region: Optional[DataRegion] = None
     ) -> ArrayRef:
         """Serializable handle reconstructing ``array`` inside a worker; pass
         its ``region`` to reuse the owning base the region already found."""
-        entry = (
-            self.register(region._base) if region is not None
-            else self.entry_for_array(array)
+        entry = self.register(
+            region._base if region is not None else _base_buffer(array)
         )
-        base_addr = entry.base.__array_interface__["data"][0]
-        my_addr = array.__array_interface__["data"][0]
         return ArrayRef(
             shm_name=entry.shm.name,
             base_nbytes=int(entry.base.nbytes),
             slot=entry.slot,
-            offset=int(my_addr - base_addr),
+            offset=_offset(entry, array),
             shape=tuple(array.shape),
             strides=tuple(array.strides),
             dtype=array.dtype.str,
@@ -186,15 +206,22 @@ class SharedBufferRegistry:
             entry.flat_mirror[: base.nbytes], flat.view(np.uint8)
         )
 
-    def copy_in(self) -> int:
-        """Mirror parent bytes into the segments; returns buffers refreshed.
+    def copy_in(self, regions: Iterable[DataRegion]) -> int:
+        """First touch of ``regions``' base buffers in the open drain: mirror
+        parent bytes into the segments; returns buffers refreshed.
 
         Only buffers whose bytes differ are copied, and each refresh bumps
         the shared version so worker-side key caches can never serve a
-        digest for bytes the parent replaced between drains.
+        digest for bytes the parent replaced between drains.  A buffer
+        already fresh is skipped without a compare (module docstring).
         """
         refreshed = 0
-        for entry in self._entries:
+        fresh = self.fresh
+        for region in regions:
+            entry = self.register(region._base)
+            if entry.slot in fresh:
+                continue
+            fresh.add(entry.slot)
             if self._mirror_matches(entry):
                 continue
             np.copyto(entry.mirror, entry.base, casting="no")
@@ -202,15 +229,21 @@ class SharedBufferRegistry:
             refreshed += 1
         return refreshed
 
-    def copy_out(self, slots: Optional[set[int]] = None) -> int:
-        """Copy worker-written segment bytes back into the parent arrays."""
-        copied = 0
-        for entry in self._entries:
-            if slots is not None and entry.slot not in slots:
-                continue
-            np.copyto(entry.base, entry.mirror, casting="no")
-            copied += 1
-        return copied
+    def copy_out(self, regions: Iterable[DataRegion]) -> int:
+        """Land worker-written ``regions``: segment bytes into the parent
+        arrays, region by region (strided views included); returns regions
+        landed."""
+        landed = 0
+        for region in regions:
+            entry = self.register(region._base)
+            array = region.array
+            mirror = np.ndarray(
+                array.shape, dtype=array.dtype, buffer=entry.shm.buf,
+                offset=_offset(entry, array), strides=array.strides,
+            )
+            np.copyto(array, mirror, casting="no")
+            landed += 1
+        return landed
 
     def close(self) -> None:
         for entry in self._entries:

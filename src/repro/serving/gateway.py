@@ -202,7 +202,9 @@ class _TenantState:
         self.lock = threading.Lock()
         #: Over ``lock``; notified when ``outstanding`` reaches 0 (barriers).
         self.idle = threading.Condition(self.lock)
-        self.connected = False
+        #: The socket of the connection that said hello as this tenant
+        #: (``None``: nobody); read and written under the tenants lock.
+        self.connection: Optional[socket.socket] = None
         self.submitted = 0
         self.outstanding = 0
         self.executed = 0
@@ -645,7 +647,7 @@ class Gateway:
                 self._tht_store = None
 
     # -- tenant management -------------------------------------------------------
-    def _register_tenant(self, info: Mapping) -> _TenantState:
+    def _register_tenant(self, info: Mapping, sock: socket.socket) -> _TenantState:
         protocol = info.get("protocol")
         if protocol != SERVING_PROTOCOL_VERSION:
             raise TenantRejectedError(
@@ -675,13 +677,16 @@ class Gateway:
         with self._tenants_lock:
             tenant = self._tenants.get(name)
             if tenant is not None:
-                if tenant.connected:
+                if tenant.connection is not None and not _hung_up(tenant.connection):
                     raise TenantRejectedError(
                         f"tenant {name!r} already has a live connection"
                     )
                 # Reconnection resumes the existing namespace (arena, engine,
                 # counters) — the point of a persistent per-tenant ATM tier.
-                tenant.connected = True
+                # A recorded connection whose peer hung up (its own thread
+                # has not seen the EOF yet, or the client died without
+                # closing) is taken over, not waited for.
+                tenant.connection = sock
                 return tenant
             overrides = {"mode": atm_mode}
             if atm_p is not None:
@@ -695,7 +700,7 @@ class Gateway:
             tenant = _TenantState(
                 name=name, weight=weight, engine=engine, share_tht=share
             )
-            tenant.connected = True
+            tenant.connection = sock
             self._tenants[name] = tenant
         self._router.add_engine(engine)
         self._admission.register(name, weight)
@@ -710,7 +715,7 @@ class Gateway:
             while True:
                 message = read_frame(sock)
                 try:
-                    reply, tenant = self._handle_message(message, tenant)
+                    reply, tenant = self._handle_message(message, tenant, sock)
                 except ReproError as exc:
                     # Any taxonomy error — gateway-specific or from task
                     # validation/decoding — is the client's answer, not a
@@ -718,8 +723,10 @@ class Gateway:
                     reply = ("error", type(exc).__name__, str(exc))
                 # Encoded and sent here, on the thread that built it: a
                 # barrier reply's segments alias the arena, which nothing
-                # writes while this tenant has no work outstanding — and
-                # only this connection can submit its next write.
+                # writes while this tenant has no work outstanding (every
+                # backend lands a task's writes before it completes the
+                # task, see _barrier_payload) — and only this connection
+                # can submit its next write.
                 write_frame(sock, reply)
         except OSError:
             pass  # the transport died; the client sees the same breakage
@@ -734,10 +741,12 @@ class Gateway:
             except OSError:
                 pass
         finally:
-            if tenant is not None:
-                tenant.connected = False
+            with self._tenants_lock:
+                # Unless a returning client already took the session over.
+                if tenant is not None and tenant.connection is sock:
+                    tenant.connection = None
 
-    def _handle_message(self, message, tenant: Optional[_TenantState]):
+    def _handle_message(self, message, tenant: Optional[_TenantState], sock: socket.socket):
         """Answer one request: ``(reply tuple, this connection's tenant)``."""
         if not isinstance(message, tuple) or not message:
             raise GatewayProtocolError("messages are non-empty tuples")
@@ -749,7 +758,7 @@ class Gateway:
                 raise GatewayShutdownError("gateway is shutting down")
             if len(message) != 2 or not isinstance(message[1], Mapping):
                 raise GatewayProtocolError("hello carries one mapping of tenant fields")
-            tenant = self._register_tenant(message[1])
+            tenant = self._register_tenant(message[1], sock)
             ack = {
                 "protocol": SERVING_PROTOCOL_VERSION,
                 "tenant": tenant.name,
@@ -841,9 +850,13 @@ class Gateway:
     # -- replies -----------------------------------------------------------------
     def _barrier_payload(self, tenant: _TenantState) -> tuple[dict, list]:
         # Outstanding == 0: no in-flight writes touch this tenant's arena,
-        # so the dirty backings are stable to read.  Flushing the delta here
-        # makes a finished tenant's commits visible to shared-tier peers
-        # immediately instead of a merge-interval later.
+        # so the dirty backings are stable to read — on a pool that runs
+        # bodies elsewhere too, because `outstanding` falls in the graph's
+        # completion hook and the chunk dispatcher lands a task's writes in
+        # the arena (`_write_back`: network result bytes, process-pool
+        # segment regions) before it completes the task.  Flushing the delta
+        # here makes a finished tenant's commits visible to shared-tier
+        # peers immediately instead of a merge-interval later.
         self._flush_tenant_delta(tenant)
         summary = self._tenant_summary(tenant)
         with tenant.lock:
@@ -896,6 +909,17 @@ class Gateway:
             entry["latency_p99_s"] = _percentile(latencies, 0.99)
             stats["tenants"][state.name] = entry
         return stats
+
+
+def _hung_up(sock: socket.socket) -> bool:
+    """Whether ``sock``'s peer is gone (EOF, reset) or the socket is closed:
+    a non-blocking peek, so nothing its own thread will read is consumed."""
+    try:
+        return sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+    except BlockingIOError:
+        return False  # open and quiet: a live connection
+    except OSError:
+        return True
 
 
 def _hello_number(info: Mapping, key: str, default: Optional[float]) -> Optional[float]:

@@ -103,6 +103,46 @@ class TestStaticEngine:
         assert np.allclose(consumer_out, src ** 2)
         assert engine.stats.ikt_hits == 1
 
+    def test_producer_retiring_during_a_consumers_lookup_still_serves_it(self, monkeypatch):
+        """The consumer found its producer in the IKT and is about to file
+        its petition when the producer commits on another thread: lookup +
+        petition and retire + collect are each one step, so the consumer is
+        either served by that commit or never deferred (at the parent of PR
+        20 it was deferred and never completed: a hung threaded drain)."""
+        import threading
+
+        engine = make_static_engine()
+        src = np.arange(8.0)
+        producer_out, consumer_out = np.zeros(8), np.zeros(8)
+        producer = square_task(src, producer_out, task_id=0)
+        consumer = square_task(src, consumer_out, task_id=1)
+        producer_decision = engine.task_ready(producer)
+        producer.run()
+        completions = []
+        engine.set_deferred_completion_callback(lambda t, b: completions.append(t))
+        lookup = engine.ikt.lookup
+        found = threading.Event()
+
+        def lookup_then_stall(key, name):
+            result = lookup(key, name)
+            found.set()                 # the producer may commit now ...
+            commit.join(timeout=0.3)    # ... and gets every chance to
+            return result
+
+        def commit_producer():
+            found.wait(timeout=5.0)
+            engine.task_finished(producer, producer_decision, executed=True)
+
+        commit = threading.Thread(target=commit_producer)
+        commit.start()
+        monkeypatch.setattr(engine.ikt, "lookup", lookup_then_stall)
+        decision = engine.task_ready(consumer)
+        commit.join(timeout=5.0)
+        assert not commit.is_alive()
+        assert decision.action == ATMAction.DEFER
+        assert completions == [consumer]
+        assert np.allclose(consumer_out, src ** 2)
+
     def test_ikt_disabled(self):
         engine = make_static_engine(use_ikt=False)
         src = np.arange(8.0)

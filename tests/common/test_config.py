@@ -193,6 +193,28 @@ class TestOneServerModel:
         assert readers == {"read_frame", "decode_frame", "iter_frames"}
 
 
+class TestNoBarrierSweep:
+    """The process backend moves bytes per chunk and per result
+    (``_send`` / ``_write_back``): no whole-registry pass on the barrier."""
+
+    def test_process_drain_moves_no_bytes_itself(self):
+        import inspect
+
+        from repro.runtime.mp_executor import ProcessExecutor
+
+        drain = inspect.getsource(ProcessExecutor.drain)
+        assert "copy_in" not in drain and "copy_out" not in drain
+
+    def test_no_per_drain_written_slot_set_under_src(self):
+        package = Path(repro.__file__).parent
+        holders = [
+            str(path.relative_to(package))
+            for path in package.rglob("*.py")
+            if "_written_slots" in path.read_text()
+        ]
+        assert holders == []
+
+
 class TestOneRemoteWorkerProtocol:
     """One worker loop, one reply vocabulary and one wedge rule under the
     process and network backends: a second copy of either shows up here."""

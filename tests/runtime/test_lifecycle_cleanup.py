@@ -17,7 +17,8 @@ import pytest
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
 from repro.runtime.task import TaskType
-from repro.session import Out, Session
+from repro.session import In, InOut, Out, Session
+from repro.testing.faults import BACKENDS, fault_session, raising_body
 
 SHM_DIR = "/dev/shm"
 
@@ -164,6 +165,75 @@ class TestProcessBackendFailureCleanup:
             c.name.startswith("repro-worker") and c.is_alive()
             for c in multiprocessing.active_children()
         ), "crash-recovery drain leaked live worker processes"
+
+
+def fill(dst: np.ndarray, value: float) -> None:
+    dst[:] = value
+
+
+def scribble_then_raise(buf: np.ndarray) -> None:
+    buf[:4] = -1.0
+    raise ValueError("injected failure after a partial write")
+
+
+def add_one(buf: np.ndarray) -> None:
+    buf += 1.0
+
+
+class TestFailedDrainKeepsCompletedOutputs:
+    """A task's outputs are at home when the task completes, not when the
+    drain ends: what completed before a drain failed is not lost."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_aborted_drain_leaves_completed_outputs_at_home(self, backend):
+        a, c, d = np.zeros(8), np.zeros(8), np.zeros(8)
+        tt = TaskType("abort_chain", memoizable=False)
+        with pytest.raises(DrainAbortedError):  # NetworkDrainError on network
+            with fault_session(backend, chunk_size=1) as session:
+                session.submit(tt, fill, accesses=[Out(a)], args=(a, 7.0))
+                session.submit(tt, fill, accesses=[In(a), Out(c)], args=(c, 9.0))
+                session.submit(tt, raising_body, accesses=[In(c), Out(d)], args=(c, d))
+                session.wait_all()
+        assert np.all(a == 7.0) and np.all(c == 9.0)
+        assert not d.any()
+
+    def test_quarantined_partial_writes_stay_in_the_segment(self):
+        """The failed body's scribble never reaches the host array — not
+        even when a sibling region of the same base lands afterwards — the
+        independents' outputs do, and the next drain's first touch of the
+        scribbled buffer refreshes the segment from the host bytes (a task
+        on the failed one's own region would be cancelled at birth: the
+        next drain works on the sibling row)."""
+        tt = TaskType("quarantine_partial", memoizable=False)
+        base = np.zeros((2, 8))
+        good = [np.zeros(8) for _ in range(4)]
+        with fault_session(
+            "process", workers=1, on_task_failure="quarantine", chunk_size=1
+        ) as session:
+            session.submit(tt, scribble_then_raise, accesses=[InOut(base[0])], args=(base[0],))
+            session.submit(tt, fill, accesses=[Out(base[1])], args=(base[1], 5.0))
+            for i, block in enumerate(good):
+                session.submit(tt, fill, accesses=[Out(block)], args=(block, i + 1.0))
+            result = session.wait_all()
+            assert result.tasks_failed == 1
+            assert not base[0].any(), "a failed task's partial writes came home"
+            assert np.all(base[1] == 5.0)
+            assert all(np.all(block == i + 1.0) for i, block in enumerate(good))
+            entry = session.executor._registry.register(base)
+            assert np.all(entry.mirror[0, :4] == -1.0)  # ... they are here
+
+            reference = [base.copy()] + [block.copy() for block in good]
+            for (grid, *blocks), runtime in (
+                ([base] + good, session), (reference, Session())
+            ):
+                for array in [grid[1]] + blocks:
+                    runtime.submit(tt, add_one, accesses=[InOut(array)], args=(array,))
+                runtime.wait_all()
+            assert np.array_equal(entry.mirror, base)
+            assert session.executor._stats["copyin_refreshed"] == 1
+        for array, expected in zip([base] + good, reference):
+            assert np.array_equal(array, expected)
+        assert not base[0].any() and np.all(base[1] == 6.0)
 
 
 class TestSerialErrorPath:

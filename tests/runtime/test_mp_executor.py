@@ -10,7 +10,7 @@ from repro.atm.policy import StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig
 from repro.common.exceptions import RuntimeStateError
 from repro.session import Session
-from repro.runtime.data import In, InOut, Out
+from repro.runtime.data import DataRegion, In, InOut, Out
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.mp_executor import ProcessExecutor
 from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable, WorkerArena
@@ -69,13 +69,20 @@ class TestSharedMemoryProtocol:
         try:
             registry = SharedBufferRegistry(table)
             data = np.zeros(8)
+            region = DataRegion(data[2:6])           # any view names its base
             entry = registry.register(data)
-            assert registry.copy_in() == 0          # registration seeded bytes
+            assert registry.copy_in([region]) == 0   # registration seeded bytes
             version_before = table.read(entry.slot)
             data[:] = 7.0                            # parent-side mutation
-            assert registry.copy_in() == 1
+            assert registry.copy_in([region]) == 0   # fresh in this drain: no check
+            assert table.read(entry.slot) == version_before
+            registry.fresh.clear()                   # the next drain opens
+            assert registry.copy_in([region, region]) == 1
             assert table.read(entry.slot) == version_before + 1
             assert np.array_equal(entry.mirror, data)
+            registry.fresh.clear()
+            assert registry.copy_in([region]) == 0   # compared, unchanged
+            assert table.read(entry.slot) == version_before + 1
             registry.close()
         finally:
             table.close()

@@ -23,7 +23,7 @@ import pytest
 
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import NetworkDrainError, RuntimeStateError
-from repro.runtime.data import In, InOut, Out
+from repro.runtime.data import DataRegion, In, InOut, Out
 from repro.runtime.task import TaskType
 from repro.runtime.net_executor import NetworkExecutor
 from repro.runtime.net_transport import LoopbackEndpoint, serve_connection
@@ -575,7 +575,7 @@ def _replies_over_queue_and_pipe():
             worker_id, reply = reader.recv()  # the envelope
             assert worker_id == 3
             replies.append(reply)
-        registry.copy_out()
+        registry.copy_out(DataRegion(sink) for sink in sinks)
         return replies, sources, sinks
     finally:
         task_queue.close()

@@ -1,8 +1,9 @@
 """Fast in-process gateway tests (tier-1): serial pool, loopback TCP.
 
 The heavier concurrent/threaded soak lives in ``test_serving_soak.py``
-behind the ``serving`` marker; everything here runs the serial pool so the
-whole file stays in the tier-1 time budget.
+behind the ``serving`` marker; everything here runs the serial pool (one
+process-pool scenario aside) so the whole file stays in the tier-1 time
+budget.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.runtime.net_wire import read_frame, write_frame
 from repro.runtime.task import TaskType
 from repro.serving import Gateway, GatewayClient, SERVING_PROTOCOL_VERSION
 from repro.session import ReproConfig, Session
+from repro.testing.faults import wedge_body
 from repro.testing.traffic import accumulate_block, fill_block
 
 FILL = TaskType("serve_fill", memoizable=False)
@@ -35,6 +37,10 @@ ACC = TaskType("serve_acc", memoizable=False)
 
 def boom_body(arr: np.ndarray) -> None:
     raise ValueError("deliberate serving-test failure")
+
+
+def add_five(src: np.ndarray, dst: np.ndarray) -> None:
+    dst[:] = src + 5
 
 
 @pytest.fixture(scope="module")
@@ -50,20 +56,6 @@ def connect(gateway: Gateway, tenant: str, **kwargs) -> GatewayClient:
     return GatewayClient(
         "127.0.0.1", gateway.port, tenant=tenant, **kwargs
     )
-
-
-def reconnect(gateway: Gateway, tenant: str) -> GatewayClient:
-    """Connect as a tenant whose previous connection has just closed.
-
-    The gateway marks a tenant disconnected on the old connection's own
-    thread, once its read returns EOF (ROADMAP, serving: a returning client
-    can overtake that).  Wait for it here, then say hello exactly once: a
-    rejected hello still fails the test.
-    """
-    deadline = time.monotonic() + 5.0
-    while gateway._tenants[tenant].connected and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return connect(gateway, tenant)
 
 
 class TestEndToEnd:
@@ -137,7 +129,7 @@ class TestEndToEnd:
             client.submit(FILL, fill_block, accesses=[Out(data)],
                           args=(data, 3.0))
             client.wait_all()
-        with reconnect(gateway, "e2e-reconnect") as client:
+        with connect(gateway, "e2e-reconnect") as client:
             before = client.result()
             assert before.extra["tasks_submitted"] == 1  # counters survived
             client.submit(ACC, accumulate_block,
@@ -145,6 +137,66 @@ class TestEndToEnd:
             after = client.finish()
         assert after.extra["tasks_submitted"] == 2
         assert np.all(acc == 3.0)
+
+    def test_a_returning_tenant_is_never_refused(self, gateway):
+        """The gateway forgets a connection on that connection's own thread,
+        after its read saw the EOF; a client that closes and says hello
+        again at once overtakes that.  The hello takes the hung-up
+        connection's session over instead of being rejected."""
+        with connect(gateway, "e2e-returning") as client:
+            assert client.result().extra["tasks_submitted"] == 0
+        for _ in range(200):
+            connect(gateway, "e2e-returning").close()
+        with connect(gateway, "e2e-returning") as client:
+            assert client.result().extra["tasks_submitted"] == 0
+
+    def test_a_tenant_whose_client_died_without_closing_may_return(self, gateway):
+        lost = connect(gateway, "e2e-lost-client")
+        lost._sock.shutdown(socket.SHUT_WR)  # the gateway's read side sees EOF
+        try:
+            with connect(gateway, "e2e-lost-client") as client:
+                assert client.result().extra["tasks_submitted"] == 0
+        finally:
+            lost.close()
+
+
+class TestProcessPool:
+    """A pool whose workers share no memory with the gateway: a task's
+    writes are in the tenant's arena before its completion can wake the
+    tenant's barrier (``ProcessExecutor._write_back`` precedes
+    ``graph.complete_task``), while another tenant keeps the drain open."""
+
+    def test_barrier_returns_a_finished_tenants_bytes_while_the_drain_is_open(self):
+        cfg = ReproConfig().with_overrides(
+            runtime={"executor": "process", "num_threads": 2, "mp_chunk_size": 1}
+        )
+        sleeper = TaskType("serve_sleep", memoizable=False)
+        long_s = 1.5
+        b_src = np.arange(4.0)
+        b_short, b_long = np.zeros(4), np.zeros(4)
+        a_src = np.arange(4.0)
+        a_dst = np.zeros(4)
+        with Gateway(cfg) as gw:
+            with connect(gw, "pool-a") as a, connect(gw, "pool-b") as b:
+                # B's short task frees a worker (and an admission pump) for
+                # A's task; B's long one keeps the drain open past A's barrier.
+                b.submit_batch([
+                    (sleeper, wedge_body, [In(b_src), Out(b_short)], (0.1, b_src, b_short)),
+                    (sleeper, wedge_body, [In(b_src), Out(b_long)], (long_s, b_src, b_long)),
+                ])
+                t0 = time.monotonic()
+                a.submit(TaskType("serve_add5", memoizable=False), add_five,
+                         accesses=[In(a_src), Out(a_dst)], args=(a_src, a_dst))
+                a.wait_all()
+                waited = time.monotonic() - t0
+                b_completed = b.result().tasks_completed
+                assert np.array_equal(a_dst, [5.0, 6.0, 7.0, 8.0])
+                assert b_completed < 2 and waited < long_s, (
+                    "the scenario needs B's long task to outlive A's barrier"
+                )
+                b.wait_all()
+        assert np.array_equal(b_short, b_src ** 2)
+        assert np.array_equal(b_long, b_src ** 2)
 
 
 class TestFailureSurfacing:
@@ -369,7 +421,7 @@ class TestMalformedRequests:
             monkeypatch.setattr(Gateway, "_tenant_summary", healthy)
             assert peer.result().tasks_failed == 0
         # The tenant itself is intact: it may reconnect.
-        with reconnect(gateway, "bug-victim") as again:
+        with connect(gateway, "bug-victim") as again:
             assert again.result().extra["tasks_submitted"] == 0
         assert "Traceback" not in capfd.readouterr().err
 
