@@ -35,10 +35,12 @@ examples:
 # host-write contract, the data plane's property + counting tests (first-touch
 # copy-in, per-result copy-out), what failed drains leave at home, and the
 # executor parity matrix (its process cells; the simulator and network-only
-# tests of that file are left to the tiers that own them).
+# tests of that file are left to the tiers that own them), and the copy-elision
+# units (workers never elide, a remote MEMOIZED completion clears the tag).
 process-backend:
 	$(PYTHON) -m pytest tests/runtime/test_mp_executor.py \
 		tests/runtime/test_host_writes.py \
+		tests/atm/test_copy_elision.py \
 		tests/runtime/test_shm_property.py \
 		tests/runtime/test_lifecycle_cleanup.py \
 		tests/runtime/test_executor_parity.py \
@@ -54,10 +56,12 @@ net-loopback:
 
 # Residency protocol tier: the hypothesis interleaving property + unit
 # rules for the per-endpoint stale-bytes caches, the parity matrix (which
-# runs the network backend residency-on and -off) and the failover
-# scenarios that exercise residency invalidation.
+# runs the network backend residency-on and -off), the failover
+# scenarios that exercise residency invalidation, and the copy-elision units
+# (endpoint-side regions never elide; their network cells run residency-on).
 net-residency:
 	$(PYTHON) -m pytest tests/runtime/test_residency_property.py \
+		tests/atm/test_copy_elision.py \
 		tests/runtime/test_executor_parity.py \
 		tests/runtime/test_net_faults.py -p no:cacheprovider -x -q
 
@@ -90,14 +94,17 @@ tht-store:
 # (executor contract, submit-while-draining, concurrency stress, the whole
 # serving tier, its `serving`-marked threaded-gateway soak included) and the
 # server they are served on (FrameServer shutdown, gateway lifecycle: the
-# lost-wake-up gate of the barrier condition) ten times over with a 10 us
-# switch interval, so thread interleavings a normal run never produces get
-# their turn.  Zero failures required.
+# lost-wake-up gate of the barrier condition) and the copy-elision suites
+# (the content tag is read on worker threads while siblings commit) ten times
+# over with a 10 us switch interval, so thread interleavings a normal run
+# never produces get their turn.  Zero failures required.
 soak-threaded:
 	for run in 1 2 3 4 5 6 7 8 9 10; do \
 		$(PYTHON) -m pytest tests/runtime/test_executors.py \
 			tests/runtime/test_submit_while_draining.py \
 			tests/runtime/test_stress_concurrency.py \
+			tests/runtime/test_copy_elision_property.py \
+			tests/atm/test_copy_elision.py \
 			tests/runtime/test_net_server.py tests/serving \
 			-m "not net_soak and not fault" \
 			--switch-interval 1e-5 -p no:cacheprovider -x -q || exit 1; \

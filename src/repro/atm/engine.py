@@ -93,7 +93,8 @@ class ATMEngine:
                 )
             copied = copy_outputs_from_entry(task, entry)
             self.stats.record_tht_hit(
-                task.task_type.name, entry.producer_index, task.creation_index, copied
+                task.task_type.name, entry.producer_index, task.creation_index,
+                copied, entry.stored_bytes - copied,
             )
             return ATMDecision(
                 action=ATMAction.SKIP,
@@ -287,7 +288,17 @@ class ATMEngine:
 
 
 def copy_outputs_from_entry(task: Task, entry: THTEntry) -> int:
-    """``copyOuts()``: overwrite the task outputs with the stored ones."""
+    """``copyOuts()``: leave the stored outputs in the task's output regions.
+
+    The one place THT outputs reach task regions.  An output whose region is
+    still tagged as holding that very output of that very entry
+    (:meth:`DataRegion.holds` — the previous hit put it there and no
+    overlapping write has committed since) is already in place and is not
+    copied; the rest are overwritten.  Returns the bytes moved
+    (``entry.stored_bytes`` minus that is what was elided) and names
+    ``entry`` on the task, so an in-process ``complete_task`` tags the
+    regions with this placement.
+    """
     outputs = task.outputs
     if len(outputs) != len(entry.outputs):
         raise MemoizationError(
@@ -295,14 +306,16 @@ def copy_outputs_from_entry(task: Task, entry: THTEntry) -> int:
             f"outputs, THT entry has {len(entry.outputs)}"
         )
     copied = 0
-    for access, stored in zip(outputs, entry.outputs):
+    for index, (access, stored) in enumerate(zip(outputs, entry.outputs)):
         if access.region.array.size != stored.size:
             raise MemoizationError(
                 f"output size mismatch for {task.label}: {access.region.shape} "
                 f"vs stored {stored.shape}"
             )
-        access.region.copy_from(stored)
-        copied += int(stored.nbytes)
+        if not access.region.holds(entry, index):
+            access.region.copy_from(stored)
+            copied += int(stored.nbytes)
+    task.memo_source = entry
     return copied
 
 

@@ -45,6 +45,8 @@ class ATMStats:
     commits: int = 0
     hashed_bytes: int = 0
     copied_bytes: int = 0
+    #: Output bytes of THT hits that were already in place (not moved).
+    elided_bytes: int = 0
     stored_bytes: int = 0
     key_cache_hits: int = 0
     key_cache_misses: int = 0
@@ -82,11 +84,13 @@ class ATMStats:
             self.hashed_bytes += nbytes
 
     def record_tht_hit(
-        self, task_type: str, producer_index: int, consumer_index: int, copied: int
+        self, task_type: str, producer_index: int, consumer_index: int,
+        copied: int, elided: int,
     ) -> None:
         with self._lock:
             self.tht_hits += 1
             self.copied_bytes += copied
+            self.elided_bytes += elided
             self._type_bucket(task_type)["tht_hits"] += 1
             self.reuse_events.append(
                 ReuseEvent(producer_index, consumer_index, "tht", task_type)
@@ -200,6 +204,7 @@ class ATMStats:
                 "commits": self.commits,
                 "hashed_bytes": self.hashed_bytes,
                 "copied_bytes": self.copied_bytes,
+                "elided_bytes": self.elided_bytes,
                 "stored_bytes": self.stored_bytes,
                 "key_cache_hits": self.key_cache_hits,
                 "key_cache_misses": self.key_cache_misses,
@@ -222,7 +227,8 @@ class ATMStats:
     _COUNTER_FIELDS = (
         "tasks_seen", "eligible_tasks", "tht_hits", "ikt_hits", "misses",
         "training_hits", "blacklisted_skips", "commits", "hashed_bytes",
-        "copied_bytes", "stored_bytes", "key_cache_hits", "key_cache_misses",
+        "copied_bytes", "elided_bytes", "stored_bytes", "key_cache_hits",
+        "key_cache_misses",
         "digest_cache_hits", "digest_cache_misses", "shuffle_evictions",
     )
 

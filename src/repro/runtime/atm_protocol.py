@@ -50,7 +50,8 @@ class ATMDecision:
     action: ATMAction
     #: Bytes fed to the hash-key generator (0 when ATM skipped the task).
     hashed_bytes: int = 0
-    #: Bytes copied from the THT into the task outputs (SKIP only).
+    #: Bytes moved from the THT into the task outputs (SKIP only; outputs
+    #: already in place are not counted).
     copied_bytes: int = 0
     #: Sampling fraction used for the key (diagnostics).
     p: float = 1.0

@@ -44,7 +44,7 @@ __all__ = [
 
 
 class RegionVersionRegistry:
-    """Monotonic write-versions for base buffers.
+    """Monotonic write-versions and content tags for base buffers.
 
     Every owning base buffer gets a version number drawn from one global
     monotonic clock; the runtime bumps it whenever a task's write accesses
@@ -54,54 +54,93 @@ class RegionVersionRegistry:
     region whose version is unchanged since the last key computation is known
     to hold identical bytes and its cached digest can be reused.
 
+    Beside the version an entry carries the base's *content tags*: byte
+    interval -> "the last committed write placed output ``i`` of this source
+    here" (see :meth:`DataRegion.holds`).  Clearing is the default — every
+    bump drops the tags of the byte intervals it overlaps (all of them when
+    it names no interval) and only those, so a sibling block's write never
+    costs this block its tag; only a bump that names a ``tag`` sets one (the
+    in-process memoized commit in ``complete_task``).  Tags ride in the entry
+    tuple under the registry lock: an untagged base pays one falsy test.
+
     ``id(base)`` can be recycled after garbage collection; the registry keeps
-    a weak reference to the registered buffer and hands out a *fresh* clock
-    value whenever the identity no longer refers to the same live array, so a
-    recycled id can never alias a stale version.  A weakref callback removes
-    the entry when its buffer is collected, so the registry never grows past
-    the set of live base buffers (the lock is reentrant because collection —
-    and therefore the callback — can trigger inside a locked region).
+    a weak reference to the registered buffer and hands out a *fresh* entry
+    whenever the identity no longer refers to the same live array, so a
+    recycled id can never alias a stale version or tag.  A weakref callback
+    removes the entry when its buffer is collected, so the registry never
+    grows past the set of live base buffers (the lock is reentrant because
+    collection — and therefore the callback — can trigger inside a locked
+    region).
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._entries: dict[int, tuple[weakref.ref, int]] = {}
+        self._entries: dict[int, tuple[weakref.ref, int, Optional[dict]]] = {}
         self._clock = 0
 
-    def _fresh(self, base: np.ndarray) -> int:
-        self._clock += 1
-        version = self._clock
+    def _ref(self, base: np.ndarray) -> weakref.ref:
         key = id(base)
 
         def _on_collect(ref: weakref.ref, *, _registry=self, _key=key) -> None:
             with _registry._lock:
                 entry = _registry._entries.get(_key)
                 # Only drop our own entry: the id may already belong to a
-                # newer buffer (or a newer ref of the same buffer after a
-                # bump), whose entry must survive.
+                # newer buffer, whose entry must survive.
                 if entry is not None and entry[0] is ref:
                     del _registry._entries[_key]
 
         try:
-            ref = weakref.ref(base, _on_collect)
+            return weakref.ref(base, _on_collect)
         except TypeError:  # pragma: no cover - ndarray subclasses w/o weakref
-            ref = lambda: base  # noqa: E731 - permanent strong identity
-        self._entries[key] = (ref, version)
-        return version
+            return lambda: base  # permanent strong identity
 
     def version_of(self, base: np.ndarray) -> int:
         """Current version of ``base``, registering it on first sight."""
+        with self._lock:
+            entry = self._entries.get(id(base))
+            if entry is not None and entry[0]() is base:
+                return entry[1]
+            return self.bump(base)
+
+    def bump(self, base: np.ndarray, interval=None, tag=None) -> int:
+        """Advance the version of ``base`` (a write has committed).
+
+        ``interval`` is the written ``(start, end)`` byte interval (``None``:
+        the whole base); tags overlapping it are dropped, then ``tag`` — when
+        given — becomes the tag of exactly ``interval``.
+        """
         key = id(base)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry[0]() is base:
-                return entry[1]
-            return self._fresh(base)
+                ref, _, tags = entry
+            else:
+                ref, tags = self._ref(base), None
+            if tags:
+                if interval is None:
+                    tags = None
+                elif tags.pop(interval, None) is None:
+                    # Not a tagged interval itself, so it may overlap several.
+                    # (One that is overlaps no other: every tag cleared what
+                    # it overlapped, so tagged intervals are pairwise disjoint.)
+                    start, end = interval
+                    for span in [s for s in tags if s[0] < end and start < s[1]]:
+                        del tags[span]
+            if tag is not None:
+                if tags is None:
+                    tags = {}
+                tags[interval] = tag
+            self._clock = version = self._clock + 1
+            self._entries[key] = (ref, version, tags)
+            return version
 
-    def bump(self, base: np.ndarray) -> int:
-        """Advance the version of ``base`` (a write has committed)."""
+    def tag_of(self, base: np.ndarray, interval: tuple[int, int]):
+        """The tag committed for exactly ``interval`` of ``base``, or ``None``."""
         with self._lock:
-            return self._fresh(base)
+            entry = self._entries.get(id(base))
+            if entry is None or not entry[2] or entry[0]() is not base:
+                return None
+            return entry[2].get(interval)
 
     def prune(self) -> int:
         """Drop entries whose buffers were garbage collected.
@@ -110,7 +149,7 @@ class RegionVersionRegistry:
         is a safety net for exotic cases where the callback never ran.
         """
         with self._lock:
-            dead = [key for key, (ref, _) in self._entries.items() if ref() is None]
+            dead = [key for key, entry in self._entries.items() if entry[0]() is None]
             for key in dead:
                 del self._entries[key]
             return len(dead)
@@ -264,9 +303,35 @@ class DataRegion:
         """
         return region_versions.version_of(self._base)
 
-    def bump_version(self) -> int:
-        """Record that a write to this region has committed."""
-        return region_versions.bump(self._base)
+    def bump_version(self, source=None, index: int = 0) -> int:
+        """Record that a write to this region has committed.
+
+        A plain bump clears the content tags of the byte intervals this
+        region overlaps; with ``source`` the region ends up tagged "holds
+        output ``index`` of ``source``" (see :meth:`holds`).
+        """
+        tag = None if source is None else (weakref.ref(source), index, self._layout())
+        return region_versions.bump(self._base, self.byte_interval, tag)
+
+    def _layout(self) -> tuple:
+        array = self.array
+        return (array.dtype, array.shape, array.strides)
+
+    def holds(self, source, index: int) -> bool:
+        """True when the last committed write to exactly these bytes placed
+        output ``index`` of ``source`` through a view of this layout and no
+        overlapping write has committed since.
+
+        ``source`` is compared by object identity, held weakly: it is
+        process-local and cannot be forged by an unpickled twin.
+        """
+        tag = region_versions.tag_of(self._base, self.byte_interval)
+        return (
+            tag is not None
+            and tag[0]() is source
+            and tag[1] == index
+            and tag[2] == self._layout()
+        )
 
     @property
     def version_token(self) -> tuple[int, int, int, int]:
@@ -298,7 +363,11 @@ class DataRegion:
         return np.array(self.array, copy=True)
 
     def copy_from(self, values: np.ndarray) -> None:
-        """Bulk-overwrite the region (the ``copyOuts()`` of Figure 1)."""
+        """Bulk-overwrite the region (the ``copyOuts()`` of Figure 1).
+
+        An announced write like any other: the version moves and the content
+        tags of the overwritten bytes are cleared.
+        """
         values = np.asarray(values)
         if values.shape != self.array.shape:
             values = values.reshape(self.array.shape)
@@ -353,8 +422,12 @@ class SharedDataRegion(DataRegion):
     def version(self) -> int:
         return self._version_table.read(self._slot)
 
-    def bump_version(self) -> int:
+    def bump_version(self, source=None, index: int = 0) -> int:
         return self._version_table.bump(self._slot)
+
+    def holds(self, source, index: int) -> bool:
+        """Never: a peer process writes these bytes behind the local tag book."""
+        return False
 
 
 def as_region(obj: "DataRegion | np.ndarray", name: Optional[str] = None) -> DataRegion:

@@ -66,7 +66,8 @@ class RunResult:
 
     ``tasks_completed`` counts *successful* tasks only; quarantined runs
     (``on_task_failure="quarantine"``) additionally report ``tasks_failed``
-    (exhausted supervision budget), ``tasks_cancelled`` (dependent subgraph)
+    (exhausted supervision budget), ``tasks_cancelled`` (dependent subgraph,
+    tasks submitted after the failure included)
     and the structured per-failure report in ``failures`` (a list of
     :class:`repro.runtime.supervision.TaskFailure`).
 
@@ -142,7 +143,10 @@ class BaseExecutor:
         # supervisor writes failures straight onto the run result; drains
         # refresh it so each drain gets a fresh deadline/attempt ledger.
         self._fresh_supervisor()
-        self._failure_lock = threading.Lock()
+        # Reentrant: the graph's completion hooks run inside a failure's
+        # transition and may submit a task that is born cancelled, which
+        # re-enters the accounting (notify_born_cancelled) on this thread.
+        self._failure_lock = threading.RLock()
 
     # -- runtime hooks ---------------------------------------------------------
     def notify_ready(self, task: Task) -> None:
@@ -165,6 +169,20 @@ class BaseExecutor:
                 self.notify_ready(task)
             return
         tasks_ready(tasks, worker_hints=[task.creation_index for task in tasks])
+
+    def notify_born_cancelled(self, task: Task, predecessor: Task) -> None:
+        """Graph ``on_born_cancelled`` hook: ``task`` was submitted after its
+        ``predecessor`` was quarantined.  It counts as cancelled, and the
+        report of the failure that doomed it names it."""
+        with self._failure_lock:
+            self._result.tasks_cancelled += 1
+            for failure in self._result.failures:
+                if (
+                    failure.task_id == predecessor.task_id
+                    or predecessor.label in failure.cancelled
+                ):
+                    failure.cancelled += (task.label,)
+                    break
 
     def result(self) -> RunResult:
         return self._result

@@ -50,6 +50,12 @@ class TaskDependenceGraph:
     accounting/admission seam; because it runs lock-free it may safely
     submit follow-up tasks back into the same graph.  Callbacks must not
     raise — an exception propagates into the completing executor.
+
+    ``on_born_cancelled(task, predecessor)`` is invoked, also outside the
+    lock and before ``on_complete``, for a task born cancelled: the
+    executor's accounting seam (``BaseExecutor.notify_born_cancelled``), so
+    the run result counts the task and the report of the failure that doomed
+    it — through ``predecessor`` — names it.
     """
 
     def __init__(
@@ -57,6 +63,7 @@ class TaskDependenceGraph:
         on_ready: Optional[Callable[[Task], None]] = None,
         on_ready_batch: Optional[Callable[[Sequence[Task]], None]] = None,
         on_complete: Optional[Callable[[Task], None]] = None,
+        on_born_cancelled: Optional[Callable[[Task, Task], None]] = None,
     ) -> None:
         self._lock = threading.RLock()
         self._tracker = DependenceTracker()
@@ -71,6 +78,9 @@ class TaskDependenceGraph:
         self._on_ready = on_ready
         self._on_ready_batch = on_ready_batch
         self._on_complete = on_complete
+        self._on_born_cancelled = on_born_cancelled
+        #: ``(task, dooming predecessor)`` pairs not yet reported.
+        self._born_cancelled: list[tuple[Task, Task]] = []
         self._all_done = threading.Condition(self._lock)
 
     #: Largest accepted gap between an explicit task id and the next dense
@@ -111,7 +121,7 @@ class TaskDependenceGraph:
             self._grow(task_id)
         predecessors = self._tracker.dependences_for(task)
         pending = 0
-        doomed = False
+        doomed: Optional[Task] = None
         if predecessors:
             pred_ids: Optional[list[int]] = None
             successors = self._successors
@@ -122,7 +132,7 @@ class TaskDependenceGraph:
                 if state is failed or state is cancelled:
                     # A dependence on quarantined work can never be satisfied:
                     # the new task is born cancelled (no edge, no release).
-                    doomed = True
+                    doomed = pred
                 elif state is not finished and state is not memoized:
                     slab = successors[pred.task_id]
                     if slab is None:
@@ -135,8 +145,9 @@ class TaskDependenceGraph:
             self._edge_count += pending
             self._predecessor_count[task_id] = pending
         self._tasks[task_id] = task
-        if doomed:
+        if doomed is not None:
             task.state = TaskState.CANCELLED
+            self._born_cancelled.append((task, doomed))
             self._finished_count += 1
             if self.all_finished:
                 self._all_done.notify_all()
@@ -148,9 +159,11 @@ class TaskDependenceGraph:
         with self._lock:
             if self._add_locked(task):
                 self._mark_ready(task)
-        if task.state is TaskState.CANCELLED and self._on_complete is not None:
-            # Born cancelled (doomed dependence): terminal at submission.
-            self._on_complete(task)
+            doomed = self._born_cancelled
+            if doomed:  # the common, empty list stays in place
+                self._born_cancelled = []
+        if doomed:
+            self._report_born_cancelled(doomed)
         return task
 
     def add_tasks(self, tasks: Iterable[Task]) -> list[Task]:
@@ -163,6 +176,7 @@ class TaskDependenceGraph:
         """
         submitted: list[Task] = []
         ready: list[Task] = []
+        doomed: Sequence[tuple[Task, Task]] = ()
         try:
             with self._lock:
                 try:
@@ -176,14 +190,22 @@ class TaskDependenceGraph:
                     # counts toward all_finished — notify those on every path
                     # or a later drain would hang waiting for tasks no
                     # scheduler has.
+                    doomed = self._born_cancelled
+                    if doomed:
+                        self._born_cancelled = []
                     if ready:
                         self._mark_ready_batch(ready)
         finally:
-            if self._on_complete is not None:
-                for task in submitted:
-                    if task.state is TaskState.CANCELLED:
-                        self._on_complete(task)
+            self._report_born_cancelled(doomed)
         return submitted
+
+    def _report_born_cancelled(self, doomed: Sequence[tuple[Task, Task]]) -> None:
+        """Born cancelled (doomed dependence): terminal at submission."""
+        for task, predecessor in doomed:
+            if self._on_born_cancelled is not None:
+                self._on_born_cancelled(task, predecessor)
+            if self._on_complete is not None:
+                self._on_complete(task)
 
     def _mark_ready(self, task: Task) -> None:
         task.state = TaskState.READY
@@ -211,10 +233,20 @@ class TaskDependenceGraph:
             # *before* releasing successors, so any consumer key computed
             # after this point sees the post-write version.  (Memoized tasks
             # wrote through copy_from, executed tasks through the task body;
-            # either way the regions' bytes may have changed.)
-            for access in task.accesses:
-                if access.writes:
-                    access.region.bump_version()
+            # either way the regions' bytes may have changed.)  A task served
+            # from a THT entry in this process leaves its outputs tagged with
+            # that placement; every other completion clears their tags.
+            source = task.memo_source
+            if source is None or state is not TaskState.MEMOIZED:
+                for access in task.accesses:
+                    if access.writes:
+                        access.region.bump_version()
+            else:
+                for index, access in enumerate(task.outputs):
+                    access.region.bump_version(source, index)
+                # The tag holds the entry weakly; so must the finished task,
+                # or the graph would keep evicted entries' outputs alive.
+                task.memo_source = None
             task.state = state
             self._finished_count += 1
             released: list[Task] = []
@@ -243,8 +275,10 @@ class TaskDependenceGraph:
 
         The failed task and every transitive successor become terminal
         (``FAILED`` / ``CANCELLED``) without being released to the scheduler,
-        so a drain completes with the independent tasks only.  Write versions
-        are *not* bumped — a failed task's outputs carry no committed value.
+        so a drain completes with the independent tasks only.  The failed
+        task's own write versions are bumped: its outputs carry no committed
+        value, but the body may have written part of them before failing, and
+        no cached digest or content tag may outlive that.
         ``record`` is called with the cancelled tasks inside the transition,
         before any barrier wakes or ``on_complete`` fires: whoever observes
         the failed state also finds its failure report.
@@ -255,6 +289,8 @@ class TaskDependenceGraph:
                 raise RuntimeStateError(f"unknown task {task.label}")
             if task.state.is_terminal:
                 raise RuntimeStateError(f"task {task.label} completed twice")
+            for access in task.outputs:
+                access.region.bump_version()
             task.state = TaskState.FAILED
             self._finished_count += 1
             cancelled: list[Task] = []

@@ -51,7 +51,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError
-from repro.runtime.data import ArrayRef, DataRegion, SharedDataRegion, _base_buffer
+from repro.runtime.data import (
+    ArrayRef, DataRegion, SharedDataRegion, _base_buffer, region_versions,
+)
 from repro.runtime.remote_task import ArrayArena
 
 __all__ = ["SharedVersionTable", "SharedBufferRegistry", "WorkerArena"]
@@ -226,6 +228,9 @@ class SharedBufferRegistry:
                 continue
             np.copyto(entry.mirror, entry.base, casting="no")
             self.version_table.bump(entry.slot)
+            # A detected host write is an announced one: the parent's own
+            # registry moves too, dropping the base's content tags.
+            region_versions.bump(entry.base)
             refreshed += 1
         return refreshed
 

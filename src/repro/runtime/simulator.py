@@ -17,8 +17,11 @@ Model
   creation time.  This reproduces the task-creation bottleneck of Section V-C
   / Figure 8.
 * An ATM lookup charges ``hashed_bytes / hash_bandwidth`` plus a fixed THT /
-  IKT probe cost; a THT hit charges ``copied_bytes / copy_bandwidth``; a
-  commit charges ``stored_bytes / copy_bandwidth``.
+  IKT probe cost; a THT hit charges ``copied_bytes / copy_bandwidth`` —
+  the bytes the hit *moved*: an output that was already in place (a repeat
+  of the same hit into an unwritten region, ``ATMStats.elided_bytes``)
+  costs no copy time, as in the real runtime; a commit charges
+  ``stored_bytes / copy_bandwidth``.
 * Memory-bound ATM activities (hashing, copies) are slowed down by a
   contention factor proportional to the number of simultaneously busy cores,
   reproducing the shared-memory-bandwidth effect the paper measures in

@@ -146,7 +146,7 @@ class Task:
         "task_type", "function", "accesses", "args", "kwargs", "task_id",
         "state", "creation_index", "creation_time", "start_time",
         "finish_time", "executed_on", "_label", "_inputs", "_outputs",
-        "_dep_mark",
+        "_dep_mark", "memo_source",
     )
 
     def __init__(
@@ -183,6 +183,10 @@ class Task:
         #: Monotonic epoch stamp used by the dependence tracker for O(1)
         #: predecessor dedup (see repro.runtime.dependences).
         self._dep_mark = 0
+        #: The THT entry whose outputs ``copy_outputs_from_entry`` left in
+        #: this task's output regions; ``complete_task`` commits it as their
+        #: content tags and drops the reference.
+        self.memo_source = None
 
     # -- labelling -----------------------------------------------------------
     @property

@@ -431,6 +431,7 @@ class Gateway:
             on_ready=self._executor.notify_ready,
             on_ready_batch=self._executor.notify_ready_batch,
             on_complete=self._on_task_complete,
+            on_born_cancelled=self._executor.notify_born_cancelled,
         )
 
     # -- lifecycle ---------------------------------------------------------------

@@ -333,6 +333,7 @@ class Session:
         self.graph = TaskDependenceGraph(
             on_ready=self.executor.notify_ready,
             on_ready_batch=self.executor.notify_ready_batch,
+            on_born_cancelled=self.executor.notify_born_cancelled,
         )
         # Persistent memoization tier (DESIGN.md §9): warm-start the THT from
         # the configured store and flush this run's commits on finish().

@@ -11,6 +11,12 @@ already holds.  ``DataRegion(a).bump_version()`` after the store announces
 the write and makes it correct (DESIGN.md §4.5).  The gateway is
 server-authoritative by contract (``serving/client.py``): host writes to a
 shipped array are not observed.
+
+The same contract covers a task's *outputs* under ATM: a THT hit whose
+output block is still tagged as holding the stored bytes copies nothing, so
+a host store into that block must be announced to be repaired by the next
+hit — on every backend (remote workers never elide, in-process ones read the
+tag the announcement clears).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro.serving import Gateway, GatewayClient
 from repro.session import ReproConfig, Session
 
 SQUARE = TaskType("host_write_square", memoizable=False)
+MEMO_SQUARE = TaskType("host_write_memo_square", memoizable=True)
 
 STALE = np.arange(8.0) ** 2
 FRESH = np.full(8, 100.0)
@@ -75,6 +82,25 @@ def test_host_write_between_barriers_is_observed(runtime_overrides, announce):
     with Session(cfg) as session:
         out = two_barriers(session, announce)
     assert np.array_equal(out, FRESH)
+
+
+@pytest.mark.parametrize("executor", ["serial", "threaded", "process", "network"])
+def test_announced_host_write_into_an_output_is_repaired_by_the_next_hit(executor):
+    cfg = ReproConfig().with_overrides(
+        # One worker: every task meets the THT replica its predecessors filled.
+        runtime={"num_threads": 1, "executor": executor}, atm={"mode": "static"}
+    )
+    a, out = np.arange(8.0), np.zeros(8)
+    with Session(cfg) as session:
+        for _ in range(2):  # a miss, then a hit that leaves `out` tagged in process
+            session.submit(MEMO_SQUARE, square, accesses=[In(a), Out(out)], args=(a, out))
+            session.wait_all()
+        out[:] = -1.0
+        DataRegion(out).bump_version()
+        session.submit(MEMO_SQUARE, square, accesses=[In(a), Out(out)], args=(a, out))
+        result = session.wait_all()
+    assert result.tasks_memoized == 2
+    assert np.array_equal(out, STALE)
 
 
 def test_gateway_does_not_observe_host_writes():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from repro.common.exceptions import (
     WorkerLostError,
 )
 from repro.runtime.data import In, Out
+from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TaskFailure, TaskSupervisor, dump_stacks
-from repro.runtime.task import Task, TaskType
+from repro.runtime.task import Task, TaskState, TaskType
+from repro.testing.faults import BACKENDS, fault_session, raising_body, square_body
 
 
 def make_task(task_id: int = 1, name: str = "probe") -> Task:
@@ -148,3 +152,57 @@ class TestQuarantinePolicy:
         assert cancelled == [consumer]
         assert seen == [("FAILED", [producer.label]), ("CANCELLED", [producer.label])]
         assert sup.failures[0].cancelled == (consumer.label,)
+
+
+class TestBornCancelledAccounting:
+    """A task submitted after its predecessor was quarantined is cancelled at
+    birth; it is counted and the dooming failure's report names it."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_born_cancelled_task_is_counted_and_named(self, backend):
+        x, y = np.arange(8.0), np.zeros(8)
+        tt = TaskType("born_cancelled", memoizable=False)
+        with fault_session(backend, on_task_failure="quarantine") as session:
+            session.submit(tt, square_body, accesses=[In(x), Out(y)], args=(x, y))
+            failing = session.submit(tt, raising_body, accesses=[Out(x)], args=(x, x))
+            session.wait_all()
+            late = session.submit(tt, square_body, accesses=[In(x), Out(y)], args=(x, y))
+            # Doomed through an already born-cancelled task: same report.
+            later = session.submit(tt, square_body, accesses=[In(y), Out(x)], args=(y, x))
+            result = session.finish()
+        assert late.state is TaskState.CANCELLED and later.state is TaskState.CANCELLED
+        assert (result.tasks_completed, result.tasks_failed, result.tasks_cancelled) == (1, 1, 2)
+        (failure,) = result.failures
+        assert failure.task_id == failing.task_id
+        assert failure.cancelled == (late.label, later.label)
+
+    def test_follow_up_submitted_from_the_failures_own_on_complete(self):
+        """``on_complete`` may submit into the graph (the gateway admits
+        queued work there); a follow-up doomed by the failure being reported
+        re-enters the executor's accounting on the same thread."""
+        executor = build_executor(
+            RuntimeConfig(executor="serial", on_task_failure="quarantine")
+        )
+        data = np.zeros(4)
+        follow_up = Task(TaskType("follow_up"), lambda: None, [In(data)])
+
+        def admit(task: Task) -> None:
+            if task.state is TaskState.FAILED:
+                graph.add_task(follow_up)
+
+        graph = TaskDependenceGraph(
+            on_ready=executor.notify_ready,
+            on_ready_batch=executor.notify_ready_batch,
+            on_complete=admit,
+            on_born_cancelled=executor.notify_born_cancelled,
+        )
+        failing = graph.add_task(Task(TaskType("failing"), raising_body, [Out(data)],
+                                      args=(data, data)))
+        drain = threading.Thread(target=executor.drain, args=(graph,), daemon=True)
+        drain.start()
+        drain.join(timeout=10.0)
+        assert not drain.is_alive(), "the failure's own completion hook deadlocked"
+        result = executor.result()
+        assert (result.tasks_failed, result.tasks_cancelled) == (1, 1)
+        assert result.failures[0].task_id == failing.task_id
+        assert result.failures[0].cancelled == (follow_up.label,)

@@ -217,6 +217,23 @@ class TestFailureSurfacing:
         assert "deliberate serving-test failure" in failure.reason
         assert failure.error == "TaskFailedError"
 
+    def test_task_submitted_after_the_failure_is_counted_and_named(self, gateway):
+        data = np.zeros(4)
+        dep = np.zeros(4)
+        with connect(gateway, "fail-late") as client:
+            client.submit(TaskType("serve_boom", memoizable=False), boom_body,
+                          accesses=[InOut(data)], args=(data,))
+            client.wait_all()
+            pool_before = client.stats()["pool"]["tasks_cancelled"]
+            client.submit(ACC, accumulate_block,
+                          accesses=[In(data), InOut(dep)], args=(data, dep))
+            result = client.finish()
+            pool_after = client.stats()["pool"]["tasks_cancelled"]
+        assert (result.tasks_failed, result.tasks_cancelled) == (1, 1)
+        assert pool_after == pool_before + 1  # born cancelled, still counted
+        (failure,) = result.failures
+        assert len(failure.cancelled) == 1  # the report names the late task
+
     def test_failures_are_per_tenant(self, gateway):
         ok = np.zeros(4)
         with connect(gateway, "fail-peer") as client:
