@@ -83,9 +83,10 @@ serve-smoke:
 	$(PYTHON) -m pytest -m serving -q
 
 # Persistent THT tier: the store/shard unit + integration suite (file
-# format, corruption handling, shard protocol, Session warm starts, the
-# gateway's store-backed shared tier) — proves warm restores stay
-# bit-identical end to end.
+# format, corruption handling, the refusal by name of a previous schema or
+# shard protocol — whose entries sit under another key definition —, shard
+# protocol, Session warm starts, the gateway's store-backed shared tier) —
+# proves warm restores stay bit-identical end to end.
 tht-store:
 	$(PYTHON) -m pytest tests/atm/test_tht_store.py \
 		tests/serving/test_gateway.py -x -q
@@ -94,8 +95,10 @@ tht-store:
 # (executor contract, submit-while-draining, concurrency stress, the whole
 # serving tier, its `serving`-marked threaded-gateway soak included) and the
 # server they are served on (FrameServer shutdown, gateway lifecycle: the
-# lost-wake-up gate of the barrier condition) and the copy-elision suites
-# (the content tag is read on worker threads while siblings commit) ten times
+# lost-wake-up gate of the barrier condition), the copy-elision suites
+# (the content tag is read on worker threads while siblings commit) and the
+# keygen equivalence and property suites (digests are read and replaced on
+# worker threads) ten times
 # over with a 10 us switch interval, so thread interleavings a normal run
 # never produces get their turn.  Zero failures required.
 soak-threaded:
@@ -105,6 +108,8 @@ soak-threaded:
 			tests/runtime/test_stress_concurrency.py \
 			tests/runtime/test_copy_elision_property.py \
 			tests/atm/test_copy_elision.py \
+			tests/atm/test_keygen_equivalence.py \
+			tests/atm/test_keygen_property.py \
 			tests/runtime/test_net_server.py tests/serving \
 			-m "not net_soak and not fault" \
 			--switch-interval 1e-5 -p no:cacheprovider -x -q || exit 1; \

@@ -1,4 +1,4 @@
-"""Hash-key generation (paper Sections III-B and III-C), zero-copy pipeline.
+"""Hash-key generation (paper Sections III-B and III-C), per-input digests.
 
 For every *task type* the generator stores one shuffled vector of byte
 indexes over the concatenated data inputs.  The shuffle is computed the first
@@ -14,39 +14,43 @@ Two shuffle flavours are supported:
   bits.
 
 Given a sampling fraction ``p``, the first ``ceil(N * p)`` indexes of the
-stored vector select the bytes that are gathered and fed to the configured
-hash function; the result is an 8-byte :class:`~repro.common.hashing.HashKey`.
+stored vector select the *sampled bytes* — exactly the bytes the paper's key
+reads.  The paper hashes them as one interleaved stream; this generator
+factorises the hash:
 
-Performance design (versus the seed implementation preserved in
-:mod:`tests.reference.keygen_reference`):
+* the **digest** of input *i* is the configured hash of the sampled bytes
+  that input owns, in shuffle order (at ``p = 1.0``: of all its bytes, in
+  place);
+* the key of a one-input task *is* its digest — the seed's value
+  (:mod:`tests.reference.keygen_reference`), bit for bit; the key of a task
+  with two or more inputs is :func:`~repro.common.hashing.combine_digests`
+  of its digests in input order and of the sample size.
 
-* **No per-compute concatenation.**  The stored shuffle is split once per
-  input structure into ``(owner input, local offset)`` pairs; sampled bytes
-  are gathered per input directly into one sample buffer, at the exact
-  interleaved positions the shuffle dictates, and at ``p = 1.0`` the input
-  views are streamed one after the other through
-  :func:`~repro.common.hashing.hash_views`, so keys stay bit-identical to
-  the seed while never materialising the multi-megabyte concatenation.
-* **Truncated, narrow shuffles.**  Only the prefix actually addressed by the
-  largest sampling fraction seen so far is stored (``ceil(N * p_max)``
-  entries), as ``uint32`` whenever ``N < 2**32`` — an 8-16x memory reduction
-  against the seed's full ``int64`` permutation; ``p = 1.0`` needs no shuffle
-  at all.  The prefix grows deterministically (same seeded permutation) when
-  a larger ``p`` shows up; a type-aware prefix only builds the significance
-  levels it reaches (:func:`~repro.common.dtypes.significance_order`).
-* **Region-version digest caching.**  Every :class:`DataRegion` carries a
+Two tasks of one type and input layout get equal keys exactly when the seed
+gives them equal keys — the same sampled bytes decide — but an input that was
+not written since its digest was taken is never read again, at any ``p``:
+
+* **Region-version caching.**  Every :class:`DataRegion` carries a
   monotonically increasing write-version (bumped by the runtime when write
-  accesses commit); the generator caches, per ``(region, version, shuffle,
-  count)``, the gathered sample bytes plus the final composite key.
-  Iterative applications that keep re-hashing unchanged read-only regions
-  (kmeans points blocks, stencil halos) hit the cache instead of re-gathering
-  megabytes.
-* **LRU bounds** on both the shuffle-record store and the digest cache, so
-  neither can grow without bound (the seed leaked one full permutation per
-  distinct input size forever).
-
-Keys are bit-identical to the seed for every arity, sampling fraction and
-shuffle flavour.
+  accesses commit).  One LRU holds, by region *identity*, the whole key of a
+  task's input tuple and the digest of each input of a multi-input task,
+  each beside the version(s) it was taken at, so a write replaces its entry.
+  A task none of whose inputs moved costs one lookup; one whose input *j*
+  moved re-reads input *j* only and pays ``k`` integer mixes.
+* **Truncated, narrow shuffles.**  Only the prefix addressed by the largest
+  sampling fraction seen so far is stored (``ceil(N * p_max)`` slots, as
+  ``uint32`` whenever ``N < 2**32``); ``p = 1.0`` needs no shuffle at all.
+  The prefix grows deterministically (same seeded permutation) when a larger
+  ``p`` shows up; a type-aware prefix only builds the significance levels it
+  reaches (:func:`~repro.common.dtypes.significance_order`).  Per input
+  layout the record keeps one gather vector per input — a smaller sample's
+  vector is a prefix of a larger one's — which together stay under a fifth
+  of the seed's full ``int64`` permutation.
+* **An unbuffered gather.**  Vectors are ``intp`` and taken with
+  ``mode="clip"`` into per-thread scratch: ``ndarray.take`` widens any other
+  index dtype on every call and double-buffers a range-checked ``out=``.
+* **LRU bounds** on both the shuffle-record store and the key cache, whose
+  entries are charged what ``tracemalloc`` measures for them.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ import numpy as np
 
 from repro.common.config import ATMConfig
 from repro.common.dtypes import significance_order
-from repro.common.hashing import HashKey, hash_views
+from repro.common.hashing import HashKey, combine_digests, hash_views
 from repro.common.rng import generator_for
+from repro.runtime.data import DataRegion
 from repro.runtime.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stats is light)
@@ -72,15 +77,25 @@ __all__ = ["HashKeyGenerator", "ShuffleRecord"]
 
 _record_uids = itertools.count()
 
-#: Maximum number of per-count gather plans kept per shuffle record.
-_MAX_PLANS_PER_RECORD = 32
+#: What one key-cache entry holds beyond the regions it names, as
+#: ``tracemalloc`` reads it (``tests/atm/test_keygen_equivalence.py`` keeps
+#: the charge within a quarter of a fresh measurement): the LRU slot, the key
+#: and value tuples and their ints.  A whole-key entry adds an identity and a
+#: version slot per input.
+_DIGEST_ENTRY_BYTES = 256
+_KEY_ENTRY_BYTES = 400
+_KEY_ENTRY_BYTES_PER_INPUT = 16
 
-#: Dense-sampling crossover: when the sample covers at least 1/16 of the
-#: inputs, one sequential concatenation plus a single gather beats per-input
-#: gather + scatter (which touches every sampled byte twice, randomly).  ATM
-#: steady state lives far below this (p ~ 2^-15 .. 2^-5), where the
-#: zero-copy path wins by a wide margin.
-_DENSE_SAMPLE_DIVISOR = 16
+_scratch = threading.local()
+
+
+def _sample_buffer(size: int) -> np.ndarray:
+    """``size`` bytes of this thread's gather scratch (transient working
+    memory like the hasher's blocks, grown to the largest sample seen)."""
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _scratch.buffer = np.empty(size, dtype=np.uint8)
+    return buffer[:size]
 
 
 def _index_dtype(total_bytes: int) -> np.dtype:
@@ -93,29 +108,25 @@ class ShuffleRecord:
 
     Only the prefix of the (deterministic) full permutation addressed by the
     largest sampling fraction seen so far is stored, using the narrowest
-    index dtype that fits.  Derived per-input-structure splits and per-count
-    gather plans are cached on the record and accounted in :attr:`nbytes`.
+    index dtype that fits.  Per input layout the record derives one gather
+    vector per input — the local offsets of the slots that input owns, in
+    shuffle order — and per sample size the *cut* of each vector (a handful
+    of ints for each step of the ``p`` ladder); the vectors are accounted in
+    :attr:`nbytes`.
     """
 
-    __slots__ = (
-        "task_type_name", "total_bytes", "indices", "uid", "_splits", "_plans",
-        "_lock",
-    )
+    __slots__ = ("task_type_name", "total_bytes", "indices", "uid", "_layouts", "_lock")
 
     def __init__(self, task_type_name: str, total_bytes: int, indices: np.ndarray) -> None:
         self.task_type_name = task_type_name
         self.total_bytes = total_bytes
         self.indices = indices
         self.uid = next(_record_uids)
-        # Guards the derived caches below; the generator's own lock protects
+        # Guards the derived vectors below; the generator's own lock protects
         # the record *store*, not per-record state.
         self._lock = threading.Lock()
-        # input-sizes tuple -> (owner ordinal per slot, local offset per slot)
-        self._splits: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        # (input-sizes tuple, count) -> [(ordinal, sample positions, local offsets)]
-        self._plans: "OrderedDict[tuple, list[tuple[int, np.ndarray, np.ndarray]]]" = (
-            OrderedDict()
-        )
+        # input-sizes tuple -> (gather vector per input, {count: cut per input})
+        self._layouts: dict[tuple[int, ...], tuple[list[np.ndarray], dict]] = {}
 
     @property
     def stored(self) -> int:
@@ -127,73 +138,43 @@ class ShuffleRecord:
         """Runtime-system memory consumed by the stored index vectors."""
         total = int(self.indices.nbytes)
         with self._lock:
-            for owner, local in self._splits.values():
-                total += int(owner.nbytes) + int(local.nbytes)
-            for plan in self._plans.values():
-                for _, positions, locals_ in plan:
-                    total += int(positions.nbytes) + int(locals_.nbytes)
+            for vectors, _ in self._layouts.values():
+                total += sum(int(vector.nbytes) for vector in vectors)
         return total
 
     def replace_indices(self, indices: np.ndarray) -> None:
         """Swap in a longer prefix of the same permutation (regrowth)."""
         with self._lock:
             self.indices = indices
-            # Derived caches cover the old prefix only; rebuild lazily.  (Old
-            # plans would still be prefix-valid, but their owner/local parents
-            # are replaced wholesale, so drop everything for simplicity.)
-            self._splits.clear()
-            self._plans.clear()
+            # The vectors cover the old prefix only; rebuild lazily.
+            self._layouts.clear()
 
-    # -- derived gather structures -------------------------------------------
-    def _split_locked(self, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        split = self._splits.get(sizes)
-        if split is not None:
-            return split
-        bounds = np.cumsum(np.asarray(sizes, dtype=np.int64))
-        starts = bounds - np.asarray(sizes, dtype=np.int64)
-        owner_dtype = np.uint16 if len(sizes) <= 0xFFFF else np.int64
-        global_idx = self.indices.astype(np.int64, copy=False)
-        owner = np.searchsorted(bounds, global_idx, side="right").astype(owner_dtype)
-        local = (global_idx - starts[owner]).astype(self.indices.dtype)
-        self._splits[sizes] = (owner, local)
-        return owner, local
+    def _owners(self, sizes: tuple[int, ...], count: int) -> np.ndarray:
+        """Ordinal of the input that owns each of the first ``count`` slots."""
+        return np.searchsorted(np.cumsum(sizes), self.indices[:count], side="right")
 
-    def split_for(self, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Map every stored slot to ``(owning input, local byte offset)``."""
-        with self._lock:
-            return self._split_locked(sizes)
-
-    def plan_for(
-        self, sizes: tuple[int, ...], count: int
-    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Gather plan for ``count`` sampled bytes of a multi-input task.
-
-        Returns ``(ordinal, positions, locals)`` triples: input ``ordinal``
-        contributes its bytes at ``locals`` to the sample-stream positions
-        ``positions``.  Plans are derived from prefixes of the stored split,
-        so they stay valid across prefix growth.
+    def gather_for(self, sizes: tuple[int, ...], count: int) -> list[np.ndarray]:
+        """Per input, the local offsets of the bytes it owns among the first
+        ``count`` slots, in shuffle order: ``intp``, in range by construction.
         """
-        key = (sizes, count)
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                return plan
-            owner, local = self._split_locked(sizes)
-            owner_prefix = owner[:count]
-            local_prefix = local[:count]
-            pos_dtype = np.uint32 if count <= 0xFFFFFFFF else np.int64
-            plan = []
-            for ordinal in range(len(sizes)):
-                positions = np.nonzero(owner_prefix == ordinal)[0]
-                if positions.size:
-                    plan.append(
-                        (ordinal, positions.astype(pos_dtype), local_prefix[positions])
-                    )
-            self._plans[key] = plan
-            while len(self._plans) > _MAX_PLANS_PER_RECORD:
-                self._plans.popitem(last=False)
-            return plan
+            layout = self._layouts.get(sizes)
+            if layout is None:
+                owners = self._owners(sizes, self.stored)
+                local = self.indices.astype(np.intp)
+                start = 0
+                vectors = []
+                for ordinal, size in enumerate(sizes):
+                    vectors.append(local[owners == ordinal] - start)
+                    start += size
+                layout = self._layouts[sizes] = (vectors, {})
+            vectors, cuts = layout
+            cut = cuts.get(count)
+            if cut is None:
+                cut = cuts[count] = np.bincount(
+                    self._owners(sizes, count), minlength=len(sizes)
+                ).tolist()
+        return [vector[:n] for vector, n in zip(vectors, cut)]
 
 
 class HashKeyGenerator:
@@ -214,12 +195,10 @@ class HashKeyGenerator:
         self.stats = stats
         self._shuffles: "OrderedDict[tuple[str, int], ShuffleRecord]" = OrderedDict()
         self._lock = threading.Lock()
-        # One LRU holds whole-key entries (ints) and per-region sample bytes;
-        # values are (payload, accounted_bytes).
-        self._cache: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
+        # One LRU holds whole keys and per-input digests, both filed by
+        # region identity: key -> (version(s), value, accounted bytes).
+        self._cache: "OrderedDict[tuple, tuple[object, int, int]]" = OrderedDict()
         self._cache_bytes = 0
-        # A single cache entry may not swallow more than 1/8 of the budget.
-        self._cache_entry_cap = max(4096, config.key_cache_budget_bytes // 8)
         self.counters = {
             "key_cache_hits": 0,
             "key_cache_misses": 0,
@@ -283,8 +262,8 @@ class HashKeyGenerator:
             return len(self._shuffles)
 
     # -- digest / key cache ----------------------------------------------------
-    def _cache_get(self, key: tuple, hits: str, misses: str) -> object | None:
-        """Look ``key`` up and count the outcome under ``hits`` / ``misses``.
+    def _cache_get(self, key: tuple, versions, hits: str, misses: str) -> int | None:
+        """The value filed under ``key`` if it was taken at ``versions``.
 
         Lookup and count share one critical section: ``compute`` runs on every
         executor worker thread, and :meth:`cache_info` reads the counters
@@ -292,36 +271,35 @@ class HashKeyGenerator:
         """
         with self._lock:
             entry = self._cache.get(key)
-            if entry is None:
+            if entry is None or entry[0] != versions:
                 self.counters[misses] += 1
                 return None
             self.counters[hits] += 1
             self._cache.move_to_end(key)
-            return entry[0]
+            return entry[1]
 
-    def _key_cache_get(self, key: tuple) -> object | None:
-        cached = self._cache_get(key, "key_cache_hits", "key_cache_misses")
+    def _key_cache_get(self, key: tuple, versions: tuple) -> int | None:
+        cached = self._cache_get(key, versions, "key_cache_hits", "key_cache_misses")
         if self.stats is not None:
             self.stats.record_key_cache(cached is not None)
         return cached
 
-    def _digest_cache_get(self, key: tuple) -> object | None:
-        cached = self._cache_get(key, "digest_cache_hits", "digest_cache_misses")
+    def _digest_cache_get(self, key: tuple, version: int) -> int | None:
+        cached = self._cache_get(key, version, "digest_cache_hits", "digest_cache_misses")
         if self.stats is not None:
             self.stats.record_digest_cache(cached is not None)
         return cached
 
-    def _cache_put(self, key: tuple, payload: object, nbytes: int) -> None:
-        if nbytes > self._cache_entry_cap:
-            return
+    def _cache_put(self, key: tuple, versions, value: int, nbytes: int) -> None:
+        """File ``value`` under ``key``, replacing what an older version left."""
         with self._lock:
             old = self._cache.pop(key, None)
             if old is not None:
-                self._cache_bytes -= old[1]
-            self._cache[key] = (payload, nbytes)
+                self._cache_bytes -= old[2]
+            self._cache[key] = (versions, value, nbytes)
             self._cache_bytes += nbytes
             while self._cache_bytes > self.config.key_cache_budget_bytes and self._cache:
-                _, (_, dropped) = self._cache.popitem(last=False)
+                _, (_, _, dropped) = self._cache.popitem(last=False)
                 self._cache_bytes -= dropped
 
     def cache_info(self) -> dict:
@@ -348,7 +326,8 @@ class HashKeyGenerator:
     def compute(self, task: Task, p: float) -> HashKey:
         """Compute the hash key of ``task`` using a sampling fraction ``p``."""
         inputs = task.inputs
-        total_bytes = sum(access.nbytes for access in inputs)
+        sizes = tuple(access.nbytes for access in inputs)
+        total_bytes = sum(sizes)
         if total_bytes == 0:
             # Keyed only by the task type: tasks without inputs are redundant
             # with each other by definition.
@@ -356,91 +335,60 @@ class HashKeyGenerator:
             return HashKey(value=value, p=p, sampled_bytes=0, total_bytes=0)
         count = self.selected_byte_count(total_bytes, p)
 
-        tokens = tuple(access.region.version_token for access in inputs)
-        whole_key = ("K", task.task_type.name, total_bytes, count, tokens)
-        cached = self._key_cache_get(whole_key)
-        if cached is not None:
-            return HashKey(
-                value=cached, p=p, sampled_bytes=int(count),
-                total_bytes=int(total_bytes),
+        regions = [access.region for access in inputs]
+        # Versions are read before any byte is: a write racing the hash
+        # leaves an entry that the next lookup already finds stale.
+        versions = tuple(region.version for region in regions)
+        whole_key = (
+            task.task_type.name, count, tuple(region.cache_key for region in regions)
+        )
+        value = self._key_cache_get(whole_key, versions)
+        if value is None:
+            value = self._compute(task, regions, versions, sizes, count)
+            self._cache_put(
+                whole_key, versions, value,
+                _KEY_ENTRY_BYTES + _KEY_ENTRY_BYTES_PER_INPUT * len(regions),
             )
-
-        if count >= total_bytes:
-            # Full sampling: every byte is read in input order, streamed view
-            # by view; no shuffle is stored or needed (the seed allocated a
-            # full permutation here and never used it).
-            value = self._hash_views(
-                [access.region.to_bytes_view() for access in inputs]
-            )
-        else:
-            record = self._shuffle_for(task, total_bytes, count)
-            sizes = tuple(access.nbytes for access in inputs)
-            value = self._compute_exact(task, record, sizes, count, tokens)
-
-        self._cache_put(whole_key, value, nbytes=64)
         return HashKey(
             value=value, p=p, sampled_bytes=int(count), total_bytes=int(total_bytes)
         )
 
-    # -- sampled-stream hashing -----------------------------------------------------
-    def _sampled_segment(
-        self,
-        view: np.ndarray,
-        locals_: np.ndarray,
-        record: ShuffleRecord,
-        sizes: tuple[int, ...],
-        count: int,
-        ordinal: int,
-        token: tuple,
-    ) -> np.ndarray:
-        """This input's sampled bytes, served from the version cache if clean.
-
-        ``sizes`` (the per-input byte layout) is part of the key: two tasks of
-        the same type and total size may split those bytes differently, and
-        the same region then contributes different local offsets per layout.
-        """
-        cache_key = ("S", record.uid, sizes, count, ordinal, token)
-        segment = self._digest_cache_get(cache_key)
-        if segment is not None:
-            return segment
-        segment = np.take(view, locals_)
-        self._cache_put(cache_key, segment, nbytes=int(segment.nbytes) + 64)
-        return segment
-
-    def _compute_exact(
+    def _compute(
         self,
         task: Task,
-        record: ShuffleRecord,
+        regions: list[DataRegion],
+        versions: tuple,
         sizes: tuple[int, ...],
         count: int,
-        tokens: tuple,
     ) -> int:
-        """Seed-identical key: hash the interleaved sampled byte stream.
-
-        Sampled bytes are gathered per input straight into their interleaved
-        positions of one sample buffer — bit-identical to the seed's
-        ``concatenate-then-gather`` without ever building the concatenation.
-        """
-        inputs = task.inputs
-        body = np.empty(count, dtype=np.uint8)
-        if len(inputs) == 1:
-            view = inputs[0].region.to_bytes_view()
-            body[:] = self._sampled_segment(
-                view, record.indices[:count], record, sizes, count, 0, tokens[0]
-            )
-        elif count * _DENSE_SAMPLE_DIVISOR >= record.total_bytes:
-            # Dense sample: a sequential concatenation plus one gather moves
-            # fewer random bytes than per-input gather + scatter.
-            concatenated = np.concatenate(
-                [access.region.to_bytes_view() for access in inputs]
-            )
-            np.take(concatenated, record.indices[:count], out=body)
+        """The key of ``task`` from its inputs' digests, re-reading only the
+        inputs whose cached digest is missing or older than their version."""
+        total_bytes = sum(sizes)
+        if count >= total_bytes:
+            # Full sampling: every byte is read in place, in input order; no
+            # shuffle is stored or needed.
+            scope = None
+            vectors = [None] * len(regions)
         else:
-            views = [access.region.to_bytes_view() for access in inputs]
-            for ordinal, positions, locals_ in record.plan_for(sizes, count):
-                segment = self._sampled_segment(
-                    views[ordinal], locals_, record, sizes, count, ordinal,
-                    tokens[ordinal],
-                )
-                body[positions] = segment
-        return self._hash_views((body,))
+            record = self._shuffle_for(task, total_bytes, count)
+            scope = (record.uid, sizes, count)
+            vectors = record.gather_for(sizes, count)
+        if len(regions) == 1:
+            return self._digest(regions[0], vectors[0])
+        digests = []
+        for ordinal, region in enumerate(regions):
+            digest_key = (scope, ordinal, region.cache_key)
+            digest = self._digest_cache_get(digest_key, versions[ordinal])
+            if digest is None:
+                digest = self._digest(region, vectors[ordinal])
+                self._cache_put(digest_key, versions[ordinal], digest, _DIGEST_ENTRY_BYTES)
+            digests.append(digest)
+        return combine_digests(digests, count, self.config.hash_seed)
+
+    def _digest(self, region: DataRegion, vector: Optional[np.ndarray]) -> int:
+        """Hash of the bytes of ``region`` that ``vector`` samples, in its
+        order (``None``: all of them, in place)."""
+        view = region.to_bytes_view()
+        if vector is not None:
+            view = view.take(vector, out=_sample_buffer(vector.size), mode="clip")
+        return self._hash_views((view,))

@@ -79,11 +79,14 @@ __all__ = [
 #: a different schema raises :class:`THTStoreCorruptError` (cold start)
 #: rather than being guessed at.  Schema 2: segmented frames — a schema-1
 #: file fails on its first frame's magic, cold-starts and is rewritten by
-#: the next publish.
-STORE_SCHEMA_VERSION = 2
+#: the next publish.  Schema 3: a multi-input key is the combination of its
+#: inputs' digests (:mod:`repro.atm.keygen`) — entries are found by key
+#: value, so a schema-2 file would load as entries no lookup can reach.
+STORE_SCHEMA_VERSION = 3
 
-#: Handshake version of the cache-shard wire vocabulary (2: segmented frames).
-SHARD_PROTOCOL_VERSION = 2
+#: Handshake version of the cache-shard wire vocabulary (2: segmented frames;
+#: 3: the key definition of store schema 3).
+SHARD_PROTOCOL_VERSION = 3
 
 #: Append-then-compact bound of the ``file://`` store: a flush that leaves
 #: more than this many frames in the file rewrites it (atomically) as one

@@ -109,7 +109,7 @@ class ATMConfig(_Section):
         Seed of the per-task-type index shuffle (stored once per task type).
     key_cache_budget_bytes:
         LRU budget shared by all entries of the region-version keyed caches
-        (whole keys and per-region sample bytes).  The caches rely on every
+        (whole keys and per-input digests).  The caches rely on every
         write going through a declared ``out``/``inout`` access or
         :meth:`DataRegion.copy_from`, which is the dependence-system
         contract.

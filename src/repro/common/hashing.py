@@ -52,6 +52,7 @@ __all__ = [
     "jenkins_lookup3",
     "hash_bytes",
     "hash_views",
+    "combine_digests",
     "splitmix64",
     "canonical_p",
     "HASH_FUNCTIONS",
@@ -391,6 +392,21 @@ def hash_bytes(data: BytesLike, seed: int = 0) -> int:
     Deterministic across platforms; ``seed`` is taken modulo 2^64.
     """
     return hash_views((data,), seed)
+
+
+def combine_digests(digests: Iterable[int], count: int, seed: int = 0) -> int:
+    """Key of a multi-input task from its inputs' digests, in input order.
+
+    A seeded splitmix64 chain: the state starts from the seed and ``count``
+    (the sampled bytes of the whole task) and absorbs one digest per step,
+    so the result depends on the digests' order.  A step is a bijection of
+    the state for a fixed digest and of the digest for a fixed state: two
+    sequences that differ in one digest never collide.
+    """
+    state = _splitmix64_int((seed ^ (count * _C3)) & _MASK64)
+    for digest in digests:
+        state = _splitmix64_int(state ^ digest)
+    return state
 
 
 #: Quantization grid for canonical sampling fractions: 2^-20 steps cover the

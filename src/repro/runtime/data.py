@@ -50,9 +50,10 @@ class RegionVersionRegistry:
     monotonic clock; the runtime bumps it whenever a task's write accesses
     commit (:meth:`TaskDependenceGraph.complete_task`) or a region is
     bulk-overwritten through :meth:`DataRegion.copy_from`.  The ATM key
-    generator keys its digest caches on ``(region identity, version)``, so a
-    region whose version is unchanged since the last key computation is known
-    to hold identical bytes and its cached digest can be reused.
+    generator files its whole-key and digest caches by region identity
+    (:attr:`DataRegion.cache_key`) beside the version, so a region whose
+    version is unchanged since the last key computation is known to hold
+    identical bytes and its cached digest can be reused.
 
     Beside the version an entry carries the base's *content tags*: byte
     interval -> "the last committed write placed output ``i`` of this source
@@ -202,7 +203,7 @@ class DataRegion:
 
     __slots__ = (
         "array", "_name", "_descriptor", "_base", "_base_id",
-        "_nbytes", "byte_interval", "region_key",
+        "_nbytes", "byte_interval", "region_key", "cache_key",
     )
 
     def __init__(self, array: np.ndarray, name: Optional[str] = None) -> None:
@@ -252,7 +253,11 @@ class DataRegion:
         #: Half-open byte interval within the base buffer.
         self.byte_interval = (start, end)
         #: Hashable identity of this region (base buffer + byte interval).
-        self.region_key = (base_id, start, end)
+        self.region_key = key = (base_id, start, end)
+        #: Identity of the region's *content* for the key caches: two views
+        #: that are not C-contiguous can cover one span and read different
+        #: bytes of it, so theirs carries the layout as well.
+        self.cache_key = key if array.flags.c_contiguous else key + self._layout()
 
     # -- identity & overlap -------------------------------------------------
     @property
@@ -334,9 +339,9 @@ class DataRegion:
         )
 
     @property
-    def version_token(self) -> tuple[int, int, int, int]:
+    def version_token(self) -> tuple:
         """Cache key for this region's current content: identity + version."""
-        return self.region_key + (self.version,)
+        return self.cache_key + (self.version,)
 
     # -- data access ---------------------------------------------------------
     @property

@@ -410,7 +410,7 @@ class NetworkExecutor(BaseExecutor):
         Computed with the parent engine's own key generator and sampling
         policy — identical inputs at identical policy state yield identical
         keys, which is exactly the twin-coalescing property placement
-        needs.  The keygen's version-token caches make repeats cheap.
+        needs.  The keygen's region-version caches make repeats cheap.
         Routing is a hint: any failure to compute a key just skips it.
         """
         engine = self.engine

@@ -121,7 +121,9 @@ __all__ = [
 #: Version 4: the hello's ``engine`` is the replica's ``ATMConfig``.
 #: Version 5: segmented frames (new magic: a version-4 peer or store file
 #: fails on its first frame with "bad frame magic").
-PROTOCOL_VERSION = 5
+#: Version 6: a multi-input ATM key is the combination of its inputs' digests
+#: (:mod:`repro.atm.keygen`); replicas exchange THT entries by key value.
+PROTOCOL_VERSION = 6
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count

@@ -263,3 +263,39 @@ class TestStatsIntegration:
         for index in range(4):
             process(engine, square_task(src, np.zeros(8), task_id=index))
         assert engine.stats.reuse_percentage() == pytest.approx(75.0)
+
+
+class TestStridedViewsOfOneSpan:
+    """Two views that are not C-contiguous can cover one byte span of a base
+    and read different bytes of it: the key caches must not take one for the
+    other (their ``region_key`` is equal; their ``cache_key`` is not)."""
+
+    @staticmethod
+    def _run(executor: str, mode: str):
+        from repro.session import Session
+
+        copy_type = TaskType("strided_copy", memoizable=True)
+
+        def copy(x, o):
+            o[...] = x
+
+        base = np.arange(16.0).reshape(4, 4)
+        a = base[0:3:2, 0:3:2]
+        b = base.T[0:3:2, 0:3:2]
+        out_a, out_b = np.zeros((2, 2)), np.zeros((2, 2))
+        session = Session({
+            "runtime": {"executor": executor, "num_threads": 2},
+            "atm": {"mode": mode},
+        })
+        session.submit(copy_type, copy, accesses=[In(a), Out(out_a)], args=(a, out_a))
+        session.wait_all()
+        session.submit(copy_type, copy, accesses=[In(b), Out(out_b)], args=(b, out_b))
+        session.finish()
+        return out_a, out_b
+
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_static_atm_is_bit_identical_to_atm_off(self, executor):
+        expected = self._run(executor, "none")
+        assert expected[1].tolist() == [[0.0, 8.0], [2.0, 10.0]]
+        for got, want in zip(self._run(executor, "static"), expected):
+            assert got.tobytes() == want.tobytes()

@@ -106,9 +106,10 @@ class TestShuffleCaching:
         data = np.arange(64, dtype=np.float32)   # 256 bytes
         generator.compute(make_task([data]), 0.5)
         first = generator.shuffle_memory_bytes()
-        # Truncated prefix (ceil(256 * 0.5) = 128 slots) in uint32: far below
-        # the seed's full int64 permutation (256 * 8 bytes).
-        assert first >= 128 * 4
+        # Truncated prefix (ceil(256 * 0.5) = 128 slots) in uint32 plus the
+        # input's intp gather vector: below the seed's full int64 permutation
+        # (256 * 8 bytes).
+        assert first == 128 * (4 + np.dtype(np.intp).itemsize)
         assert first < 256 * 8
         generator.compute(make_task([data]), 0.25)  # smaller p reuses the prefix
         assert generator.shuffle_memory_bytes() == first

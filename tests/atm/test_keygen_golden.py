@@ -1,11 +1,16 @@
-"""Golden ATM keys: literal 64-bit values computed at the parent commit.
+"""Golden ATM keys: literal 64-bit values computed at the commits named.
 
 The equivalence suites compare the generator against reference *code*; this
-table pins the *numbers*.  It was printed by ``HashKeyGenerator`` at commit
-``cd38fcc`` (the temporaries-based ``_hash_words`` and the full-permutation
-``significance_order``) for the inputs below, which are built with integer
-arithmetic only so that they are the same bytes on every platform.  A key
-that changes here invalidates every persisted THT (``STORE_SCHEMA``).
+table pins the *numbers*, for the inputs below, which are built with integer
+arithmetic only so that they are the same bytes on every platform.  The
+one-input rows (and the no-input key) were printed by ``HashKeyGenerator`` at
+commit ``cd38fcc`` (the temporaries-based ``_hash_words`` and the
+full-permutation ``significance_order``) and have not moved since: a
+one-input key is still the hash of its sampled bytes.  The multi-input rows
+were printed at PR 22, the child of ``6642a5a``, which redefined a
+multi-input key as the combination of its inputs' digests — and bumped
+``STORE_SCHEMA_VERSION``, ``SHARD_PROTOCOL_VERSION`` and ``PROTOCOL_VERSION``
+for it: a key that changes here invalidates every persisted or exchanged THT.
 """
 
 from __future__ import annotations
@@ -52,18 +57,18 @@ GOLDEN_KEYS = {
     ("one_f8", True, "lookup3"): (0xF637670A67E5A489, 0x174B4979E284B088, 0x6E7923DB890894BF),
     ("one_f8", False, "numpy"): (0x53E5B1E6A19319A8, 0xF40D730CCA305018, 0x978587BA9F5E15E9),
     ("one_f8", False, "lookup3"): (0xF637670A67E5A489, 0xA8C1F53D0510F530, 0xF6AFD2E0F8EFB49A),
-    ("two_f4", True, "numpy"): (0x5493E8F73B94FA81, 0x59389D3D0CD4AF3E, 0xD5244C804955ADF5),
-    ("two_f4", True, "lookup3"): (0x81472718F82F4D2A, 0x11ABDA478B86EA8D, 0x8633753B82AA2440),
-    ("two_f4", False, "numpy"): (0x5493E8F73B94FA81, 0x4CA3161CEE6124F1, 0x2B4D8779DB6018C1),
-    ("two_f4", False, "lookup3"): (0x81472718F82F4D2A, 0xE8E97E92B9B7A2B2, 0xCFBD40504A4D37EF),
-    ("three_u1", True, "numpy"): (0xEDE0C8E190B222DB, 0xC2E5292B4FF75452, 0x4D8781B2B9E3C6D7),
-    ("three_u1", True, "lookup3"): (0xB7AAA6AF3C04A21D, 0xCE4F809C21CBB5FD, 0x5355D7125F26920D),
-    ("three_u1", False, "numpy"): (0xEDE0C8E190B222DB, 0xC2E5292B4FF75452, 0x4D8781B2B9E3C6D7),
-    ("three_u1", False, "lookup3"): (0xB7AAA6AF3C04A21D, 0xCE4F809C21CBB5FD, 0x5355D7125F26920D),
-    ("mixed", True, "numpy"): (0x5B4E5193A6F8D765, 0x5EDB2640F0DCDEA9, 0x134755D614E8BFB9),
-    ("mixed", True, "lookup3"): (0x297DF8A892F5CA29, 0x093530C2F97CC1A8, 0x161F07BED4C42A13),
-    ("mixed", False, "numpy"): (0x5B4E5193A6F8D765, 0x7A4313549EA6B35E, 0x5399CF745789D70A),
-    ("mixed", False, "lookup3"): (0x297DF8A892F5CA29, 0xB73D3FDC7788AAC5, 0xCAD211B03D9EE93D),
+    ("two_f4", True, "numpy"): (0xC7D0EEBEF2130E85, 0xD03F5934B018E49E, 0x4B9AE96AE4994431),
+    ("two_f4", True, "lookup3"): (0xCD3AC5B62B5B4F9D, 0x327CCE4B54C18B20, 0x3EE780E73E81ABA0),
+    ("two_f4", False, "numpy"): (0xC7D0EEBEF2130E85, 0xB10A57FF6BAB6293, 0x45109A27C5DA0BE5),
+    ("two_f4", False, "lookup3"): (0xCD3AC5B62B5B4F9D, 0x2CD114036E575939, 0x871CCC0997D436F0),
+    ("three_u1", True, "numpy"): (0x01452A91EE613753, 0x3402930917F1510B, 0x8E7A00E1ADE179DE),
+    ("three_u1", True, "lookup3"): (0x18A0873992237620, 0xB2EFE4A0B74290F3, 0x70F887ECE4CCE23B),
+    ("three_u1", False, "numpy"): (0x01452A91EE613753, 0x3402930917F1510B, 0x8E7A00E1ADE179DE),
+    ("three_u1", False, "lookup3"): (0x18A0873992237620, 0xB2EFE4A0B74290F3, 0x70F887ECE4CCE23B),
+    ("mixed", True, "numpy"): (0x3570B31E5E573A72, 0x2BEFFA0F1710D187, 0xDAC6CB6E56927053),
+    ("mixed", True, "lookup3"): (0x73EF1F1644B26A4D, 0xCB0CEAB75D974298, 0xEF59D8C9724BBD68),
+    ("mixed", False, "numpy"): (0x3570B31E5E573A72, 0x0597DE84797FEC4E, 0x16087429FF696A10),
+    ("mixed", False, "lookup3"): (0x73EF1F1644B26A4D, 0xD59E5A81010F5248, 0x054B29567D3AF3CD),
 }
 
 #: Key of a task without inputs: the hash of its type name alone.

@@ -2,9 +2,11 @@
 
 Random region shapes, dtypes, arities and sampling fractions assert that
 
-* keys stay bit-identical to the preserved seed implementation
-  (:mod:`tests.reference.keygen_reference`) — the generative counterpart of
-  the fixed-case suite in ``test_keygen_equivalence.py``;
+* keys induce the *partition* of the preserved seed implementation
+  (:mod:`tests.reference.keygen_reference`, unedited): over a family of twins
+  and near-twins (``tests/atm/keygen_families.py``) two tasks share a key iff
+  the seed gives them one, and a one-input key has the seed's *value* — the
+  generative counterpart of the fixed cases in ``test_keygen_equivalence.py``;
 * keys are *stable*: they depend only on content, order and ``p``, never on
   cache state — evicting the LRU (tiny budget), disabling the cache, or
   bumping write-versions over unchanged bytes must all reproduce the same
@@ -23,6 +25,7 @@ from repro.atm.keygen import HashKeyGenerator  # noqa: E402
 from repro.common.config import ATMConfig, P_LADDER  # noqa: E402
 from repro.runtime.data import In  # noqa: E402
 from repro.runtime.task import Task, TaskType  # noqa: E402
+from tests.atm.keygen_families import check_family  # noqa: E402
 from tests.reference.keygen_reference import ReferenceKeyGenerator  # noqa: E402
 
 TT = TaskType("prop-test", memoizable=True)
@@ -65,26 +68,44 @@ p_strategy = st.one_of(
 )
 
 
-class TestExactMatchesReferenceProperty:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        shapes=shapes_strategy,
-        p=p_strategy,
-        type_aware=st.booleans(),
-    )
-    def test_exact_pipeline_equals_seed(self, seed, shapes, p, type_aware):
-        arrays = _arrays_from(seed, shapes)
-        config = ATMConfig(type_aware=type_aware)
+#: The grid the partition property walks: both ends of the ladder, the old
+#: sparse/dense crossover (1/16) on either side, and where Dynamic ATM settles.
+PARTITION_P = (2.0 ** -15, 0.001, 1 / 32, 1 / 16, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def families(draw):
+    """``(config, arrays, p)``: 1-4 inputs of mixed dtypes and odd sizes, some
+    of zero bytes, some the same array at two ordinals.  The scalar Jenkins
+    hashes walk bytes in Python, so they get the small shapes."""
+    hash_function = draw(st.sampled_from(("numpy", "numpy", "lookup3", "one_at_a_time")))
+    largest = 2048 if hash_function == "numpy" else 96
+    shapes = draw(st.lists(
+        st.tuples(st.integers(0, largest), st.integers(0, len(_DTYPES) - 1)),
+        min_size=1, max_size=4,
+    ))
+    if not any(n for n, _ in shapes):
+        shapes[0] = (1 + shapes[0][0], shapes[0][1])
+    arrays = _arrays_from(draw(st.integers(0, 2**31 - 1)), shapes)
+    if len(arrays) > 1 and draw(st.booleans()):
+        source, target = draw(st.permutations(range(len(arrays))))[:2]
+        arrays[target] = arrays[source]
+    config = ATMConfig(type_aware=draw(st.booleans()), hash_function=hash_function)
+    return config, arrays, draw(st.sampled_from(PARTITION_P))
+
+
+class TestPartitionMatchesReferenceProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(family=families())
+    def test_keys_partition_like_the_seed(self, family):
+        config, arrays, p = family
         new = HashKeyGenerator(config)
         ref = ReferenceKeyGenerator(config)
-        task = make_task(arrays)
-        for _ in range(2):  # cold caches, then hot caches
-            key_new = new.compute(task, p)
-            key_ref = ref.compute(task, p)
-            assert key_new.value == key_ref.value
-            assert key_new.sampled_bytes == key_ref.sampled_bytes
-            assert key_new.total_bytes == key_ref.total_bytes
+        if len(arrays) == 1:
+            task = make_task(arrays)
+            for _ in range(2):  # cold caches, then hot caches
+                assert new.compute(task, p).value == ref.compute(task, p).value
+        check_family(new, ref, TT, arrays, p)
 
 
 class TestKeyStabilityProperty:

@@ -38,7 +38,7 @@ from repro.common.exceptions import (
     THTStoreUnavailableError,
 )
 from repro.common.hashing import HashKey, hash_bytes
-from repro.runtime.net_wire import encode_frame
+from repro.runtime.net_wire import encode_frame, iter_frames
 from repro.session import In, Out, Session
 
 CFG = ATMConfig(tht_bucket_bits=4, tht_bucket_capacity=8)
@@ -202,6 +202,17 @@ class TestFileStore:
         with pytest.raises(THTStoreCorruptError, match="schema"):
             FileTHTStore(store_path, CFG).load()
 
+    def test_previous_schema_is_refused_by_name(self, store_path):
+        """Schema 2 keyed multi-input tasks by another hash: its entries
+        would load and never be found, so the file is not read at all."""
+        store_path.parent.mkdir(parents=True)
+        store_path.write_bytes(
+            bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})))
+            + bytes(encode_frame(("tht_delta", fill_table(3).snapshot())))
+        )
+        with pytest.raises(THTStoreCorruptError, match="has schema 2; this build reads schema 3"):
+            FileTHTStore(store_path, CFG).load()
+
     def test_header_kind_mismatch_raises_corrupt(self, store_path):
         store_path.parent.mkdir(parents=True)
         store_path.write_bytes(bytes(encode_frame(("something_else", {}))))
@@ -261,6 +272,9 @@ class TestShardState:
         assert info["schema"] == STORE_SCHEMA_VERSION
         reply = state.handle(("hello", {"protocol": 999}))
         assert reply[0] == "error"
+        reply = state.handle(("hello", {"protocol": SHARD_PROTOCOL_VERSION - 1}))
+        assert reply[:2] == ("error", "THTStoreUnavailableError")
+        assert "shard speaks protocol 3, client spoke 2" in reply[2]
 
     def test_publish_then_fetch_round_trips(self):
         state = ShardState(CFG)
@@ -415,6 +429,45 @@ class TestSessionWarmStart:
         assert not session.warm_started
         healed, _ = run_saxpy(self.atm(url))
         assert healed.warm_started
+
+    def test_two_input_program_warm_starts_bit_identically(self, store_path):
+        """Multi-input keys are combinations of digests (store schema 3): a
+        store written under that definition is found again under it."""
+        def run(config):
+            with Session(config, executor="serial") as s:
+                @s.task(memoizable=True)
+                def blend(x: In, w: In, y: Out):
+                    y[:] = x * w + 1.0
+
+                weights = np.linspace(0.5, 1.5, 32)
+                xs = [np.full(32, float(i % 3)) for i in range(9)]
+                ys = [np.zeros(32) for _ in xs]
+                for x, y in zip(xs, ys):
+                    blend(x, weights, y)
+                s.wait_all()
+                return s, [y.copy() for y in ys]
+
+        url = f"file://{store_path}"
+        _, plain = run({"atm": {"mode": "none"}})
+        cold, cold_out = run(self.atm(url))
+        assert cold.stats["tht_hits"] == 6  # three distinct inputs, nine tasks
+        assert FileTHTStore(store_path, CFG).load()["entries"]
+        warm, warm_out = run(self.atm(url))
+        assert warm.warm_started and warm.stats["tht_hits"] == 9
+        for got in (cold_out, warm_out):
+            assert [y.tobytes() for y in got] == [y.tobytes() for y in plain]
+
+    def test_previous_schema_store_warns_and_cold_starts(self, store_path):
+        url = f"file://{store_path}"
+        run_saxpy(self.atm(url))
+        frames = list(iter_frames(store_path.read_bytes()))
+        store_path.write_bytes(b"".join(
+            bytes(encode_frame(frame))
+            for frame in [("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})] + frames[1:]
+        ))
+        with pytest.warns(RuntimeWarning, match="has schema 2"):
+            session, _ = run_saxpy(self.atm(url))
+        assert not session.warm_started and session.stats["tht_hits"] == 0
 
     def test_unreachable_shard_warns_and_cold_starts(self):
         with pytest.warns(RuntimeWarning, match="unavailable"):

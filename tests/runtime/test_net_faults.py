@@ -27,7 +27,7 @@ from repro.runtime.data import DataRegion, In, InOut, Out
 from repro.runtime.task import TaskType
 from repro.runtime.net_executor import NetworkExecutor
 from repro.runtime.net_transport import LoopbackEndpoint, serve_connection
-from repro.runtime.net_wire import read_frame, write_frame
+from repro.runtime.net_wire import PROTOCOL_VERSION, read_frame, write_frame
 from repro.session import ReproConfig, Session
 from tests.conftest import SQUARE_TYPE, square_body
 
@@ -474,20 +474,26 @@ def _hostile_chunk():
     return ("chunk", NetChunk(1, (), ()))
 
 
+def _hello(**fields):
+    return ("hello", {"protocol": PROTOCOL_VERSION, **fields})
+
+
 @pytest.mark.parametrize(
     "prelude, hostile, named",
     [
         ((), 42, "not a protocol message"),
         ((), ("chunk", 42), "chunk before hello"),
         ((), ("hello", 5), "unreadable 'hello' message"),
-        ((), ("hello", {"protocol": 5, "engine": "x"}), "unreadable 'hello' message"),
-        ((("hello", {"protocol": 5, "residency": True}),), ("invalidate",),
-         "unreadable 'invalidate' message"),
-        ((("hello", {"protocol": 5}),), ("chunk", 42), "unreadable 'chunk' message"),
+        ((), _hello(engine="x"), "unreadable 'hello' message"),
+        # The protocol before this one keyed multi-input tasks differently.
+        ((), ("hello", {"protocol": PROTOCOL_VERSION - 1}),
+         f"protocol version mismatch: client speaks {PROTOCOL_VERSION - 1}"),
+        ((_hello(residency=True),), ("invalidate",), "unreadable 'invalidate' message"),
+        ((_hello(),), ("chunk", 42), "unreadable 'chunk' message"),
         ((), _hostile_chunk(), "chunk before hello"),
-        ((("hello", {"protocol": 5}),), ("teleport", 1), "unknown message kind"),
+        ((_hello(),), ("teleport", 1), "unknown message kind"),
     ],
-    ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "str-engine",
+    ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "str-engine", "previous-protocol",
          "short-invalidate", "int-chunk", "chunk-before-hello", "unknown-kind"],
 )
 def test_worker_reports_a_message_it_cannot_read_and_closes(prelude, hostile, named, capfd):

@@ -122,6 +122,9 @@ def ping_worker(host: str, port: int) -> None:
 
 def greet_shard(host: str, port: int) -> None:
     with socket.create_connection((host, port), timeout=BOUND_S) as sock:
+        # The previous protocol found entries under another key definition.
+        reply = request(sock, ("hello", {"protocol": SHARD_PROTOCOL_VERSION - 1}))
+        assert reply[:2] == ("error", "THTStoreUnavailableError")
         reply = request(sock, ("hello", {"protocol": SHARD_PROTOCOL_VERSION}))
         assert reply[0] == "hello_ack"
         write_frame(sock, ("bye",))
