@@ -98,7 +98,8 @@ tht-store:
 # lost-wake-up gate of the barrier condition), the copy-elision suites
 # (the content tag is read on worker threads while siblings commit) and the
 # keygen equivalence and property suites (digests are read and replaced on
-# worker threads) ten times
+# worker threads; the lattice-reader property of test_keygen_property.py copies
+# through per-thread scratch) ten times
 # over with a 10 us switch interval, so thread interleavings a normal run
 # never produces get their turn.  Zero failures required.
 soak-threaded:

@@ -2,14 +2,15 @@
 """Paired benchmark runs: a reference commit against the working tree.
 
     python scripts/bench_pair.py REF --workload W [--workload W2] [--pairs N]
-        [--layers net_wire.encode_s,kernel.busy_s [--trace-pairs 3]]
+        [--seed N] [--layers net_wire.encode_s,kernel.busy_s [--trace-pairs 3]]
 
 What ``bench/README.md`` asks of any change that claims a gain, in one
 command: ``REF`` is checked out into a temporary ``git worktree``, then
 ``python -m bench --workload W`` runs alternately on it and on the working
 tree ``N`` times (the side that goes first alternates too, so a slow phase
-of the host does not always land on the same side).  Every pair is printed
-as it completes; the summary gives, per end-to-end metric of
+of the host does not always land on the same side); ``--seed`` is forwarded
+to both sides, for the second input seed a claimed gain must also hold on.
+Every pair is printed as it completes; the summary gives, per end-to-end metric of
 ``BENCHMARK.json``, both medians, the reference's interquartile distance,
 the median of the per-pair ratios and how many pairs the working tree won.
 With ``--layers`` a few more alternating pairs run afterwards with
@@ -35,14 +36,15 @@ from pathlib import Path
 from ref_worktree import REPO_ROOT, ref_worktree
 
 
-def run_bench(tree: Path, workload: str, out: Path, trace: bool = False) -> dict[str, float]:
+def run_bench(tree: Path, workload: str, out: Path, trace: bool = False,
+              seed: int | None = None) -> dict[str, float]:
     """One ``python -m bench --workload W`` in ``tree``; the metrics it prints
     (end to end, or with ``trace`` the per-layer ledger of a traced run)."""
-    done = subprocess.run(
-        [sys.executable, "-m", "bench", "--workload", workload, "--out", str(out),
-         "--trace", str(int(trace))],
-        cwd=tree, capture_output=True, text=True,
-    )
+    command = [sys.executable, "-m", "bench", "--workload", workload, "--out", str(out),
+               "--trace", str(int(trace))]
+    if seed is not None:
+        command += ["--seed", str(seed)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(
             f"bench_pair: `python -m bench --workload {workload}` failed in {tree} "
@@ -77,7 +79,8 @@ def summarise(workload: str, metrics: list[dict], ref_runs: list[dict], new_runs
 
 
 def paired_runs(trees: dict[str, Path], workload: str, scratch: Path, pairs: int,
-                names: list[str], trace: bool = False) -> dict[str, list[dict]]:
+                names: list[str], trace: bool = False,
+                seed: int | None = None) -> dict[str, list[dict]]:
     """Alternating runs of both trees (the side that goes first alternates
     too); prints each pair's ``names`` as it completes, returns every run."""
     runs: dict[str, list[dict]] = {"ref": [], "new": []}
@@ -85,7 +88,7 @@ def paired_runs(trees: dict[str, Path], workload: str, scratch: Path, pairs: int
         order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
         for side in order:
             runs[side].append(
-                run_bench(trees[side], workload, scratch / f"{side}.json", trace))
+                run_bench(trees[side], workload, scratch / f"{side}.json", trace, seed))
         ref, new = runs["ref"][-1], runs["new"][-1]
         print(f"{workload} {'traced ' if trace else ''}pair {pair + 1}/{pairs} "
               f"({order[0]} first): "
@@ -101,6 +104,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="benchmark workload (repeatable)")
     parser.add_argument("--pairs", type=int, default=10,
                         help="pairs of runs per workload (default 10)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="input seed forwarded to `python -m bench --seed` on both "
+                             "sides (default: the benchmark's own)")
     parser.add_argument("--layers", default="",
                         help="comma-separated per-layer metrics to print from traced pairs")
     parser.add_argument("--trace-pairs", type=int, default=3,
@@ -120,11 +126,11 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"ref": scratch / "ref", "new": REPO_ROOT}
         for workload in args.workload:
             runs = paired_runs(trees, workload, scratch, args.pairs,
-                               [metric["name"] for metric in metrics])
+                               [metric["name"] for metric in metrics], seed=args.seed)
             summarise(workload, metrics, runs["ref"], runs["new"])
             if layers:
                 traced = paired_runs(trees, workload, scratch, args.trace_pairs, layers,
-                                     trace=True)
+                                     trace=True, seed=args.seed)
                 print(f"  {'layer':<28}{'ref median':>12}{'new median':>12}")
                 for name in layers:
                     ref, new = (statistics.median(run[name] for run in traced[side])

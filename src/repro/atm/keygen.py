@@ -15,16 +15,18 @@ Two shuffle flavours are supported:
 
 Given a sampling fraction ``p``, the first ``ceil(N * p)`` indexes of the
 stored vector select the *sampled bytes* — exactly the bytes the paper's key
-reads.  The paper hashes them as one interleaved stream; this generator
-factorises the hash:
+reads.  The paper fixes which bytes those are, not the order they are hashed
+in; it hashes them as one interleaved stream, this generator factorises the
+hash and reads every sample where it lies:
 
 * the **digest** of input *i* is the configured hash of the sampled bytes
-  that input owns, in shuffle order (at ``p = 1.0``: of all its bytes, in
+  that input owns, in address order (at ``p = 1.0``: of all its bytes, in
   place);
-* the key of a one-input task *is* its digest — the seed's value
-  (:mod:`tests.reference.keygen_reference`), bit for bit; the key of a task
-  with two or more inputs is :func:`~repro.common.hashing.combine_digests`
-  of its digests in input order and of the sample size.
+* the key of a one-input task *is* its digest — at ``p = 1.0`` the seed's
+  value (:mod:`tests.reference.keygen_reference`), bit for bit; the key of a
+  task with two or more inputs is
+  :func:`~repro.common.hashing.combine_digests` of its digests in input order
+  and of the sample size.
 
 Two tasks of one type and input layout get equal keys exactly when the seed
 gives them equal keys — the same sampled bytes decide — but an input that was
@@ -42,13 +44,16 @@ not written since its digest was taken is never read again, at any ``p``:
   ``uint32`` whenever ``N < 2**32``); ``p = 1.0`` needs no shuffle at all.
   The prefix grows deterministically (same seeded permutation) when a larger
   ``p`` shows up; a type-aware prefix only builds the significance levels it
-  reaches (:func:`~repro.common.dtypes.significance_order`).  Per input
-  layout the record keeps one gather vector per input — a smaller sample's
-  vector is a prefix of a larger one's — which together stay under a fifth
-  of the seed's full ``int64`` permutation.
-* **An unbuffered gather.**  Vectors are ``intp`` and taken with
-  ``mode="clip"`` into per-thread scratch: ``ndarray.take`` widens any other
+  reaches (:func:`~repro.common.dtypes.significance_order`).
+* **One reader per (layout, sample size, input)**, found from the sorted
+  offsets alone (:func:`_reader_for`).  A type-aware sample of whole
+  significance levels — every ``p >= 1 / itemsize`` of the ladder — is a
+  lattice, read as one strided view of ``uint8/16/32/64`` lanes copied into
+  per-thread scratch, and stores nothing; so does an input the sample covers
+  entirely.  A partial level or a plain shuffle keeps its sorted ``intp``
+  offsets, taken with ``mode="clip"``: ``ndarray.take`` widens any other
   index dtype on every call and double-buffers a range-checked ``out=``.
+  The ladder's vectors sum to under twice the largest.
 * **LRU bounds** on both the shuffle-record store and the key cache, whose
   entries are charged what ``tracemalloc`` measures for them.
 """
@@ -59,7 +64,7 @@ import itertools
 import math
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -90,7 +95,7 @@ _scratch = threading.local()
 
 
 def _sample_buffer(size: int) -> np.ndarray:
-    """``size`` bytes of this thread's gather scratch (transient working
+    """``size`` bytes of this thread's sample scratch (transient working
     memory like the hasher's blocks, grown to the largest sample seen)."""
     buffer = getattr(_scratch, "buffer", None)
     if buffer is None or buffer.size < size:
@@ -103,30 +108,65 @@ def _index_dtype(total_bytes: int) -> np.dtype:
     return np.dtype(np.uint32) if total_bytes <= 0xFFFFFFFF else np.dtype(np.int64)
 
 
+#: Unsigned lane dtype per lattice width: a strided copy of ``uint16`` lanes
+#: moves the same bytes eight times faster than the 2-D byte slice ``[:, 6:8]``.
+_LANES = {width: np.dtype(f"u{width}") for width in (1, 2, 4, 8)}
+
+
+#: ``None`` (the whole input), a lattice ``(offset, width, stride, rows)`` or
+#: sorted offsets: see :func:`_reader_for`.
+Reader = Union[None, tuple[int, int, int, int], np.ndarray]
+
+
+def _reader_for(offsets: np.ndarray, size: int) -> Reader:
+    """How to read the bytes at ``offsets`` (ascending, ``intp``) of an input
+    of ``size`` bytes, in address order: ``None`` — all of it, in place; a
+    lattice ``(offset, width, stride, rows)`` — ``rows`` runs of ``width``
+    adjacent bytes, ``stride`` apart, ``width`` a lane size that divides
+    ``stride``; otherwise ``offsets`` itself.  Found from the offsets alone:
+    whatever the dtypes, a sample of whole significance levels is a lattice.
+    """
+    n = offsets.size
+    if n == size:
+        return None
+    breaks = np.flatnonzero(np.diff(offsets) != 1)
+    width = int(breaks[0]) + 1 if breaks.size else 1
+    if n == 0 or width not in _LANES or n % width:
+        return offsets
+    rows = n // width
+    grid = offsets.reshape(rows, width)
+    first = int(grid[0, 0])
+    stride = int(grid[1, 0]) - first if rows > 1 else width
+    if stride % width or not np.array_equal(
+        grid, np.arange(first, first + rows * stride, stride)[:, None] + np.arange(width)
+    ):
+        return offsets
+    return first, width, stride, rows
+
+
 class ShuffleRecord:
     """The stored shuffle for one ``(task type, total input bytes)`` pair.
 
     Only the prefix of the (deterministic) full permutation addressed by the
     largest sampling fraction seen so far is stored, using the narrowest
-    index dtype that fits.  Per input layout the record derives one gather
-    vector per input — the local offsets of the slots that input owns, in
-    shuffle order — and per sample size the *cut* of each vector (a handful
-    of ints for each step of the ``p`` ladder); the vectors are accounted in
+    index dtype that fits.  Per input layout and sample size the record
+    derives one *reader* per input (:func:`_reader_for`) for the bytes that
+    input owns among the sampled slots.  Whole-input and lattice readers
+    store nothing; the sorted offset vectors of the others are accounted in
     :attr:`nbytes`.
     """
 
-    __slots__ = ("task_type_name", "total_bytes", "indices", "uid", "_layouts", "_lock")
+    __slots__ = ("indices", "uid", "_readers", "_vector_bytes", "_lock")
 
-    def __init__(self, task_type_name: str, total_bytes: int, indices: np.ndarray) -> None:
-        self.task_type_name = task_type_name
-        self.total_bytes = total_bytes
+    def __init__(self, indices: np.ndarray) -> None:
         self.indices = indices
         self.uid = next(_record_uids)
-        # Guards the derived vectors below; the generator's own lock protects
+        # Guards the derived readers below; the generator's own lock protects
         # the record *store*, not per-record state.
         self._lock = threading.Lock()
-        # input-sizes tuple -> (gather vector per input, {count: cut per input})
-        self._layouts: dict[tuple[int, ...], tuple[list[np.ndarray], dict]] = {}
+        # (input sizes, count) -> reader per input.
+        self._readers: dict[tuple[tuple[int, ...], int], list[Reader]] = {}
+        self._vector_bytes = 0
 
     @property
     def stored(self) -> int:
@@ -136,45 +176,25 @@ class ShuffleRecord:
     @property
     def nbytes(self) -> int:
         """Runtime-system memory consumed by the stored index vectors."""
-        total = int(self.indices.nbytes)
-        with self._lock:
-            for vectors, _ in self._layouts.values():
-                total += sum(int(vector.nbytes) for vector in vectors)
-        return total
+        return int(self.indices.nbytes) + self._vector_bytes
 
-    def replace_indices(self, indices: np.ndarray) -> None:
-        """Swap in a longer prefix of the same permutation (regrowth)."""
+    def readers_for(self, sizes: tuple[int, ...], count: int) -> list[Reader]:
+        """Per input, the reader of the bytes it owns among the first
+        ``count`` slots (local offsets, in range by construction)."""
         with self._lock:
-            self.indices = indices
-            # The vectors cover the old prefix only; rebuild lazily.
-            self._layouts.clear()
-
-    def _owners(self, sizes: tuple[int, ...], count: int) -> np.ndarray:
-        """Ordinal of the input that owns each of the first ``count`` slots."""
-        return np.searchsorted(np.cumsum(sizes), self.indices[:count], side="right")
-
-    def gather_for(self, sizes: tuple[int, ...], count: int) -> list[np.ndarray]:
-        """Per input, the local offsets of the bytes it owns among the first
-        ``count`` slots, in shuffle order: ``intp``, in range by construction.
-        """
-        with self._lock:
-            layout = self._layouts.get(sizes)
-            if layout is None:
-                owners = self._owners(sizes, self.stored)
-                local = self.indices.astype(np.intp)
-                start = 0
-                vectors = []
-                for ordinal, size in enumerate(sizes):
-                    vectors.append(local[owners == ordinal] - start)
-                    start += size
-                layout = self._layouts[sizes] = (vectors, {})
-            vectors, cuts = layout
-            cut = cuts.get(count)
-            if cut is None:
-                cut = cuts[count] = np.bincount(
-                    self._owners(sizes, count), minlength=len(sizes)
-                ).tolist()
-        return [vector[:n] for vector, n in zip(vectors, cut)]
+            readers = self._readers.get((sizes, count))
+            if readers is None:
+                sampled = np.sort(self.indices[:count]).astype(np.intp)
+                starts = np.cumsum((0,) + sizes)
+                cuts = np.searchsorted(sampled, starts)
+                readers = self._readers[sizes, count] = [
+                    _reader_for(sampled[lo:hi] - start, size)
+                    for lo, hi, start, size in zip(cuts, cuts[1:], starts, sizes)
+                ]
+                self._vector_bytes += sum(
+                    int(reader.nbytes) for reader in readers if isinstance(reader, np.ndarray)
+                )
+        return readers
 
 
 class HashKeyGenerator:
@@ -238,11 +258,12 @@ class HashKeyGenerator:
             if record is not None and record.stored >= count:
                 return record
             if record is not None:
-                # Grow in place: same permutation, longer prefix.
-                record.replace_indices(indices)
+                # Grow in place: same permutation, longer prefix (a sample is
+                # a prefix, so the record's readers stay valid).
+                record.indices = indices
                 self.counters["shuffle_regrowths"] += 1
             else:
-                record = ShuffleRecord(task.task_type.name, total_bytes, indices)
+                record = ShuffleRecord(indices)
                 self._shuffles[key] = record
                 self._shuffles.move_to_end(key)
             while len(self._shuffles) > self.config.shuffle_cache_entries:
@@ -368,27 +389,32 @@ class HashKeyGenerator:
             # Full sampling: every byte is read in place, in input order; no
             # shuffle is stored or needed.
             scope = None
-            vectors = [None] * len(regions)
+            readers = [None] * len(regions)
         else:
             record = self._shuffle_for(task, total_bytes, count)
             scope = (record.uid, sizes, count)
-            vectors = record.gather_for(sizes, count)
+            readers = record.readers_for(sizes, count)
         if len(regions) == 1:
-            return self._digest(regions[0], vectors[0])
+            return self._digest(regions[0], readers[0])
         digests = []
         for ordinal, region in enumerate(regions):
             digest_key = (scope, ordinal, region.cache_key)
             digest = self._digest_cache_get(digest_key, versions[ordinal])
             if digest is None:
-                digest = self._digest(region, vectors[ordinal])
+                digest = self._digest(region, readers[ordinal])
                 self._cache_put(digest_key, versions[ordinal], digest, _DIGEST_ENTRY_BYTES)
             digests.append(digest)
         return combine_digests(digests, count, self.config.hash_seed)
 
-    def _digest(self, region: DataRegion, vector: Optional[np.ndarray]) -> int:
-        """Hash of the bytes of ``region`` that ``vector`` samples, in its
-        order (``None``: all of them, in place)."""
+    def _digest(self, region: DataRegion, reader: Reader) -> int:
+        """Hash of the bytes of ``region`` that ``reader`` samples, in address
+        order (see :func:`_reader_for`)."""
         view = region.to_bytes_view()
-        if vector is not None:
-            view = view.take(vector, out=_sample_buffer(vector.size), mode="clip")
+        if isinstance(reader, tuple):
+            offset, width, stride, rows = reader
+            span = view[offset:offset + (rows - 1) * stride + width]
+            view = _sample_buffer(rows * width)
+            np.copyto(view.view(_LANES[width]), span.view(_LANES[width])[::stride // width])
+        elif reader is not None:
+            view = view.take(reader, out=_sample_buffer(reader.size), mode="clip")
         return self._hash_views((view,))

@@ -82,11 +82,13 @@ __all__ = [
 #: the next publish.  Schema 3: a multi-input key is the combination of its
 #: inputs' digests (:mod:`repro.atm.keygen`) — entries are found by key
 #: value, so a schema-2 file would load as entries no lookup can reach.
-STORE_SCHEMA_VERSION = 3
+#: Schema 4: a digest reads its sampled bytes in address order — every
+#: ``p < 1`` key value moved, so a schema-3 file is as unreachable.
+STORE_SCHEMA_VERSION = 4
 
 #: Handshake version of the cache-shard wire vocabulary (2: segmented frames;
-#: 3: the key definition of store schema 3).
-SHARD_PROTOCOL_VERSION = 3
+#: 3 and 4: the key definitions of store schemas 3 and 4).
+SHARD_PROTOCOL_VERSION = 4
 
 #: Append-then-compact bound of the ``file://`` store: a flush that leaves
 #: more than this many frames in the file rewrites it (atomically) as one

@@ -17,6 +17,8 @@ part of that order a sampling fraction needs.
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +40,12 @@ class TypeDescriptor:
     name:
         Canonical NumPy dtype name (``"float32"``, ``"int64"``...).
     itemsize:
-        Bytes per element.
+        Bytes per ranked element: a complex dtype is described by its float
+        component, a raw, record or string dtype as single bytes.
     kind:
-        NumPy kind character: ``'f'`` float, ``'i'`` signed int, ``'u'``
-        unsigned int, ``'b'`` boolean, ``'V'`` raw/void.
+        NumPy kind character: ``'f'`` float (also the two components of a
+        complex element), ``'i'`` signed int, ``'u'`` unsigned int, ``'b'``
+        boolean, ``'V'`` raw/void.
     byteorder:
         ``"little"`` or ``"big"``; raw byte buffers are treated as
         little-endian single-byte elements.
@@ -72,29 +76,20 @@ class TypeDescriptor:
 #: Descriptors depend on the dtype alone, and programs use a handful of
 #: dtypes across millions of regions — memoise them (``dtype.name`` alone
 #: costs microseconds per call, measurable on the task-submission path).
-_DESCRIPTOR_CACHE: dict[np.dtype, TypeDescriptor] = {}
-
-
+@functools.cache
 def describe_dtype(dtype: np.dtype) -> TypeDescriptor:
     """Build (or fetch the cached) :class:`TypeDescriptor` for a dtype."""
-    cached = _DESCRIPTOR_CACHE.get(dtype)
-    if cached is not None:
-        return cached
-    byteorder = dtype.byteorder
-    if byteorder in ("=", "|"):
-        order = "little" if np.little_endian else "big"
-    elif byteorder == "<":
-        order = "little"
-    else:
-        order = "big"
-    descriptor = TypeDescriptor(
-        name=dtype.name,
-        itemsize=int(dtype.itemsize),
-        kind=dtype.kind,
-        byteorder=order,
-    )
-    _DESCRIPTOR_CACHE[dtype] = descriptor
-    return descriptor
+    order = {"<": "little", ">": "big"}.get(dtype.byteorder, sys.byteorder)
+    name, itemsize, kind = dtype.name, int(dtype.itemsize), dtype.kind
+    if kind == "c":
+        # Two floats side by side, each with its own sign/exponent byte:
+        # ranked as one wide integer, every byte of the imaginary part would
+        # come before the real part's most significant one.
+        name, itemsize, kind = f"float{4 * itemsize}", itemsize // 2, "f"
+    elif kind in "VSU":
+        # Raw buffers, records and strings: single-byte elements.
+        itemsize = 1
+    return TypeDescriptor(name=name, itemsize=itemsize, kind=kind, byteorder=order)
 
 
 def describe_array(array: np.ndarray) -> TypeDescriptor:

@@ -23,14 +23,15 @@ This module provides three layers:
     lookup3 (uniform 64-bit keys, order- and content-sensitive) and is the
     only one fast enough for multi-megabyte task inputs.  ``hash_views`` is
     the one entry point of the key generator: it streams a sequence of byte
-    views through fixed 256 KiB blocks, mixing each block with eleven in-place
+    views through fixed 256 KiB blocks, mixing each block with nine in-place
     ufunc passes on two per-thread scratch blocks.  Measured on the 2-vCPU
     reference host (one core, 128 distinct 256 KiB inputs in turn, as
-    ``memo_hot`` hashes them): 2.2 GB/s, against 0.53 GB/s for the
-    whole-buffer expression it replaced, which built ~12 input-sized
+    ``memo_hot`` hashes them): 2.4 GB/s (2.1 with the eleven passes that a
+    per-lane last xorshift cost), against 0.53 GB/s for the whole-buffer
+    expression it replaced, which built ~12 input-sized
     ``uint64`` temporaries per call — each above glibc's mmap threshold, so
     every pass paid mmap/munmap and fresh page faults and ran out of DRAM
-    instead of L2.  That is still a fraction of memory bandwidth: eleven
+    instead of L2.  That is still a fraction of memory bandwidth: nine
     passes over a cache-resident block, not one over the input.  The engine
     can be configured to use the exact lookup3 implementation instead
     (``ATMConfig.hash_function = "lookup3"``).
@@ -268,7 +269,7 @@ def splitmix64(x: np.ndarray | int) -> np.ndarray | int:
 #: Words per mixing block (256 KiB).  Chosen once from a measured sweep on the
 #: reference host (PERFORMANCE.md, "Hash-key generation"): the two scratch
 #: blocks, the salt table and the input block being read (1 MiB together)
-#: stay L2-resident through all eleven passes, while the ~12 us of ufunc-call
+#: stay L2-resident through all nine passes, while the ~12 us of ufunc-call
 #: overhead per block is amortised.  A constant, not a knob.
 _BLOCK_WORDS = 32768
 _BLOCK_BYTES = 8 * _BLOCK_WORDS
@@ -302,7 +303,11 @@ def _scratch_blocks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _mix_block(words: np.ndarray, first: int, mix: np.ndarray, tmp: np.ndarray,
                salt: np.ndarray) -> int:
-    """XOR of the salted splitmix64 lanes of one block of 64-bit ``words``.
+    """XOR of the salted splitmix64 lanes of one block of 64-bit ``words``,
+    short of the finaliser's last xorshift (``z ^ z >> 31``): that step is
+    GF(2)-linear, so it commutes with the XOR reduction and
+    :func:`hash_views` applies it once to the reduced accumulator instead of
+    spending two passes per block on it.
 
     ``first`` is the 0-based stream position of ``words[0]``; every pass
     writes into the scratch blocks (``words`` may be ``tmp`` itself: it is
@@ -323,8 +328,6 @@ def _mix_block(words: np.ndarray, first: int, mix: np.ndarray, tmp: np.ndarray,
     np.right_shift(mix, _SHIFT_27, out=tmp)
     np.bitwise_xor(mix, tmp, out=mix)
     np.multiply(mix, _SPLITMIX_C3, out=mix)
-    np.right_shift(mix, _SHIFT_31, out=tmp)
-    np.bitwise_xor(mix, tmp, out=mix)
     return int(np.bitwise_xor.reduce(mix))
 
 
@@ -382,6 +385,7 @@ def hash_views(views: Iterable[BytesLike], seed: int = 0, function: str = "numpy
         m = (fill + 7) >> 3
         stage[fill:8 * m] = 0
         acc ^= _mix_block(tmp[:m], first, mix, tmp, salt)
+    acc ^= acc >> 31  # the lanes' last xorshift, after their reduction
     acc ^= (n * _C3) & _MASK64
     return _splitmix64_int(acc ^ seed)
 

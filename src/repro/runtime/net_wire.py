@@ -123,7 +123,9 @@ __all__ = [
 #: fails on its first frame with "bad frame magic").
 #: Version 6: a multi-input ATM key is the combination of its inputs' digests
 #: (:mod:`repro.atm.keygen`); replicas exchange THT entries by key value.
-PROTOCOL_VERSION = 6
+#: Version 7: a digest reads its sampled bytes in address order (every
+#: ``p < 1`` key value moved).
+PROTOCOL_VERSION = 7
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count

@@ -92,6 +92,24 @@ class TestSampling:
             make_task([jittered]), 1.0
         ).value
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_parts_each_keep_their_most_significant_byte(self, dtype):
+        """A complex element is two floats: at ``p = 1 / component size`` the
+        key reads the sign/exponent byte of the real *and* the imaginary part."""
+        generator = HashKeyGenerator(ATMConfig(type_aware=True))
+        rng = np.random.default_rng(0)
+        a = (rng.standard_normal(64) + 1j * rng.standard_normal(64)).astype(dtype)
+        scaled, real_only, imag_only = a.copy(), a.copy(), a.copy()
+        scaled.real *= 1e6
+        real_only.real *= -1.0
+        imag_only.imag *= -1.0
+        key = generator.compute(make_task([a]), 1 / 16).value
+        assert generator.compute(make_task([scaled]), 1 / 16).value != key
+        p = 2.0 / a.itemsize
+        key = generator.compute(make_task([a]), p).value
+        assert generator.compute(make_task([real_only]), p).value != key
+        assert generator.compute(make_task([imag_only]), p).value != key
+
     def test_selected_byte_count(self):
         generator = HashKeyGenerator(ATMConfig())
         assert generator.selected_byte_count(1000, 0.1) == 100
@@ -106,11 +124,9 @@ class TestShuffleCaching:
         data = np.arange(64, dtype=np.float32)   # 256 bytes
         generator.compute(make_task([data]), 0.5)
         first = generator.shuffle_memory_bytes()
-        # Truncated prefix (ceil(256 * 0.5) = 128 slots) in uint32 plus the
-        # input's intp gather vector: below the seed's full int64 permutation
-        # (256 * 8 bytes).
-        assert first == 128 * (4 + np.dtype(np.intp).itemsize)
-        assert first < 256 * 8
+        # The truncated prefix (ceil(256 * 0.5) = 128 slots, uint32) and
+        # nothing else: two whole significance levels are read as a lattice.
+        assert first == 128 * 4
         generator.compute(make_task([data]), 0.25)  # smaller p reuses the prefix
         assert generator.shuffle_memory_bytes() == first
         assert generator.shuffle_record_count() == 1

@@ -1,19 +1,21 @@
 """Equivalence proofs: the per-input-digest keygen vs the seed implementation.
 
 The seed (:class:`~tests.reference.keygen_reference.ReferenceKeyGenerator`,
-unedited) hashes one interleaved stream of the sampled bytes of all inputs;
-:class:`~repro.atm.keygen.HashKeyGenerator` hashes each input's sampled bytes
-on their own and combines the digests.  What is proved here:
+unedited) hashes one interleaved stream of the sampled bytes of all inputs,
+in shuffle order; :class:`~repro.atm.keygen.HashKeyGenerator` hashes each
+input's sampled bytes on their own, in address order, and combines the
+digests.  What is proved here:
 
-* a **one-input** key has the seed's *value*, bit for bit;
-* a **multi-input** key induces the seed's *partition*: over a family of
-  twins (differing only in bytes the key does not sample) and near-twins
-  (one sampled byte of one input differs), two tasks share a key iff the
-  seed gives them one (``tests/atm/keygen_families.py``);
+* a **one-input** key at ``p = 1`` has the seed's *value*, bit for bit;
+* every other key induces the seed's *partition*: over a family of twins
+  (differing only in bytes the key does not sample) and near-twins (one
+  sampled byte of one input differs), two tasks share a key iff the seed
+  gives them one (``tests/atm/keygen_families.py``);
 * the caches never decide a value: hot or cold, on or off, at every ``p``;
   a write re-reads the written input and no other; an entry is replaced,
   not stranded, by a write, and is charged what it really holds;
-* the stored shuffle stays under a fifth of the seed's bytes.
+* a sample of whole significance levels stores no vector at all, and the
+  stored shuffle stays under a fifth of the seed's bytes.
 """
 
 from __future__ import annotations
@@ -73,19 +75,23 @@ class TestAgainstTheSeed:
     @pytest.mark.parametrize("type_aware", [True, False])
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("case", ONE_INPUT)
-    def test_one_input_key_is_the_seeds_value(self, case, p, type_aware):
+    def test_one_input_key_has_the_seeds_value_or_partition(self, case, p, type_aware):
+        """The seed's value at ``p = 1``; below, the seed's partition."""
         config = ATMConfig(type_aware=type_aware)
         new = HashKeyGenerator(config)
         ref = ReferenceKeyGenerator(config)
-        task = make_task(array_sets()[case])
+        arrays = array_sets()[case]
+        task = make_task(arrays)
         for _ in range(3):  # repeat: cold caches, then hot caches
             key_new = new.compute(task, p)
             key_ref = ref.compute(task, p)
-            assert key_new.value == key_ref.value
+            if p == 1.0:  # below, the seed hashes the sample in shuffle order
+                assert key_new.value == key_ref.value
             assert key_new.sampled_bytes == key_ref.sampled_bytes
             assert key_new.total_bytes == key_ref.total_bytes
         assert new.cache_info()["digest_cache_misses"] == 0  # nothing to combine
         assert new.cache_info()["cache_entries"] == 1
+        check_family(new, ref, TT, arrays, p)
 
     @pytest.mark.parametrize("type_aware", [True, False])
     @pytest.mark.parametrize("p", P_GRID)
@@ -122,19 +128,48 @@ class TestAgainstTheSeed:
             ), p
 
     def test_sampled_shuffles_store_a_fifth_of_the_seed_bytes(self):
-        """A uint32 prefix plus the intp gather vectors vs the seed's full
-        int64 permutation."""
+        """A uint32 prefix plus one sorted intp vector per input and ladder
+        step (a partial level is no lattice) vs the seed's full int64
+        permutation."""
         rng = np.random.default_rng(8)
         arrays = [rng.standard_normal(1 << 14) for _ in range(4)]
         new = HashKeyGenerator(ATMConfig())
         ref = ReferenceKeyGenerator(ATMConfig())
         task = make_task(arrays)
+        counts = []
         for p in (0.001, 0.01, 0.1):
-            new.compute(task, p)
+            counts.append(new.compute(task, p).sampled_bytes)
             ref.compute(task, p)
-        stored = -(-task.inputs[0].nbytes * 4 // 10)  # ceil(N * 0.1) slots
-        assert new.shuffle_memory_bytes() == stored * (4 + np.dtype(np.intp).itemsize)
+        assert new.shuffle_memory_bytes() == (
+            counts[-1] * 4 + sum(counts) * np.dtype(np.intp).itemsize
+        )
         assert 5 * new.shuffle_memory_bytes() <= ref.shuffle_memory_bytes()
+
+    @pytest.mark.parametrize("p", [1 / 8, 1 / 4, 1 / 2])
+    def test_whole_levels_store_the_prefix_only(self, p):
+        """The top ``8 p`` bytes of every float64, of both inputs: a lattice
+        per input, read as one strided view — no vector is kept for it."""
+        rng = np.random.default_rng(10)
+        task = make_task([rng.standard_normal(512), rng.standard_normal(256)])
+        generator = HashKeyGenerator(ATMConfig())
+        count = generator.compute(task, p).sampled_bytes
+        assert generator.shuffle_memory_bytes() == count * 4
+        # A partial level on top of them is no lattice: one vector per input.
+        more = generator.compute(task, p + 1 / 64).sampled_bytes
+        assert generator.shuffle_memory_bytes() == (
+            more * 4 + more * np.dtype(np.intp).itemsize
+        )
+
+    def test_an_input_the_sample_covers_is_read_in_place(self):
+        """Level 0 of a byte input is the whole input: nothing is stored for
+        it, and nothing for the float lattice beside it."""
+        rng = np.random.default_rng(14)
+        arrays = [rng.integers(0, 255, 1024, dtype=np.uint8), rng.standard_normal(128)]
+        generator = HashKeyGenerator(ATMConfig())
+        key = generator.compute(make_task(arrays), (1024 + 128) / 2048)
+        assert key.sampled_bytes == 1024 + 128
+        assert generator.shuffle_memory_bytes() == key.sampled_bytes * 4
+        check_family(generator, ReferenceKeyGenerator(ATMConfig()), TT, arrays, key.p)
 
 
 class TestCachesNeverDecideAValue:

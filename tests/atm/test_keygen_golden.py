@@ -3,14 +3,18 @@
 The equivalence suites compare the generator against reference *code*; this
 table pins the *numbers*, for the inputs below, which are built with integer
 arithmetic only so that they are the same bytes on every platform.  The
-one-input rows (and the no-input key) were printed by ``HashKeyGenerator`` at
-commit ``cd38fcc`` (the temporaries-based ``_hash_words`` and the
-full-permutation ``significance_order``) and have not moved since: a
-one-input key is still the hash of its sampled bytes.  The multi-input rows
-were printed at PR 22, the child of ``6642a5a``, which redefined a
-multi-input key as the combination of its inputs' digests — and bumped
-``STORE_SCHEMA_VERSION``, ``SHARD_PROTOCOL_VERSION`` and ``PROTOCOL_VERSION``
-for it: a key that changes here invalidates every persisted or exchanged THT.
+``p = 1`` column of the one-input rows (and the no-input key) was printed by
+``HashKeyGenerator`` at commit ``cd38fcc`` (the temporaries-based
+``_hash_words`` and the full-permutation ``significance_order``) and has not
+moved since: a one-input key at ``p = 1`` is still the hash of its bytes.
+The ``p = 1`` column of the multi-input rows was printed at PR 22, the child
+of ``6642a5a``, which redefined a multi-input key as the combination of its
+inputs' digests.  Both ``p < 1`` columns were printed at PR 23, the child of
+``7dcaa3e``, which hashes a sample in address order instead of shuffle order
+(a sample of one byte, or of two that the shuffle drew in ascending order,
+kept its value).  Each of the two redefinitions bumped
+``STORE_SCHEMA_VERSION``, ``SHARD_PROTOCOL_VERSION`` and ``PROTOCOL_VERSION``:
+a key that changes here invalidates every persisted or exchanged THT.
 """
 
 from __future__ import annotations
@@ -53,22 +57,22 @@ def golden_inputs() -> dict[str, list[np.ndarray]]:
 #: Single-byte inputs have one significance level, so ``three_u1`` reads the
 #: same with the type-aware shuffle on and off.
 GOLDEN_KEYS = {
-    ("one_f8", True, "numpy"): (0x53E5B1E6A19319A8, 0x06CECE7FB17C3417, 0xFD2846A23F6FE799),
-    ("one_f8", True, "lookup3"): (0xF637670A67E5A489, 0x174B4979E284B088, 0x6E7923DB890894BF),
-    ("one_f8", False, "numpy"): (0x53E5B1E6A19319A8, 0xF40D730CCA305018, 0x978587BA9F5E15E9),
-    ("one_f8", False, "lookup3"): (0xF637670A67E5A489, 0xA8C1F53D0510F530, 0xF6AFD2E0F8EFB49A),
-    ("two_f4", True, "numpy"): (0xC7D0EEBEF2130E85, 0xD03F5934B018E49E, 0x4B9AE96AE4994431),
-    ("two_f4", True, "lookup3"): (0xCD3AC5B62B5B4F9D, 0x327CCE4B54C18B20, 0x3EE780E73E81ABA0),
-    ("two_f4", False, "numpy"): (0xC7D0EEBEF2130E85, 0xB10A57FF6BAB6293, 0x45109A27C5DA0BE5),
-    ("two_f4", False, "lookup3"): (0xCD3AC5B62B5B4F9D, 0x2CD114036E575939, 0x871CCC0997D436F0),
-    ("three_u1", True, "numpy"): (0x01452A91EE613753, 0x3402930917F1510B, 0x8E7A00E1ADE179DE),
-    ("three_u1", True, "lookup3"): (0x18A0873992237620, 0xB2EFE4A0B74290F3, 0x70F887ECE4CCE23B),
-    ("three_u1", False, "numpy"): (0x01452A91EE613753, 0x3402930917F1510B, 0x8E7A00E1ADE179DE),
-    ("three_u1", False, "lookup3"): (0x18A0873992237620, 0xB2EFE4A0B74290F3, 0x70F887ECE4CCE23B),
-    ("mixed", True, "numpy"): (0x3570B31E5E573A72, 0x2BEFFA0F1710D187, 0xDAC6CB6E56927053),
-    ("mixed", True, "lookup3"): (0x73EF1F1644B26A4D, 0xCB0CEAB75D974298, 0xEF59D8C9724BBD68),
-    ("mixed", False, "numpy"): (0x3570B31E5E573A72, 0x0597DE84797FEC4E, 0x16087429FF696A10),
-    ("mixed", False, "lookup3"): (0x73EF1F1644B26A4D, 0xD59E5A81010F5248, 0x054B29567D3AF3CD),
+    ("one_f8", True, "numpy"): (0x53E5B1E6A19319A8, 0xF3B19A1DD5B1C18B, 0xFD2846A23F6FE799),
+    ("one_f8", True, "lookup3"): (0xF637670A67E5A489, 0xF07F892CE8190BF6, 0x6E7923DB890894BF),
+    ("one_f8", False, "numpy"): (0x53E5B1E6A19319A8, 0x7335ECB38DD734DF, 0x978587BA9F5E15E9),
+    ("one_f8", False, "lookup3"): (0xF637670A67E5A489, 0xF600BAFCDFD43512, 0xF6AFD2E0F8EFB49A),
+    ("two_f4", True, "numpy"): (0xC7D0EEBEF2130E85, 0x65CB2B626D904639, 0x4B9AE96AE4994431),
+    ("two_f4", True, "lookup3"): (0xCD3AC5B62B5B4F9D, 0x01EC301B4327FA54, 0x3EE780E73E81ABA0),
+    ("two_f4", False, "numpy"): (0xC7D0EEBEF2130E85, 0xA58B3046F4A3BADB, 0x45109A27C5DA0BE5),
+    ("two_f4", False, "lookup3"): (0xCD3AC5B62B5B4F9D, 0x42F4C6ABF874EAEB, 0x871CCC0997D436F0),
+    ("three_u1", True, "numpy"): (0x01452A91EE613753, 0xD95D891B83766EE9, 0x126039248861C850),
+    ("three_u1", True, "lookup3"): (0x18A0873992237620, 0x670EBC159F936746, 0xC7D03C4AF58FF1A6),
+    ("three_u1", False, "numpy"): (0x01452A91EE613753, 0xD95D891B83766EE9, 0x126039248861C850),
+    ("three_u1", False, "lookup3"): (0x18A0873992237620, 0x670EBC159F936746, 0xC7D03C4AF58FF1A6),
+    ("mixed", True, "numpy"): (0x3570B31E5E573A72, 0x096FE1A31A145388, 0xDAC6CB6E56927053),
+    ("mixed", True, "lookup3"): (0x73EF1F1644B26A4D, 0xE065D240AE20604E, 0xEF59D8C9724BBD68),
+    ("mixed", False, "numpy"): (0x3570B31E5E573A72, 0x5F3E9EA80AFB284F, 0xD1DAB272F8DD51B9),
+    ("mixed", False, "lookup3"): (0x73EF1F1644B26A4D, 0x4C107AED28F09BB8, 0xE1C28E5358D159BE),
 }
 
 #: Key of a task without inputs: the hash of its type name alone.

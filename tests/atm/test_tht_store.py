@@ -203,14 +203,14 @@ class TestFileStore:
             FileTHTStore(store_path, CFG).load()
 
     def test_previous_schema_is_refused_by_name(self, store_path):
-        """Schema 2 keyed multi-input tasks by another hash: its entries
+        """Schema 3 hashed a ``p < 1`` sample in another order: its entries
         would load and never be found, so the file is not read at all."""
         store_path.parent.mkdir(parents=True)
         store_path.write_bytes(
             bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})))
             + bytes(encode_frame(("tht_delta", fill_table(3).snapshot())))
         )
-        with pytest.raises(THTStoreCorruptError, match="has schema 2; this build reads schema 3"):
+        with pytest.raises(THTStoreCorruptError, match="has schema 3; this build reads schema 4"):
             FileTHTStore(store_path, CFG).load()
 
     def test_header_kind_mismatch_raises_corrupt(self, store_path):
@@ -274,7 +274,7 @@ class TestShardState:
         assert reply[0] == "error"
         reply = state.handle(("hello", {"protocol": SHARD_PROTOCOL_VERSION - 1}))
         assert reply[:2] == ("error", "THTStoreUnavailableError")
-        assert "shard speaks protocol 3, client spoke 2" in reply[2]
+        assert "shard speaks protocol 4, client spoke 3" in reply[2]
 
     def test_publish_then_fetch_round_trips(self):
         state = ShardState(CFG)
@@ -431,7 +431,7 @@ class TestSessionWarmStart:
         assert healed.warm_started
 
     def test_two_input_program_warm_starts_bit_identically(self, store_path):
-        """Multi-input keys are combinations of digests (store schema 3): a
+        """Multi-input keys are combinations of digests (since store schema 3): a
         store written under that definition is found again under it."""
         def run(config):
             with Session(config, executor="serial") as s:
@@ -457,6 +457,36 @@ class TestSessionWarmStart:
         for got in (cold_out, warm_out):
             assert [y.tobytes() for y in got] == [y.tobytes() for y in plain]
 
+    def test_dynamic_two_input_program_warm_starts_bit_identically(self, store_path):
+        """Below ``p = 1`` a digest reads its sample in address order (store
+        schema 4): entries written under sampled keys are found again."""
+        def run(config):
+            with Session(config, executor="serial") as s:
+                @s.task(memoizable=True)
+                def blend(x: In, w: In, y: Out):
+                    y[:] = x * w + 1.0
+
+                weights = np.linspace(0.5, 1.5, 64)
+                rng = np.random.default_rng(0)
+                bases = [rng.standard_normal(64) for _ in range(3)]
+                xs = [bases[i % 3].copy() for i in range(60)]
+                ys = [np.zeros(64) for _ in xs]
+                for x, y in zip(xs, ys):
+                    blend(x, weights, y)
+                s.wait_all()
+                return s, [y.tobytes() for y in ys]
+
+        url = f"file://{store_path}"
+        atm = {"atm": {"mode": "dynamic", "l_training": 5, "tht_store": url}}
+        _, plain = run({"atm": {"mode": "none"}})
+        cold, cold_out = run(atm)
+        assert not cold.warm_started
+        stored = FileTHTStore(store_path, CFG).load()["entries"]
+        assert any(entry.p < 1.0 for entry in stored)
+        warm, warm_out = run(atm)
+        assert warm.warm_started and warm.stats["tht_hits"] > cold.stats["tht_hits"]
+        assert cold_out == warm_out == plain
+
     def test_previous_schema_store_warns_and_cold_starts(self, store_path):
         url = f"file://{store_path}"
         run_saxpy(self.atm(url))
@@ -465,7 +495,7 @@ class TestSessionWarmStart:
             bytes(encode_frame(frame))
             for frame in [("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})] + frames[1:]
         ))
-        with pytest.warns(RuntimeWarning, match="has schema 2"):
+        with pytest.warns(RuntimeWarning, match="has schema 3"):
             session, _ = run_saxpy(self.atm(url))
         assert not session.warm_started and session.stats["tht_hits"] == 0
 

@@ -40,6 +40,19 @@ class TestDescribeArray:
         desc = describe_array(np.zeros(2, dtype=np.float32))
         assert desc.byteorder in ("little", "big")
 
+    @pytest.mark.parametrize("dtype,component", [
+        ("<c8", "<f4"), ("<c16", "<f8"), (">c8", ">f4"), (">c16", ">f8"),
+    ])
+    def test_complex_is_described_by_its_float_component(self, dtype, component):
+        """Two floats side by side: the real part's sign/exponent byte is on
+        level 0 beside the imaginary part's, not on level ``itemsize / 2``."""
+        assert describe_dtype(np.dtype(dtype)) == describe_dtype(np.dtype(component))
+
+    @pytest.mark.parametrize("dtype", ["V48", "S40", "U3", [("a", "<f8"), ("b", "<i2")]])
+    def test_raw_record_and_string_dtypes_are_single_byte_elements(self, dtype):
+        desc = describe_dtype(np.dtype(dtype))
+        assert desc.itemsize == 1 and desc.msb_first_byte_offsets() == [0]
+
 
 class TestMSBOffsets:
     def test_little_endian_float32(self):

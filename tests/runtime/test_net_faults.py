@@ -485,7 +485,7 @@ def _hello(**fields):
         ((), ("chunk", 42), "chunk before hello"),
         ((), ("hello", 5), "unreadable 'hello' message"),
         ((), _hello(engine="x"), "unreadable 'hello' message"),
-        # The protocol before this one keyed multi-input tasks differently.
+        # The protocol before this one hashed a p < 1 sample in another order.
         ((), ("hello", {"protocol": PROTOCOL_VERSION - 1}),
          f"protocol version mismatch: client speaks {PROTOCOL_VERSION - 1}"),
         ((_hello(residency=True),), ("invalidate",), "unreadable 'invalidate' message"),
