@@ -99,7 +99,9 @@ tht-store:
 # (the content tag is read on worker threads while siblings commit) and the
 # keygen equivalence and property suites (digests are read and replaced on
 # worker threads; the lattice-reader property of test_keygen_property.py copies
-# through per-thread scratch) ten times
+# through per-thread scratch), the dependence tracker's property suite and the
+# two-graph test of the region cache (two threads overwrite the one
+# `DataRegion._dep_state` slot of shared regions) ten times
 # over with a 10 us switch interval, so thread interleavings a normal run
 # never produces get their turn.  Zero failures required.
 soak-threaded:
@@ -111,6 +113,8 @@ soak-threaded:
 			tests/atm/test_copy_elision.py \
 			tests/atm/test_keygen_equivalence.py \
 			tests/atm/test_keygen_property.py \
+			tests/runtime/test_dependences_property.py \
+			tests/runtime/test_region_cache.py::test_two_graphs_on_two_threads_share_region_objects \
 			tests/runtime/test_net_server.py tests/serving \
 			-m "not net_soak and not fault" \
 			--switch-interval 1e-5 -p no:cacheprovider -x -q || exit 1; \

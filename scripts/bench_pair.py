@@ -12,10 +12,13 @@ of the host does not always land on the same side); ``--seed`` is forwarded
 to both sides, for the second input seed a claimed gain must also hold on.
 Every pair is printed as it completes; the summary gives, per end-to-end metric of
 ``BENCHMARK.json``, both medians, the reference's interquartile distance,
-the median of the per-pair ratios and how many pairs the working tree won.
-With ``--layers`` a few more alternating pairs run afterwards with
-``--trace 1`` and the named per-layer metrics of both sides are printed run
-by run: the ledger that has to explain an end-to-end gain.
+the median of the per-pair ratios, how many pairs the working tree won and
+the verdict of ``python -m bench compare`` on the two sides' medians and
+spreads (``same``, ``better``, ``worse`` or ``unresolved``); the exit status
+is 1 when any metric reads ``worse``.  With ``--layers`` a few more
+alternating pairs run afterwards with ``--trace 1`` and the named per-layer
+metrics of both sides are printed run by run: the ledger that has to explain
+an end-to-end gain.
 
 A gain may be claimed when the working tree wins at least nine tenths of the
 pairs and the medians differ by more than the reference's interquartile
@@ -34,6 +37,11 @@ import sys
 from pathlib import Path
 
 from ref_worktree import REPO_ROOT, ref_worktree
+
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))  # the verdict rule lives in bench/
+
+from bench import compare, metrics as bench_metrics  # noqa: E402
 
 
 def run_bench(tree: Path, workload: str, out: Path, trace: bool = False,
@@ -63,10 +71,14 @@ def quartile_distance(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarise(workload: str, metrics: list[dict], ref_runs: list[dict], new_runs: list[dict]) -> None:
+def summarise(workload: str, metrics: list[dict], ref_runs: list[dict],
+              new_runs: list[dict]) -> int:
+    """Print the summary table; the number of metrics whose verdict is ``worse``."""
+    rules = {rule.name: rule for rule in bench_metrics.END_TO_END}
     print(f"\n{workload}: {len(ref_runs)} pairs, reference -> working tree")
     print(f"  {'metric':<14}{'ref median':>12}{'ref IQD':>10}{'new median':>12}"
-          f"{'median ratio':>14}{'new wins':>10}")
+          f"{'median ratio':>14}{'new wins':>10}  verdict")
+    worse = 0
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         ref = [run[name] for run in ref_runs]
@@ -74,8 +86,15 @@ def summarise(workload: str, metrics: list[dict], ref_runs: list[dict], new_runs
         ratios = [n / r for r, n in zip(ref, new) if r]
         wins = sum((n < r) if lower else (n > r) for r, n in zip(ref, new))
         ratio = f"{statistics.median(ratios):.3f}" if ratios else "n/a"
+        verdict, _ = compare.verdict(
+            rules[name],
+            {"median": statistics.median(ref), "spread": bench_metrics.spread(ref)},
+            {"median": statistics.median(new), "spread": bench_metrics.spread(new)},
+        )
+        worse += verdict == "worse"
         print(f"  {name:<14}{statistics.median(ref):>12.4g}{quartile_distance(ref):>10.3g}"
-              f"{statistics.median(new):>12.4g}{ratio:>14}{wins:>7}/{len(ref)}")
+              f"{statistics.median(new):>12.4g}{ratio:>14}{wins:>7}/{len(ref)}  {verdict}")
+    return worse
 
 
 def paired_runs(trees: dict[str, Path], workload: str, scratch: Path, pairs: int,
@@ -122,12 +141,13 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"--layers names no per-layer metric of BENCHMARK.json: {sorted(unknown)}")
 
+    worse = 0
     with ref_worktree(args.ref, "bench_pair_") as scratch:
         trees = {"ref": scratch / "ref", "new": REPO_ROOT}
         for workload in args.workload:
             runs = paired_runs(trees, workload, scratch, args.pairs,
                                [metric["name"] for metric in metrics], seed=args.seed)
-            summarise(workload, metrics, runs["ref"], runs["new"])
+            worse += summarise(workload, metrics, runs["ref"], runs["new"])
             if layers:
                 traced = paired_runs(trees, workload, scratch, args.trace_pairs, layers,
                                      trace=True, seed=args.seed)
@@ -136,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
                     ref, new = (statistics.median(run[name] for run in traced[side])
                                 for side in ("ref", "new"))
                     print(f"  {name:<28}{ref:>12.4g}{new:>12.4g}")
-    return 0
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

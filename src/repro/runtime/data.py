@@ -203,7 +203,7 @@ class DataRegion:
 
     __slots__ = (
         "array", "_name", "_descriptor", "_base", "_base_id",
-        "_nbytes", "byte_interval", "region_key", "cache_key",
+        "_nbytes", "byte_interval", "region_key", "cache_key", "_dep_state",
     )
 
     def __init__(self, array: np.ndarray, name: Optional[str] = None) -> None:
@@ -258,6 +258,18 @@ class DataRegion:
         #: that are not C-contiguous can cover one span and read different
         #: bytes of it, so theirs carries the layout as well.
         self.cache_key = key if array.flags.c_contiguous else key + self._layout()
+        #: Weak reference to the dependence tracker's state for this exact
+        #: interval (``repro.runtime.dependences``); the tracker checks it is
+        #: its own before use.  ``False`` after the region's first access:
+        #: the reference is made on its second.
+        self._dep_state: "weakref.ref | bool | None" = None
+
+    def __getstate__(self):
+        # The dependence-state cache belongs to a tracker of this process: a
+        # pickled or copied region starts without one.
+        _, slots = super().__getstate__()
+        slots["_dep_state"] = None
+        return None, slots
 
     # -- identity & overlap -------------------------------------------------
     @property

@@ -27,6 +27,21 @@ structures carry the fast path:
   two bisects when the buffer's stored intervals are pairwise disjoint, and
   fall back to the seed's linear scan only for buffers that actually hold
   nested/overlapping intervals;
+* **region-resident state**: the tracker leaves on each ``DataRegion`` one
+  weak reference (``DataRegion._dep_state``) to the :class:`RegionState` of
+  the region's exact interval, and the state points back at its index.  A
+  program that keeps its ``DataRegion`` handles then resolves an access with
+  one attribute read and an identity check (``state.index.owner is self``)
+  instead of two tuples and a dict probe.  The reference is made on a
+  region's second access (the first leaves ``False``): ``In``/``Out`` over a
+  bare array build a region per access, which is only ever marked and takes
+  the indexed lookup, at no allocation.  The index names its owner only
+  while its intervals are pairwise disjoint (an exact match then answers the
+  overlap query alone), so a non-disjoint buffer, a region last seen by
+  another tracker and a zero-length region (never cached: an empty interval
+  overlaps nothing, not even its own state) take the indexed lookup.  The
+  reference is weak so a region the application keeps never pins a closed
+  graph's tasks through ``last_writer`` / ``readers_since_write``;
 * **monotonic epoch stamps** on tasks: instead of accumulating predecessors
   in a per-task Python set (hashing every candidate) and scanning
   ``readers_since_write`` for membership, every ``dependences_for`` call
@@ -39,6 +54,7 @@ structures carry the fast path:
 from __future__ import annotations
 
 import itertools
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import Iterable
 
@@ -56,11 +72,12 @@ _EPOCHS = itertools.count(1)
 class RegionState:
     """Last writer and subsequent readers of one byte interval."""
 
-    __slots__ = ("start", "end", "last_writer", "readers_since_write")
+    __slots__ = ("start", "end", "index", "last_writer", "readers_since_write", "__weakref__")
 
-    def __init__(self, start: int, end: int) -> None:
+    def __init__(self, start: int, end: int, index: "_BufferIndex") -> None:
         self.start = start
         self.end = end
+        self.index = index
         self.last_writer: Task | None = None
         self.readers_since_write: list[Task] = []
 
@@ -79,20 +96,25 @@ class _BufferIndex:
     non-decreasing too, so an overlap query is a contiguous slice found with
     two bisects.  The first nested/overlapping insert clears the flag and
     overlap queries fall back to a linear scan (the seed semantics).
+
+    ``owner`` is the tracker whose region caches may resolve to this index's
+    states: set while the index is disjoint, cleared with the flag and by the
+    tracker's ``reset``.
     """
 
-    __slots__ = ("exact", "keys", "states", "ends", "disjoint")
+    __slots__ = ("exact", "keys", "states", "ends", "disjoint", "owner")
 
-    def __init__(self) -> None:
+    def __init__(self, owner: "DependenceTracker") -> None:
         self.exact: dict[tuple[int, int], RegionState] = {}
         self.keys: list[tuple[int, int]] = []
         self.states: list[RegionState] = []
         self.ends: list[int] = []
         self.disjoint = True
+        self.owner: DependenceTracker | None = owner
 
     def insert(self, start: int, end: int) -> RegionState:
         """Create, register and return the state for a new exact interval."""
-        state = RegionState(start, end)
+        state = RegionState(start, end, self)
         key = (start, end)
         self.exact[key] = state
         position = bisect_left(self.keys, key)
@@ -103,13 +125,12 @@ class _BufferIndex:
             # Overlap against either neighbour breaks the sorted-disjoint
             # invariant that makes range queries two bisects (pairwise
             # disjoint + sorted means any overlap shows up at a neighbour).
-            if position > 0 and self.keys[position - 1][1] > start:
-                self.disjoint = False
-            elif (
+            if (position > 0 and self.keys[position - 1][1] > start) or (
                 position + 1 < len(self.keys)
                 and self.keys[position + 1][0] < end
             ):
                 self.disjoint = False
+                self.owner = None
         return state
 
     def overlapping(self, start: int, end: int) -> list[RegionState]:
@@ -172,47 +193,67 @@ class DependenceTracker:
         # task reading and writing the same bytes sees only earlier tasks.
         for access in accesses:
             region = access.region
-            index = buffers_get(region._base_id)
-            if index is None:
+            cached = region._dep_state
+            state = cached() if cached else None
+            if state is None or state.index.owner is not self:
+                index = buffers_get(region._base_id)
+                if index is None:
+                    continue
+                start, end = region.byte_interval
+                for state in index.overlapping(start, end):
+                    writer = state.last_writer
+                    if writer is not None and writer._dep_mark != epoch:
+                        writer._dep_mark = epoch
+                        append(writer)
+                    if access.writes:
+                        for reader in state.readers_since_write:
+                            if reader._dep_mark != epoch:
+                                reader._dep_mark = epoch
+                                append(reader)
                 continue
-            start, end = region.byte_interval
+            # The cached exact state answers the overlap query alone; taken
+            # inline, the common case allocates nothing here.
+            writer = state.last_writer
+            if writer is not None and writer._dep_mark != epoch:
+                writer._dep_mark = epoch
+                append(writer)
             if access.writes:
-                for state in index.overlapping(start, end):
-                    writer = state.last_writer
-                    if writer is not None and writer._dep_mark != epoch:
-                        writer._dep_mark = epoch
-                        append(writer)
-                    for reader in state.readers_since_write:
-                        if reader._dep_mark != epoch:
-                            reader._dep_mark = epoch
-                            append(reader)
-            else:
-                for state in index.overlapping(start, end):
-                    writer = state.last_writer
-                    if writer is not None and writer._dep_mark != epoch:
-                        writer._dep_mark = epoch
-                        append(writer)
+                for reader in state.readers_since_write:
+                    if reader._dep_mark != epoch:
+                        reader._dep_mark = epoch
+                        append(reader)
         # Second pass: update state *after* computing all dependences.
         buffers = self._buffers
         for access in accesses:
             region = access.region
-            base_id = region._base_id
-            index = buffers_get(base_id)
-            if index is None:
-                index = buffers[base_id] = _BufferIndex()
-            start, end = region.byte_interval
-            match = index.exact.get((start, end))
-            if match is None:
-                match = index.insert(start, end)
+            cached = region._dep_state
+            match = cached() if cached else None
+            if match is None or match.index.owner is not self:
+                base_id = region._base_id
+                index = buffers_get(base_id)
+                if index is None:
+                    index = buffers[base_id] = _BufferIndex(self)
+                start, end = region.byte_interval
+                match = index.exact.get((start, end))
+                if match is None:
+                    match = index.insert(start, end)
+                if start < end:
+                    # A first access leaves only a mark: the reference is
+                    # made on a region's second, so the fresh region per
+                    # access that ``In``/``Out`` build from an array costs
+                    # no allocation.
+                    region._dep_state = weakref.ref(match) if cached is not None else False
             if access.writes:
                 match.last_writer = task
                 match.readers_since_write = []
+                index = match.index
                 if not index.disjoint:
                     # A write also orders against overlapping (but
                     # non-identical) intervals: record the writer there too
                     # so later accesses of those intervals see it.  While the
                     # buffer's intervals stay pairwise disjoint nothing else
                     # can overlap the exact match — skip the query entirely.
+                    start, end = region.byte_interval
                     for state in index.overlapping(start, end):
                         if state is match:
                             continue
@@ -239,5 +280,7 @@ class DependenceTracker:
 
     def reset(self) -> None:
         """Forget all state (used between independent program runs)."""
+        for index in self._buffers.values():
+            index.owner = None  # regions still caching its states look up afresh
         self._buffers.clear()
         self._edges_added = 0

@@ -151,24 +151,26 @@ class BaseExecutor:
     # -- runtime hooks ---------------------------------------------------------
     def notify_ready(self, task: Task) -> None:
         """Called by the graph when a task's dependences become satisfied."""
-        self.scheduler.task_ready(task, worker_hint=task.creation_index)
+        self.scheduler.task_ready(task)
 
     def notify_ready_batch(self, tasks: Sequence[Task]) -> None:
         """Batched ready notification (graph ``on_ready_batch`` hook).
 
         One scheduler call — and therefore one ready-queue lock acquisition —
-        per release set, preserving per-task worker hints.  Executors that
-        gate readiness per task (the simulator) override this with a loop
-        over their own :meth:`notify_ready`; custom schedulers registered
-        through the public seam that predate ``tasks_ready`` degrade to the
-        per-task path instead of breaking.
+        per release set, with no hint list: a queue that places tasks (work
+        stealing) reads each task's ``creation_index`` itself, as it does for
+        :meth:`notify_ready`.  Executors that gate readiness per task
+        (the simulator) override this with a loop over their own
+        :meth:`notify_ready`; custom schedulers registered through the public
+        seam that predate ``tasks_ready`` degrade to the per-task path
+        instead of breaking.
         """
         tasks_ready = self._tasks_ready
         if tasks_ready is None:
             for task in tasks:
                 self.notify_ready(task)
             return
-        tasks_ready(tasks, worker_hints=[task.creation_index for task in tasks])
+        tasks_ready(tasks)
 
     def notify_born_cancelled(self, task: Task, predecessor: Task) -> None:
         """Graph ``on_born_cancelled`` hook: ``task`` was submitted after its
@@ -348,7 +350,10 @@ class BaseExecutor:
             self.trace.record(
                 worker_id, CoreState.ATM_MEMOIZATION, t_after_run, now(), task.label
             )
-        with graph._lock:  # account + complete under one lock for consistent counts
+        # The graph lock serialises the run-result counters across workers.
+        # complete_task takes it again on its own: between the two a task is
+        # counted but not yet terminal.
+        with graph._lock:
             self._account(decision)
         if decision.action != ATMAction.DEFER:
             final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED

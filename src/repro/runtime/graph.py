@@ -11,9 +11,10 @@ threads while the master may still be adding tasks.
 Submission fast path (see PERFORMANCE.md "Submission fast path"): per-task
 bookkeeping lives in dense arrays keyed by task id — predecessor counts in a
 flat ``list[int]``, successor slabs in a ``list[list[Task] | None]`` — so
-the hot path performs list indexing instead of dict hashing, and edges are
-kept for the lifetime of the graph (completion no longer erases them, which
-also makes :meth:`critical_path_length` timing-independent).
+the hot path performs list indexing instead of dict hashing.  The successor
+slabs are the one adjacency: edges are kept for the lifetime of the graph
+(completion does not erase them), and :meth:`critical_path_length` walks
+them forward, so its answer is timing-independent.
 :meth:`add_tasks` submits a whole batch under one lock acquisition and hands
 every immediately-ready task to the executor in a single batched
 notification (``on_ready_batch``), which is how ``Session.submit_batch``
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.common.exceptions import RuntimeStateError
 from repro.runtime.dependences import DependenceTracker
-from repro.runtime.task import Task, TaskState
+from repro.runtime.task import TERMINAL_STATES, Task, TaskState
 
 __all__ = ["TaskDependenceGraph"]
 
@@ -70,7 +71,6 @@ class TaskDependenceGraph:
         # Dense, task-id-indexed bookkeeping (grown on demand):
         self._successors: list[Optional[list[Task]]] = []
         self._predecessor_count: list[int] = []
-        self._predecessor_ids: list[Optional[list[int]]] = []
         self._tasks: dict[int, Task] = {}
         self._edge_count = 0
         self._finished_count = 0
@@ -98,7 +98,6 @@ class TaskDependenceGraph:
             needed = max(needed, len(self._predecessor_count) // 2 + 8)
             self._predecessor_count.extend([0] * needed)
             self._successors.extend([None] * needed)
-            self._predecessor_ids.extend([None] * needed)
 
     def _add_locked(self, task: Task) -> bool:
         """Register one task under the lock; True if immediately ready."""
@@ -123,7 +122,6 @@ class TaskDependenceGraph:
         pending = 0
         doomed: Optional[Task] = None
         if predecessors:
-            pred_ids: Optional[list[int]] = None
             successors = self._successors
             finished, memoized = TaskState.FINISHED, TaskState.MEMOIZED
             failed, cancelled = TaskState.FAILED, TaskState.CANCELLED
@@ -138,9 +136,6 @@ class TaskDependenceGraph:
                     if slab is None:
                         slab = successors[pred.task_id] = []
                     slab.append(task)
-                    if pred_ids is None:
-                        pred_ids = self._predecessor_ids[task_id] = []
-                    pred_ids.append(pred.task_id)
                     pending += 1
             self._edge_count += pending
             self._predecessor_count[task_id] = pending
@@ -227,7 +222,7 @@ class TaskDependenceGraph:
         with self._lock:
             if task.task_id not in self._tasks:
                 raise RuntimeStateError(f"unknown task {task.label}")
-            if task.state.is_terminal:
+            if task.state in TERMINAL_STATES:
                 raise RuntimeStateError(f"task {task.label} completed twice")
             # Commit the write accesses: bump every output region's version
             # *before* releasing successors, so any consumer key computed
@@ -258,7 +253,7 @@ class TaskDependenceGraph:
                     # A successor already terminal was CANCELLED by a failed
                     # sibling predecessor (fail_task): keep its count honest
                     # but never hand it to the scheduler.
-                    if counts[succ.task_id] == 0 and not succ.state.is_terminal:
+                    if counts[succ.task_id] == 0 and succ.state not in TERMINAL_STATES:
                         released.append(succ)
                 if released:
                     self._mark_ready_batch(released)
@@ -287,7 +282,7 @@ class TaskDependenceGraph:
         with self._lock:
             if task.task_id not in self._tasks:
                 raise RuntimeStateError(f"unknown task {task.label}")
-            if task.state.is_terminal:
+            if task.state in TERMINAL_STATES:
                 raise RuntimeStateError(f"task {task.label} completed twice")
             for access in task.outputs:
                 access.region.bump_version()
@@ -300,7 +295,7 @@ class TaskDependenceGraph:
                 if not successors:
                     continue
                 for succ in successors:
-                    if succ.state.is_terminal:
+                    if succ.state in TERMINAL_STATES:
                         continue
                     succ.state = TaskState.CANCELLED
                     self._finished_count += 1
@@ -343,7 +338,7 @@ class TaskDependenceGraph:
     def pending_tasks(self) -> list[Task]:
         """Tasks not yet terminal."""
         with self._lock:
-            return [t for t in self._tasks.values() if not t.state.is_terminal]
+            return [t for t in self._tasks.values() if t.state not in TERMINAL_STATES]
 
     def wait_all_finished(self, timeout: Optional[float] = None) -> bool:
         """Block until every registered task is terminal."""
@@ -355,26 +350,22 @@ class TaskDependenceGraph:
         """Length of the longest path through the DAG.
 
         ``cost`` maps each task to its weight (default: the simulated cost
-        model).  Predecessor adjacency is maintained incrementally at
-        submission time (``_predecessor_ids``), so this no longer rebuilds
-        an incoming-adjacency map from the successor lists on every call —
-        and because edges are never erased on completion, the answer is the
-        same before, during and after a drain.
+        model).  Every edge runs from an earlier-created task to a later one,
+        so task-id order is a topological order: one forward walk over the
+        successor slabs propagates each task's longest path to its
+        successors.  Edges are never erased on completion, so the answer is
+        the same before, during and after a drain.
         """
         cost = cost or (lambda t: t.simulated_cost())
         with self._lock:
-            longest: dict[int, float] = {}
-            pred_ids = self._predecessor_ids
+            start: dict[int, float] = {}  # longest path ending just before a task
             best = 0.0
             for task_id in sorted(self._tasks):
-                task = self._tasks[task_id]
-                preds = pred_ids[task_id] if task_id < len(pred_ids) else None
-                base = 0.0
-                if preds:
-                    base = max(longest.get(p, 0.0) for p in preds)
-                longest[task_id] = length = base + cost(task)
-                if length > best:
-                    best = length
+                length = start.get(task_id, 0.0) + cost(self._tasks[task_id])
+                best = max(best, length)
+                for succ in self._successors[task_id] or ():
+                    if length > start.get(succ.task_id, 0.0):
+                        start[succ.task_id] = length
             return best
 
     def to_networkx(self):  # pragma: no cover - optional dependency

@@ -107,7 +107,9 @@ class WorkStealingDeques:
     """Per-worker deques with random-victim stealing.
 
     A worker pushes and pops from the tail of its own deque and steals from
-    the head of a random victim when its own deque is empty.
+    the head of a random victim when its own deque is empty.  A task pushed
+    without a hint goes to the deque of its ``creation_index`` (its task id
+    once a graph holds it), so a release set spreads round-robin.
     """
 
     def __init__(self, num_workers: int, seed: int = 0) -> None:
@@ -147,7 +149,7 @@ class WorkStealingDeques:
             self._depth_maxes[target] = depth
 
     def push(self, task: Task, worker_hint: Optional[int] = None) -> None:
-        target = worker_hint if worker_hint is not None else 0
+        target = worker_hint if worker_hint is not None else task.creation_index
         target %= self._num_workers
         with self._locks[target]:
             self._deques[target].append(task)
@@ -165,7 +167,7 @@ class WorkStealingDeques:
         num_workers = self._num_workers
         grouped: dict[int, list[Task]] = {}
         for index, task in enumerate(tasks):
-            hint = worker_hints[index] if worker_hints is not None else 0
+            hint = worker_hints[index] if worker_hints is not None else task.creation_index
             grouped.setdefault(hint % num_workers, []).append(task)
         for target, group in grouped.items():
             with self._locks[target]:

@@ -1,9 +1,9 @@
 """Schedulers: the policy layer between the TDG and the workers.
 
 A scheduler owns a ready queue and decides which ready task an idle worker
-receives.  The paper uses the Nanos++ default (a central FIFO ready queue);
-LIFO and work-stealing policies are provided for the scheduling ablation
-bench.
+receives.  The paper uses the Nanos++ default (a central FIFO ready queue,
+``runtime.scheduler = "fifo"``); LIFO and work-stealing queues are the other
+two builtins of the ``SCHEDULERS`` registry, selectable by the same field.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ class Scheduler:
 
     def __init__(self, queue) -> None:
         self._queue = queue
+        # Resolved once: custom queues registered through the scheduler seam
+        # that predate ``push_many`` degrade to per-task pushes.
+        self._push_many = getattr(queue, "push_many", None) or self._push_each
 
     def task_ready(self, task: Task, worker_hint: Optional[int] = None) -> None:
         """Called by the runtime when a task's dependences are satisfied."""
@@ -41,14 +44,14 @@ class Scheduler:
         """Batched :meth:`task_ready`: one queue-lock acquisition per batch.
 
         Service order and (for work stealing) deque placement are identical
-        to calling :meth:`task_ready` per task with the same hints.  Custom
-        queues registered through the scheduler seam that predate
-        ``push_many`` degrade to per-task pushes instead of breaking.
+        to calling :meth:`task_ready` per task with the same hints; without
+        hints a task's home is its ``creation_index``.
         """
-        push_many = getattr(self._queue, "push_many", None)
-        if push_many is not None:
-            push_many(tasks, worker_hints)
-            return
+        self._push_many(tasks, worker_hints)
+
+    def _push_each(
+        self, tasks: Sequence[Task], worker_hints: Optional[Sequence[int]] = None
+    ) -> None:
         push = self._queue.push
         for index, task in enumerate(tasks):
             push(task, worker_hints[index] if worker_hints is not None else None)

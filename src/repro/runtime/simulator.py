@@ -102,7 +102,7 @@ class SimulatedExecutor(BaseExecutor):
     def notify_ready(self, task: Task) -> None:
         self._released.add(task.task_id)
         if task.task_id in self._created:
-            self.scheduler.task_ready(task, worker_hint=task.creation_index)
+            self.scheduler.task_ready(task)
 
     def notify_ready_batch(self, tasks) -> None:
         # Readiness is gated per task on the simulated creation event, so a
@@ -198,7 +198,7 @@ class SimulatedExecutor(BaseExecutor):
                 task = payload  # type: ignore[assignment]
                 self._created.add(task.task_id)
                 if task.task_id in self._released:
-                    self.scheduler.task_ready(task, worker_hint=task.creation_index)
+                    self.scheduler.task_ready(task)
             elif kind == _EVT_TASK_FINISH:
                 task, core, decision, executed = payload  # type: ignore[misc]
                 if self.engine is not None and decision.atm_handled:

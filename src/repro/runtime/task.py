@@ -40,17 +40,19 @@ class TaskState(enum.Enum):
 
     @property
     def is_terminal(self) -> bool:
-        return self in (
-            TaskState.FINISHED,
-            TaskState.MEMOIZED,
-            TaskState.FAILED,
-            TaskState.CANCELLED,
-        )
+        return self in TERMINAL_STATES
 
     @property
     def is_success(self) -> bool:
         """Terminal with usable outputs (finished or memoized)."""
         return self in (TaskState.FINISHED, TaskState.MEMOIZED)
+
+
+#: The states a task never leaves.  Hot paths test ``state in
+#: TERMINAL_STATES`` directly: one set probe instead of a property call.
+TERMINAL_STATES = frozenset(
+    (TaskState.FINISHED, TaskState.MEMOIZED, TaskState.FAILED, TaskState.CANCELLED)
+)
 
 
 def _default_cost_model(task: "Task") -> float:

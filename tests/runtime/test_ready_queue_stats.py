@@ -99,6 +99,26 @@ class TestSerialConsistency:
         assert queue.pop(3).task_id == 7
         assert queue.stats.total_pops == 3
 
+    def test_work_stealing_unhinted_placement_follows_creation_index(self):
+        """The executor's release path passes no hints: a task's home deque
+        is its creation index, exactly where the explicit hint put it."""
+        from repro.runtime.scheduler import Scheduler
+
+        tasks = make_tasks(11)
+        for task in tasks:
+            task.creation_index = 3 * task.task_id + 1
+        hinted = Scheduler(WorkStealingDeques(4, seed=5))
+        unhinted = Scheduler(WorkStealingDeques(4, seed=5))
+        hinted.tasks_ready(tasks[:7], worker_hints=[t.creation_index for t in tasks[:7]])
+        unhinted.tasks_ready(tasks[:7])
+        for task in tasks[7:]:
+            hinted.task_ready(task, worker_hint=task.creation_index)
+            unhinted.task_ready(task)
+        order = [(hinted.next_task(w % 4), unhinted.next_task(w % 4)) for w in range(11)]
+        assert [a.task_id for a, _ in order] == [b.task_id for _, b in order]
+        # Own-deque pops first: worker 0 finds the tasks whose index is 0 mod 4.
+        assert order[0][0].task_id == 9 and order[4][0].task_id == 5
+
 
 class TestLegacyQueueCompatibility:
     def test_scheduler_tasks_ready_without_push_many(self):
