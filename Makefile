@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench size figures examples process-backend net-loopback net-residency net-soak fault-matrix serve-smoke tht-store soak-threaded ci
+.PHONY: test bench size figures examples process-backend net-loopback net-residency net-soak fault-matrix serve-smoke tht-store wire-fuzz soak-threaded ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -91,6 +91,16 @@ tht-store:
 	$(PYTHON) -m pytest tests/atm/test_tht_store.py \
 		tests/serving/test_gateway.py -x -q
 
+# Wire fuzz: the listener fuzz of tier-1 (tests/runtime/test_wire_fuzz.py:
+# generated control sections inside valid frames and raw byte strings against
+# the net_worker, gateway and tht_shard listeners and the file:// store
+# reader) with 400 examples per reader instead of a dozen, plus the codec's
+# hostile-input guards (pickled frames, object dtypes, foreign task bodies).
+wire-fuzz:
+	WIRE_FUZZ_EXAMPLES=400 $(PYTHON) -m pytest tests/runtime/test_wire_fuzz.py \
+		tests/common/test_config.py -k "fuzz or listener or store_reader or Unpickled" \
+		-p no:cacheprovider -x -q
+
 # Threaded-pool soak: the suites that drive the persistent worker pool
 # (executor contract, submit-while-draining, concurrency stress, the whole
 # serving tier, its `serving`-marked threaded-gateway soak included) and the
@@ -122,8 +132,9 @@ soak-threaded:
 
 # What .github/workflows/ci.yml runs (this target is the one list of CI
 # tiers): tier-1 suite, examples smoke, process backend, network-loopback
-# matrix + residency + soak, serving smoke, fault matrix, THT store, threaded soak.  Tier-1 includes the
-# benchmark's own smoke pass (bench/tests/test_bench_smoke.py).
+# matrix + residency + soak, serving smoke, fault matrix, THT store, wire
+# fuzz, threaded soak.  Tier-1 includes the benchmark's own smoke pass
+# (bench/tests/test_bench_smoke.py).
 ci:
 	$(PYTHON) -m pytest -x -q
 	$(MAKE) examples
@@ -134,4 +145,5 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) fault-matrix
 	$(MAKE) tht-store
+	$(MAKE) wire-fuzz
 	$(MAKE) soak-threaded

@@ -34,9 +34,8 @@ BASE_CONFIG = {
 }
 
 
-# The task body lives at module level so it pickles by reference: the
-# process/network backends ship functions by (module, qualname), not by
-# value.  ``@s.task`` binds it to a concrete session inside run().
+# The task body lives at module level: the process/network backends ship
+# functions by (module, qualname), not by value.  ``@s.task`` binds it to a concrete session inside run().
 def matvec(matrix: In, vector: In, result: Out) -> None:
     result[:] = matrix @ vector
 

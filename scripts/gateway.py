@@ -12,9 +12,10 @@ Usage::
     python scripts/gateway.py --executor threaded --cores 4 --port 0 --announce
 
 Configuration precedence: ``--config`` file, then ``REPRO_*`` environment
-variables, then the explicit flags below.  Task functions are pickled by
-reference, so the modules defining them must be importable on this daemon's
-PYTHONPATH (same rule as ``scripts/net_worker.py``).
+variables, then the explicit flags below.  Task functions travel by name
+(``(module, qualname)``), so the modules defining them must be importable
+application code on this daemon's PYTHONPATH (same rule as
+``scripts/net_worker.py``).
 """
 
 from __future__ import annotations

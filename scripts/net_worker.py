@@ -17,9 +17,11 @@ then point a session at it from config alone (DESIGN.md §6)::
     REPRO_RUNTIME_EXECUTOR=network \
     REPRO_RUNTIME_NET_ENDPOINTS=127.0.0.1:9101 python my_program.py
 
-Task functions are pickled *by reference*: the modules defining them must be
-importable on this daemon's PYTHONPATH, exactly like the process backend's
-spawn start method.
+Task functions travel *by name* (``(module, qualname)``, resolved by
+:func:`repro.runtime.codec.resolve_function`): the modules defining them must
+be importable application code on this daemon's PYTHONPATH — not the
+interpreter's stdlib or site-packages — and the body a plain module-level
+function.
 
 SIGTERM/SIGINT trigger a graceful shutdown: the listener stops accepting,
 connections in the middle of serving a chunk get a grace period to finish

@@ -78,6 +78,11 @@ _SCALES = {
 }
 
 
+def _price_block(params_block: np.ndarray, prices_block: np.ndarray) -> None:
+    """The task body (module-level: worker backends look bodies up by name)."""
+    prices_block[:] = black_scholes_price(params_block)
+
+
 class BlackscholesApp(BenchmarkApp):
     """Black-Scholes portfolio pricing."""
 
@@ -129,10 +134,6 @@ class BlackscholesApp(BenchmarkApp):
         )
 
     # -- program -------------------------------------------------------------------
-    @staticmethod
-    def _price_block(params_block: np.ndarray, prices_block: np.ndarray) -> None:
-        prices_block[:] = black_scholes_price(params_block)
-
     def build(self, runtime: Session) -> None:
         for _ in range(self.iterations):
             for block in range(self.blocks):
@@ -140,7 +141,7 @@ class BlackscholesApp(BenchmarkApp):
                 prices_block = self.prices[block]
                 runtime.submit(
                     self.bs_task_type,
-                    self._price_block,
+                    _price_block,
                     accesses=[
                         In(params_block, name=f"options[{block}]"),
                         Out(prices_block, name=f"prices[{block}]"),

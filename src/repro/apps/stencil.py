@@ -198,7 +198,7 @@ class _StencilBase(BenchmarkApp):
 
         The task bodies are the module-level :func:`copy_row` / :func:`copy_col`
         with the row/column index passed as a plain argument (not captured in
-        a closure), so copy tasks stay picklable for the process backend.
+        a closure), so copy tasks travel by name to the worker backends.
         """
         grid = self.grid
         bs = grid.block_size

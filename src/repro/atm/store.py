@@ -2,9 +2,10 @@
 
 The THT's ``snapshot(reset)/merge`` delta protocol (process backend PR 2,
 network backend PR 5, serving merge pump PR 8) already defines the unit of
-exchange: a picklable ``{"entries": [THTEntry, ...], "counters": {...}}``
-dict.  This module gives those deltas a life beyond the ``Session`` — two
-backends behind one tiny interface, selected by the ``atm.tht_store`` URL:
+exchange: a ``{"entries": [THTEntry, ...], "counters": {...}}`` dict, which
+the control codec (:mod:`repro.runtime.codec`) carries as plain data.  This
+module gives those deltas a life beyond the ``Session`` — two backends
+behind one tiny interface, selected by the ``atm.tht_store`` URL:
 
 * :class:`FileTHTStore` (``file://<path>``) — a versioned snapshot file.
   The format reuses the :mod:`repro.runtime.net_wire` framing (magic,
@@ -27,12 +28,14 @@ backends behind one tiny interface, selected by the ``atm.tht_store`` URL:
 
 Failure semantics: a store that cannot be read raises
 :class:`~repro.common.exceptions.THTStoreCorruptError` (bad frame, bad
-header, schema mismatch) or
-:class:`~repro.common.exceptions.THTStoreUnavailableError` (shard
-unreachable) — never silently-garbage entries.  :func:`warm_start` (the
-one entry point of the Session and the gateway's shared tier) catches both
-and falls back to a cold table; :func:`publish_increment` ships a journal
-increment back and reports a store that failed mid-run.
+header) or :class:`~repro.common.exceptions.THTStoreUnavailableError`
+(shard unreachable) — never silently-garbage entries.  A file written under
+another schema raises :class:`~repro.common.exceptions.THTStoreSchemaError`
+naming both schemas, and is never overwritten.  :func:`warm_start` (the one
+entry point of the Session and the gateway's shared tier) catches all three
+and falls back to a cold table — detached from a store of another schema;
+:func:`publish_increment` ships a journal increment back and reports a store
+that failed mid-run.
 """
 
 from __future__ import annotations
@@ -45,10 +48,13 @@ import warnings
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.atm.tht import TaskHistoryTable, THTEntry
 from repro.common.config import ATMConfig
 from repro.common.exceptions import (
+    PickledControlError,
     THTStoreCorruptError,
     THTStoreError,
+    THTStoreSchemaError,
     THTStoreUnavailableError,
     WireProtocolError,
 )
@@ -76,19 +82,23 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to the store file layout.  A file with
-#: a different schema raises :class:`THTStoreCorruptError` (cold start)
-#: rather than being guessed at.  Schema 2: segmented frames — a schema-1
-#: file fails on its first frame's magic, cold-starts and is rewritten by
-#: the next publish.  Schema 3: a multi-input key is the combination of its
-#: inputs' digests (:mod:`repro.atm.keygen`) — entries are found by key
-#: value, so a schema-2 file would load as entries no lookup can reach.
+#: a different schema raises :class:`THTStoreSchemaError` (cold start, the
+#: file left alone) rather than being guessed at.  Schema 2: segmented
+#: frames — a schema-1 file fails on its first frame's magic (no frame of
+#: any schema: corrupt), cold-starts and is rewritten by the next publish.
+#: Schema 3: a multi-input key is the combination of its inputs' digests
+#: (:mod:`repro.atm.keygen`) — entries are found by key value, so a
+#: schema-2 file would load as entries no lookup can reach.
 #: Schema 4: a digest reads its sampled bytes in address order — every
 #: ``p < 1`` key value moved, so a schema-3 file is as unreachable.
-STORE_SCHEMA_VERSION = 4
+#: Schema 5: frames carry the data-only control codec; a schema-2..4 file's
+#: pickled frames are refused unread.
+STORE_SCHEMA_VERSION = 5
 
 #: Handshake version of the cache-shard wire vocabulary (2: segmented frames;
-#: 3 and 4: the key definitions of store schemas 3 and 4).
-SHARD_PROTOCOL_VERSION = 4
+#: 3 and 4: the key definitions of store schemas 3 and 4; 5: the data-only
+#: control codec).
+SHARD_PROTOCOL_VERSION = 5
 
 #: Append-then-compact bound of the ``file://`` store: a flush that leaves
 #: more than this many frames in the file rewrites it (atomically) as one
@@ -105,6 +115,18 @@ _SHARD_TIMEOUT_S = 10.0
 def _entry_key(entry) -> tuple:
     """Identity of one THT entry for later-wins dedup across deltas."""
     return (entry.key_value, entry.task_type_name, entry.p_canonical)
+
+
+def _is_delta(delta: Any) -> bool:
+    """Whether ``delta`` has the shape of a THT snapshot: what a file or a
+    peer sent is merged only then."""
+    return (
+        type(delta) is dict
+        and type(entries := delta.get("entries", [])) is list
+        and all(type(entry) is THTEntry for entry in entries)
+        and type(counters := delta.get("counters", {})) is dict
+        and all(type(count) is int for count in counters.values())
+    )
 
 
 def merge_deltas(deltas: "list[dict]") -> dict:
@@ -164,7 +186,8 @@ def warm_start(url: str, atm_config: ATMConfig, tht, what: str = "cold-starting"
     never take down the computation it was meant to accelerate, so every
     failure degrades to a cold table with a ``RuntimeWarning`` saying
     ``what`` happens instead.  A *corrupt* store stays attached — the next
-    publish rewrites it (:class:`FileTHTStore` self-heals).  Restored
+    publish rewrites it (:class:`FileTHTStore` self-heals); one of another
+    schema is detached and left as it is.  Restored
     entries are merged un-journaled: callers enable the journal afterwards,
     so a later :func:`publish_increment` never re-publishes them.
     """
@@ -172,6 +195,8 @@ def warm_start(url: str, atm_config: ATMConfig, tht, what: str = "cold-starting"
     try:
         store = open_store(url, atm_config)
         delta = store.load()
+    except THTStoreSchemaError as exc:
+        problem, store = f"refused and left as it is, {what}: {exc}", None
     except THTStoreCorruptError as exc:
         problem = f"unreadable, {what}: {exc}"
     except THTStoreUnavailableError as exc:
@@ -246,39 +271,31 @@ class FileTHTStore:
             raise THTStoreError(f"cannot read THT store {self.path}: {exc}") from exc
         try:
             frames = list(iter_frames(raw))
+        except PickledControlError as exc:
+            raise THTStoreSchemaError(
+                f"THT store {self.path} was written by schema 4 or earlier; "
+                f"this build reads schema {STORE_SCHEMA_VERSION}: {exc}"
+            ) from exc
         except WireProtocolError as exc:
             raise THTStoreCorruptError(
                 f"THT store {self.path} is corrupt or truncated: {exc}"
             ) from exc
-        if not frames:
-            raise THTStoreCorruptError(f"THT store {self.path} is empty (no header)")
-        header = frames[0]
-        if (
-            not isinstance(header, tuple)
-            or len(header) != 2
-            or header[0] != _HEADER_KIND
-            or not isinstance(header[1], dict)
-        ):
+        # One (kind, dict) header, then (kind, THT delta) frames.
+        header = frames[0] if frames else None
+        if not (type(header) is tuple and len(header) == 2 and header[0] == _HEADER_KIND
+                and type(header[1]) is dict):
             raise THTStoreCorruptError(
                 f"THT store {self.path} does not start with a {_HEADER_KIND!r} header"
             )
         schema = header[1].get("schema")
         if schema != STORE_SCHEMA_VERSION:
-            raise THTStoreCorruptError(
+            raise THTStoreSchemaError(
                 f"THT store {self.path} has schema {schema!r}; this build "
                 f"reads schema {STORE_SCHEMA_VERSION}"
             )
-        for frame in frames[1:]:
-            if (
-                not isinstance(frame, tuple)
-                or len(frame) != 2
-                or frame[0] != _DELTA_KIND
-                or not isinstance(frame[1], dict)
-            ):
-                raise THTStoreCorruptError(
-                    f"THT store {self.path} contains a non-delta frame "
-                    f"{frame[0] if isinstance(frame, tuple) and frame else frame!r}"
-                )
+        if not all(type(frame) is tuple and len(frame) == 2 and frame[0] == _DELTA_KIND
+                   and _is_delta(frame[1]) for frame in frames[1:]):
+            raise THTStoreCorruptError(f"THT store {self.path} contains a non-delta frame")
         return frames
 
     # -- store interface ----------------------------------------------------------
@@ -304,6 +321,8 @@ class FileTHTStore:
         with self._lock:
             try:
                 existing = self._read_frames()
+            except THTStoreSchemaError:
+                raise  # another schema's file is never overwritten
             except THTStoreCorruptError:
                 # Self-heal: a damaged store is replaced by this snapshot
                 # instead of having good frames appended after bad bytes.
@@ -454,9 +473,9 @@ class ShardTHTStore:
     def load(self) -> dict:
         """Download the shard's whole table as one delta."""
         delta = self._request(("fetch",))
-        if not isinstance(delta, dict):
+        if not _is_delta(delta):
             raise THTStoreCorruptError(
-                f"THT shard {self.url} fetch_result carries no delta dict"
+                f"THT shard {self.url} fetch_result carries no THT delta"
             )
         return delta
 
@@ -501,8 +520,6 @@ class ShardState:
         backing: Optional[FileTHTStore] = None,
         flush_every: int = 0,
     ) -> None:
-        from repro.atm.tht import TaskHistoryTable
-
         self.config = atm_config or ATMConfig()
         self.table = TaskHistoryTable(self.config)
         self.backing = backing
@@ -514,16 +531,19 @@ class ShardState:
         self.entries_received = 0
         if backing is not None:
             # Warm the shard itself from its backing file; a corrupt file
-            # cold-starts the shard exactly like it cold-starts a Session.
+            # cold-starts the shard exactly like it cold-starts a Session,
+            # and one of another schema is detached, never overwritten.
             try:
                 self.table.merge(backing.load(), journal=False)
+            except THTStoreSchemaError as exc:
+                warnings.warn(f"{exc}; the shard runs without it", RuntimeWarning)
+                self.backing = None
             except THTStoreError:
                 pass
 
     def handle(self, message: Any) -> tuple:
-        """Serve one shard request; returns the reply frame message."""
-        if not isinstance(message, tuple) or not message:
-            return ("error", "THTStoreError", "requests are non-empty tuples")
+        """Serve one shard request; returns the reply frame message (a
+        request of a known kind whose fields do not fit it raises)."""
         kind = message[0]
         if kind == "hello":
             info = message[1] if len(message) > 1 else {}
@@ -548,8 +568,8 @@ class ShardState:
             return ("fetch_result", self.table.snapshot())
         if kind == "publish":
             delta = message[1] if len(message) > 1 else {}
-            if not isinstance(delta, dict):
-                return ("error", "THTStoreError", "publish carries no delta dict")
+            if not _is_delta(delta):
+                return ("error", "THTStoreError", "publish carries no THT delta")
             self.table.merge(delta)
             received = len(delta.get("entries", []))
             with self._lock:
@@ -608,7 +628,10 @@ def serve_shard_connection(sock: socket.socket, state: ShardState) -> None:
                 return
             if isinstance(message, tuple) and message and message[0] == "bye":
                 return
-            reply = state.handle(message)
+            try:
+                reply = state.handle(message)
+            except Exception as exc:  # a known kind around fields that do not fit it
+                reply = ("error", "THTStoreError", f"malformed request: {exc!r:.200}")
             try:
                 write_frame(sock, reply)
             except OSError:

@@ -204,7 +204,7 @@ class RuntimeConfig(_Section):
         Seed for any stochastic scheduling decisions (work stealing).
     mp_chunk_size:
         Maximum ready tasks batched into one dispatch message of the
-        process backend (amortises queue/pickle overhead on wide graphs;
+        process backend (amortises per-message framing on wide graphs;
         narrow/wavefront graphs still dispatch singles, see DESIGN.md §4.3).
     net_endpoints:
         Worker endpoints for the ``"network"`` backend (DESIGN.md §4.5).

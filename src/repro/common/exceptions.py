@@ -99,6 +99,11 @@ class WireProtocolError(ReproError):
     """
 
 
+class PickledControlError(WireProtocolError):
+    """A frame's control section is a pickle: written by wire protocol 7,
+    store schema 4 or earlier, and refused unread."""
+
+
 class NetworkTransportError(ReproError):
     """A network endpoint could not be reached or its connection broke."""
 
@@ -172,6 +177,13 @@ class THTStoreCorruptError(THTStoreError):
     Raised on a bad header, a schema mismatch, a truncated or
     checksum-failing frame, or a frame that is not a store message.  The
     Session catches this on warm-start and falls back to a cold table.
+    """
+
+
+class THTStoreSchemaError(THTStoreCorruptError):
+    """A store file was written under another schema.
+
+    It is refused by name and left as it is: neither read nor overwritten.
     """
 
 

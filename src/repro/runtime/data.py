@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "AccessMode",
     "DataRegion",
     "SharedDataRegion",
-    "ArrayRef",
     "DataAccess",
     "In",
     "Out",
@@ -396,26 +394,6 @@ class DataRegion:
             f"DataRegion(name={self.name!r}, dtype={self.array.dtype}, "
             f"shape={self.shape}, bytes={self.nbytes})"
         )
-
-
-@dataclass(frozen=True)
-class ArrayRef:
-    """Serializable handle to an array view living in a shared segment.
-
-    Produced by :meth:`repro.runtime.shm.SharedBufferRegistry.array_ref` in
-    the parent and materialised by :meth:`repro.runtime.shm.WorkerArena.view`
-    in a worker process.  ``offset``/``strides`` are byte-exact relative to
-    the owning base buffer, so the reconstructed view aliases the same bytes
-    the parent-side view does.
-    """
-
-    shm_name: str
-    base_nbytes: int
-    slot: int
-    offset: int
-    shape: tuple[int, ...]
-    strides: tuple[int, ...]
-    dtype: str
 
 
 class SharedDataRegion(DataRegion):

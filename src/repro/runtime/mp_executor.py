@@ -11,9 +11,11 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   shared :class:`~repro.runtime.dispatch.ChunkDispatcher`; this module is
   its shared-memory *transport*: chunks of
   :class:`~repro.runtime.remote_task.TaskDescriptor` (array payloads as
-  :class:`~repro.runtime.data.ArrayRef` handles into shared memory) go
-  round-robin onto *per-worker* task queues, answers come back on one
-  result pipe.
+  refs into shared memory, resolved through the chunk's table of segment
+  names) go round-robin onto *per-worker* task queues as control-codec
+  frames (:mod:`repro.runtime.codec`, the bytes a socket carries), and
+  answers come back as frames on one result pipe (``send_bytes`` /
+  ``recv_bytes``: nothing the parent reads is unpickled).
 * **Workers** — each is the one
   :class:`~repro.runtime.remote_task.RemoteWorker` behind a queue and a
   pipe, resolving refs over :mod:`multiprocessing.shared_memory` views
@@ -52,7 +54,6 @@ observe a double apply after a crash.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 from typing import Optional
 
@@ -61,10 +62,11 @@ from repro.common.exceptions import RuntimeStateError, WorkerLostError
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
+from repro.runtime.net_wire import NetChunk, decode_frame, encode_frame
 from repro.runtime.remote_task import (
     RemoteWorker,
     TaskDescriptor,
-    describe_task,
+    describe_tasks,
     worker_engine_config,
 )
 from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable, WorkerArena
@@ -87,11 +89,11 @@ def _worker_main(
     """Worker process entry point: the remote worker behind a queue and a pipe.
 
     Each worker owns a private task queue, so a sync pill can never be
-    stolen by a peer.  It takes ``("chunk", chunk_id, pickled descriptors)``
-    and ``("sync",)`` until the ``None`` shutdown pill, and writes the
-    protocol's replies as ``(worker_id, reply)`` — the ``ack`` only when
-    ``ack_chunks`` (under ``task_timeout_s``: the parent ages a running
-    chunk from it; a dead worker it sees without).
+    stolen by a peer.  It takes the frames of ``("chunk", NetChunk)`` and
+    ``("sync",)`` until the ``None`` shutdown pill, and writes the
+    protocol's replies as frames of ``(worker_id, reply)`` — the ``ack``
+    only when ``ack_chunks`` (under ``task_timeout_s``: the parent ages a
+    running chunk from it; a dead worker it sees without).
 
     Answers are written to the shared ``results`` pipe synchronously (under
     ``results_lock``, one message at a time): whatever a worker finished
@@ -100,21 +102,24 @@ def _worker_main(
     """
 
     def reply(message: tuple) -> None:
+        frame = bytes(encode_frame((worker_id, message)))
         with results_lock:
-            results.send((worker_id, message))
+            results.send_bytes(frame)
 
     version_table = SharedVersionTable.attach(version_name, version_capacity, version_lock)
     arena = WorkerArena(version_table)
     worker = RemoteWorker(worker_id, engine_config)
     try:
-        while (message := task_queue.get()) is not None:
+        while (frame := task_queue.get()) is not None:
+            message, _ = decode_frame(frame)
             if message[0] == "sync":
                 reply(("sync_result", worker.sync()))
                 continue
-            _, chunk_id, payload = message
+            chunk = message[1]
+            arena.attach(chunk.buffers)
             for answer in worker.replies(
-                chunk_id,
-                lambda: worker.run_chunk(pickle.loads(payload), arena),
+                chunk.chunk_id,
+                lambda: worker.run_chunk(chunk.tasks, arena),
                 ack=ack_chunks,
             ):
                 reply(answer)
@@ -263,43 +268,28 @@ class ProcessExecutor(BaseExecutor):
         self._stats["copyin_refreshed"] += registry.copy_in(
             access.region for task in chunk.tasks for access in task.accesses
         )
-        descriptors = [
-            describe_task(
-                task.task_id, task.creation_index, task.task_type,
-                task.function, task.accesses, task.args, task.kwargs,
-                registry.array_ref,
-            )
-            for task in chunk.tasks
-        ]
+        descriptors = describe_tasks(chunk.tasks, registry.array_ref, "process")
         return self._dispatch_chunk(chunk.chunk_id, descriptors)
 
     def _dispatch_chunk(self, chunk_id: int, descriptors: list[TaskDescriptor]) -> int:
-        """Pickle one chunk and hand it to the next worker round-robin.
+        """Frame one chunk — its descriptors and the table of the segments
+        they reference — and hand it to the next worker round-robin.
 
-        Pickle synchronously: mp.Queue serialises in a feeder thread, which
-        would swallow "unpicklable task function" errors and turn them into
-        a silent drain hang.  This way they raise here, with the offending
-        tasks named.
+        Encoded here, synchronously: mp.Queue serialises in a feeder thread,
+        which would swallow an encoding error and turn it into a silent
+        drain hang (a body that cannot travel by name was already named by
+        ``describe_tasks``).
         """
-        try:
-            payload = pickle.dumps(descriptors, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            labels = ", ".join(
-                f"{d.type_spec.name}#{d.task_id}" for d in descriptors
-            )
-            raise RuntimeStateError(
-                f"cannot serialize task(s) [{labels}] for the process "
-                f"backend: {exc}; task functions and plain arguments must "
-                "be picklable (module-level functions, no lambdas/closures)"
-            ) from exc
+        frame = encode_frame(("chunk", NetChunk(chunk_id, self._registry.table(), tuple(descriptors))))
         worker_id = self._next_worker
         self._next_worker = (worker_id + 1) % len(self._processes)
-        self._task_queues[worker_id].put(("chunk", chunk_id, payload))
+        self._task_queues[worker_id].put(bytes(frame))
         return worker_id
 
     def _request_deltas(self) -> range:
+        sync = bytes(encode_frame(("sync",)))
         for task_queue in self._task_queues:
-            task_queue.put(("sync",))
+            task_queue.put(sync)
         return range(len(self._processes))
 
     # -- transport: workers -> parent --------------------------------------------
@@ -360,7 +350,7 @@ class ProcessExecutor(BaseExecutor):
             # charged with the crash.
             if not process.is_alive() and not results.poll():
                 return worker_id, ("crash", process.exitcode)
-        return results.recv() if results.poll(POLL_INTERVAL) else None
+        return decode_frame(results.recv_bytes())[0] if results.poll(POLL_INTERVAL) else None
 
     # -- drain ---------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:

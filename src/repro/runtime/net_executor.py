@@ -52,6 +52,7 @@ delta barrier are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import queue as queue_module
 import time
@@ -65,12 +66,13 @@ from repro.common.exceptions import (
     NetworkDrainError,
     NetworkTransportError,
     RuntimeStateError,
+    WireProtocolError,
     WorkerLostError,
 )
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.remote_task import describe_task, worker_engine_config
+from repro.runtime.remote_task import describe_tasks, worker_engine_config
 from repro.runtime.supervision import POLL_INTERVAL
 from repro.runtime.net_transport import (
     SocketEndpoint,
@@ -86,7 +88,7 @@ from repro.runtime.net_wire import (
     encode_frame,
     span_view,
 )
-from repro.runtime.data import _base_buffer, region_versions
+from repro.runtime.data import region_versions
 from repro.runtime.residency import RESIDENCY_BUDGET_BYTES, ResidencyTable
 from repro.runtime.task import Task
 
@@ -203,11 +205,12 @@ class NetworkExecutor(BaseExecutor):
         # construction: Session assigns its assembled engine to a pre-built
         # engine-less executor *after* __init__, and a config snapshotted
         # there would silently run the workers without ATM.
+        engine = worker_engine_config(self.engine)
         hello = (
             "hello",
             {
                 "protocol": PROTOCOL_VERSION,
-                "engine": worker_engine_config(self.engine),
+                "engine": None if engine is None else dataclasses.asdict(engine),
                 "residency": self._residency is not None,
             },
         )
@@ -257,24 +260,17 @@ class NetworkExecutor(BaseExecutor):
         chunk was encoded against and ``evicted`` lists budget-evicted
         ``(buffer_id, generation)`` pairs to forward as an ``invalidate``.
 
-        Framing happens synchronously (not in the receiver/sender machinery)
-        for the same reason the process backend pickles synchronously: an
-        unpicklable task function must raise with the offending tasks named,
-        not wedge the drain.  With residency on, each touched buffer ships
+        Describing and framing happen synchronously (not in the receiver/
+        sender machinery), as in the process backend: a task that cannot
+        travel must raise with the offending tasks named, not wedge the
+        drain.  With residency on, each touched buffer ships
         either its full union span (stale or unknown on this endpoint) or a
         ``data=None`` cached reference (current) — the stale-bytes dispatch.
         The frame's segments alias the parent arrays: :meth:`_send_chunk`
         sends it before anything else runs on the drain thread.
         """
         encoder = ChunkEncoder()
-        descriptors = tuple(
-            describe_task(
-                task.task_id, task.creation_index, task.task_type,
-                task.function, task.accesses, task.args, task.kwargs,
-                encoder.ref,
-            )
-            for task in chunk.tasks
-        )
+        descriptors = tuple(describe_tasks(chunk.tasks, encoder.ref, "network"))
         dispatch_gens: dict[int, int] = {}
         evicted: list[tuple[int, int]] = []
         residency = self._residency
@@ -287,39 +283,21 @@ class NetworkExecutor(BaseExecutor):
                 version = region_versions.version_of(base)
                 entry = residency.lookup(endpoint, buffer_id, start, end, version)
                 if entry is not None:
-                    encoded.append(
-                        NetBuffer(buffer_id, entry.start, None, entry.generation)
-                    )
-                    dispatch_gens[buffer_id] = entry.generation
+                    row = NetBuffer(buffer_id, entry.start, None, entry.generation)
                 else:
-                    generation = residency.record(
-                        endpoint, buffer_id, start, end, version
-                    )
-                    encoded.append(
-                        NetBuffer(
-                            buffer_id, start, span_view(base, start, end), generation
-                        )
-                    )
-                    dispatch_gens[buffer_id] = generation
+                    generation = residency.record(endpoint, buffer_id, start, end, version)
+                    row = NetBuffer(buffer_id, start, span_view(base, start, end), generation)
+                encoded.append(row)
+                dispatch_gens[buffer_id] = row.generation
             evicted = residency.evict_over_budget(endpoint, protect_tick)
             buffers = tuple(encoded)
-        net_chunk = NetChunk(
-            chunk_id=chunk.chunk_id, buffers=buffers, tasks=descriptors
-        )
         try:
-            frame = encode_frame(("chunk", net_chunk))
-        except Exception as exc:
+            frame = encode_frame(("chunk", NetChunk(chunk.chunk_id, buffers, descriptors)))
+        except WireProtocolError:
             if residency is not None:
                 # The recorded entries describe bytes that never shipped.
                 residency.drop_endpoint(endpoint)
-            labels = ", ".join(
-                f"{t.task_type.name}#{t.task_id}" for t in chunk.tasks
-            )
-            raise RuntimeStateError(
-                f"cannot serialize task(s) [{labels}] for the network "
-                f"backend: {exc}; task functions and plain arguments must "
-                "be picklable (module-level functions, no lambdas/closures)"
-            ) from exc
+            raise
         return frame, dispatch_gens, evicted
 
     def _send_chunk(self, chunk: Chunk, endpoint: SocketEndpoint) -> bool:
@@ -434,23 +412,13 @@ class NetworkExecutor(BaseExecutor):
 
     def _wanted_spans(self, tasks: list[Task]) -> list[tuple[int, int, int, int]]:
         """Merged ``(buffer_id, start, end, version)`` spans a chunk touches."""
-        spans: dict[int, list[int]] = {}
+        encoder = ChunkEncoder()
         for task in tasks:
             for access in task.accesses:
-                region = access.region
-                start, end = region.byte_interval
-                merged = spans.get(region.base_id)
-                if merged is None:
-                    base = _base_buffer(region.array)
-                    spans[region.base_id] = [
-                        start, end, region_versions.version_of(base)
-                    ]
-                else:
-                    merged[0] = min(merged[0], start)
-                    merged[1] = max(merged[1], end)
+                encoder.ref(access.region.array, access.region)
         return [
-            (buffer_id, start, end, version)
-            for buffer_id, (start, end, version) in spans.items()
+            (buffer_id, start, end, region_versions.version_of(base))
+            for buffer_id, (base, start, end) in encoder.spans().items()
         ]
 
     def _next_cold_endpoint(self, live: list[SocketEndpoint]) -> SocketEndpoint:

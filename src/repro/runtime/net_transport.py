@@ -43,6 +43,7 @@ import socket
 import threading
 from typing import Any, Optional
 
+from repro.common.config import ATMConfig
 from repro.common.exceptions import (
     NetworkTransportError,
     WireProtocolError,
@@ -146,8 +147,8 @@ class SocketEndpoint:
     def send(self, message: Any) -> None:
         """Send one message, or a :class:`Frame` the caller already encoded.
 
-        The executor frames chunks itself (an unpicklable task must raise
-        with the offending tasks named) and sends the frame straight after;
+        The executor frames chunks itself (a task that cannot travel must
+        raise with the offending tasks named) and sends the frame straight after;
         the transport-level failure surface is exactly
         :class:`NetworkTransportError`.
         """
@@ -334,8 +335,10 @@ class NetWorkerState:
                 f"protocol version mismatch: client speaks {protocol}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
+        engine = info.get("engine")  # the replica's ATMConfig, as its dict
         self.worker = RemoteWorker(
-            self.worker_id, info.get("engine"), written=_written_bytes
+            self.worker_id, None if engine is None else ATMConfig(**engine),
+            written=_written_bytes,
         )
         self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
@@ -409,11 +412,9 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
                     f"unreadable {kind!r} message: {type(exc).__name__}: {exc}"
                 ) from exc
     except WireProtocolError as exc:
-        # A frame we could not decode — most commonly a task function that
-        # does not resolve on this worker's import path (pickled by
-        # reference from the client's ``__main__``) — or no message of this
-        # protocol.  Best-effort report before dying: it turns the client's
-        # opaque connection-reset into the actual cause.
+        # A frame we could not decode, or no message of this protocol.
+        # Best-effort report before dying: it turns the client's opaque
+        # connection-reset into the actual cause.
         try:
             write_frame(
                 sock, ("error", None, None, f"worker {worker_id}: WireProtocolError: {exc}")

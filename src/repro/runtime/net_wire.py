@@ -10,15 +10,15 @@ the two halves of that story:
 
       | magic "ATMS" | head crc32 | control length | segment count |   header
       | (length, crc32) x segment count |                            table
-      | control |   pickled message; its raw buffers are *references*
+      | control |   the message (repro.runtime.codec); buffers are segment indices
       | segment 0 | segment 1 | ... |            the raw buffers themselves
 
-  The control section is the message pickled with protocol 5; every
-  contiguous buffer inside it — a :class:`NetBuffer` span, a result write, a
-  gateway write-back, any C-/F-contiguous ndarray of an engine delta or THT
-  entry — is handed over out-of-band and travels as one raw segment that is
-  never pickled or unpickled (non-contiguous arrays stay in the control
-  section).  :func:`encode_frame` therefore copies no array byte: it returns
+  The control section is written by the one control codec
+  (:mod:`repro.runtime.codec`, DESIGN.md §4.6), which builds nothing but
+  data: every buffer the message carries — a :class:`NetBuffer` span, a
+  result write, a gateway write-back, an ndarray of an engine delta or THT
+  entry — travels as one raw segment the control section names by index.
+  :func:`encode_frame` therefore copies no contiguous array byte: it returns
   a :class:`Frame` whose scatter list points straight at the source arrays,
   sockets send it with ``sendmsg``, and the readers receive each segment
   with ``recv_into`` into a fresh writable buffer that the consumer adopts
@@ -30,41 +30,18 @@ the two halves of that story:
   segments are enforced before anything is allocated, and every checksum
   is verified before a message reaches its consumer.  A violation raises
   :class:`~repro.common.exceptions.WireProtocolError` — the receiving side
-  treats the peer as failed instead of interpreting garbage.  The control
-  codec is the pair :func:`_encode_control` / :func:`_decode_control` and
-  nothing else knows it is pickle.
+  treats the peer as failed instead of interpreting garbage.
 
 * **Array/task encoding** — a :class:`ChunkEncoder` (sender side) walks the
   arrays referenced by a chunk of tasks, computes per owning base buffer the
   union byte span the chunk touches, and ships one :class:`NetBuffer` of raw
-  bytes per base plus :class:`NetArrayRef` handles (offset/shape/strides/
-  dtype) for every view.  A :class:`ChunkArena` (receiver side) adopts each
+  bytes per base plus a plain ``(buffer_id, offset, shape, strides, dtype)``
+  ref for every view.  A :class:`ChunkArena` (receiver side) adopts each
   received buffer as the writable backing of the
   :class:`~repro.runtime.remote_task.ArrayArena` views built over it.
 
-Message vocabulary (client = the :class:`NetworkExecutor` parent, worker =
-a loopback thread or a ``scripts/net_worker.py`` daemon)::
-
-    client -> worker : ("hello", info)           handshake; carries the ATM config
-                                                 and the residency flag
-                       ("chunk", NetChunk)       one batch of task descriptors
-                       ("invalidate", pairs)     drop cached buffers named by
-                                                 (buffer_id, generation) pairs
-                       ("sync",)                 request an ATM engine delta
-                       ("ping",)                 heartbeat probe
-                       ("shutdown",)             orderly connection teardown
-    worker -> client : ("hello_ack", info)
-                       ("ack", chunk_id)         chunk received (pre-execution)
-                       ("result", chunk_id, results)
-                       ("sync_result", delta)
-                       ("pong",)
-                       ("error", chunk_id, task_id, traceback_str)
-
-Each entry of ``results`` is ``(task_id, action_value, executed, writes)``
-where ``writes`` is a list of ``(access_index, buffer)`` pairs holding the
-raw bytes of every written region (:func:`raw_view` on the worker, one
-received segment each on the parent) — the copy-back path that replaces the
-process backend's shared-segment ``copy_out``.
+The messages themselves — who sends which, with which fields — are listed
+once, in DESIGN.md §4.6.
 
 Since protocol version 2 a :class:`NetBuffer` has a second, *cached* form
 (``data is None``): the span is not on the wire, the worker must already
@@ -79,25 +56,23 @@ resubmission instead of silently wrong bytes.
 from __future__ import annotations
 
 import functools
-import pickle
 import socket
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
+from repro.runtime.codec import NetBuffer, NetChunk, decode_control, encode_control, raw_view
 from repro.runtime.data import DataRegion, _base_buffer
-from repro.runtime.remote_task import ArrayArena, TaskDescriptor
+from repro.runtime.remote_task import ArrayArena
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "MAX_FRAME_SEGMENTS",
     "Frame",
-    "NetArrayRef",
     "NetBuffer",
     "NetChunk",
     "ChunkEncoder",
@@ -125,7 +100,9 @@ __all__ = [
 #: (:mod:`repro.atm.keygen`); replicas exchange THT entries by key value.
 #: Version 7: a digest reads its sampled bytes in address order (every
 #: ``p < 1`` key value moved).
-PROTOCOL_VERSION = 7
+#: Version 8: the control section is the data-only codec of
+#: :mod:`repro.runtime.codec` (a pickled one is refused unread).
+PROTOCOL_VERSION = 8
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count
@@ -138,7 +115,7 @@ _ENTRY = struct.Struct("!II")  # per segment: length, crc32
 MAX_FRAME_BYTES = 1 << 30
 
 #: Upper bound on one frame's segment count (a 512 KiB table).  The encoder
-#: keeps buffers beyond it in the control section instead of failing.
+#: keeps buffers beyond it in the control section (base64) instead of failing.
 MAX_FRAME_SEGMENTS = 1 << 16
 
 #: Buffers per ``sendmsg`` call (``IOV_MAX`` on Linux, macOS and the BSDs).
@@ -167,35 +144,6 @@ class Frame:
         return b"".join(self.buffers)
 
 
-def _encode_control(message: Any) -> tuple[bytes, list[memoryview]]:
-    """Control codec, sender half: ``(control bytes, raw segments)``."""
-    segments: list[memoryview] = []
-
-    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
-        if len(segments) == MAX_FRAME_SEGMENTS:
-            return True  # table full: this buffer rides in the control section
-        segments.append(buffer.raw())
-        return False
-
-    return pickle.dumps(message, protocol=5, buffer_callback=out_of_band), segments
-
-
-def _decode_control(control, segments: list) -> Any:
-    """Control codec, receiver half: rebuild the message around ``segments``."""
-    supplied = iter(segments)
-    try:
-        message = pickle.loads(control, buffers=supplied)
-    except Exception as exc:  # checksums passed but the pickle is malformed
-        raise WireProtocolError(f"cannot unpickle frame control section: {exc}") from exc
-    unreferenced = sum(1 for _ in supplied)
-    if unreferenced:
-        raise WireProtocolError(
-            f"frame carries {len(segments)} segments but its control section "
-            f"leaves {unreferenced} unreferenced"
-        )
-    return message
-
-
 def _head_crc(counts, table, control) -> int:
     """crc32 over everything between itself and the first segment."""
     return zlib.crc32(control, zlib.crc32(table, zlib.crc32(counts)))
@@ -209,7 +157,7 @@ def encode_frame(message: Any) -> Frame:
     between: a write to a referenced array before the send completes would
     put bytes on the wire that no longer match their checksum.
     """
-    control, segments = _encode_control(message)
+    control, segments = encode_control(message, MAX_FRAME_SEGMENTS)
     total = len(control) + sum(map(len, segments))
     if total > MAX_FRAME_BYTES:
         raise WireProtocolError(
@@ -261,7 +209,7 @@ def _check_payload(control, table: list[tuple[int, int]], segments: list) -> Any
             raise WireProtocolError(
                 f"frame checksum mismatch: segment {index} corrupted in transit"
             )
-    return _decode_control(control, segments)
+    return decode_control(control, segments)
 
 
 def _parse_frame(take) -> Any:
@@ -362,54 +310,8 @@ def request(sock: socket.socket, message: Any) -> Any:
 
 
 # -- array / task encoding ------------------------------------------------------------
-@dataclass(frozen=True)
-class NetArrayRef:
-    """Serializable handle to an array view inside a shipped buffer span.
-
-    ``offset``/``strides`` are byte-exact relative to the *owning base
-    buffer* (exactly like :class:`~repro.runtime.data.ArrayRef`); the
-    receiving :class:`ChunkArena` rebases them onto the transmitted span.
-    """
-
-    buffer_id: int
-    offset: int
-    shape: tuple[int, ...]
-    strides: tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class NetBuffer:
-    """Raw bytes of the span one chunk touches within one base buffer.
-
-    Two forms since protocol version 2:
-
-    * ``data`` is a buffer — a *full ship*: a :func:`span_view` over the
-      source array on the sender, the received segment on the receiver,
-      which adopts it as the backing and (when residency is on) stores it
-      under ``generation``;
-    * ``data`` is ``None`` — a *cached* dispatch; the receiver must already
-      hold generation ``generation`` of this buffer id and serves the chunk
-      from that backing without any span bytes on the wire.
-    """
-
-    buffer_id: int
-    start: int
-    data: Optional[Any]
-    generation: int = 0
-
-
-@dataclass(frozen=True)
-class NetChunk:
-    """One dispatch unit: buffer spans + the task descriptors using them."""
-
-    chunk_id: int
-    buffers: tuple[NetBuffer, ...]
-    tasks: tuple[TaskDescriptor, ...]
-
-
 class ChunkEncoder:
-    """Sender-side builder of :class:`NetArrayRef`/:class:`NetBuffer` sets.
+    """Sender-side builder of refs and :class:`NetBuffer` tables.
 
     Tasks of one chunk are pairwise independent (they were ready
     simultaneously), so one buffer copy per base is consistent for the whole
@@ -424,7 +326,7 @@ class ChunkEncoder:
         self._spans: dict[int, list] = {}
         # id(array) -> (array, ref): a task's argument arrays are usually
         # the very objects its accesses declared, so each is encoded once.
-        self._refs: dict[int, tuple[np.ndarray, NetArrayRef]] = {}
+        self._refs: dict[int, tuple[np.ndarray, tuple]] = {}
 
     def _touch(self, base: np.ndarray, start: int, end: int) -> int:
         buffer_id = id(base)
@@ -436,7 +338,7 @@ class ChunkEncoder:
             span[2] = max(span[2], end)
         return buffer_id
 
-    def ref(self, array: np.ndarray, region: Optional[DataRegion] = None) -> NetArrayRef:
+    def ref(self, array: np.ndarray, region: Optional[DataRegion] = None) -> tuple:
         """Handle for ``array``; pass ``region`` to reuse its interval math."""
         known = self._refs.get(id(array))
         if known is not None:
@@ -448,26 +350,17 @@ class ChunkEncoder:
         buffer_id = self._touch(base, start, end)
         base_addr = base.__array_interface__["data"][0]
         my_addr = array.__array_interface__["data"][0]
-        ref = NetArrayRef(
-            buffer_id=buffer_id,
-            offset=int(my_addr - base_addr),
-            shape=tuple(array.shape),
-            strides=tuple(array.strides),
-            dtype=array.dtype.str,
-        )
+        ref = (buffer_id, my_addr - base_addr, array.shape, array.strides, array.dtype.str)
         self._refs[id(array)] = (array, ref)
         return ref
 
-    def spans(self) -> dict[int, tuple[np.ndarray, int, int]]:
-        """Touched union spans as ``buffer_id -> (base, start, end)``.
+    def spans(self) -> dict[int, list]:
+        """Touched union spans as ``buffer_id -> [base, start, end]``.
 
         The residency-aware dispatch path iterates this to decide, per
         buffer and per endpoint, between a full ship and a cached dispatch.
         """
-        return {
-            buffer_id: (base, start, end)
-            for buffer_id, (base, start, end) in self._spans.items()
-        }
+        return self._spans
 
     def buffers(self) -> tuple[NetBuffer, ...]:
         """One full-ship buffer per touched base: a view of its union span."""
@@ -479,16 +372,7 @@ class ChunkEncoder:
         )
 
 
-def raw_view(array: np.ndarray) -> pickle.PickleBuffer:
-    """The bytes of ``array`` (C order) as a frame segment.
-
-    A contiguous array is aliased, not copied: see :func:`encode_frame` for
-    what that asks of the sender.
-    """
-    return pickle.PickleBuffer(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
-
-
-def span_view(base: np.ndarray, start: int, end: int) -> pickle.PickleBuffer:
+def span_view(base: np.ndarray, start: int, end: int) -> memoryview:
     """The ``[start, end)`` byte span of an owning base buffer, uncopied."""
     if not base.flags.c_contiguous:
         raise RuntimeStateError(
@@ -496,7 +380,7 @@ def span_view(base: np.ndarray, start: int, end: int) -> pickle.PickleBuffer:
             f"buffers; got a non-contiguous owner of dtype "
             f"{base.dtype} shape {base.shape}"
         )
-    return pickle.PickleBuffer(base.reshape(-1).view(np.uint8)[start:end])
+    return memoryview(base.reshape(-1).view(np.uint8)[start:end])
 
 
 class ChunkArena(ArrayArena):
@@ -514,14 +398,10 @@ class ChunkArena(ArrayArena):
     bytes it does not; failing loudly triggers resubmission elsewhere).
     """
 
-    ref_type = NetArrayRef
     error = WireProtocolError
 
-    def __init__(
-        self, buffers: tuple[NetBuffer, ...], cache=None
-    ) -> None:
+    def __init__(self, buffers: tuple[NetBuffer, ...], cache=None) -> None:
         super().__init__()
-        self._bases: dict[int, tuple[np.ndarray, int]] = {}
         for buf in buffers:
             if buf.data is None:
                 entry = cache.get(buf.buffer_id) if cache is not None else None
@@ -538,12 +418,3 @@ class ChunkArena(ArrayArena):
             self._bases[buf.buffer_id] = (backing, buf.start)
             if cache is not None:
                 cache.put(buf.buffer_id, backing, buf.start, buf.generation)
-
-    def _backing(self, ref: NetArrayRef) -> tuple[np.ndarray, int]:
-        entry = self._bases.get(ref.buffer_id)
-        if entry is None:
-            raise WireProtocolError(
-                f"chunk references buffer {ref.buffer_id:#x} that was not "
-                f"shipped with it"
-            )
-        return entry

@@ -4,9 +4,11 @@ Every backend that executes task bodies away from the parent's graph — the
 process pool over shared memory, network endpoints over sockets, a gateway
 tenant's namespace — moves the same five things (DESIGN.md §4.6):
 
-* a :class:`TaskDescriptor` — function by reference, array payloads swapped
-  for serializable refs by :func:`describe_task` (the array→ref function is
-  the only thing a backend supplies);
+* a :class:`~repro.runtime.codec.TaskDescriptor` — one fixed-position
+  record: the task type's fields inline, the body as ``(module, qualname)``,
+  array payloads swapped for plain ``(buffer key, offset, shape, strides,
+  dtype)`` refs by :func:`describe_task` (the array→ref function is the only
+  thing a backend supplies);
 * an :class:`ArrayArena` — rebuilds byte-exact views and regions from those
   refs with identity-preserving caches; a concrete arena only says where a
   ref's backing bytes live (a shared segment, a shipped span, a tenant
@@ -29,83 +31,30 @@ to :meth:`repro.runtime.dispatch.ChunkDispatcher.reply`.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.common.config import ATMConfig
-from repro.common.exceptions import RuntimeStateError
+from repro.common.exceptions import RuntimeStateError, WireProtocolError
 from repro.runtime.atm_protocol import EXECUTE_DECISION
+from repro.runtime.codec import (
+    TaskDescriptor, build, checked_dtype, function_name, plain, ref_key, resolve_function,
+)
 from repro.runtime.data import AccessMode, DataAccess, DataRegion
 from repro.runtime.task import Task, TaskState, TaskType
 
 __all__ = [
-    "TaskTypeSpec",
     "TaskDescriptor",
     "worker_engine_config",
     "build_worker_engine",
-    "map_arrays",
     "describe_task",
+    "describe_tasks",
     "rebuild_task",
     "run_descriptor",
     "ArrayArena",
     "RemoteWorker",
 ]
-
-
-@dataclass(frozen=True)
-class TaskTypeSpec:
-    """Reduced, picklable description of a :class:`TaskType`.
-
-    Cost models are deliberately dropped: they are only used by the
-    simulator, and applications routinely define them as (unpicklable)
-    lambdas.
-    """
-
-    name: str
-    memoizable: bool
-    tau_max: Optional[float]
-    l_training: Optional[int]
-    deterministic: bool
-
-    @classmethod
-    def of(cls, task_type: TaskType) -> "TaskTypeSpec":
-        return cls(
-            name=task_type.name,
-            memoizable=task_type.memoizable,
-            tau_max=task_type.tau_max,
-            l_training=task_type.l_training,
-            deterministic=task_type.deterministic,
-        )
-
-    def build(self) -> TaskType:
-        return TaskType(
-            name=self.name,
-            memoizable=self.memoizable,
-            tau_max=self.tau_max,
-            l_training=self.l_training,
-            deterministic=self.deterministic,
-        )
-
-
-@dataclass(frozen=True)
-class TaskDescriptor:
-    """Everything a worker needs to rebuild and run one task.
-
-    ``accesses`` entries are ``(array ref, mode_value, region_name)``;
-    ndarray leaves of ``args``/``kwargs`` are replaced by their array ref,
-    so worker-side argument arrays alias the rebuilt access regions exactly
-    as they alias the parent arrays at home.
-    """
-
-    task_id: int
-    creation_index: int
-    type_spec: TaskTypeSpec
-    function: Any
-    accesses: tuple[tuple[Any, str, str], ...]
-    args: tuple
-    kwargs: dict
 
 
 def worker_engine_config(engine) -> Optional[ATMConfig]:
@@ -146,23 +95,6 @@ def build_worker_engine(config: Optional[ATMConfig]):
     return build_engine(config, num_threads=1, journal=True)
 
 
-def map_arrays(value: Any, leaf_type: type, swap: Callable[[Any], Any]) -> Any:
-    """Copy a nested args/kwargs payload with every ``leaf_type`` leaf swapped.
-
-    The one tuple/list/dict walk of the descriptor protocol: encoding swaps
-    ndarrays for refs, decoding swaps refs for arena views.
-    """
-    if isinstance(value, leaf_type):
-        return swap(value)
-    if isinstance(value, tuple):
-        return tuple(map_arrays(v, leaf_type, swap) for v in value)
-    if isinstance(value, list):
-        return [map_arrays(v, leaf_type, swap) for v in value]
-    if isinstance(value, dict):
-        return {k: map_arrays(v, leaf_type, swap) for k, v in value.items()}
-    return value
-
-
 def describe_task(
     task_id: int,
     creation_index: int,
@@ -177,105 +109,141 @@ def describe_task(
 
     ``ref(array, region=None)`` is the backend's array→ref function: a
     shared-segment handle (:meth:`SharedBufferRegistry.array_ref`) or a
-    shipped-span handle (:meth:`ChunkEncoder.ref`).
+    shipped-span handle (:meth:`ChunkEncoder.ref`).  Raises
+    :class:`WireProtocolError` when the body cannot travel by name and
+    ``TypeError`` when an argument cannot travel at all.
     """
+    def leaf(array: np.ndarray) -> list:
+        return ["r", ref(array)]
+
     return TaskDescriptor(
-        task_id=task_id,
-        creation_index=creation_index,
-        type_spec=TaskTypeSpec.of(task_type),
-        function=function,
-        accesses=tuple(
+        task_id, creation_index, task_type.name, task_type.memoizable,
+        task_type.tau_max, task_type.l_training, task_type.deterministic,
+        *function_name(function),
+        tuple(
             (ref(access.region.array, access.region), access.mode.value,
-             access.region.name)
+             access.region._name)
             for access in accesses
         ),
-        args=map_arrays(args, np.ndarray, ref),
-        kwargs=map_arrays(kwargs, np.ndarray, ref),
+        plain(args, leaf=leaf),
+        plain(kwargs, leaf=leaf),
     )
 
 
-class ArrayArena:
-    """Rebuilds byte-exact array views and regions from serializable refs.
+def describe_tasks(tasks: Sequence[Task], ref: Callable, backend: str) -> list[TaskDescriptor]:
+    """:func:`describe_task` over a chunk, naming the tasks that cannot travel."""
+    try:
+        return [
+            describe_task(
+                task.task_id, task.creation_index, task.task_type, task.function,
+                task.accesses, task.args, task.kwargs, ref,
+            )
+            for task in tasks
+        ]
+    except (TypeError, WireProtocolError) as exc:
+        labels = ", ".join(task.label for task in tasks)
+        raise RuntimeStateError(
+            f"cannot serialize task(s) [{labels}] for the {backend} backend: {exc}; "
+            f"worker backends run module-level functions of application code only"
+        ) from exc
 
-    Views and regions are cached by the ref's fields, so every ref to one
+
+class ArrayArena:
+    """Rebuilds byte-exact array views and regions from plain refs.
+
+    Views and regions are cached by the ref itself, so every ref to one
     byte layout resolves to the *same* ndarray / :class:`DataRegion`
     object: aliasing between a task's arguments and its access regions
     survives, and the ATM key caches (keyed on region identity) hit across
-    tasks.  Subclasses say where the bytes live (:meth:`_backing`) and,
-    when regions need a cross-process version protocol, how to wrap a view
-    (:meth:`_region`).
+    tasks.  Subclasses fill ``_bases`` from the buffer tables they receive
+    and, when regions need a cross-process version protocol, say how to wrap
+    a view (:meth:`_region`).
     """
 
-    #: The ref type :func:`rebuild_task` swaps back for views.
-    ref_type: type = object
     #: Raised when a ref cannot be materialised.
     error: type = RuntimeStateError
 
     def __init__(self) -> None:
         self._views: dict[Any, np.ndarray] = {}
         self._regions: dict[Any, DataRegion] = {}
+        #: buffer key -> (uint8 backing, owning-base offset of its first byte).
+        self._bases: dict[Any, tuple[np.ndarray, int]] = {}
 
     def _backing(self, ref) -> tuple[Any, int]:
         """``(buffer, base_offset)``: the object exposing the bytes behind
         ``ref`` and the owning-base offset its first byte corresponds to."""
-        raise NotImplementedError  # pragma: no cover - abstract
+        entry = self._bases.get(ref[0])
+        if entry is None:
+            raise self.error(f"ref names buffer {ref[0]!r}, absent from its buffer table")
+        return entry
 
     def _region(self, array: np.ndarray, ref, name: str) -> DataRegion:
         return DataRegion(array, name=name)
 
-    @staticmethod
-    def _key(ref) -> tuple:
-        # The ref's field values: hashing and comparing a plain tuple stays
-        # in C, unlike the ref dataclass's generated __hash__/__eq__ (the
-        # lookups run several times per rebuilt task).
-        return tuple(vars(ref).values())
-
-    def view(self, ref) -> np.ndarray:
-        key = self._key(ref)
-        cached = self._views.get(key)
+    def view(self, ref: tuple) -> np.ndarray:
+        """The view ``(key, offset, shape, strides, dtype)`` names; an object
+        dtype — received bytes read as pointers — is refused."""
+        cached = self._views.get(ref)
         if cached is not None:
             return cached
         buffer, base_offset = self._backing(ref)
+        _, offset, shape, strides, dtype = ref
         try:
             array = np.ndarray(
-                ref.shape,
-                dtype=np.dtype(ref.dtype),
-                buffer=buffer,
-                offset=ref.offset - base_offset,
-                strides=ref.strides,
+                shape, dtype=checked_dtype(dtype), buffer=buffer,
+                offset=offset - base_offset, strides=strides,
             )
         except (ValueError, TypeError) as exc:
             raise self.error(f"cannot rebuild array view: {exc}") from exc
-        self._views[key] = array
+        self._views[ref] = array
         return array
 
-    def region(self, ref, name: str) -> DataRegion:
-        key = self._key(ref)
-        cached = self._regions.get(key)
+    def region(self, ref: tuple, name: str) -> DataRegion:
+        cached = self._regions.get(ref)
         if cached is None:
-            cached = self._regions[key] = self._region(self.view(ref), ref, name)
+            cached = self._regions[ref] = self._region(self.view(ref), ref, name)
         return cached
 
 
 def rebuild_task(
     desc: TaskDescriptor, arena: ArrayArena, task_types: dict[str, TaskType]
 ) -> Task:
-    """Materialise a descriptor as a runnable task over ``arena``'s memory."""
-    task_type = task_types.get(desc.type_spec.name)
-    if task_type is None:
-        task_type = task_types[desc.type_spec.name] = desc.type_spec.build()
-    return Task(
-        task_type=task_type,
-        function=desc.function,
-        accesses=[
-            DataAccess(arena.region(ref, name), AccessMode(mode_value))
-            for ref, mode_value, name in desc.accesses
-        ],
-        args=map_arrays(desc.args, arena.ref_type, arena.view),
-        kwargs=map_arrays(desc.kwargs, arena.ref_type, arena.view),
-        task_id=desc.task_id,
-        creation_index=desc.creation_index,
-    )
+    """Materialise a descriptor as a runnable task over ``arena``'s memory.
+
+    The body is looked up by :func:`~repro.runtime.codec.resolve_function`
+    (a name it refuses raises :class:`WireProtocolError`); a record of any
+    other shape raises the arena's error.
+    """
+    try:
+        (task_id, creation_index, name, memoizable, tau_max, l_training,
+         deterministic, module, qualname, refs, args, kwargs) = desc
+        task_type = task_types.get(name)
+        if task_type is None:
+            task_type = task_types[name] = TaskType(
+                name=name, memoizable=memoizable, tau_max=tau_max,
+                l_training=l_training, deterministic=deterministic,
+            )
+        accesses = [
+            DataAccess(arena.region(ref_key(ref), region_name), AccessMode(mode_value))
+            for ref, mode_value, region_name in refs
+        ]
+
+        def leaf(tagged: list) -> np.ndarray:
+            return arena.view(ref_key(tagged[1]))
+
+        # A task's arguments reference no frame segment: ``take`` is None.
+        return Task(
+            task_type=task_type,
+            function=resolve_function(module, qualname),
+            accesses=accesses,
+            args=build(args, None, leaf),
+            kwargs=build(kwargs, None, leaf),
+            task_id=task_id,
+            creation_index=creation_index,
+        )
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        raise arena.error(f"malformed task descriptor: {type(exc).__name__}: {exc}") from None
+
 
 
 def run_descriptor(

@@ -51,9 +51,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.common.exceptions import RuntimeStateError
-from repro.runtime.data import (
-    ArrayRef, DataRegion, SharedDataRegion, _base_buffer, region_versions,
-)
+from repro.runtime.codec import NetBuffer
+from repro.runtime.data import DataRegion, SharedDataRegion, _base_buffer, region_versions
 from repro.runtime.remote_task import ArrayArena
 
 __all__ = ["SharedVersionTable", "SharedBufferRegistry", "WorkerArena"]
@@ -153,6 +152,8 @@ class SharedBufferRegistry:
         #: Slots checked by ``copy_in`` (or seeded by ``register``) in the
         #: open drain; the executor clears it when a drain opens.
         self.fresh: set[int] = set()
+        #: Slots referenced since the last :meth:`table` (one chunk's).
+        self._touched: dict[int, _SharedBuffer] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -178,23 +179,21 @@ class SharedBufferRegistry:
         self._by_id[id(base)] = entry
         return entry
 
-    def array_ref(
-        self, array: np.ndarray, region: Optional[DataRegion] = None
-    ) -> ArrayRef:
-        """Serializable handle reconstructing ``array`` inside a worker; pass
-        its ``region`` to reuse the owning base the region already found."""
+    def array_ref(self, array: np.ndarray, region: Optional[DataRegion] = None) -> tuple:
+        """The ref ``(slot, offset, shape, strides, dtype)`` reconstructing
+        ``array`` inside a worker; pass its ``region`` to reuse the owning
+        base the region already found."""
         entry = self.register(
             region._base if region is not None else _base_buffer(array)
         )
-        return ArrayRef(
-            shm_name=entry.shm.name,
-            base_nbytes=int(entry.base.nbytes),
-            slot=entry.slot,
-            offset=_offset(entry, array),
-            shape=tuple(array.shape),
-            strides=tuple(array.strides),
-            dtype=array.dtype.str,
-        )
+        self._touched[entry.slot] = entry
+        return entry.slot, _offset(entry, array), array.shape, array.strides, array.dtype.str
+
+    def table(self) -> tuple[NetBuffer, ...]:
+        """The buffer table of the refs made since the last call: one row
+        per slot, naming its segment."""
+        touched, self._touched = self._touched, {}
+        return tuple(NetBuffer(slot, 0, entry.shm.name) for slot, entry in touched.items())
 
     @staticmethod
     def _mirror_matches(entry: _SharedBuffer) -> bool:
@@ -264,35 +263,38 @@ class SharedBufferRegistry:
 
 
 class WorkerArena(ArrayArena):
-    """Worker-side lazy attachment of shared segments and region views."""
+    """Worker-side lazy attachment of shared segments and region views.
 
-    ref_type = ArrayRef
+    A slot's segment never changes, so segments attached for one chunk's
+    buffer table (:meth:`attach`) serve every later chunk.
+    """
 
     def __init__(self, version_table: SharedVersionTable) -> None:
         super().__init__()
         self.version_table = version_table
-        self._segments: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
+        self._segments: list[shared_memory.SharedMemory] = []
 
-    def _backing(self, ref: ArrayRef) -> tuple[np.ndarray, int]:
-        cached = self._segments.get(ref.shm_name)
-        if cached is None:
-            shm = shared_memory.SharedMemory(name=ref.shm_name)
-            # One flat uint8 ndarray per segment: every view built over it
-            # shares this object as its ``.base``, preserving region
-            # identity for the keygen caches.
-            base = np.ndarray((max(1, ref.base_nbytes),), dtype=np.uint8, buffer=shm.buf)
-            cached = self._segments[ref.shm_name] = (shm, base)
-        return cached[1], 0
+    def attach(self, buffers) -> None:
+        """Attach, by name, the segments of a buffer table not seen yet."""
+        for slot, _start, name, _generation in buffers:
+            if slot not in self._bases:
+                shm = shared_memory.SharedMemory(name=name)
+                self._segments.append(shm)
+                # One flat uint8 ndarray per segment: every view built over
+                # it shares this object as its ``.base``, preserving region
+                # identity for the keygen caches.
+                self._bases[slot] = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf), 0
 
-    def _region(self, array: np.ndarray, ref: ArrayRef, name: str) -> DataRegion:
+    def _region(self, array: np.ndarray, ref: tuple, name: str) -> DataRegion:
         return SharedDataRegion(
-            array, name=name, slot=ref.slot, version_table=self.version_table
+            array, name=name, slot=ref[0], version_table=self.version_table
         )
 
     def close(self) -> None:
         self._views.clear()
         self._regions.clear()
-        for shm, _base in self._segments.values():
+        self._bases.clear()
+        for shm in self._segments:
             try:
                 shm.close()
             except BufferError:  # pragma: no cover - views still alive

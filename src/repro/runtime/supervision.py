@@ -102,7 +102,7 @@ class TaskFailure:
 
     ``error`` is the taxonomy class *name* (``"TaskFailedError"``,
     ``"TaskTimeoutError"``, ``"WorkerLostError"``) — a string so the
-    report pickles cheaply across process/network boundaries.
+    report travels as plain fields across process/network boundaries.
     ``cancelled`` lists the labels of the dependent subgraph that was
     quarantined along with the task.
     """

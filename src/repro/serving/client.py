@@ -11,7 +11,7 @@ an application's ``build(runtime)`` runs unchanged against a remote gateway:
 
 Buffer model (server-authoritative): the first time a submission touches an
 array, the client ships the array's *whole owning base buffer* to the
-gateway; afterwards only byte-exact :class:`NetArrayRef` handles travel.
+gateway; afterwards only byte-exact refs travel.
 The gateway's copy is authoritative between barriers — host-side writes to
 a shipped array are NOT observed by the server.  At every barrier the
 gateway returns the bytes of each buffer its tasks wrote and the client
@@ -34,8 +34,8 @@ from repro.common.exceptions import (
 )
 from repro.runtime.data import DataAccess
 from repro.runtime.executor import RunResult
-from repro.runtime.net_wire import ChunkEncoder, NetBuffer, request, span_view
-from repro.runtime.remote_task import TaskDescriptor, describe_task
+from repro.runtime.net_wire import ChunkEncoder, NetBuffer, NetChunk, request, span_view
+from repro.runtime.remote_task import describe_task
 from repro.runtime.task import TaskType
 from repro.serving.gateway import SERVING_PROTOCOL_VERSION
 
@@ -104,14 +104,12 @@ class GatewayClient:
         return reply
 
     # -- task encoding -----------------------------------------------------------
-    def _encode(
-        self, specs: Sequence[tuple]
-    ) -> tuple[tuple[TaskDescriptor, ...], tuple[NetBuffer, ...]]:
+    def _encode(self, specs: Sequence[tuple]) -> NetChunk:
         """Describe ``(task_type, function, accesses, args, kwargs)`` specs.
 
-        Returns the descriptors plus the whole owning buffers they touch
-        that the gateway has not seen yet (holding a base in the ledger
-        keeps its id stable and marks it as shipped).
+        Returns the descriptors with, as the buffer table, the whole owning
+        buffers they touch that the gateway has not seen yet (holding a base
+        in the ledger keeps its id stable and marks it as shipped).
         """
         encoder = ChunkEncoder()
         descs = []
@@ -132,7 +130,7 @@ class GatewayClient:
                 ship.append(
                     NetBuffer(buffer_id, 0, span_view(base, 0, base.nbytes))
                 )
-        return tuple(descs), tuple(ship)
+        return NetChunk(0, tuple(ship), tuple(descs))
 
     # -- Session-compatible surface ----------------------------------------------
     def submit(
@@ -144,9 +142,7 @@ class GatewayClient:
         kwargs: Optional[dict] = None,
     ) -> int:
         """Ship one task; returns the client-side submission index."""
-        (desc,), ship = self._encode([(task_type, function, accesses, args, kwargs)])
-        self._request(("submit", desc, ship))
-        return desc.task_id
+        return self.submit_batch([(task_type, function, accesses, args, kwargs)])[0]
 
     def submit_batch(
         self, specs: "Sequence[Sequence] | Sequence[Mapping]"
@@ -165,9 +161,9 @@ class GatewayClient:
                     spec[3] if len(spec) > 3 else (),
                     spec[4] if len(spec) > 4 else None,
                 ))
-        descs, ship = self._encode(normalised)
-        self._request(("submit_batch", descs, ship))
-        return [d.task_id for d in descs]
+        chunk = self._encode(normalised)
+        self._request(("submit_batch", chunk))
+        return [desc.task_id for desc in chunk.tasks]
 
     def wait_all(self) -> dict:
         """Barrier: block until every submitted task is terminal.

@@ -84,14 +84,8 @@ from repro.runtime.data import AccessMode
 from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.net_server import SHUTDOWN_GRACE_S, FrameServer
-from repro.runtime.net_wire import (
-    NetArrayRef,
-    NetBuffer,
-    raw_view,
-    read_frame,
-    write_frame,
-)
-from repro.runtime.remote_task import ArrayArena, TaskDescriptor, rebuild_task
+from repro.runtime.net_wire import NetBuffer, NetChunk, raw_view, read_frame, write_frame
+from repro.runtime.remote_task import ArrayArena, rebuild_task
 from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.admission import AdmissionController
 
@@ -104,9 +98,11 @@ __all__ = [
 
 #: Bumped on any incompatible change to the gateway message vocabulary.
 #: Version 2: submissions carry :class:`~repro.runtime.remote_task.
-#: TaskDescriptor` (the pickled descriptor classes moved import path).
+#: TaskDescriptor` (the descriptor classes moved import path).
 #: Version 3: segmented frames (:mod:`repro.runtime.net_wire` version 5).
-SERVING_PROTOCOL_VERSION = 3
+#: Version 4: the data-only control codec (:mod:`repro.runtime.codec`); one
+#: submission message, ``("submit_batch", NetChunk)``.
+SERVING_PROTOCOL_VERSION = 4
 
 #: ATM modes a tenant may request at hello time.
 _TENANT_ATM_MODES = ("none", "static", "dynamic", "fixed_p")
@@ -129,31 +125,23 @@ class TenantArena(ArrayArena):
     barriers.  The arena's ref-keyed caches make repeated submissions over
     the same client array resolve to the *same* region object — which is
     what gives the shared dependence graph and the ATM key caches a stable
-    identity per tenant array.
+    identity per tenant array.  ``_bases`` maps a buffer id to its backing
+    alone: a tenant buffer always starts at offset 0.
     """
 
-    ref_type = NetArrayRef
     error = GatewayProtocolError
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._bases: dict[int, np.ndarray] = {}
 
     def store(self, buffers: "tuple[NetBuffer, ...] | list[NetBuffer]") -> None:
         for buf in buffers:
-            if not isinstance(buf, NetBuffer):
-                raise GatewayProtocolError(
-                    f"a submission ships NetBuffers, got {type(buf).__name__}"
-                )
-            if buf.data is None:
+            if buf.data is None or type(buf.data) is str:
                 raise GatewayProtocolError(
                     "the gateway ships tenant buffers whole; cached "
-                    "(data=None) NetBuffer dispatches are a worker-protocol "
-                    "form the serving protocol does not use"
+                    "(data=None) and shared-segment NetBuffers are "
+                    "worker-protocol forms the serving protocol does not use"
                 )
             if buf.start != 0:
                 raise GatewayProtocolError(
-                    f"tenant buffer {buf.buffer_id:#x} shipped a partial span "
+                    f"tenant buffer {buf.buffer_id!r} shipped a partial span "
                     f"(start={buf.start}); the serving protocol ships whole "
                     f"base buffers"
                 )
@@ -164,12 +152,11 @@ class TenantArena(ArrayArena):
             # The frame reader's segment is adopted as the backing.
             self._bases[buf.buffer_id] = np.frombuffer(buf.data, dtype=np.uint8)
 
-    def _backing(self, ref: NetArrayRef) -> tuple[np.ndarray, int]:
-        backing = self._bases.get(ref.buffer_id)
+    def _backing(self, ref: tuple) -> tuple[np.ndarray, int]:
+        backing = self._bases.get(ref[0])
         if backing is None:
             raise GatewayProtocolError(
-                f"task references buffer {ref.buffer_id:#x} that this tenant "
-                f"never shipped"
+                f"task references buffer {ref[0]!r} that this tenant never shipped"
             )
         return backing, 0
 
@@ -371,8 +358,8 @@ class Gateway:
         cfg = cfg.with_overrides(runtime={"on_task_failure": "quarantine"})
         self.config = cfg
         self.serving = cfg.serving
-        # Worker-replicated backends rebuild their engine from a picklable
-        # spec; a per-task router cannot be replicated, so those pools run
+        # Worker-replicated backends rebuild their engine from a config
+        # recipe; a per-task router cannot be replicated, so those pools run
         # engine-less and tenants must not request ATM.
         self._atm_capable = cfg.runtime.executor in ("serial", "threaded")
         self._shared_tht = None
@@ -770,19 +757,12 @@ class Gateway:
             return ("hello_ack", ack), tenant
         if tenant is None:
             raise GatewayProtocolError(f"{kind!r} before hello")
-        if kind in ("submit", "submit_batch"):
+        if kind == "submit_batch":
             if self._draining:
                 raise GatewayShutdownError("gateway is shutting down")
-            if len(message) != 3:
-                raise GatewayProtocolError(f"{kind} carries descriptors and buffers")
-            descs, buffers = message[1], message[2]
-            if kind == "submit":
-                descs = (descs,)
-            if not isinstance(descs, (tuple, list)) or not isinstance(buffers, (tuple, list)):
-                raise GatewayProtocolError(
-                    f"{kind} carries a sequence of descriptors and a sequence of buffers"
-                )
-            return ("ack", self._ingest_submission(tenant, descs, buffers)), tenant
+            if len(message) != 2 or not isinstance(message[1], NetChunk):
+                raise GatewayProtocolError(f"{kind} carries one chunk of descriptors and buffers")
+            return ("ack", self._ingest_submission(tenant, message[1])), tenant
         if kind in ("barrier", "finish"):
             with tenant.idle:
                 while tenant.outstanding > 0:
@@ -805,26 +785,20 @@ class Gateway:
         raise GatewayProtocolError(f"unknown message type {kind!r}")
 
     # -- submission path (the connection's thread) --------------------------------
-    def _ingest_submission(
-        self, tenant: _TenantState, descs: "tuple | list", buffers: "tuple | list"
-    ) -> int:
-        tenant.arena.store(buffers)
+    def _ingest_submission(self, tenant: _TenantState, chunk: NetChunk) -> int:
+        tenant.arena.store(chunk.buffers)
         t_submit = time.monotonic()
         # Build (and validate) every task before binding any route, so a
         # rejected descriptor mid-batch leaves no dangling router entries.
         tasks = []
         written: set[int] = set()
-        for desc in descs:
-            if not isinstance(desc, TaskDescriptor):
-                raise GatewayProtocolError(
-                    f"a submission carries TaskDescriptors, got {type(desc).__name__}"
-                )
+        for desc in chunk.tasks:
             task = rebuild_task(desc, tenant.arena, tenant.task_types)
             task.task_id = -1  # the shared graph assigns dense ids
             tasks.append(task)
             for ref, mode_value, _name in desc.accesses:
                 if AccessMode(mode_value).writes:
-                    written.add(ref.buffer_id)
+                    written.add(ref[0])
         for task in tasks:
             self._router.bind(task, _Route(tenant, t_submit))
         with tenant.lock:

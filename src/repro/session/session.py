@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import pickle
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -64,64 +62,6 @@ def _marker_for(annotation: Any) -> Optional[Callable]:
     if isinstance(annotation, str):
         return _ACCESS_MARKERS.get(annotation.split(".")[-1].strip())
     return None
-
-
-def _resolve_task_body(module: str, qualname: str) -> "_TaskBody":
-    """Unpickle helper: re-resolve a decorated task body by name.
-
-    The name resolves to the ``@session.task`` *wrapper* (it shadows the
-    original function at module scope); the raw body hangs off its
-    ``__wrapped__`` attribute.
-    """
-    import importlib
-
-    obj: Any = importlib.import_module(module)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return _TaskBody(getattr(obj, "__wrapped__", obj))
-
-
-class _TaskBody:
-    """Callable wrapper for a task body that stays picklable once decorated.
-
-    ``@session.task`` rebinds the function's module-level name to the
-    submitting wrapper, so pickling the raw function for the process backend
-    would fail with "not the same object".  This proxy calls the body
-    directly in-process and pickles by (module, qualname), resolving through
-    the wrapper's ``__wrapped__`` on the worker side.  Bodies that are not
-    module-resolvable (lambdas, closures) still fail at dispatch with the
-    process backend's explanatory error, exactly like undecorated ones.
-    """
-
-    __slots__ = ("function",)
-
-    def __init__(self, function: Callable) -> None:
-        self.function = function
-
-    def __call__(self, *args, **kwargs):
-        return self.function(*args, **kwargs)
-
-    @property
-    def __name__(self) -> str:
-        return getattr(self.function, "__name__", "task_body")
-
-    def __reduce__(self):
-        # Fail at dispatch in the parent (the process backend turns this into
-        # its explanatory error) instead of killing a worker that cannot
-        # resolve the name at unpickle time: prove resolvability here, the
-        # same way the worker will attempt it.  Catches local functions
-        # ('<locals>'), lambdas ('<lambda>') and rebound/deleted names alike.
-        fn = self.function
-        obj: Any = sys.modules.get(fn.__module__)
-        for part in fn.__qualname__.split("."):
-            obj = getattr(obj, part, None)
-        if obj is not fn and getattr(obj, "__wrapped__", None) is not fn:
-            raise pickle.PicklingError(
-                f"task body {fn.__qualname__!r} is not resolvable as a "
-                f"module-level name in {fn.__module__!r}; the process backend "
-                f"needs module-level task bodies (no lambdas/closures)"
-            )
-        return (_resolve_task_body, (fn.__module__, fn.__qualname__))
 
 
 class _TaskDeclaration:
@@ -543,13 +483,11 @@ class Session:
                 **type_kwargs,
             )
 
-            body = _TaskBody(function)
-
             @functools.wraps(function)
             def wrapper(*args, **kwargs) -> Task:
                 accesses = declaration.build_accesses(args, kwargs)
                 return self.submit(
-                    task_type, body, accesses=accesses, args=args, kwargs=kwargs
+                    task_type, function, accesses=accesses, args=args, kwargs=kwargs
                 )
 
             wrapper.task_type = task_type  # type: ignore[attr-defined]

@@ -3,7 +3,7 @@
 One fault matrix, four executor backends.  The harness has two halves:
 
 * **Misbehaving task bodies** — module-level (the process and network
-  backends pickle task functions by reference) and deliberately boring:
+  backends ship task functions by name) and deliberately boring:
   raise deterministically, raise until the N-th attempt, sleep past the
   task budget, or kill the hosting worker process outright.  Cross-process
   attempt counting uses marker files under a caller-owned directory, the
@@ -53,7 +53,7 @@ BACKENDS = ("serial", "threaded", "process", "network")
 FAULT_DRAIN_TIMEOUT = 30.0
 
 
-# -- task bodies (module-level: pickled by reference) --------------------------------
+# -- task bodies (module-level: they travel by name) ---------------------------------
 def square_body(src: np.ndarray, dst: np.ndarray) -> None:
     """The healthy control body: ``dst = src ** 2``."""
     dst[:] = src ** 2

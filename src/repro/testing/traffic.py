@@ -13,10 +13,10 @@ Two arrival processes are provided:
   gaps between groups scaled so the long-run rate is still ``rate_hz``
   (stress for the admission controller's bounded pending pool).
 
-The module also hosts the module-level (hence picklable) task bodies that
-the serving tests and benches submit — the same rule as
-:mod:`repro.testing.faults`: the process/network pools import task functions
-by reference, so nothing here may be a closure or a lambda.
+The module also hosts the module-level task bodies that the serving tests
+and benches submit — the same rule as :mod:`repro.testing.faults`: the
+process/network pools look task functions up by name, so nothing here may
+be a closure or a lambda.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def replay(
     return dispatched
 
 
-# -- picklable task bodies ------------------------------------------------------
+# -- task bodies (module-level: they travel by name) ----------------------------
 def scale_block(src: np.ndarray, dst: np.ndarray, factor: float) -> None:
     """dst = src * factor (the serving bench's unit of work)."""
     dst[:] = src * factor

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import json
+import pickle
+import struct
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,7 @@ from repro.common.exceptions import (
     ConfigurationError,
     THTStoreCorruptError,
     THTStoreError,
+    THTStoreSchemaError,
     THTStoreUnavailableError,
 )
 from repro.common.hashing import HashKey, hash_bytes
@@ -50,6 +55,23 @@ PARENT_LAYOUT_STORE_HEADER = bytes.fromhex(
     "94288c06736368656d61944b018c0f7468745f6275636b65745f62697473944b088c1374"
     "68745f6275636b65745f6361706163697479944b807586942e"
 )
+
+
+def hand_frame(control: bytes, segments: tuple = ()) -> bytes:
+    """A segmented frame assembled byte by byte around ``control``."""
+    table = b"".join(struct.pack("!II", len(seg), zlib.crc32(seg)) for seg in segments)
+    counts = struct.pack("!II", len(control), len(segments))
+    crc = zlib.crc32(control, zlib.crc32(table, zlib.crc32(counts)))
+    head = struct.pack("!4sIII", b"ATMS", crc, len(control), len(segments))
+    return head + table + control + b"".join(segments)
+
+
+#: A store file as schema 4 wrote it: segmented frames whose control
+#: sections are pickles, a header and one delta.
+SCHEMA_4_FILE = b"".join(hand_frame(pickle.dumps(message, protocol=5)) for message in (
+    ("tht_store", {"schema": 4, "tht_bucket_bits": 4, "tht_bucket_capacity": 8}),
+    ("tht_delta", {"entries": [], "counters": {"hits": 1}}),
+))
 
 
 def load_shard_module():
@@ -203,14 +225,49 @@ class TestFileStore:
             FileTHTStore(store_path, CFG).load()
 
     def test_previous_schema_is_refused_by_name(self, store_path):
-        """Schema 3 hashed a ``p < 1`` sample in another order: its entries
-        would load and never be found, so the file is not read at all."""
+        """A file of the previous schema is not read at all (its entries sat
+        under another key definition or in pickled frames)."""
         store_path.parent.mkdir(parents=True)
         store_path.write_bytes(
             bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})))
             + bytes(encode_frame(("tht_delta", fill_table(3).snapshot())))
         )
-        with pytest.raises(THTStoreCorruptError, match="has schema 3; this build reads schema 4"):
+        with pytest.raises(THTStoreCorruptError, match="has schema 4; this build reads schema 5"):
+            FileTHTStore(store_path, CFG).load()
+
+    def test_schema_4_file_is_refused_by_name_and_never_overwritten(self, store_path):
+        store_path.parent.mkdir(parents=True)
+        store_path.write_bytes(SCHEMA_4_FILE)
+        store = FileTHTStore(store_path, CFG)
+        match = "written by schema 4 or earlier; this build reads schema 5"
+        with pytest.raises(THTStoreSchemaError, match=match):
+            store.load()
+        with pytest.raises(THTStoreSchemaError, match=match):
+            store.publish(fill_table(3).snapshot())
+        assert store_path.read_bytes() == SCHEMA_4_FILE
+
+    def test_an_object_dtype_output_is_refused_in_both_directions(self, store_path):
+        """THT outputs are read from the file as raw bytes: a dtype that holds
+        Python objects is never built from them, nor written."""
+        header = bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION})))
+        entry = ["e", 1, 1.0, "t", 0, ["[", ["a", "|O", [1], 0]]]
+        control = ["", ["(", "tht_delta", {"entries": ["[", entry], "counters": {}}]]
+        store_path.parent.mkdir(parents=True)
+        store_path.write_bytes(header + hand_frame(json.dumps(control).encode(), (b"\0" * 8,)))
+        with pytest.raises(THTStoreCorruptError, match="holds Python objects"):
+            FileTHTStore(store_path, CFG).load()
+        delta = fill_table(1).snapshot()
+        delta["entries"][0].outputs[0] = np.array([object()])
+        with pytest.raises(TypeError, match="holds Python objects"):
+            encode_frame(("tht_delta", delta))
+
+    def test_a_delta_frame_of_other_values_is_corrupt(self, store_path):
+        store_path.parent.mkdir(parents=True)
+        store_path.write_bytes(b"".join(bytes(encode_frame(m)) for m in (
+            ("tht_store", {"schema": STORE_SCHEMA_VERSION}),
+            ("tht_delta", {"entries": [1, "two"], "counters": {}}),
+        )))
+        with pytest.raises(THTStoreCorruptError, match="non-delta frame"):
             FileTHTStore(store_path, CFG).load()
 
     def test_header_kind_mismatch_raises_corrupt(self, store_path):
@@ -274,7 +331,7 @@ class TestShardState:
         assert reply[0] == "error"
         reply = state.handle(("hello", {"protocol": SHARD_PROTOCOL_VERSION - 1}))
         assert reply[:2] == ("error", "THTStoreUnavailableError")
-        assert "shard speaks protocol 4, client spoke 3" in reply[2]
+        assert "shard speaks protocol 5, client spoke 4" in reply[2]
 
     def test_publish_then_fetch_round_trips(self):
         state = ShardState(CFG)
@@ -495,9 +552,17 @@ class TestSessionWarmStart:
             bytes(encode_frame(frame))
             for frame in [("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})] + frames[1:]
         ))
-        with pytest.warns(RuntimeWarning, match="has schema 3"):
+        with pytest.warns(RuntimeWarning, match="has schema 4"):
             session, _ = run_saxpy(self.atm(url))
         assert not session.warm_started and session.stats["tht_hits"] == 0
+
+    def test_schema_4_store_warns_and_is_left_alone(self, store_path):
+        store_path.parent.mkdir(parents=True)
+        store_path.write_bytes(SCHEMA_4_FILE)
+        with pytest.warns(RuntimeWarning, match="refused and left as it is.*schema 4 or earlier"):
+            session, _ = run_saxpy(self.atm(f"file://{store_path}"))
+        assert not session.warm_started
+        assert store_path.read_bytes() == SCHEMA_4_FILE
 
     def test_unreachable_shard_warns_and_cold_starts(self):
         with pytest.warns(RuntimeWarning, match="unavailable"):

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
 import re
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import LISTENERS, exchange
 
 import repro
+from repro.atm.store import FileTHTStore
+from repro.atm.tht import THTEntry
 from repro.common.config import (
     ATMConfig,
     MIN_P,
@@ -18,7 +25,10 @@ from repro.common.config import (
     ServingConfig,
     SimulationConfig,
 )
-from repro.common.exceptions import ConfigurationError
+from repro.common.exceptions import ConfigurationError, THTStoreError, WireProtocolError
+from repro.runtime import net_wire
+from repro.runtime.codec import NetChunk, TaskDescriptor, resolve_function
+from repro.serving.gateway import SERVING_PROTOCOL_VERSION
 
 
 class TestPLadder:
@@ -191,6 +201,100 @@ class TestOneServerModel:
             if re.match(r"(read|decode|iter)_", name)
         }
         assert readers == {"read_frame", "decode_frame", "iter_frames"}
+
+
+#: Created by :class:`_Sentinel`'s pickle when it is loaded; no reader may.
+SENTINEL = Path(os.environ.get("TMPDIR", "/tmp")) / f"atm-unpickled-{os.getpid()}"
+
+
+class _Sentinel:
+    def __reduce__(self):
+        return (open, (str(SENTINEL), "w"))
+
+
+def framed(control: bytes) -> bytes:
+    """A well-framed, correctly checksummed frame around ``control``."""
+    counts = net_wire._ENTRY.pack(len(control), 0)
+    crc = zlib.crc32(control, zlib.crc32(counts))
+    return net_wire._HEADER.pack(net_wire.MAGIC, crc, len(control), 0) + control
+
+
+def replies(address: tuple[str, int], raw: bytes) -> list:
+    """Every frame the listener sent back to ``raw`` before it closed."""
+    return list(net_wire.iter_frames(exchange(address, raw)))
+
+
+class TestNothingIsUnpickled:
+    """No byte from a socket, a store file or a process pipe is unpickled:
+    the control codec builds data only, and task bodies resolve by name
+    under the wire's rules."""
+
+    HOSTILE = framed(pickle.dumps(("hello", _Sentinel()), protocol=5))
+
+    def test_no_module_under_src_imports_pickle(self):
+        package = Path(repro.__file__).parent
+        users = [
+            str(path.relative_to(package))
+            for path in package.rglob("*.py")
+            if re.search(r"^\s*(import|from)\s+(c?pickle|marshal)\b|PickleBuffer",
+                         path.read_text(), re.M)
+        ]
+        assert users == []
+
+    @pytest.mark.parametrize("kind", LISTENERS)
+    def test_a_pickled_frame_is_refused_unread_by_every_listener(self, kind, live_listener):
+        answers = replies(live_listener(kind), self.HOSTILE)
+        assert not SENTINEL.exists()
+        for reply in answers:
+            assert reply[0] == "error" and "is a pickle" in reply[-1], reply
+
+    def test_a_pickled_store_file_is_refused_unread_and_left_alone(self, tmp_path):
+        path = tmp_path / "hostile.tht"
+        path.write_bytes(self.HOSTILE)
+        store = FileTHTStore(path)
+        with pytest.raises(THTStoreError, match="is a pickle"):
+            store.load()
+        with pytest.raises(THTStoreError, match="is a pickle"):
+            store.publish({"entries": [THTEntry(1, 1.0, "t", [np.zeros(2)], 0)]})
+        assert not SENTINEL.exists()
+        assert path.read_bytes() == self.HOSTILE
+
+    BODIES = [
+        ("os", "system"),
+        ("builtins", "eval"),
+        ("subprocess", "call"),
+        ("repro.runtime.task", "TaskType"),          # a class
+        ("repro.session.session", "Session.submit"),  # a method
+        ("repro.common.config", "<lambda>"),
+        ("numpy", "add"),                             # site-packages
+    ]
+
+    @pytest.mark.parametrize("module, qualname", BODIES)
+    def test_a_task_body_outside_application_functions_is_refused(self, module, qualname):
+        with pytest.raises(WireProtocolError, match="refused"):
+            resolve_function(module, qualname)
+
+    @staticmethod
+    def descriptor(module: str, qualname: str) -> TaskDescriptor:
+        return TaskDescriptor(1, 1, "hostile", False, None, None, True,
+                              module, qualname, (), ["("], {})
+
+    @pytest.mark.parametrize("module, qualname", BODIES)
+    def test_a_peer_naming_such_a_body_gets_a_named_error(self, module, qualname,
+                                                          live_listener):
+        chunk = NetChunk(1, (), (self.descriptor(module, qualname),))
+        hello = ("hello", {"protocol": net_wire.PROTOCOL_VERSION, "engine": None})
+        worker = replies(live_listener("net_worker"), b"".join(
+            bytes(net_wire.encode_frame(m)) for m in (hello, ("chunk", chunk), ("shutdown",))
+        ))
+        assert [r[0] for r in worker] == ["hello_ack", "ack", "error"]
+        assert f"WireProtocolError: task body {module!r}.{qualname!r} refused" in worker[2][3]
+        tenant = ("hello", {"protocol": SERVING_PROTOCOL_VERSION, "tenant": "hostile"})
+        gateway = replies(live_listener("gateway"), b"".join(
+            bytes(net_wire.encode_frame(m)) for m in (tenant, ("submit_batch", chunk))
+        ))
+        assert gateway[1][:2] == ("error", "WireProtocolError")
+        assert "refused" in gateway[1][2]
 
 
 class TestNoBarrierSweep:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import multiprocessing
 import os
+import socket
 import sys
 import threading
 
@@ -13,11 +15,15 @@ import pytest
 
 from repro.atm.engine import ATMEngine
 from repro.atm.policy import DynamicATMPolicy, StaticATMPolicy
-from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
+from repro.atm.store import ShardState, serve_shard_connection
+from repro.common.config import ATMConfig, ReproConfig, RuntimeConfig, SimulationConfig
 from repro.runtime.data import In, Out
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
+from repro.runtime.net_server import FrameServer
+from repro.runtime.net_transport import serve_connection
 from repro.runtime.simulator import SimulatedExecutor
 from repro.runtime.task import TaskType
+from repro.serving import Gateway
 from repro.session import Session
 
 
@@ -77,6 +83,53 @@ def no_leaked_workers():
             helper.join(timeout=LEAK_JOIN_S)
     leaked = sorted(label for label, _ in _live_helpers() - before)
     assert not leaked, f"test leaked {leaked}"
+
+
+#: The three frame daemons that read bytes from any TCP peer.
+LISTENERS = ("net_worker", "gateway", "tht_shard")
+
+
+@pytest.fixture
+def live_listener():
+    """``start(kind)`` serves one of :data:`LISTENERS` in-process on an
+    ephemeral loopback port and returns its ``(host, port)``; everything
+    started is shut down with the test."""
+    with contextlib.ExitStack() as stack:
+        def start(kind: str) -> tuple[str, int]:
+            if kind == "gateway":
+                config = ReproConfig().with_overrides(runtime={"executor": "serial"})
+                return "127.0.0.1", stack.enter_context(Gateway(config)).port
+            if kind == "net_worker":
+                server = FrameServer(("127.0.0.1", 0), serve_connection)
+            else:
+                state = ShardState()
+                server = FrameServer(
+                    ("127.0.0.1", 0), lambda sock, _id: serve_shard_connection(sock, state)
+                )
+            host, port = server.serve_in_thread().rsplit(":", 1)
+            stack.callback(server.shutdown_gracefully, 2.0)
+            stack.callback(server.close_connections)
+            return host, int(port)
+
+        yield start
+
+
+def exchange(address: tuple[str, int], raw: bytes, timeout: float = 10.0) -> bytes:
+    """Send ``raw`` to a listener and half-close; everything it sent back
+    before it closed (a reset is a close; a hang past ``timeout`` raises)."""
+    received = bytearray()
+    with socket.create_connection(address, timeout=timeout) as sock:
+        try:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the listener has closed already
+            pass
+        try:
+            while chunk := sock.recv(1 << 16):
+                received += chunk
+        except ConnectionResetError:
+            pass
+    return bytes(received)
 
 
 @pytest.fixture

@@ -51,6 +51,7 @@ class TestSharedMemoryProtocol:
             view = base[1:3, 2:5]                    # non-trivial strides
             ref = registry.array_ref(view)
             arena = WorkerArena(table)
+            arena.attach(registry.table())  # the chunk's buffer table
             rebuilt = arena.view(ref)
             assert rebuilt.shape == view.shape
             assert rebuilt.strides == view.strides

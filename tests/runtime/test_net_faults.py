@@ -558,9 +558,9 @@ def _replies_over_queue_and_pipe():
     """The process transport's worker entry point, run in this process:
     one chunk, the barrier, the shutdown pill."""
     import multiprocessing
-    import pickle
 
     from repro.runtime.mp_executor import _worker_main
+    from repro.runtime.net_wire import NetChunk, decode_frame, encode_frame
     from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable
 
     ctx = multiprocessing.get_context()
@@ -570,15 +570,17 @@ def _replies_over_queue_and_pipe():
     reader, writer = ctx.Pipe(duplex=False)
     try:
         descriptors, sources, sinks = _contract_chunk(registry.array_ref)
-        for message in (("chunk", 7, pickle.dumps(descriptors)), ("sync",), None):
-            task_queue.put(message)
+        chunk = NetChunk(7, registry.table(), tuple(descriptors))
+        for message in (("chunk", chunk), ("sync",)):
+            task_queue.put(bytes(encode_frame(message)))
+        task_queue.put(None)
         _worker_main(
             3, task_queue, writer, ctx.Lock(), table.name, table.capacity, table.lock,
             None, True,
         )
         replies = []
         while reader.poll():
-            worker_id, reply = reader.recv()  # the envelope
+            worker_id, reply = decode_frame(reader.recv_bytes())[0]  # the envelope
             assert worker_id == 3
             replies.append(reply)
         registry.copy_out(DataRegion(sink) for sink in sinks)

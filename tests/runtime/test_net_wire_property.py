@@ -2,10 +2,10 @@
 
 Hypothesis-driven guarantees over :mod:`repro.runtime.net_wire`:
 
-* **frame identity** — a message mixing plain values, :class:`NetBuffer` leaves
-  (full and ``data=None``), zero-length and many tiny segments, C-/F-
-  contiguous arrays (out-of-band segments) and non-contiguous arrays (which
-  stay in the control section) comes back identical through both decoders:
+* **frame identity** — a message mixing plain values, zero-length and many
+  tiny segments and arrays of every layout (each one segment), or a chunk
+  whose buffer table mixes full and ``data=None`` :class:`NetBuffer` rows,
+  comes back identical through both decoders:
   :func:`decode_frame`, and :func:`read_frame` behind a sender that dribbles
   1–7 bytes at a time;
 * **frame integrity** — truncating a frame at *every* byte offset, or
@@ -34,7 +34,6 @@ backend's shared-memory ``WorkerArena``, the network backend's
 from __future__ import annotations
 
 import contextlib
-import pickle
 import random
 import socket
 import struct
@@ -49,6 +48,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.common.exceptions import WireProtocolError  # noqa: E402
+from repro.runtime.codec import encode_control, resolve_function  # noqa: E402
 from repro.runtime.data import In, InOut, Out  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     MAX_FRAME_BYTES,
@@ -82,7 +82,7 @@ _DTYPES = ("<f8", "<f4", "<i4", "<i2", "|u1", "<c16")
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count
 _ENTRY = struct.Struct("!II")  # segment length, segment crc32
 
-#: ``encode_frame(("ping",))`` of the parent commit (in-band layout:
+#: ``encode_frame(("ping",))`` of an earlier layout (in-band layout:
 #: ``ATMW | length | crc32 | pickle``), pasted as a literal.
 PARENT_LAYOUT_FRAME = bytes.fromhex(
     "41544d5700000015eb012b438005950a000000000000008c0470696e679485942e"
@@ -157,20 +157,26 @@ def net_buffers(draw):
     return NetBuffer(buffer_id, start, span_view(base, start, end), generation)
 
 
-#: What real frames carry: plain values around buffers and arrays.  ``views``
-#: yields C-contiguous, F-contiguous (transposes) and non-contiguous arrays.
-frame_messages = st.tuples(
-    st.text(max_size=8),
-    messages,
-    st.lists(
-        st.one_of(
-            net_buffers(),
-            views().map(lambda pair: pair[1]),
-            st.binary(max_size=8).map(
-                lambda raw: raw_view(np.frombuffer(raw, dtype=np.uint8))
+#: What real frames carry: plain values around buffers and arrays (``views``
+#: yields C-contiguous, F-contiguous and non-contiguous ones), or a chunk's
+#: buffer table.
+frame_messages = st.one_of(
+    st.tuples(
+        st.text(max_size=8),
+        messages,
+        st.lists(
+            st.one_of(
+                views().map(lambda pair: pair[1]),
+                st.binary(max_size=8).map(
+                    lambda raw: raw_view(np.frombuffer(raw, dtype=np.uint8))
+                ),
             ),
+            max_size=12,
         ),
-        max_size=12,
+    ),
+    st.builds(
+        lambda chunk_id, buffers: ("chunk", NetChunk(chunk_id, tuple(buffers), ())),
+        st.integers(0, 2**48), st.lists(net_buffers(), max_size=6),
     ),
 )
 
@@ -185,7 +191,7 @@ def same(a, b) -> bool:
             and (a.buffer_id, a.start, a.generation) == (b.buffer_id, b.start, b.generation)
             and same(a.data, b.data)
         )
-    if isinstance(a, (pickle.PickleBuffer, bytearray, memoryview)):
+    if isinstance(a, (bytearray, memoryview)):
         return bytes(a) == bytes(b)
     if isinstance(a, (tuple, list)):
         return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
@@ -236,8 +242,8 @@ SMALL_ARRAYS = [np.arange(5, dtype="<f8"), np.empty(0, dtype="<i4"), np.arange(6
 
 
 def small_message() -> tuple:
-    """Three segments (one empty) and an in-band strided array."""
-    return ("chunk", [raw_view(a) for a in SMALL_ARRAYS], {"k": np.arange(4)[::2]})
+    """Three segments (one empty) and plain values."""
+    return ("x", [raw_view(a) for a in SMALL_ARRAYS], {"k": [1, 2.5, None]})
 
 
 def small_frame() -> tuple[bytes, list[tuple[str, int, int]]]:
@@ -280,12 +286,12 @@ def test_frame_round_trip_identity(decoder, message):
     assert same(DECODERS[decoder](raw), message)
 
 
-def test_contiguous_arrays_travel_as_segments_and_others_in_band():
+def test_arrays_travel_as_segments():
     c_order = np.arange(12, dtype="<f8").reshape(3, 4)
     strided = np.arange(64, dtype="<f8")[::2]
-    for array, segments in ((c_order, 1), (c_order.T, 1), (strided, 0)):
+    for array in (c_order, c_order.T, strided):
         frame = encode_frame(("x", array))
-        assert len(frame.buffers) == 1 + segments
+        assert len(frame.buffers) == 2
         (_, rebuilt), _ = decode_frame(bytes(frame))
         assert bit_equal(rebuilt, array)
         assert rebuilt.flags.writeable
@@ -396,11 +402,9 @@ def _peak_while_rejecting(raw: bytes, match: str) -> int:
 def hostile_frames() -> dict[str, tuple[bytes, str]]:
     """Hand-built byte strings no reader may accept, each with the text of
     the error that names it: ``{name: (bytes, match)}``."""
-    control = pickle.dumps(("ping",), protocol=5)
+    control, _ = encode_control(("ping",), MAX_FRAME_SEGMENTS)
     payload = np.arange(16, dtype="|u1")
-    referencing = pickle.dumps(
-        ("x", raw_view(payload)), protocol=5, buffer_callback=lambda _: None
-    )
+    referencing, _ = encode_control(("x", raw_view(payload)), MAX_FRAME_SEGMENTS)
     flipped = bytearray(small_frame()[0])
     flipped[-1] ^= 0x10
     return {
@@ -461,7 +465,7 @@ def test_a_live_gateway_answers_hostile_bytes_with_a_named_error_and_serves_on(n
 @pytest.mark.parametrize("decoder", DECODERS)
 def test_table_and_control_must_agree_on_the_segment_count(decoder):
     payload = np.arange(16, dtype="|u1")
-    control = pickle.dumps(("x", raw_view(payload)), protocol=5, buffer_callback=lambda _: None)
+    control, _ = encode_control(("x", raw_view(payload)), MAX_FRAME_SEGMENTS)
     honest = build_frame(control, [payload.tobytes()])
     assert same(DECODERS[decoder](honest), ("x", raw_view(payload)))
     extra = build_frame(control, [payload.tobytes(), b"stowaway"])
@@ -536,8 +540,8 @@ def test_received_segments_are_writable_and_are_the_arena_backing():
     ref = encoder.ref(base[8:24])
     near, far = socket.socketpair()
     try:
-        send_frame(near, encode_frame(("chunk", NetChunk(1, encoder.buffers(), ()), ref)))
-        _, chunk, ref = read_frame(far)
+        send_frame(near, encode_frame(("chunk", NetChunk(1, encoder.buffers(), ()))))
+        _, chunk = read_frame(far)
     finally:
         near.close()
         far.close()
@@ -574,12 +578,17 @@ def shipped(kind: str):
     and ``arena()`` — called once every ref has been taken — builds the
     receiving arena from what the sender would ship.
     """
-    if kind == "worker":  # process backend: shared segments, refs by name
+    if kind == "worker":  # process backend: shared segments, named by the table
         table = SharedVersionTable(capacity=8)
         registry = SharedBufferRegistry(table)
         arena = WorkerArena(table)
+
+        def attach():
+            arena.attach(received(registry.table()))
+            return arena
+
         try:
-            yield registry.array_ref, lambda: arena
+            yield registry.array_ref, attach
         finally:
             arena.close()
             registry.close()
@@ -589,17 +598,22 @@ def shipped(kind: str):
 
     def receive():
         if kind == "chunk":  # network backend: the union spans a chunk touches
-            buffers, _ = decode_frame(bytes(encode_frame(encoder.buffers())))
-            return ChunkArena(buffers)
+            return ChunkArena(received(encoder.buffers()))
         whole = tuple(  # gateway: whole owning buffers, shipped once
             NetBuffer(buffer_id, 0, span_view(base, 0, base.nbytes))
             for buffer_id, (base, _start, _end) in encoder.spans().items()
         )
         arena = TenantArena()
-        arena.store(decode_frame(bytes(encode_frame(whole)))[0])
+        arena.store(received(whole))
         return arena
 
     yield encoder.ref, receive
+
+
+def received(buffers: tuple) -> tuple:
+    """A buffer table as the receiver of a chunk frame sees it."""
+    (_, chunk), _ = decode_frame(bytes(encode_frame(("chunk", NetChunk(0, buffers, ())))))
+    return chunk.buffers
 
 
 @contextlib.contextmanager
@@ -647,6 +661,20 @@ def test_sibling_views_of_one_base_alias_after_round_trip(arena_kind, base_and_v
             assert not rebuilt_view.size or np.count_nonzero(rebuilt_view) == 0
 
 
+@pytest.mark.parametrize("arena_kind", ARENAS)
+def test_a_ref_naming_an_object_dtype_is_refused(arena_kind):
+    """Received bytes are never read as ``PyObject*``: a ref whose dtype
+    holds Python objects raises the arena's named error."""
+    base = np.arange(8, dtype="<i8")
+    with shipped(arena_kind) as (ref, arena):
+        key, offset, shape, strides, _ = ref(base)
+        arena = arena()
+        for dtype in ("|O", "O", "<i8,O"):
+            with pytest.raises(arena.error, match="refusing dtype|travels as its string"):
+                arena.view((key, offset, shape, strides, dtype))
+        assert bit_equal(arena.view((key, offset, shape, strides, "<i8")), base)
+
+
 def _backing_of(array: np.ndarray):
     base = array
     while isinstance(base.base, np.ndarray):
@@ -654,7 +682,7 @@ def _backing_of(array: np.ndarray):
     return base
 
 
-def square(x, y):  # module-level: pickles by reference
+def square(x, y):  # module-level: travels by name
     y[:] = x ** 2
 
 
@@ -671,11 +699,13 @@ def test_descriptor_round_trip_identity(arena_kind, base_and_view, task_id, name
             [InOut(view, name), In(other)],
             (view, 3.5, [name, (view,)]), {"scale": 2, "data": base}, ref,
         )
-        decoded, _ = decode_frame(bytes(encode_frame(descriptor)))
-        assert decoded == descriptor
-        assert decoded.function is square  # resolved by reference, not copied
-        assert [a[1:] for a in decoded.accesses] == [
-            ("inout", name), ("in", decoded.accesses[1][2])
+        message = ("chunk", NetChunk(0, (), (descriptor,)))
+        (_, chunk), _ = decode_frame(bytes(encode_frame(message)))
+        (decoded,) = chunk.tasks
+        assert list(decoded[:9]) == list(descriptor[:9])
+        assert resolve_function(*decoded[7:9]) is square  # by name, not copied
+        assert [list(a[1:]) for a in decoded[9]] == [
+            ["inout", name], ["in", decoded[9][1][2]]
         ]
         task = rebuild_task(decoded, arena(), {})
         assert (task.task_id, task.creation_index) == (task_id, task_id)
