@@ -39,9 +39,7 @@ structures carry the fast path:
   while its intervals are pairwise disjoint (an exact match then answers the
   overlap query alone), so a non-disjoint buffer, a region last seen by
   another tracker and a zero-length region (never cached: an empty interval
-  overlaps nothing, not even its own state) take the indexed lookup.  The
-  reference is weak so a region the application keeps never pins a closed
-  graph's tasks through ``last_writer`` / ``readers_since_write``;
+  overlaps nothing, not even its own state) take the indexed lookup;
 * **monotonic epoch stamps** on tasks: instead of accumulating predecessors
   in a per-task Python set (hashing every candidate) and scanning
   ``readers_since_write`` for membership, every ``dependences_for`` call
@@ -49,6 +47,16 @@ structures carry the fast path:
   are collected — dedup costs one integer compare per candidate, and the
   task stamps itself first so a task with an inout access never depends on
   itself.
+
+Lifetime: the states name only tasks that may still matter.  A task's
+successful completion takes it out of every state it entered
+(:meth:`DependenceTracker.forget`, which finds them again from the task's
+accesses, O(1) a state: readers are an insertion-ordered dict) — a finished
+predecessor adds no edge, so nothing would read it again.  Failed and
+cancelled tasks stay, so a later dependent is born cancelled.  A base
+buffer's index holds the base weakly and is dropped when the base is
+collected, so a recycled ``id()`` starts from a fresh index; the region's
+reference to its state is weak too.
 """
 
 from __future__ import annotations
@@ -70,7 +78,11 @@ _EPOCHS = itertools.count(1)
 
 
 class RegionState:
-    """Last writer and subsequent readers of one byte interval."""
+    """Last writer and subsequent readers of one byte interval.
+
+    ``readers_since_write`` is a dict used as an insertion-ordered set (the
+    values are ``None``), so a completing reader leaves it in O(1).
+    """
 
     __slots__ = ("start", "end", "index", "last_writer", "readers_since_write", "__weakref__")
 
@@ -79,7 +91,7 @@ class RegionState:
         self.end = end
         self.index = index
         self.last_writer: Task | None = None
-        self.readers_since_write: list[Task] = []
+        self.readers_since_write: dict[Task, None] = {}
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -99,18 +111,27 @@ class _BufferIndex:
 
     ``owner`` is the tracker whose region caches may resolve to this index's
     states: set while the index is disjoint, cleared with the flag and by the
-    tracker's ``reset``.
+    tracker's ``reset``.  ``base`` is a weak reference to the base buffer
+    whose collection removes the index from ``buffers`` (the tracker's
+    table), unless that entry already belongs to a newer buffer.
     """
 
-    __slots__ = ("exact", "keys", "states", "ends", "disjoint", "owner")
+    __slots__ = ("exact", "keys", "states", "ends", "disjoint", "owner", "base")
 
-    def __init__(self, owner: "DependenceTracker") -> None:
+    def __init__(self, owner: "DependenceTracker", base, buffers: dict) -> None:
         self.exact: dict[tuple[int, int], RegionState] = {}
         self.keys: list[tuple[int, int]] = []
         self.states: list[RegionState] = []
         self.ends: list[int] = []
         self.disjoint = True
         self.owner: DependenceTracker | None = owner
+
+        def _on_collect(ref: weakref.ref, _buffers=buffers, _key=id(base)) -> None:
+            index = _buffers.get(_key)
+            if index is not None and index.base is ref:
+                _buffers.pop(_key, None)
+
+        self.base = weakref.ref(base, _on_collect)
 
     def insert(self, start: int, end: int) -> RegionState:
         """Create, register and return the state for a new exact interval."""
@@ -158,10 +179,10 @@ class _BufferIndex:
 class DependenceTracker:
     """Incremental dependence analysis over a stream of tasks.
 
-    The tracker keeps, per base buffer, a :class:`_BufferIndex` of region
-    states (byte intervals with their last writer and readers).  Semantics
-    are bit-identical to the preserved seed tracker; only the lookup
-    structures differ.
+    The tracker keeps, per live base buffer, a :class:`_BufferIndex` of
+    region states (byte intervals with their last writer and readers).
+    Semantics are bit-identical to the preserved seed tracker for every task
+    not yet completed; only the lookup structures differ.
     """
 
     def __init__(self) -> None:
@@ -232,7 +253,7 @@ class DependenceTracker:
                 base_id = region._base_id
                 index = buffers_get(base_id)
                 if index is None:
-                    index = buffers[base_id] = _BufferIndex(self)
+                    index = buffers[base_id] = _BufferIndex(self, region._base, buffers)
                 start, end = region.byte_interval
                 match = index.exact.get((start, end))
                 if match is None:
@@ -245,7 +266,7 @@ class DependenceTracker:
                     region._dep_state = weakref.ref(match) if cached is not None else False
             if access.writes:
                 match.last_writer = task
-                match.readers_since_write = []
+                match.readers_since_write.clear()
                 index = match.index
                 if not index.disjoint:
                     # A write also orders against overlapping (but
@@ -258,16 +279,48 @@ class DependenceTracker:
                         if state is match:
                             continue
                         state.last_writer = task
-                        state.readers_since_write = []
+                        state.readers_since_write.clear()
             elif access.reads:
-                readers = match.readers_since_write
                 # Duplicate reads of one interval can only come from the
-                # *current* task (one update pass per task), so the dedup
-                # scan collapses to a last-element identity check.
-                if not readers or readers[-1] is not task:
-                    readers.append(task)
+                # current task and keep their first position.
+                match.readers_since_write[task] = None
         self._edges_added += len(predecessors)
         return predecessors
+
+    def forget(self, task: Task) -> None:
+        """Take a completed task out of every state it entered.
+
+        Called at a ``FINISHED`` / ``MEMOIZED`` completion: a completed
+        predecessor adds no edge, so nothing would read it again.  A failed
+        or cancelled task is never forgotten — whoever depends on it later
+        is born cancelled.
+        """
+        buffers_get = self._buffers.get
+        for access in task.accesses:
+            region = access.region
+            cached = region._dep_state
+            state = cached() if cached else None
+            if state is None or state.index.owner is not self:
+                index = buffers_get(region._base_id)
+                if index is None:
+                    continue
+                start, end = region.byte_interval
+                if access.writes and not index.disjoint:
+                    # The write also stamped the states overlapping it; one
+                    # it did not stamp names another task.
+                    for other in index.overlapping(start, end):
+                        if other.last_writer is task:
+                            other.last_writer = None
+                        other.readers_since_write.pop(task, None)
+                state = index.exact.get((start, end))
+                if state is None:
+                    continue
+            # The task entered its access's exact state as the writer or as
+            # a reader: one interval takes one mode per task.
+            if state.last_writer is task:
+                state.last_writer = None
+            else:
+                state.readers_since_write.pop(task, None)
 
     # -- helpers --------------------------------------------------------------
     def _overlapping_states(self, region: DataRegion) -> Iterable[RegionState]:
@@ -280,7 +333,8 @@ class DependenceTracker:
 
     def reset(self) -> None:
         """Forget all state (used between independent program runs)."""
-        for index in self._buffers.values():
+        # A copy: a collected base's callback may drop its index meanwhile.
+        for index in list(self._buffers.values()):
             index.owner = None  # regions still caching its states look up afresh
         self._buffers.clear()
         self._edges_added = 0

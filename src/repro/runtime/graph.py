@@ -8,13 +8,17 @@ zero the task becomes *ready* and is handed to the scheduler.
 The class is thread-safe: the threaded executor completes tasks from worker
 threads while the master may still be adding tasks.
 
-Submission fast path (see PERFORMANCE.md "Submission fast path"): per-task
-bookkeeping lives in dense arrays keyed by task id — predecessor counts in a
-flat ``list[int]``, successor slabs in a ``list[list[Task] | None]`` — so
-the hot path performs list indexing instead of dict hashing.  The successor
-slabs are the one adjacency: edges are kept for the lifetime of the graph
-(completion does not erase them), and :meth:`critical_path_length` walks
-them forward, so its answer is timing-independent.
+The graph holds only live tasks.  A task's bookkeeping sits on its own
+slots — the pending-predecessor count (``Task._pending``) and the successor
+slab (``Task._successors``, the graph's one adjacency) — and completion or
+cancellation consumes the slab and drops it.  A successful completion also
+takes the task out of the dependence tracker's states, so nothing the
+runtime keeps references a finished task: memory follows the live window,
+not the history of a Session or gateway.  The graph itself keeps the set of
+tasks not yet terminal and three counters.  Edges are not retained, so
+whole-DAG analyses are not the graph's: a caller that wants the edges
+records the predecessor lists of ``DependenceTracker.dependences_for`` as
+they are made.
 :meth:`add_tasks` submits a whole batch under one lock acquisition and hands
 every immediately-ready task to the executor in a single batched
 notification (``on_ready_batch``), which is how ``Session.submit_batch``
@@ -68,12 +72,10 @@ class TaskDependenceGraph:
     ) -> None:
         self._lock = threading.RLock()
         self._tracker = DependenceTracker()
-        # Dense, task-id-indexed bookkeeping (grown on demand):
-        self._successors: list[Optional[list[Task]]] = []
-        self._predecessor_count: list[int] = []
-        self._tasks: dict[int, Task] = {}
+        #: Tasks added and not yet terminal.
+        self._live: set[Task] = set()
+        self._task_count = 0
         self._edge_count = 0
-        self._finished_count = 0
         self._next_id = 0
         self._on_ready = on_ready
         self._on_ready_batch = on_ready_batch
@@ -83,46 +85,20 @@ class TaskDependenceGraph:
         self._born_cancelled: list[tuple[Task, Task]] = []
         self._all_done = threading.Condition(self._lock)
 
-    #: Largest accepted gap between an explicit task id and the next dense
-    #: id.  The dense arrays allocate O(max id) slots; a sparse external id
-    #: (a hash, say) would silently OOM where the pre-PR-4 dict was O(tasks).
-    MAX_ID_GAP = 1 << 20
-
     # -- construction ---------------------------------------------------------
-    def _grow(self, task_id: int) -> None:
-        """Extend the dense arrays to cover ``task_id`` (geometric growth)."""
-        needed = task_id + 1 - len(self._predecessor_count)
-        if needed > 0:
-            # Amortise: growing one slot per sequentially-ided task would
-            # make every add pay a list-concat.
-            needed = max(needed, len(self._predecessor_count) // 2 + 8)
-            self._predecessor_count.extend([0] * needed)
-            self._successors.extend([None] * needed)
-
     def _add_locked(self, task: Task) -> bool:
         """Register one task under the lock; True if immediately ready."""
         task_id = task.task_id
         if task_id < 0:
             task_id = task.task_id = self._next_id
-            self._next_id = task_id + 1
-        elif task_id >= self._next_id:
-            if task_id - self._next_id > self.MAX_ID_GAP:
-                raise RuntimeStateError(
-                    f"task_id {task_id} is more than {self.MAX_ID_GAP} beyond "
-                    f"the next dense id {self._next_id}; the graph's dense "
-                    f"bookkeeping does not support sparse external ids — let "
-                    f"the runtime assign ids (task_id=-1)"
-                )
+        if task_id >= self._next_id:
             self._next_id = task_id + 1
         task.creation_index = task_id
         task._label = None  # recomputed lazily from the assigned id
-        if task_id >= len(self._predecessor_count):
-            self._grow(task_id)
         predecessors = self._tracker.dependences_for(task)
         pending = 0
         doomed: Optional[Task] = None
         if predecessors:
-            successors = self._successors
             finished, memoized = TaskState.FINISHED, TaskState.MEMOIZED
             failed, cancelled = TaskState.FAILED, TaskState.CANCELLED
             for pred in predecessors:
@@ -132,21 +108,19 @@ class TaskDependenceGraph:
                     # the new task is born cancelled (no edge, no release).
                     doomed = pred
                 elif state is not finished and state is not memoized:
-                    slab = successors[pred.task_id]
+                    slab = pred._successors
                     if slab is None:
-                        slab = successors[pred.task_id] = []
+                        slab = pred._successors = []
                     slab.append(task)
                     pending += 1
             self._edge_count += pending
-            self._predecessor_count[task_id] = pending
-        self._tasks[task_id] = task
+        task._pending = pending
+        self._task_count += 1
         if doomed is not None:
             task.state = TaskState.CANCELLED
             self._born_cancelled.append((task, doomed))
-            self._finished_count += 1
-            if self.all_finished:
-                self._all_done.notify_all()
             return False
+        self._live.add(task)
         return pending == 0
 
     def add_task(self, task: Task) -> Task:
@@ -180,10 +154,9 @@ class TaskDependenceGraph:
                             ready.append(task)
                         submitted.append(task)
                 finally:
-                    # A task that raised mid-batch (bad id, failing iterator)
-                    # is not registered, but everything before it already
-                    # counts toward all_finished — notify those on every path
-                    # or a later drain would hang waiting for tasks no
+                    # An iterator that raises mid-batch stops it, but every
+                    # task before it is already live — notify those on every
+                    # path or a later drain would hang waiting for tasks no
                     # scheduler has.
                     doomed = self._born_cancelled
                     if doomed:
@@ -217,13 +190,21 @@ class TaskDependenceGraph:
                 self._on_ready(task)
 
     # -- completion -----------------------------------------------------------
-    def complete_task(self, task: Task, state: TaskState = TaskState.FINISHED) -> list[Task]:
-        """Mark a task terminal and return the newly released (ready) tasks."""
-        with self._lock:
-            if task.task_id not in self._tasks:
-                raise RuntimeStateError(f"unknown task {task.label}")
+    def _check_live(self, task: Task) -> None:
+        if task not in self._live:
             if task.state in TERMINAL_STATES:
                 raise RuntimeStateError(f"task {task.label} completed twice")
+            raise RuntimeStateError(f"unknown task {task.label}")
+
+    def complete_task(self, task: Task, state: TaskState = TaskState.FINISHED) -> list[Task]:
+        """Mark a task terminal and return the newly released (ready) tasks.
+
+        The success transition (``FINISHED`` / ``MEMOIZED``): the task
+        leaves the graph and the dependence tracker, and its successor slab
+        is consumed.
+        """
+        with self._lock:
+            self._check_live(task)
             # Commit the write accesses: bump every output region's version
             # *before* releasing successors, so any consumer key computed
             # after this point sees the post-write version.  (Memoized tasks
@@ -239,25 +220,26 @@ class TaskDependenceGraph:
             else:
                 for index, access in enumerate(task.outputs):
                     access.region.bump_version(source, index)
-                # The tag holds the entry weakly; so must the finished task,
-                # or the graph would keep evicted entries' outputs alive.
+                # The tag holds the entry weakly; so must the finished task.
                 task.memo_source = None
             task.state = state
-            self._finished_count += 1
+            live = self._live
+            live.remove(task)
+            self._tracker.forget(task)
             released: list[Task] = []
-            successors = self._successors[task.task_id]
+            successors = task._successors
             if successors:
-                counts = self._predecessor_count
+                task._successors = None
                 for succ in successors:
-                    counts[succ.task_id] -= 1
+                    pending = succ._pending = succ._pending - 1
                     # A successor already terminal was CANCELLED by a failed
                     # sibling predecessor (fail_task): keep its count honest
                     # but never hand it to the scheduler.
-                    if counts[succ.task_id] == 0 and succ.state not in TERMINAL_STATES:
+                    if pending == 0 and succ.state not in TERMINAL_STATES:
                         released.append(succ)
                 if released:
                     self._mark_ready_batch(released)
-            if self.all_finished:
+            if not live:
                 self._all_done.notify_all()
         if self._on_complete is not None:
             self._on_complete(task)
@@ -270,7 +252,9 @@ class TaskDependenceGraph:
 
         The failed task and every transitive successor become terminal
         (``FAILED`` / ``CANCELLED``) without being released to the scheduler,
-        so a drain completes with the independent tasks only.  The failed
+        so a drain completes with the independent tasks only.  They leave the
+        graph but stay in the dependence tracker's states, so a task
+        submitted later against their outputs is born cancelled.  The failed
         task's own write versions are bumped: its outputs carry no committed
         value, but the body may have written part of them before failing, and
         no cached digest or content tag may outlive that.
@@ -280,30 +264,30 @@ class TaskDependenceGraph:
         Returns the cancelled tasks (the failed task itself excluded).
         """
         with self._lock:
-            if task.task_id not in self._tasks:
-                raise RuntimeStateError(f"unknown task {task.label}")
-            if task.state in TERMINAL_STATES:
-                raise RuntimeStateError(f"task {task.label} completed twice")
+            self._check_live(task)
             for access in task.outputs:
                 access.region.bump_version()
             task.state = TaskState.FAILED
-            self._finished_count += 1
+            live = self._live
+            live.remove(task)
             cancelled: list[Task] = []
             stack = [task]
             while stack:
-                successors = self._successors[stack.pop().task_id]
+                doomed = stack.pop()
+                successors = doomed._successors
                 if not successors:
                     continue
+                doomed._successors = None
                 for succ in successors:
                     if succ.state in TERMINAL_STATES:
                         continue
                     succ.state = TaskState.CANCELLED
-                    self._finished_count += 1
+                    live.remove(succ)
                     cancelled.append(succ)
                     stack.append(succ)
             if record is not None:
                 record(cancelled)
-            if self.all_finished:
+            if not live:
                 self._all_done.notify_all()
         if self._on_complete is not None:
             self._on_complete(task)
@@ -314,79 +298,30 @@ class TaskDependenceGraph:
     # -- queries --------------------------------------------------------------
     @property
     def task_count(self) -> int:
-        with self._lock:
-            return len(self._tasks)
+        """Tasks ever added, born-cancelled ones included."""
+        return self._task_count
 
     @property
     def edge_count(self) -> int:
-        with self._lock:
-            return self._edge_count
+        """Edges ever made: dependences on a predecessor that was live."""
+        return self._edge_count
 
     @property
     def finished_count(self) -> int:
+        """Tasks ever added that are terminal now."""
         with self._lock:
-            return self._finished_count
+            return self._task_count - len(self._live)
 
     @property
     def all_finished(self) -> bool:
-        return self._finished_count == len(self._tasks)
-
-    def tasks(self) -> list[Task]:
-        with self._lock:
-            return list(self._tasks.values())
+        return not self._live
 
     def pending_tasks(self) -> list[Task]:
-        """Tasks not yet terminal."""
+        """The live tasks (added, not yet terminal), in no set order."""
         with self._lock:
-            return [t for t in self._tasks.values() if t.state not in TERMINAL_STATES]
+            return list(self._live)
 
     def wait_all_finished(self, timeout: Optional[float] = None) -> bool:
         """Block until every registered task is terminal."""
         with self._all_done:
             return self._all_done.wait_for(lambda: self.all_finished, timeout=timeout)
-
-    # -- analysis -------------------------------------------------------------
-    def critical_path_length(self, cost: Callable[[Task], float] | None = None) -> float:
-        """Length of the longest path through the DAG.
-
-        ``cost`` maps each task to its weight (default: the simulated cost
-        model).  Every edge runs from an earlier-created task to a later one,
-        so task-id order is a topological order: one forward walk over the
-        successor slabs propagates each task's longest path to its
-        successors.  Edges are never erased on completion, so the answer is
-        the same before, during and after a drain.
-        """
-        cost = cost or (lambda t: t.simulated_cost())
-        with self._lock:
-            start: dict[int, float] = {}  # longest path ending just before a task
-            best = 0.0
-            for task_id in sorted(self._tasks):
-                length = start.get(task_id, 0.0) + cost(self._tasks[task_id])
-                best = max(best, length)
-                for succ in self._successors[task_id] or ():
-                    if length > start.get(succ.task_id, 0.0):
-                        start[succ.task_id] = length
-            return best
-
-    def to_networkx(self):  # pragma: no cover - optional dependency
-        """Export the TDG as a ``networkx.DiGraph`` (optional dependency)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        with self._lock:
-            for task in self._tasks.values():
-                graph.add_node(task.task_id, label=task.label, type=task.task_type.name)
-            for task_id, task in self._tasks.items():
-                slab = self._successors[task_id]
-                if slab:
-                    for succ in slab:
-                        graph.add_edge(task_id, succ.task_id)
-        return graph
-
-    def iter_edges(self) -> Iterable[tuple[int, int]]:
-        with self._lock:
-            for task_id in self._tasks:
-                slab = self._successors[task_id]
-                if slab:
-                    for succ in slab:
-                        yield (task_id, succ.task_id)

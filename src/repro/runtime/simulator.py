@@ -131,7 +131,7 @@ class SimulatedExecutor(BaseExecutor):
 
     # -- main loop -------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
-        pending = [t for t in graph.tasks() if not t.state.is_terminal and t.task_id not in self._created]
+        pending = [t for t in graph.pending_tasks() if t.task_id not in self._created]
         pending.sort(key=lambda t: t.task_id)
         if not pending and graph.all_finished:
             return self._result
@@ -164,7 +164,6 @@ class SimulatedExecutor(BaseExecutor):
         idle_heap = list(range(num_cores))
         heapq.heapify(idle_heap)
         self._busy_cores = 0
-        finish_time_of: dict[int, float] = {}
         waiters: dict[int, list[tuple[Task, ATMDecision]]] = {}
         target_completions = len(pending)
         completions = 0
@@ -186,7 +185,7 @@ class SimulatedExecutor(BaseExecutor):
                     heapq.heappush(idle_heap, core)
                     return
                 self._busy_cores += 1
-                self._start_task(task, core, now, finish_time_of, waiters, push_event)
+                self._start_task(task, core, now, waiters, push_event)
 
         while events:
             now, kind, _, _, payload = heapq.heappop(events)
@@ -210,7 +209,7 @@ class SimulatedExecutor(BaseExecutor):
                     self._active_memory_ops = max(0, self._active_memory_ops - 1)
                 free_core(core)
                 final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
-                graph.complete_task(task, final_state)
+                self._complete(graph, task, final_state)
                 completions += 1
                 self._account(decision)
                 task.finish_time = now
@@ -223,7 +222,7 @@ class SimulatedExecutor(BaseExecutor):
                 dispatch(now)
             elif kind == _EVT_DEFERRED_DONE:
                 waiter, waiter_decision = payload  # type: ignore[misc]
-                graph.complete_task(waiter, TaskState.MEMOIZED)
+                self._complete(graph, waiter, TaskState.MEMOIZED)
                 completions += 1
                 self._account(waiter_decision)
                 waiter.finish_time = now
@@ -249,12 +248,17 @@ class SimulatedExecutor(BaseExecutor):
         return self._result
 
     # -- per-task processing ----------------------------------------------------
+    def _complete(self, graph: TaskDependenceGraph, task: Task, state: TaskState) -> None:
+        """Complete ``task`` in the graph; its release and creation records go."""
+        graph.complete_task(task, state)
+        self._released.discard(task.task_id)
+        self._created.discard(task.task_id)
+
     def _start_task(
         self,
         task: Task,
         core: int,
         now: float,
-        finish_time_of: dict[int, float],
         waiters: dict[int, list[tuple[Task, ATMDecision]]],
         push_event,
     ) -> None:
@@ -282,7 +286,6 @@ class SimulatedExecutor(BaseExecutor):
                 busy_until,
                 task.label,
             )
-            finish_time_of[task.task_id] = busy_until
             push_event(busy_until, _EVT_TASK_FINISH, (task, core, decision, False))
         elif decision.action == ATMAction.DEFER:
             producer = decision.waiting_on
@@ -320,5 +323,4 @@ class SimulatedExecutor(BaseExecutor):
                     busy_until,
                     task.label,
                 )
-            finish_time_of[task.task_id] = busy_until
             push_event(busy_until, _EVT_TASK_FINISH, (task, core, decision, True))

@@ -148,7 +148,7 @@ class Task:
         "task_type", "function", "accesses", "args", "kwargs", "task_id",
         "state", "creation_index", "creation_time", "start_time",
         "finish_time", "executed_on", "_label", "_inputs", "_outputs",
-        "_dep_mark", "memo_source",
+        "_dep_mark", "_pending", "_successors", "memo_source",
     )
 
     def __init__(
@@ -185,6 +185,10 @@ class Task:
         #: Monotonic epoch stamp used by the dependence tracker for O(1)
         #: predecessor dedup (see repro.runtime.dependences).
         self._dep_mark = 0
+        #: Graph bookkeeping while the task is live: predecessors not yet
+        #: terminal, and the tasks waiting on this one (the successor slab).
+        self._pending = 0
+        self._successors: Optional[list[Task]] = None
         #: The THT entry whose outputs ``copy_outputs_from_entry`` left in
         #: this task's output regions; ``complete_task`` commits it as their
         #: content tags and drops the reference.

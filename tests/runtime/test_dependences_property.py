@@ -194,7 +194,7 @@ class TestRegionCache:
         assert tracker.dependences_for(reader) == [writer]
         state = block._dep_state()
         assert state is tracker._overlapping_states(block)[0]
-        assert state.index.owner is tracker and state.readers_since_write == [reader]
+        assert state.index.owner is tracker and list(state.readers_since_write) == [reader]
         rewriter = self._task(2, DataAccess(block, AccessMode.OUT))
         assert tracker.dependences_for(rewriter) == [writer, reader]
         assert state.last_writer is rewriter

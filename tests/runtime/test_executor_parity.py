@@ -238,11 +238,21 @@ def simulator_schedule_checksum(benchmark: str, mode: str) -> tuple[str, str]:
         engine=make_engine(mode, workers),
     )
     runtime = Session(executor=executor)
+    # The graph forgets finished tasks: the schedule is read off the tasks
+    # this test holds, one row per submitted task.
+    submit, tasks = runtime.submit, []
+
+    def holding_submit(*args, **kwargs):
+        tasks.append(submit(*args, **kwargs))
+        return tasks[-1]
+
+    runtime.submit = holding_submit
     app.run(runtime)
+    assert tasks and len(tasks) == runtime.task_count
     schedule = np.asarray(
         [
             (task.task_id, task.executed_on, task.start_time, task.finish_time)
-            for task in sorted(runtime.graph.tasks(), key=lambda t: t.task_id)
+            for task in sorted(tasks, key=lambda t: t.task_id)
         ],
         dtype=np.float64,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.common.exceptions import RuntimeStateError
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.task import Task, TaskState, TaskType
+from tests.reference.graph_edges import record_edges
 
 TT = TaskType("graph-test")
 
@@ -109,64 +112,40 @@ class TestCompletion:
         assert graph.wait_all_finished(timeout=0.1)
 
 
-class TestAnalysis:
-    def test_critical_path_of_chain(self):
+class TestEdges:
+    def test_recorded_edges(self):
         data = np.zeros(4)
         graph = TaskDependenceGraph()
-        for _ in range(3):
-            graph.add_task(make_task([InOut(data)]))
-        length = graph.critical_path_length(cost=lambda t: 2.0)
-        assert length == pytest.approx(6.0)
-
-    def test_critical_path_of_independent_tasks(self):
-        graph = TaskDependenceGraph()
-        for _ in range(5):
-            graph.add_task(make_task([Out(np.zeros(4))]))
-        assert graph.critical_path_length(cost=lambda t: 3.0) == pytest.approx(3.0)
-
-    def test_iter_edges(self):
-        data = np.zeros(4)
-        graph = TaskDependenceGraph()
+        edges = record_edges(graph)
         a = graph.add_task(make_task([Out(data)]))
         b = graph.add_task(make_task([In(data)]))
-        assert list(graph.iter_edges()) == [(a.task_id, b.task_id)]
+        assert edges == [(a.task_id, b.task_id)]
 
-    def test_to_networkx_export(self):
-        networkx = pytest.importorskip("networkx")
+    def test_completion_leaves_nothing_behind(self):
+        """A chain drained to the end: the edges were made, and afterwards
+        neither the graph nor the tracker references a finished task."""
         data = np.zeros(4)
         graph = TaskDependenceGraph()
-        graph.add_task(make_task([Out(data)]))
-        graph.add_task(make_task([In(data)]))
-        exported = graph.to_networkx()
-        assert exported.number_of_nodes() == 2
-        assert exported.number_of_edges() == 1
-
-    def test_critical_path_of_diamond(self):
-        """Regression: diamond DAG critical path = source + one branch + join."""
-        source = np.zeros(4)
-        left, right = np.zeros(4), np.zeros(4)
-        graph = TaskDependenceGraph()
-        graph.add_task(make_task([Out(source)]))
-        graph.add_task(make_task([In(source), Out(left)]))
-        graph.add_task(make_task([In(source), Out(right)]))
-        graph.add_task(make_task([In(left), In(right)]))
-        costs = {0: 1.0, 1: 5.0, 2: 2.0, 3: 1.0}
-        length = graph.critical_path_length(cost=lambda t: costs[t.task_id])
-        assert length == pytest.approx(7.0)  # 1 + max(5, 2) + 1
-
-    def test_critical_path_survives_completion(self):
-        """Regression: completing tasks must not erase edges — the seed
-        popped successor lists, so the critical path silently shrank after a
-        drain."""
-        data = np.zeros(4)
-        graph = TaskDependenceGraph()
+        edges = record_edges(graph)
         chain = [graph.add_task(make_task([InOut(data)])) for _ in range(3)]
-        before = graph.critical_path_length(cost=lambda t: 2.0)
         for task in chain:
             graph.complete_task(task)
-        after = graph.critical_path_length(cost=lambda t: 2.0)
-        assert before == after == pytest.approx(6.0)
-        assert sorted(graph.iter_edges()) == [(0, 1), (1, 2)]
+        assert edges == [(0, 1), (1, 2)] and graph.edge_count == 2
+        assert graph.pending_tasks() == [] and graph.task_count == 3
+        assert all(t._successors is None for t in chain)
+        (state,) = graph._tracker._overlapping_states(chain[0].accesses[0].region)
+        assert state.last_writer is None and not state.readers_since_write
+
+    def test_collected_base_drops_its_index(self):
+        graph = TaskDependenceGraph()
+        data = np.zeros(4)
+        key = id(data)
+        task = graph.add_task(make_task([Out(data)]))
+        graph.complete_task(task)
+        assert key in graph._tracker._buffers
+        del task, data
+        gc.collect()
+        assert key not in graph._tracker._buffers
 
 
 class TestBatchedSubmission:
@@ -181,11 +160,13 @@ class TestBatchedSubmission:
             return tasks
 
         one_by_one = TaskDependenceGraph()
+        single_edges = record_edges(one_by_one)
         for task in build_tasks():
             one_by_one.add_task(task)
         batched = TaskDependenceGraph()
+        batched_edges = record_edges(batched)
         batched.add_tasks(build_tasks())
-        assert sorted(batched.iter_edges()) == sorted(one_by_one.iter_edges())
+        assert sorted(batched_edges) == sorted(single_edges) != []
         assert batched.edge_count == one_by_one.edge_count
         assert batched.task_count == one_by_one.task_count
 
@@ -230,25 +211,19 @@ class TestBatchedSubmission:
         assert graph.add_tasks([]) == []
         assert graph.task_count == 0
 
-    def test_sparse_external_id_rejected(self):
-        """The dense id-indexed arrays are O(max id): a far-out explicit id
-        must fail loudly instead of silently allocating gigabytes."""
-        graph = TaskDependenceGraph()
-        orphan = make_task([Out(np.zeros(4))])
-        orphan.task_id = TaskDependenceGraph.MAX_ID_GAP + 2
-        with pytest.raises(RuntimeStateError, match="sparse external ids"):
-            graph.add_task(orphan)
-
     def test_failing_batch_still_notifies_registered_tasks(self):
         """Regression: a mid-batch failure must not strand already-registered
         ready tasks unnotified (a later drain would hang)."""
         ready: list = []
         graph = TaskDependenceGraph(on_ready_batch=ready.extend)
         good = make_task([Out(np.zeros(4))])
-        bad = make_task([Out(np.zeros(4))])
-        bad.task_id = TaskDependenceGraph.MAX_ID_GAP + 2
-        with pytest.raises(RuntimeStateError):
-            graph.add_tasks([good, bad])
+
+        def batch():
+            yield good
+            raise ValueError("the batch's producer failed")
+
+        with pytest.raises(ValueError):
+            graph.add_tasks(batch())
         assert ready == [good]
         assert good.state == TaskState.READY
         assert graph.task_count == 1

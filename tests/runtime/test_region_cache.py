@@ -27,6 +27,7 @@ from repro.session import Session
 from tests.reference.dependences_reference import (
     DependenceTracker as ReferenceDependenceTracker,
 )
+from tests.reference.graph_edges import record_edges
 
 TT = TaskType("region-cache")
 
@@ -93,6 +94,7 @@ def test_two_graphs_on_two_threads_share_region_objects():
     def submit(seed: int) -> None:
         try:
             graph = TaskDependenceGraph()
+            edges = record_edges(graph)
             reference = ReferenceDependenceTracker()
             expected = set()
             start.wait()
@@ -100,7 +102,7 @@ def test_two_graphs_on_two_threads_share_region_objects():
                 task = Task(task_type=TT, function=lambda: None, accesses=accesses)
                 graph.add_task(task)
                 expected |= {(p.task_id, task.task_id) for p in reference.dependences_for(task)}
-            assert set(graph.iter_edges()) == expected
+            assert set(edges) == expected
             assert graph.edge_count == len(expected)
         except BaseException as exc:  # reported on the main thread
             errors.append(exc)

@@ -9,6 +9,7 @@ from repro.common.exceptions import RuntimeStateError
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.task import TaskType
 from repro.session import Session
+from tests.reference.graph_edges import record_edges
 
 TT = TaskType("batch-test")
 
@@ -57,14 +58,14 @@ class TestSubmitBatch:
             return submit(specs)
 
         with Session(executor="serial") as batched:
+            batched_edges = record_edges(batched.graph)
             program(batched.submit_batch)
-            batched_edges = sorted(batched.graph.iter_edges())
             batched.wait_all()
         with Session(executor="serial") as singly:
+            single_edges = record_edges(singly.graph)
             program(lambda specs: [singly.submit(*spec) for spec in specs])
-            single_edges = sorted(singly.graph.iter_edges())
             singly.wait_all()
-        assert batched_edges == single_edges == [(0, 2), (1, 2)]
+        assert sorted(batched_edges) == sorted(single_edges) == [(0, 2), (1, 2)]
 
     def test_rejected_after_finish(self):
         s = Session(executor="serial")
