@@ -18,7 +18,7 @@ from repro.apps.sparselu import SparseLUApp
 from repro.apps.swaptions import SwaptionsApp
 from repro.common.exceptions import WorkloadError
 
-__all__ = ["BENCHMARK_NAMES", "BENCHMARK_CLASSES", "PAPER_PARAMETERS", "PaperNumbers", "make_benchmark"]
+__all__ = ["BENCHMARK_NAMES", "BENCHMARK_CLASSES", "PAPER_PARAMETERS", "make_benchmark"]
 
 
 BENCHMARK_CLASSES: dict[str, type[BenchmarkApp]] = {

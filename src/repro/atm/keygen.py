@@ -78,7 +78,7 @@ from repro.runtime.task import Task
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stats is light)
     from repro.atm.stats import ATMStats
 
-__all__ = ["HashKeyGenerator", "ShuffleRecord"]
+__all__ = ["HashKeyGenerator"]
 
 _record_uids = itertools.count()
 

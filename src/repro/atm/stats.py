@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ATMStats", "ReuseEvent"]
+__all__ = ["ATMStats"]
 
 
 @dataclass(frozen=True)

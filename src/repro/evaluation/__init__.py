@@ -13,7 +13,7 @@ from repro.evaluation.runner import (
     run_benchmark,
     run_reference,
 )
-from repro.evaluation.oracle import OracleResult, find_oracle
+from repro.evaluation.oracle import find_oracle
 
 __all__ = [
     "ExperimentResult",
@@ -21,6 +21,5 @@ __all__ = [
     "run_benchmark",
     "run_reference",
     "clear_reference_cache",
-    "OracleResult",
     "find_oracle",
 ]

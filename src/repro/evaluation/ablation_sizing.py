@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.evaluation.reporting import format_table
 from repro.evaluation.runner import ExperimentSpec, run_benchmark
 
-__all__ = ["SizingPoint", "compute_bucket_bits_sweep", "compute_capacity_sweep", "report"]
+__all__ = ["compute_bucket_bits_sweep", "compute_capacity_sweep", "report"]
 
 
 @dataclass

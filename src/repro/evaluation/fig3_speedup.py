@@ -22,7 +22,7 @@ from repro.evaluation.oracle import find_oracle
 from repro.evaluation.reporting import format_table
 from repro.evaluation.runner import ExperimentSpec, geometric_mean, run_benchmark
 
-__all__ = ["Fig3Row", "compute", "report"]
+__all__ = ["compute", "report"]
 
 CONFIGURATIONS = (
     ("static_tht", "static", False),

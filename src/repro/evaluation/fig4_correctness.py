@@ -15,7 +15,7 @@ from repro.evaluation.oracle import find_oracle
 from repro.evaluation.reporting import format_table
 from repro.evaluation.runner import ExperimentSpec, geometric_mean, run_benchmark
 
-__all__ = ["Fig4Row", "compute", "report"]
+__all__ = ["compute", "report"]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from repro.common.config import P_LADDER
 from repro.evaluation.reporting import format_series, format_table
 from repro.evaluation.runner import ExperimentSpec, run_benchmark
 
-__all__ = ["Fig5Curve", "compute", "report"]
+__all__ = ["compute", "report"]
 
 
 @dataclass

@@ -14,7 +14,7 @@ from repro.evaluation.oracle import find_oracle
 from repro.evaluation.reporting import format_series
 from repro.evaluation.runner import ExperimentSpec, geometric_mean, run_benchmark
 
-__all__ = ["Fig6Series", "compute", "report"]
+__all__ = ["compute", "report"]
 
 DEFAULT_CORE_COUNTS = (1, 2, 4, 8)
 

@@ -21,7 +21,7 @@ from repro.evaluation.reporting import format_table
 from repro.evaluation.runner import ExperimentSpec, run_benchmark
 from repro.runtime.trace import TraceRecorder, render_ascii_trace
 
-__all__ = ["Fig8Result", "compute", "report"]
+__all__ = ["compute", "report"]
 
 
 @dataclass

@@ -22,7 +22,7 @@ from repro.apps.registry import BENCHMARK_NAMES
 from repro.evaluation.reporting import format_series
 from repro.evaluation.runner import ExperimentSpec, run_benchmark
 
-__all__ = ["Fig9Curve", "compute", "report"]
+__all__ = ["compute", "report"]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Optional
 from repro.common.config import P_LADDER
 from repro.evaluation.runner import ExperimentResult, ExperimentSpec, run_benchmark
 
-__all__ = ["OracleResult", "find_oracle"]
+__all__ = ["find_oracle"]
 
 
 @dataclass

@@ -22,7 +22,6 @@ from repro.evaluation.reporting import format_table
 from repro.evaluation.runner import ExperimentSpec, run_benchmark
 
 __all__ = [
-    "Table1Row", "Table2Row", "Table3Row",
     "compute_table1", "compute_table2", "compute_table3",
     "report_table1", "report_table2", "report_table3",
 ]

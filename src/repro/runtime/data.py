@@ -31,7 +31,6 @@ from repro.common.exceptions import TaskDefinitionError
 __all__ = [
     "AccessMode",
     "DataRegion",
-    "SharedDataRegion",
     "DataAccess",
     "In",
     "Out",
@@ -157,8 +156,18 @@ class RegionVersionRegistry:
         with self._lock:
             return len(self._entries)
 
+    def reset(self) -> None:
+        """Forget every entry under a fresh lock; the clock keeps counting.
 
-#: Process-wide registry used by all regions (runs are single-process).
+        A forked worker process calls this first: it may have inherited the
+        lock held by a parent thread, and the parent's entries name buffers
+        the worker never writes.
+        """
+        self._lock = threading.RLock()
+        self._entries = {}
+
+
+#: Process-wide registry used by all regions; a worker process has its own.
 region_versions = RegionVersionRegistry()
 
 
@@ -394,35 +403,6 @@ class DataRegion:
             f"DataRegion(name={self.name!r}, dtype={self.array.dtype}, "
             f"shape={self.shape}, bytes={self.nbytes})"
         )
-
-
-class SharedDataRegion(DataRegion):
-    """A region whose write-versions live in a cross-process shared table.
-
-    Worker processes rebuild task regions over shared-memory views; their
-    versions must be observed by *every* worker (a peer may have committed a
-    write since this worker last hashed the region), so the per-process
-    :class:`RegionVersionRegistry` is replaced by a
-    :class:`repro.runtime.shm.SharedVersionTable` slot.
-    """
-
-    __slots__ = ("_slot", "_version_table")
-
-    def __init__(self, array, name=None, *, slot: int, version_table) -> None:
-        super().__init__(array, name=name)
-        self._slot = slot
-        self._version_table = version_table
-
-    @property
-    def version(self) -> int:
-        return self._version_table.read(self._slot)
-
-    def bump_version(self, source=None, index: int = 0) -> int:
-        return self._version_table.bump(self._slot)
-
-    def holds(self, source, index: int) -> bool:
-        """Never: a peer process writes these bytes behind the local tag book."""
-        return False
 
 
 def as_region(obj: "DataRegion | np.ndarray", name: Optional[str] = None) -> DataRegion:

@@ -14,14 +14,17 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   refs into shared memory, resolved through the chunk's table of segment
   names) go round-robin onto *per-worker* task queues as control-codec
   frames (:mod:`repro.runtime.codec`, the bytes a socket carries), and
-  answers come back as frames on one result pipe (``send_bytes`` /
-  ``recv_bytes``: nothing the parent reads is unpickled).
+  each worker answers with frames on its own pipe (``send_bytes`` /
+  ``recv_bytes``: nothing the parent reads is unpickled).  The pool shares
+  nothing else with its workers: no lock, no version table.
 * **Workers** — each is the one
   :class:`~repro.runtime.remote_task.RemoteWorker` behind a queue and a
   pipe, resolving refs over :mod:`multiprocessing.shared_memory` views
-  (:class:`~repro.runtime.shm.WorkerArena`), which bump the cross-process
-  write-version table for every committed write.  The messages are the
-  remote-worker protocol's (DESIGN.md §4.6), the envelope this module's.
+  (:class:`~repro.runtime.shm.WorkerArena`).  The parent's write-version of
+  each base rides in the chunk's buffer table; a worker bumps its own
+  version of a base whose parent version moved.  The messages are the
+  remote-worker protocol's (DESIGN.md §4.6) plus ``("release", slots)``:
+  the segments of bases the parent collected, sent when a drain opens.
 * **Data plane** — bytes move per chunk, not per barrier, while the
   workers compute: :meth:`ProcessExecutor._send` checks the base buffers a
   chunk touches for the first time in the drain against their segments
@@ -36,10 +39,12 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
 Worker processes persist across drains (barriers inside an application keep
 their warm THTs and keygen caches); :meth:`ProcessExecutor.close` — called
 automatically by :meth:`repro.session.Session.finish` and by a GC finalizer — shuts
-the pool down and unlinks every shared segment.
+the pool down and unlinks every shared segment; a segment whose array
+the program dropped is unlinked when the next drain opens.
 
 **Supervision** (DESIGN.md §7): a worker that *dies* mid-drain (killed,
-segfault, ``os._exit``) is detected by ``Process.is_alive()`` polling and
+segfault, ``os._exit``) is detected by waiting on its ``Process.sentinel``
+beside the reply pipes — reported once its own pipe is empty — and
 respawned in place; the chunk it was executing is charged against the
 dispatcher's resubmission budget (``max(1, task_max_retries)``), chunks
 merely queued behind it are requeued for free.  A wedged task is the
@@ -55,10 +60,13 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from multiprocessing import resource_tracker
+from multiprocessing.connection import wait
 from typing import Optional
 
 from repro.common.config import ATMConfig, RuntimeConfig
 from repro.common.exceptions import RuntimeStateError, WorkerLostError
+from repro.runtime.data import region_versions
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
@@ -69,7 +77,7 @@ from repro.runtime.remote_task import (
     describe_tasks,
     worker_engine_config,
 )
-from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable, WorkerArena
+from repro.runtime.shm import SharedBufferRegistry, WorkerArena
 from repro.runtime.supervision import POLL_INTERVAL
 
 __all__ = ["ProcessExecutor"]
@@ -79,41 +87,41 @@ def _worker_main(
     worker_id: int,
     task_queue,
     results,
-    results_lock,
-    version_name: str,
-    version_capacity: int,
-    version_lock,
     engine_config: Optional[ATMConfig],
     ack_chunks: bool,
 ) -> None:
     """Worker process entry point: the remote worker behind a queue and a pipe.
 
     Each worker owns a private task queue, so a sync pill can never be
-    stolen by a peer.  It takes the frames of ``("chunk", NetChunk)`` and
-    ``("sync",)`` until the ``None`` shutdown pill, and writes the
-    protocol's replies as frames of ``(worker_id, reply)`` — the ``ack``
-    only when ``ack_chunks`` (under ``task_timeout_s``: the parent ages a
-    running chunk from it; a dead worker it sees without).
+    stolen by a peer, and a private ``results`` pipe, so a peer killed
+    mid-reply can never garble or block its answers.  It takes the frames
+    of ``("chunk", NetChunk)``, ``("release", slots)`` and ``("sync",)``
+    until the ``None`` shutdown pill, and writes the protocol's replies as
+    frames — the ``ack`` only when ``ack_chunks`` (under ``task_timeout_s``:
+    the parent ages a running chunk from it; a dead worker it sees without).
 
-    Answers are written to the shared ``results`` pipe synchronously (under
-    ``results_lock``, one message at a time): whatever a worker finished
-    before it died is already in the pipe, so the parent never mistakes a
-    completed chunk for the one that killed the worker.
+    Answers are written synchronously, one message at a time: whatever a
+    worker finished before it died is already in its pipe, so the parent
+    never mistakes a completed chunk for the one that killed the worker.
+
+    The version registry a fork inherited is reset first: a parent thread
+    may have held its lock, and this worker versions its own bases.
     """
 
     def reply(message: tuple) -> None:
-        frame = bytes(encode_frame((worker_id, message)))
-        with results_lock:
-            results.send_bytes(frame)
+        results.send_bytes(bytes(encode_frame(message)))
 
-    version_table = SharedVersionTable.attach(version_name, version_capacity, version_lock)
-    arena = WorkerArena(version_table)
+    region_versions.reset()
+    arena = WorkerArena()
     worker = RemoteWorker(worker_id, engine_config)
     try:
         while (frame := task_queue.get()) is not None:
             message, _ = decode_frame(frame)
             if message[0] == "sync":
                 reply(("sync_result", worker.sync()))
+                continue
+            if message[0] == "release":
+                arena.release(message[1])
                 continue
             chunk = message[1]
             arena.attach(chunk.buffers)
@@ -125,10 +133,9 @@ def _worker_main(
                 reply(answer)
     finally:
         arena.close()
-        version_table.close()
 
 
-def _cleanup_pool(processes, task_queues, registry, version_table):
+def _cleanup_pool(processes, task_queues, readers, registry):
     """Pool teardown, run once by close() or the GC finalizer."""
     for task_queue in task_queues:
         try:
@@ -142,15 +149,13 @@ def _cleanup_pool(processes, task_queues, registry, version_table):
         if process.is_alive():  # a wedged task never takes the pill
             process.terminate()
             process.join(timeout=1.0)
+    for reader in readers:
+        reader.close()
     registry.close()
-    version_table.close()
 
 
 class ProcessExecutor(BaseExecutor):
     """Executor backed by worker processes over shared memory."""
-
-    #: Slots in the shared write-version table (one per owning base buffer).
-    VERSION_TABLE_CAPACITY = 8192
 
     def __init__(self, config: Optional[RuntimeConfig] = None, engine=None) -> None:
         super().__init__(config=config, engine=engine)
@@ -160,22 +165,16 @@ class ProcessExecutor(BaseExecutor):
                 "worker processes where CoreState spans cannot be recorded; "
                 "use the threaded or simulated backend for Figure 7/8 traces"
             )
-        # Validates replicability before anything is allocated (a rejected
-        # engine must not leave the version-table segment behind); the
-        # config itself is recomputed at spawn time (see _ensure_workers).
+        # Validates replicability at construction; the config itself is
+        # recomputed at spawn time (see _ensure_workers).
         self._engine_config = worker_engine_config(engine)
         self.num_workers = self.config.num_threads
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(method)
-        self._version_table = SharedVersionTable(
-            capacity=self.VERSION_TABLE_CAPACITY, context=self._ctx
-        )
-        self._registry = SharedBufferRegistry(self._version_table)
+        self._registry = SharedBufferRegistry()
         self._task_queues: list = []
-        # Workers answer on one pipe, written synchronously under a lock
-        # (see _worker_main); only the parent reads it.
-        self._results, self._results_writer = self._ctx.Pipe(duplex=False)
-        self._results_lock = self._ctx.Lock()
+        # Worker i answers on the pipe whose read end is _readers[i].
+        self._readers: list = []
         self._processes: list = []
         self._next_worker = 0
         self._stats = {
@@ -194,8 +193,8 @@ class ProcessExecutor(BaseExecutor):
             loss_budget=max(1, self.config.task_max_retries),
             counters=self._stats,
             cleanup=(
-                _cleanup_pool, self._processes, self._task_queues,
-                self._registry, self._version_table,
+                _cleanup_pool, self._processes, self._task_queues, self._readers,
+                self._registry,
             ),
         )
 
@@ -203,16 +202,13 @@ class ProcessExecutor(BaseExecutor):
     def _spawn_worker(self, worker_id: int) -> None:
         """Start worker ``worker_id`` (in place when the slot already exists)."""
         task_queue = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 worker_id,
                 task_queue,
-                self._results_writer,
-                self._results_lock,
-                self._version_table.name,
-                self._version_table.capacity,
-                self._version_table.lock,
+                writer,
                 self._engine_config,
                 self.config.task_timeout_s is not None,
             ),
@@ -220,11 +216,14 @@ class ProcessExecutor(BaseExecutor):
             name=f"repro-worker-{worker_id}",
         )
         process.start()
+        writer.close()  # the worker holds the write end now
         if worker_id < len(self._processes):
             self._task_queues[worker_id] = task_queue
+            self._readers[worker_id] = reader
             self._processes[worker_id] = process
         else:
             self._task_queues.append(task_queue)
+            self._readers.append(reader)
             self._processes.append(process)
 
     def _lose(self, worker_id: int) -> tuple[str, list[Chunk]]:
@@ -241,6 +240,7 @@ class ProcessExecutor(BaseExecutor):
             old_queue.close()
         except (OSError, ValueError):  # pragma: no cover - already closed
             pass
+        self._readers[worker_id].close()  # what it still said is stale
         self._spawn_worker(worker_id)
         self._stats["respawns"] += 1
         return process.name, chunks
@@ -253,6 +253,10 @@ class ProcessExecutor(BaseExecutor):
         # __init__, and a config snapshotted there would silently run the
         # workers without ATM.
         self._engine_config = worker_engine_config(self.engine)
+        # Forked workers must share the parent's resource tracker: one they
+        # started themselves would unlink every segment they attached when
+        # they die.
+        resource_tracker.ensure_running()
         for worker_id in range(self.num_workers):
             self._spawn_worker(worker_id)
 
@@ -337,20 +341,27 @@ class ProcessExecutor(BaseExecutor):
         return None
 
     def _next_result(self):
-        """Blocking result fetch with the liveness check.
+        """Blocking result fetch: one wait on every reply pipe and every
+        worker's ``Process.sentinel``.
 
         Returns the next ``(worker_id, reply)``, a synthesised ``(worker_id,
-        ("crash", exitcode))`` when a worker process is dead, or ``None``
-        after one idle poll interval.
+        ("crash", exitcode))`` for a dead worker, or ``None`` after one idle
+        poll interval.  Everything a worker answered before dying is in its
+        pipe: that is consumed first, or a chunk it completed would be
+        charged with the crash.
         """
-        results = self._results
-        for worker_id, process in enumerate(self._processes):
-            # Everything a worker answered before dying is in the pipe by
-            # now: consume that first, or a chunk it completed would be
-            # charged with the crash.
-            if not process.is_alive() and not results.poll():
+        readers, processes = self._readers, self._processes
+        ready = wait([*readers, *(process.sentinel for process in processes)], POLL_INTERVAL)
+        for worker_id, (reader, process) in enumerate(zip(readers, processes)):
+            if reader in ready:
+                try:
+                    return worker_id, decode_frame(reader.recv_bytes())[0]
+                except EOFError:  # all it wrote is read: it has exited
+                    process.join(timeout=POLL_INTERVAL)
+                    return worker_id, ("crash", process.exitcode)
+            if process.sentinel in ready and not reader.poll():
                 return worker_id, ("crash", process.exitcode)
-        return decode_frame(results.recv_bytes())[0] if results.poll(POLL_INTERVAL) else None
+        return None
 
     # -- drain ---------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
@@ -360,6 +371,11 @@ class ProcessExecutor(BaseExecutor):
             return self._result
         self._ensure_workers()
         self._fresh_supervisor()
+        released = self._registry.release()
+        if released:
+            frame = bytes(encode_frame(("release", released)))
+            for task_queue in self._task_queues:
+                task_queue.put(frame)
         self._registry.fresh.clear()
         self._result.elapsed += self._dispatcher.run(graph)
         self._result.extra.setdefault("process_backend", self._stats)

@@ -67,7 +67,6 @@ __all__ = [
     "TRANSPORT_ERROR",
     "SocketEndpoint",
     "LoopbackEndpoint",
-    "TcpEndpoint",
     "NetWorkerState",
     "serve_connection",
     "parse_endpoints",

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.runtime.task import Task
 
-__all__ = ["FIFOReadyQueue", "LIFOReadyQueue", "WorkStealingDeques", "ReadyQueueStats"]
+__all__ = ["FIFOReadyQueue", "LIFOReadyQueue", "WorkStealingDeques"]
 
 
 class ReadyQueueStats:

@@ -47,7 +47,6 @@ from repro.runtime.task import Task, TaskState, TaskType
 __all__ = [
     "TaskDescriptor",
     "worker_engine_config",
-    "build_worker_engine",
     "describe_task",
     "describe_tasks",
     "rebuild_task",
@@ -155,9 +154,7 @@ class ArrayArena:
     byte layout resolves to the *same* ndarray / :class:`DataRegion`
     object: aliasing between a task's arguments and its access regions
     survives, and the ATM key caches (keyed on region identity) hit across
-    tasks.  Subclasses fill ``_bases`` from the buffer tables they receive
-    and, when regions need a cross-process version protocol, say how to wrap
-    a view (:meth:`_region`).
+    tasks.  Subclasses fill ``_bases`` from the buffer tables they receive.
     """
 
     #: Raised when a ref cannot be materialised.
@@ -176,9 +173,6 @@ class ArrayArena:
         if entry is None:
             raise self.error(f"ref names buffer {ref[0]!r}, absent from its buffer table")
         return entry
-
-    def _region(self, array: np.ndarray, ref, name: str) -> DataRegion:
-        return DataRegion(array, name=name)
 
     def view(self, ref: tuple) -> np.ndarray:
         """The view ``(key, offset, shape, strides, dtype)`` names; an object
@@ -201,7 +195,7 @@ class ArrayArena:
     def region(self, ref: tuple, name: str) -> DataRegion:
         cached = self._regions.get(ref)
         if cached is None:
-            cached = self._regions[ref] = self._region(self.view(ref), ref, name)
+            cached = self._regions[ref] = DataRegion(self.view(ref), name=name)
         return cached
 
 

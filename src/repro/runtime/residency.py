@@ -49,7 +49,6 @@ __all__ = [
     "RESIDENCY_BUDGET_BYTES",
     "ResidencyEntry",
     "ResidencyTable",
-    "CachedBuffer",
     "WorkerBufferCache",
 ]
 

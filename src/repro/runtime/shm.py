@@ -15,17 +15,21 @@ home; this module provides it (see DESIGN.md §4.3):
   ``copy_in`` only copies (and version-bumps) buffers whose bytes actually
   differ from the segment, so worker-side digest caches survive
   multi-barrier programs whose inputs the parent never touched; buffers a
-  drain never touches are never compared.
-* :class:`SharedVersionTable` — the cross-process write-version protocol:
-  one ``int64`` version per slot in its own shared segment, bumped under a
-  shared lock whenever a write to the buffer commits in *any* process.  The
-  worker-side ATM key generator keys its digest caches on these versions,
-  exactly as the in-process :class:`~repro.runtime.data.RegionVersionRegistry`
-  does for single-process runs.
+  drain never touches are never compared.  Bases are held weakly: a
+  segment lives as long as its array, and is unlinked when the first drain
+  after the array's collection opens (:meth:`SharedBufferRegistry.release`).
 * :class:`WorkerArena` (worker side) — the
   :class:`~repro.runtime.remote_task.ArrayArena` whose backing bytes are
-  shared segments, attached lazily by name; its regions read and bump the
-  shared version table.
+  shared segments, attached lazily by name; its regions are plain
+  :class:`DataRegion` objects versioned by the worker's own registry.
+
+**Write-versions travel in the buffer table.**  The parent orders every
+commit (``graph.complete_task`` bumps the base in
+:data:`~repro.runtime.data.region_versions`), so each row of a chunk's
+buffer table carries that version in ``NetBuffer.generation``.  A worker
+that sees a slot's version move since its last chunk bumps its own version
+of the whole base, which drops its digest caches and content tags for it:
+a peer's write is never hashed (or elided) against a stale entry.
 
 **The first-touch invariant.**  A base buffer is compared with (and, on a
 difference, refreshed into) its segment only while *no task of the open drain
@@ -44,87 +48,40 @@ multiprocessing start method (``fork``, ``spawn``, ``forkserver``).
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
+import weakref
 from multiprocessing import shared_memory
 from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.common.exceptions import RuntimeStateError
 from repro.runtime.codec import NetBuffer
-from repro.runtime.data import DataRegion, SharedDataRegion, _base_buffer, region_versions
+from repro.runtime.data import DataRegion, _base_buffer, region_versions
 from repro.runtime.remote_task import ArrayArena
 
-__all__ = ["SharedVersionTable", "SharedBufferRegistry", "WorkerArena"]
+__all__ = ["SharedBufferRegistry", "WorkerArena"]
 
 
-class SharedVersionTable:
-    """Monotonic write-versions shared across processes (one ``int64``/slot).
-
-    Reads are lock-free (an aligned 8-byte load); bumps take the shared lock
-    so concurrent writers to *sibling* regions of one base buffer can never
-    lose an increment (a lost increment could let a stale cached digest
-    survive a later write).
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        name: Optional[str] = None,
-        lock=None,
-        context=None,
-    ) -> None:
-        self.capacity = capacity
-        self._owner = name is None
-        if self._owner:
-            ctx = context or multiprocessing.get_context()
-            self._shm = shared_memory.SharedMemory(create=True, size=capacity * 8)
-            self._lock = lock if lock is not None else ctx.Lock()
-            self.versions = np.ndarray((capacity,), dtype=np.int64, buffer=self._shm.buf)
-            self.versions[:] = 0
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            self._lock = lock
-            self.versions = np.ndarray((capacity,), dtype=np.int64, buffer=self._shm.buf)
-
-    @classmethod
-    def attach(cls, name: str, capacity: int, lock) -> "SharedVersionTable":
-        return cls(capacity=capacity, name=name, lock=lock)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def lock(self):
-        return self._lock
-
-    def read(self, slot: int) -> int:
-        return int(self.versions[slot])
-
-    def bump(self, slot: int) -> int:
-        with self._lock:
-            self.versions[slot] += 1
-            return int(self.versions[slot])
-
-    def close(self) -> None:
-        self.versions = None  # release the exported buffer before closing
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
 
 
 class _SharedBuffer:
-    """Parent-side record of one base buffer mirrored into shared memory."""
+    """Parent-side record of one base buffer mirrored into shared memory.
 
-    __slots__ = ("slot", "base", "shm", "mirror", "flat_mirror")
+    The base is held weakly; its collection appends the record to ``dead``
+    (the weakref callback, which may run on any thread, does nothing else).
+    """
 
-    def __init__(self, slot: int, base: np.ndarray, shm: shared_memory.SharedMemory) -> None:
+    __slots__ = ("slot", "base", "key", "address", "shm", "mirror", "flat_mirror")
+
+    def __init__(
+        self, slot: int, base: np.ndarray, shm: shared_memory.SharedMemory, dead: list
+    ) -> None:
         self.slot = slot
-        self.base = base
+        self.base = weakref.ref(base, lambda _ref: dead.append(self))
+        self.key = id(base)
+        self.address = _address(base)
         self.shm = shm
         # A view over the segment with the base buffer's exact layout, so the
         # byte offsets computed from parent addresses stay valid in workers.
@@ -133,73 +90,93 @@ class _SharedBuffer:
         )
         self.flat_mirror = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf)
 
-
-def _offset(entry: _SharedBuffer, array: np.ndarray) -> int:
-    """Byte offset of ``array``'s first element within ``entry``'s base."""
-    return int(
-        array.__array_interface__["data"][0]
-        - entry.base.__array_interface__["data"][0]
-    )
+    def unlink(self) -> None:
+        self.mirror = self.flat_mirror = None  # release the exported buffer first
+        self.shm.close()
+        try:
+            self.shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already unlinked
+            pass
 
 
 class SharedBufferRegistry:
-    """Parent-side slot registry mapping base buffers to shared segments."""
+    """Parent-side slot registry mapping base buffers to shared segments.
 
-    def __init__(self, version_table: SharedVersionTable) -> None:
-        self.version_table = version_table
-        self._by_id: dict[int, _SharedBuffer] = {}
-        self._entries: list[_SharedBuffer] = []
+    Slots come from a counter and are never reused, so a worker can never
+    confuse a released segment with a later one.
+    """
+
+    def __init__(self) -> None:
+        self._slots = itertools.count()
+        #: id(base) -> its entry (a collected base's until :meth:`release`).
+        self._entries: dict[int, _SharedBuffer] = {}
+        #: Entries whose base was collected.  Appended by a weakref callback,
+        #: which may run on any thread mid-drain; :meth:`release` drains it.
+        self._dead: list[_SharedBuffer] = []
         #: Slots checked by ``copy_in`` (or seeded by ``register``) in the
         #: open drain; the executor clears it when a drain opens.
         self.fresh: set[int] = set()
-        #: Slots referenced since the last :meth:`table` (one chunk's).
-        self._touched: dict[int, _SharedBuffer] = {}
+        #: Buffer-table rows of the refs made since the last :meth:`table`.
+        self._touched: dict[int, NetBuffer] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Segments not yet unlinked."""
+        return len({*self._entries.values(), *self._dead})
 
     def register(self, base: np.ndarray) -> _SharedBuffer:
         """Register an owning base buffer, creating its segment on first sight."""
-        entry = self._by_id.get(id(base))
-        if entry is not None and entry.base is base:
+        entry = self._entries.get(id(base))
+        if entry is not None and entry.base() is base:
             return entry
-        slot = len(self._entries)
-        if slot >= self.version_table.capacity:
-            raise RuntimeStateError(
-                f"shared version table full ({self.version_table.capacity} slots); "
-                "raise the ProcessExecutor version-table capacity"
-            )
         shm = shared_memory.SharedMemory(create=True, size=max(1, int(base.nbytes)))
-        entry = _SharedBuffer(slot, base, shm)
+        entry = _SharedBuffer(next(self._slots), base, shm, self._dead)
         # Seed the segment immediately: a buffer is registered by the first
         # chunk that touches it, and is fresh from then on.
         np.copyto(entry.mirror, base, casting="no")
-        self.fresh.add(slot)
-        self._entries.append(entry)
-        self._by_id[id(base)] = entry
+        self.fresh.add(entry.slot)
+        self._entries[entry.key] = entry
         return entry
+
+    def release(self) -> list[int]:
+        """Unlink the segments of bases collected since the last call and
+        return their slots (for the workers to drop).  Called when a drain
+        opens: no task that could touch them is in flight."""
+        slots = []
+        while self._dead:
+            entry = self._dead.pop()
+            if self._entries.get(entry.key) is entry:  # the id may be reused
+                del self._entries[entry.key]
+            self.fresh.discard(entry.slot)
+            entry.unlink()
+            slots.append(entry.slot)
+        return slots
 
     def array_ref(self, array: np.ndarray, region: Optional[DataRegion] = None) -> tuple:
         """The ref ``(slot, offset, shape, strides, dtype)`` reconstructing
         ``array`` inside a worker; pass its ``region`` to reuse the owning
         base the region already found."""
-        entry = self.register(
-            region._base if region is not None else _base_buffer(array)
-        )
-        self._touched[entry.slot] = entry
-        return entry.slot, _offset(entry, array), array.shape, array.strides, array.dtype.str
+        base = region._base if region is not None else _base_buffer(array)
+        entry = self.register(base)
+        slot = entry.slot
+        if slot not in self._touched:
+            # Read after the chunk's copy_in, so a detected host write has
+            # already moved it.
+            self._touched[slot] = NetBuffer(
+                slot, 0, entry.shm.name, region_versions.version_of(base)
+            )
+        return slot, _address(array) - entry.address, array.shape, array.strides, array.dtype.str
 
     def table(self) -> tuple[NetBuffer, ...]:
         """The buffer table of the refs made since the last call: one row
-        per slot, naming its segment."""
+        per slot, naming its segment and the base's write-version."""
         touched, self._touched = self._touched, {}
-        return tuple(NetBuffer(slot, 0, entry.shm.name) for slot, entry in touched.items())
+        return tuple(touched.values())
 
     @staticmethod
     def _mirror_matches(entry: _SharedBuffer) -> bool:
         """Byte-level comparison (NaN-safe: ``array_equal`` treats NaN != NaN,
         which would defeat the skip forever for any buffer holding a NaN)."""
-        base = entry.base
+        base = entry.base()
         flat = base.ravel(order="K")
         if not flat.flags.c_contiguous:  # pragma: no cover - exotic owners
             return False
@@ -212,24 +189,25 @@ class SharedBufferRegistry:
         parent bytes into the segments; returns buffers refreshed.
 
         Only buffers whose bytes differ are copied, and each refresh bumps
-        the shared version so worker-side key caches can never serve a
-        digest for bytes the parent replaced between drains.  A buffer
-        already fresh is skipped without a compare (module docstring).
+        the base's write-version — the version the buffer table carries — so
+        worker-side key caches can never serve a digest for bytes the parent
+        replaced between drains.  A buffer already fresh is skipped without a
+        compare (module docstring).
         """
         refreshed = 0
         fresh = self.fresh
         for region in regions:
-            entry = self.register(region._base)
+            base = region._base
+            entry = self.register(base)
             if entry.slot in fresh:
                 continue
             fresh.add(entry.slot)
             if self._mirror_matches(entry):
                 continue
-            np.copyto(entry.mirror, entry.base, casting="no")
-            self.version_table.bump(entry.slot)
-            # A detected host write is an announced one: the parent's own
-            # registry moves too, dropping the base's content tags.
-            region_versions.bump(entry.base)
+            np.copyto(entry.mirror, base, casting="no")
+            # A detected host write is an announced one: the version moves,
+            # dropping the base's content tags.
+            region_versions.bump(base)
             refreshed += 1
         return refreshed
 
@@ -243,60 +221,63 @@ class SharedBufferRegistry:
             array = region.array
             mirror = np.ndarray(
                 array.shape, dtype=array.dtype, buffer=entry.shm.buf,
-                offset=_offset(entry, array), strides=array.strides,
+                offset=_address(array) - entry.address, strides=array.strides,
             )
             np.copyto(array, mirror, casting="no")
             landed += 1
         return landed
 
     def close(self) -> None:
-        for entry in self._entries:
-            entry.mirror = None
-            entry.flat_mirror = None
-            entry.shm.close()
-            try:
-                entry.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
+        self.release()
+        for entry in self._entries.values():
+            entry.unlink()
         self._entries.clear()
-        self._by_id.clear()
 
 
 class WorkerArena(ArrayArena):
     """Worker-side lazy attachment of shared segments and region views.
 
     A slot's segment never changes, so segments attached for one chunk's
-    buffer table (:meth:`attach`) serve every later chunk.
+    buffer table (:meth:`attach`) serve every later chunk until the parent
+    releases the slot (:meth:`release`).
     """
 
-    def __init__(self, version_table: SharedVersionTable) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.version_table = version_table
-        self._segments: list[shared_memory.SharedMemory] = []
+        self._segments: dict[int, shared_memory.SharedMemory] = {}
+        #: slot -> the parent write-version its last buffer-table row carried.
+        self._versions: dict[int, int] = {}
 
     def attach(self, buffers) -> None:
-        """Attach, by name, the segments of a buffer table not seen yet."""
-        for slot, _start, name, _generation in buffers:
-            if slot not in self._bases:
-                shm = shared_memory.SharedMemory(name=name)
-                self._segments.append(shm)
+        """Attach, by name, the segments of a buffer table not seen yet, and
+        bump the local version of every base whose parent version moved."""
+        for slot, _start, name, version in buffers:
+            seen = self._versions.get(slot)
+            if seen is None:
+                shm = self._segments[slot] = shared_memory.SharedMemory(name=name)
                 # One flat uint8 ndarray per segment: every view built over
                 # it shares this object as its ``.base``, preserving region
                 # identity for the keygen caches.
                 self._bases[slot] = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf), 0
+            elif seen != version:
+                region_versions.bump(self._bases[slot][0])
+            self._versions[slot] = version
 
-    def _region(self, array: np.ndarray, ref: tuple, name: str) -> DataRegion:
-        return SharedDataRegion(
-            array, name=name, slot=ref[0], version_table=self.version_table
-        )
+    def release(self, slots) -> None:
+        """Drop what is cached for ``slots`` and close their segments; the
+        version registry lets go of the bases through its weak references."""
+        slots = set(slots)
+        self._views = {ref: v for ref, v in self._views.items() if ref[0] not in slots}
+        self._regions = {ref: r for ref, r in self._regions.items() if ref[0] not in slots}
+        for slot in slots:
+            self._bases.pop(slot, None)
+            self._versions.pop(slot, None)
+            shm = self._segments.pop(slot, None)
+            try:
+                if shm is not None:
+                    shm.close()
+            except BufferError:  # pragma: no cover - a view still alive
+                pass
 
     def close(self) -> None:
-        self._views.clear()
-        self._regions.clear()
-        self._bases.clear()
-        for shm in self._segments:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - views still alive
-                pass
-        self._segments.clear()
+        self.release(list(self._segments))

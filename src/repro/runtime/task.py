@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.common.exceptions import TaskDefinitionError
 from repro.runtime.data import AccessMode, DataAccess, validate_accesses
 
-__all__ = ["TaskState", "TaskType", "Task", "CostModel"]
+__all__ = ["TaskState", "TaskType", "Task"]
 
 #: A cost model maps a task to its simulated execution cost in microseconds.
 CostModel = Callable[["Task"], float]

@@ -15,7 +15,6 @@ from repro.serving.gateway import (
     Gateway,
     SERVING_PROTOCOL_VERSION,
     TenantArena,
-    TenantEngineRouter,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "GatewayClient",
     "SERVING_PROTOCOL_VERSION",
     "TenantArena",
-    "TenantEngineRouter",
 ]

@@ -44,9 +44,8 @@ queued work into the live graph, which keeps the pool busy and is what lets
 a second wave submitted *while draining* land in the same graph (the
 submit-while-draining parity tests drive exactly this seam).
 
-The graph's dense bookkeeping grows with the total number of tasks ever
-served; a gateway is expected to be restarted between unrelated campaigns
-rather than run unbounded forever.
+The graph and the dependence tracker hold only live tasks (a finished task
+is forgotten), so a gateway that serves for a long time stays flat.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ from repro.serving.admission import AdmissionController
 __all__ = [
     "Gateway",
     "TenantArena",
-    "TenantEngineRouter",
     "SERVING_PROTOCOL_VERSION",
 ]
 

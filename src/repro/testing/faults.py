@@ -34,7 +34,6 @@ from repro.common.exceptions import RuntimeStateError
 
 __all__ = [
     "BACKENDS",
-    "FAULT_DRAIN_TIMEOUT",
     "square_body",
     "raising_body",
     "flaky_body",

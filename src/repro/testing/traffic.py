@@ -35,9 +35,6 @@ __all__ = [
     "arrival_times",
     "make_plan",
     "replay",
-    "scale_block",
-    "burn_block",
-    "add_blocks",
     "fill_block",
     "accumulate_block",
 ]

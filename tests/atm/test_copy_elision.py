@@ -378,24 +378,25 @@ class TestRemoteWorkersNeverElide:
             local.wait_all()
             assert local.stats["elided_bytes"] == 0
 
-    def test_shared_data_region_never_holds(self):
-        from repro.runtime.data import SharedDataRegion
+    def test_a_hit_on_a_block_a_peer_wrote_since_copies(self):
+        """Chunks of one go round-robin over two workers: worker 0 stores
+        step(src) into ``dst``, worker 1 overwrites ``dst``, and worker 0's
+        THT hit for step(src) must put its output back."""
+        def program(session):
+            src, other, dst = np.full(N, 2.0), np.full(N, 5.0), np.zeros(N)
+            for source in (src, other, src):
+                submit_step(session, source, dst)
+                session.wait_all()
+            return dst, session.stats
 
-        class Table:
-            def read(self, slot):
-                return 1
-
-            def bump(self, slot):
-                return 2
-
-        array = np.zeros(N)
-        shared = SharedDataRegion(array, slot=0, version_table=Table())
-        source = TaskType("anything")
-        DataRegion(array).bump_version(source, 0)
-        assert DataRegion(array).holds(source, 0)
-        assert not shared.holds(source, 0)
-        assert shared.bump_version(source, 0) == 2  # goes to the shared table
-        assert DataRegion(array).holds(source, 0)   # ... not to the tag book
+        with static_session() as serial:
+            expected, _ = program(serial)
+        with static_session("process", mp_chunk_size=1) as remote:
+            dst, stats = program(remote)
+        assert np.array_equal(dst, expected)
+        assert stats["tht_hits"] == 1
+        assert stats["elided_bytes"] == 0
+        assert stats["copied_bytes"] == BLOCK
 
 
 def gateway_step(src: np.ndarray, dst: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import os
 import pickle
@@ -177,6 +178,34 @@ class TestEveryKnobEarnsItsPlace:
             for field in dataclasses.fields(section)
             if not re.search(rf"\.{field.name}\b", readers)
         ]
+        assert unread == []
+
+
+class TestEveryExportEarnsItsPlace:
+    """An ``__all__`` name is public surface only while something reads it:
+    a ``.py`` file under src/, tests/, bench/, scripts/ or examples/ other
+    than the defining module and its package ``__init__``."""
+
+    def test_every_exported_name_has_a_reader(self):
+        root = Path(__file__).resolve().parents[2]
+        words = {
+            path: set(re.findall(r"\w+", path.read_text()))
+            for folder in ("src", "tests", "bench", "scripts", "examples")
+            for path in (root / folder).rglob("*.py")
+        }
+        unread = []
+        for module in sorted((root / "src").rglob("*.py")):
+            for node in ast.parse(module.read_text()).body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets
+                ):
+                    own = {module, module.parent / "__init__.py"}
+                    unread += [
+                        f"{module.relative_to(root)}:{name}"
+                        for name in ast.literal_eval(node.value)
+                        if not any(name in found for path, found in words.items() if path not in own)
+                    ]
         assert unread == []
 
 

@@ -58,7 +58,7 @@ RESIDENCY_TRUSTS_VERSIONS = pytest.mark.xfail(
     strict=True,
     reason="network residency trusts write-versions and a NumPy store bumps "
     "none: the endpoint re-uses its resident copy of `a` and returns the "
-    "previous result (ROADMAP direction 4, the unified staleness ledger)",
+    "previous result (ROADMAP direction 6(a), one host-write contract)",
 )
 
 

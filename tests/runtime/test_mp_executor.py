@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,11 @@ from repro.atm.policy import StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig
 from repro.common.exceptions import RuntimeStateError
 from repro.session import Session
-from repro.runtime.data import DataRegion, In, InOut, Out
+from repro.runtime.data import DataRegion, In, InOut, Out, region_versions
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.mp_executor import ProcessExecutor
-from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable, WorkerArena
-from repro.runtime.task import TaskType
+from repro.runtime.shm import SharedBufferRegistry, WorkerArena
+from repro.runtime.task import TaskState, TaskType
 
 
 def make_process_runtime(workers=2, engine=None, **overrides) -> Session:
@@ -44,59 +47,95 @@ SQUARE = TaskType("mp_square", memoizable=True)
 
 class TestSharedMemoryProtocol:
     def test_roundtrip_preserves_view_identity_and_bytes(self):
-        table = SharedVersionTable(capacity=16)
-        try:
-            registry = SharedBufferRegistry(table)
-            base = np.arange(24, dtype=np.float64).reshape(4, 6)
-            view = base[1:3, 2:5]                    # non-trivial strides
-            ref = registry.array_ref(view)
-            arena = WorkerArena(table)
-            arena.attach(registry.table())  # the chunk's buffer table
-            rebuilt = arena.view(ref)
-            assert rebuilt.shape == view.shape
-            assert rebuilt.strides == view.strides
-            assert np.array_equal(rebuilt, view)
-            # Two views of the same segment share one ndarray base (region
-            # identity for the worker-side keygen caches).
-            other = arena.view(registry.array_ref(base[0]))
-            assert rebuilt.base is other.base
-            arena.close()
-            registry.close()
-        finally:
-            table.close()
+        registry = SharedBufferRegistry()
+        base = np.arange(24, dtype=np.float64).reshape(4, 6)
+        view = base[1:3, 2:5]                    # non-trivial strides
+        ref = registry.array_ref(view)
+        arena = WorkerArena()
+        arena.attach(registry.table())  # the chunk's buffer table
+        rebuilt = arena.view(ref)
+        assert rebuilt.shape == view.shape
+        assert rebuilt.strides == view.strides
+        assert np.array_equal(rebuilt, view)
+        # Two views of the same segment share one ndarray base (region
+        # identity for the worker-side keygen caches).
+        other = arena.view(registry.array_ref(base[0]))
+        assert rebuilt.base is other.base
+        arena.close()
+        registry.close()
 
     def test_copy_in_skips_unchanged_and_bumps_changed(self):
-        table = SharedVersionTable(capacity=16)
-        try:
-            registry = SharedBufferRegistry(table)
-            data = np.zeros(8)
-            region = DataRegion(data[2:6])           # any view names its base
-            entry = registry.register(data)
-            assert registry.copy_in([region]) == 0   # registration seeded bytes
-            version_before = table.read(entry.slot)
-            data[:] = 7.0                            # parent-side mutation
-            assert registry.copy_in([region]) == 0   # fresh in this drain: no check
-            assert table.read(entry.slot) == version_before
-            registry.fresh.clear()                   # the next drain opens
-            assert registry.copy_in([region, region]) == 1
-            assert table.read(entry.slot) == version_before + 1
-            assert np.array_equal(entry.mirror, data)
-            registry.fresh.clear()
-            assert registry.copy_in([region]) == 0   # compared, unchanged
-            assert table.read(entry.slot) == version_before + 1
-            registry.close()
-        finally:
-            table.close()
+        registry = SharedBufferRegistry()
+        data = np.zeros(8)
+        region = DataRegion(data[2:6])           # any view names its base
+        entry = registry.register(data)
 
-    def test_version_table_bumps_are_monotonic(self):
-        table = SharedVersionTable(capacity=4)
+        def table_version():
+            registry.array_ref(data)
+            (row,) = registry.table()
+            assert row.buffer_id == entry.slot
+            return row.generation
+
+        assert registry.copy_in([region]) == 0   # registration seeded bytes
+        version_before = table_version()
+        data[:] = 7.0                            # parent-side mutation
+        assert registry.copy_in([region]) == 0   # fresh in this drain: no check
+        assert table_version() == version_before
+        registry.fresh.clear()                   # the next drain opens
+        assert registry.copy_in([region, region]) == 1
+        assert table_version() > version_before
+        assert np.array_equal(entry.mirror, data)
+        version_after = table_version()
+        registry.fresh.clear()
+        assert registry.copy_in([region]) == 0   # compared, unchanged
+        assert table_version() == version_after
+        registry.close()
+
+    def test_a_moved_table_version_bumps_the_worker_base_once(self):
+        registry = SharedBufferRegistry()
+        data = np.zeros(8)
+        arena = WorkerArena()
         try:
-            assert table.read(2) == 0
-            assert table.bump(2) == 1
-            assert table.bump(2) == 2
-            assert table.read(2) == 2
+            ref = registry.array_ref(data)
+            arena.attach(registry.table())
+            region = arena.region(ref, "data")
+            first = region.version
+            registry.array_ref(data)
+            arena.attach(registry.table())       # same parent version
+            assert region.version == first
+            DataRegion(data).bump_version()      # a commit in the parent
+            registry.array_ref(data)
+            arena.attach(registry.table())
+            moved = region.version
+            assert moved > first
+            registry.array_ref(data)
+            arena.attach(registry.table())
+            assert region.version == moved
         finally:
-            table.close()
+            arena.close()
+            registry.close()
+
+    def test_a_collected_base_is_released_at_the_next_call(self):
+        registry = SharedBufferRegistry()
+        arena = WorkerArena()
+        try:
+            kept, dropped = np.zeros(8), np.ones(8)
+            refs = [registry.array_ref(kept), registry.array_ref(dropped)]
+            arena.attach(registry.table())
+            views = [arena.view(ref) for ref in refs]
+            assert len(registry) == 2
+            del dropped, views
+            assert len(registry) == 2            # unlinked only by release()
+            slots = registry.release()
+            assert slots == [refs[1][0]]
+            assert len(registry) == 1
+            arena.release(slots)
+            assert np.array_equal(arena.view(refs[0]), kept)
+            with pytest.raises(RuntimeStateError):
+                arena.view(refs[1])
+        finally:
+            arena.close()
+            registry.close()
 
 
 class TestProcessExecutorLifecycle:
@@ -246,3 +285,58 @@ class TestProcessExecutorSemantics:
         )
         runtime.finish()
         assert np.allclose(total, 0.0 + 1.0 + 2.0)
+
+
+class TestNothingSharedButSegments:
+    """Write-versions ride in the buffer table; the pool holds no lock."""
+
+    def test_a_peer_write_is_never_served_from_a_stale_entry(self):
+        """Chunks of one go round-robin over two workers: worker 0 reads X,
+        worker 1 writes it, and worker 0's second read of X must execute
+        instead of hitting the entry its first read stored."""
+        bump_type = TaskType("mp_bump")
+        x = np.full(8, 2.0)
+        outs = [np.zeros(8), np.zeros(8)]
+        session = Session({
+            "runtime": {"executor": "process", "num_threads": 2, "mp_chunk_size": 1},
+            "atm": {"mode": "static"},
+        })
+        with session:
+            first = session.submit(SQUARE, square, [In(x), Out(outs[0])], (x, outs[0]))
+            session.wait_all()
+            session.submit(bump_type, bump, [InOut(x)], (x,))
+            session.wait_all()
+            last = session.submit(SQUARE, square, [In(x), Out(outs[1])], (x, outs[1]))
+            session.wait_all()
+        assert first.state is TaskState.FINISHED and last.state is TaskState.FINISHED
+        assert np.all(outs[0] == 4.0) and np.all(outs[1] == 9.0)
+
+    def test_a_pool_forked_under_a_held_version_lock_drains(self):
+        """A fork may copy the registry lock held by a parent thread (say a
+        gateway thread committing a task): the worker resets it first."""
+        holding, done = threading.Event(), threading.Event()
+
+        def hold():
+            with region_versions._lock:
+                holding.set()
+                done.wait()
+
+        config = ATMConfig()
+        engine = ATMEngine(config=config, policy=StaticATMPolicy(config), num_threads=2)
+        runtime = make_process_runtime(workers=2, engine=engine, drain_timeout_s=20.0)
+        holder = threading.Thread(target=hold)
+        holder.start()
+        holding.wait()
+        try:
+            runtime.executor._ensure_workers()      # forked while the lock is held
+        finally:
+            done.set()
+            holder.join()
+        x, out = np.full(8, 3.0), np.zeros(8)
+        runtime.submit(TaskType("mp_bump"), bump, [InOut(x)], (x,))
+        runtime.submit(SQUARE, square, [In(x), Out(out)], (x, out))
+        started = time.perf_counter()
+        runtime.finish()
+        assert time.perf_counter() - started < 20.0
+        assert np.all(out == 16.0)
+        assert runtime.executor._stats["respawns"] == 0

@@ -561,11 +561,10 @@ def _replies_over_queue_and_pipe():
 
     from repro.runtime.mp_executor import _worker_main
     from repro.runtime.net_wire import NetChunk, decode_frame, encode_frame
-    from repro.runtime.shm import SharedBufferRegistry, SharedVersionTable
+    from repro.runtime.shm import SharedBufferRegistry
 
     ctx = multiprocessing.get_context()
-    table = SharedVersionTable(capacity=16, context=ctx)
-    registry = SharedBufferRegistry(table)
+    registry = SharedBufferRegistry()
     task_queue = ctx.Queue()
     reader, writer = ctx.Pipe(duplex=False)
     try:
@@ -574,15 +573,10 @@ def _replies_over_queue_and_pipe():
         for message in (("chunk", chunk), ("sync",)):
             task_queue.put(bytes(encode_frame(message)))
         task_queue.put(None)
-        _worker_main(
-            3, task_queue, writer, ctx.Lock(), table.name, table.capacity, table.lock,
-            None, True,
-        )
+        _worker_main(3, task_queue, writer, None, True)
         replies = []
         while reader.poll():
-            worker_id, reply = decode_frame(reader.recv_bytes())[0]  # the envelope
-            assert worker_id == 3
-            replies.append(reply)
+            replies.append(decode_frame(reader.recv_bytes())[0])  # its own pipe
         registry.copy_out(DataRegion(sink) for sink in sinks)
         return replies, sources, sinks
     finally:
@@ -591,7 +585,6 @@ def _replies_over_queue_and_pipe():
         reader.close()
         writer.close()
         registry.close()
-        table.close()
 
 
 def _replies_over_a_framed_socket():
@@ -637,7 +630,7 @@ def test_one_worker_one_reply_vocabulary_under_both_transports(transport):
     healthy) through the one worker behind either transport gets ``ack``,
     ``result`` with the finished two-task prefix, ``error`` naming task 3 —
     the fourth task is dropped for the parent to redistribute — and the
-    barrier a ``sync_result``.  The transports differ in the envelope and in
+    barrier a ``sync_result``.  The transports differ in the handshake and in
     whether written bytes ride on a result, nothing else."""
     replies, sources, sinks = transport()
     kinds = [message[0] for message in replies]

@@ -65,11 +65,7 @@ from repro.runtime.net_wire import (  # noqa: E402
     span_view,
 )
 from repro.runtime.remote_task import describe_task, rebuild_task  # noqa: E402
-from repro.runtime.shm import (  # noqa: E402
-    SharedBufferRegistry,
-    SharedVersionTable,
-    WorkerArena,
-)
+from repro.runtime.shm import SharedBufferRegistry, WorkerArena  # noqa: E402
 from repro.runtime.task import TaskType  # noqa: E402
 from repro.serving import Gateway, GatewayClient  # noqa: E402
 from repro.serving.gateway import TenantArena  # noqa: E402
@@ -579,9 +575,8 @@ def shipped(kind: str):
     receiving arena from what the sender would ship.
     """
     if kind == "worker":  # process backend: shared segments, named by the table
-        table = SharedVersionTable(capacity=8)
-        registry = SharedBufferRegistry(table)
-        arena = WorkerArena(table)
+        registry = SharedBufferRegistry()
+        arena = WorkerArena()
 
         def attach():
             arena.attach(received(registry.table()))
@@ -592,7 +587,6 @@ def shipped(kind: str):
         finally:
             arena.close()
             registry.close()
-            table.close()
         return
     encoder = ChunkEncoder()
 

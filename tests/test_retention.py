@@ -8,14 +8,14 @@ memory and the number of GC-tracked objects may grow by at most 5 % — on
 serial, threaded and process Sessions, and on a gateway serving two tenants
 for 1 000 requests.  An array the program drops after a task wrote it and
 another read it must be collected after the barrier, and the dependence
-tracker's index for it with it.  (The process backend is left out of that
-last case: its shared-memory registry mirrors every base buffer it has
-shipped until the Session closes.)
+tracker's index for it with it.  A process Session that ships fresh arrays
+round after round holds a flat number of shared-memory segments.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import tracemalloc
 import weakref
 
@@ -119,7 +119,7 @@ def test_a_gateway_serving_two_tenants_stays_flat():
     _assert_flat(_gateway_rounds())
 
 
-@pytest.mark.parametrize("executor", ["serial", "threaded"])
+@pytest.mark.parametrize("executor", ["serial", "threaded", "process"])
 def test_a_dropped_array_is_collected_after_the_barrier(executor):
     kept = np.ones(1024)
     with Session({"runtime": {"executor": executor, "num_threads": 2}}) as session:
@@ -132,3 +132,26 @@ def test_a_dropped_array_is_collected_after_the_barrier(executor):
         gc.collect()
         assert dropped() is None
         assert key not in session.graph._tracker._buffers
+
+
+def _psm_names() -> int:
+    return sum(name.startswith("psm_") for name in os.listdir("/dev/shm"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to count")
+def test_fresh_arrays_every_round_hold_a_flat_number_of_segments():
+    """50 rounds of 200 two-array tasks, each on arrays made for it: a
+    segment lives as long as its array, so after round 1 neither the
+    executor's live segments nor the ``psm_*`` names in /dev/shm grow."""
+    with Session({"runtime": {"executor": "process", "num_threads": 2}}) as session:
+        counts = []
+        for _ in range(50):
+            for i in range(200):
+                src, dst = np.full(8, float(i)), np.zeros(8)
+                session.submit(COPY, copy_row, [In(src), Out(dst)], (src, dst))
+            session.wait_all()
+            counts.append((len(session.executor._registry), _psm_names()))
+        assert np.all(dst == 199.0)
+    (segments, names), later = counts[1], counts[2:]
+    assert max(s for s, _ in later) <= segments <= 400
+    assert max(n for _, n in later) <= names
