@@ -10,7 +10,8 @@ side by side (checked out into a temporary ``git worktree``) — prints:
   holding a token that is neither blank, comment nor docstring);
 * configuration fields per section and in total (``ReproConfig().to_dict()``
   of that tree);
-* names exported through ``__all__`` and modules under ``src/repro/``.
+* names exported through ``__all__`` and modules under ``src/repro/``;
+* bytes of each root-level ``*.md`` file and their total (the docs).
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ def measure(tree: Path) -> dict[str, int]:
     rows["config fields: total"] = sum(fields.values())
     rows["__all__ names (src)"] = exported
     rows["modules under src/repro"] = len(list((tree / "src" / "repro").rglob("*.py")))
+    docs = {path.name: path.stat().st_size for path in sorted(tree.glob("*.md"))}
+    for name, size in docs.items():
+        rows[f"docs bytes: {name}"] = size
+    rows["docs bytes: total"] = sum(docs.values())
     return rows
 
 

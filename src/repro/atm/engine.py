@@ -12,7 +12,8 @@ The engine implements the runtime's
 ``task_finished``
     Invoked when the task's processing completes.  Executed tasks commit
     their outputs to the THT, retire their IKT entry and satisfy any
-    postponed output-copy petitions registered by deferred consumers.
+    postponed output-copy petitions registered by deferred consumers, which
+    the returned :class:`ATMCommitInfo` names for the caller to complete.
     Training hits additionally measure the Chebyshev error against the stored
     outputs and feed it to the Dynamic-ATM trainer.
 """
@@ -20,7 +21,7 @@ The engine implements the runtime's
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,13 +58,6 @@ class ATMEngine:
         self.ikt = InFlightKeyTable(max_entries=max(num_threads, 1)) if self.config.use_ikt else None
         self._petitions: dict[int, list[Task]] = {}
         self._petition_lock = threading.Lock()
-        self._deferred_callback: Optional[Callable[[Task, int], None]] = None
-
-    # -- protocol: callbacks -----------------------------------------------------
-    def set_deferred_completion_callback(
-        self, callback: Optional[Callable[[Task, int], None]]
-    ) -> None:
-        self._deferred_callback = callback
 
     # -- protocol: lookup ----------------------------------------------------------
     def task_ready(self, task: Task, worker_id: int = 0) -> ATMDecision:
@@ -177,23 +171,17 @@ class ATMEngine:
         )
         self.stats.record_commit(committed.stored_bytes)
 
-        # Retire the in-flight entry and satisfy postponed consumers.
-        forwarded = 0
-        completed = 0
+        # Retire the in-flight entry and satisfy postponed consumers; the
+        # caller completes them.
         with self._petition_lock:
             if decision.payload.get("ikt_registered") and self.ikt is not None:
                 self.ikt.retire(key, task.task_type.name, task)
-            waiters = self._petitions.pop(task.task_id, [])
-        for waiter in waiters:
-            copied = copy_outputs_from_entry(waiter, committed)
-            forwarded += copied
-            completed += 1
-            if self._deferred_callback is not None:
-                self._deferred_callback(waiter, copied)
+            waiters = tuple(self._petitions.pop(task.task_id, ()))
+        forwarded = sum(copy_outputs_from_entry(waiter, committed) for waiter in waiters)
         return ATMCommitInfo(
             stored_bytes=committed.stored_bytes,
             forwarded_bytes=forwarded,
-            deferred_completed=completed,
+            deferred=waiters,
         )
 
     def task_abandoned(self, task: Task, decision: ATMDecision) -> list[Task]:

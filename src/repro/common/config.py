@@ -193,8 +193,9 @@ class RuntimeConfig(_Section):
         simulated cores: one worker count for every backend.
     executor:
         Execution backend selected by :func:`repro.runtime.executor.build_executor`:
-        ``"serial"``, ``"threaded"``, ``"process"`` or ``"simulated"``
-        (DESIGN.md §4).
+        ``"serial"``, ``"threaded"``, ``"process"``, ``"network"`` or
+        ``"simulated"`` (DESIGN.md §4), or a name registered on
+        ``EXECUTORS``.
     scheduler:
         Ready-queue policy name (``"fifo"``, ``"lifo"`` or
         ``"work_stealing"``).

@@ -107,7 +107,8 @@ class Registry:
             )
 
 
-#: Execution backends (DESIGN.md §4); factories take (config, engine, sim_config).
+#: Execution backends (DESIGN.md §4); factories take (config, sim_config) —
+#: an executor holds no engine, each task names its owner's.
 EXECUTORS = Registry(
     "executor",
     builtins=("serial", "threaded", "process", "simulated", "network"),

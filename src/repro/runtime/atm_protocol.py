@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.runtime.task import Task
 
@@ -80,8 +80,9 @@ class ATMCommitInfo:
     stored_bytes: int = 0
     #: Bytes copied to satisfy postponed (IKT) consumers.
     forwarded_bytes: int = 0
-    #: Number of deferred tasks completed by this commit.
-    deferred_completed: int = 0
+    #: The deferred consumers this commit satisfied: their outputs are in
+    #: place, and the caller completes them (as ``MEMOIZED``) in its graph.
+    deferred: tuple = ()
 
 
 @runtime_checkable
@@ -96,12 +97,4 @@ class MemoizationEngineProtocol(Protocol):
         self, task: Task, decision: ATMDecision, executed: bool, worker_id: int = 0
     ) -> ATMCommitInfo:
         """Commit/cleanup performed when the task's processing completes."""
-        ...
-
-    def set_deferred_completion_callback(
-        self, callback: Optional[Callable[[Task, int], None]]
-    ) -> None:
-        """Register the callback invoked when a DEFERred task's outputs have
-        been copied from its in-flight producer (arguments: the deferred task
-        and the number of bytes copied)."""
         ...

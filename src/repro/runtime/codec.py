@@ -25,8 +25,11 @@ decoder; a task body travels as ``(module, qualname)`` and is looked up by
 Object dtypes are refused in both directions.
 
 **Schema'd messages** — the per-task hot path — are fixed-position records
-without per-value tags: ``("chunk", NetChunk)``, ``("submit_batch",
-NetChunk)`` and ``("result", chunk_id, results)``.  A message of those kinds
+without per-value tags: ``("chunk", NetChunk[, owners, recipes])`` (the
+worker protocol's chunk; its owner fields — each task's owner index, the
+engine recipe of every owner named — stay plain JSON), ``("submit_batch",
+NetChunk)`` and
+``("result", chunk_id, results)``.  A message of those kinds
 whose fields do not fit falls back to the generic form, so the decoder's
 answer never depends on which form was written.
 
@@ -271,26 +274,28 @@ def function_name(function: Callable) -> tuple[str, str]:
 
 # -- schema'd messages ----------------------------------------------------------------
 def _encode_chunk(message, segment):
-    kind, (chunk_id, buffers, tasks) = message
+    kind, (chunk_id, buffers, tasks), *owners = message
     return [chunk_id, [
         (key, start,
          data if data is None or type(data) is str else segment(memoryview(data).cast("B")),
          generation)
         for key, start, data, generation in buffers
-    ], tasks]
+    ], tasks, *owners]
 
 
 def _decode_chunk(kind, body, take):
     """A chunk's buffer table as :class:`NetBuffer` rows and its descriptor
     rows as :class:`TaskDescriptor` records, whose fields
-    :func:`~repro.runtime.remote_task.rebuild_task` checks."""
-    chunk_id, rows, tasks = body
+    :func:`~repro.runtime.remote_task.rebuild_task` checks; owner fields
+    after them stay plain (the worker checks them)."""
+    chunk_id, rows, tasks, *owners = body
     buffers = tuple(
         NetBuffer(key, start, data if data is None or type(data) is str else _bytes(data, take),
                   generation)
         for key, start, data, generation in rows
     )
-    return kind, NetChunk(chunk_id, buffers, tuple(TaskDescriptor(*task) for task in tasks))
+    chunk = NetChunk(chunk_id, buffers, tuple(TaskDescriptor(*task) for task in tasks))
+    return kind, chunk, *owners
 
 
 def _encode_result(message, segment):

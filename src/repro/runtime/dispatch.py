@@ -1,14 +1,18 @@
 """Parent-side chunk dispatch: the one drain loop under the worker backends.
 
-The process and network executors keep the dependence graph, the scheduler
-and the reference ATM engine in the parent and run task bodies elsewhere.
+The process and network executors keep the dependence graph and the
+scheduler in the parent and run task bodies elsewhere; the ATM engines stay
+with the tasks' owners (a Session, a gateway tenant), and each worker runs a
+replica of every owner engine its chunks name.
 What they do around that is the same control plane (DESIGN.md §4.6), and
 :class:`ChunkDispatcher` is its only implementation: pull ready tasks, cut
 them into chunks, remember which worker holds which chunk, decode what the
 workers answer and complete tasks from it, retry or terminally fail a task
 whose body raised, time out a wedged one, resubmit what a lost worker held
-against a bounded budget, notice a starved or overdue drain, and fold the
-workers' ATM engine deltas into the parent engine at the barrier.
+against a bounded budget, notice a starved or overdue drain, number the
+owners whose tasks it ships (a chunk carries its tasks' owner indices and
+those owners' engine recipes), and fold the workers' replica deltas into
+their owners' engines at the barrier.
 
 An executor *composes* a dispatcher and is its transport: the dispatcher
 calls seven methods of its host, the last three being the data plane of a
@@ -57,6 +61,7 @@ from repro.common.exceptions import (
 )
 from repro.runtime.atm_protocol import ATMAction, ATMDecision, EXECUTE_DECISION
 from repro.runtime.graph import TaskDependenceGraph
+from repro.runtime.remote_task import engine_recipe
 from repro.runtime.supervision import TIMEOUT_GRACE
 from repro.runtime.task import Task, TaskState
 
@@ -69,11 +74,15 @@ _REPLY_FIELDS = {"ack": 1, "result": 2, "error": 3, "sync_result": 1}
 class Chunk:
     """One dispatched, not-yet-answered batch of tasks."""
 
-    __slots__ = ("chunk_id", "tasks", "started_at", "extra")
+    __slots__ = ("chunk_id", "tasks", "owners", "started_at", "extra")
 
-    def __init__(self, chunk_id: int, tasks: list[Task]) -> None:
+    def __init__(self, chunk_id: int, tasks: list[Task], owners: tuple) -> None:
         self.chunk_id = chunk_id
         self.tasks = tasks
+        #: The owner fields a transport ships beside the chunk: ``(owner
+        #: index per task, (index, recipe) per owner named)``, or ``()``
+        #: when no task of it has an owner with an engine.
+        self.owners = owners
         #: ``perf_counter`` stamp of the worker's ``ack`` — it acks a chunk as
         #: it starts on it (``None`` until then).
         self.started_at: Optional[float] = None
@@ -86,8 +95,8 @@ class ChunkDispatcher:
     """The drain loop, the in-flight ledgers and the delta barrier.
 
     ``host`` is the composing executor — the transport (module docstring),
-    and its config, scheduler, supervisor, engine, run result and
-    terminal-failure policy are used as they are; ``chunk_size`` caps a
+    and its config, scheduler, supervisor, run result and terminal-failure
+    policy are used as they are; ``chunk_size`` caps a
     chunk — at one task under ``task_timeout_s``, so a wedged task is
     identifiable; ``loss_budget`` bounds how often one task may be
     resubmitted after losing its worker; ``cleanup`` (a callable plus
@@ -123,7 +132,11 @@ class ChunkDispatcher:
         self._chunk_ids = itertools.count(1)
         #: task_id -> times the task was resubmitted after losing a worker.
         self._losses: dict[int, int] = {}
-        #: Workers sent work since their last merged engine delta: losing
+        #: Owners with an engine, numbered as their tasks are first shipped:
+        #: owner -> index, and index -> (owner, the replica's recipe).
+        self._owner_ids: dict = {}
+        self._owners: list[tuple] = []
+        #: Workers sent ATM-owned work since their last merged delta: losing
         #: one loses ATM state (reuse statistics, never result bytes).
         self._dirty: set[Hashable] = set()
         #: Workers whose engine delta the barrier is waiting for.
@@ -142,6 +155,7 @@ class ChunkDispatcher:
         # executor (with the graph and arrays its tasks reference) is then
         # freed when its owner drops it, not at a later pass of the cyclic GC.
         self._host = self._graph = None
+        self._owner_ids, self._owners = {}, []
 
     # -- the drain loop --------------------------------------------------------
     def run(self, graph: TaskDependenceGraph) -> float:
@@ -167,7 +181,7 @@ class ChunkDispatcher:
                 )
             self._wait(deadline)
         elapsed = time.perf_counter() - t0
-        if self._host.engine is not None:
+        if self._owners:
             self.awaiting_delta = set(self._host._request_deltas())
             while self.awaiting_delta:
                 self._wait(deadline)
@@ -195,12 +209,34 @@ class ChunkDispatcher:
         """Cut ``tasks`` into chunks and ship each to a worker."""
         size, send = self._chunk_size, self._host._send
         for start in range(0, len(tasks), size):
-            chunk = Chunk(next(self._chunk_ids), tasks[start:start + size])
+            part = tasks[start:start + size]
+            chunk = Chunk(next(self._chunk_ids), part, self._owners_of(part))
             while (worker := send(chunk)) is None:
                 pass  # that worker failed mid-send; the transport picks another
             self._ledger.setdefault(worker, {})[chunk.chunk_id] = chunk
-            self._dirty.add(worker)
+            if chunk.owners:
+                self._dirty.add(worker)
             self.counters["chunks"] += 1
+
+    def _owners_of(self, tasks: list[Task]) -> tuple:
+        """A chunk's owner fields (:class:`Chunk`).  An owner is numbered,
+        and its engine's recipe made, the first time its tasks ship; an
+        engine that cannot be replicated raises here."""
+        indices = []
+        named: dict[int, dict] = {}
+        for task in tasks:
+            owner = task.owner
+            if owner is None or owner.engine is None:
+                indices.append(None)
+                continue
+            index = self._owner_ids.get(owner)
+            if index is None:
+                recipe = engine_recipe(owner.engine)
+                index = self._owner_ids[owner] = len(self._owners)
+                self._owners.append((owner, recipe))
+            indices.append(index)
+            named[index] = self._owners[index][1]
+        return (tuple(indices), tuple(named.items())) if named else ()
 
     # -- events: worker replies ------------------------------------------------
     def busy(self, worker: Hashable) -> bool:
@@ -213,7 +249,8 @@ class ChunkDispatcher:
         ``("ack", chunk_id)`` stamps the chunk started; ``("result",
         chunk_id, results)`` completes (a prefix of) it; ``("error",
         chunk_id, task_id, traceback)`` is a task body that raised;
-        ``("sync_result", delta)`` answers the barrier.  Returns what is
+        ``("sync_result", pairs)`` answers the barrier with an ``(owner
+        index, engine delta)`` pair per replica.  Returns what is
         wrong with a reply that is none of these or does not fit the tasks
         it answers: nothing of it was applied and the transport takes the
         worker that sent it out of service.  Answers for a chunk this drain
@@ -224,15 +261,18 @@ class ChunkDispatcher:
             if len(fields) != _REPLY_FIELDS[kind]:
                 raise ValueError(kind)
             if kind == "sync_result":
-                if not isinstance(fields[0], (dict, type(None))):
-                    raise TypeError(kind)
+                deltas = []
+                for index, delta in fields[0]:
+                    if type(index) is not int or index < 0 or not isinstance(delta, dict):
+                        raise TypeError(kind)
+                    deltas.append((self._owners[index][0], delta))
             else:
                 chunk = self._ledger.get(worker, {}).get(fields[0])
                 task = self.inflight.get(fields[1]) if kind == "error" else None
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError, KeyError, IndexError):
             return f"malformed reply: {message!r:.80}"
         if kind == "sync_result":
-            self._delta(worker, fields[0])
+            self._delta(worker, deltas)
             return None
         if kind == "error" and fields[0] is None:
             # A report about the worker, not a task: it could not decode
@@ -369,17 +409,16 @@ class ChunkDispatcher:
         self.awaiting_delta.discard(worker)
         if worker in self._dirty:
             self._dirty.discard(worker)
-            if self._host.engine is not None:
-                result = self._host._result
-                result.lost_deltas += 1
-                self.counters["lost_deltas"] += 1
-                warnings.warn(
-                    f"{worker_name} died holding an un-merged ATM engine "
-                    f"delta; reuse statistics undercount "
-                    f"(RunResult.lost_deltas={result.lost_deltas})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
+            result = self._host._result
+            result.lost_deltas += 1
+            self.counters["lost_deltas"] += 1
+            warnings.warn(
+                f"{worker_name} died holding an un-merged ATM engine "
+                f"delta; reuse statistics undercount "
+                f"(RunResult.lost_deltas={result.lost_deltas})",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         return [chunks[chunk_id] for chunk_id in sorted(chunks)]
 
     def worker_lost(
@@ -417,10 +456,11 @@ class ChunkDispatcher:
         self._send(retry)
         self._send([t for t in uncharged if t.task_id in self.inflight])
 
-    def _delta(self, worker: Hashable, delta: Optional[dict]) -> None:
-        """``worker`` answered the barrier with its engine delta."""
+    def _delta(self, worker: Hashable, deltas: list[tuple]) -> None:
+        """``worker`` answered the barrier: merge each replica's delta into
+        its owner's engine."""
         if worker in self.awaiting_delta:
             self.awaiting_delta.discard(worker)
             self._dirty.discard(worker)
-            if delta is not None:
-                self._host.engine.merge(delta)
+            for owner, delta in deltas:
+                owner.engine.merge(delta)

@@ -1,9 +1,10 @@
 """Serial and threaded executors.
 
 Both executors run the tasks of a :class:`TaskDependenceGraph` to completion,
-calling into an optional memoization engine around every task exactly as the
-paper's Figure 1 describes: lookup when the task is pulled from the ready
-queue, commit when it finishes.
+calling into the memoization engine of each task's owner (``task.engine``)
+around it exactly as the paper's Figure 1 describes: lookup when the task is
+pulled from the ready queue, commit when it finishes.  An executor holds no
+engine of its own, so one pool serves tasks of many owners.
 
 * :class:`SerialExecutor` — one worker, wall-clock timing.  Used for baseline
   correctness runs and for measuring per-task costs.
@@ -35,12 +36,7 @@ from repro.common.exceptions import (
     TaskTimeoutError,
 )
 from repro.common.registry import EXECUTORS
-from repro.runtime.atm_protocol import (
-    ATMAction,
-    ATMDecision,
-    EXECUTE_DECISION,
-    MemoizationEngineProtocol,
-)
+from repro.runtime.atm_protocol import ATMAction, ATMDecision, EXECUTE_DECISION
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.scheduler import Scheduler, make_scheduler
 from repro.runtime.supervision import TaskSupervisor, dump_stacks
@@ -126,13 +122,8 @@ class BaseExecutor:
     #: What an aborted drain raises (the network backend narrows it).
     abort_error = DrainAbortedError
 
-    def __init__(
-        self,
-        config: Optional[RuntimeConfig] = None,
-        engine: Optional[MemoizationEngineProtocol] = None,
-    ) -> None:
+    def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         self.config = config or RuntimeConfig()
-        self.engine = engine
         self.scheduler: Scheduler = make_scheduler(self.config)
         # Custom schedulers registered through the public seam that predate
         # ``tasks_ready`` degrade to per-task pushes (notify_ready_batch).
@@ -190,28 +181,11 @@ class BaseExecutor:
         return self._result
 
     # -- helpers ---------------------------------------------------------------
-    def _lookup(self, task: Task, worker_id: int) -> ATMDecision:
-        if self.engine is None or not task.task_type.atm_eligible:
+    @staticmethod
+    def _lookup(task: Task, engine, worker_id: int) -> ATMDecision:
+        if engine is None or not task.task_type.atm_eligible:
             return EXECUTE_DECISION
-        return self.engine.task_ready(task, worker_id)
-
-    def _finalize_result(self) -> None:
-        """Stash the engine's memory/cache telemetry on the run result.
-
-        Called at the end of every drain so perf harnesses (and users) can
-        read ATM memory footprint and key-cache effectiveness without
-        reaching into engine internals.
-        """
-        engine = self.engine
-        if engine is None:
-            return
-        memory = getattr(engine, "memory_bytes", None)
-        if callable(memory):
-            self._result.extra["atm_memory_bytes"] = memory()
-        keygen = getattr(engine, "keygen", None)
-        cache_info = getattr(keygen, "cache_info", None)
-        if callable(cache_info):
-            self._result.extra["keygen_cache"] = cache_info()
+        return engine.task_ready(task, worker_id)
 
     def _account(self, decision: ATMDecision) -> None:
         result = self._result
@@ -259,14 +233,16 @@ class BaseExecutor:
                 return (TaskTimeoutError, supervisor.timeout_reason(elapsed), None)
             return None
 
-    def _abandon_atm(self, task: Task, decision: ATMDecision) -> list:
+    @staticmethod
+    def _abandon_atm(task: Task, decision: ATMDecision) -> list:
         """Release engine state held for a task that will never commit.
 
         Returns the engine's orphaned deferred consumers (tasks that were
         waiting for this producer's outputs), if any.
         """
-        if decision.atm_handled and self.engine is not None:
-            abandoned = getattr(self.engine, "task_abandoned", None)
+        engine = task.engine
+        if decision.atm_handled and engine is not None:
+            abandoned = getattr(engine, "task_abandoned", None)
             if callable(abandoned):
                 return abandoned(task, decision) or []
         return []
@@ -321,7 +297,10 @@ class BaseExecutor:
         now = time.perf_counter
         if traced:
             t_lookup = now()
-        decision = self._lookup(task, worker_id)
+        # Read once: a deferred task may be completed — and its owner
+        # dropped — by its producer's worker while this frame still runs.
+        engine = task.engine
+        decision = self._lookup(task, engine, worker_id)
         if traced:
             t_after_lookup = now()
             self.trace.record(
@@ -344,8 +323,12 @@ class BaseExecutor:
                 self.trace.record(
                     worker_id, CoreState.TASK_EXECUTION, t_after_lookup, t_after_run, task.label
                 )
-        if decision.atm_handled and self.engine is not None:
-            self.engine.task_finished(task, decision, executed, worker_id)
+        if decision.atm_handled:
+            # The deferred consumers this commit satisfied complete here,
+            # before their producer: their outputs are already in place.
+            commit = engine.task_finished(task, decision, executed, worker_id)
+            for waiter in commit.deferred:
+                graph.complete_task(waiter, TaskState.MEMOIZED)
         if traced:
             self.trace.record(
                 worker_id, CoreState.ATM_MEMOIZATION, t_after_run, now(), task.label
@@ -390,10 +373,6 @@ class SerialExecutor(BaseExecutor):
         t0 = time.perf_counter()
         supervisor = self._fresh_supervisor()
         deadline = supervisor.deadline()
-        if self.engine is not None:
-            self.engine.set_deferred_completion_callback(
-                lambda task, nbytes: graph.complete_task(task, TaskState.MEMOIZED)
-            )
         while not graph.all_finished:
             task = self.scheduler.next_task(0)
             if task is None:
@@ -406,9 +385,7 @@ class SerialExecutor(BaseExecutor):
             self._process(task, graph, 0)
             if time.perf_counter() >= deadline:
                 raise supervisor.drain_timeout("serial drain")
-        elapsed = time.perf_counter() - t0
-        self._result.elapsed += elapsed
-        self._finalize_result()
+        self._result.elapsed += time.perf_counter() - t0
         return self._result
 
 
@@ -553,10 +530,6 @@ class ThreadedExecutor(BaseExecutor):
         if graph.all_finished:
             return self._result
         supervisor = self._fresh_supervisor()
-        if self.engine is not None:
-            self.engine.set_deferred_completion_callback(
-                lambda task, nbytes: graph.complete_task(task, TaskState.MEMOIZED)
-            )
         pool = self._pool
         if pool is None:
             pool = self._pool = _WorkerPool(self)
@@ -596,7 +569,6 @@ class ThreadedExecutor(BaseExecutor):
         if not finished:
             raise supervisor.drain_timeout("threaded drain")
         self._result.elapsed += elapsed
-        self._finalize_result()
         return self._result
 
 
@@ -609,33 +581,29 @@ class ThreadedExecutor(BaseExecutor):
 # ``RuntimeConfig.executor`` values automatically.
 
 
-def _make_process(config, engine, sim_config):
+def _make_process(config, sim_config):
     from repro.runtime.mp_executor import ProcessExecutor
 
-    return ProcessExecutor(config=config, engine=engine)
+    return ProcessExecutor(config=config)
 
 
-def _make_simulated(config, engine, sim_config):
+def _make_simulated(config, sim_config):
     from repro.runtime.simulator import SimulatedExecutor
 
-    return SimulatedExecutor(config=config, engine=engine, sim_config=sim_config)
+    return SimulatedExecutor(config=config, sim_config=sim_config)
 
 
-def _make_network(config, engine, sim_config):
+def _make_network(config, sim_config):
     from repro.runtime.net_executor import NetworkExecutor
 
-    return NetworkExecutor(config=config, engine=engine)
+    return NetworkExecutor(config=config)
 
 
 EXECUTORS.register(
-    "serial",
-    lambda config, engine, sim_config: SerialExecutor(config=config, engine=engine),
-    replace=True,
+    "serial", lambda config, sim_config: SerialExecutor(config=config), replace=True
 )
 EXECUTORS.register(
-    "threaded",
-    lambda config, engine, sim_config: ThreadedExecutor(config=config, engine=engine),
-    replace=True,
+    "threaded", lambda config, sim_config: ThreadedExecutor(config=config), replace=True
 )
 EXECUTORS.register("process", _make_process, replace=True)
 EXECUTORS.register("simulated", _make_simulated, replace=True)
@@ -646,9 +614,7 @@ EXECUTORS.register("network", _make_network, replace=True)
 
 
 def build_executor(
-    config: Optional[RuntimeConfig] = None,
-    engine: Optional[MemoizationEngineProtocol] = None,
-    sim_config=None,
+    config: Optional[RuntimeConfig] = None, sim_config=None
 ) -> BaseExecutor:
     """Build the executor named by ``config.executor`` via the registry.
 
@@ -656,6 +622,5 @@ def build_executor(
     code should go through the Session API rather than call it directly.
     """
     config = config or RuntimeConfig()
-    factory = EXECUTORS.factory(config.executor)
-    return factory(config, engine, sim_config)
+    return EXECUTORS.factory(config.executor)(config, sim_config)
 

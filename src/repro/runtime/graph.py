@@ -54,7 +54,9 @@ class TaskDependenceGraph:
     backend, the drain thread elsewhere) and is the serving layer's per-task
     accounting/admission seam; because it runs lock-free it may safely
     submit follow-up tasks back into the same graph.  Callbacks must not
-    raise — an exception propagates into the completing executor.
+    raise — an exception propagates into the completing executor.  Once it
+    has run, the task's ``owner`` is dropped: a task a caller keeps pins no
+    Session, engine or tenant.
 
     ``on_born_cancelled(task, predecessor)`` is invoked, also outside the
     lock and before ``on_complete``, for a task born cancelled: the
@@ -174,6 +176,7 @@ class TaskDependenceGraph:
                 self._on_born_cancelled(task, predecessor)
             if self._on_complete is not None:
                 self._on_complete(task)
+            task.owner = None
 
     def _mark_ready(self, task: Task) -> None:
         task.state = TaskState.READY
@@ -243,6 +246,7 @@ class TaskDependenceGraph:
                 self._all_done.notify_all()
         if self._on_complete is not None:
             self._on_complete(task)
+        task.owner = None
         return released
 
     def fail_task(
@@ -289,10 +293,10 @@ class TaskDependenceGraph:
                 record(cancelled)
             if not live:
                 self._all_done.notify_all()
-        if self._on_complete is not None:
-            self._on_complete(task)
-            for succ in cancelled:
-                self._on_complete(succ)
+        for doomed in (task, *cancelled):
+            if self._on_complete is not None:
+                self._on_complete(doomed)
+            doomed.owner = None
         return cancelled
 
     # -- queries --------------------------------------------------------------

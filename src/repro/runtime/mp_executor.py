@@ -5,8 +5,8 @@ only Python backend that can use more than one core for the compute-bound
 portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
 §4.2).  The division of labour:
 
-* **Parent** — owns the task dependence graph, the scheduler and the
-  reference :class:`~repro.atm.engine.ATMEngine`.  The drain loop, ledger,
+* **Parent** — owns the task dependence graph and the scheduler; the ATM
+  engines stay with the tasks' owners.  The drain loop, ledger,
   reply decoder, wedge rule, crash resubmission and delta barrier are the
   shared :class:`~repro.runtime.dispatch.ChunkDispatcher`; this module is
   its shared-memory *transport*: chunks of
@@ -22,7 +22,9 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   pipe, resolving refs over :mod:`multiprocessing.shared_memory` views
   (:class:`~repro.runtime.shm.WorkerArena`).  The parent's write-version of
   each base rides in the chunk's buffer table; a worker bumps its own
-  version of a base whose parent version moved.  The messages are the
+  version of a base whose parent version moved.  The engine replicas come
+  with the chunks too: each names its tasks' owners and carries their
+  recipes, so a respawned worker needs nothing else.  The messages are the
   remote-worker protocol's (DESIGN.md §4.6) plus ``("release", slots)``:
   the segments of bases the parent collected, sent when a drain opens.
 * **Data plane** — bytes move per chunk, not per barrier, while the
@@ -64,38 +66,28 @@ from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
 from typing import Optional
 
-from repro.common.config import ATMConfig, RuntimeConfig
+from repro.common.config import RuntimeConfig
 from repro.common.exceptions import RuntimeStateError, WorkerLostError
 from repro.runtime.data import region_versions
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.net_wire import NetChunk, decode_frame, encode_frame
-from repro.runtime.remote_task import (
-    RemoteWorker,
-    TaskDescriptor,
-    describe_tasks,
-    worker_engine_config,
-)
+from repro.runtime.remote_task import RemoteWorker, TaskDescriptor, describe_tasks
 from repro.runtime.shm import SharedBufferRegistry, WorkerArena
 from repro.runtime.supervision import POLL_INTERVAL
 
 __all__ = ["ProcessExecutor"]
 
 
-def _worker_main(
-    worker_id: int,
-    task_queue,
-    results,
-    engine_config: Optional[ATMConfig],
-    ack_chunks: bool,
-) -> None:
+def _worker_main(worker_id: int, task_queue, results, ack_chunks: bool) -> None:
     """Worker process entry point: the remote worker behind a queue and a pipe.
 
     Each worker owns a private task queue, so a sync pill can never be
     stolen by a peer, and a private ``results`` pipe, so a peer killed
     mid-reply can never garble or block its answers.  It takes the frames
-    of ``("chunk", NetChunk)``, ``("release", slots)`` and ``("sync",)``
+    of ``("chunk", NetChunk[, owners, recipes])``, ``("release", slots)``
+    and ``("sync",)``
     until the ``None`` shutdown pill, and writes the protocol's replies as
     frames — the ``ack`` only when ``ack_chunks`` (under ``task_timeout_s``:
     the parent ages a running chunk from it; a dead worker it sees without).
@@ -113,7 +105,7 @@ def _worker_main(
 
     region_versions.reset()
     arena = WorkerArena()
-    worker = RemoteWorker(worker_id, engine_config)
+    worker = RemoteWorker(worker_id)
     try:
         while (frame := task_queue.get()) is not None:
             message, _ = decode_frame(frame)
@@ -123,11 +115,12 @@ def _worker_main(
             if message[0] == "release":
                 arena.release(message[1])
                 continue
-            chunk = message[1]
+            _, chunk, *owners = message
             arena.attach(chunk.buffers)
+            engines = worker.engines_for(chunk.tasks, *owners)
             for answer in worker.replies(
                 chunk.chunk_id,
-                lambda: worker.run_chunk(chunk.tasks, arena),
+                lambda: worker.run_chunk(chunk.tasks, arena, engines),
                 ack=ack_chunks,
             ):
                 reply(answer)
@@ -149,6 +142,9 @@ def _cleanup_pool(processes, task_queues, readers, registry):
         if process.is_alive():  # a wedged task never takes the pill
             process.terminate()
             process.join(timeout=1.0)
+    for task_queue in task_queues:  # its feeder thread exits now, not at GC
+        task_queue.cancel_join_thread()
+        task_queue.close()
     for reader in readers:
         reader.close()
     registry.close()
@@ -157,17 +153,14 @@ def _cleanup_pool(processes, task_queues, readers, registry):
 class ProcessExecutor(BaseExecutor):
     """Executor backed by worker processes over shared memory."""
 
-    def __init__(self, config: Optional[RuntimeConfig] = None, engine=None) -> None:
-        super().__init__(config=config, engine=engine)
+    def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
+        super().__init__(config=config)
         if self.config.enable_tracing:
             raise RuntimeStateError(
                 "ProcessExecutor does not support tracing: task bodies run in "
                 "worker processes where CoreState spans cannot be recorded; "
                 "use the threaded or simulated backend for Figure 7/8 traces"
             )
-        # Validates replicability at construction; the config itself is
-        # recomputed at spawn time (see _ensure_workers).
-        self._engine_config = worker_engine_config(engine)
         self.num_workers = self.config.num_threads
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(method)
@@ -205,13 +198,7 @@ class ProcessExecutor(BaseExecutor):
         reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                worker_id,
-                task_queue,
-                writer,
-                self._engine_config,
-                self.config.task_timeout_s is not None,
-            ),
+            args=(worker_id, task_queue, writer, self.config.task_timeout_s is not None),
             daemon=True,
             name=f"repro-worker-{worker_id}",
         )
@@ -248,11 +235,6 @@ class ProcessExecutor(BaseExecutor):
     def _ensure_workers(self) -> None:
         if self._processes:
             return
-        # Recomputed at spawn time, not construction: Session assigns its
-        # assembled engine to a pre-built engine-less executor *after*
-        # __init__, and a config snapshotted there would silently run the
-        # workers without ATM.
-        self._engine_config = worker_engine_config(self.engine)
         # Forked workers must share the parent's resource tracker: one they
         # started themselves would unlink every segment they attached when
         # they die.
@@ -273,18 +255,22 @@ class ProcessExecutor(BaseExecutor):
             access.region for task in chunk.tasks for access in task.accesses
         )
         descriptors = describe_tasks(chunk.tasks, registry.array_ref, "process")
-        return self._dispatch_chunk(chunk.chunk_id, descriptors)
+        return self._dispatch_chunk(chunk.chunk_id, descriptors, chunk.owners)
 
-    def _dispatch_chunk(self, chunk_id: int, descriptors: list[TaskDescriptor]) -> int:
-        """Frame one chunk — its descriptors and the table of the segments
-        they reference — and hand it to the next worker round-robin.
+    def _dispatch_chunk(
+        self, chunk_id: int, descriptors: list[TaskDescriptor], owners: tuple
+    ) -> int:
+        """Frame one chunk — its descriptors, the table of the segments
+        they reference and its owner fields — and hand it to the next worker
+        round-robin.
 
         Encoded here, synchronously: mp.Queue serialises in a feeder thread,
         which would swallow an encoding error and turn it into a silent
         drain hang (a body that cannot travel by name was already named by
         ``describe_tasks``).
         """
-        frame = encode_frame(("chunk", NetChunk(chunk_id, self._registry.table(), tuple(descriptors))))
+        chunk = NetChunk(chunk_id, self._registry.table(), tuple(descriptors))
+        frame = encode_frame(("chunk", chunk, *owners))
         worker_id = self._next_worker
         self._next_worker = (worker_id + 1) % len(self._processes)
         self._task_queues[worker_id].put(bytes(frame))
@@ -367,7 +353,6 @@ class ProcessExecutor(BaseExecutor):
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
         self._dispatcher.ensure_open()
         if graph.all_finished:
-            self._finalize_result()
             return self._result
         self._ensure_workers()
         self._fresh_supervisor()
@@ -379,5 +364,4 @@ class ProcessExecutor(BaseExecutor):
         self._registry.fresh.clear()
         self._result.elapsed += self._dispatcher.run(graph)
         self._result.extra.setdefault("process_backend", self._stats)
-        self._finalize_result()
         return self._result

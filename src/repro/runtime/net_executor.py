@@ -2,11 +2,12 @@
 
 :class:`NetworkExecutor` drives remote workers over the segmented frame
 protocol of :mod:`repro.runtime.net_wire`: the parent keeps the task
-dependence graph, the scheduler and the reference ATM engine; workers — in
-the same process behind :class:`~repro.runtime.net_transport.LoopbackEndpoint`
-socketpairs, or on other hosts behind ``scripts/net_worker.py`` TCP daemons —
-rebuild task chunks from shipped byte buffers, run the full ATM protocol
-against per-worker engine replicas, and ship written region bytes back.
+dependence graph and the scheduler (the ATM engines stay with the tasks'
+owners); workers — in the same process behind
+:class:`~repro.runtime.net_transport.LoopbackEndpoint` socketpairs, or on
+other hosts behind ``scripts/net_worker.py`` TCP daemons — rebuild task
+chunks from shipped byte buffers, run the full ATM protocol against their
+replicas of the owners' engines, and ship written region bytes back.
 
 The drain loop, ledger, reply decoder, wedge rule, resubmission budgets and
 delta barrier are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`
@@ -52,7 +53,6 @@ delta barrier are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import queue as queue_module
 import time
@@ -72,7 +72,7 @@ from repro.common.exceptions import (
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.remote_task import describe_tasks, worker_engine_config
+from repro.runtime.remote_task import describe_tasks
 from repro.runtime.supervision import POLL_INTERVAL
 from repro.runtime.net_transport import (
     SocketEndpoint,
@@ -130,10 +130,9 @@ class NetworkExecutor(BaseExecutor):
     def __init__(
         self,
         config: Optional[RuntimeConfig] = None,
-        engine=None,
         endpoints: Optional[Sequence[SocketEndpoint]] = None,
     ) -> None:
-        super().__init__(config=config, engine=engine)
+        super().__init__(config=config)
         if self.config.enable_tracing:
             raise RuntimeStateError(
                 "NetworkExecutor does not support tracing: task bodies run on "
@@ -201,18 +200,9 @@ class NetworkExecutor(BaseExecutor):
         if self._started:
             return
         self._started = True
-        # The engine config is computed at connection time, not
-        # construction: Session assigns its assembled engine to a pre-built
-        # engine-less executor *after* __init__, and a config snapshotted
-        # there would silently run the workers without ATM.
-        engine = worker_engine_config(self.engine)
         hello = (
             "hello",
-            {
-                "protocol": PROTOCOL_VERSION,
-                "engine": None if engine is None else dataclasses.asdict(engine),
-                "residency": self._residency is not None,
-            },
+            {"protocol": PROTOCOL_VERSION, "residency": self._residency is not None},
         )
         for endpoint in self._endpoints:
             try:
@@ -292,7 +282,9 @@ class NetworkExecutor(BaseExecutor):
             evicted = residency.evict_over_budget(endpoint, protect_tick)
             buffers = tuple(encoded)
         try:
-            frame = encode_frame(("chunk", NetChunk(chunk.chunk_id, buffers, descriptors)))
+            frame = encode_frame(
+                ("chunk", NetChunk(chunk.chunk_id, buffers, descriptors), *chunk.owners)
+            )
         except WireProtocolError:
             if residency is not None:
                 # The recorded entries describe bytes that never shipped.
@@ -385,27 +377,24 @@ class NetworkExecutor(BaseExecutor):
     def _route_keys(self, tasks: list[Task]) -> tuple:
         """ATM keys of the chunk's memoizable tasks (affinity routing).
 
-        Computed with the parent engine's own key generator and sampling
+        Computed with each task owner's own key generator and sampling
         policy — identical inputs at identical policy state yield identical
         keys, which is exactly the twin-coalescing property placement
         needs.  The keygen's region-version caches make repeats cheap.
         Routing is a hint: any failure to compute a key just skips it.
         """
-        engine = self.engine
-        if engine is None or self._residency is None:
-            return ()
-        keygen = getattr(engine, "keygen", None)
-        policy = getattr(engine, "policy", None)
-        if keygen is None:
+        if self._residency is None:
             return ()
         keys = []
         for task in tasks:
-            if not task.task_type.atm_eligible:
-                continue
             try:
+                engine = task.engine
+                if engine is None or not task.task_type.atm_eligible:
+                    continue
+                policy = getattr(engine, "policy", None)
                 p = policy.sampling_fraction(task) if policy is not None else 1.0
-                key = keygen.compute(task, p)
-            except Exception:  # pragma: no cover - defensive
+                key = engine.keygen.compute(task, p)
+            except Exception:
                 continue
             keys.append((task.task_type.name, key.value, key.p))
         return tuple(keys)
@@ -481,7 +470,6 @@ class NetworkExecutor(BaseExecutor):
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
         self._dispatcher.ensure_open()
         if graph.all_finished:
-            self._finalize_result()
             return self._result
         self._ensure_started()
         self._fresh_supervisor().drain_timeout_s = self.drain_timeout
@@ -489,7 +477,6 @@ class NetworkExecutor(BaseExecutor):
         # _stats["failed_endpoints"] aliases self._failures, so the extra
         # dict stays live across drains without re-assignment.
         self._result.extra.setdefault("network_backend", self._stats)
-        self._finalize_result()
         return self._result
 
     # -- transport: endpoints -> parent ------------------------------------------

@@ -43,7 +43,6 @@ import socket
 import threading
 from typing import Any, Optional
 
-from repro.common.config import ATMConfig
 from repro.common.exceptions import (
     NetworkTransportError,
     WireProtocolError,
@@ -320,7 +319,7 @@ class NetWorkerState:
 
     def __init__(self, worker_id: int = 0) -> None:
         self.worker_id = worker_id
-        #: Built at hello time, from the engine replica's recipe it brings.
+        #: Built at hello time; its engine replicas come with the chunks.
         self.worker: Optional[RemoteWorker] = None
         #: Residency store for shipped backings; created at hello time when
         #: the client runs the residency protocol (``None`` = ship-always).
@@ -334,28 +333,28 @@ class NetWorkerState:
                 f"protocol version mismatch: client speaks {protocol}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
-        engine = info.get("engine")  # the replica's ATMConfig, as its dict
-        self.worker = RemoteWorker(
-            self.worker_id, None if engine is None else ATMConfig(**engine),
-            written=_written_bytes,
-        )
+        self.worker = RemoteWorker(self.worker_id, written=_written_bytes)
         self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
     # -- execution ---------------------------------------------------------------
-    def run_chunk(self, chunk: NetChunk) -> tuple[list[tuple], Optional[tuple]]:
-        """Run one chunk; returns ``(results, error)``.
+    def run_chunk(
+        self, chunk: NetChunk, engines: list
+    ) -> tuple[list[tuple], Optional[tuple]]:
+        """Run one chunk against its tasks' replicas
+        (:meth:`RemoteWorker.engines_for`); returns ``(results, error)``.
 
         Each result is ``(task_id, action_value, executed, writes)``.
         ``error`` is ``(task_id, traceback_str)`` when a task body raised —
         the rest of the chunk is dropped.
         """
         arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
-        return self.worker.run_chunk(chunk.tasks, arena)
+        return self.worker.run_chunk(chunk.tasks, arena, engines)
 
     # -- barrier -----------------------------------------------------------------
-    def sync(self):
-        """ATM engine delta since the previous barrier (``None`` engineless)."""
+    def sync(self) -> list[tuple[int, dict]]:
+        """``(owner index, delta)`` of every engine replica since the
+        previous barrier."""
         return self.worker.sync()
 
 
@@ -382,9 +381,12 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
                 elif kind == "chunk":
                     if state.worker is None:
                         raise WireProtocolError("chunk before hello")
-                    chunk: NetChunk = message[1]
+                    _, chunk, *owners = message
+                    # Owner fields are checked before the ack: a chunk
+                    # whose replicas cannot be built is unreadable.
+                    engines = state.worker.engines_for(chunk.tasks, *owners)
                     for reply in state.worker.replies(
-                        chunk.chunk_id, lambda: state.run_chunk(chunk)
+                        chunk.chunk_id, lambda: state.run_chunk(chunk, engines)
                     ):
                         write_frame(sock, reply)
                 elif kind == "invalidate":

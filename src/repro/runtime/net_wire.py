@@ -102,7 +102,10 @@ __all__ = [
 #: ``p < 1`` key value moved).
 #: Version 8: the control section is the data-only codec of
 #: :mod:`repro.runtime.codec` (a pickled one is refused unread).
-PROTOCOL_VERSION = 8
+#: Version 9: the hello carries no engine; a chunk names each task's owner
+#: and carries the engine recipe of every owner it names, and ``sync``
+#: answers one ``(owner index, delta)`` pair per replica.
+PROTOCOL_VERSION = 9
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count

@@ -16,11 +16,15 @@ tenant's namespace — moves the same five things (DESIGN.md §4.6):
 * :func:`rebuild_task` — descriptor + arena → a runnable :class:`Task`;
 * :func:`run_descriptor` — the worker half of the paper's Figure 1 step
   (eligibility gate → ``task_ready`` → run or copy stored outputs → bump
-  write versions → ``task_finished``) against a per-worker engine replica;
-* the replica's recipe — the parent engine's ``ATMConfig``
-  (:func:`worker_engine_config`), which the worker hands to the one
-  engine-assembly path; its ``snapshot(reset=True)`` deltas merge back at
-  the drain barrier.
+  write versions → ``task_finished``) against the worker's replica of the
+  task owner's engine;
+* the replica's recipe — the owner engine's ``ATMConfig``
+  (:func:`engine_recipe`).  The dispatcher numbers owners as it
+  first ships their tasks; a chunk names each task's owner index and
+  carries the recipe of every owner it names, and a worker builds a
+  replica the first time it sees an index.  The replicas'
+  ``snapshot(reset=True)`` deltas merge back into their owners' engines
+  at the drain barrier.
 
 and speaks one protocol around them: :class:`RemoteWorker` is the one
 worker loop and :meth:`RemoteWorker.replies` the one reply sequence; a
@@ -30,6 +34,7 @@ to :meth:`repro.runtime.dispatch.ChunkDispatcher.reply`.
 
 from __future__ import annotations
 
+import dataclasses
 import traceback
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -46,7 +51,7 @@ from repro.runtime.task import Task, TaskState, TaskType
 
 __all__ = [
     "TaskDescriptor",
-    "worker_engine_config",
+    "engine_recipe",
     "describe_task",
     "describe_tasks",
     "rebuild_task",
@@ -56,8 +61,9 @@ __all__ = [
 ]
 
 
-def worker_engine_config(engine) -> Optional[ATMConfig]:
-    """The ``ATMConfig`` that replicates ``engine`` into a remote worker.
+def engine_recipe(engine) -> dict:
+    """The ``ATMConfig`` that replicates ``engine`` into a remote worker, as
+    the plain dict a chunk carries (``ATMConfig(**recipe)`` rebuilds it).
 
     It is the policy's own config (its sampling fraction already folded in)
     under the policy's registry name, with the IKT off: a worker processes
@@ -65,8 +71,6 @@ def worker_engine_config(engine) -> Optional[ATMConfig]:
     cross-worker in-flight tracking would serialise every lookup on one
     lock — the THT delta merge at the barrier recovers the sharing instead.
     """
-    if engine is None:
-        return None
     policy = getattr(engine, "policy", None)
     config = getattr(engine, "config", None)
     if policy is None or config is None:
@@ -82,16 +86,7 @@ def worker_engine_config(engine) -> Optional[ATMConfig]:
     # require the plugin module to be imported (or the start method to be
     # fork) wherever the worker runs.
     mode = getattr(policy, "registry_name", None) or policy.mode.value
-    return policy.config.with_overrides(mode=mode, use_ikt=False)
-
-
-def build_worker_engine(config: Optional[ATMConfig]):
-    """The journaling engine replica one worker runs its tasks against."""
-    if config is None:
-        return None
-    from repro.atm.engine import build_engine
-
-    return build_engine(config, num_threads=1, journal=True)
+    return dataclasses.asdict(policy.config.with_overrides(mode=mode, use_ikt=False))
 
 
 def describe_task(
@@ -277,7 +272,8 @@ def run_descriptor(
 
 
 class RemoteWorker:
-    """The one remote worker: an engine replica that runs shipped chunks.
+    """The one remote worker: runs shipped chunks against engine replicas,
+    one per task owner.
 
     A transport builds one per worker process or connection and supplies
     the arena a chunk's refs resolve in (per call) and ``written`` — how a
@@ -288,18 +284,42 @@ class RemoteWorker:
     def __init__(
         self,
         worker_id: int = 0,
-        engine_config: Optional[ATMConfig] = None,
         written: Optional[Callable[[Task], Any]] = None,
     ) -> None:
         self.worker_id = worker_id
-        self.engine = build_worker_engine(engine_config)
+        #: Owner index -> the journaling replica of that owner's engine.
+        self.engines: dict[int, Any] = {}
         self.task_types: dict[str, TaskType] = {}
         self._written = written
 
+    def engines_for(
+        self, descriptors: Sequence, owners: Optional[Sequence] = None, recipes: Iterable = ()
+    ) -> list:
+        """The replica each task of a chunk runs against, from the chunk's
+        owner fields: each task's owner index (``None``: no ATM) and an
+        ``(index, recipe)`` pair per owner named; a chunk without them runs
+        every task without ATM.  An index seen before keeps its replica and
+        its recipe is ignored; fields that do not fit the chunk raise."""
+        from repro.atm.engine import build_engine
+
+        for index, recipe in recipes:
+            if type(index) is not int:
+                raise TypeError(f"owner index {index!r} is not an int")
+            if index not in self.engines:
+                self.engines[index] = build_engine(
+                    ATMConfig(**recipe), num_threads=1, journal=True
+                )
+        if owners is None:
+            return [None] * len(descriptors)
+        if len(owners) != len(descriptors):
+            raise ValueError(f"{len(owners)} owner indices for {len(descriptors)} tasks")
+        return [None if index is None else self.engines[index] for index in owners]
+
     def run_chunk(
-        self, descriptors: Iterable[TaskDescriptor], arena: ArrayArena
+        self, descriptors: Sequence[TaskDescriptor], arena: ArrayArena, engines: list
     ) -> tuple[list[tuple], Optional[tuple[int, str]]]:
-        """Run one chunk; returns ``(results, error)``.
+        """Run one chunk against ``engines`` (:meth:`engines_for`); returns
+        ``(results, error)``.
 
         Each result is ``(task_id, action_value, executed)`` plus the
         ``written`` payload when bytes must travel.  ``error`` is
@@ -307,10 +327,10 @@ class RemoteWorker:
         prefix is in ``results``, the rest of the chunk is dropped.
         """
         results: list[tuple] = []
-        for desc in descriptors:
+        for desc, engine in zip(descriptors, engines):
             try:
                 action, executed, task = run_descriptor(
-                    desc, arena, self.engine, self.task_types, self.worker_id
+                    desc, arena, engine, self.task_types, self.worker_id
                 )
             except BaseException:
                 return results, (desc.task_id, traceback.format_exc())
@@ -341,6 +361,10 @@ class RemoteWorker:
         if error is not None:
             yield ("error", chunk_id, *error)
 
-    def sync(self) -> Optional[dict]:
-        """ATM engine delta since the previous barrier (``None`` engineless)."""
-        return None if self.engine is None else self.engine.snapshot(reset=True)
+    def sync(self) -> list[tuple[int, dict]]:
+        """``(owner index, engine delta since the previous barrier)`` of
+        every replica this worker holds."""
+        return [
+            (index, engine.snapshot(reset=True))
+            for index, engine in self.engines.items()
+        ]

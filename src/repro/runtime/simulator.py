@@ -44,12 +44,7 @@ from typing import Optional
 
 from repro.common.config import RuntimeConfig, SimulationConfig
 from repro.common.exceptions import SimulationError
-from repro.runtime.atm_protocol import (
-    ATMAction,
-    ATMDecision,
-    EXECUTE_DECISION,
-    MemoizationEngineProtocol,
-)
+from repro.runtime.atm_protocol import ATMAction, ATMDecision
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.task import Task, TaskState
@@ -74,10 +69,9 @@ class SimulatedExecutor(BaseExecutor):
     def __init__(
         self,
         config: Optional[RuntimeConfig] = None,
-        engine: Optional[MemoizationEngineProtocol] = None,
         sim_config: Optional[SimulationConfig] = None,
     ) -> None:
-        super().__init__(config=config, engine=engine)
+        super().__init__(config=config)
         self.sim = sim_config or SimulationConfig()
         self._released: set[int] = set()
         self._created: set[int] = set()
@@ -168,11 +162,6 @@ class SimulatedExecutor(BaseExecutor):
         target_completions = len(pending)
         completions = 0
 
-        if self.engine is not None:
-            # Functional copies for deferred tasks happen inside the engine;
-            # graph completion is scheduled by the simulator itself.
-            self.engine.set_deferred_completion_callback(None)
-
         def free_core(core: int) -> None:
             heapq.heappush(idle_heap, core)
             self._busy_cores -= 1
@@ -200,11 +189,10 @@ class SimulatedExecutor(BaseExecutor):
                     self.scheduler.task_ready(task)
             elif kind == _EVT_TASK_FINISH:
                 task, core, decision, executed = payload  # type: ignore[misc]
-                if self.engine is not None and decision.atm_handled:
-                    commit = self.engine.task_finished(task, decision, executed, worker_id=core)
-                    # Forwarded copies to postponed consumers are charged to the
-                    # waiters (scheduled below), not to this core.
-                    del commit
+                if decision.atm_handled:
+                    # The engine copies into the deferred consumers it names;
+                    # their completion (and copy cost) is scheduled below.
+                    task.engine.task_finished(task, decision, executed, worker_id=core)
                 if decision.action == ATMAction.SKIP:
                     self._active_memory_ops = max(0, self._active_memory_ops - 1)
                 free_core(core)
@@ -242,9 +230,7 @@ class SimulatedExecutor(BaseExecutor):
                 f"simulation ended with {completions}/{target_completions} tasks "
                 "completed (dependence cycle or lost event)"
             )
-        elapsed = self._clock - start_clock
-        self._result.elapsed += elapsed
-        self._finalize_result()
+        self._result.elapsed += self._clock - start_clock
         return self._result
 
     # -- per-task processing ----------------------------------------------------
@@ -262,7 +248,7 @@ class SimulatedExecutor(BaseExecutor):
         waiters: dict[int, list[tuple[Task, ATMDecision]]],
         push_event,
     ) -> None:
-        decision = self._lookup(task, core)
+        decision = self._lookup(task, task.engine, core)
         task.start_time = now
         task.executed_on = core
         overhead = self.sim.task_overhead

@@ -148,7 +148,7 @@ class Task:
         "task_type", "function", "accesses", "args", "kwargs", "task_id",
         "state", "creation_index", "creation_time", "start_time",
         "finish_time", "executed_on", "_label", "_inputs", "_outputs",
-        "_dep_mark", "_pending", "_successors", "memo_source",
+        "_dep_mark", "_pending", "_successors", "memo_source", "owner",
     )
 
     def __init__(
@@ -163,6 +163,7 @@ class Task:
         state: TaskState = TaskState.CREATED,
         creation_index: int = -1,
         creation_time: float = 0.0,
+        owner: Any = None,
     ) -> None:
         validate_accesses(accesses)
         if not callable(function):
@@ -193,6 +194,10 @@ class Task:
         #: this task's output regions; ``complete_task`` commits it as their
         #: content tags and drops the reference.
         self.memo_source = None
+        #: Who submitted the task — a Session, a gateway tenant: any object
+        #: with an ``engine`` attribute.  The graph drops it once the task
+        #: is terminal, so a kept task pins nothing of its owner.
+        self.owner = owner
 
     # -- labelling -----------------------------------------------------------
     @property
@@ -210,6 +215,12 @@ class Task:
     @label.setter
     def label(self, value: str) -> None:
         self._label = value or None
+
+    @property
+    def engine(self):
+        """The memoization engine of the task's owner (``None``: no ATM)."""
+        owner = self.owner
+        return None if owner is None else owner.engine
 
     # -- data views ----------------------------------------------------------
     @property

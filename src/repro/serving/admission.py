@@ -184,6 +184,21 @@ class AdmissionController:
                 self._space.notify_all()
         return admitted
 
+    def drop_queued(self) -> list[tuple[str, Any]]:
+        """Remove and return every queued ``(tenant, item)`` pair (the
+        gateway's drain-failure recovery fails them)."""
+        with self._lock:
+            dropped = [
+                (name, item)
+                for name, queue in self._queues.items()
+                for item in queue.items
+            ]
+            for queue in self._queues.values():
+                queue.items.clear()
+                queue.deficit = 0.0
+            self._space.notify_all()
+        return dropped
+
     def release(self, n: int = 1) -> None:
         """Return ``n`` pending-pool slots (tasks turned terminal)."""
         with self._lock:

@@ -8,8 +8,10 @@ registered backend).  Three properties make the sharing safe:
 
 * **Isolation** — every tenant owns a private :class:`TenantArena` (its
   buffers, and therefore its dependence regions, are disjoint from every
-  other tenant's) and a private ATM engine replica, so memoization state
-  never leaks across tenants.
+  other tenant's) and a private ATM engine, so memoization state never
+  leaks across tenants.  Each task names its tenant as its owner, and the
+  pool — of any kind — runs it against that tenant's engine (a worker pool
+  against its replica of it, merged back at each drain barrier).
 * **Fairness** — submissions pass through the
   :class:`~repro.serving.admission.AdmissionController`: per-tenant FIFO
   queues drained by weighted deficit round-robin into a bounded global
@@ -50,6 +52,7 @@ is forgotten), so a gateway that serves for a long time stays flat.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import socket
@@ -74,17 +77,14 @@ from repro.common.exceptions import (
     TenantRejectedError,
     WireProtocolError,
 )
-from repro.runtime.atm_protocol import (
-    ATMAction,
-    ATMDecision,
-    EXECUTE_DECISION,
-)
+from repro.runtime.atm_protocol import ATMAction, ATMDecision
 from repro.runtime.data import AccessMode
 from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.net_server import SHUTDOWN_GRACE_S, FrameServer
 from repro.runtime.net_wire import NetBuffer, NetChunk, raw_view, read_frame, write_frame
 from repro.runtime.remote_task import ArrayArena, rebuild_task
+from repro.runtime.supervision import TaskFailure
 from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.admission import AdmissionController
 
@@ -218,126 +218,57 @@ class _TenantState:
         return counters
 
 
-class _Route:
-    """Per-task metadata the completion hook needs (Task is ``__slots__``-ed)."""
+class _SharedTierProbe:
+    """The engine of a tenant that shares the THT tier (in-process pools).
 
-    __slots__ = ("tenant", "t_submit")
-
-    def __init__(self, tenant: _TenantState, t_submit: float) -> None:
-        self.tenant = tenant
-        self.t_submit = t_submit
-
-
-class TenantEngineRouter:
-    """Per-task demultiplexer implementing the executor's engine protocol.
-
-    The shared pool sees ONE engine; this router forwards each call to the
-    owning tenant's private engine (or answers ``EXECUTE`` for engine-less
-    tenants).  On a tenant-private THT miss it optionally probes the shared
-    tier: a hit there abandons the tenant-side lookup (retiring its IKT
-    registration), copies the stored outputs, and reports a ``SKIP`` with
-    ``atm_handled=False`` — the executor then completes the task as memoized
-    without any tenant-engine commit, so the shared tier accelerates tenants
-    without polluting their private statistics or tables.
+    The tenant's own engine plus one step of the lookup: a tenant-private
+    miss probes the shared tier.  A hit there abandons the tenant-side
+    lookup (retiring its IKT registration), copies the stored outputs, and
+    reports a ``SKIP`` with ``atm_handled=False`` — the executor then
+    completes the task as memoized without any tenant-engine commit, so the
+    shared tier accelerates tenants without polluting their private
+    statistics or tables.  Everything else is the tenant engine's.
     """
 
-    def __init__(self, shared_tht=None) -> None:
-        self._routes: dict[int, _Route] = {}
+    def __init__(self, engine, shared_tht: TaskHistoryTable) -> None:
+        self._engine = engine
         self._shared = shared_tht
-        self._engines: list = []
-        self._deferred_cb = None
-        self._lock = threading.Lock()
 
-    # -- route maintenance (gateway side) ---------------------------------------
-    def bind(self, task: Task, route: _Route) -> None:
-        self._routes[id(task)] = route
+    def __getattr__(self, name: str):
+        return getattr(self._engine, name)
 
-    def route(self, task: Task) -> Optional[_Route]:
-        return self._routes.get(id(task))
-
-    def unbind(self, task: Task) -> Optional[_Route]:
-        return self._routes.pop(id(task), None)
-
-    def drain_routes(self) -> list[_Route]:
-        """Pop and return every bound route (drain-failure recovery)."""
-        routes = []
-        while self._routes:
-            routes.append(self._routes.popitem()[1])
-        return routes
-
-    def add_engine(self, engine) -> None:
-        """Track a tenant engine; fan out the deferred-completion callback."""
-        if engine is None:
-            return
-        with self._lock:
-            self._engines.append(engine)
-            if self._deferred_cb is not None:
-                engine.set_deferred_completion_callback(self._deferred_cb)
-
-    # -- MemoizationEngineProtocol ----------------------------------------------
     def task_ready(self, task: Task, worker_id: int = 0) -> ATMDecision:
-        route = self._routes.get(id(task))
-        tenant = route.tenant if route is not None else None
-        engine = tenant.engine if tenant is not None else None
-        if engine is None:
-            return EXECUTE_DECISION
+        engine = self._engine
         decision = engine.task_ready(task, worker_id)
-        if (
-            self._shared is not None
-            and tenant.share_tht
-            and decision.action is ATMAction.EXECUTE
-            and decision.payload.get("key") is not None
-        ):
-            entry = self._shared.lookup(
-                decision.payload["key"], task.task_type.name
+        key = decision.payload.get("key")
+        if decision.action is not ATMAction.EXECUTE or key is None:
+            return decision
+        entry = self._shared.lookup(key, task.task_type.name)
+        if entry is None:
+            return decision
+        engine.task_abandoned(task, decision)
+        try:
+            copied = copy_outputs_from_entry(task, entry)
+        except Exception:
+            # Output layout mismatch (same key, different task surface):
+            # execute normally.  The tenant-side lookup was already
+            # abandoned, so the engine must not see a task_finished for it.
+            return ATMDecision(
+                action=ATMAction.EXECUTE,
+                hashed_bytes=decision.hashed_bytes,
+                p=decision.p,
+                atm_handled=False,
             )
-            if entry is not None:
-                engine.task_abandoned(task, decision)
-                try:
-                    copied = copy_outputs_from_entry(task, entry)
-                except Exception:
-                    # Output layout mismatch (same key, different task
-                    # surface): execute normally.  The tenant-side lookup
-                    # was already abandoned, so the engine must not see a
-                    # task_finished for this decision.
-                    return ATMDecision(
-                        action=ATMAction.EXECUTE,
-                        hashed_bytes=decision.hashed_bytes,
-                        p=decision.p,
-                        atm_handled=False,
-                    )
-                with tenant.lock:
-                    tenant.shared_hits += 1
-                return ATMDecision(
-                    action=ATMAction.SKIP,
-                    hashed_bytes=decision.hashed_bytes,
-                    copied_bytes=copied,
-                    p=decision.p,
-                    atm_handled=False,
-                )
-        return decision
-
-    def task_finished(
-        self, task: Task, decision: ATMDecision, executed: bool, worker_id: int = 0
-    ):
-        route = self._routes.get(id(task))
-        engine = route.tenant.engine if route is not None else None
-        if engine is None:
-            return None
-        return engine.task_finished(task, decision, executed, worker_id)
-
-    def task_abandoned(self, task: Task, decision: ATMDecision) -> list[Task]:
-        route = self._routes.get(id(task))
-        engine = route.tenant.engine if route is not None else None
-        if engine is None:
-            return []
-        return engine.task_abandoned(task, decision)
-
-    def set_deferred_completion_callback(self, callback) -> None:
-        with self._lock:
-            self._deferred_cb = callback
-            for engine in self._engines:
-                engine.set_deferred_completion_callback(callback)
+        tenant = task.owner
+        with tenant.lock:
+            tenant.shared_hits += 1
+        return ATMDecision(
+            action=ATMAction.SKIP,
+            hashed_bytes=decision.hashed_bytes,
+            copied_bytes=copied,
+            p=decision.p,
+            atm_handled=False,
+        )
 
 
 class Gateway:
@@ -356,13 +287,11 @@ class Gateway:
         cfg = cfg.with_overrides(runtime={"on_task_failure": "quarantine"})
         self.config = cfg
         self.serving = cfg.serving
-        # Worker-replicated backends rebuild their engine from a config
-        # recipe; a per-task router cannot be replicated, so those pools run
-        # engine-less and tenants must not request ATM.
-        self._atm_capable = cfg.runtime.executor in ("serial", "threaded")
         self._shared_tht = None
         if self.serving.shared_tht:
-            if not self._atm_capable:
+            # The probe runs where the lookup runs: on a worker pool that is
+            # inside each worker, where no shared tier lives.
+            if cfg.runtime.executor not in ("serial", "threaded"):
                 raise ConfigurationError(
                     f"serving.shared_tht requires an in-process pool "
                     f"(serial/threaded), not {cfg.runtime.executor!r}"
@@ -383,7 +312,6 @@ class Gateway:
                 # on: the merge pump publishes exactly the increment each
                 # tick and never re-publishes restored entries.
                 self._shared_tht.enable_journal()
-        self._router = TenantEngineRouter(shared_tht=self._shared_tht)
         self._admission = AdmissionController(
             max_pending=self.serving.max_pending,
             max_tenant_queue=self.serving.max_tenant_queue,
@@ -397,6 +325,9 @@ class Gateway:
         self._draining = False
         self._failure_archive: list = []
         self._drain_errors = 0
+        #: Task ids are the gateway's, not a graph's: unique across pool
+        #: rebuilds, and a task still queued for admission has one.
+        self._task_ids = itertools.count()
         self._build_pool()
 
         self._server: Optional[FrameServer] = None
@@ -406,12 +337,7 @@ class Gateway:
 
     # -- pool assembly -----------------------------------------------------------
     def _build_pool(self) -> None:
-        engine = self._router if self._atm_capable else None
-        self._executor = build_executor(
-            self.config.runtime,
-            engine=engine,
-            sim_config=self.config.simulation,
-        )
+        self._executor = build_executor(self.config.runtime, self.config.simulation)
         self._graph = TaskDependenceGraph(
             on_ready=self._executor.notify_ready,
             on_ready_batch=self._executor.notify_ready_batch,
@@ -537,36 +463,50 @@ class Gateway:
     def _recover_from_drain_failure(self, exc: BaseException) -> None:
         """A drain died wholesale (not a quarantined task): rebuild the pool.
 
-        Every non-terminal routed task is failed against its tenant so
-        barriers resolve and slots free; the old pool's failure report is
-        archived (summaries join against it) and a fresh executor + graph
-        replace the broken ones.
+        The old pool's failure report is archived (summaries join against
+        it) and a fresh executor + graph replace the broken ones.  Every
+        task of the broken graph and every task still queued for admission
+        is failed against its tenant with a :class:`TaskFailure` naming the
+        drain's error, so barriers resolve and the pending pool returns to
+        0; nothing of the old graph is admitted into the new one.  A worker
+        of the dead drain may still finish one of those tasks meanwhile:
+        whichever of its completion hook and this loop claims the task
+        (:func:`_claim`) counts it and frees its slot, the other skips it.
         """
         self._drain_errors += 1
-        old_failures = list(self._executor.result().failures)
-        self._failure_archive.extend(old_failures)
+        reason = f"the pool's drain failed: {type(exc).__name__}: {exc}"
         with self._admit_lock:
-            for route in self._router.drain_routes():
-                tenant = route.tenant
-                with tenant.idle:
-                    tenant.failed += 1
-                    tenant.outstanding -= 1
-                    if tenant.outstanding == 0:
-                        tenant.idle.notify_all()
-                self._admission.release(1)
+            self._failure_archive.extend(self._executor.result().failures)
+            admitted = self._graph.pending_tasks()
+            doomed = admitted + [task for _, task in self._admission.drop_queued()]
             try:
                 self._executor.close()
             except Exception:
                 pass
             self._build_pool()
+            freed = 0
+            for index, task in enumerate(doomed):
+                tenant = _claim(task)
+                if tenant is None:
+                    continue
+                freed += index < len(admitted)
+                self._failure_archive.append(
+                    TaskFailure(task.label, task.task_id, attempts=0, reason=reason)
+                )
+                with tenant.idle:
+                    tenant.failed += 1
+                    tenant.failed_ids.add(task.task_id)
+                    tenant.outstanding -= 1
+                    if tenant.outstanding == 0:
+                        tenant.idle.notify_all()
+            self._admission.release(freed)
 
     # -- completion hook ---------------------------------------------------------
     def _on_task_complete(self, task: Task) -> None:
         """Graph ``on_complete``: tenant accounting + mid-drain admission."""
-        route = self._router.unbind(task)
-        if route is None:
-            return
-        tenant = route.tenant
+        tenant = _claim(task)
+        if tenant is None:
+            return  # failed by a drain-failure recovery already
         state = task.state
         with tenant.idle:
             if state is TaskState.FINISHED:
@@ -580,7 +520,7 @@ class Gateway:
                 tenant.cancelled += 1
                 tenant.failed_ids.add(task.task_id)
             tenant.outstanding -= 1
-            tenant.latencies.append(time.monotonic() - route.t_submit)
+            tenant.latencies.append(time.monotonic() - task.creation_time)
             idle = tenant.outstanding == 0
             if idle:
                 tenant.idle.notify_all()
@@ -652,11 +592,6 @@ class Gateway:
         if atm_mode not in _TENANT_ATM_MODES:
             raise TenantRejectedError(f"unknown atm_mode {atm_mode!r}")
         atm_p = _hello_number(info, "atm_p", None)
-        if atm_mode != "none" and not self._atm_capable:
-            raise TenantRejectedError(
-                f"this gateway's {self.config.runtime.executor!r} pool runs "
-                f"engine-less; per-tenant ATM needs a serial/threaded pool"
-            )
         share = bool(info.get("shared_tht", self._shared_tht is not None))
         if share and self._shared_tht is None:
             share = False  # no shared tier exists; opt-in is a no-op
@@ -683,12 +618,13 @@ class Gateway:
                 self.config.runtime.num_threads,
                 journal=share,
             )
+            if share and engine is not None:
+                engine = _SharedTierProbe(engine, self._shared_tht)
             tenant = _TenantState(
                 name=name, weight=weight, engine=engine, share_tht=share
             )
             tenant.connection = sock
             self._tenants[name] = tenant
-        self._router.add_engine(engine)
         self._admission.register(name, weight)
         return tenant
 
@@ -786,19 +722,18 @@ class Gateway:
     def _ingest_submission(self, tenant: _TenantState, chunk: NetChunk) -> int:
         tenant.arena.store(chunk.buffers)
         t_submit = time.monotonic()
-        # Build (and validate) every task before binding any route, so a
-        # rejected descriptor mid-batch leaves no dangling router entries.
         tasks = []
         written: set[int] = set()
         for desc in chunk.tasks:
             task = rebuild_task(desc, tenant.arena, tenant.task_types)
-            task.task_id = -1  # the shared graph assigns dense ids
+            # The tenant is the owner (its engine runs the task's ATM step);
+            # the submit time is the latency clock's start.
+            task.task_id, task.owner = next(self._task_ids), tenant
+            task.creation_time = t_submit
             tasks.append(task)
             for ref, mode_value, _name in desc.accesses:
                 if AccessMode(mode_value).writes:
                     written.add(ref[0])
-        for task in tasks:
-            self._router.bind(task, _Route(tenant, t_submit))
         with tenant.lock:
             tenant.submitted += len(tasks)
             tenant.outstanding += len(tasks)
@@ -808,8 +743,6 @@ class Gateway:
             with tenant.lock:
                 tenant.submitted -= len(tasks)
                 tenant.outstanding -= len(tasks)
-            for task in tasks:
-                self._router.unbind(task)
             raise
         tenant.dirty |= written
         # Deliberately no direct pump here: the dispatch loop (between
@@ -882,6 +815,19 @@ class Gateway:
             entry["latency_p99_s"] = _percentile(latencies, 0.99)
             stats["tenants"][state.name] = entry
         return stats
+
+
+def _claim(task: Task) -> Optional[_TenantState]:
+    """Take ``task``'s tenant off the task, under that tenant's lock: the
+    one caller that gets it counts the task, any other gets ``None``."""
+    tenant = task.owner
+    if tenant is None:
+        return None
+    with tenant.lock:
+        if task.owner is None:
+            return None
+        task.owner = None
+    return tenant
 
 
 def _hung_up(sock: socket.socket) -> bool:

@@ -30,10 +30,7 @@ Three pieces:
 
 >>> from repro.session import EXECUTORS
 >>> from repro.runtime.executor import SerialExecutor
->>> EXECUTORS.register(
-...     "inline",
-...     lambda config, engine, sim_config: SerialExecutor(config=config, engine=engine),
-... )
+>>> EXECUTORS.register("inline", lambda config, sim_config: SerialExecutor(config=config))
 >>> "inline" in EXECUTORS.names()
 True
 >>> EXECUTORS.unregister("inline")

@@ -157,7 +157,9 @@ class Session:
         ``None`` (all defaults).
     executor:
         Registry name overriding ``config.runtime.executor`` — or an already
-        constructed :class:`BaseExecutor` for full manual control.
+        constructed :class:`BaseExecutor` for full manual control.  An
+        executor holds no engine: every task names its owner (this session),
+        and the session's engine runs on whatever executor it is given.
     scheduler:
         Registry name overriding ``config.runtime.scheduler``.
     policy:
@@ -238,28 +240,10 @@ class Session:
                     f"overrides do not apply to a pre-built executor instance"
                 )
             self.executor: BaseExecutor = executor
-            if executor.engine is not None:
-                # The instance already carries an engine; a *different*
-                # explicit engine/policy would silently lose either the run's
-                # behaviour or its statistics — reject the ambiguity.
-                if (
-                    (engine is not None and engine is not executor.engine)
-                    or policy is not None
-                    or p is not None
-                ):
-                    raise ConfigurationError(
-                        "the executor instance already carries an engine; "
-                        "pass engine=/policy=/p= only with engine-less "
-                        "executors"
-                    )
-                self.engine = executor.engine
-            else:
-                self.engine = self._assemble_engine(
-                    cfg, policy, engine, num_threads=executor.config.num_threads
-                )
-                self._reject_dangling_p(p)
-                if self.engine is not None:
-                    executor.engine = self.engine
+            self.engine = self._assemble_engine(
+                cfg, policy, engine, num_threads=executor.config.num_threads
+            )
+            self._reject_dangling_p(p)
         else:
             self.engine = self._assemble_engine(
                 cfg, policy, engine, num_threads=cfg.runtime.num_threads
@@ -267,9 +251,7 @@ class Session:
             # Checked before build_executor so a config error never abandons
             # a freshly spawned worker pool.
             self._reject_dangling_p(p)
-            self.executor = build_executor(
-                cfg.runtime, engine=self.engine, sim_config=cfg.simulation
-            )
+            self.executor = build_executor(cfg.runtime, sim_config=cfg.simulation)
         self.graph = TaskDependenceGraph(
             on_ready=self.executor.notify_ready,
             on_ready_batch=self.executor.notify_ready_batch,
@@ -357,6 +339,7 @@ class Session:
             args=tuple(args),
             kwargs=dict(kwargs or {}),
             task_id=self._submitted,
+            owner=self,
         )
         self._submitted += 1
         if self._batch_buffer is not None:
@@ -398,6 +381,7 @@ class Session:
                 args=tuple(args),
                 kwargs=dict(kwargs or {}),
                 task_id=self._submitted,
+                owner=self,
             ))
             self._submitted += 1
         if self._batch_buffer is not None:
@@ -525,7 +509,20 @@ class Session:
             # Even a failing drain ran the barrier: partial counters in
             # Session.result stay readable for error reporting.
             self._drained = True
+            self._stash_telemetry()
         return result
+
+    def _stash_telemetry(self) -> None:
+        """Put the engine's memory footprint and key-cache counters on the
+        run result (``extra["atm_memory_bytes"]`` / ``["keygen_cache"]``),
+        so harnesses read them without reaching into engine internals."""
+        engine, extra = self.engine, self.executor.result().extra
+        memory = getattr(engine, "memory_bytes", None)
+        if callable(memory):
+            extra["atm_memory_bytes"] = memory()
+        cache_info = getattr(getattr(engine, "keygen", None), "cache_info", None)
+        if callable(cache_info):
+            extra["keygen_cache"] = cache_info()
 
     def finish(self) -> RunResult:
         """Final barrier; afterwards the session rejects new submissions.

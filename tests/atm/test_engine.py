@@ -94,12 +94,10 @@ class TestStaticEngine:
         consumer_decision = engine.task_ready(consumer)
         assert consumer_decision.action == ATMAction.DEFER
         assert consumer_decision.waiting_on is producer
-        completions = []
-        engine.set_deferred_completion_callback(lambda t, b: completions.append((t, b)))
         producer.run()
         commit = engine.task_finished(producer, producer_decision, executed=True)
-        assert commit.deferred_completed == 1
-        assert completions and completions[0][0] is consumer
+        assert commit.deferred == (consumer,)
+        assert commit.forwarded_bytes == consumer_out.nbytes
         assert np.allclose(consumer_out, src ** 2)
         assert engine.stats.ikt_hits == 1
 
@@ -119,7 +117,6 @@ class TestStaticEngine:
         producer_decision = engine.task_ready(producer)
         producer.run()
         completions = []
-        engine.set_deferred_completion_callback(lambda t, b: completions.append(t))
         lookup = engine.ikt.lookup
         found = threading.Event()
 
@@ -131,7 +128,9 @@ class TestStaticEngine:
 
         def commit_producer():
             found.wait(timeout=5.0)
-            engine.task_finished(producer, producer_decision, executed=True)
+            completions.extend(
+                engine.task_finished(producer, producer_decision, executed=True).deferred
+            )
 
         commit = threading.Thread(target=commit_producer)
         commit.start()

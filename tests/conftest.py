@@ -154,13 +154,13 @@ def serial_runtime() -> Session:
 
 def make_serial_runtime(engine=None) -> Session:
     return Session(
-        executor=SerialExecutor(config=RuntimeConfig(num_threads=1), engine=engine)
+        executor=SerialExecutor(config=RuntimeConfig(num_threads=1)), engine=engine
     )
 
 
 def make_threaded_runtime(engine=None, threads: int = 4) -> Session:
     return Session(
-        executor=ThreadedExecutor(config=RuntimeConfig(num_threads=threads), engine=engine)
+        executor=ThreadedExecutor(config=RuntimeConfig(num_threads=threads)), engine=engine
     )
 
 
@@ -168,9 +168,9 @@ def make_simulated_runtime(engine=None, cores: int = 4, sim_config=None) -> Sess
     return Session(
         executor=SimulatedExecutor(
             config=RuntimeConfig(num_threads=cores),
-            engine=engine,
             sim_config=sim_config or SimulationConfig(),
-        )
+        ),
+        engine=engine,
     )
 
 

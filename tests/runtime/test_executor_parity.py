@@ -234,10 +234,9 @@ def simulator_schedule_checksum(benchmark: str, mode: str) -> tuple[str, str]:
     workers = 4
     app = make_benchmark(benchmark, scale="tiny")
     executor = SimulatedExecutor(
-        config=RuntimeConfig(num_threads=workers, executor="simulated"),
-        engine=make_engine(mode, workers),
+        config=RuntimeConfig(num_threads=workers, executor="simulated")
     )
-    runtime = Session(executor=executor)
+    runtime = Session(executor=executor, engine=make_engine(mode, workers))
     # The graph forgets finished tasks: the schedule is read off the tasks
     # this test holds, one row per submitted task.
     submit, tasks = runtime.submit, []

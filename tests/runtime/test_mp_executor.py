@@ -22,8 +22,7 @@ from repro.runtime.task import TaskState, TaskType
 
 def make_process_runtime(workers=2, engine=None, **overrides) -> Session:
     config = RuntimeConfig(num_threads=workers, executor="process", **overrides)
-    executor = ProcessExecutor(config=config, engine=engine)
-    return Session(executor=executor)
+    return Session(executor=ProcessExecutor(config=config), engine=engine)
 
 
 def square(src, dst):
@@ -212,11 +211,12 @@ class TestProcessExecutorLifecycle:
         class FakeEngine:
             pass
 
-        with pytest.raises(RuntimeStateError, match="ATMEngine-compatible"):
-            ProcessExecutor(
-                config=RuntimeConfig(num_threads=1, executor="process"),
-                engine=FakeEngine(),
-            )
+        runtime = make_process_runtime(workers=1, engine=FakeEngine())
+        src, dst = np.zeros(4), np.zeros(4)
+        runtime.submit(SQUARE, square, accesses=[In(src), Out(dst)], args=(src, dst))
+        with runtime:  # the first chunk of its tasks is described: refused
+            with pytest.raises(RuntimeStateError, match="ATMEngine-compatible"):
+                runtime.wait_all()
 
 
 class TestProcessExecutorSemantics:

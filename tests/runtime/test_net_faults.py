@@ -191,7 +191,8 @@ class DieAfterChunksEndpoint(LoopbackEndpoint):
                         return  # dies mid-drain, residency entries and all
                     served += 1
                     write_frame(sock, ("ack", chunk.chunk_id))
-                    results, error = state.run_chunk(chunk)
+                    engines = state.worker.engines_for(chunk.tasks, *message[2:])
+                    results, error = state.run_chunk(chunk, engines)
                     if error is not None:
                         return
                     write_frame(sock, ("result", chunk.chunk_id, results))
@@ -292,9 +293,9 @@ def test_dead_worker_mid_chunk_is_excluded_and_work_resubmitted(faulty_cls):
 
 @pytest.mark.parametrize("backend", ["network", "process"])
 def test_session_assigned_engine_reaches_workers(backend):
-    """Session assigns its assembled engine to a pre-built engine-less
-    executor *after* construction; the worker engine spec must be computed
-    at connection/spawn time, or workers silently run without ATM."""
+    """A Session's engine reaches the workers of a pre-built executor: its
+    recipe travels with the first chunk of its tasks, or workers would
+    silently run without ATM."""
     config = RuntimeConfig(
         executor=backend, num_threads=1, mp_chunk_size=16,
         net_timeout_s=FAULT_NET_TIMEOUT,
@@ -341,11 +342,11 @@ def test_mid_drain_endpoint_loss_records_lost_engine_delta():
         executor="network", num_threads=2, mp_chunk_size=2,
         net_timeout_s=FAULT_NET_TIMEOUT, net_max_retries=2,
     )
-    executor = NetworkExecutor(config=config, engine=engine, endpoints=endpoints)
+    executor = NetworkExecutor(config=config, endpoints=endpoints)
     executor.drain_timeout = SCENARIO_TIMEOUT
     sources = [np.full(8, float(i + 1)) for i in range(12)]
     sinks = [np.zeros(8) for _ in range(12)]
-    with Session(executor=executor) as session:
+    with Session(executor=executor, engine=engine) as session:
         for src, dst in zip(sources, sinks):
             session.submit(
                 SQUARE_TYPE, square_body, accesses=[In(src), Out(dst)],
@@ -468,10 +469,10 @@ def test_malformed_reply_fails_the_endpoint_at_once(script, capfd):
     assert capfd.readouterr().err == ""  # no traceback from a net-recv-* thread
 
 
-def _hostile_chunk():
+def _hostile_chunk(*owners):
     from repro.runtime.net_wire import NetChunk
 
-    return ("chunk", NetChunk(1, (), ()))
+    return ("chunk", NetChunk(1, (), ()), *owners)
 
 
 def _hello(**fields):
@@ -484,8 +485,8 @@ def _hello(**fields):
         ((), 42, "not a protocol message"),
         ((), ("chunk", 42), "chunk before hello"),
         ((), ("hello", 5), "unreadable 'hello' message"),
-        ((), _hello(engine="x"), "unreadable 'hello' message"),
-        # The protocol before this one hashed a p < 1 sample in another order.
+        ((_hello(),), _hostile_chunk((), ((0, "x"),)), "unreadable 'chunk' message"),
+        # The protocol before this one shipped the engine recipe in the hello.
         ((), ("hello", {"protocol": PROTOCOL_VERSION - 1}),
          f"protocol version mismatch: client speaks {PROTOCOL_VERSION - 1}"),
         ((_hello(residency=True),), ("invalidate",), "unreadable 'invalidate' message"),
@@ -493,7 +494,7 @@ def _hello(**fields):
         ((), _hostile_chunk(), "chunk before hello"),
         ((_hello(),), ("teleport", 1), "unknown message kind"),
     ],
-    ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "str-engine", "previous-protocol",
+    ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "str-recipe", "previous-protocol",
          "short-invalidate", "int-chunk", "chunk-before-hello", "unknown-kind"],
 )
 def test_worker_reports_a_message_it_cannot_read_and_closes(prelude, hostile, named, capfd):
@@ -573,7 +574,7 @@ def _replies_over_queue_and_pipe():
         for message in (("chunk", chunk), ("sync",)):
             task_queue.put(bytes(encode_frame(message)))
         task_queue.put(None)
-        _worker_main(3, task_queue, writer, None, True)
+        _worker_main(3, task_queue, writer, True)
         replies = []
         while reader.poll():
             replies.append(decode_frame(reader.recv_bytes())[0])  # its own pipe
@@ -642,7 +643,7 @@ def test_one_worker_one_reply_vocabulary_under_both_transports(transport):
         (0, "execute", True), (1, "execute", True)
     ]
     assert error[:3] == ("error", 7, 2) and "injected task failure" in error[3]
-    assert sync_result == ("sync_result", None)
+    assert sync_result == ("sync_result", [])  # no task named an owner
     for index in (0, 1):
         assert np.array_equal(sinks[index], sources[index] ** 2)
     assert not sinks[2].any() and not sinks[3].any()

@@ -90,12 +90,12 @@ def test_stress_fanout_churn(backend):
     )
     runtime_config = RuntimeConfig(num_threads=WORKERS, executor=backend)
     if backend == "threaded":
-        executor = ThreadedExecutor(config=runtime_config, engine=engine)
+        executor = ThreadedExecutor(config=runtime_config)
     else:
-        executor = ProcessExecutor(config=runtime_config, engine=engine)
+        executor = ProcessExecutor(config=runtime_config)
     executor.DRAIN_TIMEOUT = WALL_CLOCK_LIMIT  # fail loudly instead of hanging
 
-    runtime = Session(executor=executor)
+    runtime = Session(executor=executor, engine=engine)
     sources, outs = build_fanout(runtime)
     t0 = time.perf_counter()
     result = runtime.finish()  # raises RuntimeStateError on starvation/timeouts

@@ -117,9 +117,9 @@ class TestExecutorTracing:
         atm = ATMConfig(use_ikt=False)
         engine = ATMEngine(config=atm, policy=StaticATMPolicy(atm), num_threads=threads)
         executor = executor_cls(
-            config=RuntimeConfig(num_threads=threads, enable_tracing=tracing), engine=engine
+            config=RuntimeConfig(num_threads=threads, enable_tracing=tracing)
         )
-        session = Session(executor=executor)
+        session = Session(executor=executor, engine=engine)
         src = np.arange(16, dtype=np.float64)
         tasks = [
             submit_square(session, src, np.zeros(16))

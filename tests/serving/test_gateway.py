@@ -1,14 +1,15 @@
 """Fast in-process gateway tests (tier-1): serial pool, loopback TCP.
 
 The heavier concurrent/threaded soak lives in ``test_serving_soak.py``
-behind the ``serving`` marker; everything here runs the serial pool (one
-process-pool scenario aside) so the whole file stays in the tier-1 time
-budget.
+behind the ``serving`` marker; everything here runs the serial pool (a few
+scenarios on threaded, process and network pools aside) so the whole file
+stays in the tier-1 time budget.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import numpy as np
@@ -243,6 +244,85 @@ class TestFailureSurfacing:
         assert result.tasks_failed == 0
         assert result.failures == []  # the other tenant's failure is not ours
 
+    def test_a_failed_drain_fails_admitted_and_queued_work_and_frees_the_pool(self):
+        """A drain that dies wholesale (the pool's failure, not a task's)
+        fails the tasks of the broken graph and every task still queued for
+        admission, each with a report naming the drain's error; the pending
+        pool empties and the next wave runs on the rebuilt pool.  (Queued
+        tasks used to stay queued, enter the new graph unaccounted and hold
+        their pending slots for good: the next wave never returned.)"""
+        cfg = ReproConfig().with_overrides(
+            runtime={"executor": "serial"}, serving={"max_pending": 4}
+        )
+        first_wave = [np.zeros(4) for _ in range(20)]
+        second_wave = [np.zeros(4) for _ in range(8)]
+
+        def broken_drain(graph):
+            raise RuntimeError("injected drain failure")
+
+        with Gateway(cfg) as gw:
+            gw._executor.drain = broken_drain  # the rebuilt pool drains normally
+            with connect(gw, "drain-fail") as client:
+                client._sock.settimeout(10.0)  # a hang fails instead of blocking
+                client.submit_batch(
+                    [(FILL, fill_block, [InOut(b)], (b, 1.0)) for b in first_wave]
+                )
+                first = client.finish()
+                assert (gw._admission.pending, gw._admission.queued()) == (0, 0)
+                client.submit_batch(
+                    [(FILL, fill_block, [InOut(b)], (b, 2.0)) for b in second_wave]
+                )
+                second = client.finish()
+        assert (first.tasks_failed, first.tasks_completed) == (20, 0)
+        assert len({failure.task_id for failure in first.failures}) == 20
+        for failure in first.failures:
+            assert "RuntimeError: injected drain failure" in failure.reason
+        assert (second.tasks_failed, second.tasks_completed) == (20, 8)
+        assert not any(b.any() for b in first_wave)
+        assert all(np.all(b == 2.0) for b in second_wave)
+
+    def test_a_task_the_dead_drain_finishes_during_recovery_is_counted_once(self):
+        """A worker of a drain that died may still finish a task after the
+        recovery read the broken graph: the task is counted once, as
+        completed, and the recovery still fails every other task and frees
+        exactly the slots it claimed.  (A recovery that reads the tenant
+        off a task its completion already took dies, leaving the rest of
+        the wave unfailed and the dispatch loop dead.)"""
+        cfg = ReproConfig().with_overrides(
+            runtime={"executor": "serial"}, serving={"max_pending": 4}
+        )
+        first_wave = [np.zeros(4) for _ in range(20)]
+        later = np.zeros(4)
+
+        def broken_drain(graph):
+            raise RuntimeError("injected drain failure")
+
+        with Gateway(cfg) as gw:
+            broken, old_graph = gw._executor, gw._graph
+            broken.drain = broken_drain
+            close = broken.close
+
+            def close_while_a_stuck_worker_finishes():
+                # Between the recovery's read of the graph and its claims.
+                old_graph.complete_task(old_graph.pending_tasks()[0])
+                close()
+
+            broken.close = close_while_a_stuck_worker_finishes
+            with connect(gw, "drain-race") as client:
+                client._sock.settimeout(10.0)  # a hang fails instead of blocking
+                client.submit_batch(
+                    [(FILL, fill_block, [InOut(b)], (b, 1.0)) for b in first_wave]
+                )
+                first = client.finish()
+                assert (gw._admission.pending, gw._admission.queued()) == (0, 0)
+                client.submit(FILL, fill_block, accesses=[InOut(later)], args=(later, 2.0))
+                second = client.finish()
+            assert gw._drain_errors == 1
+        assert (first.tasks_failed, first.tasks_completed) == (19, 1)
+        assert len({failure.task_id for failure in first.failures}) == 19
+        assert (second.tasks_failed, second.tasks_completed) == (19, 2)
+        assert np.all(later == 2.0)
+
 
 class TestProtocolErrors:
     def test_submit_before_hello(self, gateway):
@@ -326,15 +406,6 @@ class TestProtocolErrors:
             with pytest.raises(TenantRejectedError, match="live connection"):
                 connect(gateway, "proto-single")
 
-    def test_atm_request_rejected_on_engineless_pool(self):
-        cfg = ReproConfig().with_overrides(
-            runtime={"executor": "process", "num_threads": 1}
-        )
-        with Gateway(cfg) as gw:
-            with pytest.raises(TenantRejectedError, match="engine-less"):
-                GatewayClient("127.0.0.1", gw.port, tenant="atm-proc",
-                              atm_mode="static")
-
     def test_draining_gateway_refuses_new_tenants(self, gateway):
         gateway._draining = True
         try:
@@ -374,7 +445,7 @@ class TestMalformedRequests:
             assert reply[:2] == ("error", "GatewayProtocolError"), reply
             state = gateway._tenants[tenant]
             assert state.outstanding == 0 and state.submitted == 0
-            assert not any(r.tenant is state for r in gateway._router._routes.values())
+            assert gateway._admission.queued(tenant) == 0
             # The same connection then serves a correct submit + barrier ...
             client.submit(FILL, fill_block, accesses=[Out(data)], args=(data, 4.0))
             assert client.wait_all()["tasks_completed"] == 1
@@ -455,20 +526,60 @@ class TestAtmNamespaces:
             result = client.finish()
         return result, app.output().copy()
 
-    def test_isolated_namespaces_show_no_cross_tenant_reuse(self):
+    @staticmethod
+    def local_output() -> np.ndarray:
+        app = make_benchmark("blackscholes", scale="tiny")
+        with Session(executor="serial") as session:
+            app.run(session)
+        return app.output().copy()
+
+    @pytest.mark.parametrize("pool", ["serial", "threaded", "process", "network"])
+    def test_isolated_namespaces_show_no_cross_tenant_reuse(self, pool):
+        """Tenants memoize on every pool kind, each in its own namespace."""
         cfg = ReproConfig().with_overrides(
-            runtime={"executor": "serial"}, atm={"mode": "static"}
+            runtime={"executor": pool, "num_threads": 1}, atm={"mode": "static"}
         )
         with Gateway(cfg) as gw:
             first, out_first = self.run_app(gw, "iso-a")
             second, out_second = self.run_app(gw, "iso-b")
         # Without the shared tier the second tenant starts cold: identical
         # accounting to the first run and zero shared hits.
-        assert first.extra["shared_hits"] == 0
-        assert second.extra["shared_hits"] == 0
-        assert second.tasks_memoized == first.tasks_memoized
-        assert second.tasks_executed == first.tasks_executed
-        assert np.array_equal(out_first, out_second)
+        for result in (first, second):
+            counts = result.tasks_executed, result.tasks_memoized, result.extra["shared_hits"]
+            assert counts == (12, 132, 0)
+        local = self.local_output()
+        assert np.array_equal(out_first, local) and np.array_equal(out_second, local)
+
+    def test_concurrent_tenants_memoize_on_a_two_worker_process_pool(self):
+        cfg = ReproConfig().with_overrides(
+            runtime={"executor": "process", "num_threads": 2}, atm={"mode": "static"}
+        )
+        runs: dict = {}
+        with Gateway(cfg) as gw:
+            threads = [
+                threading.Thread(
+                    target=lambda name=name: runs.__setitem__(name, self.run_app(gw, name))
+                )
+                for name in ("proc-a", "proc-b")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert sorted(runs) == ["proc-a", "proc-b"]
+        local = self.local_output()
+        for result, out in runs.values():
+            assert result.tasks_executed + result.tasks_memoized == 144
+            assert result.tasks_memoized > 0 and result.extra["shared_hits"] == 0
+            assert np.array_equal(out, local)
+
+    @pytest.mark.parametrize("pool", ["process", "network"])
+    def test_shared_tier_is_refused_on_a_worker_pool(self, pool):
+        cfg = ReproConfig().with_overrides(
+            runtime={"executor": pool}, serving={"shared_tht": True}
+        )
+        with pytest.raises(ConfigurationError, match="requires an in-process pool"):
+            Gateway(cfg)
 
     def test_shared_tier_lets_second_tenant_reuse(self):
         cfg = ReproConfig().with_overrides(

@@ -83,14 +83,7 @@ class TestAssembly:
         executor = SerialExecutor(config=RuntimeConfig(num_threads=1))
         s = Session(executor=executor, engine=engine)
         assert s.executor is executor
-        assert executor.engine is engine
-
-    def test_executor_instance_keeps_preinstalled_engine(self):
-        config = ATMConfig()
-        engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        executor = SerialExecutor(config=RuntimeConfig(num_threads=1), engine=engine)
-        s = Session(executor=executor)
-        assert s.engine is engine
+        assert s.engine is engine and not hasattr(executor, "engine")
 
     def test_policy_instance_accepted(self):
         policy = FixedPPolicy(0.5, ATMConfig())
@@ -136,22 +129,6 @@ class TestAssembly:
     def test_describe_mentions_backend_and_policy(self):
         text = Session(executor="simulated", policy="static").describe()
         assert "SimulatedExecutor" in text and "static" in text
-
-    def test_engine_carrying_executor_rejects_conflicting_policy(self):
-        config = ATMConfig()
-        engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        executor = SerialExecutor(config=RuntimeConfig(num_threads=1), engine=engine)
-        # same engine is fine ...
-        assert Session(executor=executor, engine=engine).engine is engine
-        # ... but a different engine or an extra policy would silently split
-        # execution from statistics — rejected.
-        other = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        with pytest.raises(ConfigurationError, match="already carries"):
-            Session(executor=executor, engine=other)
-        with pytest.raises(ConfigurationError, match="already carries"):
-            Session(executor=executor, policy="static")
-        with pytest.raises(ConfigurationError, match="already carries"):
-            Session(executor=executor, p=0.25)
 
     def test_explicit_engine_rejects_policy_and_p_overrides(self):
         config = ATMConfig()
@@ -409,9 +386,9 @@ class TestRegistries:
     def test_register_executor_extends_config_validation(self):
         calls = []
 
-        def factory(config, engine, sim_config):
+        def factory(config, sim_config):
             calls.append(config.executor)
-            return SerialExecutor(config=config, engine=engine)
+            return SerialExecutor(config=config)
 
         EXECUTORS.register("loopback", factory)
         try:
@@ -479,11 +456,11 @@ class TestRegistries:
         with pytest.raises(ConfigurationError, match="builtin"):
             EXECUTORS.unregister("serial")
 
-    def test_plugin_policy_mode_survives_worker_engine_config(self):
+    def test_plugin_policy_mode_survives_engine_recipe(self):
         # The worker-side engine recipe must carry the *registered* mode
         # name, not the builtin class attribute the plugin inherited —
         # otherwise workers silently rebuild the builtin policy.
-        from repro.runtime.remote_task import worker_engine_config
+        from repro.runtime.remote_task import engine_recipe
 
         class HalfStatic(StaticATMPolicy):
             pass
@@ -491,11 +468,11 @@ class TestRegistries:
         POLICIES.register("half_static", lambda config: HalfStatic(config))
         try:
             s = Session({"atm": {"mode": "half_static"}})
-            assert worker_engine_config(s.engine).mode == "half_static"
+            assert engine_recipe(s.engine)["mode"] == "half_static"
         finally:
             POLICIES.unregister("half_static")
         # hand-assembled engines (config keeps mode="none") still fall back
         # to the policy's own mode
         config = ATMConfig()
         engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        assert worker_engine_config(engine).mode == "static"
+        assert engine_recipe(engine)["mode"] == "static"

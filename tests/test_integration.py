@@ -24,12 +24,12 @@ def run_app(name, engine=None, executor_kind="serial", cores=4):
     app = make_benchmark(name, scale="tiny")
     config = RuntimeConfig(num_threads=cores if executor_kind != "serial" else 1)
     if executor_kind == "serial":
-        executor = SerialExecutor(config=config, engine=engine)
+        executor = SerialExecutor(config=config)
     elif executor_kind == "threaded":
-        executor = ThreadedExecutor(config=config, engine=engine)
+        executor = ThreadedExecutor(config=config)
     else:
-        executor = SimulatedExecutor(config=config, engine=engine, sim_config=SimulationConfig())
-    runtime = Session(executor=executor)
+        executor = SimulatedExecutor(config=config, sim_config=SimulationConfig())
+    runtime = Session(executor=executor, engine=engine)
     app.run(runtime)
     return app, executor.result()
 

@@ -9,7 +9,9 @@ serial, threaded and process Sessions, and on a gateway serving two tenants
 for 1 000 requests.  An array the program drops after a task wrote it and
 another read it must be collected after the barrier, and the dependence
 tracker's index for it with it.  A process Session that ships fresh arrays
-round after round holds a flat number of shared-memory segments.
+round after round holds a flat number of shared-memory segments.  A task
+names its owner only while it is live: the tasks of a finished Session keep
+neither the Session nor its engine.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ REQUESTS = 1000
 TABLE_BYTES = 256 << 10
 
 COPY = TaskType("retention_copy")
+MEMO_COPY = TaskType("retention_memo_copy", memoizable=True)
 
 
 def copy_row(src: np.ndarray, dst: np.ndarray) -> None:
@@ -132,6 +135,23 @@ def test_a_dropped_array_is_collected_after_the_barrier(executor):
         gc.collect()
         assert dropped() is None
         assert key not in session.graph._tracker._buffers
+
+
+@pytest.mark.parametrize("executor", ["serial", "threaded", "process"])
+def test_kept_tasks_keep_no_engine_alive(executor):
+    source = np.ones(8)
+    config = {"runtime": {"executor": executor, "num_threads": 2}, "atm": {"mode": "static"}}
+    with Session(config) as session:
+        tasks = [
+            session.submit(MEMO_COPY, copy_row, [In(source), Out(dst)], (source, dst))
+            for dst in [np.zeros(8) for _ in range(4)]
+        ]
+        engine = weakref.ref(session.engine)
+    assert session.result.tasks_memoized > 0
+    assert all(task.state.is_success and task.owner is None for task in tasks)
+    del session
+    gc.collect()
+    assert engine() is None
 
 
 def _psm_names() -> int:
