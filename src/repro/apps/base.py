@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.common.errors import correctness_percent, euclidean_relative_error
+from repro.common.error_metrics import correctness_percent, euclidean_relative_error
 from repro.common.exceptions import WorkloadError
 from repro.runtime.task import TaskType
 from repro.session import Session

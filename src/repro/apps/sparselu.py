@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import BenchmarkApp, BenchmarkInfo, WorkloadScale
-from repro.common.errors import correctness_percent
+from repro.common.error_metrics import correctness_percent
 from repro.common.rng import generator_for
 from repro.session import Session
 from repro.runtime.data import In, InOut

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.common.config import ATMConfig
-from repro.common.errors import combined_chebyshev_error
+from repro.common.error_metrics import combined_chebyshev_error
 from repro.common.exceptions import MemoizationError
 from repro.atm.ikt import InFlightKeyTable
 from repro.atm.keygen import HashKeyGenerator

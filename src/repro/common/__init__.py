@@ -7,7 +7,7 @@ from repro.common.hashing import (
     hash_bytes,
     hash_views,
 )
-from repro.common.errors import (
+from repro.common.error_metrics import (
     chebyshev_relative_error,
     euclidean_relative_error,
     correctness_percent,

@@ -187,6 +187,10 @@ class AccessMode(enum.Enum):
         return self in (AccessMode.OUT, AccessMode.INOUT)
 
 
+#: The slot order of :attr:`DataRegion._accesses`.
+_MODES = (AccessMode.IN, AccessMode.OUT, AccessMode.INOUT)
+
+
 def _base_buffer(array: np.ndarray) -> np.ndarray:
     """Walk ``array.base`` up to the owning buffer."""
     base = array
@@ -211,6 +215,7 @@ class DataRegion:
     __slots__ = (
         "array", "_name", "_descriptor", "_base", "_base_id",
         "_nbytes", "byte_interval", "region_key", "cache_key", "_dep_state",
+        "_accesses",
     )
 
     def __init__(self, array: np.ndarray, name: Optional[str] = None) -> None:
@@ -270,13 +275,38 @@ class DataRegion:
         #: its own before use.  ``False`` after the region's first access:
         #: the reference is made on its second.
         self._dep_state: "weakref.ref | bool | None" = None
+        #: Weak references to this region's live access per mode, indexed
+        #: like ``_MODES`` (:meth:`access`); filled on the first declaration.
+        self._accesses: Optional[list] = None
 
     def __getstate__(self):
-        # The dependence-state cache belongs to a tracker of this process: a
-        # pickled or copied region starts without one.
+        # The dependence-state and access caches belong to this process: a
+        # pickled or copied region starts without them.
         _, slots = super().__getstate__()
-        slots["_dep_state"] = None
+        slots["_dep_state"] = slots["_accesses"] = None
         return None, slots
+
+    def access(self, mode: AccessMode) -> "DataAccess":
+        """The one live :class:`DataAccess` of this region in ``mode``.
+
+        Every task that declares the region in one mode shares it: an access
+        is immutable, so a live task stores no access of its own.  The region
+        holds its accesses weakly (an access holds its region, so a strong
+        hold would be a cycle); one is rebuilt once no task keeps it.  Two
+        threads that race here may each build one: either is correct.
+        """
+        slot = _MODES.index(mode)
+        refs = self._accesses
+        if refs is None:
+            refs = self._accesses = [None, None, None]
+        else:
+            ref = refs[slot]
+            access = None if ref is None else ref()
+            if access is not None:
+                return access
+        access = DataAccess(self, mode)
+        refs[slot] = weakref.ref(access)
+        return access
 
     # -- identity & overlap -------------------------------------------------
     @property
@@ -415,13 +445,17 @@ def as_region(obj: "DataRegion | np.ndarray", name: Optional[str] = None) -> Dat
 class DataAccess:
     """One declared access of a task: a region plus its access mode.
 
+    Immutable: nothing writes the four attributes after construction, which
+    is what lets :meth:`DataRegion.access` hand one object to every task
+    that declares the region in that mode.
+
     ``reads``/``writes`` are plain attributes precomputed at construction:
     the dependence tracker consults them several times per access, and the
     enum-property chain (``mode.reads`` → enum ``in`` test) is measurable at
     submission rates in the hundreds of thousands of tasks per second.
     """
 
-    __slots__ = ("region", "mode", "reads", "writes")
+    __slots__ = ("region", "mode", "reads", "writes", "__weakref__")
 
     def __init__(self, region: DataRegion, mode: AccessMode) -> None:
         self.region = region
@@ -438,24 +472,28 @@ class DataAccess:
 
 
 def In(obj: "DataRegion | np.ndarray", name: Optional[str] = None) -> DataAccess:
-    """Declare a read-only (``in``) access."""
-    if type(obj) is not DataRegion:
-        obj = as_region(obj, name)
-    return DataAccess(obj, AccessMode.IN)
+    """Declare a read-only (``in``) access.
+
+    A region hands out its shared access (:meth:`DataRegion.access`); a bare
+    array becomes a fresh region, whose access is built directly.
+    """
+    if type(obj) is DataRegion:
+        return obj.access(AccessMode.IN)
+    return DataAccess(as_region(obj, name), AccessMode.IN)
 
 
 def Out(obj: "DataRegion | np.ndarray", name: Optional[str] = None) -> DataAccess:
     """Declare a write-only (``out``) access."""
-    if type(obj) is not DataRegion:
-        obj = as_region(obj, name)
-    return DataAccess(obj, AccessMode.OUT)
+    if type(obj) is DataRegion:
+        return obj.access(AccessMode.OUT)
+    return DataAccess(as_region(obj, name), AccessMode.OUT)
 
 
 def InOut(obj: "DataRegion | np.ndarray", name: Optional[str] = None) -> DataAccess:
     """Declare a read-write (``inout``) access."""
-    if type(obj) is not DataRegion:
-        obj = as_region(obj, name)
-    return DataAccess(obj, AccessMode.INOUT)
+    if type(obj) is DataRegion:
+        return obj.access(AccessMode.INOUT)
+    return DataAccess(as_region(obj, name), AccessMode.INOUT)
 
 
 def validate_accesses(accesses: Sequence[DataAccess]) -> None:

@@ -148,8 +148,9 @@ class ArrayArena:
     Views and regions are cached by the ref itself, so every ref to one
     byte layout resolves to the *same* ndarray / :class:`DataRegion`
     object: aliasing between a task's arguments and its access regions
-    survives, and the ATM key caches (keyed on region identity) hit across
-    tasks.  Subclasses fill ``_bases`` from the buffer tables they receive.
+    survives, the ATM key caches (keyed on region identity) hit across
+    tasks, and tasks that name one ref in one mode share one access.
+    Subclasses fill ``_bases`` from the buffer tables they receive.
     """
 
     #: Raised when a ref cannot be materialised.
@@ -212,10 +213,10 @@ def rebuild_task(
                 name=name, memoizable=memoizable, tau_max=tau_max,
                 l_training=l_training, deterministic=deterministic,
             )
-        accesses = [
-            DataAccess(arena.region(ref_key(ref), region_name), AccessMode(mode_value))
+        accesses = tuple(
+            arena.region(ref_key(ref), region_name).access(AccessMode(mode_value))
             for ref, mode_value, region_name in refs
-        ]
+        )
 
         def leaf(tagged: list) -> np.ndarray:
             return arena.view(ref_key(tagged[1]))

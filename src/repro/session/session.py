@@ -326,7 +326,9 @@ class Session:
         """Create a task and hand it to the dependence system.
 
         Inside a :meth:`batch` block the task is buffered and handed to the
-        graph in one batched submission when the block exits.
+        graph in one batched submission when the block exits.  The task keeps
+        ``accesses`` as a tuple (a caller's tuple as is): a declaration does
+        not change after submission.
         """
         if self._closed:
             raise RuntimeStateError(
@@ -335,7 +337,7 @@ class Session:
         task = Task(
             task_type=task_type,
             function=function,
-            accesses=list(accesses),
+            accesses=tuple(accesses),
             args=tuple(args),
             kwargs=dict(kwargs or {}),
             task_id=self._submitted,
@@ -377,7 +379,7 @@ class Session:
             tasks.append(Task(
                 task_type=task_type,
                 function=function,
-                accesses=list(accesses),
+                accesses=tuple(accesses),
                 args=tuple(args),
                 kwargs=dict(kwargs or {}),
                 task_id=self._submitted,

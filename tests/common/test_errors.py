@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.common.errors import (
+from repro.common.error_metrics import (
     chebyshev_relative_error,
     combined_chebyshev_error,
     correctness_percent,

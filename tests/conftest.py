@@ -49,9 +49,23 @@ POOL_THREAD_PREFIXES = ("worker-", "net-recv-", "net-worker-", "frame-", "gatewa
 LEAK_JOIN_S = 5.0
 
 
+def _open_sockets() -> set:
+    """``socket:[inode]`` of every socket this process holds an fd of, read
+    from ``/proc/self/fd`` (empty where there is no such directory)."""
+    found = set()
+    with contextlib.suppress(OSError):
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):  # closed while we looked
+                link = os.readlink(f"/proc/self/fd/{fd}")
+                if link.startswith("socket:"):
+                    found.add(link)
+    return found
+
+
 def _live_helpers() -> set:
     """``(label, joinable or None)`` for everything a test could leave
-    behind: pool threads, child processes, shared-memory segments."""
+    behind: pool threads, child processes, shared-memory segments, sockets
+    (endpoint, connection and listener)."""
     found = {
         (f"thread {t.name}", t)
         for t in threading.enumerate()
@@ -64,15 +78,16 @@ def _live_helpers() -> set:
             for name in os.listdir("/dev/shm")
             if name.startswith("psm_")
         }
+    found |= {(link, None) for link in _open_sockets()}
     return found
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
     """The benchmark's leak check, per test: whatever worker thread, worker
-    process or shared-memory segment a test starts is gone once the test and
-    its fixtures are done (dropped executors get one ``gc.collect()`` and a
-    bounded ``join`` to go away in)."""
+    process, shared-memory segment or socket a test starts is gone once the
+    test and its fixtures are done (dropped executors get one ``gc.collect()``
+    and a bounded ``join`` to go away in)."""
     before = _live_helpers()
     yield
     if _live_helpers() <= before:

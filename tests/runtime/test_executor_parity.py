@@ -34,7 +34,7 @@ from repro.apps.registry import BENCHMARK_NAMES
 from repro.atm.engine import ATMEngine
 from repro.atm.policy import make_policy
 from repro.common.config import ATMConfig, RuntimeConfig
-from repro.common.errors import euclidean_relative_error
+from repro.common.error_metrics import euclidean_relative_error
 from repro.common.hashing import hash_bytes
 from repro.session import ReproConfig, Session
 from repro.runtime.simulator import SimulatedExecutor

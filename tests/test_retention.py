@@ -11,7 +11,8 @@ another read it must be collected after the barrier, and the dependence
 tracker's index for it with it.  A process Session that ships fresh arrays
 round after round holds a flat number of shared-memory segments.  A task
 names its owner only while it is live: the tasks of a finished Session keep
-neither the Session nor its engine.
+neither the Session nor its engine.  A live task costs the collector three
+objects: regions share their accesses among the tasks that declare them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.runtime.data import In, Out
+from repro.runtime.data import DataRegion, In, Out
 from repro.runtime.task import TaskType
 from repro.serving import Gateway, GatewayClient
 from repro.session import ReproConfig, Session
@@ -43,10 +44,23 @@ TABLE_BYTES = 256 << 10
 
 COPY = TaskType("retention_copy")
 MEMO_COPY = TaskType("retention_memo_copy", memoizable=True)
+STENCIL = TaskType("retention_stencil")
+
+#: GC-tracked objects a live task may add: itself, its access tuple and its
+#: successor list.
+TASK_OBJECTS = 3
+#: ... and a kept region, once: its access cache, a shared access and a weak
+#: reference per mode declared, the tracker's state and a weak reference to
+#: it (7.4 on average, the session's own few included).
+REGION_OBJECTS = 10
 
 
 def copy_row(src: np.ndarray, dst: np.ndarray) -> None:
     dst[:] = src
+
+
+def stencil(left: np.ndarray, mid: np.ndarray, right: np.ndarray, dst: np.ndarray) -> None:
+    dst[:] = (left + mid + right) / 3
 
 
 def _footprint() -> tuple[int, int]:
@@ -120,6 +134,31 @@ def _gateway_rounds():
 
 def test_a_gateway_serving_two_tenants_stays_flat():
     _assert_flat(_gateway_rounds())
+
+
+def test_a_live_task_costs_three_gc_tracked_objects():
+    """``graph_fine``'s shape held undrained: ping-pong sweeps of three reads
+    and a write over kept row regions."""
+    rows, sweeps = 64, 32
+    grids = [list(np.zeros((rows, 8))), list(np.zeros((rows, 8)))]
+    regions = [[DataRegion(row) for row in grid] for grid in grids]
+    with Session({"runtime": {"executor": "serial"}}) as session:
+        gc.collect()
+        before = len(gc.get_objects())
+        for sweep in range(sweeps):
+            src, dst = sweep % 2, 1 - sweep % 2
+            for i in range(rows):
+                left, right = i - 1, (i + 1) % rows
+                session.submit(
+                    STENCIL, stencil,
+                    [In(regions[src][left]), In(regions[src][i]), In(regions[src][right]),
+                     Out(regions[dst][i])],
+                    (grids[src][left], grids[src][i], grids[src][right], grids[dst][i]),
+                )
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        budget = TASK_OBJECTS * rows * sweeps + REGION_OBJECTS * 2 * rows
+        assert added <= budget, f"{added} GC-tracked objects for {rows * sweeps} tasks"
 
 
 @pytest.mark.parametrize("executor", ["serial", "threaded", "process"])
