@@ -9,6 +9,11 @@ The decision returned by ``task_ready`` tells the executor what to do with
 the task and how many bytes the engine touched, so the discrete-event
 simulator can charge hash and copy costs without knowing anything about the
 THT internals.
+
+:func:`lookup`, :func:`commit` and :func:`abandon` are the engine's side of
+the paper's Figure 1 step, shared by every backend: the executors' step
+(``BaseExecutor.start`` / ``finish``) and the remote worker's
+(``remote_task.run_descriptor``) call these and nothing else of an engine.
 """
 
 from __future__ import annotations
@@ -64,8 +69,12 @@ class ATMDecision:
 
     @property
     def skips_execution(self) -> bool:
-        return self.action in (ATMAction.SKIP, ATMAction.DEFER)
+        return self.action in _SKIPPING
 
+
+#: The actions that skip the task body, read on every step (a module tuple:
+#: looking members up on the enum class costs more than the test itself).
+_SKIPPING = (ATMAction.SKIP, ATMAction.DEFER)
 
 #: Decision used for tasks the ATM engine never sees (engine disabled or task
 #: type not eligible).
@@ -98,3 +107,32 @@ class MemoizationEngineProtocol(Protocol):
     ) -> ATMCommitInfo:
         """Commit/cleanup performed when the task's processing completes."""
         ...
+
+    def task_abandoned(self, task: Task, decision: ATMDecision) -> list[Task]:
+        """Release what the lookup registered for a task that failed
+        terminally; returns the deferred consumers it orphaned."""
+        ...
+
+
+def lookup(task: Task, engine, worker_id: int) -> ATMDecision:
+    """The eligibility gate and the lookup: a task without an engine or of
+    an ineligible type executes without the engine ever seeing it."""
+    if engine is None or not task.task_type.atm_eligible:
+        return EXECUTE_DECISION
+    return engine.task_ready(task, worker_id)
+
+
+def commit(task: Task, engine, decision: ATMDecision, executed: bool, worker_id: int) -> tuple:
+    """Commit a finished task; returns the deferred consumers the commit
+    satisfied (their outputs are in place, the caller completes them)."""
+    if not decision.atm_handled:
+        return ()
+    return engine.task_finished(task, decision, executed, worker_id).deferred
+
+
+def abandon(task: Task, engine, decision: ATMDecision) -> list:
+    """Release the engine state of a task that will never commit; returns
+    its orphaned deferred consumers."""
+    if not decision.atm_handled:
+        return []
+    return engine.task_abandoned(task, decision)

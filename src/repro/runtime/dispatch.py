@@ -59,7 +59,7 @@ from repro.common.exceptions import (
     TaskTimeoutError,
     WorkerLostError,
 )
-from repro.runtime.atm_protocol import ATMAction, ATMDecision, EXECUTE_DECISION
+from repro.runtime.atm_protocol import ATMAction, EXECUTE_DECISION
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.remote_task import engine_recipe
 from repro.runtime.supervision import TIMEOUT_GRACE
@@ -306,21 +306,21 @@ class ChunkDispatcher:
         try:
             entries = []
             for task_id, action_value, executed, *payload in results:
-                decision = ATMDecision(action=ATMAction(action_value))
+                action = ATMAction(action_value)
                 task = self.inflight.get(task_id)
                 if task is None:
                     continue  # duplicate completion of a resubmitted task
                 problem = check_write(task, *payload)
                 if problem is not None:
                     return f"malformed result: {problem}"
-                entries.append((task, decision, executed, payload))
+                entries.append((task, action, executed, payload))
         except (TypeError, ValueError) as exc:
             return f"malformed result: unreadable result entry: {exc}"
-        for task, decision, executed, payload in entries:
+        for task, action, executed, payload in entries:
             if self.inflight.pop(task.task_id, None) is None:
                 continue  # named twice in one result
             after = write_back(worker, task, chunk, *payload)
-            self._host._account(decision)
+            self._host._account(action)
             self._graph.complete_task(
                 task, TaskState.FINISHED if executed else TaskState.MEMOIZED
             )

@@ -3,8 +3,10 @@
 Both executors run the tasks of a :class:`TaskDependenceGraph` to completion,
 calling into the memoization engine of each task's owner (``task.engine``)
 around it exactly as the paper's Figure 1 describes: lookup when the task is
-pulled from the ready queue, commit when it finishes.  An executor holds no
-engine of its own, so one pool serves tasks of many owners.
+pulled from the ready queue, commit when it finishes.  That step is written
+once, as :meth:`BaseExecutor.start` and :meth:`BaseExecutor.finish`, and the
+simulator calls the same two halves.  An executor holds no engine of its
+own, so one pool serves tasks of many owners.
 
 * :class:`SerialExecutor` — one worker, wall-clock timing.  Used for baseline
   correctness runs and for measuring per-task costs.
@@ -36,7 +38,9 @@ from repro.common.exceptions import (
     TaskTimeoutError,
 )
 from repro.common.registry import EXECUTORS
-from repro.runtime.atm_protocol import ATMAction, ATMDecision, EXECUTE_DECISION
+from repro.runtime.atm_protocol import (
+    ATMAction, ATMDecision, EXECUTE_DECISION, abandon, commit, lookup,
+)
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.scheduler import Scheduler, make_scheduler
 from repro.runtime.supervision import TaskSupervisor, dump_stacks
@@ -115,6 +119,27 @@ class RunResult:
         return (self.tasks_memoized + self.tasks_deferred) / self.tasks_completed
 
 
+class _WallClock:
+    """Phase boundaries of one traced in-process step, read off
+    ``perf_counter`` as the step reaches them."""
+
+    __slots__ = ("t_lookup", "t_run", "t_commit", "t_end")
+
+    def __init__(self) -> None:
+        self.t_lookup = self.t_run = self.t_commit = self.t_end = time.perf_counter()
+
+    def looked_up(self, decision: ATMDecision) -> None:
+        self.t_run = self.t_commit = self.t_end = time.perf_counter()
+
+    def ran(self, task: Task) -> None:
+        self.t_commit = self.t_end = time.perf_counter()
+
+    def committed(self, task: Task, decision: ATMDecision) -> None:
+        self.t_end = time.perf_counter()
+
+    wait = staticmethod(time.sleep)
+
+
 class BaseExecutor:
     """Shared bookkeeping for all executors."""
 
@@ -180,21 +205,78 @@ class BaseExecutor:
     def result(self) -> RunResult:
         return self._result
 
-    # -- helpers ---------------------------------------------------------------
-    @staticmethod
-    def _lookup(task: Task, engine, worker_id: int) -> ATMDecision:
-        if engine is None or not task.task_type.atm_eligible:
-            return EXECUTE_DECISION
-        return engine.task_ready(task, worker_id)
+    # -- the Figure 1 step ------------------------------------------------------
+    # One step per task on every in-process backend, in two halves because
+    # the simulator commits at a later event than it starts.  ``clock`` (None
+    # on the untraced in-process path) is told each phase boundary as the
+    # step reaches it: ``_WallClock`` reads ``perf_counter`` there, the
+    # simulator's cost clock charges the phase's modelled cost.
+    def start(
+        self, task: Task, graph: TaskDependenceGraph, worker: int, clock=None
+    ) -> Optional[ATMDecision]:
+        """Look the key up as the task leaves the ready queue, then run it
+        under supervision unless the lookup copied (or will copy) its outputs.
 
-    def _account(self, decision: ATMDecision) -> None:
+        Returns the decision, or ``None`` when the task failed terminally
+        (quarantined: ``_task_failed`` has dealt with it; aborted: raises).
+        """
+        decision = lookup(task, task.engine, worker)
+        if clock is not None:
+            clock.looked_up(decision)
+        if decision.skips_execution:
+            return decision
+        task.state = TaskState.RUNNING
+        task.executed_on = worker
+        failure = self._run_supervised(task, clock)
+        if failure is None:
+            return decision
+        self._task_failed(task, graph, decision, *failure, worker=f"worker-{worker}", clock=clock)
+        return None
+
+    def finish(
+        self, task: Task, graph: TaskDependenceGraph, decision: ATMDecision,
+        executed: bool, worker: int, clock=None,
+    ) -> None:
+        """Commit, complete the deferred consumers the commit satisfied,
+        count the task and complete it.  A ``DEFER`` decision never gets
+        here: its producer's commit completes it."""
+        deferred = commit(task, task.engine, decision, executed, worker)
+        if deferred:
+            self._complete_deferred(graph, deferred)
+        if clock is not None:
+            clock.committed(task, decision)
+        # The graph lock serialises the run-result counters across workers.
+        # complete_task takes it again on its own: between the two a task is
+        # counted but not yet terminal.
+        with graph._lock:
+            self._account(decision.action)
+        graph.complete_task(task, TaskState.FINISHED if executed else TaskState.MEMOIZED)
+
+    def _complete_deferred(self, graph: TaskDependenceGraph, deferred: tuple) -> None:
+        """Count and complete deferred consumers, before their producer:
+        their outputs are already in place."""
+        for waiter in deferred:
+            with graph._lock:
+                self._account(ATMAction.DEFER)
+            graph.complete_task(waiter, TaskState.MEMOIZED)
+
+    def _trace_step(self, worker: int, task: Task, executed: bool, clock) -> None:
+        """Write one step's ``CoreState`` records from the phase boundaries
+        its clock reported: the one place any backend writes them."""
+        record, label = self.trace.record, task.label
+        record(worker, CoreState.ATM_HASH, clock.t_lookup, clock.t_run, label)
+        if executed:
+            record(worker, CoreState.TASK_EXECUTION, clock.t_run, clock.t_commit, label)
+        record(worker, CoreState.ATM_MEMOIZATION, clock.t_commit, clock.t_end, label)
+
+    def _account(self, action: ATMAction) -> None:
         result = self._result
         result.tasks_completed += 1
-        if decision.action == ATMAction.SKIP:
+        if action == ATMAction.SKIP:
             result.tasks_memoized += 1
-        elif decision.action == ATMAction.DEFER:
+        elif action == ATMAction.DEFER:
             result.tasks_deferred += 1
-        elif decision.action == ATMAction.EXECUTE_AND_TRAIN:
+        elif action == ATMAction.EXECUTE_AND_TRAIN:
             result.tasks_trained += 1
             result.tasks_executed += 1
         else:
@@ -208,14 +290,14 @@ class BaseExecutor:
         )
         return self._supervisor
 
-    def _run_supervised(self, task: Task):
+    def _run_supervised(self, task: Task, clock=None):
         """Run the task body under the retry/timeout budget.
 
         Returns ``None`` on success, else ``(error_cls, reason, exc)`` for
-        the terminal failure.  Retries re-run in place with exponential
-        backoff; a post-hoc timeout (in-process backends cannot preempt a
-        Python frame) is terminal immediately — a task that blew its budget
-        once would blow it again.
+        the terminal failure.  Retries re-run in place after an exponential
+        backoff (slept, or charged to ``clock``); a post-hoc timeout
+        (in-process backends cannot preempt a Python frame) is terminal
+        immediately — a task that blew its budget once would blow it again.
         """
         supervisor = self._supervisor
         while True:
@@ -223,42 +305,29 @@ class BaseExecutor:
             try:
                 task.run()
             except Exception as exc:
+                if clock is not None:
+                    clock.ran(task)
                 backoff = supervisor.count_attempt(task)
-                if backoff is not None:
+                if backoff is None:
+                    return (TaskFailedError, f"{type(exc).__name__}: {exc}", exc)
+                if clock is None:
                     time.sleep(backoff)
-                    continue
-                return (TaskFailedError, f"{type(exc).__name__}: {exc}", exc)
+                else:
+                    clock.wait(backoff)
+                continue
             elapsed = time.perf_counter() - t_start
+            if clock is not None:
+                clock.ran(task)
             if supervisor.timed_out(elapsed):
                 return (TaskTimeoutError, supervisor.timeout_reason(elapsed), None)
             return None
 
-    @staticmethod
-    def _abandon_atm(task: Task, decision: ATMDecision) -> list:
-        """Release engine state held for a task that will never commit.
-
-        Returns the engine's orphaned deferred consumers (tasks that were
-        waiting for this producer's outputs), if any.
-        """
-        engine = task.engine
-        if decision.atm_handled and engine is not None:
-            abandoned = getattr(engine, "task_abandoned", None)
-            if callable(abandoned):
-                return abandoned(task, decision) or []
-        return []
-
     def _task_failed(
-        self,
-        task: Task,
-        graph: TaskDependenceGraph,
-        decision: ATMDecision,
-        error: type,
-        reason: str,
-        exc: Optional[BaseException],
-        worker: str = "",
+        self, task: Task, graph: TaskDependenceGraph, decision: ATMDecision, error: type,
+        reason: str, exc: Optional[BaseException], worker: str = "", clock=None,
     ) -> None:
         """Terminal task failure: quarantine the subgraph or abort the drain."""
-        orphans = self._abandon_atm(task, decision)
+        orphans = abandon(task, task.engine, decision)
         supervisor = self._supervisor
         if not supervisor.quarantine:
             with self._failure_lock:
@@ -274,75 +343,34 @@ class BaseExecutor:
         # (same key, no dependence edge): execute them directly rather than
         # cancelling work whose inputs are perfectly healthy.
         for orphan in orphans:
-            self._rescue_orphan(orphan, graph, worker=worker)
+            self._rescue_orphan(orphan, graph, worker, clock)
 
-    def _rescue_orphan(self, task: Task, graph: TaskDependenceGraph, worker: str = "") -> None:
+    def _rescue_orphan(self, task: Task, graph: TaskDependenceGraph, worker: str, clock) -> None:
         """Execute a deferred consumer whose in-flight producer failed."""
         task.state = TaskState.RUNNING
-        failure = self._run_supervised(task)
+        failure = self._run_supervised(task, clock)
         if failure is not None:
-            self._task_failed(task, graph, EXECUTE_DECISION, *failure, worker=worker)
+            self._task_failed(task, graph, EXECUTE_DECISION, *failure, worker=worker, clock=clock)
             return
         with graph._lock:
-            self._account(EXECUTE_DECISION)
+            self._account(ATMAction.EXECUTE)
         graph.complete_task(task, TaskState.FINISHED)
 
     def _process(self, task: Task, graph: TaskDependenceGraph, worker_id: int) -> None:
-        """The ATM step around one task (the paper's Figure 1): look the key
-        up as the task leaves the ready queue, execute it or copy the stored
-        outputs, commit when it finishes."""
+        """The in-process step: :meth:`start`, then :meth:`finish` unless
+        the task failed or defers."""
         # Trace work (clock reads, label formatting, the ready-queue depth
         # sample and its lock) is paid only by a recorder that keeps it.
-        traced = self.trace.enabled
-        now = time.perf_counter
-        if traced:
-            t_lookup = now()
-        # Read once: a deferred task may be completed — and its owner
-        # dropped — by its producer's worker while this frame still runs.
-        engine = task.engine
-        decision = self._lookup(task, engine, worker_id)
-        if traced:
-            t_after_lookup = now()
-            self.trace.record(
-                worker_id, CoreState.ATM_HASH, t_lookup, t_after_lookup, task.label
-            )
-        executed = False
-        if not decision.skips_execution:
-            task.state = TaskState.RUNNING
-            task.executed_on = worker_id
-            failure = self._run_supervised(task)
-            if failure is not None:
-                self._task_failed(
-                    task, graph, decision, *failure, worker=f"worker-{worker_id}"
-                )
-                return
-            executed = True
-        if traced:
-            t_after_run = now()
-            if executed:
-                self.trace.record(
-                    worker_id, CoreState.TASK_EXECUTION, t_after_lookup, t_after_run, task.label
-                )
-        if decision.atm_handled:
-            # The deferred consumers this commit satisfied complete here,
-            # before their producer: their outputs are already in place.
-            commit = engine.task_finished(task, decision, executed, worker_id)
-            for waiter in commit.deferred:
-                graph.complete_task(waiter, TaskState.MEMOIZED)
-        if traced:
-            self.trace.record(
-                worker_id, CoreState.ATM_MEMOIZATION, t_after_run, now(), task.label
-            )
-        # The graph lock serialises the run-result counters across workers.
-        # complete_task takes it again on its own: between the two a task is
-        # counted but not yet terminal.
-        with graph._lock:
-            self._account(decision)
-        if decision.action != ATMAction.DEFER:
-            final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
-            graph.complete_task(task, final_state)
-        if traced:
-            self.trace.sample_ready(now(), self.scheduler.pending())
+        clock = _WallClock() if self.trace.enabled else None
+        decision = self.start(task, graph, worker_id, clock)
+        if decision is None:
+            return
+        executed = not decision.skips_execution
+        if executed or decision.action is not ATMAction.DEFER:
+            self.finish(task, graph, decision, executed, worker_id, clock)
+        if clock is not None:
+            self._trace_step(worker_id, task, executed, clock)
+            self.trace.sample_ready(time.perf_counter(), self.scheduler.pending())
 
     def drain(self, graph: TaskDependenceGraph) -> RunResult:  # pragma: no cover
         raise NotImplementedError

@@ -14,10 +14,11 @@ tenant's namespace — moves the same five things (DESIGN.md §4.6):
   ref's backing bytes live (a shared segment, a shipped span, a tenant
   buffer);
 * :func:`rebuild_task` — descriptor + arena → a runnable :class:`Task`;
-* :func:`run_descriptor` — the worker half of the paper's Figure 1 step
-  (eligibility gate → ``task_ready`` → run or copy stored outputs → bump
-  write versions → ``task_finished``) against the worker's replica of the
-  task owner's engine;
+* :func:`run_descriptor` — the worker's Figure 1 step (the shared
+  :func:`~repro.runtime.atm_protocol.lookup` → run or copy stored outputs
+  → bump write versions → the shared
+  :func:`~repro.runtime.atm_protocol.commit`) against the worker's replica
+  of the task owner's engine;
 * the replica's recipe — the owner engine's ``ATMConfig``
   (:func:`engine_recipe`).  The dispatcher numbers owners as it
   first ships their tasks; a chunk names each task's owner index and
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.common.config import ATMConfig
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
-from repro.runtime.atm_protocol import EXECUTE_DECISION
+from repro.runtime.atm_protocol import commit, lookup
 from repro.runtime.codec import (
     TaskDescriptor, build, checked_dtype, function_name, plain, ref_key, resolve_function,
 )
@@ -243,23 +244,20 @@ def run_descriptor(
     task_types: dict[str, TaskType],
     worker_id: int,
 ) -> tuple[str, bool, Task]:
-    """Rebuild one task and run the full ATM protocol around it.
+    """Rebuild one task and run the worker's Figure 1 step around it: the
+    shared gate and lookup, the body, its version bump, the shared commit.
+    Supervision (retries, timeouts, quarantine) stays with the parent's
+    dispatcher, which reads a raising body off the worker's error reply.
 
     Returns ``(action_value, executed, task)``; a transport without shared
     memory reads the written regions off the returned task.
     """
     task = rebuild_task(desc, arena, task_types)
-    # Same eligibility gate as BaseExecutor._process, so per-worker stats
-    # merge into the exact totals a single-process engine would have seen.
-    if engine is not None and task.task_type.atm_eligible:
-        decision = engine.task_ready(task, worker_id)
-    else:
-        decision = EXECUTE_DECISION
-    executed = False
-    if not decision.skips_execution:
+    decision = lookup(task, engine, worker_id)
+    executed = not decision.skips_execution
+    if executed:
         task.state = TaskState.RUNNING
         task.run()
-        executed = True
         # Commit the writes to the version protocol *before* reporting
         # completion: once the parent releases a successor, anything
         # hashing these bytes must observe the new version.  (The SKIP
@@ -267,8 +265,7 @@ def run_descriptor(
         for access in task.accesses:
             if access.writes:
                 access.region.bump_version()
-    if decision.atm_handled and engine is not None:
-        engine.task_finished(task, decision, executed, worker_id)
+    commit(task, engine, decision, executed, worker_id)
     return decision.action.value, executed, task
 
 

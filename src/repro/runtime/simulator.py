@@ -29,6 +29,12 @@ Model
 * Dependences and the IKT behave exactly as in the real runtime: a task whose
   twin is in flight defers, and completes ``copy_cost`` after the producer
   commits.
+* Tasks run through the one supervised Figure 1 step of every in-process
+  backend (:meth:`BaseExecutor.start` at dispatch, :meth:`BaseExecutor.finish`
+  at the finish event), priced by a cost clock.  A retry's backoff keeps
+  its core busy in simulated time; a terminal failure lands when its
+  simulated run ends, and is quarantined or aborts the drain as anywhere
+  else.  ``task_timeout_s``, a wall-clock budget, is refused.
 
 Events are processed in nondecreasing simulated time, so the ATM engine
 observes the same interleaving a real parallel run would produce (keys enter
@@ -39,11 +45,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from typing import Optional
 
 from repro.common.config import RuntimeConfig, SimulationConfig
-from repro.common.exceptions import SimulationError
+from repro.common.exceptions import ConfigurationError, SimulationError
 from repro.runtime.atm_protocol import ATMAction, ATMDecision
 from repro.runtime.executor import BaseExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
@@ -59,10 +64,76 @@ _EVT_TASK_FINISH = 0
 _EVT_DEFERRED_DONE = 1
 _EVT_TASK_CREATED = 2
 _EVT_CORE_FREE = 3
+_EVT_TASK_FAILED = 4
+
+
+class _CostClock:
+    """Phase boundaries of one simulated step, charged in simulated
+    microseconds from the dispatch time ``now`` as the step reaches them.
+
+    Two quirks of the Fig. 7 intervals are kept: a ``DEFER``'s hash phase
+    includes the THT and IKT probe costs, a ``SKIP``'s and an execution's
+    exclude them (their probe cost lengthens the memoization phase).
+    ``end`` is when the core is free again.
+    """
+
+    __slots__ = ("executor", "core", "t_lookup", "t_run", "t_commit", "t_end", "end")
+
+    def __init__(self, executor: "SimulatedExecutor", now: float, core: Optional[int] = None):
+        self.executor = executor
+        #: The core the step keeps busy (``None``: an orphan rescue, which
+        #: runs inside its producer's failure event).
+        self.core = core
+        self.end = now + executor.sim.task_overhead
+        self.t_lookup = self.t_run = self.t_commit = self.t_end = self.end
+
+    def looked_up(self, decision: ATMDecision) -> None:
+        executor, action = self.executor, decision.action
+        hash_cost = executor._hash_cost(decision.hashed_bytes)
+        probe_cost = 0.0
+        if decision.atm_handled:  # a THT probe, then an IKT probe for a DEFER
+            ikt = executor.sim.ikt_lookup_overhead if action is ATMAction.DEFER else 0.0
+            probe_cost = executor.sim.tht_lookup_overhead + ikt
+        if action is ATMAction.SKIP:
+            executor._active_memory_ops += 1
+        self.t_run = self.end = self.end + hash_cost
+        self.end += probe_cost
+        if action is ATMAction.DEFER and hash_cost > 0:
+            self.t_run = self.end
+        self.t_commit = self.t_end = self.t_run
+
+    def ran(self, task: Task) -> None:
+        cost = task.simulated_cost()
+        self.t_commit += cost
+        self.end += cost
+
+    def wait(self, backoff: float) -> None:
+        # A retry's backoff keeps the core busy in simulated time.
+        self.t_commit += backoff * 1e6
+        self.end += backoff * 1e6
+
+    def committed(self, task: Task, decision: ATMDecision) -> None:
+        executor = self.executor
+        if decision.action is ATMAction.SKIP:
+            self.end += executor._copy_cost(decision.copied_bytes)
+            self.t_end = self.end
+        elif decision.atm_handled:
+            cost = executor._copy_cost(task.output_bytes)
+            self.end += cost
+            if cost > 0:
+                self.t_end = self.end
 
 
 class SimulatedExecutor(BaseExecutor):
-    """Deterministic discrete-event multicore executor."""
+    """Deterministic discrete-event multicore executor.
+
+    Every task goes through the one Figure 1 step of
+    :class:`~repro.runtime.executor.BaseExecutor` (and so through the
+    supervision layer): :meth:`start` at dispatch with a cost clock,
+    :meth:`finish` at the task's finish event.  A task body that fails
+    terminally fails when its simulated run ends, so twins that look its
+    key up meanwhile defer on it and are rescued.
+    """
 
     time_unit = "us"
 
@@ -72,24 +143,25 @@ class SimulatedExecutor(BaseExecutor):
         sim_config: Optional[SimulationConfig] = None,
     ) -> None:
         super().__init__(config=config)
+        if self.config.task_timeout_s is not None:
+            raise ConfigurationError(
+                "task_timeout_s is a wall-clock budget and has no meaning on the "
+                "simulated executor, whose time is modelled; leave it unset for "
+                "executor='simulated'"
+            )
         self.sim = sim_config or SimulationConfig()
         self._released: set[int] = set()
         self._created: set[int] = set()
-        self._available: deque[Task] = deque()
         self._clock = 0.0
         self._seq = itertools.count()
+        self._events: list[tuple[float, int, int, int, object]] = []
         # Number of in-flight memoization (SKIP) activities; these are the
         # memory-bandwidth-bound operations that contend with each other
         # (paper Figure 7: hash/copy states slow down as cores increase).
         self._active_memory_ops = 0
-        # Running count of busy simulated cores, maintained by drain()'s
-        # free_core/dispatch pair (no per-event scans of a flag list).
-        self._busy_cores = 0
-
-    @property
-    def busy_core_count(self) -> int:
-        """Currently busy simulated cores (running counter, O(1))."""
-        return self._busy_cores
+        # Readiness is gated per task on the simulated creation event, so a
+        # batched release takes the base class's per-task path (in order).
+        self._tasks_ready = None
 
     # The simulator manages availability itself (creation throttling), so the
     # graph's ready notification only records the release.
@@ -97,12 +169,6 @@ class SimulatedExecutor(BaseExecutor):
         self._released.add(task.task_id)
         if task.task_id in self._created:
             self.scheduler.task_ready(task)
-
-    def notify_ready_batch(self, tasks) -> None:
-        # Readiness is gated per task on the simulated creation event, so a
-        # batched release degrades to the per-task path (order preserved).
-        for task in tasks:
-            self.notify_ready(task)
 
     # -- cost helpers ----------------------------------------------------------
     def _contention(self) -> float:
@@ -123,30 +189,40 @@ class SimulatedExecutor(BaseExecutor):
             return 0.0
         return (nbytes / self.sim.copy_bandwidth) * self._contention()
 
+    def _push(self, time: float, kind: int, payload: object) -> None:
+        heapq.heappush(self._events, (time, kind, next(self._seq), 0, payload))
+
+    # -- the step's simulated-time hooks -----------------------------------------
+    def _complete_deferred(self, graph: TaskDependenceGraph, deferred: tuple) -> None:
+        # A deferred consumer completes once its outputs are copied in.
+        for waiter in deferred:
+            self._push(
+                self._clock + self._copy_cost(waiter.output_bytes),
+                _EVT_DEFERRED_DONE,
+                waiter,
+            )
+
+    def _task_failed(self, *failure, worker: str = "", clock=None) -> None:
+        # The failure lands when the failed run ends in simulated time.
+        self._push(clock.end, _EVT_TASK_FAILED, (clock.core, failure, worker))
+
     # -- main loop -------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
-        pending = [t for t in graph.pending_tasks() if t.task_id not in self._created]
-        pending.sort(key=lambda t: t.task_id)
+        pending = sorted(graph.pending_tasks(), key=lambda t: t.task_id)
         if not pending and graph.all_finished:
             return self._result
-
-        events: list[tuple[float, int, int, int, object]] = []
+        self._fresh_supervisor()
+        events = self._events = []
         start_clock = self._clock
-
-        def push_event(time: float, kind: int, payload: object) -> None:
-            heapq.heappush(events, (time, kind, next(self._seq), 0, payload))
 
         # Master creates tasks at a bounded rate starting from the current clock.
         creation_interval = 1.0 / self.sim.creation_throughput
         for index, task in enumerate(pending):
             task.creation_time = start_clock + index * creation_interval
-            push_event(task.creation_time, _EVT_TASK_CREATED, task)
+            self._push(task.creation_time, _EVT_TASK_CREATED, task)
             self.trace.record(
-                0,
-                CoreState.TASK_CREATION,
-                task.creation_time,
-                task.creation_time + creation_interval * 0.5,
-                task.label,
+                0, CoreState.TASK_CREATION, task.creation_time,
+                task.creation_time + creation_interval * 0.5, task.label,
             )
 
         num_cores = self.config.num_threads
@@ -157,14 +233,7 @@ class SimulatedExecutor(BaseExecutor):
         # the O(cores) scan per dispatch attempt.
         idle_heap = list(range(num_cores))
         heapq.heapify(idle_heap)
-        self._busy_cores = 0
-        waiters: dict[int, list[tuple[Task, ATMDecision]]] = {}
-        target_completions = len(pending)
-        completions = 0
-
-        def free_core(core: int) -> None:
-            heapq.heappush(idle_heap, core)
-            self._busy_cores -= 1
+        self._active_memory_ops = 0
 
         def dispatch(now: float) -> None:
             while idle_heap:
@@ -173,8 +242,7 @@ class SimulatedExecutor(BaseExecutor):
                 if task is None:
                     heapq.heappush(idle_heap, core)
                     return
-                self._busy_cores += 1
-                self._start_task(task, core, now, waiters, push_event)
+                self._occupy(core, task, graph, now)
 
         while events:
             now, kind, _, _, payload = heapq.heappop(events)
@@ -189,124 +257,59 @@ class SimulatedExecutor(BaseExecutor):
                     self.scheduler.task_ready(task)
             elif kind == _EVT_TASK_FINISH:
                 task, core, decision, executed = payload  # type: ignore[misc]
-                if decision.atm_handled:
-                    # The engine copies into the deferred consumers it names;
-                    # their completion (and copy cost) is scheduled below.
-                    task.engine.task_finished(task, decision, executed, worker_id=core)
-                if decision.action == ATMAction.SKIP:
+                if decision.action is ATMAction.SKIP:
                     self._active_memory_ops = max(0, self._active_memory_ops - 1)
-                free_core(core)
-                final_state = TaskState.FINISHED if executed else TaskState.MEMOIZED
-                self._complete(graph, task, final_state)
-                completions += 1
-                self._account(decision)
+                heapq.heappush(idle_heap, core)
                 task.finish_time = now
-                # Wake consumers waiting on this in-flight producer.
-                for waiter, waiter_decision in waiters.pop(task.task_id, []):
-                    copy_cost = self._copy_cost(
-                        waiter_decision.copied_bytes or waiter.output_bytes
-                    )
-                    push_event(now + copy_cost, _EVT_DEFERRED_DONE, (waiter, waiter_decision))
+                self.finish(task, graph, decision, executed, core)
                 dispatch(now)
             elif kind == _EVT_DEFERRED_DONE:
-                waiter, waiter_decision = payload  # type: ignore[misc]
-                self._complete(graph, waiter, TaskState.MEMOIZED)
-                completions += 1
-                self._account(waiter_decision)
-                waiter.finish_time = now
+                payload.finish_time = now  # type: ignore[attr-defined]
+                super()._complete_deferred(graph, (payload,))
                 dispatch(now)
             elif kind == _EVT_CORE_FREE:
-                core = payload  # type: ignore[assignment]
-                free_core(core)
+                heapq.heappush(idle_heap, payload)
                 dispatch(now)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown event kind {kind}")
+            elif kind == _EVT_TASK_FAILED:
+                core, failure, worker = payload  # type: ignore[misc]
+                if core is not None:
+                    heapq.heappush(idle_heap, core)
+                failure[0].finish_time = now
+                super()._task_failed(*failure, worker=worker, clock=_CostClock(self, now))
+                dispatch(now)
 
             dispatch(self._clock)
             self.trace.sample_ready(self._clock, self.scheduler.pending())
 
-        if completions != target_completions:
+        # Completed, failed and cancelled tasks alike leave the creation gate.
+        for task in pending:
+            self._released.discard(task.task_id)
+            self._created.discard(task.task_id)
+
+        unfinished = sum(1 for task in pending if not task.state.is_terminal)
+        if unfinished:
             raise SimulationError(
-                f"simulation ended with {completions}/{target_completions} tasks "
-                "completed (dependence cycle or lost event)"
+                f"simulation ended with {unfinished}/{len(pending)} tasks "
+                "neither completed, failed nor cancelled (dependence cycle or lost event)"
             )
         self._result.elapsed += self._clock - start_clock
         return self._result
 
-    # -- per-task processing ----------------------------------------------------
-    def _complete(self, graph: TaskDependenceGraph, task: Task, state: TaskState) -> None:
-        """Complete ``task`` in the graph; its release and creation records go."""
-        graph.complete_task(task, state)
-        self._released.discard(task.task_id)
-        self._created.discard(task.task_id)
-
-    def _start_task(
-        self,
-        task: Task,
-        core: int,
-        now: float,
-        waiters: dict[int, list[tuple[Task, ATMDecision]]],
-        push_event,
-    ) -> None:
-        decision = self._lookup(task, task.engine, core)
+    def _occupy(self, core: int, task: Task, graph: TaskDependenceGraph, now: float) -> None:
+        """Dispatch ``task`` on ``core``: the step's first half, its trace
+        records, and the event that frees the core."""
         task.start_time = now
         task.executed_on = core
-        overhead = self.sim.task_overhead
-        hash_cost = self._hash_cost(decision.hashed_bytes)
-        lookup_cost = 0.0
-        if decision.atm_handled:
-            lookup_cost += self.sim.tht_lookup_overhead
-            if decision.action in (ATMAction.DEFER,):
-                lookup_cost += self.sim.ikt_lookup_overhead
-
-        if decision.action == ATMAction.SKIP:
-            self._active_memory_ops += 1
-            copy_cost = self._copy_cost(decision.copied_bytes)
-            busy_until = now + overhead + hash_cost + lookup_cost + copy_cost
-            if hash_cost > 0:
-                self.trace.record(core, CoreState.ATM_HASH, now + overhead, now + overhead + hash_cost, task.label)
-            self.trace.record(
-                core,
-                CoreState.ATM_MEMOIZATION,
-                now + overhead + hash_cost,
-                busy_until,
-                task.label,
-            )
-            push_event(busy_until, _EVT_TASK_FINISH, (task, core, decision, False))
-        elif decision.action == ATMAction.DEFER:
-            producer = decision.waiting_on
-            if producer is None:
-                raise SimulationError(f"DEFER decision for {task.label} without a producer")
-            busy_until = now + overhead + hash_cost + lookup_cost
-            if hash_cost > 0:
-                self.trace.record(core, CoreState.ATM_HASH, now + overhead, busy_until, task.label)
-            waiters.setdefault(producer.task_id, []).append((task, decision))
+        clock = _CostClock(self, now, core)
+        decision = self.start(task, graph, core, clock)
+        if decision is None:
+            return  # its failure event frees the core
+        executed = not decision.skips_execution
+        if decision.action is ATMAction.DEFER:
             task.state = TaskState.WAITING_INFLIGHT
-            push_event(busy_until, _EVT_CORE_FREE, core)
+            event = (_EVT_CORE_FREE, core)
         else:
-            # EXECUTE or EXECUTE_AND_TRAIN: run the task functionally now.
-            task.state = TaskState.RUNNING
-            task.run()
-            exec_cost = task.simulated_cost()
-            commit_cost = 0.0
-            if decision.atm_handled:
-                commit_cost = self._copy_cost(task.output_bytes)
-            busy_until = now + overhead + hash_cost + lookup_cost + exec_cost + commit_cost
-            if hash_cost > 0:
-                self.trace.record(core, CoreState.ATM_HASH, now + overhead, now + overhead + hash_cost, task.label)
-            self.trace.record(
-                core,
-                CoreState.TASK_EXECUTION,
-                now + overhead + hash_cost,
-                now + overhead + hash_cost + exec_cost,
-                task.label,
-            )
-            if commit_cost > 0:
-                self.trace.record(
-                    core,
-                    CoreState.ATM_MEMOIZATION,
-                    now + overhead + hash_cost + exec_cost,
-                    busy_until,
-                    task.label,
-                )
-            push_event(busy_until, _EVT_TASK_FINISH, (task, core, decision, True))
+            clock.committed(task, decision)
+            event = (_EVT_TASK_FINISH, (task, core, decision, executed))
+        self._trace_step(core, task, executed, clock)
+        self._push(clock.end, *event)

@@ -1,29 +1,37 @@
 """Backend-agnostic task supervision.
 
-Every executor backend — serial, threaded, process, network, simulated —
-funnels its failure handling through this module so that the four
-supervision knobs on :class:`repro.common.config.RuntimeConfig` mean the
-same thing everywhere:
+The four supervision knobs on :class:`repro.common.config.RuntimeConfig`
+mean the same thing on every executor backend, because each one hands its
+task failures to a :class:`TaskSupervisor`:
+
+* serial, threaded and simulated run every task through the one Figure 1
+  step of :class:`repro.runtime.executor.BaseExecutor` (``start`` runs the
+  body under ``_run_supervised``, a terminal failure goes to
+  ``_task_failed``); the simulator charges retry backoffs to the core in
+  simulated time and lands a terminal failure when its simulated run ends;
+* process and network workers only run bodies and report; the parent's
+  :class:`repro.runtime.dispatch.ChunkDispatcher` supervises them.
 
 ``task_timeout_s``
-    Per-task wall-clock budget.  In-process backends (serial/threaded)
-    cannot preempt a running Python frame, so they detect the overrun
-    *post hoc* when the task returns.  The process and network backends
-    share one wedge rule (``ChunkDispatcher._check_wedged``): under a
-    timeout a chunk is one task, a worker acknowledges a chunk as it
-    starts on it, and a chunk older than ``task_timeout_s +
-    TIMEOUT_GRACE`` since that ack is terminal at once; its worker is
-    taken out of service (the process killed and respawned, the endpoint
-    excluded) and whatever else it held requeues uncharged.
+    Per-task wall-clock budget.  Serial and threaded cannot preempt a
+    running Python frame, so they detect the overrun *post hoc* when the
+    task returns.  The process and network backends share one wedge rule
+    (``ChunkDispatcher._check_wedged``): under a timeout a chunk is one
+    task, a worker acknowledges a chunk as it starts on it, and a chunk
+    older than ``task_timeout_s + TIMEOUT_GRACE`` since that ack is
+    terminal at once; its worker is taken out of service (the process
+    killed and respawned, the endpoint excluded) and whatever else it held
+    requeues uncharged.  The simulator's time is modelled, so it refuses
+    the knob at construction.
 ``task_max_retries`` / ``retry_backoff_s``
     Bounded re-execution of a failed task with exponential backoff:
-    attempt ``k`` (1-based) sleeps ``retry_backoff_s * 2**(k-1)`` before
+    attempt ``k`` (1-based) waits ``retry_backoff_s * 2**(k-1)`` before
     re-running.  Timeouts are not retried — a task that blew its budget
     once will blow it again.
 ``drain_timeout_s``
-    Wall-clock bound on a whole drain; replaces the per-backend
-    ``DRAIN_TIMEOUT`` class constants.  Expiry dumps all thread stacks
-    via :func:`faulthandler` (so hung CI runs are diagnosable) and raises
+    Wall-clock bound on a whole drain of the serial, threaded, process and
+    network backends.  Expiry dumps all thread stacks via
+    :func:`faulthandler` (so hung CI runs are diagnosable) and raises
     :class:`DrainAbortedError`.
 
 ``on_task_failure`` selects the terminal policy: ``"abort"`` (default)
@@ -61,8 +69,8 @@ __all__ = [
     "dump_stacks",
 ]
 
-#: Poll cadence (seconds) for every backend's blocking result/inbox loop;
-#: replaces the per-backend ``RESULT_POLL`` class constants.
+#: Poll cadence (seconds) of the remote backends' blocking result and
+#: inbox loops.
 POLL_INTERVAL = 0.02
 
 #: Scheduling-latency allowance (seconds) the chunk dispatcher adds to an

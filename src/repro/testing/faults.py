@@ -1,13 +1,13 @@
 """Backend-agnostic fault-injection harness (DESIGN.md §"Failure semantics").
 
-One fault matrix, four executor backends.  The harness has two halves:
+One fault matrix, five executor backends.  The harness has two halves:
 
 * **Misbehaving task bodies** — module-level (the process and network
   backends ship task functions by name) and deliberately boring:
   raise deterministically, raise until the N-th attempt, sleep past the
   task budget, or kill the hosting worker process outright.  Cross-process
   attempt counting uses marker files under a caller-owned directory, the
-  only channel all four backends share.
+  only channel all the backends share.
 * **A session factory** — :func:`fault_session` builds a
   :class:`~repro.session.Session` over any backend with the supervision
   knobs (``task_timeout_s``, ``task_max_retries``, ``retry_backoff_s``,
@@ -43,9 +43,8 @@ __all__ = [
     "submit_one",
 ]
 
-#: Backends the fault matrix runs against (simulated replays traces; it
-#: never executes user task bodies, so there is nothing to inject into).
-BACKENDS = ("serial", "threaded", "process", "network")
+#: Backends the fault matrix runs against.
+BACKENDS = ("serial", "threaded", "process", "network", "simulated")
 
 #: Hard bound on every harness drain: a hung failure path fails the test
 #: loudly instead of stalling the suite.

@@ -258,6 +258,12 @@ def simulator_schedule_checksum(benchmark: str, mode: str) -> tuple[str, str]:
     return output_checksum(app), f"{hash_bytes(np.ascontiguousarray(schedule)):016x}"
 
 
+#: The simulated schedules at tiny scale under static ATM on 4 cores.  A
+#: change to the simulator's cost model or event order moves them; such a
+#: change re-baselines them here, on purpose.
+PINNED_SCHEDULES = {"blackscholes": "fa71c943ece18340", "jacobi": "03e98e663f2ece13"}
+
+
 @pytest.mark.parametrize("bench_name", ["blackscholes", "jacobi"])
 def test_simulator_outputs_match_serial_and_schedule_is_deterministic(bench_name):
     serial_checksum, _ = run_tiny(bench_name, "serial", "static")
@@ -266,3 +272,4 @@ def test_simulator_outputs_match_serial_and_schedule_is_deterministic(bench_name
     assert out_first == serial_checksum
     assert out_second == serial_checksum
     assert sched_first == sched_second
+    assert sched_first == PINNED_SCHEDULES[bench_name]

@@ -1,12 +1,13 @@
-"""One fault matrix, four backends (``pytest -m fault``).
+"""One fault matrix, five backends (``pytest -m fault``).
 
 Every scenario runs unchanged — through :mod:`repro.testing.faults` —
-against the serial, threaded, process and network executors: a
-deterministically raising task, a flaky task healed by retries, retry
-exhaustion, a wedged task against ``task_timeout_s``, a killed worker
-process, and quarantine of a dependent subgraph.  Each asserts the
-*named* taxonomy error, the structured ``failures`` report, and a
-wall-clock bound (no failure path may hang).
+against the serial, threaded, process, network and simulated executors:
+a deterministically raising task, a flaky task healed by retries, retry
+exhaustion, and quarantine of a dependent subgraph.  A wedged task against
+``task_timeout_s`` runs on the four wall-clock backends (the simulator
+refuses the knob), a killed worker process on the process backend.  Each
+asserts the *named* taxonomy error, the structured ``failures`` report,
+and a wall-clock bound (no failure path may hang).
 
 The matrix sleeps (backoffs, wedges, worker respawns), so it lives in
 its own marker tier like ``net_soak``; tier-1 covers the same machinery
@@ -92,7 +93,7 @@ def test_retry_exhaustion_is_terminal_with_attempt_count(backend, tmp_path):
         assert len(f.read()) == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ["serial", "threaded", "process", "network"])
 def test_wedged_task_times_out(backend):
     # In-process backends detect the overrun post hoc (the sleep completes);
     # process/network kill or exclude the wedged worker preemptively, so the

@@ -7,19 +7,29 @@ import threading
 import numpy as np
 import pytest
 
-from repro.common.config import RuntimeConfig
+from repro.atm.engine import ATMEngine
+from repro.atm.policy import StaticATMPolicy
+from repro.atm.tht import TaskHistoryTable
+from repro.common.config import ATMConfig, RuntimeConfig
 from repro.common.exceptions import (
+    ConfigurationError,
     DrainAbortedError,
     TaskFailedError,
     TaskTimeoutError,
     WorkerLostError,
 )
+from repro.runtime.atm_protocol import MemoizationEngineProtocol
 from repro.runtime.data import In, Out
 from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TaskFailure, TaskSupervisor, dump_stacks
 from repro.runtime.task import Task, TaskState, TaskType
+from repro.serving.gateway import _SharedTierProbe
+from repro.session import Session
 from repro.testing.faults import BACKENDS, fault_session, raising_body, square_body
+
+#: The backends that run task bodies in this process, the simulator included.
+IN_PROCESS = ("serial", "threaded", "simulated")
 
 
 def make_task(task_id: int = 1, name: str = "probe") -> Task:
@@ -206,3 +216,102 @@ class TestBornCancelledAccounting:
         assert (result.tasks_failed, result.tasks_cancelled) == (1, 1)
         assert result.failures[0].task_id == failing.task_id
         assert result.failures[0].cancelled == (follow_up.label,)
+
+
+def submit_failing_chain(session) -> None:
+    """``boom#0`` raises; ``dep#1`` reads what it would have written."""
+    a, b, c = np.arange(4.0), np.zeros(4), np.zeros(4)
+    session.submit(TaskType("boom", memoizable=False), raising_body,
+                   accesses=[In(a), Out(b)], args=(a, b))
+    session.submit(TaskType("dep", memoizable=False), square_body,
+                   accesses=[In(b), Out(c)], args=(b, c))
+
+
+class TestEveryBackendRunsTheSupervisedStep:
+    """A raising task with one dependent ends the same way on every
+    in-process backend: the simulator runs its tasks through the same
+    supervised step as serial and threaded."""
+
+    @pytest.mark.parametrize("backend", IN_PROCESS)
+    def test_abort_names_the_failed_task(self, backend):
+        with pytest.raises(DrainAbortedError, match=r"boom#0") as excinfo:
+            with fault_session(backend) as session:
+                submit_failing_chain(session)
+                session.wait_all()
+        (failure,) = excinfo.value.failures
+        assert failure.label == "boom#0" and failure.error == "TaskFailedError"
+
+    @pytest.mark.parametrize("backend", IN_PROCESS)
+    def test_quarantine_reports_the_failure_and_cancels_the_dependent(self, backend):
+        with fault_session(backend, on_task_failure="quarantine") as session:
+            submit_failing_chain(session)
+            result = session.wait_all()
+        assert (result.tasks_failed, result.tasks_cancelled) == (1, 1)
+        (failure,) = result.failures
+        assert failure.label == "boom#0" and failure.cancelled == ("dep#1",)
+
+    def test_a_quarantined_simulated_round_leaves_no_task_ids_behind(self):
+        with fault_session("simulated", on_task_failure="quarantine") as session:
+            submit_failing_chain(session)
+            for _ in range(3):
+                x, y = np.arange(4.0), np.zeros(4)
+                session.submit(TaskType("indep", memoizable=False), square_body,
+                               accesses=[In(x), Out(y)], args=(x, y))
+            result = session.wait_all()
+            assert (result.tasks_completed, result.tasks_failed) == (3, 1)
+            assert session.executor._released == set()
+            assert session.executor._created == set()
+
+    def test_simulated_refuses_a_wall_clock_task_timeout(self):
+        with pytest.raises(ConfigurationError, match="task_timeout_s") as excinfo:
+            build_executor(RuntimeConfig(executor="simulated", task_timeout_s=1.0))
+        assert "simulated" in str(excinfo.value)
+
+
+class TestOrphanRescue:
+    """Twins deferred on a producer that then fails are executed directly."""
+
+    def test_twins_deferred_on_a_failed_producer_run_and_its_key_leaves_the_ikt(self):
+        calls = []
+
+        def first_call_raises(src, dst):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("producer fails once")
+            dst[:] = src ** 2
+
+        config = {
+            "runtime": {"executor": "simulated", "num_threads": 2,
+                        "on_task_failure": "quarantine"},
+            "atm": {"mode": "static"},
+        }
+        twin = TaskType("twin", memoizable=True)
+        src = np.arange(16.0)
+        # Four content twins on separate arrays: no dependence between them.
+        sources = [src.copy() for _ in range(4)]
+        outputs = [np.zeros(16) for _ in range(4)]
+        with Session(config) as session:
+            producer, *twins = [
+                session.submit(twin, first_call_raises, accesses=[In(x), Out(y)], args=(x, y))
+                for x, y in zip(sources, outputs)
+            ]
+            result = session.wait_all()
+            assert len(session.engine.ikt) == 0  # the dead producer's key retired
+        assert producer.state is TaskState.FAILED
+        # All three twins deferred on the producer while it ran (one of them
+        # executing instead would leave the others memoized): each was
+        # rescued, executed once and counted once.
+        assert [t.state for t in twins] == [TaskState.FINISHED] * 3
+        assert len(calls) == 4
+        assert (result.tasks_completed, result.tasks_executed) == (3, 3)
+        assert (result.tasks_failed, result.tasks_cancelled) == (1, 0)
+        assert all(np.array_equal(out, src ** 2) for out in outputs[1:])
+
+
+def test_every_engine_can_abandon_a_task():
+    config = ATMConfig()
+    engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
+    tenant_engine = _SharedTierProbe(engine, TaskHistoryTable(config))
+    for candidate in (engine, tenant_engine):
+        assert isinstance(candidate, MemoizationEngineProtocol)
+        assert callable(candidate.task_abandoned)

@@ -5,7 +5,7 @@ this is the check on what the runtime's bookkeeping keeps.  A probe runs 20
 rounds of two-access tasks over one set of arrays, each round ending in a
 barrier and ``gc.collect()``, under ``tracemalloc``: after round 0, traced
 memory and the number of GC-tracked objects may grow by at most 5 % — on
-serial, threaded and process Sessions, and on a gateway serving two tenants
+serial, threaded, process and simulated Sessions, and on a gateway serving two tenants
 for 1 000 requests.  An array the program drops after a task wrote it and
 another read it must be collected after the barrier, and the dependence
 tracker's index for it with it.  A process Session that ships fresh arrays
@@ -102,7 +102,9 @@ def _session_rounds(executor: str, rows: int):
     assert np.all(target == 1.0)
 
 
-@pytest.mark.parametrize("executor, rows", [("serial", 256), ("threaded", 256), ("process", 64)])
+@pytest.mark.parametrize(
+    "executor, rows", [("serial", 256), ("threaded", 256), ("process", 64), ("simulated", 256)]
+)
 def test_a_long_session_stays_flat(executor, rows):
     _assert_flat(_session_rounds(executor, rows))
 
@@ -161,7 +163,7 @@ def test_a_live_task_costs_three_gc_tracked_objects():
         assert added <= budget, f"{added} GC-tracked objects for {rows * sweeps} tasks"
 
 
-@pytest.mark.parametrize("executor", ["serial", "threaded", "process"])
+@pytest.mark.parametrize("executor", ["serial", "threaded", "process", "simulated"])
 def test_a_dropped_array_is_collected_after_the_barrier(executor):
     kept = np.ones(1024)
     with Session({"runtime": {"executor": executor, "num_threads": 2}}) as session:
