@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench size figures examples process-backend net-loopback net-residency net-soak fault-matrix serve-smoke tht-store wire-fuzz soak-threaded ci
+.PHONY: test bench size figures figures-diff examples process-backend net-loopback net-residency net-soak fault-matrix serve-smoke tht-store wire-fuzz soak-threaded ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -21,6 +21,13 @@ size:
 # are tier-1 tests: tests/evaluation/test_figures_cli.py).
 figures:
 	$(PYTHON) -m repro.evaluation all --scale tiny
+
+# The figures at REF (default HEAD~1) against the working tree, on this host:
+# a unified diff, exit 1 when they differ.  Not a CI tier: a change that
+# re-baselines the figures on purpose differs.
+REF ?= HEAD~1
+figures-diff:
+	$(PYTHON) scripts/figures_diff.py $(REF)
 
 # API-facing docs can't rot: run the doctests of the public API modules and
 # execute all four examples serially at smoke scales.

@@ -16,7 +16,10 @@ behind one tiny interface, selected by the ``atm.tht_store`` URL:
   *append* one delta frame (a single ``write`` on an ``O_APPEND`` handle);
   when the file accumulates more than :data:`COMPACT_AFTER_FRAMES` deltas it
   is rewritten as one consolidated snapshot via a temp file and an atomic
-  ``os.replace`` — readers never observe a half-written store.
+  ``os.replace`` — readers never observe a half-written store.  An append
+  cut short leaves a *torn tail*: the reader keeps the frames in front of
+  it (with a ``RuntimeWarning``) and the next publish rewrites the file
+  without it.
 
 * :class:`ShardTHTStore` (``tcp://<host>:<port>``) — a client of the
   standalone cache-shard daemon (``scripts/tht_shard.py``), speaking
@@ -27,8 +30,8 @@ behind one tiny interface, selected by the ``atm.tht_store`` URL:
   shard, fetches are whole-table snapshots.
 
 Failure semantics: a store that cannot be read raises
-:class:`~repro.common.exceptions.THTStoreCorruptError` (bad frame, bad
-header) or :class:`~repro.common.exceptions.THTStoreUnavailableError`
+:class:`~repro.common.exceptions.THTStoreCorruptError` (bad frame before the
+tail, bad header) or :class:`~repro.common.exceptions.THTStoreUnavailableError`
 (shard unreachable) — never silently-garbage entries.  A file written under
 another schema raises :class:`~repro.common.exceptions.THTStoreSchemaError`
 naming both schemas, and is never overwritten.  :func:`warm_start` (the one
@@ -59,8 +62,9 @@ from repro.common.exceptions import (
     WireProtocolError,
 )
 from repro.runtime.net_wire import (
+    decode_frame,
     encode_frame,
-    iter_frames,
+    is_torn_frame,
     read_frame,
     request,
     write_frame,
@@ -261,25 +265,45 @@ class FileTHTStore:
             )
         ))
 
-    def _read_frames(self) -> list:
-        """Decode every frame of the file; raise the named error on damage."""
+    def _read_frames(self) -> tuple[list, int]:
+        """Decode the file's frames in order; returns ``(frames, torn)``.
+
+        ``torn`` counts the bytes of a torn tail after the header (the last
+        frame as an interrupted append leaves it, ``is_torn_frame``),
+        dropped with a ``RuntimeWarning`` so the frames in front of it are
+        kept.  Any other damage raises the named error.
+        """
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
-            return []
+            return [], 0
         except OSError as exc:
             raise THTStoreError(f"cannot read THT store {self.path}: {exc}") from exc
-        try:
-            frames = list(iter_frames(raw))
-        except PickledControlError as exc:
-            raise THTStoreSchemaError(
-                f"THT store {self.path} was written by schema 4 or earlier; "
-                f"this build reads schema {STORE_SCHEMA_VERSION}: {exc}"
-            ) from exc
-        except WireProtocolError as exc:
-            raise THTStoreCorruptError(
-                f"THT store {self.path} is corrupt or truncated: {exc}"
-            ) from exc
+        frames: list = []
+        view, at = memoryview(raw), 0
+        while at < len(raw):
+            try:
+                message, consumed = decode_frame(view[at:])
+            except PickledControlError as exc:
+                raise THTStoreSchemaError(
+                    f"THT store {self.path} was written by schema 4 or earlier; "
+                    f"this build reads schema {STORE_SCHEMA_VERSION}: {exc}"
+                ) from exc
+            except WireProtocolError as exc:
+                if not frames or not is_torn_frame(view[at:]):
+                    raise THTStoreCorruptError(
+                        f"THT store {self.path} is corrupt or truncated: {exc}"
+                    ) from exc
+                warnings.warn(
+                    f"THT store {self.path}: dropped a torn tail of "
+                    f"{len(raw) - at} bytes at offset {at} ({exc}); the "
+                    f"{len(frames)} frames in front of it are kept",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                break
+            frames.append(message)
+            at += consumed
         # One (kind, dict) header, then (kind, THT delta) frames.
         header = frames[0] if frames else None
         if not (type(header) is tuple and len(header) == 2 and header[0] == _HEADER_KIND
@@ -296,13 +320,13 @@ class FileTHTStore:
         if not all(type(frame) is tuple and len(frame) == 2 and frame[0] == _DELTA_KIND
                    and _is_delta(frame[1]) for frame in frames[1:]):
             raise THTStoreCorruptError(f"THT store {self.path} contains a non-delta frame")
-        return frames
+        return frames, len(raw) - at
 
     # -- store interface ----------------------------------------------------------
     def load(self) -> dict:
         """Aggregated content of the store (empty delta for a missing file)."""
         with self._lock:
-            frames = self._read_frames()
+            frames, _ = self._read_frames()
         return merge_deltas([frame[1] for frame in frames[1:]])
 
     def publish(self, delta: dict) -> int:
@@ -311,7 +335,8 @@ class FileTHTStore:
         The append is a single ``write`` on an append-mode handle (the
         frame's scatter list is joined once for it), fsynced, so concurrent
         publishers interleave whole frames; compaction rewrites through a
-        temp file + atomic ``os.replace``.
+        temp file + atomic ``os.replace``, as is a file with a torn tail:
+        header, the frames in front of the tail and this one.
         """
         entries = delta.get("entries", [])
         if not entries:
@@ -320,15 +345,16 @@ class FileTHTStore:
         compact_after = False
         with self._lock:
             try:
-                existing = self._read_frames()
+                existing, torn = self._read_frames()
             except THTStoreSchemaError:
                 raise  # another schema's file is never overwritten
             except THTStoreCorruptError:
                 # Self-heal: a damaged store is replaced by this snapshot
                 # instead of having good frames appended after bad bytes.
-                existing = []
-            if not existing:
-                self._write_atomic([frame])
+                existing, torn = [], 0
+            if not existing or torn:
+                kept = [bytes(encode_frame(message)) for message in existing[1:]]
+                self._write_atomic(kept + [frame])
             else:
                 with open(self.path, "ab") as handle:
                     handle.write(frame)
@@ -342,7 +368,7 @@ class FileTHTStore:
     def compact(self) -> None:
         """Rewrite the file as header + one consolidated delta frame."""
         with self._lock:
-            frames = self._read_frames()
+            frames, _ = self._read_frames()
             if not frames:
                 return
             merged = merge_deltas([frame[1] for frame in frames[1:]])
@@ -372,7 +398,7 @@ class FileTHTStore:
     def stats(self) -> dict:
         with self._lock:
             try:
-                frames = self._read_frames()
+                frames, _ = self._read_frames()
             except THTStoreError:
                 frames = []
         merged = merge_deltas([frame[1] for frame in frames[1:]])

@@ -197,12 +197,10 @@ class RuntimeConfig(_Section):
         ``"simulated"`` (DESIGN.md §4), or a name registered on
         ``EXECUTORS``.
     scheduler:
-        Ready-queue policy name (``"fifo"``, ``"lifo"`` or
-        ``"work_stealing"``).
+        Ready-queue policy name: ``"fifo"`` or a name registered on
+        ``SCHEDULERS``.
     enable_tracing:
         Record per-core state intervals and ready-queue depth samples.
-    seed:
-        Seed for any stochastic scheduling decisions (work stealing).
     mp_chunk_size:
         Maximum ready tasks batched into one dispatch message of the
         process backend (amortises per-message framing on wide graphs;
@@ -268,7 +266,6 @@ class RuntimeConfig(_Section):
     executor: str = "serial"
     scheduler: str = "fifo"
     enable_tracing: bool = False
-    seed: int = 2017
     mp_chunk_size: int = 8
     net_endpoints: str = "loopback"
     net_timeout_s: float = 30.0

@@ -118,7 +118,7 @@ EXECUTORS = Registry(
 #: Ready-queue policies; factories take (config,).
 SCHEDULERS = Registry(
     "scheduler",
-    builtins=("fifo", "lifo", "work_stealing"),
+    builtins=("fifo",),
     provider_module="repro.runtime.scheduler",
 )
 

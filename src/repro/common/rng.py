@@ -1,7 +1,7 @@
 """Deterministic random-number helpers.
 
 Everything stochastic in the reproduction (workload generation, index
-shuffles, work-stealing victims) derives from named, seeded generators so
+shuffles) derives from named, seeded generators so
 experiments are bit-reproducible across runs and machines.
 """
 

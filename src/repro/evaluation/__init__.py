@@ -1,9 +1,10 @@
 """Evaluation harness: regenerates every table and figure of the paper.
 
-Each ``figN_*`` / ``tables`` module exposes a ``compute(...)`` function that
-returns plain data structures and a ``report(...)`` function that renders
-them as text, so the same code backs the CLI (``python -m repro.evaluation``)
-and the paper-shape assertions of ``tests/evaluation``.
+Each table and figure is one row of :data:`repro.evaluation.figures.FIGURES`;
+``figures.compute`` runs a row and returns its values, ``figures.render``
+prints them, so the same code backs the CLI (``python -m repro.evaluation``)
+and the paper-shape assertions of ``tests/evaluation``.  The runner, the
+oracle search and the text rendering are the layer underneath.
 """
 
 from repro.evaluation.runner import (

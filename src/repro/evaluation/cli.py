@@ -7,40 +7,21 @@ Usage::
     python -m repro.evaluation all --scale tiny
     repro-atm table3
 
-Every subcommand prints its result to stdout (and optionally writes it to a
-file with ``--output``).
+One subcommand per row of :data:`repro.evaluation.figures.FIGURES`, plus
+``all`` (every row, in table order).  Every subcommand prints its result to
+stdout (and optionally writes it to a file with ``--output``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.apps.registry import BENCHMARK_NAMES
-from repro.evaluation import (
-    ablation_sizing,
-    fig3_speedup,
-    fig4_correctness,
-    fig5_sensitivity,
-    fig6_scalability,
-    fig7_trace,
-    fig8_ready_tasks,
-    fig9_redundancy,
-    tables,
-)
+from repro.evaluation.figures import FIGURES, compute, render
 
 __all__ = ["main", "build_parser"]
-
-
-def _common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", default="small", choices=["tiny", "small", "paper"],
-                        help="workload scale (default: small)")
-    parser.add_argument("--cores", type=int, default=8, help="simulated core count")
-    parser.add_argument("--seed", type=int, default=2017, help="workload seed")
-    parser.add_argument("--benchmarks", nargs="*", default=None,
-                        help="subset of benchmarks (default: all six)")
-    parser.add_argument("--output", default=None, help="also write the report to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,99 +30,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the evaluation of 'ATM: Approximate Task Memoization in the Runtime System'",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("fig3", "speedup of Static/Dynamic ATM and Oracles"),
-        ("fig4", "final correctness"),
-        ("fig5", "correctness vs sampling fraction p"),
-        ("fig6", "scalability over 1..8 cores"),
-        ("fig7", "Gauss-Seidel execution trace (2 vs 8 cores)"),
-        ("fig8", "Blackscholes ready-task pressure with/without ATM"),
-        ("fig9", "cumulative generated reuse"),
-        ("table1", "benchmark description"),
-        ("table2", "Dynamic ATM parameters"),
-        ("table3", "ATM memory overhead"),
-        ("ablation", "THT sizing ablation"),
-        ("all", "run everything"),
-    ]:
+    commands = {name: figure.help for name, figure in FIGURES.items()}
+    for name, help_text in {**commands, "all": "run everything"}.items():
         command = sub.add_parser(name, help=help_text)
-        _common_args(command)
+        command.add_argument("--scale", default="small", choices=["tiny", "small", "paper"],
+                             help="workload scale (default: small)")
+        command.add_argument("--cores", type=int, default=8, help="simulated core count")
+        command.add_argument("--seed", type=int, default=2017, help="workload seed")
+        command.add_argument("--benchmarks", nargs="*", default=None,
+                             help="subset of benchmarks (default: all six)")
+        command.add_argument("--output", default=None, help="also write the report to this file")
     return parser
 
 
-def _benchmarks(args: argparse.Namespace) -> tuple[str, ...]:
-    if args.benchmarks:
-        return tuple(args.benchmarks)
-    return BENCHMARK_NAMES
-
-
-def _run_command(args: argparse.Namespace) -> str:
-    name = args.command
-    benchmarks = _benchmarks(args)
-    if name == "fig3":
-        return fig3_speedup.report(
-            fig3_speedup.compute(scale=args.scale, cores=args.cores,
-                                 benchmarks=benchmarks, seed=args.seed)
-        )
-    if name == "fig4":
-        return fig4_correctness.report(
-            fig4_correctness.compute(scale=args.scale, cores=args.cores,
-                                     benchmarks=benchmarks, seed=args.seed)
-        )
-    if name == "fig5":
-        return fig5_sensitivity.report(
-            fig5_sensitivity.compute(scale=args.scale, cores=args.cores,
-                                     benchmarks=benchmarks, seed=args.seed)
-        )
-    if name == "fig6":
-        return fig6_scalability.report(
-            fig6_scalability.compute(scale=args.scale, benchmarks=benchmarks, seed=args.seed)
-        )
-    if name == "fig7":
-        return fig7_trace.report(
-            fig7_trace.compute(scale=args.scale, seed=args.seed)
-        )
-    if name == "fig8":
-        return fig8_ready_tasks.report(
-            fig8_ready_tasks.compute(scale=args.scale, cores=args.cores, seed=args.seed)
-        )
-    if name == "fig9":
-        return fig9_redundancy.report(
-            fig9_redundancy.compute(scale=args.scale, cores=args.cores,
-                                    benchmarks=benchmarks, seed=args.seed)
-        )
-    if name == "table1":
-        return tables.report_table1(tables.compute_table1(scale=args.scale, seed=args.seed))
-    if name == "table2":
-        return tables.report_table2(tables.compute_table2())
-    if name == "table3":
-        return tables.report_table3(tables.compute_table3(scale=args.scale, seed=args.seed))
-    if name == "ablation":
-        bits = ablation_sizing.report(
-            ablation_sizing.compute_bucket_bits_sweep(scale=args.scale, cores=args.cores, seed=args.seed),
-            benchmark="blackscholes",
-        )
-        capacity = ablation_sizing.report(
-            ablation_sizing.compute_capacity_sweep(scale=args.scale, cores=args.cores, seed=args.seed),
-            benchmark="kmeans",
-        )
-        return bits + "\n\n" + capacity
-    if name == "all":
-        sections: list[str] = []
-        for sub_name in ("table1", "table2", "table3", "fig3", "fig4", "fig5",
-                         "fig6", "fig7", "fig8", "fig9", "ablation"):
-            sub_args = argparse.Namespace(**vars(args))
-            sub_args.command = sub_name
-            sections.append(f"==== {sub_name} ====")
-            sections.append(_run_command(sub_args))
-            sections.append("")
-        return "\n".join(sections)
-    raise SystemExit(f"unknown command {name!r}")
+def _report(name: str, args: argparse.Namespace) -> str:
+    return render(compute(
+        FIGURES[name], scale=args.scale, cores=args.cores, seed=args.seed,
+        benchmarks=tuple(args.benchmarks or BENCHMARK_NAMES),
+    ))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report = _run_command(args)
+    args = build_parser().parse_args(argv)
+    if args.command == "all":
+        report = "\n".join(
+            f"==== {name} ====\n{_report(name, args)}\n" for name in FIGURES
+        )
+    else:
+        report = _report(args.command, args)
     print(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -8,7 +8,8 @@ time, the reuse statistics, the program correctness against a cached no-ATM
 reference run, the ATM memory overhead and, optionally, the execution trace.
 
 The spec is a thin *view* over the Session API's unified config tree: it
-adds the two experiment-only coordinates (``benchmark``, ``scale``) on top of
+adds the three experiment-only coordinates (``benchmark``, ``scale`` and the
+workload ``seed``) on top of
 a :class:`~repro.session.ReproConfig`, and :meth:`ExperimentSpec.to_config`
 is the bridge.  All execution goes through
 :class:`~repro.session.Session` — the runner performs no engine/executor
@@ -43,7 +44,7 @@ class ExperimentSpec:
     """One benchmark execution under one ATM configuration.
 
     A flat, hashable view over :class:`~repro.session.ReproConfig` plus the
-    experiment coordinates (benchmark, scale); figure generators sweep these
+    experiment coordinates (benchmark, scale, seed); figure generators sweep these
     specs and :func:`run_benchmark` lowers each one to a Session run.
     """
 
@@ -72,7 +73,6 @@ class ExperimentSpec:
                     num_threads=self.cores,
                     executor=self.executor,
                     enable_tracing=self.enable_tracing,
-                    seed=self.seed,
                 ),
                 atm=ATMConfig(
                     mode=self.mode,
@@ -108,7 +108,6 @@ class ExperimentSpec:
             tht_bucket_capacity=config.atm.tht_bucket_capacity,
             executor=config.runtime.executor,
             enable_tracing=config.runtime.enable_tracing,
-            seed=config.runtime.seed,
             **extra,
         )
 

@@ -81,6 +81,7 @@ __all__ = [
     "span_view",
     "encode_frame",
     "decode_frame",
+    "is_torn_frame",
     "iter_frames",
     "read_frame",
     "send_frame",
@@ -252,14 +253,50 @@ def decode_frame(data) -> tuple[Any, int]:
     return _parse_frame(take), at
 
 
+def is_torn_frame(data) -> bool:
+    """Whether ``data`` holds one frame as an interrupted write leaves it:
+    cut short, or ending exactly at the end of ``data`` and failing a
+    checksum.  A bad magic or header bound, a frame that ends before
+    ``data`` does and an intact frame are not torn.
+
+    No length is trusted before the head checksum that covers it: a head
+    cut short is torn only when no frame magic follows its header (a
+    damaged count in front of another frame claims that frame's bytes),
+    and a head that fails its checksum only when its extent ends at EOF.
+    """
+    data = memoryview(data)
+    if len(data) < _HEADER.size:
+        return True
+    try:
+        table_len, control_len, crc = _check_header(data[: _HEADER.size])
+    except WireProtocolError:
+        return False
+    head_end = _HEADER.size + table_len + control_len
+    if len(data) < head_end:
+        return MAGIC not in bytes(data[_HEADER.size :])
+    table = data[_HEADER.size : _HEADER.size + table_len]
+    control = data[_HEADER.size + table_len : head_end]
+    entries = list(_ENTRY.iter_unpack(table))
+    extent = head_end + sum(length for length, _ in entries)
+    if _head_crc(data[_COUNTS_AT : _HEADER.size], table, control) != crc:
+        return extent == len(data)
+    if extent != len(data):
+        return extent > len(data)
+    at = head_end
+    for length, segment_crc in entries:
+        if zlib.crc32(data[at : at + length]) != segment_crc:
+            return True
+        at += length
+    return False
+
+
 def iter_frames(data: bytes):
     """Yield every message of a back-to-back frame sequence.
 
-    The persistent THT store's file format is exactly this: concatenated
-    frames (header + delta appends).  Raises :class:`WireProtocolError` on
-    the first bad or truncated frame — including a partial trailing frame
-    left by an interrupted append — so callers decide between failing and
-    salvaging the frames already yielded.
+    Strict: raises :class:`WireProtocolError` on the first bad or truncated
+    frame.  (The THT store file is such a sequence too; its reader decodes
+    frame by frame with :func:`decode_frame`, to keep what precedes a torn
+    tail.)
     """
     offset = 0
     view = memoryview(data)

@@ -2,8 +2,8 @@
 
 A scheduler owns a ready queue and decides which ready task an idle worker
 receives.  The paper uses the Nanos++ default (a central FIFO ready queue,
-``runtime.scheduler = "fifo"``); LIFO and work-stealing queues are the other
-two builtins of the ``SCHEDULERS`` registry, selectable by the same field.
+``runtime.scheduler = "fifo"``), the one builtin of the ``SCHEDULERS``
+registry; plugins register other queues under the same field.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from typing import Optional, Sequence
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import ConfigurationError, SchedulerError
 from repro.common.registry import SCHEDULERS
-from repro.runtime.ready_queue import (
-    FIFOReadyQueue,
-    LIFOReadyQueue,
-    WorkStealingDeques,
-)
+from repro.runtime.ready_queue import FIFOReadyQueue
 from repro.runtime.task import Task
 
 __all__ = ["Scheduler", "make_scheduler"]
@@ -32,29 +28,18 @@ class Scheduler:
         # that predate ``push_many`` degrade to per-task pushes.
         self._push_many = getattr(queue, "push_many", None) or self._push_each
 
-    def task_ready(self, task: Task, worker_hint: Optional[int] = None) -> None:
+    def task_ready(self, task: Task) -> None:
         """Called by the runtime when a task's dependences are satisfied."""
-        self._queue.push(task, worker_hint)
+        self._queue.push(task)
 
-    def tasks_ready(
-        self,
-        tasks: Sequence[Task],
-        worker_hints: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Batched :meth:`task_ready`: one queue-lock acquisition per batch.
+    def tasks_ready(self, tasks: Sequence[Task]) -> None:
+        """Batched :meth:`task_ready`: one queue-lock acquisition per batch,
+        in the service order of calling :meth:`task_ready` per task."""
+        self._push_many(tasks)
 
-        Service order and (for work stealing) deque placement are identical
-        to calling :meth:`task_ready` per task with the same hints; without
-        hints a task's home is its ``creation_index``.
-        """
-        self._push_many(tasks, worker_hints)
-
-    def _push_each(
-        self, tasks: Sequence[Task], worker_hints: Optional[Sequence[int]] = None
-    ) -> None:
-        push = self._queue.push
-        for index, task in enumerate(tasks):
-            push(task, worker_hints[index] if worker_hints is not None else None)
+    def _push_each(self, tasks: Sequence[Task]) -> None:
+        for task in tasks:
+            self._queue.push(task)
 
     def next_task(self, worker_id: int = 0) -> Optional[Task]:
         """Called by an idle worker; ``None`` means no work is available."""
@@ -73,14 +58,6 @@ class Scheduler:
 # add their own with repro.session.SCHEDULERS.register(name, factory).
 SCHEDULERS.register(
     "fifo", lambda config: Scheduler(FIFOReadyQueue()), replace=True
-)
-SCHEDULERS.register(
-    "lifo", lambda config: Scheduler(LIFOReadyQueue()), replace=True
-)
-SCHEDULERS.register(
-    "work_stealing",
-    lambda config: Scheduler(WorkStealingDeques(config.num_threads, seed=config.seed)),
-    replace=True,
 )
 
 

@@ -34,7 +34,8 @@ Model
   at the finish event), priced by a cost clock.  A retry's backoff keeps
   its core busy in simulated time; a terminal failure lands when its
   simulated run ends, and is quarantined or aborts the drain as anywhere
-  else.  ``task_timeout_s``, a wall-clock budget, is refused.
+  else.  ``task_timeout_s``, a wall-clock budget, is refused;
+  ``drain_timeout_s`` is honoured in wall-clock time, like the serial drain.
 
 Events are processed in nondecreasing simulated time, so the ATM engine
 observes the same interleaving a real parallel run would produce (keys enter
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import time
 from typing import Optional
 
 from repro.common.config import RuntimeConfig, SimulationConfig
@@ -211,7 +213,10 @@ class SimulatedExecutor(BaseExecutor):
         pending = sorted(graph.pending_tasks(), key=lambda t: t.task_id)
         if not pending and graph.all_finished:
             return self._result
-        self._fresh_supervisor()
+        supervisor = self._fresh_supervisor()
+        # The drain deadline is wall-clock time, as on the other backends: a
+        # simulated run whose task bodies take too long is aborted alike.
+        deadline = supervisor.deadline()
         events = self._events = []
         start_clock = self._clock
 
@@ -280,6 +285,8 @@ class SimulatedExecutor(BaseExecutor):
 
             dispatch(self._clock)
             self.trace.sample_ready(self._clock, self.scheduler.pending())
+            if time.perf_counter() >= deadline:
+                raise supervisor.drain_timeout("simulated drain")
 
         # Completed, failed and cancelled tasks alike leave the creation gate.
         for task in pending:

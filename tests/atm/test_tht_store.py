@@ -14,6 +14,7 @@ import json
 import pickle
 import struct
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -202,19 +203,44 @@ class TestFileStore:
         # compaction leaves no temp litter behind
         assert list(store_path.parent.glob("*.tmp")) == []
 
-    @pytest.mark.parametrize("damage", ["truncate", "garbage", "flip"])
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "flip", "segment_length", "control_length", "last_magic"]
+    )
     def test_damaged_file_raises_the_named_error(self, store_path, damage):
         store = FileTHTStore(store_path, CFG)
+        header_end = len(store._header_frame())
         store.publish(fill_table(6).snapshot())
+        first_delta_end = store_path.stat().st_size
+        store.publish(fill_table(4, seed=5).snapshot())
+        raw = store_path.read_bytes()
+        # Inside the first of two deltas: damage that does not end at EOF.  A
+        # damaged length claims bytes past EOF, yet the frame is not torn.
+        at, bit = {
+            "flip": (first_delta_end - 9, 0xFF),
+            "segment_length": (header_end + 16, 0x80),  # first table entry
+            "control_length": (header_end + 10, 0x40),
+            # A bad magic is not what an interrupted append leaves.
+            "last_magic": (first_delta_end, 0xFF),
+        }.get(damage, (None, None))
+        if damage == "garbage":
+            store_path.write_bytes(b"these are not frames")
+        else:
+            store_path.write_bytes(raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:])
+        with pytest.raises(THTStoreCorruptError):
+            store.load()
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_a_torn_tail_keeps_the_frames_in_front_of_it(self, store_path, damage):
+        store = FileTHTStore(store_path, CFG)
+        store.publish(fill_table(6).snapshot())
+        store.publish(fill_table(4, seed=5).snapshot())
         raw = store_path.read_bytes()
         if damage == "truncate":
             store_path.write_bytes(raw[:-7])
-        elif damage == "garbage":
-            store_path.write_bytes(b"these are not frames")
-        else:
-            store_path.write_bytes(raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 + 1:])
-        with pytest.raises(THTStoreCorruptError):
-            store.load()
+        else:  # a checksum failure in the last frame, which ends at EOF
+            store_path.write_bytes(raw[:-9] + bytes([raw[-9] ^ 0xFF]) + raw[-8:])
+        with pytest.warns(RuntimeWarning, match="dropped a torn tail of"):
+            assert len(store.load()["entries"]) == 6
 
     def test_schema_mismatch_raises_corrupt(self, store_path):
         store_path.parent.mkdir(parents=True)
@@ -429,14 +455,14 @@ class TestShardService:
             server.shutdown_gracefully()
 
 
-def run_saxpy(config, n=10):
+def run_saxpy(config, n=10, start=0):
     """One tiny memoizable workload; returns (session, outputs)."""
     with Session(config, executor="serial") as s:
         @s.task(memoizable=True)
         def saxpy(x: In, y: Out, a):
             y[:] = a * x
 
-        xs = [np.full(32, float(i)) for i in range(n)]
+        xs = [np.full(32, float(i)) for i in range(start, start + n)]
         ys = [np.zeros(32) for _ in range(n)]
         for x, y in zip(xs, ys):
             saxpy(x, y, 2.0)
@@ -476,6 +502,24 @@ class TestSessionWarmStart:
         # the finish() flush replaced the damaged file: next run is warm
         healed, _ = run_saxpy(self.atm(url))
         assert healed.warm_started
+
+    def test_a_torn_tail_keeps_its_prefix_across_warm_start_and_publish(self, store_path):
+        """Two sessions publish 4 entries each; the second append is torn.
+        The first session's 4 entries load, warm-start the next session and
+        stay in the file that session's publish rewrites."""
+        url = f"file://{store_path}"
+        run_saxpy(self.atm(url), n=4)
+        run_saxpy(self.atm(url), n=4, start=10)
+        store_path.write_bytes(store_path.read_bytes()[:-5])
+        with pytest.warns(RuntimeWarning, match="torn tail of"):
+            assert len(FileTHTStore(store_path).load()["entries"]) == 4
+        with pytest.warns(RuntimeWarning, match="torn tail of"):
+            session, _ = run_saxpy(self.atm(url), n=8)
+        assert session.warm_started
+        assert session.stats["tht_hits"] == 4  # the prefix, restored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rewritten: no tail left
+            assert len(FileTHTStore(store_path).load()["entries"]) == 8
 
     def test_parent_layout_store_warns_and_cold_starts(self, store_path):
         store_path.parent.mkdir(parents=True)

@@ -93,9 +93,10 @@ class TestRunner:
     def test_spec_round_trips_through_session_config(self, spec):
         # ExperimentSpec is a thin view over ReproConfig: projecting the
         # lowered tree back must reproduce the spec (p is reconstructed for
-        # fixed_p only; the other modes ignore it).
+        # fixed_p only; the other modes ignore it).  The workload seed is an
+        # experiment coordinate, like the benchmark and the scale.
         rebuilt = ExperimentSpec.from_config(
-            spec.to_config(), spec.benchmark, spec.scale
+            spec.to_config(), spec.benchmark, spec.scale, seed=spec.seed
         )
         assert rebuilt == spec
         assert hash(rebuilt) == hash(spec)

@@ -12,6 +12,9 @@ Hypothesis-driven guarantees over :mod:`repro.runtime.net_wire`:
   flipping a bit of *any* byte (header, table, control, each segment),
   raises the named :class:`~repro.common.exceptions.WireProtocolError` — never
   a silent mis-decode, never an allocation sized by a garbage length;
+* **torn tail** — ``is_torn_frame`` accepts only what an interrupted write
+  leaves (a cut, or a checksum failure ending at EOF), and ``iter_frames``
+  stays strict about it;
 * **layout** — a parent-commit (in-band) frame is rejected by its magic;
   hostile headers and tables are rejected before anything payload-sized is
   allocated, and a live :class:`~repro.serving.Gateway` answers each of them
@@ -59,6 +62,8 @@ from repro.runtime.net_wire import (  # noqa: E402
     NetChunk,
     decode_frame,
     encode_frame,
+    is_torn_frame,
+    iter_frames,
     raw_view,
     read_frame,
     send_frame,
@@ -364,6 +369,52 @@ def test_a_corrupted_segment_never_reaches_the_consumer_over_a_socket():
     damaged[start] ^= 0x10
     with pytest.raises(WireProtocolError, match="checksum mismatch: segment 2"):
         decode_socket(bytes(damaged))
+
+
+def _flip(raw: bytes, index: int) -> bytes:
+    return raw[:index] + bytes([raw[index] ^ 0xFF]) + raw[index + 1:]
+
+
+def _part(bounds, name: str) -> tuple[int, int]:
+    return next((start, end) for part, start, end in bounds if part == name)
+
+
+#: name -> (damage over ``small_frame()``'s raw bytes and bounds, torn?)
+TORN_CASES = {
+    "cut_in_header": (lambda raw, b: raw[:5], True),
+    "cut_in_table": (lambda raw, b: raw[: _part(b, "table")[0] + 3], True),
+    "cut_in_control": (lambda raw, b: raw[: _part(b, "control")[1] - 1], True),
+    "cut_in_last_segment": (lambda raw, b: raw[: _part(b, "segment2")[0] + 3], True),
+    "flip_in_control_to_eof": (lambda raw, b: _flip(raw, _part(b, "control")[0]), True),
+    "flip_in_last_segment_to_eof": (lambda raw, b: _flip(raw, len(raw) - 1), True),
+    "intact": (lambda raw, b: raw, False),
+    "bad_magic": (lambda raw, b: _flip(raw, 0), False),
+    "flip_not_at_eof": (lambda raw, b: _flip(raw, _part(b, "control")[0]) + raw, False),
+    # A damaged length claims bytes past EOF, but another frame follows it.
+    "segment_length_flip_not_at_eof": (
+        lambda raw, b: _flip(raw, _part(b, "table")[0]) + raw, False),
+    "control_length_flip_not_at_eof": (
+        lambda raw, b: raw[:10] + bytes([raw[10] ^ 0x40]) + raw[11:] + raw, False),
+    "segment_count_flip_not_at_eof": (
+        lambda raw, b: raw[:14] + bytes([raw[14] ^ 0x01]) + raw[15:] + raw, False),
+}
+
+
+@pytest.mark.parametrize("case", TORN_CASES)
+def test_a_torn_frame_is_one_an_interrupted_write_leaves(case):
+    """Cut short, or failing a checksum and ending exactly at EOF, is torn;
+    bad magic, an intact frame and damage followed by more bytes are not."""
+    damage, torn = TORN_CASES[case]
+    raw, bounds = small_frame()
+    assert is_torn_frame(damage(raw, bounds)) is torn
+
+
+def test_iter_frames_stays_strict_on_a_torn_tail():
+    raw, _ = small_frame()
+    frames = iter_frames(raw + raw[:-1])
+    assert same(next(frames), small_message())
+    with pytest.raises(WireProtocolError, match="truncated frame"):
+        next(frames)
 
 
 # -- layout: what the header and table must reject ------------------------------------

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.common.config import RuntimeConfig
-from repro.common.exceptions import SchedulerError
+from repro.common.exceptions import ConfigurationError, SchedulerError
 from repro.runtime.data import Out
-from repro.runtime.ready_queue import FIFOReadyQueue, LIFOReadyQueue, WorkStealingDeques
+from repro.runtime.ready_queue import FIFOReadyQueue
 from repro.runtime.scheduler import Scheduler, make_scheduler
 from repro.runtime.task import Task, TaskType
 
@@ -45,55 +45,19 @@ class TestFIFOQueue:
         assert queue.stats.max_depth == 3
 
 
-class TestLIFOQueue:
-    def test_order(self):
-        queue = LIFOReadyQueue()
-        for i in range(4):
-            queue.push(make_task(i))
-        assert [queue.pop().task_id for _ in range(4)] == [3, 2, 1, 0]
-
-
-class TestWorkStealing:
-    def test_local_pop_prefers_own_deque(self):
-        deques = WorkStealingDeques(num_workers=2, seed=0)
-        local = make_task(0)
-        remote = make_task(1)
-        deques.push(local, worker_hint=0)
-        deques.push(remote, worker_hint=1)
-        assert deques.pop(worker_id=0) is local
-
-    def test_steals_when_empty(self):
-        deques = WorkStealingDeques(num_workers=2, seed=0)
-        victim_task = make_task(0)
-        deques.push(victim_task, worker_hint=1)
-        assert deques.pop(worker_id=0) is victim_task
-
-    def test_empty_returns_none(self):
-        deques = WorkStealingDeques(num_workers=2, seed=0)
-        assert deques.pop(0) is None
-
-    def test_requires_positive_workers(self):
-        with pytest.raises(ValueError):
-            WorkStealingDeques(num_workers=0)
-
-    def test_total_length(self):
-        deques = WorkStealingDeques(num_workers=3, seed=0)
-        for i in range(5):
-            deques.push(make_task(i), worker_hint=i)
-        assert len(deques) == 5
-
-
 class TestScheduler:
     def test_make_scheduler_fifo(self):
         scheduler = make_scheduler(RuntimeConfig(scheduler="fifo"))
         assert isinstance(scheduler, Scheduler)
 
-    def test_make_scheduler_all_variants(self):
-        for name in ("fifo", "lifo", "work_stealing"):
-            scheduler = make_scheduler(RuntimeConfig(scheduler=name, num_threads=2))
-            task = make_task(0)
-            scheduler.task_ready(task)
-            assert scheduler.next_task(0) is task
+    @pytest.mark.parametrize("name", ["lifo", "work_stealing"])
+    def test_fifo_is_the_one_builtin(self, name):
+        with pytest.raises(ConfigurationError, match="unknown scheduler"):
+            RuntimeConfig(scheduler=name)
+        scheduler = make_scheduler(RuntimeConfig(num_threads=2))
+        task = make_task(0)
+        scheduler.task_ready(task)
+        assert scheduler.next_task(0) is task
 
     def test_pending_count(self):
         scheduler = make_scheduler(RuntimeConfig())
@@ -102,7 +66,5 @@ class TestScheduler:
         assert scheduler.pending() == 2
 
     def test_unknown_scheduler_rejected_by_config(self):
-        from repro.common.exceptions import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             RuntimeConfig(scheduler="bogus")

@@ -6,7 +6,7 @@ Invariants (relied on by Figure 8 and the perf harness):
   pushes (``push_many``) count every member exactly once;
 * ``max_depth`` is sane: at least 1 once anything was queued, never more
   than the number of tasks ever pushed;
-* no task is lost or duplicated across FIFO / LIFO / work-stealing queues.
+* no task is lost or duplicated.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import pytest
 
 from repro.runtime.data import Out
-from repro.runtime.ready_queue import (
-    FIFOReadyQueue,
-    LIFOReadyQueue,
-    WorkStealingDeques,
-)
+from repro.runtime.ready_queue import FIFOReadyQueue
 from repro.runtime.task import Task, TaskType
 
 TT = TaskType("rq-stats")
@@ -35,25 +30,14 @@ def make_tasks(n):
     ]
 
 
-def make_queue(kind: str, workers: int = 4):
-    if kind == "fifo":
-        return FIFOReadyQueue()
-    if kind == "lifo":
-        return LIFOReadyQueue()
-    return WorkStealingDeques(workers, seed=7)
-
-
-QUEUE_KINDS = ("fifo", "lifo", "work_stealing")
-
 
 class TestSerialConsistency:
-    @pytest.mark.parametrize("kind", QUEUE_KINDS)
-    def test_push_many_counts_every_member(self, kind):
-        queue = make_queue(kind)
+    def test_push_many_counts_every_member(self):
+        queue = FIFOReadyQueue()
         tasks = make_tasks(10)
-        queue.push_many(tasks[:6], worker_hints=list(range(6)))
+        queue.push_many(tasks[:6])
         for task in tasks[6:]:
-            queue.push(task, worker_hint=task.task_id)
+            queue.push(task)
         assert queue.stats.total_pushes == 10
         assert len(queue) == 10
         popped = []
@@ -64,9 +48,8 @@ class TestSerialConsistency:
         assert sorted(t.task_id for t in popped) == list(range(10))
         assert 1 <= queue.stats.max_depth <= 10
 
-    @pytest.mark.parametrize("kind", QUEUE_KINDS)
-    def test_push_many_empty_batch_is_noop(self, kind):
-        queue = make_queue(kind)
+    def test_push_many_empty_batch_is_noop(self):
+        queue = FIFOReadyQueue()
         queue.push_many([])
         assert queue.stats.total_pushes == 0
         assert queue.stats.max_depth == 0
@@ -78,46 +61,6 @@ class TestSerialConsistency:
         queue.push_many(tasks[4:])
         order = [queue.pop().task_id for _ in range(8)]
         assert order == list(range(8))
-
-    def test_lifo_push_many_matches_per_task_pushes(self):
-        batched, singly = LIFOReadyQueue(), LIFOReadyQueue()
-        tasks = make_tasks(6)
-        batched.push_many(tasks)
-        for task in tasks:
-            singly.push(task)
-        assert [batched.pop().task_id for _ in range(6)] == \
-               [singly.pop().task_id for _ in range(6)]
-
-    def test_work_stealing_push_many_placement_matches_hints(self):
-        queue = WorkStealingDeques(4, seed=3)
-        tasks = make_tasks(8)
-        queue.push_many(tasks, worker_hints=[t.task_id for t in tasks])
-        # Own-deque pops (no stealing needed) must find exactly the tasks
-        # hinted onto each worker, tail-first.
-        assert queue.pop(1).task_id == 5
-        assert queue.pop(1).task_id == 1
-        assert queue.pop(3).task_id == 7
-        assert queue.stats.total_pops == 3
-
-    def test_work_stealing_unhinted_placement_follows_creation_index(self):
-        """The executor's release path passes no hints: a task's home deque
-        is its creation index, exactly where the explicit hint put it."""
-        from repro.runtime.scheduler import Scheduler
-
-        tasks = make_tasks(11)
-        for task in tasks:
-            task.creation_index = 3 * task.task_id + 1
-        hinted = Scheduler(WorkStealingDeques(4, seed=5))
-        unhinted = Scheduler(WorkStealingDeques(4, seed=5))
-        hinted.tasks_ready(tasks[:7], worker_hints=[t.creation_index for t in tasks[:7]])
-        unhinted.tasks_ready(tasks[:7])
-        for task in tasks[7:]:
-            hinted.task_ready(task, worker_hint=task.creation_index)
-            unhinted.task_ready(task)
-        order = [(hinted.next_task(w % 4), unhinted.next_task(w % 4)) for w in range(11)]
-        assert [a.task_id for a, _ in order] == [b.task_id for _, b in order]
-        # Own-deque pops first: worker 0 finds the tasks whose index is 0 mod 4.
-        assert order[0][0].task_id == 9 and order[4][0].task_id == 5
 
 
 class TestLegacyQueueCompatibility:
@@ -131,11 +74,11 @@ class TestLegacyQueueCompatibility:
             def __init__(self):
                 self.pushed = []
 
-            def push(self, task, worker_hint=None):
-                self.pushed.append((task, worker_hint))
+            def push(self, task):
+                self.pushed.append(task)
 
             def pop(self, worker_id=0):
-                return self.pushed.pop(0)[0] if self.pushed else None
+                return self.pushed.pop(0) if self.pushed else None
 
             def __len__(self):
                 return len(self.pushed)
@@ -143,19 +86,17 @@ class TestLegacyQueueCompatibility:
         queue = LegacyQueue()
         scheduler = Scheduler(queue)
         tasks = make_tasks(3)
-        scheduler.tasks_ready(tasks, worker_hints=[7, 8, 9])
-        assert [(t.task_id, h) for t, h in queue.pushed] == \
-               [(0, 7), (1, 8), (2, 9)]
+        scheduler.tasks_ready(tasks)
+        assert [t.task_id for t in queue.pushed] == [0, 1, 2]
 
 
 class TestThreadedChurn:
-    @pytest.mark.parametrize("kind", QUEUE_KINDS)
-    def test_pushes_equal_pops_under_concurrent_churn(self, kind):
+    def test_pushes_equal_pops_under_concurrent_churn(self):
         workers = 4
         per_pusher = 200
         pushers = 3
         total = pushers * per_pusher
-        queue = make_queue(kind, workers)
+        queue = FIFOReadyQueue()
         popped: list[list[Task]] = [[] for _ in range(workers)]
         stop = threading.Event()
 
@@ -164,12 +105,10 @@ class TestThreadedChurn:
             for lo in range(0, per_pusher, 16):
                 chunk = tasks[lo:lo + 16]
                 if lo % 32:
-                    for offset, task in enumerate(chunk):
-                        queue.push(task, worker_hint=lo + offset)
+                    for task in chunk:
+                        queue.push(task)
                 else:
-                    queue.push_many(
-                        chunk, worker_hints=list(range(lo, lo + len(chunk)))
-                    )
+                    queue.push_many(chunk)
 
         def popper(worker_id: int) -> None:
             sink = popped[worker_id]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.common.exceptions import (
     WorkerLostError,
 )
 from repro.runtime.atm_protocol import MemoizationEngineProtocol
-from repro.runtime.data import In, Out
+from repro.runtime.data import In, InOut, Out
 from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TaskFailure, TaskSupervisor, dump_stacks
@@ -126,6 +127,23 @@ class TestDrainDeadline:
         err = sup.drain_timeout("unit drain")
         assert isinstance(err, DrainAbortedError)
         assert "drain_timeout_s=1.25" in str(err)
+
+    @pytest.mark.parametrize("backend", ["serial", "simulated"])
+    def test_a_drain_past_its_deadline_aborts(self, backend):
+        """Five chained 30 ms tasks overrun a 50 ms drain deadline: the
+        simulated drain checks the wall clock between events, as the serial
+        drain does between tasks."""
+        def nap(block):
+            time.sleep(0.03)
+            block += 1
+
+        block = np.zeros(4)
+        with pytest.raises(DrainAbortedError, match="drain did not finish"):
+            with fault_session(backend, drain_timeout_s=0.05) as session:
+                for _ in range(5):
+                    session.submit(TaskType("nap", memoizable=False), nap,
+                                   accesses=[InOut(block)], args=(block,))
+                session.wait_all()
 
     def test_dump_stacks_writes_traceback(self, capsys):
         dump_stacks("unit test probe")

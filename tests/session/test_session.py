@@ -113,7 +113,7 @@ class TestAssembly:
         with pytest.raises(ConfigurationError, match="num_threads"):
             Session(executor=executor, cores=8)
         with pytest.raises(ConfigurationError, match="scheduler"):
-            Session(executor=ThreadedExecutor(config=RuntimeConfig()), scheduler="lifo")
+            Session(executor=ThreadedExecutor(config=RuntimeConfig()), scheduler="fifo")
 
     def test_engine_sized_from_executor_instance_threads(self):
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=3))
