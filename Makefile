@@ -109,7 +109,8 @@ wire-fuzz:
 		-p no:cacheprovider -x -q
 
 # Threaded-pool soak: the suites that drive the persistent worker pool
-# (executor contract, submit-while-draining, concurrency stress, the whole
+# (executor contract, submit-while-draining, the live window's barriers
+# opened from `submit`, concurrency stress, the whole
 # serving tier, its `serving`-marked threaded-gateway soak included) and the
 # server they are served on (FrameServer shutdown, gateway lifecycle: the
 # lost-wake-up gate of the barrier condition), the copy-elision suites
@@ -125,6 +126,7 @@ soak-threaded:
 	for run in 1 2 3 4 5 6 7 8 9 10; do \
 		$(PYTHON) -m pytest tests/runtime/test_executors.py \
 			tests/runtime/test_submit_while_draining.py \
+			tests/session/test_live_window.py \
 			tests/runtime/test_stress_concurrency.py \
 			tests/runtime/test_copy_elision_property.py \
 			tests/atm/test_copy_elision.py \

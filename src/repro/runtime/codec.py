@@ -274,7 +274,10 @@ def function_name(function: Callable) -> tuple[str, str]:
 
 # -- schema'd messages ----------------------------------------------------------------
 def _encode_chunk(message, segment):
-    kind, (chunk_id, buffers, tasks), *owners = message
+    kind, chunk, *owners = message
+    if type(chunk) is not NetChunk:
+        raise TypeError("a chunk's body is a NetChunk")
+    chunk_id, buffers, tasks = chunk
     return [chunk_id, [
         (key, start,
          data if data is None or type(data) is str else segment(memoryview(data).cast("B")),
@@ -300,6 +303,8 @@ def _decode_chunk(kind, body, take):
 
 def _encode_result(message, segment):
     _, chunk_id, results = message
+    if type(chunk_id) is not int or not all(type(row) is tuple for row in results):
+        raise TypeError("a result is an int chunk id and tuple rows")
     return [chunk_id, [
         (*row[:3], [(i, segment(memoryview(raw).cast("B"))) for i, raw in row[3]])
         if len(row) == 4 else row

@@ -146,6 +146,9 @@ class BaseExecutor:
     time_unit = "s"
     #: What an aborted drain raises (the network backend narrows it).
     abort_error = DrainAbortedError
+    #: Live tasks at which a Session submission runs the barrier itself
+    #: (DESIGN.md §4.2); ``None`` keeps no window.
+    live_window: Optional[int] = 8192
 
     def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         self.config = config or RuntimeConfig()

@@ -317,6 +317,11 @@ class TaskDependenceGraph:
             return self._task_count - len(self._live)
 
     @property
+    def live_count(self) -> int:
+        """Tasks added and not yet terminal (read without the lock)."""
+        return len(self._live)
+
+    @property
     def all_finished(self) -> bool:
         return not self._live
 

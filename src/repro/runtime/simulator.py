@@ -138,6 +138,8 @@ class SimulatedExecutor(BaseExecutor):
     """
 
     time_unit = "us"
+    #: The drain models the master's creation throughput; no window barrier.
+    live_window = None
 
     def __init__(
         self,

@@ -173,11 +173,15 @@ class Session:
         Shorthand overrides for ``runtime.num_threads``, ``atm.p`` and
         ``runtime.enable_tracing``.
 
-    Lifecycle: ``submit``/task calls are allowed until :meth:`finish`;
-    :meth:`wait_all` is the intermediate barrier; leaving a ``with`` block
-    calls :meth:`finish` (or, on an in-flight exception, :meth:`close`) so
-    executor resources — worker pools, shared-memory segments — are released
-    on every path.
+    Lifecycle: ``submit``/task calls are allowed until :meth:`finish` or
+    until a drain aborts; :meth:`wait_all` is the intermediate barrier.
+    Execution is lazy below a window: tasks run at a barrier, and a
+    submission that leaves ``executor.live_window`` tasks live runs
+    :meth:`wait_all` itself before it returns (never inside a :meth:`batch`
+    block or while this session's drain is open; the simulator keeps no
+    window; DESIGN.md §4.2).  Leaving a ``with`` block calls :meth:`finish`
+    (or, on an in-flight exception, :meth:`close`) so executor resources —
+    worker pools, shared-memory segments — are released on every path.
 
     When ``atm.tht_store`` names a ``file://`` snapshot or ``tcp://`` cache
     shard, the session warm-starts its THT from the store on open (falling
@@ -282,7 +286,9 @@ class Session:
                 self.engine.enable_delta_snapshots()
         self._closed = False
         self._drained = False
+        self._draining = False
         self._drain_aborted = ""  # exception class name once a drain fails
+        self._window_barriers = 0
         self._submitted = 0
         self._batch_buffer: Optional[list[Task]] = None
 
@@ -330,10 +336,7 @@ class Session:
         ``accesses`` as a tuple (a caller's tuple as is): a declaration does
         not change after submission.
         """
-        if self._closed:
-            raise RuntimeStateError(
-                "session already finished: no further tasks can be submitted"
-            )
+        self._check_accepting()
         task = Task(
             task_type=task_type,
             function=function,
@@ -348,6 +351,7 @@ class Session:
             self._batch_buffer.append(task)
         else:
             self.graph.add_task(task)
+            self._bound_window()
         return task
 
     def submit_batch(self, specs: "Sequence[Sequence] | Sequence[Mapping]") -> list[Task]:
@@ -360,10 +364,7 @@ class Session:
         handoff and notification overhead is amortised across the batch
         (see PERFORMANCE.md "Submission fast path").
         """
-        if self._closed:
-            raise RuntimeStateError(
-                "session already finished: no further tasks can be submitted"
-            )
+        self._check_accepting()
         tasks: list[Task] = []
         for spec in specs:
             if isinstance(spec, Mapping):
@@ -390,6 +391,7 @@ class Session:
             self._batch_buffer.extend(tasks)
         else:
             self.graph.add_tasks(tasks)
+            self._bound_window()
         return tasks
 
     @contextmanager
@@ -412,7 +414,8 @@ class Session:
         2.0
 
         Tasks submitted inside the block reach the dependence graph when the
-        block exits (one lock acquisition, one batched ready notification).
+        block exits (one lock acquisition, one batched ready notification);
+        the live window is checked there, never inside the block.
         If the block raises, the buffered tasks are discarded.  Nesting is
         not supported.
         """
@@ -429,6 +432,23 @@ class Session:
         finally:
             self._batch_buffer = None
         self.graph.add_tasks(buffer)
+        self._bound_window()
+
+    def _check_accepting(self) -> None:
+        if self._closed:
+            raise RuntimeStateError(
+                "session already finished: no further tasks can be submitted"
+            )
+        # No drain would ever run a task accepted now.
+        self._refuse_after_abort()
+
+    def _bound_window(self) -> None:
+        """Run the barrier once the graph holds ``executor.live_window``
+        live tasks (DESIGN.md §4.2), unless this session's drain is open."""
+        window = self.executor.live_window
+        if window is not None and not self._draining and self.graph.live_count >= window:
+            self._window_barriers += 1
+            self.wait_all()
 
     def task(
         self,
@@ -492,16 +512,8 @@ class Session:
                 "session already finished: wait_all() is not available after "
                 "finish()/close()"
             )
-        if self._drain_aborted:
-            # An aborted drain leaves unfinished tasks the scheduler will
-            # never hand out again; re-draining would starve or hang.  The
-            # partial counters in ``result`` stay readable; only close()
-            # (or leaving the ``with`` block) remains.
-            raise RuntimeStateError(
-                "a previous drain aborted "
-                f"({self._drain_aborted}); the session cannot drain again — "
-                "read Session.result for the failure records and close"
-            )
+        self._refuse_after_abort()
+        self._draining = True
         try:
             result = self.executor.drain(self.graph)
         except Exception as exc:
@@ -510,15 +522,30 @@ class Session:
         finally:
             # Even a failing drain ran the barrier: partial counters in
             # Session.result stay readable for error reporting.
+            self._draining = False
             self._drained = True
             self._stash_telemetry()
         return result
 
+    def _refuse_after_abort(self) -> None:
+        if self._drain_aborted:
+            # An aborted drain leaves unfinished tasks the scheduler will
+            # never hand out again; re-draining would starve or hang.  The
+            # partial counters in ``result`` stay readable; only close()
+            # (or leaving the ``with`` block) remains.
+            raise RuntimeStateError(
+                f"a previous drain aborted ({self._drain_aborted}); the "
+                "session cannot drain or take tasks again — read "
+                "Session.result for the failure records and close"
+            )
+
     def _stash_telemetry(self) -> None:
         """Put the engine's memory footprint and key-cache counters on the
         run result (``extra["atm_memory_bytes"]`` / ``["keygen_cache"]``),
-        so harnesses read them without reaching into engine internals."""
+        so harnesses read them without reaching into engine internals, and
+        the barriers the live window opened (``extra["window_barriers"]``)."""
         engine, extra = self.engine, self.executor.result().extra
+        extra["window_barriers"] = self._window_barriers
         memory = getattr(engine, "memory_bytes", None)
         if callable(memory):
             extra["atm_memory_bytes"] = memory()
