@@ -109,7 +109,8 @@ wire-fuzz:
 		-p no:cacheprovider -x -q
 
 # Threaded-pool soak: the suites that drive the persistent worker pool
-# (executor contract, submit-while-draining, the live window's barriers
+# (executor contract, the scheduler's churn test — its one lock is the lock
+# every worker thread contends on — submit-while-draining, the live window's barriers
 # opened from `submit`, concurrency stress, the whole
 # serving tier, its `serving`-marked threaded-gateway soak included) and the
 # server they are served on (FrameServer shutdown, gateway lifecycle: the
@@ -125,6 +126,7 @@ wire-fuzz:
 soak-threaded:
 	for run in 1 2 3 4 5 6 7 8 9 10; do \
 		$(PYTHON) -m pytest tests/runtime/test_executors.py \
+			tests/runtime/test_scheduler.py \
 			tests/runtime/test_submit_while_draining.py \
 			tests/session/test_live_window.py \
 			tests/runtime/test_stress_concurrency.py \

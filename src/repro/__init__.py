@@ -12,8 +12,9 @@ paper (Brumar et al., IPPS 2017):
 ``repro.runtime``
     A task-based dataflow runtime system in the style of OmpSs / Nanos++:
     typed data regions, task and task-type abstractions, dependence analysis,
-    a task dependence graph, ready queues, schedulers, a threaded executor and
-    a deterministic discrete-event multicore simulator with tracing support.
+    a task dependence graph, a FIFO ready queue, serial, threaded, process and
+    network executors and a deterministic discrete-event multicore simulator
+    with tracing support.
 
 ``repro.atm``
     The paper's contribution: hash-key generation with sampled and type-aware

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.common.exceptions import ConfigurationError, THTStoreError
-from repro.common.registry import EXECUTORS, POLICIES, SCHEDULERS
+from repro.common.registry import EXECUTORS, POLICIES
 
 __all__ = [
     "ATMConfig",
@@ -196,9 +196,6 @@ class RuntimeConfig(_Section):
         ``"serial"``, ``"threaded"``, ``"process"``, ``"network"`` or
         ``"simulated"`` (DESIGN.md §4), or a name registered on
         ``EXECUTORS``.
-    scheduler:
-        Ready-queue policy name: ``"fifo"`` or a name registered on
-        ``SCHEDULERS``.
     enable_tracing:
         Record per-core state intervals and ready-queue depth samples.
     mp_chunk_size:
@@ -264,7 +261,6 @@ class RuntimeConfig(_Section):
 
     num_threads: int = 8
     executor: str = "serial"
-    scheduler: str = "fifo"
     enable_tracing: bool = False
     mp_chunk_size: int = 8
     net_endpoints: str = "loopback"
@@ -283,7 +279,6 @@ class RuntimeConfig(_Section):
                 f"num_threads must be >= 1, got {self.num_threads}"
             )
         EXECUTORS.validate_name(self.executor, field="executor")
-        SCHEDULERS.validate_name(self.scheduler, field="scheduler")
         if self.mp_chunk_size < 1:
             raise ConfigurationError("mp_chunk_size must be >= 1")
         if not self.net_endpoints or not self.net_endpoints.strip():
@@ -352,13 +347,9 @@ class ServingConfig(_Section):
     shared_tht:
         Default for the opt-in shared THT tier: when on, a tenant-engine
         miss probes the gateway-wide shared table before executing, and the
-        merge pump publishes tenant deltas into it.  Tenants can override
+        merge pump publishes tenant deltas into it (at least every
+        ``repro.serving.gateway.MERGE_INTERVAL_S``).  Tenants can override
         per-connection in ``hello``.
-    merge_interval_s:
-        Period of the incremental ATM merge pump: at least this often every
-        tenant engine's journaled delta (``snapshot(reset=True)``) is merged
-        into the shared tier — no drain barrier required (sooner for a
-        journal that reaches the gateway's ``MERGE_MIN_COMMITS``).
     shutdown_grace_s:
         On SIGTERM/SIGINT the gateway stops admitting, waits up to this many
         seconds for in-flight tasks to finish, flushes ATM deltas and
@@ -371,7 +362,6 @@ class ServingConfig(_Section):
     max_tenant_queue: int = 4096
     quantum: int = 32
     shared_tht: bool = False
-    merge_interval_s: float = 0.05
     shutdown_grace_s: float = 5.0
 
     def validate(self) -> None:
@@ -391,10 +381,6 @@ class ServingConfig(_Section):
             )
         if self.quantum < 1:
             raise ConfigurationError(f"quantum must be >= 1, got {self.quantum}")
-        if self.merge_interval_s <= 0:
-            raise ConfigurationError(
-                f"merge_interval_s must be > 0, got {self.merge_interval_s}"
-            )
         if self.shutdown_grace_s < 0:
             raise ConfigurationError(
                 f"shutdown_grace_s must be >= 0, got {self.shutdown_grace_s}"

@@ -32,10 +32,6 @@ class MemoizationError(ReproError):
     """The ATM engine detected an inconsistent memoization state."""
 
 
-class SchedulerError(ReproError):
-    """A scheduler was asked to perform an unsupported operation."""
-
-
 # -- task supervision taxonomy (DESIGN.md §7 "Failure semantics") ----------------
 #
 # Every backend reports task-level failures through the same four names so

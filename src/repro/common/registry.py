@@ -1,21 +1,21 @@
-"""String-keyed component registries (executors, schedulers, ATM policies).
+"""String-keyed component registries (executors, ATM policies).
 
-The public Session API (:mod:`repro.session`) selects execution backends,
-ready-queue schedulers and ATM policies by *name* (``executor="process"``,
-``policy="dynamic"``).  The name -> factory mappings live here, at the bottom
-of the layering, so that
+The public Session API (:mod:`repro.session`) selects execution backends and
+ATM policies by *name* (``executor="process"``, ``policy="dynamic"``).  The
+name -> factory mappings live here, at the bottom of the layering, so that
 
 * configuration objects (:mod:`repro.common.config`) can validate names
   without importing the runtime or ATM layers, and
-* new backends (e.g. the planned network-transport executor, DESIGN.md §4.3)
-  can be plugged in by calling ``register(...)`` — no call site changes.
+* new backends can be plugged in by calling ``register(...)`` — no call
+  site changes (the in-tree ``"network"`` backend, DESIGN.md §4.5,
+  registers through the same hook).
 
 Each :class:`Registry` is born knowing its *builtin* names so that config
 validation works even before the module providing the factories has been
 imported; the factories themselves are installed when
-:mod:`repro.runtime.executor`, :mod:`repro.runtime.scheduler` and
-:mod:`repro.atm.policy` are imported (``Registry.factory`` imports the
-providing module on demand, so lookups never race the import order).
+:mod:`repro.runtime.executor` and :mod:`repro.atm.policy` are imported
+(``Registry.factory`` imports the providing module on demand, so lookups
+never race the import order).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.common.exceptions import ConfigurationError
 __all__ = [
     "Registry",
     "EXECUTORS",
-    "SCHEDULERS",
     "POLICIES",
 ]
 
@@ -113,13 +112,6 @@ EXECUTORS = Registry(
     "executor",
     builtins=("serial", "threaded", "process", "simulated", "network"),
     provider_module="repro.runtime.executor",
-)
-
-#: Ready-queue policies; factories take (config,).
-SCHEDULERS = Registry(
-    "scheduler",
-    builtins=("fifo",),
-    provider_module="repro.runtime.scheduler",
 )
 
 #: ATM operating policies; factories take (config) — not (config, p) as

@@ -60,9 +60,6 @@ class ExperimentSpec:
     enable_tracing: bool = False
     seed: int = 2017
 
-    def atm_enabled(self) -> bool:
-        return self.mode != "none"
-
     def to_config(self) -> ReproConfig:
         """Lower this spec to the unified Session config tree."""
         if self.mode == "fixed_p" and self.p is None:

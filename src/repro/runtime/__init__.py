@@ -8,8 +8,8 @@ The runtime exposes the same concepts the paper relies on:
 * a **dependence system** that orders tasks by their declared accesses and
   builds the task dependence graph (:mod:`repro.runtime.dependences`,
   :mod:`repro.runtime.graph`);
-* **ready queues** and **schedulers** (:mod:`repro.runtime.ready_queue`,
-  :mod:`repro.runtime.scheduler`);
+* the **scheduler**: one central FIFO ready queue
+  (:mod:`repro.runtime.scheduler`);
 * five executors: a serial one, a real-thread one, a multiprocess
   shared-memory one, a network one and a deterministic discrete-event
   multicore simulator (:mod:`repro.runtime.executor`,

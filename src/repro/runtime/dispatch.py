@@ -16,9 +16,11 @@ their owners' engines at the barrier.
 
 An executor *composes* a dispatcher and is its transport: the dispatcher
 calls seven methods of its host, the last three being the data plane of a
-backend that shares no memory with its workers (the process backend's do
-nothing).  ``worker`` is any hashable the transport uses to name a worker (a
-pool index, an endpoint object).
+backend that shares no memory with its workers (on the process backend
+``_check_write`` and ``_task_raised`` do nothing and ``_write_back`` copies
+the task's written regions out of shared memory).  ``worker`` is any
+hashable the transport uses to name a worker (a pool index, an endpoint
+object).
 
 ``_send(chunk) -> worker | None``
     Ship one :class:`Chunk` to a worker the transport picks; ``None`` when
@@ -198,7 +200,7 @@ class ChunkDispatcher:
     def _dispatch_ready(self) -> None:
         next_task = self._host.scheduler.next_task
         ready: list[Task] = []
-        while (task := next_task(0)) is not None:
+        while (task := next_task()) is not None:
             ready.append(task)
             self.inflight[task.task_id] = task
         if ready:

@@ -42,7 +42,7 @@ from repro.runtime.atm_protocol import (
     ATMAction, ATMDecision, EXECUTE_DECISION, abandon, commit, lookup,
 )
 from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.scheduler import Scheduler, make_scheduler
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.supervision import TaskSupervisor, dump_stacks
 from repro.runtime.task import Task, TaskState
 from repro.runtime.trace import CoreState, TraceRecorder
@@ -152,10 +152,7 @@ class BaseExecutor:
 
     def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         self.config = config or RuntimeConfig()
-        self.scheduler: Scheduler = make_scheduler(self.config)
-        # Custom schedulers registered through the public seam that predate
-        # ``tasks_ready`` degrade to per-task pushes (notify_ready_batch).
-        self._tasks_ready = getattr(self.scheduler, "tasks_ready", None)
+        self.scheduler = Scheduler()
         self.trace = TraceRecorder(enabled=self.config.enable_tracing)
         self._result = RunResult(time_unit=self.time_unit, trace=self.trace)
         # Supervision: retries/timeouts/quarantine per DESIGN.md §7.  The
@@ -176,20 +173,11 @@ class BaseExecutor:
         """Batched ready notification (graph ``on_ready_batch`` hook).
 
         One scheduler call — and therefore one ready-queue lock acquisition —
-        per release set, with no hint list: a queue that places tasks (work
-        stealing) reads each task's ``creation_index`` itself, as it does for
-        :meth:`notify_ready`.  Executors that gate readiness per task
-        (the simulator) override this with a loop over their own
-        :meth:`notify_ready`; custom schedulers registered through the public
-        seam that predate ``tasks_ready`` degrade to the per-task path
-        instead of breaking.
+        per release set.  Executors that gate readiness per task (the
+        simulator) override this with a loop over their own
+        :meth:`notify_ready`.
         """
-        tasks_ready = self._tasks_ready
-        if tasks_ready is None:
-            for task in tasks:
-                self.notify_ready(task)
-            return
-        tasks_ready(tasks)
+        self.scheduler.tasks_ready(tasks)
 
     def notify_born_cancelled(self, task: Task, predecessor: Task) -> None:
         """Graph ``on_born_cancelled`` hook: ``task`` was submitted after its
@@ -405,7 +393,7 @@ class SerialExecutor(BaseExecutor):
         supervisor = self._fresh_supervisor()
         deadline = supervisor.deadline()
         while not graph.all_finished:
-            task = self.scheduler.next_task(0)
+            task = self.scheduler.next_task()
             if task is None:
                 if graph.all_finished:
                     break
@@ -501,7 +489,7 @@ class _WorkerPool:
             # Announce, then look once more: a concurrent push either sees
             # ``parked`` or is seen by this pop (no lost wake-up).
             self.parked += 1
-            task = executor.scheduler.next_task(worker_id) if executor is not None else None
+            task = executor.scheduler.next_task() if executor is not None else None
             if task is None:
                 return None
             self.parked -= 1
@@ -514,7 +502,7 @@ class _WorkerPool:
             while task is not None:
                 process(task, graph, worker_id)
                 # Checked before the pop, so a popped task always runs.
-                task = next_task(worker_id) if self.graph is graph else None
+                task = next_task() if self.graph is graph else None
         except BaseException as exc:
             with self.lock:  # the first error ends the drain for every worker
                 self.errors.append(exc)
@@ -605,10 +593,9 @@ class ThreadedExecutor(BaseExecutor):
 
 # -- backend registry ------------------------------------------------------------
 # Builtin factories resolved by name through the executor registry (DESIGN.md
-# §4).  ``"process"`` and ``"simulated"`` import their modules lazily to keep
-# the module dependency graph acyclic; plugin backends (e.g. a network
-# transport on the mp_executor seam) are added with
-# repro.session.EXECUTORS.register(name, factory) and become valid
+# §4).  ``"process"``, ``"simulated"`` and ``"network"`` import their modules
+# lazily to keep the module dependency graph acyclic; plugin backends are
+# added with repro.session.EXECUTORS.register(name, factory) and become valid
 # ``RuntimeConfig.executor`` values automatically.
 
 

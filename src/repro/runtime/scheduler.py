@@ -1,70 +1,79 @@
-"""Schedulers: the policy layer between the TDG and the workers.
+"""The scheduler: the ready queue between the TDG and the workers.
 
-A scheduler owns a ready queue and decides which ready task an idle worker
-receives.  The paper uses the Nanos++ default (a central FIFO ready queue,
-``runtime.scheduler = "fifo"``), the one builtin of the ``SCHEDULERS``
-registry; plugins register other queues under the same field.
+When all dependences of a task are satisfied it is moved to the ready queue
+(``RQ`` in the paper's Figure 1) from which idle workers pull work.  The
+runtime has one: a central FIFO under one lock, the Nanos++ default the
+paper uses, so every backend serves ready tasks in the order they became
+ready.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from typing import Optional, Sequence
 
-from repro.common.config import RuntimeConfig
-from repro.common.exceptions import ConfigurationError, SchedulerError
-from repro.common.registry import SCHEDULERS
-from repro.runtime.ready_queue import FIFOReadyQueue
 from repro.runtime.task import Task
 
-__all__ = ["Scheduler", "make_scheduler"]
+__all__ = ["Scheduler"]
+
+
+class ReadyQueueStats:
+    """Running statistics about ready-queue occupancy.
+
+    Figure 8 samples :meth:`Scheduler.pending` over time; these are the
+    running totals beside it (the benchmark reads ``max_depth``).  The
+    invariant tests rely on ``total_pushes`` counting every task that ever
+    entered the queue (batched pushes count each member) and ``total_pops``
+    every task handed to a worker, so after a full drain
+    ``total_pushes == total_pops``.
+    """
+
+    def __init__(self) -> None:
+        self.max_depth = 0
+        self.total_pushes = 0
+        self.total_pops = 0
 
 
 class Scheduler:
-    """Wraps a ready queue behind a uniform push/pop interface."""
+    """First-in-first-out ready queue protected by a single lock."""
 
-    def __init__(self, queue) -> None:
-        self._queue = queue
-        # Resolved once: custom queues registered through the scheduler seam
-        # that predate ``push_many`` degrade to per-task pushes.
-        self._push_many = getattr(queue, "push_many", None) or self._push_each
+    def __init__(self) -> None:
+        self._queue: deque[Task] = deque()
+        self._lock = threading.Lock()
+        self.stats = ReadyQueueStats()
 
     def task_ready(self, task: Task) -> None:
         """Called by the runtime when a task's dependences are satisfied."""
-        self._queue.push(task)
+        with self._lock:
+            self._queue.append(task)
+            stats = self.stats
+            stats.total_pushes += 1
+            if len(self._queue) > stats.max_depth:
+                stats.max_depth = len(self._queue)
 
     def tasks_ready(self, tasks: Sequence[Task]) -> None:
-        """Batched :meth:`task_ready`: one queue-lock acquisition per batch,
-        in the service order of calling :meth:`task_ready` per task."""
-        self._push_many(tasks)
+        """Batched :meth:`task_ready`: one lock acquisition per batch, in the
+        service order of calling :meth:`task_ready` per task."""
+        if not tasks:
+            return
+        with self._lock:
+            self._queue.extend(tasks)
+            stats = self.stats
+            stats.total_pushes += len(tasks)
+            # The batch only grows the queue: its final depth is its maximum.
+            if len(self._queue) > stats.max_depth:
+                stats.max_depth = len(self._queue)
 
-    def _push_each(self, tasks: Sequence[Task]) -> None:
-        for task in tasks:
-            self._queue.push(task)
-
-    def next_task(self, worker_id: int = 0) -> Optional[Task]:
+    def next_task(self) -> Optional[Task]:
         """Called by an idle worker; ``None`` means no work is available."""
-        return self._queue.pop(worker_id)
+        with self._lock:
+            if not self._queue:
+                return None
+            self.stats.total_pops += 1
+            return self._queue.popleft()
 
     def pending(self) -> int:
         """Number of tasks currently waiting in the ready queue."""
-        return len(self._queue)
-
-    @property
-    def stats(self):
-        return self._queue.stats
-
-
-# Builtin factories, resolved by name through the scheduler registry; plugins
-# add their own with repro.session.SCHEDULERS.register(name, factory).
-SCHEDULERS.register(
-    "fifo", lambda config: Scheduler(FIFOReadyQueue()), replace=True
-)
-
-
-def make_scheduler(config: RuntimeConfig) -> Scheduler:
-    """Build the scheduler named by ``config.scheduler`` (registry lookup)."""
-    try:
-        factory = SCHEDULERS.factory(config.scheduler)
-    except ConfigurationError as exc:
-        raise SchedulerError(str(exc)) from exc
-    return factory(config)
+        with self._lock:
+            return len(self._queue)

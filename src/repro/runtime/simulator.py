@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.common.config import RuntimeConfig, SimulationConfig
 from repro.common.exceptions import ConfigurationError, SimulationError
@@ -163,9 +163,6 @@ class SimulatedExecutor(BaseExecutor):
         # memory-bandwidth-bound operations that contend with each other
         # (paper Figure 7: hash/copy states slow down as cores increase).
         self._active_memory_ops = 0
-        # Readiness is gated per task on the simulated creation event, so a
-        # batched release takes the base class's per-task path (in order).
-        self._tasks_ready = None
 
     # The simulator manages availability itself (creation throttling), so the
     # graph's ready notification only records the release.
@@ -173,6 +170,12 @@ class SimulatedExecutor(BaseExecutor):
         self._released.add(task.task_id)
         if task.task_id in self._created:
             self.scheduler.task_ready(task)
+
+    def notify_ready_batch(self, tasks: Sequence[Task]) -> None:
+        # Readiness is gated per task on the simulated creation event, so a
+        # batched release is a per-task release, in order.
+        for task in tasks:
+            self.notify_ready(task)
 
     # -- cost helpers ----------------------------------------------------------
     def _contention(self) -> float:
@@ -245,7 +248,7 @@ class SimulatedExecutor(BaseExecutor):
         def dispatch(now: float) -> None:
             while idle_heap:
                 core = heapq.heappop(idle_heap)
-                task = self.scheduler.next_task(core)
+                task = self.scheduler.next_task()
                 if task is None:
                     heapq.heappush(idle_heap, core)
                     return

@@ -19,7 +19,7 @@ registered backend).  Three properties make the sharing safe:
 * **Opt-in sharing** — with ``ServingConfig.shared_tht`` the gateway keeps
   one extra :class:`~repro.atm.tht.THT` tier.  Tenant engines journal their
   commits and a background pump incrementally merges the deltas into the
-  shared tier (period ``merge_interval_s``, or earlier after
+  shared tier (period :data:`MERGE_INTERVAL_S`, or earlier after
   :data:`MERGE_MIN_COMMITS` journal entries); a tenant-private THT miss then
   probes the shared tier, so tenants that opted in reuse each other's work
   without ever writing into each other's namespaces.  With ``atm.tht_store``
@@ -104,6 +104,11 @@ SERVING_PROTOCOL_VERSION = 4
 
 #: ATM modes a tenant may request at hello time.
 _TENANT_ATM_MODES = ("none", "static", "dynamic", "fixed_p")
+
+#: Period of the merge pump: at least this often every tenant engine's
+#: journaled delta (``snapshot(reset=True)``) is merged into the shared tier,
+#: no drain barrier required.
+MERGE_INTERVAL_S = 0.05
 
 #: Size trigger of the merge pump: a tenant engine whose journal holds this
 #: many commits is merged at the next tick instead of waiting for the timer.
@@ -549,8 +554,7 @@ class Gateway:
             self._flush_tenant_delta(tenant)
 
     def _merge_loop(self) -> None:
-        interval = self.serving.merge_interval_s
-        tick = max(interval / 4.0, 0.005)
+        tick = max(MERGE_INTERVAL_S / 4.0, 0.005)
         while not self._stop_event.wait(tick):
             now = time.monotonic()
             with self._tenants_lock:
@@ -561,7 +565,7 @@ class Gateway:
                     continue
                 journaled = engine.tht.journaled
                 if journaled >= MERGE_MIN_COMMITS or (
-                    journaled and now - tenant.last_flush >= interval
+                    journaled and now - tenant.last_flush >= MERGE_INTERVAL_S
                 ):
                     self._flush_tenant_delta(tenant)
             # Tenant deltas merged above land in the shared tier's journal

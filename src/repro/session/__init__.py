@@ -21,10 +21,9 @@ Three pieces:
   ``runtime``/``atm``/``simulation``/``serving`` config tree with dict /
   TOML / JSON / environment round-tripping;
 * the registries (:mod:`repro.common.registry`, which gives each one's
-  factory signature) — ``EXECUTORS`` / ``SCHEDULERS`` / ``POLICIES``, whose
-  ``register`` / ``unregister`` / ``names`` are the extension hooks: a
-  registered name is at once a valid ``runtime.executor`` /
-  ``runtime.scheduler`` / ``atm.mode`` value, a valid
+  factory signature) — ``EXECUTORS`` / ``POLICIES``, whose ``register`` /
+  ``unregister`` / ``names`` are the extension hooks: a registered name is
+  at once a valid ``runtime.executor`` / ``atm.mode`` value, a valid
   ``Session(executor=..., policy=...)`` argument and a valid config-file or
   environment value.
 
@@ -37,7 +36,7 @@ True
 """
 
 from repro.common.config import ENV_PREFIX, ReproConfig
-from repro.common.registry import EXECUTORS, POLICIES, SCHEDULERS
+from repro.common.registry import EXECUTORS, POLICIES
 from repro.runtime.data import In, InOut, Out
 from repro.session.session import Session
 
@@ -49,6 +48,5 @@ __all__ = [
     "Out",
     "InOut",
     "EXECUTORS",
-    "SCHEDULERS",
     "POLICIES",
 ]

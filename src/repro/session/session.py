@@ -2,7 +2,7 @@
 
 A :class:`Session` owns the assembly of every moving part the paper's
 programming model assumes — the memoization engine (policy + THT + IKT), the
-execution backend, the ready-queue scheduler and the task dependence graph —
+execution backend, its ready queue and the task dependence graph —
 from a single :class:`~repro.common.config.ReproConfig` tree, and exposes
 the OmpSs-style task-declaration surface on top:
 
@@ -22,8 +22,8 @@ Data accesses are declared either by annotating parameters with ``In`` /
 ``Out`` / ``InOut`` (as above) or explicitly by parameter name
 (``@s.task(ins=("x",), outs=("y",))``); the runtime derives the dependence
 edges and the ATM engine derives the hash-key inputs from the same
-declaration, exactly like an OmpSs ``depend`` clause.  Backends, schedulers
-and ATM policies are selected by registry name (``executor="process"``,
+declaration, exactly like an OmpSs ``depend`` clause.  Backends and ATM
+policies are selected by registry name (``executor="process"``,
 ``policy="dynamic"``), so plugged-in backends work here without changes
 (:mod:`repro.common.registry`).
 """
@@ -160,8 +160,6 @@ class Session:
         constructed :class:`BaseExecutor` for full manual control.  An
         executor holds no engine: every task names its owner (this session),
         and the session's engine runs on whatever executor it is given.
-    scheduler:
-        Registry name overriding ``config.runtime.scheduler``.
     policy:
         Registry name overriding ``config.atm.mode`` — or an
         :class:`~repro.atm.policy.ATMPolicy` instance.
@@ -195,7 +193,6 @@ class Session:
         config: "ReproConfig | Mapping | str | Path | None" = None,
         *,
         executor: "str | BaseExecutor | None" = None,
-        scheduler: Optional[str] = None,
         policy: Any = None,
         engine: Any = None,
         cores: Optional[int] = None,
@@ -207,8 +204,6 @@ class Session:
         atm_overrides: dict[str, Any] = {}
         if isinstance(executor, str):
             runtime_overrides["executor"] = executor
-        if scheduler is not None:
-            runtime_overrides["scheduler"] = scheduler
         if cores is not None:
             runtime_overrides["num_threads"] = cores
         if tracing is not None:
@@ -236,7 +231,7 @@ class Session:
 
         if executor is not None and not isinstance(executor, str):
             if runtime_overrides:
-                # cores=/scheduler=/tracing= describe how to *build* a
+                # cores=/tracing= describe how to *build* a
                 # backend; they cannot retrofit an already-built instance,
                 # and silently ignoring them would misreport the run.
                 raise ConfigurationError(
@@ -638,7 +633,6 @@ class Session:
             engine = policy.describe() if policy is not None else "custom"
         return (
             f"Session(executor={type(self.executor).__name__}, "
-            f"scheduler={self.config.runtime.scheduler!r}, "
             f"cores={self.config.runtime.num_threads}, atm={engine})"
         )
 

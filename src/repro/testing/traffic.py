@@ -13,8 +13,8 @@ Two arrival processes are provided:
   gaps between groups scaled so the long-run rate is still ``rate_hz``
   (stress for the admission controller's bounded pending pool).
 
-The module also hosts the module-level task bodies that the serving tests
-and benches submit — the same rule as :mod:`repro.testing.faults`: the
+The module also hosts module-level task bodies that the runtime tests
+submit to every pool kind — the same rule as :mod:`repro.testing.faults`: the
 process/network pools look task functions up by name, so nothing here may
 be a closure or a lambda.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -148,28 +148,6 @@ def replay(
 
 
 # -- task bodies (module-level: they travel by name) ----------------------------
-def scale_block(src: np.ndarray, dst: np.ndarray, factor: float) -> None:
-    """dst = src * factor (the serving bench's unit of work)."""
-    dst[:] = src * factor
-
-
-def burn_block(src: np.ndarray, dst: np.ndarray, passes: int) -> None:
-    """``passes`` dependent scale sweeps: compute-dense, byte-light.
-
-    The serving fairness bench needs per-task cost to dominate frame
-    shipping without inflating the arena (and its barrier write-backs), so
-    it burns CPU over a small block instead of touching a big one.
-    """
-    dst[:] = src
-    for _ in range(passes):
-        dst *= 1.0000001
-
-
-def add_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a + b."""
-    out[:] = a + b
-
-
 def fill_block(out: np.ndarray, value: float) -> None:
     """out = value (wave-1 body of the submit-while-draining tests)."""
     out[:] = value

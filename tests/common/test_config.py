@@ -97,10 +97,6 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError):
             RuntimeConfig(num_threads=0)
 
-    def test_scheduler_validated(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(scheduler="round_robin")
-
     @pytest.mark.parametrize("section, removed", [
         ("runtime", "max_ready_tasks"),
         ("runtime", "net_timeout_grace_s"),
@@ -115,6 +111,8 @@ class TestRuntimeConfig:
         ("serving", "default_weight"),
         ("serving", "merge_min_commits"),
         ("serving", "result_history"),
+        ("runtime", "scheduler"),
+        ("serving", "merge_interval_s"),
     ])
     def test_removed_fields_are_rejected_by_name(self, section, removed, tmp_path):
         # The first runtime two had no reader (the grace is
@@ -161,9 +159,9 @@ class TestEveryKnobEarnsItsPlace:
     """The configuration surface is a visible diff: a new field changes the
     count below, and a field nothing reads cannot stay."""
 
-    def test_the_tree_has_43_leaf_fields(self):
+    def test_the_tree_has_41_leaf_fields(self):
         sizes = {s: len(fields) for s, fields in ReproConfig().to_dict().items()}
-        assert sizes == {"runtime": 14, "atm": 14, "simulation": 7, "serving": 8}
+        assert sizes == {"runtime": 13, "atm": 14, "simulation": 7, "serving": 7}
 
     def test_every_field_has_a_reader_outside_the_config_module(self):
         package = Path(repro.__file__).parent

@@ -61,7 +61,6 @@ runtime_configs = st.builds(
     RuntimeConfig,
     num_threads=st.integers(min_value=1, max_value=64),
     executor=st.sampled_from(["serial", "threaded", "process", "simulated"]),
-    scheduler=st.just("fifo"),
     enable_tracing=st.booleans(),
     mp_chunk_size=st.integers(min_value=1, max_value=64),
     net_endpoints=st.sampled_from(
@@ -243,7 +242,6 @@ class TestServingConfig:
         "max_tenant_queue": 512,
         "quantum": 16,
         "shared_tht": True,
-        "merge_interval_s": 0.1,
         "shutdown_grace_s": 2.5,
     }
 

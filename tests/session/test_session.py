@@ -21,7 +21,6 @@ from repro.runtime.task import TaskType
 from repro.session import (
     EXECUTORS,
     POLICIES,
-    SCHEDULERS,
     In,
     InOut,
     Out,
@@ -112,8 +111,11 @@ class TestAssembly:
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=2))
         with pytest.raises(ConfigurationError, match="num_threads"):
             Session(executor=executor, cores=8)
-        with pytest.raises(ConfigurationError, match="scheduler"):
-            Session(executor=ThreadedExecutor(config=RuntimeConfig()), scheduler="fifo")
+
+    def test_scheduler_is_not_a_session_argument(self):
+        # The one ready queue is the FIFO; there is nothing to choose.
+        with pytest.raises(TypeError, match="scheduler"):
+            Session(scheduler="fifo")
 
     def test_engine_sized_from_executor_instance_threads(self):
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=3))
@@ -407,22 +409,6 @@ class TestRegistries:
             EXECUTORS.unregister("loopback")
         with pytest.raises(ConfigurationError):
             RuntimeConfig(executor="loopback")
-
-    def test_register_scheduler(self):
-        from repro.runtime.ready_queue import FIFOReadyQueue
-        from repro.runtime.scheduler import Scheduler
-
-        SCHEDULERS.register("fifo2", lambda config: Scheduler(FIFOReadyQueue()))
-        try:
-            with Session({"runtime": {"scheduler": "fifo2"}}) as s:
-                @s.task
-                def touch(d: Out):
-                    d[0] = 1.0
-                data = np.zeros(1)
-                touch(data)
-            assert data[0] == 1.0
-        finally:
-            SCHEDULERS.unregister("fifo2")
 
     def test_register_policy_becomes_valid_mode(self):
         POLICIES.register("static2", lambda config: StaticATMPolicy(config))
