@@ -13,7 +13,8 @@ bench:
 	$(PYTHON) -m bench
 
 # Size of the codebase beside the previous commit: src/scripts lines, config
-# fields per section, __all__ names, modules (what simplicity PRs report).
+# fields per section, __all__ names, modules and the repro modules that
+# `import repro` loads (what simplicity PRs report).
 size:
 	$(PYTHON) scripts/size_report.py HEAD~1
 

@@ -31,7 +31,7 @@ if str(SRC) not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.apps import make_benchmark  # noqa: E402
+from repro.apps.registry import make_benchmark  # noqa: E402
 from repro.serving import Gateway, GatewayClient  # noqa: E402
 from repro.session import ReproConfig, Session  # noqa: E402
 from repro.testing.traffic import SERVED_APPS  # noqa: E402

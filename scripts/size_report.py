@@ -10,7 +10,8 @@ side by side (checked out into a temporary ``git worktree``) — prints:
   holding a token that is neither blank, comment nor docstring);
 * configuration fields per section and in total (``ReproConfig().to_dict()``
   of that tree);
-* names exported through ``__all__`` and modules under ``src/repro/``;
+* names exported through ``__all__``, modules under ``src/repro/`` and the
+  ``repro`` modules a fresh interpreter holds after ``import repro``;
 * bytes of each root-level ``*.md`` file and their total (the docs).
 """
 
@@ -61,16 +62,26 @@ def exported_names(module: ast.Module) -> int:
     return 0
 
 
-def config_fields(tree: Path) -> dict[str, int]:
-    """Fields per config section, asked of the tree's own ``ReproConfig``."""
+def ask(tree: Path, code: str):
+    """What ``code`` prints as JSON in a fresh interpreter of the tree's ``src``."""
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import json; from repro.session import ReproConfig; "
-         "print(json.dumps({s: len(v) for s, v in ReproConfig().to_dict().items()}))"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(tree / "src")},
         capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
+
+
+def config_fields(tree: Path) -> dict[str, int]:
+    """Fields per config section, asked of the tree's own ``ReproConfig``."""
+    return ask(tree, "import json; from repro.session import ReproConfig; "
+                     "print(json.dumps({s: len(v) for s, v in ReproConfig().to_dict().items()}))")
+
+
+def modules_loaded(tree: Path) -> int:
+    """``repro`` modules in ``sys.modules`` after ``import repro`` in that tree."""
+    return ask(tree, "import sys, repro; "
+                     "print(sum(name.split('.')[0] == 'repro' for name in sys.modules))")
 
 
 def measure(tree: Path) -> dict[str, int]:
@@ -96,6 +107,7 @@ def measure(tree: Path) -> dict[str, int]:
     rows["config fields: total"] = sum(fields.values())
     rows["__all__ names (src)"] = exported
     rows["modules under src/repro"] = len(list((tree / "src" / "repro").rglob("*.py")))
+    rows["repro modules loaded by import repro"] = modules_loaded(tree)
     docs = {path.name: path.stat().st_size for path in sorted(tree.glob("*.md"))}
     for name, size in docs.items():
         rows[f"docs bytes: {name}"] = size
@@ -110,17 +122,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     new = measure(REPO_ROOT)
+    width = max(map(len, new)) + 2
     if args.ref is None:
         for name, value in new.items():
-            print(f"{name:<28}{value:>8}")
+            print(f"{name:<{width}}{value:>8}")
         return 0
 
     with ref_worktree(args.ref, "size_report_") as scratch:
         ref = measure(scratch / "ref")
-    print(f"{'':<28}{args.ref[:12]:>12}{'tree':>10}{'change':>10}")
+    print(f"{'':<{width}}{args.ref[:12]:>12}{'tree':>10}{'change':>10}")
     for name, after in new.items():
         before = ref.get(name, 0)
-        print(f"{name:<28}{before:>12}{after:>10}{after - before:>+10d}")
+        print(f"{name:<{width}}{before:>12}{after:>10}{after - before:>+10d}")
     return 0
 
 

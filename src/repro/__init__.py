@@ -37,33 +37,22 @@ paper (Brumar et al., IPPS 2017):
     :class:`~repro.session.ReproConfig` tree and exposes the ``@s.task``
     programming model; pluggable name registries let new backends drop in
     (DESIGN.md §6).
+
+Three packages are front doors and re-export names: this one (``Session``,
+``ReproConfig``, ``EXECUTORS``, ``POLICIES``), :mod:`repro.session` and
+:mod:`repro.serving` (``Gateway``, ``GatewayClient``).  Every other name is
+imported from its defining module, and a backend or policy is loaded by its
+registry name when a Session asks for it, so ``import repro`` loads neither
+the ATM layer nor the process, network and simulated backends (DESIGN.md §1).
 """
 
 from repro._version import __version__
-from repro.session import ReproConfig, Session
-from repro.atm.policy import (
-    ATMMode,
-    ATMPolicy,
-    DynamicATMPolicy,
-    FixedPPolicy,
-    NoATMPolicy,
-    StaticATMPolicy,
-)
-from repro.atm.engine import ATMEngine
-from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
+from repro.session import EXECUTORS, POLICIES, ReproConfig, Session
 
 __all__ = [
     "__version__",
     "Session",
     "ReproConfig",
-    "ATMMode",
-    "ATMPolicy",
-    "NoATMPolicy",
-    "StaticATMPolicy",
-    "DynamicATMPolicy",
-    "FixedPPolicy",
-    "ATMEngine",
-    "ATMConfig",
-    "RuntimeConfig",
-    "SimulationConfig",
+    "EXECUTORS",
+    "POLICIES",
 ]

@@ -7,30 +7,3 @@ the OmpSs pragmas of the original benchmarks), exposes the final program
 output for correctness measurement and describes its memoized task type and
 Dynamic-ATM parameters (paper Tables I and II).
 """
-
-from repro.apps.base import BenchmarkApp, BenchmarkInfo, WorkloadScale
-from repro.apps.blackscholes import BlackscholesApp
-from repro.apps.stencil import GaussSeidelApp, JacobiApp
-from repro.apps.kmeans import KmeansApp
-from repro.apps.sparselu import SparseLUApp
-from repro.apps.swaptions import SwaptionsApp
-from repro.apps.registry import (
-    BENCHMARK_NAMES,
-    PAPER_PARAMETERS,
-    make_benchmark,
-)
-
-__all__ = [
-    "BenchmarkApp",
-    "BenchmarkInfo",
-    "WorkloadScale",
-    "BlackscholesApp",
-    "GaussSeidelApp",
-    "JacobiApp",
-    "KmeansApp",
-    "SparseLUApp",
-    "SwaptionsApp",
-    "BENCHMARK_NAMES",
-    "PAPER_PARAMETERS",
-    "make_benchmark",
-]

@@ -27,7 +27,7 @@ from repro.session import Session
 from repro.runtime.data import In, Out
 from repro.runtime.task import Task
 
-__all__ = ["BlackscholesApp", "black_scholes_price", "cndf"]
+__all__ = ["BlackscholesApp"]
 
 #: Abramowitz & Stegun polynomial approximation constants used by the
 #: original PARSEC kernel's cumulative normal distribution function.

@@ -28,7 +28,7 @@ from repro.session import Session
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.task import Task
 
-__all__ = ["KmeansApp", "assign_block", "update_centers"]
+__all__ = ["KmeansApp"]
 
 _SCALES = {
     WorkloadScale.TINY: dict(points=1024, blocks=8, clusters=6, dims=8, iterations=8),

@@ -31,7 +31,7 @@ from repro.session import Session
 from repro.runtime.data import In, InOut
 from repro.runtime.task import Task
 
-__all__ = ["SparseLUApp", "lu0", "fwd", "bdiv", "bmod"]
+__all__ = ["SparseLUApp"]
 
 _SCALES = {
     WorkloadScale.TINY: dict(nb=8, bs=16, density=0.6, patterns=2),

@@ -34,7 +34,7 @@ from repro.session import Session
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.task import Task
 
-__all__ = ["GaussSeidelApp", "JacobiApp", "StencilGrid"]
+__all__ = ["GaussSeidelApp", "JacobiApp"]
 
 #: Temperature of the walls (boundary condition).
 WALL_TEMPERATURE = 100.0

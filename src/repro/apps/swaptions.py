@@ -29,7 +29,7 @@ from repro.session import Session
 from repro.runtime.data import In, Out
 from repro.runtime.task import Task
 
-__all__ = ["SwaptionsApp", "price_swaption", "SWAPTION_PARAM_DOUBLES"]
+__all__ = ["SwaptionsApp"]
 
 #: Number of float64 values in one swaption parameter record
 #: (47 doubles = 376 bytes, matching Table I).

@@ -11,37 +11,3 @@ Subcomponents (Section III of the paper):
 * :mod:`repro.atm.engine` — the memoization engine wired into the runtime;
 * :mod:`repro.atm.stats` — reuse, memory-overhead and provenance statistics.
 """
-
-from repro.atm.engine import ATMEngine
-from repro.atm.policy import (
-    ATMMode,
-    ATMPolicy,
-    DynamicATMPolicy,
-    FixedPPolicy,
-    NoATMPolicy,
-    StaticATMPolicy,
-    make_policy,
-)
-from repro.atm.stats import ATMStats
-from repro.atm.tht import TaskHistoryTable, THTEntry
-from repro.atm.ikt import InFlightKeyTable
-from repro.atm.keygen import HashKeyGenerator
-from repro.atm.adaptive import DynamicATMTrainer, TrainingPhase
-
-__all__ = [
-    "ATMEngine",
-    "ATMMode",
-    "ATMPolicy",
-    "NoATMPolicy",
-    "StaticATMPolicy",
-    "DynamicATMPolicy",
-    "FixedPPolicy",
-    "make_policy",
-    "ATMStats",
-    "TaskHistoryTable",
-    "THTEntry",
-    "InFlightKeyTable",
-    "HashKeyGenerator",
-    "DynamicATMTrainer",
-    "TrainingPhase",
-]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.common.config import ATMConfig, MIN_P
 from repro.runtime.task import Task
 
-__all__ = ["TrainingPhase", "DynamicATMTrainer"]
+__all__ = ["DynamicATMTrainer"]
 
 
 class TrainingPhase(enum.Enum):

@@ -26,12 +26,8 @@ from repro.atm.adaptive import DynamicATMTrainer
 from repro.runtime.task import Task
 
 __all__ = [
-    "ATMMode",
     "ATMPolicy",
-    "NoATMPolicy",
     "StaticATMPolicy",
-    "FixedPPolicy",
-    "DynamicATMPolicy",
     "make_policy",
 ]
 

@@ -71,16 +71,10 @@ from repro.runtime.net_wire import (
 )
 
 __all__ = [
-    "STORE_SCHEMA_VERSION",
-    "SHARD_PROTOCOL_VERSION",
-    "COMPACT_AFTER_FRAMES",
     "FileTHTStore",
-    "ShardTHTStore",
-    "open_store",
     "parse_store_url",
     "warm_start",
     "publish_increment",
-    "merge_deltas",
     "serve_shard_connection",
     "ShardState",
 ]

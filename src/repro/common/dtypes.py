@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "TypeDescriptor",
     "describe_array",
-    "describe_dtype",
     "significance_order",
 ]
 

@@ -23,10 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "chebyshev_relative_error",
     "euclidean_relative_error",
     "correctness_percent",
-    "lu_residual_error",
     "combined_chebyshev_error",
 ]
 

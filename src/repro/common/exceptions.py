@@ -1,7 +1,7 @@
 """Exception hierarchy for the ATM reproduction.
 
 Keeping a single module for exceptions lets callers catch broad categories
-(``ReproError``) or precise conditions (``DependenceError``) without importing
+(``ReproError``) or precise conditions (``TaskTimeoutError``) without importing
 heavy modules.
 """
 
@@ -14,10 +14,6 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A configuration object contains an invalid or inconsistent value."""
-
-
-class DependenceError(ReproError):
-    """A task declared data accesses that the dependence system rejects."""
 
 
 class TaskDefinitionError(ReproError):

@@ -49,14 +49,9 @@ import numpy as np
 __all__ = [
     "HashKey",
     "bucket_of_value",
-    "jenkins_one_at_a_time",
-    "jenkins_lookup3",
-    "hash_bytes",
     "hash_views",
     "combine_digests",
-    "splitmix64",
     "canonical_p",
-    "HASH_FUNCTIONS",
 ]
 
 _MASK32 = 0xFFFFFFFF

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Optional
 from repro.common.exceptions import ConfigurationError
 
 __all__ = [
-    "Registry",
     "EXECUTORS",
     "POLICIES",
 ]

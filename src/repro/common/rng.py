@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "generator_for", "spawn_generators"]
+__all__ = ["generator_for"]
 
 
 def derive_seed(root_seed: int, *names: object) -> int:

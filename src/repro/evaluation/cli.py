@@ -21,7 +21,7 @@ from typing import Sequence
 from repro.apps.registry import BENCHMARK_NAMES
 from repro.evaluation.figures import FIGURES, compute, render
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:

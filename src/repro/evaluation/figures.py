@@ -41,7 +41,7 @@ from repro.evaluation.reporting import format_series, format_table
 from repro.evaluation.runner import ExperimentSpec, geometric_mean, run_benchmark
 from repro.runtime.trace import CoreState, render_ascii_trace
 
-__all__ = ["FIGURES", "Figure", "Table", "Column", "Cells", "compute", "render"]
+__all__ = ["FIGURES", "compute", "render"]
 
 
 # -- runs -----------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "format_kv"]
+__all__ = ["format_table", "format_series"]
 
 
 def format_table(

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.apps import make_benchmark
+from repro.apps.registry import make_benchmark
 from repro.apps.base import BenchmarkApp, WorkloadScale
 from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
 from repro.common.exceptions import ConfigurationError, EvaluationError
@@ -35,7 +35,6 @@ __all__ = [
     "ExperimentResult",
     "run_benchmark",
     "run_reference",
-    "clear_reference_cache",
 ]
 
 

@@ -23,34 +23,3 @@ The runtime exposes the same concepts the paper relies on:
 
 The user-facing programming surface is :class:`repro.session.Session`.
 """
-
-from repro.runtime.data import AccessMode, DataAccess, DataRegion, In, InOut, Out
-from repro.runtime.task import Task, TaskState, TaskType
-from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.executor import (
-    RunResult,
-    SerialExecutor,
-    ThreadedExecutor,
-    build_executor,
-)
-from repro.runtime.simulator import SimulatedExecutor
-from repro.runtime.mp_executor import ProcessExecutor
-
-__all__ = [
-    "AccessMode",
-    "DataAccess",
-    "DataRegion",
-    "In",
-    "Out",
-    "InOut",
-    "Task",
-    "TaskState",
-    "TaskType",
-    "TaskDependenceGraph",
-    "RunResult",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "SimulatedExecutor",
-    "ProcessExecutor",
-    "build_executor",
-]

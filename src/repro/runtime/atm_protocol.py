@@ -28,7 +28,6 @@ __all__ = [
     "ATMAction",
     "ATMDecision",
     "ATMCommitInfo",
-    "MemoizationEngineProtocol",
     "EXECUTE_DECISION",
 ]
 

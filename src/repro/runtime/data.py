@@ -35,7 +35,6 @@ __all__ = [
     "In",
     "Out",
     "InOut",
-    "as_region",
     "region_versions",
 ]
 

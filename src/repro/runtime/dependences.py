@@ -69,7 +69,7 @@ from typing import Iterable
 from repro.runtime.data import DataAccess, DataRegion
 from repro.runtime.task import Task
 
-__all__ = ["DependenceTracker", "RegionState"]
+__all__ = ["DependenceTracker"]
 
 #: Process-wide epoch clock.  Epochs are globally unique (never reused), so a
 #: task stamped by one tracker can never alias a fresh epoch of another

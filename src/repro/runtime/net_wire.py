@@ -70,8 +70,6 @@ from repro.runtime.remote_task import ArrayArena
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MAX_FRAME_BYTES",
-    "MAX_FRAME_SEGMENTS",
     "Frame",
     "NetBuffer",
     "NetChunk",

@@ -56,7 +56,6 @@ __all__ = [
     "describe_task",
     "describe_tasks",
     "rebuild_task",
-    "run_descriptor",
     "ArrayArena",
     "RemoteWorker",
 ]
@@ -298,12 +297,14 @@ class RemoteWorker:
         ``(index, recipe)`` pair per owner named; a chunk without them runs
         every task without ATM.  An index seen before keeps its replica and
         its recipe is ignored; fields that do not fit the chunk raise."""
-        from repro.atm.engine import build_engine
-
         for index, recipe in recipes:
             if type(index) is not int:
                 raise TypeError(f"owner index {index!r} is not an int")
             if index not in self.engines:
+                # Imported at the first owner with ATM: a worker whose
+                # chunks carry none never loads the ATM layer.
+                from repro.atm.engine import build_engine
+
                 self.engines[index] = build_engine(
                     ATMConfig(**recipe), num_threads=1, journal=True
                 )

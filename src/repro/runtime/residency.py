@@ -47,7 +47,6 @@ from typing import Iterable, Optional
 
 __all__ = [
     "RESIDENCY_BUDGET_BYTES",
-    "ResidencyEntry",
     "ResidencyTable",
     "WorkerBufferCache",
 ]

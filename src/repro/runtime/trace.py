@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["CoreState", "StateInterval", "TraceRecorder", "render_ascii_trace"]
+__all__ = ["CoreState", "TraceRecorder", "render_ascii_trace"]
 
 
 class CoreState(enum.Enum):

@@ -9,18 +9,10 @@ incrementally merged THT tier.  :class:`GatewayClient` is the synchronous
 SDK mirroring the Session submission surface.
 """
 
-from repro.serving.admission import AdmissionController
 from repro.serving.client import GatewayClient
-from repro.serving.gateway import (
-    Gateway,
-    SERVING_PROTOCOL_VERSION,
-    TenantArena,
-)
+from repro.serving.gateway import Gateway
 
 __all__ = [
-    "AdmissionController",
     "Gateway",
     "GatewayClient",
-    "SERVING_PROTOCOL_VERSION",
-    "TenantArena",
 ]

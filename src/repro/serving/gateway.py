@@ -90,7 +90,6 @@ from repro.serving.admission import AdmissionController
 
 __all__ = [
     "Gateway",
-    "TenantArena",
     "SERVING_PROTOCOL_VERSION",
 ]
 
@@ -806,6 +805,9 @@ class Gateway:
                 "tasks_failed": result.tasks_failed,
                 "tasks_cancelled": result.tasks_cancelled,
                 "lost_deltas": result.lost_deltas,
+                # High-water mark of the pool's ready queue (one per pool:
+                # a pool rebuilt after a failed drain starts from 0).
+                "max_depth": self._executor.scheduler.stats.max_depth,
             },
             "tenants": {},
         }

@@ -303,6 +303,9 @@ class Session:
         """
         if engine is not None:
             return engine
+        if cfg.atm.mode == "none" and (policy is None or isinstance(policy, str)):
+            # The ATM-off baseline imports no module of the ATM layer.
+            return None
         # Imported here: the ATM layer itself programs against the runtime,
         # so the engine assembly must not be a static dependency of the
         # runtime's import graph.

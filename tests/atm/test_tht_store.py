@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.apps import make_benchmark
+from repro.apps.registry import make_benchmark
 from repro.apps.registry import BENCHMARK_NAMES
 from repro.atm.store import (
     COMPACT_AFTER_FRAMES,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import make_benchmark
+from repro.apps.registry import make_benchmark
 from repro.apps.registry import BENCHMARK_NAMES
 from repro.atm.engine import ATMEngine
 from repro.atm.policy import make_policy

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.common.exceptions import AdmissionError, RuntimeStateError
-from repro.serving import AdmissionController
+from repro.serving.admission import AdmissionController
 
 
 def make(max_pending=64, max_tenant_queue=128, quantum=4) -> AdmissionController:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.apps import make_benchmark
+from repro.apps.registry import make_benchmark
 from repro.common.exceptions import (
     ConfigurationError,
     GatewayProtocolError,
@@ -27,7 +27,8 @@ from repro.common.exceptions import (
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.net_wire import read_frame, write_frame
 from repro.runtime.task import TaskType
-from repro.serving import Gateway, GatewayClient, SERVING_PROTOCOL_VERSION
+from repro.serving import Gateway, GatewayClient
+from repro.serving.gateway import SERVING_PROTOCOL_VERSION
 from repro.session import ReproConfig, Session
 from repro.testing.faults import wedge_body
 from repro.testing.traffic import accumulate_block, fill_block
@@ -122,6 +123,23 @@ class TestEndToEnd:
         assert entry["latency_p50_s"] >= 0.0
         assert entry["latency_p99_s"] >= entry["latency_p50_s"]
         assert "pending" in stats["admission"]
+
+    def test_stats_report_the_pool_ready_queue_high_water_mark(self):
+        gw = Gateway(ReproConfig().with_overrides(runtime={"executor": "serial"}))
+        gw.start()
+        try:
+            blocks = [np.zeros(4) for _ in range(8)]
+            with connect(gw, "e2e-depth") as client:
+                assert client.stats()["pool"]["max_depth"] == 0
+                client.submit_batch([
+                    (FILL, fill_block, [Out(block)], (block, 1.0)) for block in blocks
+                ])
+                client.wait_all()
+                depth = client.stats()["pool"]["max_depth"]
+        finally:
+            gw.stop()
+        # Eight independent tasks: at least one queued, never more than eight.
+        assert 1 <= depth <= len(blocks)
 
     def test_reconnect_resumes_tenant_namespace(self, gateway):
         data = np.zeros(4)

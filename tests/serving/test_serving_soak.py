@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.apps import make_benchmark
+from repro.apps.registry import make_benchmark
 from repro.serving import Gateway, GatewayClient
 from repro.session import ReproConfig, Session
 from repro.testing.traffic import make_plan, replay

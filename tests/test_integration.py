@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import BENCHMARK_NAMES, make_benchmark
+from repro.apps.registry import BENCHMARK_NAMES, make_benchmark
 from repro.atm.engine import ATMEngine
 from repro.atm.policy import DynamicATMPolicy, StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
