@@ -44,7 +44,8 @@ examples:
 # copy-in, per-result copy-out), what failed drains leave at home, and the
 # executor parity matrix (its process cells; the simulator and network-only
 # tests of that file are left to the tiers that own them), and the copy-elision
-# units (workers never elide, a remote MEMOIZED completion clears the tag).
+# units (the parent elides as serial does, a remote MEMOIZED completion clears
+# the tag).
 process-backend:
 	$(PYTHON) -m pytest tests/runtime/test_mp_executor.py \
 		tests/runtime/test_host_writes.py \
@@ -66,7 +67,7 @@ net-loopback:
 # rules for the per-endpoint stale-bytes caches, the parity matrix (which
 # runs the network backend residency-on and -off), the failover
 # scenarios that exercise residency invalidation, and the copy-elision units
-# (endpoint-side regions never elide; their network cells run residency-on).
+# (the parent elides as serial does; their network cells run residency-on).
 net-residency:
 	$(PYTHON) -m pytest tests/runtime/test_residency_property.py \
 		tests/atm/test_copy_elision.py \

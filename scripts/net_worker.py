@@ -4,9 +4,8 @@
 Serves the wire protocol of :mod:`repro.runtime.net_wire` over TCP: every
 accepted connection gets its own service thread running the *same*
 :func:`repro.runtime.net_transport.serve_connection` loop the loopback
-transport runs in-process, with per-connection ATM engine replicas: one
-per task owner the executor's chunks name, built from the recipe the first
-such chunk carries.
+transport runs in-process.  A worker holds no ATM engine: the executor
+looks tasks up and commits them, and ships only the bodies that must run.
 
 Usage::
 

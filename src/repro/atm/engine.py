@@ -46,7 +46,7 @@ class ATMEngine:
         self,
         config: Optional[ATMConfig] = None,
         policy: Optional[ATMPolicy] = None,
-        num_threads: int = 8,
+        num_threads: Optional[int] = 8,
     ) -> None:
         self.config = config or ATMConfig()
         self.policy = policy or StaticATMPolicy(self.config)
@@ -55,7 +55,9 @@ class ATMEngine:
         # geometry always comes from the engine-level config.
         self.keygen = HashKeyGenerator(self.policy.config, stats=self.stats)
         self.tht = TaskHistoryTable(self.config)
-        self.ikt = InFlightKeyTable(max_entries=max(num_threads, 1)) if self.config.use_ikt else None
+        # One slot per task the executor runs at once (``None``: unbounded).
+        slots = None if num_threads is None else max(num_threads, 1)
+        self.ikt = InFlightKeyTable(max_entries=slots) if self.config.use_ikt else None
         self._petitions: dict[int, list[Task]] = {}
         self._petition_lock = threading.Lock()
 
@@ -215,37 +217,6 @@ class ATMEngine:
             pairs.append((fresh, stored.reshape(fresh.shape)))
         return combined_chebyshev_error(pairs)
 
-    # -- cross-process deltas -----------------------------------------------------------
-    def enable_delta_snapshots(self) -> None:
-        """Journal THT commits so :meth:`snapshot` ships incremental deltas.
-
-        Process-backend workers call this once at startup; each drain-barrier
-        ``snapshot(reset=True)`` then contains only the work done since the
-        previous barrier, making :meth:`merge` on the parent idempotent-safe.
-        """
-        self.tht.enable_journal()
-
-    def snapshot(self, reset: bool = False) -> dict:
-        """Serializable engine state delta: statistics + THT commits."""
-        return {
-            "stats": self.stats.snapshot(reset=reset),
-            "tht": self.tht.snapshot(reset=reset),
-        }
-
-    def merge(self, delta: dict) -> None:
-        """Fold a peer engine's :meth:`snapshot` into this engine.
-
-        The parent process uses this to consolidate per-worker engines after
-        a process-backend drain: statistics counters and reuse events are
-        accumulated, THT entries are inserted with refresh/FIFO semantics.
-        IKT state is never merged — in-flight keys are meaningless across
-        process boundaries once a drain barrier has completed.
-        """
-        if not delta:
-            return
-        self.stats.merge(delta.get("stats", {}))
-        self.tht.merge(delta.get("tht", {}))
-
     # -- reporting -------------------------------------------------------------------
     def memory_bytes(self) -> dict[str, int]:
         """ATM memory footprint breakdown (Table III)."""
@@ -307,20 +278,15 @@ def copy_outputs_from_entry(task: Task, entry: THTEntry) -> int:
     return copied
 
 
-def build_engine(
-    config: ATMConfig, num_threads: int, journal: bool = False
-) -> Optional[ATMEngine]:
+def build_engine(config: ATMConfig, num_threads: Optional[int]) -> Optional[ATMEngine]:
     """The one assembly path: ``ATMConfig`` -> policy -> :class:`ATMEngine`.
 
     ``config.mode`` names the policy in the registry (``"none"`` installs no
-    engine), ``num_threads`` sizes the in-flight key table and ``journal``
-    makes :meth:`ATMEngine.snapshot` ship incremental deltas.  The Session,
-    a gateway tenant and a worker replica all come through here.
+    engine) and ``num_threads`` sizes the in-flight key table (the
+    executor's ``max_in_flight``).  The Session and a gateway tenant both
+    come through here.
     """
     if config.mode == "none":
         return None
     policy = make_policy(config.mode, config)
-    engine = ATMEngine(config=config, policy=policy, num_threads=num_threads)
-    if journal:
-        engine.enable_delta_snapshots()
-    return engine
+    return ATMEngine(config=config, policy=policy, num_threads=num_threads)

@@ -172,9 +172,4 @@ def make_policy(mode: ATMMode | str, config: Optional[ATMConfig] = None) -> ATMP
             f"policy {name!r}: a policy factory is called as factory(config) and "
             f"reads p from config.p (it was factory(config, p) before PR 19): {exc}"
         ) from exc
-    policy = factory(config)
-    # Record the registry identity on the instance: the process backend ships
-    # it to workers so they rebuild *this* policy, not whatever builtin the
-    # policy class happens to subclass.
-    policy.registry_name = name
-    return policy
+    return factory(config)

@@ -184,16 +184,10 @@ class ATMStats:
         total = self.memory_overhead_bytes(tht_bytes, ikt_bytes, shuffle_bytes)
         return 100.0 * total / application_bytes
 
-    def snapshot(self, reset: bool = False) -> dict:
-        """Plain-dict summary used by the harness and by tests.
-
-        With ``reset=True`` the counters, events and per-type buckets are
-        zeroed after being read, turning the snapshot into a *delta* since
-        the previous reset — the process backend uses this so merging one
-        delta per drain into the parent engine never double-counts.
-        """
+    def snapshot(self) -> dict:
+        """Plain-dict summary used by the harness and by tests."""
         with self._lock:
-            summary = {
+            return {
                 "tasks_seen": self.tasks_seen,
                 "eligible_tasks": self.eligible_tasks,
                 "tht_hits": self.tht_hits,
@@ -220,44 +214,3 @@ class ATMStats:
                 "reuse_event_types": [event.task_type for event in self.reuse_events],
                 "training_errors": list(self.training_errors),
             }
-            if reset:
-                self._reset_locked()
-            return summary
-
-    _COUNTER_FIELDS = (
-        "tasks_seen", "eligible_tasks", "tht_hits", "ikt_hits", "misses",
-        "training_hits", "blacklisted_skips", "commits", "hashed_bytes",
-        "copied_bytes", "elided_bytes", "stored_bytes", "key_cache_hits",
-        "key_cache_misses",
-        "digest_cache_hits", "digest_cache_misses", "shuffle_evictions",
-    )
-
-    def _reset_locked(self) -> None:
-        for name in self._COUNTER_FIELDS:
-            setattr(self, name, 0)
-        self.reuse_events.clear()
-        self.training_errors.clear()
-        self.per_type.clear()
-
-    def merge(self, delta: dict) -> None:
-        """Accumulate a :meth:`snapshot` delta from another stats instance.
-
-        Used by the process backend to fold per-worker engine statistics
-        into the parent engine at drain boundaries.
-        """
-        with self._lock:
-            for name in self._COUNTER_FIELDS:
-                setattr(self, name, getattr(self, name) + int(delta.get(name, 0)))
-            types = delta.get("reuse_event_types")
-            for index, (producer, consumer, source) in enumerate(
-                delta.get("reuse_events", [])
-            ):
-                task_type = types[index] if types and index < len(types) else ""
-                self.reuse_events.append(
-                    ReuseEvent(producer, consumer, source, task_type)
-                )
-            self.training_errors.extend(delta.get("training_errors", []))
-            for task_type, bucket in delta.get("per_type", {}).items():
-                mine = self._type_bucket(task_type)
-                for key, value in bucket.items():
-                    mine[key] = mine.get(key, 0) + int(value)

@@ -1,11 +1,13 @@
 """Persistent, shared THT stores (DESIGN.md §9).
 
-The THT's ``snapshot(reset)/merge`` delta protocol (process backend PR 2,
-network backend PR 5, serving merge pump PR 8) already defines the unit of
-exchange: a ``{"entries": [THTEntry, ...], "counters": {...}}`` dict, which
-the control codec (:mod:`repro.runtime.codec`) carries as plain data.  This
-module gives those deltas a life beyond the ``Session`` — two backends
-behind one tiny interface, selected by the ``atm.tht_store`` URL:
+The THT's ``snapshot(reset)/merge`` delta protocol (the serving merge
+pump uses it too) defines the unit of exchange: a ``{"entries": [THTEntry,
+...], "counters": {...}}`` dict.  On the wire and in a file each entry is
+the plain tuple ``(key, p, type name, producer index, outputs)``
+(:func:`_plain_delta` / :func:`_delta_of`), which the control codec
+(:mod:`repro.runtime.codec`) carries as data.  This module gives those
+deltas a life beyond the ``Session`` — two backends behind one tiny
+interface, selected by the ``atm.tht_store`` URL:
 
 * :class:`FileTHTStore` (``file://<path>``) — a versioned snapshot file.
   The format reuses the :mod:`repro.runtime.net_wire` framing (magic,
@@ -51,6 +53,8 @@ import warnings
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.atm.tht import TaskHistoryTable, THTEntry
 from repro.common.config import ATMConfig
 from repro.common.exceptions import (
@@ -91,12 +95,14 @@ __all__ = [
 #: ``p < 1`` key value moved, so a schema-3 file is as unreachable.
 #: Schema 5: frames carry the data-only control codec; a schema-2..4 file's
 #: pickled frames are refused unread.
-STORE_SCHEMA_VERSION = 5
+#: Schema 6: an entry is a plain ``(key, p, type name, producer index,
+#: outputs)`` tuple, not a codec record of its own.
+STORE_SCHEMA_VERSION = 6
 
 #: Handshake version of the cache-shard wire vocabulary (2: segmented frames;
 #: 3 and 4: the key definitions of store schemas 3 and 4; 5: the data-only
-#: control codec).
-SHARD_PROTOCOL_VERSION = 5
+#: control codec; 6: entries as the plain tuples of store schema 6).
+SHARD_PROTOCOL_VERSION = 6
 
 #: Append-then-compact bound of the ``file://`` store: a flush that leaves
 #: more than this many frames in the file rewrites it (atomically) as one
@@ -115,16 +121,44 @@ def _entry_key(entry) -> tuple:
     return (entry.key_value, entry.task_type_name, entry.p_canonical)
 
 
-def _is_delta(delta: Any) -> bool:
-    """Whether ``delta`` has the shape of a THT snapshot: what a file or a
-    peer sent is merged only then."""
-    return (
-        type(delta) is dict
-        and type(entries := delta.get("entries", [])) is list
-        and all(type(entry) is THTEntry for entry in entries)
-        and type(counters := delta.get("counters", {})) is dict
-        and all(type(count) is int for count in counters.values())
-    )
+def _plain_delta(delta: dict) -> dict:
+    """``delta`` as it travels: each entry a plain tuple."""
+    return {
+        "entries": [
+            (entry.key_value, entry.p, entry.task_type_name, entry.producer_index,
+             list(entry.outputs))
+            for entry in delta.get("entries", [])
+        ],
+        "counters": delta.get("counters", {}),
+    }
+
+
+def _entry(key, p, name, producer, outputs) -> THTEntry:
+    if not (type(key) is type(producer) is int and type(p) in (int, float)
+            and type(name) is str and type(outputs) is list
+            and all(type(o) is np.ndarray for o in outputs)):
+        raise TypeError("malformed THT entry")
+    return THTEntry(key_value=key, p=p, task_type_name=name, outputs=outputs,
+                    producer_index=producer)
+
+
+def _delta_of(plain: Any) -> Optional[dict]:
+    """The THT delta a file or a peer sent, or ``None`` when it does not
+    have the shape of one: only then is it merged."""
+    try:
+        entries, counters = plain.get("entries", []), plain.get("counters", {})
+        if type(entries) is not list or type(counters) is not dict or not all(
+            type(count) is int for count in counters.values()
+        ):
+            return None
+        return {"entries": [_entry(*row) for row in entries], "counters": counters}
+    except (AttributeError, TypeError, ValueError):
+        return None
+
+
+def _delta_frame(delta: dict) -> bytes:
+    """One ``tht_delta`` frame of a store file."""
+    return bytes(encode_frame((_DELTA_KIND, _plain_delta(delta))))
 
 
 def merge_deltas(deltas: "list[dict]") -> dict:
@@ -296,10 +330,28 @@ class FileTHTStore:
                     stacklevel=3,
                 )
                 break
+            if not frames:
+                self._check_header(message)
             frames.append(message)
             at += consumed
+        if not frames:
+            self._check_header(None)
         # One (kind, dict) header, then (kind, THT delta) frames.
-        header = frames[0] if frames else None
+        header = frames[0]
+        deltas = [
+            _delta_of(frame[1])
+            if type(frame) is tuple and len(frame) == 2 and frame[0] == _DELTA_KIND
+            else None
+            for frame in frames[1:]
+        ]
+        if None in deltas:
+            raise THTStoreCorruptError(f"THT store {self.path} contains a non-delta frame")
+        return [header, *((_DELTA_KIND, delta) for delta in deltas)], len(raw) - at
+
+    def _check_header(self, header: Any) -> None:
+        """Refuse a file that does not start with this schema's header —
+        before any delta frame is decoded: another schema's deltas may not
+        decode at all, and its file must be refused by name, not healed."""
         if not (type(header) is tuple and len(header) == 2 and header[0] == _HEADER_KIND
                 and type(header[1]) is dict):
             raise THTStoreCorruptError(
@@ -311,10 +363,6 @@ class FileTHTStore:
                 f"THT store {self.path} has schema {schema!r}; this build "
                 f"reads schema {STORE_SCHEMA_VERSION}"
             )
-        if not all(type(frame) is tuple and len(frame) == 2 and frame[0] == _DELTA_KIND
-                   and _is_delta(frame[1]) for frame in frames[1:]):
-            raise THTStoreCorruptError(f"THT store {self.path} contains a non-delta frame")
-        return frames, len(raw) - at
 
     # -- store interface ----------------------------------------------------------
     def load(self) -> dict:
@@ -335,7 +383,7 @@ class FileTHTStore:
         entries = delta.get("entries", [])
         if not entries:
             return 0
-        frame = bytes(encode_frame((_DELTA_KIND, delta)))
+        frame = _delta_frame(delta)
         compact_after = False
         with self._lock:
             try:
@@ -347,7 +395,7 @@ class FileTHTStore:
                 # instead of having good frames appended after bad bytes.
                 existing, torn = [], 0
             if not existing or torn:
-                kept = [bytes(encode_frame(message)) for message in existing[1:]]
+                kept = [_delta_frame(message[1]) for message in existing[1:]]
                 self._write_atomic(kept + [frame])
             else:
                 with open(self.path, "ab") as handle:
@@ -366,7 +414,7 @@ class FileTHTStore:
             if not frames:
                 return
             merged = merge_deltas([frame[1] for frame in frames[1:]])
-            self._write_atomic([bytes(encode_frame((_DELTA_KIND, merged)))])
+            self._write_atomic([_delta_frame(merged)])
 
     def _write_atomic(self, delta_frames: list) -> None:
         """Write header + frames to a temp file and atomically replace."""
@@ -492,8 +540,8 @@ class ShardTHTStore:
     # -- store interface ----------------------------------------------------------
     def load(self) -> dict:
         """Download the shard's whole table as one delta."""
-        delta = self._request(("fetch",))
-        if not _is_delta(delta):
+        delta = _delta_of(self._request(("fetch",)))
+        if delta is None:
             raise THTStoreCorruptError(
                 f"THT shard {self.url} fetch_result carries no THT delta"
             )
@@ -503,7 +551,7 @@ class ShardTHTStore:
         """Upload one delta; the shard merges it incrementally."""
         if not delta.get("entries") and not delta.get("counters"):
             return 0
-        return int(self._request(("publish", delta)))
+        return int(self._request(("publish", _plain_delta(delta))))
 
     def stats(self) -> dict:
         return dict(self._request(("stats",)))
@@ -585,10 +633,10 @@ class ShardState:
         if kind == "fetch":
             with self._lock:
                 self.fetches += 1
-            return ("fetch_result", self.table.snapshot())
+            return ("fetch_result", _plain_delta(self.table.snapshot()))
         if kind == "publish":
-            delta = message[1] if len(message) > 1 else {}
-            if not _is_delta(delta):
+            delta = _delta_of(message[1] if len(message) > 1 else {})
+            if delta is None:
                 return ("error", "THTStoreError", "publish carries no THT delta")
             self.table.merge(delta)
             received = len(delta.get("entries", []))

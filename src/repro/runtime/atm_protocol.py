@@ -11,9 +11,12 @@ simulator can charge hash and copy costs without knowing anything about the
 THT internals.
 
 :func:`lookup`, :func:`commit` and :func:`abandon` are the engine's side of
-the paper's Figure 1 step, shared by every backend: the executors' step
-(``BaseExecutor.start`` / ``finish``) and the remote worker's
-(``remote_task.run_descriptor``) call these and nothing else of an engine.
+the paper's Figure 1 step, shared by every backend and called only in the
+process that owns the engine: the executors' step (``BaseExecutor.start`` /
+``finish``) and, for the worker pools, the parent's chunk dispatcher
+(``dispatch.ChunkDispatcher``, which looks a task up before shipping it and
+commits it through ``finish`` when its result lands) call these and nothing
+else of an engine.  A remote worker never sees one.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ process boundary (DESIGN.md §4.6).
 A frame's control section (:mod:`repro.runtime.net_wire`) is one JSON text,
 ``[schema, body]``, that can only build data: ints, floats, strs, bools,
 ``None``, tuples / lists / dicts of those, ndarrays, byte buffers and the
-two records below.  Nothing a peer writes is ever called or imported by the
+record below.  Nothing a peer writes is ever called or imported by the
 decoder; a task body travels as ``(module, qualname)`` and is looked up by
 :func:`resolve_function` under its own rules when a task is rebuilt.
 
@@ -15,8 +15,7 @@ decoder; a task body travels as ``(module, qualname)`` and is looked up by
 * every other value is a JSON array whose first element is its tag:
   ``["(", *items]`` a tuple, ``["[", *items]`` a list, ``["{", k0, v0, ...]``
   a dict with other keys, ``["a", dtype, shape, data]`` an ndarray (C order),
-  ``["b", data]`` a byte buffer, ``["e", key, p, type, producer, outputs]`` a
-  :class:`~repro.atm.tht.THTEntry`, ``["f", *fields]`` a
+  ``["b", data]`` a byte buffer, ``["f", *fields]`` a
   :class:`~repro.runtime.supervision.TaskFailure` and, inside a task's
   arguments only, ``["r", ref]`` an array reference;
 * ``data`` is the index of the frame segment holding the bytes — or, past
@@ -25,13 +24,11 @@ decoder; a task body travels as ``(module, qualname)`` and is looked up by
 Object dtypes are refused in both directions.
 
 **Schema'd messages** — the per-task hot path — are fixed-position records
-without per-value tags: ``("chunk", NetChunk[, owners, recipes])`` (the
-worker protocol's chunk; its owner fields — each task's owner index, the
-engine recipe of every owner named — stay plain JSON), ``("submit_batch",
-NetChunk)`` and
-``("result", chunk_id, results)``.  A message of those kinds
-whose fields do not fit falls back to the generic form, so the decoder's
-answer never depends on which form was written.
+without per-value tags: ``("chunk", NetChunk)`` (the worker protocol's
+chunk), ``("submit_batch", NetChunk)`` and ``("result", chunk_id,
+results)``.  A message of those kinds whose fields do not fit falls back
+to the generic form, so the decoder's answer never depends on which form
+was written.
 
 **One ref form.**  A shipped array is the plain tuple ``(buffer key, offset,
 shape, strides, dtype)``; the buffer key resolves through the buffer table
@@ -55,7 +52,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.atm.tht import THTEntry
 from repro.common.exceptions import PickledControlError, WireProtocolError
 from repro.runtime.supervision import TaskFailure
 
@@ -133,15 +129,6 @@ def ref_key(ref) -> tuple:
     return key, offset, tuple(shape), tuple(strides), dtype
 
 
-def _entry(key, p, name, producer, outputs) -> THTEntry:
-    if not (type(key) is type(producer) is int and type(p) in (int, float)
-            and type(name) is str and type(outputs) is list
-            and all(type(o) is np.ndarray for o in outputs)):
-        raise TypeError("malformed THT entry")
-    return THTEntry(key_value=key, p=p, task_type_name=name, outputs=outputs,
-                    producer_index=producer)
-
-
 def plain(value: Any, segment: Callable = _inline, leaf: Optional[Callable] = None) -> Any:
     """``value`` in generic form (module docstring).
 
@@ -165,10 +152,6 @@ def plain(value: Any, segment: Callable = _inline, leaf: Optional[Callable] = No
         return ["a", dtype, list(value.shape), segment(raw_view(value))]
     if isinstance(value, (bytes, bytearray, memoryview)):
         return ["b", segment(memoryview(value).cast("B"))]
-    if kind is THTEntry:
-        fields = (value.key_value, value.p, value.task_type_name, value.producer_index,
-                  list(value.outputs))
-        return ["e", *[plain(field, segment) for field in fields]]
     if kind is TaskFailure:
         return ["f", *[plain(getattr(value, name), segment) for name in _FAILURE_FIELDS]]
     if isinstance(value, np.generic):
@@ -177,7 +160,7 @@ def plain(value: Any, segment: Callable = _inline, leaf: Optional[Callable] = No
         return value
     raise TypeError(
         f"cannot encode a {kind.__name__}: messages carry plain data, "
-        f"arrays, byte buffers, THT entries and task failures only"
+        f"arrays, byte buffers and task failures only"
     )
 
 
@@ -205,8 +188,6 @@ def build(value: Any, take: Callable, leaf: Optional[Callable] = None) -> Any:
         return items
     if tag == "{":
         return dict(zip(items[::2], items[1::2], strict=True))
-    if tag == "e":
-        return _entry(*items)
     if tag == "f":
         return TaskFailure(*items)
     raise TypeError(f"unknown value tag {tag!r}")
@@ -274,7 +255,7 @@ def function_name(function: Callable) -> tuple[str, str]:
 
 # -- schema'd messages ----------------------------------------------------------------
 def _encode_chunk(message, segment):
-    kind, chunk, *owners = message
+    kind, chunk = message
     if type(chunk) is not NetChunk:
         raise TypeError("a chunk's body is a NetChunk")
     chunk_id, buffers, tasks = chunk
@@ -283,22 +264,21 @@ def _encode_chunk(message, segment):
          data if data is None or type(data) is str else segment(memoryview(data).cast("B")),
          generation)
         for key, start, data, generation in buffers
-    ], tasks, *owners]
+    ], tasks]
 
 
 def _decode_chunk(kind, body, take):
     """A chunk's buffer table as :class:`NetBuffer` rows and its descriptor
     rows as :class:`TaskDescriptor` records, whose fields
-    :func:`~repro.runtime.remote_task.rebuild_task` checks; owner fields
-    after them stay plain (the worker checks them)."""
-    chunk_id, rows, tasks, *owners = body
+    :func:`~repro.runtime.remote_task.rebuild_task` checks."""
+    chunk_id, rows, tasks = body
     buffers = tuple(
         NetBuffer(key, start, data if data is None or type(data) is str else _bytes(data, take),
                   generation)
         for key, start, data, generation in rows
     )
     chunk = NetChunk(chunk_id, buffers, tuple(TaskDescriptor(*task) for task in tasks))
-    return kind, chunk, *owners
+    return kind, chunk
 
 
 def _encode_result(message, segment):
@@ -306,8 +286,8 @@ def _encode_result(message, segment):
     if type(chunk_id) is not int or not all(type(row) is tuple for row in results):
         raise TypeError("a result is an int chunk id and tuple rows")
     return [chunk_id, [
-        (*row[:3], [(i, segment(memoryview(raw).cast("B"))) for i, raw in row[3]])
-        if len(row) == 4 else row
+        (row[0], [(i, segment(memoryview(raw).cast("B"))) for i, raw in row[1]])
+        if len(row) == 2 else row
         for row in results
     ]]
 
@@ -315,7 +295,7 @@ def _encode_result(message, segment):
 def _decode_result(kind, body, take):
     chunk_id, rows = body
     return kind, chunk_id, [
-        (*row[:3], [(index, take(data)) for index, data in row[3]]) if len(row) == 4
+        (row[0], [(index, take(data)) for index, data in row[1]]) if len(row) == 2
         else tuple(row)
         for row in rows
     ]

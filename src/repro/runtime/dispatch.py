@@ -1,26 +1,25 @@
 """Parent-side chunk dispatch: the one drain loop under the worker backends.
 
-The process and network executors keep the dependence graph and the
-scheduler in the parent and run task bodies elsewhere; the ATM engines stay
-with the tasks' owners (a Session, a gateway tenant), and each worker runs a
-replica of every owner engine its chunks name.
-What they do around that is the same control plane (DESIGN.md §4.6), and
-:class:`ChunkDispatcher` is its only implementation: pull ready tasks, cut
-them into chunks, remember which worker holds which chunk, decode what the
-workers answer and complete tasks from it, retry or terminally fail a task
-whose body raised, time out a wedged one, resubmit what a lost worker held
-against a bounded budget, notice a starved or overdue drain, number the
-owners whose tasks it ships (a chunk carries its tasks' owner indices and
-those owners' engine recipes), and fold the workers' replica deltas into
-their owners' engines at the barrier.
+The process and network executors keep the dependence graph, the scheduler
+and the ATM engines in the parent and run task bodies elsewhere.  What they
+do around that is the same control plane (DESIGN.md §4.6), and
+:class:`ChunkDispatcher` is its only implementation: pull ready tasks, look
+each up in its owner's engine (the first half of the paper's Figure 1
+step), cut the ones that must run into chunks, remember which worker holds
+which chunk, decode what the workers answer and finish tasks from it (the
+second half: the commit reads the written bytes once they landed in the
+parent), retry or terminally fail a task whose body raised, time out a
+wedged one, resubmit what a lost worker held against a bounded budget, and
+notice a starved or overdue drain.  The parent memoizes: a THT hit finishes
+at once, an IKT hit waits for its producer, and neither ships.
 
 An executor *composes* a dispatcher and is its transport: the dispatcher
-calls seven methods of its host, the last three being the data plane of a
-backend that shares no memory with its workers (on the process backend
-``_check_write`` and ``_task_raised`` do nothing and ``_write_back`` copies
-the task's written regions out of shared memory).  ``worker`` is any
-hashable the transport uses to name a worker (a pool index, an endpoint
-object).
+calls seven methods of its host besides the shared Figure 1 step, the last
+four being the data plane of a backend that shares no memory with its
+workers (on the process backend ``_check_write`` and ``_task_raised`` do
+nothing, ``_write_back`` copies the task's written regions out of shared
+memory and ``_wrote_here`` copies them in).  ``worker`` is any hashable the
+transport uses to name a worker (a pool index, an endpoint object).
 
 ``_send(chunk) -> worker | None``
     Ship one :class:`Chunk` to a worker the transport picks; ``None`` when
@@ -32,8 +31,6 @@ object).
     reply to :meth:`~ChunkDispatcher.reply`; a reply it rejects is a worker
     failure.  Losses the transport detects itself (a dead process, a broken
     socket) are reported with :meth:`~ChunkDispatcher.worker_lost`.
-``_request_deltas() -> workers``
-    Ask every live worker for its engine delta; returns who was asked.
 ``_lose(worker) -> (worker_name, chunks)``
     Take the worker a wedged task runs on out of service (kill and respawn
     it, exclude its endpoint) and :meth:`~ChunkDispatcher.reclaim` what it
@@ -45,14 +42,17 @@ object).
     callable to run after the release.
 ``_task_raised(worker)``
     A body raised there; nothing was re-sent yet.
+``_wrote_here(tasks)``
+    The parent copied stored outputs into the written regions of
+    ``tasks`` (THT or IKT hits); no worker holds those bytes yet.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-import warnings
 import weakref
+from collections import deque
 from typing import Any, Hashable, Optional
 
 from repro.common.exceptions import (
@@ -61,30 +61,25 @@ from repro.common.exceptions import (
     TaskTimeoutError,
     WorkerLostError,
 )
-from repro.runtime.atm_protocol import ATMAction, EXECUTE_DECISION
+from repro.runtime.atm_protocol import ATMAction, EXECUTE_DECISION, abandon, lookup
 from repro.runtime.graph import TaskDependenceGraph
-from repro.runtime.remote_task import engine_recipe
 from repro.runtime.supervision import TIMEOUT_GRACE
-from repro.runtime.task import Task, TaskState
+from repro.runtime.task import Task
 
 __all__ = ["Chunk", "ChunkDispatcher"]
 
 #: Fields after the kind of each worker reply (DESIGN.md §4.6).
-_REPLY_FIELDS = {"ack": 1, "result": 2, "error": 3, "sync_result": 1}
+_REPLY_FIELDS = {"ack": 1, "result": 2, "error": 3}
 
 
 class Chunk:
     """One dispatched, not-yet-answered batch of tasks."""
 
-    __slots__ = ("chunk_id", "tasks", "owners", "started_at", "extra")
+    __slots__ = ("chunk_id", "tasks", "started_at", "extra")
 
-    def __init__(self, chunk_id: int, tasks: list[Task], owners: tuple) -> None:
+    def __init__(self, chunk_id: int, tasks: list[Task]) -> None:
         self.chunk_id = chunk_id
         self.tasks = tasks
-        #: The owner fields a transport ships beside the chunk: ``(owner
-        #: index per task, (index, recipe) per owner named)``, or ``()``
-        #: when no task of it has an owner with an engine.
-        self.owners = owners
         #: ``perf_counter`` stamp of the worker's ``ack`` — it acks a chunk as
         #: it starts on it (``None`` until then).
         self.started_at: Optional[float] = None
@@ -94,16 +89,18 @@ class Chunk:
 
 
 class ChunkDispatcher:
-    """The drain loop, the in-flight ledgers and the delta barrier.
+    """The drain loop, the in-flight ledgers and the parent's half of the
+    Figure 1 step.
 
     ``host`` is the composing executor — the transport (module docstring),
-    and its config, scheduler, supervisor, run result and terminal-failure
-    policy are used as they are; ``chunk_size`` caps a
-    chunk — at one task under ``task_timeout_s``, so a wedged task is
-    identifiable; ``loss_budget`` bounds how often one task may be
-    resubmitted after losing its worker; ``cleanup`` (a callable plus
-    arguments that must not reference the host) tears the worker pool down
-    exactly once, from :meth:`close` or when the host is garbage collected.
+    and its config, scheduler, supervisor, run result, Figure 1 step and
+    terminal-failure policy are used as they are; ``workers`` is the size
+    of its pool; ``chunk_size`` caps a chunk — at one task under
+    ``task_timeout_s``, so a wedged task is identifiable; ``loss_budget``
+    bounds how often one task may be resubmitted after losing its worker;
+    ``cleanup`` (a callable plus arguments that must not reference the
+    host) tears the worker pool down exactly once, from :meth:`close` or
+    when the host is garbage collected.
     """
 
     def __init__(
@@ -111,6 +108,7 @@ class ChunkDispatcher:
         host,
         name: str,
         *,
+        workers: int,
         chunk_size: int,
         loss_budget: int,
         counters: dict,
@@ -120,29 +118,27 @@ class ChunkDispatcher:
         self._host_type = type(host).__name__
         self._name = name
         self._chunk_size = 1 if host.config.task_timeout_s is not None else chunk_size
+        #: Tasks in flight above which an engine's task stays queued.
+        self._window = workers * self._chunk_size
+        #: Ready tasks an engine will look up once the window has room.
+        self._waiting: deque[Task] = deque()
         self._loss_budget = loss_budget
         #: Live backend statistics (``dispatched``, ``chunks``,
-        #: ``resubmitted_tasks``, ``lost_deltas``), owned by the executor.
+        #: ``resubmitted_tasks``), owned by the executor.
         self.counters = counters
         self._finalizer = weakref.finalize(host, *cleanup)
         self.closed = False
         self._graph: Optional[TaskDependenceGraph] = None
         #: task_id -> dispatched task that has not completed or failed.
         self.inflight: dict[int, Task] = {}
+        #: task_id -> the lookup decision of an in-flight task the engine
+        #: handled (absent: ``EXECUTE_DECISION``), for its commit.
+        self._decisions: dict[int, Any] = {}
         #: worker -> chunk_id -> chunk the worker has not fully answered.
         self._ledger: dict[Hashable, dict[int, Chunk]] = {}
         self._chunk_ids = itertools.count(1)
         #: task_id -> times the task was resubmitted after losing a worker.
         self._losses: dict[int, int] = {}
-        #: Owners with an engine, numbered as their tasks are first shipped:
-        #: owner -> index, and index -> (owner, the replica's recipe).
-        self._owner_ids: dict = {}
-        self._owners: list[tuple] = []
-        #: Workers sent ATM-owned work since their last merged delta: losing
-        #: one loses ATM state (reuse statistics, never result bytes).
-        self._dirty: set[Hashable] = set()
-        #: Workers whose engine delta the barrier is waiting for.
-        self.awaiting_delta: set[Hashable] = set()
 
     # -- lifecycle -------------------------------------------------------------
     def ensure_open(self) -> None:
@@ -157,37 +153,37 @@ class ChunkDispatcher:
         # executor (with the graph and arrays its tasks reference) is then
         # freed when its owner drops it, not at a later pass of the cyclic GC.
         self._host = self._graph = None
-        self._owner_ids, self._owners = {}, []
 
     # -- the drain loop --------------------------------------------------------
     def run(self, graph: TaskDependenceGraph) -> float:
-        """Drain ``graph`` and merge the workers' engine deltas.
-
-        Returns the wall-clock seconds of the dispatch loop (the delta
-        barrier after it is not part of a run's ``elapsed``).
-        """
+        """Drain ``graph``; returns the wall-clock seconds it took."""
         supervisor = self._host._supervisor
         self._graph = graph
-        self.inflight = {}
+        self.inflight, self._waiting = {}, deque()
         deadline = supervisor.deadline()
         t0 = time.perf_counter()
-        while not graph.all_finished:
-            self._dispatch_ready()
-            if not self.inflight:
-                if graph.all_finished:
-                    break
-                raise RuntimeStateError(
-                    f"{self._name} executor starved: no ready tasks, none in "
-                    "flight, but the graph is not finished (undeclared "
-                    "dependence?)"
-                )
-            self._wait(deadline)
-        elapsed = time.perf_counter() - t0
-        if self._owners:
-            self.awaiting_delta = set(self._host._request_deltas())
-            while self.awaiting_delta:
+        try:
+            while not graph.all_finished:
+                self._dispatch_ready()
+                if not self.inflight:
+                    if graph.all_finished:
+                        break
+                    raise RuntimeStateError(
+                        f"{self._name} executor starved: no ready tasks, none in "
+                        "flight, but the graph is not finished (undeclared "
+                        "dependence?)"
+                    )
                 self._wait(deadline)
-        return elapsed
+        except BaseException:
+            # The drain is over: no in-flight key of a task that will never
+            # commit may outlive it, or a later twin would wait on it forever.
+            for task_id, decision in self._decisions.items():
+                task = self.inflight.get(task_id)
+                if task is not None:
+                    abandon(task, task.engine, decision)
+            self._decisions = {}
+            raise
+        return time.perf_counter() - t0
 
     def _wait(self, deadline: float) -> None:
         self._host._pump()
@@ -198,11 +194,42 @@ class ChunkDispatcher:
             )
 
     def _dispatch_ready(self) -> None:
-        next_task = self._host.scheduler.next_task
+        """Look ready tasks up as they leave the ready queue: a THT hit
+        finishes here, an IKT hit waits for its producer's commit, and only
+        the tasks that must run are shipped.
+
+        A task an engine looks up leaves the queue only while fewer than
+        ``window`` tasks are in flight — one chunk per worker, as an
+        in-process worker pulls a task only when it is free — so a lookup
+        sees the commits of what ran before it (one worker, chunks of one:
+        the serial order exactly).  A task no engine sees ships at once.
+        """
+        host, graph, window = self._host, self._graph, self._window
+        next_task, inflight, decisions = host.scheduler.next_task, self.inflight, self._decisions
+        waiting = self._waiting
         ready: list[Task] = []
-        while (task := next_task()) is not None:
+        while True:
+            if waiting and len(inflight) < window:
+                task = waiting.popleft()
+            elif (task := next_task()) is None:
+                break
+            elif (waiting or len(inflight) >= window) and (
+                task.engine is not None and task.task_type.atm_eligible
+            ):
+                waiting.append(task)
+                continue
+            decision = lookup(task, task.engine, 0)
+            action = decision.action
+            if action is ATMAction.SKIP:
+                host._wrote_here((task,))
+                host.finish(task, graph, decision, False, 0)
+                continue
+            if action is ATMAction.DEFER:
+                continue
+            if decision.atm_handled:
+                decisions[task.task_id] = decision
             ready.append(task)
-            self.inflight[task.task_id] = task
+            inflight[task.task_id] = task
         if ready:
             self.counters["dispatched"] += len(ready)
             self._send(ready)
@@ -211,71 +238,43 @@ class ChunkDispatcher:
         """Cut ``tasks`` into chunks and ship each to a worker."""
         size, send = self._chunk_size, self._host._send
         for start in range(0, len(tasks), size):
-            part = tasks[start:start + size]
-            chunk = Chunk(next(self._chunk_ids), part, self._owners_of(part))
+            chunk = Chunk(next(self._chunk_ids), tasks[start:start + size])
             while (worker := send(chunk)) is None:
                 pass  # that worker failed mid-send; the transport picks another
             self._ledger.setdefault(worker, {})[chunk.chunk_id] = chunk
-            if chunk.owners:
-                self._dirty.add(worker)
             self.counters["chunks"] += 1
 
-    def _owners_of(self, tasks: list[Task]) -> tuple:
-        """A chunk's owner fields (:class:`Chunk`).  An owner is numbered,
-        and its engine's recipe made, the first time its tasks ship; an
-        engine that cannot be replicated raises here."""
-        indices = []
-        named: dict[int, dict] = {}
-        for task in tasks:
-            owner = task.owner
-            if owner is None or owner.engine is None:
-                indices.append(None)
-                continue
-            index = self._owner_ids.get(owner)
-            if index is None:
-                recipe = engine_recipe(owner.engine)
-                index = self._owner_ids[owner] = len(self._owners)
-                self._owners.append((owner, recipe))
-            indices.append(index)
-            named[index] = self._owners[index][1]
-        return (tuple(indices), tuple(named.items())) if named else ()
+    def reship(self, task: Task) -> None:
+        """Ship a deferred consumer whose producer failed terminally: it
+        runs on a worker like any task the lookup let through."""
+        self.inflight[task.task_id] = task
+        self.counters["dispatched"] += 1
+        self._send([task])
 
     # -- events: worker replies ------------------------------------------------
     def busy(self, worker: Hashable) -> bool:
-        """Whether ``worker`` owes an answer: to a chunk or to the barrier."""
-        return bool(self._ledger.get(worker)) or worker in self.awaiting_delta
+        """Whether ``worker`` owes an answer to a chunk."""
+        return bool(self._ledger.get(worker))
 
     def reply(self, worker: Hashable, worker_name: str, message: Any) -> Optional[str]:
         """Decode one worker reply and act on it: the one reply vocabulary.
 
         ``("ack", chunk_id)`` stamps the chunk started; ``("result",
         chunk_id, results)`` completes (a prefix of) it; ``("error",
-        chunk_id, task_id, traceback)`` is a task body that raised;
-        ``("sync_result", pairs)`` answers the barrier with an ``(owner
-        index, engine delta)`` pair per replica.  Returns what is
-        wrong with a reply that is none of these or does not fit the tasks
-        it answers: nothing of it was applied and the transport takes the
-        worker that sent it out of service.  Answers for a chunk this drain
-        already reclaimed are stale and dropped.
+        chunk_id, task_id, traceback)`` is a task body that raised.  Returns
+        what is wrong with a reply that is none of these or does not fit the
+        tasks it answers: nothing of it was applied and the transport takes
+        the worker that sent it out of service.  Answers for a chunk this
+        drain already reclaimed are stale and dropped.
         """
         try:
             kind, *fields = message
             if len(fields) != _REPLY_FIELDS[kind]:
                 raise ValueError(kind)
-            if kind == "sync_result":
-                deltas = []
-                for index, delta in fields[0]:
-                    if type(index) is not int or index < 0 or not isinstance(delta, dict):
-                        raise TypeError(kind)
-                    deltas.append((self._owners[index][0], delta))
-            else:
-                chunk = self._ledger.get(worker, {}).get(fields[0])
-                task = self.inflight.get(fields[1]) if kind == "error" else None
+            chunk = self._ledger.get(worker, {}).get(fields[0])
+            task = self.inflight.get(fields[1]) if kind == "error" else None
         except (TypeError, ValueError, KeyError, IndexError):
             return f"malformed reply: {message!r:.80}"
-        if kind == "sync_result":
-            self._delta(worker, deltas)
-            return None
         if kind == "error" and fields[0] is None:
             # A report about the worker, not a task: it could not decode
             # what it was sent and is closing the connection.
@@ -297,35 +296,42 @@ class ChunkDispatcher:
         return None
 
     def _done(self, worker: Hashable, chunk: Chunk, results: Any) -> Optional[str]:
-        """``worker`` answered (a prefix of) ``chunk``: complete those tasks.
+        """``worker`` answered (a prefix of) ``chunk``: finish those tasks.
 
-        ``results`` entries are ``(task_id, action_value, executed,
-        *payload)``.  All of them are read — and the payloads checked
-        against their tasks — before the first task leaves the in-flight
-        map, so a result that does not fit is rejected whole.
+        ``results`` entries are ``(task_id, *payload)``, each naming a task
+        of the chunk not answered yet.  All of them are read — and the
+        payloads checked against their tasks — before the first task leaves
+        the in-flight map, so a result that does not fit is rejected whole.  Each task is committed once its bytes landed in
+        the parent: the commit, the training error and the outputs forwarded
+        to its deferred consumers all read parent memory.
         """
-        check_write, write_back = self._host._check_write, self._host._write_back
+        host = self._host
+        check_write = host._check_write
+        outstanding = {task.task_id: task for task in chunk.tasks}
         try:
             entries = []
-            for task_id, action_value, executed, *payload in results:
-                action = ATMAction(action_value)
-                task = self.inflight.get(task_id)
+            for task_id, *payload in results:
+                task = outstanding.get(task_id)
                 if task is None:
-                    continue  # duplicate completion of a resubmitted task
+                    return (
+                        f"malformed result: task {task_id!r:.40} is not "
+                        f"outstanding in chunk {chunk.chunk_id}"
+                    )
                 problem = check_write(task, *payload)
                 if problem is not None:
                     return f"malformed result: {problem}"
-                entries.append((task, action, executed, payload))
+                entries.append((task, payload))
         except (TypeError, ValueError) as exc:
             return f"malformed result: unreadable result entry: {exc}"
-        for task, action, executed, payload in entries:
+        write_back, finish, graph = host._write_back, host.finish, self._graph
+        for task, payload in entries:
             if self.inflight.pop(task.task_id, None) is None:
                 continue  # named twice in one result
             after = write_back(worker, task, chunk, *payload)
-            self._host._account(action)
-            self._graph.complete_task(
-                task, TaskState.FINISHED if executed else TaskState.MEMOIZED
-            )
+            decision = self._decisions.pop(task.task_id, EXECUTE_DECISION)
+            deferred = finish(task, graph, decision, True, 0)
+            if deferred:
+                host._wrote_here(deferred)
             if after is not None:
                 after()
         # A partial answer means the worker hit a task error and reports the
@@ -360,11 +366,13 @@ class ChunkDispatcher:
         self._send(remaining)
 
     def fail(self, task: Task, error_cls: type, reason: str, worker_name: str) -> None:
-        """Terminal failure of a dispatched task: quarantine or abort."""
+        """Terminal failure of a dispatched task: quarantine or abort.  Its
+        lookup is abandoned with the decision it got, and the deferred
+        consumers that orphans come back through :meth:`reship`."""
         self.inflight.pop(task.task_id, None)
         self._host._task_failed(
-            task, self._graph, EXECUTE_DECISION, error_cls, reason, None,
-            worker=worker_name,
+            task, self._graph, self._decisions.pop(task.task_id, EXECUTE_DECISION),
+            error_cls, reason, None, worker=worker_name,
         )
 
     # -- the wedge rule --------------------------------------------------------
@@ -401,26 +409,9 @@ class ChunkDispatcher:
             )
 
     # -- events: worker loss ---------------------------------------------------
-    def reclaim(self, worker: Hashable, worker_name: str) -> list[Chunk]:
-        """Take back every chunk a lost worker still holds, oldest first.
-
-        The worker's un-merged ATM engine delta died with it; that is
-        counted on ``RunResult.lost_deltas`` and warned about, never silent.
-        """
+    def reclaim(self, worker: Hashable) -> list[Chunk]:
+        """Take back every chunk a lost worker still holds, oldest first."""
         chunks = self._ledger.pop(worker, {})
-        self.awaiting_delta.discard(worker)
-        if worker in self._dirty:
-            self._dirty.discard(worker)
-            result = self._host._result
-            result.lost_deltas += 1
-            self.counters["lost_deltas"] += 1
-            warnings.warn(
-                f"{worker_name} died holding an un-merged ATM engine "
-                f"delta; reuse statistics undercount "
-                f"(RunResult.lost_deltas={result.lost_deltas})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         return [chunks[chunk_id] for chunk_id in sorted(chunks)]
 
     def worker_lost(
@@ -457,12 +448,3 @@ class ChunkDispatcher:
         # the blame for the next loss — with a suspect.
         self._send(retry)
         self._send([t for t in uncharged if t.task_id in self.inflight])
-
-    def _delta(self, worker: Hashable, deltas: list[tuple]) -> None:
-        """``worker`` answered the barrier: merge each replica's delta into
-        its owner's engine."""
-        if worker in self.awaiting_delta:
-            self.awaiting_delta.discard(worker)
-            self._dirty.discard(worker)
-            for owner, delta in deltas:
-                owner.engine.merge(delta)

@@ -71,12 +71,9 @@ class RunResult:
     and the structured per-failure report in ``failures`` (a list of
     :class:`repro.runtime.supervision.TaskFailure`).
 
-    ``lost_deltas`` counts worker ATM-engine deltas that could not be
-    merged because their worker/endpoint died before the drain barrier
-    (process and network backends).  Lost deltas cost reuse *statistics*,
-    never correctness — the dead worker's unacknowledged tasks were re-run
-    elsewhere — but a nonzero count means reported reuse rates undercount,
-    so the draining executor also emits a ``RuntimeWarning``.
+    The counts are the same on every backend: the process and network
+    backends look tasks up and commit them in the parent, so a worker's
+    loss loses no memoization state.
     """
 
     elapsed: float = 0.0
@@ -88,7 +85,6 @@ class RunResult:
     tasks_trained: int = 0
     tasks_failed: int = 0
     tasks_cancelled: int = 0
-    lost_deltas: int = 0
     failures: list = field(default_factory=list)
     trace: Optional[TraceRecorder] = None
     extra: dict = field(default_factory=dict)
@@ -105,7 +101,6 @@ class RunResult:
         self.tasks_trained += other.tasks_trained
         self.tasks_failed += other.tasks_failed
         self.tasks_cancelled += other.tasks_cancelled
-        self.lost_deltas += other.lost_deltas
         if other.failures is not self.failures:
             self.failures.extend(other.failures)
         if other.trace is not None:
@@ -163,6 +158,13 @@ class BaseExecutor:
         # transition and may submit a task that is born cancelled, which
         # re-enters the accounting (notify_born_cancelled) on this thread.
         self._failure_lock = threading.RLock()
+
+    @property
+    def max_in_flight(self) -> Optional[int]:
+        """Tasks this executor runs at once, which sizes an engine's in-flight
+        key table: one per worker (``None``: unbounded, where every
+        dispatched task is in flight)."""
+        return self.config.num_threads
 
     # -- runtime hooks ---------------------------------------------------------
     def notify_ready(self, task: Task) -> None:
@@ -227,10 +229,11 @@ class BaseExecutor:
     def finish(
         self, task: Task, graph: TaskDependenceGraph, decision: ATMDecision,
         executed: bool, worker: int, clock=None,
-    ) -> None:
+    ) -> tuple:
         """Commit, complete the deferred consumers the commit satisfied,
-        count the task and complete it.  A ``DEFER`` decision never gets
-        here: its producer's commit completes it."""
+        count the task and complete it; returns those consumers.  A
+        ``DEFER`` decision never gets here: its producer's commit completes
+        it."""
         deferred = commit(task, task.engine, decision, executed, worker)
         if deferred:
             self._complete_deferred(graph, deferred)
@@ -242,6 +245,7 @@ class BaseExecutor:
         with graph._lock:
             self._account(decision.action)
         graph.complete_task(task, TaskState.FINISHED if executed else TaskState.MEMOIZED)
+        return deferred
 
     def _complete_deferred(self, graph: TaskDependenceGraph, deferred: tuple) -> None:
         """Count and complete deferred consumers, before their producer:

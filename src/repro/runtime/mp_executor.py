@@ -5,11 +5,11 @@ only Python backend that can use more than one core for the compute-bound
 portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
 §4.2).  The division of labour:
 
-* **Parent** — owns the task dependence graph and the scheduler; the ATM
-  engines stay with the tasks' owners.  The drain loop, ledger,
-  reply decoder, wedge rule, crash resubmission and delta barrier are the
-  shared :class:`~repro.runtime.dispatch.ChunkDispatcher`; this module is
-  its shared-memory *transport*: chunks of
+* **Parent** — owns the task dependence graph, the scheduler and, with
+  the tasks' owners, the ATM engines: every lookup and commit runs here.
+  The drain loop, ledger, reply decoder, wedge rule and crash resubmission
+  are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`; this
+  module is its shared-memory *transport*: chunks of
   :class:`~repro.runtime.remote_task.TaskDescriptor` (array payloads as
   refs into shared memory, resolved through the chunk's table of segment
   names) go round-robin onto *per-worker* task queues as control-codec
@@ -20,26 +20,29 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
 * **Workers** — each is the one
   :class:`~repro.runtime.remote_task.RemoteWorker` behind a queue and a
   pipe, resolving refs over :mod:`multiprocessing.shared_memory` views
-  (:class:`~repro.runtime.shm.WorkerArena`).  The parent's write-version of
-  each base rides in the chunk's buffer table; a worker bumps its own
-  version of a base whose parent version moved.  The engine replicas come
-  with the chunks too: each names its tasks' owners and carries their
-  recipes, so a respawned worker needs nothing else.  The messages are the
-  remote-worker protocol's (DESIGN.md §4.6) plus ``("release", slots)``:
-  the segments of bases the parent collected, sent when a drain opens.
+  (:class:`~repro.runtime.shm.WorkerArena`) and running task bodies; it
+  holds no engine, so a respawned worker needs nothing but the next chunk.
+  The parent's write-version of each base rides in the chunk's buffer
+  table; a worker bumps its own version of a base whose parent version
+  moved.  The messages are the remote-worker protocol's (DESIGN.md §4.6)
+  plus ``("release", slots)``: the segments of bases the parent collected,
+  sent when a drain opens.
 * **Data plane** — bytes move per chunk, not per barrier, while the
   workers compute: :meth:`ProcessExecutor._send` checks the base buffers a
   chunk touches for the first time in the drain against their segments
   (``copy_in``: a host store since the last drain is mirrored in),
   :meth:`ProcessExecutor._write_back` lands a completed task's written
   regions in the parent arrays (``copy_out``) *before* the task's
-  successors — or a gateway tenant's barrier — are released.  A drain that
+  successors — or a gateway tenant's barrier — are released, and
+  :meth:`ProcessExecutor._wrote_here` mirrors outputs the parent memoized
+  into their segments (``copy_regions_in``) before anything reads them
+  there.  A drain that
   aborts, or a task that is quarantined, therefore leaves every completed
   task's outputs at home and a failed body's partial writes in the segment
   only, where the next drain's first touch overwrites them (DESIGN.md §4.3).
 
 Worker processes persist across drains (barriers inside an application keep
-their warm THTs and keygen caches); :meth:`ProcessExecutor.close` — called
+their attached segments); :meth:`ProcessExecutor.close` — called
 automatically by :meth:`repro.session.Session.finish` and by a GC finalizer — shuts
 the pool down and unlinks every shared segment; a segment whose array
 the program dropped is unlinked when the next drain opens.
@@ -83,12 +86,11 @@ __all__ = ["ProcessExecutor"]
 def _worker_main(worker_id: int, task_queue, results, ack_chunks: bool) -> None:
     """Worker process entry point: the remote worker behind a queue and a pipe.
 
-    Each worker owns a private task queue, so a sync pill can never be
-    stolen by a peer, and a private ``results`` pipe, so a peer killed
+    Each worker owns a private task queue, so a release can never be
+    taken by a peer, and a private ``results`` pipe, so a peer killed
     mid-reply can never garble or block its answers.  It takes the frames
-    of ``("chunk", NetChunk[, owners, recipes])``, ``("release", slots)``
-    and ``("sync",)``
-    until the ``None`` shutdown pill, and writes the protocol's replies as
+    of ``("chunk", NetChunk)`` and ``("release", slots)`` until the
+    ``None`` shutdown pill, and writes the protocol's replies as
     frames — the ``ack`` only when ``ack_chunks`` (under ``task_timeout_s``:
     the parent ages a running chunk from it; a dead worker it sees without).
 
@@ -109,19 +111,13 @@ def _worker_main(worker_id: int, task_queue, results, ack_chunks: bool) -> None:
     try:
         while (frame := task_queue.get()) is not None:
             message, _ = decode_frame(frame)
-            if message[0] == "sync":
-                reply(("sync_result", worker.sync()))
-                continue
             if message[0] == "release":
                 arena.release(message[1])
                 continue
-            _, chunk, *owners = message
+            _, chunk = message
             arena.attach(chunk.buffers)
-            engines = worker.engines_for(chunk.tasks, *owners)
             for answer in worker.replies(
-                chunk.chunk_id,
-                lambda: worker.run_chunk(chunk.tasks, arena, engines),
-                ack=ack_chunks,
+                chunk.chunk_id, lambda: worker.run_chunk(chunk.tasks, arena), ack=ack_chunks
             ):
                 reply(answer)
     finally:
@@ -173,7 +169,7 @@ class ProcessExecutor(BaseExecutor):
         self._stats = {
             "workers": self.num_workers, "dispatched": 0, "chunks": 0,
             "resubmitted_tasks": 0, "copyin_refreshed": 0,
-            "copyout_buffers": 0, "respawns": 0, "lost_deltas": 0,
+            "copyout_buffers": 0, "respawns": 0,
         }
         # The finalizer is registered up front so even a never-drained
         # executor releases its shared segments; _cleanup_pool sees
@@ -182,6 +178,7 @@ class ProcessExecutor(BaseExecutor):
         self._dispatcher = ChunkDispatcher(
             self,
             "process",
+            workers=self.num_workers,
             chunk_size=self.config.mp_chunk_size,
             loss_budget=max(1, self.config.task_max_retries),
             counters=self._stats,
@@ -217,7 +214,7 @@ class ProcessExecutor(BaseExecutor):
         """Replace a dead (or wedged) worker with a fresh process in place;
         returns the old worker's name and the chunks it still held."""
         process = self._processes[worker_id]
-        chunks = self._dispatcher.reclaim(worker_id, f"worker {process.name}")
+        chunks = self._dispatcher.reclaim(worker_id)
         if process.is_alive():
             process.terminate()
         process.join(timeout=5.0)
@@ -255,14 +252,11 @@ class ProcessExecutor(BaseExecutor):
             access.region for task in chunk.tasks for access in task.accesses
         )
         descriptors = describe_tasks(chunk.tasks, registry.array_ref, "process")
-        return self._dispatch_chunk(chunk.chunk_id, descriptors, chunk.owners)
+        return self._dispatch_chunk(chunk.chunk_id, descriptors)
 
-    def _dispatch_chunk(
-        self, chunk_id: int, descriptors: list[TaskDescriptor], owners: tuple
-    ) -> int:
-        """Frame one chunk — its descriptors, the table of the segments
-        they reference and its owner fields — and hand it to the next worker
-        round-robin.
+    def _dispatch_chunk(self, chunk_id: int, descriptors: list[TaskDescriptor]) -> int:
+        """Frame one chunk — its descriptors and the table of the segments
+        they reference — and hand it to the next worker round-robin.
 
         Encoded here, synchronously: mp.Queue serialises in a feeder thread,
         which would swallow an encoding error and turn it into a silent
@@ -270,17 +264,11 @@ class ProcessExecutor(BaseExecutor):
         ``describe_tasks``).
         """
         chunk = NetChunk(chunk_id, self._registry.table(), tuple(descriptors))
-        frame = encode_frame(("chunk", chunk, *owners))
+        frame = encode_frame(("chunk", chunk))
         worker_id = self._next_worker
         self._next_worker = (worker_id + 1) % len(self._processes)
         self._task_queues[worker_id].put(bytes(frame))
         return worker_id
-
-    def _request_deltas(self) -> range:
-        sync = bytes(encode_frame(("sync",)))
-        for task_queue in self._task_queues:
-            task_queue.put(sync)
-        return range(len(self._processes))
 
     # -- transport: workers -> parent --------------------------------------------
     def _pump(self) -> None:
@@ -325,6 +313,20 @@ class ProcessExecutor(BaseExecutor):
 
     def _task_raised(self, worker_id: int) -> None:
         return None
+
+    def _wrote_here(self, tasks) -> None:
+        # The tasks hold their outputs exclusively: no worker reads or
+        # writes those bytes while they are mirrored in.
+        self._registry.copy_regions_in(
+            access.region for task in tasks for access in task.accesses if access.writes
+        )
+
+    # -- the parent's share of the Figure 1 step ----------------------------------
+    max_in_flight = None  # every dispatched task is in flight
+
+    def _rescue_orphan(self, task, graph, worker, clock) -> None:
+        # A deferred twin whose producer failed runs on a worker, not here.
+        self._dispatcher.reship(task)
 
     def _next_result(self):
         """Blocking result fetch: one wait on every reply pipe and every

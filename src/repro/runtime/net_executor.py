@@ -2,16 +2,16 @@
 
 :class:`NetworkExecutor` drives remote workers over the segmented frame
 protocol of :mod:`repro.runtime.net_wire`: the parent keeps the task
-dependence graph and the scheduler (the ATM engines stay with the tasks'
-owners); workers — in the same process behind
-:class:`~repro.runtime.net_transport.LoopbackEndpoint` socketpairs, or on
-other hosts behind ``scripts/net_worker.py`` TCP daemons — rebuild task
-chunks from shipped byte buffers, run the full ATM protocol against their
-replicas of the owners' engines, and ship written region bytes back.
+dependence graph, the scheduler and, with the tasks' owners, the ATM
+engines: every lookup and commit runs there.  Workers — in the same
+process behind :class:`~repro.runtime.net_transport.LoopbackEndpoint`
+socketpairs, or on other hosts behind ``scripts/net_worker.py`` TCP
+daemons — rebuild task chunks from shipped byte buffers, run the bodies,
+and ship written region bytes back.
 
-The drain loop, ledger, reply decoder, wedge rule, resubmission budgets and
-delta barrier are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`
-(§4.6); this module is its socket *transport* and data plane:
+The drain loop, ledger, reply decoder, wedge rule and resubmission budgets
+are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher` (§4.6);
+this module is its socket *transport* and data plane:
 
 * **No shared memory.**  Every dispatch ships views of the byte spans a
   chunk touches; every completion carries the written bytes home, checked
@@ -24,8 +24,8 @@ delta barrier are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`
   spans each endpoint already holds at which write-version, chunks ship
   ``data=None`` cached references for current spans, and the placement
   layer routes ready chunks to the endpoint holding the most of their
-  input bytes (same-key twins are additionally pinned to one endpoint by
-  an ATM-key affinity route, which makes cross-chunk reuse deterministic).
+  input bytes.  Outputs the parent memoized drop the overlapping entries:
+  no endpoint holds those bytes.
   Cold buffers fall back to a round-robin cursor over the *fixed* endpoint
   pool — the cursor skips failed endpoints instead of re-indexing a
   shrunken live list, so placement stays deterministic across failover.
@@ -46,9 +46,6 @@ delta barrier are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher`
   cannot change until its own completion (dependence exclusivity), and
   writes are only applied from the first accepted result — messages from
   failed endpoints are dropped.
-* **ATM deltas are best-effort.**  An endpoint that stays silent for
-  ``net_timeout_s`` after the barrier asked for its delta is failed like
-  any other; its delta is lost (reuse statistics, never correctness).
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from __future__ import annotations
 import functools
 import queue as queue_module
 import time
-from collections import OrderedDict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,10 +119,6 @@ class NetworkExecutor(BaseExecutor):
 
     abort_error = NetworkDrainError
 
-    #: Bound on the ATM-key -> endpoint affinity routes kept for twin
-    #: placement (LRU); a placement hint only, never correctness.
-    MAX_KEY_ROUTES = 4096
-
     def __init__(
         self,
         config: Optional[RuntimeConfig] = None,
@@ -164,11 +156,6 @@ class NetworkExecutor(BaseExecutor):
             if self.config.net_residency
             else None
         )
-        #: ATM-key -> endpoint affinity (LRU-bounded): same-key twins that
-        #: land in different chunks are routed to one endpoint so the
-        #: second finds the first's THT commit without waiting for the
-        #: drain-barrier delta merge.
-        self._key_routes: "OrderedDict[tuple, SocketEndpoint]" = OrderedDict()
         self._chunks_by_endpoint: dict[str, int] = {}
         self._stats = {
             "endpoints": len(self._endpoints),
@@ -177,7 +164,6 @@ class NetworkExecutor(BaseExecutor):
             "resubmitted_tasks": 0,
             "payload_bytes": 0,
             "failed_endpoints": self._failures,
-            "lost_deltas": 0,
             "chunks_by_endpoint": self._chunks_by_endpoint,
         }
         if self._residency is not None:
@@ -186,6 +172,7 @@ class NetworkExecutor(BaseExecutor):
         self._dispatcher = ChunkDispatcher(
             self,
             "network",
+            workers=len(self._endpoints),
             chunk_size=self.config.mp_chunk_size,
             loss_budget=self.max_retries,
             counters=self._stats,
@@ -283,7 +270,7 @@ class NetworkExecutor(BaseExecutor):
             buffers = tuple(encoded)
         try:
             frame = encode_frame(
-                ("chunk", NetChunk(chunk.chunk_id, buffers, descriptors), *chunk.owners)
+                ("chunk", NetChunk(chunk.chunk_id, buffers, descriptors))
             )
         except WireProtocolError:
             if residency is not None:
@@ -331,73 +318,30 @@ class NetworkExecutor(BaseExecutor):
     ) -> SocketEndpoint:
         """Pick the endpoint for one ready chunk.
 
-        Scoring order (first hit wins), pure locality by design so twin
-        routing stays deterministic under completion/dispatch races:
+        Scoring order (first hit wins), pure locality by design so placement
+        stays deterministic under completion/dispatch races:
 
-        1. **Key affinity** — most-voted live endpoint among the recorded
-           routes of the chunk's ATM keys (ties break in pool order);
-        2. **Residency bytes** — the endpoint whose current residency
-           entries cover the most of the chunk's touched bytes;
-        3. **Cold round-robin** — a cursor over the *fixed* endpoint pool
+        1. **Residency bytes** — the endpoint whose current residency
+           entries cover the most of the chunk's touched bytes (ties break
+           in pool order);
+        2. **Cold round-robin** — a cursor over the *fixed* endpoint pool
            that skips failed endpoints, so failover never re-biases
            placement of unrelated work.
+
+        Twins need no routing: the parent looks every task up before it
+        ships, so a twin never reaches an endpoint.
         """
-        keys: tuple = ()
-        endpoint: Optional[SocketEndpoint] = None
         if len(live) == 1:
-            endpoint = live[0]
-        else:
-            keys = self._route_keys(tasks)
-            if keys:
-                votes: dict[SocketEndpoint, int] = {}
-                for key in keys:
-                    routed = self._key_routes.get(key)
-                    if routed is not None and not routed.failed:
-                        votes[routed] = votes.get(routed, 0) + 1
-                if votes:
-                    endpoint = max(live, key=lambda ep: votes.get(ep, 0))
-                    if votes.get(endpoint, 0) == 0:  # pragma: no cover
-                        endpoint = None
-            if endpoint is None and self._residency is not None:
-                wanted = self._wanted_spans(tasks)
-                best_score = 0
-                for candidate in live:
-                    score = self._residency.score(candidate, wanted)
-                    if score > best_score:
-                        endpoint, best_score = candidate, score
-            if endpoint is None:
-                endpoint = self._next_cold_endpoint(live)
-        for key in keys:
-            self._key_routes[key] = endpoint
-            self._key_routes.move_to_end(key)
-        while len(self._key_routes) > self.MAX_KEY_ROUTES:
-            self._key_routes.popitem(last=False)
-        return endpoint
-
-    def _route_keys(self, tasks: list[Task]) -> tuple:
-        """ATM keys of the chunk's memoizable tasks (affinity routing).
-
-        Computed with each task owner's own key generator and sampling
-        policy — identical inputs at identical policy state yield identical
-        keys, which is exactly the twin-coalescing property placement
-        needs.  The keygen's region-version caches make repeats cheap.
-        Routing is a hint: any failure to compute a key just skips it.
-        """
-        if self._residency is None:
-            return ()
-        keys = []
-        for task in tasks:
-            try:
-                engine = task.engine
-                if engine is None or not task.task_type.atm_eligible:
-                    continue
-                policy = getattr(engine, "policy", None)
-                p = policy.sampling_fraction(task) if policy is not None else 1.0
-                key = engine.keygen.compute(task, p)
-            except Exception:
-                continue
-            keys.append((task.task_type.name, key.value, key.p))
-        return tuple(keys)
+            return live[0]
+        endpoint: Optional[SocketEndpoint] = None
+        if self._residency is not None:
+            wanted = self._wanted_spans(tasks)
+            best_score = 0
+            for candidate in live:
+                score = self._residency.score(candidate, wanted)
+                if score > best_score:
+                    endpoint, best_score = candidate, score
+        return endpoint or self._next_cold_endpoint(live)
 
     def _wanted_spans(self, tasks: list[Task]) -> list[tuple[int, int, int, int]]:
         """Merged ``(buffer_id, start, end, version)`` spans a chunk touches."""
@@ -433,16 +377,11 @@ class NetworkExecutor(BaseExecutor):
             return endpoint.name, []
         self._record_failure(endpoint, reason)
         # Residency died with the endpoint's connection (resubmission to
-        # survivors re-ships full bytes), the affinity routes to it too.
+        # survivors re-ships full bytes).
         if self._residency is not None:
             self._residency.drop_endpoint(endpoint)
-        if self._key_routes:
-            for key in [k for k, ep in self._key_routes.items() if ep is endpoint]:
-                del self._key_routes[key]
         self._ep_state.pop(endpoint, None)
-        return endpoint.name, self._dispatcher.reclaim(
-            endpoint, f"endpoint {endpoint.name}"
-        )
+        return endpoint.name, self._dispatcher.reclaim(endpoint)
 
     def _lose(self, endpoint: SocketEndpoint) -> tuple[str, list[Chunk]]:
         """The dispatcher's wedge rule: exclude the endpoint a task is stuck on."""
@@ -465,6 +404,32 @@ class NetworkExecutor(BaseExecutor):
         into cached backings, which re-shipped bytes replace."""
         if self._residency is not None:
             self._residency.drop_endpoint(endpoint)
+
+    def _wrote_here(self, tasks) -> None:
+        """The parent wrote these tasks' outputs (THT or IKT copies): drop
+        every residency entry overlapping them — a write no endpoint made,
+        which ``note_write`` with no writer and an unchanged version does.
+        Their version bumps alone would not do: a result landing in the
+        same step upgrades the entries of its base across them."""
+        if self._residency is None:
+            return
+        dropped = []
+        for task in tasks:
+            for access in task.accesses:
+                if access.writes:
+                    region = access.region
+                    version = region.version
+                    dropped += self._residency.note_write(
+                        None, None, region.base_id, region.byte_interval, version, version
+                    )
+        self._invalidate(dropped)
+
+    # -- the parent's share of the Figure 1 step ----------------------------------
+    max_in_flight = None  # every dispatched task is in flight
+
+    def _rescue_orphan(self, task, graph, worker, clock) -> None:
+        # A deferred twin whose producer failed runs on an endpoint, not here.
+        self._dispatcher.reship(task)
 
     # -- drain -------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
@@ -558,10 +523,10 @@ class NetworkExecutor(BaseExecutor):
         matches the dispatch-time one; overlapping entries elsewhere drop
         and get a worker-side ``invalidate`` so cache accounting follows.
         """
-        invalidations: dict[SocketEndpoint, list[tuple[int, int]]] = {}
+        dropped = []
         for (index, _), prev_version in zip(writes, prev_versions):
             region = task.accesses[index].region
-            dropped = self._residency.note_write(
+            dropped += self._residency.note_write(
                 endpoint,
                 dispatch_gens.get(region.base_id),
                 region.base_id,
@@ -569,10 +534,14 @@ class NetworkExecutor(BaseExecutor):
                 prev_version,
                 region.version,
             )
-            for drop_endpoint, buffer_id, generation in dropped:
-                invalidations.setdefault(drop_endpoint, []).append(
-                    (buffer_id, generation)
-                )
+        self._invalidate(dropped)
+
+    def _invalidate(self, dropped: list) -> None:
+        """Tell each endpoint which of its ``(endpoint, buffer_id,
+        generation)`` residency entries were dropped."""
+        invalidations: dict[SocketEndpoint, list[tuple[int, int]]] = {}
+        for drop_endpoint, buffer_id, generation in dropped:
+            invalidations.setdefault(drop_endpoint, []).append((buffer_id, generation))
         for drop_endpoint, pairs in invalidations.items():
             if drop_endpoint.failed:
                 continue
@@ -600,24 +569,3 @@ class NetworkExecutor(BaseExecutor):
                     endpoint.send(("ping",))
                 except NetworkTransportError as exc:
                     self._lose_endpoint(endpoint, f"ping failed: {exc}")
-
-    # -- ATM barrier -------------------------------------------------------------
-    def _request_deltas(self) -> list[SocketEndpoint]:
-        """Ask every live endpoint for its engine delta.
-
-        Best-effort by design: an endpoint that dies here loses its delta
-        (reuse statistics), never result bytes — every task already
-        completed through an accepted result message.
-        """
-        asked = []
-        for endpoint in self._live_endpoints():
-            try:
-                endpoint.send(("sync",))
-            except NetworkTransportError as exc:
-                self._lose_endpoint(endpoint, f"sync send failed: {exc}")
-                continue
-            # The silence clock restarts: the delta is due within
-            # net_timeout_s, like the answer to any dispatched chunk.
-            self._ep_state[endpoint].last_heard = time.perf_counter()
-            asked.append(endpoint)
-        return asked

@@ -30,9 +30,9 @@ the one :class:`~repro.runtime.remote_task.RemoteWorker` behind a framed
 socket: it reads frames from any socket, so the loopback thread and the
 standalone TCP daemon share every line of it.  ``hello`` / ``ping`` /
 ``invalidate`` / ``shutdown`` are this transport's own messages; ``chunk``
-and ``sync`` and their replies are the remote-worker protocol's (DESIGN.md
-§4.6).  Neither side trusts the other's frames: whatever is not a protocol
-tuple of the right shape ends in a named error, never in an exception on a
+and its replies are the remote-worker protocol's (DESIGN.md §4.6).
+Neither side trusts the other's frames: whatever is not a protocol tuple
+of the right shape ends in a named error, never in an exception on a
 service thread.
 """
 
@@ -319,7 +319,7 @@ class NetWorkerState:
 
     def __init__(self, worker_id: int = 0) -> None:
         self.worker_id = worker_id
-        #: Built at hello time; its engine replicas come with the chunks.
+        #: Built at hello time.
         self.worker: Optional[RemoteWorker] = None
         #: Residency store for shipped backings; created at hello time when
         #: the client runs the residency protocol (``None`` = ship-always).
@@ -338,24 +338,15 @@ class NetWorkerState:
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
     # -- execution ---------------------------------------------------------------
-    def run_chunk(
-        self, chunk: NetChunk, engines: list
-    ) -> tuple[list[tuple], Optional[tuple]]:
-        """Run one chunk against its tasks' replicas
-        (:meth:`RemoteWorker.engines_for`); returns ``(results, error)``.
+    def run_chunk(self, chunk: NetChunk) -> tuple[list[tuple], Optional[tuple]]:
+        """Run one chunk; returns ``(results, error)``.
 
-        Each result is ``(task_id, action_value, executed, writes)``.
-        ``error`` is ``(task_id, traceback_str)`` when a task body raised —
-        the rest of the chunk is dropped.
+        Each result is ``(task_id, writes)``.  ``error`` is ``(task_id,
+        traceback_str)`` when a task body raised — the rest of the chunk is
+        dropped.
         """
         arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
-        return self.worker.run_chunk(chunk.tasks, arena, engines)
-
-    # -- barrier -----------------------------------------------------------------
-    def sync(self) -> list[tuple[int, dict]]:
-        """``(owner index, delta)`` of every engine replica since the
-        previous barrier."""
-        return self.worker.sync()
+        return self.worker.run_chunk(chunk.tasks, arena)
 
 
 def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
@@ -381,12 +372,9 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
                 elif kind == "chunk":
                     if state.worker is None:
                         raise WireProtocolError("chunk before hello")
-                    _, chunk, *owners = message
-                    # Owner fields are checked before the ack: a chunk
-                    # whose replicas cannot be built is unreadable.
-                    engines = state.worker.engines_for(chunk.tasks, *owners)
+                    _, chunk = message
                     for reply in state.worker.replies(
-                        chunk.chunk_id, lambda: state.run_chunk(chunk, engines)
+                        chunk.chunk_id, lambda: state.run_chunk(chunk)
                     ):
                         write_frame(sock, reply)
                 elif kind == "invalidate":
@@ -396,8 +384,6 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
                     pairs = message[1]
                     if state.buffer_cache is not None:
                         state.buffer_cache.invalidate(pairs)
-                elif kind == "sync":
-                    write_frame(sock, ("sync_result", state.sync()))
                 elif kind == "ping":
                     write_frame(sock, ("pong",))
                 elif kind == "shutdown":
@@ -407,8 +393,8 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
             except (WireProtocolError, OSError, EOFError):
                 raise
             except Exception as exc:
-                # A kind we know around fields we do not: too few of them,
-                # an engine recipe that is not one, a chunk that is an int.
+                # A kind we know around fields we do not: too few or too
+                # many of them, a chunk that is an int.
                 raise WireProtocolError(
                     f"unreadable {kind!r} message: {type(exc).__name__}: {exc}"
                 ) from exc

@@ -16,7 +16,7 @@ the two halves of that story:
   The control section is written by the one control codec
   (:mod:`repro.runtime.codec`, DESIGN.md §4.6), which builds nothing but
   data: every buffer the message carries — a :class:`NetBuffer` span, a
-  result write, a gateway write-back, an ndarray of an engine delta or THT
+  result write, a gateway write-back, an output array of a stored THT
   entry — travels as one raw segment the control section names by index.
   :func:`encode_frame` therefore copies no contiguous array byte: it returns
   a :class:`Frame` whose scatter list points straight at the source arrays,
@@ -104,7 +104,10 @@ __all__ = [
 #: Version 9: the hello carries no engine; a chunk names each task's owner
 #: and carries the engine recipe of every owner it names, and ``sync``
 #: answers one ``(owner index, delta)`` pair per replica.
-PROTOCOL_VERSION = 9
+#: Version 10: workers hold no engine — the parent looks tasks up and
+#: commits them — so a chunk carries no owner fields, a result entry is
+#: ``(task_id, *payload)`` and there is no ``sync``.
+PROTOCOL_VERSION = 10
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count

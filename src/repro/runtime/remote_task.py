@@ -2,7 +2,7 @@
 
 Every backend that executes task bodies away from the parent's graph — the
 process pool over shared memory, network endpoints over sockets, a gateway
-tenant's namespace — moves the same five things (DESIGN.md §4.6):
+tenant's namespace — moves the same four things (DESIGN.md §4.6):
 
 * a :class:`~repro.runtime.codec.TaskDescriptor` — one fixed-position
   record: the task type's fields inline, the body as ``(module, qualname)``,
@@ -14,18 +14,11 @@ tenant's namespace — moves the same five things (DESIGN.md §4.6):
   ref's backing bytes live (a shared segment, a shipped span, a tenant
   buffer);
 * :func:`rebuild_task` — descriptor + arena → a runnable :class:`Task`;
-* :func:`run_descriptor` — the worker's Figure 1 step (the shared
-  :func:`~repro.runtime.atm_protocol.lookup` → run or copy stored outputs
-  → bump write versions → the shared
-  :func:`~repro.runtime.atm_protocol.commit`) against the worker's replica
-  of the task owner's engine;
-* the replica's recipe — the owner engine's ``ATMConfig``
-  (:func:`engine_recipe`).  The dispatcher numbers owners as it
-  first ships their tasks; a chunk names each task's owner index and
-  carries the recipe of every owner it names, and a worker builds a
-  replica the first time it sees an index.  The replicas'
-  ``snapshot(reset=True)`` deltas merge back into their owners' engines
-  at the drain barrier.
+* :func:`run_descriptor` — the worker's step: run the body and bump the
+  write versions.  Nothing of the paper's Figure 1 runs here: the parent's
+  dispatcher looked the task up in its owner's engine before shipping it
+  (a THT or IKT hit never ships) and commits it when its result lands, so
+  one THT, one IKT and one training phase serve every worker.
 
 and speaks one protocol around them: :class:`RemoteWorker` is the one
 worker loop and :meth:`RemoteWorker.replies` the one reply sequence; a
@@ -35,15 +28,12 @@ to :meth:`repro.runtime.dispatch.ChunkDispatcher.reply`.
 
 from __future__ import annotations
 
-import dataclasses
 import traceback
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.common.config import ATMConfig
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
-from repro.runtime.atm_protocol import commit, lookup
 from repro.runtime.codec import (
     TaskDescriptor, build, checked_dtype, function_name, plain, ref_key, resolve_function,
 )
@@ -52,41 +42,12 @@ from repro.runtime.task import Task, TaskState, TaskType
 
 __all__ = [
     "TaskDescriptor",
-    "engine_recipe",
     "describe_task",
     "describe_tasks",
     "rebuild_task",
     "ArrayArena",
     "RemoteWorker",
 ]
-
-
-def engine_recipe(engine) -> dict:
-    """The ``ATMConfig`` that replicates ``engine`` into a remote worker, as
-    the plain dict a chunk carries (``ATMConfig(**recipe)`` rebuilds it).
-
-    It is the policy's own config (its sampling fraction already folded in)
-    under the policy's registry name, with the IKT off: a worker processes
-    one task at a time, so an in-flight twin can never exist inside it, and
-    cross-worker in-flight tracking would serialise every lookup on one
-    lock — the THT delta merge at the barrier recovers the sharing instead.
-    """
-    policy = getattr(engine, "policy", None)
-    config = getattr(engine, "config", None)
-    if policy is None or config is None:
-        raise RuntimeStateError(
-            "worker-replicated backends require an ATMEngine-compatible "
-            "engine (with .policy and .config) or engine=None; custom "
-            "in-process engines cannot be replicated into workers"
-        )
-    # Policies built through the registry carry their registered name —
-    # the faithful recipe for plugin policies, whose class-level ``mode``
-    # attribute is whatever builtin they subclass.  Hand-assembled policy
-    # instances fall back to that class attribute.  Plugin policies
-    # require the plugin module to be imported (or the start method to be
-    # fork) wherever the worker runs.
-    mode = getattr(policy, "registry_name", None) or policy.mode.value
-    return dataclasses.asdict(policy.config.with_overrides(mode=mode, use_ikt=False))
 
 
 def describe_task(
@@ -237,40 +198,31 @@ def rebuild_task(
 
 
 def run_descriptor(
-    desc: TaskDescriptor,
-    arena: ArrayArena,
-    engine,
-    task_types: dict[str, TaskType],
-    worker_id: int,
-) -> tuple[str, bool, Task]:
-    """Rebuild one task and run the worker's Figure 1 step around it: the
-    shared gate and lookup, the body, its version bump, the shared commit.
-    Supervision (retries, timeouts, quarantine) stays with the parent's
-    dispatcher, which reads a raising body off the worker's error reply.
+    desc: TaskDescriptor, arena: ArrayArena, task_types: dict[str, TaskType]
+) -> Task:
+    """Rebuild one task and run its body, then bump the versions of what it
+    wrote.  The parent looked the task up before shipping it and commits it
+    when the result lands; supervision (retries, timeouts, quarantine)
+    stays with the parent's dispatcher, which reads a raising body off the
+    worker's error reply.
 
-    Returns ``(action_value, executed, task)``; a transport without shared
-    memory reads the written regions off the returned task.
+    Returns the task; a transport without shared memory reads the written
+    regions off it.
     """
     task = rebuild_task(desc, arena, task_types)
-    decision = lookup(task, engine, worker_id)
-    executed = not decision.skips_execution
-    if executed:
-        task.state = TaskState.RUNNING
-        task.run()
-        # Commit the writes to the version protocol *before* reporting
-        # completion: once the parent releases a successor, anything
-        # hashing these bytes must observe the new version.  (The SKIP
-        # path bumps through DataRegion.copy_from already.)
-        for access in task.accesses:
-            if access.writes:
-                access.region.bump_version()
-    commit(task, engine, decision, executed, worker_id)
-    return decision.action.value, executed, task
+    task.state = TaskState.RUNNING
+    task.run()
+    # Commit the writes to the version protocol *before* reporting
+    # completion: once the parent releases a successor, anything reading
+    # these bytes must observe the new version.
+    for access in task.accesses:
+        if access.writes:
+            access.region.bump_version()
+    return task
 
 
 class RemoteWorker:
-    """The one remote worker: runs shipped chunks against engine replicas,
-    one per task owner.
+    """The one remote worker: runs the bodies of shipped chunks.
 
     A transport builds one per worker process or connection and supplies
     the arena a chunk's refs resolve in (per call) and ``written`` — how a
@@ -284,57 +236,27 @@ class RemoteWorker:
         written: Optional[Callable[[Task], Any]] = None,
     ) -> None:
         self.worker_id = worker_id
-        #: Owner index -> the journaling replica of that owner's engine.
-        self.engines: dict[int, Any] = {}
         self.task_types: dict[str, TaskType] = {}
         self._written = written
 
-    def engines_for(
-        self, descriptors: Sequence, owners: Optional[Sequence] = None, recipes: Iterable = ()
-    ) -> list:
-        """The replica each task of a chunk runs against, from the chunk's
-        owner fields: each task's owner index (``None``: no ATM) and an
-        ``(index, recipe)`` pair per owner named; a chunk without them runs
-        every task without ATM.  An index seen before keeps its replica and
-        its recipe is ignored; fields that do not fit the chunk raise."""
-        for index, recipe in recipes:
-            if type(index) is not int:
-                raise TypeError(f"owner index {index!r} is not an int")
-            if index not in self.engines:
-                # Imported at the first owner with ATM: a worker whose
-                # chunks carry none never loads the ATM layer.
-                from repro.atm.engine import build_engine
-
-                self.engines[index] = build_engine(
-                    ATMConfig(**recipe), num_threads=1, journal=True
-                )
-        if owners is None:
-            return [None] * len(descriptors)
-        if len(owners) != len(descriptors):
-            raise ValueError(f"{len(owners)} owner indices for {len(descriptors)} tasks")
-        return [None if index is None else self.engines[index] for index in owners]
-
     def run_chunk(
-        self, descriptors: Sequence[TaskDescriptor], arena: ArrayArena, engines: list
+        self, descriptors: Sequence[TaskDescriptor], arena: ArrayArena
     ) -> tuple[list[tuple], Optional[tuple[int, str]]]:
-        """Run one chunk against ``engines`` (:meth:`engines_for`); returns
-        ``(results, error)``.
+        """Run one chunk; returns ``(results, error)``.
 
-        Each result is ``(task_id, action_value, executed)`` plus the
-        ``written`` payload when bytes must travel.  ``error`` is
-        ``(task_id, traceback_str)`` when a task body raised: the finished
-        prefix is in ``results``, the rest of the chunk is dropped.
+        Each result is ``(task_id,)`` plus the ``written`` payload when
+        bytes must travel.  ``error`` is ``(task_id, traceback_str)`` when a
+        task body raised: the finished prefix is in ``results``, the rest of
+        the chunk is dropped.
         """
         results: list[tuple] = []
-        for desc, engine in zip(descriptors, engines):
+        for desc in descriptors:
             try:
-                action, executed, task = run_descriptor(
-                    desc, arena, engine, self.task_types, self.worker_id
-                )
+                task = run_descriptor(desc, arena, self.task_types)
             except BaseException:
                 return results, (desc.task_id, traceback.format_exc())
             payload = () if self._written is None else (self._written(task),)
-            results.append((desc.task_id, action, executed, *payload))
+            results.append((desc.task_id, *payload))
         return results, None
 
     @staticmethod
@@ -359,11 +281,3 @@ class RemoteWorker:
             yield ("result", chunk_id, results)
         if error is not None:
             yield ("error", chunk_id, *error)
-
-    def sync(self) -> list[tuple[int, dict]]:
-        """``(owner index, engine delta since the previous barrier)`` of
-        every replica this worker holds."""
-        return [
-            (index, engine.snapshot(reset=True))
-            for index, engine in self.engines.items()
-        ]

@@ -11,10 +11,12 @@ home; this module provides it (see DESIGN.md §4.3):
   parent arrays and the segments at the two moments a task crosses the
   process boundary: ``copy_in`` when a chunk is sent, for the base buffers
   its tasks touch that the open drain has not touched before, ``copy_out``
-  when a task's result arrives, for the regions that task wrote.
+  when a task's result arrives, for the regions that task wrote, and
+  ``copy_regions_in`` when the parent memoized a task, for the regions the
+  THT or IKT copy wrote.
   ``copy_in`` only copies (and version-bumps) buffers whose bytes actually
-  differ from the segment, so worker-side digest caches survive
-  multi-barrier programs whose inputs the parent never touched; buffers a
+  differ from the segment, so the parent's key caches survive
+  multi-barrier programs whose inputs the host never touched; buffers a
   drain never touches are never compared.  Bases are held weakly: a
   segment lives as long as its array, and is unlinked when the first drain
   after the array's collection opens (:meth:`SharedBufferRegistry.release`).
@@ -28,8 +30,7 @@ commit (``graph.complete_task`` bumps the base in
 :data:`~repro.runtime.data.region_versions`), so each row of a chunk's
 buffer table carries that version in ``NetBuffer.generation``.  A worker
 that sees a slot's version move since its last chunk bumps its own version
-of the whole base, which drops its digest caches and content tags for it:
-a peer's write is never hashed (or elided) against a stale entry.
+of the whole base.
 
 **The first-touch invariant.**  A base buffer is compared with (and, on a
 difference, refreshed into) its segment only while *no task of the open drain
@@ -190,9 +191,9 @@ class SharedBufferRegistry:
 
         Only buffers whose bytes differ are copied, and each refresh bumps
         the base's write-version — the version the buffer table carries — so
-        worker-side key caches can never serve a digest for bytes the parent
-        replaced between drains.  A buffer already fresh is skipped without a
-        compare (module docstring).
+        the parent's key caches and content tags never serve bytes a host
+        store replaced between drains.  A buffer already fresh is skipped
+        without a compare (module docstring).
         """
         refreshed = 0
         fresh = self.fresh
@@ -211,21 +212,33 @@ class SharedBufferRegistry:
             refreshed += 1
         return refreshed
 
+    def _segment_view(self, region: DataRegion) -> tuple[np.ndarray, np.ndarray]:
+        """``(parent array, its mirror in the segment)`` of one region,
+        strided views included."""
+        entry = self.register(region._base)
+        array = region.array
+        return array, np.ndarray(
+            array.shape, dtype=array.dtype, buffer=entry.shm.buf,
+            offset=_address(array) - entry.address, strides=array.strides,
+        )
+
     def copy_out(self, regions: Iterable[DataRegion]) -> int:
         """Land worker-written ``regions``: segment bytes into the parent
-        arrays, region by region (strided views included); returns regions
-        landed."""
+        arrays, region by region; returns regions landed."""
         landed = 0
         for region in regions:
-            entry = self.register(region._base)
-            array = region.array
-            mirror = np.ndarray(
-                array.shape, dtype=array.dtype, buffer=entry.shm.buf,
-                offset=_address(array) - entry.address, strides=array.strides,
-            )
+            array, mirror = self._segment_view(region)
             np.copyto(array, mirror, casting="no")
             landed += 1
         return landed
+
+    def copy_regions_in(self, regions: Iterable[DataRegion]) -> None:
+        """Mirror parent-written ``regions`` into their segments, region by
+        region: the outputs the parent memoized, which no in-flight task
+        touches, so unlike :meth:`copy_in` this is safe mid-drain."""
+        for region in regions:
+            array, mirror = self._segment_view(region)
+            np.copyto(mirror, array, casting="no")
 
     def close(self) -> None:
         self.release()

@@ -224,7 +224,6 @@ class GatewayClient:
             tasks_memoized=summary.get("tasks_memoized", 0),
             tasks_failed=summary.get("tasks_failed", 0),
             tasks_cancelled=summary.get("tasks_cancelled", 0),
-            lost_deltas=summary.get("lost_deltas", 0),
             failures=list(summary.get("failures", ())),
         )
         result.extra["tenant"] = summary.get("tenant")

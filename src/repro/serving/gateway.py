@@ -10,8 +10,8 @@ registered backend).  Three properties make the sharing safe:
   buffers, and therefore its dependence regions, are disjoint from every
   other tenant's) and a private ATM engine, so memoization state never
   leaks across tenants.  Each task names its tenant as its owner, and the
-  pool — of any kind — runs it against that tenant's engine (a worker pool
-  against its replica of it, merged back at each drain barrier).
+  pool — of any kind — runs it against that tenant's engine (a worker
+  pool's dispatcher looks it up and commits it in this process).
 * **Fairness** — submissions pass through the
   :class:`~repro.serving.admission.AdmissionController`: per-tenant FIFO
   queues drained by weighted deficit round-robin into a bounded global
@@ -223,7 +223,7 @@ class _TenantState:
 
 
 class _SharedTierProbe:
-    """The engine of a tenant that shares the THT tier (in-process pools).
+    """The engine of a tenant that shares the THT tier.
 
     The tenant's own engine plus one step of the lookup: a tenant-private
     miss probes the shared tier.  A hit there abandons the tenant-side
@@ -293,13 +293,8 @@ class Gateway:
         self.serving = cfg.serving
         self._shared_tht = None
         if self.serving.shared_tht:
-            # The probe runs where the lookup runs: on a worker pool that is
-            # inside each worker, where no shared tier lives.
-            if cfg.runtime.executor not in ("serial", "threaded"):
-                raise ConfigurationError(
-                    f"serving.shared_tht requires an in-process pool "
-                    f"(serial/threaded), not {cfg.runtime.executor!r}"
-                )
+            # The probe runs where the lookup runs: in this process, on
+            # every pool kind.
             self._shared_tht = TaskHistoryTable(cfg.atm)
         # Persistent memoization tier (DESIGN.md §9): the shared tier
         # warm-starts from ``atm.tht_store`` and the merge pump publishes its
@@ -615,13 +610,12 @@ class Gateway:
             overrides = {"mode": atm_mode}
             if atm_p is not None:
                 overrides["p"] = atm_p
-            # A sharing tenant journals its commits for the merge pump.
             engine = build_engine(
-                self.config.atm.with_overrides(**overrides),
-                self.config.runtime.num_threads,
-                journal=share,
+                self.config.atm.with_overrides(**overrides), self._executor.max_in_flight
             )
             if share and engine is not None:
+                # A sharing tenant journals its commits for the merge pump.
+                engine.tht.enable_journal()
                 engine = _SharedTierProbe(engine, self._shared_tht)
             tenant = _TenantState(
                 name=name, weight=weight, engine=engine, share_tht=share
@@ -781,7 +775,6 @@ class Gateway:
         with tenant.lock:
             failed_ids = set(tenant.failed_ids)
             summary = {"tenant": tenant.name, **tenant.counters("tasks_")}
-        summary["lost_deltas"] = self._executor.result().lost_deltas
         # A failed task's TaskFailure is recorded inside the graph transition
         # that made it terminal, so every id counted above has its report.
         summary["failures"] = [
@@ -804,7 +797,6 @@ class Gateway:
                 "tasks_memoized": result.tasks_memoized,
                 "tasks_failed": result.tasks_failed,
                 "tasks_cancelled": result.tasks_cancelled,
-                "lost_deltas": result.lost_deltas,
                 # High-water mark of the pool's ready queue (one per pool:
                 # a pool rebuilt after a failed drain starts from 0).
                 "max_depth": self._executor.scheduler.stats.max_depth,

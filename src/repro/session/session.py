@@ -239,18 +239,19 @@ class Session:
                     f"overrides do not apply to a pre-built executor instance"
                 )
             self.executor: BaseExecutor = executor
-            self.engine = self._assemble_engine(
-                cfg, policy, engine, num_threads=executor.config.num_threads
-            )
-            self._reject_dangling_p(p)
         else:
-            self.engine = self._assemble_engine(
-                cfg, policy, engine, num_threads=cfg.runtime.num_threads
-            )
-            # Checked before build_executor so a config error never abandons
-            # a freshly spawned worker pool.
-            self._reject_dangling_p(p)
+            # Built first: the executor sizes the engine's in-flight key
+            # table.  Nothing is spawned before its first drain.
             self.executor = build_executor(cfg.runtime, sim_config=cfg.simulation)
+        try:
+            self.engine = self._assemble_engine(
+                cfg, policy, engine, num_threads=self.executor.max_in_flight
+            )
+            self._reject_dangling_p(p)
+        except BaseException:
+            if self.executor is not executor:
+                self.executor.close()
+            raise
         self.graph = TaskDependenceGraph(
             on_ready=self.executor.notify_ready,
             on_ready_batch=self.executor.notify_ready_batch,
@@ -278,7 +279,7 @@ class Session:
                 self.warm_started = restored > 0
                 # Journal from here on: warm-started entries are never
                 # re-published by this session's flush.
-                self.engine.enable_delta_snapshots()
+                self.engine.tht.enable_journal()
         self._closed = False
         self._drained = False
         self._draining = False
@@ -295,11 +296,13 @@ class Session:
             )
 
     @staticmethod
-    def _assemble_engine(cfg: ReproConfig, policy: Any, engine: Any, num_threads: int):
+    def _assemble_engine(
+        cfg: ReproConfig, policy: Any, engine: Any, num_threads: Optional[int]
+    ):
         """Build the memoization engine from policy/config declarations.
 
         ``num_threads`` sizes the in-flight key table; it comes from the
-        executor that will actually run the tasks.
+        executor that will actually run the tasks (its ``max_in_flight``).
         """
         if engine is not None:
             return engine

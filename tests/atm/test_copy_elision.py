@@ -262,9 +262,9 @@ class TestEntryIdentity:
             submit_step(session, src, dst)
             session.wait_all()
             entry = tagged_entry(dst)
-            # What a worker delta, a THT shard or a FileTHTStore delivers: an
-            # entry equal in every pickled field, any identity field a forger
-            # might copy included.
+            # What a THT shard or a FileTHTStore delivers: an entry equal
+            # in every pickled field, any identity field a forger might copy
+            # included.
             entry.serial = 7
             twin = pickle.loads(pickle.dumps(entry))
             assert vars(twin).keys() == vars(entry).keys() and twin.serial == 7
@@ -337,18 +337,18 @@ def blocks_program(session, passes: int = 3, blocks: int = 4):
     return state, out
 
 
-class TestRemoteWorkersNeverElide:
+class TestRemoteBackendsElideAsSerialDoes:
     @pytest.mark.parametrize("executor", ["process", "network"])
-    def test_worker_deltas_report_no_elided_bytes(self, executor):
-        # One worker, chunks of one: every task sees the THT its
-        # predecessors left, so all but the first are hits.
+    def test_the_parent_elides_exactly_as_serial_does(self, executor):
+        # One worker, chunks of one: the parent looks each task up after its
+        # predecessor committed, copies THT outputs into its own memory and
+        # tags them there, so the ledger is serial's to the byte.
         with static_session(executor, num_threads=1, mp_chunk_size=1) as session:
             _, out = blocks_program(session)
             stats = session.stats
         assert all(np.all(block == 5.0) for block in out)
         assert stats["tht_hits"] == 11
-        assert stats["elided_bytes"] == 0
-        assert stats["copied_bytes"] == stats["tht_hits"] * BLOCK
+        assert (stats["copied_bytes"], stats["elided_bytes"]) == (4 * BLOCK, 7 * BLOCK)
 
     def test_in_process_the_same_program_elides(self):
         with static_session() as session:

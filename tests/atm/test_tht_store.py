@@ -30,6 +30,8 @@ from repro.atm.store import (
     FileTHTStore,
     ShardState,
     ShardTHTStore,
+    _delta_of,
+    _plain_delta,
     merge_deltas,
     open_store,
     parse_store_url,
@@ -251,21 +253,28 @@ class TestFileStore:
             FileTHTStore(store_path, CFG).load()
 
     def test_previous_schema_is_refused_by_name(self, store_path):
-        """A file of the previous schema is not read at all (its entries sat
-        under another key definition or in pickled frames)."""
+        """A file of the previous schema is not read at all (its entries were
+        codec records of their own, which this codec does not decode), and
+        is left as it is."""
         store_path.parent.mkdir(parents=True)
-        store_path.write_bytes(
-            bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})))
-            + bytes(encode_frame(("tht_delta", fill_table(3).snapshot())))
-        )
-        with pytest.raises(THTStoreCorruptError, match="has schema 4; this build reads schema 5"):
-            FileTHTStore(store_path, CFG).load()
+        header = bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})))
+        entry = ["e", 1, 1.0, "t", 0, ["[", ["a", "<f8", [1], 0]]]
+        control = ["", ["(", "tht_delta", {"entries": ["[", entry], "counters": {}}]]
+        raw = header + hand_frame(json.dumps(control).encode(), (b"\0" * 8,))
+        store_path.write_bytes(raw)
+        store = FileTHTStore(store_path, CFG)
+        match = "has schema 5; this build reads schema 6"
+        with pytest.raises(THTStoreSchemaError, match=match):
+            store.load()
+        with pytest.raises(THTStoreSchemaError, match=match):
+            store.publish(fill_table(3).snapshot())
+        assert store_path.read_bytes() == raw
 
     def test_schema_4_file_is_refused_by_name_and_never_overwritten(self, store_path):
         store_path.parent.mkdir(parents=True)
         store_path.write_bytes(SCHEMA_4_FILE)
         store = FileTHTStore(store_path, CFG)
-        match = "written by schema 4 or earlier; this build reads schema 5"
+        match = "written by schema 4 or earlier; this build reads schema 6"
         with pytest.raises(THTStoreSchemaError, match=match):
             store.load()
         with pytest.raises(THTStoreSchemaError, match=match):
@@ -276,7 +285,7 @@ class TestFileStore:
         """THT outputs are read from the file as raw bytes: a dtype that holds
         Python objects is never built from them, nor written."""
         header = bytes(encode_frame(("tht_store", {"schema": STORE_SCHEMA_VERSION})))
-        entry = ["e", 1, 1.0, "t", 0, ["[", ["a", "|O", [1], 0]]]
+        entry = ["(", 1, 1.0, "t", 0, ["[", ["a", "|O", [1], 0]]]
         control = ["", ["(", "tht_delta", {"entries": ["[", entry], "counters": {}}]]
         store_path.parent.mkdir(parents=True)
         store_path.write_bytes(header + hand_frame(json.dumps(control).encode(), (b"\0" * 8,)))
@@ -285,7 +294,7 @@ class TestFileStore:
         delta = fill_table(1).snapshot()
         delta["entries"][0].outputs[0] = np.array([object()])
         with pytest.raises(TypeError, match="holds Python objects"):
-            encode_frame(("tht_delta", delta))
+            FileTHTStore(store_path, CFG).publish(delta)
 
     def test_a_delta_frame_of_other_values_is_corrupt(self, store_path):
         store_path.parent.mkdir(parents=True)
@@ -357,16 +366,17 @@ class TestShardState:
         assert reply[0] == "error"
         reply = state.handle(("hello", {"protocol": SHARD_PROTOCOL_VERSION - 1}))
         assert reply[:2] == ("error", "THTStoreUnavailableError")
-        assert "shard speaks protocol 5, client spoke 4" in reply[2]
+        assert "shard speaks protocol 6, client spoke 5" in reply[2]
 
     def test_publish_then_fetch_round_trips(self):
         state = ShardState(CFG)
         shipped = fill_table(8).snapshot()
-        kind, received = state.handle(("publish", shipped))
+        # Entries cross the shard's wire as plain tuples.
+        kind, received = state.handle(("publish", _plain_delta(shipped)))
         assert (kind, received) == ("publish_ack", 8)
         kind, delta = state.handle(("fetch",))
         assert kind == "fetch_result"
-        assert entry_map(delta).keys() == entry_map(shipped).keys()
+        assert entry_map(_delta_of(delta)).keys() == entry_map(shipped).keys()
         kind, stats = state.handle(("stats",))
         assert kind == "stats_reply"
         assert stats["entries"] == 8
@@ -596,7 +606,7 @@ class TestSessionWarmStart:
             bytes(encode_frame(frame))
             for frame in [("tht_store", {"schema": STORE_SCHEMA_VERSION - 1})] + frames[1:]
         ))
-        with pytest.warns(RuntimeWarning, match="has schema 4"):
+        with pytest.warns(RuntimeWarning, match="has schema 5"):
             session, _ = run_saxpy(self.atm(url))
         assert not session.warm_started and session.stats["tht_hits"] == 0
 

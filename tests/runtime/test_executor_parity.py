@@ -127,15 +127,14 @@ def test_executor_parity(bench_name, mode):
         )
         if mode == "static" and reference.tasks_memoized > 0:
             # Non-vacuous reuse check: a backend whose memoization silently
-            # broke must fail here.  With several workers, whether a repeated
-            # task lands on the worker whose cold THT saw its twin is a pure
-            # scheduling race (worker tables merge only at drain barriers),
-            # so the worker-replicated backends' reuse is asserted on a
-            # single-worker pool — one THT sees every repeat
-            # deterministically — while the threaded backend shares one
-            # engine and keeps the direct check.  (The multi-worker case is
-            # pinned deterministically by test_two_worker_reuse_is_
-            # deterministic_within_one_chunk below.)
+            # broke must fail here.  Without the IKT (the parity
+            # configuration) the twins the parent looks up while their first
+            # copy is still on a worker all miss, so how much a multi-worker
+            # pool reuses depends on its window of in-flight chunks; the
+            # worker backends' reuse is asserted on a single-worker pool,
+            # whose lookups follow the serial order, while the threaded
+            # backend keeps the direct check.  (Twins on two workers are
+            # pinned by test_twin_reuse_is_deterministic_on_two_workers.)
             if executor in ("process", "network", "network-nores"):
                 _, solo = run_tiny(bench_name, executor, mode, workers=1)
                 assert solo.tasks_memoized > 0, (
@@ -155,7 +154,8 @@ def test_executor_parity(bench_name, mode):
 
 def _run_twins(executor: str, chunk_size: int, n: int = 8):
     """Submit ``n`` same-key twin tasks (distinct buffers, identical
-    content) on a 2-worker pool and return the drain result + sinks."""
+    content) on a 2-worker pool under static ATM (IKT on) and return the
+    drain result + sinks."""
     from tests.conftest import SQUARE_TYPE, square_body
     from repro.runtime.data import In, Out
 
@@ -164,10 +164,10 @@ def _run_twins(executor: str, chunk_size: int, n: int = 8):
             "executor": executor,
             "num_threads": 2,
             "mp_chunk_size": chunk_size,
-        }
+        },
+        atm={"mode": "static"},
     )
-    engine = make_engine("static", 2)
-    with Session(cfg, engine=engine) as session:
+    with Session(cfg) as session:
         sources = [np.full(16, 3.0) for _ in range(n)]
         sinks = [np.zeros(16) for _ in range(n)]
         with session.batch():
@@ -180,53 +180,25 @@ def _run_twins(executor: str, chunk_size: int, n: int = 8):
     return result, sinks
 
 
-def test_two_worker_reuse_is_deterministic_within_one_chunk():
-    """Pin of the PR 3 note (process backend): reuse at 2 workers is a
-    scheduling race *only* across chunks.
+@pytest.mark.parametrize("chunk_size", [1, 2, 64])
+@pytest.mark.parametrize("executor", ["process", "network"])
+def test_twin_reuse_is_deterministic_on_two_workers(executor, chunk_size):
+    """Same-key twins on a 2-worker pool, whatever the chunking.
 
-    Whether a repeated task meets its twin's THT entry depends on which
-    worker's table saw the twin — racy when twins land in different chunks
-    (the process backend has no placement table to co-route them; the
-    network backend fixes this at the root, see the test below).  Within
-    one chunk it is deterministic: chunked dispatch sends the whole ready
-    set to a single worker, whose serial execution guarantees every later
-    twin hits the first one's commit.  Submitting all twins into one ready
-    set with ``mp_chunk_size`` >= the set size therefore must memoize
-    exactly ``n - 1`` tasks on a 2-worker pool, every run.
+    The parent looks every task up before it ships one, against the one
+    engine of the Session: the first twin runs on a worker and every other
+    waits for its commit (IKT) or hits it (THT).  No twin reaches a worker
+    whose table never saw the first, so the count is exact on every run.
     """
     n = 8
-    for _ in range(3):  # a race would need luck to pass three times
-        result, sinks = _run_twins("process", chunk_size=64, n=n)
-        assert result.tasks_completed == n
-        assert result.tasks_memoized == n - 1, (
-            f"process: expected deterministic reuse of {n - 1} twins in "
-            f"one chunk, got {result.tasks_memoized}"
-        )
-        for dst in sinks:
-            assert np.array_equal(dst, np.full(16, 9.0))
-
-
-def test_network_twin_reuse_is_deterministic_across_chunks():
-    """The two-worker reuse race, fixed at the root (since PR 7).
-
-    With ``mp_chunk_size=2`` the eight twins ride four separate chunks —
-    exactly the configuration whose reuse used to be a scheduling race
-    (per-worker engine deltas only merge at the drain barrier, so twins on
-    different endpoints both missed the THT).  The network backend's
-    key-affinity placement now routes same-key chunks to the endpoint that
-    saw the key first, so every later twin finds the first one's THT commit
-    and the count is exact: ``n - 1`` memoized, every run.
-    """
-    n = 8
-    for _ in range(3):  # the old race would need luck to pass three times
-        result, sinks = _run_twins("network", chunk_size=2, n=n)
-        assert result.tasks_completed == n
-        assert result.tasks_memoized == n - 1, (
-            f"network: expected deterministic cross-chunk reuse of {n - 1} "
-            f"twins, got {result.tasks_memoized}"
-        )
-        for dst in sinks:
-            assert np.array_equal(dst, np.full(16, 9.0))
+    result, sinks = _run_twins(executor, chunk_size, n)
+    assert result.tasks_completed == n
+    assert result.tasks_memoized + result.tasks_deferred == n - 1, (
+        f"{executor}/chunks of {chunk_size}: expected {n - 1} reused twins, "
+        f"got {result.tasks_memoized} + {result.tasks_deferred}"
+    )
+    for dst in sinks:
+        assert np.array_equal(dst, np.full(16, 9.0))
 
 
 def simulator_schedule_checksum(benchmark: str, mode: str) -> tuple[str, str]:
@@ -273,3 +245,65 @@ def test_simulator_outputs_match_serial_and_schedule_is_deterministic(bench_name
     assert out_second == serial_checksum
     assert sched_first == sched_second
     assert sched_first == PINNED_SCHEDULES[bench_name]
+
+
+# -- one engine per owner: the remote backends memoize in the parent -----------
+#: Serial Dynamic ATM's frozen sampling fraction per pinned benchmark (tiny).
+DYNAMIC_PINS = {"gauss-seidel": 1 / 16, "blackscholes": 1 / 128}
+REMOTE = ("process", "network")
+
+
+def run_with_session_engine(benchmark: str, executor: str, mode: str,
+                            workers: int = 1, chunk_size: int = 1):
+    """Run ``benchmark`` (tiny) under the engine its Session builds — IKT
+    on — and return ``(app, result, chosen_p)``."""
+    app = make_benchmark(benchmark, scale="tiny")
+    cfg = ReproConfig().with_overrides(
+        runtime={"executor": executor, "num_threads": workers, "mp_chunk_size": chunk_size},
+        atm={"mode": mode},
+    )
+    with Session(cfg) as session:
+        app.run(session)
+    engine = session.engine
+    chosen = engine and engine.policy.chosen_p(app.info.memoized_task_type)
+    return app, session.result, chosen
+
+
+def counts(result) -> tuple:
+    return (result.tasks_executed, result.tasks_memoized, result.tasks_deferred,
+            result.tasks_trained)
+
+
+@pytest.mark.parametrize("executor", REMOTE)
+@pytest.mark.parametrize("bench_name", sorted(DYNAMIC_PINS))
+def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
+    """Training runs once, in the parent: a two-worker pool freezes a
+    sampling fraction, reuses work and keeps the paper's error bound."""
+    exact, _, _ = run_with_session_engine(bench_name, "serial", "none")
+    app, result, chosen = run_with_session_engine(
+        bench_name, executor, "dynamic", workers=2, chunk_size=8
+    )
+    assert chosen is not None, f"{bench_name}/{executor}: training never ended"
+    assert result.tasks_memoized + result.tasks_deferred > 0
+    assert app.relative_error(exact.output()) <= app.info.tau_max
+
+
+@pytest.mark.parametrize("executor", REMOTE)
+@pytest.mark.parametrize("bench_name", sorted(DYNAMIC_PINS))
+def test_one_worker_dynamic_atm_follows_the_serial_order(bench_name, executor):
+    """One worker, chunks of one: a task is looked up only after its
+    predecessor committed, so training sees what serial training sees."""
+    _, serial, serial_p = run_with_session_engine(bench_name, "serial", "dynamic")
+    assert serial_p == DYNAMIC_PINS[bench_name]
+    runs = [run_with_session_engine(bench_name, executor, "dynamic") for _ in range(3)]
+    assert [chosen for _, _, chosen in runs] == [serial_p] * 3
+    assert len({counts(result) for _, result, _ in runs}) == 1
+
+
+@pytest.mark.parametrize("executor", REMOTE)
+@pytest.mark.parametrize("bench_name", BENCHMARK_NAMES)
+def test_one_worker_static_atm_matches_serial(bench_name, executor):
+    serial_app, serial, _ = run_with_session_engine(bench_name, "serial", "static")
+    app, result, _ = run_with_session_engine(bench_name, executor, "static")
+    assert output_checksum(app) == output_checksum(serial_app)
+    assert result.tasks_memoized + result.tasks_deferred == serial.tasks_memoized

@@ -1,4 +1,4 @@
-"""Unit tests for the multiprocess backend: shm protocol, deltas, lifecycle."""
+"""Unit tests for the multiprocess backend: shm protocol, parent-side ATM, lifecycle."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from repro.atm.engine import ATMEngine
 from repro.atm.policy import StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig
 from repro.common.exceptions import RuntimeStateError
+from repro.runtime.atm_protocol import ATMAction, ATMCommitInfo, ATMDecision
 from repro.session import Session
 from repro.runtime.data import DataRegion, In, InOut, Out, region_versions
 from repro.runtime.graph import TaskDependenceGraph
@@ -207,16 +208,30 @@ class TestProcessExecutorLifecycle:
             for src, dst in sinks:
                 assert np.array_equal(dst, src ** 2)
 
-    def test_requires_atm_engine_compatible_engine(self):
-        class FakeEngine:
-            pass
+    def test_any_protocol_engine_is_consulted_in_the_parent(self):
+        """Workers hold no engine, so a custom one needs no recipe: the
+        parent looks the task up and commits it, once each."""
+        calls = []
 
-        runtime = make_process_runtime(workers=1, engine=FakeEngine())
-        src, dst = np.zeros(4), np.zeros(4)
+        class CountingEngine:
+            def task_ready(self, task, worker_id=0):
+                calls.append("ready")
+                return ATMDecision(action=ATMAction.EXECUTE, atm_handled=True)
+
+            def task_finished(self, task, decision, executed, worker_id=0):
+                calls.append("finished" if executed else "skipped")
+                return ATMCommitInfo()
+
+            def task_abandoned(self, task, decision):
+                return []
+
+        runtime = make_process_runtime(workers=1, engine=CountingEngine())
+        src, dst = np.full(4, 3.0), np.zeros(4)
         runtime.submit(SQUARE, square, accesses=[In(src), Out(dst)], args=(src, dst))
-        with runtime:  # the first chunk of its tasks is described: refused
-            with pytest.raises(RuntimeStateError, match="ATMEngine-compatible"):
-                runtime.wait_all()
+        with runtime:
+            runtime.wait_all()
+        assert calls == ["ready", "finished"]
+        assert np.all(dst == 9.0)
 
 
 class TestProcessExecutorSemantics:
@@ -249,7 +264,7 @@ class TestProcessExecutorSemantics:
         assert result.extra["process_backend"]["chunks"] >= 6  # ceil(21 / 4)
         assert all(np.allclose(out, src ** 2) for out in outs)
 
-    def test_engine_deltas_merge_without_double_counting(self):
+    def test_the_parent_engine_sees_each_task_once(self):
         config = ATMConfig(use_ikt=False)
         engine = ATMEngine(config=config, policy=StaticATMPolicy(config), num_threads=2)
         runtime = make_process_runtime(workers=2, engine=engine)
@@ -257,19 +272,19 @@ class TestProcessExecutorSemantics:
         for _ in range(6):
             out = np.zeros(32)
             runtime.submit(SQUARE, square, accesses=[In(src), Out(out)], args=(src, out))
-        runtime.wait_all()                           # barrier 1: merge delta 1
+        runtime.wait_all()
         for _ in range(6):
             out = np.zeros(32)
             runtime.submit(SQUARE, square, accesses=[In(src), Out(out)], args=(src, out))
-        result = runtime.finish()                    # barrier 2: merge delta 2
+        result = runtime.finish()
         stats = engine.stats
-        assert stats.tasks_seen == 12                # not 12 + 6 re-counted
+        assert stats.tasks_seen == 12
         assert stats.tht_hits + stats.misses == 12
         assert engine.tht.hits + engine.tht.misses == 12
         assert result.tasks_memoized == stats.tht_hits
-        # Second-drain lookups hit the warm per-worker THTs: at most one
-        # cold miss per worker in total.
-        assert stats.misses <= 2
+        # The six twins of the first drain are looked up together (no IKT:
+        # all miss); every lookup of the second drain hits their commit.
+        assert (stats.misses, stats.tht_hits) == (6, 6)
 
     def test_nested_argument_payloads_are_rebuilt(self):
         """Lists of arrays inside args (kmeans-style reductions) round-trip."""

@@ -147,9 +147,8 @@ class MalformedResultEndpoint(LoopbackEndpoint):
         if message[0] == "result":
             kind, chunk_id, results = message
             message = (kind, chunk_id, [
-                (task_id, action, executed,
-                 [self.mutate(index, raw) for index, raw in writes])
-                for task_id, action, executed, writes in results
+                (task_id, [self.mutate(index, raw) for index, raw in writes])
+                for task_id, writes in results
             ])
         super().deliver(message)
 
@@ -191,16 +190,13 @@ class DieAfterChunksEndpoint(LoopbackEndpoint):
                         return  # dies mid-drain, residency entries and all
                     served += 1
                     write_frame(sock, ("ack", chunk.chunk_id))
-                    engines = state.worker.engines_for(chunk.tasks, *message[2:])
-                    results, error = state.run_chunk(chunk, engines)
+                    results, error = state.run_chunk(chunk)
                     if error is not None:
                         return
                     write_frame(sock, ("result", chunk.chunk_id, results))
                 elif kind == "invalidate":
                     if state.buffer_cache is not None:
                         state.buffer_cache.invalidate(message[1])
-                elif kind == "sync":
-                    write_frame(sock, ("sync_result", state.sync()))
                 elif kind == "ping":
                     write_frame(sock, ("pong",))
                 elif kind == "shutdown":
@@ -292,10 +288,10 @@ def test_dead_worker_mid_chunk_is_excluded_and_work_resubmitted(faulty_cls):
 
 
 @pytest.mark.parametrize("backend", ["network", "process"])
-def test_session_assigned_engine_reaches_workers(backend):
-    """A Session's engine reaches the workers of a pre-built executor: its
-    recipe travels with the first chunk of its tasks, or workers would
-    silently run without ATM."""
+def test_session_assigned_engine_serves_a_prebuilt_executor(backend):
+    """A Session's engine serves the tasks of a pre-built executor: the
+    parent looks every task up before it ships, so of six twins one runs on
+    a worker and the rest wait for its commit (IKT) or hit it (THT)."""
     config = RuntimeConfig(
         executor=backend, num_threads=1, mp_chunk_size=16,
         net_timeout_s=FAULT_NET_TIMEOUT,
@@ -312,55 +308,17 @@ def test_session_assigned_engine_reaches_workers(backend):
     n = 6
     source = np.full(16, 2.0)
     sinks = [np.zeros(16) for _ in range(n)]
-    with Session(
-        {"atm": {"mode": "static", "use_ikt": False}}, executor=executor
-    ) as session:
+    with Session({"atm": {"mode": "static"}}, executor=executor) as session:
         for dst in sinks:
             session.submit(
                 SQUARE_TYPE, square_body, accesses=[In(source), Out(dst)],
                 args=(source, dst),
             )
         result = session.wait_all()
-    assert result.tasks_memoized == n - 1  # twins hit the worker's THT
+    assert result.tasks_executed == 1
+    assert result.tasks_memoized + result.tasks_deferred == n - 1
     for dst in sinks:
         assert np.array_equal(dst, np.full(16, 4.0))
-
-
-def test_mid_drain_endpoint_loss_records_lost_engine_delta():
-    """An engine-carrying endpoint that dies after receiving work loses its
-    un-merged ATM delta — the run result must say so (lost_deltas >= 1)."""
-    from repro.atm.engine import ATMEngine
-    from repro.atm.policy import StaticATMPolicy
-    from repro.common.config import ATMConfig
-
-    atm_config = ATMConfig(use_ikt=False)
-    engine = ATMEngine(
-        config=atm_config, policy=StaticATMPolicy(atm_config), num_threads=2
-    )
-    endpoints = [KillMidChunkEndpoint("dying/0"), LoopbackEndpoint("healthy/0")]
-    config = RuntimeConfig(
-        executor="network", num_threads=2, mp_chunk_size=2,
-        net_timeout_s=FAULT_NET_TIMEOUT, net_max_retries=2,
-    )
-    executor = NetworkExecutor(config=config, endpoints=endpoints)
-    executor.drain_timeout = SCENARIO_TIMEOUT
-    sources = [np.full(8, float(i + 1)) for i in range(12)]
-    sinks = [np.zeros(8) for _ in range(12)]
-    with Session(executor=executor, engine=engine) as session:
-        for src, dst in zip(sources, sinks):
-            session.submit(
-                SQUARE_TYPE, square_body, accesses=[In(src), Out(dst)],
-                args=(src, dst),
-            )
-        with pytest.warns(RuntimeWarning, match="un-merged ATM engine delta"):
-            result = session.wait_all()
-    assert_correct(result, sources, sinks)
-    backend = result.extra["network_backend"]
-    assert backend["lost_deltas"] >= 1
-    # Surfaced on the result object itself, not only the backend stats.
-    assert result.lost_deltas >= 1
-    # The healthy endpoint's delta did merge: the parent engine saw tasks.
-    assert engine.stats.snapshot()["tasks_seen"] > 0
 
 
 def test_garbage_frame_fails_endpoint_with_wire_error_and_drain_completes():
@@ -440,14 +398,12 @@ class ScriptedReplyEndpoint(LoopbackEndpoint):
         lambda chunk_id, task_id: 42,
         lambda chunk_id, task_id: ("error", chunk_id),
         lambda chunk_id, task_id: ("result", chunk_id),
-        lambda chunk_id, task_id: ("sync_result",),
         lambda chunk_id, task_id: ("result", chunk_id, [("x",)]),
         lambda chunk_id, task_id: ("result", chunk_id, [(task_id, "teleport", True, [])]),
         lambda chunk_id, task_id: ("error", chunk_id, task_id + 1000, "not mine"),
         lambda chunk_id, task_id: ("ack", [chunk_id]),
     ],
-    ids=["not-a-tuple", "short-error", "short-result", "short-sync-result",
-         "short-result-entry", "unknown-action", "error-for-foreign-task",
+    ids=["not-a-tuple", "short-error", "short-result", "short-result-entry", "unknown-action", "error-for-foreign-task",
          "unhashable-chunk-id"],
 )
 def test_malformed_reply_fails_the_endpoint_at_once(script, capfd):
@@ -469,10 +425,10 @@ def test_malformed_reply_fails_the_endpoint_at_once(script, capfd):
     assert capfd.readouterr().err == ""  # no traceback from a net-recv-* thread
 
 
-def _hostile_chunk(*owners):
+def _hostile_chunk():
     from repro.runtime.net_wire import NetChunk
 
-    return ("chunk", NetChunk(1, (), ()), *owners)
+    return ("chunk", NetChunk(1, (), ()))
 
 
 def _hello(**fields):
@@ -485,8 +441,7 @@ def _hello(**fields):
         ((), 42, "not a protocol message"),
         ((), ("chunk", 42), "chunk before hello"),
         ((), ("hello", 5), "unreadable 'hello' message"),
-        ((_hello(),), _hostile_chunk((), ((0, "x"),)), "unreadable 'chunk' message"),
-        # The protocol before this one shipped the engine recipe in the hello.
+        # The protocol before this one carried owner fields in its chunks.
         ((), ("hello", {"protocol": PROTOCOL_VERSION - 1}),
          f"protocol version mismatch: client speaks {PROTOCOL_VERSION - 1}"),
         ((_hello(residency=True),), ("invalidate",), "unreadable 'invalidate' message"),
@@ -494,7 +449,7 @@ def _hello(**fields):
         ((), _hostile_chunk(), "chunk before hello"),
         ((_hello(),), ("teleport", 1), "unknown message kind"),
     ],
-    ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "str-recipe", "previous-protocol",
+    ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "previous-protocol",
          "short-invalidate", "int-chunk", "chunk-before-hello", "unknown-kind"],
 )
 def test_worker_reports_a_message_it_cannot_read_and_closes(prelude, hostile, named, capfd):
@@ -557,7 +512,7 @@ def _contract_chunk(ref):
 
 def _replies_over_queue_and_pipe():
     """The process transport's worker entry point, run in this process:
-    one chunk, the barrier, the shutdown pill."""
+    one chunk, the shutdown pill."""
     import multiprocessing
 
     from repro.runtime.mp_executor import _worker_main
@@ -571,8 +526,7 @@ def _replies_over_queue_and_pipe():
     try:
         descriptors, sources, sinks = _contract_chunk(registry.array_ref)
         chunk = NetChunk(7, registry.table(), tuple(descriptors))
-        for message in (("chunk", chunk), ("sync",)):
-            task_queue.put(bytes(encode_frame(message)))
+        task_queue.put(bytes(encode_frame(("chunk", chunk))))
         task_queue.put(None)
         _worker_main(3, task_queue, writer, True)
         replies = []
@@ -590,7 +544,7 @@ def _replies_over_queue_and_pipe():
 
 def _replies_over_a_framed_socket():
     """The network transport's worker entry point on a socketpair: hello,
-    the same chunk, the barrier, shutdown."""
+    the same chunk, shutdown."""
     import threading
 
     from repro.runtime.net_wire import ChunkEncoder, NetChunk, PROTOCOL_VERSION, request
@@ -604,7 +558,6 @@ def _replies_over_a_framed_socket():
         client.settimeout(SCENARIO_TIMEOUT)
         assert request(client, ("hello", {"protocol": PROTOCOL_VERSION}))[0] == "hello_ack"
         write_frame(client, ("chunk", NetChunk(7, encoder.buffers(), tuple(descriptors))))
-        write_frame(client, ("sync",))
         write_frame(client, ("shutdown",))
         replies = []
         try:
@@ -615,7 +568,7 @@ def _replies_over_a_framed_socket():
     thread.join(timeout=SCENARIO_TIMEOUT)
     for message in replies:  # the written bytes ride on the result: land them
         if message[0] == "result":
-            for task_id, _action, _executed, writes in message[2]:
+            for task_id, writes in message[2]:
                 for index, raw in writes:
                     assert index == 1
                     sinks[task_id][:] = np.frombuffer(raw, dtype=np.float64)
@@ -629,21 +582,18 @@ def _replies_over_a_framed_socket():
 def test_one_worker_one_reply_vocabulary_under_both_transports(transport):
     """The contract, once: the same chunk (healthy, healthy, raising,
     healthy) through the one worker behind either transport gets ``ack``,
-    ``result`` with the finished two-task prefix, ``error`` naming task 3 —
-    the fourth task is dropped for the parent to redistribute — and the
-    barrier a ``sync_result``.  The transports differ in the handshake and in
-    whether written bytes ride on a result, nothing else."""
+    ``result`` with the finished two-task prefix and ``error`` naming task 3
+    — the fourth task is dropped for the parent to redistribute.  The
+    transports differ in the handshake and in whether written bytes ride on
+    a result, nothing else."""
     replies, sources, sinks = transport()
     kinds = [message[0] for message in replies]
-    assert kinds == ["ack", "result", "error", "sync_result"]
-    ack, result, error, sync_result = replies
+    assert kinds == ["ack", "result", "error"]
+    ack, result, error = replies
     assert ack == ("ack", 7)
     assert result[1] == 7
-    assert [tuple(entry[:3]) for entry in result[2]] == [
-        (0, "execute", True), (1, "execute", True)
-    ]
+    assert [entry[0] for entry in result[2]] == [0, 1]
     assert error[:3] == ("error", 7, 2) and "injected task failure" in error[3]
-    assert sync_result == ("sync_result", [])  # no task named an owner
     for index in (0, 1):
         assert np.array_equal(sinks[index], sources[index] ** 2)
     assert not sinks[2].any() and not sinks[3].any()
@@ -764,6 +714,32 @@ def test_total_loss_raises_named_error_instead_of_hanging():
     with pytest.raises(NetworkDrainError):
         run_square_program(endpoints, n_tasks=8)
     assert time.monotonic() - t0 < SCENARIO_TIMEOUT
+
+
+def test_an_aborted_drain_retires_its_in_flight_keys():
+    """The parent registers a shipped task's key in the IKT; a drain that
+    aborts before the task commits must retire it, or a twin submitted
+    later would wait forever on a producer that never commits."""
+    from repro.atm.engine import ATMEngine
+    from repro.atm.policy import StaticATMPolicy
+    from repro.common.config import ATMConfig
+
+    atm = ATMConfig()
+    engine = ATMEngine(config=atm, policy=StaticATMPolicy(atm), num_threads=None)
+    config = RuntimeConfig(
+        executor="network", num_threads=1, net_timeout_s=FAULT_NET_TIMEOUT, net_max_retries=0,
+    )
+    executor = NetworkExecutor(config=config, endpoints=[KillMidChunkEndpoint("dying/0")])
+    executor.drain_timeout = SCENARIO_TIMEOUT
+    with pytest.raises(NetworkDrainError):
+        with Session(executor=executor, engine=engine) as session:
+            for i in range(4):
+                src, dst = np.full(8, float(i)), np.zeros(8)
+                session.submit(
+                    SQUARE_TYPE, square_body, accesses=[In(src), Out(dst)], args=(src, dst)
+                )
+            session.wait_all()
+    assert engine.stats.misses == 4 and len(engine.ikt) == 0
 
 
 def test_retry_budget_exhaustion_raises_named_error():

@@ -106,10 +106,9 @@ def test_run_chunk_to_result_frame_copies_no_written_byte():
     chunk = NetChunk(1, buffers, tasks)
     state = NetWorkerState()
     state.hello({"protocol": PROTOCOL_VERSION, "residency": False})
-    engines = state.worker.engines_for(chunk.tasks)
 
     def run_and_frame():
-        results, error = state.run_chunk(chunk, engines)
+        results, error = state.run_chunk(chunk)
         assert error is None
         return encode_frame(("result", chunk.chunk_id, results))
 

@@ -771,42 +771,3 @@ def test_descriptor_round_trip_identity(arena_kind, base_and_view, task_id, name
         assert task.args[2][1][0] is task.args[0]
         assert bit_equal(task.kwargs["data"], base)
         assert _backing_of(task.kwargs["data"]) is _backing_of(task.args[0])
-
-
-def test_engine_delta_round_trip():
-    """A real ATM engine delta (stats + THT journal with output snapshots)
-    survives the frame and merges into a fresh engine."""
-    from repro.atm.engine import ATMEngine
-    from repro.atm.policy import StaticATMPolicy
-    from repro.common.config import ATMConfig
-    from repro.runtime.data import In, Out
-    from repro.runtime.task import Task
-
-    config = ATMConfig(use_ikt=False)
-    engine = ATMEngine(config=config, policy=StaticATMPolicy(config), num_threads=1)
-    engine.enable_delta_snapshots()
-    task_type = TaskType("delta-rt", memoizable=True)
-    src, dst = np.arange(8, dtype=np.float64), np.zeros(8)
-    for _ in range(3):  # same key: one commit + two hits
-        task = Task(task_type=task_type, function=square,
-                    accesses=[In(src), Out(dst)], args=(src, dst), task_id=0)
-        decision = engine.task_ready(task, 0)
-        executed = not decision.skips_execution
-        if executed:
-            task.run()
-        engine.task_finished(task, decision, executed, 0)
-    delta = engine.snapshot(reset=True)
-    frame = encode_frame(delta)
-    assert len(frame.buffers) > 1  # the THT output snapshots travel as segments
-    decoded, _ = decode_frame(bytes(frame))
-
-    sink = ATMEngine(config=config, policy=StaticATMPolicy(config), num_threads=1)
-    sink.merge(decoded)
-    merged = sink.stats.snapshot()
-    original = engine.stats.snapshot()
-    assert merged["tht_hits"] == 2
-    assert merged["tht_hits"] == original["tht_hits"] or original["tht_hits"] == 0
-    # The hit now replays against the merged THT: a twin task must skip.
-    twin = Task(task_type=task_type, function=square,
-                accesses=[In(src), Out(np.zeros(8))], args=(src, dst), task_id=1)
-    assert sink.task_ready(twin, 0).skips_execution

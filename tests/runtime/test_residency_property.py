@@ -26,7 +26,6 @@ Three layers of coverage:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -451,9 +450,7 @@ def test_span_view_aliases_the_requested_window():
 class _Harness:
     """NetworkExecutor's placement methods over hand-built state."""
 
-    MAX_KEY_ROUTES = NetworkExecutor.MAX_KEY_ROUTES
     _place = NetworkExecutor._place
-    _route_keys = NetworkExecutor._route_keys
     _wanted_spans = NetworkExecutor._wanted_spans
     _next_cold_endpoint = NetworkExecutor._next_cold_endpoint
 
@@ -461,7 +458,6 @@ class _Harness:
         self._endpoints = [Ep(f"w{i}") for i in range(n)]
         self._rr_cursor = 0
         self._residency = residency
-        self._key_routes: OrderedDict = OrderedDict()
         self.engine = None
 
     @property
@@ -521,48 +517,6 @@ def test_place_zero_score_falls_back_to_round_robin():
     h._wanted_spans = lambda tasks: [(1, 0, 64, 0)]  # nothing resident
     assert h._place([object()], h.live).name == "w0"
     assert h._place([object()], h.live).name == "w1"
-
-
-def test_place_key_affinity_beats_residency():
-    table = ResidencyTable(budget_bytes=1 << 20)
-    h = _Harness(3, residency=table)
-    table.record(h._endpoints[2], 1, 0, 64, version=0)  # w2 is byte-warm
-    h._wanted_spans = lambda tasks: [(1, 0, 64, 0)]
-    h._route_keys = lambda tasks: (("square", 0xBEEF, 1.0),)
-    h._key_routes[("square", 0xBEEF, 1.0)] = h._endpoints[1]
-    assert h._place([object()], h.live).name == "w1"
-
-
-def test_place_ignores_routes_to_failed_endpoints():
-    h = _Harness(3)
-    h._route_keys = lambda tasks: (("square", 0xBEEF, 1.0),)
-    h._key_routes[("square", 0xBEEF, 1.0)] = h._endpoints[1]
-    h._endpoints[1].failed = True
-    chosen = h._place([object()], h.live)
-    assert chosen.name == "w0"  # cold fallback
-    # ... and the key is re-pinned to the new home.
-    assert h._key_routes[("square", 0xBEEF, 1.0)] is chosen
-
-
-def test_place_records_routes_and_caps_them_lru():
-    h = _Harness(2)
-    h.MAX_KEY_ROUTES = 4
-    for i in range(6):
-        h._route_keys = lambda tasks, i=i: ((f"t{i}", i, 1.0),)
-        h._place([object()], h.live)
-    assert len(h._key_routes) == 4
-    assert ("t0", 0, 1.0) not in h._key_routes  # oldest evicted
-    assert ("t5", 5, 1.0) in h._key_routes
-
-
-def test_place_same_key_sticks_to_first_home():
-    """The twin-coalescing property itself, in isolation: repeated chunks
-    carrying one ATM key land on the endpoint that saw the key first."""
-    h = _Harness(3)
-    h._route_keys = lambda tasks: (("square", 0xF00D, 1.0),)
-    first = h._place([object()], h.live)
-    for _ in range(5):
-        assert h._place([object()], h.live) is first
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +34,8 @@ from repro.runtime.task import Task, TaskState, TaskType
 from repro.serving.gateway import _SharedTierProbe
 from repro.session import Session
 from repro.testing.faults import BACKENDS, fault_session, raising_body, square_body
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The backends that run task bodies in this process, the simulator included.
 IN_PROCESS = ("serial", "threaded", "simulated")
@@ -324,6 +332,74 @@ class TestOrphanRescue:
         assert (result.tasks_completed, result.tasks_executed) == (3, 3)
         assert (result.tasks_failed, result.tasks_cancelled) == (1, 0)
         assert all(np.array_equal(out, src ** 2) for out in outputs[1:])
+
+
+def pid_unless_told_to_fail(src, dst, fail):
+    """Task body: raises when ``fail``, else writes the running process's
+    pid into ``dst``.  ``fail`` is no input, so it is not in the ATM key."""
+    if fail:
+        raise ValueError("the producer always fails")
+    dst[:] = os.getpid()
+
+
+@contextlib.contextmanager
+def remote_executor(backend: str, config: RuntimeConfig):
+    """A one-worker pool of ``backend`` whose worker is another process: a
+    forked worker, or a ``scripts/net_worker.py`` daemon over TCP."""
+    if backend == "process":
+        from repro.runtime.mp_executor import ProcessExecutor
+
+        yield ProcessExecutor(config=config)
+        return
+    from repro.runtime.net_executor import NetworkExecutor
+    from repro.runtime.net_transport import TcpEndpoint
+
+    daemon = subprocess.Popen(
+        [sys.executable, str(REPO_ROOT / "scripts" / "net_worker.py"),
+         "--host", "127.0.0.1", "--port", "0", "--announce"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    try:
+        host, port = daemon.stdout.readline().split()[1].rsplit(":", 1)
+        yield NetworkExecutor(config=config, endpoints=[TcpEndpoint(host, int(port))])
+    finally:
+        daemon.send_signal(signal.SIGTERM)
+        try:
+            daemon.communicate(timeout=10.0)
+        finally:
+            daemon.kill()
+            daemon.wait()
+
+
+@pytest.mark.parametrize("backend", ["process", "network"])
+def test_a_twin_orphaned_on_a_worker_pool_runs_on_a_worker(backend):
+    """The parent defers a twin on its in-flight producer (IKT); when the
+    producer fails terminally the twin is shipped as a task of its own —
+    run on a worker, never in the parent — and is not cancelled."""
+    config = RuntimeConfig(
+        executor=backend, num_threads=1, on_task_failure="quarantine", drain_timeout_s=60.0,
+    )
+    twin = TaskType("orphan_twin", memoizable=True)
+    sources = [np.arange(8.0), np.arange(8.0)]
+    outputs = [np.zeros(8), np.zeros(8)]
+    with remote_executor(backend, config) as executor, \
+            Session({"atm": {"mode": "static"}}, executor=executor) as session:
+        producer, orphan = [
+            session.submit(twin, pid_unless_told_to_fail, accesses=[In(x), Out(y)],
+                           args=(x, y, fail))
+            for x, y, fail in zip(sources, outputs, (True, False))
+        ]
+        result = session.wait_all()
+        assert session.engine.stats.ikt_hits == 1  # the twin did wait on it
+        assert len(session.engine.ikt) == 0
+    assert producer.state is TaskState.FAILED
+    assert orphan.state is TaskState.FINISHED
+    worker_pid = outputs[1][0]
+    assert np.all(outputs[1] == worker_pid) and worker_pid not in (0, os.getpid())
+    assert (result.tasks_failed, result.tasks_cancelled) == (1, 0)
+    assert (result.tasks_executed, result.tasks_deferred) == (1, 0)
+    assert [f.task_id for f in result.failures] == [producer.task_id]
 
 
 def test_every_engine_can_abandon_a_task():

@@ -591,13 +591,23 @@ class TestAtmNamespaces:
             assert result.tasks_memoized > 0 and result.extra["shared_hits"] == 0
             assert np.array_equal(out, local)
 
-    @pytest.mark.parametrize("pool", ["process", "network"])
-    def test_shared_tier_is_refused_on_a_worker_pool(self, pool):
+    def test_shared_tier_serves_a_process_pool(self):
+        """The shared-tier probe runs where the lookup runs — in the
+        gateway, also for a worker pool: tenant B hits what tenant A's
+        flush published to the shared tier."""
         cfg = ReproConfig().with_overrides(
-            runtime={"executor": pool}, serving={"shared_tht": True}
+            runtime={"executor": "process", "num_threads": 2},
+            atm={"mode": "static"},
+            serving={"shared_tht": True},
         )
-        with pytest.raises(ConfigurationError, match="requires an in-process pool"):
-            Gateway(cfg)
+        with Gateway(cfg) as gw:
+            first, out_first = self.run_app(gw, "proc-share-a", shared=True)
+            second, out_second = self.run_app(gw, "proc-share-b", shared=True)
+        assert first.extra["shared_hits"] == 0
+        assert second.extra["shared_hits"] > 0
+        assert second.tasks_executed < first.tasks_executed
+        assert np.array_equal(out_first, out_second)
+        assert np.array_equal(out_first, self.local_output())
 
     def test_shared_tier_lets_second_tenant_reuse(self):
         cfg = ReproConfig().with_overrides(

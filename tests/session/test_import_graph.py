@@ -40,6 +40,7 @@ BODIES = {
     "local": "def square_body(src, dst):\n    dst[:] = src ** 2\n",
     "faults": "from repro.testing.faults import square_body\n",
     "probe": "from test_import_graph import engine_loaded as square_body\n",
+    "atm_probe": "from test_import_graph import atm_loaded as square_body\n",
 }
 
 #: What one ``square_body`` task leaves in ``dst``.
@@ -63,6 +64,17 @@ def engine_loaded(src, dst):
     """Task body: ``dst`` reads 1 where the running process has imported
     the ATM engine, else 0."""
     dst[:] = float("repro.atm.engine" in sys.modules)
+
+
+def atm_modules(modules) -> list[str]:
+    """The modules of the ATM layer among ``modules``."""
+    return [name for name in modules if name == "repro.atm" or name.startswith("repro.atm.")]
+
+
+def atm_loaded(src, dst):
+    """Task body: ``dst`` reads 1 where the running process has imported
+    any module of the ATM layer, else 0."""
+    dst[:] = float(bool(atm_modules(sys.modules)))
 
 
 def run_script(body: str) -> list[str]:
@@ -124,6 +136,19 @@ class TestFrontDoor:
     def test_an_atm_off_process_worker_imports_no_engine(self):
         # The task runs in the forked worker: its dst reads what it loaded.
         worker = json.loads(run_script(run_one("process", body="probe"))[-2])
+        assert worker == [0.0] * 8
+
+    def test_the_wire_codec_loads_no_atm(self):
+        # Workers carry no THT entries: the codec knows no record of them.
+        assert atm_modules(loaded_after("import repro.runtime.codec")) == []
+
+    def test_an_atm_off_process_parent_loads_no_atm(self):
+        *_, output, modules = run_script(run_one("process", body="faults"))
+        assert json.loads(output) == SQUARES
+        assert atm_modules(json.loads(modules)) == []
+
+    def test_an_atm_off_process_worker_loads_no_atm(self):
+        worker = json.loads(run_script(run_one("process", body="atm_probe"))[-2])
         assert worker == [0.0] * 8
 
     def test_registry_names_are_unchanged(self):

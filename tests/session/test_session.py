@@ -442,23 +442,28 @@ class TestRegistries:
         with pytest.raises(ConfigurationError, match="builtin"):
             EXECUTORS.unregister("serial")
 
-    def test_plugin_policy_mode_survives_engine_recipe(self):
-        # The worker-side engine recipe must carry the *registered* mode
-        # name, not the builtin class attribute the plugin inherited —
-        # otherwise workers silently rebuild the builtin policy.
-        from repro.runtime.remote_task import engine_recipe
+    def test_plugin_policy_serves_a_worker_pool(self):
+        # The parent looks every task up, so a plugin policy governs a
+        # process pool as it does a serial run — not the builtin class it
+        # subclasses.
+        from tests.conftest import SQUARE_TYPE, square_body
 
-        class HalfStatic(StaticATMPolicy):
-            pass
+        class NeverMemoize(StaticATMPolicy):
+            def is_blacklisted(self, task):
+                return True
 
-        POLICIES.register("half_static", lambda config: HalfStatic(config))
+        POLICIES.register("never_memoize", lambda config: NeverMemoize(config))
         try:
-            s = Session({"atm": {"mode": "half_static"}})
-            assert engine_recipe(s.engine)["mode"] == "half_static"
+            cfg = {"atm": {"mode": "never_memoize"},
+                   "runtime": {"executor": "process", "num_threads": 1}}
+            with Session(cfg) as s:
+                src = np.full(8, 2.0)
+                for _ in range(3):
+                    dst = np.zeros(8)
+                    s.submit(SQUARE_TYPE, square_body, accesses=[In(src), Out(dst)],
+                             args=(src, dst))
+                result = s.wait_all()
         finally:
-            POLICIES.unregister("half_static")
-        # hand-assembled engines (config keeps mode="none") still fall back
-        # to the policy's own mode
-        config = ATMConfig()
-        engine = ATMEngine(config=config, policy=StaticATMPolicy(config))
-        assert engine_recipe(engine)["mode"] == "static"
+            POLICIES.unregister("never_memoize")
+        assert (result.tasks_executed, result.tasks_memoized) == (3, 0)
+        assert s.engine.stats.snapshot()["blacklisted_skips"] == 3

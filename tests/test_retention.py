@@ -188,7 +188,8 @@ def test_kept_tasks_keep_no_engine_alive(executor):
             for dst in [np.zeros(8) for _ in range(4)]
         ]
         engine = weakref.ref(session.engine)
-    assert session.result.tasks_memoized > 0
+    # The twins hit the THT or wait on the IKT for the first one.
+    assert session.result.tasks_memoized + session.result.tasks_deferred == 3
     assert all(task.state.is_success and task.owner is None for task in tasks)
     del session
     gc.collect()
