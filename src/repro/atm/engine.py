@@ -46,7 +46,7 @@ class ATMEngine:
         self,
         config: Optional[ATMConfig] = None,
         policy: Optional[ATMPolicy] = None,
-        num_threads: Optional[int] = 8,
+        num_threads: int = 8,
     ) -> None:
         self.config = config or ATMConfig()
         self.policy = policy or StaticATMPolicy(self.config)
@@ -55,9 +55,7 @@ class ATMEngine:
         # geometry always comes from the engine-level config.
         self.keygen = HashKeyGenerator(self.policy.config, stats=self.stats)
         self.tht = TaskHistoryTable(self.config)
-        # One slot per task the executor runs at once (``None``: unbounded).
-        slots = None if num_threads is None else max(num_threads, 1)
-        self.ikt = InFlightKeyTable(max_entries=slots) if self.config.use_ikt else None
+        self.ikt = InFlightKeyTable(max_entries=max(num_threads, 1)) if self.config.use_ikt else None
         self._petitions: dict[int, list[Task]] = {}
         self._petition_lock = threading.Lock()
 
@@ -278,7 +276,7 @@ def copy_outputs_from_entry(task: Task, entry: THTEntry) -> int:
     return copied
 
 
-def build_engine(config: ATMConfig, num_threads: Optional[int]) -> Optional[ATMEngine]:
+def build_engine(config: ATMConfig, num_threads: int) -> Optional[ATMEngine]:
     """The one assembly path: ``ATMConfig`` -> policy -> :class:`ATMEngine`.
 
     ``config.mode`` names the policy in the registry (``"none"`` installs no

@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import time
 import weakref
-from collections import deque
 from typing import Any, Hashable, Optional
 
 from repro.common.exceptions import (
@@ -118,10 +117,9 @@ class ChunkDispatcher:
         self._host_type = type(host).__name__
         self._name = name
         self._chunk_size = 1 if host.config.task_timeout_s is not None else chunk_size
-        #: Tasks in flight above which an engine's task stays queued.
-        self._window = workers * self._chunk_size
-        #: Ready tasks an engine will look up once the window has room.
-        self._waiting: deque[Task] = deque()
+        #: Tasks in flight from which on an engine's task stays queued: the
+        #: most the engines' in-flight key tables ever hold from this pool.
+        self.window = workers * self._chunk_size
         self._loss_budget = loss_budget
         #: Live backend statistics (``dispatched``, ``chunks``,
         #: ``resubmitted_tasks``), owned by the executor.
@@ -159,7 +157,7 @@ class ChunkDispatcher:
         """Drain ``graph``; returns the wall-clock seconds it took."""
         supervisor = self._host._supervisor
         self._graph = graph
-        self.inflight, self._waiting = {}, deque()
+        self.inflight = {}
         deadline = supervisor.deadline()
         t0 = time.perf_counter()
         try:
@@ -202,22 +200,17 @@ class ChunkDispatcher:
         ``window`` tasks are in flight — one chunk per worker, as an
         in-process worker pulls a task only when it is free — so a lookup
         sees the commits of what ran before it (one worker, chunks of one:
-        the serial order exactly).  A task no engine sees ships at once.
+        the serial order exactly).  Such a task at the head of a full
+        window stops the pull; tasks no engine sees ship at once.
         """
-        host, graph, window = self._host, self._graph, self._window
+        host, graph, window = self._host, self._graph, self.window
         next_task, inflight, decisions = host.scheduler.next_task, self.inflight, self._decisions
-        waiting = self._waiting
         ready: list[Task] = []
-        while True:
-            if waiting and len(inflight) < window:
-                task = waiting.popleft()
-            elif (task := next_task()) is None:
-                break
-            elif (waiting or len(inflight) >= window) and (
-                task.engine is not None and task.task_type.atm_eligible
-            ):
-                waiting.append(task)
-                continue
+
+        def admit(task: Task) -> bool:
+            return len(inflight) < window or task.engine is None or not task.task_type.atm_eligible
+
+        while (task := next_task(admit)) is not None:
             decision = lookup(task, task.engine, 0)
             action = decision.action
             if action is ATMAction.SKIP:

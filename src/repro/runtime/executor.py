@@ -160,10 +160,9 @@ class BaseExecutor:
         self._failure_lock = threading.RLock()
 
     @property
-    def max_in_flight(self) -> Optional[int]:
+    def max_in_flight(self) -> int:
         """Tasks this executor runs at once, which sizes an engine's in-flight
-        key table: one per worker (``None``: unbounded, where every
-        dispatched task is in flight)."""
+        key table: one per worker."""
         return self.config.num_threads
 
     # -- runtime hooks ---------------------------------------------------------

@@ -21,12 +21,10 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   :class:`~repro.runtime.remote_task.RemoteWorker` behind a queue and a
   pipe, resolving refs over :mod:`multiprocessing.shared_memory` views
   (:class:`~repro.runtime.shm.WorkerArena`) and running task bodies; it
-  holds no engine, so a respawned worker needs nothing but the next chunk.
-  The parent's write-version of each base rides in the chunk's buffer
-  table; a worker bumps its own version of a base whose parent version
-  moved.  The messages are the remote-worker protocol's (DESIGN.md §4.6)
-  plus ``("release", slots)``: the segments of bases the parent collected,
-  sent when a drain opens.
+  holds no engine and no write-versions, so a respawned worker needs
+  nothing but the next chunk.  The messages are the remote-worker
+  protocol's (DESIGN.md §4.6) plus ``("release", slots)``: the segments of
+  bases the parent collected, sent when a drain opens.
 * **Data plane** — bytes move per chunk, not per barrier, while the
   workers compute: :meth:`ProcessExecutor._send` checks the base buffers a
   chunk touches for the first time in the drain against their segments
@@ -99,7 +97,8 @@ def _worker_main(worker_id: int, task_queue, results, ack_chunks: bool) -> None:
     never mistakes a completed chunk for the one that killed the worker.
 
     The version registry a fork inherited is reset first: a parent thread
-    may have held its lock, and this worker versions its own bases.
+    may have held its lock, which the weakref callback of an inherited base
+    takes when the base is collected here.
     """
 
     def reply(message: tuple) -> None:
@@ -322,7 +321,10 @@ class ProcessExecutor(BaseExecutor):
         )
 
     # -- the parent's share of the Figure 1 step ----------------------------------
-    max_in_flight = None  # every dispatched task is in flight
+    @property
+    def max_in_flight(self) -> int:
+        # The dispatcher pulls an engine's task only while fewer are in flight.
+        return self._dispatcher.window
 
     def _rescue_orphan(self, task, graph, worker, clock) -> None:
         # A deferred twin whose producer failed runs on a worker, not here.

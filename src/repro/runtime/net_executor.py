@@ -425,7 +425,10 @@ class NetworkExecutor(BaseExecutor):
         self._invalidate(dropped)
 
     # -- the parent's share of the Figure 1 step ----------------------------------
-    max_in_flight = None  # every dispatched task is in flight
+    @property
+    def max_in_flight(self) -> int:
+        # The dispatcher pulls an engine's task only while fewer are in flight.
+        return self._dispatcher.window
 
     def _rescue_orphan(self, task, graph, worker, clock) -> None:
         # A deferred twin whose producer failed runs on an endpoint, not here.

@@ -14,8 +14,8 @@ tenant's namespace — moves the same four things (DESIGN.md §4.6):
   ref's backing bytes live (a shared segment, a shipped span, a tenant
   buffer);
 * :func:`rebuild_task` — descriptor + arena → a runnable :class:`Task`;
-* :func:`run_descriptor` — the worker's step: run the body and bump the
-  write versions.  Nothing of the paper's Figure 1 runs here: the parent's
+* :func:`run_descriptor` — the worker's step: rebuild the task and run its
+  body.  Nothing of the paper's Figure 1 runs here: the parent's
   dispatcher looked the task up in its owner's engine before shipping it
   (a THT or IKT hit never ships) and commits it when its result lands, so
   one THT, one IKT and one training phase serve every worker.
@@ -200,8 +200,8 @@ def rebuild_task(
 def run_descriptor(
     desc: TaskDescriptor, arena: ArrayArena, task_types: dict[str, TaskType]
 ) -> Task:
-    """Rebuild one task and run its body, then bump the versions of what it
-    wrote.  The parent looked the task up before shipping it and commits it
+    """Rebuild one task and run its body.  The parent looked the task up
+    before shipping it and commits it — bumping the write-versions there —
     when the result lands; supervision (retries, timeouts, quarantine)
     stays with the parent's dispatcher, which reads a raising body off the
     worker's error reply.
@@ -212,12 +212,6 @@ def run_descriptor(
     task = rebuild_task(desc, arena, task_types)
     task.state = TaskState.RUNNING
     task.run()
-    # Commit the writes to the version protocol *before* reporting
-    # completion: once the parent releases a successor, anything reading
-    # these bytes must observe the new version.
-    for access in task.accesses:
-        if access.writes:
-            access.region.bump_version()
     return task
 
 

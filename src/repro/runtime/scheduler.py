@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.runtime.task import Task
 
@@ -65,10 +65,12 @@ class Scheduler:
             if len(self._queue) > stats.max_depth:
                 stats.max_depth = len(self._queue)
 
-    def next_task(self) -> Optional[Task]:
-        """Called by an idle worker; ``None`` means no work is available."""
+    def next_task(self, admit: Optional[Callable[[Task], bool]] = None) -> Optional[Task]:
+        """Called by an idle worker; ``None`` means no work is available, or
+        ``admit`` refused the task at the head of the queue (it stays
+        there)."""
         with self._lock:
-            if not self._queue:
+            if not self._queue or (admit is not None and not admit(self._queue[0])):
                 return None
             self.stats.total_pops += 1
             return self._queue.popleft()

@@ -22,15 +22,9 @@ home; this module provides it (see DESIGN.md §4.3):
   after the array's collection opens (:meth:`SharedBufferRegistry.release`).
 * :class:`WorkerArena` (worker side) — the
   :class:`~repro.runtime.remote_task.ArrayArena` whose backing bytes are
-  shared segments, attached lazily by name; its regions are plain
-  :class:`DataRegion` objects versioned by the worker's own registry.
-
-**Write-versions travel in the buffer table.**  The parent orders every
-commit (``graph.complete_task`` bumps the base in
-:data:`~repro.runtime.data.region_versions`), so each row of a chunk's
-buffer table carries that version in ``NetBuffer.generation``.  A worker
-that sees a slot's version move since its last chunk bumps its own version
-of the whole base.
+  shared segments, attached lazily by name.  A worker keeps no
+  write-versions: the parent orders every commit and owns every key cache
+  and content tag that reads them.
 
 **The first-touch invariant.**  A base buffer is compared with (and, on a
 difference, refreshed into) its segment only while *no task of the open drain
@@ -160,16 +154,12 @@ class SharedBufferRegistry:
         entry = self.register(base)
         slot = entry.slot
         if slot not in self._touched:
-            # Read after the chunk's copy_in, so a detected host write has
-            # already moved it.
-            self._touched[slot] = NetBuffer(
-                slot, 0, entry.shm.name, region_versions.version_of(base)
-            )
+            self._touched[slot] = NetBuffer(slot, 0, entry.shm.name)
         return slot, _address(array) - entry.address, array.shape, array.strides, array.dtype.str
 
     def table(self) -> tuple[NetBuffer, ...]:
         """The buffer table of the refs made since the last call: one row
-        per slot, naming its segment and the base's write-version."""
+        per slot, naming its segment."""
         touched, self._touched = self._touched, {}
         return tuple(touched.values())
 
@@ -190,9 +180,8 @@ class SharedBufferRegistry:
         parent bytes into the segments; returns buffers refreshed.
 
         Only buffers whose bytes differ are copied, and each refresh bumps
-        the base's write-version — the version the buffer table carries — so
-        the parent's key caches and content tags never serve bytes a host
-        store replaced between drains.  A buffer already fresh is skipped
+        the base's write-version, so the parent's key caches and content
+        tags never serve bytes a host store replaced between drains.  A buffer already fresh is skipped
         without a compare (module docstring).
         """
         refreshed = 0
@@ -258,33 +247,23 @@ class WorkerArena(ArrayArena):
     def __init__(self) -> None:
         super().__init__()
         self._segments: dict[int, shared_memory.SharedMemory] = {}
-        #: slot -> the parent write-version its last buffer-table row carried.
-        self._versions: dict[int, int] = {}
 
     def attach(self, buffers) -> None:
-        """Attach, by name, the segments of a buffer table not seen yet, and
-        bump the local version of every base whose parent version moved."""
-        for slot, _start, name, version in buffers:
-            seen = self._versions.get(slot)
-            if seen is None:
+        """Attach, by name, the segments of a buffer table not seen yet."""
+        for slot, _start, name, _generation in buffers:
+            if slot not in self._segments:
                 shm = self._segments[slot] = shared_memory.SharedMemory(name=name)
                 # One flat uint8 ndarray per segment: every view built over
-                # it shares this object as its ``.base``, preserving region
-                # identity for the keygen caches.
+                # it shares this object as its ``.base``.
                 self._bases[slot] = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf), 0
-            elif seen != version:
-                region_versions.bump(self._bases[slot][0])
-            self._versions[slot] = version
 
     def release(self, slots) -> None:
-        """Drop what is cached for ``slots`` and close their segments; the
-        version registry lets go of the bases through its weak references."""
+        """Drop what is cached for ``slots`` and close their segments."""
         slots = set(slots)
         self._views = {ref: v for ref, v in self._views.items() if ref[0] not in slots}
         self._regions = {ref: r for ref, r in self._regions.items() if ref[0] not in slots}
         for slot in slots:
             self._bases.pop(slot, None)
-            self._versions.pop(slot, None)
             shm = self._segments.pop(slot, None)
             try:
                 if shm is not None:

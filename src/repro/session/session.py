@@ -296,9 +296,7 @@ class Session:
             )
 
     @staticmethod
-    def _assemble_engine(
-        cfg: ReproConfig, policy: Any, engine: Any, num_threads: Optional[int]
-    ):
+    def _assemble_engine(cfg: ReproConfig, policy: Any, engine: Any, num_threads: int):
         """Build the memoization engine from policy/config declarations.
 
         ``num_threads`` sizes the in-flight key table; it comes from the

@@ -57,8 +57,7 @@ class TestSharedMemoryProtocol:
         assert rebuilt.shape == view.shape
         assert rebuilt.strides == view.strides
         assert np.array_equal(rebuilt, view)
-        # Two views of the same segment share one ndarray base (region
-        # identity for the worker-side keygen caches).
+        # Two views of the same segment share one ndarray base.
         other = arena.view(registry.array_ref(base[0]))
         assert rebuilt.base is other.base
         arena.close()
@@ -70,50 +69,23 @@ class TestSharedMemoryProtocol:
         region = DataRegion(data[2:6])           # any view names its base
         entry = registry.register(data)
 
-        def table_version():
-            registry.array_ref(data)
-            (row,) = registry.table()
-            assert row.buffer_id == entry.slot
-            return row.generation
+        def version():
+            return region_versions.version_of(data)
 
         assert registry.copy_in([region]) == 0   # registration seeded bytes
-        version_before = table_version()
+        version_before = version()
         data[:] = 7.0                            # parent-side mutation
         assert registry.copy_in([region]) == 0   # fresh in this drain: no check
-        assert table_version() == version_before
+        assert version() == version_before
         registry.fresh.clear()                   # the next drain opens
         assert registry.copy_in([region, region]) == 1
-        assert table_version() > version_before
+        assert version() > version_before
         assert np.array_equal(entry.mirror, data)
-        version_after = table_version()
+        version_after = version()
         registry.fresh.clear()
         assert registry.copy_in([region]) == 0   # compared, unchanged
-        assert table_version() == version_after
+        assert version() == version_after
         registry.close()
-
-    def test_a_moved_table_version_bumps_the_worker_base_once(self):
-        registry = SharedBufferRegistry()
-        data = np.zeros(8)
-        arena = WorkerArena()
-        try:
-            ref = registry.array_ref(data)
-            arena.attach(registry.table())
-            region = arena.region(ref, "data")
-            first = region.version
-            registry.array_ref(data)
-            arena.attach(registry.table())       # same parent version
-            assert region.version == first
-            DataRegion(data).bump_version()      # a commit in the parent
-            registry.array_ref(data)
-            arena.attach(registry.table())
-            moved = region.version
-            assert moved > first
-            registry.array_ref(data)
-            arena.attach(registry.table())
-            assert region.version == moved
-        finally:
-            arena.close()
-            registry.close()
 
     def test_a_collected_base_is_released_at_the_next_call(self):
         registry = SharedBufferRegistry()

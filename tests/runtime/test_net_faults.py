@@ -321,6 +321,39 @@ def test_session_assigned_engine_serves_a_prebuilt_executor(backend):
         assert np.array_equal(dst, np.full(16, 4.0))
 
 
+def test_mid_drain_endpoint_loss_keeps_the_parent_engine_whole():
+    """An endpoint that dies holding engine-registered producers loses no
+    memoization state: the parent resubmits them with their lookups, and
+    the twins deferred on them complete when they commit."""
+    endpoints = [KillMidChunkEndpoint("dying/0"), LoopbackEndpoint("healthy/0")]
+    config = RuntimeConfig(
+        executor="network", num_threads=2, mp_chunk_size=2,
+        net_timeout_s=FAULT_NET_TIMEOUT, net_max_retries=2,
+    )
+    executor = NetworkExecutor(config=config, endpoints=endpoints)
+    executor.drain_timeout = SCENARIO_TIMEOUT
+    # Six inputs, each submitted twice in a row: every twin finds its
+    # producer in flight, and both first chunks hold producers.
+    sources = [np.full(8, float(i // 2 + 1)) for i in range(12)]
+    sinks = [np.zeros(8) for _ in range(12)]
+    with Session({"atm": {"mode": "static"}}, executor=executor) as session:
+        engine = session.engine
+        for src, dst in zip(sources, sinks):
+            session.submit(
+                SQUARE_TYPE, square_body, accesses=[In(src), Out(dst)],
+                args=(src, dst),
+            )
+        result = session.wait_all()
+    assert_correct(result, sources, sinks)
+    assert result.extra["network_backend"]["resubmitted_tasks"] > 0
+    assert endpoints[0].failed
+    assert engine.stats.tasks_seen == 12
+    assert len(engine.ikt) == 0
+    assert result.tasks_executed == 6
+    assert result.tasks_deferred > 0
+    assert result.tasks_executed + result.tasks_memoized + result.tasks_deferred == 12
+
+
 def test_garbage_frame_fails_endpoint_with_wire_error_and_drain_completes():
     garbled = GarbageFrameEndpoint("garbled/0")
     endpoints = [garbled, LoopbackEndpoint("healthy/0")]
@@ -724,13 +757,15 @@ def test_an_aborted_drain_retires_its_in_flight_keys():
     from repro.atm.policy import StaticATMPolicy
     from repro.common.config import ATMConfig
 
-    atm = ATMConfig()
-    engine = ATMEngine(config=atm, policy=StaticATMPolicy(atm), num_threads=None)
     config = RuntimeConfig(
         executor="network", num_threads=1, net_timeout_s=FAULT_NET_TIMEOUT, net_max_retries=0,
     )
     executor = NetworkExecutor(config=config, endpoints=[KillMidChunkEndpoint("dying/0")])
     executor.drain_timeout = SCENARIO_TIMEOUT
+    atm = ATMConfig()
+    engine = ATMEngine(
+        config=atm, policy=StaticATMPolicy(atm), num_threads=executor.max_in_flight
+    )
     with pytest.raises(NetworkDrainError):
         with Session(executor=executor, engine=engine) as session:
             for i in range(4):

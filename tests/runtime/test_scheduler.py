@@ -77,6 +77,16 @@ class TestFIFOOrder:
         assert scheduler.next_task() is None
         assert scheduler.stats.total_pops == 1
 
+    def test_a_refused_head_stays_queued(self):
+        scheduler = Scheduler()
+        tasks = make_tasks(3)
+        scheduler.tasks_ready(tasks)
+        assert scheduler.next_task(lambda task: task.task_id != 1) is tasks[0]
+        assert scheduler.next_task(lambda task: task.task_id != 1) is None
+        assert scheduler.pending() == 2
+        assert scheduler.stats.total_pops == 1
+        assert drain(scheduler) == [1, 2]
+
     def test_pending(self):
         scheduler = Scheduler()
         assert scheduler.pending() == 0
