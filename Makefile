@@ -91,20 +91,23 @@ serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 	$(PYTHON) -m pytest -m serving -q
 
-# Persistent THT tier: the store/shard unit + integration suite (file
-# format, corruption handling, the refusal by name of a previous schema or
-# shard protocol — whose entries sit under another key definition —, shard
-# protocol, Session warm starts, the gateway's store-backed shared tier) —
-# proves warm restores stay bit-identical end to end.
+# Persistent THT tier: the store unit + integration suite (file format,
+# corruption handling, the refusal by name of a previous schema — whose
+# entries sit under another key definition —, the gateway's store verbs and
+# their version check, Session warm starts, the gateway's store-backed shared
+# tier) and the daemon tests (the store greeting's version check against a
+# real gateway process, a file:// tier across its restart) — proves warm
+# restores stay bit-identical end to end.
 tht-store:
 	$(PYTHON) -m pytest tests/atm/test_tht_store.py \
-		tests/serving/test_gateway.py -x -q
+		tests/serving/test_gateway.py tests/runtime/test_net_server.py -x -q
 
 # Wire fuzz: the listener fuzz of tier-1 (tests/runtime/test_wire_fuzz.py:
 # generated control sections inside valid frames and raw byte strings against
-# the net_worker, gateway and tht_shard listeners and the file:// store
-# reader) with 400 examples per reader instead of a dozen, plus the codec's
-# hostile-input guards (pickled frames, object dtypes, foreign task bodies).
+# the two listeners — net_worker and the gateway, as a tenant's peer and behind
+# a THT store hello — and the file:// store reader) with 400 examples per
+# reader instead of a dozen, plus the codec's hostile-input guards (pickled
+# frames, object dtypes, foreign task bodies).
 wire-fuzz:
 	WIRE_FUZZ_EXAMPLES=400 $(PYTHON) -m pytest tests/runtime/test_wire_fuzz.py \
 		tests/common/test_config.py -k "fuzz or listener or store_reader or Unpickled" \

@@ -2,7 +2,7 @@
 """Serving-gateway smoke: concurrent tenants, bit-identity, ATM tiers.
 
 The one-command acceptance check for the serving front door (DESIGN.md §8),
-run by ``make serve-smoke`` and the CI serving step.  Two phases against
+run by ``make serve-smoke`` and the CI serving step.  Three phases against
 in-process gateways on real loopback TCP:
 
 1. **Isolation** — two concurrent tenants each run all six evaluated
@@ -14,6 +14,10 @@ in-process gateways on real loopback TCP:
    static ATM mode; a second tenant replaying the first tenant's app must
    reuse published results (``shared_hits > 0``) and still produce
    bit-identical output.
+3. **The tier as a store** — a Session on ``atm.tht_store="tcp://<gateway>"``
+   publishes its run into the gateway's shared tier at ``finish``; a fresh
+   Session on the same URL must warm-start from it, reuse it and produce
+   output bit-identical to the serial run.
 
 Exit status is non-zero on any divergence.
 """
@@ -145,6 +149,33 @@ def phase_shared_tier(reference: dict[str, np.ndarray]) -> list[str]:
     return problems
 
 
+def phase_tier_as_store(reference: dict[str, np.ndarray]) -> list[str]:
+    """Sessions on ``tcp://<gateway>``: one publishes, a fresh one reuses."""
+    cfg = ReproConfig().with_overrides(
+        runtime={"executor": "serial"}, serving={"shared_tht": True}
+    )
+    problems: list[str] = []
+    app_name = "blackscholes"
+    with Gateway(cfg) as gateway:
+        session_cfg = {"atm": {"mode": "static",
+                               "tht_store": f"tcp://127.0.0.1:{gateway.port}"}}
+        for run in ("publisher", "warm"):
+            app = make_benchmark(app_name, scale="tiny")
+            with Session(session_cfg, executor="serial") as session:
+                app.run(session)
+            out = np.asarray(app.output(), dtype=np.float64)
+            if run == "warm" and not (session.warm_started and session.stats["tht_hits"]):
+                problems.append(
+                    f"store session: warm_started={session.warm_started}, "
+                    f"{session.stats['tht_hits']} THT hits after the publisher's run"
+                )
+            if not np.array_equal(out, reference[app_name]):
+                problems.append(
+                    f"store session ({run}): output diverged from the serial Session run"
+                )
+    return problems
+
+
 def main() -> int:
     print(f"serve-smoke: serial reference over {len(SERVED_APPS)} apps...",
           flush=True)
@@ -155,13 +186,17 @@ def main() -> int:
     problems = phase_isolation(reference)
     print("serve-smoke: phase 2 — shared THT tier reuse...", flush=True)
     problems += phase_shared_tier(reference)
+    print("serve-smoke: phase 3 — the shared tier as a tcp:// THT store...",
+          flush=True)
+    problems += phase_tier_as_store(reference)
 
     if problems:
         for problem in problems:
             print(f"serve-smoke: FAIL {problem}", file=sys.stderr)
         return 1
     print(f"serve-smoke: OK — {TENANTS * len(SERVED_APPS)} tenant/app runs "
-          f"bit-identical to serial, namespaces isolated, shared tier reuses")
+          f"bit-identical to serial, namespaces isolated, shared tier reuses, "
+          f"and serves Sessions as a tcp:// store")
     return 0
 
 

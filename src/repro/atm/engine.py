@@ -59,6 +59,10 @@ class ATMEngine:
         self._petitions: dict[int, list[Task]] = {}
         self._petition_lock = threading.Lock()
 
+    def is_training(self, task: Task) -> bool:
+        """Whether ``task``'s type is still in its training phase."""
+        return self.policy.is_training(task)
+
     # -- protocol: lookup ----------------------------------------------------------
     def task_ready(self, task: Task, worker_id: int = 0) -> ATMDecision:
         eligible = task.task_type.atm_eligible

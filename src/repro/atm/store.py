@@ -23,20 +23,23 @@ interface, selected by the ``atm.tht_store`` URL:
   it (with a ``RuntimeWarning``) and the next publish rewrites the file
   without it.
 
-* :class:`ShardTHTStore` (``tcp://<host>:<port>``) — a client of the
-  standalone cache-shard daemon (``scripts/tht_shard.py``), speaking
-  net_wire frames: ``hello``/``hello_ack`` (protocol handshake), ``fetch``
-  (download the shard's table as one delta), ``publish`` (upload a delta),
-  ``stats``.  Many sessions and gateways attach to one shard and share a
-  warm tier without drain barriers: publishes are incremental merges on the
-  shard, fetches are whole-table snapshots.
+* :class:`ShardTHTStore` (``tcp://<host>:<port>``) — a client of a
+  serving gateway's shared THT tier (``serving.shared_tht``, DESIGN.md §9),
+  speaking net_wire frames: ``hello``/``hello_ack`` (the serving protocol's
+  handshake, as a store client), ``fetch`` (download the tier as one
+  delta), ``publish`` (merge a delta in).  Many sessions and gateways attach
+  to one gateway and share a warm tier without drain barriers: publishes
+  are incremental merges, fetches are whole-table snapshots, and a gateway
+  with a ``file://`` store of its own keeps the tier across restarts.
+  :func:`store_reply` is the gateway's half of the two verbs.
 
 Failure semantics: a store that cannot be read raises
 :class:`~repro.common.exceptions.THTStoreCorruptError` (bad frame before the
 tail, bad header) or :class:`~repro.common.exceptions.THTStoreUnavailableError`
-(shard unreachable) — never silently-garbage entries.  A file written under
-another schema raises :class:`~repro.common.exceptions.THTStoreSchemaError`
-naming both schemas, and is never overwritten.  :func:`warm_start` (the one
+(gateway unreachable, or refusing the store verbs) — never silently-garbage
+entries.  A file written under another schema raises
+:class:`~repro.common.exceptions.THTStoreSchemaError` naming both schemas,
+and is never overwritten.  :func:`warm_start` (the one
 entry point of the Session and the gateway's shared tier) catches all three
 and falls back to a cold table — detached from a store of another schema;
 :func:`publish_increment` ships a journal increment back and reports a store
@@ -69,9 +72,7 @@ from repro.runtime.net_wire import (
     decode_frame,
     encode_frame,
     is_torn_frame,
-    read_frame,
     request,
-    write_frame,
 )
 
 __all__ = [
@@ -79,8 +80,7 @@ __all__ = [
     "parse_store_url",
     "warm_start",
     "publish_increment",
-    "serve_shard_connection",
-    "ShardState",
+    "store_reply",
 ]
 
 #: Bumped on any incompatible change to the store file layout.  A file with
@@ -99,11 +99,6 @@ __all__ = [
 #: outputs)`` tuple, not a codec record of its own.
 STORE_SCHEMA_VERSION = 6
 
-#: Handshake version of the cache-shard wire vocabulary (2: segmented frames;
-#: 3 and 4: the key definitions of store schemas 3 and 4; 5: the data-only
-#: control codec; 6: entries as the plain tuples of store schema 6).
-SHARD_PROTOCOL_VERSION = 6
-
 #: Append-then-compact bound of the ``file://`` store: a flush that leaves
 #: more than this many frames in the file rewrites it (atomically) as one
 #: consolidated snapshot.
@@ -112,7 +107,7 @@ COMPACT_AFTER_FRAMES = 8
 _HEADER_KIND = "tht_store"
 _DELTA_KIND = "tht_delta"
 
-#: Socket timeout of shard client operations (connect and per-reply).
+#: Socket timeout of ``tcp://`` client operations (connect and per-reply).
 _SHARD_TIMEOUT_S = 10.0
 
 
@@ -233,7 +228,7 @@ def warm_start(url: str, atm_config: ATMConfig, tht, what: str = "cold-starting"
         problem = f"unreadable, {what}: {exc}"
     except THTStoreUnavailableError as exc:
         problem = (
-            f"{'dropped during warm-start' if store else 'unavailable'}, "
+            f"{'unavailable during warm-start' if store else 'unavailable'}, "
             f"{what}: {exc}"
         )
         if store is not None:
@@ -462,9 +457,9 @@ class FileTHTStore:
         self.close()
 
 
-# -- tcp shard backend ---------------------------------------------------------------
+# -- tcp backend: a gateway's shared tier ----------------------------------------------
 class ShardTHTStore:
-    """Client of one ``scripts/tht_shard.py`` cache-shard daemon."""
+    """Client of one serving gateway's shared THT tier (``tcp://``)."""
 
     def __init__(
         self,
@@ -473,6 +468,10 @@ class ShardTHTStore:
         atm_config: Optional[ATMConfig] = None,
         timeout_s: float = _SHARD_TIMEOUT_S,
     ) -> None:
+        # The gateway imports this module; the handshake constant is read
+        # when a ``tcp://`` store is opened, not at import.
+        from repro.serving.gateway import SERVING_PROTOCOL_VERSION
+
         self.host = host
         self.port = port
         self.config = atm_config or ATMConfig()
@@ -482,79 +481,70 @@ class ShardTHTStore:
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout_s)
             self._sock.settimeout(timeout_s)
-            hello = self._request(("hello", {"protocol": SHARD_PROTOCOL_VERSION}))
+            self._request(("hello", {"protocol": SERVING_PROTOCOL_VERSION, "store": True}))
         except OSError as exc:
             self.close()
             raise THTStoreUnavailableError(
-                f"THT shard {self.url} unreachable: {exc}"
+                f"THT store {self.url} unreachable: {exc}"
             ) from exc
         except THTStoreError:
             self.close()
             raise
-        if hello.get("protocol") != SHARD_PROTOCOL_VERSION:
-            self.close()
-            raise THTStoreUnavailableError(
-                f"THT shard {self.url} speaks protocol "
-                f"{hello.get('protocol')!r}, this client speaks "
-                f"{SHARD_PROTOCOL_VERSION}"
-            )
 
     def _request(self, message: tuple) -> Any:
-        """One request/reply round-trip; maps transport errors to the taxonomy."""
+        """One request/reply round-trip; maps transport errors to the taxonomy
+        and a refusal (another protocol version, a gateway without a shared
+        tier) to :class:`THTStoreUnavailableError`."""
         expected = {
             "hello": "hello_ack",
             "fetch": "fetch_result",
             "publish": "publish_ack",
-            "stats": "stats_reply",
         }[message[0]]
         with self._lock:
             if self._sock is None:
                 raise THTStoreUnavailableError(
-                    f"THT shard connection {self.url} is closed"
+                    f"THT store connection {self.url} is closed"
                 )
             try:
                 reply = request(self._sock, message)
             except WireProtocolError as exc:
                 raise THTStoreCorruptError(
-                    f"THT shard {self.url} sent a malformed reply: {exc}"
+                    f"THT store {self.url} sent a malformed reply: {exc}"
                 ) from exc
             except (OSError, EOFError) as exc:
                 raise THTStoreUnavailableError(
-                    f"THT shard {self.url} unreachable: {exc}"
+                    f"THT store {self.url} unreachable: {exc}"
                 ) from exc
         if not isinstance(reply, tuple) or not reply:
             raise THTStoreCorruptError(
-                f"THT shard {self.url} sent a non-tuple reply"
+                f"THT store {self.url} sent a non-tuple reply"
             )
         if reply[0] == "error":
-            raise THTStoreError(
-                f"THT shard {self.url} refused {message[0]!r}: {reply[1:]}"
+            raise THTStoreUnavailableError(
+                f"THT store {self.url} refused {message[0]!r}: {reply[1:]}"
             )
         if reply[0] != expected or len(reply) < 2:
             raise THTStoreCorruptError(
-                f"THT shard {self.url} answered {message[0]!r} with "
+                f"THT store {self.url} answered {message[0]!r} with "
                 f"{reply[0]!r} (expected {expected!r})"
             )
         return reply[1]
 
     # -- store interface ----------------------------------------------------------
     def load(self) -> dict:
-        """Download the shard's whole table as one delta."""
+        """Download the gateway's whole shared tier as one delta."""
         delta = _delta_of(self._request(("fetch",)))
         if delta is None:
             raise THTStoreCorruptError(
-                f"THT shard {self.url} fetch_result carries no THT delta"
+                f"THT store {self.url} fetch_result carries no THT delta"
             )
         return delta
 
     def publish(self, delta: dict) -> int:
-        """Upload one delta; the shard merges it incrementally."""
+        """Upload one delta; the gateway merges it into its shared tier."""
         if not delta.get("entries") and not delta.get("counters"):
             return 0
         return int(self._request(("publish", _plain_delta(delta))))
-
-    def stats(self) -> dict:
-        return dict(self._request(("stats",)))
 
     def close(self) -> None:
         with self._lock:
@@ -572,140 +562,18 @@ class ShardTHTStore:
         self.close()
 
 
-# -- shard server side ---------------------------------------------------------------
-class ShardState:
-    """The daemon's shared state: one THT plus service counters.
+def store_reply(tht: TaskHistoryTable, message: tuple) -> tuple:
+    """A shared tier's answer to a store client's ``fetch`` or ``publish``
+    (the gateway's half of :class:`ShardTHTStore`).
 
-    The table itself is thread-safe (per-bucket locks; ``merge``/``snapshot``
-    coordinate through the journal lock when enabled), so concurrent client
-    connections need no global table lock — only the service counters are
-    guarded here.
+    ``fetch`` ships the whole table as one delta; ``publish`` merges a delta
+    in, journaled like a tenant's, so a tier with a store of its own passes
+    it on.  A publish that carries no delta raises :class:`THTStoreError`.
     """
-
-    def __init__(
-        self,
-        atm_config: Optional[ATMConfig] = None,
-        backing: Optional[FileTHTStore] = None,
-        flush_every: int = 0,
-    ) -> None:
-        self.config = atm_config or ATMConfig()
-        self.table = TaskHistoryTable(self.config)
-        self.backing = backing
-        #: Flush the backing file every N publishes (0 = only on shutdown).
-        self.flush_every = flush_every
-        self._lock = threading.Lock()
-        self.publishes = 0
-        self.fetches = 0
-        self.entries_received = 0
-        if backing is not None:
-            # Warm the shard itself from its backing file; a corrupt file
-            # cold-starts the shard exactly like it cold-starts a Session,
-            # and one of another schema is detached, never overwritten.
-            try:
-                self.table.merge(backing.load(), journal=False)
-            except THTStoreSchemaError as exc:
-                warnings.warn(f"{exc}; the shard runs without it", RuntimeWarning)
-                self.backing = None
-            except THTStoreError:
-                pass
-
-    def handle(self, message: Any) -> tuple:
-        """Serve one shard request; returns the reply frame message (a
-        request of a known kind whose fields do not fit it raises)."""
-        kind = message[0]
-        if kind == "hello":
-            info = message[1] if len(message) > 1 else {}
-            if info.get("protocol") != SHARD_PROTOCOL_VERSION:
-                return (
-                    "error",
-                    "THTStoreUnavailableError",
-                    f"shard speaks protocol {SHARD_PROTOCOL_VERSION}, "
-                    f"client spoke {info.get('protocol')!r}",
-                )
-            return (
-                "hello_ack",
-                {
-                    "protocol": SHARD_PROTOCOL_VERSION,
-                    "schema": STORE_SCHEMA_VERSION,
-                    "entries": len(self.table),
-                },
-            )
-        if kind == "fetch":
-            with self._lock:
-                self.fetches += 1
-            return ("fetch_result", _plain_delta(self.table.snapshot()))
-        if kind == "publish":
-            delta = _delta_of(message[1] if len(message) > 1 else {})
-            if delta is None:
-                return ("error", "THTStoreError", "publish carries no THT delta")
-            self.table.merge(delta)
-            received = len(delta.get("entries", []))
-            with self._lock:
-                self.publishes += 1
-                self.entries_received += received
-                flush_due = (
-                    self.flush_every > 0 and self.publishes % self.flush_every == 0
-                )
-            if flush_due:
-                # Counted where the publish happens, on this connection's
-                # own thread: a client that never disconnects still gets
-                # its publishes made durable, and before they are acked.
-                self.flush()
-            return ("publish_ack", received)
-        if kind == "stats":
-            with self._lock:
-                publishes, fetches = self.publishes, self.fetches
-                received = self.entries_received
-            return (
-                "stats_reply",
-                {
-                    "backend": "shard",
-                    "entries": len(self.table),
-                    "hits": self.table.hits,
-                    "misses": self.table.misses,
-                    "insertions": self.table.insertions,
-                    "evictions": self.table.evictions,
-                    "publishes": publishes,
-                    "fetches": fetches,
-                    "entries_received": received,
-                },
-            )
-        return ("error", "THTStoreError", f"unknown request {kind!r}")
-
-    def flush(self) -> None:
-        """Persist the shard's table into its backing file (if any)."""
-        if self.backing is not None:
-            snapshot = self.table.snapshot()
-            if snapshot["entries"]:
-                self.backing.publish(snapshot)
-                self.backing.compact()
-
-
-def serve_shard_connection(sock: socket.socket, state: ShardState) -> None:
-    """Blocking service loop for one shard client connection.
-
-    Runs until the peer disconnects (clean EOF) or sends garbage (the
-    connection is dropped; the shard's table is untouched — publishes are
-    atomic merges that either happened or did not).
-    """
-    try:
-        while True:
-            try:
-                message = read_frame(sock)
-            except (WireProtocolError, OSError):
-                return
-            if isinstance(message, tuple) and message and message[0] == "bye":
-                return
-            try:
-                reply = state.handle(message)
-            except Exception as exc:  # a known kind around fields that do not fit it
-                reply = ("error", "THTStoreError", f"malformed request: {exc!r:.200}")
-            try:
-                write_frame(sock, reply)
-            except OSError:
-                return
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+    if message[0] == "fetch":
+        return ("fetch_result", _plain_delta(tht.snapshot(full=True)))
+    delta = _delta_of(message[1] if len(message) == 2 else None)
+    if delta is None:
+        raise THTStoreError("publish carries no THT delta")
+    tht.merge(delta)
+    return ("publish_ack", len(delta["entries"]))

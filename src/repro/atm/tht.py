@@ -229,13 +229,13 @@ class TaskHistoryTable:
             self._foreign.reset()
         return entries, totals
 
-    def snapshot(self, reset: bool = False) -> dict:
+    def snapshot(self, reset: bool = False, full: bool = False) -> dict:
         """Serializable view of the table: entries + aggregated counters.
 
         With the journal enabled, ``entries`` contains only the commits
         (insertions *and* merged-in peer entries) since the previous
-        ``reset=True`` snapshot; otherwise the full table content is
-        shipped.  ``reset=True`` also zeroes the counters so the snapshot
+        ``reset=True`` snapshot; otherwise — or with ``full`` — the whole
+        table content is shipped.  ``reset=True`` also zeroes the counters so the snapshot
         acts as a delta (process-backend workers call it once per drain
         barrier, the serving merge pump and the persistent store
         continuously).
@@ -246,7 +246,7 @@ class TaskHistoryTable:
         section, so ``reset=True`` never zeroes counts for commits the
         snapshot did not ship.
         """
-        if self._journal is not None:
+        if self._journal is not None and not full:
             with self._journal_lock:
                 entries = list(self._journal)
                 if reset:

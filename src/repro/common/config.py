@@ -121,9 +121,10 @@ class ATMConfig(_Section):
         Persistent THT tier (DESIGN.md §9), ``None`` (default) for the
         classic session-lifetime table.  ``"file://<path>"`` warm-starts the
         THT from a snapshot file on Session open and flushes the run's delta
-        back on ``finish()``; ``"tcp://<host>:<port>"`` attaches to a
-        running ``scripts/tht_shard.py`` cache-shard daemon so concurrent
-        sessions and gateways share one warm tier.  A corrupt or unreachable
+        back on ``finish()``; ``"tcp://<host>:<port>"`` attaches to the
+        shared THT tier of a running gateway (``scripts/gateway.py
+        --shared-tht``) so concurrent sessions and gateways share one warm
+        tier.  A corrupt or unreachable
         store degrades to a cold start — it never fails the run.
     """
 

@@ -160,11 +160,11 @@ class GatewayShutdownError(GatewayError):
 
 
 class THTStoreError(ReproError):
-    """Base class for persistent-THT-store failures (file or shard)."""
+    """Base class for persistent-THT-store failures (file or gateway tier)."""
 
 
 class THTStoreCorruptError(THTStoreError):
-    """A store file or shard reply failed to decode.
+    """A store file or a gateway's store reply failed to decode.
 
     Raised on a bad header, a schema mismatch, a truncated or
     checksum-failing frame, or a frame that is not a store message.  The
@@ -180,7 +180,8 @@ class THTStoreSchemaError(THTStoreCorruptError):
 
 
 class THTStoreUnavailableError(THTStoreError):
-    """A ``tcp://`` cache shard could not be reached or dropped mid-request."""
+    """A ``tcp://`` store (a gateway's shared tier) could not be reached,
+    dropped mid-request or refused the request."""
 
 
 class WorkloadError(ReproError):

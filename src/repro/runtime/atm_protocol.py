@@ -15,8 +15,9 @@ the paper's Figure 1 step, shared by every backend and called only in the
 process that owns the engine: the executors' step (``BaseExecutor.start`` /
 ``finish``) and, for the worker pools, the parent's chunk dispatcher
 (``dispatch.ChunkDispatcher``, which looks a task up before shipping it and
-commits it through ``finish`` when its result lands) call these and nothing
-else of an engine.  A remote worker never sees one.
+commits it through ``finish`` when its result lands, and asks
+:func:`training` before a task leaves the ready queue) call these and
+nothing else of an engine.  A remote worker never sees one.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ class MemoizationEngineProtocol(Protocol):
         """Release what the lookup registered for a task that failed
         terminally; returns the deferred consumers it orphaned."""
         ...
+
+    # Optional: ``is_training(task) -> bool``, read through :func:`training`.
+
+
+def training(task: Task, engine) -> bool:
+    """Whether ``engine`` still trains ``task``'s type (its THT hits execute
+    so their error is measured); an engine without the query never trains."""
+    query = getattr(engine, "is_training", None)
+    return query is not None and query(task)
 
 
 def lookup(task: Task, engine, worker_id: int) -> ATMDecision:

@@ -60,7 +60,7 @@ from repro.common.exceptions import (
     TaskTimeoutError,
     WorkerLostError,
 )
-from repro.runtime.atm_protocol import ATMAction, EXECUTE_DECISION, abandon, lookup
+from repro.runtime.atm_protocol import ATMAction, EXECUTE_DECISION, abandon, lookup, training
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TIMEOUT_GRACE
 from repro.runtime.task import Task
@@ -200,15 +200,21 @@ class ChunkDispatcher:
         ``window`` tasks are in flight — one chunk per worker, as an
         in-process worker pulls a task only when it is free — so a lookup
         sees the commits of what ran before it (one worker, chunks of one:
-        the serial order exactly).  Such a task at the head of a full
-        window stops the pull; tasks no engine sees ship at once.
+        the serial order exactly).  While its engine still trains its type
+        it leaves only when nothing is in flight: each training outcome is
+        measured at the ``p`` the one before it left, as on serial, so a
+        pool freezes serial's ``p``.  Such a task at the head of the queue
+        stops the pull; tasks no engine sees ship at once.
         """
         host, graph, window = self._host, self._graph, self.window
         next_task, inflight, decisions = host.scheduler.next_task, self.inflight, self._decisions
         ready: list[Task] = []
 
         def admit(task: Task) -> bool:
-            return len(inflight) < window or task.engine is None or not task.task_type.atm_eligible
+            engine = task.engine
+            if engine is None or not task.task_type.atm_eligible:
+                return True
+            return not inflight if training(task, engine) else len(inflight) < window
 
         while (task := next_task(admit)) is not None:
             decision = lookup(task, task.engine, 0)

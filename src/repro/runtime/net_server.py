@@ -1,16 +1,16 @@
 """The frame daemon: one thread-per-connection TCP server for net_wire peers.
 
-``scripts/net_worker.py`` (task execution), ``scripts/tht_shard.py`` (THT
-cache shard) and the serving :class:`~repro.serving.gateway.Gateway` are the
-same server around different per-connection functions: one accept thread
+``scripts/net_worker.py`` (task execution) and the serving
+:class:`~repro.serving.gateway.Gateway` (tenants, and the THT store clients
+of its shared tier) are the same server around different per-connection
+functions: one accept thread
 blocks in ``accept()``, every connection is served on its own thread
 (``frame-conn-<id>``) by a plain blocking ``read_frame`` / ``write_frame``
 loop, and the server knows its live connections.  :meth:`FrameServer.shutdown`
 stops the accept loop *now* (it wakes the blocked ``accept()`` instead of
 waiting for a poll tick); :meth:`FrameServer.shutdown_gracefully` then gives
-live connections a grace period, runs a final hook (the shard's backing-file
-flush) and closes.  :func:`run_daemon` is the signal-to-shutdown ``main`` of
-all three scripts.
+live connections a grace period and closes.  :func:`run_daemon` is the
+signal-to-shutdown ``main`` of both daemon scripts.
 """
 
 from __future__ import annotations
@@ -32,19 +32,16 @@ class FrameServer:
     ``connection_id`` is a dense counter allocated under the server's
     lock, so concurrent accepts never share one (a worker daemon reports
     it as its ``worker_id``).  The server closes a connection's socket when
-    its function returns or raises.  ``on_shutdown`` runs after the drain
-    grace of :meth:`shutdown_gracefully`, before the listener closes.
+    its function returns or raises.
     """
 
     def __init__(
         self,
         address: tuple[str, int],
         serve_connection: Callable[[socket.socket, int], None],
-        on_shutdown: Optional[Callable[[], None]] = None,
     ) -> None:
         self._listener = socket.create_server(address)
         self._serve_connection = serve_connection
-        self._on_shutdown = on_shutdown
         self._lock = threading.Lock()
         #: Notified (under ``_lock``) whenever a connection ends.
         self._drained = threading.Condition(self._lock)
@@ -148,8 +145,6 @@ class FrameServer:
         self.shutdown()
         with self._drained:
             self._drained.wait_for(lambda: not self._connections, timeout=grace_s)
-        if self._on_shutdown is not None:
-            self._on_shutdown()
         self._listener.close()
 
 

@@ -24,12 +24,20 @@ registered backend).  Three properties make the sharing safe:
   probes the shared tier, so tenants that opted in reuse each other's work
   without ever writing into each other's namespaces.  With ``atm.tht_store``
   the shared tier additionally warm-starts from a persistent store
-  (``file://`` snapshot or ``tcp://`` cache shard, DESIGN.md §9) and the
-  merge pump publishes its incremental deltas back, so the warm tier
-  survives gateway restarts.
+  (``file://`` snapshot or another gateway's ``tcp://`` tier, DESIGN.md §9)
+  and the merge pump publishes its incremental deltas back, so the warm
+  tier survives gateway restarts.
+
+The shared tier also serves processes outside the gateway: a connection
+whose hello says ``store`` is a store client (:class:`~repro.atm.store.
+ShardTHTStore`, what ``atm.tht_store="tcp://HOST:PORT"`` opens).  It gets no
+tenant, arena or admission entry, only ``fetch`` (the shared tier as one
+delta) and ``publish`` (a delta merged in, journaled like a tenant's, so the
+merge pump passes it on to the gateway's own store); a gateway without a
+shared tier refuses both with ``THTStoreUnavailableError``.
 
 Threading model: the server is a :class:`~repro.runtime.net_server.
-FrameServer`, the one the worker and shard daemons use — an accept thread
+FrameServer`, the one the worker daemon uses — an accept thread
 and one thread per connection, which runs a plain blocking loop: ``read_frame``
 → ingest (or wait for the tenant's barrier) → ``write_frame``, so a reply is
 built, encoded and sent on one thread and a full tenant queue blocks that
@@ -64,7 +72,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.atm.engine import build_engine, copy_outputs_from_entry
-from repro.atm.store import publish_increment, warm_start
+from repro.atm.store import publish_increment, store_reply, warm_start
 from repro.atm.tht import TaskHistoryTable
 from repro.common.config import ReproConfig
 from repro.common.exceptions import (
@@ -75,6 +83,7 @@ from repro.common.exceptions import (
     GatewayShutdownError,
     ReproError,
     TenantRejectedError,
+    THTStoreUnavailableError,
     WireProtocolError,
 )
 from repro.runtime.atm_protocol import ATMAction, ATMDecision
@@ -99,7 +108,12 @@ __all__ = [
 #: Version 3: segmented frames (:mod:`repro.runtime.net_wire` version 5).
 #: Version 4: the data-only control codec (:mod:`repro.runtime.codec`); one
 #: submission message, ``("submit_batch", NetChunk)``.
-SERVING_PROTOCOL_VERSION = 4
+#: Version 5: a hello with ``store`` opens a THT store connection (``fetch``
+#: / ``publish``), whose entries are found by key value.
+SERVING_PROTOCOL_VERSION = 5
+
+#: What a store client's connection holds where a tenant's holds its state.
+_STORE_CLIENT = "store client"
 
 #: ATM modes a tenant may request at hello time.
 _TENANT_ATM_MODES = ("none", "static", "dynamic", "fixed_p")
@@ -572,12 +586,6 @@ class Gateway:
 
     # -- tenant management -------------------------------------------------------
     def _register_tenant(self, info: Mapping, sock: socket.socket) -> _TenantState:
-        protocol = info.get("protocol")
-        if protocol != SERVING_PROTOCOL_VERSION:
-            raise TenantRejectedError(
-                f"serving protocol mismatch: client speaks {protocol!r}, "
-                f"gateway speaks {SERVING_PROTOCOL_VERSION}"
-            )
         name = info.get("tenant")
         if not name or not isinstance(name, str):
             raise TenantRejectedError("hello carries no tenant name")
@@ -662,7 +670,7 @@ class Gateway:
         finally:
             with self._tenants_lock:
                 # Unless a returning client already took the session over.
-                if tenant is not None and tenant.connection is sock:
+                if isinstance(tenant, _TenantState) and tenant.connection is sock:
                     tenant.connection = None
 
     def _handle_message(self, message, tenant: Optional[_TenantState], sock: socket.socket):
@@ -677,6 +685,14 @@ class Gateway:
                 raise GatewayShutdownError("gateway is shutting down")
             if len(message) != 2 or not isinstance(message[1], Mapping):
                 raise GatewayProtocolError("hello carries one mapping of tenant fields")
+            protocol = message[1].get("protocol")
+            if protocol != SERVING_PROTOCOL_VERSION:
+                raise TenantRejectedError(
+                    f"serving protocol mismatch: client speaks {protocol!r}, "
+                    f"gateway speaks {SERVING_PROTOCOL_VERSION}"
+                )
+            if message[1].get("store"):
+                return ("hello_ack", {"protocol": SERVING_PROTOCOL_VERSION}), _STORE_CLIENT
             tenant = self._register_tenant(message[1], sock)
             ack = {
                 "protocol": SERVING_PROTOCOL_VERSION,
@@ -688,6 +704,14 @@ class Gateway:
             return ("hello_ack", ack), tenant
         if tenant is None:
             raise GatewayProtocolError(f"{kind!r} before hello")
+        if tenant is _STORE_CLIENT:
+            if kind not in ("fetch", "publish"):
+                raise GatewayProtocolError(f"a THT store connection may not send {kind!r}")
+            if self._shared_tht is None:
+                raise THTStoreUnavailableError(
+                    "this gateway keeps no shared THT tier (serving.shared_tht is off)"
+                )
+            return store_reply(self._shared_tht, message), tenant
         if kind == "submit_batch":
             if self._draining:
                 raise GatewayShutdownError("gateway is shutting down")

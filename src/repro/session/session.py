@@ -181,8 +181,8 @@ class Session:
     (or, on an in-flight exception, :meth:`close`) so executor resources —
     worker pools, shared-memory segments — are released on every path.
 
-    When ``atm.tht_store`` names a ``file://`` snapshot or ``tcp://`` cache
-    shard, the session warm-starts its THT from the store on open (falling
+    When ``atm.tht_store`` names a ``file://`` snapshot or a gateway's
+    ``tcp://`` shared tier, the session warm-starts its THT from the store on open (falling
     back to a cold table, with a ``RuntimeWarning``, if the store is corrupt
     or unreachable — ``Session.warm_started`` reports which happened) and
     publishes the run's new commits back on :meth:`finish`.

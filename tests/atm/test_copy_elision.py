@@ -262,7 +262,7 @@ class TestEntryIdentity:
             submit_step(session, src, dst)
             session.wait_all()
             entry = tagged_entry(dst)
-            # What a THT shard or a FileTHTStore delivers: an entry equal
+            # What a gateway's tcp:// tier or a FileTHTStore delivers: an entry equal
             # in every pickled field, any identity field a forger might copy
             # included.
             entry.serial = 7

@@ -13,8 +13,10 @@ inputs' digests.  Both ``p < 1`` columns were printed at PR 23, the child of
 ``7dcaa3e``, which hashes a sample in address order instead of shuffle order
 (a sample of one byte, or of two that the shuffle drew in ascending order,
 kept its value).  Each of the two redefinitions bumped
-``STORE_SCHEMA_VERSION``, ``SHARD_PROTOCOL_VERSION`` and ``PROTOCOL_VERSION``:
-a key that changes here invalidates every persisted or exchanged THT.
+``STORE_SCHEMA_VERSION``, the cache-shard protocol of the time (its store
+verbs are the gateway's now, behind ``SERVING_PROTOCOL_VERSION``) and
+``PROTOCOL_VERSION``: a key that changes here invalidates every persisted or
+exchanged THT.
 """
 
 from __future__ import annotations

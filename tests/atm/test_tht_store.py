@@ -1,19 +1,20 @@
 """Persistent THT store tests (DESIGN.md §9).
 
 Covers the ``file://`` snapshot format (round-trip bit-identity, append +
-compact, corruption -> named error + cold start), the ``tcp://`` cache-shard
-protocol (handshake, fetch/publish/stats, unavailability), and the Session
-warm-start semantics on the six benchmark applications.
+compact, corruption -> named error + cold start), the ``tcp://`` store — a
+gateway's shared THT tier (handshake, fetch/publish, refusals,
+unavailability, a ``file://``-backed tier across restarts) —, and the
+Session warm-start semantics on the six benchmark applications.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import io
 import json
 import pickle
+import socket
 import struct
-import sys
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -25,10 +26,8 @@ from repro.apps.registry import make_benchmark
 from repro.apps.registry import BENCHMARK_NAMES
 from repro.atm.store import (
     COMPACT_AFTER_FRAMES,
-    SHARD_PROTOCOL_VERSION,
     STORE_SCHEMA_VERSION,
     FileTHTStore,
-    ShardState,
     ShardTHTStore,
     _delta_of,
     _plain_delta,
@@ -37,7 +36,7 @@ from repro.atm.store import (
     parse_store_url,
 )
 from repro.atm.tht import TaskHistoryTable
-from repro.common.config import ATMConfig
+from repro.common.config import ATMConfig, ReproConfig
 from repro.common.exceptions import (
     ConfigurationError,
     THTStoreCorruptError,
@@ -46,7 +45,9 @@ from repro.common.exceptions import (
     THTStoreUnavailableError,
 )
 from repro.common.hashing import HashKey, hash_bytes
-from repro.runtime.net_wire import encode_frame, iter_frames
+from repro.runtime.net_wire import NetChunk, encode_frame, iter_frames, request
+from repro.serving import Gateway
+from repro.serving.gateway import SERVING_PROTOCOL_VERSION
 from repro.session import In, Out, Session
 
 CFG = ATMConfig(tht_bucket_bits=4, tht_bucket_capacity=8)
@@ -77,17 +78,39 @@ SCHEMA_4_FILE = b"".join(hand_frame(pickle.dumps(message, protocol=5)) for messa
 ))
 
 
-def load_shard_module():
-    """Import ``scripts/tht_shard.py`` (not a package) by file path."""
-    name = "tht_shard_under_test"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = Path(__file__).resolve().parents[2] / "scripts" / "tht_shard.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+#: The hello of a THT store client.
+STORE_HELLO = ("hello", {"protocol": SERVING_PROTOCOL_VERSION, "store": True})
+
+
+def tier_gateway(store_url=None, shared_tht: bool = True) -> Gateway:
+    """A serial gateway (not started) whose shared tier has :data:`CFG`'s
+    geometry (and warm-starts from / publishes to ``store_url``)."""
+    atm = {"tht_bucket_bits": CFG.tht_bucket_bits,
+           "tht_bucket_capacity": CFG.tht_bucket_capacity, "tht_store": store_url}
+    return Gateway(ReproConfig().with_overrides(
+        runtime={"executor": "serial"}, atm=atm, serving={"shared_tht": shared_tht},
+    ))
+
+
+def tcp_url(gateway: Gateway) -> str:
+    return f"tcp://127.0.0.1:{gateway.port}"
+
+
+@pytest.fixture()
+def store_socket():
+    """``connect(gateway)``: a raw socket to ``gateway`` that said the
+    store hello; closed with the test."""
+    sockets = []
+
+    def connect(gateway: Gateway) -> socket.socket:
+        sock = socket.create_connection(("127.0.0.1", gateway.port), timeout=10.0)
+        sockets.append(sock)
+        assert request(sock, STORE_HELLO)[0] == "hello_ack"
+        return sock
+
+    yield connect
+    for sock in sockets:
+        sock.close()
 
 
 def fill_table(n: int = 12, seed: int = 0) -> TaskHistoryTable:
@@ -116,13 +139,10 @@ def store_path(tmp_path) -> Path:
 
 
 @pytest.fixture(scope="module")
-def shard():
-    """An in-process cache-shard daemon; yields its ``tcp://`` URL."""
-    server, addr = load_shard_module().serve_in_thread(
-        bucket_bits=CFG.tht_bucket_bits, bucket_capacity=CFG.tht_bucket_capacity
-    )
-    yield f"tcp://{addr}"
-    server.shutdown_gracefully()
+def tier():
+    """An in-process gateway with a shared tier; yields its ``tcp://`` URL."""
+    with tier_gateway() as gateway:
+        yield tcp_url(gateway)
 
 
 class TestUrlParsing:
@@ -356,113 +376,122 @@ class TestFileStore:
         assert len(store.load()["entries"]) == 5
 
 
-class TestShardState:
+class TestGatewayStore:
+    """The store verbs on a gateway's connection (the server half of
+    :class:`ShardTHTStore`)."""
+
     def test_hello_checks_the_protocol_version(self):
-        state = ShardState(CFG)
-        kind, info = state.handle(("hello", {"protocol": SHARD_PROTOCOL_VERSION}))
-        assert kind == "hello_ack"
-        assert info["schema"] == STORE_SCHEMA_VERSION
-        reply = state.handle(("hello", {"protocol": 999}))
-        assert reply[0] == "error"
-        reply = state.handle(("hello", {"protocol": SHARD_PROTOCOL_VERSION - 1}))
-        assert reply[:2] == ("error", "THTStoreUnavailableError")
-        assert "shard speaks protocol 6, client spoke 5" in reply[2]
+        with tier_gateway() as gateway, socket.create_connection(
+            ("127.0.0.1", gateway.port), timeout=10.0
+        ) as sock:
+            assert request(sock, ("hello", {"protocol": 999, "store": True}))[0] == "error"
+            # The previous version found entries under other key definitions.
+            reply = request(sock, ("hello", {"protocol": SERVING_PROTOCOL_VERSION - 1,
+                                             "store": True}))
+            assert reply[:2] == ("error", "TenantRejectedError")
+            assert "client speaks 4, gateway speaks 5" in reply[2]
+            # A refused hello leaves the connection without a role: it may
+            # greet again.
+            kind, info = request(sock, STORE_HELLO)
+            assert (kind, info) == ("hello_ack", {"protocol": SERVING_PROTOCOL_VERSION})
 
-    def test_publish_then_fetch_round_trips(self):
-        state = ShardState(CFG)
-        shipped = fill_table(8).snapshot()
-        # Entries cross the shard's wire as plain tuples.
-        kind, received = state.handle(("publish", _plain_delta(shipped)))
-        assert (kind, received) == ("publish_ack", 8)
-        kind, delta = state.handle(("fetch",))
-        assert kind == "fetch_result"
-        assert entry_map(_delta_of(delta)).keys() == entry_map(shipped).keys()
-        kind, stats = state.handle(("stats",))
-        assert kind == "stats_reply"
-        assert stats["entries"] == 8
-        assert stats["publishes"] == 1 and stats["fetches"] == 1
+    def test_publish_then_fetch_round_trips(self, store_socket):
+        with tier_gateway() as gateway:
+            sock = store_socket(gateway)
+            shipped = fill_table(8).snapshot()
+            # Entries cross the wire as plain tuples.
+            assert request(sock, ("publish", _plain_delta(shipped))) == ("publish_ack", 8)
+            kind, delta = request(sock, ("fetch",))
+            assert kind == "fetch_result"
+            assert entry_map(_delta_of(delta)).keys() == entry_map(shipped).keys()
+            assert len(gateway._shared_tht) == 8
 
-    def test_malformed_requests_get_error_replies(self):
-        state = ShardState(CFG)
-        assert state.handle("not-a-tuple")[0] == "error"
-        assert state.handle(("frobnicate",))[0] == "error"
-        assert state.handle(("publish", "not-a-delta"))[0] == "error"
+    def test_malformed_requests_get_error_replies(self, store_socket):
+        with tier_gateway() as gateway:
+            sock = store_socket(gateway)
+            assert request(sock, "not-a-tuple")[0] == "error"
+            assert request(sock, ("frobnicate",))[0] == "error"
+            assert request(sock, ("publish", "not-a-delta")) == (
+                "error", "THTStoreError", "publish carries no THT delta"
+            )
+            assert request(sock, ("fetch",))[0] == "fetch_result"  # still served
+
+    def test_a_store_connection_is_no_tenant_and_may_not_submit(self, store_socket):
+        with tier_gateway() as gateway:
+            sock = store_socket(gateway)
+            reply = request(sock, ("submit_batch", NetChunk(0, (), ())))
+            assert reply[:2] == ("error", "GatewayProtocolError")
+            assert "may not send 'submit_batch'" in reply[2]
+            assert request(sock, ("barrier",))[:2] == ("error", "GatewayProtocolError")
+            assert gateway._tenants == {}
+            assert gateway._admission.snapshot()["tenants"] == {}
+
+    def test_a_gateway_without_a_shared_tier_refuses_the_store_verbs(self, store_socket):
+        with tier_gateway(shared_tht=False) as gateway:
+            sock = store_socket(gateway)
+            for message in (("fetch",), ("publish", _plain_delta(fill_table(2).snapshot()))):
+                reply = request(sock, message)
+                assert reply[:2] == ("error", "THTStoreUnavailableError")
+                assert "keeps no shared THT tier" in reply[2]
+            with ShardTHTStore("127.0.0.1", gateway.port, CFG) as client:
+                with pytest.raises(THTStoreUnavailableError, match="shared THT tier"):
+                    client.load()
+            url = tcp_url(gateway)
+            with pytest.warns(RuntimeWarning, match="unavailable.*shared THT tier"):
+                session, _ = run_saxpy({"atm": {"mode": "static", "tht_store": url}})
+            assert not session.warm_started
 
 
-class TestShardService:
-    def test_publish_visible_to_other_clients(self, shard):
+class TestGatewayStoreService:
+    def test_publish_visible_to_other_clients(self, tier):
         shipped = fill_table(10, seed=3).snapshot()
-        with open_store(shard, CFG) as writer:
+        with open_store(tier, CFG) as writer:
+            assert isinstance(writer, ShardTHTStore)
             assert writer.publish(shipped) == 10
-        with open_store(shard, CFG) as reader:
+        with open_store(tier, CFG) as reader:
             fetched = reader.load()
-            stats = reader.stats()
         assert entry_map(shipped).keys() <= entry_map(fetched).keys()
-        assert stats["publishes"] >= 1
-        assert stats["backend"] == "shard"
 
-    def test_unreachable_shard_raises_unavailable(self):
+    def test_unreachable_store_raises_unavailable(self):
         with pytest.raises(THTStoreUnavailableError):
             ShardTHTStore("127.0.0.1", 1, CFG, timeout_s=0.5)
 
-    def test_closed_connection_raises_unavailable(self, shard):
-        store = open_store(shard, CFG)
+    def test_closed_connection_raises_unavailable(self, tier):
+        store = open_store(tier, CFG)
         store.close()
         with pytest.raises(THTStoreUnavailableError):
             store.load()
 
-    def test_backed_shard_survives_restart(self, tmp_path):
-        backing = tmp_path / "shard-backing.tht"
-        module = load_shard_module()
-        server, addr = module.serve_in_thread(
-            bucket_bits=CFG.tht_bucket_bits,
-            bucket_capacity=CFG.tht_bucket_capacity,
-            backing=backing,
-        )
+    def test_file_backed_tier_survives_restart(self, tmp_path):
+        backing = tmp_path / "tier-backing.tht"
         shipped = fill_table(7, seed=5).snapshot()
-        with ShardTHTStore(*addr.rsplit(":", 1)[:1], int(addr.rsplit(":", 1)[1]), CFG) as c:
-            c.publish(shipped)
-        server.shutdown_gracefully()  # flushes the backing file
-        assert backing.exists()
-        server2, addr2 = module.serve_in_thread(
-            bucket_bits=CFG.tht_bucket_bits,
-            bucket_capacity=CFG.tht_bucket_capacity,
-            backing=backing,
-        )
-        try:
-            with ShardTHTStore(*addr2.rsplit(":", 1)[:1], int(addr2.rsplit(":", 1)[1]), CFG) as c:
-                restored = c.load()
-            assert entry_map(shipped).keys() == entry_map(restored).keys()
-        finally:
-            server2.shutdown_gracefully()
+        gateway = tier_gateway(f"file://{backing}")
+        gateway.start()
+        with ShardTHTStore("127.0.0.1", gateway.port, CFG) as client:
+            client.publish(shipped)
+        gateway.stop()  # publishes what the merge pump had not shipped yet
+        assert entry_map(FileTHTStore(backing, CFG).load()).keys() == entry_map(shipped).keys()
+        with tier_gateway(f"file://{backing}") as gateway:
+            with ShardTHTStore("127.0.0.1", gateway.port, CFG) as client:
+                restored = client.load()
+        assert entry_map(shipped).keys() == entry_map(restored).keys()
 
-    def test_flush_every_fires_for_a_persistent_client(self, tmp_path):
-        """One long-lived connection (a gateway holds its shard connection
-        for life): every 2nd publish must reach the backing file *before*
-        the client disconnects, or a ``kill -9`` of the shard loses
-        everything since boot."""
-        backing = tmp_path / "shard-backing.tht"
-        server, addr = load_shard_module().serve_in_thread(
-            bucket_bits=CFG.tht_bucket_bits,
-            bucket_capacity=CFG.tht_bucket_capacity,
-            backing=backing,
-            flush_every=2,
-        )
-        host, port = addr.rsplit(":", 1)
-        try:
-            with ShardTHTStore(host, int(port), CFG) as client:
-                client.publish(fill_table(3, seed=1).snapshot())
-                assert not backing.exists()  # 1 publish: nothing due yet
-                second = fill_table(3, seed=2).snapshot()
-                client.publish(second)
-                # Still connected: the flush happened where the publish did.
-                persisted = FileTHTStore(backing, CFG).load()
-                assert entry_map(second).keys() <= entry_map(persisted).keys()
-                assert len(persisted["entries"]) == 6
-                client.publish(fill_table(3, seed=3).snapshot())
+    def test_publishes_reach_the_file_while_the_client_stays_connected(self, tmp_path):
+        """One long-lived connection (a gateway holds its store connection
+        for life): what it publishes reaches the file through the merge
+        pump while it stays connected, or a ``kill -9`` of the tier's
+        gateway loses everything since boot."""
+        backing = tmp_path / "tier-backing.tht"
+        with tier_gateway(f"file://{backing}") as gateway:
+            with ShardTHTStore("127.0.0.1", gateway.port, CFG) as client:
+                for seed in (1, 2):
+                    client.publish(fill_table(3, seed=seed).snapshot())
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    if backing.exists() and len(FileTHTStore(backing, CFG).load()["entries"]) == 6:
+                        break
+                    time.sleep(0.01)
                 assert len(FileTHTStore(backing, CFG).load()["entries"]) == 6
-        finally:
-            server.shutdown_gracefully()
 
 
 def run_saxpy(config, n=10, start=0):
@@ -494,9 +523,9 @@ class TestSessionWarmStart:
         assert warm.stats["tht_hits"] == 10  # every task reused: >50% hit-rate
         assert all(np.array_equal(a, b) for a, b in zip(cold_out, warm_out))
 
-    def test_shard_store_cold_then_warm(self, shard):
-        cold, cold_out = run_saxpy(self.atm(shard), n=8)
-        warm, warm_out = run_saxpy(self.atm(shard), n=8)
+    def test_gateway_store_cold_then_warm(self, tier):
+        cold, cold_out = run_saxpy(self.atm(tier), n=8)
+        warm, warm_out = run_saxpy(self.atm(tier), n=8)
         assert warm.warm_started
         assert warm.stats["tht_hits"] == 8
         assert all(np.array_equal(a, b) for a, b in zip(cold_out, warm_out))
@@ -618,7 +647,7 @@ class TestSessionWarmStart:
         assert not session.warm_started
         assert store_path.read_bytes() == SCHEMA_4_FILE
 
-    def test_unreachable_shard_warns_and_cold_starts(self):
+    def test_unreachable_tcp_store_warns_and_cold_starts(self):
         with pytest.warns(RuntimeWarning, match="unavailable"):
             session, _ = run_saxpy(self.atm("tcp://127.0.0.1:1"))
         assert not session.warm_started

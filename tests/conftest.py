@@ -15,7 +15,6 @@ import pytest
 
 from repro.atm.engine import ATMEngine
 from repro.atm.policy import DynamicATMPolicy, StaticATMPolicy
-from repro.atm.store import ShardState, serve_shard_connection
 from repro.common.config import ATMConfig, ReproConfig, RuntimeConfig, SimulationConfig
 from repro.runtime.data import In, Out
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
@@ -100,27 +99,24 @@ def no_leaked_workers():
     assert not leaked, f"test leaked {leaked}"
 
 
-#: The three frame daemons that read bytes from any TCP peer.
-LISTENERS = ("net_worker", "gateway", "tht_shard")
+#: The two frame daemons that read bytes from any TCP peer.
+LISTENERS = ("net_worker", "gateway")
 
 
 @pytest.fixture
 def live_listener():
     """``start(kind)`` serves one of :data:`LISTENERS` in-process on an
     ephemeral loopback port and returns its ``(host, port)``; everything
-    started is shut down with the test."""
+    started is shut down with the test.  The gateway keeps a shared THT
+    tier, so its store verbs answer too."""
     with contextlib.ExitStack() as stack:
         def start(kind: str) -> tuple[str, int]:
             if kind == "gateway":
-                config = ReproConfig().with_overrides(runtime={"executor": "serial"})
-                return "127.0.0.1", stack.enter_context(Gateway(config)).port
-            if kind == "net_worker":
-                server = FrameServer(("127.0.0.1", 0), serve_connection)
-            else:
-                state = ShardState()
-                server = FrameServer(
-                    ("127.0.0.1", 0), lambda sock, _id: serve_shard_connection(sock, state)
+                config = ReproConfig().with_overrides(
+                    runtime={"executor": "serial"}, serving={"shared_tht": True}
                 )
+                return "127.0.0.1", stack.enter_context(Gateway(config)).port
+            server = FrameServer(("127.0.0.1", 0), serve_connection)
             host, port = server.serve_in_thread().rsplit(":", 1)
             stack.callback(server.shutdown_gracefully, 2.0)
             stack.callback(server.close_connections)

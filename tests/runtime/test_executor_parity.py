@@ -277,14 +277,18 @@ def counts(result) -> tuple:
 @pytest.mark.parametrize("executor", REMOTE)
 @pytest.mark.parametrize("bench_name", sorted(DYNAMIC_PINS))
 def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
-    """Training runs once, in the parent: a two-worker pool freezes a
-    sampling fraction, reuses work and keeps the paper's error bound."""
+    """Training runs once, in the parent, one task in flight at a time: a
+    two-worker pool with chunks of eight freezes serial's sampling
+    fraction with serial's counts and keeps the paper's error bound."""
     exact, _, _ = run_with_session_engine(bench_name, "serial", "none")
+    _, serial, serial_p = run_with_session_engine(bench_name, "serial", "dynamic")
     app, result, chosen = run_with_session_engine(
         bench_name, executor, "dynamic", workers=2, chunk_size=8
     )
-    assert chosen is not None, f"{bench_name}/{executor}: training never ended"
-    assert result.tasks_memoized + result.tasks_deferred > 0
+    assert (chosen, result.tasks_memoized + result.tasks_deferred, result.tasks_trained) == (
+        serial_p, serial.tasks_memoized, serial.tasks_trained
+    ), f"{bench_name}/{executor}"
+    assert chosen == DYNAMIC_PINS[bench_name]
     assert app.relative_error(exact.output()) <= app.info.tau_max
 
 

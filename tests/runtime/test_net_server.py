@@ -1,14 +1,17 @@
-"""The one server model: :class:`FrameServer` and the three daemons on it.
+"""The one server model: :class:`FrameServer` and the two daemons on it.
 
 Unit half: the accept loop stops the moment ``shutdown()`` asks (no poll
 tick), serves nothing afterwards, and survives a connection function that
-raises.  Daemon half: ``scripts/net_worker.py``, ``scripts/tht_shard.py`` and
-``scripts/gateway.py`` as real processes — announce, serve one request, exit 0
-on SIGTERM through :func:`run_daemon`.
+raises.  Daemon half: ``scripts/net_worker.py`` and ``scripts/gateway.py`` as
+real processes — announce, serve one request, exit 0 on SIGTERM through
+:func:`run_daemon` — and the gateway as a ``tcp://`` THT store: the store
+greeting's version check, and a ``file://``-backed shared tier that keeps
+what store clients published across a restart.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import socket
@@ -21,13 +24,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.atm.store import SHARD_PROTOCOL_VERSION
+from repro.atm.store import FileTHTStore, ShardTHTStore
 from repro.runtime.data import Out
 from repro.runtime.net_server import FrameServer
 from repro.runtime.net_wire import read_frame, request, write_frame
 from repro.runtime.task import TaskType
 from repro.serving import GatewayClient
+from repro.serving.gateway import SERVING_PROTOCOL_VERSION
 from repro.testing.traffic import fill_block
+from tests.atm.test_tht_store import CFG, entry_map, fill_table
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BOUND_S = 10.0
@@ -107,7 +112,7 @@ class TestFrameServer:
             server.shutdown_gracefully(grace_s=BOUND_S)
 
 
-# -- the three daemons as processes ---------------------------------------------------
+# -- the two daemons as processes -----------------------------------------------------
 def ping_worker(host: str, port: int) -> None:
     # A well-framed message that is no hello: reported and closed, with
     # nothing on the daemon's stderr — and the next connection is served.
@@ -120,16 +125,6 @@ def ping_worker(host: str, port: int) -> None:
         write_frame(sock, ("shutdown",))
 
 
-def greet_shard(host: str, port: int) -> None:
-    with socket.create_connection((host, port), timeout=BOUND_S) as sock:
-        # The previous protocol found entries under another key definition.
-        reply = request(sock, ("hello", {"protocol": SHARD_PROTOCOL_VERSION - 1}))
-        assert reply[:2] == ("error", "THTStoreUnavailableError")
-        reply = request(sock, ("hello", {"protocol": SHARD_PROTOCOL_VERSION}))
-        assert reply[0] == "hello_ack"
-        write_frame(sock, ("bye",))
-
-
 def run_one_tenant(host: str, port: int) -> None:
     block = np.zeros(4)
     with GatewayClient(host, port, tenant="daemon-test") as client:
@@ -139,13 +134,11 @@ def run_one_tenant(host: str, port: int) -> None:
     assert np.all(block == 6.0)
 
 
-@pytest.mark.parametrize("script, extra, one_request", [
-    ("net_worker.py", [], ping_worker),
-    ("tht_shard.py", [], greet_shard),
-    ("gateway.py", ["--executor", "serial"], run_one_tenant),
-], ids=["net_worker", "tht_shard", "gateway"])
-def test_daemon_announces_serves_and_exits_cleanly_on_sigterm(script, extra, one_request):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+@contextlib.contextmanager
+def daemon_process(script: str, *extra: str, env: "dict | None" = None):
+    """Run ``scripts/<script>`` on an ephemeral port; yields ``(host, port)``
+    and, once the block is done, SIGTERMs it and asserts a clean exit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **(env or {}))
     daemon = subprocess.Popen(
         [sys.executable, str(REPO_ROOT / "scripts" / script),
          "--host", "127.0.0.1", "--port", "0", "--announce", *extra],
@@ -155,7 +148,7 @@ def test_daemon_announces_serves_and_exits_cleanly_on_sigterm(script, extra, one
         announced = daemon.stdout.readline().split()
         assert announced[:1] == ["listening"], (announced, daemon.stderr.read())
         host, port = announced[1].rsplit(":", 1)
-        one_request(host, int(port))
+        yield host, int(port)
         daemon.send_signal(signal.SIGTERM)
         _, stderr = daemon.communicate(timeout=BOUND_S)
     finally:
@@ -163,3 +156,40 @@ def test_daemon_announces_serves_and_exits_cleanly_on_sigterm(script, extra, one
         daemon.wait()
     assert daemon.returncode == 0
     assert stderr == ""
+
+
+@pytest.mark.parametrize("script, extra, one_request", [
+    ("net_worker.py", [], ping_worker),
+    ("gateway.py", ["--executor", "serial"], run_one_tenant),
+], ids=["net_worker", "gateway"])
+def test_daemon_announces_serves_and_exits_cleanly_on_sigterm(script, extra, one_request):
+    with daemon_process(script, *extra) as (host, port):
+        one_request(host, port)
+
+
+def test_gateway_daemon_is_a_tht_store_that_persists_its_tier(tmp_path):
+    """``REPRO_ATM_THT_STORE=file://FILE scripts/gateway.py --shared-tht``:
+    the store greeting checks the serving protocol version, what a store
+    client publishes is in FILE once the daemon stopped, and the next
+    daemon on FILE serves it from start."""
+    env = {"REPRO_ATM_THT_STORE": f"file://{tmp_path / 'tier.tht'}"}
+    shipped = fill_table(6, seed=4).snapshot()
+    with daemon_process("gateway.py", "--executor", "serial", "--shared-tht",
+                        env=env) as (host, port):
+        with socket.create_connection((host, port), timeout=BOUND_S) as sock:
+            # The previous version found entries under other key definitions.
+            old = ("hello", {"protocol": SERVING_PROTOCOL_VERSION - 1, "store": True})
+            reply = request(sock, old)
+            assert reply[:2] == ("error", "TenantRejectedError")
+            assert f"client speaks {SERVING_PROTOCOL_VERSION - 1}" in reply[2]
+            reply = request(sock, ("hello", {"protocol": SERVING_PROTOCOL_VERSION,
+                                             "store": True}))
+            assert reply[0] == "hello_ack"
+        with ShardTHTStore(host, port, CFG) as client:
+            assert client.publish(shipped) == 6
+    persisted = FileTHTStore(tmp_path / "tier.tht", CFG).load()
+    assert entry_map(persisted).keys() == entry_map(shipped).keys()
+    with daemon_process("gateway.py", "--executor", "serial", "--shared-tht",
+                        env=env) as (host, port):
+        with ShardTHTStore(host, port, CFG) as client:
+            assert entry_map(client.load()).keys() == entry_map(shipped).keys()

@@ -1,10 +1,11 @@
 """Listener fuzz: whatever a peer sends, every frame reader ends cleanly.
 
-The hypothesis strategies of ``test_net_wire_property.py`` drive the three
-live listeners (``net_worker``, the gateway, ``tht_shard``) and the
-``file://`` store reader with control sections inside valid frames — codec
-messages of any shape, JSON in the codec's tag alphabet, arbitrary bytes —
-and with raw byte strings.  A listener must answer with error frames and/or
+The hypothesis strategies of ``test_net_wire_property.py`` drive the two
+live listeners (``net_worker`` and the gateway — as a tenant's peer and,
+behind a store hello, as a THT store client's) and the ``file://`` store
+reader with control sections inside valid frames — codec messages of any
+shape, JSON in the codec's tag alphabet, arbitrary bytes — and with raw byte
+strings.  A listener must answer with error frames and/or
 close the connection within :data:`DEADLINE_S` (a hang fails the test) and
 keep serving the next peer; the store reader must load or raise
 :class:`~repro.common.exceptions.THTStoreError`.
@@ -30,7 +31,13 @@ from test_net_wire_property import build_frame, frame_messages, messages  # noqa
 from repro.atm.store import FileTHTStore  # noqa: E402
 from repro.common.exceptions import THTStoreError  # noqa: E402
 from repro.runtime.codec import encode_control  # noqa: E402
-from repro.runtime.net_wire import MAX_FRAME_SEGMENTS, iter_frames, request  # noqa: E402
+from repro.runtime.net_wire import (  # noqa: E402
+    MAX_FRAME_SEGMENTS,
+    encode_frame,
+    iter_frames,
+    request,
+)
+from repro.serving.gateway import SERVING_PROTOCOL_VERSION  # noqa: E402
 
 EXAMPLES = int(os.environ.get("WIRE_FUZZ_EXAMPLES", "12"))
 
@@ -76,17 +83,24 @@ fuzz_inputs = st.one_of(
 )
 
 
+#: What a THT store client says first to a gateway: the fuzzed bytes behind
+#: it reach the store verbs.
+STORE_HELLO = bytes(encode_frame(("hello", {"protocol": SERVING_PROTOCOL_VERSION, "store": True})))
+
+
 @pytest.mark.parametrize("kind", LISTENERS)
 def test_a_listener_answers_any_input_with_errors_or_a_close(kind, live_listener):
     address = live_listener(kind)
+    prefixes = (b"", STORE_HELLO) if kind == "gateway" else (b"",)
 
     @settings(max_examples=EXAMPLES, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(fuzz_inputs)
     def check(raw: bytes) -> None:
-        # socket.timeout (an OSError) here is a hang: the test fails.
-        replies = list(iter_frames(exchange(address, raw, DEADLINE_S)))
-        assert all(type(reply) is tuple and type(reply[0]) is str for reply in replies)
+        for prefix in prefixes:
+            # socket.timeout (an OSError) here is a hang: the test fails.
+            replies = list(iter_frames(exchange(address, prefix + raw, DEADLINE_S)))
+            assert all(type(reply) is tuple and type(reply[0]) is str for reply in replies)
         # ... and the listener still serves the next peer.
         with socket.create_connection(address, timeout=DEADLINE_S) as sock:
             assert type(request(sock, ("ping",))) is tuple

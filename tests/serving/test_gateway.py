@@ -668,24 +668,31 @@ class TestPersistentSharedTier:
         assert np.array_equal(out_first, out_second)
 
     def test_gateway_publishes_to_shard_sessions_can_reuse(self, tmp_path):
-        from tests.atm.test_tht_store import load_shard_module
-
-        server, addr = load_shard_module().serve_in_thread()
-        url = f"tcp://{addr}"
-        try:
-            with Gateway(self.store_config(url)) as gw:
-                self.run_app(gw, "shard-pub")
-            # The merge pump shipped the shared tier to the shard; a plain
-            # Session pointed at the same shard now warm-starts from it.
+        """A Session on ``tcp://<gateway>`` warm-starts from what the
+        gateway's tenants put in its shared tier, and a tenant reuses what
+        such a Session published."""
+        url = f"file://{tmp_path / 'tier.tht'}"
+        with Gateway(self.store_config(url)) as gw:
+            first, out_first = self.run_app(gw, "tier-pub")
+            session_config = {"atm": {"mode": "static", "tht_store": f"tcp://127.0.0.1:{gw.port}"}}
             app = make_benchmark("blackscholes", scale="tiny")
-            with Session(
-                {"atm": {"mode": "static", "tht_store": url}}, executor="serial"
-            ) as session:
+            with Session(session_config, executor="serial") as session:
                 app.run(session)
                 assert session.warm_started
                 assert session.stats["tht_hits"] > 0
-        finally:
-            server.shutdown_gracefully()
+            assert np.array_equal(app.output(), out_first)
+        # The reverse direction, on a fresh gateway whose tier is cold: the
+        # Session's publish at finish lands in it and serves the next tenant.
+        with Gateway(self.store_config(None)) as gw:
+            session_config = {"atm": {"mode": "static", "tht_store": f"tcp://127.0.0.1:{gw.port}"}}
+            with Session(session_config, executor="serial") as session:
+                make_benchmark("blackscholes", scale="tiny").run(session)
+                assert not session.warm_started
+            second, out_second = self.run_app(gw, "tier-sub")
+        assert first.extra["shared_hits"] == 0
+        assert second.extra["shared_hits"] > 0
+        assert second.tasks_executed < first.tasks_executed
+        assert np.array_equal(out_first, out_second)
 
     def test_unavailable_store_degrades_to_in_memory_tier(self):
         cfg = self.store_config("tcp://127.0.0.1:1")
