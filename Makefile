@@ -40,8 +40,10 @@ examples:
 	$(PYTHON) examples/adaptive_approximation.py tiny
 
 # Process backend: the shared-memory protocol and pool lifecycle, the
-# host-write contract, the data plane's property + counting tests (first-touch
-# copy-in, per-result copy-out), what failed drains leave at home, and the
+# host-write contract (announced stores are seen; copy-in trusts
+# write-versions and compares no bytes), the data plane's property + counting
+# tests (first-touch copy-in by version, per-result copy-out), what failed
+# drains leave at home and out of step, and the
 # executor parity matrix (its process cells; the simulator and network-only
 # tests of that file are left to the tiers that own them), and the copy-elision
 # units (the parent elides as serial does, a remote MEMOIZED completion clears

@@ -139,22 +139,6 @@ class RegionVersionRegistry:
                 return None
             return entry[2].get(interval)
 
-    def prune(self) -> int:
-        """Drop entries whose buffers were garbage collected.
-
-        Collection normally removes entries via the weakref callback; this
-        is a safety net for exotic cases where the callback never ran.
-        """
-        with self._lock:
-            dead = [key for key, entry in self._entries.items() if entry[0]() is None]
-            for key in dead:
-                del self._entries[key]
-            return len(dead)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def reset(self) -> None:
         """Forget every entry under a fresh lock; the clock keeps counting.
 
@@ -358,6 +342,14 @@ class DataRegion:
 
     def bump_version(self, source=None, index: int = 0) -> int:
         """Record that a write to this region has committed.
+
+        The host-write contract (DESIGN.md §4.5): a host store into an
+        array the runtime has seen is announced with this call (or made
+        through :meth:`copy_from`) before the next submission that reads
+        it.  Every backend trusts the version — ATM key caches and content
+        tags, the process backend's copy-in, network residency — so an
+        unannounced store may be computed on, or memoized with, the old
+        bytes.
 
         A plain bump clears the content tags of the byte intervals this
         region overlaps; with ``source`` the region ends up tagged "holds

@@ -16,9 +16,10 @@ at once, an IKT hit waits for its producer, and neither ships.
 An executor *composes* a dispatcher and is its transport: the dispatcher
 calls seven methods of its host besides the shared Figure 1 step, the last
 four being the data plane of a backend that shares no memory with its
-workers (on the process backend ``_check_write`` and ``_task_raised`` do
-nothing, ``_write_back`` copies the task's written regions out of shared
-memory and ``_wrote_here`` copies them in).  ``worker`` is any hashable the
+workers (on the process backend ``_check_write`` does nothing,
+``_write_back`` copies the task's written regions out of shared memory,
+``_wrote_here`` copies them in and ``_task_raised`` marks their bases out of
+step with their segments).  ``worker`` is any hashable the
 transport uses to name a worker (a pool index, an endpoint object).
 
 ``_send(chunk) -> worker | None``
@@ -40,8 +41,8 @@ transport uses to name a worker (a pool index, an endpoint object).
 ``_write_back(worker, task, chunk, *payload)``
     Land it before the task's successors are released; may return a
     callable to run after the release.
-``_task_raised(worker)``
-    A body raised there; nothing was re-sent yet.
+``_task_raised(worker, task)``
+    ``task``'s body raised there; nothing was re-sent yet.
 ``_wrote_here(tasks)``
     The parent copied stored outputs into the written regions of
     ``tasks`` (THT or IKT hits); no worker holds those bytes yet.
@@ -351,7 +352,7 @@ class ChunkDispatcher:
         failure — is redistributed either way.
         """
         del self._ledger[worker][chunk.chunk_id]
-        self._host._task_raised(worker)
+        self._host._task_raised(worker, task)
         remaining = [
             t for t in chunk.tasks if t is not task and t.task_id in self.inflight
         ]

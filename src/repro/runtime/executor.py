@@ -39,7 +39,7 @@ from repro.common.exceptions import (
 )
 from repro.common.registry import EXECUTORS
 from repro.runtime.atm_protocol import (
-    ATMAction, ATMDecision, EXECUTE_DECISION, abandon, commit, lookup,
+    ATMAction, ATMDecision, EXECUTE_DECISION, abandon, commit, lookup, training,
 )
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.scheduler import Scheduler
@@ -411,6 +411,13 @@ class SerialExecutor(BaseExecutor):
         return self._result
 
 
+def _untrained(task: Task) -> bool:
+    """Whether ``task`` may start beside running tasks: no engine of its
+    owner trains its type."""
+    engine = task.engine
+    return engine is None or not task.task_type.atm_eligible or not training(task, engine)
+
+
 class _WorkerPool:
     """The long-lived worker threads of one :class:`ThreadedExecutor`.
 
@@ -420,6 +427,13 @@ class _WorkerPool:
     someone hands it a token.  Workers reach the executor only through a
     weak reference, so an executor that is dropped without ``close()`` is
     collected and its finalizer (``stop``) releases the threads.
+
+    A task whose engine still trains its type starts only while no other
+    worker is busy, as on the worker pools (``runtime/dispatch.py``): each
+    training outcome is measured at the ``p`` the one before it left, so
+    the pool freezes serial's ``p``.  Such a task at the head of the queue
+    is taken only under ``lock``, by a worker that finds ``busy`` empty —
+    the last one to finish — and stops every other pull until then.
     """
 
     def __init__(self, executor: "ThreadedExecutor") -> None:
@@ -492,7 +506,10 @@ class _WorkerPool:
             # Announce, then look once more: a concurrent push either sees
             # ``parked`` or is seen by this pop (no lost wake-up).
             self.parked += 1
-            task = executor.scheduler.next_task() if executor is not None else None
+            # ``busy`` only changes under ``lock``: a task an engine trains
+            # starts here, when no other worker is busy, or not at all.
+            admit = _untrained if self.busy else None
+            task = executor.scheduler.next_task(admit) if executor is not None else None
             if task is None:
                 return None
             self.parked -= 1
@@ -504,8 +521,9 @@ class _WorkerPool:
         try:
             while task is not None:
                 process(task, graph, worker_id)
-                # Checked before the pop, so a popped task always runs.
-                task = next_task() if self.graph is graph else None
+                # Checked before the pop, so a popped task always runs; a
+                # training task is left for ``_take``.
+                task = next_task(_untrained) if self.graph is graph else None
         except BaseException as exc:
             with self.lock:  # the first error ends the drain for every worker
                 self.errors.append(exc)

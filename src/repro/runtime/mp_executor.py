@@ -26,9 +26,10 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   protocol's (DESIGN.md §4.6) plus ``("release", slots)``: the segments of
   bases the parent collected, sent when a drain opens.
 * **Data plane** — bytes move per chunk, not per barrier, while the
-  workers compute: :meth:`ProcessExecutor._send` checks the base buffers a
-  chunk touches for the first time in the drain against their segments
-  (``copy_in``: a host store since the last drain is mirrored in),
+  workers compute: :meth:`ProcessExecutor._send` checks the write-versions
+  of the base buffers a chunk touches for the first time in the drain
+  (``copy_in``: a base whose version moved since its segment last matched
+  it — an announced host store, DESIGN.md §4.5 — is mirrored in),
   :meth:`ProcessExecutor._write_back` lands a completed task's written
   regions in the parent arrays (``copy_out``) *before* the task's
   successors — or a gateway tenant's barrier — are released, and
@@ -37,7 +38,9 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   there.  A drain that
   aborts, or a task that is quarantined, therefore leaves every completed
   task's outputs at home and a failed body's partial writes in the segment
-  only, where the next drain's first touch overwrites them (DESIGN.md §4.3).
+  only; the drain ends by settling every base it touched in step at its
+  version except those bases, which the next drain's first touch
+  overwrites (DESIGN.md §4.3).
 
 Worker processes persist across drains (barriers inside an application keep
 their attached segments); :meth:`ProcessExecutor.close` — called
@@ -79,6 +82,11 @@ from repro.runtime.shm import SharedBufferRegistry, WorkerArena
 from repro.runtime.supervision import POLL_INTERVAL
 
 __all__ = ["ProcessExecutor"]
+
+
+def _writes(tasks):
+    """The regions ``tasks`` write."""
+    return (access.region for task in tasks for access in task.accesses if access.writes)
 
 
 def _worker_main(worker_id: int, task_queue, results, ack_chunks: bool) -> None:
@@ -214,6 +222,7 @@ class ProcessExecutor(BaseExecutor):
         returns the old worker's name and the chunks it still held."""
         process = self._processes[worker_id]
         chunks = self._dispatcher.reclaim(worker_id)
+        self._registry.stale(_writes(task for chunk in chunks for task in chunk.tasks))
         if process.is_alive():
             process.terminate()
         process.join(timeout=5.0)
@@ -301,24 +310,21 @@ class ProcessExecutor(BaseExecutor):
 
     # Shared memory is the data plane: a result carries no bytes — the
     # task's written regions are read out of the segments (copy-out) — and a
-    # body that raised leaves nothing stale behind.
+    # body that raised leaves its written bases out of step.
     def _check_write(self, task) -> None:
         return None
 
     def _write_back(self, worker_id: int, task, chunk: Chunk) -> None:
-        self._stats["copyout_buffers"] += self._registry.copy_out(
-            access.region for access in task.accesses if access.writes
-        )
+        self._stats["copyout_buffers"] += self._registry.copy_out(_writes([task]))
 
-    def _task_raised(self, worker_id: int) -> None:
-        return None
+    def _task_raised(self, worker_id: int, task) -> None:
+        # The body may have written part of its outputs in the segments.
+        self._registry.stale(_writes([task]))
 
     def _wrote_here(self, tasks) -> None:
         # The tasks hold their outputs exclusively: no worker reads or
         # writes those bytes while they are mirrored in.
-        self._registry.copy_regions_in(
-            access.region for task in tasks for access in task.accesses if access.writes
-        )
+        self._registry.copy_regions_in(_writes(tasks))
 
     # -- the parent's share of the Figure 1 step ----------------------------------
     @property
@@ -365,7 +371,11 @@ class ProcessExecutor(BaseExecutor):
             frame = bytes(encode_frame(("release", released)))
             for task_queue in self._task_queues:
                 task_queue.put(frame)
-        self._registry.fresh.clear()
-        self._result.elapsed += self._dispatcher.run(graph)
+        try:
+            self._result.elapsed += self._dispatcher.run(graph)
+        finally:
+            # An aborted drain leaves tasks in flight that may still write.
+            self._registry.stale(_writes(self._dispatcher.inflight.values()))
+            self._registry.settle()
         self._result.extra.setdefault("process_backend", self._stats)
         return self._result

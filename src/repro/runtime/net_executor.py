@@ -398,7 +398,7 @@ class NetworkExecutor(BaseExecutor):
             "failures: " + "; ".join(self._failures),
         )
 
-    def _task_raised(self, endpoint: SocketEndpoint) -> None:
+    def _task_raised(self, endpoint: SocketEndpoint, task: Task) -> None:
         """A body raised on ``endpoint``: forget what it holds, so the next
         dispatch re-ships full bytes — the body may have partially written
         into cached backings, which re-shipped bytes replace."""

@@ -14,10 +14,13 @@ home; this module provides it (see DESIGN.md §4.3):
   when a task's result arrives, for the regions that task wrote, and
   ``copy_regions_in`` when the parent memoized a task, for the regions the
   THT or IKT copy wrote.
-  ``copy_in`` only copies (and version-bumps) buffers whose bytes actually
-  differ from the segment, so the parent's key caches survive
-  multi-barrier programs whose inputs the host never touched; buffers a
-  drain never touches are never compared.  Bases are held weakly: a
+  ``copy_in`` trusts write-versions, as every backend does (DESIGN.md
+  §4.5): it refreshes a segment only when its base's version moved since
+  the segment last matched the host, and compares no bytes.  A drain ends
+  with :meth:`~SharedBufferRegistry.settle`, which records every base it
+  touched as in step at its current version — except the bases a failed
+  body or a lost worker may have half-written in the segment
+  (:meth:`~SharedBufferRegistry.stale`).  Bases are held weakly: a
   segment lives as long as its array, and is unlinked when the first drain
   after the array's collection opens (:meth:`SharedBufferRegistry.release`).
 * :class:`WorkerArena` (worker side) — the
@@ -26,16 +29,16 @@ home; this module provides it (see DESIGN.md §4.3):
   write-versions: the parent orders every commit and owns every key cache
   and content tag that reads them.
 
-**The first-touch invariant.**  A base buffer is compared with (and, on a
-difference, refreshed into) its segment only while *no task of the open drain
-that touches it is in flight*: the check runs the first time a chunk that
-touches the buffer is sent and marks the buffer *fresh* before that chunk
-leaves, so every task that touches it was sent after the check; the fresh
-set is cleared when a drain opens (``ProcessExecutor.drain``) and a buffer
-registered mid-drain is born fresh, because ``register`` seeds its segment.
-A refresh can therefore never clobber a sibling region a worker is writing,
-and a write-back — region by region, at completion — never carries a
-sibling's half-written bytes home.
+**The first-touch invariant.**  A base buffer is checked against (and, when
+out of step, refreshed into) its segment only while *no task of the open
+drain that touches it is in flight*: the check runs the first time a chunk
+that touches the buffer is sent and marks the buffer *fresh* before that
+chunk leaves, so every task that touches it was sent after the check; the
+fresh set is cleared when the drain settles (``ProcessExecutor.drain``) and
+a buffer registered mid-drain is born fresh, because ``register`` seeds its
+segment.  A refresh can therefore never clobber a sibling region a worker
+is writing, and a write-back — region by region, at completion — never
+carries a sibling's half-written bytes home.
 
 Attach/detach is name-based, so the protocol works under every
 multiprocessing start method (``fork``, ``spawn``, ``forkserver``).
@@ -66,9 +69,11 @@ class _SharedBuffer:
 
     The base is held weakly; its collection appends the record to ``dead``
     (the weakref callback, which may run on any thread, does nothing else).
+    ``version`` is the base's write-version when the segment last matched
+    it (``None``: out of step).
     """
 
-    __slots__ = ("slot", "base", "key", "address", "shm", "mirror", "flat_mirror")
+    __slots__ = ("slot", "base", "key", "address", "shm", "mirror", "version")
 
     def __init__(
         self, slot: int, base: np.ndarray, shm: shared_memory.SharedMemory, dead: list
@@ -83,10 +88,11 @@ class _SharedBuffer:
         self.mirror = np.ndarray(
             base.shape, dtype=base.dtype, buffer=shm.buf, strides=base.strides
         )
-        self.flat_mirror = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf)
+        np.copyto(self.mirror, base, casting="no")
+        self.version: Optional[int] = region_versions.version_of(base)
 
     def unlink(self) -> None:
-        self.mirror = self.flat_mirror = None  # release the exported buffer first
+        self.mirror = None  # release the exported buffer first
         self.shm.close()
         try:
             self.shm.unlink()
@@ -108,9 +114,9 @@ class SharedBufferRegistry:
         #: Entries whose base was collected.  Appended by a weakref callback,
         #: which may run on any thread mid-drain; :meth:`release` drains it.
         self._dead: list[_SharedBuffer] = []
-        #: Slots checked by ``copy_in`` (or seeded by ``register``) in the
-        #: open drain; the executor clears it when a drain opens.
-        self.fresh: set[int] = set()
+        #: Entries checked by ``copy_in`` (or seeded by ``register``) in the
+        #: open drain; :meth:`settle` clears it when the drain ends.
+        self.fresh: set[_SharedBuffer] = set()
         #: Buffer-table rows of the refs made since the last :meth:`table`.
         self._touched: dict[int, NetBuffer] = {}
 
@@ -124,11 +130,10 @@ class SharedBufferRegistry:
         if entry is not None and entry.base() is base:
             return entry
         shm = shared_memory.SharedMemory(create=True, size=max(1, int(base.nbytes)))
-        entry = _SharedBuffer(next(self._slots), base, shm, self._dead)
-        # Seed the segment immediately: a buffer is registered by the first
+        # The entry seeds its segment: a buffer is registered by the first
         # chunk that touches it, and is fresh from then on.
-        np.copyto(entry.mirror, base, casting="no")
-        self.fresh.add(entry.slot)
+        entry = _SharedBuffer(next(self._slots), base, shm, self._dead)
+        self.fresh.add(entry)
         self._entries[entry.key] = entry
         return entry
 
@@ -141,7 +146,6 @@ class SharedBufferRegistry:
             entry = self._dead.pop()
             if self._entries.get(entry.key) is entry:  # the id may be reused
                 del self._entries[entry.key]
-            self.fresh.discard(entry.slot)
             entry.unlink()
             slots.append(entry.slot)
         return slots
@@ -163,43 +167,46 @@ class SharedBufferRegistry:
         touched, self._touched = self._touched, {}
         return tuple(touched.values())
 
-    @staticmethod
-    def _mirror_matches(entry: _SharedBuffer) -> bool:
-        """Byte-level comparison (NaN-safe: ``array_equal`` treats NaN != NaN,
-        which would defeat the skip forever for any buffer holding a NaN)."""
-        base = entry.base()
-        flat = base.ravel(order="K")
-        if not flat.flags.c_contiguous:  # pragma: no cover - exotic owners
-            return False
-        return np.array_equal(
-            entry.flat_mirror[: base.nbytes], flat.view(np.uint8)
-        )
-
     def copy_in(self, regions: Iterable[DataRegion]) -> int:
         """First touch of ``regions``' base buffers in the open drain: mirror
-        parent bytes into the segments; returns buffers refreshed.
+        the bases whose write-version moved since their segment last matched
+        into the segments; returns buffers refreshed.
 
-        Only buffers whose bytes differ are copied, and each refresh bumps
-        the base's write-version, so the parent's key caches and content
-        tags never serve bytes a host store replaced between drains.  A buffer already fresh is skipped
-        without a compare (module docstring).
+        A host store must be announced to be seen (DESIGN.md §4.5): no byte
+        is compared.  A buffer already fresh is skipped without a version
+        read (module docstring).
         """
         refreshed = 0
         fresh = self.fresh
         for region in regions:
             base = region._base
             entry = self.register(base)
-            if entry.slot in fresh:
+            if entry in fresh:
                 continue
-            fresh.add(entry.slot)
-            if self._mirror_matches(entry):
+            fresh.add(entry)
+            version = region_versions.version_of(base)
+            if entry.version == version:
                 continue
             np.copyto(entry.mirror, base, casting="no")
-            # A detected host write is an announced one: the version moves,
-            # dropping the base's content tags.
-            region_versions.bump(base)
+            entry.version = version
             refreshed += 1
         return refreshed
+
+    def stale(self, regions: Iterable[DataRegion]) -> None:
+        """A failed body or a lost worker may have written ``regions`` in
+        their segments: their bases are out of step until refreshed (a
+        fresh base is not refreshed again in the open drain)."""
+        for region in regions:
+            self.register(region._base).version = None
+
+    def settle(self) -> None:
+        """The drain is over: every base it touched is in step with its
+        segment at its current version, except the :meth:`stale` ones."""
+        for entry in self.fresh:
+            base = entry.base()
+            if base is not None and entry.version is not None:
+                entry.version = region_versions.version_of(base)
+        self.fresh.clear()
 
     def _segment_view(self, region: DataRegion) -> tuple[np.ndarray, np.ndarray]:
         """``(parent array, its mirror in the segment)`` of one region,

@@ -303,6 +303,9 @@ class Gateway:
         # subgraph, report through RunResult.failures) — an aborting pool
         # would let one tenant's bug take down every other tenant's drain.
         cfg = cfg.with_overrides(runtime={"on_task_failure": "quarantine"})
+        if cfg.atm.tht_store and not cfg.serving.shared_tht:
+            # Nothing else would ever read or write the store.
+            raise ConfigurationError("atm.tht_store backs serving.shared_tht, which is off")
         self.config = cfg
         self.serving = cfg.serving
         self._shared_tht = None

@@ -212,7 +212,7 @@ class TestRegionVersions:
         assert key in region_versions._entries
         del region
         gc.collect()
-        # The weakref callback removed the dead entry — no prune() needed.
+        # The weakref callback removed the dead entry.
         assert key not in region_versions._entries
 
     def test_graph_completion_bumps_output_versions(self):

@@ -274,12 +274,13 @@ def counts(result) -> tuple:
             result.tasks_trained)
 
 
-@pytest.mark.parametrize("executor", REMOTE)
+@pytest.mark.parametrize("executor", ("threaded", *REMOTE))
 @pytest.mark.parametrize("bench_name", sorted(DYNAMIC_PINS))
 def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
     """Training runs once, in the parent, one task in flight at a time: a
-    two-worker pool with chunks of eight freezes serial's sampling
-    fraction with serial's counts and keeps the paper's error bound."""
+    two-worker pool (chunks of eight on the remote ones) freezes serial's
+    sampling fraction with serial's counts and keeps the paper's error
+    bound."""
     exact, _, _ = run_with_session_engine(bench_name, "serial", "none")
     _, serial, serial_p = run_with_session_engine(bench_name, "serial", "dynamic")
     app, result, chosen = run_with_session_engine(

@@ -18,6 +18,7 @@ from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
 from repro.session import Session
 from repro.runtime import executor as executor_module
+from repro.runtime.atm_protocol import ATMAction, ATMCommitInfo, ATMDecision
 from repro.runtime.data import In, InOut, Out
 from repro.runtime.executor import (
     RunResult,
@@ -305,6 +306,54 @@ class TestThreadedWorkerPool:
         assert data[0] == float(links)
         stats = threaded.executor.scheduler.stats
         assert stats.total_pushes == stats.total_pops == links
+
+    def test_tasks_their_engine_trains_run_one_at_a_time(self):
+        # More workers than cores and a tiny switch interval: a training
+        # task starts only when no other worker is busy, so two training
+        # bodies never overlap (a plain task may start beside one).
+        train, plain = TaskType("pool_train", memoizable=True), TaskType("pool_plain")
+        active, overlaps, lock = [], [], threading.Lock()
+
+        class TrainsOneType:
+            def is_training(self, task):
+                return task.task_type is train
+
+            def task_ready(self, task, worker_id=0):
+                return ATMDecision(action=ATMAction.EXECUTE, atm_handled=False)
+
+            def task_finished(self, task, decision, executed, worker_id=0):
+                return ATMCommitInfo()
+
+            def task_abandoned(self, task, decision):
+                return []
+
+        def body(kind, dst):
+            with lock:
+                if kind == "train" and "train" in active:
+                    overlaps.append(tuple(active))
+                active.append(kind)
+            time.sleep(0.001)  # hand the interpreter to the other workers
+            with lock:
+                active.remove(kind)
+
+        executor = ThreadedExecutor(config=RuntimeConfig(num_threads=4))
+        session = Session(executor=executor, engine=TrainsOneType())
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(240):
+                task_type, kind = (train, "train") if i % 3 == 0 else (plain, "plain")
+                dst = np.zeros(1)
+                session.submit(task_type, body, accesses=[Out(dst)], args=(kind, dst))
+            done = []
+            drainer = threading.Thread(target=lambda: done.append(session.wait_all()))
+            drainer.start()
+            drainer.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+            session.close()
+        assert done and done[0].tasks_completed == 240
+        assert overlaps == []
 
     def test_failed_drain_leaves_the_pool_reusable(self):
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=2))

@@ -1,22 +1,29 @@
-"""Host-side writes between two barriers: which backends observe them.
+"""Host-side writes between two barriers: the one host-write contract.
+
+A host store into an array the runtime has seen is announced with
+``DataRegion(a).bump_version()`` (or made through ``DataRegion.copy_from``)
+before the next submission that reads it (DESIGN.md §4.5).  Every backend
+trusts write-versions: the ATM key caches and content tags, the process
+backend's copy-in and the network backend's residency all skip bytes whose
+version did not move.
 
 The program is the smallest one that can tell: square ``a`` into ``out``,
 barrier, overwrite ``a`` from the host with a plain NumPy store, square it
-again, barrier.  Backends that read the host array when the task runs
-(serial, threaded), that byte-compare on copy-in (process) or that re-ship
-every input (network without residency) see the store.  The network
-backend's residency protocol does not: it trusts the write-version of the
-region, and a NumPy store bumps none, so the endpoint squares the bytes it
-already holds.  ``DataRegion(a).bump_version()`` after the store announces
-the write and makes it correct (DESIGN.md §4.5).  The gateway is
-server-authoritative by contract (``serving/client.py``): host writes to a
-shipped array are not observed.
+again, barrier.  An announced store is observed on every executor cell.
+For an unannounced one the contract promises nothing; the cells below pin
+what each backend happens to do, so a change there is seen: backends that
+read the host array when the task runs (serial, threaded) or re-ship every
+input (network without residency) see the store, while the process
+backend's segment and a residency endpoint's resident copy keep the old
+bytes.  The gateway is server-authoritative by contract
+(``serving/client.py``): host writes to a shipped array are not observed.
 
-The same contract covers a task's *outputs* under ATM: a THT hit whose
-output block is still tagged as holding the stored bytes copies nothing, so
-a host store into that block must be announced to be repaired by the next
-hit — on every backend (remote workers never elide, in-process ones read the
-tag the announcement clears).
+Under ATM the contract covers a task's inputs and outputs on every
+backend: an unannounced store into an input leaves the task's key — cached
+against the unmoved version — unchanged, so the task is memoized with the
+old result; a THT hit whose output block is still tagged as holding the
+stored bytes copies nothing, so a host store into that block must be
+announced to be repaired by the next hit.
 """
 
 from __future__ import annotations
@@ -35,56 +42,70 @@ MEMO_SQUARE = TaskType("host_write_memo_square", memoizable=True)
 STALE = np.arange(8.0) ** 2
 FRESH = np.full(8, 100.0)
 
+EXECUTORS = ["serial", "threaded", "process", "network"]
+CELLS = {
+    "serial": {"executor": "serial"},
+    "threaded": {"executor": "threaded"},
+    "process": {"executor": "process"},
+    "network-nores": {"executor": "network", "net_residency": False},
+    "network": {"executor": "network"},
+}
+
 
 def square(src: np.ndarray, dst: np.ndarray) -> None:
     dst[:] = src ** 2
 
 
-def two_barriers(runtime, announce: bool = False) -> np.ndarray:
+def two_barriers(runtime, announce: bool = False, task_type: TaskType = SQUARE) -> np.ndarray:
     a = np.arange(8.0)
     out = np.zeros(8)
-    runtime.submit(SQUARE, square, accesses=[In(a), Out(out)], args=(a, out))
+    runtime.submit(task_type, square, accesses=[In(a), Out(out)], args=(a, out))
     runtime.wait_all()
     assert np.array_equal(out, STALE)
     a[:] = 10.0
     if announce:
         DataRegion(a).bump_version()
-    runtime.submit(SQUARE, square, accesses=[In(a), Out(out)], args=(a, out))
+    runtime.submit(task_type, square, accesses=[In(a), Out(out)], args=(a, out))
     runtime.wait_all()
     return out
 
 
-RESIDENCY_TRUSTS_VERSIONS = pytest.mark.xfail(
-    strict=True,
-    reason="network residency trusts write-versions and a NumPy store bumps "
-    "none: the endpoint re-uses its resident copy of `a` and returns the "
-    "previous result (ROADMAP direction 6(a), one host-write contract)",
-)
+def cell_session(cell: str) -> Session:
+    return Session(ReproConfig().with_overrides(runtime={"num_threads": 2, **CELLS[cell]}))
 
 
-@pytest.mark.parametrize(
-    "runtime_overrides, announce",
-    [
-        pytest.param({"executor": "serial"}, False, id="serial"),
-        pytest.param({"executor": "threaded"}, False, id="threaded"),
-        pytest.param({"executor": "process"}, False, id="process"),
-        pytest.param(
-            {"executor": "network", "net_residency": False}, False, id="network-nores"
-        ),
-        pytest.param(
-            {"executor": "network"}, False, id="network", marks=RESIDENCY_TRUSTS_VERSIONS
-        ),
-        pytest.param({"executor": "network"}, True, id="network-announced"),
-    ],
-)
-def test_host_write_between_barriers_is_observed(runtime_overrides, announce):
-    cfg = ReproConfig().with_overrides(runtime={"num_threads": 2, **runtime_overrides})
-    with Session(cfg) as session:
-        out = two_barriers(session, announce)
+@pytest.mark.parametrize("cell", CELLS)
+def test_announced_host_write_between_barriers_is_observed(cell):
+    with cell_session(cell) as session:
+        out = two_barriers(session, announce=True)
     assert np.array_equal(out, FRESH)
 
 
-@pytest.mark.parametrize("executor", ["serial", "threaded", "process", "network"])
+@pytest.mark.parametrize(
+    "cell, observed",
+    [("serial", True), ("threaded", True), ("process", False),
+     ("network-nores", True), ("network", False)],
+)
+def test_unannounced_host_write_is_what_each_backend_happens_to_do(cell, observed):
+    with cell_session(cell) as session:
+        out = two_barriers(session)
+    assert np.array_equal(out, FRESH if observed else STALE)
+
+
+@pytest.mark.parametrize("announce", [True, False], ids=["announced", "unannounced"])
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_host_write_into_an_input_under_static_atm(executor, announce):
+    cfg = ReproConfig().with_overrides(
+        runtime={"num_threads": 1, "executor": executor}, atm={"mode": "static"}
+    )
+    with Session(cfg) as session:
+        out = two_barriers(session, announce, MEMO_SQUARE)
+        result = session.wait_all()
+    assert result.tasks_memoized == (0 if announce else 1)
+    assert np.array_equal(out, FRESH if announce else STALE)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_announced_host_write_into_an_output_is_repaired_by_the_next_hit(executor):
     cfg = ReproConfig().with_overrides(
         # One worker: every task meets the THT replica its predecessors filled.

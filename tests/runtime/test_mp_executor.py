@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -38,6 +39,16 @@ def explode(buf):
     raise ValueError("worker task failure")
 
 
+def scribble_then_die(buf):
+    buf[:4] = -1.0
+    os._exit(17)
+
+
+def scribble_and_mark(marker, buf):
+    buf[:4] = -1.0
+    open(marker, "w").close()
+
+
 def reduce_parts(dst, sources):
     dst[:] = sum(sources)
 
@@ -63,29 +74,78 @@ class TestSharedMemoryProtocol:
         arena.close()
         registry.close()
 
-    def test_copy_in_skips_unchanged_and_bumps_changed(self):
+    def test_copy_in_refreshes_only_bases_whose_version_moved(self):
         registry = SharedBufferRegistry()
         data = np.zeros(8)
         region = DataRegion(data[2:6])           # any view names its base
         entry = registry.register(data)
 
-        def version():
-            return region_versions.version_of(data)
-
         assert registry.copy_in([region]) == 0   # registration seeded bytes
-        version_before = version()
-        data[:] = 7.0                            # parent-side mutation
-        assert registry.copy_in([region]) == 0   # fresh in this drain: no check
-        assert version() == version_before
-        registry.fresh.clear()                   # the next drain opens
+        registry.settle()                        # the drain ends
+        data[:] = 7.0                            # an unannounced host store
+        assert registry.copy_in([region]) == 0   # the version did not move
+        assert not entry.mirror.any()
+        registry.settle()                        # the drain ends
+        DataRegion(data).bump_version()          # the store is announced
+        version = region_versions.version_of(data)
         assert registry.copy_in([region, region]) == 1
-        assert version() > version_before
+        assert registry.copy_in([region]) == 0   # fresh in this drain: no check
         assert np.array_equal(entry.mirror, data)
-        version_after = version()
-        registry.fresh.clear()
-        assert registry.copy_in([region]) == 0   # compared, unchanged
-        assert version() == version_after
+        assert region_versions.version_of(data) == version  # copy-in bumps nothing
+        registry.settle()                        # the drain ends
+        assert registry.copy_in([region]) == 0   # in step at that version
+        registry.stale([region])                 # a body raised writing it
+        registry.settle()                        # the drain ends
+        assert registry.copy_in([region]) == 1   # out of step, same version
         registry.close()
+
+    def test_a_lost_workers_partial_writes_are_refreshed_away(self):
+        """A worker that dies mid-write leaves its bytes in the segment
+        only: the drain ends with the base out of step, and the next
+        drain's first touch refreshes it from the host bytes."""
+        from repro.testing.faults import fault_session
+
+        kill = TaskType("mp_scribble_then_die", memoizable=False)
+        base = np.zeros((2, 8))
+        with fault_session(
+            "process", workers=1, chunk_size=1, on_task_failure="quarantine",
+            allow_worker_kill=True,
+        ) as session:
+            session.submit(kill, scribble_then_die, accesses=[InOut(base[0])], args=(base[0],))
+            assert [f.error for f in session.wait_all().failures] == ["WorkerLostError"]
+            entry = session.executor._registry.register(base)
+            assert np.all(entry.mirror[0, :4] == -1.0)
+            session.submit(kill, bump, accesses=[InOut(base[1])], args=(base[1],))
+            session.wait_all()
+            assert np.array_equal(entry.mirror, base)
+        assert not base[0].any() and np.all(base[1] == 1.0)
+
+    def test_an_aborted_drains_in_flight_writes_are_refreshed_away(self, tmp_path):
+        """A task still queued when its drain aborts runs anyway, into the
+        segment only: the aborted drain leaves its base out of step."""
+        executor = ProcessExecutor(
+            config=RuntimeConfig(num_threads=1, executor="process", mp_chunk_size=1)
+        )
+        marker, base = tmp_path / "scribbled", np.zeros((2, 8))
+        tt = TaskType("mp_abort_in_flight", memoizable=False)
+        try:
+            first = Session(executor=executor)
+            first.submit(tt, explode, accesses=[InOut(np.zeros(1))], args=(np.zeros(1),))
+            first.submit(tt, scribble_and_mark, accesses=[InOut(base[0])],
+                         args=(str(marker), base[0]))
+            with pytest.raises(RuntimeStateError, match="worker task failure"):
+                first.wait_all()
+            deadline = time.monotonic() + 10.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert marker.exists()
+            second = Session(executor=executor)
+            second.submit(tt, bump, accesses=[InOut(base[1])], args=(base[1],))
+            second.wait_all()
+            assert np.array_equal(executor._registry.register(base).mirror, base)
+        finally:
+            executor.close()
+        assert not base[0].any() and np.all(base[1] == 1.0)
 
     def test_a_collected_base_is_released_at_the_next_call(self):
         registry = SharedBufferRegistry()

@@ -1,19 +1,24 @@
 """The process backend's data plane: first-touch copy-in, per-result copy-out.
 
 ``SharedBufferRegistry`` moves bytes at two moments (``runtime/shm.py``): a
-base buffer is compared with its segment the first time a chunk of the open
-drain touches it, and a task's written *regions* come home when its result
-arrives.  What has to hold:
+base buffer's write-version is checked the first time a chunk of the open
+drain touches it (its segment is refreshed when the version moved since
+the segment last matched), and a task's written *regions* come home when
+its result arrives.  What has to hold:
 
 * a **hypothesis property** — random programs over sibling views of shared
   2-D bases (rows, strided columns, non-contiguous blocks, the whole base),
   one or two workers, chunk sizes 1-8, several barriers with random host
-  stores in between (into buffers the next drain reads, overwrites, writes
-  in part, or never touches): after every barrier every base is
-  bit-identical to a serial Session running the same program on copies;
-* **counting tests** with a spy on ``_mirror_matches`` — only touched
-  buffers are compared, each once per drain, each written region lands
-  once, a resubmitted chunk re-checks nothing.
+  stores in between, each announced (DESIGN.md §4.5), into buffers the next
+  drain reads, overwrites, writes in part, or never touches: after every
+  barrier every base is bit-identical to a serial Session running the same
+  program on copies;
+* **counting tests** with a spy on the registry's version reads and the
+  ``copyin_refreshed`` counter — only touched buffers are read, each once
+  at its first touch and once when the drain settles, nothing is refreshed
+  whose version did not move, each written region lands once, a
+  resubmitted chunk re-checks nothing, and a base a failed body wrote is
+  refreshed by the next drain.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from repro.runtime.data import In, InOut, Out  # noqa: E402
-from repro.runtime.shm import SharedBufferRegistry  # noqa: E402
+from repro.runtime import shm  # noqa: E402
+from repro.runtime.data import DataRegion, In, InOut, Out, region_versions  # noqa: E402
 from repro.runtime.task import TaskType  # noqa: E402
 from repro.session import Session  # noqa: E402
 from repro.testing.faults import fault_session, flaky_body  # noqa: E402
@@ -136,8 +141,10 @@ def test_every_barrier_is_bit_identical_to_a_serial_session(pools, seed, key, pr
     with Session() as serial:
         for stores, barrier_tasks in program:
             for spec, value in stores:
-                view(bases, spec)[...] = value
-                view(copies, spec)[...] = value
+                for arrays in (bases, copies):
+                    target = view(arrays, spec)
+                    target[...] = value
+                    DataRegion(target).bump_version()
             for task in barrier_tasks:
                 submit(process, bases, task)
                 submit(serial, copies, task)
@@ -149,45 +156,51 @@ def test_every_barrier_is_bit_identical_to_a_serial_session(pools, seed, key, pr
 
 # -- counting tests ------------------------------------------------------------------
 @pytest.fixture
-def compares(monkeypatch) -> list:
-    """Slots ``_mirror_matches`` was asked about, in order."""
+def version_reads(monkeypatch) -> list:
+    """Ids of the bases whose write-version the registry read, in order."""
     seen: list = []
-    original = SharedBufferRegistry._mirror_matches
 
-    def spy(entry) -> bool:
-        seen.append(entry.slot)
-        return original(entry)
+    class Spy:
+        @staticmethod
+        def version_of(base):
+            seen.append(id(base))
+            return region_versions.version_of(base)
 
-    monkeypatch.setattr(SharedBufferRegistry, "_mirror_matches", staticmethod(spy))
+    monkeypatch.setattr(shm, "region_versions", Spy())
     return seen
 
 
-def test_buffers_a_drain_never_touches_are_never_compared(compares):
+def test_buffers_a_drain_never_touches_are_never_read(version_reads):
     buffers = [np.full(8, float(i)) for i in range(100)]
     with process_session() as session:
-        for buffer in buffers:  # registers all hundred (seeded, not compared)
+        for buffer in buffers:  # registers all hundred (seeded, not checked)
             session.submit(OP, scale, accesses=[InOut(buffer)], args=(buffer, 1))
         session.wait_all()
-        assert compares == []
         for drain in range(3):
+            version_reads.clear()
             src, dst = buffers[2 * drain], buffers[2 * drain + 1]
             buffers[50 + drain][:] = -1.0      # a host store nobody reads
+            DataRegion(buffers[50 + drain]).bump_version()
             session.submit(OP, combine, accesses=[In(src), Out(dst)], args=(src, dst, 0))
             session.wait_all()
-            assert len(compares) == 2 * (drain + 1)
+            # First touch, then the settle at the drain's end.
+            assert sorted(version_reads) == sorted([id(src), id(dst)] * 2)
         stats = session.executor._stats
     assert stats["copyin_refreshed"] == 0
     assert stats["copyout_buffers"] == 100 + 3
 
 
-def test_a_relax_drain_checks_each_base_once_and_lands_each_region_once(compares):
+def test_a_relax_drain_checks_each_base_once_and_lands_each_region_once(version_reads):
     """Ping-pong sweeps over row regions of two grids and whole coefficient
-    blocks: many regions and many chunks per base, one compare per base and
-    drain, one landing per written region."""
+    blocks: many regions and many chunks per base, one version check per
+    base and drain (plus one at its settle), one landing per written
+    region, nothing refreshed."""
     rows, sweeps = 8, 3
     grids = [np.arange(rows * 4.0).reshape(rows, 4), np.zeros((rows, 4))]
     coefs = [np.full(4, 2.0), np.full(4, 3.0)]
     expected = [grid.copy() for grid in grids]
+    # ``grids[0]`` is a reshaped view: its owning base is the ``arange``.
+    bases = [id(array if array.base is None else array.base) for array in grids + coefs]
     with process_session(workers=2, chunk_size=3) as session, Session() as serial:
         for sweep in range(sweeps):
             for runtime, (src, dst) in ((session, grids), (serial, expected)):
@@ -200,9 +213,9 @@ def test_a_relax_drain_checks_each_base_once_and_lands_each_region_once(compares
                         args=(src[row], coef, dst[row]),
                     )
                 runtime.wait_all()
-            # Sweep 0 registers (and seeds) all four bases; later sweeps
-            # compare each of them exactly once.
-            assert sorted(compares) == sorted([0, 1, 2, 3] * sweep)
+            # Sweep 0 reads each base when registering (and seeding) it,
+            # later sweeps at its first touch; every sweep at its settle.
+            assert sorted(version_reads) == sorted(bases * 2 * (sweep + 1))
         stats = session.executor._stats
     assert stats["copyout_buffers"] == rows * sweeps
     assert stats["copyin_refreshed"] == 0
@@ -210,18 +223,26 @@ def test_a_relax_drain_checks_each_base_once_and_lands_each_region_once(compares
         assert np.array_equal(grid, reference)
 
 
-def test_a_resubmitted_chunk_rechecks_nothing(compares, tmp_path):
+def test_a_resubmitted_chunk_rechecks_nothing(version_reads, tmp_path):
     src, dst = np.arange(8.0), np.zeros(8)
     flaky = TaskType("shm_flaky", memoizable=False)
     with fault_session("process", workers=1, chunk_size=1, task_max_retries=2) as session:
         session.submit(OP, scale, accesses=[InOut(src)], args=(src, 0))
         session.submit(OP, scale, accesses=[InOut(dst)], args=(dst, 0))
         session.wait_all()                      # both registered
+        version_reads.clear()
         marker = str(tmp_path / "attempts")
         session.submit(flaky, flaky_body, accesses=[In(src), Out(dst)],
                        args=(marker, 2, src, dst))
         session.wait_all()
         stats = session.executor._stats
-    assert stats["resubmitted_tasks"] == 2     # raised twice, healed
-    assert len(compares) == 2                  # src and dst, at the first send only
-    assert np.array_equal(dst, src ** 2)
+        assert stats["resubmitted_tasks"] == 2  # raised twice, healed
+        # src and dst at the first send only; the settle reads src alone:
+        # the failed body may have written dst's segment.
+        assert sorted(version_reads) == sorted([id(src), id(src), id(dst)])
+        assert stats["copyin_refreshed"] == 0
+        assert np.array_equal(dst, src ** 2)
+        session.submit(OP, scale, accesses=[InOut(dst)], args=(dst, 0))
+        session.wait_all()
+        assert stats["copyin_refreshed"] == 1  # dst was out of step
+    assert np.array_equal(dst, src ** 2 * 3 % 251)

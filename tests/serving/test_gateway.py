@@ -710,6 +710,18 @@ class TestGatewayConfig:
         with pytest.raises(ConfigurationError, match="simulated"):
             Gateway(cfg)
 
+    def test_a_store_without_the_shared_tier_is_refused(self, tmp_path):
+        """As a Session without an engine refuses one: the store backs the
+        shared tier, and nothing else would ever write it."""
+        store = tmp_path / "tier.tht"
+        cfg = ReproConfig().with_overrides(
+            runtime={"executor": "serial"},
+            atm={"mode": "static", "tht_store": f"file://{store}"},
+        )
+        with pytest.raises(ConfigurationError, match="serving.shared_tht"):
+            Gateway(cfg)
+        assert not store.exists()
+
     def test_port_zero_binds_ephemeral(self):
         with Gateway(ReproConfig()) as gw:
             assert gw.port > 0
