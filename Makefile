@@ -39,15 +39,17 @@ examples:
 	$(PYTHON) examples/option_pricing.py tiny
 	$(PYTHON) examples/adaptive_approximation.py tiny
 
-# Process backend: the shared-memory protocol and pool lifecycle, the
-# host-write contract (announced stores are seen; copy-in trusts
-# write-versions and compares no bytes), the data plane's property + counting
-# tests (first-touch copy-in by version, per-result copy-out), what failed
-# drains leave at home and out of step, and the
+# Process backend: workers are forked children serving the one worker loop
+# (serve_connection) on a socketpair.  The shared-memory protocol and pool
+# lifecycle, the host-write contract (announced stores are seen; copy-in
+# trusts write-versions and compares no bytes), the data plane's property +
+# counting tests (first-touch copy-in by version, per-result copy-out), what
+# failed drains leave at home and out of step, the
 # executor parity matrix (its process cells; the simulator and network-only
-# tests of that file are left to the tiers that own them), and the copy-elision
+# tests of that file are left to the tiers that own them), the copy-elision
 # units (the parent elides as serial does, a remote MEMOIZED completion clears
-# the tag).
+# the tag), the reply contract over the shared hello and the one-worker-loop
+# checks (no multiprocessing queue, pipe or connection.wait under src/).
 process-backend:
 	$(PYTHON) -m pytest tests/runtime/test_mp_executor.py \
 		tests/runtime/test_host_writes.py \
@@ -55,6 +57,8 @@ process-backend:
 		tests/runtime/test_shm_property.py \
 		tests/runtime/test_lifecycle_cleanup.py \
 		tests/runtime/test_executor_parity.py \
+		tests/runtime/test_net_faults.py::test_one_worker_one_reply_vocabulary_under_both_transports \
+		tests/common/test_config.py::TestOneRemoteWorkerProtocol \
 		-k "not network_twin and not simulator" -p no:cacheprovider -x -q
 
 # Network backend: parity + fault-injection matrix over the loopback

@@ -1,11 +1,12 @@
-"""Endpoints and the worker service loop of the network backend.
+"""Endpoints and the one worker service loop of the remote backends.
 
-Transport model (DESIGN.md §4.5): the :class:`NetworkExecutor` parent holds
-one point-to-point connection per worker *endpoint*.  Each endpoint owns a
+Transport model (DESIGN.md §4.5): a worker-pool parent holds one
+point-to-point connection per worker *endpoint*.  Each endpoint owns a
 socket plus a receiver thread that decodes frames
 (:mod:`repro.runtime.net_wire`) and posts ``(endpoint, message)`` pairs onto
 the executor's single inbox queue; sends happen inline under a per-endpoint
-lock.  Two concrete endpoints exist:
+lock (a process endpoint's on a writer thread).  Three concrete endpoints
+exist:
 
 * :class:`LoopbackEndpoint` — a ``socket.socketpair`` whose far end is
   served by an in-process worker thread running the *same*
@@ -16,6 +17,10 @@ lock.  Two concrete endpoints exist:
   fault suites drive.
 * :class:`TcpEndpoint` — connects to a ``scripts/net_worker.py`` daemon at
   ``host:port``.
+* :class:`ProcessEndpoint` — a socketpair whose far end a child process
+  serves with :func:`serve_connection`: the process backend's worker
+  (:mod:`repro.runtime.mp_executor`).  The child's death is the socket's
+  EOF, posted after every frame it wrote before dying.
 
 Endpoint failure is a *state*, not an exception: when the socket breaks, a
 frame fails to decode, or the executor's heartbeat deadline expires, the
@@ -27,13 +32,15 @@ heartbeat, kill the worker mid-chunk or corrupt the stream.
 
 The worker side — :class:`NetWorkerState` + :func:`serve_connection` — is
 the one :class:`~repro.runtime.remote_task.RemoteWorker` behind a framed
-socket: it reads frames from any socket, so the loopback thread and the
-standalone TCP daemon share every line of it.  ``hello`` / ``ping`` /
-``invalidate`` / ``shutdown`` are this transport's own messages; ``chunk``
-and its replies are the remote-worker protocol's (DESIGN.md §4.6).
-Neither side trusts the other's frames: whatever is not a protocol tuple
-of the right shape ends in a named error, never in an exception on a
-service thread.
+socket: it reads frames from any socket, so the loopback thread, the
+standalone TCP daemon and a process worker share every line of it.  The
+``hello`` names the data plane: shipped spans (with or without residency)
+or, from a process pool over a local socket, the parent's shared segments
+(``"shared": True``).  ``hello`` / ``ping`` / ``invalidate`` / ``release`` /
+``shutdown`` are this transport's own messages; ``chunk`` and its replies
+are the remote-worker protocol's (DESIGN.md §4.6).  Neither side trusts the
+other's frames: whatever is not a protocol tuple of the right shape ends in
+a named error, never in an exception on a service thread.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from repro.common.exceptions import (
     NetworkTransportError,
     WireProtocolError,
 )
+from repro.runtime.data import region_versions
 from repro.runtime.net_wire import (
     ChunkArena,
     Frame,
@@ -231,6 +239,76 @@ class LoopbackEndpoint(SocketEndpoint):
             self._worker_thread.join(timeout=2.0)
 
 
+class ProcessEndpoint(SocketEndpoint):
+    """A worker process: a socketpair whose far end a child started from
+    ``context`` (a ``multiprocessing`` context) serves with
+    :func:`serve_connection`.  Closing it kills and reaps the child.
+
+    Sends never block the caller: a writer thread empties an outbox onto
+    the socket, so a worker that stopped reading (a wedged body) cannot
+    stall the drain thread that must time it out.  Deferring a send is safe
+    here because the frames carry refs into shared segments, never views
+    of live arrays.
+    """
+
+    def __init__(self, name: str, worker_id: int, context) -> None:
+        super().__init__(name)
+        self.worker_id = worker_id
+        self._context = context
+        self.process = None
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._writer: Optional[threading.Thread] = None
+
+    def connect(self) -> socket.socket:
+        parent_sock, worker_sock = socket.socketpair()
+        self.process = self._context.Process(
+            target=_serve_process, args=(worker_sock, self.worker_id),
+            daemon=True, name=self.name,
+        )
+        try:
+            self.process.start()
+        except BaseException:
+            parent_sock.close()
+            raise
+        finally:
+            worker_sock.close()  # the child holds the worker end now
+        self._writer = threading.Thread(
+            target=self._write_loop, args=(parent_sock,), daemon=True,
+            name=f"net-send-{self.name}",
+        )
+        self._writer.start()
+        return parent_sock
+
+    def send(self, message: Any) -> None:
+        self._outbox.put(message if isinstance(message, Frame) else encode_frame(message))
+
+    def _write_loop(self, sock: socket.socket) -> None:
+        while (frame := self._outbox.get()) is not None:
+            try:
+                send_frame(sock, frame)
+            except OSError:
+                return  # a dead worker: its receiver reports the EOF
+
+    def close(self, wait: bool = True) -> None:
+        if self._closed:
+            return
+        self._outbox.put(None)
+        super().close(wait=wait)  # the shut socket fails a blocked send
+        if self._writer is not None:
+            self._writer.join(timeout=2.0)
+        if self.process is not None and self.process.pid is not None:
+            self.process.kill()
+            self.process.join(timeout=5.0)
+
+
+def _serve_process(sock: socket.socket, worker_id: int) -> None:
+    """A process worker's main.  The version registry a fork inherited is
+    reset first: a parent thread may have held its lock, which the weakref
+    callback of an inherited base takes when the base is collected here."""
+    region_versions.reset()
+    serve_connection(sock, worker_id)
+
+
 class TcpEndpoint(SocketEndpoint):
     """Connection to a standalone ``scripts/net_worker.py`` daemon."""
 
@@ -315,15 +393,23 @@ def _written_bytes(task: Task) -> list[tuple]:
 
 
 class NetWorkerState:
-    """Per-connection worker state: the remote worker + the residency store."""
+    """Per-connection worker state: the remote worker and the data plane
+    the hello named — a residency store for shipped backings, or the arena
+    of the parent's shared segments."""
 
-    def __init__(self, worker_id: int = 0) -> None:
+    def __init__(self, worker_id: int = 0, local: bool = False) -> None:
         self.worker_id = worker_id
+        #: Whether the peer is on this host (a Unix socket): only such a
+        #: peer may name shared segments for this worker to map.
+        self.local = local
         #: Built at hello time.
         self.worker: Optional[RemoteWorker] = None
         #: Residency store for shipped backings; created at hello time when
         #: the client runs the residency protocol (``None`` = ship-always).
         self.buffer_cache: Optional[WorkerBufferCache] = None
+        #: The shared segments attached so far, kept across chunks until
+        #: the parent releases them; created by a ``"shared"`` hello.
+        self.arena = None
 
     # -- handshake ---------------------------------------------------------------
     def hello(self, info: dict) -> dict:
@@ -333,33 +419,46 @@ class NetWorkerState:
                 f"protocol version mismatch: client speaks {protocol}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
-        self.worker = RemoteWorker(self.worker_id, written=_written_bytes)
-        self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
+        if info.get("shared"):
+            if not self.local:
+                raise WireProtocolError("a shared-segment hello over a network connection")
+            from repro.runtime.shm import WorkerArena  # a network worker maps no segment
+
+            self.arena = WorkerArena()
+            self.worker = RemoteWorker(self.worker_id)
+        else:
+            self.worker = RemoteWorker(self.worker_id, written=_written_bytes)
+            self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
     # -- execution ---------------------------------------------------------------
     def run_chunk(self, chunk: NetChunk) -> tuple[list[tuple], Optional[tuple]]:
         """Run one chunk; returns ``(results, error)``.
 
-        Each result is ``(task_id, writes)``.  ``error`` is ``(task_id,
-        traceback_str)`` when a task body raised — the rest of the chunk is
-        dropped.
+        Each result is ``(task_id, writes)``, or ``(task_id,)`` over shared
+        segments.  ``error`` is ``(task_id, traceback_str)`` when a task
+        body raised — the rest of the chunk is dropped.
         """
-        arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
+        arena = self.arena
+        if arena is None:
+            arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
+        else:
+            arena.attach(chunk.buffers)
         return self.worker.run_chunk(chunk.tasks, arena)
 
 
 def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
     """Serve one executor connection until shutdown or a dead transport.
 
-    The single worker loop shared by loopback threads and the TCP daemon.
+    The single worker loop shared by loopback threads, the TCP daemon and
+    process workers.
     Task exceptions are reported as ``("error", ...)`` frames — the worker
     survives and the parent decides (it raises; a *transport* fault, by
     contrast, kills the connection and triggers resubmission).  A frame
     that decodes to something other than a message of this protocol is a
     :class:`WireProtocolError` like one that does not decode at all.
     """
-    state = NetWorkerState(worker_id=worker_id)
+    state = NetWorkerState(worker_id, local=sock.family == socket.AF_UNIX)
     try:
         while True:
             message = read_frame(sock)
@@ -377,13 +476,18 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
                         chunk.chunk_id, lambda: state.run_chunk(chunk)
                     ):
                         write_frame(sock, reply)
+                # Residency evictions and invalidations, and the segments of
+                # bases the parent collected: no reply — the socket's FIFO
+                # order guarantees every chunk referencing the dropped
+                # generations or slots was already processed above.
                 elif kind == "invalidate":
-                    # Residency eviction/invalidations: no reply — the socket's
-                    # FIFO order guarantees every chunk referencing the dropped
-                    # generations was already processed above.
                     pairs = message[1]
                     if state.buffer_cache is not None:
                         state.buffer_cache.invalidate(pairs)
+                elif kind == "release":
+                    slots = message[1]
+                    if state.arena is not None:
+                        state.arena.release(slots)
                 elif kind == "ping":
                     write_frame(sock, ("pong",))
                 elif kind == "shutdown":
@@ -413,6 +517,8 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
         # observes the same breakage independently.
         pass
     finally:
+        if state.arena is not None:
+            state.arena.close()
         try:
             sock.close()
         except OSError:  # pragma: no cover - defensive

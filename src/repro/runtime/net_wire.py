@@ -107,7 +107,9 @@ __all__ = [
 #: Version 10: workers hold no engine — the parent looks tasks up and
 #: commits them — so a chunk carries no owner fields, a result entry is
 #: ``(task_id, *payload)`` and there is no ``sync``.
-PROTOCOL_VERSION = 10
+#: Version 11: process workers speak it too — a ``"shared"`` hello maps the
+#: parent's segments and ``release`` drops them — and every chunk is acked.
+PROTOCOL_VERSION = 11
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count

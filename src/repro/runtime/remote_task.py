@@ -20,10 +20,11 @@ tenant's namespace — moves the same four things (DESIGN.md §4.6):
   (a THT or IKT hit never ships) and commits it when its result lands, so
   one THT, one IKT and one training phase serve every worker.
 
-and speaks one protocol around them: :class:`RemoteWorker` is the one
-worker loop and :meth:`RemoteWorker.replies` the one reply sequence; a
-transport (a queue and a pipe, a framed socket) only carries those tuples
-to :meth:`repro.runtime.dispatch.ChunkDispatcher.reply`.
+and speaks one protocol around them: :class:`RemoteWorker` runs the
+chunks and :meth:`RemoteWorker.replies` is the one reply sequence, which
+:func:`~repro.runtime.net_transport.serve_connection` — the one worker loop,
+in a thread, a TCP daemon or a process — carries over a framed socket to
+:meth:`repro.runtime.dispatch.ChunkDispatcher.reply`.
 """
 
 from __future__ import annotations
@@ -218,10 +219,11 @@ def run_descriptor(
 class RemoteWorker:
     """The one remote worker: runs the bodies of shipped chunks.
 
-    A transport builds one per worker process or connection and supplies
-    the arena a chunk's refs resolve in (per call) and ``written`` — how a
-    finished task's written regions travel home when no memory is shared
-    with the parent (``None``: the bytes are already there).
+    :func:`~repro.runtime.net_transport.serve_connection` builds one per
+    connection and supplies the arena a chunk's refs resolve in (per call)
+    and ``written`` — how a finished task's written regions travel home
+    when no memory is shared with the parent (``None``: the bytes are
+    already there).
     """
 
     def __init__(
@@ -254,22 +256,19 @@ class RemoteWorker:
         return results, None
 
     @staticmethod
-    def replies(
-        chunk_id: int, run: Callable[[], tuple], ack: bool = True
-    ) -> Iterator[tuple]:
+    def replies(chunk_id: int, run: Callable[[], tuple]) -> Iterator[tuple]:
         """What a worker answers to one chunk, in order; ``run()`` runs it and
         returns :meth:`run_chunk`'s ``(results, error)``.
 
         ``("ack", chunk_id)`` *before* execution — receipt and start are
-        proven independently of task runtime, and the parent ages a chunk
-        from it (a transport that sees its workers die may skip it while no
-        task budget is set); then ``("result", chunk_id, results)``; then,
-        when a body raised, ``("error", chunk_id, task_id, traceback)`` —
-        after the completed prefix, so its writes are never lost.  The
-        transport sends each reply as it is yielded.
+        proven independently of task runtime: the parent ages a chunk from
+        it, and charges a lost worker's acknowledged chunk alone; then
+        ``("result", chunk_id, results)``; then, when a body raised,
+        ``("error", chunk_id, task_id, traceback)`` — after the completed
+        prefix, so its writes are never lost.  The transport sends each
+        reply as it is yielded.
         """
-        if ack:
-            yield ("ack", chunk_id)
+        yield ("ack", chunk_id)
         results, error = run()
         if results or error is None:
             yield ("result", chunk_id, results)

@@ -378,3 +378,30 @@ class TestOneRemoteWorkerProtocol:
         text = self.sources()["runtime/mp_executor.py"]
         assert re.findall(r"""["'](tasks|start|done|wedged)["']""", text) == []
         assert "run_descriptor" not in text and "snapshot(" not in text
+
+    def test_no_multiprocessing_queue_pipe_or_wait_under_src(self):
+        """Worker processes are reached over socketpairs (a stdlib ``queue``
+        is an in-process inbox, not a transport)."""
+        pattern = re.compile(
+            r"multiprocessing\.(connection|queues)\b|\bconnection\.wait\b|\bPipe\(|"
+            r"\b(?!queue\b|queue_module\b)\w+\.(Simple|Joinable)?Queue\("
+        )
+        users = [
+            f"{name}: {match.group(0)}"
+            for name, text in self.sources().items()
+            for match in pattern.finditer(text)
+        ]
+        assert users == []
+
+    def test_serve_connection_is_the_only_worker_loop(self):
+        """Loopback threads, the TCP daemon and process workers all run it:
+        it alone builds a worker and sends its replies."""
+        sources = self.sources()
+        loops = [
+            f"{name}: {line.strip()}"
+            for name, text in sources.items()
+            for line in text.splitlines()
+            if re.search(r"\bRemoteWorker\(|\.replies\(", line)
+        ]
+        assert {line.split(":")[0] for line in loops} == {"runtime/net_transport.py"}, loops
+        assert not any("_worker_main" in text for text in sources.values())

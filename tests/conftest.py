@@ -41,9 +41,10 @@ def pytest_configure(config) -> None:
 
 
 #: Name prefixes of the runtime's helper threads: the threaded pool, the
-#: loopback network endpoints (worker *processes* are found as children), a
-#: ``FrameServer``'s accept and connection threads, the gateway's services.
-POOL_THREAD_PREFIXES = ("worker-", "net-recv-", "net-worker-", "frame-", "gateway-")
+#: endpoints' receivers and senders, the loopback network workers (worker
+#: *processes* are found as children), a ``FrameServer``'s accept and
+#: connection threads, the gateway's services.
+POOL_THREAD_PREFIXES = ("worker-", "net-recv-", "net-send-", "net-worker-", "frame-", "gateway-")
 #: How long a helper that is already shutting down may take to end.
 LEAK_JOIN_S = 5.0
 

@@ -151,6 +151,27 @@ def test_wedge_is_terminal_once(backend, tmp_path):
         assert result.extra["process_backend"]["respawns"] == 1
 
 
+def test_a_wedged_process_worker_with_a_backlog_is_still_timed_out():
+    """Hundreds of one-task chunks queued behind a wedged body fill its
+    worker's socket; the drain thread must not block on sending them, or
+    the wedge rule cannot run until the body returns on its own.  (A
+    blocking send left the wedge to finish after its 3 s and reported no
+    timeout.)"""
+    t0 = time.monotonic()
+    with fault_session(
+        "process", task_timeout_s=0.2, on_task_failure="quarantine"
+    ) as session:
+        submit_one(session, wedge_body, 3.0, label="wedge")
+        sinks = [submit_one(session, square_body, label="work") for _ in range(600)]
+        result = session.wait_all()
+    assert [(f.label.split("#")[0], f.error) for f in result.failures] == [
+        ("wedge", "TaskTimeoutError")
+    ]
+    assert time.monotonic() - t0 < 3.0  # returned before the wedge woke up
+    assert result.tasks_completed == 600
+    assert all(np.array_equal(dst, src ** 2) for src, dst in sinks)
+
+
 @pytest.mark.parametrize("on_failure", ["abort", "quarantine"])
 def test_killed_worker_process_backend(on_failure):
     """SIGKILL-style worker death: detected, respawned, bounded resubmission."""

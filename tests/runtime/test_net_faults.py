@@ -481,9 +481,12 @@ def _hello(**fields):
         ((_hello(),), ("chunk", 42), "unreadable 'chunk' message"),
         ((), _hostile_chunk(), "chunk before hello"),
         ((_hello(),), ("teleport", 1), "unknown message kind"),
+        ((_hello(),), ("release",), "unreadable 'release' message"),
+        ((_hello(shared=True),), ("release", 5), "unreadable 'release' message"),
     ],
     ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "previous-protocol",
-         "short-invalidate", "int-chunk", "chunk-before-hello", "unknown-kind"],
+         "short-invalidate", "int-chunk", "chunk-before-hello", "unknown-kind",
+         "short-release", "int-release"],
 )
 def test_worker_reports_a_message_it_cannot_read_and_closes(prelude, hostile, named, capfd):
     """The worker trusts no frame either: a well-framed message that is not
@@ -522,6 +525,20 @@ def test_worker_reports_a_message_it_cannot_read_and_closes(prelude, hostile, na
     assert captured.out == "" and captured.err == ""
 
 
+def test_a_shared_hello_from_a_tcp_peer_is_refused(live_listener):
+    """Only a peer on a Unix socket (a process pool on this host) may name
+    segments for a worker to map: a TCP peer asking for the shared data
+    plane gets the named error and a close, and maps nothing."""
+    from conftest import exchange
+
+    from repro.runtime.net_wire import encode_frame, iter_frames
+
+    raw = bytes(encode_frame(_hello(shared=True)))
+    replies = list(iter_frames(exchange(live_listener("net_worker"), raw)))
+    assert len(replies) == 1 and replies[0][:3] == ("error", None, None)
+    assert "WireProtocolError: a shared-segment hello over a network connection" in replies[0][3]
+
+
 CONTRACT_TYPE = TaskType("contract", memoizable=False)
 
 
@@ -543,54 +560,20 @@ def _contract_chunk(ref):
     return descriptors, sources, sinks
 
 
-def _replies_over_queue_and_pipe():
-    """The process transport's worker entry point, run in this process:
-    one chunk, the shutdown pill."""
-    import multiprocessing
-
-    from repro.runtime.mp_executor import _worker_main
-    from repro.runtime.net_wire import NetChunk, decode_frame, encode_frame
-    from repro.runtime.shm import SharedBufferRegistry
-
-    ctx = multiprocessing.get_context()
-    registry = SharedBufferRegistry()
-    task_queue = ctx.Queue()
-    reader, writer = ctx.Pipe(duplex=False)
-    try:
-        descriptors, sources, sinks = _contract_chunk(registry.array_ref)
-        chunk = NetChunk(7, registry.table(), tuple(descriptors))
-        task_queue.put(bytes(encode_frame(("chunk", chunk))))
-        task_queue.put(None)
-        _worker_main(3, task_queue, writer, True)
-        replies = []
-        while reader.poll():
-            replies.append(decode_frame(reader.recv_bytes())[0])  # its own pipe
-        registry.copy_out(DataRegion(sink) for sink in sinks)
-        return replies, sources, sinks
-    finally:
-        task_queue.close()
-        task_queue.join_thread()
-        reader.close()
-        writer.close()
-        registry.close()
-
-
-def _replies_over_a_framed_socket():
-    """The network transport's worker entry point on a socketpair: hello,
-    the same chunk, shutdown."""
+def _serve_one_chunk(hello: dict, chunk) -> list:
+    """The one worker loop on a socketpair: hello, one chunk, shutdown;
+    every reply after the ``hello_ack``."""
     import threading
 
-    from repro.runtime.net_wire import ChunkEncoder, NetChunk, PROTOCOL_VERSION, request
+    from repro.runtime.net_wire import PROTOCOL_VERSION, request
 
-    encoder = ChunkEncoder()
-    descriptors, sources, sinks = _contract_chunk(encoder.ref)
     client, served = socket.socketpair()
     thread = threading.Thread(target=serve_connection, args=(served, 3), daemon=True)
     thread.start()
     with client:
         client.settimeout(SCENARIO_TIMEOUT)
-        assert request(client, ("hello", {"protocol": PROTOCOL_VERSION}))[0] == "hello_ack"
-        write_frame(client, ("chunk", NetChunk(7, encoder.buffers(), tuple(descriptors))))
+        assert request(client, ("hello", {"protocol": PROTOCOL_VERSION, **hello}))[0] == "hello_ack"
+        write_frame(client, ("chunk", chunk))
         write_frame(client, ("shutdown",))
         replies = []
         try:
@@ -599,6 +582,33 @@ def _replies_over_a_framed_socket():
         except Exception:  # EOF: the worker closed after the shutdown
             pass
     thread.join(timeout=SCENARIO_TIMEOUT)
+    return replies
+
+
+def _replies_over_shared_segments():
+    """The process transport: the shared hello, the chunk's refs in the
+    segments of a parent's registry; the written bytes stay there."""
+    from repro.runtime.net_wire import NetChunk
+    from repro.runtime.shm import SharedBufferRegistry
+
+    registry = SharedBufferRegistry()
+    try:
+        descriptors, sources, sinks = _contract_chunk(registry.array_ref)
+        chunk = NetChunk(7, registry.table(), tuple(descriptors))
+        replies = _serve_one_chunk({"shared": True}, chunk)
+        registry.copy_out(DataRegion(sink) for sink in sinks)
+        return replies, sources, sinks
+    finally:
+        registry.close()
+
+
+def _replies_over_shipped_spans():
+    """The network transport: the same chunk with its spans shipped."""
+    from repro.runtime.net_wire import ChunkEncoder, NetChunk
+
+    encoder = ChunkEncoder()
+    descriptors, sources, sinks = _contract_chunk(encoder.ref)
+    replies = _serve_one_chunk({}, NetChunk(7, encoder.buffers(), tuple(descriptors)))
     for message in replies:  # the written bytes ride on the result: land them
         if message[0] == "result":
             for task_id, writes in message[2]:
@@ -609,7 +619,7 @@ def _replies_over_a_framed_socket():
 
 
 @pytest.mark.parametrize(
-    "transport", [_replies_over_queue_and_pipe, _replies_over_a_framed_socket],
+    "transport", [_replies_over_shared_segments, _replies_over_shipped_spans],
     ids=["process", "network"],
 )
 def test_one_worker_one_reply_vocabulary_under_both_transports(transport):
@@ -617,8 +627,8 @@ def test_one_worker_one_reply_vocabulary_under_both_transports(transport):
     healthy) through the one worker behind either transport gets ``ack``,
     ``result`` with the finished two-task prefix and ``error`` naming task 3
     — the fourth task is dropped for the parent to redistribute.  The
-    transports differ in the handshake and in whether written bytes ride on
-    a result, nothing else."""
+    data planes differ in the hello and in whether written bytes ride on a
+    result, nothing else."""
     replies, sources, sinks = transport()
     kinds = [message[0] for message in replies]
     assert kinds == ["ack", "result", "error"]

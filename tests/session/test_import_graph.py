@@ -147,6 +147,13 @@ class TestFrontDoor:
         assert json.loads(output) == SQUARES
         assert atm_modules(json.loads(modules)) == []
 
+    def test_a_process_session_loads_no_multiprocessing_queue_or_lock(self):
+        # Its workers are reached over socketpairs: no queue, pipe or lock.
+        *_, output, modules = run_script(run_one("process", body="faults"))
+        assert json.loads(output) == SQUARES
+        loaded = set(json.loads(modules))
+        assert loaded & {"multiprocessing.queues", "multiprocessing.synchronize"} == set()
+
     def test_an_atm_off_process_worker_loads_no_atm(self):
         worker = json.loads(run_script(run_one("process", body="atm_probe"))[-2])
         assert worker == [0.0] * 8
