@@ -62,12 +62,16 @@ process-backend:
 		-k "not network_twin and not simulator" -p no:cacheprovider -x -q
 
 # Network backend: parity + fault-injection matrix over the loopback
-# transport, cache-less and fail-fast (mirrors the CI step), and the soak
-# tier (500-task churn with mid-drain worker loss, excluded from tier-1).
+# transport (the silence/wedge precedence and the one-report failure reason
+# included), the wire property suite and the copy fences with the queued
+# frames' alias rule, cache-less and fail-fast (mirrors the CI step), and
+# the soak tier (500-task churn with mid-drain worker loss, excluded from
+# tier-1).
 net-loopback:
 	$(PYTHON) -m pytest tests/runtime/test_executor_parity.py \
 		tests/runtime/test_net_faults.py \
-		tests/runtime/test_net_wire_property.py -p no:cacheprovider -x -q
+		tests/runtime/test_net_wire_property.py \
+		tests/runtime/test_net_wire_copies.py -p no:cacheprovider -x -q
 
 # Residency protocol tier: the hypothesis interleaving property + unit
 # rules for the per-endpoint stale-bytes caches, the parity matrix (which

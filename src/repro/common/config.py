@@ -211,10 +211,12 @@ class RuntimeConfig(_Section):
         or a comma-separated list of ``host:port`` addresses of
         ``scripts/net_worker.py`` daemons.
     net_timeout_s:
-        Heartbeat/ack timeout of the network backend: an endpoint with
-        outstanding work that stays silent this long is declared dead and
-        its chunks are resubmitted elsewhere.  Must exceed the worst-case
-        wall-clock of one dispatched chunk.
+        Silence timeout of the network backend: an endpoint that owes an
+        answer (an ack or a result) and stays silent this long is declared
+        dead and its chunks are resubmitted elsewhere.  Under
+        ``task_timeout_s`` a chunk the worker acked is that rule's instead;
+        without it, this must exceed the worst-case wall-clock of one
+        dispatched chunk.
     net_max_retries:
         How many times one task may be resubmitted after endpoint failures
         before the drain raises

@@ -22,10 +22,10 @@ workers (on the process backend ``_check_write`` does nothing,
 step with their segments).  ``worker`` is any hashable the
 transport uses to name a worker (a pool index, an endpoint object).
 
-``_send(chunk) -> worker | None``
-    Ship one :class:`Chunk` to a worker the transport picks; ``None`` when
-    that worker failed while sending (the dispatcher asks again; the
-    transport raises when no worker is left).
+``_send(chunk) -> worker``
+    Ship one :class:`Chunk` to a worker the transport picks (it raises when
+    no worker is left).  A send never blocks and never fails inline: a
+    connection that broke is reported by ``_pump`` like any other loss.
 ``_pump()``
     Block for the next message — at most one poll interval, so the
     dispatcher's deadlines are checked while idle — and hand every worker
@@ -239,9 +239,7 @@ class ChunkDispatcher:
         size, send = self._chunk_size, self._host._send
         for start in range(0, len(tasks), size):
             chunk = Chunk(next(self._chunk_ids), tasks[start:start + size])
-            while (worker := send(chunk)) is None:
-                pass  # that worker failed mid-send; the transport picks another
-            self._ledger.setdefault(worker, {})[chunk.chunk_id] = chunk
+            self._ledger.setdefault(send(chunk), {})[chunk.chunk_id] = chunk
             self.counters["chunks"] += 1
 
     def reship(self, task: Task) -> None:
@@ -252,9 +250,16 @@ class ChunkDispatcher:
         self._send([task])
 
     # -- events: worker replies ------------------------------------------------
-    def busy(self, worker: Hashable) -> bool:
-        """Whether ``worker`` owes an answer to a chunk."""
-        return bool(self._ledger.get(worker))
+    def owes(self, worker: Hashable) -> bool:
+        """Whether ``worker``'s silence is a fault: it holds a chunk and,
+        under ``task_timeout_s``, has acked none of them — a chunk it acked
+        then belongs to the wedge rule (:meth:`_check_wedged`)."""
+        chunks = self._ledger.get(worker)
+        if not chunks:
+            return False
+        if self._host._supervisor.task_timeout_s is None:
+            return True
+        return all(chunk.started_at is None for chunk in chunks.values())
 
     def reply(self, worker: Hashable, worker_name: str, message: Any) -> Optional[str]:
         """Decode one worker reply and act on it: the one reply vocabulary.

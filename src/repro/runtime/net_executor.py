@@ -13,12 +13,15 @@ The drain loop, ledger, reply decoder, wedge rule and resubmission budgets
 are the shared :class:`~repro.runtime.dispatch.ChunkDispatcher` (§4.6);
 this module is its socket *transport* and data plane:
 
-* **No shared memory.**  Every dispatch ships views of the byte spans a
-  chunk touches; every completion carries the written bytes home, checked
-  against the task while it is still in flight and applied to the parent
-  arrays by one ``np.copyto`` *before* successors are released.  With
-  per-endpoint data
-  residency (``RuntimeConfig.net_residency``, default on) dispatch cost is
+* **No shared memory.**  Every dispatch ships the byte spans a chunk
+  touches — views of the parent arrays where the chunk's own accesses cover
+  the span, copies where they do not (the alias rule of
+  :class:`~repro.runtime.net_wire.ChunkEncoder`: a frame waits in its
+  endpoint's outbox until the writer thread sends it); every completion
+  carries the written bytes home, checked against the task while it is
+  still in flight and applied to the parent arrays by one ``np.copyto``
+  *before* successors are released.  With per-endpoint data residency
+  (``RuntimeConfig.net_residency``, default on) dispatch cost is
   proportional to *stale* data rather than touched data: the parent's
   :class:`~repro.runtime.residency.ResidencyTable` tracks which buffer
   spans each endpoint already holds at which write-version, chunks ship
@@ -31,14 +34,18 @@ this module is its socket *transport* and data plane:
   shrunken live list, so placement stays deterministic across failover.
   See PERFORMANCE.md ("Network backend dispatch overhead" and
   "Stale-bytes dispatch").
-* **Failure is expected.**  Heartbeat timeouts
-  (``RuntimeConfig.net_timeout_s``) detect dead or silent endpoints, a
+* **Failure is expected.**  A broken connection is the receiver's
+  ``TRANSPORT_ERROR`` (sends never block and never fail inline), the
+  silence rule (``RuntimeConfig.net_timeout_s``) fails an endpoint that
+  owes an answer and stays silent, a
   reply the dispatcher's decoder rejects fails the endpoint that sent it,
   and the unfinished chunks of a failed endpoint are resubmitted to the
   surviving ones — the failed endpoint stays excluded.  Every chunk it
   held is charged against the dispatcher's resubmission budget
   (``net_max_retries``); a task wedged past ``task_timeout_s`` is the
-  dispatcher's wedge rule, with "out of service" meaning excluded here.
+  dispatcher's wedge rule, with "out of service" meaning excluded here;
+  under ``task_timeout_s`` a chunk the worker acked belongs to the wedge
+  rule, not to the silence rule.
   Exhausting that budget,
   losing every endpoint, or exceeding the drain deadline raises
   :class:`~repro.common.exceptions.NetworkDrainError` instead of hanging.
@@ -82,7 +89,6 @@ from repro.runtime.net_wire import (
     NetChunk,
     PROTOCOL_VERSION,
     encode_frame,
-    span_view,
 )
 from repro.runtime.data import region_versions
 from repro.runtime.residency import RESIDENCY_BUDGET_BYTES, ResidencyTable
@@ -91,23 +97,10 @@ from repro.runtime.task import Task
 __all__ = ["NetworkExecutor"]
 
 
-class _EndpointState:
-    """Liveness clocks the executor keeps per endpoint."""
-
-    __slots__ = ("last_heard", "last_ping")
-
-    def __init__(self) -> None:
-        self.last_heard = time.perf_counter()
-        self.last_ping = 0.0
-
-
 def _close_endpoints(endpoints: list) -> None:
     """Endpoint teardown, run once by close() or the GC finalizer."""
     for endpoint in endpoints:
-        try:
-            endpoint.send(("shutdown",))
-        except Exception:
-            pass
+        endpoint.send(("shutdown",))
         try:
             endpoint.close()
         except Exception:  # pragma: no cover - defensive
@@ -142,7 +135,9 @@ class NetworkExecutor(BaseExecutor):
             )
         self._endpoints: list[SocketEndpoint] = list(endpoints)
         self._inbox: queue_module.Queue = queue_module.Queue()
-        self._ep_state: dict[SocketEndpoint, _EndpointState] = {}
+        #: Live endpoint -> ``perf_counter`` stamp it was last heard from
+        #: (or last handed work): the silence rule's clock.
+        self._last_heard: dict[SocketEndpoint, float] = {}
         #: Round-robin cursor over live endpoints; persists across dispatch
         #: calls so wavefront apps (one ready chunk at a time) still spread
         #: over the whole pool instead of hammering endpoint 0.
@@ -194,11 +189,11 @@ class NetworkExecutor(BaseExecutor):
         for endpoint in self._endpoints:
             try:
                 endpoint.start(self._inbox)
-                endpoint.send(hello)
             except NetworkTransportError as exc:
                 self._record_failure(endpoint, str(exc))
                 continue
-            self._ep_state[endpoint] = _EndpointState()
+            endpoint.send(hello)
+            self._last_heard[endpoint] = time.perf_counter()
         if not self._live_endpoints():
             raise NetworkDrainError(
                 "no network endpoint could be reached: "
@@ -207,16 +202,6 @@ class NetworkExecutor(BaseExecutor):
 
     def _record_failure(self, endpoint: SocketEndpoint, reason: str) -> None:
         endpoint.failed = True
-        # A worker that hits a decode error (typically a task function that
-        # does not resolve on its import path) reports it best-effort before
-        # dying; the parent usually observes the broken pipe first, so fold
-        # the report into the reason — it names the actual cause.
-        report = endpoint.last_worker_error
-        if report is None:
-            time.sleep(0.05)  # give the receiver thread one beat to read it
-            report = endpoint.last_worker_error
-        if report is not None:
-            reason = f"{reason} (worker reported: {report})"
         self._failures.append(f"{endpoint.name}: {reason}")
         # Never join threads here: this runs on the drain thread and a
         # wedged worker would stall failover for the whole join timeout.
@@ -243,8 +228,8 @@ class NetworkExecutor(BaseExecutor):
         drain.  With residency on, each touched buffer ships
         either its full union span (stale or unknown on this endpoint) or a
         ``data=None`` cached reference (current) — the stale-bytes dispatch.
-        The frame's segments alias the parent arrays: :meth:`_send_chunk`
-        sends it before anything else runs on the drain thread.
+        A shipped span follows the encoder's alias rule, so the frame may
+        wait in the endpoint's outbox.
         """
         encoder = ChunkEncoder()
         descriptors = tuple(describe_tasks(chunk.tasks, encoder.ref, "network"))
@@ -263,7 +248,7 @@ class NetworkExecutor(BaseExecutor):
                     row = NetBuffer(buffer_id, entry.start, None, entry.generation)
                 else:
                     generation = residency.record(endpoint, buffer_id, start, end, version)
-                    row = NetBuffer(buffer_id, start, span_view(base, start, end), generation)
+                    row = NetBuffer(buffer_id, start, encoder.payload(buffer_id), generation)
                 encoded.append(row)
                 dispatch_gens[buffer_id] = row.generation
             evicted = residency.evict_over_budget(endpoint, protect_tick)
@@ -279,30 +264,25 @@ class NetworkExecutor(BaseExecutor):
             raise
         return frame, dispatch_gens, evicted
 
-    def _send_chunk(self, chunk: Chunk, endpoint: SocketEndpoint) -> bool:
-        """Ship one chunk to ``endpoint``; returns False when it failed."""
+    def _send_chunk(self, chunk: Chunk, endpoint: SocketEndpoint) -> None:
+        """Ship one chunk to ``endpoint``."""
         frame, chunk.extra, evicted = self._encode_chunk(chunk, endpoint)
-        try:
-            endpoint.send(frame)
-            if evicted:
-                # After the chunk: socket FIFO order guarantees the worker
-                # processes every dispatch referencing the evicted
-                # generations before it drops them.
-                endpoint.send(("invalidate", tuple(evicted)))
-        except NetworkTransportError as exc:
-            self._lose_endpoint(endpoint, str(exc))
-            return False
+        endpoint.send(frame)
+        if evicted:
+            # After the chunk: socket FIFO order guarantees the worker
+            # processes every dispatch referencing the evicted
+            # generations before it drops them.
+            endpoint.send(("invalidate", tuple(evicted)))
         # Dispatch restarts the endpoint's silence clock: an endpoint that
         # was legitimately idle (nothing outstanding) must get a full
         # timeout window to answer freshly (re)submitted work.
-        self._ep_state[endpoint].last_heard = time.perf_counter()
+        self._last_heard[endpoint] = time.perf_counter()
         self._stats["payload_bytes"] += len(frame)
         self._chunks_by_endpoint[endpoint.name] = (
             self._chunks_by_endpoint.get(endpoint.name, 0) + 1
         )
-        return True
 
-    def _send(self, chunk: Chunk) -> Optional[SocketEndpoint]:
+    def _send(self, chunk: Chunk) -> SocketEndpoint:
         """Place one chunk on a live endpoint (locality-aware) and ship it."""
         live = self._live_endpoints()
         if not live:
@@ -310,7 +290,8 @@ class NetworkExecutor(BaseExecutor):
                 "all network endpoints failed: " + "; ".join(self._failures)
             )
         endpoint = self._place(chunk.tasks, live)
-        return endpoint if self._send_chunk(chunk, endpoint) else None
+        self._send_chunk(chunk, endpoint)
+        return endpoint
 
     # -- placement ---------------------------------------------------------------
     def _place(
@@ -380,7 +361,7 @@ class NetworkExecutor(BaseExecutor):
         # survivors re-ships full bytes).
         if self._residency is not None:
             self._residency.drop_endpoint(endpoint)
-        self._ep_state.pop(endpoint, None)
+        self._last_heard.pop(endpoint, None)
         return endpoint.name, self._dispatcher.reclaim(endpoint)
 
     def _lose(self, endpoint: SocketEndpoint) -> tuple[str, list[Chunk]]:
@@ -456,16 +437,15 @@ class NetworkExecutor(BaseExecutor):
         except queue_module.Empty:
             self._check_liveness()
             return
-        state = self._ep_state.get(endpoint)
-        if endpoint.failed or state is None:
+        if endpoint not in self._last_heard:
             return  # stale traffic from an endpoint already declared dead
         kind = message[0]
         if kind == TRANSPORT_ERROR:
             self._lose_endpoint(endpoint, message[1])
             return
         # Whatever it says, the endpoint is alive.
-        state.last_heard = time.perf_counter()
-        if kind in ("hello_ack", "pong"):
+        self._last_heard[endpoint] = time.perf_counter()
+        if kind == "hello_ack":
             return
         problem = self._dispatcher.reply(endpoint, endpoint.name, message)
         if problem is not None:
@@ -546,29 +526,20 @@ class NetworkExecutor(BaseExecutor):
         for drop_endpoint, buffer_id, generation in dropped:
             invalidations.setdefault(drop_endpoint, []).append((buffer_id, generation))
         for drop_endpoint, pairs in invalidations.items():
-            if drop_endpoint.failed:
-                continue
-            try:
+            if not drop_endpoint.failed:
                 drop_endpoint.send(("invalidate", tuple(pairs)))
-            except NetworkTransportError as exc:
-                self._lose_endpoint(drop_endpoint, f"invalidate failed: {exc}")
 
     def _check_liveness(self) -> None:
-        """Heartbeat: an endpoint that owes an answer must not stay silent."""
+        """The silence rule: an endpoint that owes an answer
+        (:meth:`~repro.runtime.dispatch.ChunkDispatcher.owes`) must not stay
+        silent past ``net_timeout_s``."""
         now = time.perf_counter()
-        for endpoint, state in list(self._ep_state.items()):
-            if endpoint.failed or not self._dispatcher.busy(endpoint):
-                continue
-            silent_for = now - state.last_heard
-            if silent_for > self.timeout:
+        for endpoint in list(self._last_heard):
+            # Read live: losing one endpoint hands its work to another.
+            silent_for = now - self._last_heard.get(endpoint, now)
+            if silent_for > self.timeout and self._dispatcher.owes(endpoint):
                 self._lose_endpoint(
                     endpoint,
                     f"heartbeat timeout ({silent_for:.2f}s > "
                     f"net_timeout_s={self.timeout}s with work outstanding)",
                 )
-            elif silent_for > self.timeout / 2 and now - state.last_ping > self.timeout / 2:
-                state.last_ping = now
-                try:
-                    endpoint.send(("ping",))
-                except NetworkTransportError as exc:
-                    self._lose_endpoint(endpoint, f"ping failed: {exc}")

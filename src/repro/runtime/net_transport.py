@@ -4,15 +4,16 @@ Transport model (DESIGN.md §4.5): a worker-pool parent holds one
 point-to-point connection per worker *endpoint*.  Each endpoint owns a
 socket plus a receiver thread that decodes frames
 (:mod:`repro.runtime.net_wire`) and posts ``(endpoint, message)`` pairs onto
-the executor's single inbox queue; sends happen inline under a per-endpoint
-lock (a process endpoint's on a writer thread).  Three concrete endpoints
-exist:
+the executor's single inbox queue, and a writer thread that empties the
+endpoint's outbox onto the socket: a send never blocks its caller, so a
+worker that stopped reading cannot stall the drain thread that must time it
+out.  Three concrete endpoints exist:
 
 * :class:`LoopbackEndpoint` — a ``socket.socketpair`` whose far end is
   served by an in-process worker thread running the *same*
   :func:`serve_connection` loop the TCP daemon runs.  The full stack —
-  framing, acks, heartbeats, resubmission — is exercised on one machine
-  with zero extra infrastructure; this is the default
+  framing, acks, the silence and wedge rules, resubmission — is exercised
+  on one machine with zero extra infrastructure; this is the default
   (``RuntimeConfig.net_endpoints = "loopback"``) and what the parity and
   fault suites drive.
 * :class:`TcpEndpoint` — connects to a ``scripts/net_worker.py`` daemon at
@@ -22,13 +23,14 @@ exist:
   (:mod:`repro.runtime.mp_executor`).  The child's death is the socket's
   EOF, posted after every frame it wrote before dying.
 
-Endpoint failure is a *state*, not an exception: when the socket breaks, a
-frame fails to decode, or the executor's heartbeat deadline expires, the
-endpoint is marked ``failed``, excluded from further dispatch, and its
-unfinished chunks are resubmitted elsewhere.  The fault-injection tests
+Endpoint failure is a *state*, not an exception: when the socket breaks (a
+failed send included: the receiver reports it, behind every frame the worker
+wrote), a frame fails to decode, or the executor's silence or wedge rule
+fires, the endpoint is marked ``failed``, excluded from further dispatch,
+and its unfinished chunks are resubmitted elsewhere.  The fault-injection tests
 subclass :class:`LoopbackEndpoint` and override :meth:`SocketEndpoint.deliver`
 / :meth:`LoopbackEndpoint.worker_target` to drop acks, delay past the
-heartbeat, kill the worker mid-chunk or corrupt the stream.
+silence budget, kill the worker mid-chunk or corrupt the stream.
 
 The worker side — :class:`NetWorkerState` + :func:`serve_connection` — is
 the one :class:`~repro.runtime.remote_task.RemoteWorker` behind a framed
@@ -36,7 +38,7 @@ socket: it reads frames from any socket, so the loopback thread, the
 standalone TCP daemon and a process worker share every line of it.  The
 ``hello`` names the data plane: shipped spans (with or without residency)
 or, from a process pool over a local socket, the parent's shared segments
-(``"shared": True``).  ``hello`` / ``ping`` / ``invalidate`` / ``release`` /
+(``"shared": True``).  ``hello`` / ``invalidate`` / ``release`` /
 ``shutdown`` are this transport's own messages; ``chunk`` and its replies
 are the remote-worker protocol's (DESIGN.md §4.6).  Neither side trusts the
 other's frames: whatever is not a protocol tuple of the right shape ends in
@@ -85,20 +87,18 @@ TRANSPORT_ERROR = "__transport_error__"
 
 # -- parent-side endpoints ------------------------------------------------------------
 class SocketEndpoint:
-    """One connection from the executor to a worker, with a receiver thread."""
+    """One connection from the executor to a worker, with a receiver thread
+    and a writer thread."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         #: Set (only) by the executor when it declares this endpoint dead.
         self.failed = False
-        #: Last worker-side error report seen by the receiver thread; the
-        #: executor folds it into the failure reason when the connection
-        #: breaks before the report can travel the normal message path.
-        self.last_worker_error: Optional[str] = None
         self._sock: Optional[socket.socket] = None
         self._inbox: Optional[queue.Queue] = None
-        self._send_lock = threading.Lock()
-        self._receiver: Optional[threading.Thread] = None
+        #: Frames for the writer thread; ``None`` stops it.
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
         self._closed = False
 
     # -- connection --------------------------------------------------------------
@@ -106,7 +106,8 @@ class SocketEndpoint:
         raise NotImplementedError
 
     def start(self, inbox: queue.Queue) -> None:
-        """Connect and spawn the receiver thread posting into ``inbox``."""
+        """Connect and spawn the receiver thread posting into ``inbox`` and
+        the writer thread."""
         if self._sock is not None:
             return
         self._inbox = inbox
@@ -116,20 +117,19 @@ class SocketEndpoint:
             raise NetworkTransportError(
                 f"endpoint {self.name}: cannot connect: {exc}"
             ) from exc
-        self._receiver = threading.Thread(
-            target=self._receive_loop, daemon=True, name=f"net-recv-{self.name}"
-        )
-        self._receiver.start()
+        for loop, role in ((self._receive_loop, "recv"), (self._write_loop, "send")):
+            thread = threading.Thread(
+                target=loop, args=(self._sock,), daemon=True, name=f"net-{role}-{self.name}"
+            )
+            thread.start()
+            self._threads.append(thread)
 
-    def _receive_loop(self) -> None:
-        sock = self._sock
+    def _receive_loop(self, sock: socket.socket) -> None:
         try:
             while True:
                 message = read_frame(sock)
                 if not _is_message(message):
                     raise WireProtocolError(f"malformed reply: {message!r:.80}")
-                if message[0] == "error":
-                    self.last_worker_error = str(message[-1])
                 self.deliver(message)
         except (WireProtocolError, OSError, ValueError) as exc:
             # ValueError: recv on a socket closed by our own close().
@@ -151,38 +151,43 @@ class SocketEndpoint:
 
     # -- outbound ---------------------------------------------------------------
     def send(self, message: Any) -> None:
-        """Send one message, or a :class:`Frame` the caller already encoded.
+        """Queue one message, or a :class:`Frame` the caller already encoded,
+        for the writer thread.
 
-        The executor frames chunks itself (a task that cannot travel must
-        raise with the offending tasks named) and sends the frame straight after;
-        the transport-level failure surface is exactly
-        :class:`NetworkTransportError`.
+        Never blocks and never reports the transport: a send that fails is
+        the receiver's ``TRANSPORT_ERROR``, posted behind every frame the
+        worker wrote before the connection broke, and a closed endpoint
+        drops what it is given.  A queued frame may alias only bytes no
+        other in-flight task writes (the alias rule,
+        :class:`~repro.runtime.net_wire.ChunkEncoder`).
         """
-        sock = self._sock
-        if sock is None or self._closed:
-            raise NetworkTransportError(f"endpoint {self.name} is not connected")
-        frame = message if isinstance(message, Frame) else encode_frame(message)
-        try:
-            with self._send_lock:
-                send_frame(sock, frame)
-        except OSError as exc:
-            raise NetworkTransportError(
-                f"endpoint {self.name}: send failed: {exc}"
-            ) from exc
+        if not self._closed:
+            self._outbox.put(message if isinstance(message, Frame) else encode_frame(message))
+
+    def _write_loop(self, sock: socket.socket) -> None:
+        broken = False
+        while (frame := self._outbox.get()) is not None:
+            if not broken:
+                try:
+                    send_frame(sock, frame)
+                except OSError:
+                    broken = True  # drop the rest: the receiver reports the break
 
     # -- teardown ---------------------------------------------------------------
     def close(self, wait: bool = True) -> None:
         """Tear the connection down.
 
         ``wait=False`` (the executor's *failure* path) skips the thread
-        joins: the receiver and any loopback worker are daemon threads that
-        die with the closed socket, and joining a wedged worker would stall
-        failover on the drain thread for the whole join timeout.
+        joins: the receiver, the writer and any loopback worker are daemon
+        threads that die with the closed socket, and joining a wedged
+        worker would stall failover on the drain thread for the whole join
+        timeout.
         """
         if self._closed:
             return
         self._closed = True
-        if self._sock is not None:
+        self._outbox.put(None)
+        if self._sock is not None:  # the shut socket fails a blocked send
             try:
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -191,12 +196,10 @@ class SocketEndpoint:
                 self._sock.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-        if (
-            wait
-            and self._receiver is not None
-            and self._receiver is not threading.current_thread()
-        ):
-            self._receiver.join(timeout=2.0)
+        if wait:
+            for thread in self._threads:
+                if thread is not threading.current_thread():
+                    thread.join(timeout=2.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "failed" if self.failed else ("closed" if self._closed else "live")
@@ -243,12 +246,6 @@ class ProcessEndpoint(SocketEndpoint):
     """A worker process: a socketpair whose far end a child started from
     ``context`` (a ``multiprocessing`` context) serves with
     :func:`serve_connection`.  Closing it kills and reaps the child.
-
-    Sends never block the caller: a writer thread empties an outbox onto
-    the socket, so a worker that stopped reading (a wedged body) cannot
-    stall the drain thread that must time it out.  Deferring a send is safe
-    here because the frames carry refs into shared segments, never views
-    of live arrays.
     """
 
     def __init__(self, name: str, worker_id: int, context) -> None:
@@ -256,8 +253,6 @@ class ProcessEndpoint(SocketEndpoint):
         self.worker_id = worker_id
         self._context = context
         self.process = None
-        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._writer: Optional[threading.Thread] = None
 
     def connect(self) -> socket.socket:
         parent_sock, worker_sock = socket.socketpair()
@@ -272,30 +267,12 @@ class ProcessEndpoint(SocketEndpoint):
             raise
         finally:
             worker_sock.close()  # the child holds the worker end now
-        self._writer = threading.Thread(
-            target=self._write_loop, args=(parent_sock,), daemon=True,
-            name=f"net-send-{self.name}",
-        )
-        self._writer.start()
         return parent_sock
-
-    def send(self, message: Any) -> None:
-        self._outbox.put(message if isinstance(message, Frame) else encode_frame(message))
-
-    def _write_loop(self, sock: socket.socket) -> None:
-        while (frame := self._outbox.get()) is not None:
-            try:
-                send_frame(sock, frame)
-            except OSError:
-                return  # a dead worker: its receiver reports the EOF
 
     def close(self, wait: bool = True) -> None:
         if self._closed:
             return
-        self._outbox.put(None)
-        super().close(wait=wait)  # the shut socket fails a blocked send
-        if self._writer is not None:
-            self._writer.join(timeout=2.0)
+        super().close(wait=wait)
         if self.process is not None and self.process.pid is not None:
             self.process.kill()
             self.process.join(timeout=5.0)
@@ -488,8 +465,6 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
                     slots = message[1]
                     if state.arena is not None:
                         state.arena.release(slots)
-                elif kind == "ping":
-                    write_frame(sock, ("pong",))
                 elif kind == "shutdown":
                     break
                 else:

@@ -109,7 +109,9 @@ __all__ = [
 #: ``(task_id, *payload)`` and there is no ``sync``.
 #: Version 11: process workers speak it too — a ``"shared"`` hello maps the
 #: parent's segments and ``release`` drops them — and every chunk is acked.
-PROTOCOL_VERSION = 11
+#: Version 12: no ``ping`` / ``pong``: an endpoint that owes an answer is
+#: judged by the acks and results it sends (the silence and wedge rules).
+PROTOCOL_VERSION = 12
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count
@@ -160,9 +162,11 @@ def encode_frame(message: Any) -> Frame:
     """Frame one message without copying the buffers it references.
 
     The frame's segments alias live arrays and their checksums are taken
-    here, so the caller encodes and sends on the same thread with nothing in
-    between: a write to a referenced array before the send completes would
-    put bytes on the wire that no longer match their checksum.
+    here, so until the frame is sent nothing may write the bytes it
+    references: a write before the send completes would put bytes on the
+    wire that no longer match their checksum.  A frame that waits in an
+    endpoint's outbox therefore references only bytes its chunk's own
+    accesses hold (the alias rule, :meth:`ChunkEncoder.payload`).
     """
     control, segments = encode_control(message, MAX_FRAME_SEGMENTS)
     total = len(control) + sum(map(len, segments))
@@ -361,12 +365,23 @@ class ChunkEncoder:
     chunk.  Call :meth:`ref` for every array (it is the array→ref function
     :func:`~repro.runtime.remote_task.describe_task` takes), then
     :meth:`buffers` once to materialise the union spans.
+
+    The alias rule: a frame waits in its endpoint's outbox until the writer
+    thread sends it, so its segments may alias a parent array only where the
+    chunk's own accesses cover the whole span — those bytes no other
+    in-flight task writes (dependences order overlapping intervals).  A base
+    touched at one interval ships as a view; the union span of a base
+    touched at several intervals is copied, because it may hold bytes
+    between them that another endpoint's write-back lands in before the
+    frame is sent.
     """
 
     def __init__(self) -> None:
         # id(base) -> [base, min_start, max_end]; holding the base reference
         # keeps the id stable for the encoder's lifetime.
         self._spans: dict[int, list] = {}
+        # ids of bases touched at more than one interval.
+        self._copied: set[int] = set()
         # id(array) -> (array, ref): a task's argument arrays are usually
         # the very objects its accesses declared, so each is encoded once.
         self._refs: dict[int, tuple[np.ndarray, tuple]] = {}
@@ -376,9 +391,10 @@ class ChunkEncoder:
         span = self._spans.get(buffer_id)
         if span is None:
             self._spans[buffer_id] = [base, start, end]
-        else:
+        elif (start, end) != (span[1], span[2]):
             span[1] = min(span[1], start)
             span[2] = max(span[2], end)
+            self._copied.add(buffer_id)
         return buffer_id
 
     def ref(self, array: np.ndarray, region: Optional[DataRegion] = None) -> tuple:
@@ -405,13 +421,19 @@ class ChunkEncoder:
         """
         return self._spans
 
+    def payload(self, buffer_id: int) -> memoryview:
+        """The union span of one touched base as a queued frame may carry
+        it: a view, or a copy where the alias rule asks for one."""
+        base, start, end = self._spans[buffer_id]
+        view = span_view(base, start, end)
+        return memoryview(view.tobytes()) if buffer_id in self._copied else view
+
     def buffers(self) -> tuple[NetBuffer, ...]:
-        """One full-ship buffer per touched base: a view of its union span."""
+        """One full-ship buffer per touched base: its union span's
+        :meth:`payload`."""
         return tuple(
-            NetBuffer(
-                buffer_id=buffer_id, start=start, data=span_view(base, start, end)
-            )
-            for buffer_id, (base, start, end) in self._spans.items()
+            NetBuffer(buffer_id=buffer_id, start=start, data=self.payload(buffer_id))
+            for buffer_id, (_, start, _) in self._spans.items()
         )
 
 

@@ -405,3 +405,27 @@ class TestOneRemoteWorkerProtocol:
         ]
         assert {line.split(":")[0] for line in loops} == {"runtime/net_transport.py"}, loops
         assert not any("_worker_main" in text for text in sources.values())
+
+    def test_every_endpoint_sends_through_the_one_writer_thread(self):
+        from repro.runtime import net_transport
+
+        base = net_transport.SocketEndpoint
+        endpoints = [
+            cls for cls in vars(net_transport).values()
+            if isinstance(cls, type) and issubclass(cls, base) and cls is not base
+        ]
+        assert len(endpoints) == 3  # loopback, process and TCP
+        redefined = [
+            f"{cls.__name__}.{name}" for cls in endpoints
+            for name in ("send", "_write_loop") if name in vars(cls)
+        ]
+        assert "send" in vars(base) and redefined == []
+
+    def test_no_ping_or_pong_under_the_runtime(self):
+        """Liveness is the acks and results a worker sends: the silence and
+        wedge rules, no probe message."""
+        users = [
+            name for name, text in self.sources().items()
+            if name.startswith("runtime/") and re.search(r"""["'](ping|pong)["']""", text)
+        ]
+        assert users == []

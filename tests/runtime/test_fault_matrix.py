@@ -151,24 +151,28 @@ def test_wedge_is_terminal_once(backend, tmp_path):
         assert result.extra["process_backend"]["respawns"] == 1
 
 
-def test_a_wedged_process_worker_with_a_backlog_is_still_timed_out():
+@pytest.mark.parametrize(
+    "backend, backlog", [("process", 600), ("network", 1000)], ids=["process", "network"]
+)
+def test_a_wedged_worker_with_a_backlog_is_still_timed_out(backend, backlog):
     """Hundreds of one-task chunks queued behind a wedged body fill its
     worker's socket; the drain thread must not block on sending them, or
     the wedge rule cannot run until the body returns on its own.  (A
     blocking send left the wedge to finish after its 3 s and reported no
-    timeout.)"""
+    timeout.)  A loopback socketpair takes more frames than a process
+    worker's before it is full."""
     t0 = time.monotonic()
     with fault_session(
-        "process", task_timeout_s=0.2, on_task_failure="quarantine"
+        backend, task_timeout_s=0.2, on_task_failure="quarantine"
     ) as session:
         submit_one(session, wedge_body, 3.0, label="wedge")
-        sinks = [submit_one(session, square_body, label="work") for _ in range(600)]
+        sinks = [submit_one(session, square_body, label="work") for _ in range(backlog)]
         result = session.wait_all()
     assert [(f.label.split("#")[0], f.error) for f in result.failures] == [
         ("wedge", "TaskTimeoutError")
     ]
     assert time.monotonic() - t0 < 3.0  # returned before the wedge woke up
-    assert result.tasks_completed == 600
+    assert result.tasks_completed == backlog
     assert all(np.array_equal(dst, src ** 2) for src, dst in sinks)
 
 

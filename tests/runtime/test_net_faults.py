@@ -197,11 +197,33 @@ class DieAfterChunksEndpoint(LoopbackEndpoint):
                 elif kind == "invalidate":
                     if state.buffer_cache is not None:
                         state.buffer_cache.invalidate(message[1])
-                elif kind == "ping":
-                    write_frame(sock, ("pong",))
                 elif kind == "shutdown":
                     return
         except (OSError, ValueError, EOFError):
+            pass
+        finally:
+            sock.close()
+
+
+class ReportAndCloseEndpoint(LoopbackEndpoint):
+    """Worker that answers its first chunk as ``serve_connection`` answers a
+    frame it cannot read — an ``("error", None, None, text)`` report — and
+    closes the connection."""
+
+    REPORT = "worker -1: WireProtocolError: cannot resolve the task body"
+
+    def worker_target(self, sock: socket.socket) -> None:
+        try:
+            while True:
+                message = read_frame(sock)
+                if message[0] == "hello":
+                    write_frame(sock, ("hello_ack", {"worker_id": -1}))
+                elif message[0] == "chunk":
+                    write_frame(sock, ("error", None, None, self.REPORT))
+                    return
+                elif message[0] == "shutdown":
+                    return
+        except Exception:
             pass
         finally:
             sock.close()
@@ -456,6 +478,46 @@ def test_malformed_reply_fails_the_endpoint_at_once(script, capfd):
     assert "malformed reply" in failure or "malformed result" in failure
     assert bad.failed and backend["resubmitted_tasks"] > 0
     assert capfd.readouterr().err == ""  # no traceback from a net-recv-* thread
+
+
+def test_a_worker_error_report_names_the_failure_once():
+    """The receiver posts a worker's error report ahead of the EOF behind
+    it, so the report reaches the failure reason once, through the reply
+    decoder.  (The parent commit also folded the receiver's copy of it in,
+    after a 0.05 s wait: the text appeared twice.)"""
+    bad = ReportAndCloseEndpoint("reporting/0")
+    result, sources, sinks, executor = run_square_program(
+        [bad, LoopbackEndpoint("healthy/0")], n_tasks=8
+    )
+    assert_correct(result, sources, sinks)
+    backend = result.extra["network_backend"]
+    failure = next(f for f in backend["failed_endpoints"] if "reporting/0" in f)
+    assert failure.count(ReportAndCloseEndpoint.REPORT) == 1, failure
+    assert bad.failed
+
+
+def test_an_acked_wedge_is_the_wedge_rules_not_the_heartbeats():
+    """Under ``task_timeout_s`` a chunk its worker acked belongs to the
+    wedge rule, even with ``net_timeout_s`` (0.3 s) below the wedge
+    budget (0.45 s): one ``TaskTimeoutError``, one endpoint excluded for
+    it, every square done on the other.  (The parent commit failed the
+    wedged endpoint by heartbeat, re-ran the wedge on the second one and
+    ended the drain in "all network endpoints failed".)"""
+    from repro.testing.faults import fault_session, submit_one, wedge_body
+
+    with fault_session(
+        "network", task_timeout_s=0.2, net_timeout_s=0.3, on_task_failure="quarantine"
+    ) as session:
+        submit_one(session, wedge_body, 3.0, label="wedge")
+        sinks = [submit_one(session, square_body, label="work") for _ in range(49)]
+        result = session.wait_all()
+    assert [(f.label.split("#")[0], f.error) for f in result.failures] == [
+        ("wedge", "TaskTimeoutError")
+    ]
+    failed = result.extra["network_backend"]["failed_endpoints"]
+    assert len(failed) == 1 and "task_timeout_s=0.2" in failed[0], failed
+    assert result.tasks_completed == 49
+    assert all(np.array_equal(dst, src ** 2) for src, dst in sinks)
 
 
 def _hostile_chunk():

@@ -27,7 +27,7 @@ import pytest
 from repro.atm.store import FileTHTStore, ShardTHTStore
 from repro.runtime.data import Out
 from repro.runtime.net_server import FrameServer
-from repro.runtime.net_wire import read_frame, request, write_frame
+from repro.runtime.net_wire import PROTOCOL_VERSION, read_frame, request, write_frame
 from repro.runtime.task import TaskType
 from repro.serving import GatewayClient
 from repro.serving.gateway import SERVING_PROTOCOL_VERSION
@@ -113,7 +113,7 @@ class TestFrameServer:
 
 
 # -- the two daemons as processes -----------------------------------------------------
-def ping_worker(host: str, port: int) -> None:
+def greet_worker(host: str, port: int) -> None:
     # A well-framed message that is no hello: reported and closed, with
     # nothing on the daemon's stderr — and the next connection is served.
     with socket.create_connection((host, port), timeout=BOUND_S) as hostile:
@@ -121,7 +121,8 @@ def ping_worker(host: str, port: int) -> None:
         assert report[:3] == ("error", None, None) and "WireProtocolError" in report[3]
         assert hostile.recv(1) == b""
     with socket.create_connection((host, port), timeout=BOUND_S) as sock:
-        assert request(sock, ("ping",)) == ("pong",)
+        reply = request(sock, ("hello", {"protocol": PROTOCOL_VERSION}))
+        assert reply == ("hello_ack", {"protocol": PROTOCOL_VERSION, "worker_id": 1})
         write_frame(sock, ("shutdown",))
 
 
@@ -159,7 +160,7 @@ def daemon_process(script: str, *extra: str, env: "dict | None" = None):
 
 
 @pytest.mark.parametrize("script, extra, one_request", [
-    ("net_worker.py", [], ping_worker),
+    ("net_worker.py", [], greet_worker),
     ("gateway.py", ["--executor", "serial"], run_one_tenant),
 ], ids=["net_worker", "gateway"])
 def test_daemon_announces_serves_and_exits_cleanly_on_sigterm(script, extra, one_request):

@@ -1,8 +1,9 @@
 """Copy-count fences of the network data plane (allocation, not timing).
 
 An array byte crosses the wire once: the sender frames views of the source
-arrays, the receiver fills one buffer per segment and adopts it.  These
-tests pin that with ``tracemalloc`` after one warm call — every bound fails
+arrays (a copy only where the alias rule asks for one), the receiver fills
+one buffer per segment and adopts it.  These tests pin that with
+``tracemalloc`` after one warm call — every bound fails
 on the in-band layout this replaced, where a frame cost about three times
 its payload on each side (``tobytes`` + pickle + header concat going out,
 chunk list + join + unpickle coming in).
@@ -50,6 +51,26 @@ def allocated_by(call) -> tuple[int, object]:
 
 def span_chunk_message(base: np.ndarray) -> tuple:
     return ("chunk", NetChunk(1, (NetBuffer(7, 0, span_view(base, 0, base.nbytes), 1),), ()))
+
+
+def test_a_queued_frame_aliases_a_base_touched_at_one_interval_only():
+    """The alias rule: a base the chunk touches at one interval ships as a
+    view of the base; a base touched at two intervals ships a copy of their
+    union span — the bytes between them may be another task's, and its
+    write-back may land before the writer thread sends the frame."""
+    whole, split = np.arange(64.0), np.arange(64.0)
+    encoder = ChunkEncoder()
+    encoder.ref(whole)
+    encoder.ref(whole[:])  # another view, the same interval
+    encoder.ref(split[:16])
+    encoder.ref(split[32:48])
+    data = {buf.buffer_id: buf for buf in encoder.buffers()}
+    shipped = np.frombuffer(data[id(whole)].data, dtype=np.float64)
+    assert np.shares_memory(shipped, whole) and np.array_equal(shipped, whole)
+    copied = data[id(split)]
+    shipped = np.frombuffer(copied.data, dtype=np.float64)
+    assert copied.start == 0 and not np.shares_memory(shipped, split)
+    assert np.array_equal(shipped, split[:48])
 
 
 def test_encoding_a_chunk_frame_copies_no_span_byte():

@@ -33,6 +33,7 @@ from repro.common.exceptions import THTStoreError  # noqa: E402
 from repro.runtime.codec import encode_control  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     MAX_FRAME_SEGMENTS,
+    PROTOCOL_VERSION,
     encode_frame,
     iter_frames,
     request,
@@ -87,6 +88,12 @@ fuzz_inputs = st.one_of(
 #: it reach the store verbs.
 STORE_HELLO = bytes(encode_frame(("hello", {"protocol": SERVING_PROTOCOL_VERSION, "store": True})))
 
+#: A hello each listener acknowledges: the probe that it still serves.
+GREETINGS = {
+    "net_worker": ("hello", {"protocol": PROTOCOL_VERSION}),
+    "gateway": ("hello", {"protocol": SERVING_PROTOCOL_VERSION, "store": True}),
+}
+
 
 @pytest.mark.parametrize("kind", LISTENERS)
 def test_a_listener_answers_any_input_with_errors_or_a_close(kind, live_listener):
@@ -103,7 +110,7 @@ def test_a_listener_answers_any_input_with_errors_or_a_close(kind, live_listener
             assert all(type(reply) is tuple and type(reply[0]) is str for reply in replies)
         # ... and the listener still serves the next peer.
         with socket.create_connection(address, timeout=DEADLINE_S) as sock:
-            assert type(request(sock, ("ping",))) is tuple
+            assert request(sock, GREETINGS[kind])[0] == "hello_ack"
 
     check()
 
