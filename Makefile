@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench size figures figures-diff examples process-backend net-loopback net-residency net-soak fault-matrix serve-smoke tht-store wire-fuzz soak-threaded ci
+.PHONY: test bench size figures figures-diff examples process-backend net-loopback net-residency net-soak fault-matrix determinism serve-smoke tht-store wire-fuzz soak-threaded ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -94,6 +94,13 @@ net-soak:
 fault-matrix:
 	$(PYTHON) -m pytest -m fault -q
 
+# Reproducibility tier: jacobi and lu at `small` scale under dynamic ATM on
+# two process and two network workers with chunks of eight, three runs each:
+# one output checksum and one count tuple per cell (tasks retire in dispatch
+# order; excluded from tier-1 by the `determinism` marker, ~20 s).
+determinism:
+	$(PYTHON) -m pytest -m determinism -q
+
 # Serving tier: the gateway smoke (concurrent tenants bit-identical to a
 # serial Session, ATM namespace isolation, shared-THT reuse) plus the
 # multi-client soak tests excluded from tier-1 by the `serving` marker.
@@ -158,9 +165,9 @@ soak-threaded:
 
 # What .github/workflows/ci.yml runs (this target is the one list of CI
 # tiers): tier-1 suite, examples smoke, process backend, network-loopback
-# matrix + residency + soak, serving smoke, fault matrix, THT store, wire
-# fuzz, threaded soak.  Tier-1 includes the benchmark's own smoke pass
-# (bench/tests/test_bench_smoke.py).
+# matrix + residency + soak, serving smoke, fault matrix, small-scale
+# reproducibility, THT store, wire fuzz, threaded soak.  Tier-1 includes the
+# benchmark's own smoke pass (bench/tests/test_bench_smoke.py).
 ci:
 	$(PYTHON) -m pytest -x -q
 	$(MAKE) examples
@@ -170,6 +177,7 @@ ci:
 	$(MAKE) net-soak
 	$(MAKE) serve-smoke
 	$(MAKE) fault-matrix
+	$(MAKE) determinism
 	$(MAKE) tht-store
 	$(MAKE) wire-fuzz
 	$(MAKE) soak-threaded

@@ -16,8 +16,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = ["ATMStats"]
 
 
@@ -156,21 +154,6 @@ class ATMStats:
         if not denominator:
             return 0.0
         return 100.0 * self.memoized_tasks / denominator
-
-    def cumulative_reuse_curve(self, total_tasks: int) -> tuple[np.ndarray, np.ndarray]:
-        """Figure 9 series: normalized producer id vs cumulative reuse fraction.
-
-        Returns two arrays ``(x, y)`` where ``x[i]`` is the normalized creation
-        index of the i-th reuse-generating producer (sorted) and ``y[i]`` the
-        cumulative fraction of all reuse generated by producers up to it.
-        """
-        with self._lock:
-            producers = sorted(event.producer_index for event in self.reuse_events)
-        if not producers or total_tasks <= 0:
-            return np.empty(0), np.empty(0)
-        x = np.asarray(producers, dtype=np.float64) / max(1, total_tasks - 1)
-        y = np.arange(1, len(producers) + 1, dtype=np.float64) / len(producers)
-        return x, y
 
     def memory_overhead_bytes(self, tht_bytes: int, ikt_bytes: int, shuffle_bytes: int) -> int:
         return tht_bytes + ikt_bytes + shuffle_bytes

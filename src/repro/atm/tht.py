@@ -309,13 +309,7 @@ class TaskHistoryTable:
 
     # -- introspection ----------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets)
-
-    @property
-    def hit_rate(self) -> float:
-        hits = self.hits
-        total = hits + self.misses
-        return hits / total if total else 0.0
+        return sum(self.occupancy_histogram())
 
     def memory_bytes(self) -> int:
         """Total memory held by the table (Table III accounting)."""

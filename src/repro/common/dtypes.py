@@ -55,10 +55,6 @@ class TypeDescriptor:
     kind: str
     byteorder: str = "little"
 
-    @property
-    def is_multibyte(self) -> bool:
-        return self.itemsize > 1
-
     def msb_first_byte_offsets(self) -> list[int]:
         """Byte offsets within one element, most significant first.
 

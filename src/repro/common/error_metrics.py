@@ -113,20 +113,6 @@ def euclidean_relative_error(
     return num / den
 
 
-def lu_residual_error(
-    a: np.ndarray,
-    l: np.ndarray,
-    u: np.ndarray,
-) -> float:
-    """LU-specific relative error (paper Eq. 4): ``|A - L*U|_2 / |A|_2``."""
-    a = np.asarray(a, dtype=np.float64)
-    residual = a - np.asarray(l, dtype=np.float64) @ np.asarray(u, dtype=np.float64)
-    den = float(np.linalg.norm(a))
-    if den == 0.0:
-        return 0.0 if float(np.linalg.norm(residual)) == 0.0 else float("inf")
-    return float(np.linalg.norm(residual)) / den
-
-
 def correctness_percent(relative_error: float) -> float:
     """Convert a relative error into the correctness percentage of Figs. 4-5.
 

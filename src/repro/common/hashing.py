@@ -102,11 +102,6 @@ class HashKey:
         """Return the THT bucket index: the lower ``n_bits`` bits of the key."""
         return bucket_of_value(self.value, n_bits)
 
-    @property
-    def storage_bytes(self) -> int:
-        """Bytes needed to store this key in the THT (the paper uses 8)."""
-        return 8
-
 
 def _as_uint8(data: BytesLike) -> np.ndarray:
     """View arbitrary byte-like input as a contiguous ``uint8`` array."""

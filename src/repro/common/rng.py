@@ -31,10 +31,3 @@ def derive_seed(root_seed: int, *names: object) -> int:
 def generator_for(root_seed: int, *names: object) -> np.random.Generator:
     """A NumPy Generator deterministically derived from ``root_seed/names``."""
     return np.random.default_rng(derive_seed(root_seed, *names))
-
-
-def spawn_generators(
-    root_seed: int, count: int, *names: object
-) -> list[np.random.Generator]:
-    """``count`` independent generators under the same name path."""
-    return [generator_for(root_seed, *names, i) for i in range(count)]

@@ -50,13 +50,3 @@ def format_series(
     return f"{name}: {points}"
 
 
-def format_kv(pairs: dict, title: str | None = None) -> str:
-    """Render a dictionary of scalar results."""
-    lines = [title] if title else []
-    width = max((len(str(k)) for k in pairs), default=0)
-    for key, value in pairs.items():
-        if isinstance(value, float):
-            lines.append(f"{str(key).ljust(width)} : {value:.3f}")
-        else:
-            lines.append(f"{str(key).ljust(width)} : {value}")
-    return "\n".join(lines)

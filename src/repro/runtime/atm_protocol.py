@@ -14,10 +14,13 @@ THT internals.
 the paper's Figure 1 step, shared by every backend and called only in the
 process that owns the engine: the executors' step (``BaseExecutor.start`` /
 ``finish``) and, for the worker pools, the parent's chunk dispatcher
-(``dispatch.ChunkDispatcher``, which looks a task up before shipping it and
-commits it through ``finish`` when its result lands, and asks
-:func:`training` before a task leaves the ready queue) call these and
-nothing else of an engine.  A remote worker never sees one.
+(``dispatch.ChunkDispatcher``) call these and nothing else of an engine.
+The dispatcher looks a task up before shipping it and commits it through
+``finish`` when it retires, in dispatch order; a task whose type still
+trains (:func:`training`) ships without a lookup and is looked up at its
+retirement, before its written bytes land.  The threaded pool asks
+:func:`training` before a task leaves the ready queue and starts such a task
+only while no other runs.  A remote worker never sees an engine.
 """
 
 from __future__ import annotations

@@ -378,11 +378,6 @@ class DataRegion:
             and tag[2] == self._layout()
         )
 
-    @property
-    def version_token(self) -> tuple:
-        """Cache key for this region's current content: identity + version."""
-        return self.cache_key + (self.version,)
-
     # -- data access ---------------------------------------------------------
     @property
     def nbytes(self) -> int:

@@ -187,12 +187,6 @@ class DependenceTracker:
 
     def __init__(self) -> None:
         self._buffers: dict[int, _BufferIndex] = {}
-        self._edges_added = 0
-
-    @property
-    def edges_added(self) -> int:
-        """Total number of dependence edges produced so far."""
-        return self._edges_added
 
     # -- core API -------------------------------------------------------------
     def dependences_for(self, task: Task) -> list[Task]:
@@ -284,7 +278,6 @@ class DependenceTracker:
                 # Duplicate reads of one interval can only come from the
                 # current task and keep their first position.
                 match.readers_since_write[task] = None
-        self._edges_added += len(predecessors)
         return predecessors
 
     def forget(self, task: Task) -> None:
@@ -337,4 +330,3 @@ class DependenceTracker:
         for index in list(self._buffers.values()):
             index.owner = None  # regions still caching its states look up afresh
         self._buffers.clear()
-        self._edges_added = 0

@@ -11,7 +11,9 @@ second half: the commit reads the written bytes once they landed in the
 parent), retry or terminally fail a task whose body raised, time out a
 wedged one, resubmit what a lost worker held against a bounded budget, and
 notice a starved or overdue drain.  The parent memoizes: a THT hit finishes
-at once, an IKT hit waits for its producer, and neither ships.
+at once, an IKT hit waits for its producer, and neither ships.  An owner's
+tasks retire in dispatch order, whatever order their results arrive in, so
+a pool run is a function of its configuration (DESIGN.md §4.6).
 
 An executor *composes* a dispatcher and is its transport: the dispatcher
 calls seven methods of its host besides the shared Figure 1 step, the last
@@ -130,9 +132,19 @@ class ChunkDispatcher:
         self._graph: Optional[TaskDependenceGraph] = None
         #: task_id -> dispatched task that has not completed or failed.
         self.inflight: dict[int, Task] = {}
+        #: owner -> its in-flight tasks in dispatch order, the order they
+        #: retire in (owners are independent programs: a gateway tenant
+        #: never waits for another's task).
+        self._lanes: dict[Any, dict[int, Task]] = {}
         #: task_id -> the lookup decision of an in-flight task the engine
         #: handled (absent: ``EXECUTE_DECISION``), for its commit.
         self._decisions: dict[int, Any] = {}
+        #: Ids of in-flight tasks shipped without a lookup: they are looked
+        #: up at their retirement.
+        self._unlooked: set[int] = set()
+        #: task_id -> ``(worker, chunk, payload)`` of a result that arrived
+        #: while an earlier task of its owner was still in flight.
+        self._arrived: dict[int, tuple] = {}
         #: worker -> chunk_id -> chunk the worker has not fully answered.
         self._ledger: dict[Hashable, dict[int, Chunk]] = {}
         self._chunk_ids = itertools.count(1)
@@ -158,7 +170,7 @@ class ChunkDispatcher:
         """Drain ``graph``; returns the wall-clock seconds it took."""
         supervisor = self._host._supervisor
         self._graph = graph
-        self.inflight = {}
+        self.inflight, self._lanes, self._unlooked, self._arrived = {}, {}, set(), {}
         deadline = supervisor.deadline()
         t0 = time.perf_counter()
         try:
@@ -173,6 +185,7 @@ class ChunkDispatcher:
                         "dependence?)"
                     )
                 self._wait(deadline)
+                self._retire()
         except BaseException:
             # The drain is over: no in-flight key of a task that will never
             # commit may outlive it, or a later twin would wait on it forever.
@@ -197,42 +210,55 @@ class ChunkDispatcher:
         finishes here, an IKT hit waits for its producer's commit, and only
         the tasks that must run are shipped.
 
-        A task an engine looks up leaves the queue only while fewer than
+        A task an engine sees leaves the queue only while fewer than
         ``window`` tasks are in flight — one chunk per worker, as an
         in-process worker pulls a task only when it is free — so a lookup
-        sees the commits of what ran before it (one worker, chunks of one:
-        the serial order exactly).  While its engine still trains its type
-        it leaves only when nothing is in flight: each training outcome is
-        measured at the ``p`` the one before it left, as on serial, so a
-        pool freezes serial's ``p``.  Such a task at the head of the queue
-        stops the pull; tasks no engine sees ship at once.
+        sees the commits of what retired before it (one worker, chunks of
+        one: the serial order exactly); such a task at the head of the
+        queue stops the pull, and tasks no engine sees ship at once.  A task
+        whose engine still trains its type ships without a lookup, and so
+        does every engine task behind one that still waits for its lookup:
+        they are looked up at their retirement (:meth:`_retire_task`), in
+        dispatch order, each after the commit of the one before it — so
+        each training outcome is measured at the ``p`` the one before it
+        left, as on serial, and a pool freezes serial's ``p`` while it
+        trains at pool width.
         """
-        host, graph, window = self._host, self._graph, self.window
-        next_task, inflight, decisions = host.scheduler.next_task, self.inflight, self._decisions
+        next_task, inflight, window = self._host.scheduler.next_task, self.inflight, self.window
+        decisions, unlooked = self._decisions, self._unlooked
         ready: list[Task] = []
 
         def admit(task: Task) -> bool:
-            engine = task.engine
-            if engine is None or not task.task_type.atm_eligible:
-                return True
-            return not inflight if training(task, engine) else len(inflight) < window
+            return task.engine is None or not task.task_type.atm_eligible or len(inflight) < window
 
         while (task := next_task(admit)) is not None:
-            decision = lookup(task, task.engine, 0)
-            action = decision.action
-            if action is ATMAction.SKIP:
-                host._wrote_here((task,))
-                host.finish(task, graph, decision, False, 0)
-                continue
-            if action is ATMAction.DEFER:
-                continue
-            if decision.atm_handled:
-                decisions[task.task_id] = decision
+            engine = task.engine
+            if engine is not None and task.task_type.atm_eligible and (
+                unlooked or training(task, engine)
+            ):
+                unlooked.add(task.task_id)
+            else:
+                decision = lookup(task, engine, 0)
+                if self._settled(task, decision):
+                    continue
+                if decision.atm_handled:
+                    decisions[task.task_id] = decision
             ready.append(task)
-            inflight[task.task_id] = task
+            self._enter(task)
         if ready:
             self.counters["dispatched"] += len(ready)
             self._send(ready)
+
+    def _settled(self, task: Task, decision) -> bool:
+        """Whether ``task``'s lookup settled it without its body: a THT hit
+        copied the stored outputs in, and the task finishes here; an IKT hit
+        waits for its producer's commit."""
+        if not decision.skips_execution:
+            return False
+        if decision.action is ATMAction.SKIP:
+            self._host._wrote_here((task,))
+            self._host.finish(task, self._graph, decision, False, 0)
+        return True
 
     def _send(self, tasks: list[Task]) -> None:
         """Cut ``tasks`` into chunks and ship each to a worker."""
@@ -245,7 +271,7 @@ class ChunkDispatcher:
     def reship(self, task: Task) -> None:
         """Ship a deferred consumer whose producer failed terminally: it
         runs on a worker like any task the lookup let through."""
-        self.inflight[task.task_id] = task
+        self._enter(task)
         self.counters["dispatched"] += 1
         self._send([task])
 
@@ -301,17 +327,17 @@ class ChunkDispatcher:
         return None
 
     def _done(self, worker: Hashable, chunk: Chunk, results: Any) -> Optional[str]:
-        """``worker`` answered (a prefix of) ``chunk``: finish those tasks.
+        """``worker`` answered (a prefix of) ``chunk``: those tasks arrived.
 
         ``results`` entries are ``(task_id, *payload)``, each naming a task
         of the chunk not answered yet.  All of them are read — and the
-        payloads checked against their tasks — before the first task leaves
-        the in-flight map, so a result that does not fit is rejected whole.  Each task is committed once its bytes landed in
-        the parent: the commit, the training error and the outputs forwarded
-        to its deferred consumers all read parent memory.
+        payloads checked against their tasks — before the first is
+        recorded, so a result that does not fit is rejected whole.  An
+        arrived task leaves its chunk, so a later loss of the worker neither
+        resubmits it nor marks its bytes stale, and waits for its retirement
+        (:meth:`_retire`).
         """
-        host = self._host
-        check_write = host._check_write
+        check_write = self._host._check_write
         outstanding = {task.task_id: task for task in chunk.tasks}
         try:
             entries = []
@@ -328,24 +354,77 @@ class ChunkDispatcher:
                 entries.append((task, payload))
         except (TypeError, ValueError) as exc:
             return f"malformed result: unreadable result entry: {exc}"
-        write_back, finish, graph = host._write_back, host.finish, self._graph
+        inflight, arrived = self.inflight, self._arrived
         for task, payload in entries:
-            if self.inflight.pop(task.task_id, None) is None:
-                continue  # named twice in one result
-            after = write_back(worker, task, chunk, *payload)
-            decision = self._decisions.pop(task.task_id, EXECUTE_DECISION)
-            deferred = finish(task, graph, decision, True, 0)
-            if deferred:
-                host._wrote_here(deferred)
-            if after is not None:
-                after()
+            if task.task_id in inflight:
+                # The first entry of a task named twice in one result counts.
+                arrived.setdefault(task.task_id, (worker, chunk, payload))
         # A partial answer means the worker hit a task error and reports the
         # completed prefix first (so its writes are not lost): the unfinished
         # remainder stays outstanding for the error reply.
-        chunk.tasks = [t for t in chunk.tasks if t.task_id in self.inflight]
+        chunk.tasks = [
+            t for t in chunk.tasks if t.task_id in inflight and t.task_id not in arrived
+        ]
         if not chunk.tasks:
             del self._ledger[worker][chunk.chunk_id]
         return None
+
+    def _retire(self) -> None:
+        """Retire, owner by owner, the in-order prefix of the in-flight
+        tasks whose results arrived, and refill the window once per retired
+        chunk — a fixed unit — so lookups interleave with commits the same
+        way in every run, whichever worker answered first."""
+        arrived = self._arrived
+        for lane in list(self._lanes.values()):
+            while lane and (head := next(iter(lane))) in arrived:
+                chunk = arrived[head][1]
+                while head in arrived and arrived[head][1] is chunk:
+                    worker, _, payload = arrived.pop(head)
+                    task = lane[head]
+                    self._leave(task)
+                    self._retire_task(task, worker, chunk, payload)
+                    head = next(iter(lane), None)
+                self._dispatch_ready()
+
+    def _enter(self, task: Task) -> None:
+        """Put ``task`` in flight, behind its owner's earlier tasks."""
+        self.inflight[task.task_id] = self._lanes.setdefault(task.owner, {})[task.task_id] = task
+
+    def _leave(self, task: Task) -> None:
+        """Take ``task`` out of flight (before it completes: completion
+        drops its owner)."""
+        if self.inflight.pop(task.task_id, None) is None:
+            return
+        lane = self._lanes[task.owner]
+        del lane[task.task_id]
+        if not lane:
+            del self._lanes[task.owner]
+
+    def _retire_task(self, task: Task, worker: Hashable, chunk: Chunk, payload: Any) -> None:
+        """Commit one task once its bytes landed in the parent: the commit,
+        the training error and the outputs forwarded to its deferred
+        consumers all read parent memory.
+
+        A task shipped without a lookup is looked up first, on the parent's
+        arrays, which still hold its input bytes (InOut inputs included).  A
+        THT hit there — its type froze while it ran — drops the worker's
+        bytes and ends as a hit at dispatch does: the stored outputs are
+        copied in and the task is memoized.
+        """
+        host = self._host
+        if task.task_id in self._unlooked:
+            self._unlooked.remove(task.task_id)
+            decision = lookup(task, task.engine, 0)
+            if self._settled(task, decision):
+                return
+        else:
+            decision = self._decisions.pop(task.task_id, EXECUTE_DECISION)
+        after = host._write_back(worker, task, chunk, *payload)
+        deferred = host.finish(task, self._graph, decision, True, 0)
+        if deferred:
+            host._wrote_here(deferred)
+        if after is not None:
+            after()
 
     def _task_error(
         self, worker: Hashable, chunk: Chunk, task: Task, reason: str, worker_name: str
@@ -373,8 +452,10 @@ class ChunkDispatcher:
     def fail(self, task: Task, error_cls: type, reason: str, worker_name: str) -> None:
         """Terminal failure of a dispatched task: quarantine or abort.  Its
         lookup is abandoned with the decision it got, and the deferred
-        consumers that orphans come back through :meth:`reship`."""
-        self.inflight.pop(task.task_id, None)
+        consumers that orphans come back through :meth:`reship`.  A task
+        shipped without a lookup registered nothing with its engine."""
+        self._leave(task)
+        self._unlooked.discard(task.task_id)
         self._host._task_failed(
             task, self._graph, self._decisions.pop(task.task_id, EXECUTE_DECISION),
             error_cls, reason, None, worker=worker_name,

@@ -429,9 +429,11 @@ class _WorkerPool:
     collected and its finalizer (``stop``) releases the threads.
 
     A task whose engine still trains its type starts only while no other
-    worker is busy, as on the worker pools (``runtime/dispatch.py``): each
-    training outcome is measured at the ``p`` the one before it left, so
-    the pool freezes serial's ``p``.  Such a task at the head of the queue
+    worker is busy: each training outcome is measured at the ``p`` the one
+    before it left, so the pool freezes serial's ``p``.  (The worker pools
+    of ``runtime/dispatch.py`` instead look such a task up as it retires,
+    before its bytes land; a threaded body writes InOut inputs in place, so
+    here the lookup cannot wait.)  Such a task at the head of the queue
     is taken only under ``lock``, by a worker that finds ``busy`` empty —
     the last one to finish — and stops every other pull until then.
     """

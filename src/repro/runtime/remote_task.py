@@ -16,9 +16,10 @@ tenant's namespace — moves the same four things (DESIGN.md §4.6):
 * :func:`rebuild_task` — descriptor + arena → a runnable :class:`Task`;
 * :func:`run_descriptor` — the worker's step: rebuild the task and run its
   body.  Nothing of the paper's Figure 1 runs here: the parent's
-  dispatcher looked the task up in its owner's engine before shipping it
-  (a THT or IKT hit never ships) and commits it when its result lands, so
-  one THT, one IKT and one training phase serve every worker.
+  dispatcher looks the task up in its owner's engine before shipping it
+  (a THT or IKT hit never ships) or, while its type trains, as it retires,
+  and commits it at its retirement, so one THT, one IKT and one training
+  phase serve every worker.
 
 and speaks one protocol around them: :class:`RemoteWorker` runs the
 chunks and :meth:`RemoteWorker.replies` is the one reply sequence, which
@@ -201,9 +202,8 @@ def rebuild_task(
 def run_descriptor(
     desc: TaskDescriptor, arena: ArrayArena, task_types: dict[str, TaskType]
 ) -> Task:
-    """Rebuild one task and run its body.  The parent looked the task up
-    before shipping it and commits it — bumping the write-versions there —
-    when the result lands; supervision (retries, timeouts, quarantine)
+    """Rebuild one task and run its body.  The parent commits the task —
+    bumping the write-versions there — when it retires; supervision (retries, timeouts, quarantine)
     stays with the parent's dispatcher, which reads a raising body off the
     worker's error reply.
 

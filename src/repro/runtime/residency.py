@@ -161,7 +161,7 @@ class ResidencyTable:
         self._generation += 1
         table = self._tables.setdefault(endpoint, {})
         old = table.get(buffer_id)
-        held = self._bytes.get(endpoint, 0)
+        held = self.bytes_held(endpoint)
         if old is not None:
             held -= old.nbytes
         entry = ResidencyEntry(start, end, version, self._generation, self.next_tick())
@@ -182,7 +182,7 @@ class ResidencyTable:
         ``invalidate`` message.
         """
         table = self._tables.get(endpoint)
-        if table is None or self._bytes.get(endpoint, 0) <= self.budget_bytes:
+        if table is None or self.bytes_held(endpoint) <= self.budget_bytes:
             return []
         victims = sorted(
             (

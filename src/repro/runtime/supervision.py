@@ -49,12 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.exceptions import (
-    DrainAbortedError,
-    TaskFailedError,
-    TaskTimeoutError,
-    WorkerLostError,
-)
+from repro.common.exceptions import DrainAbortedError, TaskFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.common.config import RuntimeConfig
@@ -77,12 +72,6 @@ POLL_INTERVAL = 0.02
 #: acknowledged chunk's ``task_timeout_s`` budget before declaring the
 #: worker running it wedged.
 TIMEOUT_GRACE = 0.25
-
-#: Error-name -> exception-class mapping for :meth:`TaskFailure.to_exception`.
-_ERROR_CLASSES = {
-    cls.__name__: cls
-    for cls in (TaskFailedError, TaskTimeoutError, WorkerLostError)
-}
 
 
 def dump_stacks(reason: str) -> None:
@@ -123,10 +112,6 @@ class TaskFailure:
     worker: str = ""
     cancelled: tuple[str, ...] = ()
 
-    def to_exception(self) -> TaskFailedError:
-        """Materialise the failure as its named taxonomy exception."""
-        cls = _ERROR_CLASSES.get(self.error, TaskFailedError)
-        return cls(self.reason, label=self.label, attempts=self.attempts)
 
 
 class TaskSupervisor:

@@ -13,12 +13,11 @@ accesses, plain (non-dependence) arguments, and bookkeeping state.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.common.exceptions import TaskDefinitionError
-from repro.runtime.data import AccessMode, DataAccess, validate_accesses
+from repro.runtime.data import DataAccess, validate_accesses
 
 __all__ = ["TaskState", "TaskType", "Task"]
 
@@ -99,10 +98,6 @@ class TaskType:
     cost_model: CostModel = _default_cost_model
     deterministic: bool = True
 
-    _counter: itertools.count = field(
-        default_factory=itertools.count, repr=False, compare=False
-    )
-
     def __post_init__(self) -> None:
         if not self.name:
             raise TaskDefinitionError("TaskType requires a non-empty name")
@@ -115,9 +110,6 @@ class TaskType:
     def atm_eligible(self) -> bool:
         """Task types that ATM is allowed to memoize."""
         return self.memoizable and self.deterministic
-
-    def next_instance_index(self) -> int:
-        return next(self._counter)
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -248,11 +240,6 @@ class Task:
     @property
     def output_bytes(self) -> int:
         return sum(a.nbytes for a in self.outputs)
-
-    @property
-    def strict_outputs(self) -> list[DataAccess]:
-        """Accesses declared ``out`` only."""
-        return [a for a in self.accesses if a.mode == AccessMode.OUT]
 
     # -- execution -----------------------------------------------------------
     def run(self) -> Any:

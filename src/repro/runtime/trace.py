@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["CoreState", "TraceRecorder", "render_ascii_trace"]
 
@@ -76,16 +75,6 @@ class TraceRecorder:
             self.ready_samples.append((time, depth))
 
     # -- aggregation ----------------------------------------------------------
-    def state_totals(self, core: Optional[int] = None) -> dict[CoreState, float]:
-        """Total time per state, optionally restricted to one core."""
-        totals: dict[CoreState, float] = {state: 0.0 for state in CoreState}
-        with self._lock:
-            for interval in self.intervals:
-                if core is not None and interval.core != core:
-                    continue
-                totals[interval.state] += interval.duration
-        return totals
-
     def cores(self) -> list[int]:
         with self._lock:
             return sorted({interval.core for interval in self.intervals})

@@ -244,18 +244,6 @@ class TestStatsIntegration:
         events = engine.stats.snapshot()["reuse_events"]
         assert events == [(0, 5, "tht")]
 
-    def test_cumulative_reuse_curve(self):
-        engine = make_static_engine()
-        src = np.arange(8.0)
-        for index in range(5):
-            task = square_task(src, np.zeros(8), task_id=index)
-            task.creation_index = index
-            process(engine, task)
-        x, y = engine.stats.cumulative_reuse_curve(total_tasks=5)
-        assert len(x) == 4            # four reuses of the first task
-        assert y[-1] == pytest.approx(1.0)
-        assert (x == 0.0).all()       # all generated by the first task
-
     def test_reuse_percentage(self):
         engine = make_static_engine()
         src = np.arange(8.0)

@@ -64,7 +64,6 @@ class TestTaskHistoryTable:
         tht = TaskHistoryTable(self.config())
         assert tht.lookup(make_key(1), "t") is None
         assert tht.misses == 1
-        assert tht.hit_rate == 0.0
 
     def test_bucket_selection_uses_low_bits(self):
         tht = TaskHistoryTable(self.config(bits=2))

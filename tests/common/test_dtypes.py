@@ -32,10 +32,6 @@ class TestDescribeArray:
         desc = describe_array(np.zeros(4, dtype=np.int32))
         assert desc.kind == "i"
 
-    def test_uint8_single_byte(self):
-        desc = describe_array(np.zeros(4, dtype=np.uint8))
-        assert not desc.is_multibyte
-
     def test_native_byteorder_resolved(self):
         desc = describe_array(np.zeros(2, dtype=np.float32))
         assert desc.byteorder in ("little", "big")

@@ -1,4 +1,4 @@
-"""Tests for the error metrics (paper Eqs. 1, 3, 4)."""
+"""Tests for the error metrics (paper Eqs. 1 and 3)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.common.error_metrics import (
     combined_chebyshev_error,
     correctness_percent,
     euclidean_relative_error,
-    lu_residual_error,
 )
 
 finite_arrays = hnp.arrays(
@@ -112,26 +111,6 @@ class TestEuclidean:
     def test_nonnegative(self, arr):
         noisy = arr + 0.5
         assert euclidean_relative_error(arr, noisy) >= 0.0
-
-
-class TestLUResidual:
-    def test_exact_factorisation(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(-1, 1, (8, 8)) + 8 * np.eye(8)
-        import scipy.linalg as sla
-
-        p, l, u = sla.lu(a)
-        assert lu_residual_error(p @ l @ u, p @ l, u) < 1e-12
-
-    def test_wrong_factors_large_error(self):
-        a = np.eye(4)
-        l = np.eye(4)
-        u = 2 * np.eye(4)
-        assert lu_residual_error(a, l, u) == pytest.approx(1.0)
-
-    def test_zero_matrix(self):
-        z = np.zeros((3, 3))
-        assert lu_residual_error(z, z, z) == 0.0
 
 
 class TestCorrectnessPercent:

@@ -260,8 +260,5 @@ class TestHashKey:
     def test_int_conversion(self):
         assert int(HashKey(value=77)) == 77
 
-    def test_storage_is_eight_bytes(self):
-        assert HashKey(value=1).storage_bytes == 8
-
     def test_registry_contains_all_functions(self):
         assert set(HASH_FUNCTIONS) == {"numpy", "lookup3", "one_at_a_time"}

@@ -3,7 +3,7 @@ with ``repro.common.timing``, which nothing read)."""
 
 from __future__ import annotations
 
-from repro.common.rng import derive_seed, generator_for, spawn_generators
+from repro.common.rng import derive_seed, generator_for
 
 
 class TestDeriveSeed:
@@ -31,7 +31,3 @@ class TestGeneratorFor:
         b = generator_for(7, "two").random(5)
         assert not (a == b).all()
 
-    def test_spawn_generators_independent(self):
-        gens = spawn_generators(3, 4, "workers")
-        draws = [g.random() for g in gens]
-        assert len(set(draws)) == 4

@@ -9,7 +9,7 @@ from repro.apps.registry import BENCHMARK_NAMES
 from repro.evaluation.cli import build_parser, main
 from repro.evaluation.figures import FIGURES, Cells, Column, Figure, Table, compute, render
 from repro.evaluation.oracle import find_oracle
-from repro.evaluation.reporting import format_kv, format_series, format_table
+from repro.evaluation.reporting import format_series, format_table
 from repro.evaluation.runner import clear_reference_cache, geometric_mean
 
 #: Every figure is computed once per module, at the scale and core count the
@@ -132,10 +132,6 @@ class TestReporting:
     def test_format_series(self):
         assert format_series("s", [1, 2], [3.0, 4.0]) == "s: (1, 3), (2, 4)"
 
-    def test_format_kv(self):
-        text = format_kv({"alpha": 1.5, "beta": "x"}, title="K")
-        assert text.splitlines()[0] == "K"
-        assert "1.500" in text
 
 
 class TestFigureTable:

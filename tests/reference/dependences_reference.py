@@ -57,12 +57,6 @@ class DependenceTracker:
 
     def __init__(self) -> None:
         self._states: dict[int, list[RegionState]] = defaultdict(list)
-        self._edges_added = 0
-
-    @property
-    def edges_added(self) -> int:
-        """Total number of dependence edges produced so far."""
-        return self._edges_added
 
     # -- core API -------------------------------------------------------------
     def dependences_for(self, task: Task) -> set[Task]:
@@ -78,7 +72,6 @@ class DependenceTracker:
         for access in task.accesses:
             self._update_state(task, access)
         predecessors.discard(task)
-        self._edges_added += len(predecessors)
         return predecessors
 
     # -- helpers --------------------------------------------------------------
@@ -133,4 +126,3 @@ class DependenceTracker:
     def reset(self) -> None:
         """Forget all state (used between independent program runs)."""
         self._states.clear()
-        self._edges_added = 0

@@ -111,21 +111,11 @@ class TestRegionGranularity:
 
 
 class TestTrackerBookkeeping:
-    def test_edge_count(self):
-        data = np.zeros(8)
-        tracker = DependenceTracker()
-        writer = make_task([Out(data)], 0)
-        reader = make_task([In(data)], 1)
-        tracker.dependences_for(writer)
-        tracker.dependences_for(reader)
-        assert tracker.edges_added == 1
-
     def test_reset(self):
         data = np.zeros(8)
         tracker = DependenceTracker()
         tracker.dependences_for(make_task([Out(data)], 0))
         tracker.reset()
-        assert tracker.edges_added == 0
         assert set(tracker.dependences_for(make_task([In(data)], 1))) == set()
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=30))

@@ -249,7 +249,7 @@ def test_simulator_outputs_match_serial_and_schedule_is_deterministic(bench_name
 
 # -- one engine per owner: the remote backends memoize in the parent -----------
 #: Serial Dynamic ATM's frozen sampling fraction per pinned benchmark (tiny).
-DYNAMIC_PINS = {"gauss-seidel": 1 / 16, "blackscholes": 1 / 128}
+DYNAMIC_PINS = {"gauss-seidel": 1 / 16, "blackscholes": 1 / 128, "jacobi": 1 / 16}
 REMOTE = ("process", "network")
 
 
@@ -277,10 +277,10 @@ def counts(result) -> tuple:
 @pytest.mark.parametrize("executor", ("threaded", *REMOTE))
 @pytest.mark.parametrize("bench_name", sorted(DYNAMIC_PINS))
 def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
-    """Training runs once, in the parent, one task in flight at a time: a
-    two-worker pool (chunks of eight on the remote ones) freezes serial's
-    sampling fraction with serial's counts and keeps the paper's error
-    bound."""
+    """Training runs once, in the parent: a two-worker pool (chunks of
+    eight on the remote ones, which train at pool width and look a training
+    task up as it retires, in dispatch order) freezes serial's sampling
+    fraction with serial's counts and keeps the paper's error bound."""
     exact, _, _ = run_with_session_engine(bench_name, "serial", "none")
     _, serial, serial_p = run_with_session_engine(bench_name, "serial", "dynamic")
     app, result, chosen = run_with_session_engine(
@@ -293,16 +293,29 @@ def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
     assert app.relative_error(exact.output()) <= app.info.tau_max
 
 
+#: ``(benchmark, workers, chunk size)``: one worker with chunks of one for
+#: every pinned benchmark, and jacobi — whose process runs once varied —
+#: on two workers with chunks of eight.
+REPRODUCIBLE_SHAPES = [(name, 1, 1) for name in sorted(DYNAMIC_PINS)] + [("jacobi", 2, 8)]
+
+
 @pytest.mark.parametrize("executor", REMOTE)
-@pytest.mark.parametrize("bench_name", sorted(DYNAMIC_PINS))
-def test_one_worker_dynamic_atm_follows_the_serial_order(bench_name, executor):
-    """One worker, chunks of one: a task is looked up only after its
-    predecessor committed, so training sees what serial training sees."""
+@pytest.mark.parametrize("bench_name,workers,chunk_size", REPRODUCIBLE_SHAPES)
+def test_dynamic_atm_runs_follow_the_dispatch_order(bench_name, workers, chunk_size, executor):
+    """Tasks retire in dispatch order and a training task is looked up as
+    it retires, after its predecessor committed (one worker, chunks of one:
+    the serial order itself), so training sees the same sequence in every
+    run: three runs give one sampling fraction, one output and one count
+    tuple."""
     _, serial, serial_p = run_with_session_engine(bench_name, "serial", "dynamic")
     assert serial_p == DYNAMIC_PINS[bench_name]
-    runs = [run_with_session_engine(bench_name, executor, "dynamic") for _ in range(3)]
+    runs = [
+        run_with_session_engine(bench_name, executor, "dynamic", workers, chunk_size)
+        for _ in range(3)
+    ]
     assert [chosen for _, _, chosen in runs] == [serial_p] * 3
     assert len({counts(result) for _, result, _ in runs}) == 1
+    assert len({output_checksum(app) for app, _, _ in runs}) == 1
 
 
 @pytest.mark.parametrize("executor", REMOTE)

@@ -334,6 +334,178 @@ class TestProcessExecutorSemantics:
         assert np.allclose(total, 0.0 + 1.0 + 2.0)
 
 
+def fill_seven(dst):
+    dst[:] = 7.0
+
+
+def add_one(src, dst):
+    dst[:] = src + 1.0
+
+
+TRAIN = TaskType("mp_train", memoizable=True)
+
+
+class FreezesAfterOneCommit:
+    """A fake engine that trains ``TRAIN`` until its first commit (or for
+    ever: ``freezes=False``); every later lookup of it is a THT hit whose
+    stored outputs are 42.0.  Each lookup records how many ``TRAIN`` tasks
+    its dispatcher holds in flight."""
+
+    def __init__(self, freezes=True):
+        self.freezes = freezes
+        self.frozen = False
+        self.executor = None
+        self.trainers_in_flight = []
+
+    def is_training(self, task):
+        return task.task_type is TRAIN and not self.frozen
+
+    def task_ready(self, task, worker_id=0):
+        inflight = self.executor._dispatcher.inflight.values()
+        self.trainers_in_flight.append(sum(t.task_type is TRAIN for t in inflight))
+        if not self.frozen:
+            return ATMDecision(action=ATMAction.EXECUTE, atm_handled=True)
+        for access in task.outputs:
+            access.region.array[:] = 42.0
+        return ATMDecision(action=ATMAction.SKIP, atm_handled=True)
+
+    def task_finished(self, task, decision, executed, worker_id=0):
+        self.frozen = self.freezes
+        return ATMCommitInfo()
+
+    def task_abandoned(self, task, decision):
+        return []
+
+
+class TestTrainingAtPoolWidth:
+    """A task whose type trains ships without a lookup and is looked up as
+    it retires, in dispatch order."""
+
+    def run(self, engine, submit):
+        executor = ProcessExecutor(
+            config=RuntimeConfig(num_threads=2, executor="process", mp_chunk_size=4)
+        )
+        engine.executor = executor
+        with Session(executor=executor, engine=engine) as runtime:
+            tasks = submit(runtime)
+            return runtime.wait_all(), tasks
+
+    def test_training_tasks_share_the_window(self):
+        engine = FreezesAfterOneCommit(freezes=False)
+        sinks = [np.zeros(4) for _ in range(16)]
+
+        def submit(runtime):
+            return [
+                runtime.submit(TRAIN, fill_seven, accesses=[Out(dst)], args=(dst,))
+                for dst in sinks
+            ]
+
+        result, _ = self.run(engine, submit)
+        assert result.tasks_completed == 16
+        assert len(engine.trainers_in_flight) == 16
+        # At some lookup another training task was still in flight.
+        assert max(engine.trainers_in_flight) > 0
+        assert all(np.all(dst == 7.0) for dst in sinks)
+
+    def test_a_hit_at_retirement_drops_the_workers_bytes(self):
+        engine = FreezesAfterOneCommit()
+        first, second, after = np.zeros(4), np.zeros(4), np.zeros(4)
+
+        def submit(runtime):
+            return [
+                runtime.submit(TRAIN, fill_seven, accesses=[Out(first)], args=(first,)),
+                runtime.submit(TRAIN, fill_seven, accesses=[Out(second)], args=(second,)),
+                runtime.submit(
+                    TaskType("mp_successor"), add_one,
+                    accesses=[In(second), Out(after)], args=(second, after),
+                ),
+            ]
+
+        result, (executed, hit, successor) = self.run(engine, submit)
+        # Both training tasks ran on a worker; the second's lookup, at its
+        # retirement, found its type frozen and hit.
+        assert result.extra["process_backend"]["dispatched"] == 3
+        assert (executed.state, hit.state, successor.state) == (
+            TaskState.FINISHED, TaskState.MEMOIZED, TaskState.FINISHED,
+        )
+        assert (result.tasks_executed, result.tasks_memoized) == (2, 1)
+        assert np.all(first == 7.0)
+        assert np.all(second == 42.0)
+        # The successor read the stored bytes out of the segment, not the
+        # bytes the worker wrote there.
+        assert np.all(after == 43.0)
+
+
+def count_then_square(marker, src, dst):
+    with open(marker, "a") as handle:
+        handle.write("x")
+    dst[:] = src ** 2
+
+
+class TestRetirementOrder:
+    """An owner's tasks retire in dispatch order, whatever order their
+    results arrive in."""
+
+    def test_a_result_that_arrives_early_waits_for_its_predecessor(self):
+        from repro.testing.faults import wedge_body
+
+        commits = []
+
+        class RecordsCommits:
+            def task_ready(self, task, worker_id=0):
+                return ATMDecision(action=ATMAction.EXECUTE, atm_handled=True)
+
+            def task_finished(self, task, decision, executed, worker_id=0):
+                commits.append(task.label)
+                return ATMCommitInfo()
+
+            def task_abandoned(self, task, decision):
+                return []
+
+        runtime = make_process_runtime(workers=2, engine=RecordsCommits(), mp_chunk_size=1)
+        slow_src, slow_dst = np.arange(4.0), np.zeros(4)
+        fast_src, fast_dst = np.arange(4.0), np.zeros(4)
+        with runtime:
+            slow = runtime.submit(
+                TaskType("mp_slow", memoizable=True), wedge_body,
+                accesses=[In(slow_src), Out(slow_dst)], args=(0.3, slow_src, slow_dst),
+            )
+            fast = runtime.submit(
+                SQUARE, square, accesses=[In(fast_src), Out(fast_dst)], args=(fast_src, fast_dst),
+            )
+            runtime.wait_all()
+        # The fast task's result arrives first, on the other worker, and waits.
+        assert commits == [slow.label, fast.label]
+        assert np.array_equal(slow_dst, slow_src ** 2) and np.array_equal(fast_dst, fast_src ** 2)
+
+    def test_a_lost_worker_keeps_what_it_already_answered(self, tmp_path):
+        """A task whose result arrived leaves its worker's ledger: when that
+        worker dies while the task waits for its predecessor, the task is
+        neither resubmitted nor lost."""
+        from repro.testing.faults import (
+            fault_session, kill_worker_body, square_body, submit_one, wedge_body,
+        )
+
+        marker = tmp_path / "runs"
+        with fault_session(
+            "process", workers=2, chunk_size=1, on_task_failure="quarantine",
+            allow_worker_kill=True,
+        ) as session:
+            # Round-robin: worker 0 runs "slow" then "queued", worker 1 runs
+            # "answered" then "poison", which kills it while "slow" runs.
+            submit_one(session, wedge_body, 0.5, label="slow")
+            src, dst = submit_one(session, count_then_square, str(marker), label="answered")
+            submit_one(session, square_body, label="queued")
+            submit_one(session, kill_worker_body, label="poison")
+            result = session.wait_all()
+        assert marker.read_text() == "x"
+        assert np.array_equal(dst, src ** 2)
+        assert [f.error for f in result.failures] == ["WorkerLostError"]
+        assert result.tasks_completed == 3
+        # The poison's one resubmission, nothing else.
+        assert result.extra["process_backend"]["resubmitted_tasks"] == 1
+
+
 class TestNothingSharedButSegments:
     """Write-versions ride in the buffer table; the pool holds no lock."""
 

@@ -114,19 +114,6 @@ class TestTerminalFailures:
         assert "2 task failure(s)" in str(err)
         assert "a#1" in str(err) and "b#2" in str(err)
 
-    def test_to_exception_restores_taxonomy_class(self):
-        for error_cls in (TaskFailedError, TaskTimeoutError, WorkerLostError):
-            failure = TaskFailure(
-                label="t#1", task_id=1, attempts=2, reason="r",
-                error=error_cls.__name__,
-            )
-            exc = failure.to_exception()
-            assert type(exc) is error_cls
-            assert exc.label == "t#1"
-            assert exc.attempts == 2
-        unknown = TaskFailure(label="t#1", task_id=1, attempts=1,
-                              reason="r", error="SomethingElse")
-        assert type(unknown.to_exception()) is TaskFailedError
 
 
 class TestDrainDeadline:

@@ -40,10 +40,6 @@ class TestTaskType:
         assert hash(TaskType("same")) == hash(TaskType("same"))
         assert TaskType("a") != TaskType("b")
 
-    def test_instance_counter(self):
-        tt = TaskType("counter")
-        assert tt.next_instance_index() == 0
-        assert tt.next_instance_index() == 1
 
 
 class TestTaskStates:
@@ -64,7 +60,6 @@ class TestTask:
         task = make_task(accesses=[In(a), Out(b), InOut(c)])
         assert len(task.inputs) == 2     # In + InOut
         assert len(task.outputs) == 2    # Out + InOut
-        assert len(task.strict_outputs) == 1
 
     def test_byte_accounting(self):
         a = np.zeros(4, dtype=np.float64)

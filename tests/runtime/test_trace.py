@@ -16,21 +16,6 @@ from tests.conftest import submit_square
 
 
 class TestTraceRecorder:
-    def test_record_and_totals(self):
-        trace = TraceRecorder()
-        trace.record(0, CoreState.TASK_EXECUTION, 0.0, 2.0, "t#0")
-        trace.record(0, CoreState.ATM_HASH, 2.0, 3.0, "t#1")
-        trace.record(1, CoreState.TASK_EXECUTION, 0.0, 1.0, "t#2")
-        totals = trace.state_totals()
-        assert totals[CoreState.TASK_EXECUTION] == pytest.approx(3.0)
-        assert totals[CoreState.ATM_HASH] == pytest.approx(1.0)
-
-    def test_totals_per_core(self):
-        trace = TraceRecorder()
-        trace.record(0, CoreState.TASK_EXECUTION, 0.0, 2.0)
-        trace.record(1, CoreState.TASK_EXECUTION, 0.0, 5.0)
-        assert trace.state_totals(core=1)[CoreState.TASK_EXECUTION] == pytest.approx(5.0)
-
     def test_disabled_recorder_ignores_events(self):
         trace = TraceRecorder(enabled=False)
         trace.record(0, CoreState.TASK_EXECUTION, 0.0, 1.0)
