@@ -175,6 +175,17 @@ class TestRegionVersions:
         first.bump_version()
         assert first.version == second.version
 
+    def test_version_token_reflects_identity_and_version(self):
+        """A region's content is named by its cache key (which interval of
+        which base) and its base's version (which write)."""
+        base = np.zeros(64)
+        first, second = DataRegion(base[:32]), DataRegion(base[32:])
+        assert first.cache_key != second.cache_key  # different intervals
+        assert DataRegion(base[:32]).cache_key == first.cache_key
+        token_before = (first.cache_key, first.version)
+        first.bump_version()
+        assert (first.cache_key, first.version) != token_before
+
     def test_bump_changes_version_monotonically(self):
         region = DataRegion(np.zeros(8))
         before = region.version

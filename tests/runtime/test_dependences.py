@@ -102,6 +102,15 @@ class TestRegionGranularity:
         tracker.dependences_for(sub_writer)
         assert sub_writer in tracker.dependences_for(full_reader)
 
+    def test_edge_count(self):
+        """A reader of two intervals one task wrote gets one edge to it."""
+        base = np.zeros(8)
+        tracker = DependenceTracker()
+        writer = make_task([Out(base[:4]), Out(base[4:])], 0)
+        reader = make_task([In(base[:4]), In(base[4:])], 1)
+        assert tracker.dependences_for(writer) == []
+        assert tracker.dependences_for(reader) == [writer]
+
     def test_different_buffers_never_conflict(self):
         tracker = DependenceTracker()
         a = make_task([Out(np.zeros(8))], 0)

@@ -23,6 +23,32 @@ class TestTraceRecorder:
         assert trace.intervals == []
         assert trace.ready_samples == []
 
+    def test_record_and_totals(self):
+        trace = TraceRecorder()
+        trace.record(0, CoreState.TASK_EXECUTION, 0.0, 2.0, "t#0")
+        trace.record(0, CoreState.ATM_HASH, 2.0, 3.0, "t#1")
+        trace.record(1, CoreState.TASK_EXECUTION, 0.0, 1.0, "t#2")
+        assert trace.intervals == [
+            StateInterval(0, CoreState.TASK_EXECUTION, 0.0, 2.0, "t#0"),
+            StateInterval(0, CoreState.ATM_HASH, 2.0, 3.0, "t#1"),
+            StateInterval(1, CoreState.TASK_EXECUTION, 0.0, 1.0, "t#2"),
+        ]
+        totals = {state: 0.0 for state in CoreState}
+        for interval in trace.intervals:
+            totals[interval.state] += interval.duration
+        assert totals[CoreState.TASK_EXECUTION] == pytest.approx(3.0)
+        assert totals[CoreState.ATM_HASH] == pytest.approx(1.0)
+
+    def test_totals_per_core(self):
+        """Each core's row of the rendered trace counts only that core's
+        intervals: core 0 works for the first 2 s of 5, core 1 for all 5."""
+        trace = TraceRecorder()
+        trace.record(0, CoreState.TASK_EXECUTION, 0.0, 2.0)
+        trace.record(1, CoreState.TASK_EXECUTION, 0.0, 5.0)
+        rows = render_ascii_trace(trace, width=10).splitlines()
+        assert rows[0] == "core  0 |TTTTT.....|"
+        assert rows[1] == "core  1 |TTTTTTTTTT|"
+
     def test_zero_length_intervals_dropped(self):
         trace = TraceRecorder()
         trace.record(0, CoreState.IDLE, 1.0, 1.0)
