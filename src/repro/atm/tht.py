@@ -309,7 +309,7 @@ class TaskHistoryTable:
 
     # -- introspection ----------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(self.occupancy_histogram())
+        return sum(len(bucket) for bucket in self._buckets)
 
     def memory_bytes(self) -> int:
         """Total memory held by the table (Table III accounting)."""
@@ -320,10 +320,6 @@ class TaskHistoryTable:
         # Bucket headers: one pointer-sized slot per bucket.
         total += 8 * self.n_buckets
         return total
-
-    def occupancy_histogram(self) -> list[int]:
-        """Entries per bucket (used by the sizing ablation)."""
-        return [len(bucket) for bucket in self._buckets]
 
     def clear(self) -> None:
         for index in range(self.n_buckets):

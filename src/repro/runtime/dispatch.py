@@ -139,9 +139,9 @@ class ChunkDispatcher:
         #: task_id -> the lookup decision of an in-flight task the engine
         #: handled (absent: ``EXECUTE_DECISION``), for its commit.
         self._decisions: dict[int, Any] = {}
-        #: Ids of in-flight tasks shipped without a lookup: they are looked
-        #: up at their retirement.
-        self._unlooked: set[int] = set()
+        #: owner -> ids of its in-flight tasks shipped without a lookup: they
+        #: are looked up at their retirement (an owner without one is absent).
+        self._unlooked: dict[Any, set[int]] = {}
         #: task_id -> ``(worker, chunk, payload)`` of a result that arrived
         #: while an earlier task of its owner was still in flight.
         self._arrived: dict[int, tuple] = {}
@@ -170,7 +170,7 @@ class ChunkDispatcher:
         """Drain ``graph``; returns the wall-clock seconds it took."""
         supervisor = self._host._supervisor
         self._graph = graph
-        self.inflight, self._lanes, self._unlooked, self._arrived = {}, {}, set(), {}
+        self.inflight, self._lanes, self._unlooked, self._arrived = {}, {}, {}, {}
         deadline = supervisor.deadline()
         t0 = time.perf_counter()
         try:
@@ -216,29 +216,36 @@ class ChunkDispatcher:
         sees the commits of what retired before it (one worker, chunks of
         one: the serial order exactly); such a task at the head of the
         queue stops the pull, and tasks no engine sees ship at once.  A task
-        whose engine still trains its type ships without a lookup, and so
-        does every engine task behind one that still waits for its lookup:
-        they are looked up at their retirement (:meth:`_retire_task`), in
-        dispatch order, each after the commit of the one before it — so
-        each training outcome is measured at the ``p`` the one before it
-        left, as on serial, and a pool freezes serial's ``p`` while it
-        trains at pool width.
+        whose engine still trains its type ships without a lookup: it is
+        looked up at its retirement (:meth:`_retire_task`), in dispatch
+        order, after the commit of the one before it — so each training
+        outcome is measured at the ``p`` the one before it left, as on
+        serial, and a pool freezes serial's ``p`` while it trains at pool
+        width.  Any other engine task of an owner with such a task in flight
+        waits at the head of the queue until that one retired: its lookup
+        then follows every earlier lookup of its owner, and a THT hit still
+        settles before it ships.
         """
         next_task, inflight, window = self._host.scheduler.next_task, self.inflight, self.window
         decisions, unlooked = self._decisions, self._unlooked
         ready: list[Task] = []
+        trains = False
 
         def admit(task: Task) -> bool:
-            return task.engine is None or not task.task_type.atm_eligible or len(inflight) < window
+            nonlocal trains
+            trains = False
+            if task.engine is None or not task.task_type.atm_eligible:
+                return True
+            if len(inflight) >= window:
+                return False
+            trains = training(task, task.engine)
+            return trains or task.owner not in unlooked
 
         while (task := next_task(admit)) is not None:
-            engine = task.engine
-            if engine is not None and task.task_type.atm_eligible and (
-                unlooked or training(task, engine)
-            ):
-                unlooked.add(task.task_id)
+            if trains:
+                unlooked.setdefault(task.owner, set()).add(task.task_id)
             else:
-                decision = lookup(task, engine, 0)
+                decision = lookup(task, task.engine, 0)
                 if self._settled(task, decision):
                     continue
                 if decision.atm_handled:
@@ -400,6 +407,17 @@ class ChunkDispatcher:
         if not lane:
             del self._lanes[task.owner]
 
+    def _take_unlooked(self, task: Task) -> bool:
+        """Take ``task`` off its owner's tasks shipped without a lookup;
+        returns whether it was one."""
+        ids = self._unlooked.get(task.owner, ())
+        if task.task_id not in ids:
+            return False
+        ids.remove(task.task_id)
+        if not ids:
+            del self._unlooked[task.owner]
+        return True
+
     def _retire_task(self, task: Task, worker: Hashable, chunk: Chunk, payload: Any) -> None:
         """Commit one task once its bytes landed in the parent: the commit,
         the training error and the outputs forwarded to its deferred
@@ -412,8 +430,7 @@ class ChunkDispatcher:
         copied in and the task is memoized.
         """
         host = self._host
-        if task.task_id in self._unlooked:
-            self._unlooked.remove(task.task_id)
+        if self._take_unlooked(task):
             decision = lookup(task, task.engine, 0)
             if self._settled(task, decision):
                 return
@@ -454,8 +471,8 @@ class ChunkDispatcher:
         lookup is abandoned with the decision it got, and the deferred
         consumers that orphans come back through :meth:`reship`.  A task
         shipped without a lookup registered nothing with its engine."""
+        self._take_unlooked(task)
         self._leave(task)
-        self._unlooked.discard(task.task_id)
         self._host._task_failed(
             task, self._graph, self._decisions.pop(task.task_id, EXECUTE_DECISION),
             error_cls, reason, None, worker=worker_name,

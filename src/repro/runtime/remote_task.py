@@ -198,14 +198,13 @@ def rebuild_task(
         raise arena.error(f"malformed task descriptor: {type(exc).__name__}: {exc}") from None
 
 
-
 def run_descriptor(
     desc: TaskDescriptor, arena: ArrayArena, task_types: dict[str, TaskType]
 ) -> Task:
     """Rebuild one task and run its body.  The parent commits the task —
-    bumping the write-versions there — when it retires; supervision (retries, timeouts, quarantine)
-    stays with the parent's dispatcher, which reads a raising body off the
-    worker's error reply.
+    bumping the write-versions there — when it retires; supervision
+    (retries, timeouts, quarantine) stays with the parent's dispatcher,
+    which reads a raising body off the worker's error reply.
 
     Returns the task; a transport without shared memory reads the written
     regions off it.

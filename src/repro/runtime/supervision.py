@@ -113,7 +113,6 @@ class TaskFailure:
     cancelled: tuple[str, ...] = ()
 
 
-
 class TaskSupervisor:
     """Shared retry/timeout/quarantine bookkeeping for one drain or run.
 

@@ -101,13 +101,6 @@ class TestTaskHistoryTable:
         tht.insert(make_key(1), "t", make_outputs(), producer_index=0)
         assert tht.memory_bytes() > empty
 
-    def test_occupancy_histogram(self):
-        tht = TaskHistoryTable(self.config(bits=1, capacity=4))
-        tht.insert(make_key(0), "t", make_outputs(), producer_index=0)  # bucket 0
-        tht.insert(make_key(1), "t", make_outputs(), producer_index=1)  # bucket 1
-        tht.insert(make_key(3), "t", make_outputs(), producer_index=2)  # bucket 1
-        assert tht.occupancy_histogram() == [1, 2]
-
     def test_clear(self):
         tht = TaskHistoryTable(self.config())
         tht.insert(make_key(1), "t", make_outputs(), producer_index=0)
@@ -123,7 +116,7 @@ class TestTaskHistoryTable:
         tht = TaskHistoryTable(self.config(bits=2, capacity=3))
         for index, value in enumerate(key_values):
             tht.insert(make_key(value), "t", make_outputs(index), producer_index=index)
-            assert all(count <= 3 for count in tht.occupancy_histogram())
+            assert all(len(bucket) <= 3 for bucket in tht._buckets)
 
 
 class TestInFlightKeyTable:

@@ -133,7 +133,6 @@ class TestReporting:
         assert format_series("s", [1, 2], [3.0, 4.0]) == "s: (1, 3), (2, 4)"
 
 
-
 class TestFigureTable:
     """Every row of the figure table computes and renders (what it reports
     is checked by :class:`TestPaperShape` over the same fixtures)."""

@@ -291,6 +291,12 @@ def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
     ), f"{bench_name}/{executor}"
     assert chosen == DYNAMIC_PINS[bench_name]
     assert app.relative_error(exact.output()) <= app.info.tau_max
+    if executor in REMOTE:
+        # A settled lookup ships nothing: beyond serial's executed tasks, a
+        # pool ships at most the window of training tasks in flight when
+        # their type froze (2 workers × chunks of 8).
+        (backend,) = (v for k, v in result.extra.items() if k.endswith("_backend"))
+        assert backend["dispatched"] <= serial.tasks_executed + 2 * 8
 
 
 #: ``(benchmark, workers, chunk size)``: one worker with chunks of one for

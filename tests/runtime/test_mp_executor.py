@@ -377,6 +377,13 @@ class FreezesAfterOneCommit:
         return []
 
 
+class Owner:
+    """A second owner of tasks in one drain, as a gateway tenant is."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+
 class TestTrainingAtPoolWidth:
     """A task whose type trains ships without a lookup and is looked up as
     it retires, in dispatch order."""
@@ -406,6 +413,33 @@ class TestTrainingAtPoolWidth:
         # At some lookup another training task was still in flight.
         assert max(engine.trainers_in_flight) > 0
         assert all(np.all(dst == 7.0) for dst in sinks)
+
+    def test_a_frozen_owners_hits_never_ship_while_another_owner_trains(self):
+        """What shipped without a lookup is kept per owner: while one
+        owner's training tasks are in flight, another owner's THT hits
+        still settle at dispatch."""
+        trainer, frozen = FreezesAfterOneCommit(freezes=False), FreezesAfterOneCommit()
+        frozen.frozen = True
+        other = Owner(frozen)
+        sinks = [np.zeros(4) for _ in range(16)]
+
+        def submit(runtime):
+            frozen.executor = trainer.executor
+            with runtime.batch():
+                tasks = [
+                    runtime.submit(TRAIN, fill_seven, accesses=[Out(dst)], args=(dst,))
+                    for dst in sinks
+                ]
+                # Owners alternate: the session trains, the other owner hits.
+                for task in tasks[1::2]:
+                    task.owner = other
+            return tasks
+
+        result, tasks = self.run(trainer, submit)
+        assert result.extra["process_backend"]["dispatched"] == 8
+        assert [task.state for task in tasks[1::2]] == [TaskState.MEMOIZED] * 8
+        assert all(np.all(dst == 7.0) for dst in sinks[::2])
+        assert all(np.all(dst == 42.0) for dst in sinks[1::2])
 
     def test_a_hit_at_retirement_drops_the_workers_bytes(self):
         engine = FreezesAfterOneCommit()

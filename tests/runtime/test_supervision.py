@@ -115,7 +115,6 @@ class TestTerminalFailures:
         assert "a#1" in str(err) and "b#2" in str(err)
 
 
-
 class TestDrainDeadline:
     def test_drain_timeout_builds_named_error(self, capsys):
         sup = make_supervisor(drain_timeout_s=1.25)

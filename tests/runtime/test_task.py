@@ -41,7 +41,6 @@ class TestTaskType:
         assert TaskType("a") != TaskType("b")
 
 
-
 class TestTaskStates:
     def test_terminal_states(self):
         assert TaskState.FINISHED.is_terminal
