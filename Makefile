@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench size figures figures-diff examples process-backend net-loopback net-residency net-soak fault-matrix determinism serve-smoke tht-store wire-fuzz soak-threaded ci
+.PHONY: test bench size figures figures-diff examples process-backend net-loopback net-residency net-soak fault-matrix determinism serve-smoke tht-store wire-fuzz soak-threaded flake-audit ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -95,9 +95,9 @@ fault-matrix:
 	$(PYTHON) -m pytest -m fault -q
 
 # Reproducibility tier: jacobi and lu at `small` scale under dynamic ATM on
-# two process and two network workers with chunks of eight, three runs each:
-# one output checksum and one count tuple per cell (tasks retire in dispatch
-# order; excluded from tier-1 by the `determinism` marker, ~20 s).
+# two threaded, process and network workers with chunks of eight, three runs
+# each: one output checksum and one count tuple per cell (tasks retire in
+# dispatch order; excluded from tier-1 by the `determinism` marker, ~30 s).
 determinism:
 	$(PYTHON) -m pytest -m determinism -q
 
@@ -130,38 +130,54 @@ wire-fuzz:
 		tests/common/test_config.py -k "fuzz or listener or store_reader or Unpickled" \
 		-p no:cacheprovider -x -q
 
-# Threaded-pool soak: the suites that drive the persistent worker pool
-# (executor contract, the scheduler's churn test — its one lock is the lock
-# every worker thread contends on — submit-while-draining, the live window's barriers
-# opened from `submit`, concurrency stress, the whole
-# serving tier, its `serving`-marked threaded-gateway soak included) and the
-# server they are served on (FrameServer shutdown, gateway lifecycle: the
-# lost-wake-up gate of the barrier condition), the copy-elision suites
-# (the content tag is read on worker threads while siblings commit) and the
-# keygen equivalence and property suites (digests are read and replaced on
-# worker threads; the lattice-reader property of test_keygen_property.py copies
-# through per-thread scratch), the dependence tracker's property suite and the
+# The suites of the threaded pool and what shares its threads: the executor
+# contract (the in-process transport of the chunk dispatcher: worker threads
+# fed round-robin from the draining thread, the wedge rule abandoning a thread),
+# the scheduler's churn test (its one lock is the lock the draining thread and
+# every submitting thread contend on), submit-while-draining, the live window's
+# barriers opened from `submit`, concurrency stress, the whole serving tier,
+# its `serving`-marked threaded-gateway soak included, and the server they
+# are served on (FrameServer shutdown, gateway lifecycle: the lost-wake-up
+# gate of the barrier condition), the copy-elision suites (the content tag is
+# read while task bodies run on worker threads) and the keygen equivalence and
+# property suites (digests are read and replaced beside running bodies; the
+# lattice-reader property of test_keygen_property.py copies through
+# per-thread scratch), the dependence tracker's property suite and the
 # two-graph test of the region cache (two threads overwrite the one
-# `DataRegion._dep_state` slot of shared regions) ten times
-# over with a 10 us switch interval, so thread interleavings a normal run
-# never produces get their turn.  Zero failures required.
+# `DataRegion._dep_state` slot of shared regions).
+THREADED_SUITES = tests/runtime/test_executors.py \
+	tests/runtime/test_scheduler.py \
+	tests/runtime/test_submit_while_draining.py \
+	tests/session/test_live_window.py \
+	tests/runtime/test_stress_concurrency.py \
+	tests/runtime/test_copy_elision_property.py \
+	tests/atm/test_copy_elision.py \
+	tests/atm/test_keygen_equivalence.py \
+	tests/atm/test_keygen_property.py \
+	tests/runtime/test_dependences_property.py \
+	tests/runtime/test_region_cache.py::test_two_graphs_on_two_threads_share_region_objects \
+	tests/runtime/test_net_server.py tests/serving
+
+# Threaded-pool soak: THREADED_SUITES ten times over with a 10 us switch
+# interval, so thread interleavings a normal run never produces get their
+# turn.  Zero failures required.
 soak-threaded:
 	for run in 1 2 3 4 5 6 7 8 9 10; do \
-		$(PYTHON) -m pytest tests/runtime/test_executors.py \
-			tests/runtime/test_scheduler.py \
-			tests/runtime/test_submit_while_draining.py \
-			tests/session/test_live_window.py \
-			tests/runtime/test_stress_concurrency.py \
-			tests/runtime/test_copy_elision_property.py \
-			tests/atm/test_copy_elision.py \
-			tests/atm/test_keygen_equivalence.py \
-			tests/atm/test_keygen_property.py \
-			tests/runtime/test_dependences_property.py \
-			tests/runtime/test_region_cache.py::test_two_graphs_on_two_threads_share_region_objects \
-			tests/runtime/test_net_server.py tests/serving \
+		$(PYTHON) -m pytest $(THREADED_SUITES) \
 			-m "not net_soak and not fault" \
 			--switch-interval 1e-5 -p no:cacheprovider -x -q || exit 1; \
 	done
+
+# Flake audit: THREADED_SUITES in twenty seeded random orders (the conftest's
+# --shuffle-seed), so a test that passes only after, or only before, another
+# shows; prints how many orders passed and fails unless all did.  Not a CI
+# tier.
+flake-audit:
+	@passed=0; for seed in $$(seq 1 20); do \
+		if $(PYTHON) -m pytest $(THREADED_SUITES) -m "not net_soak and not fault" \
+			--shuffle-seed $$seed -p no:cacheprovider -q; then passed=$$((passed + 1)); \
+		else echo "flake-audit: seed $$seed failed"; fi; \
+	done; echo "flake-audit: $$passed/20 orders passed"; test $$passed -eq 20
 
 # What .github/workflows/ci.yml runs (this target is the one list of CI
 # tiers): tier-1 suite, examples smoke, process backend, network-loopback

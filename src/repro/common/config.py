@@ -200,9 +200,11 @@ class RuntimeConfig(_Section):
     enable_tracing:
         Record per-core state intervals and ready-queue depth samples.
     mp_chunk_size:
-        Maximum ready tasks batched into one dispatch message of the
-        process backend (amortises per-message framing on wide graphs;
-        narrow/wavefront graphs still dispatch singles, see DESIGN.md §4.3).
+        Maximum ready tasks batched into one chunk of a worker pool — the
+        threaded, process and network backends (amortises per-chunk hops
+        and framing on wide graphs; narrow/wavefront graphs still dispatch
+        singles, see DESIGN.md §4.3).  Workers × chunk size is the pool's
+        in-flight window; under ``task_timeout_s`` a chunk is one task.
     net_endpoints:
         Worker endpoints for the ``"network"`` backend (DESIGN.md §4.5).
         Either ``"loopback"`` / ``"loopback:<n>"`` — spawn ``n`` in-process

@@ -18,9 +18,10 @@ process that owns the engine: the executors' step (``BaseExecutor.start`` /
 The dispatcher looks a task up before shipping it and commits it through
 ``finish`` when it retires, in dispatch order; a task whose type still
 trains (:func:`training`) ships without a lookup and is looked up at its
-retirement, before its written bytes land.  The threaded pool asks
-:func:`training` before a task leaves the ready queue and starts such a task
-only while no other runs.  A remote worker never sees an engine.
+retirement, before its written bytes land — except on the threaded pool a
+training task that overwrites its input, which is looked up as it leaves
+the ready queue and leaves it only with nothing else in flight.  A worker
+never sees an engine.
 """
 
 from __future__ import annotations

@@ -1,28 +1,31 @@
-"""Parent-side chunk dispatch: the one drain loop under the worker backends.
+"""Parent-side chunk dispatch: the one drain loop under every worker pool.
 
-The process and network executors keep the dependence graph, the scheduler
-and the ATM engines in the parent and run task bodies elsewhere.  What they
-do around that is the same control plane (DESIGN.md §4.6), and
-:class:`ChunkDispatcher` is its only implementation: pull ready tasks, look
-each up in its owner's engine (the first half of the paper's Figure 1
-step), cut the ones that must run into chunks, remember which worker holds
-which chunk, decode what the workers answer and finish tasks from it (the
-second half: the commit reads the written bytes once they landed in the
-parent), retry or terminally fail a task whose body raised, time out a
-wedged one, resubmit what a lost worker held against a bounded budget, and
-notice a starved or overdue drain.  The parent memoizes: a THT hit finishes
-at once, an IKT hit waits for its producer, and neither ships.  An owner's
-tasks retire in dispatch order, whatever order their results arrive in, so
-a pool run is a function of its configuration (DESIGN.md §4.6).
+The threaded, process and network executors keep the dependence graph, the
+scheduler and the ATM engines in the draining thread and run task bodies on
+workers.  What they do around that is the same control plane (DESIGN.md
+§4.6), and :class:`ChunkDispatcher` is its only implementation: pull ready
+tasks, look each up in its owner's engine (the first half of the paper's
+Figure 1 step), cut the ones that must run into chunks, remember which
+worker holds which chunk, decode what the workers answer and finish tasks
+from it (the second half: the commit reads the written bytes once they
+landed in the parent), retry or terminally fail a task whose body raised,
+time out a wedged one, resubmit what a lost worker held against a bounded
+budget, and notice a starved or overdue drain.  The parent memoizes: a THT
+hit finishes at once, an IKT hit waits for its producer, and neither ships.
+An owner's tasks retire in dispatch order, whatever order their results
+arrive in, so a pool run is a function of its configuration (DESIGN.md
+§4.6).
 
 An executor *composes* a dispatcher and is its transport: the dispatcher
 calls seven methods of its host besides the shared Figure 1 step, the last
 four being the data plane of a backend that shares no memory with its
-workers (on the process backend ``_check_write`` does nothing,
-``_write_back`` copies the task's written regions out of shared memory,
-``_wrote_here`` copies them in and ``_task_raised`` marks their bases out of
-step with their segments).  ``worker`` is any hashable the
-transport uses to name a worker (a pool index, an endpoint object).
+workers (the threaded pool's worker threads run bodies on the parent's
+arrays, so there all four do nothing; on the process backend
+``_check_write`` does nothing, ``_write_back`` copies the task's written
+regions out of shared memory, ``_wrote_here`` copies them in and
+``_task_raised`` marks their bases out of step with their segments).
+``worker`` is any hashable the transport uses to name a worker (a pool
+index, an endpoint object).
 
 ``_send(chunk) -> worker``
     Ship one :class:`Chunk` to a worker the transport picks (it raises when
@@ -36,8 +39,8 @@ transport uses to name a worker (a pool index, an endpoint object).
     socket) are reported with :meth:`~ChunkDispatcher.worker_lost`.
 ``_lose(worker) -> (worker_name, chunks)``
     Take the worker a wedged task runs on out of service (kill and respawn
-    it, exclude its endpoint) and :meth:`~ChunkDispatcher.reclaim` what it
-    held.
+    it, exclude its endpoint, abandon its thread) and
+    :meth:`~ChunkDispatcher.reclaim` what it held.
 ``_check_write(task, *payload) -> problem | None``
     May ``task`` write what its result entry carries?
 ``_write_back(worker, task, chunk, *payload)``
@@ -55,6 +58,7 @@ from __future__ import annotations
 import itertools
 import time
 import weakref
+from collections import defaultdict, deque
 from typing import Any, Hashable, Optional
 
 from repro.common.exceptions import (
@@ -67,6 +71,7 @@ from repro.runtime.atm_protocol import ATMAction, EXECUTE_DECISION, abandon, loo
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TIMEOUT_GRACE
 from repro.runtime.task import Task
+from repro.runtime.trace import CoreState
 
 __all__ = ["Chunk", "ChunkDispatcher"]
 
@@ -95,14 +100,24 @@ class ChunkDispatcher:
     Figure 1 step.
 
     ``host`` is the composing executor — the transport (module docstring),
-    and its config, scheduler, supervisor, run result, Figure 1 step and
-    terminal-failure policy are used as they are; ``workers`` is the size
-    of its pool; ``chunk_size`` caps a chunk — at one task under
+    and its config, scheduler, supervisor, run result, trace, Figure 1 step
+    and terminal-failure policy are used as they are; ``workers`` is the
+    size of its pool; ``chunk_size`` caps a chunk — at one task under
     ``task_timeout_s``, so a wedged task is identifiable; ``loss_budget``
     bounds how often one task may be resubmitted after losing its worker;
     ``cleanup`` (a callable plus arguments that must not reference the
     host) tears the worker pool down exactly once, from :meth:`close` or
     when the host is garbage collected.
+
+    ``in_place`` says the workers run bodies on the parent's arrays (the
+    threaded pool).  Three rules follow: a task whose body overwrites an
+    input (``InOut``) cannot be looked up once it ran, so while its type
+    trains it is looked up as it leaves the ready queue and leaves it only
+    with nothing else in flight; a task looked up at its retirement wrote
+    its outputs already, so a THT hit there copies over them; and a chunk's
+    age since its ack is its body's own runtime, so the wedge rule adds no
+    ``TIMEOUT_GRACE``.  A traced pool's result entries carry each body's
+    ``(start, end)``, and the dispatcher writes the Figure 7/8 records.
     """
 
     def __init__(
@@ -115,6 +130,7 @@ class ChunkDispatcher:
         loss_budget: int,
         counters: dict,
         cleanup: tuple,
+        in_place: bool = False,
     ) -> None:
         self._host = host
         self._host_type = type(host).__name__
@@ -124,6 +140,9 @@ class ChunkDispatcher:
         #: most the engines' in-flight key tables ever hold from this pool.
         self.window = workers * self._chunk_size
         self._loss_budget = loss_budget
+        self._in_place = in_place
+        self._grace = 0.0 if in_place else TIMEOUT_GRACE
+        self._trace = host.trace if host.trace.enabled else None
         #: Live backend statistics (``dispatched``, ``chunks``,
         #: ``resubmitted_tasks``), owned by the executor.
         self.counters = counters
@@ -134,8 +153,9 @@ class ChunkDispatcher:
         self.inflight: dict[int, Task] = {}
         #: owner -> its in-flight tasks in dispatch order, the order they
         #: retire in (owners are independent programs: a gateway tenant
-        #: never waits for another's task).
-        self._lanes: dict[Any, dict[int, Task]] = {}
+        #: never waits for another's task); a task that failed meanwhile is
+        #: dropped when it reaches the head.
+        self._lanes: dict[Any, deque] = defaultdict(deque)
         #: task_id -> the lookup decision of an in-flight task the engine
         #: handled (absent: ``EXECUTE_DECISION``), for its commit.
         self._decisions: dict[int, Any] = {}
@@ -145,8 +165,10 @@ class ChunkDispatcher:
         #: task_id -> ``(worker, chunk, payload)`` of a result that arrived
         #: while an earlier task of its owner was still in flight.
         self._arrived: dict[int, tuple] = {}
+        #: task_id -> ``(start, end)`` of a traced task's lookup.
+        self._looked: dict[int, tuple] = {}
         #: worker -> chunk_id -> chunk the worker has not fully answered.
-        self._ledger: dict[Hashable, dict[int, Chunk]] = {}
+        self.ledger: dict[Hashable, dict[int, Chunk]] = {}
         self._chunk_ids = itertools.count(1)
         #: task_id -> times the task was resubmitted after losing a worker.
         self._losses: dict[int, int] = {}
@@ -170,7 +192,8 @@ class ChunkDispatcher:
         """Drain ``graph``; returns the wall-clock seconds it took."""
         supervisor = self._host._supervisor
         self._graph = graph
-        self.inflight, self._lanes, self._unlooked, self._arrived = {}, {}, {}, {}
+        self.inflight, self._lanes, self._arrived = {}, defaultdict(deque), {}
+        self._unlooked, self._looked = {}, {}
         deadline = supervisor.deadline()
         t0 = time.perf_counter()
         try:
@@ -211,68 +234,101 @@ class ChunkDispatcher:
         the tasks that must run are shipped.
 
         A task an engine sees leaves the queue only while fewer than
-        ``window`` tasks are in flight — one chunk per worker, as an
-        in-process worker pulls a task only when it is free — so a lookup
-        sees the commits of what retired before it (one worker, chunks of
-        one: the serial order exactly); such a task at the head of the
-        queue stops the pull, and tasks no engine sees ship at once.  A task
-        whose engine still trains its type ships without a lookup: it is
-        looked up at its retirement (:meth:`_retire_task`), in dispatch
-        order, after the commit of the one before it — so each training
-        outcome is measured at the ``p`` the one before it left, as on
-        serial, and a pool freezes serial's ``p`` while it trains at pool
-        width.  Any other engine task of an owner with such a task in flight
-        waits at the head of the queue until that one retired: its lookup
-        then follows every earlier lookup of its owner, and a THT hit still
-        settles before it ships.
+        ``window`` tasks are in flight — one chunk per worker, as a serial
+        worker pulls a task only when it is free — so a lookup sees the
+        commits of what retired before it (one worker, chunks of one: the
+        serial order exactly); such a task at the head of the queue stops
+        the pull, and tasks no engine sees ship at once.  A task whose
+        engine still trains its type ships without a lookup: it is looked
+        up at its retirement (:meth:`_retire_task`), in dispatch order,
+        after the commit of the one before it — so each training outcome is
+        measured at the ``p`` the one before it left, as on serial, and a
+        pool freezes serial's ``p`` while it trains at pool width.  Any
+        other engine task of an owner with such a task in flight waits at
+        the head of the queue until that one retired: its lookup then
+        follows every earlier lookup of its owner, and a THT hit still
+        settles before it ships.  On an ``in_place`` pool a training task
+        that writes an input is looked up here instead, alone in flight.
         """
         next_task, inflight, window = self._host.scheduler.next_task, self.inflight, self.window
-        decisions, unlooked = self._decisions, self._unlooked
+        unlooked, in_place = self._unlooked, self._in_place
+        look_all = self._trace is not None
         ready: list[Task] = []
-        trains = False
+        seen = trains = False
 
         def admit(task: Task) -> bool:
-            nonlocal trains
-            trains = False
+            nonlocal seen, trains
+            seen = trains = False
             if task.engine is None or not task.task_type.atm_eligible:
                 return True
             if len(inflight) >= window:
                 return False
+            seen = True
             trains = training(task, task.engine)
+            if trains and in_place and any(access.writes for access in task.inputs):
+                trains = False
+                return not inflight
             return trains or task.owner not in unlooked
 
         while (task := next_task(admit)) is not None:
             if trains:
                 unlooked.setdefault(task.owner, set()).add(task.task_id)
-            else:
-                decision = lookup(task, task.engine, 0)
-                if self._settled(task, decision):
-                    continue
-                if decision.atm_handled:
-                    decisions[task.task_id] = decision
+            elif (seen or look_all) and self._look_up(task, 0) is None:
+                continue
             ready.append(task)
             self._enter(task)
         if ready:
             self.counters["dispatched"] += len(ready)
             self._send(ready)
 
-    def _settled(self, task: Task, decision) -> bool:
-        """Whether ``task``'s lookup settled it without its body: a THT hit
-        copied the stored outputs in, and the task finishes here; an IKT hit
-        waits for its producer's commit."""
+    def _look_up(self, task: Task, row: Hashable):
+        """The lookup half of ``task``'s step (``row``: the trace row it
+        lands on).  Returns the decision, or ``None`` when the lookup
+        settled the task without its body: a THT hit copied the stored
+        outputs in and the task finishes here; an IKT hit waits for its
+        producer's commit."""
+        t_lookup = time.perf_counter()
+        decision = lookup(task, task.engine, 0)
+        if self._trace is not None:
+            self._looked[task.task_id] = (t_lookup, time.perf_counter())
         if not decision.skips_execution:
-            return False
+            if decision.atm_handled:
+                self._decisions[task.task_id] = decision
+            return decision
         if decision.action is ATMAction.SKIP:
             self._host._wrote_here((task,))
-            self._host.finish(task, self._graph, decision, False, 0)
-        return True
+            self._finish(task, decision, False, row, (0.0, 0.0))
+        elif self._trace is not None:
+            self._trace_task(task, row, (0.0, 0.0), None)
+        return None
+
+    def _finish(self, task: Task, decision, executed: bool, row: Hashable, ran) -> tuple:
+        """The commit half of ``task``'s step (``BaseExecutor.finish``);
+        ``ran`` is the ``(start, end)`` of its body when it is traced."""
+        if self._trace is None:
+            return self._host.finish(task, self._graph, decision, executed, 0)
+        t_commit = time.perf_counter()
+        deferred = self._host.finish(task, self._graph, decision, executed, 0)
+        self._trace_task(task, row, ran, t_commit)
+        return deferred
+
+    def _trace_task(self, task: Task, row: Hashable, ran, t_commit: Optional[float]) -> None:
+        """Write ``task``'s Figure 7 records — its lookup, its body as its
+        worker timed it, its commit from ``t_commit`` on — and a ready-queue
+        sample (an empty interval records nothing)."""
+        trace, label, t_end = self._trace, task.label, time.perf_counter()
+        trace.record(row, CoreState.ATM_HASH, *self._looked.pop(task.task_id, (0.0, 0.0)), label)
+        trace.record(row, CoreState.TASK_EXECUTION, *ran, label)
+        if t_commit is not None:
+            trace.record(row, CoreState.ATM_MEMOIZATION, t_commit, t_end, label)
+        trace.sample_ready(t_end, self._host.scheduler.pending())
 
     def _send(self, tasks: list[Task]) -> None:
         """Cut ``tasks`` into chunks and ship each to a worker."""
         size, send = self._chunk_size, self._host._send
         for start in range(0, len(tasks), size):
             chunk = Chunk(next(self._chunk_ids), tasks[start:start + size])
-            self._ledger.setdefault(send(chunk), {})[chunk.chunk_id] = chunk
+            self.ledger.setdefault(send(chunk), {})[chunk.chunk_id] = chunk
             self.counters["chunks"] += 1
 
     def reship(self, task: Task) -> None:
@@ -287,7 +343,7 @@ class ChunkDispatcher:
         """Whether ``worker``'s silence is a fault: it holds a chunk and,
         under ``task_timeout_s``, has acked none of them — a chunk it acked
         then belongs to the wedge rule (:meth:`_check_wedged`)."""
-        chunks = self._ledger.get(worker)
+        chunks = self.ledger.get(worker)
         if not chunks:
             return False
         if self._host._supervisor.task_timeout_s is None:
@@ -299,17 +355,18 @@ class ChunkDispatcher:
 
         ``("ack", chunk_id)`` stamps the chunk started; ``("result",
         chunk_id, results)`` completes (a prefix of) it; ``("error",
-        chunk_id, task_id, traceback)`` is a task body that raised.  Returns
-        what is wrong with a reply that is none of these or does not fit the
-        tasks it answers: nothing of it was applied and the transport takes
-        the worker that sent it out of service.  Answers for a chunk this
-        drain already reclaimed are stale and dropped.
+        chunk_id, task_id, detail)`` is a task body that raised — ``detail``
+        is its traceback, or on an in-process worker the exception itself.
+        Returns what is wrong with a reply that is none of these or does not
+        fit the tasks it answers: nothing of it was applied and the
+        transport takes the worker that sent it out of service.  Answers for
+        a chunk this drain already reclaimed are stale and dropped.
         """
         try:
             kind, *fields = message
             if len(fields) != _REPLY_FIELDS[kind]:
                 raise ValueError(kind)
-            chunk = self._ledger.get(worker, {}).get(fields[0])
+            chunk = self.ledger.get(worker, {}).get(fields[0])
             task = self.inflight.get(fields[1]) if kind == "error" else None
         except (TypeError, ValueError, KeyError, IndexError):
             return f"malformed reply: {message!r:.80}"
@@ -326,10 +383,12 @@ class ChunkDispatcher:
         elif task not in chunk.tasks:
             return f"malformed reply: error for task {fields[1]!r:.40} outside chunk {fields[0]}"
         else:
+            exc = fields[2] if isinstance(fields[2], BaseException) else None
+            detail = fields[2] if exc is None else f"{type(exc).__name__}: {exc}"
             self._task_error(
                 worker, chunk, task,
-                f"{self._name} worker {worker_name} failed on task {fields[1]}:\n{fields[2]}",
-                worker_name,
+                f"{self._name} worker {worker_name} failed on task {fields[1]}:\n{detail}",
+                worker_name, exc,
             )
         return None
 
@@ -373,7 +432,7 @@ class ChunkDispatcher:
             t for t in chunk.tasks if t.task_id in inflight and t.task_id not in arrived
         ]
         if not chunk.tasks:
-            del self._ledger[worker][chunk.chunk_id]
+            del self.ledger[worker][chunk.chunk_id]
         return None
 
     def _retire(self) -> None:
@@ -381,31 +440,33 @@ class ChunkDispatcher:
         tasks whose results arrived, and refill the window once per retired
         chunk — a fixed unit — so lookups interleave with commits the same
         way in every run, whichever worker answered first."""
-        arrived = self._arrived
-        for lane in list(self._lanes.values()):
-            while lane and (head := next(iter(lane))) in arrived:
-                chunk = arrived[head][1]
-                while head in arrived and arrived[head][1] is chunk:
-                    worker, _, payload = arrived.pop(head)
-                    task = lane[head]
-                    self._leave(task)
-                    self._retire_task(task, worker, chunk, payload)
-                    head = next(iter(lane), None)
+        arrived, inflight = self._arrived, self.inflight
+        for owner, lane in list(self._lanes.items()):
+            chunk = None
+            while lane:
+                task = lane[0]
+                if task.task_id in inflight:  # else it failed while in flight
+                    entry = arrived.get(task.task_id)
+                    if entry is None or entry[1] is not chunk:
+                        if chunk is not None:  # a chunk retired: refill once
+                            chunk = None
+                            self._dispatch_ready()
+                            continue
+                        if entry is None:
+                            break
+                        chunk = entry[1]
+                    del arrived[task.task_id], inflight[task.task_id]
+                    self._retire_task(task, entry[0], chunk, entry[2])
+                lane.popleft()
+            if chunk is not None:
                 self._dispatch_ready()
+            if not lane:
+                del self._lanes[owner]
 
     def _enter(self, task: Task) -> None:
         """Put ``task`` in flight, behind its owner's earlier tasks."""
-        self.inflight[task.task_id] = self._lanes.setdefault(task.owner, {})[task.task_id] = task
-
-    def _leave(self, task: Task) -> None:
-        """Take ``task`` out of flight (before it completes: completion
-        drops its owner)."""
-        if self.inflight.pop(task.task_id, None) is None:
-            return
-        lane = self._lanes[task.owner]
-        del lane[task.task_id]
-        if not lane:
-            del self._lanes[task.owner]
+        self.inflight[task.task_id] = task
+        self._lanes[task.owner].append(task)
 
     def _take_unlooked(self, task: Task) -> bool:
         """Take ``task`` off its owner's tasks shipped without a lookup;
@@ -424,27 +485,29 @@ class ChunkDispatcher:
         consumers all read parent memory.
 
         A task shipped without a lookup is looked up first, on the parent's
-        arrays, which still hold its input bytes (InOut inputs included).  A
-        THT hit there — its type froze while it ran — drops the worker's
+        arrays, which still hold its input bytes (InOut inputs included,
+        except on an ``in_place`` pool, which never ships those unlooked).
+        A THT hit there — its type froze while it ran — drops the worker's
         bytes and ends as a hit at dispatch does: the stored outputs are
         copied in and the task is memoized.
         """
         host = self._host
-        if self._take_unlooked(task):
-            decision = lookup(task, task.engine, 0)
-            if self._settled(task, decision):
+        if self._unlooked and self._take_unlooked(task):
+            if self._in_place:
+                for access in task.outputs:
+                    access.region.bump_version()  # the body's write: no tag holds
+            if self._look_up(task, worker) is None:
                 return
-        else:
-            decision = self._decisions.pop(task.task_id, EXECUTE_DECISION)
+        decision = self._decisions.pop(task.task_id, EXECUTE_DECISION)
         after = host._write_back(worker, task, chunk, *payload)
-        deferred = host.finish(task, self._graph, decision, True, 0)
+        deferred = self._finish(task, decision, True, worker, payload)
         if deferred:
             host._wrote_here(deferred)
         if after is not None:
             after()
 
     def _task_error(
-        self, worker: Hashable, chunk: Chunk, task: Task, reason: str, worker_name: str
+        self, worker: Hashable, chunk: Chunk, task: Task, reason: str, worker_name: str, exc
     ) -> None:
         """A task body raised on ``worker`` (the worker itself is fine).
 
@@ -452,7 +515,7 @@ class ChunkDispatcher:
         abort.  The rest of the chunk — dropped by the worker after the
         failure — is redistributed either way.
         """
-        del self._ledger[worker][chunk.chunk_id]
+        del self.ledger[worker][chunk.chunk_id]
         self._host._task_raised(worker, task)
         remaining = [
             t for t in chunk.tasks if t is not task and t.task_id in self.inflight
@@ -463,19 +526,19 @@ class ChunkDispatcher:
             self.counters["resubmitted_tasks"] += 1
             remaining.append(task)
         else:
-            self.fail(task, TaskFailedError, reason, worker_name)
+            self.fail(task, TaskFailedError, reason, worker_name, exc)
         self._send(remaining)
 
-    def fail(self, task: Task, error_cls: type, reason: str, worker_name: str) -> None:
+    def fail(self, task: Task, error_cls: type, reason: str, worker_name: str, exc=None) -> None:
         """Terminal failure of a dispatched task: quarantine or abort.  Its
         lookup is abandoned with the decision it got, and the deferred
         consumers that orphans come back through :meth:`reship`.  A task
         shipped without a lookup registered nothing with its engine."""
         self._take_unlooked(task)
-        self._leave(task)
+        self.inflight.pop(task.task_id, None)
         self._host._task_failed(
             task, self._graph, self._decisions.pop(task.task_id, EXECUTE_DECISION),
-            error_cls, reason, None, worker=worker_name,
+            error_cls, reason, exc, worker=worker_name,
         )
 
     # -- the wedge rule --------------------------------------------------------
@@ -483,23 +546,23 @@ class ChunkDispatcher:
         """Time out the chunk a worker has been running for too long.
 
         Under ``task_timeout_s`` a chunk is one task, and a worker acks a
-        chunk as it starts on it: one older than the budget plus
-        ``TIMEOUT_GRACE`` since its ack is ``TaskTimeoutError`` at once (it
-        would blow the budget again), its worker is taken out of service,
-        and whatever else that worker held never started: it requeues free.
+        chunk as it starts on it: one older than the budget plus the grace
+        since its ack is ``TaskTimeoutError`` at once (it would blow the
+        budget again), its worker is taken out of service, and whatever
+        else that worker held never started: it requeues free.
         """
         supervisor = self._host._supervisor
         if supervisor.task_timeout_s is None:
             return
         now = time.perf_counter()
-        budget = supervisor.task_timeout_s + TIMEOUT_GRACE
-        for worker, chunks in list(self._ledger.items()):
+        budget = supervisor.task_timeout_s + self._grace
+        for worker, chunks in list(self.ledger.items()):
             wedged = next(
                 (c for c in chunks.values()
                  if c.started_at is not None and now - c.started_at > budget),
                 None,
             )
-            if wedged is None or self._ledger.get(worker) is not chunks:
+            if wedged is None or self.ledger.get(worker) is not chunks:
                 continue  # nothing overdue, or lost while this scan ran
             reason = supervisor.timeout_reason(now - wedged.started_at)
             name, held = self._host._lose(worker)
@@ -514,7 +577,7 @@ class ChunkDispatcher:
     # -- events: worker loss ---------------------------------------------------
     def reclaim(self, worker: Hashable) -> list[Chunk]:
         """Take back every chunk a lost worker still holds, oldest first."""
-        chunks = self._ledger.pop(worker, {})
+        chunks = self.ledger.pop(worker, {})
         return [chunks[chunk_id] for chunk_id in sorted(chunks)]
 
     def worker_lost(

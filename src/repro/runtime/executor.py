@@ -5,17 +5,20 @@ calling into the memoization engine of each task's owner (``task.engine``)
 around it exactly as the paper's Figure 1 describes: lookup when the task is
 pulled from the ready queue, commit when it finishes.  That step is written
 once, as :meth:`BaseExecutor.start` and :meth:`BaseExecutor.finish`, and the
-simulator calls the same two halves.  An executor holds no engine of its
-own, so one pool serves tasks of many owners.
+serial executor and the simulator call the two halves.  An executor holds no
+engine of its own, so one pool serves tasks of many owners.
 
 * :class:`SerialExecutor` — one worker, wall-clock timing.  Used for baseline
   correctness runs and for measuring per-task costs.
-* :class:`ThreadedExecutor` — one long-lived pool of ``threading`` workers
-  pulling from a shared scheduler, parked between drains and woken by ready
-  notifications.  Python's GIL prevents faithful parallel speedup measurements
-  (see DESIGN.md §4), but this executor exercises the real concurrency paths:
-  per-bucket THT locks, the single IKT lock, postponed output copies and the
-  thread-safe graph, so it is the vehicle for the concurrency test-suite.
+* :class:`ThreadedExecutor` — the in-process transport of the chunk
+  dispatcher (:mod:`repro.runtime.dispatch`) that also drives the process
+  and network pools: the draining thread looks tasks up, ships chunks to
+  ``threading`` workers that run the bodies on the parent's arrays, and
+  commits each task as it retires, in dispatch order.  Python's GIL
+  prevents faithful parallel speedup measurements (see DESIGN.md §4), but
+  this executor runs task bodies beside the draining thread's graph,
+  scheduler and engine work, so it is the vehicle for the concurrency
+  test-suite.
 
 Deterministic *performance* figures come from
 :class:`repro.runtime.simulator.SimulatedExecutor`.
@@ -26,7 +29,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,11 +41,11 @@ from repro.common.exceptions import (
 )
 from repro.common.registry import EXECUTORS
 from repro.runtime.atm_protocol import (
-    ATMAction, ATMDecision, EXECUTE_DECISION, abandon, commit, lookup, training,
+    ATMAction, ATMDecision, EXECUTE_DECISION, abandon, commit, lookup,
 )
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.supervision import TaskSupervisor, dump_stacks
+from repro.runtime.supervision import POLL_INTERVAL, TaskSupervisor
 from repro.runtime.task import Task, TaskState
 from repro.runtime.trace import CoreState, TraceRecorder
 
@@ -238,11 +240,9 @@ class BaseExecutor:
             self._complete_deferred(graph, deferred)
         if clock is not None:
             clock.committed(task, decision)
-        # The graph lock serialises the run-result counters across workers.
-        # complete_task takes it again on its own: between the two a task is
-        # counted but not yet terminal.
-        with graph._lock:
-            self._account(decision.action)
+        # Every backend commits on its draining thread alone: the run-result
+        # counters need no lock.
+        self._account(decision.action)
         graph.complete_task(task, TaskState.FINISHED if executed else TaskState.MEMOIZED)
         return deferred
 
@@ -250,8 +250,7 @@ class BaseExecutor:
         """Count and complete deferred consumers, before their producer:
         their outputs are already in place."""
         for waiter in deferred:
-            with graph._lock:
-                self._account(ATMAction.DEFER)
+            self._account(ATMAction.DEFER)
             graph.complete_task(waiter, TaskState.MEMOIZED)
 
     def _trace_step(self, worker: int, task: Task, executed: bool, clock) -> None:
@@ -346,8 +345,7 @@ class BaseExecutor:
         if failure is not None:
             self._task_failed(task, graph, EXECUTE_DECISION, *failure, worker=worker, clock=clock)
             return
-        with graph._lock:
-            self._account(ATMAction.EXECUTE)
+        self._account(ATMAction.EXECUTE)
         graph.complete_task(task, TaskState.FINISHED)
 
     def _process(self, task: Task, graph: TaskDependenceGraph, worker_id: int) -> None:
@@ -372,14 +370,9 @@ class BaseExecutor:
     def close(self) -> None:
         """Release executor resources (worker pools, shared segments).
 
-        The serial executor holds none, the threaded one stops and joins
-        its worker pool here; the process and network backends override it.
+        The serial executor holds none; the pools override it.
         :meth:`repro.session.Session.finish` calls it after the final barrier.
         """
-        self._stop_workers()
-
-    def _stop_workers(self) -> None:
-        """Stop and join this executor's worker threads, if it keeps any."""
 
     def __enter__(self) -> "BaseExecutor":
         return self
@@ -411,206 +404,194 @@ class SerialExecutor(BaseExecutor):
         return self._result
 
 
-def _untrained(task: Task) -> bool:
-    """Whether ``task`` may start beside running tasks: no engine of its
-    owner trains its type."""
-    engine = task.engine
-    return engine is None or not task.task_type.atm_eligible or not training(task, engine)
-
-
-class _WorkerPool:
-    """The long-lived worker threads of one :class:`ThreadedExecutor`.
-
-    ``graph`` is the gate: the graph of the open drain, ``None`` between
-    drains.  A worker that finds the gate closed or the ready queue empty
-    parks: it counts itself in ``parked`` and blocks on ``tokens`` until
-    someone hands it a token.  Workers reach the executor only through a
-    weak reference, so an executor that is dropped without ``close()`` is
-    collected and its finalizer (``stop``) releases the threads.
-
-    A task whose engine still trains its type starts only while no other
-    worker is busy: each training outcome is measured at the ``p`` the one
-    before it left, so the pool freezes serial's ``p``.  (The worker pools
-    of ``runtime/dispatch.py`` instead look such a task up as it retires,
-    before its bytes land; a threaded body writes InOut inputs in place, so
-    here the lookup cannot wait.)  Such a task at the head of the queue
-    is taken only under ``lock``, by a worker that finds ``busy`` empty —
-    the last one to finish — and stops every other pull until then.
+class PoolExecutor(BaseExecutor):
+    """An executor that composes a :class:`~repro.runtime.dispatch.ChunkDispatcher`
+    and is its transport (DESIGN.md §4.6): the threaded, process and network
+    pools.  The data-plane hooks do nothing here — the right thing for
+    workers that write the parent's arrays; the remote pools override them.
     """
 
-    def __init__(self, executor: "ThreadedExecutor") -> None:
-        self.lock = threading.Lock()  # guards parked, busy, errors and closing the gate
-        self.quiet = threading.Condition(self.lock)  # signalled when busy empties
-        # Parking is a token queue rather than a Condition because the
-        # finalizer may run inside a garbage collection on a worker that
-        # holds ``lock``: SimpleQueue.put is reentrant, notify() is not.
-        self.tokens: queue.SimpleQueue = queue.SimpleQueue()
-        self.executor = weakref.ref(executor)
-        self.graph: Optional[TaskDependenceGraph] = None
-        #: Workers blocked on ``tokens`` (or about to be) that nobody has
-        #: woken yet: the int the ready hooks read before taking ``lock``.
-        self.parked = 0
-        #: Ids of the workers between taking a task and parking again.
-        self.busy: set[int] = set()
-        self.errors: list[BaseException] = []
-        self.stopped = False
-        self.threads = [
-            threading.Thread(target=self._run, args=(i,), daemon=True, name=f"worker-{i}")
-            for i in range(executor.config.num_threads)
-        ]
-        self.stop = weakref.finalize(executor, self._stop)
-        for thread in self.threads:
-            thread.start()
+    @property
+    def max_in_flight(self) -> int:
+        # The dispatcher pulls an engine's task only while fewer are in flight.
+        return self._dispatcher.window
 
-    def _stop(self) -> None:
-        self.stopped = True
-        for _ in self.threads:
-            self.tokens.put(None)
+    def _rescue_orphan(self, task, graph, worker, clock) -> None:
+        # A deferred twin whose producer failed runs on a worker, not here.
+        self._dispatcher.reship(task)
 
-    def wake(self, count: int) -> None:
-        """Hand a token to up to ``count`` parked workers (one per task
-        pushed; all of them when a drain opens the gate)."""
-        with self.lock:
-            count = min(count, self.parked)
-            self.parked -= count
-            for _ in range(count):
-                self.tokens.put(None)
+    def _check_write(self, task, *payload) -> None:
+        return None
 
-    def close_gate(self, timeout: float) -> list[str]:
-        """End the drain and wait for the workers to leave their tasks; the
-        names of those still inside one after ``timeout``.  Parked workers
-        stay parked: the next drain wakes them when it opens the gate."""
-        with self.lock:
-            self.graph = None
-            self.quiet.wait_for(lambda: not self.busy, timeout=timeout)
-            return [f"worker-{i}" for i in sorted(self.busy)]
+    def _write_back(self, worker, task, chunk, *payload) -> None:
+        return None
 
-    def _run(self, worker_id: int) -> None:
-        while True:
-            work = self._take(worker_id)
-            if work is not None:
-                self._serve(worker_id, *work)
-                continue
-            # Parked: this frame references neither the executor nor a graph.
-            self.tokens.get()
-            if self.stopped:
+    def _task_raised(self, worker, task) -> None:
+        return None
+
+    def _wrote_here(self, tasks) -> None:
+        return None
+
+
+def _stop_workers(workers: list, timeout: float) -> None:
+    """Pool teardown, run once by close() or the GC finalizer: tell every
+    live worker thread to stop, then join it (abandoned ones are not in
+    ``workers``: each ends when its body returns)."""
+    for worker in workers:
+        worker.chunks.put(None)
+    for worker in workers:
+        if worker.thread is not threading.current_thread():
+            worker.thread.join(timeout=timeout)
+
+
+class _Worker:
+    """One worker thread of a :class:`ThreadedExecutor` and its chunk queue.
+
+    The thread references neither the executor nor a graph while it waits
+    for a chunk, so a dropped executor is collected and its finalizer stops
+    the thread.
+    """
+
+    __slots__ = ("name", "chunks", "abandoned", "thread")
+
+    def __init__(self, index: int, inbox: queue.SimpleQueue, acks: bool, traced: bool) -> None:
+        self.name = f"worker-{index}"
+        #: ``(chunk_id, tasks)`` to run, ``None`` to stop.
+        self.chunks: queue.SimpleQueue = queue.SimpleQueue()
+        #: Set when the pool gives the thread up: it runs nothing more.
+        self.abandoned = False
+        self.thread = threading.Thread(target=self._serve, args=(index, inbox, acks, traced),
+                                       daemon=True, name=self.name)
+        self.thread.start()
+
+    def _serve(self, index: int, inbox: queue.SimpleQueue, acks: bool, traced: bool) -> None:
+        """Run chunks on the parent's arrays until told to stop or
+        abandoned, posting each chunk's replies in the one vocabulary as
+        ``(index, worker, reply)``: ``ack`` first under ``task_timeout_s``
+        (the dispatcher ages the chunk from it), the ``result`` of the
+        bodies that ran (a traced entry adds each body's start and end),
+        then the ``error`` of the one that raised, carrying the exception.
+        An abandoned thread starts no body and posts nothing more."""
+        clock = time.perf_counter
+        while (chunk := self.chunks.get()) is not None:
+            chunk_id, tasks = chunk
+            if acks:
+                inbox.put((index, self, ("ack", chunk_id)))
+            results, error = [], None
+            for task in tasks:
+                if self.abandoned:
+                    return
+                t_run = clock() if traced else 0.0
+                try:
+                    task.run()
+                except BaseException as exc:
+                    error = ("error", chunk_id, task.task_id, exc)
+                    break
+                results.append((task.task_id, t_run, clock()) if traced else (task.task_id,))
+            if self.abandoned:
                 return
-
-    def _take(self, worker_id: int) -> Optional[tuple]:
-        """Leave the busy set, then pop a task of the open drain as
-        ``(executor, graph, task)`` — or count as parked and return ``None``."""
-        with self.lock:
-            self.busy.discard(worker_id)
-            if not self.busy:
-                self.quiet.notify_all()
-            graph = self.graph
-            executor = self.executor() if graph is not None else None
-            # Announce, then look once more: a concurrent push either sees
-            # ``parked`` or is seen by this pop (no lost wake-up).
-            self.parked += 1
-            # ``busy`` only changes under ``lock``: a task an engine trains
-            # starts here, when no other worker is busy, or not at all.
-            admit = _untrained if self.busy else None
-            task = executor.scheduler.next_task(admit) if executor is not None else None
-            if task is None:
-                return None
-            self.parked -= 1
-            self.busy.add(worker_id)
-            return executor, graph, task
-
-    def _serve(self, worker_id: int, executor, graph, task) -> None:
-        process, next_task = executor._process, executor.scheduler.next_task
-        try:
-            while task is not None:
-                process(task, graph, worker_id)
-                # Checked before the pop, so a popped task always runs; a
-                # training task is left for ``_take``.
-                task = next_task(_untrained) if self.graph is graph else None
-        except BaseException as exc:
-            with self.lock:  # the first error ends the drain for every worker
-                self.errors.append(exc)
-                self.graph = None
+            if results or error is None:
+                inbox.put((index, self, ("result", chunk_id, results)))
+            if error is not None:
+                inbox.put((index, self, error))
+            chunk = tasks = task = error = None  # hold no task while waiting
 
 
-class ThreadedExecutor(BaseExecutor):
-    """Executor backed by one persistent pool of worker threads.
+class ThreadedExecutor(PoolExecutor):
+    """The in-process transport of a :class:`~repro.runtime.dispatch.ChunkDispatcher`.
 
-    ``num_threads`` daemon workers are spawned by the first drain and live
-    until :meth:`close` (or until the executor is garbage collected).  They
-    block instead of polling: ``drain`` opens the gate for its graph, the
-    ready hooks wake parked workers when tasks are pushed, and closing the
-    gate parks everyone again.  Execution is lazy — tasks that become ready
-    while no drain is open stay queued until the next one (DESIGN.md §4.2).
+    ``num_threads`` daemon worker threads, started by the first drain, run
+    the bodies of the chunks the dispatcher sends them (round-robin, sized
+    by ``mp_chunk_size``) on the parent's arrays and post their replies to
+    one inbox; the draining thread looks tasks up, commits them and
+    releases their successors.  Execution is lazy: nothing runs while no
+    drain is open (DESIGN.md §4.2).  A wedged body cannot be interrupted,
+    so taking its worker out of service abandons the thread and starts a
+    fresh one in its place.
     """
 
-    #: Grace period (seconds) for workers to leave their task after a drain ends.
+    #: Grace period (seconds) for a worker thread to end once ``close()`` asked.
     JOIN_TIMEOUT = 5.0
 
-    #: Spawned by the first drain, dropped by ``close()`` or a stuck worker.
-    _pool: Optional[_WorkerPool] = None
+    def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
+        super().__init__(config=config)
+        # Imported here: an ATM-off serial Session never loads the dispatcher.
+        from repro.runtime.dispatch import ChunkDispatcher
 
-    def notify_ready(self, task: Task) -> None:
-        super().notify_ready(task)
-        pool = self._pool
-        if pool is not None and pool.parked and pool.graph is not None:
-            pool.wake(1)
+        #: ``(index, worker, reply)`` from every worker thread, in post order.
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        #: Worker i; ``_lose`` replaces an abandoned one in place.
+        self._workers: list[_Worker] = []
+        self._next_worker = 0
+        self._stats = {"dispatched": 0, "chunks": 0, "resubmitted_tasks": 0, "respawns": 0}
+        # A thread is lost only to the wedge rule, which charges nothing.
+        self._dispatcher = ChunkDispatcher(
+            self, "threaded", workers=self.config.num_threads,
+            chunk_size=self.config.mp_chunk_size, loss_budget=0, counters=self._stats,
+            cleanup=(_stop_workers, self._workers, self.JOIN_TIMEOUT), in_place=True,
+        )
 
-    def notify_ready_batch(self, tasks: Sequence[Task]) -> None:
-        super().notify_ready_batch(tasks)
-        pool = self._pool
-        if pool is not None and pool.parked and pool.graph is not None:
-            pool.wake(len(tasks))
+    def _start(self, index: int) -> _Worker:
+        acks = self.config.task_timeout_s is not None  # the wedge rule ages a chunk from its ack
+        return _Worker(index, self._inbox, acks, self.trace.enabled)
 
-    def _stop_workers(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.stop()
-            for thread in pool.threads:
-                thread.join(timeout=self.JOIN_TIMEOUT)
+    def _lose(self, index: int) -> tuple:
+        """Abandon worker ``index`` — it ends when its running body returns,
+        runs nothing more and is not heard again — and start a fresh thread
+        in its place; returns the old worker's name and the chunks it held."""
+        worker = self._workers[index]
+        worker.abandoned = True
+        worker.chunks.put(None)
+        self._workers[index] = self._start(index)
+        self._stats["respawns"] += 1
+        return worker.name, self._dispatcher.reclaim(index)
 
+    def close(self) -> None:
+        """Stop and join the worker threads."""
+        self._dispatcher.close()
+
+    # -- transport ---------------------------------------------------------------
+    def _send(self, chunk) -> int:
+        index = self._next_worker
+        self._next_worker = (index + 1) % len(self._workers)
+        self._workers[index].chunks.put((chunk.chunk_id, chunk.tasks))
+        return index
+
+    def _pump(self) -> None:
+        """Hand the dispatcher every reply posted so far, waiting one poll
+        interval for the first."""
+        inbox, workers, reply = self._inbox, self._workers, self._dispatcher.reply
+        try:
+            index, worker, message = inbox.get(timeout=POLL_INTERVAL)
+            while True:
+                # An abandoned thread's late word is dropped; the replies of
+                # a live one are well-formed by construction.
+                if workers[index] is worker and (problem := reply(index, worker.name, message)):
+                    raise RuntimeStateError(f"threaded worker {worker.name}: {problem}")
+                index, worker, message = inbox.get_nowait()
+        except queue.Empty:
+            return
+
+    # The workers write the parent's arrays: no bytes travel, and the
+    # data-plane hooks are PoolExecutor's, which do nothing.
+
+    # -- drain ---------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
+        self._dispatcher.ensure_open()
         if graph.all_finished:
             return self._result
-        supervisor = self._fresh_supervisor()
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = _WorkerPool(self)
-        t0 = time.perf_counter()
-        pool.graph = graph  # opens the gate; only the draining thread does
-        pool.wake(len(pool.threads))
-        deadline = supervisor.deadline()
-        while not (finished := graph.wait_all_finished(timeout=0.05)):
-            if pool.errors or pool.stopped or time.perf_counter() >= deadline:
-                break
-        stuck = pool.close_gate(self.JOIN_TIMEOUT)
-        # Taken, not shared: a kept traceback would pin this executor's frames.
-        errors, pool.errors = pool.errors, []
-        elapsed = time.perf_counter() - t0
-        if stuck:
-            # A worker that will not stop holds the graph in an unknowable
-            # state; dump stacks so the wedged frame is diagnosable.  Its
-            # frame cannot be reclaimed: abandon the pool, the next drain
-            # spawns a fresh one.
-            pool.stop()
-            self._pool = None
-            reason = (
-                f"threaded drain: workers [{', '.join(stuck)}] still inside a task "
-                f"{self.JOIN_TIMEOUT}s after stop was requested"
-            )
-            dump_stacks(reason)
-            raise DrainAbortedError(reason, supervisor.failures)
-        if errors:
-            # Satellite fix: aggregate *every* worker failure instead of
-            # re-raising errors[0] and silently dropping the rest.
-            others = [e for e in errors if not isinstance(e, DrainAbortedError)]
-            if others:
-                raise others[0]
-            raise supervisor.aggregate_abort("threaded drain") from errors[0]
-        if not finished and pool.stopped:
-            raise RuntimeStateError("threaded drain: executor closed before the graph finished")
-        if not finished:
-            raise supervisor.drain_timeout("threaded drain")
-        self._result.elapsed += elapsed
+        if not self._workers:
+            self._workers.extend(self._start(index) for index in range(self.config.num_threads))
+        self._fresh_supervisor()
+        try:
+            self._result.elapsed += self._dispatcher.run(graph)
+        except BaseException:
+            # No chunk of an aborted drain runs on: a thread that holds one
+            # is abandoned (it ends when its running body returns).
+            for index in [i for i, chunks in self._dispatcher.ledger.items() if chunks]:
+                self._lose(index)
+            raise
+        self._result.extra.setdefault("threaded_backend", self._stats)
         return self._result
 
 

@@ -50,10 +50,10 @@ class TaskDependenceGraph:
     transition — ``FINISHED``/``MEMOIZED`` completions, ``FAILED`` tasks,
     ``CANCELLED`` successors of a quarantined failure, and tasks born
     cancelled because they depend on already-quarantined work.  It runs on
-    whichever thread drove the transition (a worker thread on the threaded
-    backend, the drain thread elsewhere) and is the serving layer's per-task
-    accounting/admission seam; because it runs lock-free it may safely
-    submit follow-up tasks back into the same graph.  Callbacks must not
+    whichever thread drove the transition (the drain thread on every
+    backend; the submitting thread for a task born cancelled) and is the
+    serving layer's per-task accounting/admission seam; because it runs
+    lock-free it may safely submit follow-up tasks back into the same graph.  Callbacks must not
     raise — an exception propagates into the completing executor.  Once it
     has run, the task's ``owner`` is dropped: a task a caller keeps pins no
     Session, engine or tenant.
@@ -85,7 +85,6 @@ class TaskDependenceGraph:
         self._on_born_cancelled = on_born_cancelled
         #: ``(task, dooming predecessor)`` pairs not yet reported.
         self._born_cancelled: list[tuple[Task, Task]] = []
-        self._all_done = threading.Condition(self._lock)
 
     # -- construction ---------------------------------------------------------
     def _add_locked(self, task: Task) -> bool:
@@ -226,8 +225,7 @@ class TaskDependenceGraph:
                 # The tag holds the entry weakly; so must the finished task.
                 task.memo_source = None
             task.state = state
-            live = self._live
-            live.remove(task)
+            self._live.remove(task)
             self._tracker.forget(task)
             released: list[Task] = []
             successors = task._successors
@@ -242,8 +240,6 @@ class TaskDependenceGraph:
                         released.append(succ)
                 if released:
                     self._mark_ready_batch(released)
-            if not live:
-                self._all_done.notify_all()
         if self._on_complete is not None:
             self._on_complete(task)
         task.owner = None
@@ -291,8 +287,6 @@ class TaskDependenceGraph:
                     stack.append(succ)
             if record is not None:
                 record(cancelled)
-            if not live:
-                self._all_done.notify_all()
         for doomed in (task, *cancelled):
             if self._on_complete is not None:
                 self._on_complete(doomed)
@@ -329,8 +323,3 @@ class TaskDependenceGraph:
         """The live tasks (added, not yet terminal), in no set order."""
         with self._lock:
             return list(self._live)
-
-    def wait_all_finished(self, timeout: Optional[float] = None) -> bool:
-        """Block until every registered task is terminal."""
-        with self._all_done:
-            return self._all_done.wait_for(lambda: self.all_finished, timeout=timeout)

@@ -74,7 +74,7 @@ from typing import Optional
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import RuntimeStateError, WorkerLostError
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
-from repro.runtime.executor import BaseExecutor, RunResult
+from repro.runtime.executor import PoolExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.net_transport import TRANSPORT_ERROR, ProcessEndpoint
 from repro.runtime.net_wire import NetChunk, PROTOCOL_VERSION, encode_frame
@@ -97,7 +97,7 @@ def _close_pool(endpoints, registry):
     registry.close()
 
 
-class ProcessExecutor(BaseExecutor):
+class ProcessExecutor(PoolExecutor):
     """Executor backed by worker processes over shared memory."""
 
     def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
@@ -236,9 +236,6 @@ class ProcessExecutor(BaseExecutor):
     # Shared memory is the data plane: a result carries no bytes — the
     # task's written regions are read out of the segments (copy-out) — and a
     # body that raised leaves its written bases out of step.
-    def _check_write(self, task) -> None:
-        return None
-
     def _write_back(self, worker_id: int, task, chunk: Chunk) -> None:
         self._stats["copyout_buffers"] += self._registry.copy_out(_writes([task]))
 
@@ -250,16 +247,6 @@ class ProcessExecutor(BaseExecutor):
         # The tasks hold their outputs exclusively: no worker reads or
         # writes those bytes while they are mirrored in.
         self._registry.copy_regions_in(_writes(tasks))
-
-    # -- the parent's share of the Figure 1 step ----------------------------------
-    @property
-    def max_in_flight(self) -> int:
-        # The dispatcher pulls an engine's task only while fewer are in flight.
-        return self._dispatcher.window
-
-    def _rescue_orphan(self, task, graph, worker, clock) -> None:
-        # A deferred twin whose producer failed runs on a worker, not here.
-        self._dispatcher.reship(task)
 
     # -- drain ---------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:

@@ -73,7 +73,7 @@ from repro.common.exceptions import (
     WorkerLostError,
 )
 from repro.runtime.dispatch import Chunk, ChunkDispatcher
-from repro.runtime.executor import BaseExecutor, RunResult
+from repro.runtime.executor import PoolExecutor, RunResult
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.remote_task import describe_tasks
 from repro.runtime.supervision import POLL_INTERVAL
@@ -107,7 +107,7 @@ def _close_endpoints(endpoints: list) -> None:
             pass
 
 
-class NetworkExecutor(BaseExecutor):
+class NetworkExecutor(PoolExecutor):
     """Executor backed by workers behind a message transport."""
 
     abort_error = NetworkDrainError
@@ -404,16 +404,6 @@ class NetworkExecutor(BaseExecutor):
                         None, None, region.base_id, region.byte_interval, version, version
                     )
         self._invalidate(dropped)
-
-    # -- the parent's share of the Figure 1 step ----------------------------------
-    @property
-    def max_in_flight(self) -> int:
-        # The dispatcher pulls an engine's task only while fewer are in flight.
-        return self._dispatcher.window
-
-    def _rescue_orphan(self, task, graph, worker, clock) -> None:
-        # A deferred twin whose producer failed runs on an endpoint, not here.
-        self._dispatcher.reship(task)
 
     # -- drain -------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:

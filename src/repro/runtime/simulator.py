@@ -84,7 +84,7 @@ class _CostClock:
     def __init__(self, executor: "SimulatedExecutor", now: float, core: Optional[int] = None):
         self.executor = executor
         #: The core the step keeps busy (``None``: an orphan rescue, which
-        #: runs inside its producer's failure event).
+        #: runs on its failed producer's core, after it).
         self.core = core
         self.end = now + executor.sim.task_overhead
         self.t_lookup = self.t_run = self.t_commit = self.t_end = self.end
@@ -213,6 +213,16 @@ class SimulatedExecutor(BaseExecutor):
         # The failure lands when the failed run ends in simulated time.
         self._push(clock.end, _EVT_TASK_FAILED, (clock.core, failure, worker))
 
+    def _rescue_orphan(self, task: Task, graph: TaskDependenceGraph, worker: str, clock) -> None:
+        # The twin runs as a step of its own after its failed producer, on
+        # the producer's core (``clock``'s), and is traced there.  Its clock
+        # keeps no core: a failure of its own frees none.
+        rescue = _CostClock(self, clock.end)
+        super()._rescue_orphan(task, graph, worker, rescue)
+        clock.end = rescue.end
+        self.trace.record(clock.core, CoreState.TASK_EXECUTION, rescue.t_run, rescue.t_commit,
+                          task.label)
+
     # -- main loop -------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
         pending = sorted(graph.pending_tasks(), key=lambda t: t.task_id)
@@ -282,11 +292,14 @@ class SimulatedExecutor(BaseExecutor):
                 dispatch(now)
             elif kind == _EVT_TASK_FAILED:
                 core, failure, worker = payload  # type: ignore[misc]
-                if core is not None:
-                    heapq.heappush(idle_heap, core)
                 failure[0].finish_time = now
-                super()._task_failed(*failure, worker=worker, clock=_CostClock(self, now))
-                dispatch(now)
+                # Deferred twins of the failed task are rescued on its core
+                # (:meth:`_rescue_orphan`), which is free once they have run.
+                clock = _CostClock(self, now, core)
+                clock.end = now
+                super()._task_failed(*failure, worker=worker, clock=clock)
+                if core is not None:
+                    self._push(clock.end, _EVT_CORE_FREE, core)
 
             dispatch(self._clock)
             self.trace.sample_ready(self._clock, self.scheduler.pending())

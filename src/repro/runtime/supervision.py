@@ -4,25 +4,26 @@ The four supervision knobs on :class:`repro.common.config.RuntimeConfig`
 mean the same thing on every executor backend, because each one hands its
 task failures to a :class:`TaskSupervisor`:
 
-* serial, threaded and simulated run every task through the one Figure 1
-  step of :class:`repro.runtime.executor.BaseExecutor` (``start`` runs the
-  body under ``_run_supervised``, a terminal failure goes to
-  ``_task_failed``); the simulator charges retry backoffs to the core in
-  simulated time and lands a terminal failure when its simulated run ends;
-* process and network workers only run bodies and report; the parent's
-  :class:`repro.runtime.dispatch.ChunkDispatcher` supervises them.
+* serial and simulated run every task through the one Figure 1 step of
+  :class:`repro.runtime.executor.BaseExecutor` (``start`` runs the body
+  under ``_run_supervised``, a terminal failure goes to ``_task_failed``);
+  the simulator charges retry backoffs to the core in simulated time and
+  lands a terminal failure when its simulated run ends;
+* threaded, process and network workers only run bodies and report; the
+  draining thread's :class:`repro.runtime.dispatch.ChunkDispatcher`
+  supervises them.
 
 ``task_timeout_s``
-    Per-task wall-clock budget.  Serial and threaded cannot preempt a
-    running Python frame, so they detect the overrun *post hoc* when the
-    task returns.  The process and network backends share one wedge rule
-    (``ChunkDispatcher._check_wedged``): under a timeout a chunk is one
-    task, a worker acknowledges a chunk as it starts on it, and a chunk
-    older than ``task_timeout_s + TIMEOUT_GRACE`` since that ack is
-    terminal at once; its worker is taken out of service (the process
-    killed and respawned, the endpoint excluded) and whatever else it held
-    requeues uncharged.  The simulator's time is modelled, so it refuses
-    the knob at construction.
+    Per-task wall-clock budget.  Serial cannot preempt a running Python
+    frame, so it detects the overrun *post hoc* when the task returns.  The
+    worker pools share one wedge rule (``ChunkDispatcher._check_wedged``):
+    under a timeout a chunk is one task, a worker acknowledges a chunk as
+    it starts on it, and a chunk older than ``task_timeout_s`` (plus
+    ``TIMEOUT_GRACE`` on the remote pools) since that ack is terminal at
+    once; its worker is taken out of service (the process killed and
+    respawned, the endpoint excluded, the thread abandoned) and whatever
+    else it held requeues uncharged.  The simulator's time is modelled, so
+    it refuses the knob at construction.
 ``task_max_retries`` / ``retry_backoff_s``
     Bounded re-execution of a failed task with exponential backoff:
     attempt ``k`` (1-based) waits ``retry_backoff_s * 2**(k-1)`` before
@@ -70,7 +71,7 @@ POLL_INTERVAL = 0.02
 
 #: Scheduling-latency allowance (seconds) the chunk dispatcher adds to an
 #: acknowledged chunk's ``task_timeout_s`` budget before declaring the
-#: worker running it wedged.
+#: remote worker running it wedged.
 TIMEOUT_GRACE = 0.25
 
 
@@ -126,9 +127,8 @@ class TaskSupervisor:
         else:
             raise supervisor.abort(task, error, reason) from exc
 
-    The supervisor is not thread-safe by itself; in-process backends call
-    it under their drain/graph locks, the process and network backends
-    only from the master thread's pump loop.
+    The supervisor is not thread-safe by itself; every backend calls it
+    from its draining thread only.
     """
 
     def __init__(
@@ -252,15 +252,6 @@ class TaskSupervisor:
         return self.abort_error(
             f"drain aborted: task {failure.label} failed after "
             f"{failure.attempts} attempt(s): {failure.reason} "
-            f"[failed tasks: {labels}]",
-            self.failures,
-        )
-
-    def aggregate_abort(self, what: str) -> DrainAbortedError:
-        """Abort carrying *every* recorded failure (threaded drain path)."""
-        labels = ", ".join(f.label for f in self.failures) or "<none>"
-        return self.abort_error(
-            f"{what} aborted by {len(self.failures)} task failure(s) "
             f"[failed tasks: {labels}]",
             self.failures,
         )

@@ -44,7 +44,7 @@ built, encoded and sent on one thread and a full tenant queue blocks that
 tenant's thread only.  Beside them run one dispatch thread (admission pump +
 ``executor.drain``), one merge-pump thread (shared tier only), plus whatever
 the pool backend keeps — for ``threaded`` one long-lived set of
-``num_threads`` workers that park between drains.  A barrier waits on the
+``num_threads`` workers that wait for chunks between drains.  A barrier waits on the
 tenant's condition, notified where its ``outstanding`` count reaches 0.  The
 pool executes only while a drain is open: work admitted in between waits in
 the ready queue, and ``_dispatch_loop`` re-drains for as long as the graph

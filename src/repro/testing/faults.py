@@ -83,8 +83,9 @@ def wedge_body(sleep_s: float, src, dst) -> None:
     """Runs ``sleep_s`` of wall-clock before finishing: the wedged task.
 
     Against a ``task_timeout_s`` below ``sleep_s`` this triggers timeout
-    supervision — post-hoc detection on serial/threaded, worker
-    kill/exclusion on process/network.
+    supervision — post-hoc detection on serial, the wedge rule on the
+    pools (the thread abandoned, the process killed, the endpoint
+    excluded).
     """
     time.sleep(sleep_s)
     dst[:] = src ** 2

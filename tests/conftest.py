@@ -6,6 +6,7 @@ import contextlib
 import gc
 import multiprocessing
 import os
+import random
 import socket
 import sys
 import threading
@@ -32,12 +33,23 @@ def pytest_addoption(parser) -> None:
         help="sys.setswitchinterval(S) for the whole run (`make soak-threaded` "
         "uses 1e-5 to shake thread interleavings)",
     )
+    parser.addoption(
+        "--shuffle-seed", type=int, default=None, metavar="N",
+        help="run the collected tests in a random order drawn from seed N "
+        "(`make flake-audit`: a test that depends on another's leftovers shows)",
+    )
 
 
 def pytest_configure(config) -> None:
     interval = config.getoption("--switch-interval")
     if interval is not None:
         sys.setswitchinterval(interval)
+
+
+def pytest_collection_modifyitems(config, items) -> None:
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
 
 
 #: Name prefixes of the runtime's helper threads: the threaded pool, the

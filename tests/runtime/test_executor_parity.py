@@ -43,8 +43,8 @@ from repro.runtime.simulator import SimulatedExecutor
 #: the pre-residency ship-everything protocol must stay bit-compatible.
 EXECUTORS = ("serial", "threaded", "process", "network", "network-nores")
 MODES = ("none", "static", "dynamic")
-#: Worker counts: serial is single by construction; threaded exercises the
-#: shared-engine locking; the process pool stays at 2 to bound spawn cost;
+#: Worker counts: serial is single by construction; threaded runs bodies on
+#: four threads beside the draining one; the process pool stays at 2 to bound spawn cost;
 #: the network backend runs 2 loopback workers (the default
 #: ``net_endpoints="loopback"`` spawns ``cores`` in-process workers speaking
 #: the real wire protocol over socketpairs).
@@ -128,25 +128,18 @@ def test_executor_parity(bench_name, mode):
         if mode == "static" and reference.tasks_memoized > 0:
             # Non-vacuous reuse check: a backend whose memoization silently
             # broke must fail here.  Without the IKT (the parity
-            # configuration) the twins the parent looks up while their first
-            # copy is still on a worker all miss, so how much a multi-worker
-            # pool reuses depends on its window of in-flight chunks; the
-            # worker backends' reuse is asserted on a single-worker pool,
-            # whose lookups follow the serial order, while the threaded
-            # backend keeps the direct check.  (Twins on two workers are
-            # pinned by test_twin_reuse_is_deterministic_on_two_workers.)
-            if executor in ("process", "network", "network-nores"):
-                _, solo = run_tiny(bench_name, executor, mode, workers=1)
-                assert solo.tasks_memoized > 0, (
-                    f"{bench_name}: single-worker {executor}/static found no "
-                    f"reuse although serial memoized "
-                    f"{reference.tasks_memoized} tasks"
-                )
-            else:
-                assert result.tasks_memoized > 0, (
-                    f"{bench_name}: {executor}/static found no reuse although "
-                    f"serial memoized {reference.tasks_memoized} tasks"
-                )
+            # configuration) the twins the dispatcher looks up while their
+            # first copy is still on a worker all miss, so how much a
+            # multi-worker pool reuses depends on its window of in-flight
+            # chunks; every pool's reuse is asserted on a single worker,
+            # whose lookups follow the serial order.  (Twins on two workers
+            # are pinned by test_twin_reuse_is_deterministic_on_two_workers.)
+            _, solo = run_tiny(bench_name, executor, mode, workers=1)
+            assert solo.tasks_memoized > 0, (
+                f"{bench_name}: single-worker {executor}/static found no "
+                f"reuse although serial memoized "
+                f"{reference.tasks_memoized} tasks"
+            )
         if mode == "none":
             assert result.tasks_memoized == 0
             assert result.tasks_executed == result.tasks_completed
@@ -181,7 +174,7 @@ def _run_twins(executor: str, chunk_size: int, n: int = 8):
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, 64])
-@pytest.mark.parametrize("executor", ["process", "network"])
+@pytest.mark.parametrize("executor", ["threaded", "process", "network"])
 def test_twin_reuse_is_deterministic_on_two_workers(executor, chunk_size):
     """Same-key twins on a 2-worker pool, whatever the chunking.
 
@@ -277,10 +270,12 @@ def counts(result) -> tuple:
 @pytest.mark.parametrize("executor", ("threaded", *REMOTE))
 @pytest.mark.parametrize("bench_name", sorted(DYNAMIC_PINS))
 def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
-    """Training runs once, in the parent: a two-worker pool (chunks of
-    eight on the remote ones, which train at pool width and look a training
-    task up as it retires, in dispatch order) freezes serial's sampling
-    fraction with serial's counts and keeps the paper's error bound."""
+    """Training runs once, in the parent: a two-worker pool with chunks
+    of eight, which trains at pool width and looks a training task up as it
+    retires, in dispatch order (on the threaded pool a training task that
+    overwrites its input is looked up as it leaves the ready queue and runs
+    alone), freezes serial's sampling fraction with serial's counts and
+    keeps the paper's error bound."""
     exact, _, _ = run_with_session_engine(bench_name, "serial", "none")
     _, serial, serial_p = run_with_session_engine(bench_name, "serial", "dynamic")
     app, result, chosen = run_with_session_engine(
@@ -291,12 +286,11 @@ def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
     ), f"{bench_name}/{executor}"
     assert chosen == DYNAMIC_PINS[bench_name]
     assert app.relative_error(exact.output()) <= app.info.tau_max
-    if executor in REMOTE:
-        # A settled lookup ships nothing: beyond serial's executed tasks, a
-        # pool ships at most the window of training tasks in flight when
-        # their type froze (2 workers × chunks of 8).
-        (backend,) = (v for k, v in result.extra.items() if k.endswith("_backend"))
-        assert backend["dispatched"] <= serial.tasks_executed + 2 * 8
+    # A settled lookup ships nothing: beyond serial's executed tasks, a pool
+    # ships at most the window of training tasks in flight when their type
+    # froze (2 workers × chunks of 8).
+    (backend,) = (v for k, v in result.extra.items() if k.endswith("_backend"))
+    assert backend["dispatched"] <= serial.tasks_executed + 2 * 8
 
 
 #: ``(benchmark, workers, chunk size)``: one worker with chunks of one for
@@ -305,7 +299,7 @@ def test_two_worker_dynamic_atm_trains_the_one_engine(bench_name, executor):
 REPRODUCIBLE_SHAPES = [(name, 1, 1) for name in sorted(DYNAMIC_PINS)] + [("jacobi", 2, 8)]
 
 
-@pytest.mark.parametrize("executor", REMOTE)
+@pytest.mark.parametrize("executor", ("threaded", *REMOTE))
 @pytest.mark.parametrize("bench_name,workers,chunk_size", REPRODUCIBLE_SHAPES)
 def test_dynamic_atm_runs_follow_the_dispatch_order(bench_name, workers, chunk_size, executor):
     """Tasks retire in dispatch order and a training task is looked up as

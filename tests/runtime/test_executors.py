@@ -17,6 +17,7 @@ from repro.atm.policy import StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig, SimulationConfig
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
 from repro.session import Session
+from repro.runtime import dispatch as dispatch_module
 from repro.runtime import executor as executor_module
 from repro.runtime.atm_protocol import ATMAction, ATMCommitInfo, ATMDecision
 from repro.runtime.data import In, InOut, Out
@@ -159,26 +160,20 @@ class TestThreadedExecutor:
         runtime.submit(boom, explode, accesses=[Out(np.zeros(1))])
         with pytest.raises(DrainAbortedError, match="task failure") as excinfo:
             runtime.finish()
-        # The aggregated abort names the failed task and chains the original.
+        # The abort names the failed task and chains the original.
         assert [f.label for f in excinfo.value.failures] == ["boom#0"]
-        assert isinstance(excinfo.value.__cause__.__cause__, ValueError)
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 JOIN_S = 10.0  # bound of every wait below; none of them is expected to be reached
 
 
+def pool_threads(executor: ThreadedExecutor) -> list:
+    return [worker.thread for worker in executor._workers]
+
+
 def pool_idents(executor: ThreadedExecutor) -> set:
-    return {thread.ident for thread in executor._pool.threads}
-
-
-def wait_parked(executor: ThreadedExecutor) -> None:
-    """Block until every pool worker has parked (they only count themselves
-    parked under the pool lock, after leaving their last task)."""
-    pool = executor._pool
-    deadline = time.monotonic() + JOIN_S
-    while pool.parked < len(pool.threads):
-        assert time.monotonic() < deadline, "workers never parked"
-        time.sleep(0.001)
+    return {thread.ident for thread in pool_threads(executor)}
 
 
 def join_all(threads) -> None:
@@ -196,7 +191,8 @@ def threaded():
 
 
 class TestThreadedWorkerPool:
-    """The pool's contract (DESIGN.md §4.2); nothing here passes by timing."""
+    """The in-process transport's contract (DESIGN.md §4.2); nothing here
+    passes by timing."""
 
     def test_drains_reuse_one_set_of_threads(self, threaded):
         src = np.arange(4.0)
@@ -217,11 +213,10 @@ class TestThreadedWorkerPool:
         ran = []
         probe = TaskType("probe")
         threaded.submit(probe, ran.append, accesses=[Out(np.zeros(1))], args=(0,))
-        threaded.wait_all()  # the pool now exists and parks behind the closed gate
-        wait_parked(threaded.executor)
+        threaded.wait_all()  # the worker threads now exist and wait for chunks
         for i in (1, 2, 3):
             threaded.submit(probe, ran.append, accesses=[Out(np.zeros(1))], args=(i,))
-        wait_parked(threaded.executor)
+        # Only a drain sends chunks: nothing ran, whatever the threads do.
         assert ran == [0]
         assert threaded.executor.scheduler.pending() == 3
         threaded.wait_all()
@@ -234,13 +229,14 @@ class TestThreadedWorkerPool:
             slept.append(seconds)
             raise AssertionError(f"executor slept {seconds}s")
 
-        monkeypatch.setattr(
-            executor_module, "time",
-            types.SimpleNamespace(perf_counter=time.perf_counter, sleep=no_sleep),
-        )
+        for module in (executor_module, dispatch_module):
+            monkeypatch.setattr(
+                module, "time",
+                types.SimpleNamespace(perf_counter=time.perf_counter, sleep=no_sleep),
+            )
         # Three dependent waves over three blocks; the bodies block briefly so
-        # that one of the two workers runs out of ready tasks mid-drain (where
-        # the per-drain threads this pool replaced called time.sleep).
+        # that one of the two workers runs out of chunks mid-drain (where
+        # the per-drain threads of an older pool called time.sleep).
         blocks = [np.full(8, float(i)) for i in range(3)]
         bump = TaskType("bump")
         never = threading.Event()
@@ -309,8 +305,10 @@ class TestThreadedWorkerPool:
 
     def test_tasks_their_engine_trains_run_one_at_a_time(self):
         # More workers than cores and a tiny switch interval: a training
-        # task starts only when no other worker is busy, so two training
-        # bodies never overlap (a plain task may start beside one).
+        # task that overwrites its input (InOut) starts only with nothing
+        # else in flight — the body destroys the bytes a lookup at its
+        # retirement would read — so two training bodies never overlap (a
+        # plain task may start beside one).
         train, plain = TaskType("pool_train", memoizable=True), TaskType("pool_plain")
         active, overlaps, lock = [], [], threading.Lock()
 
@@ -342,9 +340,11 @@ class TestThreadedWorkerPool:
         sys.setswitchinterval(1e-6)
         try:
             for i in range(240):
-                task_type, kind = (train, "train") if i % 3 == 0 else (plain, "plain")
                 dst = np.zeros(1)
-                session.submit(task_type, body, accesses=[Out(dst)], args=(kind, dst))
+                if i % 3 == 0:
+                    session.submit(train, body, accesses=[InOut(dst)], args=("train", dst))
+                else:
+                    session.submit(plain, body, accesses=[Out(dst)], args=("plain", dst))
             done = []
             drainer = threading.Thread(target=lambda: done.append(session.wait_all()))
             drainer.start()
@@ -378,65 +378,64 @@ class TestThreadedWorkerPool:
         finally:
             executor.close()
 
-    def test_stuck_worker_aborts_and_the_next_drain_gets_a_new_pool(
-        self, monkeypatch, capfd
-    ):
-        monkeypatch.setattr(ThreadedExecutor, "JOIN_TIMEOUT", 0.05)
+    def test_a_stuck_drain_dumps_stacks_and_its_thread_is_never_reused(self, capfd):
         executor = ThreadedExecutor(
             config=RuntimeConfig(num_threads=2, drain_timeout_s=0.05)
         )
         release = threading.Event()
+        stuck, ran = [], []
         try:
             wedged = Session(executor=executor)
             submit_square(wedged, np.arange(4.0), np.zeros(4))
             wedged.wait_all()
-            abandoned = list(executor._pool.threads)
+            before = pool_threads(executor)
             wedged.submit(
                 TaskType("wedge"), release.wait, accesses=[Out(np.zeros(1))],
                 args=(JOIN_S,),
             )
-            with pytest.raises(DrainAbortedError, match="still inside a task"):
+            for i in range(3):  # shipped in the wedge's chunk, behind it
+                wedged.submit(TaskType("behind"), ran.append, accesses=[Out(np.zeros(1))],
+                              args=(i,))
+            with pytest.raises(DrainAbortedError, match="did not finish within drain_timeout_s"):
                 wedged.wait_all()
-            assert "worker-" in capfd.readouterr().err  # the stack dump
-            assert executor._pool is None
+            assert "all thread stacks" in capfd.readouterr().err  # the stack dump
+            # The thread inside the wedged body was abandoned and replaced.
+            stuck = [t for t in before if t not in pool_threads(executor)]
+            assert len(stuck) == 1 and stuck[0].is_alive()
 
+            executor.config.drain_timeout_s = JOIN_S
             fresh = Session(executor=executor)
             data = build_chain(fresh, 10)
             fresh.wait_all()
             assert data[0] == 10.0
-            assert not set(executor._pool.threads) & set(abandoned)
+            assert stuck[0] not in pool_threads(executor)
         finally:
             release.set()
             executor.close()
-        join_all(abandoned)  # the wedged frame returned: its pool is gone too
+        join_all(stuck)  # the wedged body returned, and its thread ran nothing more
+        assert ran == []
 
-    def test_close_joins_and_a_later_drain_respawns(self):
+    def test_close_joins_the_worker_threads(self):
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=3))
         session = Session(executor=executor)
         data = build_chain(session, 5)
         session.wait_all()
-        threads = list(executor._pool.threads)
-        assert all(t.name.startswith("worker-") and t.is_alive() for t in threads)
+        threads = pool_threads(executor)
+        assert [t.name for t in threads] == ["worker-0", "worker-1", "worker-2"]
+        assert all(t.is_alive() for t in threads)
         executor.close()
         assert not [t.name for t in threads if t.is_alive()]
-        assert executor._pool is None
         executor.close()  # idempotent
-
-        again = Session(executor=executor)
-        more = build_chain(again, 5)
-        again.wait_all()
-        assert data[0] == more[0] == 5.0
-        respawned = list(executor._pool.threads)
-        assert not set(respawned) & set(threads)
-        executor.close()
-        join_all(respawned)
+        assert data[0] == 5.0
+        with pytest.raises(RuntimeStateError, match="already closed"):
+            executor.drain(TaskDependenceGraph())
 
     def test_dropped_executor_releases_its_threads(self):
         session = make_threaded_runtime(threads=2)
         data = build_chain(session, 5)
         session.wait_all()
         assert data[0] == 5.0
-        threads = list(session.executor._pool.threads)
+        threads = pool_threads(session.executor)
         del session
         gc.collect()
         join_all(threads)

@@ -120,15 +120,16 @@ def marked_wedge_body(marker_path: str, sleep_s: float, src, dst) -> None:
     wedge_body(sleep_s, src, dst)
 
 
-@pytest.mark.parametrize("backend", ["process", "network"])
+@pytest.mark.parametrize("backend", ["threaded", "process", "network"])
 def test_wedge_is_terminal_once(backend, tmp_path):
-    """One wedge rule under both remote backends, with default retry
-    budgets: a task past ``task_timeout_s`` (+ grace) since its worker
-    acknowledged it is ``TaskTimeoutError`` at once — entered once, never
-    re-run elsewhere — its worker is killed / its endpoint excluded, and
-    the healthy task beside it completes on the other one.  (The parent
-    commit's network backend aged the chunk from dispatch, re-ran the wedge
-    on the second endpoint and ended in "all network endpoints failed".)"""
+    """One wedge rule under every worker pool, with default retry budgets:
+    a task past ``task_timeout_s`` (+ grace) since its worker acknowledged
+    it is ``TaskTimeoutError`` at once — entered once, never re-run
+    elsewhere — its worker is killed / its endpoint excluded / its thread
+    abandoned, and the healthy task beside it completes on the other one.
+    (The network backend once aged the chunk from dispatch, re-ran the
+    wedge on the second endpoint and ended in "all network endpoints
+    failed"; the threaded pool once waited for the wedged body.)"""
     marker = str(tmp_path / f"wedge-{backend}.entries")
     t0 = time.monotonic()
     with fault_session(
@@ -148,11 +149,12 @@ def test_wedge_is_terminal_once(backend, tmp_path):
         assert len(stats["failed_endpoints"]) == 1  # one of two endpoints still live
         assert "task_timeout_s=0.2" in stats["failed_endpoints"][0]
     else:
-        assert result.extra["process_backend"]["respawns"] == 1
+        assert result.extra[f"{backend}_backend"]["respawns"] == 1
 
 
 @pytest.mark.parametrize(
-    "backend, backlog", [("process", 600), ("network", 1000)], ids=["process", "network"]
+    "backend, backlog", [("threaded", 600), ("process", 600), ("network", 1000)],
+    ids=["threaded", "process", "network"],
 )
 def test_a_wedged_worker_with_a_backlog_is_still_timed_out(backend, backlog):
     """Hundreds of one-task chunks queued behind a wedged body fill its
@@ -160,7 +162,8 @@ def test_a_wedged_worker_with_a_backlog_is_still_timed_out(backend, backlog):
     the wedge rule cannot run until the body returns on its own.  (A
     blocking send left the wedge to finish after its 3 s and reported no
     timeout.)  A loopback socketpair takes more frames than a process
-    worker's before it is full."""
+    worker's before it is full; a worker thread's queue never is, and the
+    chunks behind an abandoned thread's wedge never run there."""
     t0 = time.monotonic()
     with fault_session(
         backend, task_timeout_s=0.2, on_task_failure="quarantine"

@@ -105,12 +105,6 @@ class TestCompletion:
         graph.complete_task(t)
         assert graph.pending_tasks() == []
 
-    def test_wait_all_finished_immediate(self):
-        graph = TaskDependenceGraph()
-        t = graph.add_task(make_task([Out(np.zeros(4))]))
-        graph.complete_task(t)
-        assert graph.wait_all_finished(timeout=0.1)
-
 
 class TestEdges:
     def test_recorded_edges(self):

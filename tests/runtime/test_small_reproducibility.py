@@ -1,11 +1,12 @@
 """A pool run is a function of its configuration, at the ``small`` scale.
 
-Dynamic ATM on two remote workers with chunks of eight: tasks retire in
-dispatch order and a training task is looked up as it retires, so three
-runs of one program give one output and one count tuple, whichever worker
-answers first.  Jacobi and lu are the two programs whose process runs once
-varied.  Outside tier-1 (``-m determinism``, ``make determinism``): about
-20 s.
+Dynamic ATM on two workers with chunks of eight — threads, processes or
+network endpoints: tasks retire in dispatch order and a training task is
+looked up as it retires, so three runs of one program give one output and
+one count tuple, whichever worker answers first.  Jacobi and lu are the two
+programs whose process runs once varied (and lu's threaded runs: trained 64,
+then 67).  Outside tier-1 (``-m determinism``, ``make determinism``): about
+30 s.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def run_small(benchmark: str, executor: str) -> tuple[str, tuple]:
     )
 
 
-@pytest.mark.parametrize("executor", ["process", "network"])
+@pytest.mark.parametrize("executor", ["threaded", "process", "network"])
 @pytest.mark.parametrize("bench_name", ["jacobi", "lu"])
 def test_three_small_runs_give_one_output_and_one_count_tuple(bench_name, executor):
     runs = [run_small(bench_name, executor) for _ in range(3)]

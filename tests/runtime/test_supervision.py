@@ -22,8 +22,6 @@ from repro.common.exceptions import (
     ConfigurationError,
     DrainAbortedError,
     TaskFailedError,
-    TaskTimeoutError,
-    WorkerLostError,
 )
 from repro.runtime.atm_protocol import MemoizationEngineProtocol
 from repro.runtime.data import In, InOut, Out
@@ -31,6 +29,7 @@ from repro.runtime.executor import build_executor
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TaskFailure, TaskSupervisor, dump_stacks
 from repro.runtime.task import Task, TaskState, TaskType
+from repro.runtime.trace import CoreState
 from repro.serving.gateway import _SharedTierProbe
 from repro.session import Session
 from repro.testing.faults import BACKENDS, fault_session, raising_body, square_body
@@ -105,14 +104,6 @@ class TestTerminalFailures:
         assert "explode#7" in str(err)
         assert "2 attempt(s)" in str(err)
         assert err.failures[0].attempts == 2
-
-    def test_aggregate_abort_lists_every_failure(self):
-        sup = make_supervisor()
-        sup.record_failure(make_task(1, "a"), TaskTimeoutError, "slow")
-        sup.record_failure(make_task(2, "b"), WorkerLostError, "dead")
-        err = sup.aggregate_abort("threaded drain")
-        assert "2 task failure(s)" in str(err)
-        assert "a#1" in str(err) and "b#2" in str(err)
 
 
 class TestDrainDeadline:
@@ -318,6 +309,41 @@ class TestOrphanRescue:
         assert (result.tasks_completed, result.tasks_executed) == (3, 3)
         assert (result.tasks_failed, result.tasks_cancelled) == (1, 0)
         assert all(np.array_equal(out, src ** 2) for out in outputs[1:])
+
+    def test_a_simulated_rescue_runs_on_its_failed_producers_core(self):
+        """The twin deferred on a producer that fails runs after it on the
+        producer's core, which it keeps busy: its execution is traced there
+        and the simulated run lasts until it ends."""
+        calls = []
+
+        def first_call_raises(src, dst):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("producer fails once")
+            dst[:] = src ** 2
+
+        config = {
+            "runtime": {"executor": "simulated", "num_threads": 2,
+                        "on_task_failure": "quarantine", "enable_tracing": True},
+            "atm": {"mode": "static"},
+        }
+        twin_type = TaskType("twin", memoizable=True)
+        sources, outputs = [np.arange(16.0), np.arange(16.0)], [np.zeros(16), np.zeros(16)]
+        with Session(config) as session:
+            producer, twin = [
+                session.submit(twin_type, first_call_raises, accesses=[In(x), Out(y)], args=(x, y))
+                for x, y in zip(sources, outputs)
+            ]
+            result = session.wait_all()
+        assert (producer.state, twin.state) == (TaskState.FAILED, TaskState.FINISHED)
+        (rescued,) = [
+            interval for interval in result.trace.intervals
+            if interval.state is CoreState.TASK_EXECUTION and interval.task_label == twin.label
+        ]
+        assert rescued.core == producer.executed_on
+        assert rescued.start >= producer.finish_time
+        assert rescued.duration == pytest.approx(twin.simulated_cost())
+        assert result.elapsed >= rescued.end
 
 
 def pid_unless_told_to_fail(src, dst, fail):

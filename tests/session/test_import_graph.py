@@ -115,9 +115,13 @@ class TestFrontDoor:
         assert unexpected(loaded_after("")) == []
 
     def test_atm_off_serial_and_threaded_sessions_stay_small(self):
+        output, modules = run_script(run_one("serial"))
+        assert json.loads(output) == SQUARES
+        assert unexpected(json.loads(modules)) == []
         *outputs, modules = run_script(run_one("serial") + run_one("threaded"))
         assert [json.loads(line) for line in outputs] == [SQUARES, SQUARES]
-        assert unexpected(json.loads(modules)) == []
+        # The threaded pool is a transport of the one chunk dispatcher.
+        assert unexpected(json.loads(modules)) == ["repro.runtime.dispatch"]
 
     def test_a_static_session_loads_the_atm_layer(self):
         modules = loaded_after(run_one("serial", mode="static"))
