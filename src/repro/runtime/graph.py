@@ -53,10 +53,10 @@ class TaskDependenceGraph:
     whichever thread drove the transition (the drain thread on every
     backend; the submitting thread for a task born cancelled) and is the
     serving layer's per-task accounting/admission seam; because it runs
-    lock-free it may safely submit follow-up tasks back into the same graph.  Callbacks must not
-    raise — an exception propagates into the completing executor.  Once it
-    has run, the task's ``owner`` is dropped: a task a caller keeps pins no
-    Session, engine or tenant.
+    lock-free it may safely submit follow-up tasks back into the same
+    graph.  Callbacks must not raise — an exception propagates into the
+    completing executor.  Once it has run, the task's ``owner`` is dropped:
+    a task a caller keeps pins no Session, engine or tenant.
 
     ``on_born_cancelled(task, predecessor)`` is invoked, also outside the
     lock and before ``on_complete``, for a task born cancelled: the
