@@ -203,8 +203,9 @@ class RuntimeConfig(_Section):
         Maximum ready tasks batched into one chunk of a worker pool — the
         threaded, process and network backends (amortises per-chunk hops
         and framing on wide graphs; narrow/wavefront graphs still dispatch
-        singles, see DESIGN.md §4.3).  Workers × chunk size is the pool's
-        in-flight window; under ``task_timeout_s`` a chunk is one task.
+        singles, see DESIGN.md §4.3).  Workers × chunk size is a remote
+        pool's in-flight window (the threaded pool's is one engine task per
+        thread, shipped alone); under ``task_timeout_s`` a chunk is one task.
     net_endpoints:
         Worker endpoints for the ``"network"`` backend (DESIGN.md §4.5).
         Either ``"loopback"`` / ``"loopback:<n>"`` — spawn ``n`` in-process

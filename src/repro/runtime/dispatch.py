@@ -68,10 +68,10 @@ from repro.common.exceptions import (
     WorkerLostError,
 )
 from repro.runtime.atm_protocol import ATMAction, EXECUTE_DECISION, abandon, lookup, training
+from repro.runtime.executor import _WallClock
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.supervision import TIMEOUT_GRACE
 from repro.runtime.task import Task
-from repro.runtime.trace import CoreState
 
 __all__ = ["Chunk", "ChunkDispatcher"]
 
@@ -110,14 +110,17 @@ class ChunkDispatcher:
     when the host is garbage collected.
 
     ``in_place`` says the workers run bodies on the parent's arrays (the
-    threaded pool).  Three rules follow: a task whose body overwrites an
-    input (``InOut``) cannot be looked up once it ran, so while its type
-    trains it is looked up as it leaves the ready queue and leaves it only
-    with nothing else in flight; a task looked up at its retirement wrote
-    its outputs already, so a THT hit there copies over them; and a chunk's
-    age since its ack is its body's own runtime, so the wedge rule adds no
-    ``TIMEOUT_GRACE``.  A traced pool's result entries carry each body's
-    ``(start, end)``, and the dispatcher writes the Figure 7/8 records.
+    threaded pool).  Four rules follow: its window is one engine task per
+    worker thread, each shipped alone, as its threads once each pulled
+    their own; a task whose body overwrites an input (``InOut``) cannot be
+    looked up once it ran, so while its type trains it is looked up as it
+    leaves the ready queue and leaves it only with nothing else in flight;
+    a task looked up at its retirement wrote its outputs already, so a THT
+    hit there copies over them; and a chunk's age since its ack is its
+    body's own runtime, so the wedge rule adds no ``TIMEOUT_GRACE``.  A
+    traced pool's result entries carry each body's ``(start, end)``, which
+    join the lookup and commit times in the step's clock for the host's
+    ``_trace_step``.
     """
 
     def __init__(
@@ -138,7 +141,7 @@ class ChunkDispatcher:
         self._chunk_size = 1 if host.config.task_timeout_s is not None else chunk_size
         #: Tasks in flight from which on an engine's task stays queued: the
         #: most the engines' in-flight key tables ever hold from this pool.
-        self.window = workers * self._chunk_size
+        self.window = workers if in_place else workers * self._chunk_size
         self._loss_budget = loss_budget
         self._in_place = in_place
         self._grace = 0.0 if in_place else TIMEOUT_GRACE
@@ -165,8 +168,9 @@ class ChunkDispatcher:
         #: task_id -> ``(worker, chunk, payload)`` of a result that arrived
         #: while an earlier task of its owner was still in flight.
         self._arrived: dict[int, tuple] = {}
-        #: task_id -> ``(start, end)`` of a traced task's lookup.
-        self._looked: dict[int, tuple] = {}
+        #: task_id -> the phase clock of a traced task looked up, not yet
+        #: committed.
+        self._clocks: dict[int, _WallClock] = {}
         #: worker -> chunk_id -> chunk the worker has not fully answered.
         self.ledger: dict[Hashable, dict[int, Chunk]] = {}
         self._chunk_ids = itertools.count(1)
@@ -193,7 +197,7 @@ class ChunkDispatcher:
         supervisor = self._host._supervisor
         self._graph = graph
         self.inflight, self._lanes, self._arrived = {}, defaultdict(deque), {}
-        self._unlooked, self._looked = {}, {}
+        self._unlooked, self._clocks = {}, {}
         deadline = supervisor.deadline()
         t0 = time.perf_counter()
         try:
@@ -234,8 +238,9 @@ class ChunkDispatcher:
         the tasks that must run are shipped.
 
         A task an engine sees leaves the queue only while fewer than
-        ``window`` tasks are in flight — one chunk per worker, as a serial
-        worker pulls a task only when it is free — so a lookup sees the
+        ``window`` tasks are in flight — one chunk per worker (one task per
+        thread on an ``in_place`` pool, shipped in chunks of one), as a
+        serial worker pulls a task only when it is free — so a lookup sees the
         commits of what retired before it (one worker, chunks of one: the
         serial order exactly); such a task at the head of the queue stops
         the pull, and tasks no engine sees ship at once.  A task whose
@@ -252,9 +257,8 @@ class ChunkDispatcher:
         """
         next_task, inflight, window = self._host.scheduler.next_task, self.inflight, self.window
         unlooked, in_place = self._unlooked, self._in_place
-        look_all = self._trace is not None
         ready: list[Task] = []
-        seen = trains = False
+        seen = trains = one_each = False
 
         def admit(task: Task) -> bool:
             nonlocal seen, trains
@@ -273,13 +277,14 @@ class ChunkDispatcher:
         while (task := next_task(admit)) is not None:
             if trains:
                 unlooked.setdefault(task.owner, set()).add(task.task_id)
-            elif (seen or look_all) and self._look_up(task, 0) is None:
+            elif seen and self._look_up(task, 0) is None:
                 continue
             ready.append(task)
             self._enter(task)
+            one_each = one_each or (seen and in_place)
         if ready:
             self.counters["dispatched"] += len(ready)
-            self._send(ready)
+            self._send(ready, 1 if one_each else self._chunk_size)
 
     def _look_up(self, task: Task, row: Hashable):
         """The lookup half of ``task``'s step (``row``: the trace row it
@@ -287,45 +292,42 @@ class ChunkDispatcher:
         settled the task without its body: a THT hit copied the stored
         outputs in and the task finishes here; an IKT hit waits for its
         producer's commit."""
-        t_lookup = time.perf_counter()
+        clock = _WallClock() if self._trace is not None else None
         decision = lookup(task, task.engine, 0)
-        if self._trace is not None:
-            self._looked[task.task_id] = (t_lookup, time.perf_counter())
+        if clock is not None:
+            clock.looked_up(decision)
+            self._clocks[task.task_id] = clock
         if not decision.skips_execution:
             if decision.atm_handled:
                 self._decisions[task.task_id] = decision
             return decision
         if decision.action is ATMAction.SKIP:
             self._host._wrote_here((task,))
-            self._finish(task, decision, False, row, (0.0, 0.0))
-        elif self._trace is not None:
-            self._trace_task(task, row, (0.0, 0.0), None)
+            self._finish(task, decision, False, row)
+        elif clock is not None:  # an IKT hit: traced now, its producer completes it
+            del self._clocks[task.task_id]
+            self._host._trace_step(row, task, False, clock)
+            self._trace.sample_ready(clock.t_end, self._host.scheduler.pending())
         return None
 
-    def _finish(self, task: Task, decision, executed: bool, row: Hashable, ran) -> tuple:
+    def _finish(self, task: Task, decision, executed: bool, row, ran=(0.0, 0.0)) -> tuple:
         """The commit half of ``task``'s step (``BaseExecutor.finish``);
         ``ran`` is the ``(start, end)`` of its body when it is traced."""
         if self._trace is None:
             return self._host.finish(task, self._graph, decision, executed, 0)
-        t_commit = time.perf_counter()
-        deferred = self._host.finish(task, self._graph, decision, executed, 0)
-        self._trace_task(task, row, ran, t_commit)
+        # A task no engine looked up gets its clock here: its lookup took no time.
+        clock = self._clocks.pop(task.task_id, None) or _WallClock()
+        clock.t_run, clock.t_ran = ran
+        clock.t_commit = time.perf_counter()
+        deferred = self._host.finish(task, self._graph, decision, executed, 0, clock)
+        self._host._trace_step(row, task, executed, clock)
+        self._trace.sample_ready(clock.t_end, self._host.scheduler.pending())
         return deferred
 
-    def _trace_task(self, task: Task, row: Hashable, ran, t_commit: Optional[float]) -> None:
-        """Write ``task``'s Figure 7 records — its lookup, its body as its
-        worker timed it, its commit from ``t_commit`` on — and a ready-queue
-        sample (an empty interval records nothing)."""
-        trace, label, t_end = self._trace, task.label, time.perf_counter()
-        trace.record(row, CoreState.ATM_HASH, *self._looked.pop(task.task_id, (0.0, 0.0)), label)
-        trace.record(row, CoreState.TASK_EXECUTION, *ran, label)
-        if t_commit is not None:
-            trace.record(row, CoreState.ATM_MEMOIZATION, t_commit, t_end, label)
-        trace.sample_ready(t_end, self._host.scheduler.pending())
-
-    def _send(self, tasks: list[Task]) -> None:
-        """Cut ``tasks`` into chunks and ship each to a worker."""
-        size, send = self._chunk_size, self._host._send
+    def _send(self, tasks: list[Task], size: Optional[int] = None) -> None:
+        """Cut ``tasks`` into chunks of ``size`` (default: the chunk size)
+        and ship each to a worker."""
+        size, send = size or self._chunk_size, self._host._send
         for start in range(0, len(tasks), size):
             chunk = Chunk(next(self._chunk_ids), tasks[start:start + size])
             self.ledger.setdefault(send(chunk), {})[chunk.chunk_id] = chunk
@@ -548,8 +550,10 @@ class ChunkDispatcher:
         Under ``task_timeout_s`` a chunk is one task, and a worker acks a
         chunk as it starts on it: one older than the budget plus the grace
         since its ack is ``TaskTimeoutError`` at once (it would blow the
-        budget again), its worker is taken out of service, and whatever
-        else that worker held never started: it requeues free.
+        budget again) and its worker is taken out of service.  What else
+        that worker held requeues free if it never started; a chunk it had
+        started too (a thread abandoned just after its wedged body
+        returned: ``_lose`` stamps it) is charged as a lost worker's.
         """
         supervisor = self._host._supervisor
         if supervisor.task_timeout_s is None:
@@ -569,10 +573,10 @@ class ChunkDispatcher:
             reason += f"; its worker {name} was taken out of service"
             for task in wedged.tasks:
                 self.fail(task, TaskTimeoutError, reason, name)
-            self.worker_lost(
-                name, [], [t for c in held if c is not wedged for t in c.tasks],
-                WorkerLostError, reason,
-            )
+            started = [c for c in held if c is not wedged and c.started_at is not None]
+            self.worker_lost(name, [t for c in started for t in c.tasks],
+                             [t for c in held if c.started_at is None for t in c.tasks],
+                             WorkerLostError, reason)
 
     # -- events: worker loss ---------------------------------------------------
     def reclaim(self, worker: Hashable) -> list[Chunk]:

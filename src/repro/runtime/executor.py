@@ -117,19 +117,23 @@ class RunResult:
 
 
 class _WallClock:
-    """Phase boundaries of one traced in-process step, read off
-    ``perf_counter`` as the step reaches them."""
+    """Phase boundaries of one traced step, read off ``perf_counter`` as the
+    step reaches them: its lookup from ``t_lookup`` to ``t_looked``, its
+    body from ``t_run`` to ``t_ran``, its commit from ``t_commit`` to
+    ``t_end``.  An in-process step runs the three back to back; the
+    dispatcher sets a pool task's body times from its worker's result."""
 
-    __slots__ = ("t_lookup", "t_run", "t_commit", "t_end")
+    __slots__ = ("t_lookup", "t_looked", "t_run", "t_ran", "t_commit", "t_end")
 
     def __init__(self) -> None:
-        self.t_lookup = self.t_run = self.t_commit = self.t_end = time.perf_counter()
+        now = time.perf_counter()
+        self.t_lookup = self.t_looked = self.t_run = self.t_ran = self.t_commit = self.t_end = now
 
     def looked_up(self, decision: ATMDecision) -> None:
-        self.t_run = self.t_commit = self.t_end = time.perf_counter()
+        self.t_looked = self.t_run = self.t_ran = self.t_commit = self.t_end = time.perf_counter()
 
     def ran(self, task: Task) -> None:
-        self.t_commit = self.t_end = time.perf_counter()
+        self.t_ran = self.t_commit = self.t_end = time.perf_counter()
 
     def committed(self, task: Task, decision: ATMDecision) -> None:
         self.t_end = time.perf_counter()
@@ -255,11 +259,11 @@ class BaseExecutor:
 
     def _trace_step(self, worker: int, task: Task, executed: bool, clock) -> None:
         """Write one step's ``CoreState`` records from the phase boundaries
-        its clock reported: the one place any backend writes them."""
+        its clock reported: where every backend writes them."""
         record, label = self.trace.record, task.label
-        record(worker, CoreState.ATM_HASH, clock.t_lookup, clock.t_run, label)
+        record(worker, CoreState.ATM_HASH, clock.t_lookup, clock.t_looked, label)
         if executed:
-            record(worker, CoreState.TASK_EXECUTION, clock.t_run, clock.t_commit, label)
+            record(worker, CoreState.TASK_EXECUTION, clock.t_run, clock.t_ran, label)
         record(worker, CoreState.ATM_MEMOIZATION, clock.t_commit, clock.t_end, label)
 
     def _account(self, action: ATMAction) -> None:
@@ -303,10 +307,7 @@ class BaseExecutor:
                 backoff = supervisor.count_attempt(task)
                 if backoff is None:
                     return (TaskFailedError, f"{type(exc).__name__}: {exc}", exc)
-                if clock is None:
-                    time.sleep(backoff)
-                else:
-                    clock.wait(backoff)
+                (time.sleep if clock is None else clock.wait)(backoff)
                 continue
             elapsed = time.perf_counter() - t_start
             if clock is not None:
@@ -452,14 +453,19 @@ class _Worker:
     the thread.
     """
 
-    __slots__ = ("name", "chunks", "abandoned", "thread")
+    __slots__ = ("name", "chunks", "lock", "abandoned", "started", "thread")
 
     def __init__(self, index: int, inbox: queue.SimpleQueue, acks: bool, traced: bool) -> None:
         self.name = f"worker-{index}"
-        #: ``(chunk_id, tasks)`` to run, ``None`` to stop.
+        #: ``(chunk_id, tasks)`` to run, in increasing ``chunk_id``; ``None`` to stop.
         self.chunks: queue.SimpleQueue = queue.SimpleQueue()
-        #: Set when the pool gives the thread up: it runs nothing more.
+        #: Orders the thread's "not abandoned: start a body" against the
+        #: pool's "abandon it: what did it start?".
+        self.lock = threading.Lock()
+        #: Set when the pool gives the thread up: it starts nothing more.
         self.abandoned = False
+        #: Id of the last chunk the thread started a body of.
+        self.started = 0
         self.thread = threading.Thread(target=self._serve, args=(index, inbox, acks, traced),
                                        daemon=True, name=self.name)
         self.thread.start()
@@ -471,16 +477,18 @@ class _Worker:
         (the dispatcher ages the chunk from it), the ``result`` of the
         bodies that ran (a traced entry adds each body's start and end),
         then the ``error`` of the one that raised, carrying the exception.
-        An abandoned thread starts no body and posts nothing more."""
-        clock = time.perf_counter
+        An abandoned thread starts no body; ``_pump`` drops its late word."""
+        clock, lock = time.perf_counter, self.lock
         while (chunk := self.chunks.get()) is not None:
             chunk_id, tasks = chunk
             if acks:
                 inbox.put((index, self, ("ack", chunk_id)))
             results, error = [], None
             for task in tasks:
-                if self.abandoned:
-                    return
+                with lock:
+                    if self.abandoned:
+                        return
+                    self.started = chunk_id
                 t_run = clock() if traced else 0.0
                 try:
                     task.run()
@@ -488,8 +496,6 @@ class _Worker:
                     error = ("error", chunk_id, task.task_id, exc)
                     break
                 results.append((task.task_id, t_run, clock()) if traced else (task.task_id,))
-            if self.abandoned:
-                return
             if results or error is None:
                 inbox.put((index, self, ("result", chunk_id, results)))
             if error is not None:
@@ -500,9 +506,10 @@ class _Worker:
 class ThreadedExecutor(PoolExecutor):
     """The in-process transport of a :class:`~repro.runtime.dispatch.ChunkDispatcher`.
 
-    ``num_threads`` daemon worker threads, started by the first drain, run
-    the bodies of the chunks the dispatcher sends them (round-robin, sized
-    by ``mp_chunk_size``) on the parent's arrays and post their replies to
+    ``num_threads`` daemon worker threads, started by the first drain (and
+    by the first after ``close()``), run the bodies of the chunks the
+    dispatcher sends them (round-robin, sized by ``mp_chunk_size``; an
+    engine's task alone) on the parent's arrays and post their replies to
     one inbox; the draining thread looks tasks up, commits them and
     releases their successors.  Execution is lazy: nothing runs while no
     drain is open (DESIGN.md §4.2).  A wedged body cannot be interrupted,
@@ -515,16 +522,20 @@ class ThreadedExecutor(PoolExecutor):
 
     def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         super().__init__(config=config)
+        #: ``(index, worker, reply)`` from every worker thread, in post order.
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._stats = {"dispatched": 0, "chunks": 0, "resubmitted_tasks": 0, "respawns": 0}
+        self._open()
+
+    def _open(self) -> None:
+        """A fresh dispatcher, whose first drain starts the worker threads."""
         # Imported here: an ATM-off serial Session never loads the dispatcher.
         from repro.runtime.dispatch import ChunkDispatcher
 
-        #: ``(index, worker, reply)`` from every worker thread, in post order.
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         #: Worker i; ``_lose`` replaces an abandoned one in place.
         self._workers: list[_Worker] = []
         self._next_worker = 0
-        self._stats = {"dispatched": 0, "chunks": 0, "resubmitted_tasks": 0, "respawns": 0}
-        # A thread is lost only to the wedge rule, which charges nothing.
+        # A thread is lost only to the wedge rule, which fails what it started.
         self._dispatcher = ChunkDispatcher(
             self, "threaded", workers=self.config.num_threads,
             chunk_size=self.config.mp_chunk_size, loss_budget=0, counters=self._stats,
@@ -537,17 +548,24 @@ class ThreadedExecutor(PoolExecutor):
 
     def _lose(self, index: int) -> tuple:
         """Abandon worker ``index`` — it ends when its running body returns,
-        runs nothing more and is not heard again — and start a fresh thread
-        in its place; returns the old worker's name and the chunks it held."""
+        starts no other and is not heard again — and start a fresh thread
+        in its place; returns the old worker's name and the chunks it held,
+        each one it started stamped so (its ack may still be unread): that
+        body ran, or runs on, there."""
         worker = self._workers[index]
-        worker.abandoned = True
+        with worker.lock:
+            worker.abandoned = True
         worker.chunks.put(None)
         self._workers[index] = self._start(index)
         self._stats["respawns"] += 1
-        return worker.name, self._dispatcher.reclaim(index)
+        held = self._dispatcher.reclaim(index)
+        for chunk in held:
+            if chunk.chunk_id <= worker.started:
+                chunk.started_at = time.perf_counter()
+        return worker.name, held
 
     def close(self) -> None:
-        """Stop and join the worker threads."""
+        """Stop and join the worker threads; a later drain starts new ones."""
         self._dispatcher.close()
 
     # -- transport ---------------------------------------------------------------
@@ -577,7 +595,8 @@ class ThreadedExecutor(PoolExecutor):
 
     # -- drain ---------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
-        self._dispatcher.ensure_open()
+        if self._dispatcher.closed:
+            self._open()
         if graph.all_finished:
             return self._result
         if not self._workers:

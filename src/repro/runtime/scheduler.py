@@ -45,16 +45,11 @@ class Scheduler:
 
     def task_ready(self, task: Task) -> None:
         """Called by the runtime when a task's dependences are satisfied."""
-        with self._lock:
-            self._queue.append(task)
-            stats = self.stats
-            stats.total_pushes += 1
-            if len(self._queue) > stats.max_depth:
-                stats.max_depth = len(self._queue)
+        self.tasks_ready((task,))
 
     def tasks_ready(self, tasks: Sequence[Task]) -> None:
         """Batched :meth:`task_ready`: one lock acquisition per batch, in the
-        service order of calling :meth:`task_ready` per task."""
+        service order of queueing the tasks one by one."""
         if not tasks:
             return
         with self._lock:

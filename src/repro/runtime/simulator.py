@@ -104,6 +104,11 @@ class _CostClock:
             self.t_run = self.end
         self.t_commit = self.t_end = self.t_run
 
+    # The phases run back to back: the hash ends as the body starts, the
+    # body as the memoization phase does.
+    t_looked = property(lambda self: self.t_run)
+    t_ran = property(lambda self: self.t_commit)
+
     def ran(self, task: Task) -> None:
         cost = task.simulated_cost()
         self.t_commit += cost
@@ -220,8 +225,7 @@ class SimulatedExecutor(BaseExecutor):
         rescue = _CostClock(self, clock.end)
         super()._rescue_orphan(task, graph, worker, rescue)
         clock.end = rescue.end
-        self.trace.record(clock.core, CoreState.TASK_EXECUTION, rescue.t_run, rescue.t_commit,
-                          task.label)
+        self._trace_step(clock.core, task, True, rescue)  # its body: hash and commit are empty
 
     # -- main loop -------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:

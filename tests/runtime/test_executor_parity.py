@@ -128,18 +128,25 @@ def test_executor_parity(bench_name, mode):
         if mode == "static" and reference.tasks_memoized > 0:
             # Non-vacuous reuse check: a backend whose memoization silently
             # broke must fail here.  Without the IKT (the parity
-            # configuration) the twins the dispatcher looks up while their
-            # first copy is still on a worker all miss, so how much a
-            # multi-worker pool reuses depends on its window of in-flight
-            # chunks; every pool's reuse is asserted on a single worker,
-            # whose lookups follow the serial order.  (Twins on two workers
-            # are pinned by test_twin_reuse_is_deterministic_on_two_workers.)
-            _, solo = run_tiny(bench_name, executor, mode, workers=1)
-            assert solo.tasks_memoized > 0, (
-                f"{bench_name}: single-worker {executor}/static found no "
-                f"reuse although serial memoized "
-                f"{reference.tasks_memoized} tasks"
-            )
+            # configuration) the twins the parent looks up while their first
+            # copy is still on a worker all miss, so how much a multi-worker
+            # pool reuses depends on its window of in-flight chunks; the
+            # worker backends' reuse is asserted on a single-worker pool,
+            # whose lookups follow the serial order, while the threaded
+            # backend keeps the direct check.  (Twins on two workers are
+            # pinned by test_twin_reuse_is_deterministic_on_two_workers.)
+            if executor in ("process", "network", "network-nores"):
+                _, solo = run_tiny(bench_name, executor, mode, workers=1)
+                assert solo.tasks_memoized > 0, (
+                    f"{bench_name}: single-worker {executor}/static found no "
+                    f"reuse although serial memoized "
+                    f"{reference.tasks_memoized} tasks"
+                )
+            else:
+                assert result.tasks_memoized > 0, (
+                    f"{bench_name}: {executor}/static found no reuse although "
+                    f"serial memoized {reference.tasks_memoized} tasks"
+                )
         if mode == "none":
             assert result.tasks_memoized == 0
             assert result.tasks_executed == result.tasks_completed

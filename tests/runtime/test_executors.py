@@ -415,7 +415,7 @@ class TestThreadedWorkerPool:
         join_all(stuck)  # the wedged body returned, and its thread ran nothing more
         assert ran == []
 
-    def test_close_joins_the_worker_threads(self):
+    def test_close_joins_and_a_later_drain_respawns(self):
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=3))
         session = Session(executor=executor)
         data = build_chain(session, 5)
@@ -426,9 +426,15 @@ class TestThreadedWorkerPool:
         executor.close()
         assert not [t.name for t in threads if t.is_alive()]
         executor.close()  # idempotent
-        assert data[0] == 5.0
-        with pytest.raises(RuntimeStateError, match="already closed"):
-            executor.drain(TaskDependenceGraph())
+
+        again = Session(executor=executor)
+        more = build_chain(again, 5)
+        again.wait_all()
+        assert data[0] == more[0] == 5.0
+        respawned = pool_threads(executor)
+        assert not set(respawned) & set(threads)
+        executor.close()
+        join_all(respawned)
 
     def test_dropped_executor_releases_its_threads(self):
         session = make_threaded_runtime(threads=2)

@@ -17,13 +17,14 @@ through the per-backend unit tests.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.common.exceptions import DrainAbortedError, RuntimeStateError
-from repro.runtime.data import In, Out
+from repro.runtime.data import In, InOut, Out
 from repro.runtime.task import TaskType
 from repro.testing.faults import (
     BACKENDS,
@@ -177,6 +178,72 @@ def test_a_wedged_worker_with_a_backlog_is_still_timed_out(backend, backlog):
     assert time.monotonic() - t0 < 3.0  # returned before the wedge woke up
     assert result.tasks_completed == backlog
     assert all(np.array_equal(dst, src ** 2) for src, dst in sinks)
+
+
+def test_a_thread_abandoned_as_its_wedge_returns_runs_no_body_twice():
+    """The wedged body returns, and its thread starts the next chunk,
+    after the drain last read its replies; the wedge rule then abandons the
+    thread.  The chunk it started there fails (the thread runs it on) and
+    is never sent again; the chunks behind it run once on the fresh thread,
+    so no ``InOut`` body adds twice.  (A started chunk that was sent again
+    ran on two threads over the same array.)  The drain's reads are held
+    back to force that order."""
+    budget, bound = 0.2, 5.0
+    wedge_entered, release_wedge = threading.Event(), threading.Event()
+    started, release_started = threading.Event(), threading.Event()
+    abandoned = []
+
+    def wedge(dst):
+        wedge_entered.set()
+        release_wedge.wait(bound)
+
+    def started_body(dst):
+        started.set()
+        release_started.wait(bound)
+        dst += 1.0
+
+    def add(dst):
+        dst += 1.0
+
+    t0 = time.monotonic()
+    with fault_session(
+        "threaded", workers=1, task_timeout_s=budget, on_task_failure="quarantine"
+    ) as session:
+        executor = session.executor
+        pump = executor._pump
+
+        def held_pump():
+            if not wedge_entered.is_set() or release_wedge.is_set():
+                return pump()
+            pump()  # reads the wedge's ack; its body is blocked, so no result
+            time.sleep(1.5 * budget)  # the wedge is overdue since that ack
+            abandoned.append(executor._workers[0].thread)
+            release_wedge.set()  # it returns; its thread starts the next chunk
+            assert started.wait(bound)
+            # Back to the wedge rule with the wedge's result unread.
+
+        executor._pump = held_pump
+        sums = [np.zeros(1) for _ in range(4)]
+        out = np.zeros(1)
+        session.submit(TaskType("wedge"), wedge, accesses=[Out(out)], args=(out,))
+        session.submit(TaskType("started"), started_body, accesses=[InOut(sums[0])],
+                       args=(sums[0],))
+        for dst in sums[1:]:
+            session.submit(TaskType("behind"), add, accesses=[InOut(dst)], args=(dst,))
+        try:
+            result = session.wait_all()
+        finally:
+            release_wedge.set()
+            release_started.set()
+    for thread in abandoned:
+        thread.join(bound)
+    elapsed_under_bound(t0)
+    assert [(f.label.split("#")[0], f.error) for f in result.failures] == [
+        ("wedge", "TaskTimeoutError"), ("started", "WorkerLostError"),
+    ]
+    assert result.tasks_completed == 3
+    assert result.extra["threaded_backend"]["respawns"] == 1
+    assert [float(dst[0]) for dst in sums] == [1.0] * 4
 
 
 @pytest.mark.parametrize("on_failure", ["abort", "quarantine"])

@@ -121,8 +121,7 @@ class TestAssembly:
         executor = ThreadedExecutor(config=RuntimeConfig(num_threads=3))
         s = Session(executor=executor, engine=None, policy=None,
                     config={"atm": {"mode": "static"}})
-        # The pool's in-flight window: 3 workers x chunks of 8.
-        assert s.engine.ikt.max_entries == executor.max_in_flight == 3 * 8
+        assert s.engine.ikt.max_entries == 3
 
     def test_from_config_classmethod(self):
         s = Session({"runtime": {"num_threads": 2}}, policy="static")
