@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench size figures figures-diff examples process-backend net-loopback net-residency net-soak fault-matrix determinism serve-smoke tht-store wire-fuzz soak-threaded flake-audit ci
+.PHONY: test bench size figures figures-diff examples process-backend net-loopback net-soak fault-matrix determinism serve-smoke tht-store wire-fuzz soak-threaded flake-audit ci
 
 # Tier-1 verification: the full unit + integration suite.
 test:
@@ -61,28 +61,24 @@ process-backend:
 		tests/common/test_config.py::TestOneRemoteWorkerProtocol \
 		-k "not network_twin and not simulator" -p no:cacheprovider -x -q
 
-# Network backend: parity + fault-injection matrix over the loopback
-# transport (the silence/wedge precedence and the one-report failure reason
-# included), the wire property suite and the copy fences with the queued
-# frames' alias rule, cache-less and fail-fast (mirrors the CI step), and
-# the soak tier (500-task churn with mid-drain worker loss, excluded from
-# tier-1).
+# Network backend, whose one data plane is per-endpoint residency: parity +
+# fault-injection matrix over the loopback transport (the silence/wedge
+# precedence, the one-report failure reason and the failover scenarios that
+# drop residency included), the wire property suite and the copy fences with
+# the queued frames' alias rule, the residency protocol's hypothesis
+# interleaving property + unit rules for the stale-bytes caches, and the
+# copy-elision units (the parent elides as serial does), cache-less and
+# fail-fast (mirrors the CI step).
 net-loopback:
 	$(PYTHON) -m pytest tests/runtime/test_executor_parity.py \
 		tests/runtime/test_net_faults.py \
 		tests/runtime/test_net_wire_property.py \
-		tests/runtime/test_net_wire_copies.py -p no:cacheprovider -x -q
+		tests/runtime/test_net_wire_copies.py \
+		tests/runtime/test_residency_property.py \
+		tests/atm/test_copy_elision.py -p no:cacheprovider -x -q
 
-# Residency protocol tier: the hypothesis interleaving property + unit
-# rules for the per-endpoint stale-bytes caches, the parity matrix (which
-# runs the network backend residency-on and -off), the failover
-# scenarios that exercise residency invalidation, and the copy-elision units
-# (the parent elides as serial does; their network cells run residency-on).
-net-residency:
-	$(PYTHON) -m pytest tests/runtime/test_residency_property.py \
-		tests/atm/test_copy_elision.py \
-		tests/runtime/test_executor_parity.py \
-		tests/runtime/test_net_faults.py -p no:cacheprovider -x -q
+# The soak tier: 500-task churn with mid-drain worker loss, excluded from
+# tier-1.
 
 net-soak:
 	$(PYTHON) -m pytest -m net_soak -q
@@ -168,20 +164,23 @@ soak-threaded:
 			--switch-interval 1e-5 -p no:cacheprovider -x -q || exit 1; \
 	done
 
-# Flake audit: THREADED_SUITES in twenty seeded random orders (the conftest's
-# --shuffle-seed), so a test that passes only after, or only before, another
-# shows; prints how many orders passed and fails unless all did.  Not a CI
-# tier.
+# Flake audit: SUITES (default THREADED_SUITES) in SEEDS (default 20) seeded
+# random orders (the conftest's --shuffle-seed), so a test that passes only
+# after, or only before, another shows; prints how many orders passed and
+# fails unless all did.  `make flake-audit SUITES=tests SEEDS=3` audits the
+# whole unit suite.  Not a CI tier.
+SUITES ?= $(THREADED_SUITES)
+SEEDS ?= 20
 flake-audit:
-	@passed=0; for seed in $$(seq 1 20); do \
-		if $(PYTHON) -m pytest $(THREADED_SUITES) -m "not net_soak and not fault" \
+	@passed=0; for seed in $$(seq 1 $(SEEDS)); do \
+		if $(PYTHON) -m pytest $(SUITES) -m "not net_soak and not fault" \
 			--shuffle-seed $$seed -p no:cacheprovider -q; then passed=$$((passed + 1)); \
 		else echo "flake-audit: seed $$seed failed"; fi; \
-	done; echo "flake-audit: $$passed/20 orders passed"; test $$passed -eq 20
+	done; echo "flake-audit: $$passed/$(SEEDS) orders passed"; test $$passed -eq $(SEEDS)
 
 # What .github/workflows/ci.yml runs (this target is the one list of CI
 # tiers): tier-1 suite, examples smoke, process backend, network-loopback
-# matrix + residency + soak, serving smoke, fault matrix, small-scale
+# matrix + soak, serving smoke, fault matrix, small-scale
 # reproducibility, THT store, wire fuzz, threaded soak.  Tier-1 includes the
 # benchmark's own smoke pass (bench/tests/test_bench_smoke.py).
 ci:
@@ -189,7 +188,6 @@ ci:
 	$(MAKE) examples
 	$(MAKE) process-backend
 	$(MAKE) net-loopback
-	$(MAKE) net-residency
 	$(MAKE) net-soak
 	$(MAKE) serve-smoke
 	$(MAKE) fault-matrix

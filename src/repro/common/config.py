@@ -225,13 +225,13 @@ class RuntimeConfig(_Section):
         before the drain raises
         :class:`~repro.common.exceptions.NetworkDrainError`.
     net_residency:
-        Enable per-endpoint data residency on the network backend
-        (DESIGN.md §4.5): workers keep generation-tagged caches of shipped
-        buffer spans keyed on :mod:`repro.runtime.data` write-versions, the
+        Must stay ``True``: per-endpoint data residency (DESIGN.md §4.5) is
+        the network backend's one data plane, and
+        :class:`~repro.runtime.net_executor.NetworkExecutor` refuses
+        ``False`` with a :class:`~repro.common.exceptions.ConfigurationError`.
+        Workers keep generation-tagged caches of shipped buffer spans, the
         parent tracks them in a :class:`repro.runtime.residency.
-        ResidencyTable`, and dispatch ships bytes only for *stale* spans —
-        plus routes ready chunks to the endpoint already holding their
-        input bytes.  Off restores the ship-everything round-robin backend.
+        ResidencyTable`, and dispatch ships bytes only for *stale* spans.
     task_timeout_s:
         Per-task wall-clock budget enforced by the supervision layer
         (DESIGN.md §7).  ``None`` (default) disables per-task timeouts.  The

@@ -20,9 +20,9 @@ this module is its socket *transport* and data plane:
   endpoint's outbox until the writer thread sends it); every completion
   carries the written bytes home, checked against the task while it is
   still in flight and applied to the parent arrays by one ``np.copyto``
-  *before* successors are released.  With per-endpoint data residency
-  (``RuntimeConfig.net_residency``, default on) dispatch cost is
-  proportional to *stale* data rather than touched data: the parent's
+  *before* successors are released.  The one data plane is per-endpoint
+  data residency, so dispatch cost is proportional to *stale* data rather
+  than touched data: the parent's
   :class:`~repro.runtime.residency.ResidencyTable` tracks which buffer
   spans each endpoint already holds at which write-version, chunks ship
   ``data=None`` cached references for current spans, and the placement
@@ -66,6 +66,7 @@ import numpy as np
 
 from repro.common.config import RuntimeConfig
 from repro.common.exceptions import (
+    ConfigurationError,
     NetworkDrainError,
     NetworkTransportError,
     RuntimeStateError,
@@ -118,6 +119,11 @@ class NetworkExecutor(PoolExecutor):
         endpoints: Optional[Sequence[SocketEndpoint]] = None,
     ) -> None:
         super().__init__(config=config)
+        if not self.config.net_residency:
+            raise ConfigurationError(
+                "net_residency=False: the network backend has one data plane, "
+                "per-endpoint residency; the ship-everything protocol is gone"
+            )
         if self.config.enable_tracing:
             raise RuntimeStateError(
                 "NetworkExecutor does not support tracing: task bodies run on "
@@ -144,13 +150,8 @@ class NetworkExecutor(PoolExecutor):
         self._rr_cursor = 0
         self._failures: list[str] = []
         self._started = False
-        #: Per-endpoint residency table (None = residency off: every chunk
-        #: ships its full union spans and placement is pure round-robin).
-        self._residency: Optional[ResidencyTable] = (
-            ResidencyTable(RESIDENCY_BUDGET_BYTES)
-            if self.config.net_residency
-            else None
-        )
+        #: Which buffer spans each endpoint holds, at which write-version.
+        self._residency = ResidencyTable(RESIDENCY_BUDGET_BYTES)
         self._chunks_by_endpoint: dict[str, int] = {}
         self._stats = {
             "endpoints": len(self._endpoints),
@@ -160,10 +161,9 @@ class NetworkExecutor(PoolExecutor):
             "payload_bytes": 0,
             "failed_endpoints": self._failures,
             "chunks_by_endpoint": self._chunks_by_endpoint,
-        }
-        if self._residency is not None:
             # Aliases the table's live counters, like failed_endpoints.
-            self._stats["residency"] = self._residency.stats
+            "residency": self._residency.stats,
+        }
         self._dispatcher = ChunkDispatcher(
             self,
             "network",
@@ -182,10 +182,7 @@ class NetworkExecutor(PoolExecutor):
         if self._started:
             return
         self._started = True
-        hello = (
-            "hello",
-            {"protocol": PROTOCOL_VERSION, "residency": self._residency is not None},
-        )
+        hello = ("hello", {"protocol": PROTOCOL_VERSION})
         for endpoint in self._endpoints:
             try:
                 endpoint.start(self._inbox)
@@ -225,42 +222,36 @@ class NetworkExecutor(PoolExecutor):
         Describing and framing happen synchronously (not in the receiver/
         sender machinery), as in the process backend: a task that cannot
         travel must raise with the offending tasks named, not wedge the
-        drain.  With residency on, each touched buffer ships
-        either its full union span (stale or unknown on this endpoint) or a
-        ``data=None`` cached reference (current) — the stale-bytes dispatch.
+        drain.  Each touched buffer ships either its full union span (stale
+        or unknown on this endpoint) or a ``data=None`` cached reference
+        (current) — the stale-bytes dispatch.
         A shipped span follows the encoder's alias rule, so the frame may
         wait in the endpoint's outbox.
         """
         encoder = ChunkEncoder()
         descriptors = tuple(describe_tasks(chunk.tasks, encoder.ref, "network"))
         dispatch_gens: dict[int, int] = {}
-        evicted: list[tuple[int, int]] = []
         residency = self._residency
-        if residency is None:
-            buffers = encoder.buffers()
-        else:
-            protect_tick = residency.next_tick()
-            encoded: list[NetBuffer] = []
-            for buffer_id, (base, start, end) in encoder.spans().items():
-                version = region_versions.version_of(base)
-                entry = residency.lookup(endpoint, buffer_id, start, end, version)
-                if entry is not None:
-                    row = NetBuffer(buffer_id, entry.start, None, entry.generation)
-                else:
-                    generation = residency.record(endpoint, buffer_id, start, end, version)
-                    row = NetBuffer(buffer_id, start, encoder.payload(buffer_id), generation)
-                encoded.append(row)
-                dispatch_gens[buffer_id] = row.generation
-            evicted = residency.evict_over_budget(endpoint, protect_tick)
-            buffers = tuple(encoded)
+        protect_tick = residency.next_tick()
+        buffers: list[NetBuffer] = []
+        for buffer_id, (base, start, end) in encoder.spans().items():
+            version = region_versions.version_of(base)
+            entry = residency.lookup(endpoint, buffer_id, start, end, version)
+            if entry is not None:
+                row = NetBuffer(buffer_id, entry.start, None, entry.generation)
+            else:
+                generation = residency.record(endpoint, buffer_id, start, end, version)
+                row = NetBuffer(buffer_id, start, encoder.payload(buffer_id), generation)
+            buffers.append(row)
+            dispatch_gens[buffer_id] = row.generation
+        evicted = residency.evict_over_budget(endpoint, protect_tick)
         try:
             frame = encode_frame(
-                ("chunk", NetChunk(chunk.chunk_id, buffers, descriptors))
+                ("chunk", NetChunk(chunk.chunk_id, tuple(buffers), descriptors))
             )
         except WireProtocolError:
-            if residency is not None:
-                # The recorded entries describe bytes that never shipped.
-                residency.drop_endpoint(endpoint)
+            # The recorded entries describe bytes that never shipped.
+            residency.drop_endpoint(endpoint)
             raise
         return frame, dispatch_gens, evicted
 
@@ -315,13 +306,12 @@ class NetworkExecutor(PoolExecutor):
         if len(live) == 1:
             return live[0]
         endpoint: Optional[SocketEndpoint] = None
-        if self._residency is not None:
-            wanted = self._wanted_spans(tasks)
-            best_score = 0
-            for candidate in live:
-                score = self._residency.score(candidate, wanted)
-                if score > best_score:
-                    endpoint, best_score = candidate, score
+        wanted = self._wanted_spans(tasks)
+        best_score = 0
+        for candidate in live:
+            score = self._residency.score(candidate, wanted)
+            if score > best_score:
+                endpoint, best_score = candidate, score
         return endpoint or self._next_cold_endpoint(live)
 
     def _wanted_spans(self, tasks: list[Task]) -> list[tuple[int, int, int, int]]:
@@ -359,8 +349,7 @@ class NetworkExecutor(PoolExecutor):
         self._record_failure(endpoint, reason)
         # Residency died with the endpoint's connection (resubmission to
         # survivors re-ships full bytes).
-        if self._residency is not None:
-            self._residency.drop_endpoint(endpoint)
+        self._residency.drop_endpoint(endpoint)
         self._last_heard.pop(endpoint, None)
         return endpoint.name, self._dispatcher.reclaim(endpoint)
 
@@ -383,8 +372,7 @@ class NetworkExecutor(PoolExecutor):
         """A body raised on ``endpoint``: forget what it holds, so the next
         dispatch re-ships full bytes — the body may have partially written
         into cached backings, which re-shipped bytes replace."""
-        if self._residency is not None:
-            self._residency.drop_endpoint(endpoint)
+        self._residency.drop_endpoint(endpoint)
 
     def _wrote_here(self, tasks) -> None:
         """The parent wrote these tasks' outputs (THT or IKT copies): drop
@@ -392,8 +380,6 @@ class NetworkExecutor(PoolExecutor):
         which ``note_write`` with no writer and an unchanged version does.
         Their version bumps alone would not do: a result landing in the
         same step upgrades the entries of its base across them."""
-        if self._residency is None:
-            return
         dropped = []
         for task in tasks:
             for access in task.accesses:
@@ -469,7 +455,7 @@ class NetworkExecutor(PoolExecutor):
         Runs *before* the dispatcher releases the task's successors:
         anything scheduled next reads the new values (and re-serializes them
         at its own dispatch).  Returns the residency commit to run after the
-        release, when there is one.
+        release, when the task wrote anything.
         """
         for index, raw in writes:
             region = task.accesses[index].region
@@ -477,7 +463,7 @@ class NetworkExecutor(PoolExecutor):
             np.copyto(
                 region.array, received.reshape(region.array.shape), casting="no"
             )
-        if self._residency is None or not writes:
+        if not writes:
             return None
         # Snapshot the pre-commit versions: complete_task bumps every write
         # region, and the table's upgrade rule needs both sides of the bump.

@@ -35,12 +35,12 @@ silence budget, kill the worker mid-chunk or corrupt the stream.
 The worker side — :class:`NetWorkerState` + :func:`serve_connection` — is
 the one :class:`~repro.runtime.remote_task.RemoteWorker` behind a framed
 socket: it reads frames from any socket, so the loopback thread, the
-standalone TCP daemon and a process worker share every line of it.  The
-``hello`` names the data plane: shipped spans (with or without residency)
-or, from a process pool over a local socket, the parent's shared segments
-(``"shared": True``).  ``hello`` / ``invalidate`` / ``release`` /
-``shutdown`` are this transport's own messages; ``chunk`` and its replies
-are the remote-worker protocol's (DESIGN.md §4.6).  Neither side trusts the
+standalone TCP daemon and a process worker share every line of it.  A
+network worker keeps the spans it is shipped in a residency cache; a
+``"shared": True`` hello, from a process pool over a local socket, makes
+it read the parent's shared segments instead.  ``hello`` / ``invalidate``
+/ ``release`` / ``shutdown`` are this transport's own messages; ``chunk``
+and its replies are the remote-worker protocol's (DESIGN.md §4.6).  Neither side trusts the
 other's frames: whatever is not a protocol tuple of the right shape ends in
 a named error, never in an exception on a service thread.
 """
@@ -370,9 +370,9 @@ def _written_bytes(task: Task) -> list[tuple]:
 
 
 class NetWorkerState:
-    """Per-connection worker state: the remote worker and the data plane
-    the hello named — a residency store for shipped backings, or the arena
-    of the parent's shared segments."""
+    """Per-connection worker state: the remote worker and its data plane —
+    a residency store for shipped backings, or, after a ``"shared"`` hello,
+    the arena of the parent's shared segments."""
 
     def __init__(self, worker_id: int = 0, local: bool = False) -> None:
         self.worker_id = worker_id
@@ -381,8 +381,7 @@ class NetWorkerState:
         self.local = local
         #: Built at hello time.
         self.worker: Optional[RemoteWorker] = None
-        #: Residency store for shipped backings; created at hello time when
-        #: the client runs the residency protocol (``None`` = ship-always).
+        #: Residency store for shipped backings; created by a network hello.
         self.buffer_cache: Optional[WorkerBufferCache] = None
         #: The shared segments attached so far, kept across chunks until
         #: the parent releases them; created by a ``"shared"`` hello.
@@ -405,7 +404,7 @@ class NetWorkerState:
             self.worker = RemoteWorker(self.worker_id)
         else:
             self.worker = RemoteWorker(self.worker_id, written=_written_bytes)
-            self.buffer_cache = WorkerBufferCache() if info.get("residency") else None
+            self.buffer_cache = WorkerBufferCache()
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
     # -- execution ---------------------------------------------------------------
@@ -418,7 +417,7 @@ class NetWorkerState:
         """
         arena = self.arena
         if arena is None:
-            arena = ChunkArena(chunk.buffers, cache=self.buffer_cache)
+            arena = ChunkArena(chunk.buffers, self.buffer_cache)
         else:
             arena.attach(chunk.buffers)
         return self.worker.run_chunk(chunk.tasks, arena)

@@ -34,20 +34,21 @@ the two halves of that story:
 
 * **Array/task encoding** — a :class:`ChunkEncoder` (sender side) walks the
   arrays referenced by a chunk of tasks, computes per owning base buffer the
-  union byte span the chunk touches, and ships one :class:`NetBuffer` of raw
-  bytes per base plus a plain ``(buffer_id, offset, shape, strides, dtype)``
-  ref for every view.  A :class:`ChunkArena` (receiver side) adopts each
-  received buffer as the writable backing of the
-  :class:`~repro.runtime.remote_task.ArrayArena` views built over it.
+  union byte span the chunk touches, and gives one :class:`NetBuffer` per
+  base (raw bytes, or a cached reference) plus a plain ``(buffer_id, offset,
+  shape, strides, dtype)`` ref for every view.  A :class:`ChunkArena`
+  (receiver side) adopts each received buffer as the writable backing of
+  the :class:`~repro.runtime.remote_task.ArrayArena` views built over it.
 
 The messages themselves — who sends which, with which fields — are listed
 once, in DESIGN.md §4.6.
 
-Since protocol version 2 a :class:`NetBuffer` has a second, *cached* form
-(``data is None``): the span is not on the wire, the worker must already
-hold a backing for the buffer id under the named ``generation`` in its
-:class:`~repro.runtime.residency.WorkerBufferCache` (populated by earlier
-full ships).  A generation the worker does not hold is a protocol
+A :class:`NetBuffer` has two forms.  A *full ship* carries the span's
+bytes under a ``generation`` tag, and the worker keeps the backing in its
+:class:`~repro.runtime.residency.WorkerBufferCache`.  A *cached* row
+(``data is None``) puts no byte on the wire: the worker must already hold a
+backing for the buffer id under the named ``generation`` (from an earlier
+full ship).  A generation the worker does not hold is a protocol
 violation — the worker raises :class:`WireProtocolError` and the parent
 fails the endpoint and re-runs its work, so a residency bug degrades to a
 resubmission instead of silently wrong bytes.
@@ -111,7 +112,9 @@ __all__ = [
 #: parent's segments and ``release`` drops them — and every chunk is acked.
 #: Version 12: no ``ping`` / ``pong``: an endpoint that owes an answer is
 #: judged by the acks and results it sends (the silence and wedge rules).
-PROTOCOL_VERSION = 12
+#: Version 13: a network hello names no data plane — every network worker
+#: keeps a residency cache (the ``"residency"`` flag is gone).
+PROTOCOL_VERSION = 13
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count
@@ -363,8 +366,8 @@ class ChunkEncoder:
     Tasks of one chunk are pairwise independent (they were ready
     simultaneously), so one buffer copy per base is consistent for the whole
     chunk.  Call :meth:`ref` for every array (it is the array→ref function
-    :func:`~repro.runtime.remote_task.describe_task` takes), then
-    :meth:`buffers` once to materialise the union spans.
+    :func:`~repro.runtime.remote_task.describe_task` takes), then walk
+    :meth:`spans` and take the :meth:`payload` of each span that ships.
 
     The alias rule: a frame waits in its endpoint's outbox until the writer
     thread sends it, so its segments may alias a parent array only where the
@@ -416,8 +419,8 @@ class ChunkEncoder:
     def spans(self) -> dict[int, list]:
         """Touched union spans as ``buffer_id -> [base, start, end]``.
 
-        The residency-aware dispatch path iterates this to decide, per
-        buffer and per endpoint, between a full ship and a cached dispatch.
+        Dispatch iterates this to decide, per buffer and per endpoint,
+        between a full ship and a cached reference.
         """
         return self._spans
 
@@ -427,14 +430,6 @@ class ChunkEncoder:
         base, start, end = self._spans[buffer_id]
         view = span_view(base, start, end)
         return memoryview(view.tobytes()) if buffer_id in self._copied else view
-
-    def buffers(self) -> tuple[NetBuffer, ...]:
-        """One full-ship buffer per touched base: its union span's
-        :meth:`payload`."""
-        return tuple(
-            NetBuffer(buffer_id=buffer_id, start=start, data=self.payload(buffer_id))
-            for buffer_id, (_, start, _) in self._spans.items()
-        )
 
 
 def span_view(base: np.ndarray, start: int, end: int) -> memoryview:
@@ -453,23 +448,21 @@ class ChunkArena(ArrayArena):
 
     Every full-ship :class:`NetBuffer` becomes one ``uint8`` ndarray over the
     buffer the frame reader filled (adopted, never copied) that the views
-    built over it share as their ``.base``.
-
-    A ``cache`` (:class:`~repro.runtime.residency.WorkerBufferCache`) makes
-    the arena residency-aware: full ships are stored into it under their
-    generation tag, and cached (``data=None``) buffers are resolved from
-    it — a missing or generation-mismatched entry raises
+    built over it share as their ``.base``, and is stored into the worker's
+    ``cache`` (:class:`~repro.runtime.residency.WorkerBufferCache`) under
+    its generation tag.  Cached (``data=None``) buffers are resolved from
+    the cache — a missing or generation-mismatched entry raises
     :class:`WireProtocolError` (the parent's table said the worker holds
     bytes it does not; failing loudly triggers resubmission elsewhere).
     """
 
     error = WireProtocolError
 
-    def __init__(self, buffers: tuple[NetBuffer, ...], cache=None) -> None:
+    def __init__(self, buffers: tuple[NetBuffer, ...], cache) -> None:
         super().__init__()
         for buf in buffers:
             if buf.data is None:
-                entry = cache.get(buf.buffer_id) if cache is not None else None
+                entry = cache.get(buf.buffer_id)
                 if entry is None or entry.generation != buf.generation:
                     held = "nothing" if entry is None else f"g{entry.generation}"
                     raise WireProtocolError(
@@ -481,5 +474,4 @@ class ChunkArena(ArrayArena):
                 continue
             backing = np.frombuffer(buf.data, dtype=np.uint8)
             self._bases[buf.buffer_id] = (backing, buf.start)
-            if cache is not None:
-                cache.put(buf.buffer_id, backing, buf.start, buf.generation)
+            cache.put(buf.buffer_id, backing, buf.start, buf.generation)

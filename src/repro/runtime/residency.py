@@ -1,9 +1,10 @@
 """Per-endpoint data residency for the network backend (DESIGN.md §4.5).
 
-The network backend has no shared memory, so before this module every chunk
-dispatch shipped the full union byte span of every buffer it touched — even
-when the receiving endpoint had *just* processed those exact bytes.  This
-module adds the two halves of the stale-bytes protocol:
+The network backend has no shared memory; without this module every chunk
+dispatch would ship the full union byte span of every buffer it touched —
+even when the receiving endpoint had *just* processed those exact bytes.
+This module holds the two halves of its one data plane, the stale-bytes
+protocol:
 
 * :class:`ResidencyTable` — the **parent-side, authoritative** record of
   which byte span of which base buffer each endpoint currently holds, at

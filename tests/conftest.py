@@ -21,6 +21,7 @@ from repro.runtime.data import In, Out
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.net_server import FrameServer
 from repro.runtime.net_transport import serve_connection
+from repro.runtime.net_wire import NetBuffer
 from repro.runtime.simulator import SimulatedExecutor
 from repro.runtime.task import TaskType
 from repro.serving import Gateway
@@ -209,4 +210,16 @@ def submit_square(runtime: Session, src: np.ndarray, dst: np.ndarray):
     """Helper used across executor/engine tests: dst = src ** 2 as a task."""
     return runtime.submit(
         SQUARE_TYPE, square_body, accesses=[In(src), Out(dst)], args=(src, dst)
+    )
+
+
+def full_ship(encoder) -> tuple:
+    """One full-ship row per span a :class:`ChunkEncoder` touched — its
+    :meth:`~ChunkEncoder.payload` under a fresh generation, as a network
+    endpoint's first dispatch of those spans carries them."""
+    return tuple(
+        NetBuffer(buffer_id, start, encoder.payload(buffer_id), generation)
+        for generation, (buffer_id, (_, start, _end)) in enumerate(
+            encoder.spans().items(), start=1
+        )
     )

@@ -1,10 +1,8 @@
 """Cross-executor parity matrix.
 
 Every registered benchmark runs at ``WorkloadScale.TINY`` on the Serial,
-Threaded, Process and Network (loopback transport) executors — the network
-backend both with per-endpoint data residency (its default) and with
-residency off (``net_residency=False``, the ship-everything protocol) —
-with ATM off and with exact Static ATM — and must produce:
+Threaded, Process and Network (loopback transport) executors with ATM off
+and with exact Static ATM, and must produce:
 
 * **bit-identical output checksums** (the dependence graph plus exact
   ``p = 1.0`` keys make memoized copy-outs indistinguishable from
@@ -39,18 +37,14 @@ from repro.common.hashing import hash_bytes
 from repro.session import ReproConfig, Session
 from repro.runtime.simulator import SimulatedExecutor
 
-#: ``network-nores`` is the network backend with ``net_residency=False``:
-#: the pre-residency ship-everything protocol must stay bit-compatible.
-EXECUTORS = ("serial", "threaded", "process", "network", "network-nores")
+EXECUTORS = ("serial", "threaded", "process", "network")
 MODES = ("none", "static", "dynamic")
 #: Worker counts: serial is single by construction; threaded runs bodies on
 #: four threads beside the draining one; the process pool stays at 2 to bound spawn cost;
 #: the network backend runs 2 loopback workers (the default
 #: ``net_endpoints="loopback"`` spawns ``cores`` in-process workers speaking
 #: the real wire protocol over socketpairs).
-WORKERS = {
-    "serial": 1, "threaded": 4, "process": 2, "network": 2, "network-nores": 2,
-}
+WORKERS = {"serial": 1, "threaded": 4, "process": 2, "network": 2}
 
 
 def output_checksum(app) -> str:
@@ -67,28 +61,11 @@ def make_engine(mode: str, workers: int):
     )
 
 
-def run_network_nores(app, workers: int, engine):
-    """Run ``app`` on the network backend with residency switched off."""
-    cfg = ReproConfig().with_overrides(
-        runtime={
-            "executor": "network",
-            "num_threads": workers,
-            "net_residency": False,
-        }
-    )
-    with Session(cfg, engine=engine) as session:
-        app.run(session)
-    return session.result
-
-
 def run_app(benchmark: str, executor: str, mode: str, workers: int | None = None):
     workers = WORKERS[executor] if workers is None else workers
     app = make_benchmark(benchmark, scale="tiny")
     engine = make_engine(mode, workers)
-    if executor == "network-nores":
-        result = run_network_nores(app, workers, engine)
-    else:
-        result = app.run_on(executor, cores=workers, engine=engine)
+    result = app.run_on(executor, cores=workers, engine=engine)
     return app, result
 
 
@@ -135,7 +112,7 @@ def test_executor_parity(bench_name, mode):
             # whose lookups follow the serial order, while the threaded
             # backend keeps the direct check.  (Twins on two workers are
             # pinned by test_twin_reuse_is_deterministic_on_two_workers.)
-            if executor in ("process", "network", "network-nores"):
+            if executor in ("process", "network"):
                 _, solo = run_tiny(bench_name, executor, mode, workers=1)
                 assert solo.tasks_memoized > 0, (
                     f"{bench_name}: single-worker {executor}/static found no "

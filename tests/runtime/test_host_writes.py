@@ -12,10 +12,9 @@ barrier, overwrite ``a`` from the host with a plain NumPy store, square it
 again, barrier.  An announced store is observed on every executor cell.
 For an unannounced one the contract promises nothing; the cells below pin
 what each backend happens to do, so a change there is seen: backends that
-read the host array when the task runs (serial, threaded) or re-ship every
-input (network without residency) see the store, while the process
-backend's segment and a residency endpoint's resident copy keep the old
-bytes.  The gateway is server-authoritative by contract
+read the host array when the task runs (serial, threaded) see the store,
+while the process backend's segment and a network endpoint's resident copy
+keep the old bytes.  The gateway is server-authoritative by contract
 (``serving/client.py``): host writes to a shipped array are not observed.
 
 Under ATM the contract covers a task's inputs and outputs on every
@@ -47,7 +46,6 @@ CELLS = {
     "serial": {"executor": "serial"},
     "threaded": {"executor": "threaded"},
     "process": {"executor": "process"},
-    "network-nores": {"executor": "network", "net_residency": False},
     "network": {"executor": "network"},
 }
 
@@ -83,8 +81,7 @@ def test_announced_host_write_between_barriers_is_observed(cell):
 
 @pytest.mark.parametrize(
     "cell, observed",
-    [("serial", True), ("threaded", True), ("process", False),
-     ("network-nores", True), ("network", False)],
+    [("serial", True), ("threaded", True), ("process", False), ("network", False)],
 )
 def test_unannounced_host_write_is_what_each_backend_happens_to_do(cell, observed):
     with cell_session(cell) as session:

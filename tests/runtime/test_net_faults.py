@@ -22,14 +22,19 @@ import numpy as np
 import pytest
 
 from repro.common.config import RuntimeConfig
-from repro.common.exceptions import NetworkDrainError, RuntimeStateError
+from repro.common.exceptions import (
+    ConfigurationError,
+    NetworkDrainError,
+    RuntimeStateError,
+    WireProtocolError,
+)
 from repro.runtime.data import DataRegion, In, InOut, Out
 from repro.runtime.task import TaskType
 from repro.runtime.net_executor import NetworkExecutor
-from repro.runtime.net_transport import LoopbackEndpoint, serve_connection
+from repro.runtime.net_transport import LoopbackEndpoint, NetWorkerState, serve_connection
 from repro.runtime.net_wire import PROTOCOL_VERSION, read_frame, write_frame
 from repro.session import ReproConfig, Session
-from tests.conftest import SQUARE_TYPE, square_body
+from tests.conftest import SQUARE_TYPE, full_ship, square_body
 
 #: Hard bound on every scenario: a hang fails loudly, it never stalls CI.
 SCENARIO_TIMEOUT = 30.0
@@ -174,8 +179,6 @@ class DieAfterChunksEndpoint(LoopbackEndpoint):
         self.n_chunks = n_chunks
 
     def worker_target(self, sock: socket.socket) -> None:
-        from repro.runtime.net_transport import NetWorkerState
-
         state = NetWorkerState(worker_id=-1)
         served = 0
         try:
@@ -536,10 +539,10 @@ def _hello(**fields):
         ((), 42, "not a protocol message"),
         ((), ("chunk", 42), "chunk before hello"),
         ((), ("hello", 5), "unreadable 'hello' message"),
-        # The protocol before this one carried owner fields in its chunks.
+        # The protocol before this one named a data plane in its hello.
         ((), ("hello", {"protocol": PROTOCOL_VERSION - 1}),
          f"protocol version mismatch: client speaks {PROTOCOL_VERSION - 1}"),
-        ((_hello(residency=True),), ("invalidate",), "unreadable 'invalidate' message"),
+        ((_hello(),), ("invalidate",), "unreadable 'invalidate' message"),
         ((_hello(),), ("chunk", 42), "unreadable 'chunk' message"),
         ((), _hostile_chunk(), "chunk before hello"),
         ((_hello(),), ("teleport", 1), "unknown message kind"),
@@ -670,7 +673,7 @@ def _replies_over_shipped_spans():
 
     encoder = ChunkEncoder()
     descriptors, sources, sinks = _contract_chunk(encoder.ref)
-    replies = _serve_one_chunk({}, NetChunk(7, encoder.buffers(), tuple(descriptors)))
+    replies = _serve_one_chunk({}, NetChunk(7, full_ship(encoder), tuple(descriptors)))
     for message in replies:  # the written bytes ride on the result: land them
         if message[0] == "result":
             for task_id, writes in message[2]:
@@ -762,33 +765,50 @@ def scan_body(src, dst):
 
 def test_residency_ships_an_iterative_read_mostly_program_once():
     """Drains 2..n over unchanged inputs put references on the wire, not
-    bytes: with residency on the payload is at most half the
-    ship-everything protocol's, for bit-identical results."""
+    bytes: drain 1 ships every input span, drains 2-4 ship no span byte
+    and together frame fewer bytes than one input span, and every result
+    is right."""
     scan_type = TaskType("resident_scan", memoizable=False)
     sources = [np.full(4096, float(i + 1)) for i in range(8)]
+    config = RuntimeConfig(
+        executor="network", num_threads=2, mp_chunk_size=2, net_endpoints="loopback:2",
+    )
+    sinks = [np.zeros(1) for _ in sources]
+    payload, shipped = [], []
+    with Session(ReproConfig(runtime=config)) as session:
+        for _ in range(4):
+            for src, dst in zip(sources, sinks):
+                session.submit(
+                    scan_type, scan_body, accesses=[In(src), Out(dst)], args=(src, dst),
+                )
+            backend = session.wait_all().extra["network_backend"]
+            payload.append(backend["payload_bytes"])
+            shipped.append(backend["residency"]["bytes_shipped"])
+            assert np.concatenate(sinks).tolist() == [src.sum() for src in sources]
+    span = sources[0].nbytes
+    assert shipped[0] > len(sources) * span
+    assert shipped == shipped[:1] * 4, shipped
+    assert payload[-1] - payload[0] < span, payload
 
-    def run(residency: bool):
-        config = RuntimeConfig(
-            executor="network", num_threads=2, mp_chunk_size=2,
-            net_endpoints="loopback:2", net_residency=residency,
-        )
-        sinks = [np.zeros(1) for _ in sources]
-        with Session(ReproConfig(runtime=config)) as session:
-            for _ in range(4):
-                for src, dst in zip(sources, sinks):
-                    session.submit(
-                        scan_type, scan_body, accesses=[In(src), Out(dst)],
-                        args=(src, dst),
-                    )
-                result = session.wait_all()
-        return np.concatenate(sinks), result.extra["network_backend"]
 
-    resident_out, resident = run(True)
-    shipped_out, shipped = run(False)
-    assert np.array_equal(resident_out, shipped_out)
-    assert resident_out.tolist() == [src.sum() for src in sources]
-    assert resident["residency"]["hits"] > 0
-    assert 2 * resident["payload_bytes"] <= shipped["payload_bytes"]
+def test_a_worker_refuses_a_protocol_12_hello_by_name():
+    """Protocol 12's network hello named a data plane (``"residency"``);
+    13 has one, so a protocol-12 peer is refused whichever plane it named."""
+    for residency in (True, False):
+        state = NetWorkerState()
+        with pytest.raises(WireProtocolError, match="client speaks 12, worker speaks 13"):
+            state.hello({"protocol": 12, "residency": residency})
+        assert state.worker is None and state.buffer_cache is None
+
+
+def test_a_network_session_refuses_net_residency_off():
+    """The network backend has one data plane: ``net_residency=False``
+    names a protocol that is gone, and a Session asking for it says so."""
+    cfg = ReproConfig().with_overrides(
+        runtime={"executor": "network", "num_threads": 2, "net_residency": False}
+    )
+    with pytest.raises(ConfigurationError, match="one data plane"):
+        Session(cfg)
 
 
 def test_kill_one_of_three_keeps_survivor_placement_balanced():

@@ -31,6 +31,7 @@ from repro.runtime.net_wire import (
 )
 from repro.runtime.remote_task import describe_task
 from repro.runtime.task import TaskType
+from tests.conftest import full_ship
 
 SLACK = 64 << 10
 SPAN = 4 << 20
@@ -64,7 +65,7 @@ def test_a_queued_frame_aliases_a_base_touched_at_one_interval_only():
     encoder.ref(whole[:])  # another view, the same interval
     encoder.ref(split[:16])
     encoder.ref(split[32:48])
-    data = {buf.buffer_id: buf for buf in encoder.buffers()}
+    data = {buf.buffer_id: buf for buf in full_ship(encoder)}
     shipped = np.frombuffer(data[id(whole)].data, dtype=np.float64)
     assert np.shares_memory(shipped, whole) and np.array_equal(shipped, whole)
     copied = data[id(split)]
@@ -122,11 +123,11 @@ def test_run_chunk_to_result_frame_copies_no_written_byte():
     # per shipped span.
     buffers = tuple(
         NetBuffer(buf.buffer_id, buf.start, bytearray(buf.data), buf.generation)
-        for buf in encoder.buffers()
+        for buf in full_ship(encoder)
     )
     chunk = NetChunk(1, buffers, tasks)
     state = NetWorkerState()
-    state.hello({"protocol": PROTOCOL_VERSION, "residency": False})
+    state.hello({"protocol": PROTOCOL_VERSION})
 
     def run_and_frame():
         results, error = state.run_chunk(chunk)

@@ -70,12 +70,14 @@ from repro.runtime.net_wire import (  # noqa: E402
     span_view,
 )
 from repro.runtime.remote_task import describe_task, rebuild_task  # noqa: E402
+from repro.runtime.residency import WorkerBufferCache  # noqa: E402
 from repro.runtime.shm import SharedBufferRegistry, WorkerArena  # noqa: E402
 from repro.runtime.task import TaskType  # noqa: E402
 from repro.serving import Gateway, GatewayClient  # noqa: E402
 from repro.serving.gateway import TenantArena  # noqa: E402
 from repro.session import ReproConfig  # noqa: E402
 from repro.testing.traffic import fill_block  # noqa: E402
+from tests.conftest import full_ship  # noqa: E402
 
 _DTYPES = ("<f8", "<f4", "<i4", "<i2", "|u1", "<c16")
 
@@ -590,14 +592,14 @@ def test_received_segments_are_writable_and_are_the_arena_backing():
     ref = encoder.ref(base[8:24])
     near, far = socket.socketpair()
     try:
-        send_frame(near, encode_frame(("chunk", NetChunk(1, encoder.buffers(), ()))))
+        send_frame(near, encode_frame(("chunk", NetChunk(1, full_ship(encoder), ()))))
         _, chunk = read_frame(far)
     finally:
         near.close()
         far.close()
     (buffer,) = chunk.buffers
     assert not memoryview(buffer.data).readonly
-    view = ChunkArena(chunk.buffers).view(ref)
+    view = ChunkArena(chunk.buffers, WorkerBufferCache()).view(ref)
     assert bit_equal(view, base[8:24])
     assert view.flags.writeable
     assert np.shares_memory(view, np.frombuffer(buffer.data, dtype=np.uint8))
@@ -646,7 +648,7 @@ def shipped(kind: str):
 
     def receive():
         if kind == "chunk":  # network backend: the union spans a chunk touches
-            return ChunkArena(received(encoder.buffers()))
+            return ChunkArena(received(full_ship(encoder)), WorkerBufferCache())
         whole = tuple(  # gateway: whole owning buffers, shipped once
             NetBuffer(buffer_id, 0, span_view(base, 0, base.nbytes))
             for buffer_id, (base, _start, _end) in encoder.spans().items()

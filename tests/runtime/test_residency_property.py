@@ -35,7 +35,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.common.exceptions import WireProtocolError  # noqa: E402
 from repro.runtime.net_executor import NetworkExecutor  # noqa: E402
-from repro.runtime.net_wire import ChunkArena, NetBuffer, span_view  # noqa: E402
+from repro.runtime.net_transport import NetWorkerState  # noqa: E402
+from repro.runtime.net_wire import (  # noqa: E402
+    PROTOCOL_VERSION,
+    ChunkArena,
+    NetBuffer,
+    NetChunk,
+    span_view,
+)
 from repro.runtime.residency import (  # noqa: E402
     ResidencyTable,
     WorkerBufferCache,
@@ -411,10 +418,14 @@ def test_arena_cached_dispatch_with_wrong_generation_is_a_protocol_error():
         ChunkArena((NetBuffer(1, 0, None, 2),), cache=cache)
 
 
-def test_arena_cached_dispatch_without_cache_is_a_protocol_error():
-    """A residency-off worker receiving a cached dispatch fails loudly."""
-    with pytest.raises(WireProtocolError):
-        ChunkArena((NetBuffer(1, 0, None, 3),), cache=None)
+def test_a_fresh_network_worker_refuses_a_cached_dispatch():
+    """Every network worker keeps a cache, and a fresh one holds nothing:
+    a cached row in its first chunk fails loudly instead of reading bytes
+    the worker was never shipped."""
+    state = NetWorkerState()
+    state.hello({"protocol": PROTOCOL_VERSION})
+    with pytest.raises(WireProtocolError, match="holds nothing"):
+        state.run_chunk(NetChunk(1, (NetBuffer(1, 0, None, 3),), ()))
 
 
 def test_arena_writes_land_in_the_cached_backing():
@@ -457,7 +468,7 @@ class _Harness:
     def __init__(self, n: int, residency: ResidencyTable | None = None):
         self._endpoints = [Ep(f"w{i}") for i in range(n)]
         self._rr_cursor = 0
-        self._residency = residency
+        self._residency = residency or ResidencyTable(budget_bytes=1 << 20)
         self.engine = None
 
     @property

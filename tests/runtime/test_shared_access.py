@@ -26,10 +26,12 @@ from repro.common.exceptions import TaskDefinitionError
 from repro.runtime.data import AccessMode, DataRegion, In, InOut, Out
 from repro.runtime.net_wire import ChunkEncoder, ChunkArena, NetBuffer, span_view
 from repro.runtime.remote_task import describe_task, rebuild_task
+from repro.runtime.residency import WorkerBufferCache
 from repro.runtime.shm import SharedBufferRegistry, WorkerArena
 from repro.runtime.task import Task, TaskType
 from repro.serving.gateway import TenantArena
 from repro.session import Session
+from tests.conftest import full_ship
 
 TT = TaskType("shared-access")
 
@@ -138,7 +140,11 @@ def _shipped(kind: str, base: np.ndarray):
         return registry.array_ref, arena, close
     encoder = ChunkEncoder()
     if kind == "chunk":  # network endpoint: the spans one chunk touches
-        return encoder.ref, lambda: ChunkArena(encoder.buffers()), lambda: None
+        return (
+            encoder.ref,
+            lambda: ChunkArena(full_ship(encoder), WorkerBufferCache()),
+            lambda: None,
+        )
 
     def tenant():  # gateway tenant: whole owning buffers, stored once
         arena = TenantArena()

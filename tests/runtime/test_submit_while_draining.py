@@ -1,4 +1,4 @@
-"""Submit-while-draining parity across all five execution backends.
+"""Submit-while-draining parity across all four execution backends.
 
 The serving gateway extends the shared dependence graph *while a drain is
 in flight*: the graph's ``on_complete`` hook (running on a live drain
@@ -32,16 +32,12 @@ ACC = TaskType("drain_acc", memoizable=False)
 N_BLOCKS = 6
 BLOCK = 64
 
-#: ``network-nores`` is the network backend with residency off — the same
-#: five-backend matrix as the executor parity suite.
+#: The four-backend matrix of the executor parity suite.
 CONFIGS = {
     "serial": RuntimeConfig(executor="serial", num_threads=1),
     "threaded": RuntimeConfig(executor="threaded", num_threads=4),
     "process": RuntimeConfig(executor="process", num_threads=2),
     "network": RuntimeConfig(executor="network", num_threads=2),
-    "network-nores": RuntimeConfig(
-        executor="network", num_threads=2, net_residency=False
-    ),
 }
 
 
