@@ -48,8 +48,10 @@ examples:
 # executor parity matrix (its process cells; the simulator and network-only
 # tests of that file are left to the tiers that own them), the copy-elision
 # units (the parent elides as serial does, a remote MEMOIZED completion clears
-# the tag), the reply contract over the shared hello and the one-worker-loop
-# checks (no multiprocessing queue, pipe or connection.wait under src/).
+# the tag), one access per region and mode for tasks rebuilt in the worker's
+# arena (over shared segments, as over the other arenas), the reply contract
+# over the shared hello and the one-worker-loop checks (no multiprocessing
+# queue, pipe or connection.wait under src/).
 process-backend:
 	$(PYTHON) -m pytest tests/runtime/test_mp_executor.py \
 		tests/runtime/test_host_writes.py \
@@ -57,6 +59,7 @@ process-backend:
 		tests/runtime/test_shm_property.py \
 		tests/runtime/test_lifecycle_cleanup.py \
 		tests/runtime/test_executor_parity.py \
+		tests/runtime/test_shared_access.py \
 		tests/runtime/test_net_faults.py::test_one_worker_one_reply_vocabulary_under_both_transports \
 		tests/common/test_config.py::TestOneRemoteWorkerProtocol \
 		-k "not network_twin and not simulator" -p no:cacheprovider -x -q
@@ -66,15 +69,18 @@ process-backend:
 # precedence, the one-report failure reason and the failover scenarios that
 # drop residency included), the wire property suite and the copy fences with
 # the queued frames' alias rule, the residency protocol's hypothesis
-# interleaving property + unit rules for the stale-bytes caches, and the
-# copy-elision units (the parent elides as serial does), cache-less and
-# fail-fast (mirrors the CI step).
+# interleaving property + unit rules for the residency table and the worker's
+# one arena (cached rows, re-ships, generation-guarded drops), one access per
+# region and mode for tasks rebuilt in that arena, and the copy-elision units
+# (the parent elides as serial does), cache-less and fail-fast (mirrors the
+# CI step).
 net-loopback:
 	$(PYTHON) -m pytest tests/runtime/test_executor_parity.py \
 		tests/runtime/test_net_faults.py \
 		tests/runtime/test_net_wire_property.py \
 		tests/runtime/test_net_wire_copies.py \
 		tests/runtime/test_residency_property.py \
+		tests/runtime/test_shared_access.py \
 		tests/atm/test_copy_elision.py -p no:cacheprovider -x -q
 
 # The soak tier: 500-task churn with mid-drain worker loss, excluded from

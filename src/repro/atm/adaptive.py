@@ -7,13 +7,27 @@ Per task type, the execution is split into a *training* phase and a
   approximated (THT hit) it is executed anyway and the Chebyshev relative
   error ``tau`` between the real and memoized outputs is measured.  If
   ``tau >= tau_max`` the sampling fraction ``p`` is doubled (at most 15
-  steps, i.e. up to ``p = 100 %``) and the success counter restarts; the
-  output regions of the offending task are added to an *unstable outputs*
-  blacklist.
+  steps, i.e. up to ``p = 100 %``) and the success counter restarts.
+* Such a failure also counts against each output region of the offending
+  task, but only when the type had at least one success since its previous
+  failure: a failure with no success before it says ``p`` is too small, not
+  that the output is unstable.  An output whose count reaches two is added
+  to the *unstable outputs* blacklist.  So an output is blacklisted on its
+  second failure amid successes, where the paper blacklists the outputs of
+  every task that fails training (:meth:`DynamicATMTrainer.
+  record_training_outcome`).
 * After ``L_training`` consecutive correctly approximated tasks, ``p`` is
   frozen and the steady-state phase begins: THT hits are now memoized without
   executing, except for tasks whose outputs are blacklisted, which always
   execute (this is the accuracy-control feature Jacobi needs).
+
+The paper's rule would not bring jacobi at ``small`` scale within its bound
+either: a copy of this module that blacklisted every failing task's outputs
+still ended at relative error 1.69e-02 against ``tau_max`` 0.01 (2.31e-02
+with the rule above), and lowered reuse on other apps.  Most of jacobi's
+error comes after training: ``scripts/reuse_error.py`` (ROADMAP.md
+direction 22(a), per-sweep table) finds every reuse of sweeps 2–7 within
+~1e-05, and about 40 reuses a sweep over ``tau_max`` from sweep 8 on.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ portions of a program (the ``ThreadedExecutor`` is GIL-bound, see DESIGN.md
   :class:`~repro.runtime.remote_task.TaskDescriptor` (array payloads as
   refs into shared memory, resolved through the chunk's table of segment
   names) go round-robin as frames of the remote-worker protocol
-  (DESIGN.md §4.6); the ``"shared"`` hello tells a worker to resolve them
-  over :mod:`multiprocessing.shared_memory` views (one
-  :class:`~repro.runtime.shm.WorkerArena` across chunks), so its results
-  carry no bytes, and ``("release", slots)`` — the segments of bases the
-  parent collected, sent when a drain opens — drops them.  A worker holds
+  (DESIGN.md §4.6); the ``"shared"`` hello lets a worker attach them into
+  its connection's one :class:`~repro.runtime.remote_task.WorkerArena`,
+  the arena every remote worker keeps across chunks, so its results carry
+  no bytes, and ``("drop", [(slot, 0)])`` — the segments of bases the
+  parent collected, sent when a drain opens — detaches them.  A worker holds
   no engine and no write-versions, so a respawned worker needs nothing but
   the hello and the next chunk.  Nothing else is shared: no lock, no
   version table, and nothing the parent reads is unpickled.
@@ -257,7 +257,7 @@ class ProcessExecutor(PoolExecutor):
         self._fresh_supervisor()
         released = self._registry.release()
         if released:
-            frame = encode_frame(("release", released))
+            frame = encode_frame(("drop", released))
             for endpoint in self._endpoints:
                 endpoint.send(frame)
         try:

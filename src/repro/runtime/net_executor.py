@@ -28,7 +28,9 @@ this module is its socket *transport* and data plane:
   ``data=None`` cached references for current spans, and the placement
   layer routes ready chunks to the endpoint holding the most of their
   input bytes.  Outputs the parent memoized drop the overlapping entries:
-  no endpoint holds those bytes.
+  no endpoint holds those bytes.  An entry evicted over the budget or
+  dropped by an overlapping write reaches its worker as a ``drop`` of its
+  ``(buffer_id, generation)`` pair, which the worker's one arena forgets.
   Cold buffers fall back to a round-robin cursor over the *fixed* endpoint
   pool — the cursor skips failed endpoints instead of re-indexing a
   shrunken live list, so placement stays deterministic across failover.
@@ -217,7 +219,7 @@ class NetworkExecutor(PoolExecutor):
         Returns ``(frame, dispatch_gens, evicted)`` where
         ``dispatch_gens`` maps buffer ids to the residency generation the
         chunk was encoded against and ``evicted`` lists budget-evicted
-        ``(buffer_id, generation)`` pairs to forward as an ``invalidate``.
+        ``(buffer_id, generation)`` pairs to forward as a ``drop``.
 
         Describing and framing happen synchronously (not in the receiver/
         sender machinery), as in the process backend: a task that cannot
@@ -263,7 +265,7 @@ class NetworkExecutor(PoolExecutor):
             # After the chunk: socket FIFO order guarantees the worker
             # processes every dispatch referencing the evicted
             # generations before it drops them.
-            endpoint.send(("invalidate", tuple(evicted)))
+            endpoint.send(("drop", tuple(evicted)))
         # Dispatch restarts the endpoint's silence clock: an endpoint that
         # was legitimately idle (nothing outstanding) must get a full
         # timeout window to answer freshly (re)submitted work.
@@ -389,7 +391,7 @@ class NetworkExecutor(PoolExecutor):
                     dropped += self._residency.note_write(
                         None, None, region.base_id, region.byte_interval, version, version
                     )
-        self._invalidate(dropped)
+        self._drop(dropped)
 
     # -- drain -------------------------------------------------------------------
     def drain(self, graph: TaskDependenceGraph) -> RunResult:
@@ -480,7 +482,7 @@ class NetworkExecutor(PoolExecutor):
         The writer's own entry upgrades to the new version (its backing
         holds exactly the bytes it shipped home) when its generation still
         matches the dispatch-time one; overlapping entries elsewhere drop
-        and get a worker-side ``invalidate`` so cache accounting follows.
+        and get a worker-side ``drop`` so the worker's arena follows.
         """
         dropped = []
         for (index, _), prev_version in zip(writes, prev_versions):
@@ -493,17 +495,17 @@ class NetworkExecutor(PoolExecutor):
                 prev_version,
                 region.version,
             )
-        self._invalidate(dropped)
+        self._drop(dropped)
 
-    def _invalidate(self, dropped: list) -> None:
+    def _drop(self, dropped: list) -> None:
         """Tell each endpoint which of its ``(endpoint, buffer_id,
         generation)`` residency entries were dropped."""
-        invalidations: dict[SocketEndpoint, list[tuple[int, int]]] = {}
+        drops: dict[SocketEndpoint, list[tuple[int, int]]] = {}
         for drop_endpoint, buffer_id, generation in dropped:
-            invalidations.setdefault(drop_endpoint, []).append((buffer_id, generation))
-        for drop_endpoint, pairs in invalidations.items():
+            drops.setdefault(drop_endpoint, []).append((buffer_id, generation))
+        for drop_endpoint, pairs in drops.items():
             if not drop_endpoint.failed:
-                drop_endpoint.send(("invalidate", tuple(pairs)))
+                drop_endpoint.send(("drop", tuple(pairs)))
 
     def _check_liveness(self) -> None:
         """The silence rule: an endpoint that owes an answer

@@ -35,12 +35,15 @@ silence budget, kill the worker mid-chunk or corrupt the stream.
 The worker side — :class:`NetWorkerState` + :func:`serve_connection` — is
 the one :class:`~repro.runtime.remote_task.RemoteWorker` behind a framed
 socket: it reads frames from any socket, so the loopback thread, the
-standalone TCP daemon and a process worker share every line of it.  A
-network worker keeps the spans it is shipped in a residency cache; a
-``"shared": True`` hello, from a process pool over a local socket, makes
-it read the parent's shared segments instead.  ``hello`` / ``invalidate``
-/ ``release`` / ``shutdown`` are this transport's own messages; ``chunk``
-and its replies are the remote-worker protocol's (DESIGN.md §4.6).  Neither side trusts the
+standalone TCP daemon and a process worker share every line of it, down to
+the data plane: each connection keeps one
+:class:`~repro.runtime.remote_task.WorkerArena` from its hello on, which
+holds the spans a network parent ships and, after a ``"shared": True``
+hello from a process pool over a local socket, the parent's shared
+segments too.  ``hello`` / ``drop`` / ``shutdown`` are this transport's own
+messages (``drop`` names the ``(buffer id, generation)`` pairs the arena
+forgets); ``chunk`` and its replies are the remote-worker protocol's
+(DESIGN.md §4.6).  Neither side trusts the
 other's frames: whatever is not a protocol tuple of the right shape ends in
 a named error, never in an exception on a service thread.
 """
@@ -58,7 +61,6 @@ from repro.common.exceptions import (
 )
 from repro.runtime.data import region_versions
 from repro.runtime.net_wire import (
-    ChunkArena,
     Frame,
     NetChunk,
     PROTOCOL_VERSION,
@@ -68,8 +70,7 @@ from repro.runtime.net_wire import (
     send_frame,
     write_frame,
 )
-from repro.runtime.remote_task import RemoteWorker
-from repro.runtime.residency import WorkerBufferCache
+from repro.runtime.remote_task import RemoteWorker, WorkerArena
 from repro.runtime.task import Task
 
 __all__ = [
@@ -370,22 +371,17 @@ def _written_bytes(task: Task) -> list[tuple]:
 
 
 class NetWorkerState:
-    """Per-connection worker state: the remote worker and its data plane —
-    a residency store for shipped backings, or, after a ``"shared"`` hello,
-    the arena of the parent's shared segments."""
+    """Per-connection worker state: the remote worker and the connection's
+    one :class:`~repro.runtime.remote_task.WorkerArena`."""
 
     def __init__(self, worker_id: int = 0, local: bool = False) -> None:
         self.worker_id = worker_id
         #: Whether the peer is on this host (a Unix socket): only such a
         #: peer may name shared segments for this worker to map.
         self.local = local
-        #: Built at hello time.
+        #: Both built at hello time; the arena is kept across chunks.
         self.worker: Optional[RemoteWorker] = None
-        #: Residency store for shipped backings; created by a network hello.
-        self.buffer_cache: Optional[WorkerBufferCache] = None
-        #: The shared segments attached so far, kept across chunks until
-        #: the parent releases them; created by a ``"shared"`` hello.
-        self.arena = None
+        self.arena: Optional[WorkerArena] = None
 
     # -- handshake ---------------------------------------------------------------
     def hello(self, info: dict) -> dict:
@@ -395,16 +391,12 @@ class NetWorkerState:
                 f"protocol version mismatch: client speaks {protocol}, "
                 f"worker speaks {PROTOCOL_VERSION}"
             )
-        if info.get("shared"):
-            if not self.local:
-                raise WireProtocolError("a shared-segment hello over a network connection")
-            from repro.runtime.shm import WorkerArena  # a network worker maps no segment
-
-            self.arena = WorkerArena()
-            self.worker = RemoteWorker(self.worker_id)
-        else:
-            self.worker = RemoteWorker(self.worker_id, written=_written_bytes)
-            self.buffer_cache = WorkerBufferCache()
+        shared = bool(info.get("shared"))
+        if shared and not self.local:
+            raise WireProtocolError("a shared-segment hello over a network connection")
+        self.arena = WorkerArena(shared)
+        # Over shared segments a task's writes are already in the parent's.
+        self.worker = RemoteWorker(self.worker_id, written=None if shared else _written_bytes)
         return {"protocol": PROTOCOL_VERSION, "worker_id": self.worker_id}
 
     # -- execution ---------------------------------------------------------------
@@ -415,12 +407,8 @@ class NetWorkerState:
         segments.  ``error`` is ``(task_id, traceback_str)`` when a task
         body raised — the rest of the chunk is dropped.
         """
-        arena = self.arena
-        if arena is None:
-            arena = ChunkArena(chunk.buffers, self.buffer_cache)
-        else:
-            arena.attach(chunk.buffers)
-        return self.worker.run_chunk(chunk.tasks, arena)
+        self.arena.load(chunk.buffers)
+        return self.worker.run_chunk(chunk.tasks, self.arena)
 
 
 def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
@@ -444,26 +432,21 @@ def serve_connection(sock: socket.socket, worker_id: int = 0) -> None:
             try:
                 if kind == "hello":
                     write_frame(sock, ("hello_ack", state.hello(message[1])))
+                elif kind in ("chunk", "drop") and state.worker is None:
+                    raise WireProtocolError(f"{kind} before hello")
                 elif kind == "chunk":
-                    if state.worker is None:
-                        raise WireProtocolError("chunk before hello")
                     _, chunk = message
                     for reply in state.worker.replies(
                         chunk.chunk_id, lambda: state.run_chunk(chunk)
                     ):
                         write_frame(sock, reply)
-                # Residency evictions and invalidations, and the segments of
-                # bases the parent collected: no reply — the socket's FIFO
-                # order guarantees every chunk referencing the dropped
-                # generations or slots was already processed above.
-                elif kind == "invalidate":
-                    pairs = message[1]
-                    if state.buffer_cache is not None:
-                        state.buffer_cache.invalidate(pairs)
-                elif kind == "release":
-                    slots = message[1]
-                    if state.arena is not None:
-                        state.arena.release(slots)
+                # Residency evictions and overlaps, and the segments of bases
+                # the parent collected: no reply — the socket's FIFO order
+                # guarantees every chunk referencing the dropped generations
+                # or slots was already processed above.
+                elif kind == "drop":
+                    _, pairs = message
+                    state.arena.drop(pairs)
                 elif kind == "shutdown":
                     break
                 else:

@@ -36,22 +36,23 @@ the two halves of that story:
   arrays referenced by a chunk of tasks, computes per owning base buffer the
   union byte span the chunk touches, and gives one :class:`NetBuffer` per
   base (raw bytes, or a cached reference) plus a plain ``(buffer_id, offset,
-  shape, strides, dtype)`` ref for every view.  A :class:`ChunkArena`
-  (receiver side) adopts each received buffer as the writable backing of
-  the :class:`~repro.runtime.remote_task.ArrayArena` views built over it.
+  shape, strides, dtype)`` ref for every view.  The receiver's
+  :class:`~repro.runtime.remote_task.WorkerArena` adopts each received
+  buffer as the writable backing of the views built over it.
 
 The messages themselves — who sends which, with which fields — are listed
 once, in DESIGN.md §4.6.
 
-A :class:`NetBuffer` has two forms.  A *full ship* carries the span's
-bytes under a ``generation`` tag, and the worker keeps the backing in its
-:class:`~repro.runtime.residency.WorkerBufferCache`.  A *cached* row
-(``data is None``) puts no byte on the wire: the worker must already hold a
-backing for the buffer id under the named ``generation`` (from an earlier
-full ship).  A generation the worker does not hold is a protocol
-violation — the worker raises :class:`WireProtocolError` and the parent
-fails the endpoint and re-runs its work, so a residency bug degrades to a
-resubmission instead of silently wrong bytes.
+A :class:`NetBuffer` has two forms on the network (a process pool's rows
+name shared segments instead).  A *full ship* carries the span's bytes
+under a ``generation`` tag, and the worker's arena keeps them as that
+buffer's backing until a re-ship replaces it or a ``drop`` names it.  A
+*cached* row (``data is None``) puts no byte on the wire: the worker must
+already hold a backing for the buffer id under the named ``generation``
+(from an earlier full ship).  A generation the worker does not hold is a
+protocol violation — the worker raises :class:`WireProtocolError` and the
+parent fails the endpoint and re-runs its work, so a residency bug
+degrades to a resubmission instead of silently wrong bytes.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ import numpy as np
 from repro.common.exceptions import RuntimeStateError, WireProtocolError
 from repro.runtime.codec import NetBuffer, NetChunk, decode_control, encode_control, raw_view
 from repro.runtime.data import DataRegion, _base_buffer
-from repro.runtime.remote_task import ArrayArena
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -75,7 +75,6 @@ __all__ = [
     "NetBuffer",
     "NetChunk",
     "ChunkEncoder",
-    "ChunkArena",
     "raw_view",
     "span_view",
     "encode_frame",
@@ -114,7 +113,9 @@ __all__ = [
 #: judged by the acks and results it sends (the silence and wedge rules).
 #: Version 13: a network hello names no data plane — every network worker
 #: keeps a residency cache (the ``"residency"`` flag is gone).
-PROTOCOL_VERSION = 13
+#: Version 14: one ``("drop", [(buffer id, generation)])`` message replaces
+#: ``invalidate`` and ``release``; a segment slot drops at generation 0.
+PROTOCOL_VERSION = 14
 
 MAGIC = b"ATMS"
 _HEADER = struct.Struct("!4sIII")  # magic, head crc32, control length, segment count
@@ -441,37 +442,3 @@ def span_view(base: np.ndarray, start: int, end: int) -> memoryview:
             f"{base.dtype} shape {base.shape}"
         )
     return memoryview(base.reshape(-1).view(np.uint8)[start:end])
-
-
-class ChunkArena(ArrayArena):
-    """Receiver-side materialisation of one chunk's buffers.
-
-    Every full-ship :class:`NetBuffer` becomes one ``uint8`` ndarray over the
-    buffer the frame reader filled (adopted, never copied) that the views
-    built over it share as their ``.base``, and is stored into the worker's
-    ``cache`` (:class:`~repro.runtime.residency.WorkerBufferCache`) under
-    its generation tag.  Cached (``data=None``) buffers are resolved from
-    the cache — a missing or generation-mismatched entry raises
-    :class:`WireProtocolError` (the parent's table said the worker holds
-    bytes it does not; failing loudly triggers resubmission elsewhere).
-    """
-
-    error = WireProtocolError
-
-    def __init__(self, buffers: tuple[NetBuffer, ...], cache) -> None:
-        super().__init__()
-        for buf in buffers:
-            if buf.data is None:
-                entry = cache.get(buf.buffer_id)
-                if entry is None or entry.generation != buf.generation:
-                    held = "nothing" if entry is None else f"g{entry.generation}"
-                    raise WireProtocolError(
-                        f"cached dispatch references buffer "
-                        f"{buf.buffer_id:#x} at generation {buf.generation} "
-                        f"but this worker holds {held}"
-                    )
-                self._bases[buf.buffer_id] = (entry.backing, entry.start)
-                continue
-            backing = np.frombuffer(buf.data, dtype=np.uint8)
-            self._bases[buf.buffer_id] = (backing, buf.start)
-            cache.put(buf.buffer_id, backing, buf.start, buf.generation)

@@ -10,9 +10,13 @@ tenant's namespace — moves the same four things (DESIGN.md §4.6):
   dtype)`` refs by :func:`describe_task` (the array→ref function is the only
   thing a backend supplies);
 * an :class:`ArrayArena` — rebuilds byte-exact views and regions from those
-  refs with identity-preserving caches; a concrete arena only says where a
-  ref's backing bytes live (a shared segment, a shipped span, a tenant
-  buffer);
+  refs with identity-preserving caches, held per buffer; a concrete arena
+  only says where a ref's backing bytes live.  There are two: a worker
+  connection's one :class:`WorkerArena`, built at its hello and kept across
+  chunks, which attaches a process pool's shared segments by name, adopts
+  shipped spans and resolves cached rows by generation, and forgets a
+  buffer when the parent says ``drop``; and a gateway tenant's
+  :class:`~repro.serving.gateway.TenantArena`;
 * :func:`rebuild_task` — descriptor + arena → a runnable :class:`Task`;
 * :func:`run_descriptor` — the worker's step: rebuild the task and run its
   body.  Nothing of the paper's Figure 1 runs here: the parent's
@@ -48,6 +52,7 @@ __all__ = [
     "describe_tasks",
     "rebuild_task",
     "ArrayArena",
+    "WorkerArena",
     "RemoteWorker",
 ]
 
@@ -105,57 +110,165 @@ def describe_tasks(tasks: Sequence[Task], ref: Callable, backend: str) -> list[T
         ) from exc
 
 
+class _Held:
+    """One buffer an arena holds: its backing bytes and what was built over
+    them, which goes with the backing when it is replaced or dropped."""
+
+    __slots__ = ("backing", "base_offset", "generation", "segment", "views", "regions")
+
+    def __init__(self, backing, base_offset: int, generation: int, segment) -> None:
+        #: uint8 ndarray over the buffer's bytes.
+        self.backing = backing
+        #: Owning-base offset of the backing's first byte.
+        self.base_offset = base_offset
+        self.generation = generation
+        #: The shared segment the backing maps (``None``: shipped bytes).
+        self.segment = segment
+        self.views: dict[tuple, np.ndarray] = {}
+        self.regions: dict[tuple, DataRegion] = {}
+
+
 class ArrayArena:
     """Rebuilds byte-exact array views and regions from plain refs.
 
-    Views and regions are cached by the ref itself, so every ref to one
-    byte layout resolves to the *same* ndarray / :class:`DataRegion`
+    Views and regions are cached per buffer by the ref itself, so every ref
+    to one byte layout resolves to the *same* ndarray / :class:`DataRegion`
     object: aliasing between a task's arguments and its access regions
     survives, the ATM key caches (keyed on region identity) hit across
     tasks, and tasks that name one ref in one mode share one access.
-    Subclasses fill ``_bases`` from the buffer tables they receive.
+    Subclasses :meth:`_adopt` backings from the buffer tables they receive.
     """
 
     #: Raised when a ref cannot be materialised.
     error: type = RuntimeStateError
 
     def __init__(self) -> None:
-        self._views: dict[Any, np.ndarray] = {}
-        self._regions: dict[Any, DataRegion] = {}
-        #: buffer key -> (uint8 backing, owning-base offset of its first byte).
-        self._bases: dict[Any, tuple[np.ndarray, int]] = {}
+        #: buffer key -> its backing and the views and regions over it.
+        self._held: dict[Any, _Held] = {}
 
-    def _backing(self, ref) -> tuple[Any, int]:
-        """``(buffer, base_offset)``: the object exposing the bytes behind
-        ``ref`` and the owning-base offset its first byte corresponds to."""
-        entry = self._bases.get(ref[0])
-        if entry is None:
-            raise self.error(f"ref names buffer {ref[0]!r}, absent from its buffer table")
-        return entry
+    def _adopt(self, key, backing, base_offset: int = 0, generation: int = 0,
+               segment=None) -> None:
+        """Make ``backing`` the bytes of buffer ``key``, with nothing built
+        over them yet."""
+        self._held[key] = _Held(backing, base_offset, generation, segment)
+
+    def _missing(self, key) -> Exception:
+        return self.error(f"ref names buffer {key!r}, absent from its buffer table")
+
+    def _entry(self, key) -> _Held:
+        held = self._held.get(key)
+        if held is None:
+            raise self._missing(key)
+        return held
 
     def view(self, ref: tuple) -> np.ndarray:
         """The view ``(key, offset, shape, strides, dtype)`` names; an object
         dtype — received bytes read as pointers — is refused."""
-        cached = self._views.get(ref)
+        held = self._entry(ref[0])
+        cached = held.views.get(ref)
         if cached is not None:
             return cached
-        buffer, base_offset = self._backing(ref)
         _, offset, shape, strides, dtype = ref
         try:
             array = np.ndarray(
-                shape, dtype=checked_dtype(dtype), buffer=buffer,
-                offset=offset - base_offset, strides=strides,
+                shape, dtype=checked_dtype(dtype), buffer=held.backing,
+                offset=offset - held.base_offset, strides=strides,
             )
         except (ValueError, TypeError) as exc:
             raise self.error(f"cannot rebuild array view: {exc}") from exc
-        self._views[ref] = array
+        held.views[ref] = array
         return array
 
     def region(self, ref: tuple, name: str) -> DataRegion:
-        cached = self._regions.get(ref)
+        held = self._entry(ref[0])
+        cached = held.regions.get(ref)
         if cached is None:
-            cached = self._regions[ref] = DataRegion(self.view(ref), name=name)
+            cached = held.regions[ref] = DataRegion(self.view(ref), name=name)
         return cached
+
+
+class WorkerArena(ArrayArena):
+    """The one arena of a worker connection, built at its hello and kept
+    across chunks: a ref a chunk names resolves to the view and region an
+    earlier chunk built for it, until its buffer is replaced or dropped.
+
+    :meth:`load` takes a chunk's buffer table.  A row is one of three forms:
+
+    * a *segment name* (``data`` a ``str``, a process pool's shared
+      segment): attached by name, only on a ``shared`` connection (a local
+      peer that said so at hello), once per slot;
+    * *shipped bytes*: the buffer the frame reader filled is adopted, never
+      copied, as the backing of that buffer id at the row's generation; a
+      re-ship replaces the backing;
+    * *cached* (``data is None``): the worker must hold the buffer at the
+      row's generation.
+
+    A row it cannot honour raises :class:`WireProtocolError`: the parent's
+    table said the worker holds bytes it does not, and failing loudly
+    re-runs the work elsewhere instead of reading wrong bytes.  The worker
+    keeps no write-versions: the parent orders every commit and tells the
+    worker what to forget (:meth:`drop`).
+    """
+
+    error = WireProtocolError
+
+    def __init__(self, shared: bool = False) -> None:
+        super().__init__()
+        #: Whether segment rows may be attached (a ``"shared"`` hello).
+        self.shared = shared
+
+    def load(self, buffers) -> None:
+        """Resolve one chunk's buffer table (class docstring)."""
+        held = self._held
+        for key, start, data, generation in buffers:
+            if data is None:
+                entry = held.get(key)
+                if entry is None or entry.generation != generation:
+                    holds = "nothing" if entry is None else f"g{entry.generation}"
+                    raise WireProtocolError(
+                        f"cached dispatch references buffer {key!r} at generation "
+                        f"{generation} but this worker holds {holds}"
+                    )
+            elif type(data) is str:
+                if not self.shared:
+                    raise WireProtocolError(
+                        f"buffer {key!r} names shared segment {data!r} on a "
+                        f"connection without a shared hello"
+                    )
+                if key not in held:
+                    # Imported by the first segment row: a network worker maps none.
+                    from multiprocessing import shared_memory
+
+                    segment = shared_memory.SharedMemory(name=data)
+                    # One flat uint8 ndarray per segment: every view built
+                    # over it shares this object as its ``.base``.
+                    backing = np.ndarray((segment.size,), dtype=np.uint8, buffer=segment.buf)
+                    self._adopt(key, backing, 0, generation, segment)
+            else:
+                self._adopt(key, np.frombuffer(data, dtype=np.uint8), start, generation)
+
+    def drop(self, pairs) -> None:
+        """Forget the buffers named by ``(key, generation)`` pairs, with
+        their views and regions.  The generation guard makes a drop
+        idempotent and safe against a re-ship: a newer backing under the
+        same key is never dropped by a drop aimed at its predecessor."""
+        held = self._held
+        for key, generation in pairs:
+            entry = held.get(key)
+            if entry is not None and entry.generation == generation:
+                self._forget(key)
+
+    def _forget(self, key) -> None:
+        segment = self._held.pop(key).segment
+        if segment is not None:
+            try:  # the views over it went with its entry
+                segment.close()
+            except BufferError:  # pragma: no cover - a view still alive
+                pass
+
+    def close(self) -> None:
+        for key in list(self._held):
+            self._forget(key)
 
 
 def rebuild_task(
@@ -219,10 +332,10 @@ class RemoteWorker:
     """The one remote worker: runs the bodies of shipped chunks.
 
     :func:`~repro.runtime.net_transport.serve_connection` builds one per
-    connection and supplies the arena a chunk's refs resolve in (per call)
-    and ``written`` — how a finished task's written regions travel home
-    when no memory is shared with the parent (``None``: the bytes are
-    already there).
+    connection and supplies the connection's :class:`WorkerArena`, in
+    which a chunk's refs resolve, and ``written`` — how a finished task's
+    written regions travel home when no memory is shared with the parent
+    (``None``: the bytes are already there).
     """
 
     def __init__(

@@ -3,24 +3,24 @@
 The network backend has no shared memory; without this module every chunk
 dispatch would ship the full union byte span of every buffer it touched —
 even when the receiving endpoint had *just* processed those exact bytes.
-This module holds the two halves of its one data plane, the stale-bytes
-protocol:
+This module holds the parent's half of its one data plane, the stale-bytes
+protocol: :class:`ResidencyTable`, the **authoritative** record of which
+byte span of which base buffer each endpoint currently holds, at which
+:mod:`repro.runtime.data` write-version, under which *generation* tag.
+Dispatch consults it (:meth:`ResidencyTable.lookup`) and ships a
+``data=None`` :class:`~repro.runtime.net_wire.NetBuffer` referencing the
+cached generation when the endpoint's copy is current, or records a fresh
+entry (:meth:`ResidencyTable.record`) and ships the bytes when it is not.
 
-* :class:`ResidencyTable` — the **parent-side, authoritative** record of
-  which byte span of which base buffer each endpoint currently holds, at
-  which :mod:`repro.runtime.data` write-version, under which *generation*
-  tag.  Dispatch consults it (:meth:`ResidencyTable.lookup`) and ships a
-  ``data=None`` :class:`~repro.runtime.net_wire.NetBuffer` referencing the
-  cached generation when the endpoint's copy is current, or records a fresh
-  entry (:meth:`ResidencyTable.record`) and ships the bytes when it is not.
-
-* :class:`WorkerBufferCache` — the **worker-side** store of shipped
-  backings, keyed by buffer id.  The worker never reasons about versions:
-  it trusts the parent and checks only the generation tag, so a cached
-  dispatch that references a generation the worker does not hold is a
-  protocol violation (:class:`~repro.common.exceptions.WireProtocolError`)
-  that fails the endpoint and re-runs the work elsewhere — self-healing,
-  never silently wrong.
+The worker's half is its connection's one
+:class:`~repro.runtime.remote_task.WorkerArena`, which keeps shipped
+backings by buffer id.  The worker never reasons about versions: it trusts
+the parent and checks only the generation tag, so a cached dispatch that
+references a generation the worker does not hold is a protocol violation
+(:class:`~repro.common.exceptions.WireProtocolError`) that fails the
+endpoint and re-runs the work elsewhere — self-healing, never silently
+wrong.  An entry the table evicts or drops reaches the worker as a ``drop``
+of its ``(buffer_id, generation)`` pair.
 
 Correctness invariant (what :meth:`ResidencyTable.note_write` preserves):
 whenever an entry's ``version`` equals the current write-version of its
@@ -49,11 +49,10 @@ from typing import Iterable, Optional
 __all__ = [
     "RESIDENCY_BUDGET_BYTES",
     "ResidencyTable",
-    "WorkerBufferCache",
 ]
 
 #: Per-endpoint byte budget the network backend gives its residency table:
-#: least-recently used entries beyond it are evicted (and invalidated on the
+#: least-recently used entries beyond it are evicted (and dropped on the
 #: worker).
 RESIDENCY_BUDGET_BYTES = 256 << 20
 
@@ -90,8 +89,8 @@ class ResidencyTable:
     thread (dispatch, result handling and failover all do), so no lock is
     taken.  ``budget_bytes`` bounds the bytes *accounted* per endpoint;
     :meth:`evict_over_budget` returns the LRU ``(buffer_id, generation)``
-    pairs the caller must forward to the worker as an ``invalidate``
-    message, so worker memory tracks the parent's accounting.
+    pairs the caller must forward to the worker as a ``drop`` message, so
+    worker memory tracks the parent's accounting.
     """
 
     def __init__(self, budget_bytes: int) -> None:
@@ -156,8 +155,8 @@ class ResidencyTable:
         """Register a full ship of ``[start, end)``; returns its generation.
 
         Replaces any previous entry for the buffer on this endpoint — the
-        worker's :class:`WorkerBufferCache` replaces its backing the same
-        way when the shipped bytes arrive, keeping both sides in step.
+        worker's arena replaces its backing the same way when the shipped
+        bytes arrive, keeping both sides in step.
         """
         self._generation += 1
         table = self._tables.setdefault(endpoint, {})
@@ -180,7 +179,7 @@ class ResidencyTable:
         being encoded) are never evicted, so a chunk whose buffers alone
         exceed the budget still dispatches — the table simply runs hot.
         Returns ``(buffer_id, generation)`` pairs for the worker-side
-        ``invalidate`` message.
+        ``drop`` message.
         """
         table = self._tables.get(endpoint)
         if table is None or self.bytes_held(endpoint) <= self.budget_bytes:
@@ -221,7 +220,7 @@ class ResidencyTable:
         the time the writing chunk was dispatched (``None`` when unknown —
         e.g. a duplicate result — which conservatively skips the upgrade).
         Returns dropped entries as ``(endpoint, buffer_id, generation)``
-        triples the caller forwards as worker ``invalidate`` messages.
+        triples the caller forwards as worker ``drop`` messages.
         """
         start, end = span
         dropped: list[tuple[object, int, int]] = []
@@ -286,53 +285,3 @@ class ResidencyTable:
             if overlap > 0:
                 total += overlap
         return total
-
-
-class CachedBuffer:
-    """Worker-side record of one shipped backing."""
-
-    __slots__ = ("backing", "start", "generation")
-
-    def __init__(self, backing, start: int, generation: int) -> None:
-        self.backing = backing
-        self.start = start
-        self.generation = generation
-
-
-class WorkerBufferCache:
-    """Worker-side buffer store; trusts the parent, checks generations.
-
-    One instance per connection (:class:`~repro.runtime.net_transport.
-    NetWorkerState`), populated by :class:`~repro.runtime.net_wire.
-    ChunkArena` as full buffers arrive and consulted for ``data=None``
-    dispatches.  The connection loop is strictly serial, so no locking.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[int, CachedBuffer] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(entry.backing.nbytes for entry in self._entries.values())
-
-    def get(self, buffer_id: int) -> Optional[CachedBuffer]:
-        return self._entries.get(buffer_id)
-
-    def put(self, buffer_id: int, backing, start: int, generation: int) -> None:
-        self._entries[buffer_id] = CachedBuffer(backing, start, generation)
-
-    def invalidate(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Drop entries named by ``(buffer_id, generation)`` pairs.
-
-        The generation guard makes invalidation idempotent and safe against
-        reordering relative to re-ships: a newer backing under the same
-        buffer id is never dropped by an invalidate aimed at its
-        predecessor.
-        """
-        for buffer_id, generation in pairs:
-            entry = self._entries.get(buffer_id)
-            if entry is not None and entry.generation == generation:
-                del self._entries[buffer_id]

@@ -1,33 +1,34 @@
-"""Cross-process shared-memory protocol for :class:`DataRegion` payloads.
+"""Cross-process shared-memory protocol for :class:`DataRegion` payloads:
+the parent's side.
 
 The process execution backend (:mod:`repro.runtime.mp_executor`) keeps the
 task dependence graph in the parent and runs task bodies in worker
 processes.  Application arrays therefore need one canonical cross-process
-home; this module provides it (see DESIGN.md §4.3):
+home; :class:`SharedBufferRegistry` provides it (see DESIGN.md §4.3).  It
+assigns every owning base buffer a *slot*, backs it with a
+``multiprocessing.shared_memory`` segment mirroring the buffer's exact byte
+layout, and moves bytes between the parent arrays and the segments at the
+moments a task crosses the process boundary: ``copy_in`` when a chunk is
+sent, for the base buffers its tasks touch that the open drain has not
+touched before, ``copy_out`` when a task's result arrives, for the regions
+that task wrote, and ``copy_regions_in`` when the parent memoized a task,
+for the regions the THT or IKT copy wrote.
 
-* :class:`SharedBufferRegistry` (parent side) — assigns every owning base
-  buffer a *slot*, backs it with a ``multiprocessing.shared_memory`` segment
-  mirroring the buffer's exact byte layout, and moves bytes between the
-  parent arrays and the segments at the two moments a task crosses the
-  process boundary: ``copy_in`` when a chunk is sent, for the base buffers
-  its tasks touch that the open drain has not touched before, ``copy_out``
-  when a task's result arrives, for the regions that task wrote, and
-  ``copy_regions_in`` when the parent memoized a task, for the regions the
-  THT or IKT copy wrote.
-  ``copy_in`` trusts write-versions, as every backend does (DESIGN.md
-  §4.5): it refreshes a segment only when its base's version moved since
-  the segment last matched the host, and compares no bytes.  A drain ends
-  with :meth:`~SharedBufferRegistry.settle`, which records every base it
-  touched as in step at its current version — except the bases a failed
-  body or a lost worker may have half-written in the segment
-  (:meth:`~SharedBufferRegistry.stale`).  Bases are held weakly: a
-  segment lives as long as its array, and is unlinked when the first drain
-  after the array's collection opens (:meth:`SharedBufferRegistry.release`).
-* :class:`WorkerArena` (worker side) — the
-  :class:`~repro.runtime.remote_task.ArrayArena` whose backing bytes are
-  shared segments, attached lazily by name.  A worker keeps no
-  write-versions: the parent orders every commit and owns every key cache
-  and content tag that reads them.
+``copy_in`` trusts write-versions, as every backend does (DESIGN.md §4.5):
+it refreshes a segment only when its base's version moved since the
+segment last matched the host, and compares no bytes.  A drain ends with
+:meth:`~SharedBufferRegistry.settle`, which records every base it touched
+as in step at its current version — except the bases a failed body or a
+lost worker may have half-written in the segment
+(:meth:`~SharedBufferRegistry.stale`).  Bases are held weakly: a segment
+lives as long as its array, and is unlinked when the first drain after the
+array's collection opens (:meth:`SharedBufferRegistry.release`), which
+tells the workers to ``drop`` its slot.
+
+A worker attaches the segments its chunks' buffer tables name into its
+connection's one :class:`~repro.runtime.remote_task.WorkerArena`.  It
+keeps no write-versions: the parent orders every commit and owns every key
+cache and content tag that reads them.
 
 **The first-touch invariant.**  A base buffer is checked against (and, when
 out of step, refreshed into) its segment only while *no task of the open
@@ -55,9 +56,8 @@ import numpy as np
 
 from repro.runtime.codec import NetBuffer
 from repro.runtime.data import DataRegion, _base_buffer, region_versions
-from repro.runtime.remote_task import ArrayArena
 
-__all__ = ["SharedBufferRegistry", "WorkerArena"]
+__all__ = ["SharedBufferRegistry"]
 
 
 def _address(array: np.ndarray) -> int:
@@ -137,18 +137,19 @@ class SharedBufferRegistry:
         self._entries[entry.key] = entry
         return entry
 
-    def release(self) -> list[int]:
+    def release(self) -> list[tuple[int, int]]:
         """Unlink the segments of bases collected since the last call and
-        return their slots (for the workers to drop).  Called when a drain
-        opens: no task that could touch them is in flight."""
-        slots = []
+        return them as the workers' ``drop`` pairs: ``(slot, 0)``, since a
+        slot is never reused.  Called when a drain opens: no task that could
+        touch them is in flight."""
+        pairs = []
         while self._dead:
             entry = self._dead.pop()
             if self._entries.get(entry.key) is entry:  # the id may be reused
                 del self._entries[entry.key]
             entry.unlink()
-            slots.append(entry.slot)
-        return slots
+            pairs.append((entry.slot, 0))
+        return pairs
 
     def array_ref(self, array: np.ndarray, region: Optional[DataRegion] = None) -> tuple:
         """The ref ``(slot, offset, shape, strides, dtype)`` reconstructing
@@ -241,42 +242,3 @@ class SharedBufferRegistry:
         for entry in self._entries.values():
             entry.unlink()
         self._entries.clear()
-
-
-class WorkerArena(ArrayArena):
-    """Worker-side lazy attachment of shared segments and region views.
-
-    A slot's segment never changes, so segments attached for one chunk's
-    buffer table (:meth:`attach`) serve every later chunk until the parent
-    releases the slot (:meth:`release`).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._segments: dict[int, shared_memory.SharedMemory] = {}
-
-    def attach(self, buffers) -> None:
-        """Attach, by name, the segments of a buffer table not seen yet."""
-        for slot, _start, name, _generation in buffers:
-            if slot not in self._segments:
-                shm = self._segments[slot] = shared_memory.SharedMemory(name=name)
-                # One flat uint8 ndarray per segment: every view built over
-                # it shares this object as its ``.base``.
-                self._bases[slot] = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf), 0
-
-    def release(self, slots) -> None:
-        """Drop what is cached for ``slots`` and close their segments."""
-        slots = set(slots)
-        self._views = {ref: v for ref, v in self._views.items() if ref[0] not in slots}
-        self._regions = {ref: r for ref, r in self._regions.items() if ref[0] not in slots}
-        for slot in slots:
-            self._bases.pop(slot, None)
-            shm = self._segments.pop(slot, None)
-            try:
-                if shm is not None:
-                    shm.close()
-            except BufferError:  # pragma: no cover - a view still alive
-                pass
-
-    def close(self) -> None:
-        self.release(list(self._segments))

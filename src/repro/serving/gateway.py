@@ -141,8 +141,7 @@ class TenantArena(ArrayArena):
     barriers.  The arena's ref-keyed caches make repeated submissions over
     the same client array resolve to the *same* region object — which is
     what gives the shared dependence graph and the ATM key caches a stable
-    identity per tenant array.  ``_bases`` maps a buffer id to its backing
-    alone: a tenant buffer always starts at offset 0.
+    identity per tenant array.  A tenant buffer always starts at offset 0.
     """
 
     error = GatewayProtocolError
@@ -161,29 +160,26 @@ class TenantArena(ArrayArena):
                     f"(start={buf.start}); the serving protocol ships whole "
                     f"base buffers"
                 )
-            if buf.buffer_id in self._bases:
+            if buf.buffer_id in self._held:
                 # First ship wins: the server copy is authoritative and the
                 # SDK never re-ships a buffer it already registered.
                 continue
             # The frame reader's segment is adopted as the backing.
-            self._bases[buf.buffer_id] = np.frombuffer(buf.data, dtype=np.uint8)
+            self._adopt(buf.buffer_id, np.frombuffer(buf.data, dtype=np.uint8))
 
-    def _backing(self, ref: tuple) -> tuple[np.ndarray, int]:
-        backing = self._bases.get(ref[0])
-        if backing is None:
-            raise GatewayProtocolError(
-                f"task references buffer {ref[0]!r} that this tenant never shipped"
-            )
-        return backing, 0
+    def _missing(self, key) -> Exception:
+        return GatewayProtocolError(
+            f"task references buffer {key!r} that this tenant never shipped"
+        )
 
     def backing_view(self, buffer_id: int):
         """The live backing of one buffer as a frame segment (no copy)."""
-        backing = self._bases.get(buffer_id)
-        if backing is None:
+        held = self._held.get(buffer_id)
+        if held is None:
             raise GatewayProtocolError(
                 f"write-back references unknown buffer {buffer_id:#x}"
             )
-        return raw_view(backing)
+        return raw_view(held.backing)
 
 
 class _TenantState:
@@ -484,10 +480,12 @@ class Gateway:
         task of the broken graph and every task still queued for admission
         is failed against its tenant with a :class:`TaskFailure` naming the
         drain's error, so barriers resolve and the pending pool returns to
-        0; nothing of the old graph is admitted into the new one.  A worker
-        of the dead drain may still finish one of those tasks meanwhile:
-        whichever of its completion hook and this loop claims the task
-        (:func:`_claim`) counts it and frees its slot, the other skips it.
+        0; nothing of the old graph is admitted into the new one.  A body of
+        the dead drain may still run on an abandoned worker, but its result
+        reaches no completion hook: only the thread that drains a pool
+        completes its tasks, and that is this one.  A task the hook did
+        complete before this loop reached it was claimed there
+        (:func:`_claim`), and is skipped here.
         """
         self._drain_errors += 1
         reason = f"the pool's drain failed: {type(exc).__name__}: {exc}"
@@ -843,15 +841,12 @@ class Gateway:
 
 
 def _claim(task: Task) -> Optional[_TenantState]:
-    """Take ``task``'s tenant off the task, under that tenant's lock: the
-    one caller that gets it counts the task, any other gets ``None``."""
-    tenant = task.owner
-    if tenant is None:
-        return None
-    with tenant.lock:
-        if task.owner is None:
-            return None
-        task.owner = None
+    """Take ``task``'s tenant off the task: the first caller gets it and
+    counts the task, any later one gets ``None``.  Every caller runs on the
+    dispatch thread — every pool fires the completion hook on the thread
+    that drains it, and the drain-failure recovery runs between drains —
+    so a plain read-and-clear is the whole arbitration."""
+    tenant, task.owner = task.owner, None
     return tenant
 
 

@@ -12,13 +12,14 @@ import pytest
 from repro.atm.engine import ATMEngine
 from repro.atm.policy import StaticATMPolicy
 from repro.common.config import ATMConfig, RuntimeConfig
-from repro.common.exceptions import RuntimeStateError
+from repro.common.exceptions import RuntimeStateError, WireProtocolError
 from repro.runtime.atm_protocol import ATMAction, ATMCommitInfo, ATMDecision
 from repro.session import Session
 from repro.runtime.data import DataRegion, In, InOut, Out, region_versions
 from repro.runtime.graph import TaskDependenceGraph
 from repro.runtime.mp_executor import ProcessExecutor
-from repro.runtime.shm import SharedBufferRegistry, WorkerArena
+from repro.runtime.remote_task import WorkerArena
+from repro.runtime.shm import SharedBufferRegistry
 from repro.runtime.task import TaskState, TaskType
 
 
@@ -62,8 +63,8 @@ class TestSharedMemoryProtocol:
         base = np.arange(24, dtype=np.float64).reshape(4, 6)
         view = base[1:3, 2:5]                    # non-trivial strides
         ref = registry.array_ref(view)
-        arena = WorkerArena()
-        arena.attach(registry.table())  # the chunk's buffer table
+        arena = WorkerArena(shared=True)
+        arena.load(registry.table())  # the chunk's buffer table
         rebuilt = arena.view(ref)
         assert rebuilt.shape == view.shape
         assert rebuilt.strides == view.strides
@@ -149,21 +150,21 @@ class TestSharedMemoryProtocol:
 
     def test_a_collected_base_is_released_at_the_next_call(self):
         registry = SharedBufferRegistry()
-        arena = WorkerArena()
+        arena = WorkerArena(shared=True)
         try:
             kept, dropped = np.zeros(8), np.ones(8)
             refs = [registry.array_ref(kept), registry.array_ref(dropped)]
-            arena.attach(registry.table())
+            arena.load(registry.table())
             views = [arena.view(ref) for ref in refs]
             assert len(registry) == 2
             del dropped, views
             assert len(registry) == 2            # unlinked only by release()
-            slots = registry.release()
-            assert slots == [refs[1][0]]
+            pairs = registry.release()
+            assert pairs == [(refs[1][0], 0)]    # a slot drops at generation 0
             assert len(registry) == 1
-            arena.release(slots)
+            arena.drop(pairs)
             assert np.array_equal(arena.view(refs[0]), kept)
-            with pytest.raises(RuntimeStateError):
+            with pytest.raises(WireProtocolError, match="absent from its buffer table"):
                 arena.view(refs[1])
         finally:
             arena.close()

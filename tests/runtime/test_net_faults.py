@@ -197,9 +197,8 @@ class DieAfterChunksEndpoint(LoopbackEndpoint):
                     if error is not None:
                         return
                     write_frame(sock, ("result", chunk.chunk_id, results))
-                elif kind == "invalidate":
-                    if state.buffer_cache is not None:
-                        state.buffer_cache.invalidate(message[1])
+                elif kind == "drop":
+                    state.arena.drop(message[1])
                 elif kind == "shutdown":
                     return
         except (OSError, ValueError, EOFError):
@@ -539,19 +538,22 @@ def _hello(**fields):
         ((), 42, "not a protocol message"),
         ((), ("chunk", 42), "chunk before hello"),
         ((), ("hello", 5), "unreadable 'hello' message"),
-        # The protocol before this one named a data plane in its hello.
+        # The protocol before this one had two messages to forget a buffer by.
         ((), ("hello", {"protocol": PROTOCOL_VERSION - 1}),
          f"protocol version mismatch: client speaks {PROTOCOL_VERSION - 1}"),
-        ((_hello(),), ("invalidate",), "unreadable 'invalidate' message"),
+        ((_hello(),), ("drop",), "unreadable 'drop' message"),
         ((_hello(),), ("chunk", 42), "unreadable 'chunk' message"),
         ((), _hostile_chunk(), "chunk before hello"),
         ((_hello(),), ("teleport", 1), "unknown message kind"),
-        ((_hello(),), ("release",), "unreadable 'release' message"),
-        ((_hello(shared=True),), ("release", 5), "unreadable 'release' message"),
+        ((), ("drop", ((1, 1),)), "drop before hello"),
+        ((_hello(shared=True),), ("drop", 5), "unreadable 'drop' message"),
+        # Protocol 13's two ways to forget a buffer are gone: one ``drop``.
+        ((_hello(),), ("invalidate", ((1, 1),)), "unknown message kind 'invalidate'"),
+        ((_hello(shared=True),), ("release", (5,)), "unknown message kind 'release'"),
     ],
     ids=["not-a-tuple", "int-chunk-unhello", "int-hello", "previous-protocol",
-         "short-invalidate", "int-chunk", "chunk-before-hello", "unknown-kind",
-         "short-release", "int-release"],
+         "short-drop", "int-chunk", "chunk-before-hello", "unknown-kind",
+         "drop-before-hello", "int-drop", "protocol-13-invalidate", "protocol-13-release"],
 )
 def test_worker_reports_a_message_it_cannot_read_and_closes(prelude, hostile, named, capfd):
     """The worker trusts no frame either: a well-framed message that is not
@@ -791,14 +793,32 @@ def test_residency_ships_an_iterative_read_mostly_program_once():
     assert payload[-1] - payload[0] < span, payload
 
 
-def test_a_worker_refuses_a_protocol_12_hello_by_name():
-    """Protocol 12's network hello named a data plane (``"residency"``);
-    13 has one, so a protocol-12 peer is refused whichever plane it named."""
-    for residency in (True, False):
-        state = NetWorkerState()
-        with pytest.raises(WireProtocolError, match="client speaks 12, worker speaks 13"):
-            state.hello({"protocol": 12, "residency": residency})
-        assert state.worker is None and state.buffer_cache is None
+def test_a_worker_refuses_a_protocol_13_hello_by_name():
+    """Protocol 13 told a network worker to forget buffers with
+    ``invalidate`` and a process worker with ``release``; 14 has one
+    ``drop``, so a protocol-13 peer is refused whichever data plane it
+    asked for, and the worker builds nothing."""
+    for fields in ({}, {"shared": True}):
+        state = NetWorkerState(local=True)
+        with pytest.raises(WireProtocolError, match="client speaks 13, worker speaks 14"):
+            state.hello({"protocol": 13, **fields})
+        assert state.worker is None and state.arena is None
+
+
+def test_a_segment_row_without_a_shared_hello_is_refused_by_name():
+    """Only a ``"shared"`` hello lets a worker map segments: a segment row
+    on any other connection is a named protocol error, raised before any
+    segment is opened (the name below maps nothing: opening it would raise
+    ``FileNotFoundError``)."""
+    from repro.runtime.net_wire import NetBuffer, NetChunk
+
+    chunk = NetChunk(1, (NetBuffer(3, 0, "psm_no_such_segment", 0),), ())
+    for local in (False, True):
+        state = NetWorkerState(local=local)
+        state.hello({"protocol": PROTOCOL_VERSION})
+        with pytest.raises(WireProtocolError, match="without a shared hello"):
+            state.run_chunk(chunk)
+        assert state.arena._held == {}
 
 
 def test_a_network_session_refuses_net_residency_off():

@@ -29,9 +29,10 @@ Hypothesis-driven guarantees over :mod:`repro.runtime.net_wire`:
   survive encode→decode structurally intact.
 
 The array and descriptor properties run over *each* arena built on the
-shared :class:`~repro.runtime.remote_task.ArrayArena` base: the process
-backend's shared-memory ``WorkerArena``, the network backend's
-``ChunkArena`` and the gateway's ``TenantArena``.
+shared :class:`~repro.runtime.remote_task.ArrayArena` base: the one
+``WorkerArena`` of a worker connection, over a process pool's shared
+segments and over a network chunk's shipped spans, and the gateway's
+``TenantArena``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from repro.runtime.data import In, InOut, Out  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     MAX_FRAME_BYTES,
     MAX_FRAME_SEGMENTS,
-    ChunkArena,
     ChunkEncoder,
     NetBuffer,
     NetChunk,
@@ -69,9 +69,8 @@ from repro.runtime.net_wire import (  # noqa: E402
     send_frame,
     span_view,
 )
-from repro.runtime.remote_task import describe_task, rebuild_task  # noqa: E402
-from repro.runtime.residency import WorkerBufferCache  # noqa: E402
-from repro.runtime.shm import SharedBufferRegistry, WorkerArena  # noqa: E402
+from repro.runtime.remote_task import WorkerArena, describe_task, rebuild_task  # noqa: E402
+from repro.runtime.shm import SharedBufferRegistry  # noqa: E402
 from repro.runtime.task import TaskType  # noqa: E402
 from repro.serving import Gateway, GatewayClient  # noqa: E402
 from repro.serving.gateway import TenantArena  # noqa: E402
@@ -599,7 +598,9 @@ def test_received_segments_are_writable_and_are_the_arena_backing():
         far.close()
     (buffer,) = chunk.buffers
     assert not memoryview(buffer.data).readonly
-    view = ChunkArena(chunk.buffers, WorkerBufferCache()).view(ref)
+    arena = WorkerArena()
+    arena.load(chunk.buffers)
+    view = arena.view(ref)
     assert bit_equal(view, base[8:24])
     assert view.flags.writeable
     assert np.shares_memory(view, np.frombuffer(buffer.data, dtype=np.uint8))
@@ -632,10 +633,10 @@ def shipped(kind: str):
     """
     if kind == "worker":  # process backend: shared segments, named by the table
         registry = SharedBufferRegistry()
-        arena = WorkerArena()
+        arena = WorkerArena(shared=True)
 
         def attach():
-            arena.attach(received(registry.table()))
+            arena.load(received(registry.table()))
             return arena
 
         try:
@@ -648,7 +649,9 @@ def shipped(kind: str):
 
     def receive():
         if kind == "chunk":  # network backend: the union spans a chunk touches
-            return ChunkArena(received(full_ship(encoder)), WorkerBufferCache())
+            arena = WorkerArena()
+            arena.load(received(full_ship(encoder)))
+            return arena
         whole = tuple(  # gateway: whole owning buffers, shipped once
             NetBuffer(buffer_id, 0, span_view(base, 0, base.nbytes))
             for buffer_id, (base, _start, _end) in encoder.spans().items()

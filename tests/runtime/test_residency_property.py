@@ -11,9 +11,10 @@ only costs a re-ship), never to serve wrong bytes.
 Three layers of coverage:
 
 * **unit tests** of every :meth:`ResidencyTable.note_write` rule, the
-  lookup/record/evict bookkeeping, :class:`WorkerBufferCache`'s
-  generation-guarded invalidation and :class:`ChunkArena`'s cached-form
-  resolution (including the loud :class:`WireProtocolError` paths);
+  lookup/record/evict bookkeeping and the worker's side in its one
+  :class:`WorkerArena`: the generation-guarded ``drop``, cached-form
+  resolution (including the loud :class:`WireProtocolError` paths) and a
+  re-ship replacing one buffer's backing, views and regions;
 * **placement unit tests** of :meth:`NetworkExecutor._place` and the
   fixed-pool round-robin cursor (the failover skew fix);
 * a **hypothesis property** that drives the full parent+worker model —
@@ -38,15 +39,16 @@ from repro.runtime.net_executor import NetworkExecutor  # noqa: E402
 from repro.runtime.net_transport import NetWorkerState  # noqa: E402
 from repro.runtime.net_wire import (  # noqa: E402
     PROTOCOL_VERSION,
-    ChunkArena,
     NetBuffer,
     NetChunk,
     span_view,
 )
-from repro.runtime.residency import (  # noqa: E402
-    ResidencyTable,
-    WorkerBufferCache,
-)
+from repro.runtime.data import In, Out  # noqa: E402
+from repro.runtime.net_wire import ChunkEncoder  # noqa: E402
+from repro.runtime.remote_task import WorkerArena, describe_task, rebuild_task  # noqa: E402
+from repro.runtime.task import TaskType  # noqa: E402
+from tests.conftest import full_ship  # noqa: E402
+from repro.runtime.residency import ResidencyTable  # noqa: E402
 
 
 class Ep:
@@ -354,41 +356,7 @@ def test_score_sums_across_buffers():
 
 
 # ---------------------------------------------------------------------------
-# WorkerBufferCache
-# ---------------------------------------------------------------------------
-
-
-def test_worker_cache_put_get_and_sizes():
-    cache = WorkerBufferCache()
-    assert len(cache) == 0 and cache.nbytes == 0
-    backing = np.zeros(32, dtype=np.uint8)
-    cache.put(1, backing, start=0, generation=7)
-    got = cache.get(1)
-    assert got is not None and got.backing is backing and got.generation == 7
-    assert len(cache) == 1 and cache.nbytes == 32
-    assert cache.get(2) is None
-
-
-def test_worker_cache_replace_reaccounts_nbytes():
-    cache = WorkerBufferCache()
-    cache.put(1, np.zeros(32, dtype=np.uint8), start=0, generation=1)
-    cache.put(1, np.zeros(8, dtype=np.uint8), start=4, generation=2)
-    assert len(cache) == 1 and cache.nbytes == 8
-    assert cache.get(1).generation == 2
-
-
-def test_worker_cache_invalidate_is_generation_guarded():
-    cache = WorkerBufferCache()
-    cache.put(1, np.zeros(8, dtype=np.uint8), start=0, generation=7)
-    cache.invalidate([(1, 6)])  # aimed at a predecessor: no-op
-    assert cache.get(1) is not None
-    cache.invalidate([(1, 7), (2, 9)])  # right gen drops; unknown id ignored
-    assert cache.get(1) is None
-    cache.invalidate([(1, 7)])  # idempotent
-
-
-# ---------------------------------------------------------------------------
-# ChunkArena cached-form integration
+# The worker's arena: shipped, cached and dropped rows
 # ---------------------------------------------------------------------------
 
 
@@ -397,29 +365,40 @@ def _full_ship(buffer_id: int, payload: bytes, gen: int, start: int = 0):
     return NetBuffer(buffer_id, start, bytearray(payload), gen)
 
 
+def _backing(arena: WorkerArena, buffer_id: int) -> tuple[np.ndarray, int]:
+    """``(backing, owning-base offset of its first byte)`` the arena holds."""
+    held = arena._held[buffer_id]
+    return held.backing, held.base_offset
+
+
+def _u8(buffer_id: int, start: int, end: int) -> tuple:
+    """The ref of bytes ``[start, end)`` of a buffer as a uint8 view."""
+    return (buffer_id, start, (end - start,), (1,), "|u1")
+
+
 def test_arena_full_ship_populates_cache_then_cached_dispatch_serves_it():
-    cache = WorkerBufferCache()
-    ChunkArena((_full_ship(1, bytes(range(16)), gen=3),), cache=cache)
-    arena = ChunkArena((NetBuffer(1, 0, None, 3),), cache=cache)
-    backing, start = arena._bases[1]
-    assert start == 0
-    assert bytes(backing) == bytes(range(16))
+    arena = WorkerArena()
+    arena.load((_full_ship(1, bytes(range(16)), gen=3, start=8),))
+    arena.load((NetBuffer(1, 8, None, 3),))
+    backing, start = _backing(arena, 1)
+    assert start == 8 and bytes(backing) == bytes(range(16))
+    assert bytes(arena.view(_u8(1, 10, 12))) == bytes([2, 3])
 
 
 def test_arena_cached_dispatch_without_entry_is_a_protocol_error():
-    with pytest.raises(WireProtocolError):
-        ChunkArena((NetBuffer(1, 0, None, 3),), cache=WorkerBufferCache())
+    with pytest.raises(WireProtocolError, match="holds nothing"):
+        WorkerArena().load((NetBuffer(1, 0, None, 3),))
 
 
 def test_arena_cached_dispatch_with_wrong_generation_is_a_protocol_error():
-    cache = WorkerBufferCache()
-    ChunkArena((_full_ship(1, bytes(16), gen=3),), cache=cache)
-    with pytest.raises(WireProtocolError):
-        ChunkArena((NetBuffer(1, 0, None, 2),), cache=cache)
+    arena = WorkerArena()
+    arena.load((_full_ship(1, bytes(16), gen=3),))
+    with pytest.raises(WireProtocolError, match="at generation 2 but this worker holds g3"):
+        arena.load((NetBuffer(1, 0, None, 2),))
 
 
 def test_a_fresh_network_worker_refuses_a_cached_dispatch():
-    """Every network worker keeps a cache, and a fresh one holds nothing:
+    """Every network worker keeps an arena, and a fresh one holds nothing:
     a cached row in its first chunk fails loudly instead of reading bytes
     the worker was never shipped."""
     state = NetWorkerState()
@@ -429,20 +408,91 @@ def test_a_fresh_network_worker_refuses_a_cached_dispatch():
 
 
 def test_arena_writes_land_in_the_cached_backing():
-    cache = WorkerBufferCache()
-    arena = ChunkArena((_full_ship(1, bytes(16), gen=3),), cache=cache)
-    backing, _ = arena._bases[1]
-    backing[4:8] = 0xAB
-    assert bytes(cache.get(1).backing[4:8]) == b"\xab" * 4
+    arena = WorkerArena()
+    payload = bytearray(16)
+    arena.load((NetBuffer(1, 0, payload, 3),))
+    arena.view(_u8(1, 4, 8))[...] = 0xAB
+    assert bytes(payload[4:8]) == b"\xab" * 4  # adopted, never copied
 
 
 def test_arena_reship_replaces_the_cached_backing():
-    cache = WorkerBufferCache()
-    ChunkArena((_full_ship(1, b"\x01" * 16, gen=3),), cache=cache)
-    ChunkArena((_full_ship(1, b"\x02" * 16, gen=4),), cache=cache)
-    entry = cache.get(1)
-    assert entry.generation == 4
-    assert bytes(entry.backing) == b"\x02" * 16
+    """A re-ship replaces the backing whole — span, bytes and generation —
+    as the parent's ``record`` replaces its entry."""
+    arena = WorkerArena()
+    arena.load((_full_ship(1, b"\x01" * 16, gen=3),))
+    arena.load((_full_ship(1, b"\x02" * 8, gen=4, start=4),))
+    backing, start = _backing(arena, 1)
+    assert arena._held[1].generation == 4
+    assert (start, bytes(backing)) == (4, b"\x02" * 8)
+    with pytest.raises(WireProtocolError, match="holds g4"):
+        arena.load((NetBuffer(1, 0, None, 3),))
+
+
+def test_arena_drop_is_generation_guarded():
+    arena = WorkerArena()
+    arena.load((_full_ship(1, bytes(8), gen=7),))
+    arena.drop([(1, 6)])  # aimed at a predecessor: no-op
+    assert 1 in arena._held
+    arena.drop([(1, 7), (2, 9)])  # right gen drops; unknown id ignored
+    assert 1 not in arena._held
+    arena.drop([(1, 7)])  # idempotent
+    with pytest.raises(WireProtocolError, match="absent from its buffer table"):
+        arena.view(_u8(1, 0, 8))
+
+
+def test_a_reship_drops_that_buffers_views_and_no_others():
+    """A re-ship at a new generation rebuilds the views and regions over the
+    replaced buffer; every other buffer keeps the objects it had."""
+    arena = WorkerArena()
+    arena.load((_full_ship(1, b"\x01" * 16, gen=3), _full_ship(2, b"\x05" * 16, gen=4)))
+    stale, kept = arena.view(_u8(1, 0, 8)), arena.view(_u8(2, 0, 8))
+    stale_region, kept_region = arena.region(_u8(1, 0, 8), "a"), arena.region(_u8(2, 0, 8), "b")
+    arena.load((_full_ship(1, b"\x02" * 16, gen=5), NetBuffer(2, 0, None, 4)))
+    fresh = arena.view(_u8(1, 0, 8))
+    assert fresh is not stale and bytes(fresh) == b"\x02" * 8
+    assert arena.region(_u8(1, 0, 8), "a") is not stale_region
+    assert arena.view(_u8(2, 0, 8)) is kept
+    assert arena.region(_u8(2, 0, 8), "b") is kept_region
+
+
+def _read(block, out):
+    out[...] = block.sum()
+
+
+def test_two_chunks_naming_one_ref_on_one_connection_share_view_and_region(monkeypatch):
+    """A network connection keeps one arena: the second chunk — its span
+    cached — rebuilds its task over the very ndarray and DataRegion the
+    first chunk's task used, instead of building them again."""
+    from repro.runtime import remote_task
+
+    rebuilt = []
+
+    def recording(desc, arena, task_types):
+        task = rebuild_task(desc, arena, task_types)
+        rebuilt.append(task)
+        return task
+
+    monkeypatch.setattr(remote_task, "rebuild_task", recording)
+    base, sinks = np.arange(16.0), np.zeros(2)
+    encoder = ChunkEncoder()
+    descriptors = [
+        describe_task(task_id, task_id, TaskType("one-ref"), _read,
+                      (In(base[4:8]), Out(sinks[task_id:task_id + 1])),
+                      (base[4:8], sinks[task_id:task_id + 1]), {}, encoder.ref)
+        for task_id in (0, 1)
+    ]
+    # bytearray(): what the frame reader hands the arena, not the view.
+    rows = tuple(row._replace(data=bytearray(row.data)) for row in full_ship(encoder))
+    state = NetWorkerState()
+    state.hello({"protocol": PROTOCOL_VERSION})
+    cached = tuple(NetBuffer(row.buffer_id, row.start, None, row.generation) for row in rows)
+    for chunk_id, table, desc in ((1, rows, descriptors[0]), (2, cached, descriptors[1])):
+        results, error = state.run_chunk(NetChunk(chunk_id, table, (desc,)))
+        assert error is None and [row[0] for row in results] == [chunk_id - 1]
+    first, second = rebuilt
+    assert second.args[0] is first.args[0]
+    assert second.accesses[0].region is first.accesses[0].region
+    assert second.args[0] is second.accesses[0].region.array
 
 
 def test_span_view_aliases_the_requested_window():
@@ -567,16 +617,16 @@ class _Model:
     """Serial parent+workers model of the full residency dispatch cycle.
 
     Mirrors the executor's exact sequencing per chunk: tick, lookup/record
-    per buffer, budget eviction, frame to the worker (ChunkArena build),
-    eviction invalidates (FIFO: after the chunk), task execution, then the
-    write-commit (parent copy-back, version bump, note_write, invalidate
+    per buffer, budget eviction, frame to the worker (its arena loads the
+    table), eviction drops (FIFO: after the chunk), task execution, then the
+    write-commit (parent copy-back, version bump, note_write, drop
     fan-out).  Every dispatch asserts the served bytes match the parent.
     """
 
     def __init__(self, budget: int) -> None:
         self.table = ResidencyTable(budget_bytes=budget)
         self.endpoints = [Ep(f"w{i}") for i in range(N_ENDPOINTS)]
-        self.caches = {ep: WorkerBufferCache() for ep in self.endpoints}
+        self.arenas = {ep: WorkerArena() for ep in self.endpoints}
         self.parent = [
             np.arange(i, i + BUF_SIZE, dtype=np.uint8) for i in range(N_BUFFERS)
         ]
@@ -591,7 +641,7 @@ class _Model:
 
     def dispatch(self, ep_index, spans, write) -> None:
         ep = self.endpoints[ep_index]
-        cache = self.caches[ep]
+        arena = self.arenas[ep]
         # Coalesce duplicate buffers the way ChunkEncoder merges spans.
         merged: dict[int, tuple[int, int]] = {}
         for buffer_id, (start, end) in spans:
@@ -615,14 +665,17 @@ class _Model:
                 netbufs.append(NetBuffer(buffer_id, start, payload, gen))
                 dispatch_gens[buffer_id] = gen
         evicted = self.table.evict_over_budget(ep, protect_tick=tick0)
-        arena = ChunkArena(tuple(netbufs), cache=cache)  # the chunk frame
-        cache.invalidate(evicted)  # FIFO: invalidate rides behind the chunk
+        arena.load(tuple(netbufs))  # the chunk frame
+        served = {  # what the chunk's tasks read, resolved before the drop
+            buffer_id: _backing(arena, buffer_id) for buffer_id in merged
+        }
+        arena.drop(evicted)  # FIFO: the drop rides behind the chunk
         # THE PROPERTY: the bytes the worker serves every task are the
         # parent's bytes, whatever interleaving led here.
         for buffer_id, (start, end) in merged.items():
-            backing, base_start = arena._bases[buffer_id]
-            served = bytes(backing[start - base_start : end - base_start])
-            assert served == self.parent[buffer_id][start:end].tobytes(), (
+            backing, base_start = served[buffer_id]
+            got = bytes(backing[start - base_start : end - base_start])
+            assert got == self.parent[buffer_id][start:end].tobytes(), (
                 f"worker {ep.name} served stale bytes of buffer {buffer_id} "
                 f"[{start}:{end})"
             )
@@ -635,7 +688,7 @@ class _Model:
             w_end = min(max(raw_end, start), end)
             if w_end <= w_start:
                 return
-            backing, base_start = arena._bases[buffer_id]
+            backing, base_start = served[buffer_id]
             backing[w_start - base_start : w_end - base_start] = value
             # Result message: parent applies the write and commits it.
             self.parent[buffer_id][w_start:w_end] = value
@@ -648,7 +701,7 @@ class _Model:
             for dep, dbuf, dgen in dropped:
                 by_endpoint.setdefault(dep, []).append((dbuf, dgen))
             for dep, pairs in by_endpoint.items():
-                self.caches[dep].invalidate(pairs)
+                self.arenas[dep].drop(pairs)
 
     def parent_write(self, buffer_id, span, value) -> None:
         """An unknown writer (copy_from, another backend): no note_write —
@@ -660,7 +713,7 @@ class _Model:
     def fail(self, ep_index) -> None:
         ep = self.endpoints[ep_index]
         self.table.drop_endpoint(ep)
-        self.caches[ep] = WorkerBufferCache()  # the worker died with its cache
+        self.arenas[ep] = WorkerArena()  # the worker died with its arena
 
     def audit(self) -> None:
         """Parent-authoritative coherence: every entry the table still
@@ -675,13 +728,13 @@ class _Model:
                 held += entry.nbytes
                 if entry.version != self.versions[buffer_id]:
                     continue  # stale: allowed, will re-ship on next touch
-                cached = self.caches[ep].get(buffer_id)
+                cached = self.arenas[ep]._held.get(buffer_id)
                 assert cached is not None, (
                     f"{ep.name} table entry for buffer {buffer_id} has no "
                     f"worker backing"
                 )
                 assert cached.generation == entry.generation
-                lo = entry.start - cached.start
+                lo = entry.start - cached.base_offset
                 view = bytes(cached.backing[lo : lo + entry.nbytes])
                 assert view == self.parent[buffer_id][entry.start:entry.end].tobytes()
             assert held == self.table.bytes_held(ep)  # accounting invariant

@@ -24,10 +24,9 @@ import pytest
 
 from repro.common.exceptions import TaskDefinitionError
 from repro.runtime.data import AccessMode, DataRegion, In, InOut, Out
-from repro.runtime.net_wire import ChunkEncoder, ChunkArena, NetBuffer, span_view
-from repro.runtime.remote_task import describe_task, rebuild_task
-from repro.runtime.residency import WorkerBufferCache
-from repro.runtime.shm import SharedBufferRegistry, WorkerArena
+from repro.runtime.net_wire import ChunkEncoder, NetBuffer, span_view
+from repro.runtime.remote_task import WorkerArena, describe_task, rebuild_task
+from repro.runtime.shm import SharedBufferRegistry
 from repro.runtime.task import Task, TaskType
 from repro.serving.gateway import TenantArena
 from repro.session import Session
@@ -127,10 +126,10 @@ def _shipped(kind: str, base: np.ndarray):
     refs are taken, the arena its receiver rebuilds them in."""
     if kind == "worker":  # process pool: shared segments
         registry = SharedBufferRegistry()
-        worker = WorkerArena()
+        worker = WorkerArena(shared=True)
 
         def arena():
-            worker.attach(registry.table())
+            worker.load(registry.table())
             return worker
 
         def close():
@@ -140,11 +139,12 @@ def _shipped(kind: str, base: np.ndarray):
         return registry.array_ref, arena, close
     encoder = ChunkEncoder()
     if kind == "chunk":  # network endpoint: the spans one chunk touches
-        return (
-            encoder.ref,
-            lambda: ChunkArena(full_ship(encoder), WorkerBufferCache()),
-            lambda: None,
-        )
+        def received():
+            worker = WorkerArena()
+            worker.load(full_ship(encoder))
+            return worker
+
+        return encoder.ref, received, lambda: None
 
     def tenant():  # gateway tenant: whole owning buffers, stored once
         arena = TenantArena()

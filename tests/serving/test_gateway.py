@@ -299,6 +299,52 @@ class TestFailureSurfacing:
         assert not any(b.any() for b in first_wave)
         assert all(np.all(b == 2.0) for b in second_wave)
 
+    @pytest.mark.parametrize("executor", ["serial", "threaded", "process", "network"])
+    def test_completions_reach_claim_on_the_dispatch_thread_only(self, executor, monkeypatch):
+        """Every pool a gateway runs completes its tasks on the gateway's
+        dispatch thread — finished, failed, cancelled and born-cancelled
+        ones alike — and the drain-failure recovery claims its tasks there
+        too, so ``_claim`` needs no lock."""
+        from repro.serving import gateway as gateway_module
+
+        threads = []
+        claim = gateway_module._claim
+
+        def recording(task):
+            threads.append(threading.current_thread().name)
+            return claim(task)
+
+        def broken_drain(graph):
+            raise RuntimeError("injected drain failure")
+
+        monkeypatch.setattr(gateway_module, "_claim", recording)
+        cfg = ReproConfig().with_overrides(
+            runtime={"executor": executor, "num_threads": 2}, serving={"max_pending": 4}
+        )
+        blocks, failing, dep = [np.zeros(4) for _ in range(8)], np.zeros(4), np.zeros(4)
+        boom = TaskType("serve_boom", memoizable=False)
+        with Gateway(cfg) as gw:
+            with connect(gw, f"claim-{executor}") as client:
+                client._sock.settimeout(30.0)  # a hang fails instead of blocking
+                client.submit_batch(
+                    [(FILL, fill_block, [InOut(b)], (b, 1.0)) for b in blocks]
+                    + [(boom, boom_body, [InOut(failing)], (failing,)),
+                       (ACC, accumulate_block, [In(failing), InOut(dep)], (failing, dep))]
+                )
+                client.wait_all()
+                client.submit(ACC, accumulate_block, accesses=[In(failing), InOut(dep)],
+                              args=(failing, dep))  # born cancelled
+                first = client.finish()
+                gw._executor.drain = broken_drain  # the rebuilt pool drains normally
+                client.submit_batch(
+                    [(FILL, fill_block, [InOut(b)], (b, 2.0)) for b in blocks]
+                )
+                second = client.finish()
+        assert (first.tasks_completed, first.tasks_failed, first.tasks_cancelled) == (8, 1, 2)
+        assert (second.tasks_failed - first.tasks_failed, second.tasks_completed) == (8, 8)
+        assert len(threads) == 8 + 1 + 2 + 8
+        assert set(threads) == {"gateway-dispatch"}
+
     def test_a_task_the_dead_drain_finishes_during_recovery_is_counted_once(self):
         """A worker of a drain that died may still finish a task after the
         recovery read the broken graph: the task is counted once, as
@@ -407,7 +453,7 @@ class TestProtocolErrors:
         from repro.serving.gateway import TenantArena
 
         def wrong_size(self, buffer_id):
-            backing = self._bases[buffer_id]
+            backing = self._held[buffer_id].backing
             resized = backing[:-trim] if trim > 0 else np.concatenate([backing, backing[:-trim]])
             return raw_view(resized)
 
